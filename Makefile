@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet staticcheck test race stress crash bench bench-diff gobench docs-check check
+.PHONY: build vet staticcheck test race stress crash bench bench-smoke bench-diff gobench docs-check check
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,13 @@ crash:
 bench:
 	$(GO) run ./cmd/aggbench -snapshot BENCH_$(shell date +%Y%m%d).json
 
+# bench-smoke vets and tests the repo benchmark (BENCHMARK.json, bench/): a
+# nested module outside `go build ./...` that compiles against the engine's
+# public surface and several internal packages, so an engine change that
+# breaks it fails here (~9 s) rather than in the benchmark run.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # bench-diff compares the two most recent committed snapshots: throughput
 # and prepared qps deltas plus any per-query IO/plan drift. Override OLD
 # and NEW to compare specific files.
@@ -71,6 +78,7 @@ docs-check:
 
 # check is the tier-1 gate: static analysis plus the full test suite
 # (including the chaos fault sweeps) under the race detector, then the
-# doubled concurrency stress pass, the full-resolution crash sweep, and
-# the documentation link/reference check.
-check: vet staticcheck race stress crash docs-check
+# doubled concurrency stress pass, the full-resolution crash sweep, the
+# benchmark module's smoke test, and the documentation link/reference
+# check.
+check: vet staticcheck race stress crash bench-smoke docs-check

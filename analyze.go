@@ -9,7 +9,6 @@ import (
 	"aggview/internal/cost"
 	"aggview/internal/lplan"
 	"aggview/internal/obs"
-	"aggview/internal/sql"
 )
 
 // OpNode is one operator of an executed plan, annotated with the cost
@@ -53,14 +52,6 @@ func (e *Engine) buildOpTree(n lplan.Node, model *cost.Model, col *obs.Collector
 		node.Children = append(node.Children, e.buildOpTree(c, model, col))
 	}
 	return node
-}
-
-// walkOps visits the tree depth-first, parents before children.
-func walkOps(n *OpNode, fn func(*OpNode)) {
-	fn(n)
-	for _, c := range n.Children {
-		walkOps(c, fn)
-	}
 }
 
 // renderOpTree writes the annotated plan, one operator per line.
@@ -136,24 +127,7 @@ func (a *AnalyzeInfo) String() string {
 // <select>` renders the same report as result rows.
 func (e *Engine) ExplainAnalyze(ctx context.Context, src string, opts ...QueryOption) (a *AnalyzeInfo, err error) {
 	defer recoverToError(&err, src)
-	opt, err := applyOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	stmt, err := sql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return nil, fmt.Errorf("aggview: ExplainAnalyze requires a SELECT statement")
-	}
-	opt.cold, opt.trace = true, true
-	return analyzeRows(e.openRows(ctx, sel, src, opt))
-}
-
-func (e *Engine) explainAnalyzeSelect(ctx context.Context, sel *sql.Select, src string) (*AnalyzeInfo, error) {
-	return analyzeRows(e.openRows(ctx, sel, src, rowsOptions{cold: true, trace: true}))
+	return analyzeRows(e.query(ctx, src, rowsOptions{cold: true, trace: true}, opts))
 }
 
 // analyzeRows drains an opened run and assembles the EXPLAIN ANALYZE
@@ -175,8 +149,8 @@ func analyzeRows(rows *Rows, err error) (*AnalyzeInfo, error) {
 	e := qr.engine
 	model := cost.NewModel(e.cfg.PoolPages, e.cfg.CPUWeight)
 	return &AnalyzeInfo{
-		Plan:         rows.plan,
-		Root:         e.buildOpTree(rows.plan.root, model, qr.col),
+		Plan:         qr.planInfo,
+		Root:         e.buildOpTree(qr.planInfo.root, model, qr.col),
 		Rows:         qr.rowsOut,
 		IO:           qr.io,
 		Unattributed: qr.col.Unattributed,

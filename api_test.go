@@ -20,7 +20,7 @@ func setupAPIEngine(t *testing.T, cfg Config) *Engine {
 }
 
 // TestQueryOptionsMode: WithMode runs the requested optimizer mode and all
-// modes agree on the answer; the deprecated QueryMode wrapper matches.
+// modes agree on the answer.
 func TestQueryOptionsMode(t *testing.T) {
 	e := setupAPIEngine(t, Config{PoolPages: 32})
 	ctx := context.Background()
@@ -45,13 +45,6 @@ func TestQueryOptionsMode(t *testing.T) {
 		// Cold cache: the plan's pages cannot all be pool hits.
 		if res.IO.Reads == 0 {
 			t.Errorf("%v: cold run performed no reads (IO %+v)", mode, res.IO)
-		}
-		old, err := e.QueryMode(ctx, q, mode)
-		if err != nil {
-			t.Fatalf("QueryMode(%v): %v", mode, err)
-		}
-		if old.String() != res.String() {
-			t.Errorf("%v: deprecated QueryMode diverges from Query+WithMode", mode)
 		}
 	}
 }

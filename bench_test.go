@@ -92,7 +92,7 @@ func BenchmarkOptimizeExample1(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			var states int
 			for i := 0; i < b.N; i++ {
-				info, err := eng.Explain(example1Nested, mode)
+				info, err := eng.Explain(context.Background(), example1Nested, aggview.WithMode(mode))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -122,7 +122,7 @@ func BenchmarkOptimizeStarJoin(b *testing.B) {
 			q += where + ` group by e.dno`
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Explain(q, aggview.PushDown); err != nil {
+				if _, err := eng.Explain(context.Background(), q, aggview.WithMode(aggview.PushDown)); err != nil {
 					b.Fatal(err)
 				}
 			}

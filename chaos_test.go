@@ -398,7 +398,7 @@ func TestOptimizerBudgetDegradationLadder(t *testing.T) {
 	      where v.partkey = p.partkey group by p.brand having max(v.aqty) > 10`
 
 	// Reference answer from an ungoverned engine.
-	clean, err := eng.QueryMode(context.Background(), q, aggview.Full)
+	clean, err := eng.Query(context.Background(), q, aggview.WithMode(aggview.Full), aggview.WithColdCache())
 	if err != nil {
 		t.Fatal(err)
 	}

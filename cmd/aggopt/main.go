@@ -21,6 +21,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -66,7 +67,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		res, err := eng.ExecScript(string(src))
+		res, err := eng.ExecScript(context.Background(), string(src))
 		if err != nil {
 			fatal(err)
 		}
@@ -130,7 +131,7 @@ func repl(eng *aggview.Engine, in io.Reader, out io.Writer) {
 		stmt := buf.String()
 		buf.Reset()
 		prompt = "aggview> "
-		res, err := eng.ExecScript(stmt)
+		res, err := eng.ExecScript(context.Background(), stmt)
 		if err != nil {
 			fmt.Fprintln(out, "error:", err)
 			continue

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 func testEngine(t *testing.T) *aggview.Engine {
 	t.Helper()
 	eng := aggview.Open(aggview.Config{PoolPages: 16})
-	if _, err := eng.ExecScript(`
+	if _, err := eng.ExecScript(context.Background(), `
 		create table t (a int primary key, b int);
 		insert into t values (1, 10), (2, 20), (3, 20);
 		analyze;

@@ -20,7 +20,7 @@ type perQueryIO struct {
 
 // TestConcurrentMixedModeAttributionExact is the tentpole stress test: 8+
 // goroutines run the warehouse suite through every public execution mode —
-// materializing Query, cold QueryMode, streaming QueryRows (with and
+// materializing Query, cold WithMode+WithColdCache, streaming QueryRows (with and
 // without LIMIT), and ExplainAnalyze — on ONE engine. For every single
 // query it asserts the attribution-exactness invariant (per-operator page
 // sums == that query's own IO), and for the whole window it asserts that
@@ -61,11 +61,11 @@ func TestConcurrentMixedModeAttributionExact(t *testing.T) {
 							return
 						}
 						io, ops = res.IO, res.Ops
-					case 1: // cold QueryMode under a rotating optimizer mode
+					case 1: // cold Query under a rotating optimizer mode
 						mode := []aggview.OptimizerMode{aggview.Traditional, aggview.PushDown, aggview.Full}[w%3]
 						res, err := eng.Query(ctx, q, aggview.WithMode(mode), aggview.WithColdCache())
 						if err != nil {
-							errCh <- fmt.Errorf("worker %d QueryMode %d: %w", w, qi, err)
+							errCh <- fmt.Errorf("worker %d cold Query %d: %w", w, qi, err)
 							return
 						}
 						io, ops = res.IO, res.Ops
@@ -421,7 +421,7 @@ func TestConcurrentDDLSerializesWithQueries(t *testing.T) {
 //     drop completes while the cursor is still open, and the cursor keeps
 //     producing exact results afterwards (the pool tracks page identity
 //     only, never data).
-//  2. The cold-measurement path (QueryMode) drops the pool concurrently
+//  2. The cold-measurement path (WithColdCache) drops the pool concurrently
 //     with other readers, so the second half hammers cold runs against
 //     plain readers and asserts every answer stays exact.
 func TestForceDropCachesBypassAudit(t *testing.T) {

@@ -361,14 +361,14 @@ func TestPlanCacheInvalidationAcrossRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Prepare compiles eagerly, so the first execution already hits.
-	if res, err := st.Query(); err != nil || res.Plan.CacheStatus != "hit" {
+	if res, err := st.QueryContext(context.Background()); err != nil || res.Plan.CacheStatus != "hit" {
 		t.Fatalf("first run: %v, status %v", err, res.Plan.CacheStatus)
 	}
 
 	// One acknowledged mutation, then a crash on the next. The mutation
 	// invalidates the cached plan pre-crash, as usual.
 	eng.MustExec(`insert into emp values (4, 2, 400.0)`)
-	if res, err := st.Query(); err != nil || res.Plan.CacheStatus != "invalidated" {
+	if res, err := st.QueryContext(context.Background()); err != nil || res.Plan.CacheStatus != "invalidated" {
 		t.Fatalf("post-insert run: %v, status %v", err, res.Plan.CacheStatus)
 	}
 	ackedVersion := eng.CatalogVersion()
@@ -377,7 +377,7 @@ func TestPlanCacheInvalidationAcrossRecovery(t *testing.T) {
 		t.Fatalf("crash trigger err = %v", err)
 	}
 	// The dead engine's prepared statements are refused too.
-	if _, err := st.Query(); !errors.Is(err, aggview.ErrEngineDead) {
+	if _, err := st.QueryContext(context.Background()); !errors.Is(err, aggview.ErrEngineDead) {
 		t.Fatalf("dead-engine prepared query err = %v, want ErrEngineDead", err)
 	}
 	eng.Close()
@@ -400,7 +400,7 @@ func TestPlanCacheInvalidationAcrossRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st2.Query()
+	res, err := st2.QueryContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestPlanCacheInvalidationAcrossRecovery(t *testing.T) {
 	}
 	// Post-recovery mutations invalidate normally.
 	rec.MustExec(`insert into emp values (6, 3, 600.0)`)
-	res, err = st2.Query()
+	res, err = st2.QueryContext(context.Background())
 	if err != nil || res.Plan.CacheStatus != "invalidated" {
 		t.Fatalf("post-mutation status %v, err %v", res.Plan.CacheStatus, err)
 	}

@@ -42,8 +42,12 @@
 //	    aggview.WithLimits(aggview.Limits{MaxIOPages: 10_000}),
 //	    aggview.WithColdCache())
 //
-// Use Explain to inspect the chosen plan under each optimizer mode
-// (traditional, push-down, full) and compare estimated costs.
+// Explain takes the same options and returns the chosen plan without
+// running it; ExplainAll compares the three optimizer modes (traditional,
+// push-down, full) and their estimated costs. Every entry point — Query,
+// QueryRows, Exec of a SELECT, Explain, ExplainAnalyze, prepared statements,
+// Txn.Query — is the same staged pipeline run (parse, bind, resolve plan,
+// execute, finish), so they agree on plans, page IO and metrics.
 //
 // # Materialized aggregate views
 //

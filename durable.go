@@ -246,18 +246,14 @@ func OpenDurable(cfg Config) (*Engine, error) {
 		// The replayed tail may have torn a multi-record statement from the
 		// pre-framing format (or an anomaly healed by a previous recovery
 		// that then crashed before persisting the repair). Heal inside a
-		// normal write batch so the repair itself commits atomically.
-		rec2, err := e.beginWrite(context.Background())
+		// normal transaction so the repair itself commits atomically.
+		err := e.autoCommit(context.Background(), func() error {
+			if err := e.recoverMatViews(); err != nil {
+				return fmt.Errorf("%w: %v", ErrCorrupt, err)
+			}
+			return nil
+		})
 		if err != nil {
-			log.Close()
-			return nil, err
-		}
-		if err := e.recoverMatViews(); err != nil {
-			e.abortWrite(rec2)
-			log.Close()
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		if err := e.endWrite(rec2, nil); err != nil {
 			log.Close()
 			return nil, err
 		}

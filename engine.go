@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"aggview/internal/binder"
 	"aggview/internal/catalog"
 	"aggview/internal/core"
 	"aggview/internal/datagen"
@@ -103,8 +102,8 @@ type Config struct {
 	SystemRJoins bool
 
 	// Timeout bounds each query's wall time (0 = none). It composes with
-	// any deadline already on the QueryContext/ExecContext context; the
-	// earlier one wins. Violations surface as ErrCanceled.
+	// any deadline already on the Query/ExecContext context; the earlier one
+	// wins. Violations surface as ErrCanceled.
 	Timeout time.Duration
 	// MaxRowsOut caps the rows the executor may materialize per query
 	// (before ORDER BY/LIMIT presentation; 0 = unlimited). Violations
@@ -191,7 +190,7 @@ type Engine struct {
 func newEngine(store *storage.Store, cat *catalog.Catalog, cfg Config) *Engine {
 	return &Engine{
 		store: store, cat: cat, cfg: cfg,
-		reg: obs.NewRegistry(), gate: txn.NewGate(), cache: newCacheFor(cfg),
+		reg: obs.NewRegistry(), gate: txn.NewGate(), cache: newPlanCache(cfg.PlanCacheSize),
 	}
 }
 
@@ -216,14 +215,6 @@ func resolveConfig(cfg Config) Config {
 	return cfg
 }
 
-// newCacheFor builds the plan cache a config calls for (nil = disabled).
-func newCacheFor(cfg Config) *planCache {
-	if cfg.PlanCacheSize < 0 {
-		return nil
-	}
-	return newPlanCache(cfg.PlanCacheSize)
-}
-
 // Open creates an engine: in-memory by default, or durable when
 // cfg.DataDir is set — then it opens (and recovers) the data directory via
 // OpenDurable and panics on failure. Code that must handle recovery errors
@@ -241,13 +232,6 @@ func Open(cfg Config) *Engine {
 	return newEngine(st, catalog.New(st), cfg)
 }
 
-// OpenWithMode creates an engine pinned to a specific optimizer mode.
-func OpenWithMode(cfg Config, mode OptimizerMode) *Engine {
-	e := Open(cfg)
-	e.cfg.Mode = mode
-	return e
-}
-
 // WithConfig returns an engine sharing this engine's storage, catalog and
 // metrics registry but optimizing under a different configuration.
 // PoolPages is taken from the receiver (the buffer pool is shared and
@@ -261,7 +245,7 @@ func (e *Engine) WithConfig(cfg Config) *Engine {
 	cfg = resolveConfig(cfg)
 	return &Engine{
 		store: e.store, cat: e.cat, cfg: cfg,
-		reg: e.reg, gate: e.gate, cache: newCacheFor(cfg), wal: e.wal,
+		reg: e.reg, gate: e.gate, cache: newPlanCache(cfg.PlanCacheSize), wal: e.wal,
 	}
 }
 
@@ -276,23 +260,10 @@ func (e *Engine) Metrics() Metrics { return e.reg.Snapshot() }
 // goroutine; it should hand off quickly. Returns the previous sink.
 func (e *Engine) SetMetricsSink(s MetricsSink) MetricsSink { return e.reg.SetSink(s) }
 
-func (e *Engine) options() core.Options {
-	opts := core.DefaultOptions()
-	opts.Mode = e.cfg.Mode
-	opts.PoolPages = e.cfg.PoolPages
-	opts.CPUWeight = e.cfg.CPUWeight
-	if e.cfg.KLevelPullUp != 0 {
-		opts.KLevelPullUp = e.cfg.KLevelPullUp
-	}
-	opts.RequireSharedPredicate = !e.cfg.DisableSharedPredicateRestriction
-	opts.NoHashJoin = e.cfg.SystemRJoins
-	return opts
-}
-
 // Result is a materialized query result. Row values are native Go values:
 // int64, float64, string, bool, or nil.
 //
-// SELECTs executed through Query/QueryContext/QueryMode also attach the
+// SELECTs executed through Query/Exec also attach the
 // execution's observability: the plan (with estimates and search stats),
 // the measured page IO, and per-operator runtime metrics. DDL and INSERT
 // leave those fields zero.
@@ -370,80 +341,14 @@ func (e *Engine) Views() []string {
 	return e.cat.Snapshot().ViewNames()
 }
 
-// beginWrite admits this goroutine as the single writer: it acquires the
-// writer gate, checks engine liveness, and opens a copy-on-write batch on
-// the catalog. On a durable engine it installs a txn.Recorder capturing the
-// batch's log records (nil on in-memory engines). Every successful
-// beginWrite must be paired with exactly one endWrite or abortWrite.
-func (e *Engine) beginWrite(ctx context.Context) (*txn.Recorder, error) {
-	if err := e.gate.Acquire(ctx); err != nil {
-		return nil, err
-	}
-	if err := e.walAlive(); err != nil {
-		e.gate.Release()
-		return nil, err
-	}
-	e.cat.BeginWrite()
-	var rec *txn.Recorder
-	if e.wal != nil {
-		rec = txn.NewRecorder(e.cat.Version)
-		e.cat.SetLogger(rec)
-	}
-	return rec, nil
-}
-
-// endWrite completes a write batch: on success it makes the batch durable
-// (append + fsync of the recorded group, framed for atomicity when it has
-// more than one record) and then publishes the working snapshot — the
-// publish is the commit point visible to readers, and it happens only
-// after durability. On failure (opErr != nil, or the commit itself fails)
-// the working snapshot is discarded wholesale and the published state is
-// untouched. Always releases the gate.
-func (e *Engine) endWrite(rec *txn.Recorder, opErr error) error {
-	defer e.gate.Release()
-	if e.wal != nil {
-		e.cat.SetLogger(nil)
-	}
-	if opErr != nil {
-		e.cat.Discard()
-		return opErr
-	}
-	if rec != nil {
-		if err := e.wal.commitGroup(rec.Records(), e.cat.EncodeSnapshot); err != nil {
-			e.cat.Discard()
-			return err
-		}
-	}
-	e.cat.Publish()
-	return nil
-}
-
-// abortWrite discards a write batch unconditionally and releases the gate
-// (the Rollback path; also the cleanup path when a batch must not commit).
-func (e *Engine) abortWrite(rec *txn.Recorder) {
-	if e.wal != nil {
-		e.cat.SetLogger(nil)
-	}
-	e.cat.Discard()
-	e.gate.Release()
-}
-
 // LoadEmpDept populates the paper's emp/dept schema.
 func (e *Engine) LoadEmpDept(spec EmpDeptSpec) error {
-	rec, err := e.beginWrite(context.Background())
-	if err != nil {
-		return err
-	}
-	return e.endWrite(rec, datagen.LoadEmpDept(e.cat, spec))
+	return e.autoCommit(context.Background(), func() error { return datagen.LoadEmpDept(e.cat, spec) })
 }
 
 // LoadTPCD populates the TPC-D-like star schema.
 func (e *Engine) LoadTPCD(spec TPCDSpec) error {
-	rec, err := e.beginWrite(context.Background())
-	if err != nil {
-		return err
-	}
-	return e.endWrite(rec, datagen.LoadTPCD(e.cat, spec))
+	return e.autoCommit(context.Background(), func() error { return datagen.LoadTPCD(e.cat, spec) })
 }
 
 // Exec parses and executes one statement. DDL and INSERT return an empty
@@ -453,14 +358,10 @@ func (e *Engine) Exec(src string) (*Result, error) {
 }
 
 // ExecContext is Exec under a context: cancellation and deadlines abort a
-// running SELECT at page-IO granularity with ErrCanceled.
-func (e *Engine) ExecContext(ctx context.Context, src string) (res *Result, err error) {
-	defer recoverToError(&err, src)
-	stmt, err := sql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.execStmt(ctx, stmt, src)
+// running SELECT at page-IO granularity with ErrCanceled, and bound a write
+// statement's wait for the writer gate.
+func (e *Engine) ExecContext(ctx context.Context, src string) (*Result, error) {
+	return e.exec(ctx, nil, src, nil)
 }
 
 // MustExec is Exec for setup code; it panics on error.
@@ -472,18 +373,16 @@ func (e *Engine) MustExec(src string) *Result {
 	return res
 }
 
-// ExecScript executes a semicolon-separated statement sequence, returning
-// the last statement's result.
-func (e *Engine) ExecScript(src string) (res *Result, err error) {
-	defer recoverToError(&err, src)
-	stmts, err := sql.ParseScript(src)
+// ExecScript parses a semicolon-separated statement sequence, then runs
+// each statement as its own Exec under ctx — labelled in metrics and errors
+// with its own text, not the script's — returning the last result.
+func (e *Engine) ExecScript(ctx context.Context, src string) (last *Result, err error) {
+	stmts, texts, err := sql.ParseScript(src)
 	if err != nil {
 		return nil, err
 	}
-	var last *Result
-	for _, stmt := range stmts {
-		last, err = e.execStmt(context.Background(), stmt, src)
-		if err != nil {
+	for i, stmt := range stmts {
+		if last, err = e.exec(ctx, nil, texts[i], stmt); err != nil {
 			return nil, err
 		}
 	}
@@ -506,82 +405,85 @@ func (e *Engine) ExecScript(src string) (res *Result, err error) {
 // Result. For a streaming result, use QueryRows with the same options.
 func (e *Engine) Query(ctx context.Context, src string, opts ...QueryOption) (res *Result, err error) {
 	defer recoverToError(&err, src)
-	rows, err := e.queryRows(ctx, src, opts)
-	if err != nil {
-		return nil, err
+	return materialize(e.query(ctx, src, rowsOptions{}, opts))
+}
+
+// exec is the one statement path behind Exec, ExecContext, ExecScript and
+// Txn.Exec: parse src (unless the caller holds the parsed stmt) and
+// dispatch. t is the enclosing transaction, nil for auto-commit. SELECT and
+// EXPLAIN enter the query pipeline, reading t's working state if there is
+// one. Everything else (DDL, INSERT, ANALYZE) applies to the writer's
+// private copy-on-write batch — t's, or an auto-commit transaction around
+// this one statement, logged and fsynced before it publishes, so it is
+// durable before any reader can observe it.
+func (e *Engine) exec(ctx context.Context, t *Txn, src string, stmt sql.Statement) (res *Result, err error) {
+	defer recoverToError(&err, src)
+	if stmt == nil {
+		if stmt, err = sql.Parse(src); err != nil {
+			return nil, err
+		}
 	}
-	return rows.materialize()
-}
-
-// QueryContext executes a SELECT under a context.
-//
-// Deprecated: QueryContext is Query without options; call Query directly.
-func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) {
-	return e.Query(ctx, src)
-}
-
-func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement, src string) (*Result, error) {
-	switch t := stmt.(type) {
+	var opt rowsOptions
+	if t != nil {
+		opt.snap = e.cat.WorkingSnapshot()
+	}
+	switch s := stmt.(type) {
 	case *sql.Select:
-		return e.runSelect(ctx, t, src)
+		return materialize(e.run(ctx, src, s, opt))
 
 	case *sql.Explain:
-		if t.Analyze {
-			a, err := e.explainAnalyzeSelect(ctx, t.Query, src)
+		if t != nil {
+			return nil, fmt.Errorf("aggview: EXPLAIN is not supported inside a transaction")
+		}
+		if s.Analyze {
+			rows, err := e.run(ctx, src, s.Query, rowsOptions{cold: true, trace: true})
+			a, err := analyzeRows(rows, err)
 			if err != nil {
 				return nil, err
 			}
-			res := &Result{Columns: []string{"plan"}, Plan: a.Plan, IO: a.IO}
-			walkOps(a.Root, func(n *OpNode) {
-				if n.Actual != nil {
-					res.Ops = append(res.Ops, *n.Actual)
-				}
-			})
-			for _, line := range strings.Split(strings.TrimRight(a.String(), "\n"), "\n") {
-				res.Rows = append(res.Rows, []any{line})
-			}
+			res := planResult(a.String(), a.Plan)
+			res.IO, res.Ops = a.IO, rows.Ops()
 			return res, nil
 		}
-		info, err := e.ExplainSelect(t.Query, e.cfg.Mode)
+		rows, err := e.run(ctx, src, s.Query, rowsOptions{trace: true, planOnly: true})
 		if err != nil {
 			return nil, err
 		}
-		res := &Result{Columns: []string{"plan"}, Plan: info}
-		for _, line := range strings.Split(strings.TrimRight(info.PlanText, "\n"), "\n") {
-			res.Rows = append(res.Rows, []any{line})
-		}
-		res.Rows = append(res.Rows, []any{fmt.Sprintf("estimated cost: %.1f page IOs", info.EstimatedCost)})
-		res.Rows = append(res.Rows, []any{fmt.Sprintf("search: %s", info.Search)})
+		info := rows.Plan()
+		text := fmt.Sprintf("%s\nestimated cost: %.1f page IOs\nsearch: %s",
+			strings.TrimRight(info.PlanText, "\n"), info.EstimatedCost, info.Search)
 		if info.ViewRewrite != "" {
-			res.Rows = append(res.Rows, []any{fmt.Sprintf("view rewrite: %s", info.ViewRewrite)})
+			text += "\nview rewrite: " + info.ViewRewrite
 		}
-		return res, nil
+		return planResult(text, info), nil
 
 	default:
-		return e.execWrite(ctx, stmt)
+		apply := func() error { return e.applyWrite(stmt) }
+		if t != nil {
+			err = apply()
+		} else {
+			err = e.autoCommit(ctx, apply)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return &Result{}, nil
 	}
 }
 
-// execWrite executes an auto-commit statement that mutates shared engine
-// state (DDL, INSERT, ANALYZE): it admits itself as the single writer,
-// applies the statement to a private copy-on-write batch, and commits —
-// on a durable engine the mutation is logged and fsynced before the batch
-// publishes, so it is durable before any reader can observe it. On error
-// the whole statement rolls back (statement-level atomicity): readers and
-// the on-disk log see either all of its effects or none.
-func (e *Engine) execWrite(ctx context.Context, stmt sql.Statement) (*Result, error) {
-	rec, err := e.beginWrite(ctx)
-	if err != nil {
-		return nil, err
+// planResult renders an EXPLAIN report as a one-column result, one row per
+// line.
+func planResult(text string, info *PlanInfo) *Result {
+	res := &Result{Columns: []string{"plan"}, Plan: info}
+	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		res.Rows = append(res.Rows, []any{line})
 	}
-	res, err := e.execWriteLocked(stmt)
-	if err = e.endWrite(rec, err); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res
 }
 
-func (e *Engine) execWriteLocked(stmt sql.Statement) (*Result, error) {
+// applyWrite applies one mutating statement to the admitted writer's
+// working state.
+func (e *Engine) applyWrite(stmt sql.Statement) error {
 	switch t := stmt.(type) {
 	case *sql.CreateTable:
 		cols := make([]schema.Column, len(t.Cols))
@@ -592,45 +494,33 @@ func (e *Engine) execWriteLocked(stmt sql.Statement) (*Result, error) {
 		for _, fk := range t.ForeignKeys {
 			fks = append(fks, schema.ForeignKey{Cols: fk.Cols, RefTable: fk.RefTable, RefCols: fk.RefCols})
 		}
-		if _, err := e.cat.CreateTable(t.Name, cols, t.PrimaryKey, fks); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		_, err := e.cat.CreateTable(t.Name, cols, t.PrimaryKey, fks)
+		return err
 
 	case *sql.CreateView:
-		if _, err := e.cat.CreateView(t.Name, t.Cols, t.Text); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		_, err := e.cat.CreateView(t.Name, t.Cols, t.Text)
+		return err
 
 	case *sql.CreateMaterializedView:
-		if err := e.createMatView(t); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		return e.createMatView(t)
 
 	case *sql.DropMaterializedView:
 		if err := e.cat.DropMatView(t.Name); err != nil {
-			return nil, fmt.Errorf("aggview: %v", err)
+			return fmt.Errorf("aggview: %v", err)
 		}
-		return &Result{}, nil
+		return nil
 
 	case *sql.CreateIndex:
-		if _, err := e.cat.CreateIndex(t.Name, t.Table, t.Cols); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		_, err := e.cat.CreateIndex(t.Name, t.Table, t.Cols)
+		return err
 
 	case *sql.DropTable:
-		if err := e.cat.DropTable(t.Name); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		return e.cat.DropTable(t.Name)
 
 	case *sql.Insert:
 		tbl, ok := e.cat.Table(t.Table)
 		if !ok {
-			return nil, fmt.Errorf("aggview: table %q not found", t.Table)
+			return fmt.Errorf("aggview: table %q not found", t.Table)
 		}
 		inserted := make([]types.Row, 0, len(t.Rows))
 		for _, astRow := range t.Rows {
@@ -638,21 +528,18 @@ func (e *Engine) execWriteLocked(stmt sql.Statement) (*Result, error) {
 			for i, ex := range astRow {
 				v, err := evalLiteral(ex)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				row[i] = v
 			}
 			// Insert coerces the row in place (int → float), so the slice
 			// retained for view maintenance carries the stored values.
 			if err := e.cat.Insert(tbl, row); err != nil {
-				return nil, err
+				return err
 			}
 			inserted = append(inserted, row)
 		}
-		if err := e.maintainMatViews(tbl.Name, inserted); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		return e.maintainMatViews(tbl.Name, inserted)
 
 	case *sql.Analyze:
 		names := e.cat.TableNames()
@@ -662,16 +549,16 @@ func (e *Engine) execWriteLocked(stmt sql.Statement) (*Result, error) {
 		for _, name := range names {
 			tbl, ok := e.cat.Table(name)
 			if !ok {
-				return nil, fmt.Errorf("aggview: table %q not found", name)
+				return fmt.Errorf("aggview: table %q not found", name)
 			}
 			if err := e.cat.Analyze(tbl); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		return &Result{}, nil
+		return nil
 
 	default:
-		return nil, fmt.Errorf("aggview: unsupported statement %T", stmt)
+		return fmt.Errorf("aggview: unsupported statement %T", stmt)
 	}
 }
 
@@ -695,14 +582,6 @@ func evalLiteral(e sql.Expr) (types.Value, error) {
 	default:
 		return types.Null(), fmt.Errorf("aggview: VALUES rows must be literals, got %s", sql.ExprString(e))
 	}
-}
-
-func (e *Engine) runSelect(ctx context.Context, sel *sql.Select, src string) (*Result, error) {
-	rows, err := e.openRows(ctx, sel, src, rowsOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return rows.materialize()
 }
 
 func valueToGo(v types.Value) any {
@@ -752,51 +631,24 @@ type PlanInfo struct {
 	// disabled). Empty on EXPLAIN paths, which do not execute.
 	CacheStatus string
 
-	// root retains the plan tree for EXPLAIN ANALYZE annotation.
+	// root is the plan tree — frozen at compile, shared by every run of the
+	// plan, never mutated — that execution and EXPLAIN ANALYZE walk.
 	root lplan.Node
 }
 
-// Explain optimizes a SELECT under the given mode and returns the plan.
-func (e *Engine) Explain(src string, mode OptimizerMode) (*PlanInfo, error) {
-	stmt, err := sql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return nil, fmt.Errorf("aggview: Explain requires a SELECT statement")
-	}
-	return e.ExplainSelect(sel, mode)
-}
-
-// ExplainSelect is Explain over an already-parsed statement. The returned
-// PlanInfo carries the optimizer's search trace. It plans against the
+// Explain optimizes a SELECT and returns the plan with the optimizer's
+// search trace, without executing it: the query pipeline run with a trace
+// and stopped before the execute stage. It takes the same options as Query
+// (WithMode picks the optimizer mode; WithoutViewRewrite and WithLimits —
+// the optimizer budget and timeout — are honoured) and plans against the
 // published catalog snapshot current at the call.
-func (e *Engine) ExplainSelect(sel *sql.Select, mode OptimizerMode) (*PlanInfo, error) {
-	snap := e.cat.Snapshot()
-	bound, err := binder.BindSelect(snap, sel)
+func (e *Engine) Explain(ctx context.Context, src string, opts ...QueryOption) (info *PlanInfo, err error) {
+	defer recoverToError(&err, src)
+	rows, err := e.query(ctx, src, rowsOptions{trace: true, planOnly: true}, opts)
 	if err != nil {
 		return nil, err
 	}
-	opts := e.options()
-	opts.Mode = mode
-	opts.Trace = core.NewSearchTrace()
-	opts.ViewPlans = e.viewPlans(snap, bound.Query)
-	plan, err := core.Optimize(bound.Query, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &PlanInfo{
-		Mode:          mode,
-		RequestedMode: mode,
-		PlanText:      lplan.Format(plan.Root),
-		EstimatedCost: plan.Cost,
-		EstimatedRows: plan.Info.Rows,
-		Search:        plan.Stats,
-		Trace:         opts.Trace,
-		ViewRewrite:   plan.ViewRewrite,
-		root:          plan.Root,
-	}, nil
+	return rows.Plan(), nil
 }
 
 // ExplainAll optimizes a SELECT under every mode, in order traditional,
@@ -804,23 +656,13 @@ func (e *Engine) ExplainSelect(sel *sql.Select, mode OptimizerMode) (*PlanInfo, 
 func (e *Engine) ExplainAll(src string) ([]*PlanInfo, error) {
 	var out []*PlanInfo
 	for _, mode := range []OptimizerMode{Traditional, PushDown, Full} {
-		info, err := e.Explain(src, mode)
+		info, err := e.Explain(context.Background(), src, WithMode(mode))
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, info)
 	}
 	return out, nil
-}
-
-// QueryMode runs a SELECT under a specific optimizer mode with the buffer
-// pool dropped first, so Result.IO reflects a cold cache — the paper's
-// measurement setting.
-//
-// Deprecated: QueryMode is Query with WithMode and WithColdCache; call
-// Query directly.
-func (e *Engine) QueryMode(ctx context.Context, src string, mode OptimizerMode) (*Result, error) {
-	return e.Query(ctx, src, WithMode(mode), WithColdCache())
 }
 
 // WriteCSV streams a base table as CSV (see cmd/datagen). It reads the

@@ -162,7 +162,7 @@ func TestEngineScriptAndLoaders(t *testing.T) {
 	if err := e.LoadEmpDept(spec); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.ExecScript(`
+	res, err := e.ExecScript(context.Background(), `
 		analyze;
 		select count(*) as n from emp;
 	`)
@@ -232,7 +232,7 @@ func TestOpenDefaults(t *testing.T) {
 	if e.cfg.Mode != Full {
 		t.Fatalf("default mode = %v", e.cfg.Mode)
 	}
-	e2 := OpenWithMode(Config{}, Traditional)
+	e2 := Open(Config{Mode: Traditional})
 	if e2.cfg.Mode != Traditional {
 		t.Fatalf("pinned mode = %v", e2.cfg.Mode)
 	}
@@ -246,7 +246,7 @@ func TestEngineSystemRJoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := `select e.dno, avg(e.sal) from emp e, dept d where e.dno = d.dno group by e.dno`
-	res, err := e.QueryMode(context.Background(), q, PushDown)
+	res, err := e.Query(context.Background(), q, WithMode(PushDown), WithColdCache())
 	if err != nil {
 		t.Fatal(err)
 	}

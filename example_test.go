@@ -47,8 +47,8 @@ func ExampleEngine_Explain() {
 	      where e1.age < 20
 	        and e1.sal > (select avg(e2.sal) from emp e2 where e2.dno = e1.dno)`
 
-	trad, _ := eng.Explain(q, aggview.Traditional)
-	full, _ := eng.Explain(q, aggview.Full)
+	trad, _ := eng.Explain(context.Background(), q, aggview.WithMode(aggview.Traditional))
+	full, _ := eng.Explain(context.Background(), q, aggview.WithMode(aggview.Full))
 	fmt.Printf("traditional vs full cheaper-or-equal: %v\n", full.EstimatedCost <= trad.EstimatedCost)
 	fmt.Printf("full searched more plans: %v\n", full.Search.PlansConsidered > trad.Search.PlansConsidered)
 	// Output:

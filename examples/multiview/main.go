@@ -44,7 +44,7 @@ func main() {
 	// The enumeration effort behind it: candidate pull sets per view and
 	// phase-2 combinations (Section 5.4's two steps, Figure 5).
 	for _, mode := range []aggview.OptimizerMode{aggview.Traditional, aggview.Full} {
-		info, err := eng.Explain(q, mode)
+		info, err := eng.Explain(context.Background(), q, aggview.WithMode(mode))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("prepared %q with %d parameter(s)\n\n", "age < ? over avg-by-dept", stmt.NumParams())
 
 	for _, ageCut := range []int{20, 30, 45} {
-		res, err := stmt.Query(ageCut)
+		res, err := stmt.QueryContext(context.Background(), ageCut)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func main() {
 	// DML bumps the catalog version; the cached plan is now stale and the
 	// next execution recompiles against fresh statistics.
 	eng.MustExec(`insert into emp values (99999, 0, 9000.0, 19)`)
-	res, err := stmt.Query(20)
+	res, err := stmt.QueryContext(context.Background(), 20)
 	if err != nil {
 		log.Fatal(err)
 	}

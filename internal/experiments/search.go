@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -117,11 +118,11 @@ func runE8(quick bool) (*Table, error) {
 		}
 		q += where + ` group by e.dno`
 
-		tradInfo, err := e.Explain(q, aggview.Traditional)
+		tradInfo, err := e.Explain(context.Background(), q, aggview.WithMode(aggview.Traditional))
 		if err != nil {
 			return nil, err
 		}
-		pushInfo, err := e.Explain(q, aggview.PushDown)
+		pushInfo, err := e.Explain(context.Background(), q, aggview.WithMode(aggview.PushDown))
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +186,7 @@ func runE9(quick bool) (*Table, error) {
 				cfg.KLevelPullUp = -1 // sentinel: explicit "unlimited"
 			}
 			eng := cloneEngineConfig(e, cfg)
-			info, err := eng.Explain(q, aggview.Full)
+			info, err := eng.Explain(context.Background(), q, aggview.WithMode(aggview.Full))
 			if err != nil {
 				return nil, err
 			}

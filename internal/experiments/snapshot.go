@@ -716,17 +716,17 @@ func measurePrepared(wh *aggview.Engine, workers, iters int) ([]PreparedResult, 
 			if err != nil {
 				return err
 			}
-			_, err = st.Query(q.args[it%len(q.args)]...)
+			_, err = st.QueryContext(context.Background(), q.args[it%len(q.args)]...)
 			return err
 		}},
 		{"prepared-warm", func(w, qi, it int) error {
 			q := preparedWorkload[qi]
-			_, err := warm[qi].Query(q.args[it%len(q.args)]...)
+			_, err := warm[qi].QueryContext(context.Background(), q.args[it%len(q.args)]...)
 			return err
 		}},
 		{"cache-disabled", func(w, qi, it int) error {
 			q := preparedWorkload[qi]
-			_, err := bare[qi].Query(q.args[it%len(q.args)]...)
+			_, err := bare[qi].QueryContext(context.Background(), q.args[it%len(q.args)]...)
 			return err
 		}},
 	}

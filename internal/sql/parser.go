@@ -26,27 +26,30 @@ func Parse(src string) (Statement, error) {
 	return stmt, nil
 }
 
-// ParseScript parses a semicolon-separated sequence of statements.
-func ParseScript(src string) ([]Statement, error) {
+// ParseScript parses a semicolon-separated sequence of statements. texts
+// holds each statement's own source text with whitespace runs collapsed, so
+// callers can label a statement without quoting the whole script.
+func ParseScript(src string) (stmts []Statement, texts []string, err error) {
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := &parser{src: src, toks: toks}
-	var out []Statement
 	for {
 		for p.accept(tokSymbol, ";") {
 		}
 		if p.at(tokEOF, "") {
-			return out, nil
+			return stmts, texts, nil
 		}
+		start := p.cur().pos
 		stmt, err := p.statement()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out = append(out, stmt)
+		stmts = append(stmts, stmt)
+		texts = append(texts, strings.Join(strings.Fields(src[start:p.cur().pos]), " "))
 		if !p.accept(tokSymbol, ";") && !p.at(tokEOF, "") {
-			return nil, p.errf("expected ';' between statements, got %q", p.cur().text)
+			return nil, nil, p.errf("expected ';' between statements, got %q", p.cur().text)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func TestParserNeverPanics(t *testing.T) {
 				}
 			}()
 			_, _ = Parse(src)
-			_, _ = ParseScript(src)
+			_, _, _ = ParseScript(src)
 		}()
 	}
 }

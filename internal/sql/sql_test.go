@@ -298,16 +298,21 @@ func TestParseCreateIndexInsertAnalyzeExplainDrop(t *testing.T) {
 }
 
 func TestParseScript(t *testing.T) {
-	stmts, err := ParseScript(`
+	stmts, texts, err := ParseScript(`
 		create table t (a int);
-		insert into t values (1);
-		select * from t;
+		insert into t
+		   values (1);
+		select * from t
 	`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(stmts) != 3 {
 		t.Fatalf("stmts = %d", len(stmts))
+	}
+	want := []string{"create table t (a int)", "insert into t values (1)", "select * from t"}
+	if strings.Join(texts, "|") != strings.Join(want, "|") {
+		t.Fatalf("texts = %q, want %q", texts, want)
 	}
 }
 

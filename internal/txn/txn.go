@@ -47,22 +47,8 @@ func (g *Gate) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire acquires the gate iff it is free.
-func (g *Gate) TryAcquire() bool {
-	select {
-	case g.ch <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
 // Release opens the gate. It must pair with a successful Acquire.
 func (g *Gate) Release() { <-g.ch }
-
-// Held reports whether some writer currently holds the gate (diagnostic;
-// inherently racy for any purpose beyond tests and assertions).
-func (g *Gate) Held() bool { return len(g.ch) > 0 }
 
 // batchRows caps rows per buffered Insert record: consecutive inserts into
 // one table coalesce up to this bound, so a bulk load commits a handful of
@@ -108,16 +94,6 @@ func NewRecorder(version func() int64) *Recorder {
 func (r *Recorder) Records() []LoggedRecord {
 	r.flushInserts()
 	return r.recs
-}
-
-// Len reports the number of buffered records (the pending insert batch
-// counts as one once non-empty).
-func (r *Recorder) Len() int {
-	n := len(r.recs)
-	if len(r.pendRows) > 0 {
-		n++
-	}
-	return n
 }
 
 func (r *Recorder) add(rec wal.Record) {

@@ -425,7 +425,7 @@ func TestMatViewPlanCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := stmt.Query()
+	p1, err := stmt.QueryContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestMatViewPlanCacheInvalidation(t *testing.T) {
 	if r5.Plan.CacheStatus != "invalidated" || r5.Plan.ViewRewrite != "" {
 		t.Fatalf("post-DROP: cache=%s rewrite=%q", r5.Plan.CacheStatus, r5.Plan.ViewRewrite)
 	}
-	p2, err := stmt.Query()
+	p2, err := stmt.QueryContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

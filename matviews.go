@@ -1,13 +1,13 @@
 package aggview
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
 
 	"aggview/internal/catalog"
 	"aggview/internal/core"
-	"aggview/internal/exec"
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
 	"aggview/internal/matview"
@@ -64,51 +64,57 @@ func (e *Engine) viewPlans(cat catalog.Reader, q *qblock.Query) []core.ViewPlan 
 	return out
 }
 
-// createMatView executes CREATE MATERIALIZED VIEW under the engine write
-// lock: bind the definition, create the backing table, compute the partial
-// aggregates from the base tables, insert them, analyze the backing table
-// (so the cost model sees real cardinalities immediately), and register the
-// catalog object last. Every step is logged in order, so crash-recovery
-// replay reconstructs the exact same state; the view object is only ever
-// durable after its rows are.
+// createMatView executes CREATE MATERIALIZED VIEW inside the caller's
+// transaction: bind the definition, then build the view.
 func (e *Engine) createMatView(t *sql.CreateMaterializedView) error {
 	def, err := matview.Bind(e.cat, t.Name, t.Text)
 	if err != nil {
 		return fmt.Errorf("aggview: %w", err)
 	}
-	rows, err := e.runLocked(def.PartialQuery())
+	return e.buildMatView(def, t.Text, false)
+}
+
+// buildMatView materializes a view from scratch: compute the partial
+// aggregates from the (already updated) base tables, on a refresh drop the
+// old view with its backing table, create the backing table, load it,
+// analyze it (so the cost model sees real cardinalities immediately), and
+// register the catalog object last. Every step is logged in order inside
+// the caller's transaction, so crash-recovery replay reconstructs the exact
+// same state; the view object is only ever durable after its rows are.
+func (e *Engine) buildMatView(def *matview.Def, sqlText string, refresh bool) error {
+	rows, err := e.runBlock(def.PartialQuery())
+	if err == nil && refresh {
+		err = e.cat.DropMatView(def.Name)
+	}
+	var backing *catalog.Table
+	if err == nil {
+		backing, err = e.cat.CreateTable(def.Backing, def.BackingSchema(), nil, nil)
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("aggview: materialized view %q: %w", def.Name, err)
 	}
-	backing, err := e.cat.CreateTable(def.Backing, def.BackingSchema(), nil, nil)
-	if err != nil {
-		return fmt.Errorf("aggview: materialized view %q: %w", t.Name, err)
-	}
-	if err := e.populateMatView(def, backing, rows); err != nil {
-		// The view object is not registered yet, so the backing table can
-		// be dropped directly; the drop is logged like every other step.
+	if err := e.loadMatView(def, sqlText, backing, rows); err != nil {
+		// The view object is not registered, so the backing table can be
+		// dropped directly; the drop is logged like every other step.
 		_ = e.cat.DropTable(def.Backing)
-		return err
-	}
-	if _, err := e.cat.CreateMatView(def.Name, t.Text, def.Backing, def.BaseTables); err != nil {
-		_ = e.cat.DropTable(def.Backing)
-		return fmt.Errorf("aggview: %w", err)
+		return fmt.Errorf("aggview: materialized view %q: %w", def.Name, err)
 	}
 	return nil
 }
 
-// populateMatView loads computed partial rows into a fresh backing table
-// and analyzes it.
-func (e *Engine) populateMatView(def *matview.Def, backing *catalog.Table, rows []types.Row) error {
+// loadMatView fills a fresh backing table with the computed partial rows,
+// analyzes it, and registers the view over it.
+func (e *Engine) loadMatView(def *matview.Def, sqlText string, backing *catalog.Table, rows []types.Row) error {
 	for _, row := range rows {
 		if err := e.cat.Insert(backing, row); err != nil {
-			return fmt.Errorf("aggview: materialized view %q: %w", def.Name, err)
+			return err
 		}
 	}
 	if err := e.cat.Analyze(backing); err != nil {
-		return fmt.Errorf("aggview: materialized view %q: %w", def.Name, err)
+		return err
 	}
-	return nil
+	_, err := e.cat.CreateMatView(def.Name, sqlText, def.Backing, def.BaseTables)
+	return err
 }
 
 // maintainMatViews folds freshly inserted base rows into every materialized
@@ -136,7 +142,7 @@ func (e *Engine) maintainMatViews(table string, rows []types.Row) error {
 			return fmt.Errorf("aggview: maintaining %w", err)
 		}
 		if !def.Incremental() {
-			if err := e.refreshMatView(mv, def); err != nil {
+			if err := e.buildMatView(def, mv.SQL, true); err != nil {
 				return err
 			}
 			continue
@@ -154,32 +160,6 @@ func (e *Engine) maintainMatViews(table string, rows []types.Row) error {
 				return fmt.Errorf("aggview: maintaining materialized view %q: %w", mv.Name, err)
 			}
 		}
-	}
-	return nil
-}
-
-// refreshMatView rebuilds a view's contents from scratch: recompute the
-// partial aggregates from the (already updated) base tables, drop and
-// re-create the backing table, reload and re-analyze, and re-register the
-// view object. The whole sequence is logged in order inside the caller's
-// write-lock critical section, so recovery replay reproduces it exactly.
-func (e *Engine) refreshMatView(mv *catalog.MatView, def *matview.Def) error {
-	rows, err := e.runLocked(def.PartialQuery())
-	if err != nil {
-		return fmt.Errorf("aggview: refreshing materialized view %q: %w", mv.Name, err)
-	}
-	if err := e.cat.DropMatView(mv.Name); err != nil {
-		return fmt.Errorf("aggview: refreshing materialized view %q: %w", mv.Name, err)
-	}
-	backing, err := e.cat.CreateTable(def.Backing, def.BackingSchema(), nil, nil)
-	if err != nil {
-		return fmt.Errorf("aggview: refreshing materialized view %q: %w", mv.Name, err)
-	}
-	if err := e.populateMatView(def, backing, rows); err != nil {
-		return err
-	}
-	if _, err := e.cat.CreateMatView(mv.Name, mv.SQL, def.Backing, def.BaseTables); err != nil {
-		return fmt.Errorf("aggview: refreshing materialized view %q: %w", mv.Name, err)
 	}
 	return nil
 }
@@ -227,18 +207,22 @@ func (e *Engine) recoverMatViews() error {
 		if !ok {
 			return fmt.Errorf("materialized view %q: backing table %q missing", mv.Name, mv.Backing)
 		}
-		want, err := e.runLocked(def.PartialQuery())
+		want, err := e.runBlock(def.PartialQuery())
 		if err != nil {
 			return fmt.Errorf("recomputing materialized view %q: %w", mv.Name, err)
 		}
-		have, err := e.drainPlan(&lplan.Scan{Alias: backing.Name, Table: backing})
+		scan := &qblock.Block{Rels: []*qblock.Rel{{Alias: backing.Name, Table: backing}}}
+		for _, c := range scan.Rels[0].Schema() {
+			scan.Outputs = append(scan.Outputs, lplan.NamedExpr{E: expr.ColOf(c.ID), As: c.ID})
+		}
+		have, err := e.runBlock(&qblock.Query{Top: scan})
 		if err != nil {
 			return fmt.Errorf("scanning materialized view %q: %w", mv.Name, err)
 		}
 		if matViewConsistent(def, have, want) {
 			continue
 		}
-		if err := e.refreshMatView(mv, def); err != nil {
+		if err := e.buildMatView(def, mv.SQL, true); err != nil {
 			return err
 		}
 	}
@@ -343,40 +327,29 @@ func valuesApproxEqual(a, b []types.Value) bool {
 	return true
 }
 
-// runLocked optimizes and executes an internal query while the caller is
-// the admitted writer, reading its uncommitted working state. It bypasses
-// the public query path (which pins the published snapshot and would not
-// see the statement being applied) and the plan cache, running on a
-// private storage session with no governor: view materialization is part
-// of a DDL or INSERT statement and is not separately budgeted. Rows are
-// copied out of the executor's reused buffers.
-func (e *Engine) runLocked(q *qblock.Query) ([]types.Row, error) {
-	plan, err := core.Optimize(q, e.options())
-	if err != nil {
-		return nil, err
-	}
-	return e.drainPlan(plan.Root)
-}
+// unlimited lifts every engine-level resource limit for one run.
+var unlimited = Limits{Timeout: -1, MaxRowsOut: -1, MaxIOPages: -1, OptimizerBudget: -1}
 
-// drainPlan executes a plan tree on a private storage session and returns
-// copies of every row.
-func (e *Engine) drainPlan(root lplan.Node) ([]types.Row, error) {
-	sess := e.store.NewSession(nil)
-	defer sess.Close()
-	cur, err := exec.New(e.store).WithBatchSize(e.cfg.BatchSize).
-		WithSession(sess).OpenCursor(root)
+// runBlock runs an already bound internal query through the query pipeline
+// while the caller is the admitted writer, reading its uncommitted working
+// state (the public doors pin the published snapshot and would not see the
+// statement being applied). The run enters at the resolve stage, bypasses
+// the plan cache and the view rewrite, carries no resource limits and
+// publishes no metrics: view materialization is part of a DDL or INSERT
+// statement and is not separately budgeted or counted. Rows are copied out
+// of the executor's reused buffers.
+func (e *Engine) runBlock(q *qblock.Query) ([]types.Row, error) {
+	rows, err := e.run(context.Background(), "", nil, rowsOptions{
+		block: q, snap: e.cat.WorkingSnapshot(), noViewRewrite: true, limits: unlimited})
 	if err != nil {
 		return nil, err
 	}
-	defer cur.Close()
+	defer rows.Close()
 	var out []types.Row
 	for {
-		row, ok, err := cur.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
+		row, ok, err := rows.cur.Next()
+		if err != nil || !ok {
+			return out, err
 		}
 		out = append(out, append(types.Row(nil), row...))
 	}

@@ -530,7 +530,7 @@ func TestMetricsOnFailurePaths(t *testing.T) {
 	m0 = eng.Metrics()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
-	if _, err := eng.QueryContext(ctx, q); !errors.Is(err, aggview.ErrCanceled) {
+	if _, err := eng.Query(ctx, q); !errors.Is(err, aggview.ErrCanceled) {
 		t.Fatalf("err = %v, want wrapped ErrCanceled", err)
 	}
 	d = eng.Metrics().Sub(m0)
@@ -559,7 +559,7 @@ func TestMetricsOnFailurePaths(t *testing.T) {
 // pull-up consideration events.
 func TestSearchTracePopulated(t *testing.T) {
 	eng := newWarehouse(t, aggview.Config{PoolPages: 16})
-	info, err := eng.Explain(obsSuite[0], aggview.Full)
+	info, err := eng.Explain(context.Background(), obsSuite[0], aggview.WithMode(aggview.Full))
 	if err != nil {
 		t.Fatal(err)
 	}

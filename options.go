@@ -29,26 +29,22 @@ type Limits struct {
 // overlay resolves per-query limits against the engine defaults: zero
 // inherits, negative disables, positive overrides.
 func (l Limits) overlay(base Limits) Limits {
-	pick := func(over, def int64) int64 {
-		switch {
-		case over > 0:
-			return over
-		case over < 0:
-			return 0
-		default:
-			return def
-		}
+	return Limits{
+		Timeout:         pick(l.Timeout, base.Timeout),
+		MaxRowsOut:      pick(l.MaxRowsOut, base.MaxRowsOut),
+		MaxIOPages:      pick(l.MaxIOPages, base.MaxIOPages),
+		OptimizerBudget: pick(l.OptimizerBudget, base.OptimizerBudget),
 	}
-	out := base
-	if l.Timeout > 0 {
-		out.Timeout = l.Timeout
-	} else if l.Timeout < 0 {
-		out.Timeout = 0
+}
+
+func pick[T int | int64 | time.Duration](over, def T) T {
+	switch {
+	case over > 0:
+		return over
+	case over < 0:
+		return 0
 	}
-	out.MaxRowsOut = pick(l.MaxRowsOut, base.MaxRowsOut)
-	out.MaxIOPages = pick(l.MaxIOPages, base.MaxIOPages)
-	out.OptimizerBudget = int(pick(int64(l.OptimizerBudget), int64(base.OptimizerBudget)))
-	return out
+	return def
 }
 
 // A QueryOption tunes a single query run; see Engine.Query. Options
@@ -84,7 +80,7 @@ func WithParams(args ...any) QueryOption {
 // disable that limit for this query.
 func WithLimits(l Limits) QueryOption {
 	return func(o *rowsOptions) error {
-		o.limits = &l
+		o.limits = l
 		return nil
 	}
 }
@@ -109,15 +105,4 @@ func WithoutViewRewrite() QueryOption {
 		o.noViewRewrite = true
 		return nil
 	}
-}
-
-// applyOptions folds a QueryOption list into the internal run options.
-func applyOptions(opts []QueryOption) (rowsOptions, error) {
-	var o rowsOptions
-	for _, fn := range opts {
-		if err := fn(&o); err != nil {
-			return rowsOptions{}, err
-		}
-	}
-	return o, nil
 }

@@ -6,9 +6,7 @@ import (
 	"sync"
 
 	"aggview/internal/binder"
-	"aggview/internal/catalog"
 	"aggview/internal/core"
-	"aggview/internal/govern"
 	"aggview/internal/lplan"
 	"aggview/internal/sql"
 	"aggview/internal/types"
@@ -43,15 +41,12 @@ const DefaultPlanCacheSize = 64
 // can walk it; per-run state — parameter values, the storage session, the
 // governor, collectors — lives in queryRun and the executor.
 type compiledPlan struct {
-	text       string     // normalized statement text (cache identity)
-	root       lplan.Node // frozen, shared, never mutated after compile
-	colNames   []string   // output column display names
-	orderBy    []binder.OrderKey
-	limit      int          // -1 when absent
-	numParams  int          // `?` slots the caller must fill
-	paramTypes []types.Kind // inferred slot kinds (KindNull = unconstrained)
-	version    int64        // catalog version the plan was compiled under
-	info       PlanInfo     // compile-time plan description (copied per run)
+	// Bound is the statement as bound: output column names, ORDER BY keys,
+	// LIMIT, and the `?` slots (count and inferred kinds) a run must fill.
+	*binder.Bound
+	key     planKey  // cache identity: normalized text (when cacheable) + mode
+	version int64    // catalog version the plan was compiled under
+	info    PlanInfo // compile-time plan description (copied per run)
 }
 
 // runInfo builds one execution's PlanInfo: the compile-time info stamped
@@ -69,17 +64,81 @@ func (cp *compiledPlan) runInfo(status string) *PlanInfo {
 	return &pi
 }
 
-// compileSelect binds and optimizes a SELECT into an immutable compiled
-// plan against cat — an immutable pinned snapshot (or the writer's working
-// state inside a transaction), so the catalog version stamped here is
-// consistent with the schema and statistics the optimizer saw no matter
-// what commits concurrently.
-func (e *Engine) compileSelect(cat catalog.Reader, sel *sql.Select, text string, mode OptimizerMode, noViewRewrite bool, gov *govern.Governor, trace *core.SearchTrace) (*compiledPlan, error) {
-	bound, err := binder.BindSelect(cat, sel)
-	if err != nil {
-		return nil, err
+// resolvePlan is the pipeline's resolve stage: it sets the run's compiled
+// plan and its provenance (hit/miss/invalidated/bypass), taking the plan
+// from the engine cache or compiling it on a miss or a stale catalog
+// version — the check, the compile and the execution all see the run's one
+// pinned snapshot. Ad-hoc and prepared statements share the cache, keyed by
+// normalized text plus resolved optimizer mode (fixed at Prepare), so a
+// repeated query pays bind+optimize once per catalog version.
+//
+// The cache is neither consulted nor populated when the run reads a
+// writer's unpublished working state, or when an ad-hoc run wants a search
+// trace (that requires a real search; a prepared statement's EXPLAIN
+// ANALYZE reports on the plan the statement actually runs, so it does use
+// the cache). Degraded plans are artifacts of one run's optimizer budget
+// and are never cached: that would pin a known-worse plan past the
+// pressure that produced it.
+func (qr *queryRun) resolvePlan(sel *sql.Select) error {
+	e, opt := qr.engine, &qr.opt
+	cacheable := e.cache != nil && opt.snap == nil && (opt.stmt != nil || !opt.trace)
+	key := planKey{mode: opt.mode, noViewRewrite: opt.noViewRewrite}
+	if opt.stmt != nil {
+		key = opt.stmt.key
+	} else {
+		if key.mode == ModeDefault {
+			key.mode = e.cfg.Mode
+		}
+		if cacheable {
+			// Normalize before compiling: the binder's flattening pass may
+			// rewrite the parsed tree in place.
+			key.text = sql.FormatSelect(sel)
+		}
 	}
-	plan, usedMode, err := e.optimizeLadder(cat, bound.Query, mode, noViewRewrite, gov, trace)
+	status := cacheBypass
+	if cacheable {
+		qr.cp, status = e.cache.get(key, qr.snap.Version())
+	}
+	if qr.cp == nil {
+		cp, err := qr.compile(key, sel)
+		if err != nil {
+			return err
+		}
+		if cacheable && !cp.info.Degraded {
+			e.reg.ObserveEviction(e.cache.put(cp))
+		}
+		qr.cp = cp
+	}
+	qr.planInfo = qr.cp.runInfo(status)
+	return nil
+}
+
+// compile is the pipeline's bind stage followed by optimization, both
+// against the run's snapshot — so the catalog version stamped on the plan is
+// consistent with the schema and statistics the optimizer saw no matter what
+// commits concurrently — under the run's governor. A view-maintenance run
+// arrives already bound.
+func (qr *queryRun) compile(key planKey, sel *sql.Select) (*compiledPlan, error) {
+	bound := &binder.Bound{Query: qr.opt.block, Limit: -1}
+	if bound.Query == nil {
+		var err error
+		if sel == nil {
+			// A prepared statement reparses rather than retain its AST: the
+			// binder's flattening pass may rewrite a parsed tree in place, so
+			// each compilation starts from pristine source.
+			if sel, err = parseSelect(qr.src); err != nil {
+				return nil, err
+			}
+		}
+		if bound, err = binder.BindSelect(qr.snap, sel); err != nil {
+			return nil, err
+		}
+	}
+	var trace *core.SearchTrace
+	if qr.opt.trace {
+		trace = core.NewSearchTrace()
+	}
+	plan, usedMode, err := qr.engine.optimizeLadder(qr.snap, bound.Query, key.mode, key.noViewRewrite, qr.gov, trace)
 	if err != nil {
 		return nil, err
 	}
@@ -87,18 +146,13 @@ func (e *Engine) compileSelect(cat catalog.Reader, sel *sql.Select, text string,
 	// private to this goroutine; afterwards the tree is read-only.
 	lplan.Freeze(plan.Root)
 	return &compiledPlan{
-		text:       text,
-		root:       plan.Root,
-		colNames:   bound.ColNames,
-		orderBy:    bound.OrderBy,
-		limit:      bound.Limit,
-		numParams:  bound.NumParams,
-		paramTypes: bound.ParamTypes,
-		version:    cat.Version(),
+		Bound:   bound,
+		key:     key,
+		version: qr.snap.Version(),
 		info: PlanInfo{
 			Mode:          usedMode,
-			RequestedMode: mode,
-			Degraded:      usedMode != mode,
+			RequestedMode: key.mode,
+			Degraded:      usedMode != key.mode,
 			PlanText:      plan.Explain(),
 			EstimatedCost: plan.Cost,
 			EstimatedRows: plan.Info.Rows,
@@ -116,49 +170,17 @@ func (e *Engine) compileSelect(cat catalog.Reader, sel *sql.Select, text string,
 // into float slots (matching the engine's literal rules); any other
 // mismatch is an error. The returned slice is the input, copied only when
 // a coercion rewrites a value.
-// resolveAdhoc returns the compiled plan for an ad-hoc SELECT bound
-// against cat. Ad-hoc statements share the prepared-statement plan cache:
-// the key is the normalized statement text plus the resolved optimizer
-// mode, so a repeated dashboard query pays bind+optimize once and every
-// later run is a cache hit (until a commit bumps the catalog version).
-// Traced runs bypass the cache — a search trace requires a real search —
-// and, like prepared statements, degraded plans are never cached. When
-// cacheable is false (a transaction querying its own uncommitted working
-// state) the cache is neither consulted nor populated: a plan compiled
-// against unpublished state must never serve a later reader.
-func (e *Engine) resolveAdhoc(cat catalog.Reader, sel *sql.Select, src string, mode OptimizerMode, noViewRewrite bool, cacheable bool, gov *govern.Governor, trace *core.SearchTrace) (*compiledPlan, string, error) {
-	if e.cache == nil || trace != nil || !cacheable {
-		cp, err := e.compileSelect(cat, sel, src, mode, noViewRewrite, gov, trace)
-		return cp, cacheBypass, err
-	}
-	// Normalize before compiling: the binder's flattening pass may rewrite
-	// the parsed tree in place.
-	key := planKey{text: sql.FormatSelect(sel), mode: mode, noViewRewrite: noViewRewrite}
-	cp, status := e.cache.get(key, cat.Version())
-	if cp != nil {
-		return cp, status, nil
-	}
-	cp, err := e.compileSelect(cat, sel, src, mode, noViewRewrite, gov, trace)
-	if err != nil {
-		return nil, status, err
-	}
-	if !cp.info.Degraded {
-		e.reg.ObserveEviction(e.cache.put(key, cp))
-	}
-	return cp, status, nil
-}
-
 func checkParams(cp *compiledPlan, vals []types.Value) ([]types.Value, error) {
-	if len(vals) != cp.numParams {
-		if cp.numParams == 0 {
+	if len(vals) != cp.NumParams {
+		if cp.NumParams == 0 {
 			return nil, fmt.Errorf("aggview: statement takes no parameters, got %d value(s)", len(vals))
 		}
 		return nil, fmt.Errorf("aggview: statement has %d parameter placeholder(s), got %d value(s)",
-			cp.numParams, len(vals))
+			cp.NumParams, len(vals))
 	}
 	out := vals
 	for i, v := range vals {
-		want := cp.paramTypes[i]
+		want := cp.ParamTypes[i]
 		if want == types.KindNull || v.K == want {
 			continue
 		}
@@ -195,16 +217,16 @@ type planKey struct {
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
-	lru     *list.List // of *cacheEntry; front = most recently used
+	lru     *list.List // of *compiledPlan; front = most recently used
 	entries map[planKey]*list.Element
 }
 
-type cacheEntry struct {
-	key  planKey
-	plan *compiledPlan
-}
-
+// newPlanCache builds the plan cache a config calls for; a negative
+// capacity disables caching (nil).
 func newPlanCache(capacity int) *planCache {
+	if capacity < 0 {
+		return nil
+	}
 	return &planCache{cap: capacity, lru: list.New(), entries: map[planKey]*list.Element{}}
 }
 
@@ -219,42 +241,35 @@ func (c *planCache) get(key planKey, version int64) (*compiledPlan, string) {
 	if !ok {
 		return nil, cacheMiss
 	}
-	ent := el.Value.(*cacheEntry)
-	if ent.plan.version != version {
+	cp := el.Value.(*compiledPlan)
+	if cp.version != version {
 		c.lru.Remove(el)
 		delete(c.entries, key)
 		return nil, cacheInvalidated
 	}
 	c.lru.MoveToFront(el)
-	return ent.plan, cacheHit
+	return cp, cacheHit
 }
 
-// put inserts (or refreshes) a compiled plan and returns the number of
-// entries evicted to stay within capacity.
-func (c *planCache) put(key planKey, cp *compiledPlan) int {
+// put inserts (or refreshes) a compiled plan under its key and returns the
+// number of entries evicted to stay within capacity.
+func (c *planCache) put(cp *compiledPlan) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).plan = cp
+	if el, ok := c.entries[cp.key]; ok {
+		el.Value = cp
 		c.lru.MoveToFront(el)
 		return 0
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, plan: cp})
+	c.entries[cp.key] = c.lru.PushFront(cp)
 	evicted := 0
 	for c.lru.Len() > c.cap {
 		back := c.lru.Back()
 		c.lru.Remove(back)
-		delete(c.entries, back.Value.(*cacheEntry).key)
+		delete(c.entries, back.Value.(*compiledPlan).key)
 		evicted++
 	}
 	return evicted
-}
-
-// len reports the number of cached plans.
-func (c *planCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
 }
 
 // PlanCacheLen reports how many compiled plans the engine currently
@@ -263,5 +278,7 @@ func (e *Engine) PlanCacheLen() int {
 	if e.cache == nil {
 		return 0
 	}
-	return e.cache.len()
+	e.cache.mu.Lock()
+	defer e.cache.mu.Unlock()
+	return e.cache.lru.Len()
 }

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"aggview/internal/catalog"
-	"aggview/internal/core"
-	"aggview/internal/govern"
 	"aggview/internal/sql"
 	"aggview/internal/types"
 )
@@ -19,21 +16,20 @@ import (
 // execution transparently recompiles.
 //
 // A Stmt is immutable and safe for concurrent use: any number of
-// goroutines may call Query/QueryRows on the same Stmt at once, each run
+// goroutines may call QueryContext/QueryRows on the same Stmt at once, each run
 // getting its own storage session (exact per-query IO attribution), its
 // own governor, and its own parameter vector.
 type Stmt struct {
-	e    *Engine
-	src  string  // original SQL, reparsed when the plan must be recompiled
-	key  planKey // normalized text + mode: the plan's cache identity
-	mode OptimizerMode
-	n    int // parameter count (syntactic, stable across recompiles)
+	e   *Engine
+	src string  // original SQL, reparsed when the plan must be recompiled
+	key planKey // normalized text + mode: the plan's cache identity
+	n   int     // parameter count (syntactic, stable across recompiles)
 }
 
 // Prepare parses, binds and optimizes a SELECT, caching the compiled plan
 // for reuse. `?` placeholders in the statement become positional
-// parameters supplied to Query/QueryRows; the binder infers each slot's
-// type from the comparison it appears in and execution enforces it.
+// parameters supplied to QueryContext/QueryRows; the binder infers each
+// slot's type from the comparison it appears in and execution enforces it.
 // Errors in the statement surface here rather than at execution time.
 func (e *Engine) Prepare(src string) (*Stmt, error) {
 	return e.PrepareMode(src, ModeDefault)
@@ -45,71 +41,27 @@ func (e *Engine) Prepare(src string) (*Stmt, error) {
 // two independent cache entries.
 func (e *Engine) PrepareMode(src string, mode OptimizerMode) (st *Stmt, err error) {
 	defer recoverToError(&err, src)
-	stmt, err := sql.Parse(src)
+	sel, err := parseSelect(src)
 	if err != nil {
 		return nil, err
-	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return nil, fmt.Errorf("aggview: Prepare requires a SELECT statement")
 	}
 	if mode == ModeDefault {
 		mode = e.cfg.Mode
 	}
 	s := &Stmt{
-		e:    e,
-		src:  src,
-		key:  planKey{text: sql.FormatSelect(sel), mode: mode},
-		mode: mode,
-		n:    sql.CountParams(sel),
+		e:   e,
+		src: src,
+		key: planKey{text: sql.FormatSelect(sel), mode: mode},
+		n:   sql.CountParams(sel),
 	}
-	// Compile eagerly: bind and optimize errors belong to Prepare, and the
-	// first execution should already find the plan cached. The compilation
-	// pins the published snapshot current now, like any read.
-	gov, cancel := e.newGovernor(context.Background(), nil)
-	defer cancel()
-	if _, _, err := s.resolve(e.cat.Snapshot(), gov, nil); err != nil {
+	// Compile eagerly — a pipeline run that stops before execute: bind and
+	// optimize errors belong to Prepare, and the first execution should
+	// already find the plan cached. The compilation pins the published
+	// snapshot current now, like any read.
+	if _, err := e.run(context.Background(), src, sel, rowsOptions{stmt: s, planOnly: true}); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// resolve returns the statement's compiled plan, consulting the engine
-// plan cache first and recompiling from source on a miss or when the
-// cached plan's catalog version is stale. The returned status is the
-// plan's provenance for this run (hit/miss/invalidated/bypass). cat is
-// the run's pinned snapshot: the version check, the recompile and the
-// upcoming execution all see that one immutable catalog state.
-func (s *Stmt) resolve(cat catalog.Reader, gov *govern.Governor, trace *core.SearchTrace) (*compiledPlan, string, error) {
-	e := s.e
-	status := cacheBypass
-	if e.cache != nil {
-		cp, st := e.cache.get(s.key, cat.Version())
-		if cp != nil {
-			return cp, st, nil
-		}
-		status = st
-	}
-	// Reparse rather than retain the AST: the binder's flattening pass may
-	// rewrite shared sub-structures of a parsed tree, so each compilation
-	// starts from pristine source. Parsing is trivially cheap next to
-	// optimization.
-	stmt, err := sql.Parse(s.src)
-	if err != nil {
-		return nil, status, err
-	}
-	sel := stmt.(*sql.Select) // checked at Prepare
-	cp, err := e.compileSelect(cat, sel, s.key.text, s.mode, false, gov, trace)
-	if err != nil {
-		return nil, status, err
-	}
-	// Degraded plans are transient artifacts of one run's optimizer budget;
-	// caching one would pin a known-worse plan past the pressure that
-	// produced it.
-	if e.cache != nil && !cp.info.Degraded {
-		e.reg.ObserveEviction(e.cache.put(s.key, cp))
-	}
-	return cp, status, nil
 }
 
 // Text returns the statement's original SQL.
@@ -118,30 +70,21 @@ func (s *Stmt) Text() string { return s.src }
 // NumParams returns the number of `?` placeholders the statement takes.
 func (s *Stmt) NumParams() int { return s.n }
 
-// Query executes the prepared statement with the given parameter values
-// and materializes the result. Arguments map positionally onto the
+// QueryContext executes the prepared statement with the given parameter
+// values and materializes the result. Arguments map positionally onto the
 // statement's `?` placeholders: int/int64, float64, string and bool are
-// accepted (ints coerce into float slots).
-func (s *Stmt) Query(args ...any) (*Result, error) {
-	return s.QueryContext(context.Background(), args...)
-}
-
-// QueryContext is Query under a context: cancellation and deadlines abort
+// accepted (ints coerce into float slots). Cancellation and deadlines abort
 // the run at page-IO granularity with ErrCanceled.
 func (s *Stmt) QueryContext(ctx context.Context, args ...any) (res *Result, err error) {
 	defer recoverToError(&err, s.src)
-	rows, err := s.openRows(ctx, args, rowsOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return rows.materialize()
+	return materialize(s.run(ctx, args, rowsOptions{}))
 }
 
 // QueryRows executes the prepared statement and returns a streaming
 // iterator. The caller must Close the Rows (or drain it).
 func (s *Stmt) QueryRows(ctx context.Context, args ...any) (r *Rows, err error) {
 	defer recoverToError(&err, s.src)
-	return s.openRows(ctx, args, rowsOptions{})
+	return s.run(ctx, args, rowsOptions{})
 }
 
 // ExplainAnalyze executes the prepared statement cold (buffer pool
@@ -149,19 +92,18 @@ func (s *Stmt) QueryRows(ctx context.Context, args ...any) (r *Rows, err error) 
 // provenance of this run ("hit" when the cached plan was reused).
 func (s *Stmt) ExplainAnalyze(ctx context.Context, args ...any) (a *AnalyzeInfo, err error) {
 	defer recoverToError(&err, s.src)
-	return analyzeRows(s.openRows(ctx, args, rowsOptions{cold: true, trace: true}))
+	return analyzeRows(s.run(ctx, args, rowsOptions{cold: true, trace: true}))
 }
 
-// openRows converts the arguments and opens a run through the engine's
-// shared open path, flagged as prepared so the plan comes from the cache.
-func (s *Stmt) openRows(ctx context.Context, args []any, opt rowsOptions) (*Rows, error) {
+// run converts the arguments and enters the pipeline flagged as prepared,
+// so the plan is resolved under the statement's fixed key.
+func (s *Stmt) run(ctx context.Context, args []any, opt rowsOptions) (*Rows, error) {
 	vals, err := paramValues(args)
 	if err != nil {
 		return nil, err
 	}
-	opt.stmt = s
-	opt.params = vals
-	return s.e.openRows(ctx, nil, s.src, opt)
+	opt.stmt, opt.params = s, vals
+	return s.e.run(ctx, s.src, nil, opt)
 }
 
 // paramValues converts Go arguments to engine values.

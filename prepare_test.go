@@ -29,7 +29,7 @@ func TestPrepareBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := stmt.Query(30)
+	got, err := stmt.QueryContext(context.Background(), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPrepareBasic(t *testing.T) {
 	}
 
 	// Different parameter values reuse the same plan.
-	got2, err := stmt.Query(50)
+	got2, err := stmt.QueryContext(context.Background(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPrepareParamsInAggregateAndHaving(t *testing.T) {
 	if stmt.NumParams() != 2 {
 		t.Fatalf("NumParams = %d, want 2", stmt.NumParams())
 	}
-	got, err := stmt.Query(2.0, 1500.0)
+	got, err := stmt.QueryContext(context.Background(), 2.0, 1500.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestPrepareParamsInAggregateAndHaving(t *testing.T) {
 	}
 	// Changing the HAVING threshold changes the surviving groups without a
 	// recompile.
-	all, err := stmt.Query(2.0, 0.0)
+	all, err := stmt.QueryContext(context.Background(), 2.0, 0.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,28 +154,28 @@ func TestPrepareArgumentErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := stmt.Query(30); err == nil ||
+	if _, err := stmt.QueryContext(context.Background(), 30); err == nil ||
 		!strings.Contains(err.Error(), "2 parameter placeholder(s), got 1") {
 		t.Errorf("arity error = %v", err)
 	}
-	if _, err := stmt.Query(30, 1000.0, 5); err == nil ||
+	if _, err := stmt.QueryContext(context.Background(), 30, 1000.0, 5); err == nil ||
 		!strings.Contains(err.Error(), "2 parameter placeholder(s), got 3") {
 		t.Errorf("arity error = %v", err)
 	}
 	// age is INT: a string cannot fill the slot.
-	if _, err := stmt.Query("young", 1000.0); err == nil ||
+	if _, err := stmt.QueryContext(context.Background(), "young", 1000.0); err == nil ||
 		!strings.Contains(err.Error(), "parameter ?1: expected INT, got VARCHAR") {
 		t.Errorf("type error = %v", err)
 	}
 	// sal is FLOAT: an int argument coerces.
-	res, err := stmt.Query(30, 1000)
+	res, err := stmt.QueryContext(context.Background(), 30, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Len() == 0 {
 		t.Fatal("coerced query returned nothing")
 	}
-	if _, err := stmt.Query(30, struct{}{}); err == nil ||
+	if _, err := stmt.QueryContext(context.Background(), 30, struct{}{}); err == nil ||
 		!strings.Contains(err.Error(), "unsupported argument type") {
 		t.Errorf("unsupported-type error = %v", err)
 	}
@@ -185,7 +185,7 @@ func TestPrepareArgumentErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plain.Query(1); err == nil ||
+	if _, err := plain.QueryContext(context.Background(), 1); err == nil ||
 		!strings.Contains(err.Error(), "takes no parameters, got 1") {
 		t.Errorf("no-params error = %v", err)
 	}
@@ -214,11 +214,11 @@ func TestPlanCachePerMode(t *testing.T) {
 	if e.PlanCacheLen() != 2 {
 		t.Fatalf("PlanCacheLen = %d, want 2 (one per mode)", e.PlanCacheLen())
 	}
-	rt, err := trad.Query()
+	rt, err := trad.QueryContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := full.Query()
+	rf, err := full.QueryContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 	run := func() (int64, string) {
 		t.Helper()
-		res, err := stmt.Query(200)
+		res, err := stmt.QueryContext(context.Background(), 200)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := stmt.Query(2)
+	res, err := stmt.QueryContext(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestPlanCacheEviction(t *testing.T) {
 		t.Fatalf("PlanCacheEvictions = %d, want 1", n)
 	}
 	// The evicted statement still runs — it just recompiles (miss).
-	res, err := s1.Query(1)
+	res, err := s1.QueryContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

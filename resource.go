@@ -71,19 +71,16 @@ func recoverToError(err *error, src string) {
 }
 
 // newGovernor builds the per-query governor: the engine config provides
-// the defaults, a WithLimits override (nil = none) is overlaid on top
-// (zero fields inherit, negative fields disable), and the effective
-// timeout is layered onto the caller's context.
-func (e *Engine) newGovernor(ctx context.Context, over *Limits) (*govern.Governor, context.CancelFunc) {
-	lim := Limits{
+// the defaults, the run's WithLimits override is overlaid on top (zero
+// fields inherit, negative fields disable), and the effective timeout is
+// layered onto the caller's context.
+func (e *Engine) newGovernor(ctx context.Context, over Limits) (*govern.Governor, context.CancelFunc) {
+	lim := over.overlay(Limits{
 		Timeout:         e.cfg.Timeout,
 		MaxRowsOut:      e.cfg.MaxRowsOut,
 		MaxIOPages:      e.cfg.MaxIOPages,
 		OptimizerBudget: e.cfg.OptimizerBudget,
-	}
-	if over != nil {
-		lim = over.overlay(lim)
-	}
+	})
 	cancel := func() {}
 	if lim.Timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
@@ -96,8 +93,8 @@ func (e *Engine) newGovernor(ctx context.Context, over *Limits) (*govern.Governo
 	return g, cancel
 }
 
-// ioHook adapts a governor and an optional per-query collector to the
-// storage layer's IO hook, installed on the query's storage session (so it
+// ioHook adapts a run's governor and collector to the storage layer's IO
+// hook, installed on the query's storage session (so it
 // observes only this query's page accesses, even with concurrent queries
 // on the same store): charged IOs (pool misses and flushes) count against
 // the page budget, pool hits only poll cancellation. The governor
@@ -111,9 +108,7 @@ func ioHook(g *govern.Governor, col *obs.Collector) storage.IOHook {
 		if err := g.TickIO(op != storage.OpHit); err != nil {
 			return err
 		}
-		if col != nil {
-			col.RecordIO(ioKind(op), temp)
-		}
+		col.RecordIO(ioKind(op), temp)
 		return nil
 	}
 }
@@ -155,38 +150,36 @@ func ladderModes(m OptimizerMode) []OptimizerMode {
 // was bound against (the run's pinned snapshot).
 func (e *Engine) optimizeLadder(cat catalog.Reader, q *qblock.Query, mode OptimizerMode, noViewRewrite bool, gov *govern.Governor, trace *core.SearchTrace) (*core.Plan, OptimizerMode, error) {
 	modes := ladderModes(mode)
+	opts := core.DefaultOptions()
+	opts.PoolPages = e.cfg.PoolPages
+	opts.CPUWeight = e.cfg.CPUWeight
+	if e.cfg.KLevelPullUp != 0 {
+		opts.KLevelPullUp = e.cfg.KLevelPullUp
+	}
+	opts.RequireSharedPredicate = !e.cfg.DisableSharedPredicateRestriction
+	opts.NoHashJoin = e.cfg.SystemRJoins
+	opts.Trace = trace
 	// Materialized-view candidates are mode-independent (they bypass the
 	// join search entirely), so one rewrite pass serves every rung.
-	var viewPlans []core.ViewPlan
 	if !noViewRewrite {
-		viewPlans = e.viewPlans(cat, q)
+		opts.ViewPlans = e.viewPlans(cat, q)
 	}
-	degradations := 0
-	for i, m := range modes {
-		opts := e.options()
-		opts.Mode = m
-		opts.Trace = trace
-		opts.ViewPlans = viewPlans
+	for i := 0; ; i++ {
 		last := i == len(modes)-1
+		opts.Mode, opts.Tick = modes[i], gov.TickPlan
 		if last {
 			opts.Tick = gov.Err // cancellation only: the floor must succeed
-		} else {
-			opts.Tick = gov.TickPlan
 		}
 		plan, err := core.Optimize(q, opts)
-		if err != nil {
-			if !last && errors.Is(err, govern.ErrOptimizerBudget) {
-				degradations++
-				trace.Event("degrade", 0, "mode %s exceeded the plan budget; retrying as %s", m, modes[i+1])
-				gov.ResetPlans()
-				continue
-			}
-			return nil, m, err
+		if !last && errors.Is(err, govern.ErrOptimizerBudget) {
+			trace.Event("degrade", 0, "mode %s exceeded the plan budget; retrying as %s", modes[i], modes[i+1])
+			gov.ResetPlans()
+			continue
 		}
-		plan.Stats.Degradations = degradations
-		return plan, m, nil
+		if err != nil {
+			return nil, modes[i], err
+		}
+		plan.Stats.Degradations = i // every rung before this one degraded
+		return plan, modes[i], nil
 	}
-	// Unreachable: ladderModes always ends in Traditional, whose rung never
-	// returns ErrOptimizerBudget.
-	return nil, mode, fmt.Errorf("aggview: optimizer ladder exhausted")
 }

@@ -10,9 +10,10 @@ import (
 	"time"
 
 	"aggview/internal/catalog"
-	"aggview/internal/core"
 	"aggview/internal/exec"
+	"aggview/internal/govern"
 	"aggview/internal/obs"
+	"aggview/internal/qblock"
 	"aggview/internal/sql"
 	"aggview/internal/storage"
 	"aggview/internal/types"
@@ -30,8 +31,6 @@ import (
 // ORDER BY, rows flow straight from the executor, and a LIMIT stops
 // execution as soon as enough rows were pulled.
 type Rows struct {
-	cols  []string
-	plan  *PlanInfo
 	query *queryRun
 
 	cur     *exec.Cursor // streaming path; nil on the buffered path
@@ -48,14 +47,29 @@ type Rows struct {
 	closeMu sync.Mutex
 }
 
-// queryRun carries one run's execution state from open to finish: the
-// governor, the metrics collector, the query's storage session, and the
-// idempotent finish hook that releases the engine and publishes metrics.
-// The compiled plan it points at is shared and immutable; everything else
-// here is private to the run.
+// queryRun is the query pipeline: the one value every SELECT-shaped
+// statement becomes, whichever door it came through (ad-hoc, prepared,
+// transaction, EXPLAIN [ANALYZE], materialized-view maintenance). Engine.run
+// drives it through five stages —
+//
+//	parse    text → *sql.Select (parseSelect; doors holding a parsed
+//	         statement, a prepared key or a bound block skip it)
+//	bind     *sql.Select → query block over the pinned snapshot (compile;
+//	         only when resolve misses the cache)
+//	resolve  plan key → compiledPlan, cached or optimized (resolvePlan)
+//	execute  parameters, storage session, cursor (execute)
+//	finish   teardown and metrics publication, exactly once (finish)
+//
+// — and owns everything private to the run. The compiled plan it points at
+// is shared and immutable.
 type queryRun struct {
-	engine   *Engine
-	src      string
+	engine *Engine
+	src    string      // statement text: metrics label, prepared-statement reparse source
+	opt    rowsOptions // how this door entered the pipeline
+	// snap is the catalog state the run binds, plans and executes against:
+	// the published snapshot current at open, or a writer's working state.
+	snap     *catalog.Snapshot
+	gov      *govern.Governor
 	cp       *compiledPlan
 	col      *obs.Collector
 	planInfo *PlanInfo
@@ -84,10 +98,11 @@ type queryRun struct {
 	totalDur    time.Duration
 }
 
-// finish tears the run down exactly once: closes the storage session,
-// releases the governor, fixes the IO totals, and publishes the per-query
-// rollup to the engine's metrics registry (and sink). Safe to call
-// repeatedly and from racing goroutines.
+// finish is the pipeline's last stage and runs exactly once: it closes the
+// storage session, releases the governor, fixes the IO totals, and — unless
+// the run was plan-only or view maintenance, which are not query executions
+// — publishes the per-query rollup to the engine's metrics registry (and
+// sink). Safe to call repeatedly and from racing goroutines.
 func (qr *queryRun) finish(execErr error) {
 	qr.once.Do(func() {
 		if qr.sess != nil {
@@ -103,6 +118,9 @@ func (qr *queryRun) finish(execErr error) {
 			qr.executeDur = 0
 		}
 		qr.done.Store(true)
+		if qr.opt.planOnly || qr.opt.block != nil {
+			return
+		}
 
 		qm := obs.QueryMetrics{
 			Statement: qr.src,
@@ -150,9 +168,10 @@ func errClass(err error) string {
 	}
 }
 
-// rowsOptions tunes openRows for its different entry points. The public
-// QueryOption functions (WithMode, WithParams, WithLimits, WithColdCache)
-// fold into this struct via applyOptions.
+// rowsOptions records how a door entered the pipeline. The public
+// QueryOption functions (WithMode, WithParams, WithLimits, WithColdCache,
+// WithoutViewRewrite) fold into it; the remaining fields are set by the
+// doors themselves.
 type rowsOptions struct {
 	// mode overrides the engine mode when non-default (ad-hoc path only;
 	// a prepared statement's mode is fixed at Prepare).
@@ -165,54 +184,76 @@ type rowsOptions struct {
 	noViewRewrite bool
 	// trace enables the optimizer search trace (EXPLAIN paths).
 	trace bool
-	// stmt marks a prepared-statement run: the plan comes from the engine's
-	// plan cache (compiling on miss) instead of an ad-hoc compilation.
+	// planOnly stops the run before the execute stage (Explain, Prepare):
+	// the Rows it returns is already finished and carries only the plan.
+	planOnly bool
+	// stmt marks a prepared-statement run: the plan key was fixed at Prepare
+	// and the statement text is reparsed only when the plan must recompile.
 	stmt *Stmt
 	// params are the values bound to the statement's `?` placeholders.
 	params []types.Value
-	// limits are this run's resource-limit overrides (nil = engine config).
-	limits *Limits
+	// limits are this run's resource-limit overrides (zero = engine config).
+	limits Limits
 	// snap overrides the catalog state the run binds and executes against.
-	// Nil (the normal case) pins the published snapshot current at open;
-	// a transaction sets it to its own working snapshot so its reads see
-	// its own uncommitted writes. Runs with an explicit snap never touch
-	// the plan cache.
+	// Nil (the normal case) pins the published snapshot current at open; a
+	// writer sets it to its working snapshot so its reads see its own
+	// uncommitted writes — and never touch the plan cache: a plan compiled
+	// against unpublished state must never serve a later reader.
 	snap *catalog.Snapshot
+	// block enters the pipeline at the resolve stage with an already bound
+	// query (materialized-view maintenance; see Engine.runBlock).
+	block *qblock.Query
 }
 
-// openRows opens a SELECT as a streaming cursor. The run first pins its
-// catalog snapshot — the published snapshot current at open, or the
-// transaction's working state when opt.snap is set — and binds, optimizes
-// and executes entirely against it: concurrent commits publish new
-// snapshots without ever disturbing this run, and this run never blocks a
-// writer. The compile phase — parse, bind, optimize — runs through
-// compileSelect for ad-hoc statements (consulting the plan cache) or
-// through the prepared statement's cached plan; the run phase builds
-// per-run state only: governor, collector, storage session, and the
-// iterator tree with this run's parameter values bound. Each run gets its
-// own storage session, so concurrent queries account and govern their IO
-// independently. Every error path after the governor exists still
-// publishes query metrics.
-func (e *Engine) openRows(ctx context.Context, sel *sql.Select, src string, opt rowsOptions) (rows *Rows, err error) {
+// parseSelect is the pipeline's parse stage: one statement, which must be a
+// SELECT.
+func parseSelect(src string) (*sql.Select, error) {
+	stmt, err := sql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := stmt.(*sql.Select)
+	if !ok {
+		return nil, fmt.Errorf("aggview: this entry point requires a SELECT statement")
+	}
+	return sel, nil
+}
+
+// query is the door shared by the text-taking entry points: fold the
+// caller's options over the door's own base settings and enter the pipeline.
+func (e *Engine) query(ctx context.Context, src string, opt rowsOptions, opts []QueryOption) (*Rows, error) {
+	for _, fn := range opts {
+		if err := fn(&opt); err != nil {
+			return nil, err
+		}
+	}
+	return e.run(ctx, src, nil, opt)
+}
+
+// run drives one SELECT through the pipeline (see queryRun) and returns its
+// cursor; sel is nil when the statement still has to be parsed from src. The
+// run pins its catalog snapshot first and binds, optimizes and executes
+// entirely against it: concurrent commits publish new snapshots without
+// ever disturbing this run, and this run never blocks a writer. Each run
+// has its own storage session, so concurrent queries account and govern
+// their IO independently. Every error path after the governor exists still
+// finishes the run (and so publishes its metrics).
+func (e *Engine) run(ctx context.Context, src string, sel *sql.Select, opt rowsOptions) (rows *Rows, err error) {
+	if sel == nil && opt.stmt == nil && opt.block == nil {
+		if sel, err = parseSelect(src); err != nil {
+			return nil, err
+		}
+	}
 	// A dead durable engine's memory may be ahead of its log; serving reads
-	// from it would expose unacknowledged state.
+	// (or plans) from it would expose unacknowledged state.
 	if err := e.walAlive(); err != nil {
 		return nil, err
 	}
-	snap := opt.snap
-	cacheable := snap == nil
-	if snap == nil {
-		snap = e.cat.Snapshot()
+	qr := &queryRun{engine: e, src: src, opt: opt, snap: opt.snap, col: obs.NewCollector(), start: time.Now()}
+	if qr.snap == nil {
+		qr.snap = e.cat.Snapshot()
 	}
-	gov, cancel := e.newGovernor(ctx, opt.limits)
-	col := obs.NewCollector()
-	qr := &queryRun{
-		engine: e,
-		src:    src,
-		col:    col,
-		start:  time.Now(),
-		cancel: cancel,
-	}
+	qr.gov, qr.cancel = e.newGovernor(ctx, opt.limits)
 	// Panics below are recovered at the engine boundary; without this the
 	// session would leak. finish is sync.Once-idempotent, so paths that
 	// already finished are unaffected, and the success path hands teardown
@@ -227,53 +268,47 @@ func (e *Engine) openRows(ctx context.Context, sel *sql.Select, src string, opt 
 		}
 	}()
 
-	var trace *core.SearchTrace
-	if opt.trace {
-		trace = core.NewSearchTrace()
-	}
-
-	var cp *compiledPlan
-	status := cacheBypass
-	endOpt := col.Time("optimize")
-	if opt.stmt != nil {
-		cp, status, err = opt.stmt.resolve(snap, gov, trace)
-	} else {
-		mode := e.cfg.Mode
-		if opt.mode != ModeDefault {
-			mode = opt.mode
-		}
-		cp, status, err = e.resolveAdhoc(snap, sel, src, mode, opt.noViewRewrite, cacheable, gov, trace)
-	}
+	endOpt := qr.col.Time("optimize")
+	err = qr.resolvePlan(sel)
 	endOpt()
 	if err != nil {
 		return nil, err
 	}
-	params, err := checkParams(cp, opt.params)
+	if opt.planOnly {
+		qr.finish(nil)
+		return &Rows{query: qr, done: true}, nil
+	}
+	return qr.execute()
+}
+
+// execute is the pipeline's execute stage. It builds per-run state only:
+// this run's parameter vector checked against the plan's slots, the storage
+// session, and the iterator tree over the shared compiled plan.
+func (qr *queryRun) execute() (*Rows, error) {
+	e, cp := qr.engine, qr.cp
+	params, err := checkParams(cp, qr.opt.params)
 	if err != nil {
 		return nil, err
 	}
-	qr.cp = cp
-	qr.planInfo = cp.runInfo(status)
-
-	if opt.cold {
+	if qr.opt.cold {
 		// Best-effort cold measurement: with concurrent queries in flight
 		// the pool refills as they run, but this query's own accounting
 		// stays exact either way.
 		e.store.ForceDropCaches()
 	}
-	qr.sess = e.store.NewSession(ioHook(gov, col))
+	qr.sess = e.store.NewSession(ioHook(qr.gov, qr.col))
 	cur, err := exec.New(e.store).WithBatchSize(e.cfg.BatchSize).
-		WithSession(qr.sess).WithGovernor(gov).WithCollector(col).
-		WithParams(params).OpenCursor(cp.root)
+		WithSession(qr.sess).WithGovernor(qr.gov).WithCollector(qr.col).
+		WithParams(params).OpenCursor(cp.info.root)
 	if err != nil {
 		return nil, err
 	}
 
-	r := &Rows{cols: cp.colNames, plan: qr.planInfo, query: qr, cur: cur, remain: -1}
-	if cp.limit >= 0 {
-		r.remain = cp.limit
+	r := &Rows{query: qr, cur: cur, remain: -1}
+	if cp.Limit >= 0 {
+		r.remain = cp.Limit
 	}
-	if len(cp.orderBy) > 0 {
+	if len(cp.OrderBy) > 0 {
 		if err := r.materializeSorted(); err != nil {
 			return nil, err
 		}
@@ -299,7 +334,7 @@ func (r *Rows) materializeSorted() error {
 		raw = append(raw, row)
 	}
 	sort.SliceStable(raw, func(i, j int) bool {
-		for _, k := range qr.cp.orderBy {
+		for _, k := range qr.cp.OrderBy {
 			c := types.Compare(raw[i][k.Col], raw[j][k.Col])
 			if c == 0 {
 				continue
@@ -343,11 +378,11 @@ func (r *Rows) closeLocked(err error) {
 }
 
 // Columns returns the output column names.
-func (r *Rows) Columns() []string { return r.cols }
+func (r *Rows) Columns() []string { return r.query.cp.ColNames }
 
 // Plan describes the executed plan: mode (after any degradation),
 // estimates, and search statistics.
-func (r *Rows) Plan() *PlanInfo { return r.plan }
+func (r *Rows) Plan() *PlanInfo { return r.query.planInfo }
 
 // Next advances to the next row, returning false at end of stream or on
 // error (check Err). When the stream ends — including via LIMIT — the
@@ -370,14 +405,9 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	row, ok, err := r.cur.Next()
-	if err != nil {
+	if err != nil || !ok {
 		r.current = nil
 		r.closeWith(err)
-		return false
-	}
-	if !ok {
-		r.current = nil
-		r.closeWith(nil)
 		return false
 	}
 	r.query.rowsOut++
@@ -498,32 +528,17 @@ func rowToGo(row types.Row) []any {
 // caller must Close the Rows (or drain it).
 func (e *Engine) QueryRows(ctx context.Context, src string, opts ...QueryOption) (r *Rows, err error) {
 	defer recoverToError(&err, src)
-	return e.queryRows(ctx, src, opts)
+	return e.query(ctx, src, rowsOptions{}, opts)
 }
 
-// queryRows is the shared open path behind Query and QueryRows: apply the
-// options, parse, require a SELECT, open the run.
-func (e *Engine) queryRows(ctx context.Context, src string, opts []QueryOption) (*Rows, error) {
-	opt, err := applyOptions(opts)
+// materialize drains an opened run into a Result, attaching the plan, the
+// measured IO, and the per-operator metrics.
+func materialize(r *Rows, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt, err := sql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return nil, fmt.Errorf("aggview: Query requires a SELECT statement")
-	}
-	return e.openRows(ctx, sel, src, opt)
-}
-
-// materialize drains a Rows into a Result, attaching the plan, the measured
-// IO, and the per-operator metrics.
-func (r *Rows) materialize() (*Result, error) {
 	defer r.Close()
-	out := &Result{Columns: r.cols}
+	out := &Result{Columns: r.Columns()}
 	for r.Next() {
 		row := make([]any, len(r.current))
 		copy(row, r.current)
@@ -532,7 +547,7 @@ func (r *Rows) materialize() (*Result, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	out.Plan = r.plan
+	out.Plan = r.Plan()
 	out.IO = r.IO()
 	out.Ops = r.Ops()
 	return out, nil

@@ -291,7 +291,7 @@ func TestReadsProceedWhileTxnHeld(t *testing.T) {
 			if err != nil {
 				return fmt.Errorf("Prepare: %w", err)
 			}
-			if _, err := st.Query(1); err != nil {
+			if _, err := st.QueryContext(context.Background(), 1); err != nil {
 				return fmt.Errorf("Stmt.Query: %w", err)
 			}
 			if _, err := eng.Exec(`explain select dno from emp group by dno`); err != nil {

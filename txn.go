@@ -3,9 +3,7 @@ package aggview
 import (
 	"context"
 	"errors"
-	"fmt"
 
-	"aggview/internal/sql"
 	txnpkg "aggview/internal/txn"
 )
 
@@ -38,91 +36,94 @@ type Txn struct {
 
 // Begin starts an explicit transaction, blocking until the calling
 // goroutine is admitted as the engine's single writer (ctx cancels the
-// wait). The transaction must end with exactly one Commit or Rollback.
+// wait), and opens a copy-on-write batch on the catalog — on a durable
+// engine with a txn.Recorder capturing the batch's log records. The
+// transaction must end with exactly one Commit or Rollback. Every write in
+// the engine is a transaction; see autoCommit.
 func (e *Engine) Begin(ctx context.Context) (*Txn, error) {
-	rec, err := e.beginWrite(ctx)
-	if err != nil {
+	if err := e.gate.Acquire(ctx); err != nil {
 		return nil, err
 	}
-	return &Txn{e: e, rec: rec}, nil
+	if err := e.walAlive(); err != nil {
+		e.gate.Release()
+		return nil, err
+	}
+	e.cat.BeginWrite()
+	t := &Txn{e: e}
+	if e.wal != nil {
+		t.rec = txnpkg.NewRecorder(e.cat.Version)
+		e.cat.SetLogger(t.rec)
+	}
+	return t, nil
+}
+
+// autoCommit runs apply as one transaction: Begin, apply, Commit — or
+// Rollback when apply fails or panics, so readers and the on-disk log see
+// either all of a statement's effects or none.
+func (e *Engine) autoCommit(ctx context.Context, apply func() error) error {
+	t, err := e.Begin(ctx)
+	if err != nil {
+		return err
+	}
+	defer t.Rollback() // a no-op once Commit has run
+	if err := apply(); err != nil {
+		return err
+	}
+	return t.Commit()
 }
 
 // Exec parses and executes one statement inside the transaction. Writes
 // (DDL, INSERT, ANALYZE) apply to the transaction's private state; SELECT
-// and EXPLAIN read that same state, so the transaction observes its own
-// uncommitted writes. A failed statement leaves the transaction open with
-// its previous statements intact — the caller decides whether to retry,
-// continue, or roll back. (Statement-level atomicity inside a transaction
-// is not rolled back automatically: a multi-action statement that fails
-// midway leaves its partial effects in the working state; Rollback
-// discards them along with everything else.)
-func (t *Txn) Exec(src string) (res *Result, err error) {
-	defer recoverToError(&err, src)
+// reads that same state, so the transaction observes its own uncommitted
+// writes (EXPLAIN is refused). A failed statement leaves the transaction
+// open with its previous statements intact — the caller decides whether to
+// retry, continue, or roll back. (Statement-level atomicity inside a
+// transaction is not rolled back automatically: a multi-action statement
+// that fails midway leaves its partial effects in the working state;
+// Rollback discards them along with everything else.)
+func (t *Txn) Exec(src string) (*Result, error) {
 	if t.done {
 		return nil, ErrTxnDone
 	}
-	stmt, err := sql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	switch stmt.(type) {
-	case *sql.Select:
-		return t.query(context.Background(), src, nil)
-	case *sql.Explain:
-		return nil, fmt.Errorf("aggview: EXPLAIN is not supported inside a transaction")
-	default:
-		return t.e.execWriteLocked(stmt)
-	}
+	return t.e.exec(context.Background(), t, src, nil)
 }
 
 // Query executes a SELECT against the transaction's working state —
-// including its own uncommitted writes — and materializes the result.
-// Plans compiled here never enter the engine's plan cache.
+// including its own uncommitted writes — and materializes the result before
+// returning: the working state is only guaranteed stable until the next
+// Exec, so no streaming cursor may outlive a statement boundary. Plans
+// compiled here never enter the engine's plan cache.
 func (t *Txn) Query(ctx context.Context, src string, opts ...QueryOption) (res *Result, err error) {
 	defer recoverToError(&err, src)
 	if t.done {
 		return nil, ErrTxnDone
 	}
-	return t.query(ctx, src, opts)
-}
-
-// query opens the run against the working snapshot and materializes it
-// before returning: the working state is only guaranteed stable until the
-// next Exec, so no streaming cursor may outlive a statement boundary.
-func (t *Txn) query(ctx context.Context, src string, opts []QueryOption) (*Result, error) {
-	opt, err := applyOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	stmt, err := sql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return nil, fmt.Errorf("aggview: Query requires a SELECT statement")
-	}
-	opt.snap = t.e.cat.WorkingSnapshot()
-	rows, err := t.e.openRows(ctx, sel, src, opt)
-	if err != nil {
-		return nil, err
-	}
-	return rows.materialize()
+	return materialize(t.e.query(ctx, src, rowsOptions{snap: t.e.cat.WorkingSnapshot()}, opts))
 }
 
 // Commit makes the transaction durable and visible: the buffered log
-// records are appended as one TxnBegin/TxnCommit-framed group and fsynced,
-// then the working snapshot publishes — readers switch from the old state
-// to the new in one atomic step, never observing an intermediate point. On
-// error (a durability failure) nothing was published and the engine is
-// dead; recovery discards the torn group, restoring the pre-transaction
-// state.
+// records are appended as one group (TxnBegin/TxnCommit-framed when it has
+// more than one record) and fsynced, then the working snapshot publishes —
+// readers switch from the old state to the new in one atomic step, only
+// after durability. On error (a durability failure) the working snapshot is
+// discarded, nothing was published and the engine is dead; recovery drops
+// the torn group, restoring the pre-transaction state.
 func (t *Txn) Commit() error {
 	if t.done {
 		return ErrTxnDone
 	}
 	t.done = true
-	return t.e.endWrite(t.rec, nil)
+	e := t.e
+	defer e.gate.Release()
+	e.cat.SetLogger(nil)
+	if t.rec != nil {
+		if err := e.wal.commitGroup(t.rec.Records(), e.cat.EncodeSnapshot); err != nil {
+			e.cat.Discard()
+			return err
+		}
+	}
+	e.cat.Publish()
+	return nil
 }
 
 // Rollback abandons the transaction: the private working state is
@@ -133,6 +134,8 @@ func (t *Txn) Rollback() error {
 		return ErrTxnDone
 	}
 	t.done = true
-	t.e.abortWrite(t.rec)
+	t.e.cat.SetLogger(nil)
+	t.e.cat.Discard()
+	t.e.gate.Release()
 	return nil
 }
