@@ -42,11 +42,11 @@ stress:
 crash:
 	$(GO) test -run 'TestCrash|TestTorn|TestRecovery|TestBulkLoadCrashPrefix|TestPlanCacheInvalidationAcrossRecovery|TestDurable' ./internal/wal .
 
-# bench emits a machine-readable benchmark snapshot: the paper's example
-# queries per optimizer mode, estimated cost next to measured cold page IO.
-# Committing the dated file makes plan-quality regressions show up as diffs.
+# bench runs the repo benchmark (BENCHMARK.json, bench/): five workloads,
+# end-to-end qps/p50/p95/pages_per_op/setup_s plus per-layer metrics, into
+# one results file (~3 min). cmd/aggbench prints the paper's tables, not time.
 bench:
-	$(GO) run ./cmd/aggbench -snapshot BENCH_$(shell date +%Y%m%d).json
+	bash bench/run.sh --out .bench_build/results.json
 
 # bench-smoke vets and tests the repo benchmark (BENCHMARK.json, bench/): a
 # nested module outside `go build ./...` that compiles against the engine's
@@ -55,14 +55,12 @@ bench:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-diff compares the two most recent committed snapshots: throughput
-# and prepared qps deltas plus any per-query IO/plan drift. Override OLD
-# and NEW to compare specific files.
-OLD ?= $(lastword $(filter-out $(lastword $(sort $(wildcard BENCH_*.json))),$(sort $(wildcard BENCH_*.json))))
-NEW ?= $(lastword $(sort $(wildcard BENCH_*.json)))
+# bench-diff compares two results files written by `bash bench/run.sh --out`:
+# one verdict (within / regressed / unresolved) per workload and metric,
+# exit 1 on any regression.
 bench-diff:
-	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "need two BENCH_*.json files (or pass OLD=... NEW=...)"; exit 2; }
-	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-diff OLD=a.json NEW=b.json"; exit 2; }
+	bash bench/run.sh compare $(OLD) $(NEW)
 
 # gobench runs the Go micro/macro benchmarks.
 gobench:

@@ -7,11 +7,10 @@
 //	aggbench -quick          # run every experiment at reduced size
 //	aggbench -exp E1,E5      # run selected experiments
 //	aggbench -list           # list experiment ids and titles
-//	aggbench -snapshot F     # write a per-mode page-IO snapshot to F as JSON
-//	                           ("-" for stdout) instead of the experiments
-//	aggbench -snapshot F -concurrency 1,4,16
-//	                         # also measure concurrent throughput (qps) at
-//	                           the given worker counts (the default levels)
+//
+// The tables report estimated cost next to measured page IO. Time (qps,
+// latency, per-layer shares) is measured by the repo benchmark instead:
+// BENCHMARK.json, `bash bench/run.sh`.
 package main
 
 import (
@@ -20,7 +19,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -31,8 +29,6 @@ func main() {
 	quick := flag.Bool("quick", false, "run reduced-size experiments")
 	list := flag.Bool("list", false, "list experiments and exit")
 	expFlag := flag.String("exp", "", "comma-separated experiment ids (default: all)")
-	snapFlag := flag.String("snapshot", "", "write a benchmark snapshot (JSON) to this file and exit")
-	concFlag := flag.String("concurrency", "", "comma-separated worker counts for the snapshot's throughput section (default 1,4,16)")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	mutexProf := flag.String("mutexprofile", "", "write a mutex-contention profile of the run to this file")
 	flag.Parse()
@@ -67,77 +63,10 @@ func main() {
 		}()
 	}
 
-	var levels []int
-	if *concFlag != "" {
-		for _, s := range strings.Split(*concFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "bad -concurrency value %q: want positive integers\n", s)
-				os.Exit(2)
-			}
-			levels = append(levels, n)
-		}
-	}
-
 	if *list {
 		for _, id := range experiments.IDs() {
 			title, _ := experiments.Title(id)
 			fmt.Printf("%-4s %s\n", id, title)
-		}
-		return
-	}
-
-	if *snapFlag != "" {
-		snap, err := experiments.NewSnapshot(*quick, levels...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		out, err := snap.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		if *snapFlag == "-" {
-			os.Stdout.Write(out)
-			return
-		}
-		if err := os.WriteFile(*snapFlag, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d results)\n", *snapFlag, len(snap.Results))
-		for _, tr := range snap.Throughput {
-			fmt.Printf("throughput: N=%-3d %6.1f qps (%d queries in %.1fms) p50=%.2fms p95=%.2fms p99=%.2fms\n",
-				tr.Concurrency, tr.QPS, tr.Queries, tr.ElapsedMS, tr.P50MS, tr.P95MS, tr.P99MS)
-		}
-		for _, mr := range snap.Mixed {
-			fmt.Printf("mixed:      N=%-3d %6.1f qps (%d queries, %d commits in %.1fms) p50=%.2fms p95=%.2fms p99=%.2fms\n",
-				mr.Concurrency, mr.QPS, mr.Queries, mr.WriterCommits, mr.ElapsedMS, mr.P50MS, mr.P95MS, mr.P99MS)
-		}
-		for _, pr := range snap.Prepared {
-			fmt.Printf("prepared:   N=%-3d %-14s %6.1f qps (%d queries in %.1fms)\n",
-				pr.Concurrency, pr.Variant, pr.QPS, pr.Queries, pr.ElapsedMS)
-		}
-		for _, dr := range snap.Durability {
-			fmt.Printf("durability: N=%-3d %-14s %6.1f qps (%d statements in %.1fms)\n",
-				dr.Concurrency, dr.Variant, dr.QPS, dr.Statements, dr.ElapsedMS)
-		}
-		if r := snap.Recovery; r != nil {
-			fmt.Printf("recovery:   %.1fms to reopen %d on-disk bytes (checkpoint + log replay)\n",
-				r.RecoverMS, r.WALBytes)
-		}
-		for _, mv := range snap.MatViews {
-			path := mv.Rewrite
-			if path == "" {
-				path = "(no rewrite)"
-			}
-			fmt.Printf("matview:    %-16s %-14s view %4d reads %8.1f qps | base %4d reads %8.1f qps\n",
-				mv.Name, path, mv.ViewReads, mv.ViewQPS, mv.BaseReads, mv.BaseQPS)
-		}
-		for _, oj := range snap.OuterJoins {
-			fmt.Printf("outerjoin:  %-22s %-11s %5d rows %5d reads p50=%.2fms p95=%.2fms p99=%.2fms\n",
-				oj.Name, oj.Mode, oj.Rows, oj.Reads, oj.P50MS, oj.P95MS, oj.P99MS)
 		}
 		return
 	}

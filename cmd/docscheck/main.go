@@ -67,8 +67,11 @@ func main() {
 			os.Exit(1)
 		}
 		// ROADMAP.md names future artifacts by design (packages that do
-		// not exist yet); only its links are checked, not code paths.
-		checkCode := filepath.Base(md) != "ROADMAP.md"
+		// not exist yet), and ISSUE.md — the work order of the PR in
+		// flight — names the files that PR is to create or delete; only
+		// their links are checked, not code paths.
+		base := filepath.Base(md)
+		checkCode := base != "ROADMAP.md" && base != "ISSUE.md"
 		for lineno, line := range strings.Split(string(data), "\n") {
 			for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
 				target := m[1]

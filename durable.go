@@ -159,10 +159,11 @@ func (w *walState) commitGroup(recs []txn.LoggedRecord, snap func() []byte) erro
 // records framed by TxnBegin/TxnCommit apply all-or-nothing (a torn group
 // with no TxnCommit, or one closed by TxnAbort, is discarded entirely),
 // bare records apply directly (the pre-transaction format, and the format
-// still used for single-record statements). After replay it heals any
-// statement-level tear in materialized-view state (see recoverMatViews)
-// and re-persists the healed state, so a reopened engine always passes its
-// own consistency audit.
+// still used for single-record statements). Replay is all recovery does:
+// every statement that logs more than one record — CREATE MATERIALIZED VIEW,
+// an INSERT with view maintenance, a refresh — is one framed group, so the
+// replayed state is statement-consistent (no orphaned backing table, no
+// view behind its base table) and nothing is appended to the log on open.
 func OpenDurable(cfg Config) (*Engine, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("aggview: OpenDurable requires Config.DataDir")
@@ -237,27 +238,8 @@ func OpenDurable(cfg Config) (*Engine, error) {
 		cat.Publish()
 	}
 
-	w := &walState{log: log, checkpointBytes: cfg.CheckpointBytes}
-
 	e := newEngine(store, cat, cfg)
-	e.wal = w
-
-	if applied {
-		// The replayed tail may have torn a multi-record statement from the
-		// pre-framing format (or an anomaly healed by a previous recovery
-		// that then crashed before persisting the repair). Heal inside a
-		// normal transaction so the repair itself commits atomically.
-		err := e.autoCommit(context.Background(), func() error {
-			if err := e.recoverMatViews(); err != nil {
-				return fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			return nil
-		})
-		if err != nil {
-			log.Close()
-			return nil, err
-		}
-	}
+	e.wal = &walState{log: log, checkpointBytes: cfg.CheckpointBytes}
 	return e, nil
 }
 

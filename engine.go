@@ -119,10 +119,10 @@ type Config struct {
 	// with a fresh budget; the last rung runs unbudgeted), which is always
 	// safe because the chosen plan is never worse than the traditional one.
 	OptimizerBudget int
-	// PlanCacheSize caps the number of compiled plans retained for prepared
-	// statements (LRU, keyed by normalized SQL text and optimizer mode).
-	// 0 means DefaultPlanCacheSize; negative disables plan caching — every
-	// execution of a prepared statement then recompiles.
+	// PlanCacheSize caps the number of compiled plans retained (LRU, keyed
+	// by normalized SQL text and optimizer mode; ad-hoc and prepared
+	// statements share the cache). 0 means DefaultPlanCacheSize; negative
+	// disables plan caching — every execution then recompiles.
 	PlanCacheSize int
 	// BatchSize sets the executor's row-vector size: how many rows flow
 	// between operators per NextBatch call (0 means the default, 1024).
@@ -174,7 +174,7 @@ type Engine struct {
 	// gate is shared by engines derived via WithConfig, which alias the
 	// same store and catalog.
 	gate *txn.Gate
-	// cache holds compiled plans for prepared statements; nil when
+	// cache holds compiled plans, ad-hoc and prepared alike; nil when
 	// disabled. Engines derived via WithConfig get their own cache — the
 	// configuration shapes the plans, so entries cannot cross engines —
 	// while invalidation rides on the shared catalog's version counter.
@@ -627,8 +627,8 @@ type PlanInfo struct {
 	// cached compiled plan was reused; Search is zero because no
 	// optimization ran), "miss" (compiled and cached), "invalidated"
 	// (a cached plan was stale against the catalog version and was
-	// recompiled), or "bypass" (ad-hoc statement, degraded plan, or cache
-	// disabled). Empty on EXPLAIN paths, which do not execute.
+	// recompiled), or "bypass" (cache not consulted: EXPLAIN paths, a run
+	// inside a transaction, a degraded plan, or caching disabled).
 	CacheStatus string
 
 	// root is the plan tree — frozen at compile, shared by every run of the

@@ -583,9 +583,18 @@ func (dp *blockDP) bestFinal() (*cand, error) {
 	return best, nil
 }
 
-// minInvariantMask computes the minimal invariant set at the DP level,
-// mirroring transform.MinimalInvariantSet but over dpRels (which may be
-// prebuilt subplans, whose keys derive from lplan.Key).
+// minInvariantMask computes the minimal invariant set over dpRels (which
+// may be prebuilt subplans, whose keys derive from lplan.Key).
+//
+// A relation r is removable from the current set S when:
+//
+//   - no aggregate argument or grouping column references r;
+//   - every conjunct touching r touches only r and S∖{r}, and its columns
+//     on the S side are all grouping columns;
+//   - the equi-join conjuncts between r and S∖{r} bind a key of r.
+//
+// Removal repeats to fixpoint. The last relation is never removed (a
+// group-by needs an input).
 func minInvariantMask(rels []dpRel, conjs []dpConj, group *groupSpec) uint64 {
 	if group == nil {
 		return 0

@@ -669,15 +669,6 @@ func (o *optimizer) phaseOne(vc *viewCtx) ([]wCandidate, error) {
 	return out, nil
 }
 
-func sharesBase(pc *poolConj, rels []*qblock.Rel) bool {
-	for _, r := range rels {
-		if pc.baseAliases[r.Alias] {
-			return true
-		}
-	}
-	return len(pc.baseAliases) > 0
-}
-
 // newPhaseOneDP builds the SPJ DP over V′ ∪ B′ for one view.
 func (o *optimizer) newPhaseOneDP(vc *viewCtx, conjs []*poolConj) (*blockDP, error) {
 	dp := &blockDP{model: o.model, opts: o.opts, stats: o.stats}
@@ -1130,10 +1121,17 @@ func (o *optimizer) phaseTwo(chosen []wCandidate) (lplan.Node, *cost.Info, error
 	return best.node, best.info, nil
 }
 
-// minimalInvariantAliases adapts transform.MinimalInvariantSet without the
-// import (core already holds the DP-level variant); it reuses the DP-level
-// computation over the view block's relations.
+// minimalInvariantAliases computes V′ for a view block (Section 4.1): the
+// smallest set of relations the group-by must wait for. Relations outside
+// V′ can be joined after the group-by (they are "invariant"), and the
+// optimizer treats them like top-block relations (Section 5.3's B′). It
+// runs the DP-level computation (minInvariantMask, which states the removal
+// rule) over the block's base relations. A block without a group-by has no
+// V′: nothing constrains its join order.
 func minimalInvariantAliases(b *qblock.Block) map[string]bool {
+	if !b.HasGroupBy() {
+		return map[string]bool{}
+	}
 	var rels []dpRel
 	bit := 0
 	for _, r := range b.Rels {

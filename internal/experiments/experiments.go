@@ -84,8 +84,11 @@ func IDs() []string {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		// Numeric suffix ordering: E1, E2, … E10, E11, E12.
+		// Letter, then numeric suffix: E1, E2, … E10, E11, E12, M1.
 		a, b := out[i], out[j]
+		if a[0] != b[0] {
+			return a[0] < b[0]
+		}
 		if len(a) != len(b) {
 			return len(a) < len(b)
 		}

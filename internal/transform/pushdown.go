@@ -5,7 +5,6 @@ import (
 
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
-	"aggview/internal/qblock"
 	"aggview/internal/schema"
 )
 
@@ -111,120 +110,4 @@ func pushInvariantSide(g *lplan.GroupBy, j *lplan.Join, pushLeft bool) (lplan.No
 		return nil, fmt.Errorf("invariant grouping: produced an illegal tree: %w", err)
 	}
 	return result, nil
-}
-
-// MinimalInvariantSet computes V′ for a view block (Section 4.1): the
-// smallest set of relations the group-by must wait for. Relations outside
-// V′ can be joined after the group-by (they are "invariant"), and the
-// optimizer treats them like top-block relations (Section 5.3's B′).
-//
-// A relation r is removable from the current set S when:
-//
-//   - no aggregate argument, grouping column, or output references r;
-//   - every conjunct touching r touches only r and S∖{r}, and its columns
-//     on the S side are all grouping columns;
-//   - the equi-join conjuncts between r and S∖{r} bind a key of r.
-//
-// Removal repeats to fixpoint. The block's last relation is never removed
-// (a group-by needs an input).
-func MinimalInvariantSet(b *qblock.Block) map[string]bool {
-	if !b.HasGroupBy() {
-		// No group-by: nothing constrains the join order.
-		return map[string]bool{}
-	}
-	s := map[string]bool{}
-	for _, r := range b.Rels {
-		s[r.Alias] = true
-	}
-
-	// Aliases pinned by aggregate arguments and grouping columns.
-	pinned := map[string]bool{}
-	for _, a := range b.Aggs {
-		if a.Arg == nil {
-			continue
-		}
-		for _, c := range expr.Columns(a.Arg) {
-			pinned[c.Rel] = true
-		}
-	}
-	grouping := map[schema.ColID]bool{}
-	for _, gc := range b.GroupCols {
-		grouping[gc] = true
-		pinned[gc.Rel] = true
-	}
-
-	changed := true
-	for changed {
-		changed = false
-		for _, r := range b.Rels {
-			alias := r.Alias
-			if !s[alias] || pinned[alias] || countTrue(s) <= 1 {
-				continue
-			}
-			if removable(b, s, r, grouping) {
-				delete(s, alias)
-				changed = true
-			}
-		}
-	}
-	return s
-}
-
-func countTrue(m map[string]bool) int {
-	n := 0
-	for _, v := range m {
-		if v {
-			n++
-		}
-	}
-	return n
-}
-
-func removable(b *qblock.Block, s map[string]bool, r *qblock.Rel, grouping map[schema.ColID]bool) bool {
-	key, hasKey := r.Key()
-	if !hasKey {
-		return false
-	}
-	bound := map[schema.ColID]bool{}
-	for _, c := range b.Conjs {
-		cols := expr.Columns(c)
-		touchesR := false
-		for _, col := range cols {
-			if col.Rel == r.Alias {
-				touchesR = true
-				break
-			}
-		}
-		if !touchesR {
-			continue
-		}
-		for _, col := range cols {
-			if col.Rel == r.Alias {
-				continue
-			}
-			// A predicate linking r to an already-removed relation is a
-			// three-way situation the pairwise transformation cannot
-			// reason about; keep r in the set.
-			if !s[col.Rel] {
-				return false
-			}
-			if !grouping[col] {
-				return false
-			}
-		}
-		if lc, rc, ok := expr.EquiJoin(c); ok {
-			if lc.Rel == r.Alias {
-				bound[lc] = true
-			}
-			if rc.Rel == r.Alias {
-				bound[rc] = true
-			}
-		}
-	}
-	for _, kc := range key {
-		if !bound[kc] {
-			return false
-		}
-	}
-	return true
 }

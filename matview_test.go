@@ -451,9 +451,9 @@ func TestMatViewPlanCacheInvalidation(t *testing.T) {
 }
 
 // TestMatViewDurability: materialized views round-trip through close/reopen
-// and checkpoints with a stable state fingerprint (the recovery-time
-// consistency pass must not mutate consistent state), and the rewrite still
-// fires on the recovered engine.
+// and checkpoints with a stable state fingerprint (recovery is replay only;
+// it must not mutate state), and the rewrite still fires on the recovered
+// engine.
 func TestMatViewDurability(t *testing.T) {
 	dir := t.TempDir()
 	e := openDurable(t, dir)
@@ -592,7 +592,7 @@ func TestCrashSweepMatViews(t *testing.T) {
 						n, torn, name, sortedRows(viewSide), sortedRows(baseSide))
 				}
 			}
-			// Orphan cleanup freed any half-created names: creating a fresh
+			// All-or-nothing replay leaves no half-created names: creating a fresh
 			// view (and re-creating m1's name when it is absent) must work.
 			if _, err := rec.Exec(`create table probe_t (x int)`); err != nil {
 				t.Fatalf("n=%d torn=%v: recovered engine rejects DDL: %v", n, torn, err)
@@ -622,12 +622,11 @@ func TestCrashSweepMatViews(t *testing.T) {
 }
 
 // TestMatViewNullGroups: NULL group keys and all-NULL aggregate inputs
-// flow through materialization, incremental maintenance, and the
-// recovery-time consistency check. The NULL region rows form their own
-// group (grouping treats NULLs as equal, unlike comparisons); a group
-// whose amounts are all NULL stores a NULL SUM partial, which must
-// coalesce to NULL — never to 0 — on both the backing-table and recompute
-// sides, and must not trip valuesApproxEqual into a spurious refresh.
+// flow through materialization and incremental maintenance. The NULL
+// region rows form their own group (grouping treats NULLs as equal, unlike
+// comparisons); a group whose amounts are all NULL stores a NULL SUM
+// partial, which must coalesce to NULL — never to 0 — on both the
+// backing-table and recompute sides.
 func TestMatViewNullGroups(t *testing.T) {
 	e := aggview.Open(aggview.Config{})
 	e.MustExec("CREATE TABLE sales (region TEXT, amount FLOAT, qty INT)")
@@ -671,10 +670,9 @@ func TestMatViewNullGroups(t *testing.T) {
 }
 
 // TestMatViewNullGroupsDurability runs the NULL-group fixture through the
-// durable path: recovery replays the log, then the consistency pass
-// recoalesces every backing table and compares partials — NULL partials and
-// NULL group keys must compare clean (no refresh, stable fingerprint), and
-// the recovered view must still agree with a recompute.
+// durable path: NULL partials and NULL group keys must survive log replay
+// with a stable fingerprint, and the recovered view must still agree with a
+// recompute.
 func TestMatViewNullGroupsDurability(t *testing.T) {
 	dir := t.TempDir()
 	e := openDurable(t, dir)
@@ -692,9 +690,6 @@ func TestMatViewNullGroupsDurability(t *testing.T) {
 
 	re := openDurable(t, dir)
 	defer re.Close()
-	// A spurious consistency failure would refresh the view and change the
-	// fingerprint; a silent pass over truly divergent state is caught by
-	// the recompute comparison below.
 	if got := re.StateFingerprint(); got != fp {
 		t.Fatal("recovery refreshed a consistent NULL-group view (fingerprint diverged)")
 	}

@@ -3,12 +3,9 @@ package aggview
 import (
 	"context"
 	"fmt"
-	"math"
-	"strings"
 
 	"aggview/internal/catalog"
 	"aggview/internal/core"
-	"aggview/internal/expr"
 	"aggview/internal/lplan"
 	"aggview/internal/matview"
 	"aggview/internal/qblock"
@@ -162,169 +159,6 @@ func (e *Engine) maintainMatViews(table string, rows []types.Row) error {
 		}
 	}
 	return nil
-}
-
-// recoverMatViews repairs materialized-view state after a crash recovery
-// that replayed a log tail. The log has no statement-atomicity markers: a
-// multi-record statement (CREATE MATERIALIZED VIEW, or an INSERT with view
-// maintenance) can be torn mid-statement, leaving two observable anomalies
-// that this pass heals — both only ever for the final, unacknowledged
-// statement:
-//
-//   - an orphaned backing table whose view object was never registered
-//     (crash between the backing records and the CreateMatView record):
-//     dropped, so the name is free for a retry of the CREATE;
-//   - a stale view whose base-insert record persisted but whose delta (or
-//     refresh) records did not: detected by coalescing the backing rows and
-//     comparing them against a fresh recompute, then rebuilt.
-//
-// Views untouched by the replayed tail compare clean and are left exactly
-// as recovered, so a clean close/reopen cycle never mutates state (the
-// fingerprint-stability invariant the durability tests rely on).
-func (e *Engine) recoverMatViews() error {
-	for _, name := range e.cat.TableNames() {
-		if !strings.HasSuffix(name, matview.BackingSuffix) {
-			continue
-		}
-		owner := strings.TrimSuffix(name, matview.BackingSuffix)
-		if mv, ok := e.cat.MatView(owner); ok && mv.Backing == name {
-			continue
-		}
-		// Best-effort: an unreferenced *$mv table is a crash leftover; if it
-		// is somehow in use (a base of another view), leave it alone.
-		_ = e.cat.DropTable(name)
-	}
-	for _, name := range e.cat.MatViewNames() {
-		mv, ok := e.cat.MatView(name)
-		if !ok {
-			continue
-		}
-		def, err := matview.BindCatalog(e.cat, mv)
-		if err != nil {
-			return fmt.Errorf("rebinding %w", err)
-		}
-		backing, ok := e.cat.Table(mv.Backing)
-		if !ok {
-			return fmt.Errorf("materialized view %q: backing table %q missing", mv.Name, mv.Backing)
-		}
-		want, err := e.runBlock(def.PartialQuery())
-		if err != nil {
-			return fmt.Errorf("recomputing materialized view %q: %w", mv.Name, err)
-		}
-		scan := &qblock.Block{Rels: []*qblock.Rel{{Alias: backing.Name, Table: backing}}}
-		for _, c := range scan.Rels[0].Schema() {
-			scan.Outputs = append(scan.Outputs, lplan.NamedExpr{E: expr.ColOf(c.ID), As: c.ID})
-		}
-		have, err := e.runBlock(&qblock.Query{Top: scan})
-		if err != nil {
-			return fmt.Errorf("scanning materialized view %q: %w", mv.Name, err)
-		}
-		if matViewConsistent(def, have, want) {
-			continue
-		}
-		if err := e.buildMatView(def, mv.SQL, true); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// matViewConsistent reports whether the backing table's rows and a fresh
-// recompute agree once coalesced per group. The backing side may hold
-// several partial rows per group (incremental deltas); coalescing folds
-// them before comparing. Float partials compare with a relative tolerance:
-// a recompute sums base rows in a different order than the stored partials
-// were coalesced in, so bit-exact equality would flag consistent views.
-func matViewConsistent(def *matview.Def, have, want []types.Row) bool {
-	ch, okh := coalesceMatViewRows(def, have)
-	cw, okw := coalesceMatViewRows(def, want)
-	if !okh || !okw || len(ch) != len(cw) {
-		return false
-	}
-	for k, hv := range ch {
-		wv, ok := cw[k]
-		if !ok || !valuesApproxEqual(hv, wv) {
-			return false
-		}
-	}
-	return true
-}
-
-// coalesceMatViewRows folds backing-layout rows (grouping columns, then
-// partial columns) into one coalesced value vector per group key.
-func coalesceMatViewRows(def *matview.Def, rows []types.Row) (map[string][]types.Value, bool) {
-	var kinds []expr.AggKind
-	for _, sa := range def.Aggs {
-		for _, p := range sa.Parts {
-			kinds = append(kinds, p.Part.Coalesce)
-		}
-	}
-	ng := len(def.Groups)
-	accs := map[string][]expr.Accumulator{}
-	for _, row := range rows {
-		if len(row) != ng+len(kinds) {
-			return nil, false
-		}
-		var buf []byte
-		for _, v := range row[:ng] {
-			buf = types.AppendKey(buf, v)
-		}
-		k := string(buf)
-		as, ok := accs[k]
-		if !ok {
-			as = make([]expr.Accumulator, len(kinds))
-			for i, kind := range kinds {
-				as[i] = expr.Agg{Kind: kind}.NewAccumulator()
-			}
-			accs[k] = as
-		}
-		for i := range as {
-			as[i].Add(row[ng+i])
-		}
-	}
-	out := make(map[string][]types.Value, len(accs))
-	for k, as := range accs {
-		vals := make([]types.Value, len(as))
-		for i, a := range as {
-			vals[i] = a.Result()
-		}
-		out[k] = vals
-	}
-	return out, true
-}
-
-// valuesApproxEqual compares value vectors exactly, except floats, which
-// compare within a relative tolerance. NULL partials (all-NULL aggregate
-// inputs) are handled first and explicitly: NULL equals only NULL — a NULL
-// must never slip into the float-tolerance path or be conflated with a
-// typed zero.
-func valuesApproxEqual(a, b []types.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].IsNull() || b[i].IsNull() {
-			if a[i].IsNull() != b[i].IsNull() {
-				return false
-			}
-			continue
-		}
-		if a[i].K != b[i].K {
-			return false
-		}
-		if a[i].K == types.KindFloat {
-			d := math.Abs(a[i].F - b[i].F)
-			m := math.Max(math.Abs(a[i].F), math.Abs(b[i].F))
-			if d > 1e-9*(1+m) {
-				return false
-			}
-			continue
-		}
-		if types.Compare(a[i], b[i]) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // unlimited lifts every engine-level resource limit for one run.

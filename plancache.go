@@ -210,10 +210,10 @@ type planKey struct {
 	noViewRewrite bool
 }
 
-// planCache is the engine's LRU cache of compiled plans for prepared
-// statements. It is safe for concurrent use; the mutex also orders plan
-// publication, giving readers of a cached plan a happens-before edge on
-// the frozen tree.
+// planCache is the engine's LRU cache of compiled plans, shared by ad-hoc
+// and prepared statements. It is safe for concurrent use; the mutex also
+// orders plan publication, giving readers of a cached plan a happens-before
+// edge on the frozen tree.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int

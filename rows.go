@@ -466,8 +466,9 @@ func (r *Rows) Scan(dest ...any) error {
 	return nil
 }
 
-// Value returns the current row as converted Go values (shared slice; copy
-// before retaining).
+// Value returns the current row as converted Go values. Every row is a
+// freshly allocated slice the Rows never writes again, so the caller may
+// retain it.
 func (r *Rows) Value() []any { return r.current }
 
 // Err returns the error that terminated iteration, if any.
@@ -540,9 +541,7 @@ func materialize(r *Rows, err error) (*Result, error) {
 	defer r.Close()
 	out := &Result{Columns: r.Columns()}
 	for r.Next() {
-		row := make([]any, len(r.current))
-		copy(row, r.current)
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, r.current) // a fresh slice per row; see Value
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
