@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
+	"slices"
+	"sync"
 
+	"aggview/internal/arena"
 	"aggview/internal/cost"
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
 	"aggview/internal/schema"
+	"aggview/internal/stats"
 	"aggview/internal/transform"
 )
 
@@ -45,11 +48,24 @@ type dpRel struct {
 }
 
 // dpConj is a conjunct annotated with the relations it touches. derived
-// marks equalities synthesized from equivalence classes (see equiv.go).
+// marks equalities synthesized from equivalence classes (see equiv.go). For
+// a bare column equality, eq is set and a, b are its columns' ordinals in
+// the cost model's column index.
 type dpConj struct {
 	e       expr.Expr
 	mask    uint64
 	derived bool
+	eq      bool
+	a, b    int
+}
+
+// newConj annotates a conjunct, resolving a bare equality's columns.
+func newConj(e expr.Expr, mask uint64, cols *stats.ColIndex) dpConj {
+	c := dpConj{e: e, mask: mask}
+	if a, b, ok := bareEquality(e); ok {
+		c.eq, c.a, c.b = true, cols.Ord(a), cols.Ord(b)
+	}
+	return c
 }
 
 // groupSpec is the block's pending group-by.
@@ -62,16 +78,125 @@ type groupSpec struct {
 	decomposable bool
 }
 
-// cand is one retained plan for a DP state.
-type cand struct {
-	node lplan.Node
-	info *cost.Info
-	mode aggMode
+// placement records where a join candidate applies the block's pending
+// group-by early, below the join, on one of its inputs.
+type placement uint8
+
+const (
+	placeNone        placement = iota
+	placeLeftHash              // the block's group-by (hash) over the left input
+	placeLeftSort              // the block's group-by (sort) over the left input
+	placeLeftPartial           // a coalescing pre-aggregate over the left input
+	placeRightHash             // ... and the same three over the incoming relation
+	placeRightSort
+	placeRightPartial
+)
+
+// entry is one plan of the search memo: a fixed-size record holding what
+// the search compares (cost, interesting order, aggregation mode), what
+// extending the plan needs (its output properties), and the back-pointers a
+// tree is built from if the plan is ever handed on. A leaf stands for one
+// DP relation; any other entry is join(left, rels[rel]) under step.preds by
+// method, with an early group-by on one input as place says. Candidates
+// live by value in a scratch buffer; only the ones a state retains are
+// copied into the per-query arena.
+type entry struct {
+	info   cost.Info
+	order  int32 // info.Order interned in the DP's order table
+	mode   aggMode
+	method lplan.JoinMethod
+	place  placement
+	rel    int32     // the (right) relation
+	left   *entry    // nil for a leaf
+	step   *joinStep // nil for a leaf
+	mask   uint64    // relations joined
+	early  *earlyAgg // the pending group-by costed over this plan, on first need
+	node   lplan.Node
 }
+
+// bucketKey identifies the dominance bucket of a plan: plans of one state
+// compete only with plans of equal aggregation mode and output order.
+type bucketKey struct {
+	mode  aggMode
+	order int32
+}
+
+func (e *entry) bucket() bucketKey { return bucketKey{e.mode, e.order} }
+
+// joinStep is what every candidate joining plan(prev) with relation r
+// shares: the conjuncts the step applies and the cost model's description
+// of the join, once with r as it is and once with an early group-by over r
+// (no longer a scan: no index to probe, materialized for rescans).
+type joinStep struct {
+	preds       []expr.Expr // carved from the memo: node copies them out
+	spec, gspec cost.JoinSpec
+	methods     [4]lplan.JoinMethod // index nested loops, when applicable, last
+	nMethods    int
+	nGrouped    int // methods open over a grouped r: all but index nested loops
+}
+
+// earlyAgg is the block's pending group-by costed over one plan: the full
+// group-by by both methods (logical properties shared) and the coalescing
+// pre-aggregate.
+type earlyAgg struct {
+	full         [2]cost.Info // hash, sort
+	partial      [1]cost.Info
+	hasFull      bool
+	triedPartial bool
+	hasPartial   bool // false after trying: no pre-aggregate applies
+}
+
+// partialSpec is the coalescing pre-aggregate over the relations of one
+// mask, described once: tmpl is the group-by without its input (nil when it
+// would be scalar before a join), width its output tuple width.
+type partialSpec struct {
+	tmpl  *lplan.GroupBy
+	width int
+}
+
+// memo is the per-Optimize arena of the search: retained entries, the
+// dense state tables, the join steps and the early-aggregation records are
+// carved from slabs recycled across queries, and the candidate scratch buffers are
+// reused across states.
+type memo struct {
+	entries  arena.Slab[entry]
+	cells    arena.Slab[[]entry]
+	early    arena.Slab[earlyAgg]
+	steps    arena.Slab[joinStep]
+	preds    arena.Slab[expr.Expr]
+	cands    []entry // candidates of the extension being costed
+	retained []entry // retained set of the state being built
+}
+
+// maxPooledMemoBytes keeps a memo grown by one huge search from being
+// pinned by the pool.
+const maxPooledMemoBytes = 4 << 20
+
+var memoPool = sync.Pool{New: func() any { return new(memo) }}
+
+// release zeroes the memo's slabs and recycles it. Nothing carved from it
+// may be used afterwards: plans leave the search as lplan trees.
+func (m *memo) release() {
+	if m.entries.Bytes()+m.cells.Bytes()+m.early.Bytes()+m.steps.Bytes()+m.preds.Bytes() > maxPooledMemoBytes {
+		return
+	}
+	m.entries.Reset()
+	m.cells.Reset()
+	m.early.Reset()
+	m.steps.Reset()
+	m.preds.Reset()
+	clear(m.cands[:cap(m.cands)])
+	clear(m.retained[:cap(m.retained)])
+	memoPool.Put(m)
+}
+
+// denseMaxRels bounds the relation count served by a 2ⁿ-cell table.
+const denseMaxRels = 16
 
 // blockDP enumerates linear (aggregate) join trees for one block.
 type blockDP struct {
 	model   *cost.Model
+	mem     *memo
 	rels    []dpRel
 	conjs   []dpConj
 	group   *groupSpec
@@ -79,7 +204,22 @@ type blockDP struct {
 	opts    Options
 	stats   *SearchStats
 
-	best map[uint64][]*cand
+	// The state table: retained plans per relation set, dense for up to
+	// denseMaxRels relations, a map above that.
+	dense  [][]entry
+	sparse map[uint64][]entry
+
+	orders  [][]schema.ColID        // interned output orders; index 0 is "unordered"
+	schema  schema.Schema           // every column of every relation
+	colMask map[schema.ColID]uint64 // the relation providing each column
+
+	fullTmpl  [2]*lplan.GroupBy // the pending group-by without input: hash, sort
+	fullWidth int
+	conjCols  [][]schema.ColID        // the columns of each conjunct, for partialSpecOf
+	partials  map[uint64]*partialSpec // per relation set, on first need
+
+	dsu     colDSU // prunedNewPreds' scratch
+	predBuf []expr.Expr
 }
 
 // greedyEnabled reports whether early group-by placement is allowed.
@@ -115,50 +255,117 @@ func maskOfExpr(e expr.Expr, aliases map[string]uint64) (uint64, error) {
 	return m, nil
 }
 
-// solve fills the DP table bottom-up and returns it.
-func (dp *blockDP) solve() (map[uint64][]*cand, error) {
+// cell returns the retained plans of a relation set (nil: none).
+func (dp *blockDP) cell(s uint64) []entry {
+	if dp.dense != nil {
+		return dp.dense[s]
+	}
+	return dp.sparse[s]
+}
+
+func (dp *blockDP) setCell(s uint64, plans []entry) {
+	cell := dp.mem.entries.Alloc(len(plans))
+	copy(cell, plans)
+	if dp.dense != nil {
+		dp.dense[s] = cell
+	} else {
+		dp.sparse[s] = cell
+	}
+}
+
+// internOrder returns the id of an output order in the DP's order table.
+func (dp *blockDP) internOrder(o []schema.ColID) int32 {
+	if len(o) == 0 {
+		return 0
+	}
+	for i, have := range dp.orders {
+		if len(have) == len(o) && (&have[0] == &o[0] || slices.Equal(have, o)) {
+			return int32(i)
+		}
+	}
+	dp.orders = append(dp.orders, o)
+	return int32(len(dp.orders) - 1)
+}
+
+// nextOfSize returns the next larger mask with as many set bits (Gosper).
+func nextOfSize(s uint64) uint64 {
+	low := s & -s
+	ripple := s + low
+	return ((ripple^s)>>2)/low | ripple
+}
+
+// solve fills the DP table bottom-up.
+func (dp *blockDP) solve() error {
 	n := len(dp.rels)
 	if n == 0 {
-		return nil, fmt.Errorf("dp: block has no relations")
+		return fmt.Errorf("dp: block has no relations")
 	}
 	if n > 62 {
-		return nil, fmt.Errorf("dp: too many relations (%d)", n)
+		return fmt.Errorf("dp: too many relations (%d)", n)
 	}
-	dp.best = map[uint64][]*cand{}
+	if n <= denseMaxRels && dp.sparse == nil {
+		dp.dense = dp.mem.cells.Alloc(1 << n)
+	} else {
+		dp.sparse = map[uint64][]entry{}
+	}
+	dp.orders = [][]schema.ColID{nil}
+	dp.colMask = map[schema.ColID]uint64{}
+	for _, r := range dp.rels {
+		for _, c := range r.node.Schema() {
+			dp.colMask[c.ID] |= r.mask
+		}
+		dp.schema = append(dp.schema, r.node.Schema()...)
+	}
+	if dp.group != nil {
+		for i, m := range []lplan.AggMethod{lplan.AggHash, lplan.AggSort} {
+			dp.fullTmpl[i] = &lplan.GroupBy{
+				GroupCols: dp.group.cols,
+				Aggs:      dp.group.aggs,
+				Having:    dp.group.having,
+				Method:    m,
+			}
+		}
+		dp.fullWidth = dp.fullTmpl[0].SchemaOver(dp.schema).AvgWidth()
+		dp.conjCols = make([][]schema.ColID, len(dp.conjs))
+		for i, c := range dp.conjs {
+			dp.conjCols[i] = expr.Columns(c.e)
+		}
+		dp.partials = map[uint64]*partialSpec{}
+	}
 
 	// Size-1 states.
 	for i := range dp.rels {
-		info, err := dp.model.Info(dp.rels[i].node)
+		r := &dp.rels[i]
+		info, err := dp.model.Info(r.node)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := tickPlan(dp.stats, dp.opts); err != nil {
-			return nil, err
+			return err
 		}
-		dp.best[dp.rels[i].mask] = []*cand{{node: dp.rels[i].node, info: info, mode: modeNone}}
+		leaf := entry{info: *info, order: dp.internOrder(info.Order), rel: int32(i), mask: r.mask, node: r.node}
+		dp.setCell(r.mask, []entry{leaf})
 		dp.stats.States++
 	}
 
+	// Process subsets in increasing popcount order, each level's masks in
+	// increasing order.
 	full := fullMask(n)
-	// Process subsets in increasing popcount order.
 	for size := 2; size <= n; size++ {
-		for s := uint64(1); s <= full; s++ {
-			if bits.OnesCount64(s) != size {
-				continue
-			}
+		for s := fullMask(size); s <= full; s = nextOfSize(s) {
 			if err := dp.buildState(s); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return dp.best, nil
+	return nil
 }
 
 // buildState enumerates all ways to form subset s by extending a size-1-
 // smaller state with one relation, applying the greedy conservative
 // heuristic at each extension.
 func (dp *blockDP) buildState(s uint64) error {
-	var retained []*cand
+	retained := dp.mem.retained[:0]
 	generated := 0
 	for i := range dp.rels {
 		r := &dp.rels[i]
@@ -166,13 +373,13 @@ func (dp *blockDP) buildState(s uint64) error {
 			continue
 		}
 		prev := s &^ r.mask
-		prevCands, ok := dp.best[prev]
-		if !ok {
+		prevCands := dp.cell(prev)
+		if len(prevCands) == 0 {
 			continue
 		}
-		newPreds := dp.prunedNewPreds(prev, r.mask)
-		for _, c := range prevCands {
-			ext, err := dp.extend(c, r, newPreds, s)
+		step := dp.newStep(prev, r)
+		for j := range prevCands {
+			ext, err := dp.extend(&prevCands[j], int32(i), step, s)
 			if err != nil {
 				return err
 			}
@@ -180,76 +387,99 @@ func (dp *blockDP) buildState(s uint64) error {
 			retained = dp.merge(retained, ext)
 		}
 	}
+	dp.mem.retained = retained
 	if len(retained) > 0 {
-		dp.best[s] = retained
+		dp.setCell(s, retained)
 		dp.stats.States++
 		dp.opts.Trace.State(bits.OnesCount64(s), generated, len(retained))
 	}
 	return nil
 }
 
-// extend builds the candidate plans for join(plan(prev), r), including the
+// newStep describes the join of plan(prev) with r: the conjuncts it applies
+// and the physical methods open to it.
+func (dp *blockDP) newStep(prev uint64, r *dpRel) *joinStep {
+	st := dp.mem.steps.New()
+	scratch := dp.prunedNewPreds(prev, r.mask)
+	st.preds = dp.mem.preds.Alloc(len(scratch))
+	copy(st.preds, scratch)
+	st.spec = dp.model.NewJoinSpec(lplan.JoinInner, st.preds, r.node,
+		func(c schema.ColID) bool { return dp.colMask[c]&prev != 0 })
+	add := func(m lplan.JoinMethod) {
+		st.methods[st.nMethods] = m
+		st.nMethods++
+	}
+	add(lplan.JoinBlockNL)
+	if len(st.spec.LCols) > 0 {
+		if !dp.opts.NoHashJoin {
+			add(lplan.JoinHash)
+		}
+		add(lplan.JoinMerge)
+	}
+	st.nGrouped = st.nMethods
+	if st.spec.HasIndex {
+		add(lplan.JoinIndexNL)
+	}
+	st.gspec = st.spec
+	st.gspec.Inner, st.gspec.HasIndex = nil, false
+	return st
+}
+
+// side returns the join description and methods for a candidate of the
+// step: over r as it is, or over an early group-by on r.
+func (st *joinStep) side(groupedRight bool) (*cost.JoinSpec, []lplan.JoinMethod) {
+	if groupedRight {
+		return &st.gspec, st.methods[:st.nGrouped]
+	}
+	return &st.spec, st.methods[:st.nMethods]
+}
+
+// extend costs the candidate plans for join(c, rels[ri]), including the
 // greedy conservative early-aggregation alternatives, and applies the
-// paper's local choice rule.
-func (dp *blockDP) extend(c *cand, r *dpRel, preds []expr.Expr, s uint64) ([]*cand, error) {
-	plain, err := dp.joinPlans(c.node, r.node, preds, c.mode)
-	if err != nil {
+// paper's local choice rule. The result aliases the memo's scratch buffer:
+// it is valid until the next extend.
+func (dp *blockDP) extend(c *entry, ri int32, st *joinStep, s uint64) ([]entry, error) {
+	dp.mem.cands = dp.mem.cands[:0]
+	r := &dp.rels[ri]
+	rleaf := &dp.cell(r.mask)[0]
+	base := entry{mode: c.mode, rel: ri, left: c, step: st, mask: s}
+
+	spec, methods := st.side(false)
+	if err := dp.joinPlans(base, &c.info, &rleaf.info, spec, methods, new(cost.Props)); err != nil {
 		return nil, err
 	}
 	if !dp.greedyEnabled() || c.mode != modeNone {
-		return plain, nil
+		return dp.mem.cands, nil
 	}
-
+	nPlain := len(dp.mem.cands)
 	prev := s &^ r.mask
-	var aggAlts []*cand
 
 	// (2a) invariant placement: the block's group-by applied on plan(prev).
 	if prev&dp.group.minInvariant == dp.group.minInvariant {
-		for _, g := range dp.fullGroupVariants(c.node) {
-			dp.stats.GroupPlacements++
-			alts, err := dp.joinPlans(g, r.node, preds, modeFull)
-			if err != nil {
-				return nil, err
-			}
-			aggAlts = append(aggAlts, alts...)
+		if err := dp.joinOverEarly(base, c, rleaf, st, placeLeftHash, false); err != nil {
+			return nil, err
 		}
 	}
 	// (2b) coalescing pre-aggregation of plan(prev). An empty argsMask
 	// (COUNT(*) only) pre-aggregates on either side.
 	if dp.group.decomposable && dp.group.argsMask&^prev == 0 {
-		g2, err := dp.partialGroup(c.node, prev)
-		if err == nil {
-			dp.stats.GroupPlacements++
-			alts, err := dp.joinPlans(g2, r.node, preds, modePartial)
-			if err != nil {
-				return nil, err
-			}
-			aggAlts = append(aggAlts, alts...)
+		if err := dp.joinOverEarly(base, c, rleaf, st, placeLeftPartial, false); err != nil {
+			return nil, err
 		}
 	}
 	// (2c) early aggregation of the incoming relation r (join the
 	// pre-aggregated or fully grouped r instead).
 	if r.mask&dp.group.minInvariant == dp.group.minInvariant && dp.group.minInvariant != 0 {
-		for _, g := range dp.fullGroupVariants(r.node) {
-			dp.stats.GroupPlacements++
-			alts, err := dp.joinPlans(c.node, g, preds, modeFull)
-			if err != nil {
-				return nil, err
-			}
-			aggAlts = append(aggAlts, alts...)
+		if err := dp.joinOverEarly(base, c, rleaf, st, placeLeftHash, true); err != nil {
+			return nil, err
 		}
 	}
 	if dp.group.decomposable && dp.group.argsMask&^r.mask == 0 {
-		g2, err := dp.partialGroup(r.node, r.mask)
-		if err == nil {
-			dp.stats.GroupPlacements++
-			alts, err := dp.joinPlans(c.node, g2, preds, modePartial)
-			if err != nil {
-				return nil, err
-			}
-			aggAlts = append(aggAlts, alts...)
+		if err := dp.joinOverEarly(base, c, rleaf, st, placeLeftPartial, true); err != nil {
+			return nil, err
 		}
 	}
+	plain, aggAlts := dp.mem.cands[:nPlain], dp.mem.cands[nPlain:]
 	if len(aggAlts) == 0 {
 		return plain, nil
 	}
@@ -263,17 +493,19 @@ func (dp *blockDP) extend(c *cand, r *dpRel, preds []expr.Expr, s uint64) ([]*ca
 		return aggAlts, nil
 	}
 	lvl := bits.OnesCount64(s)
-	if aggBest != nil && aggBest.info.Cost < plainBest.info.Cost && aggBest.info.Width <= plainBest.info.Width {
+	if aggBest.info.Cost < plainBest.info.Cost && aggBest.info.Width <= plainBest.info.Width {
 		dp.opts.Trace.Greedy(lvl, true)
 		if dp.opts.Trace != nil {
+			describe := (&lplan.Join{Preds: st.preds, Method: aggBest.method}).Describe()
 			dp.opts.Trace.Event("greedy-accept", lvl, "%s: cost %.1f < %.1f, width %dB <= %dB",
-				aggBest.node.Describe(), aggBest.info.Cost, plainBest.info.Cost,
+				describe, aggBest.info.Cost, plainBest.info.Cost,
 				aggBest.info.Width, plainBest.info.Width)
 		}
-		return append(plain, aggBest), nil
+		dp.mem.cands[nPlain] = *aggBest
+		return dp.mem.cands[:nPlain+1], nil
 	}
 	dp.opts.Trace.Greedy(lvl, false)
-	if dp.opts.Trace != nil && aggBest != nil {
+	if dp.opts.Trace != nil {
 		reason := ""
 		if aggBest.info.Cost >= plainBest.info.Cost {
 			reason = fmt.Sprintf("not cheaper (%.1f >= %.1f)", aggBest.info.Cost, plainBest.info.Cost)
@@ -289,130 +521,214 @@ func (dp *blockDP) extend(c *cand, r *dpRel, preds []expr.Expr, s uint64) ([]*ca
 	return plain, nil
 }
 
-func cheapest(cs []*cand) *cand {
-	var best *cand
-	for _, c := range cs {
-		if best == nil || c.info.Cost < best.info.Cost {
-			best = c
+func cheapest(cs []entry) *entry {
+	var best *entry
+	for i := range cs {
+		if best == nil || cs[i].info.Cost < best.info.Cost {
+			best = &cs[i]
 		}
 	}
 	return best
 }
 
-// joinPlans generates the physical join alternatives for L ⋈ R.
-func (dp *blockDP) joinPlans(l, r lplan.Node, preds []expr.Expr, mode aggMode) ([]*cand, error) {
-	hasEqui := false
-	for _, p := range preds {
-		lc, rc, ok := expr.EquiJoin(p)
-		if !ok {
-			continue
-		}
-		ls := l.Schema()
-		if (ls.Contains(lc) && r.Schema().Contains(rc)) || (ls.Contains(rc) && r.Schema().Contains(lc)) {
-			hasEqui = true
-			break
-		}
+// joinPlans appends the physical join alternatives for l ⋈ r to the
+// candidate buffer, one per method, each counted and polled as a costed
+// plan. base carries the fields the alternatives share. The join's logical
+// properties are derived into *props unless a sibling call with logically
+// identical inputs already left them there.
+func (dp *blockDP) joinPlans(base entry, l, r *cost.Info, spec *cost.JoinSpec, methods []lplan.JoinMethod, props *cost.Props) error {
+	if props.Rel == nil {
+		// A join without projection outputs both inputs' columns under one
+		// tuple header.
+		*props = dp.model.JoinProps(l, r, spec, l.Width+r.Width-emptyTupleWidth)
 	}
-	methods := []lplan.JoinMethod{lplan.JoinBlockNL}
-	if hasEqui {
-		if !dp.opts.NoHashJoin {
-			methods = append(methods, lplan.JoinHash)
-		}
-		methods = append(methods, lplan.JoinMerge)
-	}
-	probe := &lplan.Join{L: l, R: r, Preds: preds, Method: lplan.JoinIndexNL}
-	if _, _, ok := cost.IndexNLAccess(probe); ok {
-		methods = append(methods, lplan.JoinIndexNL)
-	}
-
-	var out []*cand
+	base.info.Props = *props
 	for _, m := range methods {
-		j := &lplan.Join{L: l, R: r, Preds: preds, Method: m}
-		info, err := dp.model.Info(j)
+		extra, order, err := dp.model.JoinMethodCost(m, spec, l, r)
+		if err != nil {
+			return err
+		}
+		if err := tickPlan(dp.stats, dp.opts); err != nil {
+			return err
+		}
+		base.method = m
+		base.info.Cost, base.info.Order = dp.model.JoinCost(l, r, props.Rows, extra), order
+		base.order = dp.internOrder(order)
+		dp.mem.cands = append(dp.mem.cands, base)
+	}
+	return nil
+}
+
+// emptyTupleWidth is the width schema.AvgWidth accounts for a tuple's
+// header, which a join's output pays once, not once per input.
+var emptyTupleWidth = schema.Schema(nil).AvgWidth()
+
+// joinOverEarly appends the join alternatives that apply the pending
+// group-by early: the block's own group-by by either method (kind =
+// placeLeftHash) or the coalescing pre-aggregate, when one applies (kind =
+// placeLeftPartial), on the left input or, with right set, on the incoming
+// relation. The two methods of a full group-by group the same rows, so the
+// join above them is derived once.
+func (dp *blockDP) joinOverEarly(base entry, c, rleaf *entry, st *joinStep, kind placement, right bool) error {
+	in := c
+	if right {
+		in = rleaf
+		kind += placeRightHash - placeLeftHash
+	}
+	var grouped []cost.Info
+	if kind == placeLeftHash || kind == placeRightHash {
+		ea, err := dp.fullOver(in)
+		if err != nil {
+			return err
+		}
+		base.mode, grouped = modeFull, ea.full[:]
+	} else {
+		ea, err := dp.partialOver(in)
+		if err != nil || !ea.hasPartial {
+			return err
+		}
+		base.mode, grouped = modePartial, ea.partial[:]
+	}
+	spec, methods := st.side(right)
+	var props cost.Props
+	for i := range grouped {
+		dp.stats.GroupPlacements++
+		base.place = kind + placement(i)
+		l, r := &c.info, &rleaf.info
+		if right {
+			r = &grouped[i]
+		} else {
+			l = &grouped[i]
+		}
+		if err := dp.joinPlans(base, l, r, spec, methods, &props); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// earlyOf returns the entry's early-aggregation record.
+func (dp *blockDP) earlyOf(e *entry) *earlyAgg {
+	if e.early == nil {
+		e.early = dp.mem.early.New()
+	}
+	return e.early
+}
+
+// groupOver costs the group-by tmpl describes (by tmpl.Method) over a plan,
+// given the logical properties GroupProps derived for it.
+func (dp *blockDP) groupOver(in *cost.Info, tmpl *lplan.GroupBy, props cost.Props, groups float64) (cost.Info, error) {
+	extra, order, err := dp.model.GroupMethodCost(tmpl, in, groups, props.Width)
+	if err != nil {
+		return cost.Info{}, err
+	}
+	return cost.Info{Props: props, Cost: dp.model.GroupCost(in, props.Rows, extra), Order: order}, nil
+}
+
+// fullOver costs the block's group-by over a plan, by both methods, once
+// per plan however many joins then consider it.
+func (dp *blockDP) fullOver(e *entry) (*earlyAgg, error) {
+	ea := dp.earlyOf(e)
+	if ea.hasFull {
+		return ea, nil
+	}
+	props, groups := dp.model.GroupProps(&e.info, dp.fullTmpl[0], dp.fullWidth)
+	for i, tmpl := range dp.fullTmpl {
+		info, err := dp.groupOver(&e.info, tmpl, props, groups)
 		if err != nil {
 			return nil, err
 		}
-		if err := tickPlan(dp.stats, dp.opts); err != nil {
-			return nil, err
-		}
-		out = append(out, &cand{node: j, info: info, mode: mode})
+		ea.full[i] = info
 	}
-	return out, nil
+	ea.hasFull = true
+	return ea, nil
 }
 
-// fullGroupVariants builds the block's group-by over a subplan with both
-// aggregation methods.
-func (dp *blockDP) fullGroupVariants(in lplan.Node) []lplan.Node {
-	var out []lplan.Node
-	for _, m := range []lplan.AggMethod{lplan.AggHash, lplan.AggSort} {
-		out = append(out, &lplan.GroupBy{
-			In:        in,
-			GroupCols: dp.group.cols,
-			Aggs:      dp.group.aggs,
-			Having:    dp.group.having,
-			Method:    m,
-		})
+// partialOver costs the coalescing pre-aggregate over a plan, once per
+// plan; hasPartial stays false when none applies.
+func (dp *blockDP) partialOver(e *entry) (*earlyAgg, error) {
+	ea := dp.earlyOf(e)
+	if ea.triedPartial {
+		return ea, nil
 	}
-	return out
+	ea.triedPartial = true
+	ps := dp.partialSpecOf(e.mask)
+	if ps.tmpl == nil {
+		return ea, nil
+	}
+	props, groups := dp.model.GroupProps(&e.info, ps.tmpl, ps.width)
+	info, err := dp.groupOver(&e.info, ps.tmpl, props, groups)
+	if err != nil {
+		return nil, err
+	}
+	ea.partial[0], ea.hasPartial = info, true
+	return ea, nil
 }
 
-// partialGroup builds the coalescing pre-aggregate G2 over a subplan
-// covering the relations in mask: it groups by the block grouping columns
-// available plus every column that later conjuncts still need, and
-// computes the decomposed partial aggregates.
-func (dp *blockDP) partialGroup(in lplan.Node, mask uint64) (lplan.Node, error) {
-	s := in.Schema()
+// partialSpecOf describes the coalescing pre-aggregate G2 over a subplan
+// (in no aggregation mode) covering the relations in mask: it groups by the
+// block grouping columns available plus every column that later conjuncts
+// still need, and computes the decomposed partial aggregates. The
+// description depends on the relation set alone, so it is built once.
+func (dp *blockDP) partialSpecOf(mask uint64) *partialSpec {
+	if ps := dp.partials[mask]; ps != nil {
+		return ps
+	}
+	ps := &partialSpec{}
+	dp.partials[mask] = ps
 	var groupCols []schema.ColID
-	seen := map[schema.ColID]bool{}
 	add := func(c schema.ColID) {
-		if s.Contains(c) && !seen[c] {
-			seen[c] = true
+		if dp.colMask[c]&mask != 0 && !slices.Contains(groupCols, c) {
 			groupCols = append(groupCols, c)
 		}
 	}
 	for _, gc := range dp.group.cols {
 		add(gc)
 	}
-	for _, c := range dp.conjs {
+	for i, c := range dp.conjs {
 		if c.mask&^mask == 0 {
 			continue // fully applied inside the subplan
 		}
 		if c.mask&mask == 0 {
 			continue // does not touch it
 		}
-		for _, col := range expr.Columns(c.e) {
+		for _, col := range dp.conjCols[i] {
 			add(col)
 		}
 	}
 	if len(groupCols) == 0 {
-		return nil, fmt.Errorf("dp: partial aggregate would be scalar before a join")
+		return ps // the partial aggregate would be scalar before a join
 	}
 	var partials []expr.Agg
 	for _, a := range dp.group.aggs {
 		parts, _, err := a.DecomposeAgg()
 		if err != nil {
-			return nil, err
+			return ps
 		}
 		for _, p := range parts {
 			partials = append(partials, p.Partial)
 		}
 	}
-	return &lplan.GroupBy{In: in, GroupCols: groupCols, Aggs: partials, Method: lplan.AggHash}, nil
+	ps.tmpl = &lplan.GroupBy{GroupCols: groupCols, Aggs: partials, Method: lplan.AggHash}
+	ps.width = ps.tmpl.SchemaOver(dp.schema).AvgWidth()
+	return ps
 }
 
 // merge inserts candidates into the state's retained set, keeping the
 // cheapest plan per (interesting order, mode) bucket.
-func (dp *blockDP) merge(retained []*cand, add []*cand) []*cand {
-	for _, c := range add {
-		key := bucketKey(c)
+func (dp *blockDP) merge(retained []entry, add []entry) []entry {
+	for i := range add {
+		c := &add[i]
+		key := c.bucket()
 		replaced := false
 		dominated := false
-		for i, r := range retained {
-			if bucketKey(r) != key {
+		for j := range retained {
+			r := &retained[j]
+			if r.bucket() != key {
 				continue
 			}
 			if c.info.Cost < r.info.Cost {
-				retained[i] = c
+				*r = *c
 				replaced = true
 			} else {
 				dominated = true
@@ -420,102 +736,124 @@ func (dp *blockDP) merge(retained []*cand, add []*cand) []*cand {
 			break
 		}
 		if !replaced && !dominated {
-			retained = append(retained, c)
+			retained = append(retained, *c)
 		}
 	}
 	return retained
 }
 
-func bucketKey(c *cand) string {
-	var b strings.Builder
-	b.WriteString(c.mode.String())
-	b.WriteByte('|')
-	for _, o := range c.info.Order {
-		b.WriteString(o.String())
-		b.WriteByte(',')
-	}
-	return b.String()
+// plan materializes the plan tree of a memo entry for handing on, and tells
+// the cost model its properties, so operators stacked on it are costed from
+// the memo's numbers.
+func (dp *blockDP) plan(e *entry) lplan.Node {
+	n := dp.node(e)
+	dp.model.Seed(n, &e.info)
+	return n
 }
 
-// finalize completes a full-set candidate: the pending group-by is applied
+// node builds (once) the tree the entry's back-pointers describe.
+func (dp *blockDP) node(e *entry) lplan.Node {
+	if e.node != nil {
+		return e.node
+	}
+	l, r := dp.node(e.left), dp.rels[e.rel].node
+	switch e.place {
+	case placeLeftHash, placeLeftSort:
+		l = withInput(dp.fullTmpl[e.place-placeLeftHash], l)
+	case placeLeftPartial:
+		l = withInput(dp.partialSpecOf(e.left.mask).tmpl, l)
+	case placeRightHash, placeRightSort:
+		r = withInput(dp.fullTmpl[e.place-placeRightHash], r)
+	case placeRightPartial:
+		r = withInput(dp.partialSpecOf(dp.rels[e.rel].mask).tmpl, r)
+	}
+	e.node = &lplan.Join{L: l, R: r, Preds: slices.Clone(e.step.preds), Method: e.method}
+	return e.node
+}
+
+// withInput attaches an input to a group-by described without one.
+func withInput(tmpl *lplan.GroupBy, in lplan.Node) *lplan.GroupBy {
+	return &lplan.GroupBy{
+		In:        in,
+		GroupCols: tmpl.GroupCols,
+		Aggs:      tmpl.Aggs,
+		Having:    tmpl.Having,
+		Outputs:   tmpl.Outputs,
+		Method:    tmpl.Method,
+	}
+}
+
+// cand is a complete plan for the block: a tree and its properties.
+type cand struct {
+	node lplan.Node
+	info *cost.Info
+}
+
+// finalize completes a full-set plan: the pending group-by is applied
 // according to the plan's mode, then the block outputs.
-func (dp *blockDP) finalize(c *cand) (*cand, error) {
-	node := c.node
+func (dp *blockDP) finalize(c *entry) (*cand, error) {
+	node := dp.plan(c)
+	costed := func(n lplan.Node) (*cand, error) {
+		info, err := dp.model.Info(n)
+		if err != nil {
+			return nil, err
+		}
+		return &cand{node: n, info: info}, nil
+	}
 	if dp.group != nil {
 		switch c.mode {
 		case modeNone:
-			var variants []*cand
-			for _, m := range []lplan.AggMethod{lplan.AggHash, lplan.AggSort} {
-				g := &lplan.GroupBy{
-					In:        node,
-					GroupCols: dp.group.cols,
-					Aggs:      dp.group.aggs,
-					Having:    dp.group.having,
-					Outputs:   dp.outputs,
-					Method:    m,
-				}
-				info, err := dp.model.Info(g)
+			var best *cand
+			consider := func(n lplan.Node) error {
+				v, err := costed(n)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if err := tickPlan(dp.stats, dp.opts); err != nil {
+					return err
+				}
+				if best == nil || v.info.Cost < best.info.Cost {
+					best = v
+				}
+				return nil
+			}
+			for _, tmpl := range dp.fullTmpl {
+				g := withInput(tmpl, node)
+				g.Outputs = dp.outputs
+				if err := consider(g); err != nil {
 					return nil, err
 				}
-				variants = append(variants, &cand{node: g, info: info, mode: modeFull})
-
 				// Successive group-bys (e.g. a top group-by directly over a
 				// pulled-up view) can often be combined into one (paper §3);
 				// keep the merged form as an alternative when it applies.
 				if merged, err := transform.MergeGroupBys(g); err == nil {
-					minfo, err := dp.model.Info(merged)
-					if err != nil {
+					if err := consider(merged); err != nil {
 						return nil, err
 					}
-					if err := tickPlan(dp.stats, dp.opts); err != nil {
-						return nil, err
-					}
-					variants = append(variants, &cand{node: merged, info: minfo, mode: modeFull})
 				}
 			}
-			return cheapest(variants), nil
+			return best, nil
 
 		case modePartial:
 			top, err := dp.coalescingTop(node)
 			if err != nil {
 				return nil, err
 			}
-			info, err := dp.model.Info(top)
+			v, err := costed(top)
 			if err != nil {
 				return nil, err
 			}
 			if err := tickPlan(dp.stats, dp.opts); err != nil {
 				return nil, err
 			}
-			return &cand{node: top, info: info, mode: modeFull}, nil
-
-		case modeFull:
-			// Group-by already applied (without outputs); project them.
-			if len(dp.outputs) > 0 {
-				p := &lplan.Project{In: node, Items: dp.outputs}
-				info, err := dp.model.Info(p)
-				if err != nil {
-					return nil, err
-				}
-				return &cand{node: p, info: info, mode: modeFull}, nil
-			}
-			return c, nil
+			return v, nil
 		}
+		// modeFull: group-by already applied (without outputs); project them.
 	}
-	// SPJ block: apply outputs.
 	if len(dp.outputs) > 0 {
-		p := &lplan.Project{In: node, Items: dp.outputs}
-		info, err := dp.model.Info(p)
-		if err != nil {
-			return nil, err
-		}
-		return &cand{node: p, info: info, mode: c.mode}, nil
+		return costed(&lplan.Project{In: node, Items: dp.outputs})
 	}
-	return c, nil
+	return &cand{node: node, info: &c.info}, nil
 }
 
 // coalescingTop builds the final group-by for a plan in which a partial
@@ -565,14 +903,14 @@ func (dp *blockDP) coalescingTop(in lplan.Node) (lplan.Node, error) {
 // bestFinal finalizes every retained candidate of the full set and returns
 // the cheapest complete plan.
 func (dp *blockDP) bestFinal() (*cand, error) {
-	cands, ok := dp.best[fullMask(len(dp.rels))]
-	if !ok {
+	cands := dp.cell(fullMask(len(dp.rels)))
+	if len(cands) == 0 {
 		return nil, fmt.Errorf("dp: no plan for the full relation set")
 	}
 	var best *cand
 	bestCost := math.Inf(1)
-	for _, c := range cands {
-		fin, err := dp.finalize(c)
+	for i := range cands {
+		fin, err := dp.finalize(&cands[i])
 		if err != nil {
 			return nil, err
 		}

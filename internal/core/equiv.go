@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
+
 	"aggview/internal/expr"
 	"aggview/internal/schema"
+	"aggview/internal/stats"
 )
 
 // Equality equivalence classes ([LMS94]-style predicate inference, which
@@ -17,35 +20,36 @@ import (
 //     equalities is implied, so applying it again would be redundant work
 //     and, worse, would double-count its selectivity.
 
-// colDSU is a union-find over column identities.
+// colDSU is a union-find over column ordinals (the cost model's column
+// index), so a join step resets and runs it without hashing a column name.
 type colDSU struct {
-	parent map[schema.ColID]schema.ColID
+	parent []int32
 }
 
-func newColDSU() *colDSU { return &colDSU{parent: map[schema.ColID]schema.ColID{}} }
-
-func (d *colDSU) find(c schema.ColID) schema.ColID {
-	p, ok := d.parent[c]
-	if !ok {
-		d.parent[c] = c
-		return c
+// reset makes every ordinal below n its own class.
+func (d *colDSU) reset(n int) {
+	d.parent = slices.Grow(d.parent[:0], n)[:n]
+	for i := range d.parent {
+		d.parent[i] = int32(i)
 	}
-	if p == c {
-		return c
-	}
-	root := d.find(p)
-	d.parent[c] = root
-	return root
 }
 
-func (d *colDSU) union(a, b schema.ColID) {
+func (d *colDSU) find(c int) int {
+	for int(d.parent[c]) != c {
+		d.parent[c] = d.parent[d.parent[c]] // path halving
+		c = int(d.parent[c])
+	}
+	return c
+}
+
+func (d *colDSU) union(a, b int) {
 	ra, rb := d.find(a), d.find(b)
 	if ra != rb {
-		d.parent[ra] = rb
+		d.parent[ra] = int32(rb)
 	}
 }
 
-func (d *colDSU) connected(a, b schema.ColID) bool { return d.find(a) == d.find(b) }
+func (d *colDSU) connected(a, b int) bool { return d.find(a) == d.find(b) }
 
 // bareEquality extracts the two column identities of a bare col = col
 // conjunct (different relations), ok=false otherwise.
@@ -56,47 +60,43 @@ func bareEquality(e expr.Expr) (a, b schema.ColID, ok bool) {
 // addDerivedEqualities computes the equality classes of the conjunct list
 // and appends synthesized equalities for in-class pairs that have no
 // direct conjunct and whose columns live on different DP relations. The
-// spanning-forest rule in predsFor keeps the redundancy harmless.
-func addDerivedEqualities(conjs []dpConj, aliases map[string]uint64) []dpConj {
-	dsu := newColDSU()
-	members := map[schema.ColID]bool{}
-	have := map[[2]schema.ColID]bool{}
+// spanning-forest rule in prunedNewPreds keeps the redundancy harmless.
+func addDerivedEqualities(conjs []dpConj, aliases map[string]uint64, cols *stats.ColIndex) []dpConj {
+	var dsu colDSU
+	dsu.reset(cols.Len())
+	have := map[[2]int]bool{}
 	for _, c := range conjs {
-		a, b, ok := bareEquality(c.e)
-		if !ok {
+		if !c.eq {
 			continue
 		}
-		dsu.union(a, b)
-		members[a], members[b] = true, true
-		have[[2]schema.ColID{a, b}] = true
-		have[[2]schema.ColID{b, a}] = true
+		dsu.union(c.a, c.b)
+		have[[2]int{c.a, c.b}] = true
+		have[[2]int{c.b, c.a}] = true
 	}
-	if len(members) == 0 {
+	if len(have) == 0 {
 		return conjs
 	}
 	// Group members per class root, with deterministic ordering.
-	classes := map[schema.ColID][]schema.ColID{}
-	var order []schema.ColID
+	type member struct {
+		id  schema.ColID
+		ord int
+	}
+	classes := map[int][]member{}
+	var order []int
 	for _, c := range conjs {
-		a, b, ok := bareEquality(c.e)
-		if !ok {
+		if !c.eq {
 			continue
 		}
-		for _, m := range []schema.ColID{a, b} {
-			root := dsu.find(m)
-			seen := false
-			for _, x := range classes[root] {
-				if x == m {
-					seen = true
-					break
-				}
+		a, b, _ := bareEquality(c.e)
+		for _, m := range []member{{a, c.a}, {b, c.b}} {
+			root := dsu.find(m.ord)
+			if slices.Contains(classes[root], m) {
+				continue
 			}
-			if !seen {
-				if len(classes[root]) == 0 {
-					order = append(order, root)
-				}
-				classes[root] = append(classes[root], m)
+			if len(classes[root]) == 0 {
+				order = append(order, root)
 			}
+			classes[root] = append(classes[root], m)
 		}
 	}
 	out := conjs
@@ -105,18 +105,21 @@ func addDerivedEqualities(conjs []dpConj, aliases map[string]uint64) []dpConj {
 		for i := 0; i < len(cls); i++ {
 			for j := i + 1; j < len(cls); j++ {
 				a, b := cls[i], cls[j]
-				if have[[2]schema.ColID{a, b}] {
+				if have[[2]int{a.ord, b.ord}] {
 					continue
 				}
-				ma, okA := aliases[a.Rel]
-				mb, okB := aliases[b.Rel]
+				ma, okA := aliases[a.id.Rel]
+				mb, okB := aliases[b.id.Rel]
 				if !okA || !okB || ma == mb {
 					continue // same relation or unknown alias: nothing to derive
 				}
 				out = append(out, dpConj{
-					e:       expr.NewCmp(expr.EQ, expr.ColOf(a), expr.ColOf(b)),
+					e:       expr.NewCmp(expr.EQ, expr.ColOf(a.id), expr.ColOf(b.id)),
 					mask:    ma | mb,
 					derived: true,
+					eq:      true,
+					a:       a.ord,
+					b:       b.ord,
 				})
 			}
 		}
@@ -124,36 +127,38 @@ func addDerivedEqualities(conjs []dpConj, aliases map[string]uint64) []dpConj {
 	return out
 }
 
-// prunedEqualities returns, for a join of prev with r, the applicable new
+// prunedNewPreds returns, for a join of prev with r, the applicable new
 // conjuncts with redundant equalities removed: equalities whose endpoints
 // are already connected by equalities applied inside either input (or by
-// earlier-kept equalities of this step) are implied and skipped.
+// earlier-kept equalities of this step) are implied and skipped. The result
+// is a scratch slice, valid until the next call.
 func (dp *blockDP) prunedNewPreds(prev, rmask uint64) []expr.Expr {
 	joined := prev | rmask
-	dsu := newColDSU()
+	dsu := &dp.dsu
+	dsu.reset(dp.model.Cols().Len())
 	// Seed with equalities already applied inside either side.
-	for _, c := range dp.conjs {
-		if c.mask&^prev == 0 || c.mask&^rmask == 0 {
-			if a, b, ok := bareEquality(c.e); ok {
-				dsu.union(a, b)
-			}
+	for i := range dp.conjs {
+		if c := &dp.conjs[i]; c.eq && (c.mask&^prev == 0 || c.mask&^rmask == 0) {
+			dsu.union(c.a, c.b)
 		}
 	}
-	var out []expr.Expr
-	for _, c := range dp.conjs {
+	out := dp.predBuf[:0]
+	for i := range dp.conjs {
+		c := &dp.conjs[i]
 		if c.mask&^joined != 0 {
 			continue // touches relations not yet joined
 		}
 		if c.mask&rmask == 0 || c.mask&prev == 0 {
 			continue // fully inside one side: already applied (or at a leaf)
 		}
-		if a, b, ok := bareEquality(c.e); ok {
-			if dsu.connected(a, b) {
+		if c.eq {
+			if dsu.connected(c.a, c.b) {
 				continue // implied by the spanning forest
 			}
-			dsu.union(a, b)
+			dsu.union(c.a, c.b)
 		}
 		out = append(out, c.e)
 	}
+	dp.predBuf = out
 	return out
 }

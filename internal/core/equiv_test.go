@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"aggview/internal/cost"
 	"aggview/internal/exec"
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
@@ -11,10 +12,9 @@ import (
 )
 
 func TestColDSU(t *testing.T) {
-	d := newColDSU()
-	a := schema.ColID{Rel: "x", Name: "a"}
-	b := schema.ColID{Rel: "y", Name: "b"}
-	c := schema.ColID{Rel: "z", Name: "c"}
+	var d colDSU
+	d.reset(3)
+	const a, b, c = 0, 1, 2
 	if d.connected(a, b) {
 		t.Fatalf("fresh columns connected")
 	}
@@ -23,6 +23,10 @@ func TestColDSU(t *testing.T) {
 	if !d.connected(a, c) {
 		t.Fatalf("transitivity broken")
 	}
+	d.reset(3)
+	if d.connected(a, c) {
+		t.Fatalf("reset kept a class")
+	}
 }
 
 func TestAddDerivedEqualities(t *testing.T) {
@@ -30,11 +34,12 @@ func TestAddDerivedEqualities(t *testing.T) {
 	b := schema.ColID{Rel: "r2", Name: "k"}
 	c := schema.ColID{Rel: "r3", Name: "k"}
 	aliases := map[string]uint64{"r1": 1, "r2": 2, "r3": 4}
+	cols := cost.NewModel(0, 0).Cols()
 	conjs := []dpConj{
-		{e: expr.NewCmp(expr.EQ, expr.ColOf(a), expr.ColOf(b)), mask: 3},
-		{e: expr.NewCmp(expr.EQ, expr.ColOf(b), expr.ColOf(c)), mask: 6},
+		newConj(expr.NewCmp(expr.EQ, expr.ColOf(a), expr.ColOf(b)), 3, cols),
+		newConj(expr.NewCmp(expr.EQ, expr.ColOf(b), expr.ColOf(c)), 6, cols),
 	}
-	out := addDerivedEqualities(conjs, aliases)
+	out := addDerivedEqualities(conjs, aliases, cols)
 	if len(out) != 3 {
 		t.Fatalf("derived count = %d, want 3 (one synthesized r1-r3 edge)", len(out))
 	}
@@ -50,10 +55,13 @@ func TestPrunedNewPredsSpanningForest(t *testing.T) {
 	a := schema.ColID{Rel: "r1", Name: "k"}
 	b := schema.ColID{Rel: "r2", Name: "k"}
 	c := schema.ColID{Rel: "r3", Name: "k"}
-	dp := &blockDP{conjs: []dpConj{
-		{e: expr.NewCmp(expr.EQ, expr.ColOf(a), expr.ColOf(b)), mask: 3},
-		{e: expr.NewCmp(expr.EQ, expr.ColOf(b), expr.ColOf(c)), mask: 6},
-		{e: expr.NewCmp(expr.EQ, expr.ColOf(a), expr.ColOf(c)), mask: 5, derived: true},
+	model := cost.NewModel(0, 0)
+	derived := newConj(expr.NewCmp(expr.EQ, expr.ColOf(a), expr.ColOf(c)), 5, model.Cols())
+	derived.derived = true
+	dp := &blockDP{model: model, conjs: []dpConj{
+		newConj(expr.NewCmp(expr.EQ, expr.ColOf(a), expr.ColOf(b)), 3, model.Cols()),
+		newConj(expr.NewCmp(expr.EQ, expr.ColOf(b), expr.ColOf(c)), 6, model.Cols()),
+		derived,
 	}}
 	// prev = {r1, r2} (equality a=b applied inside), r = r3.
 	preds := dp.prunedNewPreds(3, 4)

@@ -40,8 +40,15 @@ func Optimize(q *qblock.Query, opts Options) (*Plan, error) {
 		q:     q,
 		opts:  opts,
 		model: cost.NewModel(opts.PoolPages, opts.CPUWeight),
+		mem:   memoPool.Get().(*memo),
 		stats: &SearchStats{},
 	}
+	// The search's memory — memo entries, column statistics — is recycled
+	// on return; what the caller gets is an lplan tree and detached numbers.
+	defer func() {
+		o.mem.release()
+		o.model.Release()
+	}()
 	root, info, err := o.run()
 	if err != nil {
 		return nil, err
@@ -77,7 +84,9 @@ func Optimize(q *qblock.Query, opts Options) (*Plan, error) {
 	if err := lplan.Validate(root); err != nil {
 		return nil, fmt.Errorf("optimize: produced an illegal plan: %w\n%s", err, lplan.Format(root))
 	}
-	return &Plan{Root: root, Cost: info.Cost, Info: info, Stats: *o.stats, ViewRewrite: rewrite}, nil
+	detached := *info
+	detached.Rel = info.Rel.Clone()
+	return &Plan{Root: root, Cost: info.Cost, Info: &detached, Stats: *o.stats, ViewRewrite: rewrite}, nil
 }
 
 // viewCtx is the per-view decomposition state.
@@ -119,6 +128,7 @@ type optimizer struct {
 	q     *qblock.Query
 	opts  Options
 	model *cost.Model
+	mem   *memo
 	stats *SearchStats
 
 	views  []*viewCtx
@@ -430,7 +440,7 @@ func (o *optimizer) optimizeSingleBlock() (lplan.Node, *cost.Info, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := dp.solve(); err != nil {
+	if err := dp.solve(); err != nil {
 		return nil, nil, err
 	}
 	best, err := dp.bestFinal()
@@ -464,7 +474,7 @@ type rawGroup struct {
 // subplans. Local filters (from o.local plus the extra map) are pushed
 // into the scans; conjs must be multi-relation.
 func (o *optimizer) newBlockDP(rels []*qblock.Rel, prebuilt []prebuiltRel, conjs []*poolConj, g *rawGroup, outputs []lplan.NamedExpr) (*blockDP, error) {
-	dp := &blockDP{model: o.model, opts: o.opts, stats: o.stats, outputs: outputs}
+	dp := &blockDP{model: o.model, mem: o.mem, opts: o.opts, stats: o.stats, outputs: outputs}
 	bit := 0
 	for _, r := range rels {
 		dp.rels = append(dp.rels, dpRel{alias: r.Alias, node: o.prunedScan(r, o.local[r.Alias]), mask: 1 << bit})
@@ -480,9 +490,9 @@ func (o *optimizer) newBlockDP(rels []*qblock.Rel, prebuilt []prebuiltRel, conjs
 		if err != nil {
 			return nil, err
 		}
-		dp.conjs = append(dp.conjs, dpConj{e: c.outer, mask: m})
+		dp.conjs = append(dp.conjs, newConj(c.outer, m, o.model.Cols()))
 	}
-	dp.conjs = addDerivedEqualities(dp.conjs, aliases)
+	dp.conjs = addDerivedEqualities(dp.conjs, aliases, o.model.Cols())
 	if g != nil {
 		spec := &groupSpec{cols: g.cols, aggs: g.aggs, having: g.having, decomposable: true}
 		for _, a := range g.aggs {
@@ -638,8 +648,7 @@ func (o *optimizer) phaseOne(vc *viewCtx) ([]wCandidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	table, err := dp.solve()
-	if err != nil {
+	if err := dp.solve(); err != nil {
 		return nil, err
 	}
 
@@ -648,7 +657,7 @@ func (o *optimizer) phaseOne(vc *viewCtx) ([]wCandidate, error) {
 	var out []wCandidate
 	for _, w := range wSets {
 		o.stats.PullUpCandidates++
-		cand, err := o.buildPhi(vc, dp, table, w, deferred, usable)
+		cand, err := o.buildPhi(vc, dp, w, deferred, usable)
 		if err != nil {
 			return nil, err
 		}
@@ -671,7 +680,7 @@ func (o *optimizer) phaseOne(vc *viewCtx) ([]wCandidate, error) {
 
 // newPhaseOneDP builds the SPJ DP over V′ ∪ B′ for one view.
 func (o *optimizer) newPhaseOneDP(vc *viewCtx, conjs []*poolConj) (*blockDP, error) {
-	dp := &blockDP{model: o.model, opts: o.opts, stats: o.stats}
+	dp := &blockDP{model: o.model, mem: o.mem, opts: o.opts, stats: o.stats}
 	bit := 0
 	// Per-alias local filters: the view's single-relation conjuncts plus
 	// the top pool's.
@@ -708,9 +717,9 @@ func (o *optimizer) newPhaseOneDP(vc *viewCtx, conjs []*poolConj) (*blockDP, err
 		if err != nil {
 			return nil, err
 		}
-		dp.conjs = append(dp.conjs, dpConj{e: c.inner, mask: m})
+		dp.conjs = append(dp.conjs, newConj(c.inner, m, o.model.Cols()))
 	}
-	dp.conjs = addDerivedEqualities(dp.conjs, aliases)
+	dp.conjs = addDerivedEqualities(dp.conjs, aliases, o.model.Cols())
 	return dp, nil
 }
 
@@ -842,7 +851,7 @@ func connected(alias string, vAliases, w map[string]bool, dp *blockDP) bool {
 
 // buildPhi wraps the phase-1 plan for V′ ∪ W in the pulled-up group-by
 // (Definition 1 generalized to a set W).
-func (o *optimizer) buildPhi(vc *viewCtx, dp *blockDP, table map[uint64][]*cand, w map[string]bool, deferred []*poolConj, usable map[*poolConj]bool) (*wCandidate, error) {
+func (o *optimizer) buildPhi(vc *viewCtx, dp *blockDP, w map[string]bool, deferred []*poolConj, usable map[*poolConj]bool) (*wCandidate, error) {
 	// Mask of V′ ∪ W.
 	var mask uint64
 	inPhi := map[string]bool{}
@@ -857,8 +866,8 @@ func (o *optimizer) buildPhi(vc *viewCtx, dp *blockDP, table map[uint64][]*cand,
 			mask |= r.mask
 		}
 	}
-	cands, ok := table[mask]
-	if !ok {
+	cands := dp.cell(mask)
+	if len(cands) == 0 {
 		return nil, nil // disconnected subset never materialized (cross joins pruned)
 	}
 
@@ -909,35 +918,46 @@ func (o *optimizer) buildPhi(vc *viewCtx, dp *blockDP, table map[uint64][]*cand,
 		return nil, err
 	}
 
-	// Pick the cheapest Φ across retained join orders and agg methods.
-	var best lplan.Node
-	var bestCost = math.Inf(1)
-	for _, c := range cands {
-		for _, m := range []lplan.AggMethod{lplan.AggHash, lplan.AggSort} {
-			g := &lplan.GroupBy{
-				In:        c.node,
-				GroupCols: spec.groupCols,
-				Aggs:      spec.aggs,
-				Having:    spec.having,
-				Outputs:   spec.outputs,
-				Method:    m,
-			}
-			info, err := o.model.Info(g)
+	// Pick the cheapest Φ across retained join orders and agg methods. The
+	// group-by is costed over the memo entries; only the winner becomes a
+	// tree.
+	var bestIn *entry
+	var bestTmpl *lplan.GroupBy
+	var bestInfo cost.Info
+	bestInfo.Cost = math.Inf(1)
+	var tmpls [2]*lplan.GroupBy
+	for i, m := range []lplan.AggMethod{lplan.AggHash, lplan.AggSort} {
+		tmpls[i] = &lplan.GroupBy{
+			GroupCols: spec.groupCols,
+			Aggs:      spec.aggs,
+			Having:    spec.having,
+			Outputs:   spec.outputs,
+			Method:    m,
+		}
+	}
+	width := tmpls[0].SchemaOver(dp.schema).AvgWidth()
+	for i := range cands {
+		c := &cands[i]
+		props, groups := o.model.GroupProps(&c.info, tmpls[0], width)
+		for _, tmpl := range tmpls {
+			info, err := dp.groupOver(&c.info, tmpl, props, groups)
 			if err != nil {
 				return nil, err
 			}
 			if err := tickPlan(o.stats, o.opts); err != nil {
 				return nil, err
 			}
-			if info.Cost < bestCost {
-				best, bestCost = g, info.Cost
+			if info.Cost < bestInfo.Cost {
+				bestIn, bestTmpl, bestInfo = c, tmpl, info
 			}
 		}
 	}
-	if best == nil {
+	if bestIn == nil {
 		return nil, nil
 	}
-	return &wCandidate{vc: vc, wAliases: w, phi: best, consumed: consumed}, nil
+	phi := withInput(bestTmpl, dp.plan(bestIn))
+	o.model.Seed(phi, &bestInfo)
+	return &wCandidate{vc: vc, wAliases: w, phi: phi, consumed: consumed}, nil
 }
 
 // phiSpec is the synthesized pulled-up group-by.
@@ -1111,7 +1131,7 @@ func (o *optimizer) phaseTwo(chosen []wCandidate) (lplan.Node, *cost.Info, error
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := dp.solve(); err != nil {
+	if err := dp.solve(); err != nil {
 		return nil, nil, err
 	}
 	best, err := dp.bestFinal()

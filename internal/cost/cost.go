@@ -26,6 +26,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
@@ -34,22 +35,42 @@ import (
 	"aggview/internal/storage"
 )
 
-// Info carries the derived properties of a plan node.
-type Info struct {
+// Props are the method-independent properties of a plan's output: every
+// physical alternative of one logical operator over the same inputs shares
+// them.
+type Props struct {
 	Rows  float64         // estimated output cardinality
 	Width int             // average tuple width in bytes
 	Pages float64         // estimated output size in pages
 	Rel   *stats.Relation // column statistics of the output
-	Cost  float64         // cumulative cost of producing the output
-	Order []schema.ColID  // sort order of the output; nil = unordered
 }
 
-// Model estimates plan costs. It memoizes per node pointer, so shared
-// subtrees across dynamic-programming states are costed once.
+// Info carries the derived properties of a plan: its output's Props plus
+// what the chosen physical methods decide.
+type Info struct {
+	Props
+	Cost  float64        // cumulative cost of producing the output
+	Order []schema.ColID // sort order of the output; nil = unordered
+}
+
+// Model estimates plan costs. There is one set of formulas with two
+// callers. Info walks an lplan tree bottom-up, memoizing per node pointer so
+// a subtree shared between the trees a caller costs is derived once — the
+// path EXPLAIN ANALYZE, the experiments and materialized-view candidates
+// take. The optimizer's search memo never builds a tree per candidate: it
+// calls the node-free kernels below (JoinProps, JoinMethodCost, GroupProps,
+// GroupMethodCost) on the Infos of its entries, deriving the logical half
+// of a join once for all its physical methods, and Seeds the nodes it does
+// materialize so Info on them (and on operators stacked above them) starts
+// from the memo's numbers. Info itself is implemented on the same kernels.
+//
+// All column statistics of a Model live in one arena and share one column
+// index; Release recycles them.
 type Model struct {
 	PoolPages int     // buffer budget M in pages
 	CPUWeight float64 // cost per processed tuple, in page-IO units (0 = IO only)
 
+	stats *stats.Arena
 	cache map[lplan.Node]*Info
 }
 
@@ -59,8 +80,19 @@ func NewModel(poolPages int, cpuWeight float64) *Model {
 	if poolPages <= 0 {
 		poolPages = storage.DefaultPoolPages
 	}
-	return &Model{PoolPages: poolPages, CPUWeight: cpuWeight, cache: map[lplan.Node]*Info{}}
+	return &Model{PoolPages: poolPages, CPUWeight: cpuWeight, stats: stats.NewArena(), cache: map[lplan.Node]*Info{}}
 }
+
+// Release recycles the model's statistics memory. The model and every Info
+// it produced are dead afterwards; copy (and Clone the Rel of) what must
+// survive first. A model that is simply dropped needs no Release.
+func (m *Model) Release() {
+	m.stats.Release()
+	m.stats, m.cache = nil, nil
+}
+
+// Cols returns the column index the model's statistics are laid out by.
+func (m *Model) Cols() *stats.ColIndex { return m.stats.Cols }
 
 // Info computes (or returns the memoized) properties of n.
 func (m *Model) Info(n lplan.Node) (*Info, error) {
@@ -74,6 +106,11 @@ func (m *Model) Info(n lplan.Node) (*Info, error) {
 	m.cache[n] = info
 	return info, nil
 }
+
+// Seed records properties derived through the kernels for a node the caller
+// has just materialized, so Info(n) returns them instead of re-deriving the
+// subtree.
+func (m *Model) Seed(n lplan.Node, info *Info) { m.cache[n] = info }
 
 // Cost is shorthand returning just the cumulative cost.
 func (m *Model) Cost(n lplan.Node) (float64, error) {
@@ -122,16 +159,16 @@ func (m *Model) scanInfo(s *lplan.Scan) (*Info, error) {
 		basePages = float64(tbl.File.Pages())
 	}
 
-	rel := stats.NewRelation(baseRows)
+	rel := m.stats.NewRelation(baseRows)
 	for _, col := range tbl.Schema {
 		cs, ok := tbl.ColStat(col.ID.Name)
-		aliased := schema.ColID{Rel: s.Alias, Name: col.ID.Name}
 		if ok && cs.NDV > 0 {
-			rel.Cols[aliased] = stats.ColInfo{NDV: float64(cs.NDV), Min: cs.Min, Max: cs.Max}
+			rel.Set(schema.ColID{Rel: s.Alias, Name: col.ID.Name},
+				stats.ColInfo{NDV: float64(cs.NDV), Min: cs.Min, Max: cs.Max})
 		}
 	}
 	if s.WithTID {
-		rel.Cols[schema.ColID{Rel: s.Alias, Name: lplan.TIDColumn}] = stats.ColInfo{NDV: math.Max(baseRows, 1)}
+		rel.Set(schema.ColID{Rel: s.Alias, Name: lplan.TIDColumn}, stats.ColInfo{NDV: math.Max(baseRows, 1)})
 	}
 
 	sel := 1.0
@@ -143,13 +180,82 @@ func (m *Model) scanInfo(s *lplan.Scan) (*Info, error) {
 
 	width := s.Schema().AvgWidth()
 	return &Info{
-		Rows:  rel.Rows,
-		Width: width,
-		Pages: pagesOf(rel.Rows, width),
-		Rel:   rel,
+		Props: Props{Rows: rel.Rows, Width: width, Pages: pagesOf(rel.Rows, width), Rel: rel},
 		Cost:  basePages + m.cpu(baseRows),
 		Order: nil, // heap scans produce no useful order
 	}, nil
+}
+
+// JoinPred is one join conjunct. For a bare column equality, L and R are
+// the ordinals (in the model's column index) of its two columns, in the
+// conjunct's own order.
+type JoinPred struct {
+	E    expr.Expr
+	Equi bool
+	L, R int
+}
+
+// JoinSpec is what the join formulas read off a join besides its inputs'
+// properties and its physical method. One spec serves every candidate that
+// joins the same two relation sets under the same conjuncts.
+type JoinSpec struct {
+	Type  lplan.JoinType
+	Preds []JoinPred
+	// LCols and RCols are the equi-join columns of the left and the right
+	// input, pairwise.
+	LCols, RCols []schema.ColID
+	// Inner is the right input when it is a base-table scan: block nested
+	// loops rescans it in place, index nested loops may probe it.
+	Inner *lplan.Scan
+	// HasIndex reports that Inner has a hash index exactly on RCols, and
+	// IndexCol is one of them (for match-size estimation).
+	HasIndex bool
+	IndexCol schema.ColID
+}
+
+// NewJoinSpec describes the join of a left input with inner under preds.
+// leftHas reports whether the left input outputs a column; it orients each
+// equality's columns.
+func (m *Model) NewJoinSpec(typ lplan.JoinType, preds []expr.Expr, inner lplan.Node, leftHas func(schema.ColID) bool) JoinSpec {
+	spec := JoinSpec{Type: typ, Preds: make([]JoinPred, len(preds))}
+	for i, p := range preds {
+		spec.Preds[i].E = p
+		lc, rc, ok := expr.EquiJoin(p)
+		if !ok {
+			continue
+		}
+		spec.Preds[i].Equi, spec.Preds[i].L, spec.Preds[i].R = true, m.stats.Cols.Ord(lc), m.stats.Cols.Ord(rc)
+		if leftHas(lc) {
+			spec.LCols, spec.RCols = append(spec.LCols, lc), append(spec.RCols, rc)
+		} else if leftHas(rc) {
+			spec.LCols, spec.RCols = append(spec.LCols, rc), append(spec.RCols, lc)
+		}
+	}
+	spec.Inner, spec.IndexCol, spec.HasIndex = indexNLAccess(inner, spec.RCols)
+	return spec
+}
+
+// indexNLAccess reports whether a join can run as an index nested-loops
+// join: the right input must be a scan with a hash index exactly on rCols,
+// the right-side columns of the equi-join conjuncts. It returns the inner
+// scan (whenever the input is one) and one right join column (for
+// match-size estimation).
+func indexNLAccess(inner lplan.Node, rCols []schema.ColID) (*lplan.Scan, schema.ColID, bool) {
+	s, ok := inner.(*lplan.Scan)
+	if !ok || len(rCols) == 0 {
+		return s, schema.ColID{}, false
+	}
+	names := make([]string, len(rCols))
+	for i, c := range rCols {
+		if c.Rel != s.Alias {
+			return s, schema.ColID{}, false
+		}
+		names[i] = c.Name
+	}
+	if _, ok := s.Table.IndexOn(names); !ok {
+		return s, schema.ColID{}, false
+	}
+	return s, rCols[len(rCols)-1], true
 }
 
 func (m *Model) joinInfo(j *lplan.Join) (*Info, error) {
@@ -161,15 +267,31 @@ func (m *Model) joinInfo(j *lplan.Join) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
+	spec := m.NewJoinSpec(j.Type, j.Preds, j.R, j.L.Schema().Contains)
+	props := m.JoinProps(l, r, &spec, j.Schema().AvgWidth())
+	extra, order, err := m.JoinMethodCost(j.Method, &spec, l, r)
+	if err != nil {
+		return nil, err
+	}
+	return &Info{Props: props, Cost: m.JoinCost(l, r, props.Rows, extra), Order: order}, nil
+}
 
+// JoinProps derives the logical properties of l ⋈ r: cardinality from the
+// conjuncts' selectivities, the merged column statistics with equi-joined
+// columns converged, and the page count at the given output width.
+func (m *Model) JoinProps(l, r *Info, spec *JoinSpec, width int) Props {
 	sel := 1.0
-	for _, p := range j.Preds {
-		sel *= stats.JoinSelectivity(p, l.Rel, r.Rel)
+	for i := range spec.Preds {
+		if p := &spec.Preds[i]; p.Equi {
+			sel *= stats.EquiJoinSelectivity(l.Rel, r.Rel, p.L, p.R)
+		} else {
+			sel *= stats.JoinSelectivity(p.E, l.Rel, r.Rel)
+		}
 	}
 	rows := l.Rows * r.Rows * sel
 	// Outer joins never shrink below the preserved side: every preserved
 	// row appears at least once (matched or NULL-padded).
-	switch j.Type {
+	switch spec.Type {
 	case lplan.JoinLeft:
 		rows = math.Max(rows, l.Rows)
 	case lplan.JoinFull:
@@ -177,39 +299,30 @@ func (m *Model) joinInfo(j *lplan.Join) (*Info, error) {
 		rows = math.Max(matched, l.Rows) + math.Max(0, r.Rows-matched)
 	}
 
-	rel := stats.MergeForJoin(l.Rel, r.Rel)
+	rel := m.stats.MergeForJoin(l.Rel, r.Rel)
 	rel.Rows = rows
 	// Equi-joined columns converge to the smaller NDV.
-	for _, p := range j.Preds {
-		if lc, rc, ok := expr.EquiJoin(p); ok {
-			ndv := math.Min(rel.Col(lc).NDV, rel.Col(rc).NDV)
-			li, ri := rel.Col(lc), rel.Col(rc)
-			li.NDV, ri.NDV = ndv, ndv
-			rel.Cols[lc], rel.Cols[rc] = li, ri
+	for i := range spec.Preds {
+		if p := &spec.Preds[i]; p.Equi {
+			ndv := math.Min(rel.NDVAt(p.L), rel.NDVAt(p.R))
+			rel.SetNDVAt(p.L, ndv)
+			rel.SetNDVAt(p.R, ndv)
 		}
 	}
 	rel.ClampNDVs()
-
-	width := j.Schema().AvgWidth()
-	extra, order, err := m.joinMethodCost(j, l, r)
-	if err != nil {
-		return nil, err
-	}
-	return &Info{
-		Rows:  rows,
-		Width: width,
-		Pages: pagesOf(rows, width),
-		Rel:   rel,
-		Cost:  l.Cost + r.Cost + extra + m.cpu(l.Rows+r.Rows+rows),
-		Order: order,
-	}, nil
+	return Props{Rows: rows, Width: width, Pages: pagesOf(rows, width), Rel: rel}
 }
 
-// joinMethodCost returns the method-specific IO beyond producing the inputs
+// JoinCost is the cumulative cost of a join given the method's extra IO.
+func (m *Model) JoinCost(l, r *Info, rows, extra float64) float64 {
+	return l.Cost + r.Cost + extra + m.cpu(l.Rows+r.Rows+rows)
+}
+
+// JoinMethodCost returns the method-specific IO beyond producing the inputs
 // and the output's sort order.
-func (m *Model) joinMethodCost(j *lplan.Join, l, r *Info) (float64, []schema.ColID, error) {
+func (m *Model) JoinMethodCost(method lplan.JoinMethod, spec *JoinSpec, l, r *Info) (float64, []schema.ColID, error) {
 	mPages := float64(m.PoolPages)
-	switch j.Method {
+	switch method {
 	case lplan.JoinHash, lplan.JoinUnset:
 		// Build on the right input. Pipelined while the build fits.
 		if r.Pages <= mPages-2 {
@@ -220,92 +333,37 @@ func (m *Model) joinMethodCost(j *lplan.Join, l, r *Info) (float64, []schema.Col
 	case lplan.JoinBlockNL:
 		blocks := math.Max(math.Ceil(l.Pages/math.Max(mPages-2, 1)), 1)
 		extra := blocks * r.Pages
-		if _, isScan := j.R.(*lplan.Scan); !isScan {
+		if spec.Inner == nil {
 			// Non-scan inner must be materialized once before rescans.
 			extra += r.Pages
 		}
 		return extra, l.Order, nil
 
 	case lplan.JoinIndexNL:
-		_, joinCol, ok := IndexNLAccess(j)
-		if !ok {
+		if !spec.HasIndex {
 			return 0, nil, fmt.Errorf("cost: index-nl join without usable index")
 		}
-		matchRows := r.Rows / math.Max(r.Rel.Col(joinCol).NDV, 1)
+		matchRows := r.Rows / math.Max(r.Rel.Col(spec.IndexCol).NDV, 1)
 		rowsPerPage := math.Max(float64(storage.PageSize)/float64(r.Width), 1)
 		pagesPerProbe := math.Max(math.Ceil(matchRows/rowsPerPage), 1)
 		return l.Rows * pagesPerProbe, l.Order, nil
 
 	case lplan.JoinMerge:
-		cols := equiJoinCols(j)
-		if len(cols) == 0 {
+		if len(spec.LCols) == 0 {
 			return 0, nil, fmt.Errorf("cost: merge join without equi-join predicate")
 		}
 		var extra float64
-		var lCols, rCols []schema.ColID
-		for _, pair := range cols {
-			lCols = append(lCols, pair[0])
-			rCols = append(rCols, pair[1])
-		}
-		if !orderSatisfies(l.Order, lCols) {
+		if !orderSatisfies(l.Order, spec.LCols) {
 			extra += m.SortCost(l.Pages)
 		}
-		if !orderSatisfies(r.Order, rCols) {
+		if !orderSatisfies(r.Order, spec.RCols) {
 			extra += m.SortCost(r.Pages)
 		}
-		return extra, lCols, nil
+		return extra, spec.LCols, nil
 
 	default:
-		return 0, nil, fmt.Errorf("cost: unknown join method %v", j.Method)
+		return 0, nil, fmt.Errorf("cost: unknown join method %v", method)
 	}
-}
-
-// equiJoinCols extracts the (left, right) column pairs of the join's
-// equi-join conjuncts, normalizing sides so the first element belongs to
-// the left input.
-func equiJoinCols(j *lplan.Join) [][2]schema.ColID {
-	ls := j.L.Schema()
-	var out [][2]schema.ColID
-	for _, p := range j.Preds {
-		lc, rc, ok := expr.EquiJoin(p)
-		if !ok {
-			continue
-		}
-		if ls.Contains(lc) {
-			out = append(out, [2]schema.ColID{lc, rc})
-		} else if ls.Contains(rc) {
-			out = append(out, [2]schema.ColID{rc, lc})
-		}
-	}
-	return out
-}
-
-// IndexNLAccess reports whether the join can run as an index nested-loops
-// join: the right input must be a scan with a hash index exactly on the
-// right-side columns of the equi-join conjuncts. It returns the inner scan
-// and one right join column (for match-size estimation).
-func IndexNLAccess(j *lplan.Join) (*lplan.Scan, schema.ColID, bool) {
-	s, ok := j.R.(*lplan.Scan)
-	if !ok {
-		return nil, schema.ColID{}, false
-	}
-	pairs := equiJoinCols(j)
-	if len(pairs) == 0 {
-		return nil, schema.ColID{}, false
-	}
-	var names []string
-	var rCol schema.ColID
-	for _, pr := range pairs {
-		if pr[1].Rel != s.Alias {
-			return nil, schema.ColID{}, false
-		}
-		names = append(names, pr[1].Name)
-		rCol = pr[1]
-	}
-	if _, ok := s.Table.IndexOn(names); !ok {
-		return nil, schema.ColID{}, false
-	}
-	return s, rCol, true
 }
 
 // SortCost returns the IO of externally sorting the given number of pages
@@ -330,18 +388,11 @@ func (m *Model) SortCost(pages float64) float64 {
 // works for grouping and merge purposes only if it is exactly the wanted
 // set; we require set-prefix match).
 func orderSatisfies(have []schema.ColID, want []schema.ColID) bool {
-	if len(want) == 0 {
-		return true
-	}
 	if len(have) < len(want) {
 		return false
 	}
-	prefix := map[schema.ColID]bool{}
-	for _, c := range have[:len(want)] {
-		prefix[c] = true
-	}
 	for _, c := range want {
-		if !prefix[c] {
+		if !slices.Contains(have[:len(want)], c) {
 			return false
 		}
 	}
@@ -357,19 +408,32 @@ func (m *Model) groupByInfo(g *lplan.GroupBy) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
+	width := g.Schema().AvgWidth()
+	props, groups := m.GroupProps(in, g, width)
+	extra, order, err := m.GroupMethodCost(g, in, groups, width)
+	if err != nil {
+		return nil, err
+	}
+	return &Info{Props: props, Cost: m.GroupCost(in, props.Rows, extra), Order: order}, nil
+}
+
+// GroupProps derives the logical properties of grouping an input as g
+// describes — g.In and g.Method are not read, so a GroupBy without an input
+// serves as the description — plus the pre-HAVING group count the hash
+// method's spill test needs. width is the output tuple width.
+func (m *Model) GroupProps(in *Info, g *lplan.GroupBy, width int) (Props, float64) {
 	groups := stats.DistinctGroups(in.Rel, g.GroupCols)
 
 	// Build the inner relation (grouping cols + agg outputs) for Having.
-	inner := stats.NewRelation(groups)
+	inner := m.stats.NewRelation(groups)
 	for _, gc := range g.GroupCols {
-		ci := in.Rel.Col(gc)
-		if ci.NDV > groups {
-			ci.NDV = math.Max(groups, 1)
+		o := inner.Copy(gc, in.Rel, gc)
+		if inner.NDVAt(o) > groups {
+			inner.SetNDVAt(o, math.Max(groups, 1))
 		}
-		inner.Cols[gc] = ci
 	}
 	for _, a := range g.Aggs {
-		inner.Cols[a.Out] = stats.ColInfo{NDV: math.Max(groups, 1)}
+		inner.Set(a.Out, stats.ColInfo{NDV: math.Max(groups, 1)})
 	}
 
 	sel := 1.0
@@ -383,42 +447,50 @@ func (m *Model) groupByInfo(g *lplan.GroupBy) (*Info, error) {
 	// Outputs: rename/copy stats for bare column references.
 	rel := inner
 	if len(g.Outputs) > 0 {
-		rel = stats.NewRelation(rows)
-		for _, ne := range g.Outputs {
-			if cr, ok := ne.E.(*expr.ColRef); ok {
-				rel.Cols[ne.As] = inner.Col(cr.ID)
-			} else {
-				rel.Cols[ne.As] = stats.ColInfo{NDV: math.Max(rows, 1)}
-			}
+		rel = m.projectStats(inner, rows, g.Outputs)
+	}
+	return Props{Rows: rows, Width: width, Pages: pagesOf(rows, width), Rel: rel}, groups
+}
+
+// projectStats summarizes the output of computing items over in: a bare
+// column reference keeps its statistics under the new name, any other
+// expression counts as distinct per row.
+func (m *Model) projectStats(in *stats.Relation, rows float64, items []lplan.NamedExpr) *stats.Relation {
+	rel := m.stats.NewRelation(rows)
+	for _, ne := range items {
+		if cr, ok := ne.E.(*expr.ColRef); ok {
+			rel.Copy(ne.As, in, cr.ID)
+		} else {
+			rel.Set(ne.As, stats.ColInfo{NDV: math.Max(rows, 1)})
 		}
 	}
+	return rel
+}
 
-	width := g.Schema().AvgWidth()
-	var extra float64
-	var order []schema.ColID
+// GroupCost is the cumulative cost of a group-by given the method's extra
+// IO.
+func (m *Model) GroupCost(in *Info, rows, extra float64) float64 {
+	return in.Cost + extra + m.cpu(in.Rows+rows)
+}
+
+// GroupMethodCost returns the IO g.Method adds beyond producing the input,
+// and the output's sort order; groups and width are GroupProps' figures.
+func (m *Model) GroupMethodCost(g *lplan.GroupBy, in *Info, groups float64, width int) (float64, []schema.ColID, error) {
 	switch g.Method {
 	case lplan.AggSort:
+		var extra float64
 		if !orderSatisfies(in.Order, g.GroupCols) {
 			extra = m.SortCost(in.Pages)
 		}
-		order = append([]schema.ColID{}, g.GroupCols...)
+		return extra, g.GroupCols, nil
 	case lplan.AggHash, lplan.AggUnset:
-		tablePages := pagesOf(groups, width)
-		if tablePages > float64(m.PoolPages) {
-			extra = 2 * in.Pages
+		if tablePages := pagesOf(groups, width); tablePages > float64(m.PoolPages) {
+			return 2 * in.Pages, nil, nil
 		}
+		return 0, nil, nil
 	default:
-		return nil, fmt.Errorf("cost: unknown aggregation method %v", g.Method)
+		return 0, nil, fmt.Errorf("cost: unknown aggregation method %v", g.Method)
 	}
-
-	return &Info{
-		Rows:  rows,
-		Width: width,
-		Pages: pagesOf(rows, width),
-		Rel:   rel,
-		Cost:  in.Cost + extra + m.cpu(in.Rows+rows),
-		Order: order,
-	}, nil
 }
 
 func (m *Model) projectInfo(p *lplan.Project) (*Info, error) {
@@ -426,20 +498,9 @@ func (m *Model) projectInfo(p *lplan.Project) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	rel := stats.NewRelation(in.Rows)
-	for _, ne := range p.Items {
-		if cr, ok := ne.E.(*expr.ColRef); ok {
-			rel.Cols[ne.As] = in.Rel.Col(cr.ID)
-		} else {
-			rel.Cols[ne.As] = stats.ColInfo{NDV: math.Max(in.Rows, 1)}
-		}
-	}
 	width := p.Schema().AvgWidth()
 	return &Info{
-		Rows:  in.Rows,
-		Width: width,
-		Pages: pagesOf(in.Rows, width),
-		Rel:   rel,
+		Props: Props{Rows: in.Rows, Width: width, Pages: pagesOf(in.Rows, width), Rel: m.projectStats(in.Rel, in.Rows, p.Items)},
 		Cost:  in.Cost + m.cpu(in.Rows),
 		Order: nil, // projection renames columns; order tracking stops here
 	}, nil
@@ -458,10 +519,7 @@ func (m *Model) filterInfo(f *lplan.Filter) (*Info, error) {
 	rel.Rows = in.Rows * sel
 	rel.ClampNDVs()
 	return &Info{
-		Rows:  rel.Rows,
-		Width: in.Width,
-		Pages: pagesOf(rel.Rows, in.Width),
-		Rel:   rel,
+		Props: Props{Rows: rel.Rows, Width: in.Width, Pages: pagesOf(rel.Rows, in.Width), Rel: rel},
 		Cost:  in.Cost + m.cpu(in.Rows),
 		Order: in.Order,
 	}, nil
@@ -477,11 +535,8 @@ func (m *Model) sortInfo(s *lplan.Sort) (*Info, error) {
 		extra = m.SortCost(in.Pages)
 	}
 	return &Info{
-		Rows:  in.Rows,
-		Width: in.Width,
-		Pages: in.Pages,
-		Rel:   in.Rel,
+		Props: in.Props,
 		Cost:  in.Cost + extra + m.cpu(in.Rows),
-		Order: append([]schema.ColID{}, s.By...),
+		Order: s.By,
 	}, nil
 }

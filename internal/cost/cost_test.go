@@ -183,8 +183,8 @@ func TestIndexNLRequiresIndex(t *testing.T) {
 	f.dept, _ = f.cat.Table("dept") // re-resolve: CreateIndex published a new version
 	j = &lplan.Join{L: f.scanEmp("e"), R: f.scanDept("d"),
 		Preds: []expr.Expr{pred}, Method: lplan.JoinIndexNL}
-	if _, _, ok := IndexNLAccess(j); !ok {
-		t.Fatalf("IndexNLAccess should find the new index")
+	if _, _, ok := indexNLAccess(j.R, []schema.ColID{{Rel: "d", Name: "dno"}}); !ok {
+		t.Fatalf("indexNLAccess should find the new index")
 	}
 	ji, err := m.Info(&lplan.Join{L: j.L, R: j.R, Preds: j.Preds, Method: lplan.JoinIndexNL})
 	if err != nil {

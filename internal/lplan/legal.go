@@ -95,7 +95,7 @@ func Validate(n Node) error {
 			}
 			seenOut[a.Out] = true
 		}
-		inner := t.innerSchema()
+		inner := t.InnerSchema()
 		for _, h := range t.Having {
 			if err := colsResolve(h, inner); err != nil {
 				return fmt.Errorf("group-by: having: %w", err)

@@ -259,10 +259,9 @@ type GroupBy struct {
 	schemaOnce schema.Schema
 }
 
-// innerSchema is the schema Having and Outputs are resolved against:
-// grouping columns followed by aggregate output columns.
-func (g *GroupBy) innerSchema() schema.Schema {
-	in := g.In.Schema()
+// innerSchema is the schema Having and Outputs are resolved against over the
+// given input schema: grouping columns followed by aggregate output columns.
+func (g *GroupBy) innerSchema(in schema.Schema) schema.Schema {
 	var s schema.Schema
 	for _, c := range g.GroupCols {
 		i, err := in.IndexOf(c)
@@ -282,23 +281,28 @@ func (g *GroupBy) innerSchema() schema.Schema {
 
 // InnerSchema exposes the having/outputs resolution schema for the executor
 // and the validator.
-func (g *GroupBy) InnerSchema() schema.Schema { return g.innerSchema() }
+func (g *GroupBy) InnerSchema() schema.Schema { return g.innerSchema(g.In.Schema()) }
 
 // Schema implements Node.
 func (g *GroupBy) Schema() schema.Schema {
-	if g.schemaOnce != nil {
-		return g.schemaOnce
+	if g.schemaOnce == nil {
+		g.schemaOnce = g.SchemaOver(g.In.Schema())
 	}
-	inner := g.innerSchema()
+	return g.schemaOnce
+}
+
+// SchemaOver returns the output schema the group-by would have over an
+// input with the given schema; In is not read, so the optimizer can size a
+// group-by it has described but not yet attached to a plan.
+func (g *GroupBy) SchemaOver(in schema.Schema) schema.Schema {
+	inner := g.innerSchema(in)
 	if len(g.Outputs) == 0 {
-		g.schemaOnce = inner
 		return inner
 	}
 	out := make(schema.Schema, len(g.Outputs))
 	for i, ne := range g.Outputs {
 		out[i] = schema.Column{ID: ne.As, Type: ne.E.Type(inner)}
 	}
-	g.schemaOnce = out
 	return out
 }
 

@@ -10,7 +10,10 @@ package stats
 
 import (
 	"math"
+	"slices"
+	"sync"
 
+	"aggview/internal/arena"
 	"aggview/internal/expr"
 	"aggview/internal/schema"
 	"aggview/internal/types"
@@ -30,48 +33,220 @@ type ColInfo struct {
 	Min, Max types.Value // NULL when unknown
 }
 
-// Relation summarizes an intermediate result for estimation.
+// ColIndex assigns dense ordinals to the column identities one optimization
+// meets. Every Relation of a cost model shares the model's index, so a
+// column's statistics sit at the same slice position in all of them and a
+// join summary is a slice merge rather than a map build. The set is
+// effectively closed per query — the optimizer enumerates up front every
+// column a plan can carry — and grows on demand for the rest (tuple ids,
+// partial-aggregate outputs, hand-built trees).
+type ColIndex struct {
+	ord map[schema.ColID]int
+}
+
+// Ord returns the column's ordinal, registering it on first sight.
+func (x *ColIndex) Ord(id schema.ColID) int {
+	o, ok := x.ord[id]
+	if !ok {
+		o = len(x.ord)
+		x.ord[id] = o
+	}
+	return o
+}
+
+// Len returns the number of registered columns.
+func (x *ColIndex) Len() int { return len(x.ord) }
+
+// colStat is one slot of a Relation: the column's distinct count and its
+// value range. Ranges never change after the scan that read them from the
+// catalog, so summaries share them by pointer and copy 24 bytes per column.
+type colStat struct {
+	ndv    float64
+	bounds *[2]types.Value // min, max; nil when unknown
+	known  bool
+}
+
+func (c colStat) info() ColInfo {
+	ci := ColInfo{NDV: c.ndv}
+	if c.bounds != nil {
+		ci.Min, ci.Max = c.bounds[0], c.bounds[1]
+	}
+	return ci
+}
+
+// Relation summarizes an intermediate result for estimation: a row count
+// and per-column statistics held in a slice indexed by column ordinal.
 type Relation struct {
 	Rows float64
-	Cols map[schema.ColID]ColInfo
+	idx  *ColIndex
+	cols []colStat // may be shorter than idx.Len(): later ordinals are unknown
+}
+
+// Arena allocates the Relations of one optimization. Their column slices
+// are carved from chunks that Release hands back for the next query.
+type Arena struct {
+	// Cols is the column index every Relation of this arena shares.
+	Cols  *ColIndex
+	rels  arena.Slab[Relation]
+	stats arena.Slab[colStat]
+}
+
+// maxPooledArenaBytes keeps an arena grown by one huge search from being
+// pinned by the pool.
+const maxPooledArenaBytes = 4 << 20
+
+var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
+
+// NewArena returns an empty arena with a fresh column index.
+func NewArena() *Arena {
+	a := arenaPool.Get().(*Arena)
+	a.Cols = &ColIndex{ord: map[schema.ColID]int{}}
+	return a
+}
+
+// Release recycles the arena's memory. No Relation it produced (nor the
+// arena itself) may be used afterwards; Clone what must outlive it first.
+func (a *Arena) Release() {
+	if a.rels.Bytes()+a.stats.Bytes() > maxPooledArenaBytes {
+		return
+	}
+	a.rels.Reset()
+	a.stats.Reset()
+	a.Cols = nil
+	arenaPool.Put(a)
 }
 
 // NewRelation creates an empty summary.
-func NewRelation(rows float64) *Relation {
-	return &Relation{Rows: rows, Cols: map[schema.ColID]ColInfo{}}
+func (a *Arena) NewRelation(rows float64) *Relation {
+	r := a.rels.New()
+	r.Rows, r.idx, r.cols = rows, a.Cols, a.stats.Alloc(a.Cols.Len())
+	return r
 }
 
-// Clone deep-copies the summary.
-func (r *Relation) Clone() *Relation {
-	out := NewRelation(r.Rows)
-	for k, v := range r.Cols {
-		out.Cols[k] = v
+// MergeForJoin builds the cross-product summary of two inputs: every
+// column of either side, the right side's entry winning a clash.
+func (a *Arena) MergeForJoin(l, r *Relation) *Relation {
+	out := a.rels.New()
+	out.Rows, out.idx, out.cols = l.Rows*r.Rows, a.Cols, a.stats.Alloc(max(len(l.cols), len(r.cols)))
+	copy(out.cols, l.cols)
+	for i, c := range r.cols {
+		if c.known {
+			out.cols[i] = c
+		}
 	}
 	return out
 }
 
+// Clone deep-copies the summary onto the heap, detached from any arena.
+func (r *Relation) Clone() *Relation {
+	return &Relation{Rows: r.Rows, idx: r.idx, cols: slices.Clone(r.cols)}
+}
+
+// find returns the column's slot when the summary carries statistics for it.
+func (r *Relation) find(id schema.ColID) (colStat, bool) {
+	if o, ok := r.idx.ord[id]; ok && r.HasAt(o) {
+		return r.cols[o], true
+	}
+	return colStat{}, false
+}
+
+// Has reports whether the summary carries statistics for the column.
+func (r *Relation) Has(id schema.ColID) bool {
+	_, ok := r.find(id)
+	return ok
+}
+
+// HasAt is Has by column ordinal.
+func (r *Relation) HasAt(ord int) bool { return ord < len(r.cols) && r.cols[ord].known }
+
 // Col returns the column summary, defaulting NDV to the row count (every
 // value distinct) when the column is unknown.
 func (r *Relation) Col(id schema.ColID) ColInfo {
-	if ci, ok := r.Cols[id]; ok {
-		return ci
+	if c, ok := r.find(id); ok {
+		return c.info()
 	}
 	return ColInfo{NDV: math.Max(r.Rows, 1)}
+}
+
+// NDVAt returns the distinct count of the column with the given ordinal,
+// defaulted like Col.
+func (r *Relation) NDVAt(ord int) float64 {
+	if r.HasAt(ord) {
+		return r.cols[ord].ndv
+	}
+	return math.Max(r.Rows, 1)
+}
+
+// Set records a column's statistics.
+func (r *Relation) Set(id schema.ColID, ci ColInfo) {
+	c := colStat{ndv: ci.NDV, known: true}
+	if !ci.Min.IsNull() || !ci.Max.IsNull() {
+		c.bounds = &[2]types.Value{ci.Min, ci.Max}
+	}
+	*r.slot(r.idx.Ord(id)) = c
+}
+
+// SetNDVAt records a distinct count by column ordinal, keeping the value
+// range the column already has.
+func (r *Relation) SetNDVAt(ord int, ndv float64) {
+	c := r.slot(ord)
+	c.ndv, c.known = ndv, true
+}
+
+// Copy gives column `as` the statistics `from` reads for column id
+// (defaulted when unknown), sharing the value range, and returns the
+// ordinal of `as`.
+func (r *Relation) Copy(as schema.ColID, from *Relation, id schema.ColID) int {
+	c, ok := from.find(id)
+	if !ok {
+		c = colStat{ndv: math.Max(from.Rows, 1), known: true}
+	}
+	o := r.idx.Ord(as)
+	*r.slot(o) = c
+	return o
+}
+
+// slot returns the column's slot, growing the slice (onto the heap) when
+// the ordinal was registered after the summary was created.
+func (r *Relation) slot(ord int) *colStat {
+	if ord >= len(r.cols) {
+		r.cols = append(r.cols, make([]colStat, r.idx.Len()-len(r.cols))...)
+	}
+	return &r.cols[ord]
 }
 
 // ClampNDVs caps every column's NDV at the current row count; call after
 // reducing Rows.
 func (r *Relation) ClampNDVs() {
-	for k, v := range r.Cols {
-		if v.NDV > r.Rows {
-			v.NDV = math.Max(r.Rows, 1)
-			r.Cols[k] = v
+	for i := range r.cols {
+		if c := &r.cols[i]; c.known && c.ndv > r.Rows {
+			c.ndv = math.Max(r.Rows, 1)
 		}
 	}
 }
 
 // Selectivity estimates the fraction of rows satisfying the predicate.
-func Selectivity(e expr.Expr, r *Relation) float64 {
+func Selectivity(e expr.Expr, r *Relation) float64 { return selectivity(e, source{l: r}) }
+
+// source is what a predicate's columns are resolved against: one summary,
+// or (r set) the cross product of two, read in place — the right side wins
+// a clash, as in MergeForJoin.
+type source struct{ l, r *Relation }
+
+func (s source) Col(id schema.ColID) ColInfo {
+	if s.r == nil {
+		return s.l.Col(id)
+	}
+	if c, ok := s.r.find(id); ok {
+		return c.info()
+	}
+	if c, ok := s.l.find(id); ok {
+		return c.info()
+	}
+	return ColInfo{NDV: math.Max(s.l.Rows*s.r.Rows, 1)}
+}
+
+func selectivity(e expr.Expr, r source) float64 {
 	switch p := e.(type) {
 	case *expr.Cmp:
 		return cmpSelectivity(p, r)
@@ -80,17 +255,17 @@ func Selectivity(e expr.Expr, r *Relation) float64 {
 			// Independence: 1 - prod(1 - s_i).
 			keep := 1.0
 			for _, t := range p.Terms {
-				keep *= 1 - Selectivity(t, r)
+				keep *= 1 - selectivity(t, r)
 			}
 			return clamp01(1 - keep)
 		}
 		s := 1.0
 		for _, t := range p.Terms {
-			s *= Selectivity(t, r)
+			s *= selectivity(t, r)
 		}
 		return s
 	case *expr.Not:
-		return clamp01(1 - Selectivity(p.E, r))
+		return clamp01(1 - selectivity(p.E, r))
 	case *expr.IsNull:
 		// Stats track no null fraction; Selinger-style flat guess, a bit
 		// below the generic default since most columns are mostly non-NULL.
@@ -108,7 +283,7 @@ func Selectivity(e expr.Expr, r *Relation) float64 {
 	}
 }
 
-func cmpSelectivity(p *expr.Cmp, r *Relation) float64 {
+func cmpSelectivity(p *expr.Cmp, r source) float64 {
 	lc, lIsCol := p.L.(*expr.ColRef)
 	rc, rIsCol := p.R.(*expr.ColRef)
 	lk, lIsConst := p.L.(*expr.Const)
@@ -194,34 +369,29 @@ func colConstSelectivity(op expr.CmpOp, ci ColInfo, v types.Value) float64 {
 // relations, given both sides' summaries. Equi-joins use 1/max(NDV).
 func JoinSelectivity(e expr.Expr, l, r *Relation) float64 {
 	if lc, rc, ok := expr.EquiJoin(e); ok {
-		var lNDV, rNDV float64 = 1, 1
-		if _, have := l.Cols[lc]; have {
-			lNDV = l.Col(lc).NDV
-		} else if _, have := r.Cols[lc]; have {
-			lNDV = r.Col(lc).NDV
-		}
-		if _, have := r.Cols[rc]; have {
-			rNDV = r.Col(rc).NDV
-		} else if _, have := l.Cols[rc]; have {
-			rNDV = l.Col(rc).NDV
-		}
-		return 1 / math.Max(math.Max(lNDV, rNDV), 1)
+		return EquiJoinSelectivity(l, r, l.idx.Ord(lc), l.idx.Ord(rc))
 	}
-	// Fall back to single-relation analysis over the merged summary.
-	merged := MergeForJoin(l, r)
-	return Selectivity(e, merged)
+	// Single-relation analysis over the inputs' cross product.
+	return selectivity(e, source{l, r})
 }
 
-// MergeForJoin builds the cross-product summary of two inputs.
-func MergeForJoin(l, r *Relation) *Relation {
-	out := NewRelation(l.Rows * r.Rows)
-	for k, v := range l.Cols {
-		out.Cols[k] = v
+// EquiJoinSelectivity is JoinSelectivity for a bare equality between the
+// columns with ordinals lc and rc, in the conjunct's own order: lc is looked
+// up on the left first, rc on the right first, and a column neither side
+// knows counts as single-valued.
+func EquiJoinSelectivity(l, r *Relation, lc, rc int) float64 {
+	var lNDV, rNDV float64 = 1, 1
+	if l.HasAt(lc) {
+		lNDV = l.cols[lc].ndv
+	} else if r.HasAt(lc) {
+		lNDV = r.cols[lc].ndv
 	}
-	for k, v := range r.Cols {
-		out.Cols[k] = v
+	if r.HasAt(rc) {
+		rNDV = r.cols[rc].ndv
+	} else if l.HasAt(rc) {
+		rNDV = l.cols[rc].ndv
 	}
-	return out
+	return 1 / math.Max(math.Max(lNDV, rNDV), 1)
 }
 
 // DistinctGroups applies the Cardenas formula: the expected number of

@@ -9,17 +9,20 @@ import (
 	"aggview/internal/types"
 )
 
+// ar is the arena (and so the column index) every test summary shares.
+var ar = NewArena()
+
 func empRel() *Relation {
-	r := NewRelation(10000)
-	r.Cols[schema.ColID{Rel: "e", Name: "eno"}] = ColInfo{NDV: 10000, Min: types.NewInt(0), Max: types.NewInt(9999)}
-	r.Cols[schema.ColID{Rel: "e", Name: "dno"}] = ColInfo{NDV: 100, Min: types.NewInt(0), Max: types.NewInt(99)}
-	r.Cols[schema.ColID{Rel: "e", Name: "age"}] = ColInfo{NDV: 50, Min: types.NewInt(20), Max: types.NewInt(70)}
+	r := ar.NewRelation(10000)
+	r.Set(schema.ColID{Rel: "e", Name: "eno"}, ColInfo{NDV: 10000, Min: types.NewInt(0), Max: types.NewInt(9999)})
+	r.Set(schema.ColID{Rel: "e", Name: "dno"}, ColInfo{NDV: 100, Min: types.NewInt(0), Max: types.NewInt(99)})
+	r.Set(schema.ColID{Rel: "e", Name: "age"}, ColInfo{NDV: 50, Min: types.NewInt(20), Max: types.NewInt(70)})
 	return r
 }
 
 func deptRel() *Relation {
-	r := NewRelation(100)
-	r.Cols[schema.ColID{Rel: "d", Name: "dno"}] = ColInfo{NDV: 100, Min: types.NewInt(0), Max: types.NewInt(99)}
+	r := ar.NewRelation(100)
+	r.Set(schema.ColID{Rel: "d", Name: "dno"}, ColInfo{NDV: 100, Min: types.NewInt(0), Max: types.NewInt(99)})
 	return r
 }
 
@@ -56,7 +59,7 @@ func TestRangeSelectivityInterpolation(t *testing.T) {
 }
 
 func TestRangeSelectivityUnknownColumn(t *testing.T) {
-	r := NewRelation(100)
+	r := ar.NewRelation(100)
 	sel := Selectivity(expr.NewCmp(expr.LT, expr.Col("x", "c"), expr.IntLit(5)), r)
 	approx(t, sel, DefaultRangeSel, 1e-9, "unknown range")
 	sel = Selectivity(expr.NewCmp(expr.EQ, expr.Col("x", "c"), expr.StrLit("q")), r)
@@ -64,9 +67,9 @@ func TestRangeSelectivityUnknownColumn(t *testing.T) {
 }
 
 func TestSingleValuedColumnRange(t *testing.T) {
-	r := NewRelation(10)
+	r := ar.NewRelation(10)
 	id := schema.ColID{Rel: "t", Name: "c"}
-	r.Cols[id] = ColInfo{NDV: 1, Min: types.NewInt(5), Max: types.NewInt(5)}
+	r.Set(id, ColInfo{NDV: 1, Min: types.NewInt(5), Max: types.NewInt(5)})
 	if s := Selectivity(expr.NewCmp(expr.LT, expr.ColOf(id), expr.IntLit(9)), r); s != 1 {
 		t.Errorf("5<9 sel = %g", s)
 	}
@@ -127,7 +130,7 @@ func TestJoinSelectivity(t *testing.T) {
 
 func TestMergeForJoin(t *testing.T) {
 	e, d := empRel(), deptRel()
-	m := MergeForJoin(e, d)
+	m := ar.MergeForJoin(e, d)
 	if m.Rows != 1e6 {
 		t.Fatalf("rows = %g", m.Rows)
 	}
@@ -150,9 +153,9 @@ func TestDistinctGroupsSmallDomain(t *testing.T) {
 
 func TestDistinctGroupsSparse(t *testing.T) {
 	// 10 rows into 1000 possible keys: nearly all rows form their own group.
-	r := NewRelation(10)
+	r := ar.NewRelation(10)
 	id := schema.ColID{Rel: "t", Name: "k"}
-	r.Cols[id] = ColInfo{NDV: 1000}
+	r.Set(id, ColInfo{NDV: 1000})
 	g := DistinctGroups(r, []schema.ColID{id})
 	if g < 9.9 || g > 10 {
 		t.Errorf("groups = %g, want ≈10", g)
@@ -171,17 +174,17 @@ func TestDistinctGroupsComposite(t *testing.T) {
 }
 
 func TestDistinctGroupsEdgeCases(t *testing.T) {
-	r := NewRelation(0)
+	r := ar.NewRelation(0)
 	if g := DistinctGroups(r, nil); g != 0 {
 		t.Errorf("empty input groups = %g", g)
 	}
-	r = NewRelation(50)
+	r = ar.NewRelation(50)
 	if g := DistinctGroups(r, nil); g != 1 {
 		t.Errorf("scalar agg groups = %g", g)
 	}
 	// Grouping by a key: every row its own group.
 	id := schema.ColID{Rel: "t", Name: "pk"}
-	r.Cols[id] = ColInfo{NDV: 50}
+	r.Set(id, ColInfo{NDV: 50})
 	if g := DistinctGroups(r, []schema.ColID{id}); g != 50 {
 		t.Errorf("key-grouped = %g", g)
 	}
@@ -201,9 +204,68 @@ func TestCloneAndClamp(t *testing.T) {
 }
 
 func TestColDefaultNDV(t *testing.T) {
-	r := NewRelation(42)
+	r := ar.NewRelation(42)
 	ci := r.Col(schema.ColID{Rel: "x", Name: "y"})
 	if ci.NDV != 42 {
 		t.Errorf("default NDV = %g", ci.NDV)
 	}
+}
+
+func TestMergeForJoinRightWinsAndLaterColumns(t *testing.T) {
+	a := NewArena()
+	shared := schema.ColID{Rel: "x", Name: "k"}
+	l := a.NewRelation(10)
+	l.Set(shared, ColInfo{NDV: 3})
+	// A column registered after l was created: l's slice is shorter than
+	// the index, r's covers it.
+	late := schema.ColID{Rel: "y", Name: "late"}
+	r := a.NewRelation(20)
+	r.Set(shared, ColInfo{NDV: 8, Min: types.NewInt(1), Max: types.NewInt(9)})
+	r.Set(late, ColInfo{NDV: 5})
+	m := a.MergeForJoin(l, r)
+	if got := m.Col(shared); got.NDV != 8 || got.Max.I != 9 {
+		t.Errorf("clash: got %+v, want the right side's entry", got)
+	}
+	if m.Col(late).NDV != 5 || l.Has(late) {
+		t.Errorf("late column: merged NDV %g, left has=%v", m.Col(late).NDV, l.Has(late))
+	}
+	// The merge is a copy: clamping it leaves the inputs alone.
+	m.Rows = 2
+	m.ClampNDVs()
+	if r.Col(shared).NDV != 8 || m.Col(shared).NDV != 2 {
+		t.Errorf("clamp leaked: input %g, merged %g", r.Col(shared).NDV, m.Col(shared).NDV)
+	}
+}
+
+func TestCopySharesRangeAndDefaults(t *testing.T) {
+	a := NewArena()
+	src := a.NewRelation(100)
+	id := schema.ColID{Rel: "e", Name: "age"}
+	src.Set(id, ColInfo{NDV: 50, Min: types.NewInt(20), Max: types.NewInt(70)})
+	dst := a.NewRelation(100)
+	as := schema.ColID{Rel: "v", Name: "age"}
+	o := dst.Copy(as, src, id)
+	if got := dst.Col(as); got.NDV != 50 || got.Min.I != 20 || got.Max.I != 70 {
+		t.Errorf("copied stats = %+v", got)
+	}
+	dst.SetNDVAt(o, 7)
+	if got := dst.Col(as); got.NDV != 7 || got.Max.I != 70 {
+		t.Errorf("SetNDVAt lost the range: %+v", got)
+	}
+	// An unknown source column copies as its default: distinct per row.
+	dst.Copy(schema.ColID{Rel: "v", Name: "x"}, src, schema.ColID{Rel: "e", Name: "nope"})
+	if got := dst.Col(schema.ColID{Rel: "v", Name: "x"}).NDV; got != 100 {
+		t.Errorf("default copy NDV = %g", got)
+	}
+}
+
+func TestThetaJoinSelectivityReadsBothSides(t *testing.T) {
+	e, d := empRel(), deptRel()
+	// col = const over a column only the right side knows: resolved there,
+	// not defaulted from the cross product's row count.
+	p := expr.NewCmp(expr.EQ, expr.Col("d", "dno"), expr.IntLit(5))
+	approx(t, JoinSelectivity(p, e, d), 1.0/100, 1e-12, "d.dno=5 over e×d")
+	// A column neither side knows defaults to the cross product's rows.
+	u := expr.NewCmp(expr.EQ, expr.Col("zz", "c"), expr.IntLit(5))
+	approx(t, JoinSelectivity(u, e, d), 1/(e.Rows*d.Rows), 1e-15, "unknown column over e×d")
 }
