@@ -154,13 +154,13 @@ type partialSpec struct {
 	width int
 }
 
-// memo is the per-Optimize arena of the search: retained entries, the
-// dense state tables, the join steps and the early-aggregation records are
-// carved from slabs recycled across queries, and the candidate scratch buffers are
-// reused across states.
+// memo is the per-Optimize arena of the search: retained entries, the join
+// steps, the early-aggregation records and the cost model's column
+// statistics are carved from slabs recycled across queries, and the
+// candidate scratch buffers are reused across states.
 type memo struct {
+	stats    *stats.Arena // the cost model's statistics
 	entries  arena.Slab[entry]
-	cells    arena.Slab[[]entry]
 	early    arena.Slab[earlyAgg]
 	steps    arena.Slab[joinStep]
 	preds    arena.Slab[expr.Expr]
@@ -170,18 +170,19 @@ type memo struct {
 
 // maxPooledMemoBytes keeps a memo grown by one huge search from being
 // pinned by the pool.
-const maxPooledMemoBytes = 4 << 20
+const maxPooledMemoBytes = 8 << 20
 
-var memoPool = sync.Pool{New: func() any { return new(memo) }}
+var memoPool = sync.Pool{New: func() any { return &memo{stats: stats.NewArena()} }}
 
 // release zeroes the memo's slabs and recycles it. Nothing carved from it
-// may be used afterwards: plans leave the search as lplan trees.
+// may be used afterwards: plans leave the search as lplan trees and
+// detached numbers.
 func (m *memo) release() {
-	if m.entries.Bytes()+m.cells.Bytes()+m.early.Bytes()+m.steps.Bytes()+m.preds.Bytes() > maxPooledMemoBytes {
+	if m.stats.Bytes()+m.entries.Bytes()+m.early.Bytes()+m.steps.Bytes()+m.preds.Bytes() > maxPooledMemoBytes {
 		return
 	}
+	m.stats.Reset()
 	m.entries.Reset()
-	m.cells.Reset()
 	m.early.Reset()
 	m.steps.Reset()
 	m.preds.Reset()
@@ -189,9 +190,6 @@ func (m *memo) release() {
 	clear(m.retained[:cap(m.retained)])
 	memoPool.Put(m)
 }
-
-// denseMaxRels bounds the relation count served by a 2ⁿ-cell table.
-const denseMaxRels = 16
 
 // blockDP enumerates linear (aggregate) join trees for one block.
 type blockDP struct {
@@ -204,10 +202,7 @@ type blockDP struct {
 	opts    Options
 	stats   *SearchStats
 
-	// The state table: retained plans per relation set, dense for up to
-	// denseMaxRels relations, a map above that.
-	dense  [][]entry
-	sparse map[uint64][]entry
+	best map[uint64][]entry // the state table: retained plans per relation set
 
 	orders  [][]schema.ColID        // interned output orders; index 0 is "unordered"
 	schema  schema.Schema           // every column of every relation
@@ -255,22 +250,11 @@ func maskOfExpr(e expr.Expr, aliases map[string]uint64) (uint64, error) {
 	return m, nil
 }
 
-// cell returns the retained plans of a relation set (nil: none).
-func (dp *blockDP) cell(s uint64) []entry {
-	if dp.dense != nil {
-		return dp.dense[s]
-	}
-	return dp.sparse[s]
-}
-
-func (dp *blockDP) setCell(s uint64, plans []entry) {
+// setBest records the retained plans of a relation set, copied into the memo.
+func (dp *blockDP) setBest(s uint64, plans []entry) {
 	cell := dp.mem.entries.Alloc(len(plans))
 	copy(cell, plans)
-	if dp.dense != nil {
-		dp.dense[s] = cell
-	} else {
-		dp.sparse[s] = cell
-	}
+	dp.best[s] = cell
 }
 
 // internOrder returns the id of an output order in the DP's order table.
@@ -303,11 +287,7 @@ func (dp *blockDP) solve() error {
 	if n > 62 {
 		return fmt.Errorf("dp: too many relations (%d)", n)
 	}
-	if n <= denseMaxRels && dp.sparse == nil {
-		dp.dense = dp.mem.cells.Alloc(1 << n)
-	} else {
-		dp.sparse = map[uint64][]entry{}
-	}
+	dp.best = map[uint64][]entry{}
 	dp.orders = [][]schema.ColID{nil}
 	dp.colMask = map[schema.ColID]uint64{}
 	for _, r := range dp.rels {
@@ -344,7 +324,7 @@ func (dp *blockDP) solve() error {
 			return err
 		}
 		leaf := entry{info: *info, order: dp.internOrder(info.Order), rel: int32(i), mask: r.mask, node: r.node}
-		dp.setCell(r.mask, []entry{leaf})
+		dp.setBest(r.mask, []entry{leaf})
 		dp.stats.States++
 	}
 
@@ -373,7 +353,7 @@ func (dp *blockDP) buildState(s uint64) error {
 			continue
 		}
 		prev := s &^ r.mask
-		prevCands := dp.cell(prev)
+		prevCands := dp.best[prev]
 		if len(prevCands) == 0 {
 			continue
 		}
@@ -389,7 +369,7 @@ func (dp *blockDP) buildState(s uint64) error {
 	}
 	dp.mem.retained = retained
 	if len(retained) > 0 {
-		dp.setCell(s, retained)
+		dp.setBest(s, retained)
 		dp.stats.States++
 		dp.opts.Trace.State(bits.OnesCount64(s), generated, len(retained))
 	}
@@ -441,7 +421,7 @@ func (st *joinStep) side(groupedRight bool) (*cost.JoinSpec, []lplan.JoinMethod)
 func (dp *blockDP) extend(c *entry, ri int32, st *joinStep, s uint64) ([]entry, error) {
 	dp.mem.cands = dp.mem.cands[:0]
 	r := &dp.rels[ri]
-	rleaf := &dp.cell(r.mask)[0]
+	rleaf := &dp.best[r.mask][0]
 	base := entry{mode: c.mode, rel: ri, left: c, step: st, mask: s}
 
 	spec, methods := st.side(false)
@@ -903,7 +883,7 @@ func (dp *blockDP) coalescingTop(in lplan.Node) (lplan.Node, error) {
 // bestFinal finalizes every retained candidate of the full set and returns
 // the cheapest complete plan.
 func (dp *blockDP) bestFinal() (*cand, error) {
-	cands := dp.cell(fullMask(len(dp.rels)))
+	cands := dp.best[fullMask(len(dp.rels))]
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("dp: no plan for the full relation set")
 	}

@@ -36,19 +36,17 @@ func Optimize(q *qblock.Query, opts Options) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("optimize: %w", err)
 	}
+	mem := memoPool.Get().(*memo)
+	// The search's memory — memo entries, column statistics — is recycled
+	// on return; what the caller gets is an lplan tree and detached numbers.
+	defer mem.release()
 	o := &optimizer{
 		q:     q,
 		opts:  opts,
-		model: cost.NewModel(opts.PoolPages, opts.CPUWeight),
-		mem:   memoPool.Get().(*memo),
+		model: cost.NewModelIn(mem.stats, opts.PoolPages, opts.CPUWeight),
+		mem:   mem,
 		stats: &SearchStats{},
 	}
-	// The search's memory — memo entries, column statistics — is recycled
-	// on return; what the caller gets is an lplan tree and detached numbers.
-	defer func() {
-		o.mem.release()
-		o.model.Release()
-	}()
 	root, info, err := o.run()
 	if err != nil {
 		return nil, err
@@ -866,7 +864,7 @@ func (o *optimizer) buildPhi(vc *viewCtx, dp *blockDP, w map[string]bool, deferr
 			mask |= r.mask
 		}
 	}
-	cands := dp.cell(mask)
+	cands := dp.best[mask]
 	if len(cands) == 0 {
 		return nil, nil // disconnected subset never materialized (cross joins pruned)
 	}

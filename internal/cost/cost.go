@@ -65,7 +65,7 @@ type Info struct {
 // from the memo's numbers. Info itself is implemented on the same kernels.
 //
 // All column statistics of a Model live in one arena and share one column
-// index; Release recycles them.
+// index.
 type Model struct {
 	PoolPages int     // buffer budget M in pages
 	CPUWeight float64 // cost per processed tuple, in page-IO units (0 = IO only)
@@ -77,18 +77,17 @@ type Model struct {
 // NewModel creates a model with the given buffer budget. A non-positive
 // budget uses storage.DefaultPoolPages.
 func NewModel(poolPages int, cpuWeight float64) *Model {
+	return NewModelIn(stats.NewArena(), poolPages, cpuWeight)
+}
+
+// NewModelIn is NewModel with the statistics carved from an arena the
+// caller owns. Resetting the arena kills the model and every Info it
+// produced: copy (and Clone the Rel of) what must survive first.
+func NewModelIn(a *stats.Arena, poolPages int, cpuWeight float64) *Model {
 	if poolPages <= 0 {
 		poolPages = storage.DefaultPoolPages
 	}
-	return &Model{PoolPages: poolPages, CPUWeight: cpuWeight, stats: stats.NewArena(), cache: map[lplan.Node]*Info{}}
-}
-
-// Release recycles the model's statistics memory. The model and every Info
-// it produced are dead afterwards; copy (and Clone the Rel of) what must
-// survive first. A model that is simply dropped needs no Release.
-func (m *Model) Release() {
-	m.stats.Release()
-	m.stats, m.cache = nil, nil
+	return &Model{PoolPages: poolPages, CPUWeight: cpuWeight, stats: a, cache: map[lplan.Node]*Info{}}
 }
 
 // Cols returns the column index the model's statistics are laid out by.

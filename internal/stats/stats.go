@@ -11,7 +11,6 @@ package stats
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"aggview/internal/arena"
 	"aggview/internal/expr"
@@ -57,6 +56,15 @@ func (x *ColIndex) Ord(id schema.ColID) int {
 // Len returns the number of registered columns.
 func (x *ColIndex) Len() int { return len(x.ord) }
 
+// lookup returns the column's ordinal without registering it, -1 when the
+// index has never seen the column (no summary can carry statistics for it).
+func (x *ColIndex) lookup(id schema.ColID) int {
+	if o, ok := x.ord[id]; ok {
+		return o
+	}
+	return -1
+}
+
 // colStat is one slot of a Relation: the column's distinct count and its
 // value range. Ranges never change after the scan that read them from the
 // catalog, so summaries share them by pointer and copy 24 bytes per column.
@@ -83,7 +91,7 @@ type Relation struct {
 }
 
 // Arena allocates the Relations of one optimization. Their column slices
-// are carved from chunks that Release hands back for the next query.
+// are carved from chunks that Reset makes available to the next query.
 type Arena struct {
 	// Cols is the column index every Relation of this arena shares.
 	Cols  *ColIndex
@@ -91,30 +99,22 @@ type Arena struct {
 	stats arena.Slab[colStat]
 }
 
-// maxPooledArenaBytes keeps an arena grown by one huge search from being
-// pinned by the pool.
-const maxPooledArenaBytes = 4 << 20
-
-var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
-
 // NewArena returns an empty arena with a fresh column index.
 func NewArena() *Arena {
-	a := arenaPool.Get().(*Arena)
-	a.Cols = &ColIndex{ord: map[schema.ColID]int{}}
-	return a
+	return &Arena{Cols: &ColIndex{ord: map[schema.ColID]int{}}}
 }
 
-// Release recycles the arena's memory. No Relation it produced (nor the
-// arena itself) may be used afterwards; Clone what must outlive it first.
-func (a *Arena) Release() {
-	if a.rels.Bytes()+a.stats.Bytes() > maxPooledArenaBytes {
-		return
-	}
+// Reset empties the arena for another optimization, keeping its chunks. No
+// Relation it produced may be used afterwards; Clone what must outlive it
+// first. The column index is replaced, not cleared: clones keep the old one.
+func (a *Arena) Reset() {
 	a.rels.Reset()
 	a.stats.Reset()
-	a.Cols = nil
-	arenaPool.Put(a)
+	a.Cols = &ColIndex{ord: map[schema.ColID]int{}}
 }
+
+// Bytes returns the memory the arena's chunks hold.
+func (a *Arena) Bytes() int { return a.rels.Bytes() + a.stats.Bytes() }
 
 // NewRelation creates an empty summary.
 func (a *Arena) NewRelation(rows float64) *Relation {
@@ -144,7 +144,7 @@ func (r *Relation) Clone() *Relation {
 
 // find returns the column's slot when the summary carries statistics for it.
 func (r *Relation) find(id schema.ColID) (colStat, bool) {
-	if o, ok := r.idx.ord[id]; ok && r.HasAt(o) {
+	if o := r.idx.lookup(id); r.HasAt(o) {
 		return r.cols[o], true
 	}
 	return colStat{}, false
@@ -156,8 +156,8 @@ func (r *Relation) Has(id schema.ColID) bool {
 	return ok
 }
 
-// HasAt is Has by column ordinal.
-func (r *Relation) HasAt(ord int) bool { return ord < len(r.cols) && r.cols[ord].known }
+// HasAt is Has by column ordinal; a negative ordinal is an unknown column.
+func (r *Relation) HasAt(ord int) bool { return uint(ord) < uint(len(r.cols)) && r.cols[ord].known }
 
 // Col returns the column summary, defaulting NDV to the row count (every
 // value distinct) when the column is unknown.
@@ -366,10 +366,14 @@ func colConstSelectivity(op expr.CmpOp, ci ColInfo, v types.Value) float64 {
 }
 
 // JoinSelectivity estimates the selectivity of a conjunct connecting two
-// relations, given both sides' summaries. Equi-joins use 1/max(NDV).
+// relations, given both sides' summaries. Equi-joins use 1/max(NDV). The
+// summaries must share one column index (one arena); it is only read.
 func JoinSelectivity(e expr.Expr, l, r *Relation) float64 {
+	if l.idx != r.idx {
+		panic("stats: JoinSelectivity over summaries of different arenas")
+	}
 	if lc, rc, ok := expr.EquiJoin(e); ok {
-		return EquiJoinSelectivity(l, r, l.idx.Ord(lc), l.idx.Ord(rc))
+		return EquiJoinSelectivity(l, r, l.idx.lookup(lc), l.idx.lookup(rc))
 	}
 	// Single-relation analysis over the inputs' cross product.
 	return selectivity(e, source{l, r})

@@ -269,3 +269,21 @@ func TestThetaJoinSelectivityReadsBothSides(t *testing.T) {
 	u := expr.NewCmp(expr.EQ, expr.Col("zz", "c"), expr.IntLit(5))
 	approx(t, JoinSelectivity(u, e, d), 1/(e.Rows*d.Rows), 1e-15, "unknown column over e×d")
 }
+
+func TestJoinSelectivityOnlyReadsTheIndex(t *testing.T) {
+	e, d := empRel(), deptRel()
+	before := ar.Cols.Len()
+	// An equality on a column no summary has met: single-valued, and the
+	// estimate registers nothing.
+	u := expr.NewCmp(expr.EQ, expr.Col("zz", "c"), expr.Col("d", "dno"))
+	approx(t, JoinSelectivity(u, e, d), 1/d.Col(schema.ColID{Rel: "d", Name: "dno"}).NDV, 1e-12, "zz.c=d.dno")
+	if ar.Cols.Len() != before {
+		t.Errorf("JoinSelectivity registered %d columns", ar.Cols.Len()-before)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("summaries of two arenas: want a panic")
+		}
+	}()
+	JoinSelectivity(u, e, NewArena().NewRelation(1))
+}
