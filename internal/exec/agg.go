@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
@@ -10,7 +10,7 @@ import (
 )
 
 // groupByCtx holds the compiled pieces of a GroupBy shared by both
-// aggregation methods.
+// aggregation methods, and the accumulator state of the groups in flight.
 type groupByCtx struct {
 	groupPos []int           // grouping column positions in the input
 	argFns   []expr.Compiled // aggregate argument evaluators (nil for COUNT(*))
@@ -19,15 +19,25 @@ type groupByCtx struct {
 	outputs  []expr.Compiled               // over the inner schema; nil = identity
 	scalar   bool                          // no grouping columns: always emit one row
 
-	arena     rowArena     // backs group keys and finished output rows
-	inner     types.Row    // reusable scratch when outputs re-project the inner row
-	stateSlab []groupState // slab for group states (one alloc per stateSlabLen groups)
-	accSlab   []expr.Accumulator
+	arena rowArena  // backs group states and finished output rows
+	inner types.Row // the inner row being finished; reused when outputs re-project it
+
+	// Groups are numbered from 0 in creation order. A group's state is one
+	// value per aggregate (an expr.AggState) in a row carved from the
+	// arena, stateChunkGroups groups to a carve; a MEDIAN or user-defined
+	// aggregate, whose state is its own object, folds in
+	// boxed[g*nBoxed+boxedAt[i]] instead (boxedAt[i] < 0 for the others).
+	groups  int
+	states  []types.Row
+	boxed   []expr.Accumulator
+	boxedAt []int
+	nBoxed  int
 }
 
-// stateSlabLen is how many groupState records (and accumulator slots, scaled
-// by aggregate count) each slab allocation covers.
-const stateSlabLen = 256
+// stateChunkGroups is how many groups' states one arena carve holds: with
+// up to 32 aggregates a chunk still fits a slab, and a query of a few dozen
+// groups takes a corner of the slab its output rows come from anyway.
+const stateChunkGroups = 256
 
 func (e *Executor) groupByCtxOf(g *lplan.GroupBy) (*groupByCtx, error) {
 	in := g.In.Schema()
@@ -39,6 +49,12 @@ func (e *Executor) groupByCtxOf(g *lplan.GroupBy) (*groupByCtx, error) {
 		arena: rowArena{rec: &e.arenas}}
 	for _, a := range g.Aggs {
 		ctx.aggs = append(ctx.aggs, a)
+		if a.Kind.HasState() {
+			ctx.boxedAt = append(ctx.boxedAt, -1)
+		} else {
+			ctx.boxedAt = append(ctx.boxedAt, ctx.nBoxed)
+			ctx.nBoxed++
+		}
 		if a.Arg == nil {
 			ctx.argFns = append(ctx.argFns, nil)
 			continue
@@ -50,105 +66,101 @@ func (e *Executor) groupByCtxOf(g *lplan.GroupBy) (*groupByCtx, error) {
 		ctx.argFns = append(ctx.argFns, fn)
 	}
 	inner := g.InnerSchema()
-	ctx.having, err = e.compilePreds(g.Having, inner)
+	ctx.having, err = compilePreds(g.Having, inner, e.params)
 	if err != nil {
 		return nil, err
 	}
-	if len(g.Outputs) > 0 {
-		for _, ne := range g.Outputs {
-			fn, err := e.compileExpr(ne.E, inner)
-			if err != nil {
-				return nil, err
-			}
-			ctx.outputs = append(ctx.outputs, fn)
+	for _, ne := range g.Outputs {
+		fn, err := e.compileExpr(ne.E, inner)
+		if err != nil {
+			return nil, err
 		}
+		ctx.outputs = append(ctx.outputs, fn)
 	}
 	return ctx, nil
 }
 
-// groupState accumulates one group.
-type groupState struct {
-	groupVals types.Row
-	accs      []expr.Accumulator
-	bytes     int
-}
-
-func (c *groupByCtx) newState(row types.Row) *groupState {
-	// Group states, accumulator slots, and key rows all come from slabs:
-	// a grouped aggregation over many groups costs a handful of allocations
-	// per slab instead of three per group. Slab space is never reused, so a
-	// state stays valid for as long as its group table retains it.
-	if len(c.stateSlab) == 0 {
-		c.stateSlab = make([]groupState, stateSlabLen)
+// newGroup starts the next group, with every aggregate empty.
+func (c *groupByCtx) newGroup() {
+	if c.groups/stateChunkGroups == len(c.states) { // else a chunk kept by dropGroups
+		c.states = append(c.states, c.arena.carve(stateChunkGroups*len(c.aggs)))
 	}
-	gs := &c.stateSlab[0]
-	c.stateSlab = c.stateSlab[1:]
-	if n := len(c.aggs); n > 0 {
-		if len(c.accSlab) < n {
-			c.accSlab = make([]expr.Accumulator, n*stateSlabLen)
+	clear(c.stateOf(c.groups)) // arena space and reused chunks hold stale values
+	for i, b := range c.boxedAt {
+		if b >= 0 {
+			c.boxed = append(c.boxed, c.aggs[i].NewAccumulator())
 		}
-		gs.accs = c.accSlab[:n:n]
-		c.accSlab = c.accSlab[n:]
 	}
-	gs.groupVals = c.arena.carve(len(c.groupPos))
-	for i, p := range c.groupPos {
-		gs.groupVals[i] = row[p]
-	}
-	for i, a := range c.aggs {
-		gs.accs[i] = a.NewAccumulator()
-	}
-	// Accounted bytes mirror the cost model's group-table estimate (the
-	// output row width), so the executor spills exactly where the model
-	// predicts a spill.
-	gs.bytes = gs.groupVals.DiskWidth() + 8*len(gs.accs)
-	return gs
+	c.groups++
 }
 
-func (c *groupByCtx) add(gs *groupState, row types.Row) error {
+// stateOf returns group g's state values, one per aggregate.
+func (c *groupByCtx) stateOf(g int) types.Row {
+	n := len(c.aggs)
+	return c.states[g/stateChunkGroups][g%stateChunkGroups*n:][:n]
+}
+
+// dropGroups forgets every group, keeping the storage for the next ones.
+func (c *groupByCtx) dropGroups() {
+	c.groups, c.boxed = 0, c.boxed[:0]
+}
+
+var countStarArg = types.NewInt(1)
+
+// add folds one input row into group g.
+func (c *groupByCtx) add(g int, row types.Row) error {
+	states := c.stateOf(g)
 	for i, fn := range c.argFns {
-		if fn == nil { // COUNT(*)
-			gs.accs[i].Add(types.NewInt(1))
-			continue
+		v := countStarArg
+		if fn != nil {
+			var err error
+			if v, err = fn(row); err != nil {
+				return err
+			}
 		}
-		v, err := fn(row)
-		if err != nil {
-			return err
+		if b := c.boxedAt[i]; b >= 0 {
+			c.boxed[g*c.nBoxed+b].Add(v)
+		} else {
+			(*expr.AggState)(&states[i]).Add(c.aggs[i].Kind, v)
 		}
-		gs.accs[i].Add(v)
 	}
 	return nil
 }
 
-// finish converts a group state into the output row, applying Having and
-// Outputs. ok=false means the group was filtered out.
-func (c *groupByCtx) finish(gs *groupState) (types.Row, bool, error) {
+// finish converts group g, whose grouping values are key, into the output
+// row, applying Having and Outputs. ok=false means the group was filtered
+// out.
+func (c *groupByCtx) finish(g int, key types.Row) (types.Row, bool, error) {
 	// Without an output projection the inner row is the emitted row, so it
 	// is carved from the arena (a Having rejection wastes the carve, which
 	// is slab space, not an allocation). With outputs, the inner row only
 	// feeds the evaluators and lives in a reusable scratch buffer.
+	n := len(key) + len(c.aggs)
 	if c.outputs == nil {
-		inner := c.arena.carve(len(gs.groupVals) + len(gs.accs))
-		n := copy(inner, gs.groupVals)
-		for i, acc := range gs.accs {
-			inner[n+i] = acc.Result()
-		}
-		keep, err := c.having(inner)
-		if err != nil || !keep {
-			return nil, false, err
-		}
-		return inner, true, nil
+		c.inner = c.arena.carve(n)
+	} else if cap(c.inner) < n {
+		c.inner = make(types.Row, n)
 	}
-	c.inner = append(c.inner[:0], gs.groupVals...)
-	for _, acc := range gs.accs {
-		c.inner = append(c.inner, acc.Result())
+	inner := c.inner[:n]
+	copy(inner, key)
+	states := c.stateOf(g)
+	for i, b := range c.boxedAt {
+		if b >= 0 {
+			inner[len(key)+i] = c.boxed[g*c.nBoxed+b].Result()
+		} else {
+			inner[len(key)+i] = (*expr.AggState)(&states[i]).Result(c.aggs[i].Kind)
+		}
 	}
-	keep, err := c.having(c.inner)
+	keep, err := c.having(inner)
 	if err != nil || !keep {
 		return nil, false, err
 	}
+	if c.outputs == nil {
+		return inner, true, nil
+	}
 	out := c.arena.carve(len(c.outputs))
 	for i, fn := range c.outputs {
-		v, err := fn(c.inner)
+		v, err := fn(inner)
 		if err != nil {
 			return nil, false, err
 		}
@@ -180,132 +192,132 @@ func (e *Executor) buildGroupBy(g *lplan.GroupBy) (BatchIterator, error) {
 }
 
 // hashAggIter aggregates through an in-memory group table, partitioning the
-// input to spill files when the table exceeds the budget. The input drains
-// batch-at-a-time; the finished groups stream out in batches.
+// input to spill files when the table exceeds the budget. It consumes its
+// input a batch at a time — hash the batch's key columns, then look each row
+// up, start its group if new, and fold it in; the finished groups stream
+// out in batches, in the order their first rows arrived.
 type hashAggIter struct {
 	exec *Executor
 	ctx  *groupByCtx
 	in   BatchIterator
 
+	tab    keyTable       // group key -> group number
+	key    [1]types.Value // room for the table to spell out a bare INT key
+	hashes []uint64       // key hashes of the batch being consumed
+	keyBuf []byte         // key encoding of a row being partitioned
+	bytes  int            // accounted size of the group table
 	// parts holds the overflow partitions as a field (not an Open local) so
 	// Close drops them when Open fails after partitioning started.
 	parts []*spill
+	rows  []types.Row // finished groups
 	out   *sliceIter
 }
 
-const aggPartitions = 16
-
 func (it *hashAggIter) Open() error {
-	groups := map[string]*groupState{}
-	bytes := 0
-	var buf []byte
-
-	spillAll := func(row types.Row) error {
-		buf = row.AppendKey(buf[:0], it.ctx.groupPos)
-		h := fnv.New32a()
-		h.Write(buf)
-		return it.parts[h.Sum32()%aggPartitions].add(row)
-	}
-
-	err := drainBatches(it.in, func(row types.Row) error {
-		buf = row.AppendKey(buf[:0], it.ctx.groupPos)
-		// Rows of groups already resident keep accumulating in memory, so a
-		// group never splits between the table and the partitions.
-		if gs, ok := groups[string(buf)]; ok {
-			return it.ctx.add(gs, row)
-		}
-		if it.parts != nil {
-			return spillAll(row)
-		}
-		gs := it.ctx.newState(row)
-		groups[string(buf)] = gs
-		bytes += gs.bytes
-		if bytes > it.exec.budgetBytes {
-			// The group table is over budget: rows of *new* groups are
-			// partitioned to spill files from here on and aggregated
-			// shard by shard afterwards.
-			it.parts = make([]*spill, aggPartitions)
-			for i := range it.parts {
-				it.parts[i] = newSpill(it.exec.pg, "agg-part")
-			}
-		}
-		return it.ctx.add(gs, row)
-	})
-	if err != nil {
+	it.tab.init(len(it.ctx.groupPos), 0)
+	if err := it.consume(it.in, true); err != nil {
 		return err
 	}
-
-	var rows []types.Row
-	emit := func(gs *groupState) error {
-		row, ok, err := it.ctx.finish(gs)
-		if err != nil {
-			return err
-		}
-		if ok {
-			rows = append(rows, row)
-		}
-		return nil
+	// SQL semantics: a scalar aggregate over an empty input yields one row.
+	if it.ctx.scalar && it.tab.len() == 0 {
+		it.ctx.newGroup()
+		it.tab.insert(0, nil, nil)
 	}
-
-	// The in-memory shard. Note: when partitioning kicked in, rows for
-	// groups that were already in the table kept accumulating there (see
-	// the drain above: lookup happens before the partition check), so a
-	// group never splits between the table and the partitions.
-	for _, gs := range groups {
-		if err := emit(gs); err != nil {
-			return err
-		}
+	if err := it.finishGroups(); err != nil {
+		return err
 	}
-
-	// Partitioned shards.
+	// Each partition holds whole groups, none of them in the table when its
+	// rows were written, and is aggregated through the same table.
 	for _, p := range it.parts {
 		if err := p.finish(); err != nil {
 			return err
 		}
-		part := map[string]*groupState{}
-		sc := p.scan()
-		for {
-			row, _, ok, err := sc.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			buf = row.AppendKey(buf[:0], it.ctx.groupPos)
-			gs, ok2 := part[string(buf)]
-			if !ok2 {
-				gs = it.ctx.newState(row)
-				part[string(buf)] = gs
-			}
-			if err := it.ctx.add(gs, row); err != nil {
-				return err
-			}
+		if err := it.consume(&spillIter{sp: p, target: it.exec.batchSize}, false); err != nil {
+			return err
 		}
-		for _, gs := range part {
-			if err := emit(gs); err != nil {
-				return err
-			}
+		if err := it.finishGroups(); err != nil {
+			return err
 		}
 		p.drop()
 	}
+	it.out = newSliceIter(it.rows, it.exec.batchSize)
+	return it.out.Open()
+}
 
-	// SQL semantics: a scalar aggregate over an empty input yields one row.
-	if it.ctx.scalar && len(groups) == 0 && it.parts == nil {
-		gs := it.ctx.newState(types.Row{})
-		if err := emit(gs); err != nil {
+// consume folds every row of in into the group table. With partition set,
+// once the table is over budget the rows of groups not in it go to the
+// spill partitions instead; rows of resident groups keep accumulating in
+// memory, so a group never splits between the table and the partitions.
+func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
+	defer in.Close()
+	if err := in.Open(); err != nil {
+		return err
+	}
+	ctx := it.ctx
+	b := getBatch()
+	defer putBatch(b)
+	for {
+		if err := in.NextBatch(b); err != nil {
 			return err
 		}
+		if b.Len() == 0 {
+			return nil
+		}
+		it.hashes = hashKeys(b.Rows, ctx.groupPos, it.hashes)
+		for i, row := range b.Rows {
+			g := it.tab.lookup(it.hashes[i], row, ctx.groupPos)
+			if g < 0 {
+				if partition && it.parts != nil {
+					// The partition comes from the key's byte encoding, not
+					// from the table's hash: which rows share a spill file,
+					// and so every page count, stays as it always was.
+					it.keyBuf = row.AppendKey(it.keyBuf[:0], ctx.groupPos)
+					if err := it.parts[partitionOf(it.keyBuf)].add(row); err != nil {
+						return err
+					}
+					continue
+				}
+				ctx.newGroup()
+				g = it.tab.insert(it.hashes[i], row, ctx.groupPos)
+				// Accounted bytes mirror the cost model's group-table
+				// estimate (the output row width), so the executor spills
+				// exactly where the model predicts a spill.
+				it.bytes += it.tab.key(g, it.key[:]).DiskWidth() + 8*len(ctx.aggs)
+				if partition && it.bytes > it.exec.budgetBytes {
+					it.parts = make([]*spill, spillPartitions)
+					for p := range it.parts {
+						it.parts[p] = newSpill(it.exec.pg, "agg-part")
+					}
+				}
+			}
+			if err := ctx.add(g, row); err != nil {
+				return err
+			}
+		}
 	}
+}
 
-	it.out = newSliceIter(rows, it.exec.batchSize)
-	return it.out.Open()
+// finishGroups appends the table's groups to the output and empties it.
+func (it *hashAggIter) finishGroups() error {
+	it.rows = slices.Grow(it.rows, it.tab.len())
+	for g := 0; g < it.tab.len(); g++ {
+		row, ok, err := it.ctx.finish(g, it.tab.key(g, it.key[:]))
+		if err != nil {
+			return err
+		}
+		if ok {
+			it.rows = append(it.rows, row)
+		}
+	}
+	it.ctx.dropGroups()
+	it.tab.init(len(it.ctx.groupPos), 0)
+	return nil
 }
 
 func (it *hashAggIter) NextBatch(dst *Batch) error { return it.out.NextBatch(dst) }
 
 func (it *hashAggIter) Close() error {
-	it.in.Close() // drainBatches already closed it on the Open path; idempotent
+	it.in.Close() // consume already closed it on the Open path; idempotent
 	for _, p := range it.parts {
 		p.drop()
 	}
@@ -321,15 +333,15 @@ type sortAggIter struct {
 	target int
 	in     *rowIter
 
-	cur     *groupState
-	curKey  []byte
+	cur     bool      // a group is being accumulated (as the context's group 0)
+	curKey  types.Row // its grouping values
 	done    bool
 	emitted bool
 }
 
 func (it *sortAggIter) Open() error {
-	it.done, it.emitted = false, false
-	it.cur = nil
+	it.cur, it.done, it.emitted = false, false, false
+	it.ctx.dropGroups()
 	return it.in.Open()
 }
 
@@ -337,36 +349,29 @@ func (it *sortAggIter) NextBatch(dst *Batch) error {
 	return fillFromStep(dst, it.target, it.step)
 }
 
+// finishCur emits the group being accumulated and forgets it.
+func (it *sortAggIter) finishCur() (types.Row, bool, error) {
+	it.cur, it.emitted = false, true
+	row, ok, err := it.ctx.finish(0, it.curKey)
+	it.ctx.dropGroups()
+	return row, ok, err
+}
+
 func (it *sortAggIter) step() (types.Row, bool, error) {
-	var buf []byte
 	for {
 		if it.done {
-			// Emit the trailing group, then the scalar-empty row if needed.
-			if it.cur != nil {
-				gs := it.cur
-				it.cur = nil
-				it.emitted = true
-				row, ok, err := it.ctx.finish(gs)
-				if err != nil {
-					return nil, false, err
+			// Emit the trailing group, or the one row a scalar aggregate
+			// yields over an empty input.
+			if !it.cur {
+				if !it.ctx.scalar || it.emitted {
+					return nil, false, nil
 				}
-				if ok {
-					return row, true, nil
-				}
-				continue
+				it.ctx.newGroup()
 			}
-			if it.ctx.scalar && !it.emitted {
-				it.emitted = true
-				gs := it.ctx.newState(types.Row{})
-				row, ok, err := it.ctx.finish(gs)
-				if err != nil {
-					return nil, false, err
-				}
-				if ok {
-					return row, true, nil
-				}
+			if row, ok, err := it.finishCur(); err != nil || ok {
+				return row, ok, err
 			}
-			return nil, false, nil
+			continue
 		}
 
 		row, ok, err := it.in.Next()
@@ -377,31 +382,23 @@ func (it *sortAggIter) step() (types.Row, bool, error) {
 			it.done = true
 			continue
 		}
-		buf = row.AppendKey(buf[:0], it.ctx.groupPos)
-		if it.cur == nil {
-			it.cur = it.ctx.newState(row)
-			it.curKey = append(it.curKey[:0], buf...)
-			if err := it.ctx.add(it.cur, row); err != nil {
+		var out types.Row
+		keep := false
+		if it.cur && !sameKey(it.curKey, row, it.ctx.groupPos) {
+			// Group boundary: emit the finished group, start the next.
+			if out, keep, err = it.finishCur(); err != nil {
 				return nil, false, err
 			}
-			continue
 		}
-		if string(buf) == string(it.curKey) {
-			if err := it.ctx.add(it.cur, row); err != nil {
-				return nil, false, err
+		if !it.cur {
+			it.cur = true
+			it.ctx.newGroup()
+			it.curKey = it.curKey[:0]
+			for _, p := range it.ctx.groupPos {
+				it.curKey = append(it.curKey, row[p])
 			}
-			continue
 		}
-		// Group boundary: emit the finished group, start the next.
-		gs := it.cur
-		it.cur = it.ctx.newState(row)
-		it.curKey = append(it.curKey[:0], buf...)
-		if err := it.ctx.add(it.cur, row); err != nil {
-			return nil, false, err
-		}
-		it.emitted = true
-		out, keep, err := it.ctx.finish(gs)
-		if err != nil {
+		if err := it.ctx.add(0, row); err != nil {
 			return nil, false, err
 		}
 		if keep {

@@ -57,9 +57,9 @@ func putBatch(b *Batch) {
 }
 
 // arenaSlabValues is the number of types.Value slots a rowArena allocates
-// per slab. At 16 bytes per Value a slab is ~128KiB — large enough that
-// per-row carving amortizes to noise, small enough that an operator that
-// emits a handful of rows doesn't pin much memory.
+// per slab — large enough that per-row carving amortizes to noise, small
+// enough that an operator that emits a handful of rows doesn't pin much
+// memory (TestArenaSlabBytes states the size in bytes).
 const arenaSlabValues = 8192
 
 // slabPool recycles row-arena slabs across queries. A slab sits in the
@@ -138,6 +138,15 @@ func (a *rowArena) carve(n int) types.Row {
 	r := types.Row(a.buf[:n:n])
 	a.buf = a.buf[n:]
 	return r
+}
+
+// project carves the row holding row's values at positions proj.
+func (a *rowArena) project(row types.Row, proj []int) types.Row {
+	out := a.carve(len(proj))
+	for i, j := range proj {
+		out[i] = row[j]
+	}
+	return out
 }
 
 // BatchIterator is the executor's operator interface: a Volcano lifecycle
@@ -225,6 +234,35 @@ func drainBatches(it BatchIterator, fn func(types.Row) error) error {
 			}
 		}
 	}
+}
+
+// rowStore materializes rows for a pipeline breaker that must hold its
+// whole input and address it by position (a hash join's build side). The
+// rows sit in pooled batches of DefaultBatchSize, so the vector grows
+// without copying and, query after query, without allocating.
+type rowStore struct {
+	chunks []*Batch // every chunk before the last in use is full
+	n      int
+}
+
+func (s *rowStore) add(r types.Row) {
+	if s.n/DefaultBatchSize == len(s.chunks) {
+		s.chunks = append(s.chunks, getBatch())
+	}
+	s.chunks[s.n/DefaultBatchSize].Append(r)
+	s.n++
+}
+
+func (s *rowStore) at(i int) types.Row {
+	return s.chunks[i/DefaultBatchSize].Rows[i%DefaultBatchSize]
+}
+
+// release empties the store, returning the chunks to the pool.
+func (s *rowStore) release() {
+	for _, c := range s.chunks {
+		putBatch(c)
+	}
+	s.chunks, s.n = nil, 0
 }
 
 // sliceIter yields an in-memory row slice in batches.

@@ -46,21 +46,19 @@
 // read from storage alias buffer-pool page memory, which the storage layer
 // likewise never mutates in place.
 //
-// # The rowIter adapter
+// # Batch-native operators and the rowIter adapter
 //
-// Some logic is inherently row- or group-wise: merge join's group
-// buffering, sort aggregation's boundary detection, block nested loops
-// filling an outer block, and the public Cursor. Those consumers wrap
-// their input in a rowIter, which pulls batches underneath and hands out
-// one row per Next call at slice-index cost. The adapter is how the
-// executor keeps exactly one operator interface (ROADMAP item 5's outer
-// joins implement BatchIterator, nothing else) while row-wise consumers
-// stay simple. Writing a new operator:
-//
-//   - vectorize the data path if the operator is per-row stateless
-//     (scan/filter/project shape): loop over dst directly;
-//   - otherwise keep a row-wise step() and delegate batching to
-//     fillFromStep, feeding inputs through rowIter or drainBatches.
+// Scan, filter, project, hash join and hash aggregation work on whole
+// batches. The two hash operators share one key table (keytable.go): they
+// hash a batch's key columns in one pass, then probe by hash and typed
+// equality — no key is ever serialized on that path. The logic that is
+// inherently row- or group-wise — merge join's group buffering, sort
+// aggregation's boundary detection, block nested loops filling an outer
+// block, the index probe per outer row, and the public Cursor — wraps its
+// input in a rowIter, which pulls batches underneath and hands out one row
+// per Next call at slice-index cost; those operators keep a row-wise step()
+// and delegate batching to fillFromStep. Either way there is exactly one
+// operator interface.
 //
 // # Governance and metering at batch boundaries
 //

@@ -111,32 +111,6 @@ func (e *Executor) compileExpr(x expr.Expr, s schema.Schema) (expr.Compiled, err
 	return expr.Compile(b, s)
 }
 
-// compilePreds compiles a conjunct list into a single row filter, binding
-// this run's parameters first.
-func (e *Executor) compilePreds(preds []expr.Expr, s schema.Schema) (func(types.Row) (bool, error), error) {
-	fs := make([]func(types.Row) (bool, error), len(preds))
-	for i, p := range preds {
-		b, err := expr.BindParams(p, e.params)
-		if err != nil {
-			return nil, err
-		}
-		f, err := expr.CompilePredicate(b, s)
-		if err != nil {
-			return nil, err
-		}
-		fs[i] = f
-	}
-	return func(row types.Row) (bool, error) {
-		for _, f := range fs {
-			ok, err := f(row)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		return true, nil
-	}, nil
-}
-
 // Result is a fully materialized query result.
 type Result struct {
 	Schema schema.Schema
@@ -320,15 +294,18 @@ func colIndexes(s schema.Schema, cols []schema.ColID) ([]int, error) {
 	return out, nil
 }
 
-// compilePreds compiles a conjunct list into a single row filter.
-func compilePreds(preds []expr.Expr, s schema.Schema) (func(types.Row) (bool, error), error) {
+// compilePreds compiles a conjunct list into a single row filter over s,
+// with params bound to its `?` placeholders.
+func compilePreds(preds []expr.Expr, s schema.Schema, params []types.Value) (func(types.Row) (bool, error), error) {
 	fs := make([]func(types.Row) (bool, error), len(preds))
 	for i, p := range preds {
-		f, err := expr.CompilePredicate(p, s)
+		b, err := expr.BindParams(p, params)
 		if err != nil {
 			return nil, err
 		}
-		fs[i] = f
+		if fs[i], err = expr.CompilePredicate(b, s); err != nil {
+			return nil, err
+		}
 	}
 	return func(row types.Row) (bool, error) {
 		for _, f := range fs {
@@ -359,7 +336,7 @@ func (e *Executor) buildScan(s *lplan.Scan) (BatchIterator, error) {
 		base = append(base, schema.Column{
 			ID: schema.ColID{Rel: s.Alias, Name: lplan.TIDColumn}, Type: types.KindInt})
 	}
-	filter, err := e.compilePreds(s.Filter, base)
+	filter, err := compilePreds(s.Filter, base, e.params)
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +406,7 @@ type filterIter struct {
 }
 
 func (e *Executor) newFilterIter(in BatchIterator, preds []expr.Expr, s schema.Schema) (BatchIterator, error) {
-	pred, err := e.compilePreds(preds, s)
+	pred, err := compilePreds(preds, s, e.params)
 	if err != nil {
 		return nil, err
 	}
@@ -478,6 +455,7 @@ type projectIter struct {
 	in      BatchIterator
 	exprs   []expr.Compiled
 	scratch *Batch
+	arena   rowArena // backs output rows
 }
 
 func (e *Executor) newProjectIter(in BatchIterator, items []lplan.NamedExpr, s schema.Schema) (BatchIterator, error) {
@@ -489,7 +467,7 @@ func (e *Executor) newProjectIter(in BatchIterator, items []lplan.NamedExpr, s s
 		}
 		exprs[i] = c
 	}
-	return &projectIter{in: in, exprs: exprs}, nil
+	return &projectIter{in: in, exprs: exprs, arena: rowArena{rec: &e.arenas}}, nil
 }
 
 func (it *projectIter) Open() error {
@@ -520,18 +498,6 @@ func (it *projectIter) Close() error {
 	putBatch(it.scratch)
 	it.scratch = nil
 	return it.in.Close()
-}
-
-// projRow applies a precomputed index projection, or returns the row as-is.
-func projRow(row types.Row, proj []int) types.Row {
-	if proj == nil {
-		return row
-	}
-	out := make(types.Row, len(proj))
-	for i, j := range proj {
-		out[i] = row[j]
-	}
-	return out
 }
 
 // spill is a temporary file owned by an operator. It registers with the

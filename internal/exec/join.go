@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
@@ -14,13 +13,14 @@ import (
 // positions of the equi-join conjuncts on each side, the residual predicate
 // compiled against the concatenated schema, and the output projection.
 type joinCommon struct {
-	lKeys, rKeys []int // equi-join column positions (parallel slices)
-	residual     func(types.Row) (bool, error)
-	proj         []int     // output projection over concat schema; nil = all
-	lWidth       int       // arity of the left input
-	rWidth       int       // arity of the right input (for outer-join padding)
-	scratch      types.Row // reusable concat buffer for residual evaluation
-	arena        rowArena  // backs emitted output rows
+	lKeys, rKeys []int                         // equi-join column positions (parallel slices)
+	residual     func(types.Row) (bool, error) // nil = none
+	proj         []int                         // output projection over concat schema; nil = all
+	lWidth       int                           // arity of the left input
+	rWidth       int                           // arity of the right input (for outer-join padding)
+	scratch      types.Row                     // reusable concat buffer for residual evaluation
+	nulls        types.Row                     // all-NULL row standing in for the missing side of a padded row
+	arena        rowArena                      // backs emitted output rows
 }
 
 func (e *Executor) joinCommonOf(j *lplan.Join) (*joinCommon, error) {
@@ -51,9 +51,12 @@ func (e *Executor) joinCommonOf(j *lplan.Join) (*joinCommon, error) {
 		}
 		residualPreds = append(residualPreds, p)
 	}
-	residual, err := e.compilePreds(residualPreds, concat)
-	if err != nil {
-		return nil, err
+	var residual func(types.Row) (bool, error)
+	var err error
+	if len(residualPreds) > 0 {
+		if residual, err = compilePreds(residualPreds, concat, e.params); err != nil {
+			return nil, err
+		}
 	}
 	var proj []int
 	if j.Proj != nil {
@@ -94,7 +97,7 @@ func (e *Executor) buildJoin(j *lplan.Join) (BatchIterator, error) {
 		}
 		return &hashJoinIter{
 			exec: e, jc: jc, target: e.batchSize, joinType: j.Type,
-			probeSrc: l, probe: newRowIter(l), buildNode: j.R,
+			probeSrc: l, buildNode: j.R,
 		}, nil
 	case lplan.JoinBlockNL:
 		return e.buildBlockNL(j, jc)
@@ -124,24 +127,35 @@ func (e *Executor) buildJoin(j *lplan.Join) (BatchIterator, error) {
 
 // emit applies residual predicates and projection to a joined row pair.
 func (jc *joinCommon) emit(l, r types.Row) (types.Row, bool, error) {
-	// The concat row only feeds the residual predicate and the projection
-	// copy below, so it lives in a reusable scratch buffer; the emitted row
-	// is always a fresh arena carve and never aliases it.
-	jc.scratch = append(append(jc.scratch[:0], l...), r...)
-	ok, err := jc.residual(jc.scratch)
-	if err != nil || !ok {
-		return nil, false, err
+	if jc.residual != nil {
+		// Only the residual predicate needs the pair as one row; it reads
+		// it from a reusable scratch buffer the emitted row never aliases.
+		jc.scratch = append(append(jc.scratch[:0], l...), r...)
+		ok, err := jc.residual(jc.scratch)
+		if err != nil || !ok {
+			return nil, false, err
+		}
 	}
+	return jc.project(l, r), true, nil
+}
+
+// project carves the output row of the pair (l, r): the projection's
+// columns of their concatenation, taken from whichever side holds each.
+func (jc *joinCommon) project(l, r types.Row) types.Row {
 	if jc.proj == nil {
-		out := jc.arena.carve(len(jc.scratch))
-		copy(out, jc.scratch)
-		return out, true, nil
+		out := jc.arena.carve(len(l) + len(r))
+		copy(out[copy(out, l):], r)
+		return out
 	}
 	out := jc.arena.carve(len(jc.proj))
 	for i, j := range jc.proj {
-		out[i] = jc.scratch[j]
+		if j < len(l) {
+			out[i] = l[j]
+		} else {
+			out[i] = r[j-len(l)]
+		}
 	}
-	return out, true, nil
+	return out
 }
 
 // emitPadded emits an outer-join row with the missing side NULL-padded
@@ -149,31 +163,16 @@ func (jc *joinCommon) emit(l, r types.Row) (types.Row, bool, error) {
 // residual predicate — the ON condition already failed, that is why the row
 // is padded — but the output projection still applies.
 func (jc *joinCommon) emitPadded(l, r types.Row) types.Row {
-	jc.scratch = jc.scratch[:0]
+	if jc.nulls == nil {
+		jc.nulls = make(types.Row, max(jc.lWidth, jc.rWidth)) // the zero Value is NULL
+	}
 	if l == nil {
-		for i := 0; i < jc.lWidth; i++ {
-			jc.scratch = append(jc.scratch, types.Null())
-		}
-	} else {
-		jc.scratch = append(jc.scratch, l...)
+		l = jc.nulls[:jc.lWidth]
 	}
 	if r == nil {
-		for i := 0; i < jc.rWidth; i++ {
-			jc.scratch = append(jc.scratch, types.Null())
-		}
-	} else {
-		jc.scratch = append(jc.scratch, r...)
+		r = jc.nulls[:jc.rWidth]
 	}
-	if jc.proj == nil {
-		out := jc.arena.carve(len(jc.scratch))
-		copy(out, jc.scratch)
-		return out
-	}
-	out := jc.arena.carve(len(jc.proj))
-	for i, j := range jc.proj {
-		out[i] = jc.scratch[j]
-	}
-	return out
+	return jc.project(l, r)
 }
 
 // rowHasNullKey reports whether any of the row's key positions is NULL.
@@ -207,96 +206,99 @@ func fillFromStep(dst *Batch, target int, step func() (types.Row, bool, error)) 
 	return nil
 }
 
-// hashJoinIter builds a hash table on the right input; if the build side
-// exceeds the budget it falls back to Grace partitioning, writing both
-// inputs to spill partitions and joining them pairwise. The probe side
-// streams through a rowIter, so the child still executes batch-at-a-time.
+// hashJoinIter builds a key table on the right input and probes it with the
+// left a batch at a time: pull a probe batch, hash its key columns, and for
+// each probe row walk the chain of build rows under its key, writing joined
+// rows straight into the output batch; a call that fills the batch resumes
+// mid-chain on the next. If the build side exceeds the budget it falls back
+// to Grace partitioning, writing both inputs to spill partitions and
+// joining them pairwise with the same code.
 //
 // Outer joins: the probe (left) side is the preserved side of a LEFT join —
 // a probe row whose ON condition matches no build row is emitted once,
 // right-padded with NULLs. FULL joins additionally flag every matched build
 // row and emit the unmatched remainder left-padded after the probe side
 // drains (per partition on the grace path, which is sound because Grace
-// partitions by key hash, so a build row can only match probe rows of its
-// own partition). Build rows with NULL keys never match (NULL = x is
-// UNKNOWN) and surface only through the FULL-outer drain.
+// partitions by key, so a build row can only match probe rows of its own
+// partition). Build rows with NULL keys never match (NULL = x is UNKNOWN)
+// and surface only through the FULL-outer drain.
 type hashJoinIter struct {
 	exec      *Executor
 	jc        *joinCommon
 	target    int
 	joinType  lplan.JoinType
-	probeSrc  BatchIterator // the built left child (drained directly on grace)
-	probe     *rowIter      // row view of probeSrc for the in-memory path
+	probeSrc  BatchIterator // the built left child
 	buildNode lplan.Node
 
-	// current build table (whole input in memory, or one grace partition)
-	buildRows    []types.Row
-	buildMatched []bool           // FULL outer only: build rows already matched
-	table        map[string][]int // key -> indices into buildRows
-	// grace path
+	// Current build table (whole input in memory, or one grace partition).
+	// Build rows with one key are chained through next in ascending order
+	// from the key's head, so matches come out in build order.
+	build        rowStore
+	buildMatched []bool   // FULL outer only: build rows already matched
+	tab          keyTable // build key -> entry
+	head         []int32  // per entry: first build row with the key
+	next         []int32  // per build row: the next with the same key, -1 = last
+
+	probe      BatchIterator // probeSrc, or the current partition's probe rows
+	pb         *Batch        // probe batch being joined
+	hashes     []uint64      // key hashes of pb's rows (of build rows while loading)
+	pos        int           // pb row in flight, or the next one to start
+	chain      int32         // in flight: next build row to try, -1 = chain used up
+	curActive  bool          // pb.Rows[pos] is in flight (padding not yet decided)
+	curMatched bool          // the in-flight probe row matched at least once
+	probeDone  bool          // probe is exhausted for the current build table
+	drainPos   int           // FULL outer, after the probe: next build row to pad if unmatched
+
+	// grace path (rParts != nil)
 	lParts, rParts []*spill
 	part           int
 	probeRows      []types.Row // current partition's probe rows
-	probePos       int
-	partActive     bool
-
-	pending    []int // buildRows indices matching the current probe row's key
-	curL       types.Row
-	curActive  bool // a probe row is in flight (padding not yet decided)
-	curMatched bool // the in-flight probe row matched at least once
-	draining   bool // FULL outer: emitting unmatched build rows
-	drained    bool // the current build table's drain already ran
-	drainPos   int
-	grace      bool
 }
 
-// loadBuild installs rows as the current build table. NULL-keyed rows stay
-// in buildRows (the FULL-outer drain must see them) but are not hashed.
-func (it *hashJoinIter) loadBuild(rows []types.Row) {
-	it.buildRows = rows
-	it.table = make(map[string][]int, len(rows))
+// loadBuild indexes the build rows. NULL-keyed rows stay in the store (the
+// FULL-outer drain must see them) but get no entry.
+func (it *hashJoinIter) loadBuild() {
+	n := it.build.n
+	it.buildMatched, it.drainPos = nil, 0
 	if it.joinType == lplan.JoinFull {
-		it.buildMatched = make([]bool, len(rows))
-	} else {
-		it.buildMatched = nil
+		it.buildMatched = make([]bool, n)
 	}
-	it.drained = false
-	var buf []byte
-	for i, r := range rows {
-		if rowHasNullKey(r, it.jc.rKeys) {
-			continue
+	keys := it.jc.rKeys
+	it.tab.init(len(keys), n)
+	if cap(it.next) < 2*n {
+		it.next = make([]int32, 2*n)
+	}
+	it.next, it.head = it.next[:n], it.next[n:n]
+	// Rows go in last first, each pushed onto the front of its key's chain,
+	// which leaves every chain ascending without tracking chain tails.
+	for c := len(it.build.chunks) - 1; c >= 0; c-- {
+		rows := it.build.chunks[c].Rows
+		it.hashes = hashKeys(rows, keys, it.hashes)
+		for i := len(rows) - 1; i >= 0; i-- {
+			if rowHasNullKey(rows[i], keys) {
+				continue
+			}
+			e := it.tab.lookup(it.hashes[i], rows[i], keys)
+			if e < 0 {
+				e = it.tab.insert(it.hashes[i], rows[i], keys)
+				it.head = append(it.head, -1)
+			}
+			r := c*DefaultBatchSize + i
+			it.next[r], it.head[e] = it.head[e], int32(r)
 		}
-		buf = r.AppendKey(buf[:0], it.jc.rKeys)
-		it.table[string(buf)] = append(it.table[string(buf)], i)
 	}
 }
-
-// setProbe starts matching a new probe row.
-func (it *hashJoinIter) setProbe(l types.Row, buf []byte) []byte {
-	it.curL = l
-	it.curActive = true
-	it.curMatched = false
-	if rowHasNullKey(l, it.jc.lKeys) {
-		it.pending = nil
-		return buf
-	}
-	buf = l.AppendKey(buf[:0], it.jc.lKeys)
-	it.pending = it.table[string(buf)]
-	return buf
-}
-
-const gracePartitions = 16
 
 func (it *hashJoinIter) Open() error {
 	build, err := it.exec.build(it.buildNode)
 	if err != nil {
 		return err
 	}
+	it.pb = getBatch()
 	// Materialize the build side, counting bytes.
-	var rows []types.Row
 	bytes := 0
 	if err := drainBatches(build, func(r types.Row) error {
-		rows = append(rows, r)
+		it.build.add(r)
 		bytes += r.DiskWidth()
 		return nil
 	}); err != nil {
@@ -304,32 +306,34 @@ func (it *hashJoinIter) Open() error {
 	}
 
 	if bytes <= it.exec.budgetBytes {
-		it.loadBuild(rows)
+		it.loadBuild()
+		it.probe = it.probeSrc
 		return it.probe.Open()
 	}
 
 	// Grace: write build rows to partitions, then probe rows. The partition
 	// slices are assigned to the iterator before any write, so Close drops
 	// them even when a write below fails.
-	it.grace = true
-	it.rParts = make([]*spill, gracePartitions)
-	it.lParts = make([]*spill, gracePartitions)
+	it.rParts = make([]*spill, spillPartitions)
+	it.lParts = make([]*spill, spillPartitions)
 	for i := range it.rParts {
 		it.rParts[i] = newSpill(it.exec.pg, "hj-build")
 		it.lParts[i] = newSpill(it.exec.pg, "hj-probe")
 	}
 	var buf []byte
-	for _, r := range rows {
-		buf = r.AppendKey(buf[:0], it.jc.rKeys)
-		if err := it.rParts[partitionOf(buf)].add(r); err != nil {
+	partition := func(parts []*spill, keys []int) func(types.Row) error {
+		return func(r types.Row) error {
+			buf = r.AppendKey(buf[:0], keys)
+			return parts[partitionOf(buf)].add(r)
+		}
+	}
+	for i, add := 0, partition(it.rParts, it.jc.rKeys); i < it.build.n; i++ {
+		if err := add(it.build.at(i)); err != nil {
 			return err
 		}
 	}
-	rows = nil
-	if err := drainBatches(it.probeSrc, func(l types.Row) error {
-		buf = l.AppendKey(buf[:0], it.jc.lKeys)
-		return it.lParts[partitionOf(buf)].add(l)
-	}); err != nil {
+	it.build.release()
+	if err := drainBatches(it.probeSrc, partition(it.lParts, it.jc.lKeys)); err != nil {
 		return err
 	}
 	for i := range it.rParts {
@@ -340,139 +344,122 @@ func (it *hashJoinIter) Open() error {
 			return err
 		}
 	}
-	it.part = -1
+	it.part, it.probeDone = -1, true // no partition loaded yet
 	return nil
 }
 
-func partitionOf(key []byte) int {
-	h := fnv.New32a()
-	h.Write(key)
-	return int(h.Sum32() % gracePartitions)
+// nextPartition loads the next partition pair; ok is false when none is left.
+func (it *hashJoinIter) nextPartition() (ok bool, err error) {
+	if it.part+1 >= spillPartitions {
+		return false, nil
+	}
+	it.part++
+	it.build.release()
+	if err := drainBatches(&spillIter{sp: it.rParts[it.part], target: it.target}, func(r types.Row) error {
+		it.build.add(r)
+		return nil
+	}); err != nil {
+		return false, err
+	}
+	it.loadBuild()
+	it.probeRows = it.probeRows[:0]
+	if err := drainBatches(&spillIter{sp: it.lParts[it.part], target: it.target}, func(l types.Row) error {
+		it.probeRows = append(it.probeRows, l)
+		return nil
+	}); err != nil {
+		return false, err
+	}
+	it.probe = newSliceIter(it.probeRows, it.target)
+	it.probeDone = false
+	return true, nil
 }
 
 func (it *hashJoinIter) NextBatch(dst *Batch) error {
-	return fillFromStep(dst, it.target, it.step)
-}
-
-// step produces one joined row, advancing probe rows and (on the grace
-// path) partitions as needed.
-func (it *hashJoinIter) step() (types.Row, bool, error) {
-	var buf []byte
+	dst.Reset()
 	for {
-		// Flush pending matches for the current probe row.
-		for len(it.pending) > 0 {
-			idx := it.pending[0]
-			it.pending = it.pending[1:]
-			out, ok, err := it.jc.emit(it.curL, it.buildRows[idx])
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				it.curMatched = true
-				if it.buildMatched != nil {
-					it.buildMatched[idx] = true
-				}
-				return out, true, nil
-			}
-		}
-		// The probe row is exhausted: LEFT/FULL pad it if nothing matched.
 		if it.curActive {
-			it.curActive = false
-			if !it.curMatched && it.joinType.Outer() {
-				return it.jc.emitPadded(it.curL, nil), true, nil
-			}
-		}
-		// FULL outer: emit unmatched build rows of the drained table.
-		if it.draining {
-			for it.drainPos < len(it.buildRows) {
-				i := it.drainPos
-				it.drainPos++
-				if !it.buildMatched[i] {
-					return it.jc.emitPadded(nil, it.buildRows[i]), true, nil
+			// Walk what is left of the in-flight probe row's chain.
+			l := it.pb.Rows[it.pos]
+			for it.chain >= 0 {
+				if dst.Len() >= it.target {
+					return nil
+				}
+				idx := it.chain
+				it.chain = it.next[idx]
+				out, ok, err := it.jc.emit(l, it.build.at(int(idx)))
+				if err != nil {
+					return err
+				}
+				if ok {
+					it.curMatched = true
+					if it.buildMatched != nil {
+						it.buildMatched[idx] = true
+					}
+					dst.Append(out)
 				}
 			}
-			it.draining = false
-			if !it.grace {
-				return nil, false, nil
+			// The chain is used up: LEFT/FULL pad the row if nothing matched.
+			if !it.curMatched && it.joinType.Outer() {
+				if dst.Len() >= it.target {
+					return nil
+				}
+				dst.Append(it.jc.emitPadded(l, nil))
 			}
-			// Grace: fall through to advance to the next partition.
+			it.curActive = false
+			it.pos++
 		}
-
-		if !it.grace {
-			l, ok, err := it.probe.Next()
-			if err != nil {
-				return nil, false, err
+		switch {
+		case dst.Len() >= it.target:
+			return nil
+		case it.pos < it.pb.Len():
+			// Start the next probe row of the batch.
+			l := it.pb.Rows[it.pos]
+			it.curActive, it.curMatched, it.chain = true, false, -1
+			if !rowHasNullKey(l, it.jc.lKeys) {
+				if e := it.tab.lookup(it.hashes[it.pos], l, it.jc.lKeys); e >= 0 {
+					it.chain = it.head[e]
+				}
 			}
-			if !ok {
-				if it.joinType == lplan.JoinFull && !it.drained {
-					it.drained = true
-					it.draining = true
-					it.drainPos = 0
+		case !it.probeDone:
+			if err := it.probe.NextBatch(it.pb); err != nil {
+				return err
+			}
+			it.pos = 0
+			it.hashes = hashKeys(it.pb.Rows, it.jc.lKeys, it.hashes)
+			it.probeDone = it.pb.Len() == 0
+		case it.drainPos < len(it.buildMatched):
+			// FULL outer: emit the build rows no probe row matched.
+			for ; it.drainPos < len(it.buildMatched); it.drainPos++ {
+				if it.buildMatched[it.drainPos] {
 					continue
 				}
-				return nil, false, nil
+				if dst.Len() >= it.target {
+					return nil
+				}
+				dst.Append(it.jc.emitPadded(nil, it.build.at(it.drainPos)))
 			}
-			buf = it.setProbe(l, buf)
-			continue
-		}
-
-		// Grace path: stream the current partition's probe rows.
-		if it.partActive {
-			if it.probePos < len(it.probeRows) {
-				l := it.probeRows[it.probePos]
-				it.probePos++
-				buf = it.setProbe(l, buf)
-				continue
+		default:
+			// This build table is finished: the in-memory join ends here,
+			// the grace join moves to its next partition pair.
+			if it.rParts == nil {
+				return nil
 			}
-			it.partActive = false
-			if it.joinType == lplan.JoinFull && !it.drained {
-				it.drained = true
-				it.draining = true
-				it.drainPos = 0
-				continue
+			if ok, err := it.nextPartition(); err != nil || !ok {
+				return err
 			}
 		}
-		// Advance to the next partition.
-		it.part++
-		if it.part >= gracePartitions {
-			return nil, false, nil
-		}
-		var rows []types.Row
-		sc := it.rParts[it.part].scan()
-		for {
-			r, _, ok, err := sc.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			rows = append(rows, r)
-		}
-		it.loadBuild(rows)
-		it.probeRows = it.probeRows[:0]
-		lsc := it.lParts[it.part].scan()
-		for {
-			l, _, ok, err := lsc.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			it.probeRows = append(it.probeRows, l)
-		}
-		it.probePos = 0
-		it.partActive = true
 	}
 }
 
 func (it *hashJoinIter) Close() error {
 	// Unconditional cascade: Close is idempotent at every lifecycle point
-	// (before Open, after a failed Open, mid-step). On the grace path the
+	// (before Open, after a failed Open, mid-join). On the grace path the
 	// probe source was already closed by drainBatches; closing again is
 	// harmless.
-	it.probe.Close()
+	it.probeSrc.Close()
+	putBatch(it.pb)
+	it.pb = nil
+	it.build.release()
 	for _, p := range it.lParts {
 		p.drop()
 	}
@@ -828,7 +815,7 @@ func (e *Executor) buildIndexNL(j *lplan.Join, jc *joinCommon) (BatchIterator, e
 			return nil, fmt.Errorf("exec: index column %s not among join columns", cn)
 		}
 	}
-	filter, err := e.compilePreds(scan.Filter, base)
+	filter, err := compilePreds(scan.Filter, base, e.params)
 	if err != nil {
 		return nil, err
 	}
@@ -881,7 +868,9 @@ func (it *indexNLIter) step() (types.Row, bool, error) {
 			if !keep {
 				continue
 			}
-			row = projRow(row, it.rProj)
+			if it.rProj != nil {
+				row = it.jc.arena.project(row, it.rProj)
+			}
 			out, ok, err := it.jc.emit(it.curL, row)
 			if err != nil {
 				return nil, false, err

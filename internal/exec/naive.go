@@ -35,7 +35,7 @@ func naiveRows(store *storage.Store, n lplan.Node) ([]types.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := compilePreds(t.Preds, t.In.Schema())
+		pred, err := compilePreds(t.Preds, t.In.Schema(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +106,7 @@ func naiveRows(store *storage.Store, n lplan.Node) ([]types.Row, error) {
 			return nil, err
 		}
 		concat := t.L.Schema().Concat(t.R.Schema())
-		pred, err := compilePreds(t.Preds, concat)
+		pred, err := compilePreds(t.Preds, concat, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +184,7 @@ func naiveScan(store *storage.Store, s *lplan.Scan) ([]types.Row, error) {
 	if s.WithTID {
 		base = append(base, s.Schema()[len(s.Schema())-1])
 	}
-	filter, err := compilePreds(s.Filter, base)
+	filter, err := compilePreds(s.Filter, base, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +281,7 @@ func naiveGroupBy(store *storage.Store, g *lplan.GroupBy) ([]types.Row, error) {
 	}
 
 	inner := g.InnerSchema()
-	having, err := compilePreds(g.Having, inner)
+	having, err := compilePreds(g.Having, inner, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -324,6 +324,18 @@ func naiveGroupBy(store *storage.Store, g *lplan.GroupBy) ([]types.Row, error) {
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// projRow applies a precomputed index projection, or returns the row as-is.
+func projRow(row types.Row, proj []int) types.Row {
+	if proj == nil {
+		return row
+	}
+	out := make(types.Row, len(proj))
+	for i, j := range proj {
+		out[i] = row[j]
+	}
+	return out
 }
 
 // BagEqual reports whether two results contain the same multiset of rows

@@ -203,18 +203,10 @@ type Accumulator interface {
 // NewAccumulator returns a fresh accumulator for the function. The argument
 // values passed to Add must already be evaluated argument expressions.
 func (k AggKind) NewAccumulator() Accumulator {
-	switch k {
-	case AggCountStar, AggCount:
-		return &countAcc{}
-	case AggSum:
-		return &sumAcc{}
-	case AggAvg:
-		return &avgAcc{}
-	case AggMin:
-		return &minMaxAcc{isMin: true}
-	case AggMax:
-		return &minMaxAcc{}
-	case AggMedian:
+	switch {
+	case k.HasState():
+		return &stateAcc{k: k}
+	case k == AggMedian:
 		return &medianAcc{}
 	default:
 		// Unknown kinds are rejected by Agg.Check before execution; degrade
@@ -232,95 +224,90 @@ type nullAcc struct{}
 func (nullAcc) Add(types.Value)     {}
 func (nullAcc) Result() types.Value { return types.Null() }
 
-type countAcc struct{ n int64 }
+// AggState is the running state of one COUNT, SUM, AVG, MIN or MAX over one
+// group: a single value, so that an executor keeps the states of all its
+// groups in rows of values instead of one heap object per group per
+// aggregate (a *types.Value converts to a *AggState). The zero AggState,
+// NULL, is the state of an empty group. MEDIAN and user-defined aggregates
+// carry unbounded or opaque state and go through Accumulator.
+//
+// COUNT keeps the count in I. AVG keeps the count in I and the sum in F.
+// SUM is the running sum as a value, INT until a FLOAT arrives; MIN and MAX
+// are the best input so far. Those three stay NULL until an input arrives,
+// which is also their result over no input.
+type AggState types.Value
 
-func (a *countAcc) Add(v types.Value) {
-	if !v.IsNull() {
-		a.n++
+// HasState reports whether the function folds through an AggState.
+func (k AggKind) HasState() bool {
+	switch k {
+	case AggCountStar, AggCount, AggSum, AggAvg, AggMin, AggMax:
+		return true
+	default:
+		return false
 	}
 }
-func (a *countAcc) Result() types.Value { return types.NewInt(a.n) }
 
-type sumAcc struct {
-	seen    bool
-	isFloat bool
-	i       int64
-	f       float64
-}
-
-func (a *sumAcc) Add(v types.Value) {
+// Add folds one input value of aggregate k into the state. NULLs are
+// ignored by every function.
+func (s *AggState) Add(k AggKind, v types.Value) {
 	if v.IsNull() {
 		return
 	}
-	a.seen = true
-	if v.K == types.KindFloat {
-		if !a.isFloat {
-			a.f = float64(a.i)
-			a.isFloat = true
+	switch k {
+	case AggCountStar, AggCount:
+		s.I++
+	case AggSum:
+		if s.K == types.KindNull {
+			s.K = types.KindInt
 		}
-		a.f += v.F
-		return
+		switch {
+		case s.K == types.KindFloat:
+			s.F += v.Float()
+		case v.K == types.KindFloat:
+			*s = AggState(types.NewFloat(float64(s.I) + v.F))
+		default:
+			s.I += v.Int()
+		}
+	case AggAvg:
+		s.I++
+		s.F += v.Float()
+	case AggMin:
+		if s.K == types.KindNull || types.Compare(v, types.Value(*s)) < 0 {
+			*s = AggState(v)
+		}
+	case AggMax:
+		if s.K == types.KindNull || types.Compare(v, types.Value(*s)) > 0 {
+			*s = AggState(v)
+		}
 	}
-	if a.isFloat {
-		a.f += v.Float()
-		return
-	}
-	a.i += v.Int()
-}
-func (a *sumAcc) Result() types.Value {
-	if !a.seen {
-		return types.Null()
-	}
-	if a.isFloat {
-		return types.NewFloat(a.f)
-	}
-	return types.NewInt(a.i)
 }
 
-type avgAcc struct {
-	n   int64
-	sum float64
+// Result returns the value of aggregate k over the inputs folded so far.
+// Empty groups yield NULL except COUNT variants, which yield 0.
+func (s *AggState) Result(k AggKind) types.Value {
+	switch k {
+	case AggCountStar, AggCount:
+		return types.NewInt(s.I)
+	case AggAvg:
+		if s.I == 0 {
+			return types.Null()
+		}
+		return types.NewFloat(s.F / float64(s.I))
+	default: // SUM, MIN, MAX
+		return types.Value(*s)
+	}
 }
 
-func (a *avgAcc) Add(v types.Value) {
-	if v.IsNull() {
-		return
-	}
-	a.n++
-	a.sum += v.Float()
-}
-func (a *avgAcc) Result() types.Value {
-	if a.n == 0 {
-		return types.Null()
-	}
-	return types.NewFloat(a.sum / float64(a.n))
+// stateAcc is an AggState behind the Accumulator interface, for callers
+// that hold one accumulator per group (the reference executor, view
+// maintenance).
+type stateAcc struct {
+	k AggKind
+	s AggState
 }
 
-type minMaxAcc struct {
-	isMin bool
-	seen  bool
-	best  types.Value
-}
-
-func (a *minMaxAcc) Add(v types.Value) {
-	if v.IsNull() {
-		return
-	}
-	if !a.seen {
-		a.seen, a.best = true, v
-		return
-	}
-	c := types.Compare(v, a.best)
-	if (a.isMin && c < 0) || (!a.isMin && c > 0) {
-		a.best = v
-	}
-}
-func (a *minMaxAcc) Result() types.Value {
-	if !a.seen {
-		return types.Null()
-	}
-	return a.best
-}
+func (a *stateAcc) Add(v types.Value)   { a.s.Add(a.k, v) }
+func (a *stateAcc) Result() types.Value { return a.s.Result(a.k) }
 
 type medianAcc struct {
 	vals []float64

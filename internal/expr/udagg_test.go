@@ -157,17 +157,17 @@ func TestUnknownAggKindDegrades(t *testing.T) {
 }
 
 func TestRegisterAggregateValidation(t *testing.T) {
-	if err := RegisterAggregate(UserAggSpec{Name: "avg", New: func() Accumulator { return &countAcc{} }}); err == nil {
+	if err := RegisterAggregate(UserAggSpec{Name: "avg", New: func() Accumulator { return AggCount.NewAccumulator() }}); err == nil {
 		t.Errorf("builtin name accepted")
 	}
-	if err := RegisterAggregate(UserAggSpec{Name: "abs", New: func() Accumulator { return &countAcc{} }}); err == nil {
+	if err := RegisterAggregate(UserAggSpec{Name: "abs", New: func() Accumulator { return AggCount.NewAccumulator() }}); err == nil {
 		t.Errorf("scalar fn name accepted")
 	}
 	if err := RegisterAggregate(UserAggSpec{Name: "noop"}); err == nil {
 		t.Errorf("nil factory accepted")
 	}
 	if err := RegisterAggregate(UserAggSpec{Name: "MyAgg2", ResultKind: types.KindInt,
-		New: func() Accumulator { return &countAcc{} }}); err != nil {
+		New: func() Accumulator { return AggCount.NewAccumulator() }}); err != nil {
 		t.Fatalf("valid registration failed: %v", err)
 	}
 	if _, ok := LookupUserAggregate("myagg2"); !ok {

@@ -209,20 +209,46 @@ func Compare(a, b Value) int {
 }
 
 // Equal reports whether two values compare equal under Compare semantics.
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
+// Same-kind INT, BOOLEAN, VARCHAR and NULL pairs are decided without the
+// three-way comparison.
+func Equal(a, b Value) bool {
+	if a.K == b.K {
+		switch a.K {
+		case KindInt, KindBool:
+			return a.I == b.I
+		case KindString:
+			return a.S == b.S
+		case KindNull:
+			return true
+		}
+	}
+	return Compare(a, b) == 0
+}
 
 // AppendKey appends a self-delimiting encoding of v to dst such that two
-// values are Equal iff their encodings are byte-equal. It is used for hash
-// table keys in joins and aggregation. Numeric values encode through float64
-// so that INT 2 and FLOAT 2.0 land in the same group, mirroring Compare.
+// values of one kind are Equal iff their encodings are byte-equal. It keys
+// the maps of the reference executor, view maintenance and hash indexes,
+// and assigns spill partitions. Numeric values encode through float64 so
+// that INT 2 and FLOAT 2.0 land in the same group, mirroring Compare; -0
+// encodes as +0. An INT that float64 cannot represent keeps its own exact
+// encoding, so distinct INTs above 2^53 stay distinct. Such an INT is the
+// one case where the encoding is stricter than Equal: Compare rounds it to
+// the nearest float64 when the other side is a FLOAT, the encoding does not.
 func AppendKey(dst []byte, v Value) []byte {
 	switch v.K {
 	case KindNull:
 		return append(dst, 0x00)
 	case KindInt, KindFloat:
-		dst = append(dst, 0x01)
-		bits := math.Float64bits(v.Float())
-		return append(dst,
+		f := v.Float()
+		bits := math.Float64bits(f)
+		tag := byte(0x01)
+		switch {
+		case f == 0:
+			bits = 0
+		case v.K == KindInt && !intIsFloat(v.I, f):
+			tag, bits = 0x04, uint64(v.I)
+		}
+		return append(dst, tag,
 			byte(bits>>56), byte(bits>>48), byte(bits>>40), byte(bits>>32),
 			byte(bits>>24), byte(bits>>16), byte(bits>>8), byte(bits))
 	case KindString:
@@ -236,6 +262,13 @@ func AppendKey(dst []byte, v Value) []byte {
 	default:
 		return append(dst, 0xff)
 	}
+}
+
+// intIsFloat reports whether f, the float64 nearest to i, is exactly i.
+// float64(MaxInt64) rounds up to 2^63, which int64 cannot hold, so the
+// range is checked before converting back.
+func intIsFloat(i int64, f float64) bool {
+	return f < 1<<63 && int64(f) == i
 }
 
 // Row is a tuple of values.
