@@ -36,11 +36,12 @@ stress:
 
 # crash runs the durability suite at full resolution: the WAL-level crash
 # sweep plus the engine-level sweeps that kill the log at every write
-# offset (clean and torn) and assert exact recovery. `go test ./...` runs
+# offset (clean and torn) and assert exact recovery, and the materialized
+# views' close/reopen round trips (merging commits included). `go test ./...` runs
 # the same tests; this target pins them by name so a sweep regression
 # fails loudly even if someone narrows the default test run.
 crash:
-	$(GO) test -run 'TestCrash|TestTorn|TestRecovery|TestBulkLoadCrashPrefix|TestPlanCacheInvalidationAcrossRecovery|TestDurable' ./internal/wal .
+	$(GO) test -run 'TestCrash|TestTorn|TestRecovery|TestBulkLoadCrashPrefix|TestPlanCacheInvalidationAcrossRecovery|TestDurable|TestMatView.*Durab' ./internal/wal .
 
 # bench runs the repo benchmark (BENCHMARK.json, bench/): five workloads,
 # end-to-end qps/p50/p95/pages_per_op/setup_s plus per-layer metrics, into

@@ -163,6 +163,11 @@ func command(eng *aggview.Engine, line string, out io.Writer) bool {
 		if vs := eng.Views(); len(vs) > 0 {
 			fmt.Fprintln(out, "views: ", strings.Join(vs, ", "))
 		}
+		for _, mv := range eng.MatViews() {
+			if live, loaded, ok := eng.MatViewRows(mv); ok {
+				fmt.Fprintf(out, "materialized view %s: backing table holds %d rows, %d at its last load\n", mv, live, loaded)
+			}
+		}
 	case "\\modes":
 		rest = strings.TrimSuffix(strings.TrimSpace(rest), ";")
 		if rest == "" {

@@ -93,3 +93,12 @@ func TestParseModeFlag(t *testing.T) {
 		t.Errorf("bad mode accepted")
 	}
 }
+
+func TestReplTablesListsMatViews(t *testing.T) {
+	eng := testEngine(t)
+	out := drive(t, eng, "create materialized view m as select b, count(*) as n from t group by b;\n"+
+		"insert into t values (4, 30);\n\\tables\n")
+	if want := "materialized view m: backing table holds 3 rows, 2 at its last load"; !strings.Contains(out, want) {
+		t.Fatalf("missing %q in output:\n%s", want, out)
+	}
+}

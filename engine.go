@@ -343,12 +343,12 @@ func (e *Engine) Views() []string {
 
 // LoadEmpDept populates the paper's emp/dept schema.
 func (e *Engine) LoadEmpDept(spec EmpDeptSpec) error {
-	return e.autoCommit(context.Background(), func() error { return datagen.LoadEmpDept(e.cat, spec) })
+	return e.autoCommit(context.Background(), func(*Txn) error { return datagen.LoadEmpDept(e.cat, spec) })
 }
 
 // LoadTPCD populates the TPC-D-like star schema.
 func (e *Engine) LoadTPCD(spec TPCDSpec) error {
-	return e.autoCommit(context.Background(), func() error { return datagen.LoadTPCD(e.cat, spec) })
+	return e.autoCommit(context.Background(), func(*Txn) error { return datagen.LoadTPCD(e.cat, spec) })
 }
 
 // Exec parses and executes one statement. DDL and INSERT return an empty
@@ -458,9 +458,9 @@ func (e *Engine) exec(ctx context.Context, t *Txn, src string, stmt sql.Statemen
 		return planResult(text, info), nil
 
 	default:
-		apply := func() error { return e.applyWrite(stmt) }
+		apply := func(t *Txn) error { return t.applyWrite(stmt) }
 		if t != nil {
-			err = apply()
+			err = apply(t)
 		} else {
 			err = e.autoCommit(ctx, apply)
 		}
@@ -481,9 +481,13 @@ func planResult(text string, info *PlanInfo) *Result {
 	return res
 }
 
-// applyWrite applies one mutating statement to the admitted writer's
-// working state.
-func (e *Engine) applyWrite(stmt sql.Statement) error {
+// applyWrite applies one mutating statement to the transaction's working
+// state.
+func (tx *Txn) applyWrite(stmt sql.Statement) error {
+	e := tx.e
+	if _, isInsert := stmt.(*sql.Insert); !isInsert {
+		tx.views = nil // DDL may change what a cached definition was bound to
+	}
 	switch t := stmt.(type) {
 	case *sql.CreateTable:
 		cols := make([]schema.Column, len(t.Cols))
@@ -539,7 +543,7 @@ func (e *Engine) applyWrite(stmt sql.Statement) error {
 			}
 			inserted = append(inserted, row)
 		}
-		return e.maintainMatViews(tbl.Name, inserted)
+		return tx.maintainMatViews(tbl.Name, inserted)
 
 	case *sql.Analyze:
 		names := e.cat.TableNames()

@@ -258,10 +258,10 @@ type Catalog struct {
 
 	// Write-batch state, non-nil only between BeginWrite and
 	// Publish/Discard. Touched only by the single admitted writer.
-	work    *Snapshot          // the version under construction
-	dirty   map[string]*Table  // tables cloned (or created) this batch
-	created []*storage.File    // heap files created this batch
-	drops   []*storage.File    // heap files to drop at Publish
+	work    *Snapshot         // the version under construction
+	dirty   map[string]*Table // tables cloned (or created) this batch
+	created []*storage.File   // heap files created this batch
+	drops   []*storage.File   // heap files to drop at Publish
 
 	// logger, when set, receives top-level mutations; opDepth suppresses
 	// hooks for nested calls.
@@ -358,13 +358,18 @@ func (c *Catalog) Publish() *Snapshot {
 // Discard abandons the working snapshot. Files created this batch are
 // dropped; buffer-pool pages the batch's own reads may have cached for
 // cloned files are evicted, since a later batch could flush different
-// pages at the same (file, page) coordinates.
+// pages at the same (file, page) coordinates. That includes a table the
+// batch wrote to, read and then dropped (a merged view's old backing
+// table): dropping took it out of dirty, so drops is swept as well.
 func (c *Catalog) Discard() {
 	if c.work == nil {
 		panic("catalog: Discard without BeginWrite")
 	}
 	for _, t := range c.dirty {
 		c.store.EvictFilePages(t.File.ID())
+	}
+	for _, f := range c.drops {
+		c.store.EvictFilePages(f.ID())
 	}
 	for _, f := range c.created {
 		c.store.DropFile(f)

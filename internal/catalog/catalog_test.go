@@ -255,3 +255,52 @@ func TestAnalyzeEmptyTable(t *testing.T) {
 		t.Fatalf("empty col stats = %+v %v", cs, ok)
 	}
 }
+
+// TestDiscardEvictsDroppedTable: a batch that wrote to a table, read the
+// pages it flushed and then dropped the table leaves none of those pages
+// resident when it is discarded — the next batch flushes different rows at
+// the same page numbers, and their first read must count as a miss.
+func TestDiscardEvictsDroppedTable(t *testing.T) {
+	c, tbl := newTestCatalog(t)
+	tbl = loadEmp(t, c, tbl, 10)
+	flushed := tbl.File.Pages()
+	grow := func(from int) {
+		t.Helper()
+		for i := from; ; i++ {
+			cur, _ := c.Table("emp")
+			if cur.File.Pages() > flushed+1 { // page `flushed` is full and flushed
+				return
+			}
+			if err := c.Insert(cur, types.Row{types.NewInt(int64(i)), types.NewInt(0), types.NewFloat(1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	c.BeginWrite()
+	grow(1000)
+	cur, _ := c.Table("emp")
+	for sc := c.Store().NewScanner(cur.File); ; {
+		if _, _, ok, err := sc.Next(); err != nil {
+			t.Fatal(err)
+		} else if !ok {
+			break
+		}
+	}
+	if err := c.DropTable("emp"); err != nil {
+		t.Fatal(err)
+	}
+	c.Discard()
+
+	c.BeginWrite()
+	grow(2000)
+	c.Publish()
+	cur, _ = c.Table("emp")
+	before := c.Store().Stats()
+	if _, err := c.Store().ReadPage(cur.File, flushed); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Store().Stats().Sub(before); got.Reads != 1 || got.Hits != 0 {
+		t.Fatalf("first read of a page flushed after the discard: %v; want one miss", got)
+	}
+}

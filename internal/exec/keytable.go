@@ -2,7 +2,6 @@ package exec
 
 import (
 	"hash/fnv"
-	"hash/maphash"
 	"math"
 
 	"aggview/internal/types"
@@ -171,13 +170,9 @@ func (t *keyTable) key(e int, dst types.Row) types.Row {
 	return t.keys[e*t.width : (e+1)*t.width : (e+1)*t.width]
 }
 
-// hashSeed keys string hashing. Hashes never leave the process or decide
-// an output order, so a per-process seed is safe.
-var hashSeed = maphash.MakeSeed()
-
-// hashKeys writes into out the hash of each row's key at cols, one key
-// column at a time over the whole batch, and returns out resized to
-// len(rows).
+// hashKeys writes into out the hash of each row's key at cols (what
+// types.Row.Hash returns), one key column at a time over the whole batch,
+// and returns out resized to len(rows).
 func hashKeys(rows []types.Row, cols []int, out []uint64) []uint64 {
 	if cap(out) < len(rows) {
 		out = make([]uint64, len(rows))
@@ -188,45 +183,14 @@ func hashKeys(rows []types.Row, cols []int, out []uint64) []uint64 {
 		return out
 	}
 	for i, r := range rows {
-		out[i] = hashValue(&r[cols[0]])
+		out[i] = types.HashValue(&r[cols[0]])
 	}
 	for _, c := range cols[1:] {
 		for i, r := range rows {
-			out[i] = mix64(out[i]*0x9e3779b97f4a7c15 + hashValue(&r[c]))
+			out[i] = types.HashCombine(out[i], types.HashValue(&r[c]))
 		}
 	}
 	return out
-}
-
-// hashValue hashes one value such that Equal values hash alike: an INT
-// hashes as the float64 it converts to (so INTs that float64 cannot tell
-// apart collide, and Equal separates them), -0 as +0.
-func hashValue(v *types.Value) uint64 {
-	switch v.K {
-	case types.KindInt:
-		return mix64(math.Float64bits(float64(v.I)))
-	case types.KindFloat:
-		return mix64(math.Float64bits(v.F + 0))
-	case types.KindString:
-		return maphash.String(hashSeed, v.S)
-	case types.KindBool:
-		return mix64(uint64(v.I) + 0x632be59bd9b4e019)
-	default:
-		return 0x2545f4914f6cdd1d
-	}
-}
-
-// mix64 is the 64-bit finalizer of MurmurHash3: every input bit reaches
-// every output bit, which the table needs because it indexes with the low
-// bits and tags with the high ones, and the float64 bits of small whole
-// numbers differ only in their high bits.
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
 }
 
 // spillPartitions is the fan-out of a Grace join and of an overflowing hash

@@ -42,14 +42,23 @@ func TestHashAgreesWithEqual(t *testing.T) {
 	for _, a := range keyValuePool {
 		for _, b := range keyValuePool {
 			a, b := a, b
-			if types.Equal(a, b) && hashValue(&a) != hashValue(&b) {
+			if types.Equal(a, b) && types.HashValue(&a) != types.HashValue(&b) {
 				t.Errorf("%v and %v are Equal but hash apart", a, b)
+			}
+		}
+	}
+	// The batch hash is the row hash, column at a time.
+	for _, a := range keyValuePool {
+		for _, b := range keyValuePool {
+			row, cols := types.Row{a, b}, []int{1, 0}
+			if got := hashKeys([]types.Row{row}, cols, nil)[0]; got != row.Hash(cols) {
+				t.Fatalf("hashKeys(%v) = %x, Row.Hash = %x", row, got, row.Hash(cols))
 			}
 		}
 	}
 	// INTs that collide as float64 must still be told apart.
 	lo, hi := types.NewInt(1<<53), types.NewInt(1<<53+1)
-	if hashValue(&lo) != hashValue(&hi) {
+	if types.HashValue(&lo) != types.HashValue(&hi) {
 		t.Fatalf("2^53 and 2^53+1 were expected to collide")
 	}
 	var tab keyTable

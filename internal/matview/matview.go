@@ -16,8 +16,10 @@
 //   - Derived aggregates: AVG is answered from SUM+COUNT partials, and any
 //     decomposable user aggregate (e.g. STDDEV) from its registered parts.
 //   - Incremental maintenance: inserted base rows fold into new partial
-//     rows appended to the backing table; the coalescing re-aggregation at
-//     query time merges old and new partials without rewriting history.
+//     rows appended to the backing table, and the same coalescing applied
+//     to the table itself merges a group's partials into one row whenever
+//     the table has doubled, so the store is bounded by its groups and not
+//     by its commit history (Def.Maintain).
 package matview
 
 import (
@@ -72,12 +74,17 @@ type StoredAgg struct {
 // catalog stays free of parsed representations.
 type Def struct {
 	Name    string
+	SQL     string // the defining SELECT, as the catalog stores it
 	Backing string
 	Block   *qblock.Block // definition block (single-block, grouped)
 	Groups  []StoredGroup
 	Aggs    []StoredAgg
 	// BaseTables are the base tables the definition reads, sorted.
 	BaseTables []string
+
+	// delta and merge are the compiled folds behind Delta and Merge, built
+	// on first use.
+	delta, merge *fold
 }
 
 // Bind parses and binds a view definition against the catalog and derives
@@ -131,7 +138,7 @@ func Bind(cat catalog.Reader, name, sqlText string) (*Def, error) {
 	if len(blk.Having) > 0 {
 		return nil, fmt.Errorf("materialized view %q: HAVING is not allowed in the definition (filter groups in the querying statement instead)", name)
 	}
-	d := &Def{Name: strings.ToLower(name), Backing: BackingName(name), Block: blk}
+	d := &Def{Name: strings.ToLower(name), SQL: sqlText, Backing: BackingName(name), Block: blk}
 
 	js := blk.JoinSchema()
 	groupSet := map[schema.ColID]bool{}
@@ -245,114 +252,6 @@ func (d *Def) PartialQuery() *qblock.Query {
 		}
 	}
 	return &qblock.Query{Top: blk}
-}
-
-// Incremental reports whether INSERT maintenance can fold deltas locally:
-// the definition must read a single relation, so one inserted row maps to
-// exactly one group's partial delta. Multi-relation definitions join the
-// new rows against other tables and fall back to a full refresh.
-func (d *Def) Incremental() bool { return len(d.Block.Rels) == 1 }
-
-// Delta folds newly inserted base-table rows into backing-table delta
-// rows: the definition's filter is applied, survivors are grouped, and
-// each group's partial aggregates are computed. Appending the returned
-// rows to the backing table maintains the view exactly, because every
-// rewrite re-coalesces partials at query time. Only valid when
-// Incremental().
-func (d *Def) Delta(rows []types.Row) ([]types.Row, error) {
-	if !d.Incremental() {
-		return nil, fmt.Errorf("materialized view %q: delta maintenance requires a single-table definition", d.Name)
-	}
-	rel := d.Block.Rels[0]
-	rs := rel.Schema()
-	keep, err := expr.CompilePredicate(expr.AndAll(d.Block.Conjs), rs)
-	if err != nil {
-		return nil, err
-	}
-	groupEvals := make([]expr.Compiled, len(d.Groups))
-	for i, g := range d.Groups {
-		if groupEvals[i], err = expr.Compile(expr.ColOf(g.Src), rs); err != nil {
-			return nil, err
-		}
-	}
-	type partEval struct {
-		arg expr.Compiled // nil for COUNT(*)
-	}
-	var partEvals []partEval
-	for _, sa := range d.Aggs {
-		for _, p := range sa.Parts {
-			var pe partEval
-			if p.Part.Partial.Arg != nil {
-				if pe.arg, err = expr.Compile(p.Part.Partial.Arg, rs); err != nil {
-					return nil, err
-				}
-			}
-			partEvals = append(partEvals, pe)
-		}
-	}
-
-	type group struct {
-		key  []types.Value
-		accs []expr.Accumulator
-	}
-	groups := map[string]*group{}
-	var order []string
-	var keyBuf []byte
-	for _, row := range rows {
-		ok, err := keep(row)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		keyVals := make([]types.Value, len(groupEvals))
-		keyBuf = keyBuf[:0]
-		for i, ge := range groupEvals {
-			v, err := ge(row)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[i] = v
-			keyBuf = types.AppendKey(keyBuf, v)
-		}
-		g, ok := groups[string(keyBuf)]
-		if !ok {
-			g = &group{key: keyVals, accs: make([]expr.Accumulator, len(partEvals))}
-			i := 0
-			for _, sa := range d.Aggs {
-				for _, p := range sa.Parts {
-					g.accs[i] = p.Part.Partial.NewAccumulator()
-					i++
-				}
-			}
-			groups[string(keyBuf)] = g
-			order = append(order, string(keyBuf))
-		}
-		for i, pe := range partEvals {
-			if pe.arg == nil {
-				g.accs[i].Add(types.NewInt(1)) // COUNT(*): any non-null
-				continue
-			}
-			v, err := pe.arg(row)
-			if err != nil {
-				return nil, err
-			}
-			g.accs[i].Add(v)
-		}
-	}
-
-	out := make([]types.Row, 0, len(order))
-	for _, k := range order {
-		g := groups[k]
-		row := make(types.Row, 0, len(g.key)+len(g.accs))
-		row = append(row, g.key...)
-		for _, acc := range g.accs {
-			row = append(row, acc.Result())
-		}
-		out = append(out, row)
-	}
-	return out, nil
 }
 
 // Candidate is one view-backed plan alternative for a query.

@@ -1,6 +1,7 @@
 package matview
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -390,4 +391,134 @@ func TestDelta(t *testing.T) {
 	e.appendRows(t, backing, delta)
 	def, backing = e.rebind(t, "m", src)
 	checkRewrite(t, e, def, backing, src, true)
+}
+
+// sameRows reports whether two row lists are equal row for row, value for
+// value, kinds included (NULL equal to NULL).
+func sameRows(a, b []types.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if a[i][j].K != b[i][j].K || !types.Equal(a[i][j], b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// mergeStream is a seeded stream of sales rows over a handful of groups:
+// NULL regions, NULL amounts, rows the rollup's filter drops. Amounts are
+// .5-grained, so float sums are exact in any association order.
+func mergeStream(seed, n int64) []types.Row {
+	rows := make([]types.Row, n)
+	next := rand.New(rand.NewSource(seed)).Int63n
+	for i := range rows {
+		row := salesRow("r"+string(rune('0'+next(5))), "p"+string(rune('0'+next(3))), next(9), float64(next(40))+0.5, next(4))
+		if next(7) == 0 {
+			row[0] = types.Null()
+		}
+		if next(5) == 0 {
+			row[3] = types.Null()
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
+// TestMergeAlgebra: the three identities that make merging the store safe
+// at any moment — Merge is idempotent, merging early changes nothing
+// (Merge(a ++ b) = Merge(Merge(a) ++ b)), and the merged deltas of two
+// inserts are the delta of their concatenation.
+func TestMergeAlgebra(t *testing.T) {
+	e := newEnv(t)
+	def, err := Bind(e.cat, "rollup", rollupDef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(rows []types.Row, err error) []types.Row {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	concat := func(a, b []types.Row) []types.Row { return append(append([]types.Row(nil), a...), b...) }
+	for seed := int64(1); seed <= 5; seed++ {
+		baseA, baseB := mergeStream(seed, 80), mergeStream(seed+100, 50)
+		// Backing rows with several partials per group: one delta per chunk.
+		var a, b []types.Row
+		for lo := 0; lo < len(baseA); lo += 7 {
+			a = append(a, must(def.Delta(baseA[lo:min(lo+7, len(baseA))]))...)
+		}
+		for lo := 0; lo < len(baseB); lo += 3 {
+			b = append(b, must(def.Delta(baseB[lo:min(lo+3, len(baseB))]))...)
+		}
+		merged := must(def.Merge(a))
+		if len(merged) >= len(a) {
+			t.Fatalf("seed %d: Merge kept %d of %d rows", seed, len(merged), len(a))
+		}
+		if again := must(def.Merge(merged)); !sameRows(again, merged) {
+			t.Fatalf("seed %d: Merge is not idempotent\nonce:  %v\ntwice: %v", seed, merged, again)
+		}
+		whole, early := must(def.Merge(concat(a, b))), must(def.Merge(concat(merged, b)))
+		if !sameRows(whole, early) {
+			t.Fatalf("seed %d: Merge(a ++ b) != Merge(Merge(a) ++ b)\n%v\n%v", seed, whole, early)
+		}
+		if direct := must(def.Delta(concat(baseA, baseB))); !sameRows(whole, direct) {
+			t.Fatalf("seed %d: merged deltas != delta of the concatenation\n%v\n%v", seed, whole, direct)
+		}
+	}
+}
+
+// TestMaintainMergesWhenDoubled drives Maintain with single-row inserts:
+// the backing table stays within twice its groups (plus the row just
+// appended), every merge leaves fresh statistics, and the view keeps
+// answering like the base table.
+func TestMaintainMergesWhenDoubled(t *testing.T) {
+	e := newEnv(t)
+	def, err := Bind(e.cat, "rollup", rollupDef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := def.Load(e.cat, e.naive(t, def.PartialQuery()).Rows, false); err != nil {
+		t.Fatal(err)
+	}
+	sales, _ := e.cat.Table("sales")
+	var merges, removed int64
+	for i, row := range mergeStream(9, 300) {
+		if err := e.cat.Insert(sales, row); err != nil {
+			t.Fatal(err)
+		}
+		in, out, err := def.Maintain(e.cat, []types.Row{row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backing, _ := e.cat.Table(def.Backing)
+		groups := int64(len(e.naive(t, e.bind(t, rollupDef)).Rows))
+		if in > 0 {
+			merges++
+			removed += in - out
+			if out != groups || backing.File.Rows() != groups || backing.Stats.Rows != groups {
+				t.Fatalf("insert %d: merge wrote %d rows, table holds %d, stats say %d; want %d groups",
+					i, out, backing.File.Rows(), backing.Stats.Rows, groups)
+			}
+		}
+		if live := backing.File.Rows(); live > 2*groups {
+			t.Fatalf("insert %d: backing table holds %d rows for %d groups", i, live, groups)
+		}
+		if i%25 == 0 || in > 0 {
+			def, backing := e.rebind(t, "rollup", rollupDef)
+			checkRewrite(t, e, def, backing, rollupDef, true)
+			checkRewrite(t, e, def, backing, `select region, sum(amount) as total, min(day) as d from sales where qty > 0 group by region`, true)
+		}
+	}
+	if merges < 5 || removed == 0 {
+		t.Fatalf("merges = %d removing %d rows; want at least 5 merges", merges, removed)
+	}
 }

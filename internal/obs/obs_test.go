@@ -93,6 +93,14 @@ func TestRegistryAccumulatesAndSinks(t *testing.T) {
 	if delta.Queries != 0 || delta.PageReads != 0 {
 		t.Fatalf("delta = %+v", delta)
 	}
+
+	// Writer-path counters ride in the same snapshot; a transaction that
+	// merged nothing reports nothing.
+	r.ObserveMerges(2, 30)
+	r.ObserveMerges(0, 0)
+	if delta = r.Snapshot().Sub(m); delta.MatViewMerges != 2 || delta.MatViewRowsMerged != 30 || delta.Queries != 0 {
+		t.Fatalf("merge delta = %+v", delta)
+	}
 }
 
 func TestOpStatsHelpers(t *testing.T) {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -63,6 +64,11 @@ type Metrics struct {
 	PlanCacheHits, PlanCacheMisses int64
 	PlanCacheInvalidations         int64
 	PlanCacheEvictions             int64
+	// MatViewMerges counts committed merges of a materialized view's backing
+	// table (incremental maintenance folds the table to one row per group
+	// when it has doubled); MatViewRowsMerged is the rows those merges
+	// removed, rows read minus rows written.
+	MatViewMerges, MatViewRowsMerged int64
 	// OptimizeTime and ExecuteTime accumulate phase wall times; QueryTime
 	// accumulates total query wall time.
 	OptimizeTime, ExecuteTime, QueryTime time.Duration
@@ -85,6 +91,8 @@ func (m Metrics) Sub(o Metrics) Metrics {
 		PlanCacheMisses:        m.PlanCacheMisses - o.PlanCacheMisses,
 		PlanCacheInvalidations: m.PlanCacheInvalidations - o.PlanCacheInvalidations,
 		PlanCacheEvictions:     m.PlanCacheEvictions - o.PlanCacheEvictions,
+		MatViewMerges:          m.MatViewMerges - o.MatViewMerges,
+		MatViewRowsMerged:      m.MatViewRowsMerged - o.MatViewRowsMerged,
 		OptimizeTime:           m.OptimizeTime - o.OptimizeTime,
 		ExecuteTime:            m.ExecuteTime - o.ExecuteTime,
 		QueryTime:              m.QueryTime - o.QueryTime,
@@ -102,6 +110,10 @@ type Registry struct {
 	mu   sync.Mutex
 	snap Metrics
 	sink Sink
+
+	// Writer-path counters: atomics, so a commit never waits behind the
+	// queries contending for mu.
+	merges, rowsMerged atomic.Int64
 }
 
 // NewRegistry creates an empty registry.
@@ -164,9 +176,20 @@ func (r *Registry) ObserveEviction(n int) {
 	r.mu.Unlock()
 }
 
+// ObserveMerges counts a committed transaction's materialized-view merges
+// and the rows they removed.
+func (r *Registry) ObserveMerges(merges, rowsMerged int64) {
+	if merges > 0 {
+		r.merges.Add(merges)
+		r.rowsMerged.Add(rowsMerged)
+	}
+}
+
 // Snapshot returns the cumulative metrics.
 func (r *Registry) Snapshot() Metrics {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.snap
+	m := r.snap
+	r.mu.Unlock()
+	m.MatViewMerges, m.MatViewRowsMerged = r.merges.Load(), r.rowsMerged.Load()
+	return m
 }

@@ -519,6 +519,14 @@ func TestCrashSweepMatViews(t *testing.T) {
 		execStep(`insert into sales values ('r0','p0',1), ('r0','p1',2), ('r1','p0',3), ('r1','p1',4), ('r2','p0',5)`),
 		execStep(`create materialized view m1 as select region, sum(qty) as sq, count(*) as n from sales where qty > 0 group by region`),
 		execStep(`insert into sales values ('r0','p2',6), ('r3','p0',7), ('r1','p0',0)`),
+		// Single-group inserts: the first doubles m1$mv (3 rows loaded, 6 held)
+		// and merges it to 4 groups, the fifth doubles it again. Each merging
+		// INSERT logs base row, delta row and the reload as one group.
+		execStep(`insert into sales values ('r0','p3',1)`),
+		execStep(`insert into sales values ('r0','p3',2)`),
+		execStep(`insert into sales values ('r0','p3',3)`),
+		execStep(`insert into sales values ('r0','p3',4)`),
+		execStep(`insert into sales values ('r0','p3',5)`),
 		execStep(`create table regions (region text, zone text)`),
 		execStep(`insert into regions values ('r0','west'), ('r1','west'), ('r2','east'), ('r3','east')`),
 		execStep(`create materialized view m2 as select r.zone, sum(s.qty) as sq from sales s, regions r where s.region = r.region group by r.zone`),
@@ -547,9 +555,13 @@ func TestCrashSweepMatViews(t *testing.T) {
 		}
 	}
 	writes := clean.WALWrites()
+	merges := clean.Metrics().MatViewMerges
 	clean.Close()
 	if writes <= int64(len(steps)) {
 		t.Fatalf("expected multi-record statements (writes=%d steps=%d)", writes, len(steps))
+	}
+	if merges < 2 {
+		t.Fatalf("MatViewMerges = %d; the sweep must cross merging commits", merges)
 	}
 
 	stride := int64(1)
@@ -574,6 +586,9 @@ func TestCrashSweepMatViews(t *testing.T) {
 			eng.Close()
 
 			rec := openDurable(t, dir)
+			if w := rec.WALWrites(); w != 0 {
+				t.Fatalf("n=%d torn=%v: recovery appended %d records; replay alone must restore a consistent view", n, torn, w)
+			}
 			for _, name := range rec.MatViews() {
 				o, ok := oracles[name]
 				if !ok {

@@ -18,6 +18,25 @@ func (e *Engine) MatViews() []string {
 	return e.cat.Snapshot().MatViewNames()
 }
 
+// MatViewRows reports the size of a materialized view's backing table in
+// the current published snapshot: the rows it holds now, and the rows it
+// held when it was last loaded — at CREATE, a refresh, or the last merge of
+// incremental maintenance (or last ANALYZEd by hand) — which is what its
+// statistics describe. Maintenance merges the table once live reaches
+// twice loaded.
+func (e *Engine) MatViewRows(name string) (live, loaded int64, ok bool) {
+	snap := e.cat.Snapshot()
+	mv, ok := snap.MatView(name)
+	if !ok {
+		return 0, 0, false
+	}
+	backing, ok := snap.Table(mv.Backing)
+	if !ok {
+		return 0, 0, false
+	}
+	return backing.File.Rows(), backing.Stats.Rows, true
+}
+
 // viewPlans builds the materialized-view-backed plan candidates for a bound
 // query: every catalog view whose definition can answer the query (see
 // matview.Def.Rewrite for the legality rules) contributes complete
@@ -68,97 +87,83 @@ func (e *Engine) createMatView(t *sql.CreateMaterializedView) error {
 	if err != nil {
 		return fmt.Errorf("aggview: %w", err)
 	}
-	return e.buildMatView(def, t.Text, false)
+	return e.buildMatView(def, false)
 }
 
 // buildMatView materializes a view from scratch: compute the partial
-// aggregates from the (already updated) base tables, on a refresh drop the
-// old view with its backing table, create the backing table, load it,
-// analyze it (so the cost model sees real cardinalities immediately), and
-// register the catalog object last. Every step is logged in order inside
-// the caller's transaction, so crash-recovery replay reconstructs the exact
-// same state; the view object is only ever durable after its rows are.
-func (e *Engine) buildMatView(def *matview.Def, sqlText string, refresh bool) error {
+// aggregates from the (already updated) base tables, then load them as the
+// view's backing table — on a refresh in place of the old one. The load is
+// logged step by step inside the caller's transaction (see Def.Load).
+func (e *Engine) buildMatView(def *matview.Def, refresh bool) error {
 	rows, err := e.runBlock(def.PartialQuery())
-	if err == nil && refresh {
-		err = e.cat.DropMatView(def.Name)
-	}
-	var backing *catalog.Table
 	if err == nil {
-		backing, err = e.cat.CreateTable(def.Backing, def.BackingSchema(), nil, nil)
+		err = def.Load(e.cat, rows, refresh)
 	}
 	if err != nil {
 		return fmt.Errorf("aggview: materialized view %q: %w", def.Name, err)
 	}
-	if err := e.loadMatView(def, sqlText, backing, rows); err != nil {
-		// The view object is not registered, so the backing table can be
-		// dropped directly; the drop is logged like every other step.
-		_ = e.cat.DropTable(def.Backing)
-		return fmt.Errorf("aggview: materialized view %q: %w", def.Name, err)
-	}
 	return nil
 }
 
-// loadMatView fills a fresh backing table with the computed partial rows,
-// analyzes it, and registers the view over it.
-func (e *Engine) loadMatView(def *matview.Def, sqlText string, backing *catalog.Table, rows []types.Row) error {
-	for _, row := range rows {
-		if err := e.cat.Insert(backing, row); err != nil {
-			return err
-		}
-	}
-	if err := e.cat.Analyze(backing); err != nil {
-		return err
-	}
-	_, err := e.cat.CreateMatView(def.Name, sqlText, def.Backing, def.BaseTables)
-	return err
-}
-
 // maintainMatViews folds freshly inserted base rows into every materialized
-// view reading the table. It runs inside the INSERT's write-lock critical
-// section, before the WAL commit, so the view is maintained atomically with
-// the inserts: readers never observe the base table ahead of the view, and
-// a crash either replays both or neither.
+// view reading the table. It runs inside the transaction's write batch,
+// before the WAL commit, so the view is maintained atomically with the
+// inserts: readers never observe the base table ahead of the view, and a
+// crash either replays both or neither.
 //
-// Single-table definitions maintain incrementally: the inserted rows fold
-// into delta partial rows appended to the backing table (query-time
-// coalescing merges old and new partials, so history is never rewritten).
-// Multi-table definitions would need to join the delta against the other
-// base tables; they fall back to a full refresh. Incremental appends leave
-// the backing table's statistics deliberately stale — ANALYZE is replayed
-// from the log on recovery, so re-running it here would be redundant work
-// on every INSERT; run ANALYZE manually after bulk loads if plan quality
-// matters.
-func (e *Engine) maintainMatViews(table string, rows []types.Row) error {
+// Single-table definitions maintain incrementally (Def.Maintain): the
+// inserted rows fold into delta partial rows appended to the backing table,
+// and a commit that doubles the table merges it down to one row per group
+// and re-analyzes it, so the table's size and its statistics stay within a
+// factor of two of its groups. Multi-table definitions would need to join
+// the delta against the other base tables; they fall back to a full refresh.
+func (t *Txn) maintainMatViews(table string, rows []types.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
+	e := t.e
 	for _, mv := range e.cat.MatViewsOn(table) {
-		def, err := matview.BindCatalog(e.cat, mv)
+		def, err := t.boundView(mv)
 		if err != nil {
 			return fmt.Errorf("aggview: maintaining %w", err)
 		}
 		if !def.Incremental() {
-			if err := e.buildMatView(def, mv.SQL, true); err != nil {
+			if err := e.buildMatView(def, true); err != nil {
 				return err
 			}
 			continue
 		}
-		backing, ok := e.cat.Table(mv.Backing)
-		if !ok {
-			return fmt.Errorf("aggview: materialized view %q: backing table %q missing", mv.Name, mv.Backing)
-		}
-		delta, err := def.Delta(rows)
+		in, out, err := def.Maintain(e.cat, rows)
 		if err != nil {
 			return fmt.Errorf("aggview: maintaining materialized view %q: %w", mv.Name, err)
 		}
-		for _, row := range delta {
-			if err := e.cat.Insert(backing, row); err != nil {
-				return fmt.Errorf("aggview: maintaining materialized view %q: %w", mv.Name, err)
-			}
+		if in > 0 {
+			t.merges++
+			t.rowsMerged += in - out
 		}
 	}
 	return nil
+}
+
+// boundView binds a view's definition for maintenance. The definition of an
+// incremental view is bound and compiled once per transaction: its delta
+// reads only the base table's schema, which no INSERT changes (applyWrite
+// drops the cache on every other statement). A multi-table definition is
+// bound on every use, because its refresh scans the Table objects it was
+// bound to and a later INSERT in the transaction may replace them with
+// copy-on-write clones.
+func (t *Txn) boundView(mv *catalog.MatView) (*matview.Def, error) {
+	if def, ok := t.views[mv.Name]; ok {
+		return def, nil
+	}
+	def, err := matview.BindCatalog(t.e.cat, mv)
+	if err == nil && def.Incremental() {
+		if t.views == nil {
+			t.views = map[string]*matview.Def{}
+		}
+		t.views[mv.Name] = def
+	}
+	return def, err
 }
 
 // unlimited lifts every engine-level resource limit for one run.

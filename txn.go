@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 
+	"aggview/internal/matview"
 	txnpkg "aggview/internal/txn"
 )
 
@@ -32,6 +33,12 @@ type Txn struct {
 	e    *Engine
 	rec  *txnpkg.Recorder
 	done bool
+
+	// views holds the incremental view definitions bound for maintenance so
+	// far (see boundView); merges and rowsMerged count the backing-table
+	// merges this transaction ran, published to the metrics at Commit.
+	views              map[string]*matview.Def
+	merges, rowsMerged int64
 }
 
 // Begin starts an explicit transaction, blocking until the calling
@@ -60,13 +67,13 @@ func (e *Engine) Begin(ctx context.Context) (*Txn, error) {
 // autoCommit runs apply as one transaction: Begin, apply, Commit — or
 // Rollback when apply fails or panics, so readers and the on-disk log see
 // either all of a statement's effects or none.
-func (e *Engine) autoCommit(ctx context.Context, apply func() error) error {
+func (e *Engine) autoCommit(ctx context.Context, apply func(*Txn) error) error {
 	t, err := e.Begin(ctx)
 	if err != nil {
 		return err
 	}
 	defer t.Rollback() // a no-op once Commit has run
-	if err := apply(); err != nil {
+	if err := apply(t); err != nil {
 		return err
 	}
 	return t.Commit()
@@ -123,6 +130,7 @@ func (t *Txn) Commit() error {
 		}
 	}
 	e.cat.Publish()
+	e.reg.ObserveMerges(t.merges, t.rowsMerged)
 	return nil
 }
 

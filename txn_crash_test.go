@@ -29,11 +29,16 @@ func txnSweepSetup(t *testing.T, eng *aggview.Engine) {
 }
 
 // txnSweepBody runs the transaction under test: inserts that trigger
-// incremental matview maintenance, DDL, and a multi-row insert into the
-// new table. Every statement applies to the txn's private state only.
+// incremental matview maintenance — the first doubles the two-row backing
+// table and merges it, the single-group inserts after it double it again —
+// DDL, and a multi-row insert into the new table. Every statement applies
+// to the txn's private state only.
 func txnSweepBody(tx *aggview.Txn) error {
 	for _, stmt := range []string{
 		`insert into sales values ('north', 7, 70.0), ('east', 1, 10.0)`,
+		`insert into sales values ('east', 1, 10.0)`,
+		`insert into sales values ('east', 1, 10.0)`,
+		`insert into sales values ('east', 1, 10.0)`,
 		`create table refunds (region varchar, amount float)`,
 		`insert into refunds values ('east', 5.0), ('north', 2.0)`,
 		`analyze sales`,
@@ -69,7 +74,11 @@ func TestTxnCrashSweepCommit(t *testing.T) {
 	}
 	writes := eng.WALWrites()
 	fpPost := eng.StateFingerprint()
+	merges := eng.Metrics().MatViewMerges
 	eng.Close()
+	if merges < 2 {
+		t.Fatalf("MatViewMerges = %d; the swept commit group must hold merges", merges)
+	}
 	if writes < 3 {
 		t.Fatalf("commit performed %d writes; the framed group should hold begin+records+commit", writes)
 	}
@@ -120,6 +129,9 @@ func TestTxnCrashSweepCommit(t *testing.T) {
 			if got := re.StateFingerprint(); got != want {
 				t.Fatalf("n=%d torn=%v: recovered fingerprint does not match the %s-transaction state",
 					n, torn, wantLabel)
+			}
+			if w := re.WALWrites(); w != 0 {
+				t.Fatalf("n=%d torn=%v: recovery appended %d records", n, torn, w)
 			}
 			// Atomicity probes: the txn's table exists iff the txn committed,
 			// and the matview total reflects whole statements only.
