@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet staticcheck test race stress crash bench bench-smoke bench-diff gobench docs-check check
+.PHONY: build vet staticcheck test race stress crash fuzz bench bench-smoke bench-diff gobench docs-check check
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,15 @@ stress:
 crash:
 	$(GO) test -run 'TestCrash|TestTorn|TestRecovery|TestBulkLoadCrashPrefix|TestPlanCacheInvalidationAcrossRecovery|TestDurable|TestMatView.*Durab' ./internal/wal .
 
+# fuzz searches for inputs on which the plan-cache key and the lexer disagree
+# (FuzzCacheKey: the key fails exactly when lexing fails, and otherwise lexes
+# to the statement's own tokens). Time-boxed and not part of `check`: the
+# committed corpus under internal/sql/testdata/fuzz/FuzzCacheKey/ already
+# replays in every `go test ./...`, and the fuzzer writes any new failing
+# input there to be committed with its fix.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzCacheKey -fuzztime 30s ./internal/sql
+
 # bench runs the repo benchmark (BENCHMARK.json, bench/): five workloads,
 # end-to-end qps/p50/p95/pages_per_op/setup_s plus per-layer metrics, into
 # one results file (~3 min). cmd/aggbench prints the paper's tables, not time.
@@ -63,7 +72,10 @@ bench-diff:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-diff OLD=a.json NEW=b.json"; exit 2; }
 	bash bench/run.sh compare $(OLD) $(NEW)
 
-# gobench runs the Go micro/macro benchmarks.
+# gobench runs the Go micro/macro benchmarks: the paper's experiments and one
+# per stage a query crosses (BenchmarkCacheKey / BenchmarkParse in
+# internal/sql, the optimizer's in internal/core, the executor's in
+# internal/exec, BenchmarkQueryCacheHit and BenchmarkWarmExec in the root).
 gobench:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -224,3 +224,63 @@ func BenchmarkMatViewMaintain(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*commits), "ns/commit")
 	b.ReportMetric(float64(backingRows), "backing-rows")
 }
+
+// --- plan-cache hit ----------------------------------------------------------
+
+// rollupStatements are the repo benchmark's rollup-hot / durable-rw texts
+// (bench/workloads.go, a separate module): none mentions the materialized
+// view; the optimizer answers each from sales_rollup's 24 rows.
+var rollupStatements = []string{
+	`select region, product, sum(amount) as total, count(*) as n from sales group by region, product`,
+	`select region, sum(amount) as total, count(*) as n, avg(qty) as avgq from sales group by region`,
+	`select product, count(*) as n from sales where region = 'r1' group by product`,
+	`select product, sum(amount) as total, count(*) as n from sales group by product`,
+	`select region, count(*) as n, avg(qty) as avgq from sales where region = 'r2' group by region`,
+}
+
+// rollupEngine is that workload's set-up: a sales fact table of the given
+// size (3 regions x 24 products x 30 days), analyzed, under sales_rollup.
+func rollupEngine(tb testing.TB, salesRows int) *aggview.Engine {
+	tb.Helper()
+	eng := aggview.Open(aggview.Config{PoolPages: 64})
+	eng.MustExec(`create table sales (region text, product text, day int, amount float, qty int)`)
+	const batch = 2000
+	for lo := 0; lo < salesRows; lo += batch {
+		var vals []string
+		for i := lo; i < lo+batch && i < salesRows; i++ {
+			vals = append(vals, fmt.Sprintf("('r%d', 'p%d', %d, %d.5, %d)", i%3, i%24, i%30, i%100, i%7+1))
+		}
+		eng.MustExec("insert into sales values " + strings.Join(vals, ", "))
+	}
+	eng.MustExec(`analyze`)
+	eng.MustExec(`create materialized view sales_rollup as
+		select region, product, sum(amount) as total, count(*) as n, avg(qty) as avgq
+		from sales group by region, product`)
+	return eng
+}
+
+// BenchmarkQueryCacheHit is rollup-hot as a Go benchmark: the five rollup
+// texts through Engine.Query from parallel clients, every call a plan-cache
+// hit answered from one page of the view — the engine's fixed cost per call
+// (cache key, LRU, snapshot pin, governor, operator build over the frozen
+// plan, 24 rows of aggregation, result conversion, metrics).
+func BenchmarkQueryCacheHit(b *testing.B) {
+	eng := rollupEngine(b, 40000)
+	ctx := context.Background()
+	for _, q := range rollupStatements {
+		if res, err := eng.Query(ctx, q); err != nil || res.Plan.ViewRewrite == "" {
+			b.Fatalf("warm-up %q: err %v, plan %+v", q, err, res.Plan)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			res, err := eng.Query(ctx, rollupStatements[i%len(rollupStatements)])
+			if err != nil || res.Plan.CacheStatus != "hit" {
+				b.Errorf("err %v, plan %+v", err, res.Plan)
+				return
+			}
+		}
+	})
+}

@@ -418,12 +418,12 @@ func (e *Engine) Query(ctx context.Context, src string, opts ...QueryOption) (re
 // durable before any reader can observe it.
 func (e *Engine) exec(ctx context.Context, t *Txn, src string, stmt sql.Statement) (res *Result, err error) {
 	defer recoverToError(&err, src)
+	opt := rowsOptions{start: time.Now()}
 	if stmt == nil {
 		if stmt, err = sql.Parse(src); err != nil {
 			return nil, err
 		}
 	}
-	var opt rowsOptions
 	if t != nil {
 		opt.snap = e.cat.WorkingSnapshot()
 	}
@@ -436,7 +436,7 @@ func (e *Engine) exec(ctx context.Context, t *Txn, src string, stmt sql.Statemen
 			return nil, fmt.Errorf("aggview: EXPLAIN is not supported inside a transaction")
 		}
 		if s.Analyze {
-			rows, err := e.run(ctx, src, s.Query, rowsOptions{cold: true, trace: true})
+			rows, err := e.run(ctx, src, s.Query, rowsOptions{cold: true, trace: true, start: opt.start})
 			a, err := analyzeRows(rows, err)
 			if err != nil {
 				return nil, err
@@ -445,7 +445,7 @@ func (e *Engine) exec(ctx context.Context, t *Txn, src string, stmt sql.Statemen
 			res.IO, res.Ops = a.IO, rows.Ops()
 			return res, nil
 		}
-		rows, err := e.run(ctx, src, s.Query, rowsOptions{trace: true, planOnly: true})
+		rows, err := e.run(ctx, src, s.Query, rowsOptions{trace: true, planOnly: true, start: opt.start})
 		if err != nil {
 			return nil, err
 		}

@@ -160,8 +160,14 @@ type Cursor struct {
 }
 
 // OpenCursor validates and compiles the plan, opens the operator tree, and
-// returns a streaming cursor. On Open failure the partially opened tree is
-// closed before returning, so spill files never leak.
+// returns a streaming cursor. Only per-run work is done for a frozen plan
+// (lplan.Freeze): its legality was settled and its operator labels rendered
+// when it was frozen, so the check and the labels below are field reads; an
+// unfrozen tree is walked by Validate and described operator by operator on
+// every open. What remains either way is what depends on the run — binding
+// this run's parameters into the expressions and compiling them, the
+// session, the governor, the collector. On Open failure the partially
+// opened tree is closed before returning, so spill files never leak.
 func (e *Executor) OpenCursor(n lplan.Node) (*Cursor, error) {
 	if err := lplan.Validate(n); err != nil {
 		return nil, fmt.Errorf("exec: invalid plan: %w", err)

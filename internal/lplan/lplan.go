@@ -113,6 +113,7 @@ type Scan struct {
 	WithTID bool
 
 	schemaOnce schema.Schema
+	frozen
 }
 
 // Schema implements Node.
@@ -143,6 +144,9 @@ func (s *Scan) Children() []Node { return nil }
 
 // Describe implements Node.
 func (s *Scan) Describe() string {
+	if s.label != "" {
+		return s.label
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scan %s", s.Table.Name)
 	if s.Alias != s.Table.Name {
@@ -206,6 +210,7 @@ type Join struct {
 	Method JoinMethod
 
 	schemaOnce schema.Schema
+	frozen
 }
 
 // Schema implements Node.
@@ -229,6 +234,9 @@ func (j *Join) Children() []Node { return []Node{j.L, j.R} }
 
 // Describe implements Node.
 func (j *Join) Describe() string {
+	if j.label != "" {
+		return j.label
+	}
 	var b strings.Builder
 	if j.Type.Outer() {
 		fmt.Fprintf(&b, "Join[%s %s]", j.Type, j.Method)
@@ -257,6 +265,8 @@ type GroupBy struct {
 	Method  AggMethod
 
 	schemaOnce schema.Schema
+	innerOnce  schema.Schema // InnerSchema(), set by Freeze
+	frozen
 }
 
 // innerSchema is the schema Having and Outputs are resolved against over the
@@ -281,7 +291,12 @@ func (g *GroupBy) innerSchema(in schema.Schema) schema.Schema {
 
 // InnerSchema exposes the having/outputs resolution schema for the executor
 // and the validator.
-func (g *GroupBy) InnerSchema() schema.Schema { return g.innerSchema(g.In.Schema()) }
+func (g *GroupBy) InnerSchema() schema.Schema {
+	if g.innerOnce != nil {
+		return g.innerOnce
+	}
+	return g.innerSchema(g.In.Schema())
+}
 
 // Schema implements Node.
 func (g *GroupBy) Schema() schema.Schema {
@@ -311,6 +326,9 @@ func (g *GroupBy) Children() []Node { return []Node{g.In} }
 
 // Describe implements Node.
 func (g *GroupBy) Describe() string {
+	if g.label != "" {
+		return g.label
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "GroupBy[%s]", g.Method)
 	if len(g.GroupCols) > 0 {
@@ -340,6 +358,7 @@ type Project struct {
 	Items []NamedExpr
 
 	schemaOnce schema.Schema
+	frozen
 }
 
 // Schema implements Node.
@@ -361,6 +380,9 @@ func (p *Project) Children() []Node { return []Node{p.In} }
 
 // Describe implements Node.
 func (p *Project) Describe() string {
+	if p.label != "" {
+		return p.label
+	}
 	parts := make([]string, len(p.Items))
 	for i, ne := range p.Items {
 		parts[i] = ne.String()
@@ -372,6 +394,8 @@ func (p *Project) Describe() string {
 type Filter struct {
 	In    Node
 	Preds []expr.Expr
+
+	frozen
 }
 
 // Schema implements Node.
@@ -381,13 +405,20 @@ func (f *Filter) Schema() schema.Schema { return f.In.Schema() }
 func (f *Filter) Children() []Node { return []Node{f.In} }
 
 // Describe implements Node.
-func (f *Filter) Describe() string { return "Filter " + exprList(f.Preds) }
+func (f *Filter) Describe() string {
+	if f.label != "" {
+		return f.label
+	}
+	return "Filter " + exprList(f.Preds)
+}
 
 // Sort orders the input by the given columns (ascending). It exists for
 // ORDER BY and to feed merge joins and sort-aggregates.
 type Sort struct {
 	In Node
 	By []schema.ColID
+
+	frozen
 }
 
 // Schema implements Node.
@@ -397,7 +428,12 @@ func (s *Sort) Schema() schema.Schema { return s.In.Schema() }
 func (s *Sort) Children() []Node { return []Node{s.In} }
 
 // Describe implements Node.
-func (s *Sort) Describe() string { return "Sort by " + colList(s.By) }
+func (s *Sort) Describe() string {
+	if s.label != "" {
+		return s.label
+	}
+	return "Sort by " + colList(s.By)
+}
 
 func exprList(es []expr.Expr) string {
 	parts := make([]string, len(es))

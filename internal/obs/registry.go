@@ -30,13 +30,19 @@ type QueryMetrics struct {
 	// PlanCache records the plan's provenance: "hit" (reused a cached
 	// compiled plan), "miss" (compiled and cached), "invalidated" (a cached
 	// plan was discarded because the catalog version moved, then recompiled),
-	// "bypass" (caching not applicable: ad-hoc query, degraded plan, or
-	// cache disabled). Empty when the query failed before planning.
+	// "bypass" (the cache was not consulted or not filled: caching disabled,
+	// a run that needs a search trace such as ad-hoc EXPLAIN ANALYZE, a read
+	// of a transaction's own working state, or a plan degraded under an
+	// optimizer budget). Ad-hoc and prepared statements both use the cache.
+	// Empty when the query failed before planning.
 	PlanCache string
 	// Degradations counts optimizer-ladder fallbacks.
 	Degradations int
-	// Optimize and Execute are the phase wall times; Total covers the whole
-	// query including parse and bind.
+	// Optimize (bind and plan search; zero on a plan-cache hit) and Execute
+	// (from opening the operator tree to the end of the stream) are the
+	// phase wall times. Total covers the whole call from the moment the
+	// engine was entered, so it also holds what belongs to neither phase:
+	// the cache key, the plan-cache lookup and, on a miss, the parse.
 	Optimize, Execute, Total time.Duration
 }
 

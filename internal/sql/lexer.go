@@ -46,152 +46,244 @@ var keywords = map[string]bool{
 	"VARCHAR": true, "CHAR": true, "TEXT": true, "BOOLEAN": true, "BOOL": true,
 }
 
-// lexer tokenizes a SQL string.
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
+// Byte classes of the scanner. The dialect's lexical rules are defined on
+// bytes, each taken as the Latin-1 rune of the same value; the table is filled
+// from the unicode predicates once so the scanning loops are one load per byte.
+const (
+	clsSpace uint8 = 1 << iota
+	clsDigit
+	clsIdentStart // letter, '_' or '$'
+	clsIdent      // clsIdentStart or digit
+)
+
+var byteClass = func() (t [256]uint8) {
+	for c := range t {
+		r := rune(c)
+		if unicode.IsSpace(r) {
+			t[c] |= clsSpace
+		}
+		if unicode.IsDigit(r) {
+			t[c] |= clsDigit | clsIdent
+		}
+		if unicode.IsLetter(r) || r == '_' || r == '$' {
+			t[c] |= clsIdentStart | clsIdent
+		}
+	}
+	return t
+}()
+
+// scanner finds token boundaries in a SQL string. It is the one definition of
+// the dialect's lexical rules: lex materializes its tokens for the parser,
+// CacheKey renders them as a plan-cache key, and collapseSpace as a statement
+// label, so the three cannot disagree about where a token starts or ends. It
+// allocates nothing.
+type scanner struct {
+	src string
+	pos int
+}
+
+// next skips whitespace and `--` comments and scans one token, returning its
+// kind and its source span [start, end). Keywords come back as tokIdent (lex
+// tells them apart); a string literal's span includes its quotes. At the end
+// of input it returns tokEOF with an empty span.
+func (s *scanner) next() (kind tokenKind, start, end int, err error) {
+	s.skipSpace()
+	start = s.pos
+	if start >= len(s.src) {
+		return tokEOF, start, start, nil
+	}
+	c := s.src[start]
+	switch {
+	case byteClass[c]&clsIdentStart != 0:
+		kind = tokIdent
+		for s.pos < len(s.src) && byteClass[s.src[s.pos]]&clsIdent != 0 {
+			s.pos++
+		}
+	case byteClass[c]&clsDigit != 0 || (c == '.' && start+1 < len(s.src) && byteClass[s.src[start+1]]&clsDigit != 0):
+		kind = tokNumber
+		s.scanNumber()
+	case c == '\'':
+		kind = tokString
+		if !s.scanString() {
+			return 0, 0, 0, fmt.Errorf("sql: unterminated string literal at offset %d", start)
+		}
+	default:
+		kind = tokSymbol
+		if !s.scanSymbol() {
+			return 0, 0, 0, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
+		}
+	}
+	return kind, start, s.pos, nil
+}
+
+func (s *scanner) skipSpace() {
+	for s.pos < len(s.src) {
+		c := s.src[s.pos]
+		if c == '-' && s.pos+1 < len(s.src) && s.src[s.pos+1] == '-' {
+			// Line comment.
+			for s.pos < len(s.src) && s.src[s.pos] != '\n' {
+				s.pos++
+			}
+			continue
+		}
+		if byteClass[c]&clsSpace == 0 {
+			return
+		}
+		s.pos++
+	}
+}
+
+// scanNumber consumes digits with at most one '.' and one exponent (an 'e'
+// or 'E' and an optional sign). It is entered on a digit, or on a '.' that a
+// digit follows.
+func (s *scanner) scanNumber() {
+	start := s.pos
+	seenDot := false
+	seenExp := false
+	for s.pos < len(s.src) {
+		c := s.src[s.pos]
+		switch {
+		case byteClass[c]&clsDigit != 0:
+			s.pos++
+		case c == '.' && !seenDot && !seenExp:
+			seenDot = true
+			s.pos++
+		case (c == 'e' || c == 'E') && !seenExp && s.pos > start:
+			seenExp = true
+			s.pos++
+			if s.pos < len(s.src) && (s.src[s.pos] == '+' || s.src[s.pos] == '-') {
+				s.pos++
+			}
+		default:
+			return
+		}
+	}
+}
+
+// scanString consumes a quoted literal, in which a doubled quote stands for
+// one quote; it reports false when the input ends before the closing quote.
+func (s *scanner) scanString() bool {
+	s.pos++ // opening quote
+	for s.pos < len(s.src) {
+		if s.src[s.pos] != '\'' {
+			s.pos++
+			continue
+		}
+		if s.pos+1 < len(s.src) && s.src[s.pos+1] == '\'' {
+			s.pos += 2 // escaped quote
+			continue
+		}
+		s.pos++
+		return true
+	}
+	return false
+}
+
+// scanSymbol consumes one operator or punctuation token, the two-character
+// operators first; it reports false on a byte that starts none.
+func (s *scanner) scanSymbol() bool {
+	if s.pos+1 < len(s.src) {
+		switch s.src[s.pos : s.pos+2] {
+		case "<>", "<=", ">=", "!=", "==":
+			s.pos += 2
+			return true
+		}
+	}
+	switch s.src[s.pos] {
+	case '(', ')', ',', '.', ';', '=', '<', '>', '+', '-', '*', '/', '?':
+		s.pos++
+		return true
+	}
+	return false
 }
 
 // lex tokenizes the whole input.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	s := scanner{src: src}
+	var toks []token
 	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
-			return l.toks, nil
+		kind, start, end, err := s.next()
+		if err != nil {
+			return nil, err
 		}
-		start := l.pos
-		c := l.src[l.pos]
-		switch {
-		case isIdentStart(rune(c)):
-			l.lexIdent()
-		case unicode.IsDigit(rune(c)) || (c == '.' && l.pos+1 < len(l.src) && unicode.IsDigit(rune(l.src[l.pos+1]))):
-			if err := l.lexNumber(); err != nil {
-				return nil, err
+		text := src[start:end]
+		switch kind {
+		case tokIdent:
+			if upper := strings.ToUpper(text); keywords[upper] {
+				kind, text = tokKeyword, upper
+			} else {
+				text = strings.ToLower(text)
 			}
-		case c == '\'':
-			if err := l.lexString(); err != nil {
-				return nil, err
-			}
-		default:
-			if !l.lexSymbol() {
-				return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
-			}
+		case tokString:
+			text = strings.ReplaceAll(text[1:len(text)-1], "''", "'")
+		}
+		toks = append(toks, token{kind: kind, text: text, pos: start})
+		if kind == tokEOF {
+			return toks, nil
 		}
 	}
 }
 
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-' {
-			// Line comment.
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
-			}
+// CacheKey returns the plan-cache key of a statement: a canonical rendering
+// of its token stream, made in one pass by the scanner with no token slice
+// and no AST. Whitespace and `--` comments are dropped, keywords and
+// identifiers are folded to lower case, and tokens are joined by one space;
+// numbers and symbols are kept as written, and a string literal keeps its
+// quotes and its exact bytes, so 'R1', 'r1' and the identifier r1 all differ.
+//
+// Lexing the key yields the token stream of src, kind for kind and text for
+// text (FuzzCacheKey): two statements with one key are therefore one
+// statement to the parser, whatever their layout. The error, when src does
+// not lex, is the one Parse reports.
+func CacheKey(src string) (string, error) {
+	s := scanner{src: src}
+	var b strings.Builder
+	b.Grow(len(src) + len(src)/4) // room for the spaces put around punctuation
+	for {
+		kind, start, end, err := s.next()
+		if err != nil {
+			return "", err
+		}
+		if kind == tokEOF {
+			return b.String(), nil
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		if kind != tokIdent {
+			b.WriteString(src[start:end])
 			continue
 		}
-		if !unicode.IsSpace(rune(c)) {
-			return
-		}
-		l.pos++
-	}
-}
-
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_' || r == '$'
-}
-
-func isIdentRune(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '$'
-}
-
-func (l *lexer) lexIdent() {
-	start := l.pos
-	for l.pos < len(l.src) && isIdentRune(rune(l.src[l.pos])) {
-		l.pos++
-	}
-	word := l.src[start:l.pos]
-	upper := strings.ToUpper(word)
-	if keywords[upper] {
-		l.toks = append(l.toks, token{kind: tokKeyword, text: upper, pos: start})
-		return
-	}
-	l.toks = append(l.toks, token{kind: tokIdent, text: strings.ToLower(word), pos: start})
-}
-
-func (l *lexer) lexNumber() error {
-	start := l.pos
-	seenDot := false
-	seenExp := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch {
-		case unicode.IsDigit(rune(c)):
-			l.pos++
-		case c == '.' && !seenDot && !seenExp:
-			seenDot = true
-			l.pos++
-		case (c == 'e' || c == 'E') && !seenExp && l.pos > start:
-			seenExp = true
-			l.pos++
-			if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
-				l.pos++
+		// ASCII folding is enough: lex folds the rest of an identifier's
+		// bytes itself, and to the same text whether or not the ASCII ones
+		// were folded first.
+		for _, c := range []byte(src[start:end]) {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
 			}
-		default:
-			goto done
+			b.WriteByte(c)
 		}
 	}
-done:
-	text := l.src[start:l.pos]
-	if text == "." {
-		return fmt.Errorf("sql: malformed number at offset %d", start)
-	}
-	l.toks = append(l.toks, token{kind: tokNumber, text: text, pos: start})
-	return nil
 }
 
-func (l *lexer) lexString() error {
-	start := l.pos
-	l.pos++ // opening quote
+// collapseSpace returns src with every run of whitespace and comments
+// between two tokens replaced by one space, and those at either end dropped.
+// Unlike strings.Fields it leaves string literals alone and cannot splice a
+// `--` comment onto the next line, so the result lexes to src's tokens. src
+// must lex; the scan stops at the first error.
+func collapseSpace(src string) string {
+	s := scanner{src: src}
 	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'') // escaped quote
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			l.toks = append(l.toks, token{kind: tokString, text: b.String(), pos: start})
-			return nil
+	prevEnd := 0
+	for {
+		kind, start, end, err := s.next()
+		if err != nil || kind == tokEOF {
+			return b.String()
 		}
-		b.WriteByte(c)
-		l.pos++
-	}
-	return fmt.Errorf("sql: unterminated string literal at offset %d", start)
-}
-
-// twoCharSymbols in match priority order.
-var twoCharSymbols = []string{"<>", "<=", ">=", "!=", "=="}
-
-func (l *lexer) lexSymbol() bool {
-	rest := l.src[l.pos:]
-	for _, s := range twoCharSymbols {
-		if strings.HasPrefix(rest, s) {
-			l.toks = append(l.toks, token{kind: tokSymbol, text: s, pos: l.pos})
-			l.pos += len(s)
-			return true
+		if b.Len() > 0 && start > prevEnd {
+			b.WriteByte(' ')
 		}
+		b.WriteString(src[start:end])
+		prevEnd = end
 	}
-	switch rest[0] {
-	case '(', ')', ',', '.', ';', '=', '<', '>', '+', '-', '*', '/', '?':
-		l.toks = append(l.toks, token{kind: tokSymbol, text: rest[:1], pos: l.pos})
-		l.pos++
-		return true
-	}
-	return false
 }

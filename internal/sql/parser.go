@@ -27,8 +27,10 @@ func Parse(src string) (Statement, error) {
 }
 
 // ParseScript parses a semicolon-separated sequence of statements. texts
-// holds each statement's own source text with whitespace runs collapsed, so
-// callers can label a statement without quoting the whole script.
+// holds each statement's own source text with the whitespace and comments
+// between its tokens collapsed (see collapseSpace), so callers can label a
+// statement without quoting the whole script — and, because the text still
+// lexes to the statement's tokens, key a plan cache by it.
 func ParseScript(src string) (stmts []Statement, texts []string, err error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -47,7 +49,7 @@ func ParseScript(src string) (stmts []Statement, texts []string, err error) {
 			return nil, nil, err
 		}
 		stmts = append(stmts, stmt)
-		texts = append(texts, strings.Join(strings.Fields(src[start:p.cur().pos]), " "))
+		texts = append(texts, collapseSpace(src[start:p.cur().pos]))
 		if !p.accept(tokSymbol, ";") && !p.at(tokEOF, "") {
 			return nil, nil, p.errf("expected ';' between statements, got %q", p.cur().text)
 		}

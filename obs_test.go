@@ -554,6 +554,97 @@ func TestMetricsOnFailurePaths(t *testing.T) {
 	}
 }
 
+// TestQueryTotalCoversWholeCall: QueryMetrics.Total is the whole call on
+// every door — the cache-key, parse and cache steps included, which belong
+// to neither phase — so it is never less than Optimize + Execute, and on an
+// ad-hoc miss of a statement that takes long to parse it is visibly more. A
+// cache hit reports no optimize time at all: it bound and searched nothing.
+func TestQueryTotalCoversWholeCall(t *testing.T) {
+	eng := aggview.Open(aggview.Config{})
+	eng.MustExec(`create table t (a int, b int)`)
+	eng.MustExec(`insert into t values (1, 10), (2, 20), (3, 30)`)
+	var sunk []aggview.QueryMetrics
+	eng.SetMetricsSink(func(qm aggview.QueryMetrics) { sunk = append(sunk, qm) })
+	ctx := context.Background()
+
+	// 1 500 disjuncts: microseconds to lex and parse, none of them a phase.
+	terms := make([]string, 1500)
+	for i := range terms {
+		terms[i] = fmt.Sprintf("a = %d", i)
+	}
+	long := "select b from t where " + strings.Join(terms, " or ")
+
+	m0 := eng.Metrics()
+	stmt, err := eng.Prepare(`select b from t where a < ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doors := []struct {
+		name   string
+		status string
+		run    func() error
+	}{
+		{"Query miss", "miss", func() error { _, err := eng.Query(ctx, long); return err }},
+		{"Query hit", "hit", func() error { _, err := eng.Query(ctx, long); return err }},
+		{"Exec select", "hit", func() error { _, err := eng.ExecContext(ctx, long); return err }},
+		{"Stmt", "hit", func() error { _, err := stmt.QueryContext(ctx, 3); return err }},
+		{"QueryRows", "miss", func() error {
+			rows, err := eng.QueryRows(ctx, `select a from t`)
+			if err != nil {
+				return err
+			}
+			for rows.Next() {
+			}
+			return rows.Close()
+		}},
+		{"Txn.Query", "bypass", func() error {
+			tx, err := eng.Begin(ctx)
+			if err != nil {
+				return err
+			}
+			defer tx.Rollback()
+			_, err = tx.Query(ctx, long)
+			return err
+		}},
+		{"EXPLAIN ANALYZE", "bypass", func() error { _, err := eng.ExplainAnalyze(ctx, long); return err }},
+	}
+	for _, d := range doors {
+		sunk = nil
+		if err := d.run(); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if len(sunk) != 1 {
+			t.Fatalf("%s: %d rollups, want 1", d.name, len(sunk))
+		}
+		qm := sunk[0]
+		if qm.PlanCache != d.status {
+			t.Errorf("%s: plan cache %q, want %q", d.name, qm.PlanCache, d.status)
+		}
+		if qm.Total <= 0 || qm.Execute <= 0 || qm.Total < qm.Optimize+qm.Execute {
+			t.Errorf("%s: total %v, optimize %v, execute %v; want total >= optimize + execute > 0",
+				d.name, qm.Total, qm.Optimize, qm.Execute)
+		}
+		switch d.status {
+		case "hit":
+			if qm.Optimize != 0 {
+				t.Errorf("%s: a cache hit reported %v of optimization", d.name, qm.Optimize)
+			}
+		case "miss", "bypass":
+			if qm.Optimize <= 0 {
+				t.Errorf("%s: a compilation reported no optimize time", d.name)
+			}
+			if qm.Statement == long && qm.Total <= qm.Optimize+qm.Execute {
+				t.Errorf("%s: total %v does not exceed optimize %v + execute %v: the parse is in no metric",
+					d.name, qm.Total, qm.Optimize, qm.Execute)
+			}
+		}
+	}
+	if d := eng.Metrics().Sub(m0); d.Queries != int64(len(doors)) || d.QueryTime < d.OptimizeTime+d.ExecuteTime {
+		t.Errorf("window: %d queries, query time %v, optimize %v, execute %v; want %d and query >= optimize + execute",
+			d.Queries, d.QueryTime, d.OptimizeTime, d.ExecuteTime, len(doors))
+	}
+}
+
 // TestSearchTracePopulated: EXPLAIN paths carry the optimizer's decision
 // log — per-level enumeration counts and, in Full mode on a view query,
 // pull-up consideration events.

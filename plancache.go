@@ -36,15 +36,17 @@ const DefaultPlanCacheSize = 64
 
 // compiledPlan is the immutable product of parse → bind → optimize:
 // everything needed to run the statement, and nothing tied to a single
-// run. The plan tree is frozen (all lazy schema caches pre-computed) before
-// the compiledPlan is published, so any number of concurrent executions
-// can walk it; per-run state — parameter values, the storage session, the
-// governor, collectors — lives in queryRun and the executor.
+// run. The plan tree is frozen (schemas, operator labels and the legality
+// check all pre-computed; see lplan.Freeze) before the compiledPlan is
+// published, so any number of concurrent executions can walk it and none
+// repeats work that depends only on the plan; per-run state — parameter
+// values, the storage session, the governor, collectors — lives in queryRun
+// and the executor.
 type compiledPlan struct {
 	// Bound is the statement as bound: output column names, ORDER BY keys,
 	// LIMIT, and the `?` slots (count and inferred kinds) a run must fill.
 	*binder.Bound
-	key     planKey  // cache identity: normalized text (when cacheable) + mode
+	key     planKey  // cache identity: token-stream key (when cacheable) + mode
 	version int64    // catalog version the plan was compiled under
 	info    PlanInfo // compile-time plan description (copied per run)
 }
@@ -69,8 +71,10 @@ func (cp *compiledPlan) runInfo(status string) *PlanInfo {
 // from the engine cache or compiling it on a miss or a stale catalog
 // version — the check, the compile and the execution all see the run's one
 // pinned snapshot. Ad-hoc and prepared statements share the cache, keyed by
-// normalized text plus resolved optimizer mode (fixed at Prepare), so a
-// repeated query pays bind+optimize once per catalog version.
+// the statement's token stream (sql.CacheKey, taken from the text: a hit
+// never parses) plus resolved optimizer mode (fixed at Prepare), so a
+// repeated query pays parse+bind+optimize once per catalog version. sel is
+// the parsed statement when the door already holds it.
 //
 // The cache is neither consulted nor populated when the run reads a
 // writer's unpublished working state, or when an ad-hoc run wants a search
@@ -90,9 +94,10 @@ func (qr *queryRun) resolvePlan(sel *sql.Select) error {
 			key.mode = e.cfg.Mode
 		}
 		if cacheable {
-			// Normalize before compiling: the binder's flattening pass may
-			// rewrite the parsed tree in place.
-			key.text = sql.FormatSelect(sel)
+			var err error
+			if key.text, err = sql.CacheKey(qr.src); err != nil {
+				return err // text that does not lex: the error Parse reports
+			}
 		}
 	}
 	status := cacheBypass
@@ -113,23 +118,27 @@ func (qr *queryRun) resolvePlan(sel *sql.Select) error {
 	return nil
 }
 
-// compile is the pipeline's bind stage followed by optimization, both
-// against the run's snapshot — so the catalog version stamped on the plan is
-// consistent with the schema and statistics the optimizer saw no matter what
-// commits concurrently — under the run's governor. A view-maintenance run
-// arrives already bound.
+// compile is the pipeline's parse and bind stages followed by optimization,
+// the last two (the "optimize" span) against the run's snapshot — so the
+// catalog version stamped on the plan is consistent with the schema and
+// statistics the optimizer saw no matter what commits concurrently — under
+// the run's governor. It ends by freezing the plan: everything a run needs
+// that depends only on the tree (schemas, operator labels, the legality
+// check) is computed here, once, before the plan can be shared. A
+// view-maintenance run arrives already bound.
 func (qr *queryRun) compile(key planKey, sel *sql.Select) (*compiledPlan, error) {
 	bound := &binder.Bound{Query: qr.opt.block, Limit: -1}
-	if bound.Query == nil {
-		var err error
-		if sel == nil {
-			// A prepared statement reparses rather than retain its AST: the
-			// binder's flattening pass may rewrite a parsed tree in place, so
-			// each compilation starts from pristine source.
-			if sel, err = parseSelect(qr.src); err != nil {
-				return nil, err
-			}
+	var err error
+	if bound.Query == nil && sel == nil {
+		// Only a compilation needs the AST, so only a compilation parses —
+		// each from pristine source rather than a retained tree, which the
+		// binder's flattening pass may rewrite in place.
+		if sel, err = parseSelect(qr.src); err != nil {
+			return nil, err
 		}
+	}
+	defer qr.col.Time("optimize")()
+	if bound.Query == nil {
 		if bound, err = binder.BindSelect(qr.snap, sel); err != nil {
 			return nil, err
 		}
@@ -142,8 +151,8 @@ func (qr *queryRun) compile(key planKey, sel *sql.Select) (*compiledPlan, error)
 	if err != nil {
 		return nil, err
 	}
-	// Pre-compute every lazily cached schema while the tree is still
-	// private to this goroutine; afterwards the tree is read-only.
+	// While the tree is still private to this goroutine; afterwards it is
+	// read-only.
 	lplan.Freeze(plan.Root)
 	return &compiledPlan{
 		Bound:   bound,
@@ -196,9 +205,10 @@ func checkParams(cp *compiledPlan, vals []types.Value) ([]types.Value, error) {
 	return out, nil
 }
 
-// planKey identifies a cached plan: the statement's canonical rendering
-// (whitespace, keyword case and comments normalized away) plus the
-// optimizer mode that compiled it. The catalog version is deliberately not
+// planKey identifies a cached plan: the statement's token stream in
+// canonical form (sql.CacheKey: whitespace, comments and keyword/identifier
+// case normalized away, literals kept exactly) plus the optimizer mode that
+// compiled it. Equal text means equal tokens and so an equal parse. The catalog version is deliberately not
 // part of the key — entries carry the version they were compiled under and
 // are invalidated lazily at lookup, so a DDL burst does not strand dead
 // entries in the map.

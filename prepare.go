@@ -11,7 +11,7 @@ import (
 // Stmt is a prepared SELECT: parsed, validated, and compiled once, then
 // executed any number of times with different `?` parameter values. The
 // compiled plan lives in the engine's plan cache under the statement's
-// normalized text and optimizer mode; executions reuse it until a DDL,
+// token-stream key and optimizer mode; executions reuse it until a DDL,
 // INSERT or ANALYZE bumps the catalog version, at which point the next
 // execution transparently recompiles.
 //
@@ -21,8 +21,8 @@ import (
 // own governor, and its own parameter vector.
 type Stmt struct {
 	e   *Engine
-	src string  // original SQL, reparsed when the plan must be recompiled
-	key planKey // normalized text + mode: the plan's cache identity
+	src string  // original SQL, parsed whenever the plan must be (re)compiled
+	key planKey // token-stream key + mode: the plan's cache identity
 	n   int     // parameter count (syntactic, stable across recompiles)
 }
 
@@ -41,26 +41,24 @@ func (e *Engine) Prepare(src string) (*Stmt, error) {
 // two independent cache entries.
 func (e *Engine) PrepareMode(src string, mode OptimizerMode) (st *Stmt, err error) {
 	defer recoverToError(&err, src)
-	sel, err := parseSelect(src)
+	// The key function ad-hoc runs use, so the two share cache entries.
+	text, err := sql.CacheKey(src)
 	if err != nil {
 		return nil, err
 	}
 	if mode == ModeDefault {
 		mode = e.cfg.Mode
 	}
-	s := &Stmt{
-		e:   e,
-		src: src,
-		key: planKey{text: sql.FormatSelect(sel), mode: mode},
-		n:   sql.CountParams(sel),
-	}
-	// Compile eagerly — a pipeline run that stops before execute: bind and
-	// optimize errors belong to Prepare, and the first execution should
-	// already find the plan cached. The compilation pins the published
-	// snapshot current now, like any read.
-	if _, err := e.run(context.Background(), src, sel, rowsOptions{stmt: s, planOnly: true}); err != nil {
+	s := &Stmt{e: e, src: src, key: planKey{text: text, mode: mode}}
+	// Compile eagerly — a pipeline run that stops before execute: parse,
+	// bind and optimize errors belong to Prepare, and the first execution
+	// should already find the plan cached. The compilation pins the
+	// published snapshot current now, like any read.
+	rows, err := e.run(context.Background(), src, nil, rowsOptions{stmt: s, planOnly: true})
+	if err != nil {
 		return nil, err
 	}
+	s.n = rows.query.cp.NumParams
 	return s, nil
 }
 

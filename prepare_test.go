@@ -68,8 +68,10 @@ func TestPrepareBasic(t *testing.T) {
 	}
 }
 
-// TestPrepareNormalization: two renderings of the same statement share one
-// cache entry — the key is the canonical text, not the raw source.
+// TestPrepareNormalization: renderings of the same statement share one
+// cache entry — the key is the statement's token stream, not the raw source
+// — whichever door they come through: a third rendering sent ad hoc hits
+// the plan Prepare compiled.
 func TestPrepareNormalization(t *testing.T) {
 	e := setupEmpDept(t)
 	if _, err := e.Prepare(`select sal from emp where age < ?`); err != nil {
@@ -80,6 +82,14 @@ func TestPrepareNormalization(t *testing.T) {
 	}
 	if e.PlanCacheLen() != 1 {
 		t.Fatalf("PlanCacheLen = %d, want 1 (normalization failed)", e.PlanCacheLen())
+	}
+	res, err := e.Query(context.Background(), "SELECT Sal FROM Emp\n\tWHERE age<? -- the young ones", WithParams(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Plan.CacheStatus != "hit" || e.PlanCacheLen() != 1 || res.Len() == 0 {
+		t.Fatalf("ad-hoc rendering: status %q, PlanCacheLen %d, %d rows; want hit, 1, some",
+			res.Plan.CacheStatus, e.PlanCacheLen(), res.Len())
 	}
 }
 

@@ -50,21 +50,23 @@ type Rows struct {
 // queryRun is the query pipeline: the one value every SELECT-shaped
 // statement becomes, whichever door it came through (ad-hoc, prepared,
 // transaction, EXPLAIN [ANALYZE], materialized-view maintenance). Engine.run
-// drives it through five stages —
+// drives it through its stages —
 //
-//	parse    text → *sql.Select (parseSelect; doors holding a parsed
-//	         statement, a prepared key or a bound block skip it)
-//	bind     *sql.Select → query block over the pinned snapshot (compile;
-//	         only when resolve misses the cache)
-//	resolve  plan key → compiledPlan, cached or optimized (resolvePlan)
+//	resolve  statement text → plan key → compiledPlan from the cache
+//	         (resolvePlan); a hit goes straight to execute
+//	compile  only when resolve found no current plan: parse (parseSelect;
+//	         doors holding a parsed statement or a bound block skip it),
+//	         bind over the pinned snapshot, optimize, freeze (compile)
 //	execute  parameters, storage session, cursor (execute)
 //	finish   teardown and metrics publication, exactly once (finish)
 //
 // — and owns everything private to the run. The compiled plan it points at
-// is shared and immutable.
+// is shared and immutable, and everything that depends only on it (or only
+// on the statement text) was computed when it was compiled: a run of a
+// cached plan does per-run work only.
 type queryRun struct {
 	engine *Engine
-	src    string      // statement text: metrics label, prepared-statement reparse source
+	src    string      // statement text: metrics label, cache-key and parse source
 	opt    rowsOptions // how this door entered the pipeline
 	// snap is the catalog state the run binds, plans and executes against:
 	// the published snapshot current at open, or a writer's working state.
@@ -76,11 +78,14 @@ type queryRun struct {
 	// sess is the query's registered storage session: every page the
 	// executor touches is charged to it (and only it), so qr.io is exact
 	// even when other queries run concurrently. Nil until execution opens.
-	sess    *storage.Session
-	start   time.Time
-	cancel  context.CancelFunc
-	rowsOut int64
-	io      IOStats
+	sess *storage.Session
+	// start is when the door began work on the statement, before any key or
+	// parse step; execStart is when the execute stage began (zero if it
+	// never did).
+	start, execStart time.Time
+	cancel           context.CancelFunc
+	rowsOut          int64
+	io               IOStats
 
 	// once makes finish idempotent and race-free: Rows.Close racing a
 	// governor timeout (or any double teardown) publishes metrics and
@@ -90,9 +95,9 @@ type queryRun struct {
 	done atomic.Bool
 
 	// Phase wall times, fixed at finish: optimizeDur comes from the
-	// collector's "optimize" span; executeDur is everything after it,
-	// clamped at zero (the span can outlive clock granularity, and finish
-	// can run before execution ever starts).
+	// collector's "optimize" span (bind + optimize; absent on a cache hit),
+	// executeDur runs from execStart, and totalDur from start — so it also
+	// covers the key, cache and parse steps, which belong to neither phase.
 	optimizeDur time.Duration
 	executeDur  time.Duration
 	totalDur    time.Duration
@@ -111,11 +116,11 @@ func (qr *queryRun) finish(execErr error) {
 		}
 		qr.cancel()
 
-		qr.totalDur = time.Since(qr.start)
+		now := time.Now()
+		qr.totalDur = now.Sub(qr.start)
 		qr.optimizeDur = qr.col.SpanDur("optimize")
-		qr.executeDur = qr.totalDur - qr.optimizeDur
-		if qr.executeDur < 0 {
-			qr.executeDur = 0
+		if !qr.execStart.IsZero() {
+			qr.executeDur = now.Sub(qr.execStart)
 		}
 		qr.done.Store(true)
 		if qr.opt.planOnly || qr.opt.block != nil {
@@ -188,7 +193,7 @@ type rowsOptions struct {
 	// the Rows it returns is already finished and carries only the plan.
 	planOnly bool
 	// stmt marks a prepared-statement run: the plan key was fixed at Prepare
-	// and the statement text is reparsed only when the plan must recompile.
+	// and the statement text is parsed only when the plan must recompile.
 	stmt *Stmt
 	// params are the values bound to the statement's `?` placeholders.
 	params []types.Value
@@ -203,6 +208,10 @@ type rowsOptions struct {
 	// block enters the pipeline at the resolve stage with an already bound
 	// query (materialized-view maintenance; see Engine.runBlock).
 	block *qblock.Query
+	// start is when a door that parses before entering the pipeline (exec,
+	// which must know the statement's kind to dispatch it) began; zero lets
+	// run start the clock.
+	start time.Time
 }
 
 // parseSelect is the pipeline's parse stage: one statement, which must be a
@@ -231,25 +240,25 @@ func (e *Engine) query(ctx context.Context, src string, opt rowsOptions, opts []
 }
 
 // run drives one SELECT through the pipeline (see queryRun) and returns its
-// cursor; sel is nil when the statement still has to be parsed from src. The
-// run pins its catalog snapshot first and binds, optimizes and executes
-// entirely against it: concurrent commits publish new snapshots without
-// ever disturbing this run, and this run never blocks a writer. Each run
-// has its own storage session, so concurrent queries account and govern
-// their IO independently. Every error path after the governor exists still
-// finishes the run (and so publishes its metrics).
+// cursor; sel is nil unless the door already parsed src, and then src is
+// parsed only if its plan has to be compiled. The run pins its catalog
+// snapshot first and binds, optimizes and executes entirely against it:
+// concurrent commits publish new snapshots without ever disturbing this
+// run, and this run never blocks a writer. Each run has its own storage
+// session, so concurrent queries account and govern their IO independently.
+// Every error path after the governor exists still finishes the run (and so
+// publishes its metrics).
 func (e *Engine) run(ctx context.Context, src string, sel *sql.Select, opt rowsOptions) (rows *Rows, err error) {
-	if sel == nil && opt.stmt == nil && opt.block == nil {
-		if sel, err = parseSelect(src); err != nil {
-			return nil, err
-		}
+	start := opt.start
+	if start.IsZero() {
+		start = time.Now()
 	}
 	// A dead durable engine's memory may be ahead of its log; serving reads
 	// (or plans) from it would expose unacknowledged state.
 	if err := e.walAlive(); err != nil {
 		return nil, err
 	}
-	qr := &queryRun{engine: e, src: src, opt: opt, snap: opt.snap, col: obs.NewCollector(), start: time.Now()}
+	qr := &queryRun{engine: e, src: src, opt: opt, snap: opt.snap, col: obs.NewCollector(), start: start}
 	if qr.snap == nil {
 		qr.snap = e.cat.Snapshot()
 	}
@@ -268,10 +277,7 @@ func (e *Engine) run(ctx context.Context, src string, sel *sql.Select, opt rowsO
 		}
 	}()
 
-	endOpt := qr.col.Time("optimize")
-	err = qr.resolvePlan(sel)
-	endOpt()
-	if err != nil {
+	if err = qr.resolvePlan(sel); err != nil {
 		return nil, err
 	}
 	if opt.planOnly {
@@ -285,6 +291,7 @@ func (e *Engine) run(ctx context.Context, src string, sel *sql.Select, opt rowsO
 // this run's parameter vector checked against the plan's slots, the storage
 // session, and the iterator tree over the shared compiled plan.
 func (qr *queryRun) execute() (*Rows, error) {
+	qr.execStart = time.Now()
 	e, cp := qr.engine, qr.cp
 	params, err := checkParams(cp, qr.opt.params)
 	if err != nil {
