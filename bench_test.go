@@ -57,7 +57,7 @@ func BenchmarkExample1Crossover(b *testing.B)         { benchExperiment(b, "E1")
 func BenchmarkExample2InvariantGrouping(b *testing.B) { benchExperiment(b, "E2") }  // Example 2
 func BenchmarkPullUpEquivalence(b *testing.B)         { benchExperiment(b, "E3") }  // Figure 1
 func BenchmarkPushDownEquivalence(b *testing.B)       { benchExperiment(b, "E4") }  // Figure 2
-func BenchmarkFigure4Alternatives(b *testing.B)       { benchExperiment(b, "E5") }  // Figure 4
+func BenchmarkFigure4Alternatives(b *testing.B)       { benchExperiment(b, "E5") }  // Figure 4: the search's own four alternatives
 func BenchmarkFigure5MultiView(b *testing.B)          { benchExperiment(b, "E6") }  // Figure 5
 func BenchmarkNeverWorse(b *testing.B)                { benchExperiment(b, "E7") }  // §5 guarantee
 func BenchmarkSearchSpaceGrowth(b *testing.B)         { benchExperiment(b, "E8") }  // §5.2 / [CS94]

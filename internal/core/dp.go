@@ -13,7 +13,6 @@ import (
 	"aggview/internal/lplan"
 	"aggview/internal/schema"
 	"aggview/internal/stats"
-	"aggview/internal/transform"
 )
 
 // aggMode records what a DP plan has already computed for the block's
@@ -26,14 +25,16 @@ const (
 	modeFull                   // the block's group-by was applied (invariant placement)
 )
 
+// String names the placement of a complete plan's group-by, as
+// Alternative.Label prints it.
 func (m aggMode) String() string {
 	switch m {
 	case modeNone:
-		return "none"
+		return "group-by last"
 	case modePartial:
-		return "partial"
+		return "coalescing"
 	case modeFull:
-		return "full"
+		return "eager"
 	default:
 		return fmt.Sprintf("aggMode(%d)", int(m))
 	}
@@ -806,7 +807,7 @@ func (dp *blockDP) finalize(c *entry) (*cand, error) {
 				// Successive group-bys (e.g. a top group-by directly over a
 				// pulled-up view) can often be combined into one (paper §3);
 				// keep the merged form as an alternative when it applies.
-				if merged, err := transform.MergeGroupBys(g); err == nil {
+				if merged, err := mergeGroupBys(g); err == nil {
 					if err := consider(merged); err != nil {
 						return nil, err
 					}
@@ -880,9 +881,11 @@ func (dp *blockDP) coalescingTop(in lplan.Node) (lplan.Node, error) {
 	}, nil
 }
 
-// bestFinal finalizes every retained candidate of the full set and returns
-// the cheapest complete plan.
-func (dp *blockDP) bestFinal() (*cand, error) {
+// bestFinal finalizes every retained candidate of the full set — one per
+// aggregation placement and interesting order the search kept — shows each
+// complete plan to visit (nil on the Optimize path) and returns the
+// cheapest, the first found winning ties.
+func (dp *blockDP) bestFinal(visit func(aggMode, *cand)) (*cand, error) {
 	cands := dp.best[fullMask(len(dp.rels))]
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("dp: no plan for the full relation set")
@@ -893,6 +896,9 @@ func (dp *blockDP) bestFinal() (*cand, error) {
 		fin, err := dp.finalize(&cands[i])
 		if err != nil {
 			return nil, err
+		}
+		if visit != nil {
+			visit(cands[i].mode, fin)
 		}
 		if fin.info.Cost < bestCost {
 			best, bestCost = fin, fin.info.Cost
@@ -952,7 +958,6 @@ func dpRemovable(r *dpRel, in uint64, conjs []dpConj, grouping map[schema.ColID]
 		return false
 	}
 	rSchema := r.node.Schema()
-	bound := map[schema.ColID]bool{}
 	for _, c := range conjs {
 		if c.mask&r.mask == 0 {
 			continue
@@ -968,17 +973,29 @@ func dpRemovable(r *dpRel, in uint64, conjs []dpConj, grouping map[schema.ColID]
 				return false
 			}
 		}
-		if lc, rc, isEqui := expr.EquiJoin(c.e); isEqui {
-			if rSchema.Contains(lc) {
-				bound[lc] = true
+	}
+	return keyBound(key, conjs, in)
+}
+
+// keyBound is the key-coverage (foreign-key) rule, stated once for pull-up
+// (Definition 1, item 2: a pulled relation's key need not join the grouping
+// columns) and for invariant grouping (Section 4.1: a relation may wait until
+// after the group-by): the equi-join conjuncts applied within the relation
+// set bind every column of key, so each row of the rest of the set meets at
+// most one row of the keyed relation.
+func keyBound(key schema.Key, conjs []dpConj, within uint64) bool {
+	for _, kc := range key {
+		bound := false
+		for i := range conjs {
+			if conjs[i].mask&^within != 0 {
+				continue
 			}
-			if rSchema.Contains(rc) {
-				bound[rc] = true
+			if lc, rc, ok := expr.EquiJoin(conjs[i].e); ok && (lc == kc || rc == kc) {
+				bound = true
+				break
 			}
 		}
-	}
-	for _, kc := range key {
-		if !bound[kc] {
+		if !bound {
 			return false
 		}
 	}

@@ -47,16 +47,9 @@ func TestMinimalInvariantSetExample2(t *testing.T) {
 
 func TestMinimalInvariantSetNonKeyJoinKeepsRel(t *testing.T) {
 	e := newEnv(t, 14, 10, 3)
-	nokey, err := e.cat.CreateTable("nokey", []schema.Column{
-		{ID: schema.ColID{Name: "dno"}, Type: types.KindInt},
-		{ID: schema.ColID{Name: "tag"}, Type: types.KindInt},
-	}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	b := example2Block(e)
 	// Replace dept with the keyless table: not removable.
-	b.Rels[1] = &qblock.Rel{Alias: "d", Table: nokey}
+	b.Rels[1] = &qblock.Rel{Alias: "d", Table: addNoKey(t, e, 14, 6, 3)}
 	b.Conjs = []expr.Expr{expr.NewCmp(expr.EQ, expr.Col("e", "dno"), expr.Col("d", "dno"))}
 	s := minimalInvariantAliases(b)
 	if len(s) != 2 {

@@ -1,4 +1,4 @@
-package transform
+package core
 
 import (
 	"fmt"
@@ -8,7 +8,7 @@ import (
 	"aggview/internal/schema"
 )
 
-// MergeGroupBys combines two successive group-by operators into one (paper,
+// mergeGroupBys combines two successive group-by operators into one (paper,
 // Section 3: "Successive group-by operators can arise in the transformed
 // query … Execution of such successive group-by operators can be combined
 // under many circumstances").
@@ -25,7 +25,7 @@ import (
 // filtered, or the merged aggregate would see different rows) and the
 // outer grouping columns resolve (through the inner Outputs) to inner
 // *grouping* columns. The merged operator keeps the outer Having/Outputs.
-func MergeGroupBys(outer *lplan.GroupBy) (*lplan.GroupBy, error) {
+func mergeGroupBys(outer *lplan.GroupBy) (*lplan.GroupBy, error) {
 	inner, ok := outer.In.(*lplan.GroupBy)
 	if !ok {
 		return nil, fmt.Errorf("merge group-bys: input is not a group-by")

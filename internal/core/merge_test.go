@@ -1,13 +1,31 @@
-package transform
+package core
 
 import (
 	"strings"
 	"testing"
 
+	"aggview/internal/exec"
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
 	"aggview/internal/schema"
 )
+
+// mustEquiv executes both plans and requires identical result bags.
+func mustEquiv(t *testing.T, e *env, a, b lplan.Node, what string) {
+	t.Helper()
+	ra, err := exec.New(e.store).Run(a)
+	if err != nil {
+		t.Fatalf("%s: run original: %v\n%s", what, err, lplan.Format(a))
+	}
+	rb, err := exec.New(e.store).Run(b)
+	if err != nil {
+		t.Fatalf("%s: run merged: %v\n%s", what, err, lplan.Format(b))
+	}
+	if !exec.BagEqual(ra, rb) {
+		t.Fatalf("%s: results differ (%d vs %d rows)\noriginal:\n%smerged:\n%s",
+			what, len(ra.Rows), len(rb.Rows), lplan.Format(a), lplan.Format(b))
+	}
+}
 
 // chain builds G_outer(G_inner(emp)): inner sums salary per (dno, age),
 // outer re-aggregates per dno.
@@ -17,7 +35,7 @@ func chain(e *env, outerKind, innerKind expr.AggKind) *lplan.GroupBy {
 		innerArg = nil
 	}
 	inner := &lplan.GroupBy{
-		In:        e.scan(e.emp, "e"),
+		In:        &lplan.Scan{Alias: "e", Table: e.emp},
 		GroupCols: []schema.ColID{{Rel: "e", Name: "dno"}, {Rel: "e", Name: "age"}},
 		Aggs:      []expr.Agg{{Kind: innerKind, Arg: innerArg, Out: schema.ColID{Rel: "i", Name: "v"}}},
 	}
@@ -44,7 +62,7 @@ func TestMergeGroupBysEquivalence(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			e := newEnv(t, 31, 600, 7)
 			g := chain(e, c.outer, c.inner)
-			merged, err := MergeGroupBys(g)
+			merged, err := mergeGroupBys(g)
 			if err != nil {
 				t.Fatalf("MergeGroupBys: %v", err)
 			}
@@ -65,7 +83,7 @@ func TestMergeGroupBysWithHavingAndOutputs(t *testing.T) {
 		{E: expr.Col("e", "dno"), As: schema.ColID{Rel: "r", Name: "dno"}},
 		{E: expr.NewArith(expr.Div, expr.Col("o", "w"), expr.IntLit(2)), As: schema.ColID{Rel: "r", Name: "half"}},
 	}
-	merged, err := MergeGroupBys(g)
+	merged, err := mergeGroupBys(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +93,7 @@ func TestMergeGroupBysWithHavingAndOutputs(t *testing.T) {
 func TestMergeGroupBysRenamedInnerOutputs(t *testing.T) {
 	e := newEnv(t, 33, 400, 5)
 	inner := &lplan.GroupBy{
-		In:        e.scan(e.emp, "e"),
+		In:        &lplan.Scan{Alias: "e", Table: e.emp},
 		GroupCols: []schema.ColID{{Rel: "e", Name: "dno"}, {Rel: "e", Name: "age"}},
 		Aggs:      []expr.Agg{{Kind: expr.AggSum, Arg: expr.Col("e", "sal"), Out: schema.ColID{Rel: "i", Name: "v"}}},
 		Outputs: []lplan.NamedExpr{
@@ -89,7 +107,7 @@ func TestMergeGroupBysRenamedInnerOutputs(t *testing.T) {
 		Aggs: []expr.Agg{{Kind: expr.AggSum, Arg: expr.Col("x", "s"),
 			Out: schema.ColID{Rel: "o", Name: "w"}}},
 	}
-	merged, err := MergeGroupBys(outer)
+	merged, err := mergeGroupBys(outer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,23 +119,23 @@ func TestMergeGroupBysRejections(t *testing.T) {
 
 	// Not a group-by input.
 	plain := &lplan.GroupBy{
-		In:        e.scan(e.emp, "e"),
+		In:        &lplan.Scan{Alias: "e", Table: e.emp},
 		GroupCols: []schema.ColID{{Rel: "e", Name: "dno"}},
 		Aggs:      []expr.Agg{{Kind: expr.AggSum, Arg: expr.Col("e", "sal"), Out: schema.ColID{Rel: "o", Name: "w"}}},
 	}
-	if _, err := MergeGroupBys(plain); err == nil {
+	if _, err := mergeGroupBys(plain); err == nil {
 		t.Errorf("non-nested merge accepted")
 	}
 
 	// AVG of AVG is not a coalescing pair.
 	bad := chain(e, expr.AggAvg, expr.AggAvg)
-	if _, err := MergeGroupBys(bad); err == nil || !strings.Contains(err.Error(), "coalesce") {
+	if _, err := mergeGroupBys(bad); err == nil || !strings.Contains(err.Error(), "coalesce") {
 		t.Errorf("AVG∘AVG accepted: %v", err)
 	}
 
 	// SUM over an inner *grouping* column is not a coalescing chain.
 	inner := &lplan.GroupBy{
-		In:        e.scan(e.emp, "e"),
+		In:        &lplan.Scan{Alias: "e", Table: e.emp},
 		GroupCols: []schema.ColID{{Rel: "e", Name: "dno"}, {Rel: "e", Name: "sal"}},
 		Aggs:      []expr.Agg{{Kind: expr.AggCountStar, Out: schema.ColID{Rel: "i", Name: "c"}}},
 	}
@@ -126,7 +144,7 @@ func TestMergeGroupBysRejections(t *testing.T) {
 		GroupCols: []schema.ColID{{Rel: "e", Name: "dno"}},
 		Aggs:      []expr.Agg{{Kind: expr.AggSum, Arg: expr.Col("e", "sal"), Out: schema.ColID{Rel: "o", Name: "w"}}},
 	}
-	if _, err := MergeGroupBys(overGroup); err == nil {
+	if _, err := mergeGroupBys(overGroup); err == nil {
 		t.Errorf("sum over inner grouping column accepted (would change semantics)")
 	}
 
@@ -135,14 +153,14 @@ func TestMergeGroupBysRejections(t *testing.T) {
 	withHaving.In.(*lplan.GroupBy).Having = []expr.Expr{
 		expr.NewCmp(expr.GT, expr.Col("i", "v"), expr.IntLit(0)),
 	}
-	if _, err := MergeGroupBys(withHaving); err == nil {
+	if _, err := mergeGroupBys(withHaving); err == nil {
 		t.Errorf("inner having accepted")
 	}
 
 	// Outer grouping over an inner aggregate output.
 	overAgg := chain(e, expr.AggSum, expr.AggSum)
 	overAgg.GroupCols = []schema.ColID{{Rel: "i", Name: "v"}}
-	if _, err := MergeGroupBys(overAgg); err == nil {
+	if _, err := mergeGroupBys(overAgg); err == nil {
 		t.Errorf("grouping by inner aggregate accepted")
 	}
 }

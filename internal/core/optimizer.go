@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,8 +29,42 @@ type Plan struct {
 // Explain renders the chosen plan tree.
 func (p *Plan) Explain() string { return lplan.Format(p.Root) }
 
-// Optimize chooses an execution plan for a canonical-form query.
-func Optimize(q *qblock.Query, opts Options) (*Plan, error) {
+// Alternative is one complete plan the search finalized: the query with each
+// aggregate view pulled up through the relations its W names (Φ(V′, W),
+// Section 5.3) and the top block's group-by placed as the label says.
+type Alternative struct {
+	// Label names the shape, not the plan: the W combination as the search
+	// trace prints it ("b:{d,e1}", one per view) and, for a grouped top
+	// block, where its group-by sits — "group-by last", "coalescing" (a
+	// partial pre-aggregate below a join, Section 4.2) or "eager" (the
+	// group-by itself below a join, Section 4.1). Plans differing only in
+	// join order or method share a label; an outer-join chain has one shape.
+	Label string
+	Root  lplan.Node
+	Cost  float64
+}
+
+// Alternatives returns every complete plan Optimize's search finalizes for
+// the query, in search order. Optimize's choice is the cheapest of them, the
+// first found winning ties (before materialized-view candidates compete);
+// opts.ViewPlans is not consulted.
+func Alternatives(q *qblock.Query, opts Options) ([]Alternative, error) {
+	o, err := newOptimizer(q, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer o.mem.release()
+	var alts []Alternative
+	o.each = func(a Alternative) { alts = append(alts, a) }
+	if _, _, err := o.run(); err != nil {
+		return nil, err
+	}
+	return alts, nil
+}
+
+// newOptimizer validates the query and sets up one search. The caller
+// releases o.mem when done with everything the search returned.
+func newOptimizer(q *qblock.Query, opts Options) (*optimizer, error) {
 	if opts.Mode == ModeDefault {
 		opts.Mode = ModeFull
 	}
@@ -37,16 +72,24 @@ func Optimize(q *qblock.Query, opts Options) (*Plan, error) {
 		return nil, fmt.Errorf("optimize: %w", err)
 	}
 	mem := memoPool.Get().(*memo)
-	// The search's memory — memo entries, column statistics — is recycled
-	// on return; what the caller gets is an lplan tree and detached numbers.
-	defer mem.release()
-	o := &optimizer{
+	return &optimizer{
 		q:     q,
 		opts:  opts,
 		model: cost.NewModelIn(mem.stats, opts.PoolPages, opts.CPUWeight),
 		mem:   mem,
 		stats: &SearchStats{},
+	}, nil
+}
+
+// Optimize chooses an execution plan for a canonical-form query.
+func Optimize(q *qblock.Query, opts Options) (*Plan, error) {
+	o, err := newOptimizer(q, opts)
+	if err != nil {
+		return nil, err
 	}
+	// The search's memory — memo entries, column statistics — is recycled
+	// on return; what the caller gets is an lplan tree and detached numbers.
+	defer o.mem.release()
 	root, info, err := o.run()
 	if err != nil {
 		return nil, err
@@ -134,19 +177,24 @@ type optimizer struct {
 	local  map[string][]expr.Expr     // single-relation filters by alias
 	bRels  []*qblock.Rel              // B′: top base relations plus views' removed relations
 	needed map[string]map[string]bool // per-alias columns any plan may reference
+
+	// each, set by Alternatives only, is shown every complete plan the
+	// search finalizes; Optimize keeps just the cheapest.
+	each func(Alternative)
 }
 
 func (o *optimizer) run() (lplan.Node, *cost.Info, error) {
 	if hasOuterChain(o.q) {
-		return o.optimizeOuterChain()
+		root, info, err := o.optimizeOuterChain()
+		if err == nil && o.each != nil {
+			o.each(Alternative{Label: "outer-join chain", Root: root, Cost: info.Cost})
+		}
+		return root, info, err
 	}
 	if err := o.decompose(); err != nil {
 		return nil, nil, err
 	}
 	o.computeNeeded()
-	if len(o.views) == 0 {
-		return o.optimizeSingleBlock()
-	}
 	return o.optimizeWithViews()
 }
 
@@ -431,23 +479,6 @@ func (o *optimizer) decomposeView(v *qblock.AggView) (*viewCtx, error) {
 	return vc, nil
 }
 
-// optimizeSingleBlock handles queries without aggregate views: one block
-// DP with the greedy conservative heuristic (Section 5.2).
-func (o *optimizer) optimizeSingleBlock() (lplan.Node, *cost.Info, error) {
-	dp, err := o.newBlockDP(o.bRels, nil, o.pool, o.topGroupSpec(), o.q.Top.Outputs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := dp.solve(); err != nil {
-		return nil, nil, err
-	}
-	best, err := dp.bestFinal()
-	if err != nil {
-		return nil, nil, err
-	}
-	return best.node, best.info, nil
-}
-
 // topGroupSpec converts the top block's group-by into a DP group spec
 // (minInvariant and argsMask are filled in by newBlockDP).
 func (o *optimizer) topGroupSpec() *rawGroup {
@@ -469,13 +500,18 @@ type rawGroup struct {
 }
 
 // newBlockDP assembles a block DP from base relations and prebuilt
-// subplans. Local filters (from o.local plus the extra map) are pushed
-// into the scans; conjs must be multi-relation.
-func (o *optimizer) newBlockDP(rels []*qblock.Rel, prebuilt []prebuiltRel, conjs []*poolConj, g *rawGroup, outputs []lplan.NamedExpr) (*blockDP, error) {
+// subplans. Each scan carries its relation's local filters, o.local's and
+// the caller's (filters, nil for none); conjs must be multi-relation. g is
+// nil for a block without a (pending) group-by, such as phase one's V′ ∪ B′.
+func (o *optimizer) newBlockDP(rels []*qblock.Rel, prebuilt []prebuiltRel, filters map[string][]expr.Expr, conjs []expr.Expr, g *rawGroup, outputs []lplan.NamedExpr) (*blockDP, error) {
 	dp := &blockDP{model: o.model, mem: o.mem, opts: o.opts, stats: o.stats, outputs: outputs}
 	bit := 0
 	for _, r := range rels {
-		dp.rels = append(dp.rels, dpRel{alias: r.Alias, node: o.prunedScan(r, o.local[r.Alias]), mask: 1 << bit})
+		local := o.local[r.Alias]
+		if more := filters[r.Alias]; len(more) > 0 {
+			local = slices.Concat(local, more)
+		}
+		dp.rels = append(dp.rels, dpRel{alias: r.Alias, node: o.prunedScan(r, local), mask: 1 << bit})
 		bit++
 	}
 	for _, p := range prebuilt {
@@ -484,11 +520,11 @@ func (o *optimizer) newBlockDP(rels []*qblock.Rel, prebuilt []prebuiltRel, conjs
 	}
 	aliases := aliasMasks(dp.rels)
 	for _, c := range conjs {
-		m, err := maskOfExpr(c.outer, aliases)
+		m, err := maskOfExpr(c, aliases)
 		if err != nil {
 			return nil, err
 		}
-		dp.conjs = append(dp.conjs, newConj(c.outer, m, o.model.Cols()))
+		dp.conjs = append(dp.conjs, newConj(c, m, o.model.Cols()))
 	}
 	dp.conjs = addDerivedEqualities(dp.conjs, aliases, o.model.Cols())
 	if g != nil {
@@ -517,7 +553,9 @@ type prebuiltRel struct {
 	node  lplan.Node
 }
 
-// optimizeWithViews runs the two-phase algorithm of Sections 5.3-5.4.
+// optimizeWithViews runs the two-phase algorithm of Sections 5.3-5.4. A
+// query without aggregate views has one (empty) combination: phase two over
+// the top block is the whole search.
 func (o *optimizer) optimizeWithViews() (lplan.Node, *cost.Info, error) {
 	// Phase 1: one shared DP per view over V′ ∪ B′, then Φ(V′, W) per
 	// candidate W.
@@ -549,17 +587,14 @@ func (o *optimizer) optimizeWithViews() (lplan.Node, *cost.Info, error) {
 			if err != nil {
 				return err
 			}
-			if o.opts.Trace != nil {
-				var ws []string
-				for _, c := range chosen {
-					ws = append(ws, fmt.Sprintf("%s:{%s}", c.vc.view.Alias, strings.TrimSuffix(setKey(c.wAliases), ",")))
-				}
+			// Without views there is one, empty combination: nothing to report.
+			if o.opts.Trace != nil && len(chosen) > 0 {
 				verdict := "kept"
 				if info.Cost >= bestCost {
 					verdict = fmt.Sprintf("rejected (%.1f >= best %.1f)", info.Cost, bestCost)
 				}
 				o.opts.Trace.Event("phase2", 0, "combination [%s]: cost %.1f, %s",
-					strings.Join(ws, " "), info.Cost, verdict)
+					wLabel(chosen), info.Cost, verdict)
 			}
 			if info.Cost < bestCost {
 				bestNode, bestInfo, bestCost = node, info, info.Cost
@@ -613,10 +648,20 @@ type wCandidate struct {
 func (o *optimizer) phaseOne(vc *viewCtx) ([]wCandidate, error) {
 	// Conjuncts usable inside Φ: the view's inner conjuncts plus pool
 	// conjuncts in inner form that touch at most this view's aggregates
-	// and no other view.
-	var dpConjs []*poolConj
+	// and no other view. One over a single relation (a view-local filter, or
+	// a pool filter over the view's grouping outputs rewritten to inner
+	// columns) goes into that relation's scan.
+	filters := map[string][]expr.Expr{}
+	var dpConjs []expr.Expr
+	place := func(c expr.Expr) {
+		if on := expr.Rels(c); len(on) == 1 {
+			filters[on[0]] = append(filters[on[0]], c)
+		} else {
+			dpConjs = append(dpConjs, c)
+		}
+	}
 	for _, c := range vc.innerConjs {
-		dpConjs = append(dpConjs, &poolConj{outer: c, inner: c})
+		place(c)
 	}
 	usable := map[*poolConj]bool{}
 	var deferred []*poolConj // conjuncts over this view's aggregate outputs
@@ -638,11 +683,11 @@ func (o *optimizer) phaseOne(vc *viewCtx) ([]wCandidate, error) {
 			continue
 		}
 		usable[pc] = true
-		dpConjs = append(dpConjs, &poolConj{outer: pc.inner, inner: pc.inner})
+		place(pc.inner)
 	}
 
-	// The shared phase-1 DP over V′ ∪ B′.
-	dp, err := o.newPhaseOneDP(vc, dpConjs)
+	// The shared phase-1 DP over V′ ∪ B′: no group-by, no outputs.
+	dp, err := o.newBlockDP(slices.Concat(vc.vPrime, o.bRels), nil, filters, dpConjs, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -674,51 +719,6 @@ func (o *optimizer) phaseOne(vc *viewCtx) ([]wCandidate, error) {
 		out = append(out, *cand)
 	}
 	return out, nil
-}
-
-// newPhaseOneDP builds the SPJ DP over V′ ∪ B′ for one view.
-func (o *optimizer) newPhaseOneDP(vc *viewCtx, conjs []*poolConj) (*blockDP, error) {
-	dp := &blockDP{model: o.model, mem: o.mem, opts: o.opts, stats: o.stats}
-	bit := 0
-	// Per-alias local filters: the view's single-relation conjuncts plus
-	// the top pool's.
-	local := map[string][]expr.Expr{}
-	for a, fs := range o.local {
-		local[a] = append(local[a], fs...)
-	}
-	var multi []*poolConj
-	for _, c := range conjs {
-		rels := expr.Rels(c.inner)
-		if len(rels) == 1 {
-			// Single-relation conjuncts (view-local filters, or pool
-			// filters over a view's grouping outputs rewritten to inner
-			// columns) push into the scan.
-			local[rels[0]] = append(local[rels[0]], c.inner)
-			continue
-		}
-		multi = append(multi, c)
-	}
-
-	addRel := func(r *qblock.Rel) {
-		dp.rels = append(dp.rels, dpRel{alias: r.Alias, node: o.prunedScan(r, local[r.Alias]), mask: 1 << bit})
-		bit++
-	}
-	for _, r := range vc.vPrime {
-		addRel(r)
-	}
-	for _, r := range o.bRels {
-		addRel(r)
-	}
-	aliases := aliasMasks(dp.rels)
-	for _, c := range multi {
-		m, err := maskOfExpr(c.inner, aliases)
-		if err != nil {
-			return nil, err
-		}
-		dp.conjs = append(dp.conjs, newConj(c.inner, m, o.model.Cols()))
-	}
-	dp.conjs = addDerivedEqualities(dp.conjs, aliases, o.model.Cols())
-	return dp, nil
 }
 
 // candidateWs enumerates the pull sets W ⊆ B′ for a view under the
@@ -995,7 +995,7 @@ func (o *optimizer) phiGroupBy(vc *viewCtx, dp *blockDP, mask uint64, w map[stri
 		if !ok {
 			return nil, fmt.Errorf("optimize: pulled relation %q has no key", r.alias)
 		}
-		if equiBound(key, dp, mask) {
+		if keyBound(key, dp.conjs, mask) {
 			continue
 		}
 		for _, kc := range key {
@@ -1039,29 +1039,6 @@ func (o *optimizer) phiGroupBy(vc *viewCtx, dp *blockDP, mask uint64, w map[stri
 		outSeen[gc] = true
 	}
 	return spec, nil
-}
-
-// equiBound reports whether the equi-join conjuncts applied inside the Φ
-// (mask) bind the key.
-func equiBound(key schema.Key, dp *blockDP, mask uint64) bool {
-	bound := map[schema.ColID]bool{}
-	for _, c := range dp.conjs {
-		if c.mask&^mask != 0 {
-			continue
-		}
-		lc, rc, ok := expr.EquiJoin(c.e)
-		if !ok {
-			continue
-		}
-		bound[lc] = true
-		bound[rc] = true
-	}
-	for _, kc := range key {
-		if !bound[kc] {
-			return false
-		}
-	}
-	return true
 }
 
 // colsNeededAbove returns the W-relation columns that phase 2 still needs:
@@ -1119,24 +1096,44 @@ func (o *optimizer) phaseTwo(chosen []wCandidate) (lplan.Node, *cost.Info, error
 			rels = append(rels, r)
 		}
 	}
-	var conjs []*poolConj
+	var conjs []expr.Expr
 	for _, pc := range o.pool {
 		if !consumedConj[pc] {
-			conjs = append(conjs, pc)
+			conjs = append(conjs, pc.outer)
 		}
 	}
-	dp, err := o.newBlockDP(rels, prebuilt, conjs, o.topGroupSpec(), o.q.Top.Outputs)
+	dp, err := o.newBlockDP(rels, prebuilt, nil, conjs, o.topGroupSpec(), o.q.Top.Outputs)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := dp.solve(); err != nil {
 		return nil, nil, err
 	}
-	best, err := dp.bestFinal()
+	var visit func(aggMode, *cand)
+	if o.each != nil {
+		visit = func(m aggMode, c *cand) {
+			label := wLabel(chosen)
+			if dp.group != nil {
+				label = strings.TrimSpace(label + " " + m.String())
+			}
+			o.each(Alternative{Label: label, Root: c.node, Cost: c.info.Cost})
+		}
+	}
+	best, err := dp.bestFinal(visit)
 	if err != nil {
 		return nil, nil, err
 	}
 	return best.node, best.info, nil
+}
+
+// wLabel renders a W combination as the search trace and Alternative.Label
+// print it: "b:{d,e1}" per view, space-separated.
+func wLabel(chosen []wCandidate) string {
+	ws := make([]string, len(chosen))
+	for i, c := range chosen {
+		ws[i] = fmt.Sprintf("%s:{%s}", c.vc.view.Alias, strings.TrimSuffix(setKey(c.wAliases), ","))
+	}
+	return strings.Join(ws, " ")
 }
 
 // minimalInvariantAliases computes V′ for a view block (Section 4.1): the

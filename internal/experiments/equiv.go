@@ -2,30 +2,34 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
 
+	"aggview/internal/binder"
 	"aggview/internal/catalog"
-	"aggview/internal/cost"
+	"aggview/internal/core"
 	"aggview/internal/datagen"
 	"aggview/internal/exec"
-	"aggview/internal/expr"
-	"aggview/internal/lplan"
-	"aggview/internal/schema"
+	"aggview/internal/sql"
 	"aggview/internal/storage"
-	"aggview/internal/transform"
 )
 
 func init() {
 	register("E3", "Figure 1: pull-up equivalence P1 ↔ P2, estimated cost and measured IO of both shapes", runE3)
 	register("E4", "Figure 2: push-down equivalences (invariant grouping, simple coalescing)", runE4)
+	register("E5", "Figure 4: the four alternative executions for a query with one aggregate view", runE5)
 }
 
-// fixture builds an emp/dept database at transform level (no SQL).
+// E3–E5 print the shapes of the paper's figures as the optimizer's own
+// search builds them: each binds the figure's query and lists
+// core.Alternatives — every complete plan the enumerator finalizes, the ones
+// that lose on cost included — so the equivalence the tables check is that of
+// the code the engine runs.
+
+// fixture is an emp/dept database below the engine's SQL entry points, where
+// a plan that lost the search can still be executed.
 type fixture struct {
 	store *storage.Store
 	cat   *catalog.Catalog
-	emp   *catalog.Table
-	dept  *catalog.Table
 }
 
 func newFixture(pool int, seed int64, nEmp, nDept int) (*fixture, error) {
@@ -36,149 +40,118 @@ func newFixture(pool int, seed int64, nEmp, nDept int) (*fixture, error) {
 	if err := datagen.LoadEmpDept(c, spec); err != nil {
 		return nil, err
 	}
-	emp, _ := c.Table("emp")
-	dept, _ := c.Table("dept")
-	return &fixture{store: st, cat: c, emp: emp, dept: dept}, nil
+	return &fixture{store: st, cat: c}, nil
 }
 
-func (f *fixture) scanEmp(alias string) *lplan.Scan  { return &lplan.Scan{Alias: alias, Table: f.emp} }
-func (f *fixture) scanDept(alias string) *lplan.Scan { return &lplan.Scan{Alias: alias, Table: f.dept} }
+// shapeRows binds the statement, takes the cheapest alternative of each
+// label (shape) the search finalizes under opts (with the fixture's pool),
+// and returns one row per shape: the cells in lead, the label, the estimated
+// cost, the page IO of a cold run, the row count, whether the result bag
+// equals the first shape's, and a mark on the shape Optimize hands out.
+func (f *fixture) shapeRows(src string, opts core.Options, lead ...string) ([][]string, error) {
+	stmt, err := sql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	bound, err := binder.BindSelect(f.cat.Snapshot(), stmt.(*sql.Select))
+	if err != nil {
+		return nil, err
+	}
+	opts.PoolPages = f.store.PoolPages()
+	alts, err := core.Alternatives(bound.Query, opts)
+	if err != nil {
+		return nil, err
+	}
+	// One shape per label — the cheapest plan carrying it — in search order;
+	// best is Optimize's pick, the cheapest plan, the first found winning ties.
+	var shapes []core.Alternative
+	best := alts[0]
+	for _, a := range alts {
+		if a.Cost < best.Cost {
+			best = a
+		}
+		i := slices.IndexFunc(shapes, func(s core.Alternative) bool { return s.Label == a.Label })
+		switch {
+		case i < 0:
+			shapes = append(shapes, a)
+		case a.Cost < shapes[i].Cost:
+			shapes[i] = a
+		}
+	}
 
-// measure runs a plan cold and returns its measured page IO and row count.
-func (f *fixture) measure(n lplan.Node) (int64, int, error) {
-	f.store.DropCaches()
-	before := f.store.Stats()
-	res, err := exec.New(f.store).Run(n)
-	if err != nil {
-		return 0, 0, err
+	var rows [][]string
+	var first *exec.Result
+	for _, a := range shapes {
+		f.store.DropCaches()
+		before := f.store.Stats()
+		res, err := exec.New(f.store).Run(a.Root)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Label, err)
+		}
+		io := f.store.Stats().Sub(before).Total()
+		if first == nil {
+			first = res
+		}
+		equal := "YES"
+		if !exec.BagEqual(first, res) {
+			equal = "NO (BUG)"
+		}
+		mark := ""
+		if a.Label == best.Label {
+			mark = "<- chosen"
+		}
+		rows = append(rows, append(append([]string{}, lead...),
+			a.Label, f1(a.Cost), itoa(int(io)), itoa(len(res.Rows)), equal, mark))
 	}
-	return f.store.Stats().Sub(before).Total(), len(res.Rows), nil
-}
-
-// example1P1 builds Figure 1's P1 for Example 1 (join of filtered emp with
-// the per-department average-salary view).
-func example1P1(f *fixture, ageCut int64) *lplan.Join {
-	g := &lplan.GroupBy{
-		In:        f.scanEmp("e2"),
-		GroupCols: []schema.ColID{{Rel: "e2", Name: "dno"}},
-		Aggs: []expr.Agg{{Kind: expr.AggAvg, Arg: expr.Col("e2", "sal"),
-			Out: schema.ColID{Rel: "b", Name: "asal"}}},
-		Outputs: []lplan.NamedExpr{
-			{E: expr.Col("e2", "dno"), As: schema.ColID{Rel: "b", Name: "dno"}},
-			{E: expr.Col("b", "asal"), As: schema.ColID{Rel: "b", Name: "asal"}},
-		},
-	}
-	e1 := f.scanEmp("e1")
-	e1.Filter = []expr.Expr{expr.NewCmp(expr.LT, expr.Col("e1", "age"), expr.IntLit(ageCut))}
-	return &lplan.Join{
-		L: e1,
-		R: g,
-		Preds: []expr.Expr{
-			expr.NewCmp(expr.EQ, expr.Col("e1", "dno"), expr.Col("b", "dno")),
-			expr.NewCmp(expr.GT, expr.Col("e1", "sal"), expr.Col("b", "asal")),
-		},
-		Proj: []schema.ColID{{Rel: "e1", Name: "sal"}},
-	}
-}
-
-// example2G builds Figure 2's input G(J(emp, dept)) for Example 2. The
-// join is sort-merge (the paper's era), so moving the group-by below it
-// visibly changes the external-sort work.
-func example2G(f *fixture, budgetCut float64) *lplan.GroupBy {
-	d := f.scanDept("d")
-	d.Filter = []expr.Expr{expr.NewCmp(expr.LT, expr.Col("d", "budget"), expr.FloatLit(budgetCut))}
-	j := &lplan.Join{
-		L:      f.scanEmp("e"),
-		R:      d,
-		Preds:  []expr.Expr{expr.NewCmp(expr.EQ, expr.Col("e", "dno"), expr.Col("d", "dno"))},
-		Method: lplan.JoinMerge,
-	}
-	return &lplan.GroupBy{
-		In:        j,
-		GroupCols: []schema.ColID{{Rel: "e", Name: "dno"}},
-		Aggs: []expr.Agg{{Kind: expr.AggAvg, Arg: expr.Col("e", "sal"),
-			Out: schema.ColID{Rel: "v", Name: "asal"}}},
-	}
-}
-
-// transformRow evaluates a before/after plan pair: estimated costs,
-// measured IO, and bag equivalence of results.
-func transformRow(f *fixture, label string, before, after lplan.Node) ([]string, error) {
-	model := cost.NewModel(f.store.PoolPages(), 0)
-	cb, err := model.Cost(before)
-	if err != nil {
-		return nil, err
-	}
-	ca, err := model.Cost(after)
-	if err != nil {
-		return nil, err
-	}
-	rb, err := exec.New(f.store).Run(before)
-	if err != nil {
-		return nil, err
-	}
-	ra, err := exec.New(f.store).Run(after)
-	if err != nil {
-		return nil, err
-	}
-	equal := exec.BagEqual(rb, ra)
-	iob, _, err := f.measure(before)
-	if err != nil {
-		return nil, err
-	}
-	ioa, _, err := f.measure(after)
-	if err != nil {
-		return nil, err
-	}
-	eq := "YES"
-	if !equal {
-		eq = "NO (BUG)"
-	}
-	return []string{
-		label, f1(cb), f1(ca), itoa(int(iob)), itoa(int(ioa)), itoa(len(rb.Rows)), eq,
-	}, nil
+	return rows, nil
 }
 
 func runE3(quick bool) (*Table, error) {
 	configs := []struct {
 		nEmp, nDept int
-		ageCut      int64
+		ageCut      int
 	}{
-		{30000, 2000, 20}, // selective filter, many groups: pull-up should win
-		{12000, 40, 60},   // few groups, unselective: original should win
+		{30000, 12000, 20}, // selective filter, many groups: pull-up should win
+		{12000, 40, 60},    // few groups, unselective: original should win
 	}
 	pool := 24
 	if quick {
 		configs = []struct {
 			nEmp, nDept int
-			ageCut      int64
-		}{{4000, 300, 20}, {2000, 20, 60}}
+			ageCut      int
+		}{{6000, 4000, 20}, {2000, 20, 60}}
 		pool = 12
 	}
 	t := &Table{
 		ID:     "E3",
 		Title:  "Pull-up (Definition 1): P1 = join-after-group vs P2 = group-after-join",
-		Header: []string{"config", "est P1", "est P2", "io P1", "io P2", "rows", "equal"},
-		Notes:  []string{"equal=YES machine-checks Definition 1's equivalence by execution"},
+		Header: []string{"config", "shape", "est cost", "measured io", "rows", "equal", ""},
+		Notes: []string{
+			"both shapes are the search's own alternatives Φ(V′, W): W={} is the view as written, W={e1} pulls e1 through it",
+			"equal=YES machine-checks Definition 1's equivalence by execution",
+		},
 	}
 	for i, cfg := range configs {
 		f, err := newFixture(pool, int64(100+i), cfg.nEmp, cfg.nDept)
 		if err != nil {
 			return nil, err
 		}
-		p1 := example1P1(f, cfg.ageCut)
-		p2, err := pullUpOf(p1)
-		if err != nil {
-			return nil, err
-		}
 		label := fmt.Sprintf("emp=%d dept=%d age<%d", cfg.nEmp, cfg.nDept, cfg.ageCut)
-		row, err := transformRow(f, label, p1, p2)
+		rows, err := f.shapeRows(example1SQL(cfg.ageCut), core.DefaultOptions(), label)
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, rows...)
 	}
 	return t, nil
+}
+
+// systemR is the search restricted to the join repertoire of the paper's era
+// (no hash join), where the placement of a group-by moves whole sorts.
+func systemR(mode core.Mode) core.Options {
+	opts := core.DefaultOptions()
+	opts.Mode, opts.NoHashJoin = mode, true
+	return opts
 }
 
 func runE4(quick bool) (*Table, error) {
@@ -193,52 +166,61 @@ func runE4(quick bool) (*Table, error) {
 	}
 	t := &Table{
 		ID:     "E4",
-		Title:  "Push-down transformations: original vs transformed shape",
-		Header: []string{"transformation", "est orig", "est new", "io orig", "io new", "rows", "equal"},
+		Title:  "Push-down transformations: the group-by placements the search retains",
+		Header: []string{"query", "placement", "est cost", "measured io", "rows", "equal", ""},
+		Notes: []string{
+			"placements are the search's own: eager = the group-by below the dept join (invariant grouping), coalescing = a partial pre-aggregate below it",
+		},
 	}
-
-	g := example2G(f, 500000)
-	pushed, err := pushInvariantOf(g)
-	if err != nil {
-		return nil, err
-	}
-	row, err := transformRow(f, "invariant grouping (Fig 2a)", g, pushed)
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, row)
-
-	g2 := example2G(f, 900000)
-	co, err := coalesceOf(g2)
-	if err != nil {
-		return nil, err
-	}
-	row, err = transformRow(f, "simple coalescing (Fig 2b)", g2, co)
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, row)
-
-	// Randomized spot checks (mirrors the property tests).
-	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 2; i++ {
-		cut := f.dept.Stats.Cols["budget"].Min.Float() +
-			r.Float64()*(f.dept.Stats.Cols["budget"].Max.Float()-f.dept.Stats.Cols["budget"].Min.Float())
-		gi := example2G(f, cut)
-		pi, err := pushInvariantOf(gi)
+	for _, q := range []struct{ label, sql string }{
+		// Example 2 (query C): dept joins on its key and the grouping column,
+		// so the whole group-by may run before the join.
+		{"Fig 2a: avg(sal) by e.dno", `select e.dno, avg(e.sal) from emp e, dept d
+			where e.dno = d.dno and d.budget < 500000 group by e.dno`},
+		// Grouped by a dept column: the group-by must wait for the join, a
+		// partial sum per e.dno need not.
+		{"Fig 2b: sum(sal) by d.budget", `select d.budget, sum(e.sal) from emp e, dept d
+			where e.dno = d.dno and d.budget < 900000 group by d.budget`},
+	} {
+		rows, err := f.shapeRows(q.sql, systemR(core.ModePushDown), q.label)
 		if err != nil {
 			return nil, err
 		}
-		row, err := transformRow(f, fmt.Sprintf("invariant, random cut %d", i+1), gi, pi)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, rows...)
 	}
 	return t, nil
 }
 
-// Thin wrappers keep the call sites tidy.
-func pullUpOf(j *lplan.Join) (lplan.Node, error)           { return transform.PullUp(j) }
-func pushInvariantOf(g *lplan.GroupBy) (lplan.Node, error) { return transform.PushInvariant(g) }
-func coalesceOf(g *lplan.GroupBy) (lplan.Node, error)      { return transform.Coalesce(g) }
+// runE5 lists Figure 4's four executions. The query joins a filtered emp e1
+// with the view "average salary per department" over emp ⋈ dept, dept joined
+// on the grouping column; the search's four W sets for the view are exactly
+// the figure's four plans.
+func runE5(quick bool) (*Table, error) {
+	nEmp, nDept := 40000, 3000
+	pool := 24
+	if quick {
+		nEmp, nDept, pool = 5000, 1000, 12
+	}
+	f, err := newFixture(pool, 5, nEmp, nDept)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := f.shapeRows(`
+		select e1.sal
+		from emp e1, (select e.dno, avg(e.sal) as asal from emp e, dept d
+		              where e.dno = d.dno group by e.dno) b
+		where e1.dno = b.dno and e1.sal > b.asal and e1.age < 20`, systemR(core.ModeFull))
+	if err != nil {
+		return nil, err
+	}
+	return &Table{
+		ID:     "E5",
+		Title:  "Figure 4's four executions, costed and measured",
+		Header: []string{"W", "est cost", "measured io", "rows", "equal", ""},
+		Rows:   rows,
+		Notes: []string{
+			"W is what the view's group-by waits for beyond emp (d$2 is the view's dept): {d$2} traditional (view as written), {} push-down (G before the dept join), {d$2,e1} pull-up (G after the e1 join), {e1} push+pull (G over e⋈e1, dept last)",
+			"the rows are every W set of the Full-mode search, one plan each — the cheapest of the retained join orders",
+		},
+	}, nil
+}

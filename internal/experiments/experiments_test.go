@@ -66,20 +66,48 @@ func TestE7NeverWorseColumn(t *testing.T) {
 	}
 }
 
-// TestE5AllShapesAgree re-checks that Figure 4's four plans agreed on the
-// row count (runE5 errors out otherwise, so reaching here suffices).
+// TestE5AllShapesAgree: Figure 4 has exactly four executions, one per W set
+// of the view, and they agree on the result bag, not only on its size.
 func TestE5AllShapesAgree(t *testing.T) {
 	tbl, err := Run("E5", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4 plan shapes", len(tbl.Rows))
+	want := []string{"b:{}", "b:{d$2}", "b:{d$2,e1}", "b:{e1}"}
+	if len(tbl.Rows) != len(want) {
+		t.Fatalf("rows = %d, want the four W sets %v:\n%s", len(tbl.Rows), want, tbl)
 	}
-	rows := tbl.Rows[0][3]
-	for _, r := range tbl.Rows {
-		if r[3] != rows {
-			t.Fatalf("row counts differ: %v", tbl.Rows)
+	for i, r := range tbl.Rows {
+		if r[0] != want[i] {
+			t.Errorf("row %d is W=%s, want %s", i, r[0], want[i])
+		}
+		if r[3] != tbl.Rows[0][3] || r[4] != "YES" {
+			t.Errorf("W=%s: rows=%s equal=%s, want %s rows equal to the first shape's", r[0], r[3], r[4], tbl.Rows[0][3])
+		}
+	}
+}
+
+// TestE3E4ShapesAgree: E3 shows both shapes of Figure 1 for a configuration
+// where the pull-up is chosen and one where the view as written is, E4 the
+// eager and the coalescing placement next to group-by last; every row equal.
+func TestE3E4ShapesAgree(t *testing.T) {
+	for id, want := range map[string][]string{
+		"E3": {"q$1:{}", "q$1:{e1} <- chosen", "q$1:{} <- chosen", "q$1:{e1}"},
+		"E4": {"group-by last", "eager <- chosen", "group-by last", "coalescing <- chosen"},
+	} {
+		tbl, err := Run(id, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range tbl.Rows {
+			if r[5] != "YES" {
+				t.Errorf("%s: %v is not equal to the first shape", id, r)
+			}
+			got = append(got, strings.TrimSpace(r[1]+" "+r[6]))
+		}
+		if strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Errorf("%s shapes = %v, want %v\n%s", id, got, want, tbl)
 		}
 	}
 }

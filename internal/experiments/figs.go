@@ -3,183 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"aggview"
-	"aggview/internal/cost"
-	"aggview/internal/expr"
-	"aggview/internal/lplan"
-	"aggview/internal/schema"
-	"aggview/internal/transform"
 )
 
 func init() {
-	register("E5", "Figure 4: the four alternative executions for a query with one aggregate view", runE5)
 	register("E6", "Figure 5: two-phase optimization of a query with two aggregate views", runE6)
-}
-
-// runE5 builds the four plan shapes of Figure 4 by hand — traditional,
-// push-down, pull-up, push+pull — costs and executes each, and checks the
-// full optimizer picks a plan at least as good as the best of the four.
-//
-// The query: an aggregate view avg(sal) per department over emp ⋈ dept
-// (dept joined invariantly), joined with a filtered emp e1:
-//
-//	G0-less top:  e1 ⋈ G1(e ⋈ d)  on dno, e1.sal > asal
-func runE5(quick bool) (*Table, error) {
-	nEmp, nDept := 40000, 3000
-	ageCut := int64(20)
-	pool := 24
-	if quick {
-		nEmp, nDept, pool = 5000, 1000, 12
-	}
-	f, err := newFixture(pool, 5, nEmp, nDept)
-	if err != nil {
-		return nil, err
-	}
-
-	mk := func() (*lplan.GroupBy, *lplan.Scan) {
-		d := f.scanDept("d")
-		j := &lplan.Join{
-			L:      f.scanEmp("e"),
-			R:      d,
-			Preds:  []expr.Expr{expr.NewCmp(expr.EQ, expr.Col("e", "dno"), expr.Col("d", "dno"))},
-			Method: lplan.JoinMerge,
-		}
-		g := &lplan.GroupBy{
-			In:        j,
-			GroupCols: []schema.ColID{{Rel: "e", Name: "dno"}},
-			Aggs: []expr.Agg{{Kind: expr.AggAvg, Arg: expr.Col("e", "sal"),
-				Out: schema.ColID{Rel: "b", Name: "asal"}}},
-			Outputs: []lplan.NamedExpr{
-				{E: expr.Col("e", "dno"), As: schema.ColID{Rel: "b", Name: "dno"}},
-				{E: expr.Col("b", "asal"), As: schema.ColID{Rel: "b", Name: "asal"}},
-			},
-		}
-		e1 := f.scanEmp("e1")
-		e1.Filter = []expr.Expr{expr.NewCmp(expr.LT, expr.Col("e1", "age"), expr.IntLit(ageCut))}
-		return g, e1
-	}
-	topOf := func(view lplan.Node, e1 *lplan.Scan) *lplan.Join {
-		return &lplan.Join{
-			L: e1,
-			R: view,
-			Preds: []expr.Expr{
-				expr.NewCmp(expr.EQ, expr.Col("e1", "dno"), expr.Col("b", "dno")),
-				expr.NewCmp(expr.GT, expr.Col("e1", "sal"), expr.Col("b", "asal")),
-			},
-			Proj:   []schema.ColID{{Rel: "e1", Name: "sal"}},
-			Method: lplan.JoinMerge,
-		}
-	}
-
-	// (a) Traditional: the view evaluated as written.
-	gA, e1A := mk()
-	planA := lplan.Node(topOf(gA, e1A))
-
-	// (b) Push-down: invariant grouping moves G1 below the dept join.
-	gB, e1B := mk()
-	pushed, err := transform.PushInvariant(gB)
-	if err != nil {
-		return nil, err
-	}
-	// PushInvariant emits Project(join) for renamed outputs; re-wrap so
-	// the top join still sees columns b.dno/b.asal.
-	planB := lplan.Node(topOf(pushed, e1B))
-
-	// (c) Pull-up: the group-by deferred past the join with e1.
-	gC, e1C := mk()
-	planC, err := transform.PullUp(topOf(gC, e1C))
-	if err != nil {
-		return nil, err
-	}
-
-	// (d) Push and pull: dept pushed out of the view, e1 pulled in — the
-	// group-by runs over e ⋈ e1, dept joins afterwards (built directly;
-	// it is the composition PullUp∘PushInvariant of shapes (b) and (c)).
-	_, e1D := mk()
-	planD, err := buildPlanD(f, e1D)
-	if err != nil {
-		return nil, err
-	}
-
-	model := cost.NewModel(pool, 0)
-	t := &Table{
-		ID:     "E5",
-		Title:  "Figure 4's four executions, costed and measured",
-		Header: []string{"plan", "est cost", "measured io", "rows"},
-	}
-	var bestCost = math.Inf(1)
-	var refRows = -1
-	for _, entry := range []struct {
-		label string
-		plan  lplan.Node
-	}{
-		{"(a) traditional (view as written)", planA},
-		{"(b) push-down (G before dept join)", planB},
-		{"(c) pull-up (G after e1 join)", planC},
-		{"(d) push+pull (G over e⋈e1, dept last)", planD},
-	} {
-		c, err := model.Cost(entry.plan)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", entry.label, err)
-		}
-		io, rows, err := f.measure(entry.plan)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", entry.label, err)
-		}
-		if refRows < 0 {
-			refRows = rows
-		} else if rows != refRows {
-			return nil, fmt.Errorf("%s returned %d rows, want %d", entry.label, rows, refRows)
-		}
-		if c < bestCost {
-			bestCost = c
-		}
-		t.Rows = append(t.Rows, []string{entry.label, f1(c), itoa(int(io)), itoa(rows)})
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("all four plans return identical results (%d rows); the optimizer's Full mode searches this space", refRows))
-	return t, nil
-}
-
-// buildPlanD constructs Figure 4(d) directly: G2 over (e ⋈ e1), then join
-// dept. e1's key enters the grouping columns per Definition 1; the
-// deferred comparison becomes a Having predicate; dept joins invariantly
-// afterwards on the grouping column.
-func buildPlanD(f *fixture, e1 *lplan.Scan) (lplan.Node, error) {
-	j := &lplan.Join{
-		L:      e1,
-		R:      f.scanEmp("e"),
-		Preds:  []expr.Expr{expr.NewCmp(expr.EQ, expr.Col("e1", "dno"), expr.Col("e", "dno"))},
-		Method: lplan.JoinMerge,
-	}
-	g := &lplan.GroupBy{
-		In: j,
-		GroupCols: []schema.ColID{
-			{Rel: "e", Name: "dno"},
-			{Rel: "e1", Name: "eno"},
-			{Rel: "e1", Name: "sal"},
-		},
-		Aggs: []expr.Agg{{Kind: expr.AggAvg, Arg: expr.Col("e", "sal"),
-			Out: schema.ColID{Rel: "b", Name: "asal"}}},
-		Having: []expr.Expr{expr.NewCmp(expr.GT, expr.Col("e1", "sal"), expr.Col("b", "asal"))},
-		Outputs: []lplan.NamedExpr{
-			{E: expr.Col("e1", "sal"), As: schema.ColID{Rel: "e1", Name: "sal"}},
-			{E: expr.Col("e", "dno"), As: schema.ColID{Rel: "b", Name: "dno"}},
-		},
-	}
-	top := &lplan.Join{
-		L:      g,
-		R:      f.scanDept("d"),
-		Preds:  []expr.Expr{expr.NewCmp(expr.EQ, expr.Col("b", "dno"), expr.Col("d", "dno"))},
-		Proj:   []schema.ColID{{Rel: "e1", Name: "sal"}},
-		Method: lplan.JoinMerge,
-	}
-	if err := lplan.Validate(top); err != nil {
-		return nil, err
-	}
-	return top, nil
 }
 
 // runE6 reproduces Figure 5: a join of two aggregate views and base
