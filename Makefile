@@ -43,14 +43,18 @@ stress:
 crash:
 	$(GO) test -run 'TestCrash|TestTorn|TestRecovery|TestBulkLoadCrashPrefix|TestPlanCacheInvalidationAcrossRecovery|TestDurable|TestMatView.*Durab' ./internal/wal .
 
-# fuzz searches for inputs on which the plan-cache key and the lexer disagree
-# (FuzzCacheKey: the key fails exactly when lexing fails, and otherwise lexes
-# to the statement's own tokens). Time-boxed and not part of `check`: the
-# committed corpus under internal/sql/testdata/fuzz/FuzzCacheKey/ already
-# replays in every `go test ./...`, and the fuzzer writes any new failing
-# input there to be committed with its fix.
+# fuzz runs two time-boxed searches. FuzzCacheKey looks for inputs on which
+# the plan-cache key and the lexer disagree (the key fails exactly when
+# lexing fails, and otherwise lexes to the statement's own tokens).
+# FuzzDecodeRecord feeds arbitrary payloads to the WAL record decoder, which
+# must fail or return a record that re-encodes to the same bytes, and never
+# panic. Not part of `check`: the committed corpora under
+# internal/sql/testdata/fuzz/ and internal/wal/testdata/fuzz/ already replay
+# in every `go test ./...`, and the fuzzer writes any new failing input there
+# to be committed with its fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCacheKey -fuzztime 30s ./internal/sql
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 30s ./internal/wal
 
 # bench runs the repo benchmark (BENCHMARK.json, bench/): five workloads,
 # end-to-end qps/p50/p95/pages_per_op/setup_s plus per-layer metrics, into

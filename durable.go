@@ -19,8 +19,8 @@ import (
 // Durable mode. An engine opened with Config.DataDir set writes every
 // catalog/data mutation to a write-ahead log before acknowledging it, takes
 // periodic checkpoint snapshots, and recovers its exact state — schemas,
-// heap page layout, statistics, index buckets, and the catalog version that
-// drives plan-cache invalidation — when reopened after a crash.
+// heap page layout, statistics, and the catalog version that drives
+// plan-cache invalidation — when reopened after a crash.
 //
 // The protocol is redo-only and rides on the engine's single-writer gate:
 // a write batch mutates a private copy-on-write catalog snapshot, its log
@@ -261,9 +261,6 @@ func applyRecord(cat *catalog.Catalog, store *storage.Store, rec wal.Record) err
 	case wal.CreateView:
 		_, err := cat.CreateView(r.Name, r.Cols, r.SQL)
 		return err
-	case wal.CreateIndex:
-		_, err := cat.CreateIndex(r.Name, r.Table, r.Cols)
-		return err
 	case wal.DropTable:
 		return cat.DropTable(r.Name)
 	case wal.Insert:
@@ -312,8 +309,8 @@ func (e *Engine) CatalogVersion() int64 { return e.cat.Snapshot().Version() }
 
 // StateFingerprint returns a stable hash of the engine's published logical
 // state: schemas, views, matviews, table contents (page layout included),
-// statistics, index buckets, and the catalog version. Two engines with
-// equal fingerprints are indistinguishable to every query. Lock-free: it
+// statistics, and the catalog version. Two engines with equal fingerprints
+// are indistinguishable to every query. Lock-free: it
 // encodes the immutable published snapshot, so it never blocks — and is
 // never blocked by — writers.
 func (e *Engine) StateFingerprint() string {

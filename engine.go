@@ -3,7 +3,6 @@ package aggview
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -97,8 +96,8 @@ type Config struct {
 	// CPUWeight adds a per-tuple cost in page-IO units (default 0: the
 	// paper's IO-only objective).
 	CPUWeight float64
-	// SystemRJoins restricts the plan space to nested-loops, sort-merge
-	// and index nested-loops joins — the repertoire of the paper's era.
+	// SystemRJoins restricts the plan space to block nested-loops and
+	// sort-merge joins — the repertoire of the paper's era.
 	SystemRJoins bool
 
 	// Timeout bounds each query's wall time (0 = none). It composes with
@@ -514,10 +513,6 @@ func (tx *Txn) applyWrite(stmt sql.Statement) error {
 		}
 		return nil
 
-	case *sql.CreateIndex:
-		_, err := e.cat.CreateIndex(t.Name, t.Table, t.Cols)
-		return err
-
 	case *sql.DropTable:
 		return e.cat.DropTable(t.Name)
 
@@ -667,10 +662,4 @@ func (e *Engine) ExplainAll(src string) ([]*PlanInfo, error) {
 		out = append(out, info)
 	}
 	return out, nil
-}
-
-// WriteCSV streams a base table as CSV (see cmd/datagen). It reads the
-// published snapshot current at the call.
-func (e *Engine) WriteCSV(table string, w io.Writer) error {
-	return datagen.WriteCSV(e.cat.Snapshot(), table, w)
 }

@@ -25,7 +25,6 @@ func TestIntegrationWarehouse(t *testing.T) {
 		select partkey, avg(qty) from lineitem group by partkey`)
 	eng.MustExec(`create view order_value (orderkey, value) as
 		select orderkey, sum(price) from lineitem group by orderkey`)
-	eng.MustExec(`create index li_part on lineitem (partkey)`)
 
 	queries := []string{
 		// Named aggregate view joined with base tables.

@@ -1,4 +1,4 @@
-// Package catalog manages table, view and index metadata plus the optimizer
+// Package catalog manages table and view metadata plus the optimizer
 // statistics the cost model consumes.
 //
 // The catalog is immutably versioned. All metadata and heap state lives in
@@ -59,22 +59,15 @@ type Table struct {
 	ForeignKeys []schema.ForeignKey
 	File        *storage.File
 	Stats       TableStats
-	Indexes     map[string]*HashIndex // keyed by index name
 }
 
 // clone returns a writable copy sharing all immutable structure. The heap
 // file is cloned copy-on-write (flushed pages shared, unflushed tail
-// copied); index objects are copied so Analyze can swap their buckets
-// without the shared originals noticing; Stats is replaced wholesale by
-// Analyze, so sharing the Cols map until then is safe.
+// copied); Stats is replaced wholesale by Analyze, so sharing the Cols map
+// until then is safe.
 func (t *Table) clone(store *storage.Store) *Table {
 	nt := *t
 	nt.File = store.CloneFile(t.File)
-	nt.Indexes = make(map[string]*HashIndex, len(t.Indexes))
-	for n, ix := range t.Indexes {
-		nix := *ix
-		nt.Indexes[n] = &nix
-	}
 	return &nt
 }
 
@@ -97,51 +90,18 @@ type MatView struct {
 	BaseTables []string // base tables the definition reads, sorted
 }
 
-// HashIndex maps the key encoding of the indexed columns to rowids of the
-// heap file. Hash indexes are memory-resident (as is common for equality
-// indexes in decision-support scratch databases); probing charges the heap
-// page IO of fetching the matching rows, via storage.FetchRID.
-type HashIndex struct {
-	Name    string
-	Table   string
-	Cols    []string // indexed column names, in key order
-	buckets map[string][]int64
-}
-
-// Lookup returns the rowids matching the key values, in insertion order.
-func (ix *HashIndex) Lookup(key []types.Value) []int64 {
-	var enc []byte
-	for _, v := range key {
-		enc = types.AppendKey(enc, v)
-	}
-	return ix.buckets[string(enc)]
-}
-
-// Entries returns the number of indexed rows.
-func (ix *HashIndex) Entries() int {
-	n := 0
-	for _, b := range ix.buckets {
-		n += len(b)
-	}
-	return n
-}
-
-// Logger observes top-level catalog mutations, one call per logical
-// operation the user performed. The durable engine installs a recording
-// implementation per write batch; a nil logger (the default) makes every
-// hook a no-op. Nested mutations — CreateIndex invoking Analyze internally
-// — are not reported: replaying the outer operation reproduces the nested
-// effects, so logging both would double-apply them.
+// Logger observes catalog mutations, one call per logical operation the
+// user performed. The durable engine installs a recording implementation
+// per write batch; a nil logger (the default) makes every hook a no-op.
 //
 // A hook fires after the in-memory mutation succeeded. If the hook returns
 // an error the catalog state is ahead of the log; the caller must treat
-// the catalog as failed. Logger and opDepth are manipulated only by the
-// single admitted writer, which serializes all mutations.
+// the catalog as failed. The logger is manipulated only by the single
+// admitted writer, which serializes all mutations.
 type Logger interface {
 	CreateTable(name string, cols []schema.Column, primaryKey []string, fks []schema.ForeignKey) error
 	CreateView(name string, cols []string, sql string) error
 	CreateMatView(name, sql, backing string, baseTables []string) error
-	CreateIndex(name, table string, cols []string) error
 	DropTable(name string) error
 	DropMatView(name string) error
 	Insert(table string, row types.Row) error
@@ -178,7 +138,7 @@ type Snapshot struct {
 
 // Version returns the monotonic schema/stats version this snapshot
 // represents. It starts at zero and increases on every CreateTable/
-// CreateView/CreateIndex/DropTable/Insert/Analyze.
+// CreateView/DropTable/Insert/Analyze.
 func (s *Snapshot) Version() int64 { return s.version }
 
 // Store returns the backing store.
@@ -263,10 +223,8 @@ type Catalog struct {
 	created []*storage.File   // heap files created this batch
 	drops   []*storage.File   // heap files to drop at Publish
 
-	// logger, when set, receives top-level mutations; opDepth suppresses
-	// hooks for nested calls.
-	logger  Logger
-	opDepth int
+	// logger, when set, receives every mutation.
+	logger Logger
 }
 
 // New creates an empty catalog over the given store and publishes its
@@ -416,17 +374,6 @@ func (c *Catalog) writable(name string) *Table {
 	return nt
 }
 
-// enter/exit bracket a public mutation; hooks fire only at depth 1.
-func (c *Catalog) enter() { c.opDepth++ }
-func (c *Catalog) exit()  { c.opDepth-- }
-
-func (c *Catalog) topLevel() Logger {
-	if c.logger != nil && c.opDepth == 1 {
-		return c.logger
-	}
-	return nil
-}
-
 // RestoreVersion pins the version counter, used at the end of recovery so
 // a reopened engine continues the crashed engine's persisted version
 // sequence exactly (replay's own bumps can undercount when some mutations
@@ -457,8 +404,6 @@ func (c *Catalog) bump() { c.work.version++ }
 func (c *Catalog) CreateTable(name string, cols []schema.Column, primaryKey []string, fks []schema.ForeignKey) (_ *Table, err error) {
 	own := c.beginAuto()
 	defer func() { c.endAuto(own, err) }()
-	c.enter()
-	defer c.exit()
 	lname := strings.ToLower(name)
 	if _, ok := c.work.tables[lname]; ok {
 		return nil, fmt.Errorf("table %q already exists", name)
@@ -502,13 +447,12 @@ func (c *Catalog) CreateTable(name string, cols []schema.Column, primaryKey []st
 		ForeignKeys: fks,
 		File:        c.store.CreateFile(lname),
 		Stats:       TableStats{Cols: map[string]ColStats{}},
-		Indexes:     map[string]*HashIndex{},
 	}
 	c.created = append(c.created, t.File)
 	c.dirty[lname] = t // brand new: already private, no clone needed
 	c.work.tables[lname] = t
 	c.bump()
-	if l := c.topLevel(); l != nil {
+	if l := c.logger; l != nil {
 		if err := l.CreateTable(t.Name, t.Schema, t.PrimaryKey, t.ForeignKeys); err != nil {
 			return nil, err
 		}
@@ -520,8 +464,6 @@ func (c *Catalog) CreateTable(name string, cols []schema.Column, primaryKey []st
 func (c *Catalog) CreateView(name string, cols []string, sql string) (_ *View, err error) {
 	own := c.beginAuto()
 	defer func() { c.endAuto(own, err) }()
-	c.enter()
-	defer c.exit()
 	lname := strings.ToLower(name)
 	if _, ok := c.work.tables[lname]; ok {
 		return nil, fmt.Errorf("table %q already exists", name)
@@ -539,7 +481,7 @@ func (c *Catalog) CreateView(name string, cols []string, sql string) (_ *View, e
 	v := &View{Name: lname, Cols: lcols, SQL: sql}
 	c.work.views[lname] = v
 	c.bump()
-	if l := c.topLevel(); l != nil {
+	if l := c.logger; l != nil {
 		if err := l.CreateView(v.Name, v.Cols, v.SQL); err != nil {
 			return nil, err
 		}
@@ -553,8 +495,6 @@ func (c *Catalog) CreateView(name string, cols []string, sql string) (_ *View, e
 func (c *Catalog) CreateMatView(name, sql, backing string, baseTables []string) (_ *MatView, err error) {
 	own := c.beginAuto()
 	defer func() { c.endAuto(own, err) }()
-	c.enter()
-	defer c.exit()
 	lname := strings.ToLower(name)
 	if _, ok := c.work.tables[lname]; ok {
 		return nil, fmt.Errorf("table %q already exists", name)
@@ -577,7 +517,7 @@ func (c *Catalog) CreateMatView(name, sql, backing string, baseTables []string) 
 	mv := &MatView{Name: lname, SQL: sql, Backing: lbacking, BaseTables: base}
 	c.work.matviews[lname] = mv
 	c.bump()
-	if l := c.topLevel(); l != nil {
+	if l := c.logger; l != nil {
 		if err := l.CreateMatView(mv.Name, mv.SQL, mv.Backing, mv.BaseTables); err != nil {
 			return nil, err
 		}
@@ -591,8 +531,6 @@ func (c *Catalog) CreateMatView(name, sql, backing string, baseTables []string) 
 func (c *Catalog) DropMatView(name string) (err error) {
 	own := c.beginAuto()
 	defer func() { c.endAuto(own, err) }()
-	c.enter()
-	defer c.exit()
 	lname := strings.ToLower(name)
 	mv, ok := c.work.matviews[lname]
 	if !ok {
@@ -605,7 +543,7 @@ func (c *Catalog) DropMatView(name string) (err error) {
 	}
 	delete(c.work.matviews, lname)
 	c.bump()
-	if l := c.topLevel(); l != nil {
+	if l := c.logger; l != nil {
 		if err := l.DropMatView(lname); err != nil {
 			return err
 		}
@@ -618,8 +556,6 @@ func (c *Catalog) DropMatView(name string) (err error) {
 func (c *Catalog) DropTable(name string) (err error) {
 	own := c.beginAuto()
 	defer func() { c.endAuto(own, err) }()
-	c.enter()
-	defer c.exit()
 	lname := strings.ToLower(name)
 	t, ok := c.work.tables[lname]
 	if !ok {
@@ -639,7 +575,7 @@ func (c *Catalog) DropTable(name string) (err error) {
 	delete(c.work.tables, lname)
 	delete(c.dirty, lname)
 	c.bump()
-	if l := c.topLevel(); l != nil {
+	if l := c.logger; l != nil {
 		if err := l.DropTable(lname); err != nil {
 			return err
 		}
@@ -676,8 +612,6 @@ func (c *Catalog) ViewNames() []string { return c.view().ViewNames() }
 func (c *Catalog) Insert(t *Table, row types.Row) (err error) {
 	own := c.beginAuto()
 	defer func() { c.endAuto(own, err) }()
-	c.enter()
-	defer c.exit()
 	w := c.writable(t.Name)
 	if w == nil {
 		return fmt.Errorf("table %q does not exist", t.Name)
@@ -709,7 +643,7 @@ func (c *Catalog) Insert(t *Table, row types.Row) (err error) {
 	}
 	// Logged after the coercion above: the logged row is byte-for-byte what
 	// the heap stores, so replay needs no re-coercion.
-	if l := c.topLevel(); l != nil {
+	if l := c.logger; l != nil {
 		if err := l.Insert(w.Name, row); err != nil {
 			return err
 		}
@@ -722,8 +656,6 @@ func (c *Catalog) Insert(t *Table, row types.Row) (err error) {
 func (c *Catalog) FlushTable(t *Table) (err error) {
 	own := c.beginAuto()
 	defer func() { c.endAuto(own, err) }()
-	c.enter()
-	defer c.exit()
 	w := c.writable(t.Name)
 	if w == nil {
 		return fmt.Errorf("table %q does not exist", t.Name)
@@ -731,12 +663,10 @@ func (c *Catalog) FlushTable(t *Table) (err error) {
 	return c.store.Flush(w.File)
 }
 
-// Analyze scans the table and recomputes statistics and all indexes.
+// Analyze scans the table and recomputes its statistics.
 func (c *Catalog) Analyze(t *Table) (err error) {
 	own := c.beginAuto()
 	defer func() { c.endAuto(own, err) }()
-	c.enter()
-	defer c.exit()
 	w := c.writable(t.Name)
 	if w == nil {
 		return fmt.Errorf("table %q does not exist", t.Name)
@@ -751,16 +681,11 @@ func (c *Catalog) Analyze(t *Table) (err error) {
 	for i := range distinct {
 		distinct[i] = map[string]struct{}{}
 	}
-	for _, ix := range w.Indexes {
-		// Fresh maps, not in-place clears: the clone's index objects may
-		// still share bucket maps with the published originals.
-		ix.buckets = map[string][]int64{}
-	}
 
 	sc := c.store.NewScanner(w.File)
 	var buf []byte
 	for {
-		row, rid, ok, err := sc.Next()
+		row, _, ok, err := sc.Next()
 		if err != nil {
 			return err
 		}
@@ -784,24 +709,6 @@ func (c *Catalog) Analyze(t *Table) (err error) {
 				maxs[i] = v
 			}
 		}
-		for _, ix := range w.Indexes {
-			// A NULL index key can never satisfy an equality probe
-			// (NULL = x is UNKNOWN), so NULL-keyed rows are not indexed.
-			key := buf[:0]
-			nullKey := false
-			for _, cn := range ix.Cols {
-				pos := w.Schema.MustIndexOf(schema.ColID{Rel: w.Name, Name: cn})
-				if row[pos].IsNull() {
-					nullKey = true
-					break
-				}
-				key = types.AppendKey(key, row[pos])
-			}
-			if nullKey {
-				continue
-			}
-			ix.buckets[string(key)] = append(ix.buckets[string(key)], rid)
-		}
 	}
 	for i, col := range w.Schema {
 		stats.Cols[col.ID.Name] = ColStats{
@@ -813,78 +720,12 @@ func (c *Catalog) Analyze(t *Table) (err error) {
 	stats.Pages = w.File.Pages()
 	w.Stats = stats
 	c.bump()
-	if l := c.topLevel(); l != nil {
+	if l := c.logger; l != nil {
 		if err := l.Analyze(w.Name); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// CreateIndex registers a hash index over the named columns and builds it.
-func (c *Catalog) CreateIndex(name, table string, cols []string) (_ *HashIndex, err error) {
-	own := c.beginAuto()
-	defer func() { c.endAuto(own, err) }()
-	c.enter()
-	defer c.exit()
-	t := c.writable(strings.ToLower(table))
-	if t == nil {
-		return nil, fmt.Errorf("table %q does not exist", table)
-	}
-	lname := strings.ToLower(name)
-	if _, ok := t.Indexes[lname]; ok {
-		return nil, fmt.Errorf("index %q already exists on %q", name, table)
-	}
-	lcols := make([]string, len(cols))
-	for i, cn := range cols {
-		lcols[i] = strings.ToLower(cn)
-		if !t.Schema.Contains(schema.ColID{Rel: t.Name, Name: lcols[i]}) {
-			return nil, fmt.Errorf("index %q: column %q not in table %q", name, cn, table)
-		}
-	}
-	ix := &HashIndex{Name: lname, Table: t.Name, Cols: lcols, buckets: map[string][]int64{}}
-	t.Indexes[lname] = ix
-	c.bump()
-	if err := c.Analyze(t); err != nil {
-		delete(t.Indexes, lname)
-		return nil, err
-	}
-	if l := c.topLevel(); l != nil {
-		// One record for the whole operation; replaying it re-runs the
-		// nested Analyze, so that is deliberately not logged above.
-		if err := l.CreateIndex(ix.Name, ix.Table, ix.Cols); err != nil {
-			return nil, err
-		}
-	}
-	return ix, nil
-}
-
-// IndexOn returns an index whose key columns are exactly cols (order
-// insensitive), if one exists.
-func (t *Table) IndexOn(cols []string) (*HashIndex, bool) {
-	want := append([]string(nil), cols...)
-	for i := range want {
-		want[i] = strings.ToLower(want[i])
-	}
-	sort.Strings(want)
-	for _, ix := range t.Indexes {
-		if len(ix.Cols) != len(want) {
-			continue
-		}
-		have := append([]string(nil), ix.Cols...)
-		sort.Strings(have)
-		match := true
-		for i := range have {
-			if have[i] != want[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return ix, true
-		}
-	}
-	return nil, false
 }
 
 // Key returns the table's primary key as a schema.Key qualified with the

@@ -125,59 +125,6 @@ func TestAnalyzeStats(t *testing.T) {
 	}
 }
 
-func TestIndexBuildAndLookup(t *testing.T) {
-	c, tbl := newTestCatalog(t)
-	tbl = loadEmp(t, c, tbl, 100)
-	ix, err := c.CreateIndex("emp_dno", "emp", []string{"dno"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ = c.Table("emp") // CreateIndex published a new table version
-	if ix.Entries() != 100 {
-		t.Fatalf("Entries = %d", ix.Entries())
-	}
-	rids := ix.Lookup([]types.Value{types.NewInt(3)})
-	if len(rids) != 10 {
-		t.Fatalf("Lookup(3) returned %d rids", len(rids))
-	}
-	for _, rid := range rids {
-		row, err := c.Store().FetchRID(tbl.File, rid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row[1].Int() != 3 {
-			t.Fatalf("rid %d has dno %v", rid, row[1])
-		}
-	}
-	if got := ix.Lookup([]types.Value{types.NewInt(99)}); len(got) != 0 {
-		t.Fatalf("Lookup(missing) = %v", got)
-	}
-}
-
-func TestIndexOnMatching(t *testing.T) {
-	c, tbl := newTestCatalog(t)
-	tbl = loadEmp(t, c, tbl, 10)
-	if _, err := c.CreateIndex("pk", "emp", []string{"eno"}); err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ = c.Table("emp") // CreateIndex published a new table version
-	if _, ok := tbl.IndexOn([]string{"ENO"}); !ok {
-		t.Fatalf("IndexOn should match case-insensitively")
-	}
-	if _, ok := tbl.IndexOn([]string{"dno"}); ok {
-		t.Fatalf("IndexOn matched wrong columns")
-	}
-	if _, err := c.CreateIndex("pk", "emp", []string{"eno"}); err == nil {
-		t.Fatalf("duplicate index accepted")
-	}
-	if _, err := c.CreateIndex("bad", "emp", []string{"zz"}); err == nil {
-		t.Fatalf("index on missing column accepted")
-	}
-	if _, err := c.CreateIndex("bad", "nosuch", []string{"x"}); err == nil {
-		t.Fatalf("index on missing table accepted")
-	}
-}
-
 func TestKeyQualification(t *testing.T) {
 	_, tbl := newTestCatalog(t)
 	k, ok := tbl.Key("e1")

@@ -11,9 +11,9 @@ import (
 )
 
 // Checkpoint snapshot codec. EncodeSnapshot serializes the entire catalog —
-// schemas, views, heap contents, statistics and index buckets — into one
-// byte slice the write-ahead log stores as a checkpoint; DecodeSnapshot
-// rebuilds an equivalent catalog over a fresh store.
+// schemas, views, heap contents and statistics — into one byte slice the
+// write-ahead log stores as a checkpoint; DecodeSnapshot rebuilds an
+// equivalent catalog over a fresh store.
 //
 // Two equivalence requirements shape the format:
 //
@@ -23,10 +23,14 @@ import (
 //     plain re-Append would merge, so "same rows" is not enough — the
 //     recovered engine must plan and charge IO exactly like one that never
 //     crashed.
-//   - Index buckets and statistics are serialized, not recomputed. Both go
-//     stale between Analyze calls by design; rebuilding them at recovery
-//     would hand the recovered engine fresher state than the crashed one
-//     had, and with it different plans.
+//   - Statistics are serialized, not recomputed. They go stale between
+//     Analyze calls by design; rebuilding them at recovery would hand the
+//     recovered engine fresher state than the crashed one had, and with it
+//     different plans.
+//   - Each table still carries the index-count field of the format that
+//     had CREATE INDEX, always written as zero, so an index-free snapshot
+//     is byte-identical to the one that format wrote. A non-zero count
+//     comes from a checkpoint taken after a CREATE INDEX and is refused.
 //
 // The snapshot travels inside a CRC-checked wal checkpoint, so a decode
 // failure here means corruption (or a format skew) and recovery fails
@@ -94,31 +98,7 @@ func (s *Snapshot) Encode() []byte {
 			dst = types.EncodeValue(dst, cs.Max)
 		}
 
-		ixNames := make([]string, 0, len(t.Indexes))
-		for in := range t.Indexes {
-			ixNames = append(ixNames, in)
-		}
-		sort.Strings(ixNames)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ixNames)))
-		for _, in := range ixNames {
-			ix := t.Indexes[in]
-			dst = snapPutString(dst, ix.Name)
-			dst = snapPutStrings(dst, ix.Cols)
-			keys := make([]string, 0, len(ix.buckets))
-			for k := range ix.buckets {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
-			for _, k := range keys {
-				dst = snapPutString(dst, k)
-				rids := ix.buckets[k]
-				dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rids)))
-				for _, rid := range rids {
-					dst = binary.LittleEndian.AppendUint64(dst, uint64(rid))
-				}
-			}
-		}
+		dst = binary.LittleEndian.AppendUint32(dst, 0) // index count
 	}
 
 	vnames := s.ViewNames()
@@ -163,9 +143,8 @@ func DecodeSnapshot(store *storage.Store, data []byte) (*Catalog, error) {
 	for i := 0; i < nt && r.err == nil; i++ {
 		name := r.str()
 		t := &Table{
-			Name:    name,
-			Stats:   TableStats{Cols: map[string]ColStats{}},
-			Indexes: map[string]*HashIndex{},
+			Name:  name,
+			Stats: TableStats{Cols: map[string]ColStats{}},
 		}
 
 		nc := int(r.u32())
@@ -213,22 +192,8 @@ func DecodeSnapshot(store *storage.Store, data []byte) (*Catalog, error) {
 			t.Stats.Cols[cn] = cs
 		}
 
-		nix := int(r.u32())
-		for j := 0; j < nix && r.err == nil; j++ {
-			ix := &HashIndex{Table: name, buckets: map[string][]int64{}}
-			ix.Name = r.str()
-			ix.Cols = r.strs()
-			nb := int(r.u32())
-			for k := 0; k < nb && r.err == nil; k++ {
-				key := r.str()
-				nr := int(r.u32())
-				rids := make([]int64, 0, nr)
-				for m := 0; m < nr && r.err == nil; m++ {
-					rids = append(rids, int64(r.u64()))
-				}
-				ix.buckets[key] = rids
-			}
-			t.Indexes[ix.Name] = ix
+		if nix := r.u32(); nix != 0 && r.err == nil {
+			return nil, fmt.Errorf("catalog: snapshot: table %q has %d indexes in its index section; CREATE INDEX was removed, so this checkpoint cannot be opened", name, nix)
 		}
 
 		if r.err != nil {

@@ -3,6 +3,7 @@ package catalog
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"aggview/internal/schema"
@@ -12,7 +13,7 @@ import (
 
 // buildRichCatalog creates a catalog exercising every serialized feature:
 // multiple tables, a partial flushed page plus unflushed tail, stale
-// statistics and index buckets, foreign keys, and views.
+// statistics, foreign keys, and views.
 func buildRichCatalog(t *testing.T) (*Catalog, *storage.Store) {
 	t.Helper()
 	st := storage.NewStore(64)
@@ -44,12 +45,9 @@ func buildRichCatalog(t *testing.T) (*Catalog, *storage.Store) {
 			t.Fatal(err)
 		}
 	}
-	// Analyze mid-load: Flush creates a partial flushed page, and stats plus
-	// index buckets go stale relative to the rows inserted after.
+	// Analyze mid-load: Flush creates a partial flushed page, and stats go
+	// stale relative to the rows inserted after.
 	if err := c.Analyze(emp); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.CreateIndex("emp_dno", "emp", []string{"dno"}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 37; i < 50; i++ {
@@ -99,39 +97,28 @@ func TestSnapshotRoundtrip(t *testing.T) {
 	if emp.Stats.Rows != 37 || emp.File.Rows() != 50 {
 		t.Fatalf("staleness not preserved: stats %d rows, file %d", emp.Stats.Rows, emp.File.Rows())
 	}
-	ix, ok := emp.Indexes["emp_dno"]
-	if !ok {
-		t.Fatal("index missing")
-	}
-	oix := orig.Indexes["emp_dno"]
-	if ix.Entries() != oix.Entries() {
-		t.Fatalf("index entries %d != %d", ix.Entries(), oix.Entries())
-	}
-	want := oix.Lookup([]types.Value{types.NewInt(3)})
-	got := ix.Lookup([]types.Value{types.NewInt(3)})
-	if len(got) != len(want) {
-		t.Fatalf("lookup %d != %d rids", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rid %d: %d != %d", i, got[i], want[i])
-		}
-	}
 	v, ok := c2.View("v_sal")
 	if !ok || v.SQL != "SELECT dno, SUM(sal) FROM emp GROUP BY dno" || len(v.Cols) != 2 {
 		t.Fatalf("view: %+v %v", v, ok)
 	}
 
-	// Fetching restored rows by rid returns the same data as the original.
-	for _, rid := range got {
-		r1, err1 := c.Store().FetchRID(orig.File, rid)
-		r2, err2 := c2.Store().FetchRID(emp.File, rid)
+	// Scanning the restored file returns the original's rows, rid for rid.
+	sc1, sc2 := c.Store().NewScanner(orig.File), c2.Store().NewScanner(emp.File)
+	for {
+		r1, rid1, ok1, err1 := sc1.Next()
+		r2, rid2, ok2, err2 := sc2.Next()
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
+		if ok1 != ok2 || rid1 != rid2 {
+			t.Fatalf("scan diverged: (%d, %v) vs (%d, %v)", rid1, ok1, rid2, ok2)
+		}
+		if !ok1 {
+			break
+		}
 		for i := range r1 {
 			if !types.Equal(r1[i], r2[i]) || r1[i].K != r2[i].K {
-				t.Fatalf("rid %d col %d: %s != %s", rid, i, r1[i], r2[i])
+				t.Fatalf("rid %d col %d: %s != %s", rid1, i, r1[i], r2[i])
 			}
 		}
 	}
@@ -142,6 +129,29 @@ func TestSnapshotRoundtrip(t *testing.T) {
 	}
 	if c2.Version() != c.Version()+1 {
 		t.Fatalf("version after insert %d", c2.Version())
+	}
+}
+
+// A checkpoint taken while the engine had CREATE INDEX carries a non-zero
+// index count in some table's index section; decoding refuses it by name
+// instead of misreading the index payload as the next table.
+func TestSnapshotDecodeRejectsIndexSection(t *testing.T) {
+	st := storage.NewStore(64)
+	c := New(st)
+	if _, err := c.CreateTable("t", []schema.Column{{ID: schema.ColID{Name: "a"}, Type: types.KindInt}}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	snap := c.EncodeSnapshot()
+	// One table, no views, no matviews: the table's index count is the u32
+	// just before the two trailing zero counts.
+	at := len(snap) - 12
+	if !bytes.Equal(snap[at:], make([]byte, 12)) {
+		t.Fatalf("snapshot tail %x: layout assumption broke", snap[at:])
+	}
+	snap[at] = 1
+	_, err := DecodeSnapshot(storage.NewStore(64), snap)
+	if err == nil || !strings.Contains(err.Error(), "index section") || !strings.Contains(err.Error(), "CREATE INDEX was removed") {
+		t.Fatalf("err = %v, want a refusal naming the index section", err)
 	}
 }
 
@@ -174,10 +184,6 @@ func (r *recordingLogger) CreateView(name string, cols []string, sql string) err
 	r.ops = append(r.ops, "create-view "+name)
 	return r.fail
 }
-func (r *recordingLogger) CreateIndex(name, table string, cols []string) error {
-	r.ops = append(r.ops, "create-index "+name)
-	return r.fail
-}
 func (r *recordingLogger) DropTable(name string) error {
 	r.ops = append(r.ops, "drop-table "+name)
 	return r.fail
@@ -199,8 +205,7 @@ func (r *recordingLogger) DropMatView(name string) error {
 	return r.fail
 }
 
-// The logger sees exactly one call per top-level operation: CreateIndex's
-// internal Analyze is suppressed.
+// The logger sees exactly one call per operation.
 func TestLoggerTopLevelGranularity(t *testing.T) {
 	c, tbl := newTestCatalog(t)
 	lg := &recordingLogger{}
@@ -211,16 +216,13 @@ func TestLoggerTopLevelGranularity(t *testing.T) {
 	if err := c.Analyze(tbl); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateIndex("ix", "emp", []string{"dno"}); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := c.CreateView("v", nil, "select 1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.DropTable("emp"); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"insert emp", "analyze emp", "create-index ix", "create-view v", "drop-table emp"}
+	want := []string{"insert emp", "analyze emp", "create-view v", "drop-table emp"}
 	if len(lg.ops) != len(want) {
 		t.Fatalf("ops = %v", lg.ops)
 	}
@@ -267,10 +269,7 @@ func (h *hookLogger) CreateTable(string, []schema.Column, []string, []schema.For
 	return nil
 }
 func (h *hookLogger) CreateView(string, []string, string) error { return nil }
-func (h *hookLogger) CreateIndex(string, string, []string) error {
-	return nil
-}
-func (h *hookLogger) DropTable(string) error { return nil }
+func (h *hookLogger) DropTable(string) error                    { return nil }
 func (h *hookLogger) Insert(table string, row types.Row) error {
 	return h.insert(table, row)
 }

@@ -125,15 +125,15 @@ type bucketKey struct {
 func (e *entry) bucket() bucketKey { return bucketKey{e.mode, e.order} }
 
 // joinStep is what every candidate joining plan(prev) with relation r
-// shares: the conjuncts the step applies and the cost model's description
-// of the join, once with r as it is and once with an early group-by over r
-// (no longer a scan: no index to probe, materialized for rescans).
+// shares: the conjuncts the step applies, the physical methods open to it,
+// and the cost model's description of the join, once with r as it is and
+// once with an early group-by over r (no longer a scan: materialized for
+// rescans).
 type joinStep struct {
 	preds       []expr.Expr // carved from the memo: node copies them out
 	spec, gspec cost.JoinSpec
-	methods     [4]lplan.JoinMethod // index nested loops, when applicable, last
+	methods     [3]lplan.JoinMethod
 	nMethods    int
-	nGrouped    int // methods open over a grouped r: all but index nested loops
 }
 
 // earlyAgg is the block's pending group-by costed over one plan: the full
@@ -397,22 +397,19 @@ func (dp *blockDP) newStep(prev uint64, r *dpRel) *joinStep {
 		}
 		add(lplan.JoinMerge)
 	}
-	st.nGrouped = st.nMethods
-	if st.spec.HasIndex {
-		add(lplan.JoinIndexNL)
-	}
 	st.gspec = st.spec
-	st.gspec.Inner, st.gspec.HasIndex = nil, false
+	st.gspec.Inner = nil
 	return st
 }
 
 // side returns the join description and methods for a candidate of the
 // step: over r as it is, or over an early group-by on r.
 func (st *joinStep) side(groupedRight bool) (*cost.JoinSpec, []lplan.JoinMethod) {
+	spec := &st.spec
 	if groupedRight {
-		return &st.gspec, st.methods[:st.nGrouped]
+		spec = &st.gspec
 	}
-	return &st.spec, st.methods[:st.nMethods]
+	return spec, st.methods[:st.nMethods]
 }
 
 // extend costs the candidate plans for join(c, rels[ri]), including the

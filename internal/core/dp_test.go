@@ -144,46 +144,6 @@ func TestNoHashJoinModeAvoidsHashJoins(t *testing.T) {
 	}
 }
 
-func TestOptimizerUsesIndexNL(t *testing.T) {
-	e := newEnv(t, 23, 60000, 3000)
-	if _, err := e.cat.CreateIndex("emp_dno", "emp", []string{"dno"}); err != nil {
-		t.Fatal(err)
-	}
-	e.emp, _ = e.cat.Table("emp") // re-resolve: CreateIndex published a new version
-	// A very selective dept filter joined with big emp: under System-R
-	// joins (no hash) index NL beats sorting emp for a merge join.
-	top := &qblock.Block{
-		Rels: []*qblock.Rel{
-			{Alias: "d", Table: e.dept},
-			{Alias: "e", Table: e.emp},
-		},
-		Conjs: []expr.Expr{
-			expr.NewCmp(expr.EQ, expr.Col("d", "dno"), expr.Col("e", "dno")),
-			expr.NewCmp(expr.LT, expr.Col("d", "dno"), expr.IntLit(3)),
-		},
-		Outputs: []lplan.NamedExpr{
-			{E: expr.Col("e", "sal"), As: schema.ColID{Name: "sal"}},
-		},
-	}
-	opts := DefaultOptions()
-	opts.PoolPages = 8
-	opts.NoHashJoin = true
-	plan, err := Optimize(&qblock.Query{Top: top}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan.Explain(), "index-nl") {
-		t.Fatalf("expected index-nl join:\n%s", plan.Explain())
-	}
-	res, err := exec.New(e.store).Run(plan.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatalf("no rows")
-	}
-}
-
 // TestInvariantPlacementChosen checks the greedy conservative heuristic
 // actually places a group-by below a join when it pays (System-R joins,
 // group table fits, input sort would spill).

@@ -86,8 +86,8 @@ type Options struct {
 	// CPUWeight is the per-tuple cost in page-IO units (0 = IO only).
 	CPUWeight float64
 
-	// NoHashJoin restricts joins to the System-R repertoire (nested loops,
-	// sort-merge, index nested loops). The paper's era optimizers
+	// NoHashJoin restricts joins to the System-R repertoire (block nested
+	// loops and sort-merge). The paper's era optimizers
 	// ([SAC+79]-style, as in [CS94]'s evaluation) had no hash joins; in
 	// that regime early aggregation pays off far more often, because a
 	// group-by that fits in memory replaces an external sort of its input.

@@ -9,7 +9,6 @@
 //   - hash joins are free beyond their inputs while the build side fits,
 //     and pay one Grace partitioning round trip otherwise;
 //   - block nested-loops joins pay one pass over the inner per outer block;
-//   - index nested-loops joins pay the matching heap pages per probe;
 //   - merge joins pay external sorts for unsorted inputs;
 //   - hash aggregation is free while the group table fits and pays a
 //     partitioning round trip otherwise; sort aggregation pays a sort
@@ -204,12 +203,8 @@ type JoinSpec struct {
 	// input, pairwise.
 	LCols, RCols []schema.ColID
 	// Inner is the right input when it is a base-table scan: block nested
-	// loops rescans it in place, index nested loops may probe it.
+	// loops rescans it in place.
 	Inner *lplan.Scan
-	// HasIndex reports that Inner has a hash index exactly on RCols, and
-	// IndexCol is one of them (for match-size estimation).
-	HasIndex bool
-	IndexCol schema.ColID
 }
 
 // NewJoinSpec describes the join of a left input with inner under preds.
@@ -230,31 +225,8 @@ func (m *Model) NewJoinSpec(typ lplan.JoinType, preds []expr.Expr, inner lplan.N
 			spec.LCols, spec.RCols = append(spec.LCols, rc), append(spec.RCols, lc)
 		}
 	}
-	spec.Inner, spec.IndexCol, spec.HasIndex = indexNLAccess(inner, spec.RCols)
+	spec.Inner, _ = inner.(*lplan.Scan)
 	return spec
-}
-
-// indexNLAccess reports whether a join can run as an index nested-loops
-// join: the right input must be a scan with a hash index exactly on rCols,
-// the right-side columns of the equi-join conjuncts. It returns the inner
-// scan (whenever the input is one) and one right join column (for
-// match-size estimation).
-func indexNLAccess(inner lplan.Node, rCols []schema.ColID) (*lplan.Scan, schema.ColID, bool) {
-	s, ok := inner.(*lplan.Scan)
-	if !ok || len(rCols) == 0 {
-		return s, schema.ColID{}, false
-	}
-	names := make([]string, len(rCols))
-	for i, c := range rCols {
-		if c.Rel != s.Alias {
-			return s, schema.ColID{}, false
-		}
-		names[i] = c.Name
-	}
-	if _, ok := s.Table.IndexOn(names); !ok {
-		return s, schema.ColID{}, false
-	}
-	return s, rCols[len(rCols)-1], true
 }
 
 func (m *Model) joinInfo(j *lplan.Join) (*Info, error) {
@@ -337,15 +309,6 @@ func (m *Model) JoinMethodCost(method lplan.JoinMethod, spec *JoinSpec, l, r *In
 			extra += r.Pages
 		}
 		return extra, l.Order, nil
-
-	case lplan.JoinIndexNL:
-		if !spec.HasIndex {
-			return 0, nil, fmt.Errorf("cost: index-nl join without usable index")
-		}
-		matchRows := r.Rows / math.Max(r.Rel.Col(spec.IndexCol).NDV, 1)
-		rowsPerPage := math.Max(float64(storage.PageSize)/float64(r.Width), 1)
-		pagesPerProbe := math.Max(math.Ceil(matchRows/rowsPerPage), 1)
-		return l.Rows * pagesPerProbe, l.Order, nil
 
 	case lplan.JoinMerge:
 		if len(spec.LCols) == 0 {

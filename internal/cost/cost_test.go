@@ -168,62 +168,6 @@ func TestBlockNLCost(t *testing.T) {
 	}
 }
 
-func TestIndexNLRequiresIndex(t *testing.T) {
-	f := newFixture(t, 10000, 100)
-	m := NewModel(128, 0)
-	pred := expr.NewCmp(expr.EQ, expr.Col("e", "dno"), expr.Col("d", "dno"))
-	j := &lplan.Join{L: f.scanEmp("e"), R: f.scanDept("d"),
-		Preds: []expr.Expr{pred}, Method: lplan.JoinIndexNL}
-	if _, err := m.Info(j); err == nil {
-		t.Fatalf("index-nl without index should fail costing")
-	}
-	if _, err := f.cat.CreateIndex("dept_dno", "dept", []string{"dno"}); err != nil {
-		t.Fatal(err)
-	}
-	f.dept, _ = f.cat.Table("dept") // re-resolve: CreateIndex published a new version
-	j = &lplan.Join{L: f.scanEmp("e"), R: f.scanDept("d"),
-		Preds: []expr.Expr{pred}, Method: lplan.JoinIndexNL}
-	if _, _, ok := indexNLAccess(j.R, []schema.ColID{{Rel: "d", Name: "dno"}}); !ok {
-		t.Fatalf("indexNLAccess should find the new index")
-	}
-	ji, err := m.Info(&lplan.Join{L: j.L, R: j.R, Preds: j.Preds, Method: lplan.JoinIndexNL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	li, _ := m.Info(j.L)
-	ri, _ := m.Info(j.R)
-	// One page per probe: 10000 probes.
-	if got := ji.Cost - li.Cost - ri.Cost; got != 10000 {
-		t.Errorf("index-nl extra = %g, want 10000", got)
-	}
-}
-
-func TestIndexNLSelectiveOuterBeatsHash(t *testing.T) {
-	f := newFixture(t, 100000, 500)
-	if _, err := f.cat.CreateIndex("emp_dno", "emp", []string{"dno"}); err != nil {
-		t.Fatal(err)
-	}
-	f.emp, _ = f.cat.Table("emp") // re-resolve: CreateIndex published a new version
-	m := NewModel(16, 0)
-	pred := expr.NewCmp(expr.EQ, expr.Col("d", "dno"), expr.Col("e", "dno"))
-	selDept := f.scanDept("d")
-	selDept.Filter = []expr.Expr{expr.NewCmp(expr.LT, expr.Col("d", "dno"), expr.IntLit(5))}
-
-	inl := &lplan.Join{L: selDept, R: f.scanEmp("e"), Preds: []expr.Expr{pred}, Method: lplan.JoinIndexNL}
-	hj := &lplan.Join{L: selDept, R: f.scanEmp("e"), Preds: []expr.Expr{pred}, Method: lplan.JoinHash}
-	ii, err := m.Info(inl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, err := m.Info(hj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ii.Cost >= hi.Cost {
-		t.Errorf("selective outer: index-nl %g should beat spilling hash %g", ii.Cost, hi.Cost)
-	}
-}
-
 func TestMergeJoinSortsUnsortedInputs(t *testing.T) {
 	f := newFixture(t, 50000, 100)
 	m := NewModel(8, 0)

@@ -54,7 +54,7 @@
 // equality — no key is ever serialized on that path. The logic that is
 // inherently row- or group-wise — merge join's group buffering, sort
 // aggregation's boundary detection, block nested loops filling an outer
-// block, the index probe per outer row, and the public Cursor — wraps its
+// block, and the public Cursor — wraps its
 // input in a rowIter, which pulls batches underneath and hands out one row
 // per Next call at slice-index cost; those operators keep a row-wise step()
 // and delegate batching to fillFromStep. Either way there is exactly one

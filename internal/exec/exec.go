@@ -63,8 +63,8 @@ func (e *Executor) WithGovernor(g *govern.Governor) *Executor {
 	return e
 }
 
-// WithSession routes every page access (scans, spill writes, index
-// fetches) through a query-scoped storage session, so concurrent queries
+// WithSession routes every page access (scans and spill writes) through a
+// query-scoped storage session, so concurrent queries
 // on one store are accounted and governed independently.
 func (e *Executor) WithSession(se *storage.Session) *Executor {
 	if se != nil {

@@ -5,7 +5,6 @@ import (
 
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
-	"aggview/internal/schema"
 	"aggview/internal/types"
 )
 
@@ -77,13 +76,10 @@ func (e *Executor) buildJoin(j *lplan.Join) (BatchIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if j.Type.Outer() {
-		switch j.Method {
-		case lplan.JoinIndexNL, lplan.JoinMerge:
-			// These methods have no null-padding path; Validate rejects such
-			// plans, this is defense in depth.
-			return nil, fmt.Errorf("exec: %s outer join cannot use method %s", j.Type, j.Method)
-		}
+	if j.Type.Outer() && j.Method == lplan.JoinMerge {
+		// Merge join has no null-padding path; Validate rejects such plans,
+		// this is defense in depth.
+		return nil, fmt.Errorf("exec: %s outer join cannot use method %s", j.Type, j.Method)
 	}
 	switch j.Method {
 	case lplan.JoinHash, lplan.JoinUnset:
@@ -101,8 +97,6 @@ func (e *Executor) buildJoin(j *lplan.Join) (BatchIterator, error) {
 		}, nil
 	case lplan.JoinBlockNL:
 		return e.buildBlockNL(j, jc)
-	case lplan.JoinIndexNL:
-		return e.buildIndexNL(j, jc)
 	case lplan.JoinMerge:
 		if len(jc.lKeys) == 0 {
 			return nil, fmt.Errorf("exec: merge join requires an equi-join predicate")
@@ -746,154 +740,6 @@ func (it *blockNLIter) Close() error {
 	it.spilled = nil
 	return nil
 }
-
-// indexNLIter probes a hash index on the inner base table per outer row.
-type indexNLIter struct {
-	exec    *Executor
-	jc      *joinCommon
-	target  int
-	outer   *rowIter
-	scan    *lplan.Scan
-	index   indexLookup
-	rFilter func(types.Row) (bool, error)
-	rProj   []int
-	withTID bool
-	lKeyPos []int // outer-row positions feeding the index key, in index order
-
-	curL    types.Row
-	matches []int64
-	mpos    int
-}
-
-// indexLookup decouples exec from the concrete catalog index type.
-type indexLookup interface {
-	Lookup(key []types.Value) []int64
-}
-
-func (e *Executor) buildIndexNL(j *lplan.Join, jc *joinCommon) (BatchIterator, error) {
-	scan, ok := j.R.(*lplan.Scan)
-	if !ok {
-		return nil, fmt.Errorf("exec: index-nl join requires a base-table inner")
-	}
-	if len(jc.rKeys) == 0 {
-		return nil, fmt.Errorf("exec: index-nl join requires an equi-join predicate")
-	}
-	// The rKeys positions refer to the scan's *output* schema; the index is
-	// declared over base column names. Recompute the base positions.
-	base := scan.Table.Schema.Rename(scan.Alias)
-	if scan.WithTID {
-		base = append(base, schema.Column{ID: schema.ColID{Rel: scan.Alias, Name: lplan.TIDColumn}, Type: types.KindInt})
-	}
-	outSchema := scan.Schema()
-	var names []string
-	basePos := make([]int, len(jc.rKeys))
-	for i, rk := range jc.rKeys {
-		id := outSchema[rk].ID
-		names = append(names, id.Name)
-		bp, err := base.IndexOf(id)
-		if err != nil || bp < 0 {
-			return nil, fmt.Errorf("exec: index-nl join column %s not in base schema", id)
-		}
-		basePos[i] = bp
-	}
-	ix, ok := scan.Table.IndexOn(names)
-	if !ok {
-		return nil, fmt.Errorf("exec: no index on %s(%v)", scan.Table.Name, names)
-	}
-	// Reorder the outer key evaluation to the index's column order.
-	ordered := make([]int, len(ix.Cols))
-	for i, cn := range ix.Cols {
-		found := false
-		for k, nm := range names {
-			if nm == cn {
-				ordered[i] = jc.lKeys[k]
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("exec: index column %s not among join columns", cn)
-		}
-	}
-	filter, err := compilePreds(scan.Filter, base, e.params)
-	if err != nil {
-		return nil, err
-	}
-	var proj []int
-	if scan.Proj != nil {
-		proj, err = colIndexes(base, scan.Proj)
-		if err != nil {
-			return nil, err
-		}
-	}
-	outer, err := e.build(j.L)
-	if err != nil {
-		return nil, err
-	}
-	return &indexNLIter{
-		exec: e, jc: &joinCommon{
-			// Keys already applied via the index; only residual+emit remain.
-			residual: jc.residual, proj: jc.proj, lWidth: jc.lWidth,
-			arena: rowArena{rec: &e.arenas},
-		},
-		target: e.batchSize,
-		outer:  newRowIter(outer), scan: scan, index: ix,
-		rFilter: filter, rProj: proj, withTID: scan.WithTID,
-		lKeyPos: ordered,
-	}, nil
-}
-
-func (it *indexNLIter) Open() error { return it.outer.Open() }
-
-func (it *indexNLIter) NextBatch(dst *Batch) error {
-	return fillFromStep(dst, it.target, it.step)
-}
-
-func (it *indexNLIter) step() (types.Row, bool, error) {
-	for {
-		for it.mpos < len(it.matches) {
-			rid := it.matches[it.mpos]
-			it.mpos++
-			row, err := it.exec.pg.FetchRID(it.scan.Table.File, rid)
-			if err != nil {
-				return nil, false, err
-			}
-			if it.withTID {
-				row = append(row.Clone(), types.NewInt(rid))
-			}
-			keep, err := it.rFilter(row)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				continue
-			}
-			if it.rProj != nil {
-				row = it.jc.arena.project(row, it.rProj)
-			}
-			out, ok, err := it.jc.emit(it.curL, row)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return out, true, nil
-			}
-		}
-		l, ok, err := it.outer.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		it.curL = l
-		key := make([]types.Value, len(it.lKeyPos))
-		for i, p := range it.lKeyPos {
-			key[i] = l[p]
-		}
-		it.matches = it.index.Lookup(key)
-		it.mpos = 0
-	}
-}
-
-func (it *indexNLIter) Close() error { return it.outer.Close() }
 
 // mergeJoinIter joins two inputs sorted on their equi-join keys, buffering
 // the right-side group of equal keys. Both sorted inputs stream through

@@ -125,7 +125,7 @@ func TestGroupingAndJoiningAgreeWithCompare(t *testing.T) {
 }
 
 // TestAppendKeyAgreesWithEqual: the byte encoding that keys the reference
-// executor's maps, view maintenance and hash indexes calls the same values
+// executor's maps and view maintenance calls the same values
 // equal as types.Equal, over the pool the key table is tested with.
 func TestAppendKeyAgreesWithEqual(t *testing.T) {
 	for _, a := range keyValuePool {

@@ -108,6 +108,15 @@ func runE1(quick bool) (*Table, error) {
 	return t, nil
 }
 
+// e2SQL is Example 2's query with a budget filter passing about frac of
+// the departments.
+func e2SQL(spec aggview.EmpDeptSpec, frac float64) string {
+	return fmt.Sprintf(`
+		select e.dno, avg(e.sal) from emp e, dept d
+		where e.dno = d.dno and d.budget < %.0f
+		group by e.dno`, spec.BudgetMin+frac*spec.BudgetSpan)
+}
+
 func runE2(quick bool) (*Table, error) {
 	// System-R join repertoire (the paper's era): a group-by that fits in
 	// memory replaces the external sort of emp that a sort-merge join
@@ -139,12 +148,7 @@ func runE2(quick bool) (*Table, error) {
 			return nil, err
 		}
 		for _, frac := range cuts {
-			cut := spec.BudgetMin + frac*spec.BudgetSpan
-			q := fmt.Sprintf(`
-				select e.dno, avg(e.sal) from emp e, dept d
-				where e.dno = d.dno and d.budget < %.0f
-				group by e.dno`, cut)
-			runs, err := runUnderModes(e, q,
+			runs, err := runUnderModes(e, e2SQL(spec, frac),
 				[]aggview.OptimizerMode{aggview.Traditional, aggview.PushDown})
 			if err != nil {
 				return nil, err

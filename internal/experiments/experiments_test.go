@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"aggview"
 )
 
 func TestIDsComplete(t *testing.T) {
@@ -50,6 +53,30 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Fatalf("%s render missing header:\n%s", id, out)
 			}
 		})
+	}
+}
+
+// TestE2SortAggregationOverMergeJoin pins the one workload where sort
+// aggregation wins: E2's many-departments row in quick form. Under System-R
+// joins the group table of 20 000 departments exceeds the pool, and the
+// merge join already delivers its rows ordered on e.dno, so Traditional and
+// PushDown both group by sorting with no sort of their own.
+func TestE2SortAggregationOverMergeJoin(t *testing.T) {
+	spec := aggview.DefaultEmpDept()
+	spec.Employees, spec.Departments = 20000, 20000
+	e, err := empDeptEngineCfg(aggview.Config{PoolPages: 16, SystemRJoins: true}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []aggview.OptimizerMode{aggview.Traditional, aggview.PushDown} {
+		info, err := e.Explain(context.Background(), e2SQL(spec, 0.9), aggview.WithMode(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(info.PlanText, "\n")
+		if len(lines) < 2 || !strings.HasPrefix(lines[0], "GroupBy[sort] by e.dno") || !strings.HasPrefix(lines[1], "  Join[merge] on e.dno = d.dno") {
+			t.Errorf("%v: want GroupBy[sort] directly over Join[merge]:\n%s", m, info.PlanText)
+		}
 	}
 }
 

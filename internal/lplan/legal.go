@@ -52,8 +52,8 @@ func Validate(n Node) error {
 			return fmt.Errorf("join: right outer joins must be normalized to left (swap inputs) before planning")
 		}
 		if t.Type.Outer() {
-			// Only hash and block-NL implement null-padding; index-NL and
-			// merge would silently drop unmatched rows.
+			// Only hash and block-NL implement null-padding; merge would
+			// silently drop unmatched rows.
 			switch t.Method {
 			case JoinHash, JoinBlockNL, JoinUnset:
 			default:

@@ -48,7 +48,6 @@ const (
 	JoinUnset   JoinMethod = iota
 	JoinHash               // build on the smaller input, Grace partitioning on overflow
 	JoinBlockNL            // block nested loops, inner rescanned per outer block
-	JoinIndexNL            // probe a hash index on the inner base table
 	JoinMerge              // merge join over sorted inputs
 )
 
@@ -61,8 +60,6 @@ func (m JoinMethod) String() string {
 		return "hash"
 	case JoinBlockNL:
 		return "block-nl"
-	case JoinIndexNL:
-		return "index-nl"
 	case JoinMerge:
 		return "merge"
 	default:

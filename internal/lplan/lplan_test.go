@@ -323,7 +323,7 @@ func TestProjectAndFilterAndSort(t *testing.T) {
 
 func TestMethodStrings(t *testing.T) {
 	if JoinHash.String() != "hash" || JoinBlockNL.String() != "block-nl" ||
-		JoinIndexNL.String() != "index-nl" || JoinMerge.String() != "merge" || JoinUnset.String() != "?" {
+		JoinMerge.String() != "merge" || JoinUnset.String() != "?" {
 		t.Errorf("join method strings wrong")
 	}
 	if AggHash.String() != "hash" || AggSort.String() != "sort" || AggUnset.String() != "?" {

@@ -61,15 +61,6 @@ type DropMaterializedView struct{ Name string }
 
 func (*DropMaterializedView) stmt() {}
 
-// CreateIndex is CREATE INDEX name ON table (cols).
-type CreateIndex struct {
-	Name  string
-	Table string
-	Cols  []string
-}
-
-func (*CreateIndex) stmt() {}
-
 // DropTable is DROP TABLE name.
 type DropTable struct{ Name string }
 

@@ -1,8 +1,8 @@
 // Package sql implements the SQL front end: a lexer, an AST, and a
 // recursive-descent parser for the dialect the engine supports —
-// CREATE TABLE / VIEW / INDEX, INSERT, ANALYZE, EXPLAIN, and SELECT
-// queries with joins, GROUP BY, HAVING, ORDER BY, derived tables, and
-// (correlated) subqueries in the WHERE clause.
+// CREATE TABLE / VIEW / MATERIALIZED VIEW, INSERT, ANALYZE, EXPLAIN, and
+// SELECT queries with joins, GROUP BY, HAVING, ORDER BY, derived tables,
+// and (correlated) subqueries in the WHERE clause.
 package sql
 
 import (
@@ -35,7 +35,7 @@ var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
 	"HAVING": true, "ORDER": true, "LIMIT": true, "AS": true, "AND": true,
 	"OR": true, "NOT": true, "IN": true, "EXISTS": true, "CREATE": true,
-	"TABLE": true, "VIEW": true, "INDEX": true, "ON": true, "INSERT": true,
+	"TABLE": true, "VIEW": true, "ON": true, "INSERT": true,
 	"INTO": true, "VALUES": true, "PRIMARY": true, "KEY": true,
 	"FOREIGN": true, "REFERENCES": true, "ANALYZE": true, "EXPLAIN": true,
 	"JOIN": true, "INNER": true, "LEFT": true, "RIGHT": true, "FULL": true,

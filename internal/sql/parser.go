@@ -144,10 +144,8 @@ func (p *parser) createStmt() (Statement, error) {
 			return nil, err
 		}
 		return p.createMaterializedView()
-	case p.accept(tokKeyword, "INDEX"):
-		return p.createIndex()
 	default:
-		return nil, p.errf("expected TABLE, VIEW, MATERIALIZED VIEW or INDEX after CREATE")
+		return nil, p.errf("expected TABLE, VIEW or MATERIALIZED VIEW after CREATE")
 	}
 }
 
@@ -341,25 +339,6 @@ func (p *parser) createMaterializedView() (Statement, error) {
 	text := strings.TrimSpace(p.src[start:min(end, len(p.src))])
 	text = strings.TrimSuffix(text, ";")
 	return &CreateMaterializedView{Name: name, Query: sel, Text: text}, nil
-}
-
-func (p *parser) createIndex() (Statement, error) {
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokKeyword, "ON"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	cols, err := p.parenIdentList()
-	if err != nil {
-		return nil, err
-	}
-	return &CreateIndex{Name: name, Table: table, Cols: cols}, nil
 }
 
 func (p *parser) dropStmt() (Statement, error) {

@@ -82,43 +82,6 @@ func TestScannerNextMidScanFault(t *testing.T) {
 	}
 }
 
-func TestFetchRIDPropagatesReadFault(t *testing.T) {
-	s := NewStore(2)
-	f := s.CreateFile("t")
-	fill(t, s, f, 2000)
-	s.DropCaches()
-
-	s.InjectFault(FaultPlan{FailAt: 0})
-	if _, err := s.FetchRID(f, 500); err == nil || !errors.Is(err, ErrInjected) {
-		t.Fatalf("FetchRID under fault = %v, want ErrInjected", err)
-	}
-	s.ClearFault()
-	r, err := s.FetchRID(f, 500)
-	if err != nil || r[0].Int() != 500 {
-		t.Fatalf("FetchRID after recovery = %v, %v", r, err)
-	}
-}
-
-func TestFetchRIDOutOfRangeMessages(t *testing.T) {
-	s := NewStore(4)
-	f := s.CreateFile("t")
-	fill(t, s, f, 10)
-	for _, rid := range []int64{-1, 10, 1 << 40} {
-		_, err := s.FetchRID(f, rid)
-		if err == nil {
-			t.Fatalf("FetchRID(%d) should fail", rid)
-		}
-		if !contains(err.Error(), "out of range") || !contains(err.Error(), `"t"`) {
-			t.Fatalf("FetchRID(%d) err %q should name file and range", rid, err)
-		}
-	}
-	// An empty file rejects every rid.
-	g := s.CreateFile("empty")
-	if _, err := s.FetchRID(g, 0); err == nil {
-		t.Fatalf("FetchRID on empty file should fail")
-	}
-}
-
 func TestAppendFlushWriteFault(t *testing.T) {
 	s := NewStore(4)
 	f := s.CreateFile("t")

@@ -9,8 +9,8 @@ import (
 
 // TestStoreModelBased drives the store with random operation sequences and
 // checks every observable against a trivial in-memory model (a slice of
-// rows per file). Covers interleaved appends, flushes, scans, rid fetches
-// and cache drops across multiple files and tiny pools.
+// rows per file). Covers interleaved appends, flushes, full and partial
+// scans and cache drops across multiple files and tiny pools.
 func TestStoreModelBased(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -67,17 +67,23 @@ func TestStoreModelBased(t *testing.T) {
 				if i != len(mf.rows) {
 					t.Fatalf("seed %d op %d: scanned %d rows, want %d", seed, op, i, len(mf.rows))
 				}
-			case 8: // random rid fetch
+			case 8: // scan that stops at a random rid
 				if len(mf.rows) == 0 {
 					continue
 				}
-				rid := int64(r.Intn(len(mf.rows)))
-				row, err := s.FetchRID(mf.file, rid)
-				if err != nil {
-					t.Fatalf("seed %d op %d: fetch %d: %v", seed, op, rid, err)
-				}
-				if types.CompareRows(row, mf.rows[rid], []int{0, 1}) != 0 {
-					t.Fatalf("seed %d op %d: fetch %d mismatch", seed, op, rid)
+				want := int64(r.Intn(len(mf.rows)))
+				sc := s.NewScanner(mf.file)
+				for {
+					row, rid, ok, err := sc.Next()
+					if err != nil || !ok {
+						t.Fatalf("seed %d op %d: scan to %d: ok=%v err=%v", seed, op, want, ok, err)
+					}
+					if rid == want {
+						if types.CompareRows(row, mf.rows[rid], []int{0, 1}) != 0 {
+							t.Fatalf("seed %d op %d: row %d mismatch", seed, op, rid)
+						}
+						break
+					}
 				}
 			case 9: // invariants
 				if got := mf.file.Rows(); got != int64(len(mf.rows)) {

@@ -133,8 +133,8 @@ func TestResetStatsDoesNotTouchPoolLatches(t *testing.T) {
 }
 
 // TestConcurrentReadersSharedStore exercises the decomposed locking under
-// the race detector: many goroutines scan, fetch by rid, and read pages of
-// shared files while drops and resets run, and the global counters stay
+// the race detector: many goroutines run full and partial scans of shared
+// files while drops and resets run, and the global counters stay
 // the sum of per-session counters plus unattributed access.
 func TestConcurrentReadersSharedStore(t *testing.T) {
 	s := NewStore(64)
@@ -168,10 +168,12 @@ func TestConcurrentReadersSharedStore(t *testing.T) {
 			if n != rows {
 				t.Errorf("worker %d: scanned %d rows, want %d", w, n, rows)
 			}
-			for rid := int64(0); rid < 50; rid++ {
-				r, err := se.FetchRID(f, rid*53%rows)
-				if err != nil {
-					t.Errorf("worker %d: fetch: %v", w, err)
+			// A second, partial scan that stops after 50 rows.
+			sc = se.NewScanner(f)
+			for i := 0; i < 50; i++ {
+				r, _, ok, err := sc.Next()
+				if err != nil || !ok {
+					t.Errorf("worker %d: partial scan: ok=%v err=%v", w, ok, err)
 					return
 				}
 				if r == nil {

@@ -54,22 +54,21 @@ type page struct {
 
 // File is a sequence of pages. Heap tables and spill runs are files.
 //
-// A File carries its own read-write latch guarding the page slice, the page
-// directory and the write buffer. Readers of different files — and readers
-// of the same file — never contend on a store-wide lock; a writer excludes
-// readers of that one file only. Concurrent writes to the same File are NOT
-// coordinated beyond that latch — the engine serializes table writes (DDL,
-// INSERT, LOAD) against all readers with its own read-write lock.
+// A File carries its own read-write latch guarding the page slice and the
+// write buffer. Readers of different files — and readers of the same file —
+// never contend on a store-wide lock; a writer excludes readers of that one
+// file only. Concurrent writes to the same File are NOT coordinated beyond
+// that latch — the engine serializes table writes (DDL, INSERT, LOAD)
+// against all readers with its own read-write lock.
 type File struct {
 	id   int
 	name string
 	temp bool // query-temporary file (spill run, partition); see CreateTemp
 
-	mu     sync.RWMutex
-	pages  []*page
-	starts []int64 // page directory: rowid of the first row on each flushed page
-	rows   int64
-	bytes  int64
+	mu    sync.RWMutex
+	pages []*page
+	rows  int64
+	bytes int64
 
 	// write buffer: rows accumulate here until the page fills.
 	cur      *page
@@ -353,11 +352,6 @@ func (se *Session) ReadPage(f *File, n int) ([]types.Row, error) {
 	return se.store.readPageAs(se, f, n)
 }
 
-// FetchRID is Store.FetchRID attributed to this session.
-func (se *Session) FetchRID(f *File, rid int64) (types.Row, error) {
-	return se.store.fetchRIDAs(se, f, rid)
-}
-
 // NewScanner starts a scan whose page reads are attributed to this session.
 func (se *Session) NewScanner(f *File) *Scanner {
 	return &Scanner{store: se.store, sess: se, file: f, page: -1}
@@ -377,7 +371,6 @@ type Pager interface {
 	Append(f *File, row types.Row) error
 	Flush(f *File) error
 	ReadPage(f *File, n int) ([]types.Row, error)
-	FetchRID(f *File, rid int64) (types.Row, error)
 	NewScanner(f *File) *Scanner
 	CreateTemp(name string) *File
 	DropFile(f *File)
@@ -499,7 +492,6 @@ func (s *Store) CloneFile(f *File) *File {
 		name:     f.name,
 		temp:     f.temp,
 		pages:    append([]*page(nil), f.pages...),
-		starts:   append([]int64(nil), f.starts...),
 		rows:     f.rows,
 		bytes:    f.bytes,
 		curBytes: f.curBytes,
@@ -572,7 +564,6 @@ func (s *Store) flushLocked(f *File, se *Session) error {
 	if err := s.charge(OpWrite, f, se); err != nil {
 		return fmt.Errorf("file %q: write: %w", f.name, err)
 	}
-	f.starts = append(f.starts, f.rows-int64(len(f.cur.rows)))
 	f.pages = append(f.pages, f.cur)
 	f.cur = &page{}
 	f.curBytes = 0
@@ -853,9 +844,8 @@ func (s *Store) SnapshotFile(f *File) (pages [][]types.Row, tail []types.Row) {
 
 // RestoreFile replaces the file's contents with a previously snapshotted
 // layout: pages become the flushed pages (in order), tail becomes the
-// unflushed write buffer. Row counts, byte totals and the page directory
-// are recomputed; the pool is purged of any stale pages of this file; no IO
-// is charged. Recovery uses this to rebuild heap files with the exact page
+// unflushed write buffer. Row counts and byte totals are recomputed; the
+// pool is purged of any stale pages of this file; no IO is charged. Recovery uses this to rebuild heap files with the exact page
 // boundaries the crashed engine had — Append would repack rows and merge
 // explicitly flushed partial pages.
 func (s *Store) RestoreFile(f *File, pages [][]types.Row, tail []types.Row) {
@@ -863,10 +853,8 @@ func (s *Store) RestoreFile(f *File, pages [][]types.Row, tail []types.Row) {
 	defer f.mu.Unlock()
 	s.pool.evictFile(f.id)
 	f.pages = make([]*page, len(pages))
-	f.starts = make([]int64, len(pages))
 	f.rows, f.bytes = 0, 0
 	for i, rows := range pages {
-		f.starts[i] = f.rows
 		f.pages[i] = &page{rows: rows}
 		for _, r := range rows {
 			f.rows++
@@ -882,45 +870,4 @@ func (s *Store) RestoreFile(f *File, pages [][]types.Row, tail []types.Row) {
 			f.bytes += int64(r.DiskWidth())
 		}
 	}
-}
-
-// FetchRID fetches the row with the given rowid through the buffer pool.
-func (s *Store) FetchRID(f *File, rid int64) (types.Row, error) { return s.fetchRIDAs(nil, f, rid) }
-
-func (s *Store) fetchRIDAs(se *Session, f *File, rid int64) (types.Row, error) {
-	// Binary search the page directory for the last flushed page whose
-	// start is <= rid; rids past the flushed pages live on the tail page.
-	f.mu.RLock()
-	if rid < 0 || rid >= f.rows {
-		nrows := f.rows
-		f.mu.RUnlock()
-		return nil, fmt.Errorf("file %q: rowid %d out of range (%d rows)", f.name, rid, nrows)
-	}
-	flushed := len(f.pages)
-	idx := sort.Search(flushed, func(i int) bool { return f.starts[i] > rid })
-	pageIdx := idx - 1 // last flushed page with start <= rid, or -1
-	var pageStart int64
-	inFlushed := false
-	if pageIdx >= 0 {
-		pageStart = f.starts[pageIdx]
-		inFlushed = rid < pageStart+int64(len(f.pages[pageIdx].rows))
-	}
-	var tailStart int64
-	if flushed > 0 {
-		tailStart = f.starts[flushed-1] + int64(len(f.pages[flushed-1].rows))
-	}
-	f.mu.RUnlock()
-
-	if inFlushed {
-		rows, err := s.readPageAs(se, f, pageIdx)
-		if err != nil {
-			return nil, err
-		}
-		return rows[rid-pageStart], nil
-	}
-	rows, err := s.readPageAs(se, f, flushed)
-	if err != nil {
-		return nil, err
-	}
-	return rows[rid-tailStart], nil
 }

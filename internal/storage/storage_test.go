@@ -261,61 +261,6 @@ func TestRandomAccessPattern(t *testing.T) {
 	}
 }
 
-func TestFetchRID(t *testing.T) {
-	s := NewStore(8)
-	f := s.CreateFile("t")
-	for i := 0; i < 777; i++ {
-		s.Append(f, row(int64(i)))
-	}
-	// Deliberately leave the tail unflushed to cover the tail-page path.
-	for _, rid := range []int64{0, 1, 100, 500, 776} {
-		r, err := s.FetchRID(f, rid)
-		if err != nil {
-			t.Fatalf("FetchRID(%d): %v", rid, err)
-		}
-		if r[0].Int() != rid {
-			t.Fatalf("FetchRID(%d) = %v", rid, r[0])
-		}
-	}
-	if _, err := s.FetchRID(f, 777); err == nil {
-		t.Fatalf("out-of-range rid should error")
-	}
-	if _, err := s.FetchRID(f, -1); err == nil {
-		t.Fatalf("negative rid should error")
-	}
-}
-
-func TestFetchRIDAllRows(t *testing.T) {
-	s := NewStore(4)
-	f := s.CreateFile("t")
-	fill(t, s, f, 1234)
-	for rid := int64(0); rid < 1234; rid++ {
-		r, err := s.FetchRID(f, rid)
-		if err != nil {
-			t.Fatalf("FetchRID(%d): %v", rid, err)
-		}
-		if r[0].Int() != rid {
-			t.Fatalf("FetchRID(%d) = %v", rid, r[0])
-		}
-	}
-}
-
-func TestFetchRIDChargesIO(t *testing.T) {
-	s := NewStore(2)
-	f := s.CreateFile("t")
-	fill(t, s, f, 2000)
-	s.ResetStats()
-	if _, err := s.FetchRID(f, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.FetchRID(f, f.Rows()-1); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().Reads != 2 {
-		t.Fatalf("random fetches should charge reads: %v", s.Stats())
-	}
-}
-
 // TestSnapshotRestoreFile: RestoreFile reproduces the exact physical layout
 // SnapshotFile captured — including a partial flushed page that plain
 // re-Appending would have merged away — without charging any IO.

@@ -142,12 +142,6 @@ func (r *Recorder) CreateMatView(name, sql, backing string, baseTables []string)
 	return nil
 }
 
-// CreateIndex records a CREATE INDEX.
-func (r *Recorder) CreateIndex(name, table string, cols []string) error {
-	r.add(wal.CreateIndex{Name: name, Table: table, Cols: cols})
-	return nil
-}
-
 // DropTable records a DROP TABLE.
 func (r *Recorder) DropTable(name string) error {
 	r.add(wal.DropTable{Name: name})

@@ -92,6 +92,11 @@ func DecodeRow(b []byte) (Row, []byte, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
+	// Every encoded value is at least its kind byte: a larger arity is
+	// damage, and trusting it would size the row from garbage.
+	if n > len(b) {
+		return nil, nil, fmt.Errorf("types: decode row: arity %d in %d bytes", n, len(b))
+	}
 	row := make(Row, n)
 	for i := 0; i < n; i++ {
 		var err error

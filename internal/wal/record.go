@@ -16,6 +16,8 @@ type Kind uint8
 const (
 	KindCreateTable Kind = 1 + iota
 	KindCreateView
+	// KindCreateIndex is reserved: logs written while the engine had
+	// CREATE INDEX hold it, and decoding one fails with a fatal error.
 	KindCreateIndex
 	KindDropTable
 	KindInsert
@@ -99,15 +101,6 @@ type CreateView struct {
 	SQL  string
 }
 
-// CreateIndex records a CREATE INDEX. Replay rebuilds the index buckets
-// from the table data as of this point in the log, exactly as the original
-// call did.
-type CreateIndex struct {
-	Name  string
-	Table string
-	Cols  []string
-}
-
 // DropTable records a DROP TABLE.
 type DropTable struct {
 	Name string
@@ -138,9 +131,9 @@ type DropMatView struct {
 	Name string
 }
 
-// Analyze records a statistics (and index) refresh of one table. Replay
-// recomputes from the replayed data, which is deterministic, so the record
-// carries no statistics payload.
+// Analyze records a statistics refresh of one table. Replay recomputes from
+// the replayed data, which is deterministic, so the record carries no
+// statistics payload.
 type Analyze struct {
 	Table string
 }
@@ -169,7 +162,6 @@ type TxnAbort struct {
 // Kind implementations.
 func (CreateTable) Kind() Kind   { return KindCreateTable }
 func (CreateView) Kind() Kind    { return KindCreateView }
-func (CreateIndex) Kind() Kind   { return KindCreateIndex }
 func (DropTable) Kind() Kind     { return KindDropTable }
 func (Insert) Kind() Kind        { return KindInsert }
 func (Analyze) Kind() Kind       { return KindAnalyze }
@@ -252,51 +244,51 @@ func (r CreateTable) encode(dst []byte) []byte {
 	return dst
 }
 
-func decodeCreateTable(b []byte) (Record, error) {
+func decodeCreateTable(b []byte) (Record, []byte, error) {
 	var r CreateTable
 	var err error
 	if r.Name, b, err = getString(b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(b) < 4 {
-		return nil, fmt.Errorf("wal: create-table column count missing")
+		return nil, nil, fmt.Errorf("wal: create-table column count missing")
 	}
 	nc := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
 	for i := 0; i < nc; i++ {
 		var c ColumnDef
 		if c.Name, b, err = getString(b); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if len(b) < 1 {
-			return nil, fmt.Errorf("wal: create-table column type missing")
+			return nil, nil, fmt.Errorf("wal: create-table column type missing")
 		}
 		c.Type = types.Kind(b[0])
 		b = b[1:]
 		r.Cols = append(r.Cols, c)
 	}
 	if r.PrimaryKey, b, err = getStrings(b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(b) < 4 {
-		return nil, fmt.Errorf("wal: create-table fk count missing")
+		return nil, nil, fmt.Errorf("wal: create-table fk count missing")
 	}
 	nf := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
 	for i := 0; i < nf; i++ {
 		var fk ForeignKeyDef
 		if fk.Cols, b, err = getStrings(b); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if fk.RefTable, b, err = getString(b); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if fk.RefCols, b, err = getStrings(b); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		r.ForeignKeys = append(r.ForeignKeys, fk)
 	}
-	return r, nil
+	return r, b, nil
 }
 
 func (r CreateView) encode(dst []byte) []byte {
@@ -305,51 +297,22 @@ func (r CreateView) encode(dst []byte) []byte {
 	return putString(dst, r.SQL)
 }
 
-func decodeCreateView(b []byte) (Record, error) {
+func decodeCreateView(b []byte) (Record, []byte, error) {
 	var r CreateView
 	var err error
 	if r.Name, b, err = getString(b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if r.Cols, b, err = getStrings(b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if r.SQL, _, err = getString(b); err != nil {
-		return nil, err
+	if r.SQL, b, err = getString(b); err != nil {
+		return nil, nil, err
 	}
-	return r, nil
-}
-
-func (r CreateIndex) encode(dst []byte) []byte {
-	dst = putString(dst, r.Name)
-	dst = putString(dst, r.Table)
-	return putStrings(dst, r.Cols)
-}
-
-func decodeCreateIndex(b []byte) (Record, error) {
-	var r CreateIndex
-	var err error
-	if r.Name, b, err = getString(b); err != nil {
-		return nil, err
-	}
-	if r.Table, b, err = getString(b); err != nil {
-		return nil, err
-	}
-	if r.Cols, _, err = getStrings(b); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return r, b, nil
 }
 
 func (r DropTable) encode(dst []byte) []byte { return putString(dst, r.Name) }
-
-func decodeDropTable(b []byte) (Record, error) {
-	name, _, err := getString(b)
-	if err != nil {
-		return nil, err
-	}
-	return DropTable{Name: name}, nil
-}
 
 func (r Insert) encode(dst []byte) []byte {
 	dst = putString(dst, r.Table)
@@ -360,24 +323,29 @@ func (r Insert) encode(dst []byte) []byte {
 	return dst
 }
 
-func decodeInsert(b []byte) (Record, error) {
+func decodeInsert(b []byte) (Record, []byte, error) {
 	var r Insert
 	var err error
 	if r.Table, b, err = getString(b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(b) < 4 {
-		return nil, fmt.Errorf("wal: insert row count missing")
+		return nil, nil, fmt.Errorf("wal: insert row count missing")
 	}
 	n := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
+	// Every encoded row is at least its 4-byte arity: a larger count is
+	// damage, and trusting it would size the slice from garbage.
+	if n > len(b)/4 {
+		return nil, nil, fmt.Errorf("wal: insert: %d rows in %d bytes", n, len(b))
+	}
 	r.Rows = make([]types.Row, n)
 	for i := 0; i < n; i++ {
 		if r.Rows[i], b, err = types.DecodeRow(b); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return r, nil
+	return r, b, nil
 }
 
 func (r CreateMatView) encode(dst []byte) []byte {
@@ -387,33 +355,25 @@ func (r CreateMatView) encode(dst []byte) []byte {
 	return putStrings(dst, r.BaseTables)
 }
 
-func decodeCreateMatView(b []byte) (Record, error) {
+func decodeCreateMatView(b []byte) (Record, []byte, error) {
 	var r CreateMatView
 	var err error
 	if r.Name, b, err = getString(b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if r.SQL, b, err = getString(b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if r.Backing, b, err = getString(b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if r.BaseTables, _, err = getStrings(b); err != nil {
-		return nil, err
+	if r.BaseTables, b, err = getStrings(b); err != nil {
+		return nil, nil, err
 	}
-	return r, nil
+	return r, b, nil
 }
 
 func (r DropMatView) encode(dst []byte) []byte { return putString(dst, r.Name) }
-
-func decodeDropMatView(b []byte) (Record, error) {
-	name, _, err := getString(b)
-	if err != nil {
-		return nil, err
-	}
-	return DropMatView{Name: name}, nil
-}
 
 func (r Analyze) encode(dst []byte) []byte { return putString(dst, r.Table) }
 
@@ -429,19 +389,22 @@ func (r TxnAbort) encode(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint64(dst, uint64(r.ID))
 }
 
-func decodeTxnID(b []byte, kind Kind) (int64, error) {
-	if len(b) < 8 {
-		return 0, fmt.Errorf("wal: %s id: %d bytes", kind, len(b))
+// decodeName decodes the body of the records that carry one name: DROP
+// TABLE, DROP MATERIALIZED VIEW and ANALYZE.
+func decodeName(b []byte, mk func(string) Record) (Record, []byte, error) {
+	name, b, err := getString(b)
+	if err != nil {
+		return nil, nil, err
 	}
-	return int64(binary.LittleEndian.Uint64(b)), nil
+	return mk(name), b, nil
 }
 
-func decodeAnalyze(b []byte) (Record, error) {
-	name, _, err := getString(b)
-	if err != nil {
-		return nil, err
+// decodeTxnID decodes the body of a transaction frame.
+func decodeTxnID(b []byte, kind Kind, mk func(int64) Record) (Record, []byte, error) {
+	if len(b) < 8 {
+		return nil, nil, fmt.Errorf("wal: %s id: %d bytes", kind, len(b))
 	}
-	return Analyze{Table: name}, nil
+	return mk(int64(binary.LittleEndian.Uint64(b))), b[8:], nil
 }
 
 // encodeRecord renders a record payload: kind tag, catalog version, body.
@@ -453,8 +416,9 @@ func encodeRecord(version int64, rec Record) []byte {
 }
 
 // decodeRecord parses a record payload (sans LSN). The payload has already
-// passed its CRC, so a malformed body is corruption or a format skew — a
-// fatal recovery error, not a torn tail.
+// passed its CRC, so a malformed body — trailing bytes included — is
+// corruption or a format skew: a fatal recovery error, not a torn tail.
+// Every payload it accepts re-encodes to the same bytes.
 func decodeRecord(b []byte) (int64, Record, error) {
 	if len(b) < 9 {
 		return 0, nil, fmt.Errorf("wal: record header: %d bytes", len(b))
@@ -466,38 +430,35 @@ func decodeRecord(b []byte) (int64, Record, error) {
 	var err error
 	switch kind {
 	case KindCreateTable:
-		rec, err = decodeCreateTable(body)
+		rec, body, err = decodeCreateTable(body)
 	case KindCreateView:
-		rec, err = decodeCreateView(body)
+		rec, body, err = decodeCreateView(body)
 	case KindCreateIndex:
-		rec, err = decodeCreateIndex(body)
+		return 0, nil, fmt.Errorf("wal: %s record: CREATE INDEX was removed from the engine, so a log holding one cannot be replayed", kind)
 	case KindDropTable:
-		rec, err = decodeDropTable(body)
+		rec, body, err = decodeName(body, func(n string) Record { return DropTable{Name: n} })
 	case KindInsert:
-		rec, err = decodeInsert(body)
+		rec, body, err = decodeInsert(body)
 	case KindAnalyze:
-		rec, err = decodeAnalyze(body)
+		rec, body, err = decodeName(body, func(n string) Record { return Analyze{Table: n} })
 	case KindCreateMatView:
-		rec, err = decodeCreateMatView(body)
+		rec, body, err = decodeCreateMatView(body)
 	case KindDropMatView:
-		rec, err = decodeDropMatView(body)
+		rec, body, err = decodeName(body, func(n string) Record { return DropMatView{Name: n} })
 	case KindTxnBegin:
-		var id int64
-		id, err = decodeTxnID(body, kind)
-		rec = TxnBegin{ID: id}
+		rec, body, err = decodeTxnID(body, kind, func(id int64) Record { return TxnBegin{ID: id} })
 	case KindTxnCommit:
-		var id int64
-		id, err = decodeTxnID(body, kind)
-		rec = TxnCommit{ID: id}
+		rec, body, err = decodeTxnID(body, kind, func(id int64) Record { return TxnCommit{ID: id} })
 	case KindTxnAbort:
-		var id int64
-		id, err = decodeTxnID(body, kind)
-		rec = TxnAbort{ID: id}
+		rec, body, err = decodeTxnID(body, kind, func(id int64) Record { return TxnAbort{ID: id} })
 	default:
 		err = fmt.Errorf("wal: unknown record kind %d", uint8(kind))
 	}
 	if err != nil {
 		return 0, nil, err
+	}
+	if len(body) != 0 {
+		return 0, nil, fmt.Errorf("wal: %s record: %d trailing bytes", kind, len(body))
 	}
 	return version, rec, nil
 }

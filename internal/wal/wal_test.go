@@ -1,10 +1,13 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"aggview/internal/types"
@@ -34,7 +37,7 @@ func sampleRecords() []Record {
 			{types.NewString("bob"), types.NewInt(2), types.NewFloat(80000)},
 		}},
 		CreateView{Name: "dept_sal", Cols: []string{"dept", "total"}, SQL: "SELECT dept, SUM(sal) FROM emp GROUP BY dept"},
-		CreateIndex{Name: "emp_dept", Table: "emp", Cols: []string{"dept"}},
+		CreateMatView{Name: "dept_sal_mv", SQL: "SELECT dept, SUM(sal) FROM emp GROUP BY dept", Backing: "dept_sal_mv_data", BaseTables: []string{"emp"}},
 		Analyze{Table: "emp"},
 		DropTable{Name: "emp"},
 	}
@@ -104,6 +107,53 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 	lsn, err := l2.Append(100, Analyze{Table: "dept"})
 	if err != nil || lsn != last+1 {
 		t.Fatalf("continue append: lsn %d err %v", lsn, err)
+	}
+}
+
+// A CRC-valid record of the reserved create-index kind, as logs written
+// while the engine had CREATE INDEX hold them, fails recovery as corruption
+// that names the kind. It is not a torn tail: the segment is left intact.
+func TestCreateIndexRecordRejected(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{})
+	appendAll(t, l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The body is the one CREATE INDEX records carried: name, table, cols.
+	payload := binary.LittleEndian.AppendUint64(nil, uint64(len(sampleRecords())+1))
+	payload = append(payload, byte(KindCreateIndex))
+	payload = binary.LittleEndian.AppendUint64(payload, 99)
+	payload = putString(payload, "emp_dept")
+	payload = putString(payload, "emp")
+	payload = putStrings(payload, []string{"dept"})
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32Checksum(payload))
+	frame = append(frame, payload...)
+	path := filepath.Join(dir, segName(1))
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, err = Open(dir, Options{})
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "create-index") || !strings.Contains(err.Error(), "CREATE INDEX was removed") {
+		t.Fatalf("open = %v, want ErrCorrupt naming create-index", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused open changed the segment: %d -> %d bytes", len(before), len(after))
 	}
 }
 
