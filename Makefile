@@ -43,18 +43,20 @@ stress:
 crash:
 	$(GO) test -run 'TestCrash|TestTorn|TestRecovery|TestBulkLoadCrashPrefix|TestPlanCacheInvalidationAcrossRecovery|TestDurable|TestMatView.*Durab' ./internal/wal .
 
-# fuzz runs two time-boxed searches. FuzzCacheKey looks for inputs on which
-# the plan-cache key and the lexer disagree (the key fails exactly when
+# fuzz runs three time-boxed searches. FuzzCacheKey looks for inputs on
+# which the plan-cache key and the lexer disagree (the key fails exactly when
 # lexing fails, and otherwise lexes to the statement's own tokens).
-# FuzzDecodeRecord feeds arbitrary payloads to the WAL record decoder, which
-# must fail or return a record that re-encodes to the same bytes, and never
-# panic. Not part of `check`: the committed corpora under
-# internal/sql/testdata/fuzz/ and internal/wal/testdata/fuzz/ already replay
-# in every `go test ./...`, and the fuzzer writes any new failing input there
-# to be committed with its fix.
+# FuzzDecodeRecord feeds arbitrary payloads to the WAL record decoder and
+# FuzzDecodeSnapshot arbitrary bytes to the catalog checkpoint decoder; each
+# must fail or return what re-encodes to the same bytes, and never panic.
+# Not part of `check`: the committed corpora under internal/sql/testdata/fuzz/,
+# internal/wal/testdata/fuzz/ and internal/catalog/testdata/fuzz/ already
+# replay in every `go test ./...`, and the fuzzer writes any new failing input
+# there to be committed with its fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCacheKey -fuzztime 30s ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 30s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 30s ./internal/catalog
 
 # bench runs the repo benchmark (BENCHMARK.json, bench/): five workloads,
 # end-to-end qps/p50/p95/pages_per_op/setup_s plus per-layer metrics, into
@@ -79,7 +81,8 @@ bench-diff:
 # gobench runs the Go micro/macro benchmarks: the paper's experiments and one
 # per stage a query crosses (BenchmarkCacheKey / BenchmarkParse in
 # internal/sql, the optimizer's in internal/core, the executor's in
-# internal/exec, BenchmarkQueryCacheHit and BenchmarkWarmExec in the root).
+# internal/exec — BenchmarkOpenCursor times opening a plan apart from running
+# it — BenchmarkQueryCacheHit and BenchmarkWarmExec in the root).
 gobench:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -147,7 +147,7 @@ func analyzeRows(rows *Rows, err error) (*AnalyzeInfo, error) {
 
 	qr := rows.query
 	e := qr.engine
-	model := cost.NewModel(e.cfg.PoolPages, e.cfg.CPUWeight)
+	model := cost.NewModel(e.cfg.PoolPages, 0)
 	return &AnalyzeInfo{
 		Plan:         qr.planInfo,
 		Root:         e.buildOpTree(qr.planInfo.root, model, qr.col),

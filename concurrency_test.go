@@ -409,11 +409,11 @@ func TestConcurrentDDLSerializesWithQueries(t *testing.T) {
 	}
 }
 
-// TestForceDropCachesBypassAudit: the engine reaches
-// Store.ForceDropCaches/ForceResetStats — which bypass the store's
-// ErrStoreBusy session guard — from the maintenance entry points and the
-// cold-measurement path, and neither may surface a half-dropped cache to a
-// concurrent reader.
+// TestForceDropCachesBypassAudit: the engine sweeps the pool and resets the
+// counters while sessions are open — Store.ForceDropCaches on the
+// cold-measurement path, the Bounded pair from the maintenance entry
+// points — and neither may surface a half-dropped cache to a concurrent
+// reader.
 //
 //  1. Engine.DropCaches/ResetIOStats wait briefly for in-flight queries
 //     but the wait is bounded: the first half of the test proves that a

@@ -93,9 +93,6 @@ type Config struct {
 	// DisableSharedPredicateRestriction lifts the paper's "share a
 	// predicate" pull-up restriction.
 	DisableSharedPredicateRestriction bool
-	// CPUWeight adds a per-tuple cost in page-IO units (default 0: the
-	// paper's IO-only objective).
-	CPUWeight float64
 	// SystemRJoins restricts the plan space to block nested-loops and
 	// sort-merge joins — the repertoire of the paper's era.
 	SystemRJoins bool

@@ -34,7 +34,11 @@ import (
 //
 // The snapshot travels inside a CRC-checked wal checkpoint, so a decode
 // failure here means corruption (or a format skew) and recovery fails
-// loudly rather than guessing.
+// loudly rather than guessing. A CRC only proves the bytes are the ones
+// written, so the decoder trusts nothing it reads: a count larger than the
+// bytes left is refused before anything is sized from it, and names that
+// are duplicated or out of Encode's sorted order are refused too — they
+// would not re-encode to the same bytes.
 
 const snapMagic = "AGVSNAP2"
 
@@ -139,15 +143,17 @@ func DecodeSnapshot(store *storage.Store, data []byte) (*Catalog, error) {
 		matviews: map[string]*MatView{},
 	}
 
-	nt := int(r.u32())
+	nt := r.count()
+	prev := ""
 	for i := 0; i < nt && r.err == nil; i++ {
 		name := r.str()
+		r.ordered("table", i, &prev, name)
 		t := &Table{
 			Name:  name,
 			Stats: TableStats{Cols: map[string]ColStats{}},
 		}
 
-		nc := int(r.u32())
+		nc := r.count()
 		t.Schema = make(schema.Schema, 0, nc)
 		for j := 0; j < nc && r.err == nil; j++ {
 			cn := r.str()
@@ -155,7 +161,7 @@ func DecodeSnapshot(store *storage.Store, data []byte) (*Catalog, error) {
 			t.Schema = append(t.Schema, schema.Column{ID: schema.ColID{Rel: name, Name: cn}, Type: kind})
 		}
 		t.PrimaryKey = r.strs()
-		nf := int(r.u32())
+		nf := r.count()
 		for j := 0; j < nf && r.err == nil; j++ {
 			var fk schema.ForeignKey
 			fk.Cols = r.strs()
@@ -164,17 +170,17 @@ func DecodeSnapshot(store *storage.Store, data []byte) (*Catalog, error) {
 			t.ForeignKeys = append(t.ForeignKeys, fk)
 		}
 
-		np := int(r.u32())
+		np := r.count()
 		pages := make([][]types.Row, 0, np)
 		for j := 0; j < np && r.err == nil; j++ {
-			nr := int(r.u32())
+			nr := r.count()
 			page := make([]types.Row, 0, nr)
 			for k := 0; k < nr && r.err == nil; k++ {
 				page = append(page, r.row())
 			}
 			pages = append(pages, page)
 		}
-		ntail := int(r.u32())
+		ntail := r.count()
 		var tail []types.Row
 		for j := 0; j < ntail && r.err == nil; j++ {
 			tail = append(tail, r.row())
@@ -182,9 +188,11 @@ func DecodeSnapshot(store *storage.Store, data []byte) (*Catalog, error) {
 
 		t.Stats.Rows = int64(r.u64())
 		t.Stats.Pages = int(r.u32())
-		ncs := int(r.u32())
+		ncs := r.count()
+		prevCol := ""
 		for j := 0; j < ncs && r.err == nil; j++ {
 			cn := r.str()
+			r.ordered("column statistics", j, &prevCol, cn)
 			var cs ColStats
 			cs.NDV = int64(r.u64())
 			cs.Min = r.value()
@@ -204,19 +212,21 @@ func DecodeSnapshot(store *storage.Store, data []byte) (*Catalog, error) {
 		snap.tables[name] = t
 	}
 
-	nv := int(r.u32())
+	nv := r.count()
 	for i := 0; i < nv && r.err == nil; i++ {
 		v := &View{}
 		v.Name = r.str()
+		r.ordered("view", i, &prev, v.Name)
 		v.Cols = r.strs()
 		v.SQL = r.str()
 		snap.views[v.Name] = v
 	}
 
-	nmv := int(r.u32())
+	nmv := r.count()
 	for i := 0; i < nmv && r.err == nil; i++ {
 		mv := &MatView{}
 		mv.Name = r.str()
+		r.ordered("materialized view", i, &prev, mv.Name)
 		mv.SQL = r.str()
 		mv.Backing = r.str()
 		mv.BaseTables = r.strs()
@@ -295,13 +305,35 @@ func (r *snapReader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
+// count reads an element count. Every element takes at least one byte, so
+// a count larger than the bytes left is damage.
+func (r *snapReader) count() int {
+	n := int(r.u32())
+	if n > len(r.b) {
+		if r.err == nil {
+			r.err = fmt.Errorf("count %d exceeds the %d bytes left", n, len(r.b))
+		}
+		return 0
+	}
+	return n
+}
+
+// ordered latches an error unless name, the i-th of its section, sorts
+// strictly after the one before it (*prev), then makes it the one before.
+func (r *snapReader) ordered(what string, i int, prev *string, name string) {
+	if i > 0 && name <= *prev && r.err == nil {
+		r.err = fmt.Errorf("%s %q after %q: duplicate or out of order", what, name, *prev)
+	}
+	*prev = name
+}
+
 func (r *snapReader) str() string {
 	n := int(r.u32())
 	return string(r.bytes(n))
 }
 
 func (r *snapReader) strs() []string {
-	n := int(r.u32())
+	n := r.count()
 	var out []string
 	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, r.str())

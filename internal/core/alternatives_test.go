@@ -35,7 +35,7 @@ func asWritten(t *testing.T, store *storage.Store, q *qblock.Query) *exec.Result
 	if err != nil {
 		t.Fatalf("traditional optimize: %v", err)
 	}
-	ref, err := exec.Naive(store, plan.Root)
+	ref, err := exec.Naive(store, plan.Root, nil)
 	if err != nil {
 		t.Fatalf("naive: %v\n%s", err, plan.Explain())
 	}
@@ -459,7 +459,7 @@ func TestAlternativesPlacements(t *testing.T) {
 func TestAlternativesOuterJoinRefusal(t *testing.T) {
 	e := newOuterEnv(t, 300, 20, 120)
 	q := outerChainQuery(e, true, true)
-	want, err := exec.Naive(e.store, canonicalOuterPlan(e, q))
+	want, err := exec.Naive(e.store, canonicalOuterPlan(e, q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

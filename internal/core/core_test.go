@@ -162,7 +162,7 @@ func TestSingleBlockSPJ(t *testing.T) {
 	}
 	q := &qblock.Query{Top: top}
 	plan, res := optimizeAndRun(t, e, q, ModeFull)
-	want, err := exec.Naive(e.store, plan.Root)
+	want, err := exec.Naive(e.store, plan.Root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestNeverWorseThanTraditional(t *testing.T) {
 		}
 		// Cross-check the executor against the naive oracle on the chosen
 		// full-mode plan.
-		oracle, err := exec.Naive(e.store, fullPlan.Root)
+		oracle, err := exec.Naive(e.store, fullPlan.Root, nil)
 		if err != nil {
 			t.Fatalf("trial %d: naive: %v", trial, err)
 		}

@@ -176,7 +176,7 @@ func TestInvariantPlacementChosen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.Naive(e.store, plan.Root)
+	want, err := exec.Naive(e.store, plan.Root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

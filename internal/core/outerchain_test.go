@@ -216,7 +216,7 @@ func TestOuterChainVsCanonical(t *testing.T) {
 			if err := q.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			want, err := exec.Naive(e.store, canonicalOuterPlan(e, q))
+			want, err := exec.Naive(e.store, canonicalOuterPlan(e, q), nil)
 			if err != nil {
 				t.Fatalf("naive canonical: %v", err)
 			}
@@ -291,7 +291,7 @@ func TestOuterChainRightAndFullNormalization(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Run: %v", jt, err)
 		}
-		want, err := exec.Naive(e.store, canonicalOuterPlan(e, q))
+		want, err := exec.Naive(e.store, canonicalOuterPlan(e, q), nil)
 		if err != nil {
 			t.Fatalf("%s: naive: %v", jt, err)
 		}

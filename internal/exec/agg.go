@@ -9,29 +9,38 @@ import (
 	"aggview/internal/types"
 )
 
-// groupByCtx holds the compiled pieces of a GroupBy shared by both
-// aggregation methods, and the accumulator state of the groups in flight.
-type groupByCtx struct {
+// groupBySpec holds the compiled pieces of a GroupBy shared by both
+// aggregation methods: everything about it that depends only on the plan.
+type groupBySpec struct {
 	groupPos []int           // grouping column positions in the input
 	argFns   []expr.Compiled // aggregate argument evaluators (nil for COUNT(*))
 	aggs     []expr.Agg
-	having   func(types.Row) (bool, error) // over the inner schema
-	outputs  []expr.Compiled               // over the inner schema; nil = identity
-	scalar   bool                          // no grouping columns: always emit one row
+	having   expr.Predicate  // over the inner schema
+	outputs  []expr.Compiled // over the inner schema; nil = identity
+	scalar   bool            // no grouping columns: always emit one row
+	// A MEDIAN or user-defined aggregate, whose state is its own object,
+	// folds into a boxed accumulator: boxedAt[i] is aggregate i's slot among
+	// a group's nBoxed boxes, or -1 for the others.
+	boxedAt []int
+	nBoxed  int
+}
+
+// groupByCtx is one run's aggregation over a groupBySpec: the run's
+// parameters and the accumulator state of the groups in flight.
+type groupByCtx struct {
+	*groupBySpec
+	params []types.Value
 
 	arena rowArena  // backs group states and finished output rows
 	inner types.Row // the inner row being finished; reused when outputs re-project it
 
 	// Groups are numbered from 0 in creation order. A group's state is one
 	// value per aggregate (an expr.AggState) in a row carved from the
-	// arena, stateChunkGroups groups to a carve; a MEDIAN or user-defined
-	// aggregate, whose state is its own object, folds in
-	// boxed[g*nBoxed+boxedAt[i]] instead (boxedAt[i] < 0 for the others).
-	groups  int
-	states  []types.Row
-	boxed   []expr.Accumulator
-	boxedAt []int
-	nBoxed  int
+	// arena, stateChunkGroups groups to a carve; a boxed aggregate folds in
+	// boxed[g*nBoxed+boxedAt[i]] instead.
+	groups int
+	states []types.Row
+	boxed  []expr.Accumulator
 }
 
 // stateChunkGroups is how many groups' states one arena carve holds: with
@@ -39,45 +48,38 @@ type groupByCtx struct {
 // groups takes a corner of the slab its output rows come from anyway.
 const stateChunkGroups = 256
 
-func (e *Executor) groupByCtxOf(g *lplan.GroupBy) (*groupByCtx, error) {
+func groupBySpecOf(g *lplan.GroupBy) (*groupBySpec, error) {
 	in := g.In.Schema()
 	groupPos, err := colIndexes(in, g.GroupCols)
 	if err != nil {
 		return nil, err
 	}
-	ctx := &groupByCtx{groupPos: groupPos, scalar: len(g.GroupCols) == 0,
-		arena: rowArena{rec: &e.arenas}}
-	for _, a := range g.Aggs {
-		ctx.aggs = append(ctx.aggs, a)
-		if a.Kind.HasState() {
-			ctx.boxedAt = append(ctx.boxedAt, -1)
-		} else {
-			ctx.boxedAt = append(ctx.boxedAt, ctx.nBoxed)
-			ctx.nBoxed++
+	spec := &groupBySpec{groupPos: groupPos, aggs: g.Aggs, scalar: len(g.GroupCols) == 0,
+		argFns: make([]expr.Compiled, len(g.Aggs)), boxedAt: make([]int, len(g.Aggs))}
+	for i, a := range g.Aggs {
+		spec.boxedAt[i] = -1
+		if !a.Kind.HasState() {
+			spec.boxedAt[i] = spec.nBoxed
+			spec.nBoxed++
 		}
-		if a.Arg == nil {
-			ctx.argFns = append(ctx.argFns, nil)
-			continue
+		if a.Arg != nil {
+			if spec.argFns[i], err = expr.Compile(a.Arg, in); err != nil {
+				return nil, err
+			}
 		}
-		fn, err := e.compileExpr(a.Arg, in)
-		if err != nil {
-			return nil, err
-		}
-		ctx.argFns = append(ctx.argFns, fn)
 	}
 	inner := g.InnerSchema()
-	ctx.having, err = compilePreds(g.Having, inner, e.params)
-	if err != nil {
+	if spec.having, err = compilePreds(g.Having, inner); err != nil {
 		return nil, err
 	}
 	for _, ne := range g.Outputs {
-		fn, err := e.compileExpr(ne.E, inner)
+		fn, err := expr.Compile(ne.E, inner)
 		if err != nil {
 			return nil, err
 		}
-		ctx.outputs = append(ctx.outputs, fn)
+		spec.outputs = append(spec.outputs, fn)
 	}
-	return ctx, nil
+	return spec, nil
 }
 
 // newGroup starts the next group, with every aggregate empty.
@@ -114,7 +116,7 @@ func (c *groupByCtx) add(g int, row types.Row) error {
 		v := countStarArg
 		if fn != nil {
 			var err error
-			if v, err = fn(row); err != nil {
+			if v, err = fn(row, c.params); err != nil {
 				return err
 			}
 		}
@@ -151,7 +153,7 @@ func (c *groupByCtx) finish(g int, key types.Row) (types.Row, bool, error) {
 			inner[len(key)+i] = (*expr.AggState)(&states[i]).Result(c.aggs[i].Kind)
 		}
 	}
-	keep, err := c.having(inner)
+	keep, err := c.having(inner, c.params)
 	if err != nil || !keep {
 		return nil, false, err
 	}
@@ -160,7 +162,7 @@ func (c *groupByCtx) finish(g int, key types.Row) (types.Row, bool, error) {
 	}
 	out := c.arena.carve(len(c.outputs))
 	for i, fn := range c.outputs {
-		v, err := fn(inner)
+		v, err := fn(inner, c.params)
 		if err != nil {
 			return nil, false, err
 		}
@@ -169,23 +171,28 @@ func (c *groupByCtx) finish(g int, key types.Row) (types.Row, bool, error) {
 	return out, true, nil
 }
 
-func (e *Executor) buildGroupBy(g *lplan.GroupBy) (BatchIterator, error) {
-	ctx, err := e.groupByCtxOf(g)
+func compileGroupBy(g *lplan.GroupBy) (func(*Executor) BatchIterator, error) {
+	spec, err := groupBySpecOf(g)
 	if err != nil {
 		return nil, err
 	}
-	in, err := e.build(g.In)
+	in, err := compileOp(g.In)
 	if err != nil {
 		return nil, err
+	}
+	newCtx := func(e *Executor) *groupByCtx {
+		return &groupByCtx{groupBySpec: spec, params: e.params, arena: rowArena{rec: &e.arenas}}
 	}
 	switch g.Method {
 	case lplan.AggSort:
-		return &sortAggIter{
-			ctx: ctx, target: e.batchSize,
-			in: newRowIter(newSortIter(e, in, ctx.groupPos)),
+		return func(e *Executor) BatchIterator {
+			return &sortAggIter{ctx: newCtx(e), target: e.batchSize,
+				in: newRowIter(newSortIter(e, e.build(in), spec.groupPos))}
 		}, nil
 	case lplan.AggHash, lplan.AggUnset:
-		return &hashAggIter{exec: e, ctx: ctx, in: in}, nil
+		return func(e *Executor) BatchIterator {
+			return &hashAggIter{exec: e, ctx: newCtx(e), in: e.build(in)}
+		}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown aggregation method %v", g.Method)
 	}

@@ -10,6 +10,18 @@
 // push-down transformations), and to validate the cost model's shape
 // against measured page IO in the experiment harness.
 //
+// # A plan is compiled once and opened per run
+//
+// Compile turns an lplan tree into a Program: it validates the tree, renders
+// each operator's label, resolves column positions and join keys, and
+// compiles every expression against its input schema. A `?` compiles to a
+// read of the run's parameter vector (WithParams), which every compiled
+// expression takes when it evaluates, so a Program holds nothing a run
+// writes and any number of runs may open one at once. Open builds and opens
+// the iterators, which are all a run allocates for its plan; OpenCursor is
+// Compile then Open, for a tree that was not compiled ahead. The engine
+// compiles each plan once, before it caches it.
+//
 // The rest of this comment is the executor contract: what an operator must
 // guarantee, and what it may assume of its inputs.
 //

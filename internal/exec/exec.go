@@ -36,10 +36,9 @@ type Executor struct {
 	// col, when set, receives per-operator runtime metrics: every operator
 	// is wrapped in a metering iterator registered against its plan node.
 	col *obs.Collector
-	// params holds the values bound to `?` placeholders for this run. They
-	// are substituted into expressions at iterator-compile time (never into
-	// the plan tree itself), so a cached plan containing parameters is
-	// reusable across executions with different arguments.
+	// params holds the values of the plan's `?` placeholders for this run.
+	// Compiled expressions read them as they evaluate, so one Program serves
+	// runs with different arguments.
 	params []types.Value
 	// arenas tracks the pooled row-arena slabs carved by this executor's
 	// operators; the cursor returns them on Close. See arenaRecycler.
@@ -82,8 +81,7 @@ func (e *Executor) WithCollector(c *obs.Collector) *Executor {
 }
 
 // WithParams supplies values for the plan's `?` placeholders and returns
-// the executor. Expressions are bound per-run at compile time; the plan
-// tree is left untouched.
+// the executor. Neither the plan tree nor its compiled Program is touched.
 func (e *Executor) WithParams(vals []types.Value) *Executor {
 	e.params = vals
 	return e
@@ -99,16 +97,6 @@ func (e *Executor) WithBatchSize(n int) *Executor {
 		e.batchSize = n
 	}
 	return e
-}
-
-// compileExpr binds this run's parameters into x and compiles the result
-// against s. Expressions without parameters are compiled as-is.
-func (e *Executor) compileExpr(x expr.Expr, s schema.Schema) (expr.Compiled, error) {
-	b, err := expr.BindParams(x, e.params)
-	if err != nil {
-		return nil, err
-	}
-	return expr.Compile(b, s)
 }
 
 // Result is a fully materialized query result.
@@ -159,23 +147,82 @@ type Cursor struct {
 	closed  bool
 }
 
-// OpenCursor validates and compiles the plan, opens the operator tree, and
-// returns a streaming cursor. Only per-run work is done for a frozen plan
-// (lplan.Freeze): its legality was settled and its operator labels rendered
-// when it was frozen, so the check and the labels below are field reads; an
-// unfrozen tree is walked by Validate and described operator by operator on
-// every open. What remains either way is what depends on the run — binding
-// this run's parameters into the expressions and compiling them, the
-// session, the governor, the collector. On Open failure the partially
-// opened tree is closed before returning, so spill files never leak.
-func (e *Executor) OpenCursor(n lplan.Node) (*Cursor, error) {
+// Program is a plan compiled once for execution: its legality checked,
+// every operator labelled, column positions resolved and every expression
+// compiled against its input schema. Nothing in it is written by a run, so
+// any number of runs may open one Program at once; what a run owns — the
+// parameter vector, the session, the governor, the collector — comes with
+// its Executor, and what it allocates is the iterators.
+type Program struct {
+	root *op
+	sch  schema.Schema
+}
+
+// op is one compiled operator: its plan node (the key its metrics are
+// registered under), its Describe() label, and newIter, which builds the
+// operator's iterator for one run.
+type op struct {
+	node    lplan.Node
+	label   string
+	newIter func(e *Executor) BatchIterator
+}
+
+// Compile validates the plan and compiles every operator. It is the one
+// place the executor resolves columns and compiles expressions, for frozen
+// and unfrozen trees alike: the engine compiles a plan once, before it
+// publishes it; OpenCursor compiles the tree it is handed.
+func Compile(n lplan.Node) (*Program, error) {
 	if err := lplan.Validate(n); err != nil {
 		return nil, fmt.Errorf("exec: invalid plan: %w", err)
 	}
-	it, err := e.build(n)
+	root, err := compileOp(n)
 	if err != nil {
 		return nil, err
 	}
+	return &Program{root: root, sch: n.Schema()}, nil
+}
+
+// compileOp compiles a plan node and, through the per-type compilers, its
+// children.
+func compileOp(n lplan.Node) (*op, error) {
+	var newIter func(*Executor) BatchIterator
+	var err error
+	switch t := n.(type) {
+	case *lplan.Scan:
+		newIter, err = compileScan(t)
+	case *lplan.Filter:
+		newIter, err = compileFilter(t)
+	case *lplan.Project:
+		newIter, err = compileProject(t)
+	case *lplan.Sort:
+		newIter, err = compileSort(t)
+	case *lplan.Join:
+		newIter, err = compileJoin(t)
+	case *lplan.GroupBy:
+		newIter, err = compileGroupBy(t)
+	default:
+		err = fmt.Errorf("exec: unknown node type %T", n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &op{node: n, label: n.Describe(), newIter: newIter}, nil
+}
+
+// OpenCursor compiles the plan and opens it: Compile, then Open.
+func (e *Executor) OpenCursor(n lplan.Node) (*Cursor, error) {
+	p, err := Compile(n)
+	if err != nil {
+		return nil, err
+	}
+	return e.Open(p)
+}
+
+// Open builds the program's iterator tree for this run, opens it, and
+// returns a streaming cursor. On Open failure the partially opened tree is
+// closed before returning, so spill files never leak.
+func (e *Executor) Open(p *Program) (*Cursor, error) {
+	it := e.build(p.root)
 	if err := it.Open(); err != nil {
 		// A partially opened operator tree (e.g. a grace join that spilled
 		// its build side before its probe failed) must still drop its spills
@@ -185,7 +232,7 @@ func (e *Executor) OpenCursor(n lplan.Node) (*Cursor, error) {
 		e.arenas.release()
 		return nil, err
 	}
-	return &Cursor{it: it, ex: e, sch: n.Schema(), b: getBatch()}, nil
+	return &Cursor{it: it, ex: e, sch: p.sch, b: getBatch()}, nil
 }
 
 // Schema returns the output schema of the plan.
@@ -238,51 +285,15 @@ func (c *Cursor) Close() error {
 	return err
 }
 
-// build compiles a plan node into an operator tree, wrapping every operator
-// in a metering iterator when a collector is attached.
-func (e *Executor) build(n lplan.Node) (BatchIterator, error) {
-	it, err := e.buildOp(n)
-	if err != nil || e.col == nil {
-		return it, err
+// build makes a compiled operator's iterator for this run, wrapped in a
+// metering iterator when a collector is attached (children build through
+// here too, so they pick up their own wrappers).
+func (e *Executor) build(o *op) BatchIterator {
+	it := o.newIter(e)
+	if e.col == nil {
+		return it
 	}
-	return &meteredIter{in: it, st: e.col.Register(n, n.Describe()), col: e.col}, nil
-}
-
-// buildOp compiles a single plan node (children recurse through build, so
-// they pick up their own metering wrappers).
-func (e *Executor) buildOp(n lplan.Node) (BatchIterator, error) {
-	switch t := n.(type) {
-	case *lplan.Scan:
-		return e.buildScan(t)
-	case *lplan.Filter:
-		in, err := e.build(t.In)
-		if err != nil {
-			return nil, err
-		}
-		return e.newFilterIter(in, t.Preds, t.In.Schema())
-	case *lplan.Project:
-		in, err := e.build(t.In)
-		if err != nil {
-			return nil, err
-		}
-		return e.newProjectIter(in, t.Items, t.In.Schema())
-	case *lplan.Sort:
-		in, err := e.build(t.In)
-		if err != nil {
-			return nil, err
-		}
-		cols, err := colIndexes(t.In.Schema(), t.By)
-		if err != nil {
-			return nil, err
-		}
-		return newSortIter(e, in, cols), nil
-	case *lplan.Join:
-		return e.buildJoin(t)
-	case *lplan.GroupBy:
-		return e.buildGroupBy(t)
-	default:
-		return nil, fmt.Errorf("exec: unknown node type %T", n)
-	}
+	return &meteredIter{in: it, st: e.col.Register(o.node, o.label), col: e.col}
 }
 
 func colIndexes(s schema.Schema, cols []schema.ColID) ([]int, error) {
@@ -300,22 +311,18 @@ func colIndexes(s schema.Schema, cols []schema.ColID) ([]int, error) {
 	return out, nil
 }
 
-// compilePreds compiles a conjunct list into a single row filter over s,
-// with params bound to its `?` placeholders.
-func compilePreds(preds []expr.Expr, s schema.Schema, params []types.Value) (func(types.Row) (bool, error), error) {
-	fs := make([]func(types.Row) (bool, error), len(preds))
+// compilePreds compiles a conjunct list into a single row filter over s.
+func compilePreds(preds []expr.Expr, s schema.Schema) (expr.Predicate, error) {
+	fs := make([]expr.Predicate, len(preds))
 	for i, p := range preds {
-		b, err := expr.BindParams(p, params)
-		if err != nil {
-			return nil, err
-		}
-		if fs[i], err = expr.CompilePredicate(b, s); err != nil {
+		var err error
+		if fs[i], err = expr.CompilePredicate(p, s); err != nil {
 			return nil, err
 		}
 	}
-	return func(row types.Row) (bool, error) {
+	return func(row types.Row, params []types.Value) (bool, error) {
 		for _, f := range fs {
-			ok, err := f(row)
+			ok, err := f(row, params)
 			if err != nil || !ok {
 				return false, err
 			}
@@ -330,19 +337,19 @@ func compilePreds(preds []expr.Expr, s schema.Schema, params []types.Value) (fun
 type scanIter struct {
 	exec   *Executor
 	node   *lplan.Scan
-	filter func(types.Row) (bool, error)
+	filter expr.Predicate
 	proj   []int // indexes into the (possibly tid-extended) base row; nil = all
 	sc     *storage.Scanner
 	arena  rowArena // backs tid-extended and projected output rows
 }
 
-func (e *Executor) buildScan(s *lplan.Scan) (BatchIterator, error) {
+func compileScan(s *lplan.Scan) (func(*Executor) BatchIterator, error) {
 	base := s.Table.Schema.Rename(s.Alias)
 	if s.WithTID {
 		base = append(base, schema.Column{
 			ID: schema.ColID{Rel: s.Alias, Name: lplan.TIDColumn}, Type: types.KindInt})
 	}
-	filter, err := compilePreds(s.Filter, base, e.params)
+	filter, err := compilePreds(s.Filter, base)
 	if err != nil {
 		return nil, err
 	}
@@ -353,8 +360,9 @@ func (e *Executor) buildScan(s *lplan.Scan) (BatchIterator, error) {
 			return nil, err
 		}
 	}
-	return &scanIter{exec: e, node: s, filter: filter, proj: proj,
-		arena: rowArena{rec: &e.arenas}}, nil
+	return func(e *Executor) BatchIterator {
+		return &scanIter{exec: e, node: s, filter: filter, proj: proj, arena: rowArena{rec: &e.arenas}}
+	}, nil
 }
 
 func (it *scanIter) Open() error {
@@ -379,7 +387,7 @@ func (it *scanIter) NextBatch(dst *Batch) error {
 			ext[len(row)] = types.NewInt(rid)
 			row = ext
 		}
-		keep, err := it.filter(row)
+		keep, err := it.filter(row, it.exec.params)
 		if err != nil {
 			return err
 		}
@@ -405,18 +413,25 @@ func (it *scanIter) Close() error { return nil }
 // so a selective filter still hands full batches downstream.
 type filterIter struct {
 	in      BatchIterator
-	pred    func(types.Row) (bool, error)
+	pred    expr.Predicate
+	params  []types.Value
 	target  int
 	scratch *Batch
 	done    bool
 }
 
-func (e *Executor) newFilterIter(in BatchIterator, preds []expr.Expr, s schema.Schema) (BatchIterator, error) {
-	pred, err := compilePreds(preds, s, e.params)
+func compileFilter(f *lplan.Filter) (func(*Executor) BatchIterator, error) {
+	in, err := compileOp(f.In)
 	if err != nil {
 		return nil, err
 	}
-	return &filterIter{in: in, pred: pred, target: e.batchSize}, nil
+	pred, err := compilePreds(f.Preds, f.In.Schema())
+	if err != nil {
+		return nil, err
+	}
+	return func(e *Executor) BatchIterator {
+		return &filterIter{in: e.build(in), pred: pred, params: e.params, target: e.batchSize}
+	}, nil
 }
 
 func (it *filterIter) Open() error {
@@ -436,7 +451,7 @@ func (it *filterIter) NextBatch(dst *Batch) error {
 			return nil
 		}
 		for _, row := range it.scratch.Rows {
-			keep, err := it.pred(row)
+			keep, err := it.pred(row, it.params)
 			if err != nil {
 				return err
 			}
@@ -460,20 +475,24 @@ func (it *filterIter) Close() error {
 type projectIter struct {
 	in      BatchIterator
 	exprs   []expr.Compiled
+	params  []types.Value
 	scratch *Batch
-	arena   rowArena // backs output rows
 }
 
-func (e *Executor) newProjectIter(in BatchIterator, items []lplan.NamedExpr, s schema.Schema) (BatchIterator, error) {
-	exprs := make([]expr.Compiled, len(items))
-	for i, ne := range items {
-		c, err := e.compileExpr(ne.E, s)
-		if err != nil {
+func compileProject(p *lplan.Project) (func(*Executor) BatchIterator, error) {
+	in, err := compileOp(p.In)
+	if err != nil {
+		return nil, err
+	}
+	exprs := make([]expr.Compiled, len(p.Items))
+	for i, ne := range p.Items {
+		if exprs[i], err = expr.Compile(ne.E, p.In.Schema()); err != nil {
 			return nil, err
 		}
-		exprs[i] = c
 	}
-	return &projectIter{in: in, exprs: exprs, arena: rowArena{rec: &e.arenas}}, nil
+	return func(e *Executor) BatchIterator {
+		return &projectIter{in: e.build(in), exprs: exprs, params: e.params}
+	}, nil
 }
 
 func (it *projectIter) Open() error {
@@ -489,7 +508,7 @@ func (it *projectIter) NextBatch(dst *Batch) error {
 	for _, row := range it.scratch.Rows {
 		out := make(types.Row, len(it.exprs))
 		for i, c := range it.exprs {
-			v, err := c(row)
+			v, err := c(row, it.params)
 			if err != nil {
 				return err
 			}

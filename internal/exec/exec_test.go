@@ -20,7 +20,7 @@ type env struct {
 	dept  *catalog.Table
 }
 
-func newEnv(t *testing.T, poolPages, nEmp, nDept int) *env {
+func newEnv(t testing.TB, poolPages, nEmp, nDept int) *env {
 	t.Helper()
 	st := storage.NewStore(poolPages)
 	c := catalog.New(st)
@@ -83,7 +83,7 @@ func runBoth(t *testing.T, e *env, n lplan.Node) *Result {
 	if err != nil {
 		t.Fatalf("Run: %v\nplan:\n%s", err, lplan.Format(n))
 	}
-	want, err := Naive(e.store, n)
+	want, err := Naive(e.store, n, nil)
 	if err != nil {
 		t.Fatalf("Naive: %v", err)
 	}
@@ -478,7 +478,7 @@ func TestInvalidPlanRejected(t *testing.T) {
 	if _, err := New(e.store).Run(s); err == nil {
 		t.Fatalf("invalid plan accepted")
 	}
-	if _, err := Naive(e.store, s); err == nil {
+	if _, err := Naive(e.store, s, nil); err == nil {
 		t.Fatalf("naive accepted invalid plan")
 	}
 }

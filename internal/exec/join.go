@@ -8,21 +8,29 @@ import (
 	"aggview/internal/types"
 )
 
-// joinCommon holds pieces shared by the join algorithms: the key column
-// positions of the equi-join conjuncts on each side, the residual predicate
-// compiled against the concatenated schema, and the output projection.
-type joinCommon struct {
-	lKeys, rKeys []int                         // equi-join column positions (parallel slices)
-	residual     func(types.Row) (bool, error) // nil = none
-	proj         []int                         // output projection over concat schema; nil = all
-	lWidth       int                           // arity of the left input
-	rWidth       int                           // arity of the right input (for outer-join padding)
-	scratch      types.Row                     // reusable concat buffer for residual evaluation
-	nulls        types.Row                     // all-NULL row standing in for the missing side of a padded row
-	arena        rowArena                      // backs emitted output rows
+// joinSpec holds the compiled pieces shared by the join algorithms: the key
+// column positions of the equi-join conjuncts on each side, the residual
+// predicate compiled against the concatenated schema, and the output
+// projection.
+type joinSpec struct {
+	lKeys, rKeys []int          // equi-join column positions (parallel slices)
+	residual     expr.Predicate // nil = none
+	proj         []int          // output projection over concat schema; nil = all
+	lWidth       int            // arity of the left input
+	rWidth       int            // arity of the right input (for outer-join padding)
 }
 
-func (e *Executor) joinCommonOf(j *lplan.Join) (*joinCommon, error) {
+// joinCommon is one run's view of a joinSpec: the run's parameters and the
+// buffers the join's output rows are built in.
+type joinCommon struct {
+	*joinSpec
+	params  []types.Value
+	scratch types.Row // reusable concat buffer for residual evaluation
+	nulls   types.Row // all-NULL row standing in for the missing side of a padded row
+	arena   rowArena  // backs emitted output rows
+}
+
+func joinSpecOf(j *lplan.Join) (*joinSpec, error) {
 	ls, rs := j.L.Schema(), j.R.Schema()
 	concat := ls.Concat(rs)
 	var residualPreds []expr.Expr
@@ -50,10 +58,10 @@ func (e *Executor) joinCommonOf(j *lplan.Join) (*joinCommon, error) {
 		}
 		residualPreds = append(residualPreds, p)
 	}
-	var residual func(types.Row) (bool, error)
+	var residual expr.Predicate
 	var err error
 	if len(residualPreds) > 0 {
-		if residual, err = compilePreds(residualPreds, concat, e.params); err != nil {
+		if residual, err = compilePreds(residualPreds, concat); err != nil {
 			return nil, err
 		}
 	}
@@ -64,55 +72,57 @@ func (e *Executor) joinCommonOf(j *lplan.Join) (*joinCommon, error) {
 			return nil, err
 		}
 	}
-	return &joinCommon{
-		lKeys: lKeys, rKeys: rKeys,
-		residual: residual, proj: proj, lWidth: len(ls), rWidth: len(rs),
-		arena: rowArena{rec: &e.arenas},
-	}, nil
+	return &joinSpec{lKeys: lKeys, rKeys: rKeys, residual: residual, proj: proj,
+		lWidth: len(ls), rWidth: len(rs)}, nil
 }
 
-func (e *Executor) buildJoin(j *lplan.Join) (BatchIterator, error) {
-	jc, err := e.joinCommonOf(j)
+func compileJoin(j *lplan.Join) (func(*Executor) BatchIterator, error) {
+	spec, err := joinSpecOf(j)
 	if err != nil {
 		return nil, err
 	}
-	if j.Type.Outer() && j.Method == lplan.JoinMerge {
-		// Merge join has no null-padding path; Validate rejects such plans,
-		// this is defense in depth.
-		return nil, fmt.Errorf("exec: %s outer join cannot use method %s", j.Type, j.Method)
+	l, err := compileOp(j.L)
+	if err != nil {
+		return nil, err
 	}
-	switch j.Method {
+	r, err := compileOp(j.R)
+	if err != nil {
+		return nil, err
+	}
+	newJC := func(e *Executor) *joinCommon {
+		return &joinCommon{joinSpec: spec, params: e.params, arena: rowArena{rec: &e.arenas}}
+	}
+	method := j.Method
+	if (method == lplan.JoinHash || method == lplan.JoinUnset) && len(spec.lKeys) == 0 {
+		method = lplan.JoinBlockNL // no equi-join conjunct: degrade to block nested loops
+	}
+	switch method {
 	case lplan.JoinHash, lplan.JoinUnset:
-		if len(jc.lKeys) == 0 {
-			// No equi-join conjunct: degrade to block nested loops.
-			return e.buildBlockNL(j, jc)
-		}
-		l, err := e.build(j.L)
-		if err != nil {
-			return nil, err
-		}
-		return &hashJoinIter{
-			exec: e, jc: jc, target: e.batchSize, joinType: j.Type,
-			probeSrc: l, buildNode: j.R,
+		return func(e *Executor) BatchIterator {
+			return &hashJoinIter{exec: e, jc: newJC(e), target: e.batchSize, joinType: j.Type,
+				probeSrc: e.build(l), buildOp: r}
 		}, nil
 	case lplan.JoinBlockNL:
-		return e.buildBlockNL(j, jc)
+		_, innerIsScan := j.R.(*lplan.Scan)
+		return func(e *Executor) BatchIterator {
+			it := &blockNLIter{exec: e, jc: newJC(e), target: e.batchSize, joinType: j.Type,
+				outer: newRowIter(e.build(l))}
+			if innerIsScan {
+				it.inner = func() BatchIterator { return e.build(r) }
+			} else {
+				it.matSrc = e.build(r)
+			}
+			return it
+		}, nil
 	case lplan.JoinMerge:
-		if len(jc.lKeys) == 0 {
+		// Validate has refused an outer merge join.
+		if len(spec.lKeys) == 0 {
 			return nil, fmt.Errorf("exec: merge join requires an equi-join predicate")
 		}
-		l, err := e.build(j.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.build(j.R)
-		if err != nil {
-			return nil, err
-		}
-		return &mergeJoinIter{
-			jc: jc, target: e.batchSize,
-			l: newRowIter(newSortIter(e, l, jc.lKeys)),
-			r: newRowIter(newSortIter(e, r, jc.rKeys)),
+		return func(e *Executor) BatchIterator {
+			return &mergeJoinIter{jc: newJC(e), target: e.batchSize,
+				l: newRowIter(newSortIter(e, e.build(l), spec.lKeys)),
+				r: newRowIter(newSortIter(e, e.build(r), spec.rKeys))}
 		}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown join method %v", j.Method)
@@ -125,7 +135,7 @@ func (jc *joinCommon) emit(l, r types.Row) (types.Row, bool, error) {
 		// Only the residual predicate needs the pair as one row; it reads
 		// it from a reusable scratch buffer the emitted row never aliases.
 		jc.scratch = append(append(jc.scratch[:0], l...), r...)
-		ok, err := jc.residual(jc.scratch)
+		ok, err := jc.residual(jc.scratch, jc.params)
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -217,12 +227,12 @@ func fillFromStep(dst *Batch, target int, step func() (types.Row, bool, error)) 
 // partition). Build rows with NULL keys never match (NULL = x is UNKNOWN)
 // and surface only through the FULL-outer drain.
 type hashJoinIter struct {
-	exec      *Executor
-	jc        *joinCommon
-	target    int
-	joinType  lplan.JoinType
-	probeSrc  BatchIterator // the built left child
-	buildNode lplan.Node
+	exec     *Executor
+	jc       *joinCommon
+	target   int
+	joinType lplan.JoinType
+	probeSrc BatchIterator // the built left child
+	buildOp  *op           // the right child, built at Open
 
 	// Current build table (whole input in memory, or one grace partition).
 	// Build rows with one key are chained through next in ascending order
@@ -284,10 +294,7 @@ func (it *hashJoinIter) loadBuild() {
 }
 
 func (it *hashJoinIter) Open() error {
-	build, err := it.exec.build(it.buildNode)
-	if err != nil {
-		return err
-	}
+	build := it.exec.build(it.buildOp)
 	it.pb = getBatch()
 	// Materialize the build side, counting bytes.
 	bytes := 0
@@ -481,10 +488,10 @@ type blockNLIter struct {
 	target   int
 	joinType lplan.JoinType
 	outer    *rowIter
-	inner    func() (BatchIterator, error) // fresh inner scan per block
+	inner    func() BatchIterator // fresh inner scan per block
 	// matSrc is a non-base-table inner, materialized to a spill at Open
-	// (not at build time: build must not allocate resources, so an error
-	// while assembling the tree can never leak files).
+	// (not at build time: build allocates no resources, so a tree that is
+	// built but never opened leaks no files).
 	matSrc BatchIterator
 
 	spilled *spill
@@ -504,25 +511,6 @@ type blockNLIter struct {
 	finalDone    bool
 }
 
-func (e *Executor) buildBlockNL(j *lplan.Join, jc *joinCommon) (BatchIterator, error) {
-	outer, err := e.build(j.L)
-	if err != nil {
-		return nil, err
-	}
-	it := &blockNLIter{exec: e, jc: jc, target: e.batchSize, joinType: j.Type, outer: newRowIter(outer)}
-	if _, isScan := j.R.(*lplan.Scan); isScan {
-		inner := j.R
-		it.inner = func() (BatchIterator, error) { return e.build(inner) }
-	} else {
-		in, err := e.build(j.R)
-		if err != nil {
-			return nil, err
-		}
-		it.matSrc = in
-	}
-	return it, nil
-}
-
 func (it *blockNLIter) Open() error {
 	if it.matSrc != nil && it.spilled == nil {
 		// Materialize the inner once, then scan the spill per block. The
@@ -535,9 +523,7 @@ func (it *blockNLIter) Open() error {
 		if err := sp.finish(); err != nil {
 			return err
 		}
-		it.inner = func() (BatchIterator, error) {
-			return &spillIter{sp: sp, target: it.exec.batchSize}, nil
-		}
+		it.inner = func() BatchIterator { return &spillIter{sp: sp, target: it.exec.batchSize} }
 	}
 	if err := it.outer.Open(); err != nil {
 		return err
@@ -568,11 +554,7 @@ func (it *blockNLIter) nextBlock() error {
 		it.done = true
 		return nil
 	}
-	in, err := it.inner()
-	if err != nil {
-		return err
-	}
-	inRows := newRowIter(in)
+	inRows := newRowIter(it.inner())
 	if err := inRows.Open(); err != nil {
 		inRows.Close()
 		return err
@@ -678,11 +660,7 @@ func (it *blockNLIter) step() (types.Row, bool, error) {
 // ordinal identifies the same row as in the per-block passes.
 func (it *blockNLIter) stepFinalDrain() (types.Row, bool, error) {
 	if it.finalIt == nil {
-		in, err := it.inner()
-		if err != nil {
-			return nil, false, err
-		}
-		rows := newRowIter(in)
+		rows := newRowIter(it.inner())
 		if err := rows.Open(); err != nil {
 			rows.Close()
 			return nil, false, err

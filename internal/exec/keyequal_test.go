@@ -114,7 +114,7 @@ func TestGroupingAndJoiningAgreeWithCompare(t *testing.T) {
 				t.Errorf("%s at batch size %d:\n%s\nwant:\n%s", tc.name, bs, text, tc.want)
 			}
 		}
-		oracle, err := Naive(st, tc.plan)
+		oracle, err := Naive(st, tc.plan, nil)
 		if err != nil {
 			t.Fatalf("%s: Naive: %v", tc.name, err)
 		}

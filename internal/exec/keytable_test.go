@@ -314,11 +314,11 @@ func TestHashJoinOrderAndIO(t *testing.T) {
 		{"grace", 2, storage.IOStats{Reads: 43, Writes: 32}},
 	} {
 		e := newJoinEnv(t, regime.pool, 1200, 1400, 400, false, true)
-		l, err := Naive(e.store, &lplan.Scan{Alias: "l", Table: e.l})
+		l, err := Naive(e.store, &lplan.Scan{Alias: "l", Table: e.l}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Naive(e.store, &lplan.Scan{Alias: "r", Table: e.r})
+		r, err := Naive(e.store, &lplan.Scan{Alias: "r", Table: e.r}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func TestHashJoinOrderAndIO(t *testing.T) {
 			for _, residual := range []bool{false, true} {
 				plan := e.plan(jt, residual)
 				want := wantHashJoin(l.Rows, r.Rows, jt, residual, regime.name == "grace")
-				oracle, err := Naive(e.store, plan)
+				oracle, err := Naive(e.store, plan, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -335,9 +335,7 @@ func TestHashJoinOrderAndIO(t *testing.T) {
 				}
 				for _, bs := range []int{1, 3, 1024} {
 					name := fmt.Sprintf("%s/%s/residual=%v/batch=%d", regime.name, jt, residual, bs)
-					if err := e.store.DropCaches(); err != nil {
-						t.Fatal(err)
-					}
+					e.store.ForceDropCaches()
 					before := e.store.Stats()
 					got, err := New(e.store).WithBatchSize(bs).Run(plan)
 					if err != nil {

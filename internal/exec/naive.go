@@ -14,34 +14,35 @@ import (
 // independent of the Volcano operators, join methods and spill machinery.
 // It is the oracle for the executor's correctness tests and for the
 // transformation-equivalence property tests: any legal plan must produce
-// the same bag of rows under Naive and under Executor.Run.
-func Naive(store *storage.Store, n lplan.Node) (*Result, error) {
+// the same bag of rows under Naive and under Executor.Run. params are the
+// values of the plan's `?` placeholders (nil when it has none).
+func Naive(store *storage.Store, n lplan.Node, params []types.Value) (*Result, error) {
 	if err := lplan.Validate(n); err != nil {
 		return nil, fmt.Errorf("naive: invalid plan: %w", err)
 	}
-	rows, err := naiveRows(store, n)
+	rows, err := naiveRows(store, n, params)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Schema: n.Schema(), Rows: rows}, nil
 }
 
-func naiveRows(store *storage.Store, n lplan.Node) ([]types.Row, error) {
+func naiveRows(store *storage.Store, n lplan.Node, params []types.Value) ([]types.Row, error) {
 	switch t := n.(type) {
 	case *lplan.Scan:
-		return naiveScan(store, t)
+		return naiveScan(store, t, params)
 	case *lplan.Filter:
-		in, err := naiveRows(store, t.In)
+		in, err := naiveRows(store, t.In, params)
 		if err != nil {
 			return nil, err
 		}
-		pred, err := compilePreds(t.Preds, t.In.Schema(), nil)
+		pred, err := compilePreds(t.Preds, t.In.Schema())
 		if err != nil {
 			return nil, err
 		}
 		var out []types.Row
 		for _, r := range in {
-			ok, err := pred(r)
+			ok, err := pred(r, params)
 			if err != nil {
 				return nil, err
 			}
@@ -52,7 +53,7 @@ func naiveRows(store *storage.Store, n lplan.Node) ([]types.Row, error) {
 		return out, nil
 
 	case *lplan.Project:
-		in, err := naiveRows(store, t.In)
+		in, err := naiveRows(store, t.In, params)
 		if err != nil {
 			return nil, err
 		}
@@ -68,7 +69,7 @@ func naiveRows(store *storage.Store, n lplan.Node) ([]types.Row, error) {
 		for i, r := range in {
 			row := make(types.Row, len(fns))
 			for j, fn := range fns {
-				v, err := fn(r)
+				v, err := fn(r, params)
 				if err != nil {
 					return nil, err
 				}
@@ -79,7 +80,7 @@ func naiveRows(store *storage.Store, n lplan.Node) ([]types.Row, error) {
 		return out, nil
 
 	case *lplan.Sort:
-		in, err := naiveRows(store, t.In)
+		in, err := naiveRows(store, t.In, params)
 		if err != nil {
 			return nil, err
 		}
@@ -97,16 +98,16 @@ func naiveRows(store *storage.Store, n lplan.Node) ([]types.Row, error) {
 		return out, nil
 
 	case *lplan.Join:
-		l, err := naiveRows(store, t.L)
+		l, err := naiveRows(store, t.L, params)
 		if err != nil {
 			return nil, err
 		}
-		r, err := naiveRows(store, t.R)
+		r, err := naiveRows(store, t.R, params)
 		if err != nil {
 			return nil, err
 		}
 		concat := t.L.Schema().Concat(t.R.Schema())
-		pred, err := compilePreds(t.Preds, concat, nil)
+		pred, err := compilePreds(t.Preds, concat)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +146,7 @@ func naiveRows(store *storage.Store, n lplan.Node) ([]types.Row, error) {
 				row := make(types.Row, 0, len(lr)+len(rr))
 				row = append(row, lr...)
 				row = append(row, rr...)
-				ok, err := pred(row)
+				ok, err := pred(row, params)
 				if err != nil {
 					return nil, err
 				}
@@ -172,19 +173,19 @@ func naiveRows(store *storage.Store, n lplan.Node) ([]types.Row, error) {
 		return out, nil
 
 	case *lplan.GroupBy:
-		return naiveGroupBy(store, t)
+		return naiveGroupBy(store, t, params)
 
 	default:
 		return nil, fmt.Errorf("naive: unknown node type %T", n)
 	}
 }
 
-func naiveScan(store *storage.Store, s *lplan.Scan) ([]types.Row, error) {
+func naiveScan(store *storage.Store, s *lplan.Scan, params []types.Value) ([]types.Row, error) {
 	base := s.Table.Schema.Rename(s.Alias)
 	if s.WithTID {
 		base = append(base, s.Schema()[len(s.Schema())-1])
 	}
-	filter, err := compilePreds(s.Filter, base, nil)
+	filter, err := compilePreds(s.Filter, base)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +209,7 @@ func naiveScan(store *storage.Store, s *lplan.Scan) ([]types.Row, error) {
 		if s.WithTID {
 			row = append(row.Clone(), types.NewInt(rid))
 		}
-		keep, err := filter(row)
+		keep, err := filter(row, params)
 		if err != nil {
 			return nil, err
 		}
@@ -218,8 +219,8 @@ func naiveScan(store *storage.Store, s *lplan.Scan) ([]types.Row, error) {
 	}
 }
 
-func naiveGroupBy(store *storage.Store, g *lplan.GroupBy) ([]types.Row, error) {
-	in, err := naiveRows(store, g.In)
+func naiveGroupBy(store *storage.Store, g *lplan.GroupBy, params []types.Value) ([]types.Row, error) {
+	in, err := naiveRows(store, g.In, params)
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +265,7 @@ func naiveGroupBy(store *storage.Store, g *lplan.GroupBy) ([]types.Row, error) {
 				gr.accs[i].Add(types.NewInt(1))
 				continue
 			}
-			v, err := argFns[i](row)
+			v, err := argFns[i](row, params)
 			if err != nil {
 				return nil, err
 			}
@@ -281,7 +282,7 @@ func naiveGroupBy(store *storage.Store, g *lplan.GroupBy) ([]types.Row, error) {
 	}
 
 	inner := g.InnerSchema()
-	having, err := compilePreds(g.Having, inner, nil)
+	having, err := compilePreds(g.Having, inner)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +303,7 @@ func naiveGroupBy(store *storage.Store, g *lplan.GroupBy) ([]types.Row, error) {
 		for _, acc := range gr.accs {
 			innerRow = append(innerRow, acc.Result())
 		}
-		keep, err := having(innerRow)
+		keep, err := having(innerRow, params)
 		if err != nil {
 			return nil, err
 		}
@@ -315,7 +316,7 @@ func naiveGroupBy(store *storage.Store, g *lplan.GroupBy) ([]types.Row, error) {
 		}
 		row := make(types.Row, len(outFns))
 		for i, fn := range outFns {
-			v, err := fn(innerRow)
+			v, err := fn(innerRow, params)
 			if err != nil {
 				return nil, err
 			}

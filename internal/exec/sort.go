@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"sort"
 
+	"aggview/internal/lplan"
 	"aggview/internal/storage"
 	"aggview/internal/types"
 )
@@ -29,6 +30,18 @@ type sortIter struct {
 
 func newSortIter(e *Executor, in BatchIterator, cols []int) *sortIter {
 	return &sortIter{exec: e, in: in, cols: cols}
+}
+
+func compileSort(s *lplan.Sort) (func(*Executor) BatchIterator, error) {
+	in, err := compileOp(s.In)
+	if err != nil {
+		return nil, err
+	}
+	cols, err := colIndexes(s.In.Schema(), s.By)
+	if err != nil {
+		return nil, err
+	}
+	return func(e *Executor) BatchIterator { return newSortIter(e, e.build(in), cols) }, nil
 }
 
 func (it *sortIter) Open() error {

@@ -82,7 +82,7 @@ func (f *fixture) shapeRows(src string, opts core.Options, lead ...string) ([][]
 	var rows [][]string
 	var first *exec.Result
 	for _, a := range shapes {
-		f.store.DropCaches()
+		f.store.ForceDropCaches()
 		before := f.store.Stats()
 		res, err := exec.New(f.store).Run(a.Root)
 		if err != nil {

@@ -155,7 +155,7 @@ func TestDecomposeCoalesceEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile final for %s: %v", k, err)
 			}
-			got, err := c(row)
+			got, err := c(row, nil)
 			if err != nil {
 				t.Fatalf("eval final for %s: %v", k, err)
 			}

@@ -9,8 +9,13 @@ import (
 )
 
 // Compiled is an expression resolved against a concrete schema: column
-// references have become row indexes, so evaluation allocates nothing.
-type Compiled func(row types.Row) (types.Value, error)
+// references have become row indexes and each `?` a read of params, the
+// run's parameter vector, so evaluation allocates nothing and one compiled
+// expression serves every run.
+type Compiled func(row types.Row, params []types.Value) (types.Value, error)
+
+// Predicate is a compiled filter: true when the row passes under params.
+type Predicate func(row types.Row, params []types.Value) (bool, error)
 
 // Compile resolves e against s. It fails if a referenced column is missing
 // or ambiguous. Division by zero is reported at evaluation time.
@@ -24,11 +29,11 @@ func Compile(e Expr, s schema.Schema) (Compiled, error) {
 		if i < 0 {
 			return nil, fmt.Errorf("column %q not found in schema %s", n.ID, s)
 		}
-		return func(row types.Row) (types.Value, error) { return row[i], nil }, nil
+		return func(row types.Row, _ []types.Value) (types.Value, error) { return row[i], nil }, nil
 
 	case *Const:
 		v := n.Val
-		return func(types.Row) (types.Value, error) { return v, nil }, nil
+		return func(types.Row, []types.Value) (types.Value, error) { return v, nil }, nil
 
 	case *Cmp:
 		l, err := Compile(n.L, s)
@@ -40,12 +45,12 @@ func Compile(e Expr, s schema.Schema) (Compiled, error) {
 			return nil, err
 		}
 		op := n.Op
-		return func(row types.Row) (types.Value, error) {
-			lv, err := l(row)
+		return func(row types.Row, params []types.Value) (types.Value, error) {
+			lv, err := l(row, params)
 			if err != nil {
 				return types.Null(), err
 			}
-			rv, err := r(row)
+			rv, err := r(row, params)
 			if err != nil {
 				return types.Null(), err
 			}
@@ -68,13 +73,13 @@ func Compile(e Expr, s schema.Schema) (Compiled, error) {
 			return nil, err
 		}
 		op := n.Op
-		intResult := n.Type(s) == types.KindInt
-		return func(row types.Row) (types.Value, error) {
-			lv, err := l(row)
+		intResult := staticInt(n, s)
+		return func(row types.Row, params []types.Value) (types.Value, error) {
+			lv, err := l(row, params)
 			if err != nil {
 				return types.Null(), err
 			}
-			rv, err := r(row)
+			rv, err := r(row, params)
 			if err != nil {
 				return types.Null(), err
 			}
@@ -118,13 +123,13 @@ func Compile(e Expr, s schema.Schema) (Compiled, error) {
 			terms[i] = c
 		}
 		isOr := n.IsOr
-		return func(row types.Row) (types.Value, error) {
+		return func(row types.Row, params []types.Value) (types.Value, error) {
 			// Kleene AND/OR: the dominant value (FALSE for AND, TRUE for
 			// OR) short-circuits even past UNKNOWN terms; otherwise any
 			// UNKNOWN term makes the result UNKNOWN.
 			sawNull := false
 			for _, t := range terms {
-				v, err := t(row)
+				v, err := t(row, params)
 				if err != nil {
 					return types.Null(), err
 				}
@@ -146,15 +151,15 @@ func Compile(e Expr, s schema.Schema) (Compiled, error) {
 		return compileFn(n, s)
 
 	case *Param:
-		return nil, fmt.Errorf("unbound parameter %s (bind values before compiling)", n)
+		return compileParam(n), nil
 
 	case *Not:
 		inner, err := Compile(n.E, s)
 		if err != nil {
 			return nil, err
 		}
-		return func(row types.Row) (types.Value, error) {
-			v, err := inner(row)
+		return func(row types.Row, params []types.Value) (types.Value, error) {
+			v, err := inner(row, params)
 			if err != nil {
 				return types.Null(), err
 			}
@@ -172,8 +177,8 @@ func Compile(e Expr, s schema.Schema) (Compiled, error) {
 			return nil, err
 		}
 		negate := n.Negate
-		return func(row types.Row) (types.Value, error) {
-			v, err := inner(row)
+		return func(row types.Row, params []types.Value) (types.Value, error) {
+			v, err := inner(row, params)
 			if err != nil {
 				return types.Null(), err
 			}
@@ -190,16 +195,16 @@ func Compile(e Expr, s schema.Schema) (Compiled, error) {
 // A nil expression compiles to an always-true filter. Rows pass only when
 // the predicate is TRUE: both FALSE and UNKNOWN (NULL) are filtered, per
 // SQL WHERE/HAVING semantics (types.Null().Bool() is false).
-func CompilePredicate(e Expr, s schema.Schema) (func(types.Row) (bool, error), error) {
+func CompilePredicate(e Expr, s schema.Schema) (Predicate, error) {
 	if e == nil {
-		return func(types.Row) (bool, error) { return true, nil }, nil
+		return func(types.Row, []types.Value) (bool, error) { return true, nil }, nil
 	}
 	c, err := Compile(e, s)
 	if err != nil {
 		return nil, err
 	}
-	return func(row types.Row) (bool, error) {
-		v, err := c(row)
+	return func(row types.Row, params []types.Value) (bool, error) {
+		v, err := c(row, params)
 		if err != nil {
 			return false, err
 		}
@@ -215,8 +220,8 @@ func compileFn(n *Fn, s schema.Schema) (Compiled, error) {
 	}
 	switch n.Name {
 	case "SQRT":
-		return func(row types.Row) (types.Value, error) {
-			v, err := arg(row)
+		return func(row types.Row, params []types.Value) (types.Value, error) {
+			v, err := arg(row, params)
 			if err != nil || v.IsNull() {
 				return types.Null(), err
 			}
@@ -227,8 +232,8 @@ func compileFn(n *Fn, s schema.Schema) (Compiled, error) {
 			return types.NewFloat(math.Sqrt(f)), nil
 		}, nil
 	case "ABS":
-		return func(row types.Row) (types.Value, error) {
-			v, err := arg(row)
+		return func(row types.Row, params []types.Value) (types.Value, error) {
+			v, err := arg(row, params)
 			if err != nil || v.IsNull() {
 				return types.Null(), err
 			}

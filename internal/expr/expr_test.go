@@ -23,7 +23,7 @@ func evalOn(t *testing.T, e Expr, row types.Row) types.Value {
 	if err != nil {
 		t.Fatalf("Compile(%s): %v", e, err)
 	}
-	v, err := c(row)
+	v, err := c(row, nil)
 	if err != nil {
 		t.Fatalf("eval(%s): %v", e, err)
 	}
@@ -94,7 +94,7 @@ func TestDivisionByZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c(sampleRow); err == nil {
+	if _, err := c(sampleRow, nil); err == nil {
 		t.Fatalf("expected division-by-zero error")
 	}
 }
@@ -124,7 +124,7 @@ func TestCompilePredicateNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := f(sampleRow)
+	ok, err := f(sampleRow, nil)
 	if err != nil || !ok {
 		t.Fatalf("nil predicate should accept, got %v %v", ok, err)
 	}

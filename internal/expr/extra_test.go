@@ -60,7 +60,7 @@ func TestNotAndNegEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c(types.Row{types.NewBool(false)})
+	v, err := c(types.Row{types.NewBool(false)}, nil)
 	if err != nil || !v.Bool() {
 		t.Fatalf("NOT false = %v %v", v, err)
 	}
@@ -162,11 +162,11 @@ func TestLogicManyTerms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := c(types.Row{types.NewInt(3)})
+	v, _ := c(types.Row{types.NewInt(3)}, nil)
 	if !v.Bool() {
 		t.Errorf("3 should pass")
 	}
-	v, _ = c(types.Row{types.NewInt(5)})
+	v, _ = c(types.Row{types.NewInt(5)}, nil)
 	if v.Bool() {
 		t.Errorf("5 should fail")
 	}

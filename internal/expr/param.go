@@ -1,9 +1,10 @@
 // Parameter placeholders. A Param is a leaf standing for a value supplied
 // at execution time: the binder creates one per `?` in the statement, the
 // optimizer treats it as an opaque constant (default selectivities), and
-// the executor substitutes the bound value just before compiling the
-// expression — so a compiled plan containing parameters stays immutable
-// and reusable across executions with different arguments.
+// Compile turns it into a slot — a read of the run's parameter vector,
+// which every compiled expression takes when it evaluates. A plan is
+// therefore compiled once and run with any number of argument vectors; no
+// expression is rewritten per run.
 package expr
 
 import (
@@ -25,141 +26,37 @@ func NewParam(idx int) *Param { return &Param{Idx: idx} }
 // error messages users see ("parameter ?1 ...").
 func (p *Param) String() string { return fmt.Sprintf("?%d", p.Idx+1) }
 
-// Type is unknown until a value is bound.
+// Type is unknown until a value arrives.
 func (p *Param) Type(schema.Schema) types.Kind { return types.KindNull }
 
 func (p *Param) walkCols(func(schema.ColID)) {}
 
 func (p *Param) substitute(map[schema.ColID]Expr) Expr { return p }
 
-// HasParams reports whether the expression contains parameter placeholders.
-func HasParams(e Expr) bool {
-	found := false
-	walkParams(e, func(*Param) { found = true })
-	return found
-}
-
-// MaxParam returns the largest parameter ordinal in e, or -1 when e has
-// none.
-func MaxParam(e Expr) int {
-	max := -1
-	walkParams(e, func(p *Param) {
-		if p.Idx > max {
-			max = p.Idx
+// compileParam compiles the slot read. An ordinal past the run's vector is
+// an arity error, reported when the slot is read.
+func compileParam(p *Param) Compiled {
+	i := p.Idx
+	return func(_ types.Row, params []types.Value) (types.Value, error) {
+		if i >= len(params) {
+			return types.Null(), fmt.Errorf("parameter %s is not bound (%d value(s) supplied)", p, len(params))
 		}
-	})
-	return max
+		return params[i], nil
+	}
 }
 
-// walkParams visits every Param leaf of the tree.
-func walkParams(e Expr, fn func(*Param)) {
+// staticInt reports whether e is INT by its static type, counting a Param
+// as INT: arithmetic over a parameter then keeps INT exactly when the run's
+// values are INT, as a literal in the parameter's place would. Without a
+// Param it is e.Type(s) == KindInt.
+func staticInt(e Expr, s schema.Schema) bool {
 	switch t := e.(type) {
 	case *Param:
-		fn(t)
-	case *Cmp:
-		walkParams(t.L, fn)
-		walkParams(t.R, fn)
+		return true
 	case *Arith:
-		walkParams(t.L, fn)
-		walkParams(t.R, fn)
-	case *Logic:
-		for _, term := range t.Terms {
-			walkParams(term, fn)
-		}
-	case *Not:
-		walkParams(t.E, fn)
-	case *IsNull:
-		walkParams(t.E, fn)
+		return t.Op != Div && staticInt(t.L, s) && staticInt(t.R, s)
 	case *Fn:
-		walkParams(t.Arg, fn)
+		return t.Name == "ABS" && staticInt(t.Arg, s)
 	}
-}
-
-// BindParams returns e with every Param replaced by the corresponding
-// constant from vals. Subtrees without parameters are shared, not copied,
-// so binding against an immutable plan never mutates it. An out-of-range
-// ordinal is an arity error.
-func BindParams(e Expr, vals []types.Value) (Expr, error) {
-	if e == nil || !HasParams(e) {
-		return e, nil
-	}
-	switch t := e.(type) {
-	case *Param:
-		if t.Idx < 0 || t.Idx >= len(vals) {
-			return nil, fmt.Errorf("parameter %s is not bound (%d value(s) supplied)", t, len(vals))
-		}
-		return Lit(vals[t.Idx]), nil
-	case *Cmp:
-		l, err := BindParams(t.L, vals)
-		if err != nil {
-			return nil, err
-		}
-		r, err := BindParams(t.R, vals)
-		if err != nil {
-			return nil, err
-		}
-		if l == t.L && r == t.R {
-			return t, nil
-		}
-		return &Cmp{Op: t.Op, L: l, R: r}, nil
-	case *Arith:
-		l, err := BindParams(t.L, vals)
-		if err != nil {
-			return nil, err
-		}
-		r, err := BindParams(t.R, vals)
-		if err != nil {
-			return nil, err
-		}
-		if l == t.L && r == t.R {
-			return t, nil
-		}
-		return &Arith{Op: t.Op, L: l, R: r}, nil
-	case *Logic:
-		changed := false
-		terms := make([]Expr, len(t.Terms))
-		for i, term := range t.Terms {
-			b, err := BindParams(term, vals)
-			if err != nil {
-				return nil, err
-			}
-			terms[i] = b
-			if b != term {
-				changed = true
-			}
-		}
-		if !changed {
-			return t, nil
-		}
-		return &Logic{IsOr: t.IsOr, Terms: terms}, nil
-	case *Not:
-		inner, err := BindParams(t.E, vals)
-		if err != nil {
-			return nil, err
-		}
-		if inner == t.E {
-			return t, nil
-		}
-		return &Not{E: inner}, nil
-	case *IsNull:
-		inner, err := BindParams(t.E, vals)
-		if err != nil {
-			return nil, err
-		}
-		if inner == t.E {
-			return t, nil
-		}
-		return &IsNull{E: inner, Negate: t.Negate}, nil
-	case *Fn:
-		arg, err := BindParams(t.Arg, vals)
-		if err != nil {
-			return nil, err
-		}
-		if arg == t.Arg {
-			return t, nil
-		}
-		return &Fn{Name: t.Name, Arg: arg}, nil
-	default:
-		return e, nil
-	}
+	return e.Type(s) == types.KindInt
 }

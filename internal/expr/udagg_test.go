@@ -71,7 +71,7 @@ func TestStdDevDecomposeEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, v := range g {
-					pv, err := fn(types.Row{v})
+					pv, err := fn(types.Row{v}, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -90,7 +90,7 @@ func TestStdDevDecomposeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c(row)
+		got, err := c(row, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,23 +192,23 @@ func TestFnExpr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c(types.Row{types.NewFloat(16), types.NewInt(0)})
+	v, err := c(types.Row{types.NewFloat(16), types.NewInt(0)}, nil)
 	if err != nil || v.Float() != 4 {
 		t.Fatalf("sqrt(16) = %v %v", v, err)
 	}
-	if _, err := c(types.Row{types.NewFloat(-1), types.NewInt(0)}); err == nil {
+	if _, err := c(types.Row{types.NewFloat(-1), types.NewInt(0)}, nil); err == nil {
 		t.Errorf("sqrt(-1) should error")
 	}
 	cAbs, err := Compile(NewFn("ABS", Col("t", "f")), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ = cAbs(types.Row{types.NewFloat(-2.5), types.NewInt(0)})
+	v, _ = cAbs(types.Row{types.NewFloat(-2.5), types.NewInt(0)}, nil)
 	if v.Float() != 2.5 {
 		t.Errorf("abs(-2.5) = %v", v)
 	}
 	cAbsI, _ := Compile(absI, s)
-	v, _ = cAbsI(types.Row{types.NewFloat(0), types.NewInt(-7)})
+	v, _ = cAbsI(types.Row{types.NewFloat(0), types.NewInt(-7)}, nil)
 	if v.K != types.KindInt || v.I != 7 {
 		t.Errorf("abs(-7) = %v", v)
 	}
@@ -218,7 +218,7 @@ func TestFnExpr(t *testing.T) {
 	// Substitution preserves the function.
 	sub := Substitute(sqrt, map[schema.ColID]Expr{{Rel: "t", Name: "f"}: FloatLit(9)})
 	c2, _ := Compile(sub, s)
-	v, _ = c2(types.Row{types.NewFloat(0), types.NewInt(0)})
+	v, _ = c2(types.Row{types.NewFloat(0), types.NewInt(0)}, nil)
 	if v.Float() != 3 {
 		t.Errorf("substituted sqrt = %v", v)
 	}

@@ -34,13 +34,19 @@ func walk(n Node, fn func(Node)) {
 }
 
 // TestFreezeMemoizesWithoutChangingAnswers: after Freeze every node reads
-// its label, schemas and verdict from the memo, and each equals what an
-// unfrozen twin computes.
+// its schemas from the fields Freeze set, and each equals what an unfrozen
+// twin computes; a second Freeze writes nothing.
 func TestFreezeMemoizesWithoutChangingAnswers(t *testing.T) {
 	c := empDept(t)
 	frozen, twin := frozenExample(t, c), frozenExample(t, c)
 	Freeze(frozen)
-	Freeze(frozen) // a second freeze finds the memo and writes nothing
+	inner := map[*GroupBy]*schema.Column{}
+	walk(frozen, func(n Node) {
+		if g, ok := n.(*GroupBy); ok {
+			inner[g] = &g.innerOnce[0]
+		}
+	})
+	Freeze(frozen)
 
 	var twins []Node
 	walk(twin, func(n Node) { twins = append(twins, n) })
@@ -48,10 +54,6 @@ func TestFreezeMemoizesWithoutChangingAnswers(t *testing.T) {
 	walk(frozen, func(n Node) {
 		ref := twins[i]
 		i++
-		m := memoOf(n)
-		if m == nil || m.label == "" || !m.valid {
-			t.Fatalf("%T: memo %+v, want a label and a verdict", n, m)
-		}
 		if n.Describe() != ref.Describe() {
 			t.Errorf("%T: frozen label %q, unfrozen %q", n, n.Describe(), ref.Describe())
 		}
@@ -63,6 +65,9 @@ func TestFreezeMemoizesWithoutChangingAnswers(t *testing.T) {
 				t.Errorf("group-by inner schema: frozen %s (memo %v), unfrozen %s",
 					g.InnerSchema(), g.innerOnce, ref.(*GroupBy).InnerSchema())
 			}
+			if &g.innerOnce[0] != inner[g] {
+				t.Errorf("a second Freeze rewrote the group-by's inner schema")
+			}
 		}
 	})
 	if Format(frozen) != Format(twin) {
@@ -71,14 +76,11 @@ func TestFreezeMemoizesWithoutChangingAnswers(t *testing.T) {
 	if err := Validate(frozen); err != nil {
 		t.Errorf("Validate(frozen) = %v", err)
 	}
-	if m := memoOf(twin); m.label != "" || m.valid {
-		t.Errorf("describing and validating an unfrozen tree wrote its memo: %+v", m)
-	}
 }
 
-// TestFreezeKeepsInvalidTreesInvalid: the memo holds a verdict Validate
-// reached, so an illegal subtree — and everything above it — keeps failing
-// with the same error, while its legal siblings are not walked again.
+// TestFreezeKeepsInvalidTreesInvalid: freezing caches schemas, never a
+// verdict, so an illegal subtree — and everything above it — keeps failing
+// Validate with the same error.
 func TestFreezeKeepsInvalidTreesInvalid(t *testing.T) {
 	c := empDept(t)
 	bad := scan(t, c, "emp", "e")
@@ -93,8 +95,7 @@ func TestFreezeKeepsInvalidTreesInvalid(t *testing.T) {
 	if got := Validate(top); got == nil || got.Error() != want.Error() {
 		t.Errorf("after Freeze Validate = %v, want %v", got, want)
 	}
-	if memoOf(top).valid || memoOf(bad).valid || !memoOf(good).valid {
-		t.Errorf("verdicts: join %v, bad scan %v, good scan %v; want false, false, true",
-			memoOf(top).valid, memoOf(bad).valid, memoOf(good).valid)
+	if Validate(bad) == nil || Validate(good) != nil {
+		t.Errorf("verdicts after Freeze: bad scan %v, good scan %v", Validate(bad), Validate(good))
 	}
 }

@@ -12,11 +12,7 @@ import (
 // operator's input schema, grouping and aggregation columns come from the
 // input, Having refers only to grouping columns and aggregate outputs, and
 // projections select existing columns. It returns the first violation found.
-// A subtree that Freeze found legal is not walked again.
 func Validate(n Node) error {
-	if m := memoOf(n); m != nil && m.valid {
-		return nil
-	}
 	switch t := n.(type) {
 	case *Scan:
 		base := t.Table.Schema.Rename(t.Alias)

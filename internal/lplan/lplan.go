@@ -110,7 +110,6 @@ type Scan struct {
 	WithTID bool
 
 	schemaOnce schema.Schema
-	frozen
 }
 
 // Schema implements Node.
@@ -141,9 +140,6 @@ func (s *Scan) Children() []Node { return nil }
 
 // Describe implements Node.
 func (s *Scan) Describe() string {
-	if s.label != "" {
-		return s.label
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scan %s", s.Table.Name)
 	if s.Alias != s.Table.Name {
@@ -207,7 +203,6 @@ type Join struct {
 	Method JoinMethod
 
 	schemaOnce schema.Schema
-	frozen
 }
 
 // Schema implements Node.
@@ -231,9 +226,6 @@ func (j *Join) Children() []Node { return []Node{j.L, j.R} }
 
 // Describe implements Node.
 func (j *Join) Describe() string {
-	if j.label != "" {
-		return j.label
-	}
 	var b strings.Builder
 	if j.Type.Outer() {
 		fmt.Fprintf(&b, "Join[%s %s]", j.Type, j.Method)
@@ -263,7 +255,6 @@ type GroupBy struct {
 
 	schemaOnce schema.Schema
 	innerOnce  schema.Schema // InnerSchema(), set by Freeze
-	frozen
 }
 
 // innerSchema is the schema Having and Outputs are resolved against over the
@@ -323,9 +314,6 @@ func (g *GroupBy) Children() []Node { return []Node{g.In} }
 
 // Describe implements Node.
 func (g *GroupBy) Describe() string {
-	if g.label != "" {
-		return g.label
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "GroupBy[%s]", g.Method)
 	if len(g.GroupCols) > 0 {
@@ -355,7 +343,6 @@ type Project struct {
 	Items []NamedExpr
 
 	schemaOnce schema.Schema
-	frozen
 }
 
 // Schema implements Node.
@@ -377,9 +364,6 @@ func (p *Project) Children() []Node { return []Node{p.In} }
 
 // Describe implements Node.
 func (p *Project) Describe() string {
-	if p.label != "" {
-		return p.label
-	}
 	parts := make([]string, len(p.Items))
 	for i, ne := range p.Items {
 		parts[i] = ne.String()
@@ -391,8 +375,6 @@ func (p *Project) Describe() string {
 type Filter struct {
 	In    Node
 	Preds []expr.Expr
-
-	frozen
 }
 
 // Schema implements Node.
@@ -403,9 +385,6 @@ func (f *Filter) Children() []Node { return []Node{f.In} }
 
 // Describe implements Node.
 func (f *Filter) Describe() string {
-	if f.label != "" {
-		return f.label
-	}
 	return "Filter " + exprList(f.Preds)
 }
 
@@ -414,8 +393,6 @@ func (f *Filter) Describe() string {
 type Sort struct {
 	In Node
 	By []schema.ColID
-
-	frozen
 }
 
 // Schema implements Node.
@@ -426,9 +403,6 @@ func (s *Sort) Children() []Node { return []Node{s.In} }
 
 // Describe implements Node.
 func (s *Sort) Describe() string {
-	if s.label != "" {
-		return s.label
-	}
 	return "Sort by " + colList(s.By)
 }
 

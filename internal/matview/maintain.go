@@ -13,10 +13,12 @@ import (
 // are accumulated. Delta runs it with the definition's filter and Partial
 // accumulators over base rows, Merge with Coalesce accumulators over
 // backing rows. Groups are found by hash and types.Compare equality (NULL
-// keys equal, as GROUP BY wants) and come out in first-seen order.
+// keys equal, as GROUP BY wants) and come out in first-seen order. A view
+// definition has no `?` (Bind refuses one), so the compiled filter and
+// arguments run with a nil parameter vector.
 type fold struct {
-	keep  func(types.Row) (bool, error) // nil keeps every row
-	keys  []int                         // key column positions in the input rows
+	keep  expr.Predicate // nil keeps every row
+	keys  []int          // key column positions in the input rows
 	parts []foldPart
 }
 
@@ -35,7 +37,7 @@ func (f *fold) run(rows []types.Row) ([]types.Row, error) {
 	byHash := map[uint64][]int{} // key hash → groups with that hash
 	for _, row := range rows {
 		if f.keep != nil {
-			ok, err := f.keep(row)
+			ok, err := f.keep(row, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -65,7 +67,7 @@ func (f *fold) run(rows []types.Row) ([]types.Row, error) {
 				groups[g].accs[i].Add(types.NewInt(1)) // COUNT(*): any non-null
 				continue
 			}
-			v, err := p.arg(row)
+			v, err := p.arg(row, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -162,7 +164,7 @@ func (d *Def) Merge(rows []types.Row) ([]types.Row, error) {
 				col := len(f.keys) + len(f.parts)
 				f.parts = append(f.parts, foldPart{
 					agg: expr.Agg{Kind: p.Part.Coalesce},
-					arg: func(row types.Row) (types.Value, error) { return row[col], nil },
+					arg: func(row types.Row, _ []types.Value) (types.Value, error) { return row[col], nil },
 				})
 			}
 		}

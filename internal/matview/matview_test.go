@@ -96,7 +96,7 @@ func (e *env) naive(t *testing.T, q *qblock.Query) *exec.Result {
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
-	res, err := exec.Naive(e.store, plan.Root)
+	res, err := exec.Naive(e.store, plan.Root, nil)
 	if err != nil {
 		t.Fatalf("naive: %v\n%s", err, lplan.Format(plan.Root))
 	}
@@ -239,7 +239,7 @@ func checkRewrite(t *testing.T, e *env, def *Def, backing *catalog.Table, src st
 			t.Fatalf("illegal candidate: %v\n%s", err, lplan.Format(c.Root))
 		}
 		methods[c.Root.(*lplan.GroupBy).Method] = true
-		got, err := exec.Naive(e.store, c.Root)
+		got, err := exec.Naive(e.store, c.Root, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestScannerNextPropagatesReadFault(t *testing.T) {
 	s := NewStore(4)
 	f := s.CreateFile("t")
 	fill(t, s, f, 1000)
-	s.DropCaches()
+	s.ForceDropCaches()
 
 	// Fail the very first accounted IO: the scanner's first page read.
 	s.InjectFault(FaultPlan{FailAt: 0})
@@ -57,7 +58,7 @@ func TestScannerNextMidScanFault(t *testing.T) {
 	if f.Pages() < 4 {
 		t.Fatalf("need >=4 pages, got %d", f.Pages())
 	}
-	s.DropCaches()
+	s.ForceDropCaches()
 
 	// Fail the third page read: two pages of rows come back fine first.
 	s.InjectFault(FaultPlan{FailAt: 2})
@@ -126,7 +127,7 @@ func TestFaultPlanDeterministicSweep(t *testing.T) {
 			}
 		}
 	}
-	s.DropCaches()
+	s.ForceDropCaches()
 	s.InjectFault(FaultPlan{FailAt: -1}) // armed counter, no trigger
 	if err := scan(); err != nil {
 		t.Fatal(err)
@@ -138,7 +139,7 @@ func TestFaultPlanDeterministicSweep(t *testing.T) {
 
 	// Every index in [0, n) fails exactly once; index n never fires.
 	for i := int64(0); i <= n; i++ {
-		s.DropCaches()
+		s.ForceDropCaches()
 		s.InjectFault(FaultPlan{FailAt: i})
 		err := scan()
 		if i < n {
@@ -164,7 +165,7 @@ func TestFaultPlanProbabilisticSeedDeterminism(t *testing.T) {
 		s.InjectFault(FaultPlan{FailAt: -1, Prob: 0.1, Seed: seed})
 		var idx []int64
 		for {
-			s.DropCaches()
+			s.ForceDropCaches()
 			sc := s.NewScanner(f)
 			var err error
 			for {
@@ -200,7 +201,7 @@ func TestFaultPlanCustomError(t *testing.T) {
 	s := NewStore(2)
 	f := s.CreateFile("t")
 	fill(t, s, f, 200)
-	s.DropCaches()
+	s.ForceDropCaches()
 	s.InjectFault(FaultPlan{FailAt: 0, Err: cause})
 	_, err := s.ReadPage(f, 0)
 	if !errors.Is(err, ErrInjected) || !errors.Is(err, cause) {
@@ -215,7 +216,7 @@ func TestPoolHitsDoNotFault(t *testing.T) {
 	if f.Pages() < 2 {
 		t.Fatalf("need >=2 pages, got %d", f.Pages())
 	}
-	s.DropCaches()
+	s.ForceDropCaches()
 	if _, err := s.ReadPage(f, 0); err != nil { // warm the page
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestSessionHookObservesAndAborts(t *testing.T) {
 	s := NewStore(2)
 	f := s.CreateFile("t")
 	fill(t, s, f, 600)
-	s.DropCaches()
+	s.ForceDropCaches()
 
 	var reads, writes, hits int
 	se := s.NewSession(func(op IOOp, _ bool) error {
@@ -304,12 +305,8 @@ func TestSessionStatsSumToGlobal(t *testing.T) {
 	s := NewStore(2)
 	f := s.CreateFile("t")
 	fill(t, s, f, 600)
-	if err := s.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ResetStats(); err != nil {
-		t.Fatal(err)
-	}
+	s.ForceDropCaches()
+	s.ForceResetStats()
 
 	a := s.NewSession(nil)
 	b := s.NewSession(nil)
@@ -332,25 +329,20 @@ func TestSessionStatsSumToGlobal(t *testing.T) {
 		t.Fatalf("global stats %v != session sum %v (a=%v b=%v)", got, sum, a.Stats(), b.Stats())
 	}
 
-	// DropCaches and ResetStats refuse to run under open sessions…
-	if err := s.DropCaches(); !errors.Is(err, ErrStoreBusy) {
-		t.Fatalf("DropCaches under open sessions = %v, want ErrStoreBusy", err)
+	// The Bounded maintenance pair waits for open sessions and then runs
+	// anyway, reporting that the store was busy…
+	if s.DropCachesBounded(time.Millisecond) || s.ResetStatsBounded(time.Millisecond) {
+		t.Fatal("Bounded maintenance reported an idle store under open sessions")
 	}
-	if err := s.ResetStats(); !errors.Is(err, ErrStoreBusy) {
-		t.Fatalf("ResetStats under open sessions = %v, want ErrStoreBusy", err)
+	if got := s.Stats(); got != (IOStats{}) {
+		t.Fatalf("ResetStatsBounded under open sessions left %v", got)
 	}
-	// …and run again once they close (Close is idempotent).
+	// …and finds it idle once they close (Close is idempotent).
 	a.Close()
 	a.Close()
 	b.Close()
-	if got := s.ActiveSessions(); got != 0 {
-		t.Fatalf("ActiveSessions = %d after closing all, want 0", got)
-	}
-	if err := s.DropCaches(); err != nil {
-		t.Fatalf("DropCaches after close: %v", err)
-	}
-	if err := s.ResetStats(); err != nil {
-		t.Fatalf("ResetStats after close: %v", err)
+	if !s.DropCachesBounded(0) || !s.ResetStatsBounded(0) {
+		t.Fatal("Bounded maintenance waited for closed sessions")
 	}
 }
 

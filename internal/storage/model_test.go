@@ -37,7 +37,7 @@ func TestStoreModelBased(t *testing.T) {
 			case 1:
 				s.Flush(mf.file)
 			case 2:
-				s.DropCaches()
+				s.ForceDropCaches()
 			case 3, 4, 5, 6: // append
 				row := types.Row{
 					types.NewInt(int64(len(mf.rows))),

@@ -10,7 +10,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -19,12 +18,6 @@ import (
 
 	"aggview/internal/types"
 )
-
-// ErrStoreBusy reports a store-wide maintenance operation (DropCaches,
-// ResetStats) attempted while query sessions are active. Callers that own
-// the whole store — like the engine, which excludes in-flight queries with
-// its read-write lock first — use the Force variants instead.
-var ErrStoreBusy = errors.New("storage: store busy (active sessions)")
 
 // PageSize is the accounted page capacity in bytes.
 const PageSize = 4096
@@ -168,12 +161,11 @@ type IOHook func(op IOOp, temp bool) error
 // counters together — an access aborted by the fault injector or the
 // session hook is counted by neither side, so the global counters remain
 // the exact sum over all sessions plus unattributed access. The store-wide
-// maintenance operations DropCaches and ResetStats refuse to run
-// (ErrStoreBusy) while any session is open, because they would perturb
-// in-flight measurements; callers that can exclude queries externally (the
-// engine's write lock) use ForceDropCaches/ForceResetStats, which sweep the
-// pool one shard at a time — a concurrent reader contends with the sweep
-// for at most one shard latch, never the whole pool.
+// maintenance operations run regardless of open sessions: ForceDropCaches
+// and ForceResetStats at once, the Bounded pair after a short wait for
+// sessions to drain. The pool is swept one shard at a time — a concurrent
+// reader contends with the sweep for at most one shard latch, never the
+// whole pool.
 type Store struct {
 	mu     sync.Mutex // guards files and nextID only
 	files  map[int]*File
@@ -214,40 +206,18 @@ func (s *Store) Stats() IOStats {
 	return IOStats{Reads: s.reads.Load(), Writes: s.writes.Load(), Hits: s.hits.Load()}
 }
 
-// ResetStats zeroes the global IO counters (the pool contents are kept).
-// It returns ErrStoreBusy while sessions are active: zeroing under a
-// running query would not corrupt that query's per-session counters, but
-// the global counters would no longer be the sum of all queries.
-func (s *Store) ResetStats() error {
-	if n := s.sessions.Load(); n > 0 {
-		return fmt.Errorf("%w: ResetStats with %d open sessions", ErrStoreBusy, n)
-	}
-	s.forceResetStats()
-	return nil
-}
-
-// ForceResetStats zeroes the global IO counters regardless of open
-// sessions, for callers that exclude queries externally.
-func (s *Store) ForceResetStats() { s.forceResetStats() }
-
-func (s *Store) forceResetStats() {
+// ForceResetStats zeroes the global IO counters (the pool contents are
+// kept) regardless of open sessions. A running query's per-session counters
+// are untouched, but the global counters stop being the sum of all queries,
+// so callers reset while no query runs or accept that.
+func (s *Store) ForceResetStats() {
 	s.reads.Store(0)
 	s.writes.Store(0)
 	s.hits.Store(0)
 }
 
-// DropCaches empties the buffer pool so the next scan pays cold-cache IO.
-// It returns ErrStoreBusy while sessions are active, because evicting pages
-// under a running query silently inflates that query's measured misses.
-func (s *Store) DropCaches() error {
-	if n := s.sessions.Load(); n > 0 {
-		return fmt.Errorf("%w: DropCaches with %d open sessions", ErrStoreBusy, n)
-	}
-	s.pool.reset()
-	return nil
-}
-
-// ForceDropCaches empties the buffer pool regardless of open sessions. The
+// ForceDropCaches empties the buffer pool, so the next scan pays cold-cache
+// IO, regardless of open sessions. The
 // engine uses it under its write lock (no queries in flight) and on the
 // cold-measurement query path, where the calling query explicitly wants a
 // cold pool; per-session accounting stays exact either way, but concurrent
@@ -261,9 +231,9 @@ func (s *Store) ForceDropCaches() { s.pool.reset() }
 
 // DropCachesBounded empties the buffer pool after waiting up to wait for
 // open sessions to drain. Under MVCC snapshot reads a long-lived cursor can
-// legitimately hold a session open for an unbounded time, so the hard
-// ErrStoreBusy refusal of DropCaches would wedge cache maintenance forever;
-// instead this waits briefly — preserving undisturbed measurements in the
+// legitimately hold a session open for an unbounded time, so refusing while
+// sessions are open would wedge cache maintenance forever; instead this
+// waits briefly — preserving undisturbed measurements in the
 // common quiescent case — and then sweeps anyway, which is always safe (the
 // pool tracks page identity only; an in-flight query sees a colder cache,
 // never corrupt data). Returns true when the store was idle at sweep time.
@@ -275,12 +245,12 @@ func (s *Store) DropCachesBounded(wait time.Duration) bool {
 
 // ResetStatsBounded zeroes the global IO counters after waiting up to wait
 // for open sessions to drain, then resets regardless (see DropCachesBounded
-// for why the bounded wait replaces a hard refusal). Per-session counters
+// for why the wait is bounded). Per-session counters
 // are unaffected either way; only the global sum restarts. Returns true
 // when the store was idle at reset time.
 func (s *Store) ResetStatsBounded(wait time.Duration) bool {
 	idle := s.awaitIdle(wait)
-	s.forceResetStats()
+	s.ForceResetStats()
 	return idle
 }
 
@@ -322,7 +292,8 @@ func (s *Store) NewSession(hook IOHook) *Session {
 }
 
 // Close unregisters the session. Idempotent; accesses through a closed
-// session still work but stop being a DropCaches/ResetStats blocker.
+// session still work, but the Bounded maintenance operations stop waiting
+// for it.
 func (se *Session) Close() {
 	if !se.closed.Swap(true) {
 		se.store.sessions.Add(-1)
@@ -380,9 +351,6 @@ var (
 	_ Pager = (*Store)(nil)
 	_ Pager = (*Session)(nil)
 )
-
-// ActiveSessions returns the number of open sessions.
-func (s *Store) ActiveSessions() int { return int(s.sessions.Load()) }
 
 // charge accounts one page access on behalf of a session (nil for
 // unattributed store-level access). Real IOs (OpRead/OpWrite) pass through

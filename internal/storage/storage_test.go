@@ -81,7 +81,7 @@ func TestIOAccountingColdAndWarm(t *testing.T) {
 		t.Fatalf("writes = %d, want %d", writes, f.Pages())
 	}
 
-	s.ResetStats()
+	s.ForceResetStats()
 	sc := s.NewScanner(f)
 	for {
 		_, _, ok, err := sc.Next()
@@ -98,7 +98,7 @@ func TestIOAccountingColdAndWarm(t *testing.T) {
 	}
 
 	// Second scan with a big pool: all hits.
-	s.ResetStats()
+	s.ForceResetStats()
 	sc = s.NewScanner(f)
 	for {
 		_, _, ok, _ := sc.Next()
@@ -119,7 +119,7 @@ func TestPoolEvictionForcesRereads(t *testing.T) {
 	if f.Pages() <= 8 {
 		t.Fatalf("test needs >8 pages, got %d", f.Pages())
 	}
-	s.ResetStats()
+	s.ForceResetStats()
 	for pass := 0; pass < 2; pass++ {
 		sc := s.NewScanner(f)
 		for {
@@ -145,7 +145,7 @@ func TestLRUKeepsHotPage(t *testing.T) {
 	if f.Pages() < 3 {
 		t.Fatalf("need >=3 pages, got %d", f.Pages())
 	}
-	s.ResetStats()
+	s.ForceResetStats()
 	if _, err := s.ReadPage(f, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestDropFileEvictsPages(t *testing.T) {
 	s.DropFile(f)
 	g := s.CreateFile("u")
 	fill(t, s, g, 100)
-	s.ResetStats()
+	s.ForceResetStats()
 	if _, err := s.ReadPage(g, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -218,13 +218,13 @@ func TestDropCaches(t *testing.T) {
 	if _, err := s.ReadPage(f, 0); err != nil {
 		t.Fatal(err)
 	}
-	s.DropCaches()
-	s.ResetStats()
+	s.ForceDropCaches()
+	s.ForceResetStats()
 	if _, err := s.ReadPage(f, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s.Stats().Reads != 1 {
-		t.Fatalf("DropCaches should force a miss")
+		t.Fatalf("ForceDropCaches should force a miss")
 	}
 }
 

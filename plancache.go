@@ -7,6 +7,7 @@ import (
 
 	"aggview/internal/binder"
 	"aggview/internal/core"
+	"aggview/internal/exec"
 	"aggview/internal/lplan"
 	"aggview/internal/sql"
 	"aggview/internal/types"
@@ -34,11 +35,12 @@ const (
 // Config.PlanCacheSize is zero.
 const DefaultPlanCacheSize = 64
 
-// compiledPlan is the immutable product of parse → bind → optimize:
-// everything needed to run the statement, and nothing tied to a single
-// run. The plan tree is frozen (schemas, operator labels and the legality
-// check all pre-computed; see lplan.Freeze) before the compiledPlan is
-// published, so any number of concurrent executions can walk it and none
+// compiledPlan is the immutable product of parse → bind → optimize →
+// compile: everything needed to run the statement, and nothing tied to a
+// single run. The plan tree is frozen (its schemas cached; see lplan.Freeze)
+// and compiled into an exec.Program (legality checked, operators labelled,
+// expressions compiled, each `?` a slot) before the compiledPlan is
+// published, so any number of concurrent executions can open it and none
 // repeats work that depends only on the plan; per-run state — parameter
 // values, the storage session, the governor, collectors — lives in queryRun
 // and the executor.
@@ -46,9 +48,10 @@ type compiledPlan struct {
 	// Bound is the statement as bound: output column names, ORDER BY keys,
 	// LIMIT, and the `?` slots (count and inferred kinds) a run must fill.
 	*binder.Bound
-	key     planKey  // cache identity: token-stream key (when cacheable) + mode
-	version int64    // catalog version the plan was compiled under
-	info    PlanInfo // compile-time plan description (copied per run)
+	key     planKey       // cache identity: token-stream key (when cacheable) + mode
+	version int64         // catalog version the plan was compiled under
+	info    PlanInfo      // compile-time plan description (copied per run)
+	prog    *exec.Program // the plan compiled for execution
 }
 
 // runInfo builds one execution's PlanInfo: the compile-time info stamped
@@ -122,10 +125,11 @@ func (qr *queryRun) resolvePlan(sel *sql.Select) error {
 // the last two (the "optimize" span) against the run's snapshot — so the
 // catalog version stamped on the plan is consistent with the schema and
 // statistics the optimizer saw no matter what commits concurrently — under
-// the run's governor. It ends by freezing the plan: everything a run needs
-// that depends only on the tree (schemas, operator labels, the legality
-// check) is computed here, once, before the plan can be shared. A
-// view-maintenance run arrives already bound.
+// the run's governor. It ends by freezing the plan and compiling it for the
+// executor: everything a run needs that depends only on the tree (schemas,
+// the legality check, operator labels, compiled expressions) is computed
+// here, once, before the plan can be shared. A view-maintenance run arrives
+// already bound.
 func (qr *queryRun) compile(key planKey, sel *sql.Select) (*compiledPlan, error) {
 	bound := &binder.Bound{Query: qr.opt.block, Limit: -1}
 	var err error
@@ -154,6 +158,10 @@ func (qr *queryRun) compile(key planKey, sel *sql.Select) (*compiledPlan, error)
 	// While the tree is still private to this goroutine; afterwards it is
 	// read-only.
 	lplan.Freeze(plan.Root)
+	prog, err := exec.Compile(plan.Root)
+	if err != nil {
+		return nil, err
+	}
 	return &compiledPlan{
 		Bound:   bound,
 		key:     key,
@@ -170,6 +178,7 @@ func (qr *queryRun) compile(key planKey, sel *sql.Select) (*compiledPlan, error)
 			ViewRewrite:   plan.ViewRewrite,
 			root:          plan.Root,
 		},
+		prog: prog,
 	}, nil
 }
 

@@ -155,10 +155,11 @@ func TestPlanCacheAdHocOptionsSeparateEntries(t *testing.T) {
 	}
 }
 
-// TestConcurrentCachedPlanLabels: operator labels are memoized on the
-// frozen plan when it is compiled and only read afterwards. Many goroutines
-// run the one cached plan and read every label (the race detector watches
-// the memo), and each sees exactly the labels of the compilation's EXPLAIN.
+// TestConcurrentCachedPlanLabels: operator labels are rendered into the
+// plan's compiled program when it is compiled and only read afterwards.
+// Many goroutines run the one cached program and read every label (the
+// race detector watches the shared program), and each sees exactly the
+// labels of the compiling run.
 func TestConcurrentCachedPlanLabels(t *testing.T) {
 	e := setupEmpDept(t)
 	ctx := context.Background()

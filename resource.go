@@ -152,7 +152,6 @@ func (e *Engine) optimizeLadder(cat catalog.Reader, q *qblock.Query, mode Optimi
 	modes := ladderModes(mode)
 	opts := core.DefaultOptions()
 	opts.PoolPages = e.cfg.PoolPages
-	opts.CPUWeight = e.cfg.CPUWeight
 	if e.cfg.KLevelPullUp != 0 {
 		opts.KLevelPullUp = e.cfg.KLevelPullUp
 	}

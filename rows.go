@@ -56,7 +56,8 @@ type Rows struct {
 //	         (resolvePlan); a hit goes straight to execute
 //	compile  only when resolve found no current plan: parse (parseSelect;
 //	         doors holding a parsed statement or a bound block skip it),
-//	         bind over the pinned snapshot, optimize, freeze (compile)
+//	         bind over the pinned snapshot, optimize, freeze, compile for
+//	         the executor (compile)
 //	execute  parameters, storage session, cursor (execute)
 //	finish   teardown and metrics publication, exactly once (finish)
 //
@@ -289,7 +290,7 @@ func (e *Engine) run(ctx context.Context, src string, sel *sql.Select, opt rowsO
 
 // execute is the pipeline's execute stage. It builds per-run state only:
 // this run's parameter vector checked against the plan's slots, the storage
-// session, and the iterator tree over the shared compiled plan.
+// session, and the iterator tree over the shared compiled program.
 func (qr *queryRun) execute() (*Rows, error) {
 	qr.execStart = time.Now()
 	e, cp := qr.engine, qr.cp
@@ -306,7 +307,7 @@ func (qr *queryRun) execute() (*Rows, error) {
 	qr.sess = e.store.NewSession(ioHook(qr.gov, qr.col))
 	cur, err := exec.New(e.store).WithBatchSize(e.cfg.BatchSize).
 		WithSession(qr.sess).WithGovernor(qr.gov).WithCollector(qr.col).
-		WithParams(params).OpenCursor(cp.info.root)
+		WithParams(params).Open(cp.prog)
 	if err != nil {
 		return nil, err
 	}
