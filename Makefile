@@ -81,8 +81,10 @@ bench-diff:
 # gobench runs the Go micro/macro benchmarks: the paper's experiments and one
 # per stage a query crosses (BenchmarkCacheKey / BenchmarkParse in
 # internal/sql, the optimizer's in internal/core, the executor's in
-# internal/exec — BenchmarkOpenCursor times opening a plan apart from running
-# it — BenchmarkQueryCacheHit and BenchmarkWarmExec in the root).
+# internal/exec — one per operator: BenchmarkHashJoin, BenchmarkHashAgg,
+# BenchmarkMergeJoin, BenchmarkSortAggregate, BenchmarkBlockNL; and
+# BenchmarkOpenCursor, which times opening a plan apart from running it —
+# BenchmarkQueryCacheHit and BenchmarkWarmExec in the root).
 gobench:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -157,9 +157,9 @@ func (w *walState) commitGroup(recs []txn.LoggedRecord, snap func() []byte) erro
 // OpenDurable opens (or creates) a durable engine on dir. Recovery loads
 // the latest checkpoint snapshot, then replays the committed log suffix:
 // records framed by TxnBegin/TxnCommit apply all-or-nothing (a torn group
-// with no TxnCommit, or one closed by TxnAbort, is discarded entirely),
-// bare records apply directly (the pre-transaction format, and the format
-// still used for single-record statements). Replay is all recovery does:
+// with no TxnCommit is discarded entirely), bare records apply directly
+// (the pre-transaction format, and the format still used for single-record
+// statements). Replay is all recovery does:
 // every statement that logs more than one record — CREATE MATERIALIZED VIEW,
 // an INSERT with view maintenance, a refresh — is one framed group, so the
 // replayed state is statement-consistent (no orphaned backing table, no
@@ -215,9 +215,6 @@ func OpenDurable(cfg Config) (*Engine, error) {
 				inTxn = false
 				lastVersion = ent.Version
 				applied = true
-			case wal.TxnAbort:
-				pending = pending[:0]
-				inTxn = false
 			default:
 				if inTxn {
 					pending = append(pending, ent)

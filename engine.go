@@ -84,11 +84,11 @@ type Config struct {
 	// memory assumptions.
 	PoolPages int
 	// Mode selects the optimizer algorithm. The zero value ModeDefault
-	// resolves to Full (with KLevelPullUp defaulting to 2); any explicit
-	// mode — including Traditional — is honored as given.
+	// resolves to Full; any explicit mode — including Traditional — is
+	// honored as given.
 	Mode OptimizerMode
-	// KLevelPullUp caps relations pulled through one view (default 2;
-	// 0 = unlimited). Ignored outside Full mode.
+	// KLevelPullUp caps relations pulled through one view. 0 means the
+	// paper's 2; a negative value means unlimited. Ignored outside Full mode.
 	KLevelPullUp int
 	// DisableSharedPredicateRestriction lifts the paper's "share a
 	// predicate" pull-up restriction.
@@ -198,9 +198,6 @@ func resolveConfig(cfg Config) Config {
 	}
 	if cfg.Mode == ModeDefault {
 		cfg.Mode = Full
-		if cfg.KLevelPullUp == 0 {
-			cfg.KLevelPullUp = 2
-		}
 	}
 	if cfg.PlanCacheSize == 0 {
 		cfg.PlanCacheSize = DefaultPlanCacheSize

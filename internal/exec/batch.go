@@ -160,56 +160,6 @@ type BatchIterator interface {
 	Close() error
 }
 
-// rowIter adapts a BatchIterator to row-at-a-time pulls for consumers with
-// inherently row- or group-wise logic (merge join's group buffering, sort
-// aggregation's boundary detection, streaming cursors). It owns a pooled
-// scratch batch that it refills on demand; per-row cost is a slice index,
-// so the underlying operator still runs batch-at-a-time.
-type rowIter struct {
-	it   BatchIterator
-	b    *Batch
-	pos  int
-	done bool
-}
-
-func newRowIter(it BatchIterator) *rowIter { return &rowIter{it: it} }
-
-func (r *rowIter) Open() error {
-	if r.b == nil {
-		r.b = getBatch()
-	}
-	r.pos, r.done = 0, false
-	r.b.Reset()
-	return r.it.Open()
-}
-
-// Next returns the next row, refilling the scratch batch as needed.
-func (r *rowIter) Next() (types.Row, bool, error) {
-	for {
-		if r.pos < r.b.Len() {
-			row := r.b.Rows[r.pos]
-			r.pos++
-			return row, true, nil
-		}
-		if r.done {
-			return nil, false, nil
-		}
-		if err := r.it.NextBatch(r.b); err != nil {
-			return nil, false, err
-		}
-		r.pos = 0
-		if r.b.Len() == 0 {
-			r.done = true
-		}
-	}
-}
-
-func (r *rowIter) Close() error {
-	putBatch(r.b)
-	r.b = nil
-	return r.it.Close()
-}
-
 // drainBatches reads an operator to completion, invoking fn per row. Close
 // runs even when Open fails, so a partially opened subtree releases its
 // spills. Pipeline breakers (sorts, hash builds, aggregations) use it to

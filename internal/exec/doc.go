@@ -58,19 +58,24 @@
 // read from storage alias buffer-pool page memory, which the storage layer
 // likewise never mutates in place.
 //
-// # Batch-native operators and the rowIter adapter
+// # One operator shape
 //
-// Scan, filter, project, hash join and hash aggregation work on whole
-// batches. The two hash operators share one key table (keytable.go): they
+// Every operator's NextBatch reads its inputs' batches and fills dst itself,
+// and one that stops because dst is full resumes where it stopped on the
+// next call. The two hash operators share one key table (keytable.go): they
 // hash a batch's key columns in one pass, then probe by hash and typed
-// equality — no key is ever serialized on that path. The logic that is
-// inherently row- or group-wise — merge join's group buffering, sort
-// aggregation's boundary detection, block nested loops filling an outer
-// block, and the public Cursor — wraps its
-// input in a rowIter, which pulls batches underneath and hands out one row
-// per Next call at slice-index cost; those operators keep a row-wise step()
-// and delegate batching to fillFromStep. Either way there is exactly one
-// operator interface.
+// equality — no key is ever serialized on that path. Merge join and sort
+// aggregation share a run reader (sort.go), which reads a sorted input as
+// runs of equal keys across batch boundaries: sort aggregation folds each
+// run into one group, merge join crosses a left run with the right run of
+// equal keys. Block nested loops cut their outer blocks row-exact from the
+// outer's batches, so the batch size never moves a block boundary.
+//
+// Each compiled operator records the columns its output is sorted on by
+// construction: a Sort's keys, a merge join's left keys (without a
+// projection), a sort aggregation's grouping columns (without output
+// expressions), and a filter's input order. Merge join and sort aggregation
+// sort an input only when that order does not start with their keys.
 //
 // # Governance and metering at batch boundaries
 //

@@ -159,12 +159,14 @@ type Program struct {
 }
 
 // op is one compiled operator: its plan node (the key its metrics are
-// registered under), its Describe() label, and newIter, which builds the
-// operator's iterator for one run.
+// registered under), its Describe() label, newIter, which builds the
+// operator's iterator for one run, and order, the column positions its
+// output is sorted on by construction (nil = no guaranteed order).
 type op struct {
 	node    lplan.Node
 	label   string
 	newIter func(e *Executor) BatchIterator
+	order   []int
 }
 
 // Compile validates the plan and compiles every operator. It is the one
@@ -185,28 +187,29 @@ func Compile(n lplan.Node) (*Program, error) {
 // compileOp compiles a plan node and, through the per-type compilers, its
 // children.
 func compileOp(n lplan.Node) (*op, error) {
-	var newIter func(*Executor) BatchIterator
+	var o *op
 	var err error
 	switch t := n.(type) {
 	case *lplan.Scan:
-		newIter, err = compileScan(t)
+		o, err = compileScan(t)
 	case *lplan.Filter:
-		newIter, err = compileFilter(t)
+		o, err = compileFilter(t)
 	case *lplan.Project:
-		newIter, err = compileProject(t)
+		o, err = compileProject(t)
 	case *lplan.Sort:
-		newIter, err = compileSort(t)
+		o, err = compileSort(t)
 	case *lplan.Join:
-		newIter, err = compileJoin(t)
+		o, err = compileJoin(t)
 	case *lplan.GroupBy:
-		newIter, err = compileGroupBy(t)
+		o, err = compileGroupBy(t)
 	default:
 		err = fmt.Errorf("exec: unknown node type %T", n)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &op{node: n, label: n.Describe(), newIter: newIter}, nil
+	o.node, o.label = n, n.Describe()
+	return o, nil
 }
 
 // OpenCursor compiles the plan and opens it: Compile, then Open.
@@ -343,7 +346,7 @@ type scanIter struct {
 	arena  rowArena // backs tid-extended and projected output rows
 }
 
-func compileScan(s *lplan.Scan) (func(*Executor) BatchIterator, error) {
+func compileScan(s *lplan.Scan) (*op, error) {
 	base := s.Table.Schema.Rename(s.Alias)
 	if s.WithTID {
 		base = append(base, schema.Column{
@@ -360,9 +363,9 @@ func compileScan(s *lplan.Scan) (func(*Executor) BatchIterator, error) {
 			return nil, err
 		}
 	}
-	return func(e *Executor) BatchIterator {
+	return &op{newIter: func(e *Executor) BatchIterator {
 		return &scanIter{exec: e, node: s, filter: filter, proj: proj, arena: rowArena{rec: &e.arenas}}
-	}, nil
+	}}, nil
 }
 
 func (it *scanIter) Open() error {
@@ -410,7 +413,8 @@ func (it *scanIter) Close() error { return nil }
 
 // filterIter applies residual predicates batch-at-a-time: it keeps pulling
 // input batches until the output batch is full or the input is exhausted,
-// so a selective filter still hands full batches downstream.
+// so a selective filter still hands full batches downstream. It keeps its
+// input's order.
 type filterIter struct {
 	in      BatchIterator
 	pred    expr.Predicate
@@ -420,7 +424,7 @@ type filterIter struct {
 	done    bool
 }
 
-func compileFilter(f *lplan.Filter) (func(*Executor) BatchIterator, error) {
+func compileFilter(f *lplan.Filter) (*op, error) {
 	in, err := compileOp(f.In)
 	if err != nil {
 		return nil, err
@@ -429,9 +433,9 @@ func compileFilter(f *lplan.Filter) (func(*Executor) BatchIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(e *Executor) BatchIterator {
+	return &op{order: in.order, newIter: func(e *Executor) BatchIterator {
 		return &filterIter{in: e.build(in), pred: pred, params: e.params, target: e.batchSize}
-	}, nil
+	}}, nil
 }
 
 func (it *filterIter) Open() error {
@@ -479,7 +483,7 @@ type projectIter struct {
 	scratch *Batch
 }
 
-func compileProject(p *lplan.Project) (func(*Executor) BatchIterator, error) {
+func compileProject(p *lplan.Project) (*op, error) {
 	in, err := compileOp(p.In)
 	if err != nil {
 		return nil, err
@@ -490,9 +494,9 @@ func compileProject(p *lplan.Project) (func(*Executor) BatchIterator, error) {
 			return nil, err
 		}
 	}
-	return func(e *Executor) BatchIterator {
+	return &op{newIter: func(e *Executor) BatchIterator {
 		return &projectIter{in: e.build(in), exprs: exprs, params: e.params}
-	}, nil
+	}}, nil
 }
 
 func (it *projectIter) Open() error {

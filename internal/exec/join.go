@@ -76,7 +76,7 @@ func joinSpecOf(j *lplan.Join) (*joinSpec, error) {
 		lWidth: len(ls), rWidth: len(rs)}, nil
 }
 
-func compileJoin(j *lplan.Join) (func(*Executor) BatchIterator, error) {
+func compileJoin(j *lplan.Join) (*op, error) {
 	spec, err := joinSpecOf(j)
 	if err != nil {
 		return nil, err
@@ -98,32 +98,35 @@ func compileJoin(j *lplan.Join) (func(*Executor) BatchIterator, error) {
 	}
 	switch method {
 	case lplan.JoinHash, lplan.JoinUnset:
-		return func(e *Executor) BatchIterator {
+		return &op{newIter: func(e *Executor) BatchIterator {
 			return &hashJoinIter{exec: e, jc: newJC(e), target: e.batchSize, joinType: j.Type,
 				probeSrc: e.build(l), buildOp: r}
-		}, nil
+		}}, nil
 	case lplan.JoinBlockNL:
 		_, innerIsScan := j.R.(*lplan.Scan)
-		return func(e *Executor) BatchIterator {
-			it := &blockNLIter{exec: e, jc: newJC(e), target: e.batchSize, joinType: j.Type,
-				outer: newRowIter(e.build(l))}
+		return &op{newIter: func(e *Executor) BatchIterator {
+			it := &blockNLIter{exec: e, jc: newJC(e), target: e.batchSize, joinType: j.Type, outer: e.build(l)}
 			if innerIsScan {
 				it.inner = func() BatchIterator { return e.build(r) }
 			} else {
 				it.matSrc = e.build(r)
 			}
 			return it
-		}, nil
+		}}, nil
 	case lplan.JoinMerge:
 		// Validate has refused an outer merge join.
 		if len(spec.lKeys) == 0 {
 			return nil, fmt.Errorf("exec: merge join requires an equi-join predicate")
 		}
-		return func(e *Executor) BatchIterator {
+		lIn, rIn := sortedInput(l, spec.lKeys), sortedInput(r, spec.rKeys)
+		o := &op{newIter: func(e *Executor) BatchIterator {
 			return &mergeJoinIter{jc: newJC(e), target: e.batchSize,
-				l: newRowIter(newSortIter(e, e.build(l), spec.lKeys)),
-				r: newRowIter(newSortIter(e, e.build(r), spec.rKeys))}
-		}, nil
+				l: runReader{in: lIn(e), cols: spec.lKeys}, r: runReader{in: rIn(e), cols: spec.rKeys}}
+		}}
+		if spec.proj == nil { // the left columns come first, in left-key order
+			o.order = spec.lKeys
+		}
+		return o, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown join method %v", j.Method)
 	}
@@ -189,25 +192,6 @@ func rowHasNullKey(r types.Row, keys []int) bool {
 		}
 	}
 	return false
-}
-
-// fillFromStep is the shared NextBatch body of the join and sort-aggregate
-// operators whose matching logic is inherently row- or group-wise: step
-// produces one output row at a time (over batch-fed inputs), and the batch
-// layer simply accumulates up to target rows per call.
-func fillFromStep(dst *Batch, target int, step func() (types.Row, bool, error)) error {
-	dst.Reset()
-	for dst.Len() < target {
-		row, ok, err := step()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		dst.Append(row)
-	}
-	return nil
 }
 
 // hashJoinIter builds a key table on the right input and probes it with the
@@ -474,41 +458,45 @@ func (it *hashJoinIter) Close() error {
 // blockNLIter reads the outer in memory-budget blocks and rescans the inner
 // once per block. A base-table inner is rescanned directly (the buffer pool
 // charges the repeated reads); any other inner is materialized to a spill
-// file first.
+// file first. Each inner row of a pass meets the block's rows in order, so
+// output is inner-major within a block; a call that fills the batch resumes
+// mid-row on the next.
 //
 // Outer joins: the block (left) side is the preserved side of a LEFT join —
-// after each block's inner rescan completes, unmatched block rows are
+// after each block's inner pass completes, unmatched block rows are
 // emitted right-padded. FULL joins additionally track per-inner-row match
-// flags by scan ordinal (inner rescans are deterministic, so ordinal i is
-// the same row in every pass) and emit the never-matched inner rows
-// left-padded in one final rescan after the last block.
+// flags by scan ordinal (inner rescans are deterministic, heap order for a
+// base table and spill order otherwise, so ordinal i is the same row in every
+// pass) and, after the last block, make one more pass that emits the
+// never-matched inner rows left-padded.
 type blockNLIter struct {
 	exec     *Executor
 	jc       *joinCommon
 	target   int
 	joinType lplan.JoinType
-	outer    *rowIter
-	inner    func() BatchIterator // fresh inner scan per block
+	outer    BatchIterator
+	inner    func() BatchIterator // fresh inner scan per pass
 	// matSrc is a non-base-table inner, materialized to a spill at Open
 	// (not at build time: build allocates no resources, so a tree that is
 	// built but never opened leaks no files).
-	matSrc BatchIterator
-
+	matSrc  BatchIterator
 	spilled *spill
-	block   []types.Row
-	inIt    *rowIter
-	inRow   types.Row
-	pos     int
-	done    bool
 
+	ob           *Batch // the outer batch blocks are cut from
+	opos         int    // its next row
+	oEOF         bool
+	block        []types.Row
 	blockMatched []bool // LEFT/FULL: per-block-row match flags
-	padPos       int    // cursor over block rows while padding
-	padding      bool
-	innerMatched []bool // FULL: per-inner-ordinal match flags, OR'd across blocks
-	innerOrd     int    // ordinal of inRow within the current inner pass
-	finalIt      *rowIter
-	finalOrd     int
-	finalDone    bool
+	padPos       int    // LEFT/FULL, after a pass: next block row to pad if unmatched
+
+	in           BatchIterator // the inner pass in progress; nil between passes
+	ib           *Batch        // the inner batch being joined
+	ipos         int           // its row in flight
+	bpos         int           // the next block row to try against it
+	ord          int           // the in-flight row's ordinal within the pass
+	innerMatched []bool        // FULL: per-inner-ordinal match flags, OR'd across blocks
+	final        bool          // FULL: the pass after the last block
+	done         bool
 }
 
 func (it *blockNLIter) Open() error {
@@ -525,166 +513,112 @@ func (it *blockNLIter) Open() error {
 		}
 		it.inner = func() BatchIterator { return &spillIter{sp: sp, target: it.exec.batchSize} }
 	}
+	it.ob, it.ib = getBatch(), getBatch()
 	if err := it.outer.Open(); err != nil {
 		return err
 	}
 	return it.nextBlock()
 }
 
-// nextBlock fills the outer block and opens a fresh inner scan.
+// nextBlock cuts the next block from the outer and starts an inner pass over
+// it. The block ends at the row whose width reaches the budget, read
+// row-exact from the outer batch, so blocks, passes and page IO do not
+// depend on the batch size. Once the outer is exhausted, a FULL join starts
+// its final pass and any other join is done.
 func (it *blockNLIter) nextBlock() error {
 	it.block = it.block[:0]
-	bytes := 0
-	budget := it.exec.budgetBytes - 2*4096 // leave pages for the inner stream
-	if budget < 4096 {
-		budget = 4096
-	}
-	for bytes < budget {
-		row, ok, err := it.outer.Next()
-		if err != nil {
-			return err
+	budget := max(it.exec.budgetBytes-2*4096, 4096) // leave pages for the inner stream
+	for bytes := 0; bytes < budget; {
+		if it.opos == it.ob.Len() {
+			if it.oEOF {
+				break
+			}
+			if err := it.outer.NextBatch(it.ob); err != nil {
+				return err
+			}
+			it.opos, it.oEOF = 0, it.ob.Len() == 0
+			continue
 		}
-		if !ok {
-			break
-		}
+		row := it.ob.Rows[it.opos]
+		it.opos++
 		it.block = append(it.block, row)
 		bytes += row.DiskWidth()
 	}
 	if len(it.block) == 0 {
-		it.done = true
-		return nil
+		if it.final || it.joinType != lplan.JoinFull {
+			it.done = true
+			return nil
+		}
+		it.final = true
 	}
-	inRows := newRowIter(it.inner())
-	if err := inRows.Open(); err != nil {
-		inRows.Close()
-		return err
-	}
-	if it.inIt != nil {
-		it.inIt.Close()
-	}
-	it.inIt = inRows
-	it.inRow = nil
-	it.pos = 0
-	it.innerOrd = -1
 	if it.joinType.Outer() {
 		it.blockMatched = make([]bool, len(it.block))
 	}
-	return nil
+	it.padPos, it.ord = 0, 0
+	it.in = it.inner()
+	return it.in.Open()
 }
 
 func (it *blockNLIter) NextBatch(dst *Batch) error {
-	return fillFromStep(dst, it.target, it.step)
-}
-
-func (it *blockNLIter) step() (types.Row, bool, error) {
-	for {
-		// Emit right-padded rows for the block just finished.
-		if it.padding {
-			for it.padPos < len(it.block) {
-				i := it.padPos
-				it.padPos++
-				if !it.blockMatched[i] {
-					return it.jc.emitPadded(it.block[i], nil), true, nil
-				}
+	dst.Reset()
+	for !it.done && dst.Len() < it.target {
+		switch {
+		case it.ipos < it.ib.Len() && it.final:
+			if r := it.ib.Rows[it.ipos]; it.ord >= len(it.innerMatched) || !it.innerMatched[it.ord] {
+				dst.Append(it.jc.emitPadded(nil, r))
 			}
-			it.padding = false
-			it.inIt.Close()
-			it.inIt = nil
-			if err := it.nextBlock(); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		if it.done {
-			if it.joinType == lplan.JoinFull && !it.finalDone {
-				return it.stepFinalDrain()
-			}
-			return nil, false, nil
-		}
-		if it.inRow == nil {
-			r, ok, err := it.inIt.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				if it.joinType.Outer() {
-					// Pad this block's unmatched rows before advancing;
-					// padding mode closes the inner and loads the next block.
-					it.padding = true
-					it.padPos = 0
-					continue
-				}
-				it.inIt.Close()
-				it.inIt = nil
-				if err := it.nextBlock(); err != nil {
-					return nil, false, err
-				}
-				continue
-			}
-			it.inRow = r
-			it.pos = 0
-			it.innerOrd++
-			if it.joinType == lplan.JoinFull && it.innerOrd >= len(it.innerMatched) {
+			it.ipos, it.ord = it.ipos+1, it.ord+1
+		case it.ipos < it.ib.Len():
+			r := it.ib.Rows[it.ipos]
+			if it.joinType == lplan.JoinFull && it.ord == len(it.innerMatched) {
 				it.innerMatched = append(it.innerMatched, false)
 			}
-		}
-		for it.pos < len(it.block) {
-			l := it.block[it.pos]
-			i := it.pos
-			it.pos++
-			// Equi keys (if any) must match; residual must pass.
-			if !keysEqual(l, it.inRow, it.jc.lKeys, it.jc.rKeys) {
-				continue
-			}
-			out, ok, err := it.jc.emit(l, it.inRow)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				if it.blockMatched != nil {
-					it.blockMatched[i] = true
+			for ; it.bpos < len(it.block); it.bpos++ {
+				if dst.Len() >= it.target {
+					return nil
 				}
-				if it.joinType == lplan.JoinFull {
-					it.innerMatched[it.innerOrd] = true
+				// Equi keys (if any) must match; residual must pass.
+				l := it.block[it.bpos]
+				if !keysEqual(l, r, it.jc.lKeys, it.jc.rKeys) {
+					continue
 				}
-				return out, true, nil
+				out, ok, err := it.jc.emit(l, r)
+				if err != nil {
+					return err
+				}
+				if ok {
+					if it.blockMatched != nil {
+						it.blockMatched[it.bpos] = true
+					}
+					if it.joinType == lplan.JoinFull {
+						it.innerMatched[it.ord] = true
+					}
+					dst.Append(out)
+				}
+			}
+			it.ipos, it.bpos, it.ord = it.ipos+1, 0, it.ord+1
+		case it.in != nil:
+			// Pull the pass's next inner batch; an empty one ends the pass.
+			if err := it.in.NextBatch(it.ib); err != nil {
+				return err
+			}
+			it.ipos = 0
+			if it.ib.Len() == 0 {
+				it.in.Close()
+				it.in = nil
+			}
+		case it.joinType.Outer() && it.padPos < len(it.block):
+			if !it.blockMatched[it.padPos] {
+				dst.Append(it.jc.emitPadded(it.block[it.padPos], nil))
+			}
+			it.padPos++
+		default:
+			if err := it.nextBlock(); err != nil {
+				return err
 			}
 		}
-		it.inRow = nil
 	}
-}
-
-// stepFinalDrain rescans the inner once after the last block and emits
-// left-padded rows for inner ordinals no block ever matched. Rescans are
-// deterministic (heap order for base tables, spill order otherwise), so the
-// ordinal identifies the same row as in the per-block passes.
-func (it *blockNLIter) stepFinalDrain() (types.Row, bool, error) {
-	if it.finalIt == nil {
-		rows := newRowIter(it.inner())
-		if err := rows.Open(); err != nil {
-			rows.Close()
-			return nil, false, err
-		}
-		it.finalIt = rows
-		it.finalOrd = -1
-	}
-	for {
-		r, ok, err := it.finalIt.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			it.finalIt.Close()
-			it.finalIt = nil
-			it.finalDone = true
-			return nil, false, nil
-		}
-		it.finalOrd++
-		if it.finalOrd < len(it.innerMatched) && it.innerMatched[it.finalOrd] {
-			continue
-		}
-		return it.jc.emitPadded(nil, r), true, nil
-	}
+	return nil
 }
 
 func keysEqual(l, r types.Row, lKeys, rKeys []int) bool {
@@ -706,33 +640,29 @@ func (it *blockNLIter) Close() error {
 	if it.matSrc != nil {
 		it.matSrc.Close()
 	}
-	if it.inIt != nil {
-		it.inIt.Close()
-		it.inIt = nil
+	if it.in != nil {
+		it.in.Close()
+		it.in = nil
 	}
-	if it.finalIt != nil {
-		it.finalIt.Close()
-		it.finalIt = nil
-	}
+	putBatch(it.ob)
+	putBatch(it.ib)
+	it.ob, it.ib = nil, nil
 	it.spilled.drop()
 	it.spilled = nil
 	return nil
 }
 
-// mergeJoinIter joins two inputs sorted on their equi-join keys, buffering
-// the right-side group of equal keys. Both sorted inputs stream through
-// rowIter adapters (group-boundary logic is inherently row-wise); the sorts
-// underneath still drain their children batch-at-a-time.
+// mergeJoinIter joins two inputs sorted on their equi-join keys run by run:
+// a left run and the right run with equal keys join as their cross product,
+// left-major, and a call that fills the batch resumes mid-product on the
+// next. A NULL key never matches (NULL = x is UNKNOWN): a left run with one
+// is skipped without consuming the right side, and right runs with smaller
+// keys, NULL keys included (NULLs sort first), are passed over.
 type mergeJoinIter struct {
 	jc     *joinCommon
 	target int
-	l, r   *rowIter
-
-	curL  types.Row
-	group []types.Row // right rows equal to curL's key
-	gpos  int
-	rRow  types.Row // lookahead on the right
-	rDone bool
+	l, r   runReader // l.run × r.run is the product in flight
+	li, ri int       // its next pair
 }
 
 func (it *mergeJoinIter) Open() error {
@@ -742,33 +672,8 @@ func (it *mergeJoinIter) Open() error {
 	if err := it.r.Open(); err != nil {
 		return err
 	}
-	r, ok, err := it.r.Next()
-	if err != nil {
-		return err
-	}
-	it.rRow, it.rDone = r, !ok
-	return nil
-}
-
-// advanceGroup loads the right-side group matching key, consuming the right
-// iterator up to the first greater key.
-func (it *mergeJoinIter) advanceGroup(key types.Row) error {
-	it.group = it.group[:0]
-	for !it.rDone {
-		c := compareKeys(key, it.jc.lKeys, it.rRow, it.jc.rKeys)
-		if c < 0 {
-			break
-		}
-		if c == 0 {
-			it.group = append(it.group, it.rRow)
-		}
-		r, ok, err := it.r.Next()
-		if err != nil {
-			return err
-		}
-		it.rRow, it.rDone = r, !ok
-	}
-	return nil
+	_, err := it.r.next()
+	return err
 }
 
 func compareKeys(l types.Row, lKeys []int, r types.Row, rKeys []int) int {
@@ -781,49 +686,49 @@ func compareKeys(l types.Row, lKeys []int, r types.Row, rKeys []int) int {
 }
 
 func (it *mergeJoinIter) NextBatch(dst *Batch) error {
-	return fillFromStep(dst, it.target, it.step)
-}
-
-func (it *mergeJoinIter) step() (types.Row, bool, error) {
+	dst.Reset()
 	for {
-		for it.curL != nil && it.gpos < len(it.group) {
-			r := it.group[it.gpos]
-			it.gpos++
-			out, ok, err := it.jc.emit(it.curL, r)
-			if err != nil {
-				return nil, false, err
+		for lRun, rRun := it.l.run, it.r.run; it.li < len(lRun); it.li, it.ri = it.li+1, 0 {
+			for ; it.ri < len(rRun); it.ri++ {
+				if dst.Len() >= it.target {
+					return nil
+				}
+				out, ok, err := it.jc.emit(lRun[it.li], rRun[it.ri])
+				if err != nil {
+					return err
+				}
+				if ok {
+					dst.Append(out)
+				}
 			}
-			if ok {
-				return out, true, nil
-			}
 		}
-		l, ok, err := it.l.Next()
-		if err != nil {
-			return nil, false, err
+		if dst.Len() >= it.target {
+			return nil
 		}
-		if !ok {
-			return nil, false, nil
+		// The product is done: read the next left run and find its match.
+		l, err := it.l.next()
+		if err != nil || l == nil {
+			return err
 		}
-		// A NULL key never matches (NULL = x is UNKNOWN): give the row an
-		// empty group without consuming the right side. (NULLs sort first,
-		// so right-side NULL-keyed rows are consumed as smaller keys once a
-		// non-NULL left key arrives.)
+		it.li = 0
 		if rowHasNullKey(l, it.jc.lKeys) {
-			it.group = it.group[:0]
-		} else if it.curL == nil || compareKeys(l, it.jc.lKeys, it.curL, it.jc.lKeys) != 0 {
-			// Reuse the group if the key is unchanged (duplicate left keys).
-			if err := it.advanceGroup(l); err != nil {
-				return nil, false, err
+			it.li = len(it.l.run)
+			continue
+		}
+		for len(it.r.run) > 0 && compareKeys(l, it.jc.lKeys, it.r.run[0], it.jc.rKeys) > 0 {
+			if _, err := it.r.next(); err != nil {
+				return err
 			}
 		}
-		it.curL = l
-		it.gpos = 0
+		if len(it.r.run) == 0 || compareKeys(l, it.jc.lKeys, it.r.run[0], it.jc.rKeys) != 0 {
+			it.li = len(it.l.run) // no right run matches: the product is empty
+		}
 	}
 }
 
 func (it *mergeJoinIter) Close() error {
 	// Always cascade: if the left sort opened and spilled runs but the right
-	// sort's Open failed, the old opened-only guard leaked the left's runs.
+	// sort's Open failed, the left's runs must still be dropped.
 	it.l.Close()
 	it.r.Close()
 	return nil

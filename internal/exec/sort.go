@@ -2,6 +2,7 @@ package exec
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
 
 	"aggview/internal/lplan"
@@ -32,7 +33,7 @@ func newSortIter(e *Executor, in BatchIterator, cols []int) *sortIter {
 	return &sortIter{exec: e, in: in, cols: cols}
 }
 
-func compileSort(s *lplan.Sort) (func(*Executor) BatchIterator, error) {
+func compileSort(s *lplan.Sort) (*op, error) {
 	in, err := compileOp(s.In)
 	if err != nil {
 		return nil, err
@@ -41,7 +42,19 @@ func compileSort(s *lplan.Sort) (func(*Executor) BatchIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(e *Executor) BatchIterator { return newSortIter(e, e.build(in), cols) }, nil
+	return &op{order: cols, newIter: func(e *Executor) BatchIterator { return newSortIter(e, e.build(in), cols) }}, nil
+}
+
+// sortedInput returns how a run opens the compiled input in sorted on cols:
+// as it is when its order starts with cols, in key order, and through a
+// sortIter otherwise. Asking for the keys themselves, in their order, means
+// an input that skips the sort is in the order an in-memory sort of it
+// would have produced.
+func sortedInput(in *op, cols []int) func(*Executor) BatchIterator {
+	if len(in.order) >= len(cols) && slices.Equal(in.order[:len(cols)], cols) {
+		return func(e *Executor) BatchIterator { return e.build(in) }
+	}
+	return func(e *Executor) BatchIterator { return newSortIter(e, e.build(in), cols) }
 }
 
 func (it *sortIter) Open() error {
@@ -192,3 +205,62 @@ func (m *mergeRuns) NextBatch(dst *Batch) error {
 }
 
 func (m *mergeRuns) Close() error { return nil }
+
+// runReader reads an input sorted on cols as runs: maximal stretches of rows
+// whose cols compare equal under types.CompareRows, the sort's own
+// comparison. A run may span input batches. With fold set, each row of a run
+// is handed to it as the run is read; otherwise the run's rows are collected
+// in run. Either way rows pass by reference, which the row-immutability
+// contract (doc.go) makes safe.
+type runReader struct {
+	in   BatchIterator
+	cols []int
+	fold func(types.Row) error
+	run  []types.Row
+
+	b   *Batch // the input batch being read
+	pos int    // its next unread row
+	eof bool
+}
+
+func (rr *runReader) Open() error {
+	rr.b, rr.pos, rr.eof = getBatch(), 0, false
+	return rr.in.Open()
+}
+
+// next reads the next run and returns its first row, or nil when the input
+// is exhausted.
+func (rr *runReader) next() (types.Row, error) {
+	rr.run = rr.run[:0]
+	var first types.Row
+	for {
+		if rr.pos == rr.b.Len() {
+			if rr.eof {
+				return first, nil
+			}
+			if err := rr.in.NextBatch(rr.b); err != nil {
+				return nil, err
+			}
+			rr.pos, rr.eof = 0, rr.b.Len() == 0
+			continue
+		}
+		row := rr.b.Rows[rr.pos]
+		if first == nil {
+			first = row
+		} else if types.CompareRows(first, row, rr.cols) != 0 {
+			return first, nil
+		}
+		if rr.fold == nil {
+			rr.run = append(rr.run, row)
+		} else if err := rr.fold(row); err != nil {
+			return nil, err
+		}
+		rr.pos++
+	}
+}
+
+func (rr *runReader) Close() error {
+	putBatch(rr.b)
+	rr.b = nil
+	return rr.in.Close()
+}

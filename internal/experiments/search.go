@@ -183,7 +183,7 @@ func runE9(quick bool) (*Table, error) {
 			cfg := aggview.Config{PoolPages: pool, KLevelPullUp: k,
 				DisableSharedPredicateRestriction: !shared}
 			if k == 0 {
-				cfg.KLevelPullUp = -1 // sentinel: explicit "unlimited"
+				cfg.KLevelPullUp = -1 // the ∞ row: a negative cap is unlimited, 0 would be the paper's 2
 			}
 			eng := cloneEngineConfig(e, cfg)
 			info, err := eng.Explain(context.Background(), q, aggview.WithMode(aggview.Full))

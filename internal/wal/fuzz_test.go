@@ -10,10 +10,10 @@ import (
 // CRC-valid frame. Decoding must fail or yield a record that re-encodes to
 // exactly the input bytes, and must never panic. The committed corpus under
 // testdata/fuzz/FuzzDecodeRecord holds one encoding of every live record
-// kind, the three transaction frames, a reserved create-index payload, and
-// INSERT row and column counts far larger than their payload (which must be
-// refused before anything is sized from them); `make fuzz` searches beyond
-// it.
+// kind, the two transaction frames, payloads of the reserved create-index
+// and txn-abort kinds (which must be refused), and INSERT row and column
+// counts far larger than their payload (which must be refused before
+// anything is sized from them); `make fuzz` searches beyond it.
 func FuzzDecodeRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		version, rec, err := decodeRecord(b)

@@ -26,12 +26,13 @@ const (
 	KindDropMatView
 	// Transaction frames. A multi-record commit group is bracketed by
 	// TxnBegin and TxnCommit; recovery applies a group only when its commit
-	// frame is durable, discards a group whose tail is torn, and skips a
-	// group closed by TxnAbort. Bare records (no enclosing frame) commit
-	// individually, exactly as in the pre-transaction log format — so old
-	// logs replay unchanged.
+	// frame is durable and discards a group whose tail is torn. Bare records
+	// (no enclosing frame) commit individually, exactly as in the
+	// pre-transaction log format — so old logs replay unchanged.
 	KindTxnBegin
 	KindTxnCommit
+	// KindTxnAbort is reserved: the engine never logged one (a rolled-back
+	// transaction logs nothing), and decoding one fails with a fatal error.
 	KindTxnAbort
 )
 
@@ -151,14 +152,6 @@ type TxnCommit struct {
 	ID int64
 }
 
-// TxnAbort closes a commit group whose records must be discarded. The
-// current engine never writes one — a rolled-back transaction logs nothing
-// at all (records are buffered in memory until commit) — but recovery
-// honors the frame so a future streaming-write protocol can use it.
-type TxnAbort struct {
-	ID int64
-}
-
 // Kind implementations.
 func (CreateTable) Kind() Kind   { return KindCreateTable }
 func (CreateView) Kind() Kind    { return KindCreateView }
@@ -169,7 +162,6 @@ func (CreateMatView) Kind() Kind { return KindCreateMatView }
 func (DropMatView) Kind() Kind   { return KindDropMatView }
 func (TxnBegin) Kind() Kind      { return KindTxnBegin }
 func (TxnCommit) Kind() Kind     { return KindTxnCommit }
-func (TxnAbort) Kind() Kind      { return KindTxnAbort }
 
 // Entry is one decoded log record: its sequence number, the catalog version
 // the mutation produced (persisted so a recovered engine's version — and
@@ -385,10 +377,6 @@ func (r TxnCommit) encode(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint64(dst, uint64(r.ID))
 }
 
-func (r TxnAbort) encode(dst []byte) []byte {
-	return binary.LittleEndian.AppendUint64(dst, uint64(r.ID))
-}
-
 // decodeName decodes the body of the records that carry one name: DROP
 // TABLE, DROP MATERIALIZED VIEW and ANALYZE.
 func decodeName(b []byte, mk func(string) Record) (Record, []byte, error) {
@@ -450,7 +438,7 @@ func decodeRecord(b []byte) (int64, Record, error) {
 	case KindTxnCommit:
 		rec, body, err = decodeTxnID(body, kind, func(id int64) Record { return TxnCommit{ID: id} })
 	case KindTxnAbort:
-		rec, body, err = decodeTxnID(body, kind, func(id int64) Record { return TxnAbort{ID: id} })
+		return 0, nil, fmt.Errorf("wal: %s record: the engine never writes one, so a log holding one cannot be replayed", kind)
 	default:
 		err = fmt.Errorf("wal: unknown record kind %d", uint8(kind))
 	}

@@ -110,6 +110,53 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 	}
 }
 
+// appendRawRecord appends a CRC-valid frame holding payload (LSN, kind,
+// version, body) to the first segment of a closed log, and returns the
+// segment's path.
+func appendRawRecord(t *testing.T, dir string, payload []byte) string {
+	t.Helper()
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32Checksum(payload))
+	frame = append(frame, payload...)
+	path := filepath.Join(dir, segName(1))
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	return path
+}
+
+// requireRefused opens the log and requires recovery to fail as corruption
+// whose message holds every one of want, leaving the segment at path as it
+// was: a reserved kind is not a torn tail, so nothing is truncated.
+func requireRefused(t *testing.T, dir, path string, want ...string) {
+	t.Helper()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Open(dir, Options{})
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open = %v, want ErrCorrupt", err)
+	}
+	for _, w := range want {
+		if !strings.Contains(err.Error(), w) {
+			t.Fatalf("open = %v, want it to name %q", err, w)
+		}
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused open changed the segment: %d -> %d bytes", len(before), len(after))
+	}
+}
+
 // A CRC-valid record of the reserved create-index kind, as logs written
 // while the engine had CREATE INDEX hold them, fails recovery as corruption
 // that names the kind. It is not a torn tail: the segment is left intact.
@@ -127,34 +174,31 @@ func TestCreateIndexRecordRejected(t *testing.T) {
 	payload = putString(payload, "emp_dept")
 	payload = putString(payload, "emp")
 	payload = putStrings(payload, []string{"dept"})
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32Checksum(payload))
-	frame = append(frame, payload...)
-	path := filepath.Join(dir, segName(1))
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	requireRefused(t, dir, appendRawRecord(t, dir, payload), "create-index", "CREATE INDEX was removed")
+}
 
-	_, _, err = Open(dir, Options{})
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "create-index") || !strings.Contains(err.Error(), "CREATE INDEX was removed") {
-		t.Fatalf("open = %v, want ErrCorrupt naming create-index", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
+// A CRC-valid record of the reserved txn-abort kind — a frame closing a
+// commit group, which the engine never wrote — fails recovery the same way,
+// even inside an otherwise well-formed group.
+func TestTxnAbortRecordRejected(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{})
+	appendAll(t, l)
+	if _, err := l.Append(7, TxnBegin{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(before, after) {
-		t.Fatalf("refused open changed the segment: %d -> %d bytes", len(before), len(after))
+	if _, err := l.Append(8, Analyze{Table: "emp"}); err != nil {
+		t.Fatal(err)
 	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The body is the one a transaction frame carries: its 8-byte ID.
+	payload := binary.LittleEndian.AppendUint64(nil, uint64(len(sampleRecords())+3))
+	payload = append(payload, byte(KindTxnAbort))
+	payload = binary.LittleEndian.AppendUint64(payload, 9)
+	payload = binary.LittleEndian.AppendUint64(payload, 1)
+	requireRefused(t, dir, appendRawRecord(t, dir, payload), "txn-abort", "never writes one")
 }
 
 // Every possible torn tail — the final frame cut at every byte offset —
