@@ -79,36 +79,32 @@ func TestQueryOptionsParams(t *testing.T) {
 	}
 }
 
-// TestQueryOptionsLimits: WithLimits overrides the engine config per query
-// — zero fields inherit, positives override, negatives disable.
+// TestQueryOptionsLimits: WithLimits bounds one run only — each set field
+// trips, a zero field means no limit, and the next call without the option
+// runs unbounded.
 func TestQueryOptionsLimits(t *testing.T) {
-	e := setupAPIEngine(t, Config{PoolPages: 32, MaxRowsOut: 5})
+	e := setupAPIEngine(t, Config{PoolPages: 32})
 	ctx := context.Background()
 	q := `select eno from emp where age < 60`
 
-	// The engine-level limit applies by default.
-	if _, err := e.Query(ctx, q); !errors.Is(err, ErrRowLimit) {
-		t.Fatalf("config MaxRowsOut: err = %v, want ErrRowLimit", err)
+	if _, err := e.Query(ctx, q, WithLimits(Limits{MaxRowsOut: 5})); !errors.Is(err, ErrRowLimit) {
+		t.Fatalf("MaxRowsOut: err = %v, want ErrRowLimit", err)
 	}
-	// A negative field disables the engine limit for this run only.
-	res, err := e.Query(ctx, q, WithLimits(Limits{MaxRowsOut: -1}))
+	// A zero field means no limit: only the page budget applies here.
+	res, err := e.Query(ctx, q, WithLimits(Limits{MaxIOPages: 1 << 20}))
 	if err != nil {
-		t.Fatalf("disabled limit: %v", err)
+		t.Fatalf("roomy page budget: %v", err)
 	}
 	if res.Len() <= 5 {
-		t.Fatalf("disabled limit returned %d rows", res.Len())
-	}
-	// A positive field overrides; zero fields inherit (MaxRowsOut stays 5).
-	if _, err := e.Query(ctx, q, WithLimits(Limits{MaxIOPages: 1 << 20})); !errors.Is(err, ErrRowLimit) {
-		t.Errorf("inherited MaxRowsOut: err = %v, want ErrRowLimit", err)
+		t.Fatalf("unlimited rows returned %d rows", res.Len())
 	}
 	if _, err := e.Query(ctx, q, WithColdCache(),
 		WithLimits(Limits{MaxRowsOut: 1 << 20, MaxIOPages: 1})); !errors.Is(err, ErrIOBudget) {
-		t.Errorf("override MaxIOPages: err = %v, want ErrIOBudget", err)
+		t.Errorf("MaxIOPages: err = %v, want ErrIOBudget", err)
 	}
-	// The engine config is untouched after per-query overrides.
-	if _, err := e.Query(ctx, q); !errors.Is(err, ErrRowLimit) {
-		t.Errorf("config limit lost after overrides: err = %v", err)
+	// The limits were this call's: the next one runs unbounded.
+	if again, err := e.Query(ctx, q); err != nil || again.Len() != res.Len() {
+		t.Errorf("limit outlived its call: %v", err)
 	}
 }
 

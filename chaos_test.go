@@ -332,33 +332,19 @@ func TestQueryContextCancelMidSpill(t *testing.T) {
 	}
 }
 
-// TestConfigTimeout: Config.Timeout behaves like a per-query deadline.
-func TestConfigTimeout(t *testing.T) {
-	eng := newWarehouse(t, aggview.Config{PoolPages: 8})
-	limited := eng.WithConfig(aggview.Config{Timeout: time.Nanosecond})
-	_, err := limited.Query(context.Background(), `select count(*) from lineitem`)
-	if !errors.Is(err, aggview.ErrCanceled) {
-		t.Fatalf("err = %v, want wrapped ErrCanceled", err)
-	}
-	// The shared engine without the timeout still works.
-	if _, err := eng.Query(context.Background(), `select count(*) from lineitem`); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMaxRowsOut: the executor stops materializing at the row cap.
 func TestMaxRowsOut(t *testing.T) {
 	eng := newWarehouse(t, aggview.Config{PoolPages: 8})
-	limited := eng.WithConfig(aggview.Config{MaxRowsOut: 5})
-	_, err := limited.Query(context.Background(), `select l.orderkey from lineitem l`)
+	capped := aggview.WithLimits(aggview.Limits{MaxRowsOut: 5})
+	_, err := eng.Query(context.Background(), `select l.orderkey from lineitem l`, capped)
 	if !errors.Is(err, aggview.ErrRowLimit) {
 		t.Fatalf("err = %v, want wrapped ErrRowLimit", err)
 	}
 	if leaks := eng.LiveTempFiles(); len(leaks) != 0 {
 		t.Fatalf("leaked spill files %v", leaks)
 	}
-	// Under the cap the same engine answers normally.
-	res, err := limited.Query(context.Background(), `select count(*) from customer`)
+	// Under the cap the same limit lets the answer through.
+	res, err := eng.Query(context.Background(), `select count(*) from customer`, capped)
 	if err != nil {
 		t.Fatalf("query under the cap: %v", err)
 	}
@@ -371,10 +357,10 @@ func TestMaxRowsOut(t *testing.T) {
 // leaks nothing.
 func TestMaxIOPages(t *testing.T) {
 	eng := newWarehouse(t, aggview.Config{PoolPages: 8})
-	limited := eng.WithConfig(aggview.Config{MaxIOPages: 3})
-	limited.DropCaches()
-	_, err := limited.Query(context.Background(), `select v.aqty, o.value from part_qty v, order_value o, lineitem l
-	      where l.partkey = v.partkey and l.orderkey = o.orderkey and l.qty > 45`)
+	eng.DropCaches()
+	_, err := eng.Query(context.Background(), `select v.aqty, o.value from part_qty v, order_value o, lineitem l
+	      where l.partkey = v.partkey and l.orderkey = o.orderkey and l.qty > 45`,
+		aggview.WithLimits(aggview.Limits{MaxIOPages: 3}))
 	if !errors.Is(err, aggview.ErrIOBudget) {
 		t.Fatalf("err = %v, want wrapped ErrIOBudget", err)
 	}
@@ -382,9 +368,9 @@ func TestMaxIOPages(t *testing.T) {
 		t.Fatalf("leaked spill files %v", leaks)
 	}
 	// A budget generous enough for the query succeeds.
-	roomy := eng.WithConfig(aggview.Config{MaxIOPages: 1 << 20})
-	roomy.DropCaches()
-	if _, err := roomy.Query(context.Background(), `select count(*) from lineitem`); err != nil {
+	eng.DropCaches()
+	if _, err := eng.Query(context.Background(), `select count(*) from lineitem`,
+		aggview.WithLimits(aggview.Limits{MaxIOPages: 1 << 20})); err != nil {
 		t.Fatalf("roomy budget: %v", err)
 	}
 }
@@ -392,20 +378,23 @@ func TestMaxIOPages(t *testing.T) {
 // TestOptimizerBudgetDegradationLadder: a tiny search budget in Full mode
 // must not fail the query — the engine walks Full → PushDown → Traditional,
 // reports the fallback in PlanInfo, and still returns the right answer.
+// Each budgeted run goes to a fresh derived engine: a plan-cache hit runs no
+// search, so its budget could not trip.
 func TestOptimizerBudgetDegradationLadder(t *testing.T) {
 	eng := newWarehouse(t, aggview.Config{PoolPages: 16})
 	q := `select p.brand, max(v.aqty) from part p, part_qty v
 	      where v.partkey = p.partkey group by p.brand having max(v.aqty) > 10`
+	ctx := context.Background()
+	tiny := aggview.WithLimits(aggview.Limits{OptimizerBudget: 2})
 
 	// Reference answer from an ungoverned engine.
-	clean, err := eng.Query(context.Background(), q, aggview.WithMode(aggview.Full), aggview.WithColdCache())
+	clean, err := eng.Query(ctx, q, aggview.WithMode(aggview.Full), aggview.WithColdCache())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := rowsFingerprint(clean)
 
-	tiny := eng.WithConfig(aggview.Config{OptimizerBudget: 2})
-	res, err := tiny.Query(context.Background(), q, aggview.WithMode(aggview.Full), aggview.WithColdCache())
+	res, err := eng.WithConfig(aggview.Config{}).Query(ctx, q, aggview.WithMode(aggview.Full), aggview.WithColdCache(), tiny)
 	if err != nil {
 		t.Fatalf("budgeted Full query should degrade, not fail: %v", err)
 	}
@@ -422,17 +411,16 @@ func TestOptimizerBudgetDegradationLadder(t *testing.T) {
 	if info.Search.Degradations == 0 {
 		t.Fatalf("SearchStats.Degradations = 0, want >0")
 	}
+	if info.CacheStatus != "bypass" {
+		t.Fatalf("degraded plan CacheStatus = %q, want bypass (never cached)", info.CacheStatus)
+	}
 	if got := rowsFingerprint(res); got != want {
 		t.Fatalf("degraded plan changed the answer:\n got: %q\nwant: %q", got, want)
 	}
-	// ErrOptimizerBudget must never leak to the caller through the ladder.
-	if errors.Is(err, aggview.ErrOptimizerBudget) {
-		t.Fatalf("ErrOptimizerBudget escaped the ladder")
-	}
 
-	// The same engine with an adequate budget does not degrade.
-	roomy := eng.WithConfig(aggview.Config{OptimizerBudget: 1 << 20})
-	rres, err := roomy.Query(context.Background(), q, aggview.WithMode(aggview.Full), aggview.WithColdCache())
+	// An adequate budget does not degrade.
+	rres, err := eng.WithConfig(aggview.Config{}).Query(ctx, q, aggview.WithMode(aggview.Full), aggview.WithColdCache(),
+		aggview.WithLimits(aggview.Limits{OptimizerBudget: 1 << 20}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +430,7 @@ func TestOptimizerBudgetDegradationLadder(t *testing.T) {
 	}
 
 	// The plain Query path degrades too (Config.Mode defaults to Full).
-	if _, err := tiny.Query(context.Background(), q); err != nil {
+	if res, err := eng.WithConfig(aggview.Config{}).Query(ctx, q, tiny); err != nil || !res.Plan.Degraded {
 		t.Fatalf("Query under tiny budget: %v", err)
 	}
 }

@@ -7,13 +7,20 @@
 //     skipped — the check must pass offline);
 //   - every `internal/...`, `cmd/...`, and `examples/...` path mentioned
 //     in backticked inline code exists, so prose cannot drift from the
-//     package layout it describes.
+//     package layout it describes;
+//   - every `Type.Name` in inline code (Type a root-package type, as in
+//     `Config.Mode`) names a field or method, and every `aggview.Name` an
+//     exported name, so prose cannot keep an API name a change deleted.
 //
 // It exits non-zero listing every broken reference.
 package main
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -36,6 +43,7 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
+	api, qualName := parsePkg(root, ""), regexp.MustCompile(`\b(\w+)\.(\w+)`)
 	var mds []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -69,9 +77,11 @@ func main() {
 		// ROADMAP.md names future artifacts by design (packages that do
 		// not exist yet), and ISSUE.md — the work order of the PR in
 		// flight — names the files that PR is to create or delete; only
-		// their links are checked, not code paths.
+		// their links are checked, not code paths. CHANGES.md records deleted
+		// names and bench/ changes only with the benchmark: no API names.
 		base := filepath.Base(md)
 		checkCode := base != "ROADMAP.md" && base != "ISSUE.md"
+		checkNames := base != "CHANGES.md" && !strings.Contains("/"+filepath.ToSlash(md), "/bench/")
 		for lineno, line := range strings.Split(string(data), "\n") {
 			for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
 				target := m[1]
@@ -82,6 +92,20 @@ func main() {
 			}
 			if !checkCode {
 				continue
+			}
+			for i, span := range strings.Split(line, "`") {
+				if i%2 == 0 || !checkNames {
+					continue // outside inline code
+				}
+				for _, m := range qualName.FindAllStringSubmatch(span, -1) {
+					// Type.Name must be a closed type's member; aggview.Name, declared.
+					ok := api.names[m[0]] || !api.names[m[1]] || api.open[m[1]] ||
+						m[1] == "aggview" && (!ast.IsExported(m[2]) || api.names[m[2]])
+					if !ok {
+						fmt.Fprintf(os.Stderr, "%s:%d: API name %q does not exist\n", md, lineno+1, m[0])
+						broken++
+					}
+				}
 			}
 			for _, m := range codePath.FindAllStringSubmatch(line, -1) {
 				// Repo paths in prose are rooted at the repository, not at
@@ -128,4 +152,68 @@ func checkTarget(dir, target string) bool {
 	}
 	_, err := os.Stat(filepath.Join(dir, target))
 	return err == nil
+}
+
+// pkgAPI is a package's names: its declarations, and each type's fields and
+// methods as "Type.Name". Names under an open qualifier (a function or
+// variable, a struct embedding a field, an alias not followed) pass.
+type pkgAPI struct{ names, open map[string]bool }
+
+// parsePkg reads the non-test Go files of the package at rel under the
+// module root; the root package's ("") aliases are followed one import hop.
+func parsePkg(root, rel string) *pkgAPI {
+	p := &pkgAPI{names: map[string]bool{}, open: map[string]bool{}}
+	files, _ := filepath.Glob(filepath.Join(root, rel, "*.go"))
+	for _, file := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil || strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		p.names[f.Name.Name] = true
+		imports := map[string]string{} // package name → directory under the root
+		for _, im := range f.Imports {
+			path := strings.Trim(im.Path.Value, `"`)
+			_, imports[filepath.Base(path)], _ = strings.Cut(path, "/")
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				name := fn.Name.Name
+				if fn.Recv != nil {
+					name = strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*") + "." + name
+				}
+				p.names[name], p.open[name] = true, true
+				continue
+			}
+			for _, spec := range decl.(*ast.GenDecl).Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						p.names[id.Name], p.open[id.Name] = true, true
+					}
+				case *ast.TypeSpec:
+					name := s.Name.Name
+					p.names[name], p.open[name] = true, s.Assign.IsValid()
+					if sel, ok := s.Type.(*ast.SelectorExpr); ok && p.open[name] && rel == "" {
+						if dir := imports[types.ExprString(sel.X)]; dir != "" {
+							t, to := parsePkg(root, dir), sel.Sel.Name
+							p.open[name] = !t.names[to] || t.open[to]
+							for k := range t.names {
+								if m, ok := strings.CutPrefix(k, to+"."); ok {
+									p.names[name+"."+m] = true
+								}
+							}
+						}
+					} else if st, ok := s.Type.(*ast.StructType); ok {
+						for _, fld := range st.Fields.List {
+							p.open[name] = p.open[name] || len(fld.Names) == 0
+							for _, id := range fld.Names {
+								p.names[name+"."+id.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return p
 }

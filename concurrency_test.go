@@ -179,8 +179,8 @@ func TestConcurrentIOBudgetIsolation(t *testing.T) {
 	}
 	budget := solo.IO.Total()*4 + 64
 
-	fits := eng.WithConfig(aggview.Config{MaxIOPages: budget})
-	starved := eng.WithConfig(aggview.Config{MaxIOPages: 2})
+	fits := aggview.WithLimits(aggview.Limits{MaxIOPages: budget})
+	starved := aggview.WithLimits(aggview.Limits{MaxIOPages: 2})
 
 	const workers = 9
 	var wg sync.WaitGroup
@@ -197,7 +197,7 @@ func TestConcurrentIOBudgetIsolation(t *testing.T) {
 						return
 					}
 				case 1: // budget that fits this query alone
-					res, err := fits.Query(context.Background(), q)
+					res, err := eng.Query(context.Background(), q, fits)
 					if err != nil {
 						errCh <- fmt.Errorf("budgeted worker %d: budget %d should fit, got %w (neighbors leaked into the budget?)", w, budget, err)
 						return
@@ -207,7 +207,7 @@ func TestConcurrentIOBudgetIsolation(t *testing.T) {
 						return
 					}
 				case 2: // hopeless budget must trip on its own pages only
-					_, err := starved.Query(context.Background(), q)
+					_, err := eng.Query(context.Background(), q, starved)
 					if !errors.Is(err, aggview.ErrIOBudget) {
 						errCh <- fmt.Errorf("starved worker %d: err = %v, want ErrIOBudget", w, err)
 						return
@@ -343,7 +343,7 @@ func TestConcurrentCloseIdempotent(t *testing.T) {
 }
 
 // TestConcurrentDDLSerializesWithQueries: writers (INSERT into a scratch
-// table, DropCaches, ResetIOStats) interleave with readers on one engine.
+// table, DropCaches) interleave with readers on one engine.
 // Writers serialize behind the single-writer gate while readers run
 // against pinned snapshots; the mix must produce no deadlock, data races,
 // or query failures.
@@ -381,7 +381,7 @@ func TestConcurrentDDLSerializesWithQueries(t *testing.T) {
 		}
 	}()
 	wg.Add(1)
-	go func() { // maintenance: blocks until no queries are in flight
+	go func() { // maintenance: drops the pool under running readers
 		defer wg.Done()
 		for {
 			select {
@@ -390,7 +390,6 @@ func TestConcurrentDDLSerializesWithQueries(t *testing.T) {
 			default:
 			}
 			eng.DropCaches()
-			eng.ResetIOStats()
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -409,18 +408,16 @@ func TestConcurrentDDLSerializesWithQueries(t *testing.T) {
 	}
 }
 
-// TestForceDropCachesBypassAudit: the engine sweeps the pool and resets the
-// counters while sessions are open — Store.ForceDropCaches on the
-// cold-measurement path, the Bounded pair from the maintenance entry
-// points — and neither may surface a half-dropped cache to a concurrent
-// reader.
+// TestForceDropCachesBypassAudit: the engine sweeps the pool while sessions
+// are open — Store.ForceDropCaches behind both Engine.DropCaches and the
+// cold-measurement path — and may never surface a half-dropped cache to a
+// concurrent reader.
 //
-//  1. Engine.DropCaches/ResetIOStats wait briefly for in-flight queries
-//     but the wait is bounded: the first half of the test proves that a
-//     long-lived streaming cursor cannot wedge cache maintenance — the
-//     drop completes while the cursor is still open, and the cursor keeps
-//     producing exact results afterwards (the pool tracks page identity
-//     only, never data).
+//  1. Engine.DropCaches does not wait for in-flight queries: the first half
+//     of the test proves that a long-lived streaming cursor cannot wedge
+//     cache maintenance — the drop completes while the cursor is still
+//     open, and the cursor keeps producing exact results afterwards (the
+//     pool tracks page identity only, never data).
 //  2. The cold-measurement path (WithColdCache) drops the pool concurrently
 //     with other readers, so the second half hammers cold runs against
 //     plain readers and asserts every answer stays exact.
@@ -439,13 +436,12 @@ func TestForceDropCachesBypassAudit(t *testing.T) {
 	dropped := make(chan struct{})
 	go func() {
 		eng.DropCaches()
-		eng.ResetIOStats()
 		close(dropped)
 	}()
 	select {
 	case <-dropped:
 	case <-time.After(5 * time.Second):
-		t.Fatal("DropCaches/ResetIOStats wedged behind an open streaming cursor")
+		t.Fatal("DropCaches wedged behind an open streaming cursor")
 	}
 	// The cursor survives the drop: it keeps streaming rows to completion
 	// with no error (only its hit/miss accounting may have shifted).

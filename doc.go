@@ -33,7 +33,7 @@
 //
 // Query is the single query surface; options tune one run without touching
 // the engine configuration — WithMode picks the optimizer algorithm,
-// WithParams binds `?` placeholders, WithLimits overrides the resource
+// WithParams binds `?` placeholders, WithLimits sets the run's resource
 // limits, WithColdCache drops the buffer pool first (the paper's
 // measurement setting):
 //
@@ -83,9 +83,11 @@
 //
 // # Governance
 //
-// Queries run under a per-query governor: context cancellation, Timeout,
-// MaxRowsOut and MaxIOPages abort execution at page-IO granularity with
-// typed sentinel errors (ErrCanceled, ErrRowLimit, ErrIOBudget). A tripped
-// OptimizerBudget never fails the query — the engine degrades
-// Full → PushDown → Traditional and reports the fallback in PlanInfo.
+// Queries run under a per-query governor built from the caller's context
+// and the run's Limits, set per call with WithLimits (a zero field means no
+// limit). Cancellation, an expired deadline, MaxRowsOut and MaxIOPages abort
+// execution at page-IO granularity with typed sentinel errors (ErrCanceled,
+// ErrRowLimit, ErrIOBudget). A tripped OptimizerBudget never fails the query
+// — the engine degrades Full → PushDown → Traditional and reports the
+// fallback in PlanInfo.
 package aggview

@@ -96,30 +96,6 @@ type Config struct {
 	// SystemRJoins restricts the plan space to block nested-loops and
 	// sort-merge joins — the repertoire of the paper's era.
 	SystemRJoins bool
-
-	// Timeout bounds each query's wall time (0 = none). It composes with
-	// any deadline already on the Query/ExecContext context; the earlier one
-	// wins. Violations surface as ErrCanceled.
-	Timeout time.Duration
-	// MaxRowsOut caps the rows the executor may materialize per query
-	// (before ORDER BY/LIMIT presentation; 0 = unlimited). Violations
-	// surface as ErrRowLimit.
-	MaxRowsOut int64
-	// MaxIOPages caps accounted page IOs per query — pool-miss reads plus
-	// flushes, covering both scans and operator spills (0 = unlimited).
-	// Violations surface as ErrIOBudget.
-	MaxIOPages int64
-	// OptimizerBudget caps the candidate plans costed per optimization
-	// attempt (0 = unlimited). When the budget trips, the engine does not
-	// fail the query: it degrades Full → PushDown → Traditional (each rung
-	// with a fresh budget; the last rung runs unbudgeted), which is always
-	// safe because the chosen plan is never worse than the traditional one.
-	OptimizerBudget int
-	// PlanCacheSize caps the number of compiled plans retained (LRU, keyed
-	// by normalized SQL text and optimizer mode; ad-hoc and prepared
-	// statements share the cache). 0 means DefaultPlanCacheSize; negative
-	// disables plan caching — every execution then recompiles.
-	PlanCacheSize int
 	// BatchSize sets the executor's row-vector size: how many rows flow
 	// between operators per NextBatch call (0 means the default, 1024).
 	// Batch size never changes results, page IO or spill counts — only the
@@ -170,8 +146,8 @@ type Engine struct {
 	// gate is shared by engines derived via WithConfig, which alias the
 	// same store and catalog.
 	gate *txn.Gate
-	// cache holds compiled plans, ad-hoc and prepared alike; nil when
-	// disabled. Engines derived via WithConfig get their own cache — the
+	// cache holds compiled plans, ad-hoc and prepared alike. Engines
+	// derived via WithConfig get their own cache — the
 	// configuration shapes the plans, so entries cannot cross engines —
 	// while invalidation rides on the shared catalog's version counter.
 	cache *planCache
@@ -186,7 +162,7 @@ type Engine struct {
 func newEngine(store *storage.Store, cat *catalog.Catalog, cfg Config) *Engine {
 	return &Engine{
 		store: store, cat: cat, cfg: cfg,
-		reg: obs.NewRegistry(), gate: txn.NewGate(), cache: newPlanCache(cfg.PlanCacheSize),
+		reg: obs.NewRegistry(), gate: txn.NewGate(), cache: newPlanCache(),
 	}
 }
 
@@ -198,9 +174,6 @@ func resolveConfig(cfg Config) Config {
 	}
 	if cfg.Mode == ModeDefault {
 		cfg.Mode = Full
-	}
-	if cfg.PlanCacheSize == 0 {
-		cfg.PlanCacheSize = DefaultPlanCacheSize
 	}
 	if cfg.CheckpointBytes == 0 {
 		cfg.CheckpointBytes = DefaultCheckpointBytes
@@ -238,7 +211,7 @@ func (e *Engine) WithConfig(cfg Config) *Engine {
 	cfg = resolveConfig(cfg)
 	return &Engine{
 		store: e.store, cat: e.cat, cfg: cfg,
-		reg: e.reg, gate: e.gate, cache: newPlanCache(cfg.PlanCacheSize), wal: e.wal,
+		reg: e.reg, gate: e.gate, cache: newPlanCache(), wal: e.wal,
 	}
 }
 
@@ -302,27 +275,11 @@ func (r *Result) String() string {
 // Per-query IO rides on Result.IO and Rows.IO.
 func (e *Engine) IOStats() IOStats { return e.store.Stats() }
 
-// maintenanceWait bounds how long cache-maintenance operations wait for
-// in-flight queries to go idle before proceeding anyway. A snapshot reader
-// is correct either way — dropping pool pages under it only changes its IO
-// accounting — so a long-lived cursor must never wedge maintenance.
-const maintenanceWait = 100 * time.Millisecond
-
-// ResetIOStats zeroes the counters; DropCaches additionally empties the
-// buffer pool so the next query runs cold. Both prefer a quiet moment —
-// they briefly wait for in-flight queries to go idle so they never perturb
-// a running query's measurements — but the wait is bounded: with a
-// long-lived cursor open they proceed anyway (its results stay correct;
-// only its hit/miss accounting shifts).
-func (e *Engine) ResetIOStats() {
-	e.store.ResetStatsBounded(maintenanceWait)
-}
-
-// DropCaches empties the buffer pool. Like ResetIOStats, it waits — at
-// most briefly — for in-flight queries, then proceeds regardless.
-func (e *Engine) DropCaches() {
-	e.store.DropCachesBounded(maintenanceWait)
-}
+// DropCaches empties the buffer pool, so the next query runs cold. It does
+// not wait for in-flight queries: the pool tracks page identity only, so a
+// running query's results stay correct and only its hit/miss accounting
+// shifts.
+func (e *Engine) DropCaches() { e.store.ForceDropCaches() }
 
 // Tables lists the base tables in the current published snapshot.
 func (e *Engine) Tables() []string {
@@ -621,7 +578,7 @@ type PlanInfo struct {
 	// optimization ran), "miss" (compiled and cached), "invalidated"
 	// (a cached plan was stale against the catalog version and was
 	// recompiled), or "bypass" (cache not consulted: EXPLAIN paths, a run
-	// inside a transaction, a degraded plan, or caching disabled).
+	// inside a transaction, or a degraded plan).
 	CacheStatus string
 
 	// root is the plan tree — frozen at compile, shared by every run of the
@@ -632,9 +589,9 @@ type PlanInfo struct {
 // Explain optimizes a SELECT and returns the plan with the optimizer's
 // search trace, without executing it: the query pipeline run with a trace
 // and stopped before the execute stage. It takes the same options as Query
-// (WithMode picks the optimizer mode; WithoutViewRewrite and WithLimits —
-// the optimizer budget and timeout — are honoured) and plans against the
-// published catalog snapshot current at the call.
+// (WithMode picks the optimizer mode; WithoutViewRewrite and WithLimits'
+// OptimizerBudget are honoured, and ctx bounds the search) and plans
+// against the published catalog snapshot current at the call.
 func (e *Engine) Explain(ctx context.Context, src string, opts ...QueryOption) (info *PlanInfo, err error) {
 	defer recoverToError(&err, src)
 	rows, err := e.query(ctx, src, rowsOptions{trace: true, planOnly: true}, opts)

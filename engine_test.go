@@ -326,17 +326,18 @@ func TestEngineResultString(t *testing.T) {
 
 func TestEngineIOStatsLifecycle(t *testing.T) {
 	e := setupEmpDept(t)
-	e.ResetIOStats()
 	e.DropCaches()
-	if _, err := e.Query(context.Background(), `select count(*) from emp`); err != nil {
+	before := e.IOStats()
+	res, err := e.Query(context.Background(), `select count(*) from emp`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e.IOStats().Reads == 0 {
+	d := e.IOStats().Sub(before)
+	if d.Reads == 0 {
 		t.Fatalf("cold query did no reads")
 	}
-	e.ResetIOStats()
-	if e.IOStats().Reads != 0 {
-		t.Fatalf("reset failed")
+	if d != res.IO {
+		t.Fatalf("engine IO delta %v, query IO %v", d, res.IO)
 	}
 }
 

@@ -278,7 +278,6 @@ func TestSortedAndBlockOperatorsOrderAndIO(t *testing.T) {
 					return nil
 				})
 				got, err := New(e.store).WithSession(se).WithCollector(col).WithBatchSize(bs).Run(c.plan)
-				se.Close()
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

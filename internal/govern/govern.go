@@ -7,8 +7,8 @@
 // production executor must stop promptly when the client goes away or a
 // runaway query exhausts its allowance. The Governor is the single object
 // every layer consults: the storage layer ticks it once per accounted page
-// IO, the executor once per output row, and the optimizer once per costed
-// plan. All violations surface as typed sentinel errors so callers can
+// IO, the executor once per batch of output rows, and the optimizer once per
+// costed plan. All violations surface as typed sentinel errors so callers can
 // distinguish "the user canceled" from "the query was too expensive" from
 // "the optimizer gave up searching".
 package govern
@@ -37,15 +37,18 @@ var (
 	ErrOptimizerBudget = errors.New("optimizer search budget exceeded")
 )
 
-// Limits bounds one query. Zero values mean "unlimited".
+// Limits bounds one query. A zero field means no limit.
 type Limits struct {
-	// MaxRowsOut caps the rows the executor may materialize.
+	// MaxRowsOut caps the rows the executor may materialize (before ORDER
+	// BY/LIMIT presentation). Violations surface as ErrRowLimit.
 	MaxRowsOut int64
-	// MaxIOPages caps accounted page reads plus writes (scan and spill IO).
+	// MaxIOPages caps accounted page IOs — pool-miss reads plus flushes,
+	// covering both scans and operator spills. Violations surface as
+	// ErrIOBudget.
 	MaxIOPages int64
-	// OptimizerPlans caps the number of candidate plans the optimizer may
-	// cost before ErrOptimizerBudget trips.
-	OptimizerPlans int
+	// OptimizerBudget caps the candidate plans the optimizer may cost per
+	// optimization attempt before ErrOptimizerBudget trips.
+	OptimizerBudget int
 }
 
 // Governor tracks one query's consumption against its limits. It is safe
@@ -101,24 +104,9 @@ func (g *Governor) TickIO(charged bool) error {
 	return nil
 }
 
-// TickRow accounts one executor output row.
-func (g *Governor) TickRow() error {
-	if g == nil {
-		return nil
-	}
-	if err := g.Err(); err != nil {
-		return err
-	}
-	n := g.rowsOut.Add(1)
-	if g.limits.MaxRowsOut > 0 && n > g.limits.MaxRowsOut {
-		return fmt.Errorf("%w (limit %d rows)", ErrRowLimit, g.limits.MaxRowsOut)
-	}
-	return nil
-}
-
-// TickRows accounts n executor output rows at once — the batch-boundary
-// form of TickRow. It polls cancellation once for the whole batch and
-// returns the number of rows that fit under MaxRowsOut. When the batch
+// TickRows accounts n executor output rows at once, at a batch boundary.
+// It polls cancellation once for the whole batch and returns the number of
+// rows that fit under MaxRowsOut. When the batch
 // crosses the limit the cutoff is exact: allowed reports how many of these
 // n rows the caller may still emit (possibly zero) before surfacing the
 // accompanying ErrRowLimit, so a batched executor emits precisely the same
@@ -150,26 +138,10 @@ func (g *Governor) TickPlan() error {
 		return err
 	}
 	n := g.plans.Add(1)
-	if g.limits.OptimizerPlans > 0 && n > int64(g.limits.OptimizerPlans) {
-		return fmt.Errorf("%w (limit %d plans)", ErrOptimizerBudget, g.limits.OptimizerPlans)
+	if g.limits.OptimizerBudget > 0 && n > int64(g.limits.OptimizerBudget) {
+		return fmt.Errorf("%w (limit %d plans)", ErrOptimizerBudget, g.limits.OptimizerBudget)
 	}
 	return nil
-}
-
-// IOPages returns the accounted page IOs so far.
-func (g *Governor) IOPages() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.ioPages.Load()
-}
-
-// RowsOut returns the accounted output rows so far.
-func (g *Governor) RowsOut() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.rowsOut.Load()
 }
 
 // ResetPlans zeroes the optimizer-plan counter. The engine's degradation

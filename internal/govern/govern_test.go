@@ -9,12 +9,9 @@ import (
 func TestNilGovernorIsUnlimited(t *testing.T) {
 	var g *Governor
 	for i := 0; i < 100; i++ {
-		if g.TickIO(true) != nil || g.TickRow() != nil || g.TickPlan() != nil || g.Err() != nil {
+		if n, err := g.TickRows(1); n != 1 || err != nil || g.TickIO(true) != nil || g.TickPlan() != nil || g.Err() != nil {
 			t.Fatalf("nil governor must never trip")
 		}
-	}
-	if g.IOPages() != 0 || g.RowsOut() != 0 {
-		t.Fatalf("nil governor counters must read zero")
 	}
 	g.ResetPlans() // must not panic
 }
@@ -22,12 +19,12 @@ func TestNilGovernorIsUnlimited(t *testing.T) {
 func TestZeroLimitsAreUnlimited(t *testing.T) {
 	g := New(nil, Limits{})
 	for i := 0; i < 1000; i++ {
-		if g.TickIO(true) != nil || g.TickRow() != nil || g.TickPlan() != nil {
+		if _, err := g.TickRows(1); err != nil || g.TickIO(true) != nil || g.TickPlan() != nil {
 			t.Fatalf("zero limits tripped at tick %d", i)
 		}
 	}
-	if g.IOPages() != 1000 || g.RowsOut() != 1000 {
-		t.Fatalf("counters = %d/%d, want 1000/1000", g.IOPages(), g.RowsOut())
+	if g.ioPages.Load() != 1000 || g.rowsOut.Load() != 1000 {
+		t.Fatalf("counters = %d/%d, want 1000/1000", g.ioPages.Load(), g.rowsOut.Load())
 	}
 }
 
@@ -48,23 +45,25 @@ func TestIOBudgetTripsPastLimit(t *testing.T) {
 			t.Fatalf("uncharged tick tripped: %v", err)
 		}
 	}
-	if g2.IOPages() != 0 {
-		t.Fatalf("uncharged ticks counted: %d", g2.IOPages())
+	if g2.ioPages.Load() != 0 {
+		t.Fatalf("uncharged ticks counted: %d", g2.ioPages.Load())
 	}
 }
 
 func TestRowLimitTripsPastLimit(t *testing.T) {
 	g := New(nil, Limits{MaxRowsOut: 2})
-	if g.TickRow() != nil || g.TickRow() != nil {
-		t.Fatalf("rows within limit tripped")
+	for i := 0; i < 2; i++ {
+		if n, err := g.TickRows(1); n != 1 || err != nil {
+			t.Fatalf("row %d within limit tripped: allowed %d, %v", i, n, err)
+		}
 	}
-	if err := g.TickRow(); !errors.Is(err, ErrRowLimit) {
-		t.Fatalf("err = %v, want ErrRowLimit", err)
+	if n, err := g.TickRows(1); n != 0 || !errors.Is(err, ErrRowLimit) {
+		t.Fatalf("allowed %d, err = %v, want 0 and ErrRowLimit", n, err)
 	}
 }
 
 func TestPlanBudgetAndReset(t *testing.T) {
-	g := New(nil, Limits{OptimizerPlans: 2})
+	g := New(nil, Limits{OptimizerBudget: 2})
 	if g.TickPlan() != nil || g.TickPlan() != nil {
 		t.Fatalf("plans within budget tripped")
 	}
@@ -83,19 +82,20 @@ func TestPlanBudgetAndReset(t *testing.T) {
 
 func TestCancellationWinsOverBudgets(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	g := New(ctx, Limits{MaxIOPages: 1, MaxRowsOut: 1, OptimizerPlans: 1})
+	g := New(ctx, Limits{MaxIOPages: 1, MaxRowsOut: 1, OptimizerBudget: 1})
 	if g.Err() != nil {
 		t.Fatalf("live context reported done")
 	}
 	cancel()
-	for _, err := range []error{g.Err(), g.TickIO(true), g.TickIO(false), g.TickRow(), g.TickPlan()} {
+	_, rowErr := g.TickRows(1)
+	for _, err := range []error{g.Err(), g.TickIO(true), g.TickIO(false), rowErr, g.TickPlan()} {
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
 	}
 	// Canceled ticks must not consume budget either.
-	if g.IOPages() != 0 || g.RowsOut() != 0 {
-		t.Fatalf("canceled ticks were charged: io=%d rows=%d", g.IOPages(), g.RowsOut())
+	if g.ioPages.Load() != 0 || g.rowsOut.Load() != 0 {
+		t.Fatalf("canceled ticks were charged: io=%d rows=%d", g.ioPages.Load(), g.rowsOut.Load())
 	}
 }
 

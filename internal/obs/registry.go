@@ -30,8 +30,8 @@ type QueryMetrics struct {
 	// PlanCache records the plan's provenance: "hit" (reused a cached
 	// compiled plan), "miss" (compiled and cached), "invalidated" (a cached
 	// plan was discarded because the catalog version moved, then recompiled),
-	// "bypass" (the cache was not consulted or not filled: caching disabled,
-	// a run that needs a search trace such as ad-hoc EXPLAIN ANALYZE, a read
+	// "bypass" (the cache was not consulted or not filled: a run that needs
+	// a search trace such as ad-hoc EXPLAIN ANALYZE, a read
 	// of a transaction's own working state, or a plan degraded under an
 	// optimizer budget). Ad-hoc and prepared statements both use the cache.
 	// Empty when the query failed before planning.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestScannerNextPropagatesReadFault(t *testing.T) {
@@ -250,7 +249,6 @@ func TestSessionHookObservesAndAborts(t *testing.T) {
 		}
 		return nil
 	})
-	defer se.Close()
 	if _, err := se.ReadPage(f, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +275,6 @@ func TestSessionHookObservesAndAborts(t *testing.T) {
 	// global counters and on the session's own.
 	stop := errors.New("budget")
 	stopper := s.NewSession(func(IOOp, bool) error { return stop })
-	defer stopper.Close()
 	s.ForceDropCaches()
 	before, sbefore := s.Stats(), stopper.Stats()
 	if _, err := stopper.ReadPage(f, 1); !errors.Is(err, stop) {
@@ -306,7 +303,7 @@ func TestSessionStatsSumToGlobal(t *testing.T) {
 	f := s.CreateFile("t")
 	fill(t, s, f, 600)
 	s.ForceDropCaches()
-	s.ForceResetStats()
+	before := s.Stats()
 
 	a := s.NewSession(nil)
 	b := s.NewSession(nil)
@@ -325,24 +322,8 @@ func TestSessionStatsSumToGlobal(t *testing.T) {
 	sum.Reads += bs.Reads
 	sum.Writes += bs.Writes
 	sum.Hits += bs.Hits
-	if got := s.Stats(); got != sum {
+	if got := s.Stats().Sub(before); got != sum {
 		t.Fatalf("global stats %v != session sum %v (a=%v b=%v)", got, sum, a.Stats(), b.Stats())
-	}
-
-	// The Bounded maintenance pair waits for open sessions and then runs
-	// anyway, reporting that the store was busy…
-	if s.DropCachesBounded(time.Millisecond) || s.ResetStatsBounded(time.Millisecond) {
-		t.Fatal("Bounded maintenance reported an idle store under open sessions")
-	}
-	if got := s.Stats(); got != (IOStats{}) {
-		t.Fatalf("ResetStatsBounded under open sessions left %v", got)
-	}
-	// …and finds it idle once they close (Close is idempotent).
-	a.Close()
-	a.Close()
-	b.Close()
-	if !s.DropCachesBounded(0) || !s.ResetStatsBounded(0) {
-		t.Fatal("Bounded maintenance waited for closed sessions")
 	}
 }
 
@@ -358,7 +339,6 @@ func TestSessionHookSeesUnflushedTailRead(t *testing.T) {
 		}
 		return nil
 	})
-	defer se.Close()
 	if err := se.Append(f, row(1)); err != nil {
 		t.Fatal(err)
 	}

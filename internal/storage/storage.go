@@ -14,7 +14,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"aggview/internal/types"
 )
@@ -160,12 +159,10 @@ type IOHook func(op IOOp, temp bool) error
 // A page access charges the global counters and the owning session's
 // counters together — an access aborted by the fault injector or the
 // session hook is counted by neither side, so the global counters remain
-// the exact sum over all sessions plus unattributed access. The store-wide
-// maintenance operations run regardless of open sessions: ForceDropCaches
-// and ForceResetStats at once, the Bounded pair after a short wait for
-// sessions to drain. The pool is swept one shard at a time — a concurrent
-// reader contends with the sweep for at most one shard latch, never the
-// whole pool.
+// the exact sum over all sessions plus unattributed access. ForceDropCaches
+// runs regardless of open sessions, and sweeps the pool one shard at a
+// time — a concurrent reader contends with the sweep for at most one shard
+// latch, never the whole pool.
 type Store struct {
 	mu     sync.Mutex // guards files and nextID only
 	files  map[int]*File
@@ -173,10 +170,9 @@ type Store struct {
 
 	pool *shardedPool
 
-	reads    atomic.Int64
-	writes   atomic.Int64
-	hits     atomic.Int64
-	sessions atomic.Int64
+	reads  atomic.Int64
+	writes atomic.Int64
+	hits   atomic.Int64
 
 	fault atomic.Pointer[faultState]
 }
@@ -206,99 +202,41 @@ func (s *Store) Stats() IOStats {
 	return IOStats{Reads: s.reads.Load(), Writes: s.writes.Load(), Hits: s.hits.Load()}
 }
 
-// ForceResetStats zeroes the global IO counters (the pool contents are
-// kept) regardless of open sessions. A running query's per-session counters
-// are untouched, but the global counters stop being the sum of all queries,
-// so callers reset while no query runs or accept that.
-func (s *Store) ForceResetStats() {
-	s.reads.Store(0)
-	s.writes.Store(0)
-	s.hits.Store(0)
-}
-
 // ForceDropCaches empties the buffer pool, so the next scan pays cold-cache
-// IO, regardless of open sessions. The
-// engine uses it under its write lock (no queries in flight) and on the
-// cold-measurement query path, where the calling query explicitly wants a
-// cold pool; per-session accounting stays exact either way, but concurrent
-// queries will see extra cold misses. Bypassing the session guard is safe
-// for correctness (not just accounting) because the pool tracks page
-// identity only — it holds no data and no dirty state — so a concurrent
-// reader can never observe corrupt state, only a colder cache. The sweep
-// runs shard by shard: a reader faulting a page contends for at most its
-// own shard's latch, never the whole pool.
+// IO, regardless of open sessions. Engine.DropCaches and the
+// cold-measurement query path both use it; per-session accounting stays
+// exact either way, but concurrent queries will see extra cold misses.
+// Sweeping under open sessions is safe for correctness (not just
+// accounting) because the pool tracks page identity only — it holds no data
+// and no dirty state — so a concurrent reader can never observe corrupt
+// state, only a colder cache. The sweep runs shard by shard: a reader
+// faulting a page contends for at most its own shard's latch, never the
+// whole pool.
 func (s *Store) ForceDropCaches() { s.pool.reset() }
 
-// DropCachesBounded empties the buffer pool after waiting up to wait for
-// open sessions to drain. Under MVCC snapshot reads a long-lived cursor can
-// legitimately hold a session open for an unbounded time, so refusing while
-// sessions are open would wedge cache maintenance forever; instead this
-// waits briefly — preserving undisturbed measurements in the
-// common quiescent case — and then sweeps anyway, which is always safe (the
-// pool tracks page identity only; an in-flight query sees a colder cache,
-// never corrupt data). Returns true when the store was idle at sweep time.
-func (s *Store) DropCachesBounded(wait time.Duration) bool {
-	idle := s.awaitIdle(wait)
-	s.pool.reset()
-	return idle
-}
-
-// ResetStatsBounded zeroes the global IO counters after waiting up to wait
-// for open sessions to drain, then resets regardless (see DropCachesBounded
-// for why the wait is bounded). Per-session counters
-// are unaffected either way; only the global sum restarts. Returns true
-// when the store was idle at reset time.
-func (s *Store) ResetStatsBounded(wait time.Duration) bool {
-	idle := s.awaitIdle(wait)
-	s.ForceResetStats()
-	return idle
-}
-
-// awaitIdle polls until no sessions are open or the wait expires.
-func (s *Store) awaitIdle(wait time.Duration) bool {
-	if s.sessions.Load() == 0 {
-		return true
-	}
-	deadline := time.Now().Add(wait)
-	for s.sessions.Load() > 0 {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	return true
-}
-
-// Session is one query's registered view of the store: page accesses
-// performed through it tick the session's IOHook (governance, attribution)
-// and its private IOStats, in addition to the store-global counters. Each
-// concurrent query holds its own session, so budgets and measurements never
-// observe another query's pages. Close the session when the query ends;
-// sessions also implement Pager, the executor's page-access surface.
+// Session is one query's view of the store: page accesses performed through
+// it tick the session's IOHook (governance, attribution) and its private
+// IOStats, in addition to the store-global counters. Each concurrent query
+// holds its own session, so budgets and measurements never observe another
+// query's pages. Sessions also implement Pager, the executor's page-access
+// surface.
 type Session struct {
 	store  *Store
 	hook   IOHook
 	reads  atomic.Int64
 	writes atomic.Int64
 	hits   atomic.Int64
-	closed atomic.Bool
 }
 
-// NewSession registers a query-scoped session with an optional IO hook
-// (nil = accounting only). The caller must Close it when the query ends.
+// NewSession creates a query-scoped session with an optional IO hook (nil =
+// accounting only).
 func (s *Store) NewSession(hook IOHook) *Session {
-	s.sessions.Add(1)
 	return &Session{store: s, hook: hook}
 }
 
-// Close unregisters the session. Idempotent; accesses through a closed
-// session still work, but the Bounded maintenance operations stop waiting
-// for it.
-func (se *Session) Close() {
-	if !se.closed.Swap(true) {
-		se.store.sessions.Add(-1)
-	}
-}
+// Close does nothing: a session holds nothing to release. It remains only
+// because bench/trace.go calls it.
+func (se *Session) Close() {}
 
 // Stats returns the page IO performed through this session so far. It is
 // safe to call while the query is still running.

@@ -81,7 +81,7 @@ func TestIOAccountingColdAndWarm(t *testing.T) {
 		t.Fatalf("writes = %d, want %d", writes, f.Pages())
 	}
 
-	s.ForceResetStats()
+	before := s.Stats()
 	sc := s.NewScanner(f)
 	for {
 		_, _, ok, err := sc.Next()
@@ -92,13 +92,13 @@ func TestIOAccountingColdAndWarm(t *testing.T) {
 			break
 		}
 	}
-	st := s.Stats()
+	st := s.Stats().Sub(before)
 	if st.Reads != int64(f.Pages()) {
 		t.Fatalf("cold reads = %d, want %d", st.Reads, f.Pages())
 	}
 
 	// Second scan with a big pool: all hits.
-	s.ForceResetStats()
+	before = s.Stats()
 	sc = s.NewScanner(f)
 	for {
 		_, _, ok, _ := sc.Next()
@@ -106,7 +106,7 @@ func TestIOAccountingColdAndWarm(t *testing.T) {
 			break
 		}
 	}
-	st = s.Stats()
+	st = s.Stats().Sub(before)
 	if st.Reads != 0 || st.Hits != int64(f.Pages()) {
 		t.Fatalf("warm scan: %v", st)
 	}
@@ -119,7 +119,7 @@ func TestPoolEvictionForcesRereads(t *testing.T) {
 	if f.Pages() <= 8 {
 		t.Fatalf("test needs >8 pages, got %d", f.Pages())
 	}
-	s.ForceResetStats()
+	before := s.Stats()
 	for pass := 0; pass < 2; pass++ {
 		sc := s.NewScanner(f)
 		for {
@@ -132,7 +132,7 @@ func TestPoolEvictionForcesRereads(t *testing.T) {
 			}
 		}
 	}
-	st := s.Stats()
+	st := s.Stats().Sub(before)
 	if st.Reads != 2*int64(f.Pages()) {
 		t.Fatalf("sequential flooding should re-read every page: %v (pages=%d)", st, f.Pages())
 	}
@@ -145,7 +145,6 @@ func TestLRUKeepsHotPage(t *testing.T) {
 	if f.Pages() < 3 {
 		t.Fatalf("need >=3 pages, got %d", f.Pages())
 	}
-	s.ForceResetStats()
 	if _, err := s.ReadPage(f, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +201,11 @@ func TestDropFileEvictsPages(t *testing.T) {
 	s.DropFile(f)
 	g := s.CreateFile("u")
 	fill(t, s, g, 100)
-	s.ForceResetStats()
+	before := s.Stats()
 	if _, err := s.ReadPage(g, 0); err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats().Reads != 1 {
+	if s.Stats().Sub(before).Reads != 1 {
 		t.Fatalf("fresh file page should miss")
 	}
 }
@@ -219,11 +218,11 @@ func TestDropCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ForceDropCaches()
-	s.ForceResetStats()
+	before := s.Stats()
 	if _, err := s.ReadPage(f, 0); err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats().Reads != 1 {
+	if s.Stats().Sub(before).Reads != 1 {
 		t.Fatalf("ForceDropCaches should force a miss")
 	}
 }

@@ -74,3 +74,138 @@ func TestDeadlineEveryDoor(t *testing.T) {
 		t.Fatalf("engine unusable after expired deadlines: %v", err)
 	}
 }
+
+// limitDoor is one door that takes WithLimits. run reports the plan and the
+// rows the door returned; Explain returns none and reports -1.
+type limitDoor struct {
+	name string
+	run  func(e *aggview.Engine, q string, opt aggview.QueryOption) (*aggview.PlanInfo, int64, error)
+}
+
+var limitDoors = []limitDoor{
+	{"Query", func(e *aggview.Engine, q string, opt aggview.QueryOption) (*aggview.PlanInfo, int64, error) {
+		res, err := e.Query(context.Background(), q, opt)
+		if err != nil {
+			return nil, 0, err
+		}
+		return res.Plan, int64(res.Len()), nil
+	}},
+	{"QueryRows", func(e *aggview.Engine, q string, opt aggview.QueryOption) (*aggview.PlanInfo, int64, error) {
+		rows, err := e.QueryRows(context.Background(), q, opt)
+		if err != nil {
+			return nil, 0, err
+		}
+		n := int64(0)
+		for rows.Next() {
+			n++
+		}
+		if err := rows.Close(); err != nil {
+			return nil, 0, err
+		}
+		return rows.Plan(), n, nil
+	}},
+	{"Explain", func(e *aggview.Engine, q string, opt aggview.QueryOption) (*aggview.PlanInfo, int64, error) {
+		info, err := e.Explain(context.Background(), q, opt)
+		return info, -1, err
+	}},
+	{"ExplainAnalyze", func(e *aggview.Engine, q string, opt aggview.QueryOption) (*aggview.PlanInfo, int64, error) {
+		a, err := e.ExplainAnalyze(context.Background(), q, opt)
+		if err != nil {
+			return nil, 0, err
+		}
+		return a.Plan, a.Rows, nil
+	}},
+	{"Txn.Query", func(e *aggview.Engine, q string, opt aggview.QueryOption) (*aggview.PlanInfo, int64, error) {
+		tx, err := e.Begin(context.Background())
+		if err != nil {
+			return nil, 0, err
+		}
+		defer tx.Rollback()
+		res, err := tx.Query(context.Background(), q, opt)
+		if err != nil {
+			return nil, 0, err
+		}
+		return res.Plan, int64(res.Len()), nil
+	}},
+}
+
+// TestLimitsEveryDoor: WithLimits is the one way to limit a run, and every
+// door that takes it honours each field. MaxRowsOut and MaxIOPages trip
+// their sentinels wherever the run executes (Explain executes nothing, so
+// they never trip there); a tripped OptimizerBudget degrades the plan on
+// every door without changing the answer; zero Limits limit nothing.
+func TestLimitsEveryDoor(t *testing.T) {
+	eng := newWarehouse(t, aggview.Config{PoolPages: 8})
+	q := obsSuite[0]
+	ref, err := eng.Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(ref.Len())
+	if want <= 5 {
+		t.Fatalf("reference query returned %d rows; the row cap would not bite", want)
+	}
+
+	for _, d := range limitDoors {
+		answered := func(rows int64) bool { return rows == want || (d.name == "Explain" && rows == -1) }
+
+		info, rows, err := d.run(eng, q, aggview.WithLimits(aggview.Limits{}))
+		if err != nil || info.Degraded || !answered(rows) {
+			t.Errorf("%s, zero Limits: %d rows, err %v; want %d rows, undegraded", d.name, rows, err, want)
+		}
+
+		for _, c := range []struct {
+			lim  aggview.Limits
+			want error
+		}{
+			{aggview.Limits{MaxRowsOut: 5}, aggview.ErrRowLimit},
+			{aggview.Limits{MaxIOPages: 3}, aggview.ErrIOBudget},
+		} {
+			eng.DropCaches()
+			_, _, err := d.run(eng, q, aggview.WithLimits(c.lim))
+			if d.name == "Explain" {
+				if err != nil {
+					t.Errorf("%s, %+v: %v; Explain executes nothing", d.name, c.lim, err)
+				}
+			} else if !errors.Is(err, c.want) {
+				t.Errorf("%s, %+v: err = %v, want wrapped %v", d.name, c.lim, err, c.want)
+			}
+			if leaks := eng.LiveTempFiles(); len(leaks) != 0 {
+				t.Fatalf("%s, %+v: leaked spill files %v", d.name, c.lim, leaks)
+			}
+		}
+
+		// A fresh derived engine has no cached plan, so the run searches.
+		info, rows, err = d.run(eng.WithConfig(aggview.Config{}), q,
+			aggview.WithLimits(aggview.Limits{OptimizerBudget: 2}))
+		if err != nil {
+			t.Fatalf("%s, OptimizerBudget: %v; the ladder must degrade, not fail", d.name, err)
+		}
+		if !info.Degraded || info.Mode == aggview.Full || info.Search.Degradations == 0 || !answered(rows) {
+			t.Errorf("%s, OptimizerBudget: mode %v, degraded %v (%d rungs), %d rows; want a degraded plan and %d rows",
+				d.name, info.Mode, info.Degraded, info.Search.Degradations, rows, want)
+		}
+	}
+}
+
+// TestOptimizerBudgetOnCacheHit: a plan-cache hit runs no search, so an
+// optimizer budget cannot trip on it — the run reports "hit" and the cached
+// plan's mode, undegraded.
+func TestOptimizerBudgetOnCacheHit(t *testing.T) {
+	eng := newWarehouse(t, aggview.Config{PoolPages: 8})
+	q := obsSuite[0]
+	if _, err := eng.Query(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	tiny := aggview.WithLimits(aggview.Limits{OptimizerBudget: 2})
+	for _, d := range limitDoors[:2] { // Query, QueryRows: the caching doors
+		info, _, err := d.run(eng, q, tiny)
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if info.CacheStatus != "hit" || info.Degraded || info.Mode != aggview.Full {
+			t.Errorf("%s: status %q, mode %v, degraded %v; want an undegraded Full hit",
+				d.name, info.CacheStatus, info.Mode, info.Degraded)
+		}
+	}
+}

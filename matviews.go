@@ -166,9 +166,6 @@ func (t *Txn) boundView(mv *catalog.MatView) (*matview.Def, error) {
 	return def, err
 }
 
-// unlimited lifts every engine-level resource limit for one run.
-var unlimited = Limits{Timeout: -1, MaxRowsOut: -1, MaxIOPages: -1, OptimizerBudget: -1}
-
 // runBlock runs an already bound internal query through the query pipeline
 // while the caller is the admitted writer, reading its uncommitted working
 // state (the public doors pin the published snapshot and would not see the
@@ -179,7 +176,7 @@ var unlimited = Limits{Timeout: -1, MaxRowsOut: -1, MaxIOPages: -1, OptimizerBud
 // of the executor's reused buffers.
 func (e *Engine) runBlock(q *qblock.Query) ([]types.Row, error) {
 	rows, err := e.run(context.Background(), "", nil, rowsOptions{
-		block: q, snap: e.cat.WorkingSnapshot(), noViewRewrite: true, limits: unlimited})
+		block: q, snap: e.cat.WorkingSnapshot(), noViewRewrite: true})
 	if err != nil {
 		return nil, err
 	}

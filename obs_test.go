@@ -307,8 +307,8 @@ func TestQueryRowsGovernance(t *testing.T) {
 	eng := newWarehouse(t, aggview.Config{PoolPages: 8})
 
 	// Row limit trips mid-iteration.
-	limited := eng.WithConfig(aggview.Config{MaxRowsOut: 5})
-	rows, err := limited.QueryRows(context.Background(), `select l.orderkey from lineitem l`)
+	rows, err := eng.QueryRows(context.Background(), `select l.orderkey from lineitem l`,
+		aggview.WithLimits(aggview.Limits{MaxRowsOut: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}

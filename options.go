@@ -1,51 +1,18 @@
 package aggview
 
-import (
-	"time"
-)
+import "aggview/internal/govern"
 
-// Limits are per-query resource limits, overriding the engine-level
-// Config limits for a single run. The zero value of each field inherits
-// the engine configuration; a negative value removes the engine-level
-// limit for this query.
-type Limits struct {
-	// Timeout bounds the query's wall time. It composes with any deadline
-	// already on the context; the earlier one wins. Violations surface as
-	// ErrCanceled.
-	Timeout time.Duration
-	// MaxRowsOut caps the rows the executor may materialize (before ORDER
-	// BY/LIMIT presentation). Violations surface as ErrRowLimit.
-	MaxRowsOut int64
-	// MaxIOPages caps accounted page IOs — pool-miss reads plus flushes,
-	// covering both scans and operator spills. Violations surface as
-	// ErrIOBudget.
-	MaxIOPages int64
-	// OptimizerBudget caps the candidate plans costed per optimization
-	// attempt. When it trips, the engine degrades Full → PushDown →
-	// Traditional rather than failing the query.
-	OptimizerBudget int
-}
-
-// overlay resolves per-query limits against the engine defaults: zero
-// inherits, negative disables, positive overrides.
-func (l Limits) overlay(base Limits) Limits {
-	return Limits{
-		Timeout:         pick(l.Timeout, base.Timeout),
-		MaxRowsOut:      pick(l.MaxRowsOut, base.MaxRowsOut),
-		MaxIOPages:      pick(l.MaxIOPages, base.MaxIOPages),
-		OptimizerBudget: pick(l.OptimizerBudget, base.OptimizerBudget),
-	}
-}
-
-func pick[T int | int64 | time.Duration](over, def T) T {
-	switch {
-	case over > 0:
-		return over
-	case over < 0:
-		return 0
-	}
-	return def
-}
+// Limits are one run's resource limits, set per call with WithLimits; a
+// zero field means no limit. Query, QueryRows, Explain, ExplainAnalyze and
+// Txn.Query take them. Exec's SQL text and prepared-statement runs are
+// bounded by their context only, and so is every run's wall time: a
+// deadline belongs to the caller's ctx.
+//
+// MaxRowsOut and MaxIOPages bound execution, so Explain, which executes
+// nothing, never trips them. OptimizerBudget bounds a search, so it cannot
+// trip on a plan-cache hit: a hit runs no search, reports CacheStatus "hit"
+// and is not degraded.
+type Limits = govern.Limits
 
 // A QueryOption tunes a single query run; see Engine.Query. Options
 // compose left to right (a later WithMode wins over an earlier one).
@@ -75,9 +42,7 @@ func WithParams(args ...any) QueryOption {
 	}
 }
 
-// WithLimits applies per-query resource limits on top of the engine
-// configuration. Zero fields inherit the Config value; negative fields
-// disable that limit for this query.
+// WithLimits bounds this run's resources; see Limits.
 func WithLimits(l Limits) QueryOption {
 	return func(o *rowsOptions) error {
 		o.limits = l

@@ -185,8 +185,8 @@ func TestExplainRefusedOnDeadEngine(t *testing.T) {
 }
 
 // TestExplainHonoursOptimizerBudget (regression): Explain plans under the
-// governor like Query does — a tripped Config.OptimizerBudget degrades down
-// the ladder and the plan says so — and per-call options apply to it.
+// governor like Query does — a tripped WithLimits OptimizerBudget degrades
+// down the ladder and the plan says so — and per-call options apply to it.
 func TestExplainHonoursOptimizerBudget(t *testing.T) {
 	eng := newWarehouse(t, aggview.Config{PoolPages: 16})
 	q := obsSuite[2]
@@ -200,12 +200,15 @@ func TestExplainHonoursOptimizerBudget(t *testing.T) {
 		t.Fatalf("unbudgeted Explain degraded: mode %v", free.Mode)
 	}
 
-	tiny := eng.WithConfig(aggview.Config{OptimizerBudget: 2})
+	tiny := aggview.WithLimits(aggview.Limits{OptimizerBudget: 2})
 	for name, explain := range map[string]func() (*aggview.PlanInfo, error){
-		"Explain":     func() (*aggview.PlanInfo, error) { return tiny.Explain(ctx, q, aggview.WithMode(aggview.Full)) },
-		"SQL EXPLAIN": func() (*aggview.PlanInfo, error) { res, err := tiny.Exec("explain " + q); return planOf(res), err },
-		"WithLimits": func() (*aggview.PlanInfo, error) {
-			return eng.Explain(ctx, q, aggview.WithLimits(aggview.Limits{OptimizerBudget: 2}))
+		"Explain": func() (*aggview.PlanInfo, error) { return eng.Explain(ctx, q, aggview.WithMode(aggview.Full), tiny) },
+		"ExplainAnalyze": func() (*aggview.PlanInfo, error) {
+			a, err := eng.ExplainAnalyze(ctx, q, tiny)
+			if err != nil {
+				return nil, err
+			}
+			return a.Plan, nil
 		},
 	} {
 		info, err := explain()
@@ -235,13 +238,6 @@ func TestExplainHonoursOptimizerBudget(t *testing.T) {
 	if d := eng.Metrics().Sub(m0); d.Queries != 0 {
 		t.Errorf("Explain counted as %d executed queries", d.Queries)
 	}
-}
-
-func planOf(res *aggview.Result) *aggview.PlanInfo {
-	if res == nil {
-		return nil
-	}
-	return res.Plan
 }
 
 // TestExecScriptLabelsEachStatement (regression): every SELECT of a script

@@ -25,15 +25,14 @@ const (
 	// cacheInvalidated: a cached plan existed but was compiled under an
 	// older catalog version; it was dropped and the statement recompiled.
 	cacheInvalidated = "invalidated"
-	// cacheBypass: the cache was not consulted — the engine has caching
-	// disabled, the run needed a search trace (EXPLAIN paths), or the plan
+	// cacheBypass: the cache was not consulted — the run read a writer's
+	// working state, needed a search trace (EXPLAIN paths), or the plan
 	// degraded under an optimizer budget (degraded plans are never cached).
 	cacheBypass = "bypass"
 )
 
-// DefaultPlanCacheSize is the plan-cache capacity used when
-// Config.PlanCacheSize is zero.
-const DefaultPlanCacheSize = 64
+// planCacheSize is the number of compiled plans an engine retains.
+const planCacheSize = 64
 
 // compiledPlan is the immutable product of parse → bind → optimize →
 // compile: everything needed to run the statement, and nothing tied to a
@@ -88,7 +87,7 @@ func (cp *compiledPlan) runInfo(status string) *PlanInfo {
 // pressure that produced it.
 func (qr *queryRun) resolvePlan(sel *sql.Select) error {
 	e, opt := qr.engine, &qr.opt
-	cacheable := e.cache != nil && opt.snap == nil && (opt.stmt != nil || !opt.trace)
+	cacheable := opt.snap == nil && (opt.stmt != nil || !opt.trace)
 	key := planKey{mode: opt.mode, noViewRewrite: opt.noViewRewrite}
 	if opt.stmt != nil {
 		key = opt.stmt.key
@@ -112,7 +111,10 @@ func (qr *queryRun) resolvePlan(sel *sql.Select) error {
 		if err != nil {
 			return err
 		}
-		if cacheable && !cp.info.Degraded {
+		switch {
+		case cp.info.Degraded:
+			status = cacheBypass
+		case cacheable:
 			e.reg.ObserveEviction(e.cache.put(cp))
 		}
 		qr.cp = cp
@@ -235,18 +237,13 @@ type planKey struct {
 // edge on the frozen tree.
 type planCache struct {
 	mu      sync.Mutex
-	cap     int
 	lru     *list.List // of *compiledPlan; front = most recently used
 	entries map[planKey]*list.Element
 }
 
-// newPlanCache builds the plan cache a config calls for; a negative
-// capacity disables caching (nil).
-func newPlanCache(capacity int) *planCache {
-	if capacity < 0 {
-		return nil
-	}
-	return &planCache{cap: capacity, lru: list.New(), entries: map[planKey]*list.Element{}}
+// newPlanCache builds an empty plan cache.
+func newPlanCache() *planCache {
+	return &planCache{lru: list.New(), entries: map[planKey]*list.Element{}}
 }
 
 // get returns the cached plan for key when one exists and was compiled
@@ -282,7 +279,7 @@ func (c *planCache) put(cp *compiledPlan) int {
 	}
 	c.entries[cp.key] = c.lru.PushFront(cp)
 	evicted := 0
-	for c.lru.Len() > c.cap {
+	for c.lru.Len() > planCacheSize {
 		back := c.lru.Back()
 		c.lru.Remove(back)
 		delete(c.entries, back.Value.(*compiledPlan).key)
@@ -292,11 +289,8 @@ func (c *planCache) put(cp *compiledPlan) int {
 }
 
 // PlanCacheLen reports how many compiled plans the engine currently
-// retains (0 when caching is disabled).
+// retains.
 func (e *Engine) PlanCacheLen() int {
-	if e.cache == nil {
-		return 0
-	}
 	e.cache.mu.Lock()
 	defer e.cache.mu.Unlock()
 	return e.cache.lru.Len()

@@ -26,30 +26,21 @@ type Stmt struct {
 	n   int     // parameter count (syntactic, stable across recompiles)
 }
 
-// Prepare parses, binds and optimizes a SELECT, caching the compiled plan
-// for reuse. `?` placeholders in the statement become positional
-// parameters supplied to QueryContext/QueryRows; the binder infers each
-// slot's type from the comparison it appears in and execution enforces it.
-// Errors in the statement surface here rather than at execution time.
-func (e *Engine) Prepare(src string) (*Stmt, error) {
-	return e.PrepareMode(src, ModeDefault)
-}
-
-// PrepareMode is Prepare pinned to a specific optimizer mode (ModeDefault
-// resolves to the engine's configured mode). Plans are cached per
-// (statement, mode) pair, so the same text prepared under two modes holds
-// two independent cache entries.
-func (e *Engine) PrepareMode(src string, mode OptimizerMode) (st *Stmt, err error) {
+// Prepare parses, binds and optimizes a SELECT under the engine's
+// optimizer mode, caching the compiled plan for reuse (to prepare under
+// another mode, prepare on a WithConfig derivative). `?` placeholders in the
+// statement become positional parameters supplied to QueryContext/QueryRows;
+// the binder infers each slot's type from the comparison it appears in and
+// execution enforces it. Errors in the statement surface here rather than at
+// execution time.
+func (e *Engine) Prepare(src string) (st *Stmt, err error) {
 	defer recoverToError(&err, src)
 	// The key function ad-hoc runs use, so the two share cache entries.
 	text, err := sql.CacheKey(src)
 	if err != nil {
 		return nil, err
 	}
-	if mode == ModeDefault {
-		mode = e.cfg.Mode
-	}
-	s := &Stmt{e: e, src: src, key: planKey{text: text, mode: mode}}
+	s := &Stmt{e: e, src: src, key: planKey{text: text, mode: e.cfg.Mode}}
 	// Compile eagerly — a pipeline run that stops before execute: parse,
 	// bind and optimize errors belong to Prepare, and the first execution
 	// should already find the plan cached. The compilation pins the
@@ -72,7 +63,8 @@ func (s *Stmt) NumParams() int { return s.n }
 // values and materializes the result. Arguments map positionally onto the
 // statement's `?` placeholders: int/int64, float64, string and bool are
 // accepted (ints coerce into float slots). Cancellation and deadlines abort
-// the run at page-IO granularity with ErrCanceled.
+// the run at page-IO granularity with ErrCanceled; ctx is the only bound on
+// a prepared run.
 func (s *Stmt) QueryContext(ctx context.Context, args ...any) (res *Result, err error) {
 	defer recoverToError(&err, s.src)
 	return materialize(s.run(ctx, args, rowsOptions{}))

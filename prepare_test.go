@@ -207,28 +207,28 @@ func TestPrepareArgumentErrors(t *testing.T) {
 	}
 }
 
-// TestPlanCachePerMode: the same text prepared under two optimizer modes
-// holds two independent entries, and both return the same answer.
+// TestPlanCachePerMode: one text run under two optimizer modes holds two
+// independent entries on one engine, each hit under its own mode, and both
+// return the same answer. A statement prepared on a WithConfig derivative
+// compiles under that engine's mode.
 func TestPlanCachePerMode(t *testing.T) {
 	e := setupEmpDept(t)
+	ctx := context.Background()
 	q := `select e.dno as dno, avg(e.sal) from emp e, dept d
 	      where e.dno = d.dno group by e.dno order by dno`
-	trad, err := e.PrepareMode(q, Traditional)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := e.PrepareMode(q, Full)
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range []OptimizerMode{Traditional, Full} {
+		if _, err := e.Query(ctx, q, WithMode(m)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if e.PlanCacheLen() != 2 {
 		t.Fatalf("PlanCacheLen = %d, want 2 (one per mode)", e.PlanCacheLen())
 	}
-	rt, err := trad.QueryContext(context.Background())
+	rt, err := e.Query(ctx, q, WithMode(Traditional))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := full.QueryContext(context.Background())
+	rf, err := e.Query(ctx, q, WithMode(Full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +238,20 @@ func TestPlanCachePerMode(t *testing.T) {
 	if rt.Plan.Mode != Traditional || rf.Plan.Mode != Full {
 		t.Fatalf("cached plans crossed modes: %v/%v", rt.Plan.Mode, rf.Plan.Mode)
 	}
-	if rt.Len() != rf.Len() {
-		t.Fatalf("modes disagree: %d vs %d rows", rt.Len(), rf.Len())
+	if rt.String() != rf.String() {
+		t.Fatalf("modes disagree:\n%s\nvs\n%s", rt, rf)
+	}
+
+	stmt, err := e.WithConfig(Config{Mode: Traditional}).Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := stmt.QueryContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Plan.CacheStatus != "hit" || rs.Plan.Mode != Traditional {
+		t.Fatalf("prepared on a Traditional engine: status %q, mode %v", rs.Plan.CacheStatus, rs.Plan.Mode)
 	}
 }
 
@@ -311,83 +323,52 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabled: PlanCacheSize < 0 turns caching off — prepared
-// statements still work but compile per run and report "bypass".
-func TestPlanCacheDisabled(t *testing.T) {
-	e := Open(Config{PlanCacheSize: -1})
-	e.MustExec(`create table t (a int)`)
-	e.MustExec(`insert into t values (1), (2), (3)`)
-	stmt, err := e.Prepare(`select a from t where a >= ? order by a`)
+// TestPlanCacheAdHocMissThenHit: ad-hoc queries share the plan cache — the
+// first run compiles and caches (miss), the second reuses the plan (hit).
+func TestPlanCacheAdHocMissThenHit(t *testing.T) {
+	e := setupEmpDept(t)
+	r1, err := e.Query(context.Background(), `select count(*) from emp`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := stmt.QueryContext(context.Background(), 2)
+	if r1.Plan.CacheStatus != "miss" {
+		t.Fatalf("first ad-hoc CacheStatus = %q, want miss", r1.Plan.CacheStatus)
+	}
+	if e.PlanCacheLen() != 1 {
+		t.Fatalf("ad-hoc query did not populate the plan cache (len %d)", e.PlanCacheLen())
+	}
+	r2, err := e.Query(context.Background(), `select count(*) from emp`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan.CacheStatus != "bypass" {
-		t.Fatalf("CacheStatus = %q, want bypass", res.Plan.CacheStatus)
-	}
-	if res.Len() != 2 {
-		t.Fatalf("rows = %d, want 2", res.Len())
-	}
-	if e.PlanCacheLen() != 0 {
-		t.Fatalf("PlanCacheLen = %d on a cache-disabled engine", e.PlanCacheLen())
-	}
-	// Ad-hoc queries share the plan cache: the first run compiles and
-	// caches (miss), the second reuses the plan (hit).
-	e2 := setupEmpDept(t)
-	r2, err := e2.Query(context.Background(), `select count(*) from emp`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Plan.CacheStatus != "miss" {
-		t.Fatalf("first ad-hoc CacheStatus = %q, want miss", r2.Plan.CacheStatus)
-	}
-	if e2.PlanCacheLen() != 1 {
-		t.Fatalf("ad-hoc query did not populate the plan cache (len %d)", e2.PlanCacheLen())
-	}
-	r3, err := e2.Query(context.Background(), `select count(*) from emp`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.Plan.CacheStatus != "hit" {
-		t.Fatalf("second ad-hoc CacheStatus = %q, want hit", r3.Plan.CacheStatus)
-	}
-	// On a cache-disabled engine ad-hoc statements bypass, like prepared
-	// ones.
-	d2 := e.WithConfig(Config{PlanCacheSize: -1})
-	rd, err := d2.Query(context.Background(), `select a from t order by a`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.Plan.CacheStatus != "bypass" {
-		t.Fatalf("cache-disabled ad-hoc CacheStatus = %q, want bypass", rd.Plan.CacheStatus)
+	if r2.Plan.CacheStatus != "hit" {
+		t.Fatalf("second ad-hoc CacheStatus = %q, want hit", r2.Plan.CacheStatus)
 	}
 }
 
-// TestPlanCacheEviction: a capacity-1 cache holds only the most recent
-// plan and records evictions in the metrics registry.
+// TestPlanCacheEviction: the cache holds planCacheSize plans, evicts the
+// least recently used one past that, and records the eviction in the
+// metrics registry; the evicted statement recompiles on its next run.
 func TestPlanCacheEviction(t *testing.T) {
-	e := Open(Config{PlanCacheSize: 1})
+	e := Open(Config{})
 	e.MustExec(`create table t (a int)`)
 	e.MustExec(`insert into t values (1), (2), (3)`)
 	m0 := e.Metrics()
-	s1, err := e.Prepare(`select a from t where a > ?`)
-	if err != nil {
-		t.Fatal(err)
+	stmts := make([]*Stmt, planCacheSize+1)
+	for i := range stmts {
+		var err error
+		if stmts[i], err = e.Prepare(fmt.Sprintf(`select a from t where a > ? + %d`, i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := e.Prepare(`select a from t where a < ?`); err != nil {
-		t.Fatal(err)
-	}
-	if e.PlanCacheLen() != 1 {
-		t.Fatalf("PlanCacheLen = %d, want 1", e.PlanCacheLen())
+	if e.PlanCacheLen() != planCacheSize {
+		t.Fatalf("PlanCacheLen = %d, want %d", e.PlanCacheLen(), planCacheSize)
 	}
 	if n := e.Metrics().Sub(m0).PlanCacheEvictions; n != 1 {
 		t.Fatalf("PlanCacheEvictions = %d, want 1", n)
 	}
-	// The evicted statement still runs — it just recompiles (miss).
-	res, err := s1.QueryContext(context.Background(), 1)
+	// The first statement was evicted: it still runs, and recompiles (miss).
+	res, err := stmts[0].QueryContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package aggview
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -16,18 +15,18 @@ import (
 // Typed sentinel errors for resource-governance failures. Every violation
 // returned by the engine wraps exactly one of these; test with errors.Is.
 var (
-	// ErrCanceled reports context cancellation or an expired deadline
-	// (including Config.Timeout).
+	// ErrCanceled reports that the caller's context was canceled or its
+	// deadline expired.
 	ErrCanceled = govern.ErrCanceled
-	// ErrRowLimit reports that a query produced more rows than
-	// Config.MaxRowsOut allows.
+	// ErrRowLimit reports that a query produced more rows than its
+	// Limits.MaxRowsOut allows.
 	ErrRowLimit = govern.ErrRowLimit
-	// ErrIOBudget reports that a query exceeded Config.MaxIOPages accounted
-	// page IOs (scans plus operator spills).
+	// ErrIOBudget reports that a query exceeded its Limits.MaxIOPages
+	// accounted page IOs (scans plus operator spills).
 	ErrIOBudget = govern.ErrIOBudget
 	// ErrOptimizerBudget reports that plan enumeration exceeded
-	// Config.OptimizerBudget. Callers normally never see it: the engine
-	// degrades to a cheaper mode instead of failing.
+	// Limits.OptimizerBudget. Callers never see it: the engine degrades to a
+	// cheaper mode instead of failing.
 	ErrOptimizerBudget = govern.ErrOptimizerBudget
 	// ErrInjected is the base error of storage faults armed via InjectFault.
 	ErrInjected = storage.ErrInjected
@@ -68,29 +67,6 @@ func recoverToError(err *error, src string) {
 	if p := recover(); p != nil {
 		*err = fmt.Errorf("aggview: %w: %v (executing %q)", ErrInternal, p, src)
 	}
-}
-
-// newGovernor builds the per-query governor: the engine config provides
-// the defaults, the run's WithLimits override is overlaid on top (zero
-// fields inherit, negative fields disable), and the effective timeout is
-// layered onto the caller's context.
-func (e *Engine) newGovernor(ctx context.Context, over Limits) (*govern.Governor, context.CancelFunc) {
-	lim := over.overlay(Limits{
-		Timeout:         e.cfg.Timeout,
-		MaxRowsOut:      e.cfg.MaxRowsOut,
-		MaxIOPages:      e.cfg.MaxIOPages,
-		OptimizerBudget: e.cfg.OptimizerBudget,
-	})
-	cancel := func() {}
-	if lim.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
-	}
-	g := govern.New(ctx, govern.Limits{
-		MaxRowsOut:     lim.MaxRowsOut,
-		MaxIOPages:     lim.MaxIOPages,
-		OptimizerPlans: lim.OptimizerBudget,
-	})
-	return g, cancel
 }
 
 // ioHook adapts a run's governor and collector to the storage layer's IO

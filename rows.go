@@ -22,9 +22,10 @@ import (
 // Rows is a streaming query result: a cursor over the executing plan.
 // Iterate with Next/Scan, check Err after the loop, and always Close (it is
 // idempotent and also runs automatically when Next exhausts the stream).
-// Resource governance applies per row pulled: cancellation, Timeout,
-// MaxRowsOut and MaxIOPages abort a partially consumed stream with the same
-// sentinel errors the materializing APIs return.
+// Resource governance applies per row pulled: the context's cancellation
+// and deadline, and the WithLimits row and page budgets, abort a partially
+// consumed stream with the same sentinel errors the materializing APIs
+// return.
 //
 // A query with ORDER BY cannot stream: its rows are materialized and sorted
 // when the Rows is opened, and iteration walks the sorted buffer. Without
@@ -76,7 +77,7 @@ type queryRun struct {
 	cp       *compiledPlan
 	col      *obs.Collector
 	planInfo *PlanInfo
-	// sess is the query's registered storage session: every page the
+	// sess is the query's storage session: every page the
 	// executor touches is charged to it (and only it), so qr.io is exact
 	// even when other queries run concurrently. Nil until execution opens.
 	sess *storage.Session
@@ -84,7 +85,6 @@ type queryRun struct {
 	// parse step; execStart is when the execute stage began (zero if it
 	// never did).
 	start, execStart time.Time
-	cancel           context.CancelFunc
 	rowsOut          int64
 	io               IOStats
 
@@ -104,18 +104,16 @@ type queryRun struct {
 	totalDur    time.Duration
 }
 
-// finish is the pipeline's last stage and runs exactly once: it closes the
-// storage session, releases the governor, fixes the IO totals, and — unless
-// the run was plan-only or view maintenance, which are not query executions
-// — publishes the per-query rollup to the engine's metrics registry (and
-// sink). Safe to call repeatedly and from racing goroutines.
+// finish is the pipeline's last stage and runs exactly once: it fixes the
+// IO totals and the phase times and — unless the run was plan-only or view
+// maintenance, which are not query executions — publishes the per-query
+// rollup to the engine's metrics registry (and sink). Safe to call
+// repeatedly and from racing goroutines.
 func (qr *queryRun) finish(execErr error) {
 	qr.once.Do(func() {
 		if qr.sess != nil {
 			qr.io = qr.sess.Stats()
-			qr.sess.Close()
 		}
-		qr.cancel()
 
 		now := time.Now()
 		qr.totalDur = now.Sub(qr.start)
@@ -198,7 +196,7 @@ type rowsOptions struct {
 	stmt *Stmt
 	// params are the values bound to the statement's `?` placeholders.
 	params []types.Value
-	// limits are this run's resource-limit overrides (zero = engine config).
+	// limits are this run's resource limits (a zero field = no limit).
 	limits Limits
 	// snap overrides the catalog state the run binds and executes against.
 	// Nil (the normal case) pins the published snapshot current at open; a
@@ -259,15 +257,15 @@ func (e *Engine) run(ctx context.Context, src string, sel *sql.Select, opt rowsO
 	if err := e.walAlive(); err != nil {
 		return nil, err
 	}
-	qr := &queryRun{engine: e, src: src, opt: opt, snap: opt.snap, col: obs.NewCollector(), start: start}
+	qr := &queryRun{engine: e, src: src, opt: opt, snap: opt.snap, gov: govern.New(ctx, opt.limits),
+		col: obs.NewCollector(), start: start}
 	if qr.snap == nil {
 		qr.snap = e.cat.Snapshot()
 	}
-	qr.gov, qr.cancel = e.newGovernor(ctx, opt.limits)
 	// Panics below are recovered at the engine boundary; without this the
-	// session would leak. finish is sync.Once-idempotent, so paths that
-	// already finished are unaffected, and the success path hands teardown
-	// ownership to the Rows.
+	// run would never publish its metrics. finish is sync.Once-idempotent,
+	// so paths that already finished are unaffected, and the success path
+	// hands teardown ownership to the Rows.
 	defer func() {
 		if p := recover(); p != nil {
 			qr.finish(fmt.Errorf("%w: %v", ErrInternal, p))
@@ -486,7 +484,7 @@ func (r *Rows) Err() error { return r.err }
 // after exhaustion, and — alone among the Rows methods — safe to call
 // concurrently with itself (a caller's defer racing a watchdog goroutine
 // tears down exactly once); a partially consumed stream is abandoned
-// cleanly (spill files dropped, the query's storage session closed).
+// cleanly (spill files dropped, its IO totals fixed).
 func (r *Rows) Close() error {
 	r.closeMu.Lock()
 	defer r.closeMu.Unlock()

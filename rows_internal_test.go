@@ -20,7 +20,7 @@ func TestFinishClampsNegativeExecuteDur(t *testing.T) {
 	end()
 	// start after the optimize span ended: total ~0, optimize ~2ms, so the
 	// unclamped subtraction would go negative.
-	qr := &queryRun{engine: e, src: "clamp-test", col: col, cancel: func() {}, start: time.Now()}
+	qr := &queryRun{engine: e, src: "clamp-test", col: col, start: time.Now()}
 	qr.finish(nil)
 
 	if qr.executeDur != 0 {
@@ -39,7 +39,7 @@ func TestFinishClampsNegativeExecuteDur(t *testing.T) {
 // fixed durations do not move.
 func TestFinishIdempotent(t *testing.T) {
 	e := Open(Config{})
-	qr := &queryRun{engine: e, src: "idem-test", col: obs.NewCollector(), cancel: func() {}, start: time.Now()}
+	qr := &queryRun{engine: e, src: "idem-test", col: obs.NewCollector(), start: time.Now()}
 	qr.finish(nil)
 	total := qr.totalDur
 	qr.finish(errors.New("late error must be ignored"))
