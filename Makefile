@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet staticcheck test race stress crash fuzz bench bench-smoke bench-diff gobench docs-check check
+.PHONY: build vet staticcheck test race stress crash fuzz bench bench-smoke bench-diff gobench corebench docs-check check
 
 build:
 	$(GO) build ./...
@@ -80,13 +80,20 @@ bench-diff:
 
 # gobench runs the Go micro/macro benchmarks: the paper's experiments and one
 # per stage a query crosses (BenchmarkCacheKey / BenchmarkParse in
-# internal/sql, the optimizer's in internal/core, the executor's in
+# internal/sql, the optimizer's in internal/core — BenchmarkOptimizeAdhoc per
+# template and mode, BenchmarkOptimizeAdhocMix over adhoc-plan's rotation,
+# per statement — the executor's in
 # internal/exec — one per operator: BenchmarkHashJoin, BenchmarkHashAgg,
 # BenchmarkMergeJoin, BenchmarkSortAggregate, BenchmarkBlockNL; and
 # BenchmarkOpenCursor, which times opening a plan apart from running it —
 # BenchmarkQueryCacheHit and BenchmarkWarmExec in the root).
 gobench:
 	$(GO) test -bench=. -benchmem ./...
+
+# corebench runs every internal/core benchmark once (one iteration each), so
+# the optimizer's benchmarks keep running, not only compiling (~1 s).
+corebench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core
 
 # docs-check keeps the documentation honest without adding dependencies:
 # every relative Markdown link and every backticked internal/cmd/examples
@@ -98,7 +105,7 @@ docs-check:
 
 # check is the tier-1 gate: static analysis plus the full test suite
 # (including the chaos fault sweeps) under the race detector, then the
-# doubled concurrency stress pass, the full-resolution crash sweep, the
-# benchmark module's smoke test, and the documentation link/reference
-# check.
-check: vet staticcheck race stress crash bench-smoke docs-check
+# doubled concurrency stress pass, the full-resolution crash sweep, one pass
+# of the optimizer's benchmarks, the benchmark module's smoke test, and the
+# documentation link/reference check.
+check: vet staticcheck race stress crash corebench bench-smoke docs-check

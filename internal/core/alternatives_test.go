@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -43,9 +44,9 @@ func asWritten(t *testing.T, store *storage.Store, q *qblock.Query) *exec.Result
 }
 
 // checkAlternatives asserts the soundness condition for one search: every
-// alternative passes lplan.Validate and returns want, and Optimize hands out
-// the cheapest of them (the first found winning ties) — same tree, same cost
-// bits.
+// alternative passes lplan.Validate, returns want and carries the numbers a
+// walk of its tree derives, and Optimize hands out the cheapest of them (the
+// first found winning ties) — same tree, same cost bits.
 func checkAlternatives(t *testing.T, store *storage.Store, q *qblock.Query, opts Options, want *exec.Result) []Alternative {
 	t.Helper()
 	alts, err := Alternatives(q, opts)
@@ -68,6 +69,7 @@ func checkAlternatives(t *testing.T, store *storage.Store, q *qblock.Query, opts
 			t.Fatalf("[%v] alternative %q returns %d rows, the query as written %d, or different ones\n%s",
 				opts.Mode, a.Label, len(got.Rows), len(want.Rows), lplan.Format(a.Root))
 		}
+		checkTreeWalk(t, fmt.Sprintf("[%v] alternative %q", opts.Mode, a.Label), a.Root, a.Info, opts)
 		if a.Cost < alts[cheapest].Cost {
 			cheapest = i
 		}

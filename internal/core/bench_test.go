@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"aggview/internal/qblock"
 )
 
 // BenchmarkOptimizeAdhoc times core.Optimize alone on each adhoc-plan
@@ -31,4 +33,31 @@ func BenchmarkOptimizeAdhoc(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkOptimizeAdhocMix runs adhoc-plan's seven templates in the
+// workload's rotation, one statement per iteration, in Full mode over the
+// workload's pool, so ns/op, B/op and allocs/op are per statement. Unlike
+// the per-template runs above, consecutive searches differ in shape: the
+// pooled memo is reused across shapes and the collector sees the mix of
+// garbage the workload makes, without going through bench/.
+func BenchmarkOptimizeAdhocMix(b *testing.B) {
+	g := goldenGroups(b)[0]
+	qs := make([]*qblock.Query, len(g.cases))
+	for i, c := range g.cases {
+		qs[i] = bindGolden(b, g.cat, c.sql)
+	}
+	opts := DefaultOptions()
+	opts.Mode, opts.PoolPages = ModeFull, 256
+	b.ReportAllocs()
+	b.ResetTimer()
+	plans := 0
+	for i := 0; i < b.N; i++ {
+		plan, err := Optimize(qs[i%len(qs)], opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans += plan.Stats.PlansConsidered
+	}
+	b.ReportMetric(float64(plans)/float64(b.N), "plans/op")
 }

@@ -13,6 +13,7 @@ import (
 	"aggview/internal/lplan"
 	"aggview/internal/schema"
 	"aggview/internal/stats"
+	"aggview/internal/types"
 )
 
 // aggMode records what a DP plan has already computed for the block's
@@ -50,14 +51,16 @@ type dpRel struct {
 
 // dpConj is a conjunct annotated with the relations it touches. derived
 // marks equalities synthesized from equivalence classes (see equiv.go). For
-// a bare column equality, eq is set and a, b are its columns' ordinals in
-// the cost model's column index.
+// a bare column equality, eq is set, a, b are its columns' ordinals in the
+// cost model's column index and am, bm the relations providing them (set by
+// solve), which orient it at every join step.
 type dpConj struct {
 	e       expr.Expr
 	mask    uint64
 	derived bool
 	eq      bool
 	a, b    int
+	am, bm  uint64
 }
 
 // newConj annotates a conjunct, resolving a bare equality's columns.
@@ -112,7 +115,6 @@ type entry struct {
 	step   *joinStep // nil for a leaf
 	mask   uint64    // relations joined
 	early  *earlyAgg // the pending group-by costed over this plan, on first need
-	node   lplan.Node
 }
 
 // bucketKey identifies the dominance bucket of a plan: plans of one state
@@ -156,30 +158,36 @@ type partialSpec struct {
 }
 
 // memo is the per-Optimize arena of the search: retained entries, the join
-// steps, the early-aggregation records and the cost model's column
-// statistics are carved from slabs recycled across queries, and the
-// candidate scratch buffers are reused across states.
+// steps and their descriptions, the early-aggregation records and the cost
+// model's column statistics are carved from slabs recycled across queries,
+// and the candidate scratch buffers are reused across states.
 type memo struct {
 	stats    *stats.Arena // the cost model's statistics
 	entries  arena.Slab[entry]
 	early    arena.Slab[earlyAgg]
 	steps    arena.Slab[joinStep]
 	preds    arena.Slab[expr.Expr]
-	cands    []entry // candidates of the extension being costed
-	retained []entry // retained set of the state being built
+	jpreds   arena.Slab[cost.JoinPred]
+	keys     arena.Slab[schema.ColID]
+	best     map[uint64][]entry // the state table of the DP being solved
+	cands    []entry            // candidates of the extension being costed
+	retained []entry            // retained set of the state being built
 }
 
 // maxPooledMemoBytes keeps a memo grown by one huge search from being
 // pinned by the pool.
 const maxPooledMemoBytes = 8 << 20
 
-var memoPool = sync.Pool{New: func() any { return &memo{stats: stats.NewArena()} }}
+var memoPool = sync.Pool{New: func() any {
+	return &memo{stats: stats.NewArena(), best: map[uint64][]entry{}}
+}}
 
 // release zeroes the memo's slabs and recycles it. Nothing carved from it
 // may be used afterwards: plans leave the search as lplan trees and
 // detached numbers.
 func (m *memo) release() {
-	if m.stats.Bytes()+m.entries.Bytes()+m.early.Bytes()+m.steps.Bytes()+m.preds.Bytes() > maxPooledMemoBytes {
+	if m.stats.Bytes()+m.entries.Bytes()+m.early.Bytes()+m.steps.Bytes()+m.preds.Bytes()+
+		m.jpreds.Bytes()+m.keys.Bytes() > maxPooledMemoBytes {
 		return
 	}
 	m.stats.Reset()
@@ -187,6 +195,9 @@ func (m *memo) release() {
 	m.early.Reset()
 	m.steps.Reset()
 	m.preds.Reset()
+	m.jpreds.Reset()
+	m.keys.Reset()
+	clear(m.best)
 	clear(m.cands[:cap(m.cands)])
 	clear(m.retained[:cap(m.retained)])
 	memoPool.Put(m)
@@ -209,13 +220,28 @@ type blockDP struct {
 	schema  schema.Schema           // every column of every relation
 	colMask map[schema.ColID]uint64 // the relation providing each column
 
-	fullTmpl  [2]*lplan.GroupBy // the pending group-by without input: hash, sort
-	fullWidth int
-	conjCols  [][]schema.ColID        // the columns of each conjunct, for partialSpecOf
-	partials  map[uint64]*partialSpec // per relation set, on first need
+	// The block's group-by and outputs, described once (describeGroup): the
+	// group-by without input, by hash and by sort, placed early (fullTmpl,
+	// no outputs) or last (lastTmpl, with them); the output projection over
+	// a plan already grouped or without a group-by (outWidth); and, when the
+	// aggregates decompose, the coalescing pre-aggregate's partial
+	// aggregates and the top that coalesces them (coalTmpl).
+	fullTmpl, lastTmpl   [2]*lplan.GroupBy
+	fullWidth, lastWidth int
+	outWidth             int
+	partialAggs          []expr.Agg
+	partialAggsWidth     int // the partial aggregates' share of a pre-aggregate's width
+	coalTmpl             *lplan.GroupBy
+	coalWidth            int
+	// merged, when the full set is one relation whose node is a group-by, is
+	// the group-by last merged with it (mergeGroupBys), by hash and by sort.
+	merged [2]*lplan.GroupBy
+
+	conjCols [][]schema.ColID        // the columns of each conjunct, for partialSpecOf
+	partials map[uint64]*partialSpec // per relation set, on first need
 
 	dsu     colDSU // prunedNewPreds' scratch
-	predBuf []expr.Expr
+	conjBuf []int
 }
 
 // greedyEnabled reports whether early group-by placement is allowed.
@@ -288,7 +314,10 @@ func (dp *blockDP) solve() error {
 	if n > 62 {
 		return fmt.Errorf("dp: too many relations (%d)", n)
 	}
-	dp.best = map[uint64][]entry{}
+	// The DPs of one search run one after another, each done with its table
+	// before the next starts, so they share the memo's.
+	dp.best = dp.mem.best
+	clear(dp.best)
 	dp.orders = [][]schema.ColID{nil}
 	dp.colMask = map[schema.ColID]uint64{}
 	for _, r := range dp.rels {
@@ -297,21 +326,16 @@ func (dp *blockDP) solve() error {
 		}
 		dp.schema = append(dp.schema, r.node.Schema()...)
 	}
+	for i := range dp.conjs {
+		if c := &dp.conjs[i]; c.eq {
+			a, b, _ := bareEquality(c.e)
+			c.am, c.bm = dp.colMask[a], dp.colMask[b]
+		}
+	}
 	if dp.group != nil {
-		for i, m := range []lplan.AggMethod{lplan.AggHash, lplan.AggSort} {
-			dp.fullTmpl[i] = &lplan.GroupBy{
-				GroupCols: dp.group.cols,
-				Aggs:      dp.group.aggs,
-				Having:    dp.group.having,
-				Method:    m,
-			}
-		}
-		dp.fullWidth = dp.fullTmpl[0].SchemaOver(dp.schema).AvgWidth()
-		dp.conjCols = make([][]schema.ColID, len(dp.conjs))
-		for i, c := range dp.conjs {
-			dp.conjCols[i] = expr.Columns(c.e)
-		}
-		dp.partials = map[uint64]*partialSpec{}
+		dp.describeGroup()
+	} else {
+		dp.outWidth = itemsWidth(dp.outputs, dp.schema)
 	}
 
 	// Size-1 states.
@@ -324,7 +348,7 @@ func (dp *blockDP) solve() error {
 		if err := tickPlan(dp.stats, dp.opts); err != nil {
 			return err
 		}
-		leaf := entry{info: *info, order: dp.internOrder(info.Order), rel: int32(i), mask: r.mask, node: r.node}
+		leaf := entry{info: *info, order: dp.internOrder(info.Order), rel: int32(i), mask: r.mask}
 		dp.setBest(r.mask, []entry{leaf})
 		dp.stats.States++
 	}
@@ -340,6 +364,105 @@ func (dp *blockDP) solve() error {
 		}
 	}
 	return nil
+}
+
+// describeGroup describes the block's pending group-by and outputs once per
+// DP, for every placement the search costs and every finalist it completes.
+func (dp *blockDP) describeGroup() {
+	g := dp.group
+	for i, m := range []lplan.AggMethod{lplan.AggHash, lplan.AggSort} {
+		dp.fullTmpl[i] = &lplan.GroupBy{GroupCols: g.cols, Aggs: g.aggs, Having: g.having, Method: m}
+		dp.lastTmpl[i] = &lplan.GroupBy{GroupCols: g.cols, Aggs: g.aggs, Having: g.having, Outputs: dp.outputs, Method: m}
+	}
+	grouped := dp.fullTmpl[0].SchemaOver(dp.schema)
+	dp.fullWidth = grouped.AvgWidth()
+	dp.lastWidth = dp.lastTmpl[0].SchemaOver(dp.schema).AvgWidth()
+	// An eager plan carries the aggregates' outputs beside the relations'
+	// columns (the grouping columns among them).
+	dp.outWidth = itemsWidth(dp.outputs, slices.Concat(dp.schema, grouped[len(g.cols):]))
+	dp.conjCols = make([][]schema.ColID, len(dp.conjs))
+	for i, c := range dp.conjs {
+		dp.conjCols[i] = expr.Columns(c.e)
+	}
+	dp.partials = map[uint64]*partialSpec{}
+	if len(dp.rels) == 1 {
+		if _, ok := dp.rels[0].node.(*lplan.GroupBy); ok {
+			// Successive group-bys (e.g. a top group-by directly over a
+			// pulled-up view) can often be combined into one (paper §3);
+			// the merged form competes as a finalist when it applies.
+			for i, tmpl := range dp.lastTmpl {
+				if m, err := mergeGroupBys(withInput(tmpl, dp.rels[0].node)); err == nil {
+					dp.merged[i] = m
+				}
+			}
+		}
+	}
+
+	// Coalescing (Section 4.2): the pre-aggregate computes each aggregate's
+	// partials; the top coalesces them and rebuilds the aggregate values
+	// for Having and the outputs. An aggregate that does not decompose
+	// leaves partialAggs nil: no pre-aggregate applies.
+	var partials, topAggs []expr.Agg
+	finalSub := map[schema.ColID]expr.Expr{}
+	for _, a := range g.aggs {
+		parts, finalE, err := a.DecomposeAgg()
+		if err != nil {
+			return
+		}
+		for _, p := range parts {
+			partials = append(partials, p.Partial)
+			topAggs = append(topAggs, expr.Agg{Kind: p.Coalesce, Arg: expr.ColOf(p.Partial.Out), Out: p.Partial.Out})
+		}
+		finalSub[a.Out] = finalE
+	}
+	having := make([]expr.Expr, len(g.having))
+	for i, h := range g.having {
+		having[i] = expr.Substitute(h, finalSub)
+	}
+	var outputs []lplan.NamedExpr
+	if len(dp.outputs) > 0 {
+		outputs = make([]lplan.NamedExpr, len(dp.outputs))
+		for i, ne := range dp.outputs {
+			outputs[i] = lplan.NamedExpr{E: expr.Substitute(ne.E, finalSub), As: ne.As}
+		}
+	} else {
+		for _, gc := range g.cols {
+			outputs = append(outputs, lplan.NamedExpr{E: expr.ColOf(gc), As: gc})
+		}
+		for _, a := range g.aggs {
+			outputs = append(outputs, lplan.NamedExpr{E: finalSub[a.Out], As: a.Out})
+		}
+	}
+	dp.coalTmpl = &lplan.GroupBy{GroupCols: g.cols, Aggs: topAggs, Having: having, Outputs: outputs, Method: lplan.AggHash}
+	// A plan holding a pre-aggregate carries its partial columns beside the
+	// relations' columns it keeps.
+	withPartials := slices.Clone(dp.schema)
+	for _, p := range partials {
+		k := p.ResultType(dp.schema)
+		withPartials = append(withPartials, schema.Column{ID: p.Out, Type: k})
+		dp.partialAggsWidth += k.Width()
+	}
+	dp.coalWidth = dp.coalTmpl.SchemaOver(withPartials).AvgWidth()
+	dp.partialAggs = partials
+}
+
+// itemsWidth is the output tuple width of computing items over an input
+// with the given schema, as a Project's schema accounts it.
+func itemsWidth(items []lplan.NamedExpr, in schema.Schema) int {
+	w := emptyTupleWidth
+	for _, ne := range items {
+		w += ne.E.Type(in).Width()
+	}
+	return w
+}
+
+// colWidth is the width a group-by's schema accounts for a grouping column
+// resolved against in (a null placeholder when it does not resolve).
+func colWidth(in schema.Schema, c schema.ColID) int {
+	if i, err := in.IndexOf(c); err == nil && i >= 0 {
+		return in[i].Type.Width()
+	}
+	return types.KindNull.Width()
 }
 
 // buildState enumerates all ways to form subset s by extending a size-1-
@@ -378,14 +501,26 @@ func (dp *blockDP) buildState(s uint64) error {
 }
 
 // newStep describes the join of plan(prev) with r: the conjuncts it applies
-// and the physical methods open to it.
+// and the physical methods open to it. Everything is carved from the memo;
+// each equality is oriented by the relations providing its columns.
 func (dp *blockDP) newStep(prev uint64, r *dpRel) *joinStep {
 	st := dp.mem.steps.New()
-	scratch := dp.prunedNewPreds(prev, r.mask)
-	st.preds = dp.mem.preds.Alloc(len(scratch))
-	copy(st.preds, scratch)
-	st.spec = dp.model.NewJoinSpec(lplan.JoinInner, st.preds, r.node,
-		func(c schema.ColID) bool { return dp.colMask[c]&prev != 0 })
+	applied := dp.prunedNewPreds(prev, r.mask)
+	st.preds = dp.mem.preds.Alloc(len(applied))
+	preds := dp.mem.jpreds.Alloc(len(applied))
+	for i, k := range applied {
+		c := &dp.conjs[k]
+		st.preds[i] = c.e
+		preds[i] = cost.JoinPred{E: c.e, Equi: c.eq, L: c.a, R: c.b}
+		switch {
+		case !c.eq:
+		case c.am&prev != 0:
+			preds[i].Key = cost.KeyL
+		case c.bm&prev != 0:
+			preds[i].Key = cost.KeyR
+		}
+	}
+	st.spec = cost.NewJoinSpec(lplan.JoinInner, preds, r.node, dp.mem.keys.Alloc(2*len(applied)))
 	add := func(m lplan.JoinMethod) {
 		st.methods[st.nMethods] = m
 		st.nMethods++
@@ -646,8 +781,8 @@ func (dp *blockDP) partialOver(e *entry) (*earlyAgg, error) {
 // partialSpecOf describes the coalescing pre-aggregate G2 over a subplan
 // (in no aggregation mode) covering the relations in mask: it groups by the
 // block grouping columns available plus every column that later conjuncts
-// still need, and computes the decomposed partial aggregates. The
-// description depends on the relation set alone, so it is built once.
+// still need, and computes the partial aggregates describeGroup decomposed.
+// The description depends on the relation set alone, so it is built once.
 func (dp *blockDP) partialSpecOf(mask uint64) *partialSpec {
 	if ps := dp.partials[mask]; ps != nil {
 		return ps
@@ -674,21 +809,14 @@ func (dp *blockDP) partialSpecOf(mask uint64) *partialSpec {
 			add(col)
 		}
 	}
-	if len(groupCols) == 0 {
-		return ps // the partial aggregate would be scalar before a join
+	if len(groupCols) == 0 || dp.coalTmpl == nil {
+		return ps // scalar before a join, or the aggregates do not decompose
 	}
-	var partials []expr.Agg
-	for _, a := range dp.group.aggs {
-		parts, _, err := a.DecomposeAgg()
-		if err != nil {
-			return ps
-		}
-		for _, p := range parts {
-			partials = append(partials, p.Partial)
-		}
+	ps.tmpl = &lplan.GroupBy{GroupCols: groupCols, Aggs: dp.partialAggs, Method: lplan.AggHash}
+	ps.width = emptyTupleWidth + dp.partialAggsWidth
+	for _, c := range groupCols {
+		ps.width += colWidth(dp.schema, c)
 	}
-	ps.tmpl = &lplan.GroupBy{GroupCols: groupCols, Aggs: partials, Method: lplan.AggHash}
-	ps.width = ps.tmpl.SchemaOver(dp.schema).AvgWidth()
 	return ps
 }
 
@@ -729,10 +857,10 @@ func (dp *blockDP) plan(e *entry) lplan.Node {
 	return n
 }
 
-// node builds (once) the tree the entry's back-pointers describe.
+// node builds the tree the entry's back-pointers describe.
 func (dp *blockDP) node(e *entry) lplan.Node {
-	if e.node != nil {
-		return e.node
+	if e.left == nil {
+		return dp.rels[e.rel].node
 	}
 	l, r := dp.node(e.left), dp.rels[e.rel].node
 	switch e.place {
@@ -745,8 +873,7 @@ func (dp *blockDP) node(e *entry) lplan.Node {
 	case placeRightPartial:
 		r = withInput(dp.partialSpecOf(dp.rels[e.rel].mask).tmpl, r)
 	}
-	e.node = &lplan.Join{L: l, R: r, Preds: slices.Clone(e.step.preds), Method: e.method}
-	return e.node
+	return &lplan.Join{L: l, R: r, Preds: slices.Clone(e.step.preds), Method: e.method}
 }
 
 // withInput attaches an input to a group-by described without one.
@@ -761,147 +888,127 @@ func withInput(tmpl *lplan.GroupBy, in lplan.Node) *lplan.GroupBy {
 	}
 }
 
-// cand is a complete plan for the block: a tree and its properties.
-type cand struct {
-	node lplan.Node
-	info *cost.Info
+// finalShape is what completing a full-set entry puts on top of it.
+type finalShape uint8
+
+const (
+	asIs        finalShape = iota // nothing: no group-by pending, no outputs
+	projected                     // the block's outputs
+	groupedHash                   // the block's group-by last, with its outputs: hash
+	groupedSort                   // ... sort
+	mergedHash                    // that group-by merged with the one below it: hash
+	mergedSort                    // ... sort
+	coalesced                     // the top coalescing a pre-aggregate's partials
+)
+
+// final is a complete plan for the block, costed through the kernels: a
+// full-set entry with shape on top. Only a plan that is handed on becomes a
+// tree (finalTree).
+type final struct {
+	e     *entry
+	shape finalShape
+	info  cost.Info
 }
 
-// finalize completes a full-set plan: the pending group-by is applied
-// according to the plan's mode, then the block outputs.
-func (dp *blockDP) finalize(c *entry) (*cand, error) {
-	node := dp.plan(c)
-	costed := func(n lplan.Node) (*cand, error) {
-		info, err := dp.model.Info(n)
-		if err != nil {
-			return nil, err
-		}
-		return &cand{node: n, info: info}, nil
-	}
-	if dp.group != nil {
-		switch c.mode {
-		case modeNone:
-			var best *cand
-			consider := func(n lplan.Node) error {
-				v, err := costed(n)
-				if err != nil {
-					return err
-				}
-				if err := tickPlan(dp.stats, dp.opts); err != nil {
-					return err
-				}
-				if best == nil || v.info.Cost < best.info.Cost {
-					best = v
-				}
-				return nil
-			}
-			for _, tmpl := range dp.fullTmpl {
-				g := withInput(tmpl, node)
-				g.Outputs = dp.outputs
-				if err := consider(g); err != nil {
-					return nil, err
-				}
-				// Successive group-bys (e.g. a top group-by directly over a
-				// pulled-up view) can often be combined into one (paper §3);
-				// keep the merged form as an alternative when it applies.
-				if merged, err := mergeGroupBys(g); err == nil {
-					if err := consider(merged); err != nil {
-						return nil, err
-					}
-				}
-			}
-			return best, nil
-
-		case modePartial:
-			top, err := dp.coalescingTop(node)
-			if err != nil {
-				return nil, err
-			}
-			v, err := costed(top)
-			if err != nil {
-				return nil, err
-			}
+// finalOf completes a full-set entry according to its mode — the pending
+// group-by (if any) applied, then the block outputs — keeping the cheapest
+// completion, the first found winning ties.
+func (dp *blockDP) finalOf(c *entry) (final, error) {
+	switch {
+	case dp.group != nil && c.mode == modeNone:
+		var best final
+		consider := func(shape finalShape, info cost.Info) error {
 			if err := tickPlan(dp.stats, dp.opts); err != nil {
-				return nil, err
+				return err
 			}
-			return v, nil
+			if best.e == nil || info.Cost < best.info.Cost {
+				best = final{e: c, shape: shape, info: info}
+			}
+			return nil
 		}
-		// modeFull: group-by already applied (without outputs); project them.
-	}
-	if len(dp.outputs) > 0 {
-		return costed(&lplan.Project{In: node, Items: dp.outputs})
-	}
-	return &cand{node: node, info: &c.info}, nil
-}
+		props, groups := dp.model.GroupProps(&c.info, dp.lastTmpl[0], dp.lastWidth)
+		for i, tmpl := range dp.lastTmpl {
+			info, err := dp.groupOver(&c.info, tmpl, props, groups)
+			if err != nil {
+				return final{}, err
+			}
+			if err := consider(groupedHash+finalShape(i), info); err != nil {
+				return final{}, err
+			}
+			if dp.merged[i] == nil {
+				continue
+			}
+			merged, err := dp.model.Info(dp.merged[i])
+			if err != nil {
+				return final{}, err
+			}
+			if err := consider(mergedHash+finalShape(i), *merged); err != nil {
+				return final{}, err
+			}
+		}
+		return best, nil
 
-// coalescingTop builds the final group-by for a plan in which a partial
-// pre-aggregate was applied: it coalesces the partial columns and rebuilds
-// the original aggregate values for Having and Outputs.
-func (dp *blockDP) coalescingTop(in lplan.Node) (lplan.Node, error) {
-	var topAggs []expr.Agg
-	finalSub := map[schema.ColID]expr.Expr{}
-	for _, a := range dp.group.aggs {
-		parts, finalE, err := a.DecomposeAgg()
+	case dp.group != nil && c.mode == modePartial:
+		props, groups := dp.model.GroupProps(&c.info, dp.coalTmpl, dp.coalWidth)
+		info, err := dp.groupOver(&c.info, dp.coalTmpl, props, groups)
 		if err != nil {
-			return nil, err
+			return final{}, err
 		}
-		for _, p := range parts {
-			topAggs = append(topAggs, expr.Agg{Kind: p.Coalesce, Arg: expr.ColOf(p.Partial.Out), Out: p.Partial.Out})
+		if err := tickPlan(dp.stats, dp.opts); err != nil {
+			return final{}, err
 		}
-		finalSub[a.Out] = finalE
+		return final{e: c, shape: coalesced, info: info}, nil
+
+	case len(dp.outputs) > 0: // no group-by, or it was applied eagerly
+		return final{e: c, shape: projected, info: dp.model.ProjectInfo(&c.info, dp.outputs, dp.outWidth)}, nil
 	}
-	having := make([]expr.Expr, len(dp.group.having))
-	for i, h := range dp.group.having {
-		having[i] = expr.Substitute(h, finalSub)
-	}
-	var outputs []lplan.NamedExpr
-	if len(dp.outputs) > 0 {
-		outputs = make([]lplan.NamedExpr, len(dp.outputs))
-		for i, ne := range dp.outputs {
-			outputs[i] = lplan.NamedExpr{E: expr.Substitute(ne.E, finalSub), As: ne.As}
-		}
-	} else {
-		for _, gc := range dp.group.cols {
-			outputs = append(outputs, lplan.NamedExpr{E: expr.ColOf(gc), As: gc})
-		}
-		for _, a := range dp.group.aggs {
-			outputs = append(outputs, lplan.NamedExpr{E: finalSub[a.Out], As: a.Out})
-		}
-	}
-	return &lplan.GroupBy{
-		In:        in,
-		GroupCols: dp.group.cols,
-		Aggs:      topAggs,
-		Having:    having,
-		Outputs:   outputs,
-		Method:    lplan.AggHash,
-	}, nil
+	return final{e: c, shape: asIs, info: c.info}, nil
 }
 
-// bestFinal finalizes every retained candidate of the full set — one per
+// finalTree builds the plan tree of a finalist.
+func (dp *blockDP) finalTree(f *final) lplan.Node {
+	switch f.shape {
+	case mergedHash, mergedSort:
+		return dp.merged[f.shape-mergedHash]
+	case projected:
+		return &lplan.Project{In: dp.node(f.e), Items: dp.outputs}
+	case groupedHash, groupedSort:
+		return withInput(dp.lastTmpl[f.shape-groupedHash], dp.node(f.e))
+	case coalesced:
+		return withInput(dp.coalTmpl, dp.node(f.e))
+	}
+	return dp.node(f.e)
+}
+
+// bestFinal completes every retained candidate of the full set — one per
 // aggregation placement and interesting order the search kept — shows each
 // complete plan to visit (nil on the Optimize path) and returns the
-// cheapest, the first found winning ties.
-func (dp *blockDP) bestFinal(visit func(aggMode, *cand)) (*cand, error) {
+// cheapest, the first found winning ties. Only the plans visit is shown and
+// the winner become trees.
+func (dp *blockDP) bestFinal(visit func(aggMode, lplan.Node, *cost.Info)) (lplan.Node, *cost.Info, error) {
 	cands := dp.best[fullMask(len(dp.rels))]
 	if len(cands) == 0 {
-		return nil, fmt.Errorf("dp: no plan for the full relation set")
+		return nil, nil, fmt.Errorf("dp: no plan for the full relation set")
 	}
-	var best *cand
+	var best final
 	bestCost := math.Inf(1)
 	for i := range cands {
-		fin, err := dp.finalize(&cands[i])
+		f, err := dp.finalOf(&cands[i])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if visit != nil {
-			visit(cands[i].mode, fin)
+			visit(cands[i].mode, dp.finalTree(&f), &f.info)
 		}
-		if fin.info.Cost < bestCost {
-			best, bestCost = fin, fin.info.Cost
+		if f.info.Cost < bestCost {
+			best, bestCost = f, f.info.Cost
 		}
 	}
-	return best, nil
+	if best.e == nil {
+		return nil, nil, fmt.Errorf("dp: no finite-cost plan for the full relation set")
+	}
+	info := best.info
+	return dp.finalTree(&best), &info, nil
 }
 
 // minInvariantMask computes the minimal invariant set over dpRels (which

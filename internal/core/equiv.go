@@ -127,12 +127,13 @@ func addDerivedEqualities(conjs []dpConj, aliases map[string]uint64, cols *stats
 	return out
 }
 
-// prunedNewPreds returns, for a join of prev with r, the applicable new
-// conjuncts with redundant equalities removed: equalities whose endpoints
-// are already connected by equalities applied inside either input (or by
-// earlier-kept equalities of this step) are implied and skipped. The result
-// is a scratch slice, valid until the next call.
-func (dp *blockDP) prunedNewPreds(prev, rmask uint64) []expr.Expr {
+// prunedNewPreds returns, for a join of prev with r, the positions in
+// dp.conjs of the applicable new conjuncts with redundant equalities
+// removed: equalities whose endpoints are already connected by equalities
+// applied inside either input (or by earlier-kept equalities of this step)
+// are implied and skipped. The result is a scratch slice, valid until the
+// next call.
+func (dp *blockDP) prunedNewPreds(prev, rmask uint64) []int {
 	joined := prev | rmask
 	dsu := &dp.dsu
 	dsu.reset(dp.model.Cols().Len())
@@ -142,7 +143,7 @@ func (dp *blockDP) prunedNewPreds(prev, rmask uint64) []expr.Expr {
 			dsu.union(c.a, c.b)
 		}
 	}
-	out := dp.predBuf[:0]
+	out := dp.conjBuf[:0]
 	for i := range dp.conjs {
 		c := &dp.conjs[i]
 		if c.mask&^joined != 0 {
@@ -157,8 +158,8 @@ func (dp *blockDP) prunedNewPreds(prev, rmask uint64) []expr.Expr {
 			}
 			dsu.union(c.a, c.b)
 		}
-		out = append(out, c.e)
+		out = append(out, i)
 	}
-	dp.predBuf = out
+	dp.conjBuf = out
 	return out
 }

@@ -42,6 +42,9 @@ type Alternative struct {
 	Label string
 	Root  lplan.Node
 	Cost  float64
+	// Info is what the search derived for the plan, detached from its
+	// memory as Plan.Info is.
+	Info *cost.Info
 }
 
 // Alternatives returns every complete plan Optimize's search finalizes for
@@ -125,9 +128,16 @@ func Optimize(q *qblock.Query, opts Options) (*Plan, error) {
 	if err := lplan.Validate(root); err != nil {
 		return nil, fmt.Errorf("optimize: produced an illegal plan: %w\n%s", err, lplan.Format(root))
 	}
-	detached := *info
-	detached.Rel = info.Rel.Clone()
-	return &Plan{Root: root, Cost: info.Cost, Info: &detached, Stats: *o.stats, ViewRewrite: rewrite}, nil
+	return &Plan{Root: root, Cost: info.Cost, Info: detach(info), Stats: *o.stats, ViewRewrite: rewrite}, nil
+}
+
+// detach copies what the search derived for a plan out of the memory the
+// search recycles: the summary and the output order (a merge join's keys
+// live in the memo).
+func detach(info *cost.Info) *cost.Info {
+	d := *info
+	d.Rel, d.Order = info.Rel.Clone(), slices.Clone(info.Order)
+	return &d
 }
 
 // viewCtx is the per-view decomposition state.
@@ -177,6 +187,8 @@ type optimizer struct {
 	local  map[string][]expr.Expr     // single-relation filters by alias
 	bRels  []*qblock.Rel              // B′: top base relations plus views' removed relations
 	needed map[string]map[string]bool // per-alias columns any plan may reference
+	scans  map[string]*lplan.Scan     // per alias, the pruned scan under o.local's filters alone
+	above  []schema.ColID             // every column phase 2 may reference, once (colsNeededAbove)
 
 	// each, set by Alternatives only, is shown every complete plan the
 	// search finalizes; Optimize keeps just the cheapest.
@@ -187,7 +199,7 @@ func (o *optimizer) run() (lplan.Node, *cost.Info, error) {
 	if hasOuterChain(o.q) {
 		root, info, err := o.optimizeOuterChain()
 		if err == nil && o.each != nil {
-			o.each(Alternative{Label: "outer-join chain", Root: root, Cost: info.Cost})
+			o.each(Alternative{Label: "outer-join chain", Root: root, Cost: info.Cost, Info: detach(info)})
 		}
 		return root, info, err
 	}
@@ -507,11 +519,7 @@ func (o *optimizer) newBlockDP(rels []*qblock.Rel, prebuilt []prebuiltRel, filte
 	dp := &blockDP{model: o.model, mem: o.mem, opts: o.opts, stats: o.stats, outputs: outputs}
 	bit := 0
 	for _, r := range rels {
-		local := o.local[r.Alias]
-		if more := filters[r.Alias]; len(more) > 0 {
-			local = slices.Concat(local, more)
-		}
-		dp.rels = append(dp.rels, dpRel{alias: r.Alias, node: o.prunedScan(r, local), mask: 1 << bit})
+		dp.rels = append(dp.rels, dpRel{alias: r.Alias, node: o.scanOf(r, filters[r.Alias]), mask: 1 << bit})
 		bit++
 	}
 	for _, p := range prebuilt {
@@ -545,6 +553,25 @@ func (o *optimizer) newBlockDP(rels []*qblock.Rel, prebuilt []prebuiltRel, filte
 		dp.group = spec
 	}
 	return dp, nil
+}
+
+// scanOf returns the pruned scan of a relation under its local filters plus
+// more. Without more it is built once per Optimize: every DP joining the
+// relation — each phase-two run, and phase one when no view conjunct sinks
+// into it — shares the node, so the cost model derives its summary once.
+func (o *optimizer) scanOf(r *qblock.Rel, more []expr.Expr) *lplan.Scan {
+	if len(more) > 0 {
+		return o.prunedScan(r, slices.Concat(o.local[r.Alias], more))
+	}
+	if s := o.scans[r.Alias]; s != nil {
+		return s
+	}
+	if o.scans == nil {
+		o.scans = map[string]*lplan.Scan{}
+	}
+	s := o.prunedScan(r, o.local[r.Alias])
+	o.scans[r.Alias] = s
+	return s
 }
 
 // prebuiltRel is an already-optimized subplan entering a DP as a relation.
@@ -1045,32 +1072,39 @@ func (o *optimizer) phiGroupBy(vc *viewCtx, dp *blockDP, mask uint64, w map[stri
 // referenced by unconsumed pool conjuncts, the top group-by, or the query
 // outputs.
 func (o *optimizer) colsNeededAbove(vc *viewCtx, w map[string]bool) []schema.ColID {
-	var out []schema.ColID
-	seen := map[schema.ColID]bool{}
-	addFrom := func(e expr.Expr) {
-		for _, c := range expr.Columns(e) {
-			if w[c.Rel] && !seen[c] {
+	if o.above == nil {
+		seen := map[schema.ColID]bool{}
+		add := func(c schema.ColID) {
+			if !seen[c] {
 				seen[c] = true
-				out = append(out, c)
+				o.above = append(o.above, c)
 			}
 		}
-	}
-	for _, pc := range o.pool {
-		addFrom(pc.outer)
-	}
-	for _, gc := range o.q.Top.GroupCols {
-		if w[gc.Rel] && !seen[gc] {
-			seen[gc] = true
-			out = append(out, gc)
+		addFrom := func(e expr.Expr) {
+			for _, c := range expr.Columns(e) {
+				add(c)
+			}
+		}
+		for _, pc := range o.pool {
+			addFrom(pc.outer)
+		}
+		for _, gc := range o.q.Top.GroupCols {
+			add(gc)
+		}
+		for _, a := range o.q.Top.Aggs {
+			if a.Arg != nil {
+				addFrom(a.Arg)
+			}
+		}
+		for _, ne := range o.q.Top.Outputs {
+			addFrom(ne.E)
 		}
 	}
-	for _, a := range o.q.Top.Aggs {
-		if a.Arg != nil {
-			addFrom(a.Arg)
+	var out []schema.ColID
+	for _, c := range o.above {
+		if w[c.Rel] {
+			out = append(out, c)
 		}
-	}
-	for _, ne := range o.q.Top.Outputs {
-		addFrom(ne.E)
 	}
 	return out
 }
@@ -1109,21 +1143,17 @@ func (o *optimizer) phaseTwo(chosen []wCandidate) (lplan.Node, *cost.Info, error
 	if err := dp.solve(); err != nil {
 		return nil, nil, err
 	}
-	var visit func(aggMode, *cand)
+	var visit func(aggMode, lplan.Node, *cost.Info)
 	if o.each != nil {
-		visit = func(m aggMode, c *cand) {
+		visit = func(m aggMode, root lplan.Node, info *cost.Info) {
 			label := wLabel(chosen)
 			if dp.group != nil {
 				label = strings.TrimSpace(label + " " + m.String())
 			}
-			o.each(Alternative{Label: label, Root: c.node, Cost: c.info.Cost})
+			o.each(Alternative{Label: label, Root: root, Cost: info.Cost, Info: detach(info)})
 		}
 	}
-	best, err := dp.bestFinal(visit)
-	if err != nil {
-		return nil, nil, err
-	}
-	return best.node, best.info, nil
+	return dp.bestFinal(visit)
 }
 
 // wLabel renders a W combination as the search trace and Alternative.Label

@@ -55,13 +55,15 @@ type Info struct {
 // Model estimates plan costs. There is one set of formulas with two
 // callers. Info walks an lplan tree bottom-up, memoizing per node pointer so
 // a subtree shared between the trees a caller costs is derived once — the
-// path EXPLAIN ANALYZE, the experiments and materialized-view candidates
-// take. The optimizer's search memo never builds a tree per candidate: it
-// calls the node-free kernels below (JoinProps, JoinMethodCost, GroupProps,
-// GroupMethodCost) on the Infos of its entries, deriving the logical half
-// of a join once for all its physical methods, and Seeds the nodes it does
-// materialize so Info on them (and on operators stacked above them) starts
-// from the memo's numbers. Info itself is implemented on the same kernels.
+// path EXPLAIN ANALYZE, the experiments, the outer-join chain and
+// materialized-view candidates take. The optimizer's search never builds a
+// tree per candidate, finalists included: it calls the node-free kernels
+// below (JoinProps, JoinMethodCost, GroupProps, GroupMethodCost,
+// ProjectInfo) on the Infos of its entries, deriving the logical half of a
+// join once for all its physical methods, and builds a tree only for a plan
+// it hands on, Seeding its nodes so Info on operators stacked above them
+// starts from the memo's numbers. Info itself is implemented on the same
+// kernels.
 //
 // All column statistics of a Model live in one arena and share one column
 // index.
@@ -186,12 +188,25 @@ func (m *Model) scanInfo(s *lplan.Scan) (*Info, error) {
 
 // JoinPred is one join conjunct. For a bare column equality, L and R are
 // the ordinals (in the model's column index) of its two columns, in the
-// conjunct's own order.
+// conjunct's own order, and Key says which of them the join's left input
+// outputs.
 type JoinPred struct {
 	E    expr.Expr
 	Equi bool
 	L, R int
+	Key  KeySide
 }
+
+// KeySide names the column of a bare equality that the join's left input
+// outputs, which makes the equality a merge key.
+type KeySide uint8
+
+// Key sides.
+const (
+	NoKey KeySide = iota // neither column: not a merge key
+	KeyL                 // the conjunct's left-hand column
+	KeyR                 // the conjunct's right-hand column
+)
 
 // JoinSpec is what the join formulas read off a join besides its inputs'
 // properties and its physical method. One spec serves every candidate that
@@ -207,23 +222,22 @@ type JoinSpec struct {
 	Inner *lplan.Scan
 }
 
-// NewJoinSpec describes the join of a left input with inner under preds.
-// leftHas reports whether the left input outputs a column; it orients each
-// equality's columns.
-func (m *Model) NewJoinSpec(typ lplan.JoinType, preds []expr.Expr, inner lplan.Node, leftHas func(schema.ColID) bool) JoinSpec {
-	spec := JoinSpec{Type: typ, Preds: make([]JoinPred, len(preds))}
-	for i, p := range preds {
-		spec.Preds[i].E = p
-		lc, rc, ok := expr.EquiJoin(p)
-		if !ok {
+// NewJoinSpec describes the join of a left input with inner under
+// annotated conjuncts, which the spec keeps. keys is scratch of length
+// 2·len(preds) that LCols and RCols are carved from, so a caller that costs
+// many joins can hand in memory it recycles.
+func NewJoinSpec(typ lplan.JoinType, preds []JoinPred, inner lplan.Node, keys []schema.ColID) JoinSpec {
+	n := len(preds)
+	spec := JoinSpec{Type: typ, Preds: preds, LCols: keys[:0:n], RCols: keys[n : n : 2*n]}
+	for i := range preds {
+		if preds[i].Key == NoKey {
 			continue
 		}
-		spec.Preds[i].Equi, spec.Preds[i].L, spec.Preds[i].R = true, m.stats.Cols.Ord(lc), m.stats.Cols.Ord(rc)
-		if leftHas(lc) {
-			spec.LCols, spec.RCols = append(spec.LCols, lc), append(spec.RCols, rc)
-		} else if leftHas(rc) {
-			spec.LCols, spec.RCols = append(spec.LCols, rc), append(spec.RCols, lc)
+		lc, rc, _ := expr.EquiJoin(preds[i].E)
+		if preds[i].Key == KeyR {
+			lc, rc = rc, lc
 		}
+		spec.LCols, spec.RCols = append(spec.LCols, lc), append(spec.RCols, rc)
 	}
 	spec.Inner, _ = inner.(*lplan.Scan)
 	return spec
@@ -238,7 +252,22 @@ func (m *Model) joinInfo(j *lplan.Join) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := m.NewJoinSpec(j.Type, j.Preds, j.R, j.L.Schema().Contains)
+	preds := make([]JoinPred, len(j.Preds))
+	left := j.L.Schema()
+	for i, p := range j.Preds {
+		preds[i].E = p
+		lc, rc, ok := expr.EquiJoin(p)
+		if !ok {
+			continue
+		}
+		preds[i].Equi, preds[i].L, preds[i].R = true, m.stats.Cols.Ord(lc), m.stats.Cols.Ord(rc)
+		if left.Contains(lc) {
+			preds[i].Key = KeyL
+		} else if left.Contains(rc) {
+			preds[i].Key = KeyR
+		}
+	}
+	spec := NewJoinSpec(j.Type, preds, j.R, make([]schema.ColID, 2*len(preds)))
 	props := m.JoinProps(l, r, &spec, j.Schema().AvgWidth())
 	extra, order, err := m.JoinMethodCost(j.Method, &spec, l, r)
 	if err != nil {
@@ -460,12 +489,18 @@ func (m *Model) projectInfo(p *lplan.Project) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	width := p.Schema().AvgWidth()
-	return &Info{
-		Props: Props{Rows: in.Rows, Width: width, Pages: pagesOf(in.Rows, width), Rel: m.projectStats(in.Rel, in.Rows, p.Items)},
+	info := m.ProjectInfo(in, p.Items, p.Schema().AvgWidth())
+	return &info, nil
+}
+
+// ProjectInfo derives the properties of computing items over an input,
+// width being the output tuple width. Projection renames columns, so the
+// output carries no order.
+func (m *Model) ProjectInfo(in *Info, items []lplan.NamedExpr, width int) Info {
+	return Info{
+		Props: Props{Rows: in.Rows, Width: width, Pages: pagesOf(in.Rows, width), Rel: m.projectStats(in.Rel, in.Rows, items)},
 		Cost:  in.Cost + m.cpu(in.Rows),
-		Order: nil, // projection renames columns; order tracking stops here
-	}, nil
+	}
 }
 
 func (m *Model) filterInfo(f *lplan.Filter) (*Info, error) {

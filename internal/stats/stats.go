@@ -41,6 +41,10 @@ type ColInfo struct {
 // partial-aggregate outputs, hand-built trees).
 type ColIndex struct {
 	ord map[schema.ColID]int
+	// ranges holds every value range a summary of this index has recorded;
+	// a slot refers to its column's range by position, so a summary holds no
+	// pointer and merging two is a plain copy.
+	ranges [][2]types.Value
 }
 
 // Ord returns the column's ordinal, registering it on first sight.
@@ -67,17 +71,20 @@ func (x *ColIndex) lookup(id schema.ColID) int {
 
 // colStat is one slot of a Relation: the column's distinct count and its
 // value range. Ranges never change after the scan that read them from the
-// catalog, so summaries share them by pointer and copy 24 bytes per column.
+// catalog, so summaries share them by ordinal into the column index's table
+// and copy 16 pointer-free bytes per column.
 type colStat struct {
-	ndv    float64
-	bounds *[2]types.Value // min, max; nil when unknown
-	known  bool
+	ndv   float64
+	rng   int32 // 1 + the range's position in ColIndex.ranges; 0 when unknown
+	known bool
 }
 
-func (c colStat) info() ColInfo {
+// info expands a slot of a summary laid out by x.
+func (x *ColIndex) info(c colStat) ColInfo {
 	ci := ColInfo{NDV: c.ndv}
-	if c.bounds != nil {
-		ci.Min, ci.Max = c.bounds[0], c.bounds[1]
+	if c.rng > 0 {
+		b := &x.ranges[c.rng-1]
+		ci.Min, ci.Max = b[0], b[1]
 	}
 	return ci
 }
@@ -106,7 +113,8 @@ func NewArena() *Arena {
 
 // Reset empties the arena for another optimization, keeping its chunks. No
 // Relation it produced may be used afterwards; Clone what must outlive it
-// first. The column index is replaced, not cleared: clones keep the old one.
+// first. The column index is replaced, not cleared: clones keep the old one,
+// and with it the value ranges they refer to.
 func (a *Arena) Reset() {
 	a.rels.Reset()
 	a.stats.Reset()
@@ -137,7 +145,8 @@ func (a *Arena) MergeForJoin(l, r *Relation) *Relation {
 	return out
 }
 
-// Clone deep-copies the summary onto the heap, detached from any arena.
+// Clone deep-copies the summary onto the heap, detached from any arena (it
+// keeps the column index, which holds its value ranges).
 func (r *Relation) Clone() *Relation {
 	return &Relation{Rows: r.Rows, idx: r.idx, cols: slices.Clone(r.cols)}
 }
@@ -163,7 +172,7 @@ func (r *Relation) HasAt(ord int) bool { return uint(ord) < uint(len(r.cols)) &&
 // value distinct) when the column is unknown.
 func (r *Relation) Col(id schema.ColID) ColInfo {
 	if c, ok := r.find(id); ok {
-		return c.info()
+		return r.idx.info(c)
 	}
 	return ColInfo{NDV: math.Max(r.Rows, 1)}
 }
@@ -181,7 +190,8 @@ func (r *Relation) NDVAt(ord int) float64 {
 func (r *Relation) Set(id schema.ColID, ci ColInfo) {
 	c := colStat{ndv: ci.NDV, known: true}
 	if !ci.Min.IsNull() || !ci.Max.IsNull() {
-		c.bounds = &[2]types.Value{ci.Min, ci.Max}
+		r.idx.ranges = append(r.idx.ranges, [2]types.Value{ci.Min, ci.Max})
+		c.rng = int32(len(r.idx.ranges))
 	}
 	*r.slot(r.idx.Ord(id)) = c
 }
@@ -194,8 +204,8 @@ func (r *Relation) SetNDVAt(ord int, ndv float64) {
 }
 
 // Copy gives column `as` the statistics `from` reads for column id
-// (defaulted when unknown), sharing the value range, and returns the
-// ordinal of `as`.
+// (defaulted when unknown), referring to the same value range, and returns
+// the ordinal of `as`. Both summaries must share one column index.
 func (r *Relation) Copy(as schema.ColID, from *Relation, id schema.ColID) int {
 	c, ok := from.find(id)
 	if !ok {
@@ -238,10 +248,10 @@ func (s source) Col(id schema.ColID) ColInfo {
 		return s.l.Col(id)
 	}
 	if c, ok := s.r.find(id); ok {
-		return c.info()
+		return s.r.idx.info(c)
 	}
 	if c, ok := s.l.find(id); ok {
-		return c.info()
+		return s.l.idx.info(c)
 	}
 	return ColInfo{NDV: math.Max(s.l.Rows*s.r.Rows, 1)}
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"aggview/internal/expr"
@@ -286,4 +287,50 @@ func TestJoinSelectivityOnlyReadsTheIndex(t *testing.T) {
 		}
 	}()
 	JoinSelectivity(u, e, NewArena().NewRelation(1))
+}
+
+// TestColStatHoldsNoPointer: a summary's slots are copied on every join the
+// search costs and cleared on every Arena.Reset. A pointer anywhere in a slot
+// turns each copy into a write-barriered one and each clear into a GC scan, so
+// the slot type must stay pointer-free.
+func TestColStatHoldsNoPointer(t *testing.T) {
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[i]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("colStat%s is a %s: a slot must hold no pointer", path, typ.Kind())
+		}
+	}
+	walk(reflect.TypeOf(colStat{}), "")
+}
+
+// TestCloneReadsRangesAfterReset: Optimize hands out a Clone of the winning
+// plan's summary (Plan.Info) and then recycles the arena. The clone must still
+// read the value ranges it was built with, though the arena's chunks are
+// reused and its column index replaced.
+func TestCloneReadsRangesAfterReset(t *testing.T) {
+	a := NewArena()
+	age := schema.ColID{Rel: "e", Name: "age"}
+	r := a.NewRelation(100)
+	r.Set(age, ColInfo{NDV: 50, Min: types.NewInt(20), Max: types.NewInt(70)})
+	c := r.Clone()
+	a.Reset()
+	// The next optimization reuses the chunks and records other ranges.
+	for i := 0; i < 4; i++ {
+		n := a.NewRelation(1)
+		n.Set(age, ColInfo{NDV: 2, Min: types.NewInt(-5), Max: types.NewInt(-1)})
+	}
+	if got := c.Col(age); got.NDV != 50 || got.Min.I != 20 || got.Max.I != 70 {
+		t.Fatalf("clone after Reset reads %+v, want NDV 50 over [20, 70]", got)
+	}
+	sel := Selectivity(expr.NewCmp(expr.LT, expr.Col("e", "age"), expr.IntLit(45)), c)
+	approx(t, sel, 0.5, 1e-12, "age<45 over the detached clone")
 }
