@@ -20,7 +20,7 @@ import (
 
 // The paper's transformations are defined once, by the enumerator: pull-up
 // is phiGroupBy over a phase-one plan, invariant grouping is minInvariantMask
-// / dpRemovable, simple coalescing is partialSpecOf / coalescingTop. Their
+// / dpRemovable, simple coalescing is partialSpecOf / describeGroup. Their
 // soundness is one condition checked against every candidate (Cohen & Nutt's
 // framing): each complete plan the search finalizes — the losers on cost
 // included — is a legal tree returning the bag the query returns as written.

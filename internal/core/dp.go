@@ -888,26 +888,18 @@ func withInput(tmpl *lplan.GroupBy, in lplan.Node) *lplan.GroupBy {
 	}
 }
 
-// finalShape is what completing a full-set entry puts on top of it.
-type finalShape uint8
-
-const (
-	asIs        finalShape = iota // nothing: no group-by pending, no outputs
-	projected                     // the block's outputs
-	groupedHash                   // the block's group-by last, with its outputs: hash
-	groupedSort                   // ... sort
-	mergedHash                    // that group-by merged with the one below it: hash
-	mergedSort                    // ... sort
-	coalesced                     // the top coalescing a pre-aggregate's partials
-)
-
 // final is a complete plan for the block, costed through the kernels: a
-// full-set entry with shape on top. Only a plan that is handed on becomes a
+// full-set entry with, on top, the group-by tmpl describes (the block's
+// group-by last, or the coalescing top), the block's outputs (project) or
+// nothing; or, when merged is set, the merged group-by mergeGroupBys built
+// over the block's one relation. Only a plan that is handed on becomes a
 // tree (finalTree).
 type final struct {
-	e     *entry
-	shape finalShape
-	info  cost.Info
+	e       *entry
+	tmpl    *lplan.GroupBy
+	project bool
+	merged  *lplan.GroupBy
+	info    cost.Info
 }
 
 // finalOf completes a full-set entry according to its mode — the pending
@@ -917,12 +909,12 @@ func (dp *blockDP) finalOf(c *entry) (final, error) {
 	switch {
 	case dp.group != nil && c.mode == modeNone:
 		var best final
-		consider := func(shape finalShape, info cost.Info) error {
+		consider := func(f final) error {
 			if err := tickPlan(dp.stats, dp.opts); err != nil {
 				return err
 			}
-			if best.e == nil || info.Cost < best.info.Cost {
-				best = final{e: c, shape: shape, info: info}
+			if best.e == nil || f.info.Cost < best.info.Cost {
+				best = f
 			}
 			return nil
 		}
@@ -932,7 +924,7 @@ func (dp *blockDP) finalOf(c *entry) (final, error) {
 			if err != nil {
 				return final{}, err
 			}
-			if err := consider(groupedHash+finalShape(i), info); err != nil {
+			if err := consider(final{e: c, tmpl: tmpl, info: info}); err != nil {
 				return final{}, err
 			}
 			if dp.merged[i] == nil {
@@ -942,7 +934,7 @@ func (dp *blockDP) finalOf(c *entry) (final, error) {
 			if err != nil {
 				return final{}, err
 			}
-			if err := consider(mergedHash+finalShape(i), *merged); err != nil {
+			if err := consider(final{e: c, merged: dp.merged[i], info: *merged}); err != nil {
 				return final{}, err
 			}
 		}
@@ -957,25 +949,23 @@ func (dp *blockDP) finalOf(c *entry) (final, error) {
 		if err := tickPlan(dp.stats, dp.opts); err != nil {
 			return final{}, err
 		}
-		return final{e: c, shape: coalesced, info: info}, nil
+		return final{e: c, tmpl: dp.coalTmpl, info: info}, nil
 
 	case len(dp.outputs) > 0: // no group-by, or it was applied eagerly
-		return final{e: c, shape: projected, info: dp.model.ProjectInfo(&c.info, dp.outputs, dp.outWidth)}, nil
+		return final{e: c, project: true, info: dp.model.ProjectInfo(&c.info, dp.outputs, dp.outWidth)}, nil
 	}
-	return final{e: c, shape: asIs, info: c.info}, nil
+	return final{e: c, info: c.info}, nil
 }
 
 // finalTree builds the plan tree of a finalist.
 func (dp *blockDP) finalTree(f *final) lplan.Node {
-	switch f.shape {
-	case mergedHash, mergedSort:
-		return dp.merged[f.shape-mergedHash]
-	case projected:
+	switch {
+	case f.merged != nil:
+		return f.merged
+	case f.tmpl != nil:
+		return withInput(f.tmpl, dp.node(f.e))
+	case f.project:
 		return &lplan.Project{In: dp.node(f.e), Items: dp.outputs}
-	case groupedHash, groupedSort:
-		return withInput(dp.lastTmpl[f.shape-groupedHash], dp.node(f.e))
-	case coalesced:
-		return withInput(dp.coalTmpl, dp.node(f.e))
 	}
 	return dp.node(f.e)
 }
@@ -985,7 +975,7 @@ func (dp *blockDP) finalTree(f *final) lplan.Node {
 // complete plan to visit (nil on the Optimize path) and returns the
 // cheapest, the first found winning ties. Only the plans visit is shown and
 // the winner become trees.
-func (dp *blockDP) bestFinal(visit func(aggMode, lplan.Node, *cost.Info)) (lplan.Node, *cost.Info, error) {
+func (dp *blockDP) bestFinal(visit func(aggMode, lplan.Node, cost.Info)) (lplan.Node, *cost.Info, error) {
 	cands := dp.best[fullMask(len(dp.rels))]
 	if len(cands) == 0 {
 		return nil, nil, fmt.Errorf("dp: no plan for the full relation set")
@@ -998,7 +988,7 @@ func (dp *blockDP) bestFinal(visit func(aggMode, lplan.Node, *cost.Info)) (lplan
 			return nil, nil, err
 		}
 		if visit != nil {
-			visit(cands[i].mode, dp.finalTree(&f), &f.info)
+			visit(cands[i].mode, dp.finalTree(&f), f.info)
 		}
 		if f.info.Cost < bestCost {
 			best, bestCost = f, f.info.Cost

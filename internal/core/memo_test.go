@@ -121,10 +121,10 @@ func TestNextOfSizeEnumeratesLevelsInOrder(t *testing.T) {
 // With pointer-free statistics, kernel-costed finalists and a tree for the
 // winner only (the ceilings are these figures + 10 %):
 //
-//	star-6-over-view          275 KB  2 475 objects
-//	star-5                   83.5 KB    700 objects
-//	star-4                   62.9 KB    517 objects
-//	grouped-having-over-view 62.7 KB    562 objects
+//	star-6-over-view          267 KB  2 380 objects
+//	star-5                   82.4 KB    686 objects
+//	star-4                   62.2 KB    508 objects
+//	grouped-having-over-view 62.3 KB    558 objects
 //
 // Each figure is the least of five batches of calls: a batch in which the
 // collector emptied the memo pool pays for a fresh memo's chunks, which is
@@ -136,10 +136,10 @@ func TestOptimizeAllocationCeilings(t *testing.T) {
 		name                string
 		maxBytes, maxObject float64
 	}{
-		{"star-6-over-view", 302_500, 2_720},
-		{"star-5", 91_900, 770},
-		{"star-4", 69_200, 570},
-		{"grouped-having-over-view", 69_000, 620},
+		{"star-6-over-view", 294_100, 2_620},
+		{"star-5", 90_600, 755},
+		{"star-4", 68_400, 560},
+		{"grouped-having-over-view", 68_500, 615},
 	} {
 		i := slices.IndexFunc(g.cases, func(c goldenCase) bool { return c.name == tc.name })
 		q := bindGolden(t, g.cat, g.cases[i].sql)

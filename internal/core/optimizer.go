@@ -1143,14 +1143,14 @@ func (o *optimizer) phaseTwo(chosen []wCandidate) (lplan.Node, *cost.Info, error
 	if err := dp.solve(); err != nil {
 		return nil, nil, err
 	}
-	var visit func(aggMode, lplan.Node, *cost.Info)
+	var visit func(aggMode, lplan.Node, cost.Info)
 	if o.each != nil {
-		visit = func(m aggMode, root lplan.Node, info *cost.Info) {
+		visit = func(m aggMode, root lplan.Node, info cost.Info) {
 			label := wLabel(chosen)
 			if dp.group != nil {
 				label = strings.TrimSpace(label + " " + m.String())
 			}
-			o.each(Alternative{Label: label, Root: root, Cost: info.Cost, Info: detach(info)})
+			o.each(Alternative{Label: label, Root: root, Cost: info.Cost, Info: detach(&info)})
 		}
 	}
 	return dp.bestFinal(visit)
