@@ -86,7 +86,9 @@ bench-diff:
 # internal/exec — one per operator: BenchmarkHashJoin, BenchmarkHashAgg,
 # BenchmarkMergeJoin, BenchmarkSortAggregate, BenchmarkBlockNL; and
 # BenchmarkOpenCursor, which times opening a plan apart from running it —
-# BenchmarkQueryCacheHit and BenchmarkWarmExec in the root).
+# BenchmarkQueryCacheHit and BenchmarkWarmExec in the root; view maintenance
+# per commit in BenchmarkMatViewMaintain (root) and per step — bind and
+# compile, a delta, a merge — in internal/matview's BenchmarkMaintainSteps).
 gobench:
 	$(GO) test -bench=. -benchmem ./...
 

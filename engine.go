@@ -10,6 +10,7 @@ import (
 	"aggview/internal/core"
 	"aggview/internal/datagen"
 	"aggview/internal/lplan"
+	"aggview/internal/matview"
 	"aggview/internal/obs"
 	"aggview/internal/schema"
 	"aggview/internal/sql"
@@ -155,6 +156,10 @@ type Engine struct {
 	// (nil for in-memory engines). Shared by WithConfig derivatives, which
 	// alias the same catalog and therefore the same log.
 	wal *walState
+	// views holds the incremental materialized-view definitions bound for
+	// maintenance, by view name (see Txn.boundView). The writer gate guards
+	// it.
+	views map[string]*matview.Def
 }
 
 // newEngine assembles an engine around an existing store and catalog
@@ -435,9 +440,6 @@ func planResult(text string, info *PlanInfo) *Result {
 // state.
 func (tx *Txn) applyWrite(stmt sql.Statement) error {
 	e := tx.e
-	if _, isInsert := stmt.(*sql.Insert); !isInsert {
-		tx.views = nil // DDL may change what a cached definition was bound to
-	}
 	switch t := stmt.(type) {
 	case *sql.CreateTable:
 		cols := make([]schema.Column, len(t.Cols))
@@ -462,6 +464,7 @@ func (tx *Txn) applyWrite(stmt sql.Statement) error {
 		if err := e.cat.DropMatView(t.Name); err != nil {
 			return fmt.Errorf("aggview: %v", err)
 		}
+		delete(e.views, strings.ToLower(t.Name)) // let the bound tables go
 		return nil
 
 	case *sql.DropTable:

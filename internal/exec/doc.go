@@ -22,6 +22,13 @@
 // Compile then Open, for a tree that was not compiled ahead. The engine
 // compiles each plan once, before it caches it.
 //
+// A plan's leaves are scans, or an Input, whose rows the run supplies
+// (WithInput) the way it supplies parameters. View maintenance compiles its
+// delta and its merge over an Input and runs them on NewInMemory, an
+// executor without a store: its input is already in memory, so its
+// operators keep their state there, never spill, and a hash aggregation
+// emits its groups in first-seen order.
+//
 // The rest of this comment is the executor contract: what an operator must
 // guarantee, and what it may assume of its inputs.
 //

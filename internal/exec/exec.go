@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"aggview/internal/expr"
@@ -40,6 +41,8 @@ type Executor struct {
 	// Compiled expressions read them as they evaluate, so one Program serves
 	// runs with different arguments.
 	params []types.Value
+	// input holds the rows an Input leaf reads in this run (WithInput).
+	input []types.Row
 	// arenas tracks the pooled row-arena slabs carved by this executor's
 	// operators; the cursor returns them on Close. See arenaRecycler.
 	arenas arenaRecycler
@@ -54,6 +57,15 @@ func New(store *storage.Store) *Executor {
 		budgetBytes: store.PoolPages() * storage.PageSize,
 		batchSize:   DefaultBatchSize,
 	}
+}
+
+// NewInMemory creates an executor without a store, for plans whose leaves
+// are Inputs. Their rows are already in memory, so its operators hold their
+// state there too: nothing spills, and a hash aggregation emits its groups
+// in the order their first rows arrived. A plan that reads or writes pages
+// whatever its budget (a scan, a block nested-loops join) cannot run on it.
+func NewInMemory() *Executor {
+	return &Executor{budgetBytes: math.MaxInt, batchSize: DefaultBatchSize}
 }
 
 // WithGovernor attaches a per-query governor and returns the executor.
@@ -87,6 +99,13 @@ func (e *Executor) WithParams(vals []types.Value) *Executor {
 	return e
 }
 
+// WithInput supplies the rows the plan's Input leaf reads and returns the
+// executor. The rows are read, never modified.
+func (e *Executor) WithInput(rows []types.Row) *Executor {
+	e.input = rows
+	return e
+}
+
 // WithBatchSize overrides the target rows per batch and returns the
 // executor. Sizes below 1 are ignored. Batch size never changes results,
 // IO, or spill behavior — only the granularity of inter-operator calls —
@@ -105,11 +124,20 @@ type Result struct {
 	Rows   []types.Row
 }
 
-// Run executes the plan and materializes its output. Rows are cloned out
-// of the cursor: cursor rows live in arena slabs that are recycled on
-// Close, and Run's result must outlive the cursor.
+// Run compiles the plan, executes it and materializes its output.
 func (e *Executor) Run(n lplan.Node) (*Result, error) {
-	cur, err := e.OpenCursor(n)
+	p, err := Compile(n)
+	if err != nil {
+		return nil, err
+	}
+	return e.RunProgram(p)
+}
+
+// RunProgram executes a compiled plan and materializes its output. Rows are
+// cloned out of the cursor: cursor rows live in arena slabs that are
+// recycled on Close, and the result must outlive the cursor.
+func (e *Executor) RunProgram(p *Program) (*Result, error) {
+	cur, err := e.Open(p)
 	if err != nil {
 		return nil, err
 	}
@@ -192,6 +220,8 @@ func compileOp(n lplan.Node) (*op, error) {
 	switch t := n.(type) {
 	case *lplan.Scan:
 		o, err = compileScan(t)
+	case *lplan.Input:
+		o = &op{newIter: func(e *Executor) BatchIterator { return newSliceIter(e.input, e.batchSize) }}
 	case *lplan.Filter:
 		o, err = compileFilter(t)
 	case *lplan.Project:

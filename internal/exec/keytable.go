@@ -170,9 +170,10 @@ func (t *keyTable) key(e int, dst types.Row) types.Row {
 	return t.keys[e*t.width : (e+1)*t.width : (e+1)*t.width]
 }
 
-// hashKeys writes into out the hash of each row's key at cols (what
-// types.Row.Hash returns), one key column at a time over the whole batch,
-// and returns out resized to len(rows).
+// hashKeys writes into out the hash of each row's key at cols (the
+// types.HashValue of each column, folded by types.HashCombine in key order;
+// 0 for an empty key), one key column at a time over the whole batch, and
+// returns out resized to len(rows).
 func hashKeys(rows []types.Row, cols []int, out []uint64) []uint64 {
 	if cap(out) < len(rows) {
 		out = make([]uint64, len(rows))

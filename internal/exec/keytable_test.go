@@ -47,12 +47,13 @@ func TestHashAgreesWithEqual(t *testing.T) {
 			}
 		}
 	}
-	// The batch hash is the row hash, column at a time.
+	// The batch hash combines the column hashes in key order.
 	for _, a := range keyValuePool {
 		for _, b := range keyValuePool {
 			row, cols := types.Row{a, b}, []int{1, 0}
-			if got := hashKeys([]types.Row{row}, cols, nil)[0]; got != row.Hash(cols) {
-				t.Fatalf("hashKeys(%v) = %x, Row.Hash = %x", row, got, row.Hash(cols))
+			want := types.HashCombine(types.HashValue(&b), types.HashValue(&a))
+			if got := hashKeys([]types.Row{row}, cols, nil)[0]; got != want {
+				t.Fatalf("hashKeys(%v) = %x, want %x", row, got, want)
 			}
 		}
 	}

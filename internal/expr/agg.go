@@ -299,8 +299,7 @@ func (s *AggState) Result(k AggKind) types.Value {
 }
 
 // stateAcc is an AggState behind the Accumulator interface, for callers
-// that hold one accumulator per group (the reference executor, view
-// maintenance).
+// that hold one accumulator per group (the reference executor).
 type stateAcc struct {
 	k AggKind
 	s AggState

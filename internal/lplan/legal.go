@@ -31,6 +31,9 @@ func Validate(n Node) error {
 		}
 		return nil
 
+	case *Input:
+		return nil
+
 	case *Join:
 		if err := Validate(t.L); err != nil {
 			return err

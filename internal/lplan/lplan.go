@@ -154,6 +154,24 @@ func (s *Scan) Describe() string {
 	return b.String()
 }
 
+// Input is a leaf whose rows the run supplies (exec.Executor.WithInput)
+// instead of a table: a plan over it is compiled once and run over
+// different rows. View maintenance groups inserted base rows, and a backing
+// table's rows, through it. It reads no pages, and the optimizer never
+// builds one.
+type Input struct {
+	Cols schema.Schema
+}
+
+// Schema implements Node.
+func (i *Input) Schema() schema.Schema { return i.Cols }
+
+// Children implements Node.
+func (i *Input) Children() []Node { return nil }
+
+// Describe implements Node.
+func (i *Input) Describe() string { return "Input " + colList(i.Cols.ColIDs()) }
+
 // JoinType distinguishes inner joins from the null-padding outer variants.
 // The zero value is JoinInner, so plans built before outer joins existed
 // are unchanged. JoinRight exists only for pre-planning structures (qblock

@@ -2,91 +2,32 @@ package matview
 
 import (
 	"fmt"
+	"slices"
 
 	"aggview/internal/catalog"
+	"aggview/internal/exec"
 	"aggview/internal/expr"
+	"aggview/internal/lplan"
+	"aggview/internal/schema"
 	"aggview/internal/types"
 )
 
-// fold is the one grouping loop of view maintenance: rows that pass keep
-// are grouped by the values at the key positions, and each group's parts
-// are accumulated. Delta runs it with the definition's filter and Partial
-// accumulators over base rows, Merge with Coalesce accumulators over
-// backing rows. Groups are found by hash and types.Compare equality (NULL
-// keys equal, as GROUP BY wants) and come out in first-seen order. A view
-// definition has no `?` (Bind refuses one), so the compiled filter and
-// arguments run with a nil parameter vector.
-type fold struct {
-	keep  expr.Predicate // nil keeps every row
-	keys  []int          // key column positions in the input rows
-	parts []foldPart
-}
+// Both maintenance steps are a GroupBy over an Input leaf, compiled once
+// into an exec.Program and run on an in-memory executor: Delta groups the
+// inserted base rows that pass the definition's filter and computes each
+// group's Partial aggregates, Merge groups backing rows and coalesces each
+// partial column. The executor's hash aggregation finds groups by hash and
+// typed equality (NULL keys equal, as GROUP BY wants) and, holding
+// everything in memory, emits them in first-seen order. A view definition
+// has no `?` (Bind refuses one), so the programs run without parameters.
 
-type foldPart struct {
-	agg expr.Agg      // makes the part's accumulator
-	arg expr.Compiled // the value folded per row; nil for COUNT(*)
-}
-
-// run returns one row per group: the key values, then each part's result.
-func (f *fold) run(rows []types.Row) ([]types.Row, error) {
-	type group struct {
-		first types.Row // the group's first input row; its key is read from it
-		accs  []expr.Accumulator
+// run runs a maintenance program over rows and returns its output rows.
+func run(p *exec.Program, rows []types.Row) ([]types.Row, error) {
+	res, err := exec.NewInMemory().WithInput(rows).RunProgram(p)
+	if err != nil {
+		return nil, err
 	}
-	var groups []group
-	byHash := map[uint64][]int{} // key hash → groups with that hash
-	for _, row := range rows {
-		if f.keep != nil {
-			ok, err := f.keep(row, nil)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		h := row.Hash(f.keys)
-		g := -1
-		for _, c := range byHash[h] {
-			if types.CompareRows(groups[c].first, row, f.keys) == 0 {
-				g = c
-				break
-			}
-		}
-		if g < 0 {
-			g = len(groups)
-			accs := make([]expr.Accumulator, len(f.parts))
-			for i, p := range f.parts {
-				accs[i] = p.agg.NewAccumulator()
-			}
-			groups = append(groups, group{first: row, accs: accs})
-			byHash[h] = append(byHash[h], g)
-		}
-		for i, p := range f.parts {
-			if p.arg == nil {
-				groups[g].accs[i].Add(types.NewInt(1)) // COUNT(*): any non-null
-				continue
-			}
-			v, err := p.arg(row, nil)
-			if err != nil {
-				return nil, err
-			}
-			groups[g].accs[i].Add(v)
-		}
-	}
-
-	out := make([]types.Row, len(groups))
-	for i, g := range groups {
-		row := make(types.Row, 0, len(f.keys)+len(g.accs))
-		for _, k := range f.keys {
-			row = append(row, g.first[k])
-		}
-		for _, acc := range g.accs {
-			row = append(row, acc.Result())
-		}
-		out[i] = row
-	}
-	return out, nil
+	return res.Rows, nil
 }
 
 // Incremental reports whether INSERT maintenance can fold deltas locally:
@@ -95,6 +36,19 @@ func (f *fold) run(rows []types.Row) ([]types.Row, error) {
 // new rows against other tables and fall back to a full refresh.
 func (d *Def) Incremental() bool { return len(d.Block.Rels) == 1 }
 
+// BoundTo reports whether an incremental Def, bound earlier, still describes
+// the view mv of cat: the view's text is the one bound, and its base table's
+// schema is the one the delta was compiled against. Delta, Merge and
+// Maintain read nothing else the binding captured, so a holder may keep such
+// a Def, with its compiled programs, across any number of commits.
+func (d *Def) BoundTo(cat catalog.Reader, mv *catalog.MatView) bool {
+	if mv.Name != d.Name || mv.SQL != d.SQL || !d.Incremental() {
+		return false
+	}
+	base, ok := cat.Table(d.Block.Rels[0].Table.Name)
+	return ok && slices.Equal(base.Schema, d.Block.Rels[0].Table.Schema)
+}
+
 // Delta folds newly inserted base-table rows into backing-table delta
 // rows: the definition's filter is applied, survivors are grouped, and
 // each group's partial aggregates are computed. Appending the returned
@@ -102,49 +56,38 @@ func (d *Def) Incremental() bool { return len(d.Block.Rels) == 1 }
 // reader of the backing table — the rewrite's plans and Merge — coalesces
 // the partials of a group. Only valid when Incremental().
 //
-// The compiled filter and evaluators are kept on the Def, so a holder that
-// calls Delta repeatedly compiles once; a Def is therefore not safe for
-// use from several goroutines.
+// The compiled program is kept on the Def, so a holder that calls Delta
+// repeatedly compiles once; a Def is therefore not safe for use from
+// several goroutines.
 func (d *Def) Delta(rows []types.Row) ([]types.Row, error) {
 	if d.delta == nil {
-		f, err := d.compileDelta()
+		p, err := d.compileDelta()
 		if err != nil {
 			return nil, err
 		}
-		d.delta = f
+		d.delta = p
 	}
-	return d.delta.run(rows)
+	return run(d.delta, rows)
 }
 
-func (d *Def) compileDelta() (*fold, error) {
+func (d *Def) compileDelta() (*exec.Program, error) {
 	if !d.Incremental() {
 		return nil, fmt.Errorf("materialized view %q: delta maintenance requires a single-table definition", d.Name)
 	}
-	rs := d.Block.Rels[0].Schema()
-	keep, err := expr.CompilePredicate(expr.AndAll(d.Block.Conjs), rs)
-	if err != nil {
-		return nil, err
+	var in lplan.Node = &lplan.Input{Cols: d.Block.Rels[0].Schema()}
+	if len(d.Block.Conjs) > 0 {
+		in = &lplan.Filter{In: in, Preds: d.Block.Conjs}
 	}
-	f := &fold{keep: keep}
-	for _, g := range d.Groups {
-		i, err := rs.IndexOf(g.Src)
-		if err != nil {
-			return nil, err
-		}
-		f.keys = append(f.keys, i)
+	g := &lplan.GroupBy{In: in, Method: lplan.AggHash}
+	for _, sg := range d.Groups {
+		g.GroupCols = append(g.GroupCols, sg.Src)
 	}
 	for _, sa := range d.Aggs {
 		for _, p := range sa.Parts {
-			part := foldPart{agg: p.Part.Partial}
-			if p.Part.Partial.Arg != nil {
-				if part.arg, err = expr.Compile(p.Part.Partial.Arg, rs); err != nil {
-					return nil, err
-				}
-			}
-			f.parts = append(f.parts, part)
+			g.Aggs = append(g.Aggs, p.Part.Partial)
 		}
 	}
-	return f, nil
+	return exec.Compile(g)
 }
 
 // Merge folds backing-table rows into one row per stored group: each
@@ -155,22 +98,32 @@ func (d *Def) compileDelta() (*fold, error) {
 // idempotent, and Merge(a ++ b) = Merge(Merge(a) ++ b).
 func (d *Def) Merge(rows []types.Row) ([]types.Row, error) {
 	if d.merge == nil {
-		f := &fold{}
-		for i := range d.Groups {
-			f.keys = append(f.keys, i)
+		p, err := d.compileMerge()
+		if err != nil {
+			return nil, err
 		}
-		for _, sa := range d.Aggs {
-			for _, p := range sa.Parts {
-				col := len(f.keys) + len(f.parts)
-				f.parts = append(f.parts, foldPart{
-					agg: expr.Agg{Kind: p.Part.Coalesce},
-					arg: func(row types.Row, _ []types.Value) (types.Value, error) { return row[col], nil },
-				})
-			}
-		}
-		d.merge = f
+		d.merge = p
 	}
-	return d.merge.run(rows)
+	return run(d.merge, rows)
+}
+
+// compileMerge compiles the coalescing GroupBy over the backing layout. Each
+// coalesced part keeps its column's name, so the output has the input's
+// schema.
+func (d *Def) compileMerge() (*exec.Program, error) {
+	in := &lplan.Input{}
+	g := &lplan.GroupBy{In: in, Method: lplan.AggHash}
+	for _, sg := range d.Groups {
+		in.Cols = append(in.Cols, schema.Column{ID: sg.Col, Type: sg.Typ})
+		g.GroupCols = append(g.GroupCols, sg.Col)
+	}
+	for _, sa := range d.Aggs {
+		for _, p := range sa.Parts {
+			in.Cols = append(in.Cols, schema.Column{ID: p.Col, Type: p.Typ})
+			g.Aggs = append(g.Aggs, expr.Agg{Kind: p.Part.Coalesce, Arg: expr.ColOf(p.Col), Out: p.Col})
+		}
+	}
+	return exec.Compile(g)
 }
 
 // Load is the one path that (re)builds a view's backing table, shared by

@@ -19,7 +19,8 @@
 //     rows appended to the backing table, and the same coalescing applied
 //     to the table itself merges a group's partials into one row whenever
 //     the table has doubled, so the store is bounded by its groups and not
-//     by its commit history (Def.Maintain).
+//     by its commit history (Def.Maintain). Both steps are plans the
+//     executor runs; the package has no grouping code of its own.
 package matview
 
 import (
@@ -29,6 +30,7 @@ import (
 
 	"aggview/internal/binder"
 	"aggview/internal/catalog"
+	"aggview/internal/exec"
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
 	"aggview/internal/qblock"
@@ -82,9 +84,9 @@ type Def struct {
 	// BaseTables are the base tables the definition reads, sorted.
 	BaseTables []string
 
-	// delta and merge are the compiled folds behind Delta and Merge, built
-	// on first use.
-	delta, merge *fold
+	// delta and merge are the compiled programs behind Delta and Merge,
+	// built on first use.
+	delta, merge *exec.Program
 }
 
 // Bind parses and binds a view definition against the catalog and derives

@@ -34,7 +34,7 @@ func salesRow(region, product string, day int64, amount float64, qty int64) type
 		types.NewFloat(amount), types.NewInt(qty)}
 }
 
-func newEnv(t *testing.T) *env {
+func newEnv(t testing.TB) *env {
 	t.Helper()
 	st := storage.NewStore(32)
 	c := catalog.New(st)
@@ -520,5 +520,108 @@ func TestMaintainMergesWhenDoubled(t *testing.T) {
 	}
 	if merges < 5 || removed == 0 {
 		t.Fatalf("merges = %d removing %d rows; want at least 5 merges", merges, removed)
+	}
+}
+
+// BenchmarkMaintainSteps times the two maintenance steps apart from the
+// commit around them: binding a definition and compiling its delta (once per
+// view per transaction), a four-row Delta (one INSERT statement of the
+// repo benchmark's durable-rw writer), and the Merge of a backing table
+// holding two partial rows per group.
+func BenchmarkMaintainSteps(b *testing.B) {
+	e := newEnv(b)
+	rows := mergeStream(1, 4)
+	b.Run("bind+compile", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			def, err := Bind(e.cat, "rollup", rollupDef)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := def.Delta(rows); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	def, err := Bind(e.cat, "rollup", rollupDef)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("delta", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := def.Delta(rows); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	var stored []types.Row
+	for seed := int64(1); seed <= 2; seed++ {
+		delta, err := def.Delta(mergeStream(seed, 200))
+		if err != nil {
+			b.Fatal(err)
+		}
+		stored = append(stored, delta...)
+	}
+	b.Run("merge", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := def.Merge(stored); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestBoundTo: a bound incremental Def stays valid across inserts and the
+// reload of a merge, and stops being valid when the view's text or its base
+// table's schema is not the one it was bound to.
+func TestBoundTo(t *testing.T) {
+	e := newEnv(t)
+	def, err := Bind(e.cat, "rollup", rollupDef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := def.Load(e.cat, e.naive(t, def.PartialQuery()).Rows, false); err != nil {
+		t.Fatal(err)
+	}
+	sales, _ := e.cat.Table("sales")
+	var merges int
+	for _, row := range mergeStream(3, 200) {
+		if err := e.cat.Insert(sales, row); err != nil {
+			t.Fatal(err)
+		}
+		in, _, err := def.Maintain(e.cat, []types.Row{row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in > 0 {
+			merges++
+		}
+		if mv, _ := e.cat.MatView("rollup"); !def.BoundTo(e.cat, mv) {
+			t.Fatalf("after %d merges: the Def no longer describes its own view", merges)
+		}
+	}
+	if merges == 0 {
+		t.Fatal("no merge ran")
+	}
+	mv, _ := e.cat.MatView("rollup")
+	other := *mv
+	other.SQL = strings.Replace(mv.SQL, "qty > 0", "qty > 1", 1)
+	if def.BoundTo(e.cat, &other) {
+		t.Fatal("BoundTo accepted another definition text")
+	}
+	reordered := catalog.New(storage.NewStore(8))
+	if def.BoundTo(reordered, mv) {
+		t.Fatal("BoundTo accepted a catalog without the base table")
+	}
+	if _, err := reordered.CreateTable("sales", []schema.Column{
+		col("product", types.KindString), col("region", types.KindString),
+		col("day", types.KindInt), col("amount", types.KindFloat), col("qty", types.KindInt),
+	}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if def.BoundTo(reordered, mv) {
+		t.Fatal("BoundTo accepted a base table with another column order")
 	}
 }

@@ -13,7 +13,7 @@ var hashSeed = maphash.MakeSeed()
 // hashes as the float64 it converts to (so INTs that float64 cannot tell
 // apart collide, and Equal separates them), -0 as +0. NULL hashes to a
 // constant, which suits grouping (NULL keys form one group). It is the
-// hash behind the executor's key table and view maintenance's grouping.
+// hash behind the executor's key table.
 func HashValue(v *Value) uint64 {
 	switch v.K {
 	case KindInt:
@@ -33,19 +33,6 @@ func HashValue(v *Value) uint64 {
 // values before it.
 func HashCombine(h, next uint64) uint64 {
 	return mix64(h*0x9e3779b97f4a7c15 + next)
-}
-
-// Hash returns the hash of the key the row holds at cols: keys that are
-// Equal position by position hash alike. An empty key hashes to 0.
-func (r Row) Hash(cols []int) uint64 {
-	if len(cols) == 0 {
-		return 0
-	}
-	h := HashValue(&r[cols[0]])
-	for _, c := range cols[1:] {
-		h = HashCombine(h, HashValue(&r[c]))
-	}
-	return h
 }
 
 // mix64 is the 64-bit finalizer of MurmurHash3: every input bit reaches

@@ -280,6 +280,32 @@ func TestMatViewIncrementalMaintenance(t *testing.T) {
 	matviewRecomputeEqual(t, e, coalesce, recompute)
 }
 
+// TestMatViewMaintenanceAfterRecreate: an engine keeps a view's bound
+// definition, with its compiled maintenance programs, across commits. When
+// the view and its base table are dropped and created again with the same
+// text but another column order, behind that engine's back (through an
+// engine derived by WithConfig, which keeps its own definitions), the next
+// INSERT must not run the old programs.
+func TestMatViewMaintenanceAfterRecreate(t *testing.T) {
+	e := aggview.Open(aggview.Config{})
+	const view = `CREATE MATERIALIZED VIEW m AS
+		SELECT region, SUM(amount) AS total, COUNT(*) AS n FROM sales WHERE qty > 0 GROUP BY region`
+	coalesce := `SELECT region, SUM(total$sum) AS total, SUM(n$cnt) AS n FROM m$mv GROUP BY region`
+	recompute := `SELECT region, SUM(amount) AS total, COUNT(*) AS n FROM sales WHERE qty > 0 GROUP BY region`
+	e.MustExec("CREATE TABLE sales (region TEXT, amount FLOAT, qty INT)")
+	e.MustExec(view)
+	e.MustExec("INSERT INTO sales VALUES ('r0', 1.5, 1), ('r1', 2.5, 2)")
+	matviewRecomputeEqual(t, e, coalesce, recompute)
+
+	other := e.WithConfig(aggview.Config{})
+	other.MustExec("DROP MATERIALIZED VIEW m")
+	other.MustExec("DROP TABLE sales")
+	other.MustExec("CREATE TABLE sales (qty INT, amount FLOAT, region TEXT)")
+	other.MustExec(view)
+	e.MustExec("INSERT INTO sales VALUES (1, 4.5, 'r0'), (0, 8.5, 'r2'), (3, 16.5, 'r2')")
+	matviewRecomputeEqual(t, e, coalesce, recompute)
+}
+
 // TestMatViewFullRefreshMaintenance: a join-view definition cannot fold
 // deltas locally, so INSERT into either base table triggers a full refresh.
 func TestMatViewFullRefreshMaintenance(t *testing.T) {

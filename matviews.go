@@ -145,23 +145,26 @@ func (t *Txn) maintainMatViews(table string, rows []types.Row) error {
 	return nil
 }
 
-// boundView binds a view's definition for maintenance. The definition of an
-// incremental view is bound and compiled once per transaction: its delta
-// reads only the base table's schema, which no INSERT changes (applyWrite
-// drops the cache on every other statement). A multi-table definition is
-// bound on every use, because its refresh scans the Table objects it was
-// bound to and a later INSERT in the transaction may replace them with
-// copy-on-write clones.
+// boundView binds a view's definition for maintenance. An incremental
+// definition is bound, and its delta and merge programs compiled, once per
+// engine: they read nothing of the catalog but the base table's schema, so a
+// bound Def stays valid while the view's text and that schema are unchanged
+// (Def.BoundTo), however many commits replace the table's other state. A
+// multi-table definition is bound on every use, because its refresh scans
+// the Table objects it was bound to and an INSERT replaces them with
+// copy-on-write clones. Only the admitted writer maintains views, so the
+// writer gate guards the map.
 func (t *Txn) boundView(mv *catalog.MatView) (*matview.Def, error) {
-	if def, ok := t.views[mv.Name]; ok {
+	e := t.e
+	if def, ok := e.views[mv.Name]; ok && def.BoundTo(e.cat, mv) {
 		return def, nil
 	}
-	def, err := matview.BindCatalog(t.e.cat, mv)
+	def, err := matview.BindCatalog(e.cat, mv)
 	if err == nil && def.Incremental() {
-		if t.views == nil {
-			t.views = map[string]*matview.Def{}
+		if e.views == nil {
+			e.views = map[string]*matview.Def{}
 		}
-		t.views[mv.Name] = def
+		e.views[mv.Name] = def
 	}
 	return def, err
 }

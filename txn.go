@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"aggview/internal/matview"
 	txnpkg "aggview/internal/txn"
 )
 
@@ -34,10 +33,8 @@ type Txn struct {
 	rec  *txnpkg.Recorder
 	done bool
 
-	// views holds the incremental view definitions bound for maintenance so
-	// far (see boundView); merges and rowsMerged count the backing-table
-	// merges this transaction ran, published to the metrics at Commit.
-	views              map[string]*matview.Def
+	// merges and rowsMerged count the backing-table merges this transaction
+	// ran, published to the metrics at Commit.
 	merges, rowsMerged int64
 }
 
