@@ -84,7 +84,9 @@ bench-diff:
 # template and mode, BenchmarkOptimizeAdhocMix over adhoc-plan's rotation,
 # per statement — the executor's in
 # internal/exec — one per operator: BenchmarkHashJoin, BenchmarkHashAgg,
-# BenchmarkMergeJoin, BenchmarkSortAggregate, BenchmarkBlockNL; and
+# BenchmarkMergeJoin, BenchmarkSortAggregate, BenchmarkBlockNL, and
+# BenchmarkSort (the operator ORDER BY runs in; in memory and spilling,
+# ascending and DESC); and
 # BenchmarkOpenCursor, which times opening a plan apart from running it —
 # BenchmarkQueryCacheHit and BenchmarkWarmExec in the root; view maintenance
 # per commit in BenchmarkMatViewMaintain (root) and per step — bind and

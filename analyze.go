@@ -76,7 +76,7 @@ type AnalyzeInfo struct {
 	Plan *PlanInfo
 	// Root is the annotated operator tree.
 	Root *OpNode
-	// Rows is the number of rows the query produced.
+	// Rows is the number of rows the query delivered (after any LIMIT).
 	Rows int64
 	// IO is the query's page IO (cold: the buffer pool is dropped first,
 	// matching the paper's measurement setting).

@@ -61,9 +61,11 @@ func TestChaosSweepWarehouse(t *testing.T) {
 		// Grouped top block over a view output.
 		`select p.brand, max(v.aqty) from part p, part_qty v
 		 where v.partkey = p.partkey group by p.brand having max(v.aqty) > 10`,
-		// Plain grouped join with presentation clauses.
+		// Plain grouped join with ORDER BY and LIMIT.
 		`select c.nation, count(*) as n from customer c, orders o
 		 where o.custkey = c.custkey group by c.nation order by n desc limit 3`,
+		// An ORDER BY whose Sort spills: faults on sort-run writes and reads.
+		orderBySpill,
 	}
 	const followUp = `select count(*) from part`
 

@@ -34,8 +34,8 @@ type OrderKey struct {
 	Desc bool
 }
 
-// Bound is a fully bound query: the canonical form plus the presentation
-// directives the optimizer does not reason about.
+// Bound is a fully bound query: the canonical form the optimizer plans, the
+// ORDER BY keys (a Sort over the chosen plan) and the LIMIT.
 type Bound struct {
 	Query    *qblock.Query
 	ColNames []string // display names of the output columns

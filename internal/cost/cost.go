@@ -527,13 +527,15 @@ func (m *Model) sortInfo(s *lplan.Sort) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	extra := 0.0
-	if !orderSatisfies(in.Order, s.By) {
-		extra = m.SortCost(in.Pages)
+	// Inputs carry only ascending orders, so a DESC key always sorts and
+	// leaves an order no operator asks for.
+	desc := slices.Contains(s.Desc, true)
+	info := &Info{Props: in.Props, Cost: in.Cost + m.cpu(in.Rows)}
+	if desc || !orderSatisfies(in.Order, s.By) {
+		info.Cost += m.SortCost(in.Pages)
 	}
-	return &Info{
-		Props: in.Props,
-		Cost:  in.Cost + extra + m.cpu(in.Rows),
-		Order: s.By,
-	}, nil
+	if !desc {
+		info.Order = s.By
+	}
+	return info, nil
 }

@@ -66,6 +66,40 @@ func TestSortNodeInfoAlreadySorted(t *testing.T) {
 	}
 }
 
+// TestSortNodeInfoDesc: a DESC key sorts even an input already in the key's
+// ascending order, and leaves no output order behind, so a Sort above it
+// pays again.
+func TestSortNodeInfoDesc(t *testing.T) {
+	f := newFixture(t, 5000, 20)
+	m := NewModel(4, 0)
+	dno := []schema.ColID{{Rel: "e", Name: "dno"}}
+	asc := &lplan.Sort{In: f.scanEmp("e"), By: dno}
+	desc := &lplan.Sort{In: asc, By: dno, Desc: []bool{true}}
+	again := &lplan.Sort{In: desc, By: dno}
+	ia, err := m.Info(asc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := m.Info(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ig, err := m.Info(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortCost := m.SortCost(ia.Pages)
+	if sortCost == 0 {
+		t.Fatal("input fits the pool; the check would be vacuous")
+	}
+	if id.Cost != ia.Cost+sortCost || id.Order != nil {
+		t.Errorf("DESC over ascending input: cost %g order %v, want %g and no order", id.Cost, id.Order, ia.Cost+sortCost)
+	}
+	if ig.Cost != id.Cost+sortCost || len(ig.Order) != 1 {
+		t.Errorf("ascending over DESC output: cost %g order %v, want %g and the key's order", ig.Cost, ig.Order, id.Cost+sortCost)
+	}
+}
+
 // TestOptimalityPropertyRandom: replacing any plan's input with a cheaper
 // plan producing statistically identical output never increases the
 // parent's cost beyond the delta — the principle of optimality the paper

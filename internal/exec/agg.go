@@ -185,7 +185,7 @@ func compileGroupBy(g *lplan.GroupBy) (*op, error) {
 	}
 	switch g.Method {
 	case lplan.AggSort:
-		sorted := sortedInput(in, spec.groupPos)
+		sorted := sortedInput(in, sortKeys{cols: spec.groupPos})
 		o := &op{newIter: func(e *Executor) BatchIterator {
 			ctx := newCtx(e)
 			return &sortAggIter{ctx: ctx, target: e.batchSize, in: runReader{in: sorted(e), cols: spec.groupPos,

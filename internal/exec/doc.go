@@ -79,10 +79,10 @@
 // outer's batches, so the batch size never moves a block boundary.
 //
 // Each compiled operator records the columns its output is sorted on by
-// construction: a Sort's keys, a merge join's left keys (without a
-// projection), a sort aggregation's grouping columns (without output
-// expressions), and a filter's input order. Merge join and sort aggregation
-// sort an input only when that order does not start with their keys.
+// construction: an all-ascending Sort's keys, a merge join's left keys
+// (without a projection), a sort aggregation's grouping columns (without
+// output expressions), and a filter's input order. All but the filter sort an
+// input only when that order does not start with their keys.
 //
 // # Governance and metering at batch boundaries
 //

@@ -118,7 +118,7 @@ func compileJoin(j *lplan.Join) (*op, error) {
 		if len(spec.lKeys) == 0 {
 			return nil, fmt.Errorf("exec: merge join requires an equi-join predicate")
 		}
-		lIn, rIn := sortedInput(l, spec.lKeys), sortedInput(r, spec.rKeys)
+		lIn, rIn := sortedInput(l, sortKeys{cols: spec.lKeys}), sortedInput(r, sortKeys{cols: spec.rKeys})
 		o := &op{newIter: func(e *Executor) BatchIterator {
 			return &mergeJoinIter{jc: newJC(e), target: e.batchSize,
 				l: runReader{in: lIn(e), cols: spec.lKeys}, r: runReader{in: rIn(e), cols: spec.rKeys}}

@@ -88,10 +88,11 @@ func naiveRows(store *storage.Store, n lplan.Node, params []types.Value) ([]type
 		if err != nil {
 			return nil, err
 		}
+		keys := sortKeys{cols: cols, desc: t.Desc}
 		out := append([]types.Row{}, in...)
 		// Insertion sort keeps the oracle trivially auditable.
 		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && types.CompareRows(out[j], out[j-1], cols) < 0; j-- {
+			for j := i; j > 0 && keys.compare(out[j], out[j-1]) < 0; j-- {
 				out[j], out[j-1] = out[j-1], out[j]
 			}
 		}

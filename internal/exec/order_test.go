@@ -133,8 +133,8 @@ func checkedOrder(t *testing.T, st *storage.Store, n lplan.Node, want []types.Ro
 	return want
 }
 
-// TestSortedAndBlockOperatorsOrderAndIO runs merge join, sort aggregation
-// and block nested loops at batch sizes 1, 3 and 1024 over keys that repeat
+// TestSortedAndBlockOperatorsOrderAndIO runs sort (ascending and DESC),
+// merge join, sort aggregation and block nested loops at batch sizes 1, 3 and 1024 over keys that repeat
 // on both sides (so runs and groups cross batch boundaries) and include
 // NULLs. Rows must come out in exactly the order spelled out for the
 // operator (a bag the oracle agrees with), every operator's page IO must be
@@ -163,11 +163,14 @@ func TestSortedAndBlockOperatorsOrderAndIO(t *testing.T) {
 	}{
 		// Sorts fit the pool: every page read is a base-table scan's.
 		{"memory", 64, 1200, 1400, 400, map[string]string{
+			"sort/desc=false":       "0/0/0 5/0/1",
+			"sort/desc=true":        "0/0/0 5/0/1",
 			"merge/residual=false":  "0/0/0 5/0/1 6/0/1",
 			"merge/residual=true":   "0/0/0 5/0/1 6/0/1",
 			"sortagg/having+median": "0/0/0 5/0/1",
 			"sortagg/scalar-empty":  "0/0/0 5/0/1",
 			"sortagg/over-merge":    "0/0/0 0/0/0 5/0/1 6/0/1",
+			"sortagg/over-desc":     "0/0/0 0/0/0 5/0/1",
 		}},
 		// Sorts spill runs. A merge join's order within a key is then the
 		// run merge's, so the merge join is checked here under a sort
@@ -175,6 +178,8 @@ func TestSortedAndBlockOperatorsOrderAndIO(t *testing.T) {
 		// join's output is already in key order, so the sort aggregation
 		// over it sorts nothing and reads and writes no page.
 		{"spill", 2, 1200, 1400, 400, map[string]string{
+			"sort/desc=false":       "8/8/0 5/0/1",
+			"sort/desc=true":        "8/8/0 5/0/1",
 			"sortagg/having+median": "8/8/0 5/0/1",
 			"sortagg/scalar-empty":  "0/0/0 5/0/1",
 			"sortagg/over-merge":    "0/0/0 15/18/0 5/0/1 6/0/1",
@@ -222,6 +227,21 @@ func TestSortedAndBlockOperatorsOrderAndIO(t *testing.T) {
 				return checkedOrder(t, e.store, plan, wantMergeJoin(l.Rows, r.Rows, residual))
 			})
 		}
+		// A Sort is stable in memory and spilled alike: equal keys keep
+		// their scan order, and NULLs come first ascending, last DESC.
+		for _, desc := range []bool{false, true} {
+			plan := &lplan.Sort{In: scanL(), By: lk, Desc: []bool{desc}}
+			add(fmt.Sprintf("sort/desc=%v", desc), plan, func() []types.Row {
+				want := slices.Clone(l.Rows)
+				slices.SortStableFunc(want, func(a, b types.Row) int {
+					if desc {
+						return types.Compare(b[0], a[0])
+					}
+					return types.Compare(a[0], b[0])
+				})
+				return checkedOrder(t, e.store, plan, want)
+			})
+		}
 		// A sort aggregation's groups have distinct keys, so the oracle's
 		// rows in key order are its exact order.
 		groupsInKeyOrder := func(n lplan.Node) func() []types.Row {
@@ -242,6 +262,12 @@ func TestSortedAndBlockOperatorsOrderAndIO(t *testing.T) {
 			In:   &lplan.Join{L: scanL(), R: scanR(), Preds: eq, Method: lplan.JoinMerge},
 			Aggs: []expr.Agg{agg(expr.AggCountStar, "", "", "n"), agg(expr.AggSum, "r", "w", "s")}}
 		add("sortagg/over-merge", overMerge, groupsInKeyOrder(overMerge))
+		// A DESC Sort's output is in no order a sort aggregation can use: it
+		// sorts again, and its groups still come out in ascending key order.
+		overDesc := &lplan.GroupBy{GroupCols: lk, Method: lplan.AggSort,
+			In:   &lplan.Sort{In: scanL(), By: lk, Desc: []bool{true}},
+			Aggs: []expr.Agg{agg(expr.AggCountStar, "", "", "n")}}
+		add("sortagg/over-desc", overDesc, groupsInKeyOrder(overDesc))
 		budget := max(regime.pool*storage.PageSize-2*storage.PageSize, storage.PageSize)
 		bnlWant := map[string][]types.Row{} // the scanned and the materialized inner share an order
 		for jt, jn := range map[lplan.JoinType]string{lplan.JoinInner: "inner", lplan.JoinLeft: "left", lplan.JoinFull: "full"} {
@@ -322,6 +348,25 @@ func BenchmarkMergeJoin(b *testing.B) {
 			plan.Method = lplan.JoinMerge
 			benchDrain(b, e.store, plan)
 		})
+	}
+}
+
+// BenchmarkSort sorts 24 000 rows on a key with 4 775 distinct values,
+// ascending and DESC: in memory (a 4 096-page pool holds them all) and
+// spilling (a 16-page pool cuts them into sorted runs that are merged).
+// It is the operator every ORDER BY runs in.
+func BenchmarkSort(b *testing.B) {
+	for _, regime := range []struct {
+		name string
+		pool int
+	}{{"memory", 4096}, {"spill", 16}} {
+		for _, desc := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/desc=%v", regime.name, desc), func(b *testing.B) {
+				e := newJoinEnv(b, regime.pool, 24000, 0, 4775, false, false)
+				benchDrain(b, e.store, &lplan.Sort{In: &lplan.Scan{Alias: "l", Table: e.l},
+					By: []schema.ColID{{Rel: "l", Name: "k"}}, Desc: []bool{desc}})
+			})
+		}
 	}
 }
 

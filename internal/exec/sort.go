@@ -3,34 +3,47 @@ package exec
 import (
 	"container/heap"
 	"slices"
-	"sort"
 
 	"aggview/internal/lplan"
 	"aggview/internal/storage"
 	"aggview/internal/types"
 )
 
-// sortIter sorts its input by the given column positions (ascending,
-// types.Compare order). NULL placement is pinned by types.Compare: NULL
-// orders before every non-NULL value, so ascending sorts put NULLs first
-// (and a DESC presentation sort puts them last). Both the in-memory path
-// and the spilled run/merge path below compare through the same function,
-// so batch size and spilling never change where NULLs land. Inputs within
-// the memory budget sort in place; larger inputs write sorted runs to
-// spill files and k-way merge them. The input drains batch-at-a-time; the
-// sorted output streams out in batches from an in-memory slice or the run
-// merger.
+// sortKeys are a sort's column positions, each ascending unless its desc
+// entry is set (nil desc = all ascending). compare is the one row order every
+// sort path uses: types.Compare per key, negated for a DESC key.
+type sortKeys struct {
+	cols []int
+	desc []bool
+}
+
+func (k sortKeys) compare(a, b types.Row) int {
+	for i, c := range k.cols {
+		if d := types.Compare(a[c], b[c]); d != 0 {
+			if k.desc != nil && k.desc[i] {
+				return -d
+			}
+			return d
+		}
+	}
+	return 0
+}
+
+// sortIter sorts its input stably by its keys. NULL orders before every
+// non-NULL value (types.Compare), so an ascending key puts NULLs first and a
+// DESC key last. The in-memory path, the spilled run/merge path below and
+// the Naive oracle all compare through sortKeys.compare, and the merge
+// breaks ties by run ordinal, so neither batch size nor spilling moves a
+// NULL or a tie. Inputs within the memory budget sort in place; larger
+// inputs write sorted runs to spill files and k-way merge them. The output
+// streams out in batches from an in-memory slice or the run merger.
 type sortIter struct {
 	exec *Executor
 	in   BatchIterator
-	cols []int
+	keys sortKeys
 
 	out  BatchIterator
 	runs []*spill
-}
-
-func newSortIter(e *Executor, in BatchIterator, cols []int) *sortIter {
-	return &sortIter{exec: e, in: in, cols: cols}
 }
 
 func compileSort(s *lplan.Sort) (*op, error) {
@@ -42,28 +55,32 @@ func compileSort(s *lplan.Sort) (*op, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &op{order: cols, newIter: func(e *Executor) BatchIterator { return newSortIter(e, e.build(in), cols) }}, nil
+	keys := sortKeys{cols: cols, desc: s.Desc}
+	o := &op{newIter: sortedInput(in, keys)}
+	if !slices.Contains(s.Desc, true) { // a DESC key is an order no operator asks for
+		o.order = cols
+	}
+	return o, nil
 }
 
-// sortedInput returns how a run opens the compiled input in sorted on cols:
-// as it is when its order starts with cols, in key order, and through a
-// sortIter otherwise. Asking for the keys themselves, in their order, means
-// an input that skips the sort is in the order an in-memory sort of it
-// would have produced.
-func sortedInput(in *op, cols []int) func(*Executor) BatchIterator {
-	if len(in.order) >= len(cols) && slices.Equal(in.order[:len(cols)], cols) {
+// sortedInput returns how a run opens the compiled input in sorted by keys:
+// as it is when its order starts with the keys' columns, in key order, and
+// every key is ascending, and through a sortIter otherwise. Asking for the
+// keys themselves, in their order, means an input that skips the sort is in
+// the order a stable sort of it would have produced.
+func sortedInput(in *op, keys sortKeys) func(*Executor) BatchIterator {
+	cols := keys.cols
+	if !slices.Contains(keys.desc, true) && len(in.order) >= len(cols) && slices.Equal(in.order[:len(cols)], cols) {
 		return func(e *Executor) BatchIterator { return e.build(in) }
 	}
-	return func(e *Executor) BatchIterator { return newSortIter(e, e.build(in), cols) }
+	return func(e *Executor) BatchIterator { return &sortIter{exec: e, in: e.build(in), keys: keys} }
 }
 
 func (it *sortIter) Open() error {
 	var buf []types.Row
 	bytes := 0
 	flushRun := func() error {
-		sort.SliceStable(buf, func(i, j int) bool {
-			return types.CompareRows(buf[i], buf[j], it.cols) < 0
-		})
+		slices.SortStableFunc(buf, it.keys.compare)
 		// Register the run before writing so Close drops it even when a
 		// write below fails.
 		run := newSpill(it.exec.pg, "sort-run")
@@ -94,9 +111,7 @@ func (it *sortIter) Open() error {
 	}
 
 	if len(it.runs) == 0 {
-		sort.SliceStable(buf, func(i, j int) bool {
-			return types.CompareRows(buf[i], buf[j], it.cols) < 0
-		})
+		slices.SortStableFunc(buf, it.keys.compare)
 		it.out = newSliceIter(buf, it.exec.batchSize)
 		return it.out.Open()
 	}
@@ -105,7 +120,7 @@ func (it *sortIter) Open() error {
 			return err
 		}
 	}
-	merge, err := newMergeRuns(it.runs, it.cols, it.exec.batchSize)
+	merge, err := newMergeRuns(it.runs, it.keys, it.exec.batchSize)
 	if err != nil {
 		return err
 	}
@@ -131,7 +146,6 @@ func (it *sortIter) Close() error {
 // Run scanners come from the spills themselves, so their reads carry the
 // owning query's session attribution.
 type mergeRuns struct {
-	cols   []int
 	target int
 	items  mergeHeap
 }
@@ -139,16 +153,24 @@ type mergeRuns struct {
 type mergeItem struct {
 	row types.Row
 	sc  *storage.Scanner
+	run int // the run's ordinal: runs hold consecutive stretches of the input
 }
 
 type mergeHeap struct {
 	items []*mergeItem
-	cols  []int
+	keys  sortKeys
 }
 
 func (h mergeHeap) Len() int { return len(h.items) }
+
+// Less breaks key ties by run ordinal, which keeps the merge stable: equal
+// rows come out in input order, as the in-memory sort leaves them.
 func (h mergeHeap) Less(i, j int) bool {
-	return types.CompareRows(h.items[i].row, h.items[j].row, h.cols) < 0
+	a, b := h.items[i], h.items[j]
+	if c := h.keys.compare(a.row, b.row); c != 0 {
+		return c < 0
+	}
+	return a.run < b.run
 }
 func (h mergeHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
 func (h *mergeHeap) Push(x any)   { h.items = append(h.items, x.(*mergeItem)) }
@@ -160,19 +182,19 @@ func (h *mergeHeap) Pop() any {
 	return x
 }
 
-func newMergeRuns(runs []*spill, cols []int, target int) (*mergeRuns, error) {
+func newMergeRuns(runs []*spill, keys sortKeys, target int) (*mergeRuns, error) {
 	if target <= 0 {
 		target = DefaultBatchSize
 	}
-	m := &mergeRuns{cols: cols, target: target, items: mergeHeap{cols: cols}}
-	for _, r := range runs {
+	m := &mergeRuns{target: target, items: mergeHeap{keys: keys}}
+	for i, r := range runs {
 		sc := r.scan()
 		row, _, ok, err := sc.Next()
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			m.items.items = append(m.items.items, &mergeItem{row: row, sc: sc})
+			m.items.items = append(m.items.items, &mergeItem{row: row, sc: sc, run: i})
 		}
 	}
 	heap.Init(&m.items)

@@ -39,8 +39,8 @@ var (
 
 // Limits bounds one query. A zero field means no limit.
 type Limits struct {
-	// MaxRowsOut caps the rows the executor may materialize (before ORDER
-	// BY/LIMIT presentation). Violations surface as ErrRowLimit.
+	// MaxRowsOut caps the rows the plan's root (an ORDER BY's Sort) hands
+	// out; LIMIT stops pulling first. Violations surface as ErrRowLimit.
 	MaxRowsOut int64
 	// MaxIOPages caps accounted page IOs — pool-miss reads plus flushes,
 	// covering both scans and operator spills. Violations surface as

@@ -139,6 +139,9 @@ func Validate(n Node) error {
 		if err := Validate(t.In); err != nil {
 			return err
 		}
+		if t.Desc != nil && len(t.Desc) != len(t.By) {
+			return fmt.Errorf("sort: %d directions for %d keys", len(t.Desc), len(t.By))
+		}
 		in := t.In.Schema()
 		for _, c := range t.By {
 			i, err := in.IndexOf(c)

@@ -406,11 +406,13 @@ func (f *Filter) Describe() string {
 	return "Filter " + exprList(f.Preds)
 }
 
-// Sort orders the input by the given columns (ascending). It exists for
-// ORDER BY and to feed merge joins and sort-aggregates.
+// Sort orders the input by the given columns, each ascending unless its
+// Desc entry is set (nil Desc = all ascending). The engine puts one on top of
+// the chosen plan for ORDER BY.
 type Sort struct {
-	In Node
-	By []schema.ColID
+	In   Node
+	By   []schema.ColID
+	Desc []bool
 }
 
 // Schema implements Node.
@@ -421,7 +423,14 @@ func (s *Sort) Children() []Node { return []Node{s.In} }
 
 // Describe implements Node.
 func (s *Sort) Describe() string {
-	return "Sort by " + colList(s.By)
+	parts := make([]string, len(s.By))
+	for i, c := range s.By {
+		parts[i] = c.String()
+		if s.Desc != nil && s.Desc[i] {
+			parts[i] += " DESC"
+		}
+	}
+	return "Sort by " + strings.Join(parts, ", ")
 }
 
 func exprList(es []expr.Expr) string {

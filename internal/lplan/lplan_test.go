@@ -315,6 +315,16 @@ func TestProjectAndFilterAndSort(t *testing.T) {
 	if err := Validate(bad); err == nil {
 		t.Fatalf("sort on missing column accepted")
 	}
+	desc := &Sort{In: s, By: []schema.ColID{{Rel: "e", Name: "dno"}, {Rel: "e", Name: "eno"}}, Desc: []bool{true, false}}
+	if err := Validate(desc); err != nil {
+		t.Fatal(err)
+	}
+	if got := desc.Describe(); got != "Sort by e.dno DESC, e.eno" {
+		t.Errorf("Describe = %q", got)
+	}
+	if err := Validate(&Sort{In: s, By: desc.By, Desc: []bool{true}}); err == nil {
+		t.Fatalf("sort with fewer directions than keys accepted")
+	}
 	_, ok := Key(so)
 	if !ok {
 		t.Fatalf("sort should preserve key")

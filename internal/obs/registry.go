@@ -19,7 +19,8 @@ type QueryMetrics struct {
 	Degraded bool
 	// Err is the error class of a failed query ("" on success).
 	Err string
-	// Rows is the number of rows the executor produced.
+	// Rows is the number of rows delivered to the caller (after ORDER BY
+	// and LIMIT).
 	Rows int64
 	// Reads, Writes and Hits are the query's page accesses.
 	Reads, Writes, Hits int64
@@ -54,7 +55,7 @@ type Metrics struct {
 	// Failures counts queries that returned an error (cancellation, budget
 	// violations, injected faults, internal errors).
 	Failures int64
-	// Rows is the total rows produced by the executor.
+	// Rows is the total rows delivered to callers (QueryMetrics.Rows).
 	Rows int64
 	// PageReads, PageWrites and PageHits accumulate the per-query IO.
 	PageReads, PageWrites, PageHits int64

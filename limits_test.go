@@ -188,6 +188,29 @@ func TestLimitsEveryDoor(t *testing.T) {
 	}
 }
 
+// TestRowLimitWithOrderBy: MaxRowsOut counts the rows the plan's root hands
+// out, so it means the same with or without ORDER BY: a LIMIT under the cap
+// succeeds with its rows, and no LIMIT trips the cap.
+func TestRowLimitWithOrderBy(t *testing.T) {
+	eng := newWarehouse(t, aggview.Config{PoolPages: 8})
+	capped := aggview.WithLimits(aggview.Limits{MaxRowsOut: 100})
+	for _, q := range []string{
+		`select l.orderkey, l.qty from lineitem l`,
+		`select l.orderkey, l.qty from lineitem l order by qty desc`,
+	} {
+		res, err := eng.Query(context.Background(), q+" limit 10", capped)
+		if err != nil || res.Len() != 10 {
+			t.Errorf("%s limit 10 under MaxRowsOut 100: %v", q, err)
+		}
+		if _, err := eng.Query(context.Background(), q, capped); !errors.Is(err, aggview.ErrRowLimit) {
+			t.Errorf("%s under MaxRowsOut 100: err = %v, want wrapped ErrRowLimit", q, err)
+		}
+		if leaks := eng.LiveTempFiles(); len(leaks) != 0 {
+			t.Fatalf("%s: leaked spill files %v", q, leaks)
+		}
+	}
+}
+
 // TestOptimizerBudgetOnCacheHit: a plan-cache hit runs no search, so an
 // optimizer budget cannot trip on it — the run reports "hit" and the cached
 // plan's mode, undegraded.

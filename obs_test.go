@@ -12,8 +12,8 @@ import (
 )
 
 // obsSuite is the warehouse query mix used by the attribution tests: scans,
-// spilling joins, view expansion, grouped aggregation, and presentation
-// clauses all exercise different operator shapes.
+// spilling joins, view expansion, grouped aggregation, and spilling and
+// limited ORDER BY sorts all exercise different operator shapes.
 var obsSuite = []string{
 	`select p.brand, l.qty from lineitem l, part p, part_qty v
 	 where l.partkey = p.partkey and v.partkey = p.partkey
@@ -22,9 +22,16 @@ var obsSuite = []string{
 	 where l.partkey = v.partkey and l.orderkey = o.orderkey and l.qty > 45`,
 	`select p.brand, max(v.aqty) from part p, part_qty v
 	 where v.partkey = p.partkey group by p.brand having max(v.aqty) > 10`,
+	// ORDER BY whose root Sort spills at PoolPages 8.
+	orderBySpill,
+	// Keep last: TestMetricsRegistryAndSink pins its row count.
 	`select c.nation, count(*) as n from customer c, orders o
 	 where o.custkey = c.custkey group by c.nation order by n desc limit 3`,
 }
+
+// orderBySpill is an ORDER BY over every lineitem whose sort writes runs at
+// PoolPages 8 on the newWarehouse data.
+const orderBySpill = `select l.orderkey, l.partkey, l.qty, l.price from lineitem l order by qty desc, price`
 
 // sumTree sums the self-attributed page counters over an annotated operator
 // tree, failing if any executed operator is missing its actuals.
@@ -406,15 +413,6 @@ func TestConfigModeHonored(t *testing.T) {
 func TestMetricsRegistryAndSink(t *testing.T) {
 	eng := newWarehouse(t, aggview.Config{PoolPages: 8})
 
-	// QueryMetrics.Rows counts rows the executor produced, before ORDER
-	// BY/LIMIT presentation — for the limited query that is the full group
-	// count, learned from the unlimited variant before the window opens.
-	unlimited, err := eng.Query(context.Background(), `select c.nation, count(*) as n from customer c, orders o
-	 where o.custkey = c.custkey group by c.nation`)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var sunk []aggview.QueryMetrics
 	prev := eng.SetMetricsSink(func(q aggview.QueryMetrics) { sunk = append(sunk, q) })
 	defer eng.SetMetricsSink(prev)
@@ -422,16 +420,12 @@ func TestMetricsRegistryAndSink(t *testing.T) {
 	m0 := eng.Metrics()
 	io0 := eng.IOStats()
 	var wantRows int64
-	for qi, q := range obsSuite {
+	for _, q := range obsSuite {
 		res, err := eng.Query(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if qi == len(obsSuite)-1 {
-			wantRows += int64(unlimited.Len())
-		} else {
-			wantRows += int64(res.Len())
-		}
+		wantRows += int64(res.Len())
 	}
 	d := eng.Metrics().Sub(m0)
 	dio := eng.IOStats().Sub(io0)
@@ -460,6 +454,11 @@ func TestMetricsRegistryAndSink(t *testing.T) {
 		if qm.Err != "" || qm.Statement == "" || qm.Mode == "" {
 			t.Errorf("rollup %d: %+v", i, qm)
 		}
+	}
+	// Rows counts the rows delivered, with or without ORDER BY: the last
+	// query's LIMIT 3 stops a sort over every nation's group.
+	if got := sunk[len(sunk)-1].Rows; got != 3 {
+		t.Errorf("order by ... limit 3: QueryMetrics.Rows = %d, want 3", got)
 	}
 
 	// Engines derived via WithConfig feed the same registry.

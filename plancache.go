@@ -7,8 +7,10 @@ import (
 
 	"aggview/internal/binder"
 	"aggview/internal/core"
+	"aggview/internal/cost"
 	"aggview/internal/exec"
 	"aggview/internal/lplan"
+	"aggview/internal/schema"
 	"aggview/internal/sql"
 	"aggview/internal/types"
 )
@@ -157,6 +159,11 @@ func (qr *queryRun) compile(key planKey, sel *sql.Select) (*compiledPlan, error)
 	if err != nil {
 		return nil, err
 	}
+	if len(bound.OrderBy) > 0 {
+		if err := orderBy(plan, bound.OrderBy, qr.engine.cfg.PoolPages); err != nil {
+			return nil, err
+		}
+	}
 	// While the tree is still private to this goroutine; afterwards it is
 	// read-only.
 	lplan.Freeze(plan.Root)
@@ -182,6 +189,25 @@ func (qr *queryRun) compile(key planKey, sel *sql.Select) (*compiledPlan, error)
 		},
 		prog: prog,
 	}, nil
+}
+
+// orderBy puts the statement's ORDER BY on top of the chosen plan: a Sort
+// whose keys are the root's output columns at the keys' positions, costed by
+// the model's one Sort formula over the search's numbers for the plan below.
+func orderBy(plan *core.Plan, keys []binder.OrderKey, poolPages int) error {
+	out := plan.Root.Schema()
+	s := &lplan.Sort{In: plan.Root, By: make([]schema.ColID, len(keys)), Desc: make([]bool, len(keys))}
+	for i, k := range keys {
+		s.By[i], s.Desc[i] = out[k.Col].ID, k.Desc
+	}
+	m := cost.NewModel(poolPages, 0)
+	m.Seed(plan.Root, plan.Info)
+	info, err := m.Info(s)
+	if err != nil {
+		return err
+	}
+	plan.Root, plan.Info, plan.Cost = s, info, info.Cost
+	return nil
 }
 
 // checkParams validates one run's parameter vector against the plan's

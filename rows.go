@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,16 +26,13 @@ import (
 // consumed stream with the same sentinel errors the materializing APIs
 // return.
 //
-// A query with ORDER BY cannot stream: its rows are materialized and sorted
-// when the Rows is opened, and iteration walks the sorted buffer. Without
-// ORDER BY, rows flow straight from the executor, and a LIMIT stops
-// execution as soon as enough rows were pulled.
+// Rows flow straight from the executor; an ORDER BY is the plan's root Sort,
+// so a sorted result streams too. A LIMIT stops execution as soon as enough
+// rows were pulled.
 type Rows struct {
 	query *queryRun
 
-	cur     *exec.Cursor // streaming path; nil on the buffered path
-	buf     [][]any      // ORDER BY path: sorted, limited, converted rows
-	bufPos  int
+	cur     *exec.Cursor
 	current []any
 	remain  int // rows still allowed out (-1 = no LIMIT)
 	err     error
@@ -310,58 +306,7 @@ func (qr *queryRun) execute() (*Rows, error) {
 		return nil, err
 	}
 
-	r := &Rows{query: qr, cur: cur, remain: -1}
-	if cp.Limit >= 0 {
-		r.remain = cp.Limit
-	}
-	if len(cp.OrderBy) > 0 {
-		if err := r.materializeSorted(); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-// materializeSorted drains the cursor, sorts per ORDER BY, applies LIMIT,
-// and finishes the run — iteration then reads the in-memory buffer.
-func (r *Rows) materializeSorted() error {
-	qr := r.query
-	var raw []types.Row
-	for {
-		row, ok, err := r.cur.Next()
-		if err != nil {
-			r.closeWith(err)
-			return err
-		}
-		if !ok {
-			break
-		}
-		qr.rowsOut++
-		raw = append(raw, row)
-	}
-	sort.SliceStable(raw, func(i, j int) bool {
-		for _, k := range qr.cp.OrderBy {
-			c := types.Compare(raw[i][k.Col], raw[j][k.Col])
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	if r.remain >= 0 && len(raw) > r.remain {
-		raw = raw[:r.remain]
-	}
-	r.buf = make([][]any, len(raw))
-	for i, row := range raw {
-		r.buf[i] = rowToGo(row)
-	}
-	r.closeWith(nil)
-	r.done = false // buffer iteration still pending
-	return nil
+	return &Rows{query: qr, cur: cur, remain: cp.Limit}, nil
 }
 
 // closeWith closes the cursor and finishes the run with the given error.
@@ -394,16 +339,7 @@ func (r *Rows) Plan() *PlanInfo { return r.query.planInfo }
 // error (check Err). When the stream ends — including via LIMIT — the
 // underlying cursor is closed and engine metrics are published.
 func (r *Rows) Next() bool {
-	if r.buf != nil {
-		if r.bufPos >= len(r.buf) {
-			r.current = nil
-			return false
-		}
-		r.current = r.buf[r.bufPos]
-		r.bufPos++
-		return true
-	}
-	if r.done || r.cur == nil {
+	if r.done {
 		return false
 	}
 	if r.remain == 0 {
@@ -488,10 +424,9 @@ func (r *Rows) Err() error { return r.err }
 func (r *Rows) Close() error {
 	r.closeMu.Lock()
 	defer r.closeMu.Unlock()
-	if !r.done || r.cur != nil {
+	if !r.done {
 		r.closeLocked(nil)
 	}
-	r.buf = nil
 	r.current = nil
 	return r.err
 }
