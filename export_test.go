@@ -14,9 +14,12 @@ import (
 func SetupEmpDept(t *testing.T) *Engine { return setupEmpDept(t) }
 
 // StmtOracle evaluates the plan a hit of s runs — the frozen plan in its
-// plan-cache entry — with exec.Naive under args, checked and coerced as a
-// run checks them, and presents the rows as a run does: ORDER BY, LIMIT,
-// Go values.
+// plan-cache entry, whose root Sort carries any ORDER BY — with exec.Naive
+// under args, checked and coerced as a run checks them, and presents the
+// rows as a run does: LIMIT, Go values. It stable-sorts Naive's already
+// ordered rows again by the bound ORDER BY keys: Naive's Sort shares
+// sortKeys.compare with the executor, so this re-sort is the independent
+// check of each key's direction.
 func StmtOracle(s *Stmt, args ...any) ([][]any, error) {
 	vals, err := paramValues(args)
 	if err != nil {

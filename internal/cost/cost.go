@@ -390,10 +390,6 @@ func orderSatisfies(have []schema.ColID, want []schema.ColID) bool {
 	return true
 }
 
-// OrderSatisfies is the exported form used by the optimizer's
-// interesting-order bookkeeping.
-func OrderSatisfies(have, want []schema.ColID) bool { return orderSatisfies(have, want) }
-
 func (m *Model) groupByInfo(g *lplan.GroupBy) (*Info, error) {
 	in, err := m.Info(g.In)
 	if err != nil {
@@ -527,14 +523,11 @@ func (m *Model) sortInfo(s *lplan.Sort) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Inputs carry only ascending orders, so a DESC key always sorts and
-	// leaves an order no operator asks for.
-	desc := slices.Contains(s.Desc, true)
 	info := &Info{Props: in.Props, Cost: in.Cost + m.cpu(in.Rows)}
-	if desc || !orderSatisfies(in.Order, s.By) {
+	if !s.Ascending() || !orderSatisfies(in.Order, s.By) {
 		info.Cost += m.SortCost(in.Pages)
 	}
-	if !desc {
+	if s.Ascending() {
 		info.Order = s.By
 	}
 	return info, nil

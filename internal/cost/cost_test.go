@@ -358,16 +358,16 @@ func TestOrderSatisfies(t *testing.T) {
 	a := schema.ColID{Rel: "t", Name: "a"}
 	b := schema.ColID{Rel: "t", Name: "b"}
 	c := schema.ColID{Rel: "t", Name: "c"}
-	if !OrderSatisfies([]schema.ColID{a, b}, []schema.ColID{b, a}) {
+	if !orderSatisfies([]schema.ColID{a, b}, []schema.ColID{b, a}) {
 		t.Errorf("prefix set should match in any permutation")
 	}
-	if OrderSatisfies([]schema.ColID{a, c}, []schema.ColID{a, b}) {
+	if orderSatisfies([]schema.ColID{a, c}, []schema.ColID{a, b}) {
 		t.Errorf("wrong columns matched")
 	}
-	if OrderSatisfies([]schema.ColID{a}, []schema.ColID{a, b}) {
+	if orderSatisfies([]schema.ColID{a}, []schema.ColID{a, b}) {
 		t.Errorf("short order matched")
 	}
-	if !OrderSatisfies(nil, nil) {
+	if !orderSatisfies(nil, nil) {
 		t.Errorf("empty want should match")
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // sortKeys are a sort's column positions, each ascending unless its desc
-// entry is set (nil desc = all ascending). compare is the one row order every
-// sort path uses: types.Compare per key, negated for a DESC key.
+// entry is set (desc nil when lplan.Sort.Ascending). compare is the one row
+// order every sort path uses: types.Compare per key, negated for DESC.
 type sortKeys struct {
 	cols []int
 	desc []bool
@@ -55,11 +55,13 @@ func compileSort(s *lplan.Sort) (*op, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := sortKeys{cols: cols, desc: s.Desc}
-	o := &op{newIter: sortedInput(in, keys)}
-	if !slices.Contains(s.Desc, true) { // a DESC key is an order no operator asks for
+	keys, o := sortKeys{cols: cols}, &op{}
+	if s.Ascending() {
 		o.order = cols
+	} else {
+		keys.desc = s.Desc
 	}
+	o.newIter = sortedInput(in, keys)
 	return o, nil
 }
 
@@ -70,7 +72,7 @@ func compileSort(s *lplan.Sort) (*op, error) {
 // the order a stable sort of it would have produced.
 func sortedInput(in *op, keys sortKeys) func(*Executor) BatchIterator {
 	cols := keys.cols
-	if !slices.Contains(keys.desc, true) && len(in.order) >= len(cols) && slices.Equal(in.order[:len(cols)], cols) {
+	if keys.desc == nil && len(in.order) >= len(cols) && slices.Equal(in.order[:len(cols)], cols) {
 		return func(e *Executor) BatchIterator { return e.build(in) }
 	}
 	return func(e *Executor) BatchIterator { return &sortIter{exec: e, in: e.build(in), keys: keys} }

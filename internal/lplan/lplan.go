@@ -16,6 +16,7 @@ package lplan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"aggview/internal/catalog"
@@ -420,6 +421,10 @@ func (s *Sort) Schema() schema.Schema { return s.In.Schema() }
 
 // Children implements Node.
 func (s *Sort) Children() []Node { return []Node{s.In} }
+
+// Ascending reports whether no key is DESC (Desc nil or all false). Only an
+// ascending sort leaves an order an operator can ask for.
+func (s *Sort) Ascending() bool { return !slices.Contains(s.Desc, true) }
 
 // Describe implements Node.
 func (s *Sort) Describe() string {

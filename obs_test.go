@@ -236,8 +236,9 @@ func TestQueryRowsStreams(t *testing.T) {
 	}
 }
 
-// TestQueryRowsOrderByAndLimit: ORDER BY materializes and sorts at open;
-// LIMIT without ORDER BY stops pulling from the executor early.
+// TestQueryRowsOrderByAndLimit: an ORDER BY stream (the plan's root Sort)
+// delivers Query's rows in Query's order; LIMIT without ORDER BY stops
+// pulling from the executor early.
 func TestQueryRowsOrderByAndLimit(t *testing.T) {
 	eng := newWarehouse(t, aggview.Config{PoolPages: 8})
 

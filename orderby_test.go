@@ -111,3 +111,67 @@ func TestOrderByStableAcrossShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderByDuplicateOutputNames: output columns may share a name — two
+// sum(...) items, two unnamed expressions, the same column of two tables, a
+// star over both — and ORDER BY still sorts by the key's position: the rows
+// are a stable sort of the unordered query's rows by those positions, and
+// the columns keep their display names.
+func TestOrderByDuplicateOutputNames(t *testing.T) {
+	eng := aggview.SetupEmpDept(t)
+	bg := context.Background()
+	num := func(v any) float64 {
+		if i, ok := v.(int64); ok {
+			return float64(i)
+		}
+		return v.(float64)
+	}
+	for _, tc := range []struct {
+		sel, orderBy string
+		cols         []int
+		desc         []bool
+		names        string
+	}{
+		{`select sum(e.sal), sum(e.age) from emp e group by e.dno`, `order by 2`,
+			[]int{1}, []bool{false}, "[sum sum_]"},
+		{`select e.sal*2, e.sal*3 from emp e`, `order by 2 desc`,
+			[]int{1}, []bool{true}, "[col1 col1_]"},
+		{`select e.dno, d.dno from emp e, dept d where d.dno < 3`, `order by 2, 1 desc`,
+			[]int{1, 0}, []bool{false, true}, "[dno dno_]"},
+		{`select * from emp e, dept d where e.eno < 10`, `order by dno desc, budget`,
+			[]int{1, 5}, []bool{true, false}, "[eno dno sal age dno_ budget]"},
+	} {
+		q := tc.sel + " " + tc.orderBy
+		if _, err := eng.Explain(bg, q); err != nil {
+			t.Errorf("EXPLAIN %s: %v", q, err)
+			continue
+		}
+		got, err := eng.Query(bg, q)
+		if err != nil {
+			t.Errorf("%s: %v", q, err)
+			continue
+		}
+		base, err := eng.Query(bg, tc.sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Clone(base.Rows)
+		slices.SortStableFunc(want, func(a, b []any) int {
+			for i, c := range tc.cols {
+				if d := cmp.Compare(num(a[c]), num(b[c])); d != 0 {
+					if tc.desc[i] {
+						return -d
+					}
+					return d
+				}
+			}
+			return 0
+		})
+		if fmt.Sprint(got.Rows) != fmt.Sprint(want) {
+			t.Errorf("%s: rows are not the unordered rows sorted by position", q)
+		}
+		if names := fmt.Sprint(got.Columns); names != tc.names {
+			t.Errorf("%s: columns %s, want %s", q, names, tc.names)
+		}
+	}
+}

@@ -194,6 +194,8 @@ func (qr *queryRun) compile(key planKey, sel *sql.Select) (*compiledPlan, error)
 // orderBy puts the statement's ORDER BY on top of the chosen plan: a Sort
 // whose keys are the root's output columns at the keys' positions, costed by
 // the model's one Sort formula over the search's numbers for the plan below.
+// The binder keeps the top block's output IDs unique (a repeated name gains
+// a "_"), so a key's ID names its position.
 func orderBy(plan *core.Plan, keys []binder.OrderKey, poolPages int) error {
 	out := plan.Root.Schema()
 	s := &lplan.Sort{In: plan.Root, By: make([]schema.ColID, len(keys)), Desc: make([]bool, len(keys))}

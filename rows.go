@@ -34,7 +34,6 @@ type Rows struct {
 
 	cur     *exec.Cursor
 	current []any
-	remain  int // rows still allowed out (-1 = no LIMIT)
 	err     error
 	done    bool
 
@@ -306,7 +305,7 @@ func (qr *queryRun) execute() (*Rows, error) {
 		return nil, err
 	}
 
-	return &Rows{query: qr, cur: cur, remain: cp.Limit}, nil
+	return &Rows{query: qr, cur: cur}, nil
 }
 
 // closeWith closes the cursor and finishes the run with the given error.
@@ -342,7 +341,7 @@ func (r *Rows) Next() bool {
 	if r.done {
 		return false
 	}
-	if r.remain == 0 {
+	if r.query.rowsOut == int64(r.query.cp.Limit) { // LIMIT reached; -1 (none) never is
 		r.closeWith(nil)
 		return false
 	}
@@ -353,9 +352,6 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	r.query.rowsOut++
-	if r.remain > 0 {
-		r.remain--
-	}
 	r.current = rowToGo(row)
 	return true
 }
