@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet staticcheck test race stress crash fuzz bench bench-smoke bench-diff gobench corebench docs-check check
+.PHONY: build vet staticcheck test race stress crash fuzz bench bench-smoke bench-diff gobench corebench paper docs-check check
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,19 @@ gobench:
 # the optimizer's benchmarks keep running, not only compiling (~1 s).
 corebench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core
+
+# paper regenerates aggbench_output.txt, the full-size paper tables
+# EXPERIMENTS.md cites (~1 min), and fails when a line other than the
+# per-experiment timing lines changed: commit the new file with the change
+# that moved it. Not part of `check`: `go test` already compares the quick
+# tables with internal/experiments/testdata/quick.golden.
+paper:
+	@mkdir -p .bench_build
+	$(GO) run ./cmd/aggbench > .bench_build/aggbench_output.txt
+	@grep -v ' completed in ' aggbench_output.txt > .bench_build/paper.old; \
+	grep -v ' completed in ' .bench_build/aggbench_output.txt > .bench_build/paper.new; \
+	cp .bench_build/aggbench_output.txt aggbench_output.txt; \
+	diff -u .bench_build/paper.old .bench_build/paper.new
 
 # docs-check keeps the documentation honest without adding dependencies:
 # every relative Markdown link and every backticked internal/cmd/examples

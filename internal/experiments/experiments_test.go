@@ -2,11 +2,16 @@ package experiments
 
 import (
 	"context"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"aggview"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/quick.golden from the current code")
 
 func TestIDsComplete(t *testing.T) {
 	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "M1"}
@@ -33,11 +38,16 @@ func TestRunUnknown(t *testing.T) {
 }
 
 // TestAllExperimentsQuick runs every experiment in quick mode: each must
-// complete, produce rows, and not flag an internal inconsistency.
+// complete, produce rows, and not flag an internal inconsistency. The tables
+// together are pinned in testdata/quick.golden, which is what `aggbench
+// -quick` prints without its timing lines. Regenerate it only deliberately,
+// with -update, in a commit of its own.
 func TestAllExperimentsQuick(t *testing.T) {
+	var b strings.Builder
+	ran := 0
 	for _, id := range IDs() {
-		id := id
 		t.Run(id, func(t *testing.T) {
+			ran++
 			tbl, err := Run(id, true)
 			if err != nil {
 				t.Fatalf("Run(%s): %v", id, err)
@@ -52,8 +62,41 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if !strings.Contains(out, tbl.ID+":") {
 				t.Fatalf("%s render missing header:\n%s", id, out)
 			}
+			b.WriteString(out + "\n\n")
 		})
 	}
+	if t.Failed() || ran < len(IDs()) { // a -run filter ran only some tables
+		return
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "quick.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (generate with go test ./internal/experiments -run TestAllExperimentsQuick -update)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	table := ""
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if strings.HasPrefix(wl[i], "== ") {
+			table = wl[i]
+		}
+		if gl[i] != wl[i] {
+			t.Fatalf("tables differ from testdata/quick.golden at line %d, in %s\n got: %s\nwant: %s", i+1, table, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("tables' length differs from testdata/quick.golden: %d lines, want %d", len(gl), len(wl))
 }
 
 // TestE2SortAggregationOverMergeJoin pins the one workload where sort
