@@ -261,7 +261,13 @@ func TestAlternativesFigure4(t *testing.T) {
 	}
 	// Push and pull composed: e1 is inside Φ, dept joins above it.
 	phi := phiOf(t, alts, "b:{e1}", "b")
-	if rels := lplan.BaseRels(phi); !rels["e1"] || rels["d"] {
+	rels := map[string]bool{}
+	walkPlan(phi, func(n lplan.Node) {
+		if s, ok := n.(*lplan.Scan); ok {
+			rels[s.Alias] = true
+		}
+	})
+	if !rels["e1"] || rels["d"] {
 		t.Fatalf("b:{e1}: Φ covers %v, want e1 and e2 without d\n%s", rels, lplan.Format(phi))
 	}
 }

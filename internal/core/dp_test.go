@@ -97,12 +97,12 @@ func TestDPOptimalAgainstBruteForce(t *testing.T) {
 				j2 := &lplan.Join{L: j1, R: rels[perm[2]], Method: m2,
 					Preds: preds(j1.Schema(), rels[perm[2]].Schema())}
 				p := &lplan.Project{In: j2, Items: top.Outputs}
-				c, err := model.Cost(p)
+				info, err := model.Info(p)
 				if err != nil {
 					continue
 				}
-				if c < best {
-					best = c
+				if info.Cost < best {
+					best = info.Cost
 				}
 			}
 		}

@@ -78,10 +78,11 @@ var empDeptGoldenCases = []goldenCase{
 		where d.budget < 600000 group by d.dno`},
 }
 
-// goldenCatalog loads a catalog and runs the set-up DDL.
-func goldenCatalog(t testing.TB, load func(*catalog.Catalog) error, ddl []string) *catalog.Catalog {
+// goldenCatalog loads a catalog on a store of poolPages and runs the set-up
+// DDL.
+func goldenCatalog(t testing.TB, poolPages int, load func(*catalog.Catalog) error, ddl []string) *catalog.Catalog {
 	t.Helper()
-	cat := catalog.New(storage.NewStore(64))
+	cat := catalog.New(storage.NewStore(poolPages))
 	if err := load(cat); err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +121,16 @@ type goldenGroup struct {
 	cases []goldenCase
 }
 
-func goldenGroups(t testing.TB) []goldenGroup {
+func goldenGroups(t testing.TB) []goldenGroup { return goldenGroupsOn(t, 64) }
+
+// goldenGroupsOn builds the golden catalogs on stores of poolPages, the
+// executor's buffer budget when it runs their plans.
+func goldenGroupsOn(t testing.TB, poolPages int) []goldenGroup {
 	t.Helper()
-	warehouse := goldenCatalog(t, func(c *catalog.Catalog) error {
+	warehouse := goldenCatalog(t, poolPages, func(c *catalog.Catalog) error {
 		return datagen.LoadTPCD(c, datagen.TPCDSpec{Seed: 1, Lineitems: 400})
 	}, warehouseGoldenViews)
-	empDept := goldenCatalog(t, func(c *catalog.Catalog) error {
+	empDept := goldenCatalog(t, poolPages, func(c *catalog.Catalog) error {
 		spec := datagen.DefaultEmpDept()
 		spec.Employees, spec.Departments = 6000, 2000
 		return datagen.LoadEmpDept(c, spec)
@@ -203,7 +208,7 @@ func TestSearchGolden(t *testing.T) {
 // considered. The plan count is pinned so a change to the number of polls
 // cannot hide behind a matching change to the sweep's length.
 func TestTickBudgetSurfacesAtPlanK(t *testing.T) {
-	const wantPlans = 135 // view-join-filter, Full, pool 256 in testdata/search.golden
+	const wantPlans = 133 // view-join-filter, Full, pool 256 in testdata/search.golden
 	g := goldenGroups(t)[0]
 	q := bindGolden(t, g.cat, g.cases[0].sql)
 	errBudget := fmt.Errorf("budget")

@@ -11,12 +11,14 @@ import (
 	"aggview/internal/cost"
 	"aggview/internal/lplan"
 	"aggview/internal/qblock"
+	"aggview/internal/storage"
 )
 
-// forEachGoldenSearch runs fn over the golden differential's grid: every
-// query × mode × join repertoire × pool size.
-func forEachGoldenSearch(t *testing.T, fn func(name string, q *qblock.Query, opts Options)) {
-	for _, g := range goldenGroups(t) {
+// forEachGoldenSearch runs fn over the golden differential's grid on the
+// given catalogs: every query × mode × join repertoire × pool size. fn also
+// gets the store the query's catalog lives on.
+func forEachGoldenSearch(t *testing.T, groups []goldenGroup, fn func(name string, q *qblock.Query, opts Options, store *storage.Store)) {
+	for _, g := range groups {
 		for _, c := range g.cases {
 			q := bindGolden(t, g.cat, c.sql)
 			for _, mode := range []Mode{ModeTraditional, ModePushDown, ModeFull} {
@@ -24,7 +26,7 @@ func forEachGoldenSearch(t *testing.T, fn func(name string, q *qblock.Query, opt
 					for _, pool := range []int{8, 256} {
 						opts := DefaultOptions()
 						opts.Mode, opts.NoHashJoin, opts.PoolPages = mode, noHash, pool
-						fn(c.name, q, opts)
+						fn(c.name, q, opts, g.cat.Snapshot().Store())
 					}
 				}
 			}
@@ -39,7 +41,7 @@ func forEachGoldenSearch(t *testing.T, fn func(name string, q *qblock.Query, opt
 // set of formulas, so cost, cardinality, size, width and order must agree to
 // the bit, for the winner and for every alternative that lost to it.
 func TestMemoAndTreeWalkAgree(t *testing.T) {
-	forEachGoldenSearch(t, func(name string, q *qblock.Query, opts Options) {
+	forEachGoldenSearch(t, goldenGroups(t), func(name string, q *qblock.Query, opts Options, _ *storage.Store) {
 		plan, err := Optimize(q, opts)
 		if err != nil {
 			t.Fatalf("%s %+v: %v", name, opts, err)

@@ -25,7 +25,6 @@ package cost
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
@@ -111,15 +110,6 @@ func (m *Model) Info(n lplan.Node) (*Info, error) {
 // has just materialized, so Info(n) returns them instead of re-deriving the
 // subtree.
 func (m *Model) Seed(n lplan.Node, info *Info) { m.cache[n] = info }
-
-// Cost is shorthand returning just the cumulative cost.
-func (m *Model) Cost(n lplan.Node) (float64, error) {
-	info, err := m.Info(n)
-	if err != nil {
-		return 0, err
-	}
-	return info.Cost, nil
-}
 
 func (m *Model) compute(n lplan.Node) (*Info, error) {
 	switch t := n.(type) {
@@ -273,7 +263,8 @@ func (m *Model) joinInfo(j *lplan.Join) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Info{Props: props, Cost: m.JoinCost(l, r, props.Rows, extra), Order: order}, nil
+	// The kernel's order is the unprojected join's; j.Proj may cut it.
+	return &Info{Props: props, Cost: m.JoinCost(l, r, props.Rows, extra), Order: lplan.JoinOrder(j.Method, order, j.Proj)}, nil
 }
 
 // JoinProps derives the logical properties of l ⋈ r: cardinality from the
@@ -319,14 +310,14 @@ func (m *Model) JoinCost(l, r *Info, rows, extra float64) float64 {
 }
 
 // JoinMethodCost returns the method-specific IO beyond producing the inputs
-// and the output's sort order.
+// and the output's sort order (lplan.JoinOrder).
 func (m *Model) JoinMethodCost(method lplan.JoinMethod, spec *JoinSpec, l, r *Info) (float64, []schema.ColID, error) {
 	mPages := float64(m.PoolPages)
 	switch method {
 	case lplan.JoinHash, lplan.JoinUnset:
 		// Build on the right input. Pipelined while the build fits.
 		if r.Pages <= mPages-2 {
-			return 0, l.Order, nil // probe side order preserved
+			return 0, nil, nil
 		}
 		return 2 * (l.Pages + r.Pages), nil, nil
 
@@ -337,20 +328,20 @@ func (m *Model) JoinMethodCost(method lplan.JoinMethod, spec *JoinSpec, l, r *In
 			// Non-scan inner must be materialized once before rescans.
 			extra += r.Pages
 		}
-		return extra, l.Order, nil
+		return extra, nil, nil
 
 	case lplan.JoinMerge:
 		if len(spec.LCols) == 0 {
 			return 0, nil, fmt.Errorf("cost: merge join without equi-join predicate")
 		}
 		var extra float64
-		if !orderSatisfies(l.Order, spec.LCols) {
+		if !lplan.Covers(l.Order, spec.LCols) {
 			extra += m.SortCost(l.Pages)
 		}
-		if !orderSatisfies(r.Order, spec.RCols) {
+		if !lplan.Covers(r.Order, spec.RCols) {
 			extra += m.SortCost(r.Pages)
 		}
-		return extra, spec.LCols, nil
+		return extra, lplan.JoinOrder(method, spec.LCols, nil), nil
 
 	default:
 		return 0, nil, fmt.Errorf("cost: unknown join method %v", method)
@@ -372,22 +363,6 @@ func (m *Model) SortCost(pages float64) float64 {
 		passes = 1
 	}
 	return 2 * pages * passes
-}
-
-// orderSatisfies reports whether an existing sort order covers the wanted
-// columns as a prefix set (any permutation of the first len(want) columns
-// works for grouping and merge purposes only if it is exactly the wanted
-// set; we require set-prefix match).
-func orderSatisfies(have []schema.ColID, want []schema.ColID) bool {
-	if len(have) < len(want) {
-		return false
-	}
-	for _, c := range want {
-		if !slices.Contains(have[:len(want)], c) {
-			return false
-		}
-	}
-	return true
 }
 
 func (m *Model) groupByInfo(g *lplan.GroupBy) (*Info, error) {
@@ -461,15 +436,16 @@ func (m *Model) GroupCost(in *Info, rows, extra float64) float64 {
 }
 
 // GroupMethodCost returns the IO g.Method adds beyond producing the input,
-// and the output's sort order; groups and width are GroupProps' figures.
+// and the output's sort order (lplan.GroupOrder); groups and width are
+// GroupProps' figures.
 func (m *Model) GroupMethodCost(g *lplan.GroupBy, in *Info, groups float64, width int) (float64, []schema.ColID, error) {
 	switch g.Method {
 	case lplan.AggSort:
 		var extra float64
-		if !orderSatisfies(in.Order, g.GroupCols) {
+		if !lplan.Covers(in.Order, g.GroupCols) {
 			extra = m.SortCost(in.Pages)
 		}
-		return extra, g.GroupCols, nil
+		return extra, lplan.GroupOrder(g.Method, g.GroupCols, g.Outputs), nil
 	case lplan.AggHash, lplan.AggUnset:
 		if tablePages := pagesOf(groups, width); tablePages > float64(m.PoolPages) {
 			return 2 * in.Pages, nil, nil
@@ -514,7 +490,7 @@ func (m *Model) filterInfo(f *lplan.Filter) (*Info, error) {
 	return &Info{
 		Props: Props{Rows: rel.Rows, Width: in.Width, Pages: pagesOf(rel.Rows, in.Width), Rel: rel},
 		Cost:  in.Cost + m.cpu(in.Rows),
-		Order: in.Order,
+		Order: lplan.Order(f),
 	}, nil
 }
 
@@ -523,12 +499,9 @@ func (m *Model) sortInfo(s *lplan.Sort) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	info := &Info{Props: in.Props, Cost: in.Cost + m.cpu(in.Rows)}
-	if !s.Ascending() || !orderSatisfies(in.Order, s.By) {
+	info := &Info{Props: in.Props, Cost: in.Cost + m.cpu(in.Rows), Order: lplan.Order(s)}
+	if !s.Ascending() || !lplan.Covers(in.Order, s.By) {
 		info.Cost += m.SortCost(in.Pages)
-	}
-	if s.Ascending() {
-		info.Order = s.By
 	}
 	return info, nil
 }

@@ -354,21 +354,28 @@ func TestProjectAndFilterInfo(t *testing.T) {
 	}
 }
 
-func TestOrderSatisfies(t *testing.T) {
-	a := schema.ColID{Rel: "t", Name: "a"}
-	b := schema.ColID{Rel: "t", Name: "b"}
-	c := schema.ColID{Rel: "t", Name: "c"}
-	if !orderSatisfies([]schema.ColID{a, b}, []schema.ColID{b, a}) {
-		t.Errorf("prefix set should match in any permutation")
-	}
-	if orderSatisfies([]schema.ColID{a, c}, []schema.ColID{a, b}) {
-		t.Errorf("wrong columns matched")
-	}
-	if orderSatisfies([]schema.ColID{a}, []schema.ColID{a, b}) {
-		t.Errorf("short order matched")
-	}
-	if !orderSatisfies(nil, nil) {
-		t.Errorf("empty want should match")
+// TestHashAndBlockNLJoinsClaimNoOrder: over an ordered left input, an
+// in-memory hash join and block nested loops claim no order (lplan.Order):
+// a Grace spill loses the probe order, and block nested loops emits
+// inner-major within each outer block.
+func TestHashAndBlockNLJoinsClaimNoOrder(t *testing.T) {
+	f := newFixture(t, 1000, 10)
+	m := NewModel(256, 0)
+	sorted := &lplan.Sort{In: f.scanEmp("e"), By: []schema.ColID{{Rel: "e", Name: "dno"}}}
+	pred := expr.NewCmp(expr.EQ, expr.Col("e", "dno"), expr.Col("d", "dno"))
+	for _, method := range []lplan.JoinMethod{lplan.JoinHash, lplan.JoinBlockNL} {
+		j := &lplan.Join{L: sorted, R: f.scanDept("d"), Preds: []expr.Expr{pred}, Method: method}
+		ji, err := m.Info(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ri, _ := m.Info(j.R)
+		if method == lplan.JoinHash && ri.Pages > float64(m.PoolPages-2) {
+			t.Fatalf("build side of %g pages does not fit the pool: the test needs an in-memory hash join", ri.Pages)
+		}
+		if len(ji.Order) != 0 {
+			t.Errorf("%v join over an ordered input: order = %v, want none", method, ji.Order)
+		}
 	}
 }
 

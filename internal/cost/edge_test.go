@@ -181,13 +181,13 @@ func TestCPUWeightMonotone(t *testing.T) {
 	var prev float64 = -1
 	for _, w := range []float64{0, 0.0001, 0.01} {
 		m := NewModel(64, w)
-		c, err := m.Cost(j)
+		info, err := m.Info(j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c <= prev {
-			t.Fatalf("cost not increasing with CPU weight: %g after %g", c, prev)
+		if info.Cost <= prev {
+			t.Fatalf("cost not increasing with CPU weight: %g after %g", info.Cost, prev)
 		}
-		prev = c
+		prev = info.Cost
 	}
 }

@@ -185,19 +185,12 @@ func compileGroupBy(g *lplan.GroupBy) (*op, error) {
 	}
 	switch g.Method {
 	case lplan.AggSort:
-		sorted := sortedInput(in, sortKeys{cols: spec.groupPos})
-		o := &op{newIter: func(e *Executor) BatchIterator {
+		sorted := sortedInput(in, g.GroupCols, sortKeys{cols: spec.groupPos})
+		return &op{newIter: func(e *Executor) BatchIterator {
 			ctx := newCtx(e)
 			return &sortAggIter{ctx: ctx, target: e.batchSize, in: runReader{in: sorted(e), cols: spec.groupPos,
 				fold: func(row types.Row) error { return ctx.add(0, row) }}}
-		}}
-		if spec.outputs == nil { // groups come out in key order, their keys first
-			o.order = make([]int, len(spec.groupPos))
-			for i := range o.order {
-				o.order[i] = i
-			}
-		}
-		return o, nil
+		}}, nil
 	case lplan.AggHash, lplan.AggUnset:
 		return &op{newIter: func(e *Executor) BatchIterator {
 			return &hashAggIter{exec: e, ctx: newCtx(e), in: e.build(in)}

@@ -78,11 +78,9 @@
 // equal keys. Block nested loops cut their outer blocks row-exact from the
 // outer's batches, so the batch size never moves a block boundary.
 //
-// Each compiled operator records the columns its output is sorted on by
-// construction: an all-ascending Sort's keys, a merge join's left keys
-// (without a projection), a sort aggregation's grouping columns (without
-// output expressions), and a filter's input order. All but the filter sort an
-// input only when that order does not start with their keys.
+// Each compiled operator records the order its output is in, lplan.Order,
+// the rule the cost model charges by. Sort, merge join and sort aggregation
+// sort an input only when its order does not cover their keys.
 //
 // # Governance and metering at batch boundaries
 //

@@ -188,13 +188,13 @@ type Program struct {
 
 // op is one compiled operator: its plan node (the key its metrics are
 // registered under), its Describe() label, newIter, which builds the
-// operator's iterator for one run, and order, the column positions its
-// output is sorted on by construction (nil = no guaranteed order).
+// operator's iterator for one run, and order, the order its output is in
+// by lplan.Order, the rule the cost model charges by (empty = none).
 type op struct {
 	node    lplan.Node
 	label   string
 	newIter func(e *Executor) BatchIterator
-	order   []int
+	order   []schema.ColID
 }
 
 // Compile validates the plan and compiles every operator. It is the one
@@ -238,7 +238,7 @@ func compileOp(n lplan.Node) (*op, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.node, o.label = n, n.Describe()
+	o.node, o.label, o.order = n, n.Describe(), lplan.Order(n)
 	return o, nil
 }
 
@@ -463,7 +463,7 @@ func compileFilter(f *lplan.Filter) (*op, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &op{order: in.order, newIter: func(e *Executor) BatchIterator {
+	return &op{newIter: func(e *Executor) BatchIterator {
 		return &filterIter{in: e.build(in), pred: pred, params: e.params, target: e.batchSize}
 	}}, nil
 }

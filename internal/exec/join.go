@@ -5,6 +5,7 @@ import (
 
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
+	"aggview/internal/schema"
 	"aggview/internal/types"
 )
 
@@ -14,6 +15,7 @@ import (
 // projection.
 type joinSpec struct {
 	lKeys, rKeys []int          // equi-join column positions (parallel slices)
+	lCols, rCols []schema.ColID // the same keys by column (lplan.Join.EquiKeys)
 	residual     expr.Predicate // nil = none
 	proj         []int          // output projection over concat schema; nil = all
 	lWidth       int            // arity of the left input
@@ -33,33 +35,16 @@ type joinCommon struct {
 func joinSpecOf(j *lplan.Join) (*joinSpec, error) {
 	ls, rs := j.L.Schema(), j.R.Schema()
 	concat := ls.Concat(rs)
-	var residualPreds []expr.Expr
-	var lKeys, rKeys []int
-	for _, p := range j.Preds {
-		lc, rc, ok := expr.EquiJoin(p)
-		if ok {
-			// Normalize: lc on the left input.
-			if !ls.Contains(lc) && ls.Contains(rc) {
-				lc, rc = rc, lc
-			}
-			if ls.Contains(lc) && rs.Contains(rc) {
-				li, err := ls.IndexOf(lc)
-				if err != nil {
-					return nil, err
-				}
-				ri, err := rs.IndexOf(rc)
-				if err != nil {
-					return nil, err
-				}
-				lKeys = append(lKeys, li)
-				rKeys = append(rKeys, ri)
-				continue
-			}
-		}
-		residualPreds = append(residualPreds, p)
+	lCols, rCols, residualPreds := j.EquiKeys()
+	lKeys, err := colIndexes(ls, lCols)
+	if err != nil {
+		return nil, err
+	}
+	rKeys, err := colIndexes(rs, rCols)
+	if err != nil {
+		return nil, err
 	}
 	var residual expr.Predicate
-	var err error
 	if len(residualPreds) > 0 {
 		if residual, err = compilePreds(residualPreds, concat); err != nil {
 			return nil, err
@@ -72,7 +57,7 @@ func joinSpecOf(j *lplan.Join) (*joinSpec, error) {
 			return nil, err
 		}
 	}
-	return &joinSpec{lKeys: lKeys, rKeys: rKeys, residual: residual, proj: proj,
+	return &joinSpec{lKeys: lKeys, rKeys: rKeys, lCols: lCols, rCols: rCols, residual: residual, proj: proj,
 		lWidth: len(ls), rWidth: len(rs)}, nil
 }
 
@@ -118,15 +103,11 @@ func compileJoin(j *lplan.Join) (*op, error) {
 		if len(spec.lKeys) == 0 {
 			return nil, fmt.Errorf("exec: merge join requires an equi-join predicate")
 		}
-		lIn, rIn := sortedInput(l, sortKeys{cols: spec.lKeys}), sortedInput(r, sortKeys{cols: spec.rKeys})
-		o := &op{newIter: func(e *Executor) BatchIterator {
+		lIn, rIn := sortedInput(l, spec.lCols, sortKeys{cols: spec.lKeys}), sortedInput(r, spec.rCols, sortKeys{cols: spec.rKeys})
+		return &op{newIter: func(e *Executor) BatchIterator {
 			return &mergeJoinIter{jc: newJC(e), target: e.batchSize,
 				l: runReader{in: lIn(e), cols: spec.lKeys}, r: runReader{in: rIn(e), cols: spec.rKeys}}
-		}}
-		if spec.proj == nil { // the left columns come first, in left-key order
-			o.order = spec.lKeys
-		}
-		return o, nil
+		}}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown join method %v", j.Method)
 	}

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"aggview/internal/lplan"
+	"aggview/internal/schema"
 	"aggview/internal/storage"
 	"aggview/internal/types"
 )
@@ -55,24 +56,20 @@ func compileSort(s *lplan.Sort) (*op, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys, o := sortKeys{cols: cols}, &op{}
-	if s.Ascending() {
-		o.order = cols
-	} else {
+	keys := sortKeys{cols: cols}
+	if !s.Ascending() {
 		keys.desc = s.Desc
 	}
-	o.newIter = sortedInput(in, keys)
-	return o, nil
+	return &op{newIter: sortedInput(in, s.By, keys)}, nil
 }
 
-// sortedInput returns how a run opens the compiled input in sorted by keys:
-// as it is when its order starts with the keys' columns, in key order, and
-// every key is ascending, and through a sortIter otherwise. Asking for the
-// keys themselves, in their order, means an input that skips the sort is in
-// the order a stable sort of it would have produced.
-func sortedInput(in *op, keys sortKeys) func(*Executor) BatchIterator {
-	cols := keys.cols
-	if keys.desc == nil && len(in.order) >= len(cols) && slices.Equal(in.order[:len(cols)], cols) {
+// sortedInput returns how a run opens the compiled input in sorted by keys,
+// the positions of the columns want: as it is when every key is ascending
+// and its order covers want (lplan.Covers: an exact prefix, in key order),
+// which is the order a stable sort would leave, and through a sortIter
+// otherwise.
+func sortedInput(in *op, want []schema.ColID, keys sortKeys) func(*Executor) BatchIterator {
+	if keys.desc == nil && lplan.Covers(in.order, want) {
 		return func(e *Executor) BatchIterator { return e.build(in) }
 	}
 	return func(e *Executor) BatchIterator { return &sortIter{exec: e, in: e.build(in), keys: keys} }

@@ -243,6 +243,26 @@ func (j *Join) Schema() schema.Schema {
 // Children implements Node.
 func (j *Join) Children() []Node { return []Node{j.L, j.R} }
 
+// EquiKeys splits j's conjuncts into the join keys and the residual rest. A
+// bare equality between a column of each input is a key: l[i] is its left
+// input's column and r[i] its right input's, in conjunct order.
+func (j *Join) EquiKeys() (l, r []schema.ColID, residual []expr.Expr) {
+	ls, rs := j.L.Schema(), j.R.Schema()
+	for _, p := range j.Preds {
+		if lc, rc, ok := expr.EquiJoin(p); ok {
+			if !ls.Contains(lc) {
+				lc, rc = rc, lc
+			}
+			if ls.Contains(lc) && rs.Contains(rc) {
+				l, r = append(l, lc), append(r, rc)
+				continue
+			}
+		}
+		residual = append(residual, p)
+	}
+	return l, r, residual
+}
+
 // Describe implements Node.
 func (j *Join) Describe() string {
 	var b strings.Builder
@@ -470,34 +490,6 @@ func format(b *strings.Builder, n Node, depth int) {
 	}
 }
 
-// Rels returns the set of relation-instance aliases contributing to the
-// subtree. A GroupBy is a block boundary: it contributes the aliases of its
-// output columns (its own view alias after binding), not its input's.
-func Rels(n Node) map[string]bool {
-	out := map[string]bool{}
-	for _, c := range n.Schema() {
-		out[c.ID.Rel] = true
-	}
-	return out
-}
-
-// BaseRels returns the aliases of all base-table scans anywhere under n,
-// including inside group-by blocks.
-func BaseRels(n Node) map[string]bool {
-	out := map[string]bool{}
-	var walk func(Node)
-	walk = func(m Node) {
-		if s, ok := m.(*Scan); ok {
-			out[s.Alias] = true
-		}
-		for _, c := range m.Children() {
-			walk(c)
-		}
-	}
-	walk(n)
-	return out
-}
-
 // Key infers a candidate key of the node's output, with ok=false when none
 // can be derived. The rules follow standard key propagation:
 //
@@ -598,4 +590,80 @@ func Key(n Node) (schema.Key, bool) {
 	default:
 		return nil, false
 	}
+}
+
+// Order returns the order n's output is in (empty = none): the one rule the
+// cost model charges by, the search keeps plans apart by, and the executor
+// skips a sort on. An operator has an order only if the executor delivers
+// it by construction, at every batch size, spilled or not:
+//
+//   - Filter keeps its input's order;
+//   - a merge join has its left keys' (Join.EquiKeys), sort aggregation its
+//     grouping columns', and an all-ascending Sort its keys';
+//   - hash join (a Grace spill loses the probe order), block nested loops
+//     (inner-major per outer block), hash aggregation, Project, Scan and
+//     Input have none;
+//   - under a Join.Proj or GroupBy.Outputs the order is cut at the first key
+//     that does not pass through.
+func Order(n Node) []schema.ColID {
+	switch t := n.(type) {
+	case *Filter:
+		return Order(t.In)
+	case *Sort:
+		if t.Ascending() {
+			return t.By
+		}
+	case *Join:
+		if t.Method == JoinMerge {
+			l, _, _ := t.EquiKeys()
+			return JoinOrder(t.Method, l, t.Proj)
+		}
+	case *GroupBy:
+		return GroupOrder(t.Method, t.GroupCols, t.Outputs)
+	}
+	return nil
+}
+
+// JoinOrder is Order for a join by method m whose left equi-join keys are
+// lKeys, projected to proj (nil keeps every column).
+func JoinOrder(m JoinMethod, lKeys, proj []schema.ColID) []schema.ColID {
+	if m != JoinMerge {
+		return nil
+	}
+	for i, k := range lKeys {
+		if proj != nil && !slices.Contains(proj, k) {
+			return lKeys[:i]
+		}
+	}
+	return lKeys
+}
+
+// GroupOrder is Order for a group-by by method m on groupCols that emits
+// outputs (nil emits the grouping columns first); a grouping column passes
+// through Outputs as a bare column reference, under that output's name.
+func GroupOrder(m AggMethod, groupCols []schema.ColID, outputs []NamedExpr) []schema.ColID {
+	if m != AggSort {
+		return nil
+	}
+	if len(outputs) == 0 {
+		return groupCols
+	}
+	var order []schema.ColID
+	for _, gc := range groupCols {
+		i := slices.IndexFunc(outputs, func(ne NamedExpr) bool {
+			cr, ok := ne.E.(*expr.ColRef)
+			return ok && cr.ID == gc
+		})
+		if i < 0 {
+			break
+		}
+		order = append(order, outputs[i].As)
+	}
+	return order
+}
+
+// Covers reports whether an input in order have is already sorted on want:
+// want is a prefix of have, in key order.
+func Covers(have, want []schema.ColID) bool {
+	return len(have) >= len(want) && slices.Equal(have[:len(want)], want)
 }

@@ -250,25 +250,6 @@ func TestKeyInference(t *testing.T) {
 	}
 }
 
-func TestRelsAndBaseRels(t *testing.T) {
-	c := empDept(t)
-	g := exampleGroupBy(t, c)
-	g.Outputs = []NamedExpr{
-		{E: expr.Col("e2", "dno"), As: schema.ColID{Rel: "b", Name: "dno"}},
-		{E: expr.Col("b", "asal"), As: schema.ColID{Rel: "b", Name: "asal"}},
-	}
-	top := &Join{L: scan(t, c, "emp", "e1"), R: g,
-		Preds: []expr.Expr{expr.NewCmp(expr.EQ, expr.Col("e1", "dno"), expr.Col("b", "dno"))}}
-	rels := Rels(top)
-	if !rels["e1"] || !rels["b"] || rels["e2"] {
-		t.Fatalf("Rels = %v", rels)
-	}
-	base := BaseRels(top)
-	if !base["e1"] || !base["e2"] || base["b"] {
-		t.Fatalf("BaseRels = %v", base)
-	}
-}
-
 func TestFormatTree(t *testing.T) {
 	c := empDept(t)
 	g := exampleGroupBy(t, c)
