@@ -299,11 +299,6 @@ func (e *Engine) walAlive() error {
 // Config.DataDir).
 func (e *Engine) Durable() bool { return e.wal != nil }
 
-// CatalogVersion exposes the monotonically increasing catalog version of
-// the current published snapshot (bumped by every committed DDL, INSERT and
-// ANALYZE; the version that drives plan-cache invalidation).
-func (e *Engine) CatalogVersion() int64 { return e.cat.Snapshot().Version() }
-
 // StateFingerprint returns a stable hash of the engine's published logical
 // state: schemas, views, matviews, table contents (page layout included),
 // statistics, and the catalog version. Two engines with equal fingerprints

@@ -13,6 +13,19 @@ import (
 // test package.
 func SetupEmpDept(t *testing.T) *Engine { return setupEmpDept(t) }
 
+// CatalogVersion is the catalog version of the current published snapshot
+// (bumped by every committed DDL, INSERT and ANALYZE; the version that
+// drives plan-cache invalidation).
+func (e *Engine) CatalogVersion() int64 { return e.cat.Snapshot().Version() }
+
+// PlanCacheLen reports how many compiled plans the engine currently
+// retains.
+func (e *Engine) PlanCacheLen() int {
+	e.cache.mu.Lock()
+	defer e.cache.mu.Unlock()
+	return e.cache.lru.Len()
+}
+
 // StmtOracle evaluates the plan a hit of s runs — the frozen plan in its
 // plan-cache entry, whose root Sort carries any ORDER BY — with exec.Naive
 // under args, checked and coerced as a run checks them, and presents the

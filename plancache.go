@@ -315,11 +315,3 @@ func (c *planCache) put(cp *compiledPlan) int {
 	}
 	return evicted
 }
-
-// PlanCacheLen reports how many compiled plans the engine currently
-// retains.
-func (e *Engine) PlanCacheLen() int {
-	e.cache.mu.Lock()
-	defer e.cache.mu.Unlock()
-	return e.cache.lru.Len()
-}
