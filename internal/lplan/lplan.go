@@ -648,7 +648,7 @@ func GroupOrder(m AggMethod, groupCols []schema.ColID, outputs []NamedExpr) []sc
 	if len(outputs) == 0 {
 		return groupCols
 	}
-	var order []schema.ColID
+	order := make([]schema.ColID, 0, len(groupCols))
 	for _, gc := range groupCols {
 		i := slices.IndexFunc(outputs, func(ne NamedExpr) bool {
 			cr, ok := ne.E.(*expr.ColRef)
