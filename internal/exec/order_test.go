@@ -326,6 +326,68 @@ func TestSortedAndBlockOperatorsOrderAndIO(t *testing.T) {
 	}
 }
 
+// TestSortSkippedExactlyWhenOrderCovers pins when an ascending Sort reads
+// its input as it is: exactly when the input's order (lplan.Order) has the
+// Sort's keys as a prefix, in key order. A sort aggregation's order follows
+// its grouping column through Outputs' rename and a merge join's survives a
+// projection that keeps its key; a permutation of a merge join's keys, a
+// projected-away key and a hash join's probe side do not count. Either way
+// the rows come out sorted, at batch size 1 and the default, on a pool the
+// sorts spill from.
+func TestSortSkippedExactlyWhenOrderCovers(t *testing.T) {
+	e := newJoinEnv(t, 2, 1200, 1400, 400, false, true)
+	col := func(rel, name string) schema.ColID { return schema.ColID{Rel: rel, Name: name} }
+	scanL := func() *lplan.Scan { return &lplan.Scan{Alias: "l", Table: e.l} }
+	scanR := func() *lplan.Scan { return &lplan.Scan{Alias: "r", Table: e.r} }
+	eqK := expr.NewCmp(expr.EQ, expr.Col("l", "k"), expr.Col("r", "k"))
+	eqV := expr.NewCmp(expr.EQ, expr.Col("l", "v"), expr.Col("r", "w"))
+	merge := func(proj []schema.ColID, preds ...expr.Expr) *lplan.Join {
+		return &lplan.Join{L: scanL(), R: scanR(), Preds: preds, Proj: proj, Method: lplan.JoinMerge}
+	}
+	renamed := &lplan.GroupBy{In: scanL(), GroupCols: []schema.ColID{col("l", "k")}, Method: lplan.AggSort,
+		Aggs:    []expr.Agg{{Kind: expr.AggCountStar, Out: col("g", "n")}},
+		Outputs: []lplan.NamedExpr{{E: expr.Col("g", "n"), As: col("v", "n")}, {E: expr.Col("l", "k"), As: col("v", "k")}}}
+	for _, c := range []struct {
+		name  string
+		sort  *lplan.Sort
+		sorts bool
+	}{
+		{"sortagg-renamed", &lplan.Sort{In: renamed, By: []schema.ColID{col("v", "k")}}, false},
+		{"merge-proj-keeps-key", &lplan.Sort{In: merge([]schema.ColID{col("r", "w"), col("l", "k")}, eqK), By: []schema.ColID{col("l", "k")}}, false},
+		{"merge-proj-drops-key", &lplan.Sort{In: merge([]schema.ColID{col("r", "k"), col("r", "w")}, eqK), By: []schema.ColID{col("r", "k")}}, true},
+		{"merge-two-keys-prefix", &lplan.Sort{In: merge(nil, eqK, eqV), By: []schema.ColID{col("l", "k")}}, false},
+		{"merge-two-keys-permuted", &lplan.Sort{In: merge(nil, eqK, eqV), By: []schema.ColID{col("l", "v"), col("l", "k")}}, true},
+		{"hash-over-sorted", &lplan.Sort{By: []schema.ColID{col("l", "k")}, In: &lplan.Join{Preds: []expr.Expr{eqK}, Method: lplan.JoinHash,
+			L: &lplan.Sort{In: scanL(), By: []schema.ColID{col("l", "k")}}, R: scanR()}}, true},
+	} {
+		p, err := Compile(c.sort)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, sorts := New(e.store).build(p.root).(*sortIter); sorts != c.sorts {
+			t.Errorf("%s: the Sort sorts = %v, want %v (input order %v)", c.name, sorts, c.sorts, lplan.Order(c.sort.In))
+		}
+		keys, err := colIndexes(c.sort.Schema(), c.sort.By)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bs := range []int{1, DefaultBatchSize} {
+			res, err := New(e.store).WithBatchSize(bs).RunProgram(p)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if len(res.Rows) == 0 {
+				t.Fatalf("%s: no rows", c.name)
+			}
+			for i := 1; i < len(res.Rows); i++ {
+				if types.CompareRows(res.Rows[i-1], res.Rows[i], keys) > 0 {
+					t.Fatalf("%s, batch size %d: row %d %v sorts before row %d %v", c.name, bs, i, res.Rows[i], i-1, res.Rows[i-1])
+				}
+			}
+		}
+	}
+}
+
 // ioKinds maps a page access to the collector's kind, as the engine's
 // session hook does.
 var ioKinds = map[storage.IOOp]obs.IOKind{storage.OpRead: obs.IORead, storage.OpWrite: obs.IOWrite, storage.OpHit: obs.IOHit}
