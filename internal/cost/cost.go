@@ -48,7 +48,7 @@ type Props struct {
 type Info struct {
 	Props
 	Cost  float64        // cumulative cost of producing the output
-	Order []schema.ColID // sort order of the output; nil = unordered
+	Order []schema.ColID // the output's order by lplan.Order; empty = none
 }
 
 // Model estimates plan costs. There is one set of formulas with two
@@ -172,7 +172,6 @@ func (m *Model) scanInfo(s *lplan.Scan) (*Info, error) {
 	return &Info{
 		Props: Props{Rows: rel.Rows, Width: width, Pages: pagesOf(rel.Rows, width), Rel: rel},
 		Cost:  basePages + m.cpu(baseRows),
-		Order: nil, // heap scans produce no useful order
 	}, nil
 }
 
@@ -466,8 +465,7 @@ func (m *Model) projectInfo(p *lplan.Project) (*Info, error) {
 }
 
 // ProjectInfo derives the properties of computing items over an input,
-// width being the output tuple width. Projection renames columns, so the
-// output carries no order.
+// width being the output tuple width. A Project has no order (lplan.Order).
 func (m *Model) ProjectInfo(in *Info, items []lplan.NamedExpr, width int) Info {
 	return Info{
 		Props: Props{Rows: in.Rows, Width: width, Pages: pagesOf(in.Rows, width), Rel: m.projectStats(in.Rel, in.Rows, items)},
