@@ -529,7 +529,7 @@ func evalLiteral(e sql.Expr) (types.Value, error) {
 		case types.KindInt:
 			return types.NewInt(-v.I), nil
 		case types.KindFloat:
-			return types.NewFloat(-v.F), nil
+			return types.NewFloat(-v.F()), nil
 		}
 		return types.Null(), fmt.Errorf("aggview: cannot negate %s", v)
 	default:
@@ -542,9 +542,9 @@ func valueToGo(v types.Value) any {
 	case types.KindInt:
 		return v.I
 	case types.KindFloat:
-		return v.F
+		return v.F()
 	case types.KindString:
-		return v.S
+		return v.S()
 	case types.KindBool:
 		return v.I != 0
 	default:

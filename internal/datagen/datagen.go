@@ -344,9 +344,9 @@ func WriteCSV(cat catalog.Reader, tableName string, w io.Writer) error {
 		for i, v := range row {
 			switch v.K {
 			case types.KindString:
-				rec[i] = v.S
+				rec[i] = v.S()
 			case types.KindFloat:
-				rec[i] = strconv.FormatFloat(v.F, 'g', -1, 64)
+				rec[i] = strconv.FormatFloat(v.F(), 'g', -1, 64)
 			default:
 				rec[i] = v.String()
 			}

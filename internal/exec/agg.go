@@ -18,9 +18,13 @@ type groupBySpec struct {
 	having   expr.Predicate  // over the inner schema
 	outputs  []expr.Compiled // over the inner schema; nil = identity
 	scalar   bool            // no grouping columns: always emit one row
-	// A MEDIAN or user-defined aggregate, whose state is its own object,
-	// folds into a boxed accumulator: boxedAt[i] is aggregate i's slot among
-	// a group's nBoxed boxes, or -1 for the others.
+	// Aggregate i's state is the expr.AggState at stateAt[i] among a
+	// group's nSlots state values. A MEDIAN or user-defined aggregate,
+	// whose state is its own object, folds into a boxed accumulator
+	// instead: boxedAt[i] is its slot among a group's nBoxed boxes, or -1
+	// for the others.
+	stateAt []int
+	nSlots  int
 	boxedAt []int
 	nBoxed  int
 }
@@ -34,17 +38,17 @@ type groupByCtx struct {
 	arena rowArena  // backs group states and finished output rows
 	inner types.Row // the inner row being finished; reused when outputs re-project it
 
-	// Groups are numbered from 0 in creation order. A group's state is one
-	// value per aggregate (an expr.AggState) in a row carved from the
-	// arena, stateChunkGroups groups to a carve; a boxed aggregate folds in
-	// boxed[g*nBoxed+boxedAt[i]] instead.
+	// Groups are numbered from 0 in creation order. A group's state is its
+	// nSlots values in a row carved from the arena, stateChunkGroups groups
+	// to a carve; a boxed aggregate folds in boxed[g*nBoxed+boxedAt[i]]
+	// instead.
 	groups int
 	states []types.Row
 	boxed  []expr.Accumulator
 }
 
 // stateChunkGroups is how many groups' states one arena carve holds: with
-// up to 32 aggregates a chunk still fits a slab, and a query of a few dozen
+// up to 32 state values a chunk still fits a slab, and a query of a few dozen
 // groups takes a corner of the slab its output rows come from anyway.
 const stateChunkGroups = 256
 
@@ -55,10 +59,12 @@ func groupBySpecOf(g *lplan.GroupBy) (*groupBySpec, error) {
 		return nil, err
 	}
 	spec := &groupBySpec{groupPos: groupPos, aggs: g.Aggs, scalar: len(g.GroupCols) == 0,
-		argFns: make([]expr.Compiled, len(g.Aggs)), boxedAt: make([]int, len(g.Aggs))}
+		argFns: make([]expr.Compiled, len(g.Aggs)), stateAt: make([]int, len(g.Aggs)), boxedAt: make([]int, len(g.Aggs))}
 	for i, a := range g.Aggs {
-		spec.boxedAt[i] = -1
-		if !a.Kind.HasState() {
+		spec.stateAt[i], spec.boxedAt[i] = spec.nSlots, -1
+		if n := a.Kind.StateSlots(); n > 0 {
+			spec.nSlots += n
+		} else {
 			spec.boxedAt[i] = spec.nBoxed
 			spec.nBoxed++
 		}
@@ -85,7 +91,7 @@ func groupBySpecOf(g *lplan.GroupBy) (*groupBySpec, error) {
 // newGroup starts the next group, with every aggregate empty.
 func (c *groupByCtx) newGroup() {
 	if c.groups/stateChunkGroups == len(c.states) { // else a chunk kept by dropGroups
-		c.states = append(c.states, c.arena.carve(stateChunkGroups*len(c.aggs)))
+		c.states = append(c.states, c.arena.carve(stateChunkGroups*c.nSlots))
 	}
 	clear(c.stateOf(c.groups)) // arena space and reused chunks hold stale values
 	for i, b := range c.boxedAt {
@@ -96,9 +102,9 @@ func (c *groupByCtx) newGroup() {
 	c.groups++
 }
 
-// stateOf returns group g's state values, one per aggregate.
+// stateOf returns group g's state values.
 func (c *groupByCtx) stateOf(g int) types.Row {
-	n := len(c.aggs)
+	n := c.nSlots
 	return c.states[g/stateChunkGroups][g%stateChunkGroups*n:][:n]
 }
 
@@ -123,7 +129,7 @@ func (c *groupByCtx) add(g int, row types.Row) error {
 		if b := c.boxedAt[i]; b >= 0 {
 			c.boxed[g*c.nBoxed+b].Add(v)
 		} else {
-			(*expr.AggState)(&states[i]).Add(c.aggs[i].Kind, v)
+			expr.AggState(states[c.stateAt[i]:]).Add(c.aggs[i].Kind, v)
 		}
 	}
 	return nil
@@ -150,7 +156,7 @@ func (c *groupByCtx) finish(g int, key types.Row) (types.Row, bool, error) {
 		if b >= 0 {
 			inner[len(key)+i] = c.boxed[g*c.nBoxed+b].Result()
 		} else {
-			inner[len(key)+i] = (*expr.AggState)(&states[i]).Result(c.aggs[i].Kind)
+			inner[len(key)+i] = expr.AggState(states[c.stateAt[i]:]).Result(c.aggs[i].Kind)
 		}
 	}
 	keep, err := c.having(inner, c.params)

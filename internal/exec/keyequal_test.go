@@ -60,7 +60,7 @@ func rowsText(res *Result) string {
 		parts := make([]string, len(r))
 		for j, v := range r {
 			if v.K == types.KindFloat {
-				v.F += 0 // -0 prints as 0: which zero names the group is not the point
+				v = types.NewFloat(v.F() + 0) // -0 prints as 0: which zero names the group is not the point
 			}
 			parts[j] = v.String()
 		}

@@ -175,19 +175,19 @@ func TestKeyTableBareInts(t *testing.T) {
 		t.Fatalf("FLOAT 42 found entry %d, want 14", e)
 	}
 	var one [1]types.Value
-	if k := tab.key(14, one[:]); len(k) != 1 || k[0] != types.NewInt(42) {
+	if k := tab.key(14, one[:]); len(k) != 1 || !types.Equal(k[0], types.NewInt(42)) || k[0].K != types.KindInt {
 		t.Fatalf("entry 14 holds %v", k)
 	}
 }
 
 // TestArenaSlabBytes states the size of an arena slab where a comment would
-// go stale: a types.Value is 40 bytes, a slab 8192 of them.
+// go stale: a types.Value is 24 bytes, a slab 8192 of them.
 func TestArenaSlabBytes(t *testing.T) {
-	if got := unsafe.Sizeof(types.Value{}); got != 40 {
-		t.Errorf("types.Value is %d bytes, 40 expected", got)
+	if got := unsafe.Sizeof(types.Value{}); got != 24 {
+		t.Errorf("types.Value is %d bytes, 24 expected", got)
 	}
-	if got := arenaSlabValues * unsafe.Sizeof(types.Value{}); got != 320<<10 {
-		t.Errorf("an arena slab is %d bytes, 320 KiB expected", got)
+	if got := arenaSlabValues * unsafe.Sizeof(types.Value{}); got != 192<<10 {
+		t.Errorf("an arena slab is %d bytes, 192 KiB expected", got)
 	}
 }
 

@@ -369,7 +369,7 @@ func BagEqual(a, b *Result) bool {
 func canonKey(dst []byte, r types.Row) []byte {
 	for _, v := range r {
 		if v.K == types.KindFloat {
-			dst = types.AppendKey(dst, types.NewString(fmt.Sprintf("%.9g", v.F)))
+			dst = types.AppendKey(dst, types.NewString(fmt.Sprintf("%.9g", v.F())))
 			continue
 		}
 		dst = types.AppendKey(dst, v)

@@ -204,7 +204,7 @@ type Accumulator interface {
 // values passed to Add must already be evaluated argument expressions.
 func (k AggKind) NewAccumulator() Accumulator {
 	switch {
-	case k.HasState():
+	case k.StateSlots() > 0:
 		return &stateAcc{k: k}
 	case k == AggMedian:
 		return &medianAcc{}
@@ -225,76 +225,75 @@ func (nullAcc) Add(types.Value)     {}
 func (nullAcc) Result() types.Value { return types.Null() }
 
 // AggState is the running state of one COUNT, SUM, AVG, MIN or MAX over one
-// group: a single value, so that an executor keeps the states of all its
-// groups in rows of values instead of one heap object per group per
-// aggregate (a *types.Value converts to a *AggState). The zero AggState,
-// NULL, is the state of an empty group. MEDIAN and user-defined aggregates
-// carry unbounded or opaque state and go through Accumulator.
+// group: the k.StateSlots() values starting at the slice's first element,
+// so that an executor keeps the states of all its groups in rows of values
+// instead of one heap object per group per aggregate. Zeroed slots, NULL,
+// are the state of an empty group. MEDIAN and user-defined aggregates carry
+// unbounded or opaque state and go through Accumulator.
 //
-// COUNT keeps the count in I. AVG keeps the count in I and the sum in F.
-// SUM is the running sum as a value, INT until a FLOAT arrives; MIN and MAX
-// are the best input so far. Those three stay NULL until an input arrives,
-// which is also their result over no input.
-type AggState types.Value
+// COUNT keeps the count as an INT. AVG takes two slots: the sum as a FLOAT,
+// then the count as an INT. SUM is the running sum as a value, INT until a
+// FLOAT arrives; MIN and MAX are the best input so far. Those three stay
+// NULL until an input arrives, which is also their result over no input.
+type AggState []types.Value
 
-// HasState reports whether the function folds through an AggState.
-func (k AggKind) HasState() bool {
+// StateSlots returns how many values aggregate k's AggState takes: 2 for
+// AVG, 1 for COUNT, SUM, MIN and MAX, and 0 for the functions that fold
+// through an Accumulator of their own.
+func (k AggKind) StateSlots() int {
 	switch k {
-	case AggCountStar, AggCount, AggSum, AggAvg, AggMin, AggMax:
-		return true
+	case AggAvg:
+		return 2
+	case AggCountStar, AggCount, AggSum, AggMin, AggMax:
+		return 1
 	default:
-		return false
+		return 0
 	}
 }
 
 // Add folds one input value of aggregate k into the state. NULLs are
 // ignored by every function.
-func (s *AggState) Add(k AggKind, v types.Value) {
+func (s AggState) Add(k AggKind, v types.Value) {
 	if v.IsNull() {
 		return
 	}
 	switch k {
 	case AggCountStar, AggCount:
-		s.I++
+		s[0] = types.NewInt(s[0].Int() + 1)
 	case AggSum:
-		if s.K == types.KindNull {
-			s.K = types.KindInt
-		}
-		switch {
-		case s.K == types.KindFloat:
-			s.F += v.Float()
-		case v.K == types.KindFloat:
-			*s = AggState(types.NewFloat(float64(s.I) + v.F))
-		default:
-			s.I += v.Int()
+		if s[0].K == types.KindFloat || v.K == types.KindFloat {
+			s[0] = types.NewFloat(s[0].Float() + v.Float())
+		} else {
+			s[0] = types.NewInt(s[0].Int() + v.Int())
 		}
 	case AggAvg:
-		s.I++
-		s.F += v.Float()
+		s[0] = types.NewFloat(s[0].F() + v.Float())
+		s[1] = types.NewInt(s[1].Int() + 1)
 	case AggMin:
-		if s.K == types.KindNull || types.Compare(v, types.Value(*s)) < 0 {
-			*s = AggState(v)
+		if s[0].K == types.KindNull || types.Compare(v, s[0]) < 0 {
+			s[0] = v
 		}
 	case AggMax:
-		if s.K == types.KindNull || types.Compare(v, types.Value(*s)) > 0 {
-			*s = AggState(v)
+		if s[0].K == types.KindNull || types.Compare(v, s[0]) > 0 {
+			s[0] = v
 		}
 	}
 }
 
 // Result returns the value of aggregate k over the inputs folded so far.
 // Empty groups yield NULL except COUNT variants, which yield 0.
-func (s *AggState) Result(k AggKind) types.Value {
+func (s AggState) Result(k AggKind) types.Value {
 	switch k {
 	case AggCountStar, AggCount:
-		return types.NewInt(s.I)
+		return types.NewInt(s[0].Int())
 	case AggAvg:
-		if s.I == 0 {
+		n := s[1].Int()
+		if n == 0 {
 			return types.Null()
 		}
-		return types.NewFloat(s.F / float64(s.I))
+		return types.NewFloat(s[0].F() / float64(n))
 	default: // SUM, MIN, MAX
-		return types.Value(*s)
+		return s[0]
 	}
 }
 
@@ -302,11 +301,11 @@ func (s *AggState) Result(k AggKind) types.Value {
 // that hold one accumulator per group (the reference executor).
 type stateAcc struct {
 	k AggKind
-	s AggState
+	s [2]types.Value // room for the largest state, AVG's
 }
 
-func (a *stateAcc) Add(v types.Value)   { a.s.Add(a.k, v) }
-func (a *stateAcc) Result() types.Value { return a.s.Result(a.k) }
+func (a *stateAcc) Add(v types.Value)   { AggState(a.s[:]).Add(a.k, v) }
+func (a *stateAcc) Result() types.Value { return AggState(a.s[:]).Result(a.k) }
 
 type medianAcc struct {
 	vals []float64

@@ -54,10 +54,10 @@ func TestAccumulators(t *testing.T) {
 	if v := feed(AggSum.NewAccumulator(), i(1), i(2), i(3)); v.K != types.KindInt || v.I != 6 {
 		t.Errorf("SUM int = %v", v)
 	}
-	if v := feed(AggSum.NewAccumulator(), i(1), f(0.5)); v.K != types.KindFloat || v.F != 1.5 {
+	if v := feed(AggSum.NewAccumulator(), i(1), f(0.5)); v.K != types.KindFloat || v.F() != 1.5 {
 		t.Errorf("SUM mixed = %v", v)
 	}
-	if v := feed(AggAvg.NewAccumulator(), i(2), i(4)); v.F != 3 {
+	if v := feed(AggAvg.NewAccumulator(), i(2), i(4)); v.F() != 3 {
 		t.Errorf("AVG = %v", v)
 	}
 	if v := feed(AggMin.NewAccumulator(), i(5), i(2), i(9)); v.Int() != 2 {
@@ -66,10 +66,10 @@ func TestAccumulators(t *testing.T) {
 	if v := feed(AggMax.NewAccumulator(), i(5), i(2), i(9)); v.Int() != 9 {
 		t.Errorf("MAX = %v", v)
 	}
-	if v := feed(AggMedian.NewAccumulator(), i(1), i(9), i(5)); v.F != 5 {
+	if v := feed(AggMedian.NewAccumulator(), i(1), i(9), i(5)); v.F() != 5 {
 		t.Errorf("MEDIAN odd = %v", v)
 	}
-	if v := feed(AggMedian.NewAccumulator(), i(1), i(3)); v.F != 2 {
+	if v := feed(AggMedian.NewAccumulator(), i(1), i(3)); v.F() != 2 {
 		t.Errorf("MEDIAN even = %v", v)
 	}
 }
@@ -87,7 +87,7 @@ func TestAccumulatorsEmptyGroups(t *testing.T) {
 
 func TestSumFloatThenInt(t *testing.T) {
 	v := feed(AggSum.NewAccumulator(), types.NewFloat(1.5), types.NewInt(2))
-	if v.K != types.KindFloat || v.F != 3.5 {
+	if v.K != types.KindFloat || v.F() != 3.5 {
 		t.Errorf("SUM(1.5, 2) = %v", v)
 	}
 }

@@ -41,7 +41,7 @@ func TestCompileColRefAndConst(t *testing.T) {
 	if v := evalOn(t, IntLit(7), sampleRow); v.Int() != 7 {
 		t.Errorf("7 = %v", v)
 	}
-	if v := evalOn(t, StrLit("x"), sampleRow); v.S != "x" {
+	if v := evalOn(t, StrLit("x"), sampleRow); v.S() != "x" {
 		t.Errorf("'x' = %v", v)
 	}
 }
@@ -81,10 +81,10 @@ func TestArithIntAndFloat(t *testing.T) {
 	if v := evalOn(t, NewArith(Mul, Col("e", "age"), IntLit(2)), sampleRow); v.I != 60 {
 		t.Errorf("age*2 = %v", v)
 	}
-	if v := evalOn(t, NewArith(Div, Col("e", "sal"), IntLit(2)), sampleRow); v.K != types.KindFloat || v.F != 2500 {
+	if v := evalOn(t, NewArith(Div, Col("e", "sal"), IntLit(2)), sampleRow); v.K != types.KindFloat || v.F() != 2500 {
 		t.Errorf("sal/2 = %v", v)
 	}
-	if v := evalOn(t, NewArith(Sub, Col("d", "budget"), FloatLit(0.5)), sampleRow); v.F != 1e6-0.5 {
+	if v := evalOn(t, NewArith(Sub, Col("d", "budget"), FloatLit(0.5)), sampleRow); v.F() != 1e6-0.5 {
 		t.Errorf("budget-0.5 = %v", v)
 	}
 }

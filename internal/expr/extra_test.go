@@ -31,7 +31,7 @@ func TestLiteralHelpers(t *testing.T) {
 	if BoolLit(true).Val.K != types.KindBool {
 		t.Errorf("BoolLit kind")
 	}
-	if Lit(types.NewString("q")).Val.S != "q" {
+	if Lit(types.NewString("q")).Val.S() != "q" {
 		t.Errorf("Lit value")
 	}
 	if FloatLit(1.5).String() != "1.5" {

@@ -380,10 +380,10 @@ func TestDelta(t *testing.T) {
 		t.Fatalf("delta rows = %v, want 3 groups", delta)
 	}
 	null, r7 := delta[0], delta[2]
-	if !null[0].IsNull() || null[1].F != 4.5 || null[2].I != 2 || null[3].I != 1 {
+	if !null[0].IsNull() || null[1].F() != 4.5 || null[2].I != 2 || null[3].I != 1 {
 		t.Fatalf("NULL-key group = %v, want (NULL, 4.5, 2, 1)", null)
 	}
-	if r7[0].S != "r7" || !r7[1].IsNull() || r7[2].I != 1 || r7[3].I != 0 {
+	if r7[0].S() != "r7" || !r7[1].IsNull() || r7[2].I != 1 || r7[3].I != 0 {
 		t.Fatalf("all-NULL-input group = %v, want (r7, NULL, 1, 0)", r7)
 	}
 

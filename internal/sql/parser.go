@@ -837,7 +837,7 @@ func (p *parser) unaryExpr() (Expr, error) {
 			case types.KindInt:
 				return Lit{Val: types.NewInt(-l.Val.I)}, nil
 			case types.KindFloat:
-				return Lit{Val: types.NewFloat(-l.Val.F)}, nil
+				return Lit{Val: types.NewFloat(-l.Val.F())}, nil
 			}
 		}
 		return Neg{E: e}, nil

@@ -176,7 +176,7 @@ func TestParseNegativeNumbers(t *testing.T) {
 	if l, ok := sel.Items[0].E.(Lit); !ok || l.Val.I != -5 {
 		t.Fatalf("int literal = %+v", sel.Items[0].E)
 	}
-	if l, ok := sel.Items[1].E.(Lit); !ok || l.Val.F != -2.5 {
+	if l, ok := sel.Items[1].E.(Lit); !ok || l.Val.F() != -2.5 {
 		t.Fatalf("float literal = %+v", sel.Items[1].E)
 	}
 	if _, ok := sel.Items[2].E.(Neg); !ok {

@@ -24,10 +24,10 @@ func EncodeValue(dst []byte, v Value) []byte {
 	case KindInt:
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I))
 	case KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I))
 	case KindString:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.S)))
-		dst = append(dst, v.S...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.I))
+		dst = append(dst, v.S()...)
 	case KindBool:
 		dst = append(dst, byte(v.I))
 	}

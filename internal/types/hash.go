@@ -19,9 +19,9 @@ func HashValue(v *Value) uint64 {
 	case KindInt:
 		return mix64(math.Float64bits(float64(v.I)))
 	case KindFloat:
-		return mix64(math.Float64bits(v.F + 0))
+		return mix64(math.Float64bits(v.F() + 0))
 	case KindString:
-		return maphash.String(hashSeed, v.S)
+		return maphash.String(hashSeed, v.S())
 	case KindBool:
 		return mix64(uint64(v.I) + 0x632be59bd9b4e019)
 	default:

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the scalar types supported by the engine.
@@ -62,11 +64,19 @@ func (k Kind) Width() int {
 }
 
 // Value is a scalar runtime value. The zero Value is NULL.
+//
+// A Value is 24 bytes, because the executor stores, copies and hashes
+// little else: I holds an INT or BOOLEAN (0/1) payload, a FLOAT's
+// math.Float64bits, or a VARCHAR's length, and p a VARCHAR's bytes. F, S
+// and Int read the payload back and return the zero of their type for the
+// kinds they do not hold; read I directly only under a kind check. The
+// zero-size leading field makes Value incomparable, so == cannot compare
+// two strings by their pointers: compare with Equal.
 type Value struct {
+	_ [0]func()
+	p *byte
+	I int64
 	K Kind
-	I int64   // INT and BOOLEAN (0/1) payload
-	F float64 // FLOAT payload
-	S string  // VARCHAR payload
 }
 
 // Null returns the NULL value.
@@ -76,10 +86,12 @@ func Null() Value { return Value{} }
 func NewInt(v int64) Value { return Value{K: KindInt, I: v} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(v float64) Value { return Value{K: KindFloat, F: v} }
+func NewFloat(v float64) Value { return Value{K: KindFloat, I: int64(math.Float64bits(v))} }
 
 // NewString returns a VARCHAR value.
-func NewString(v string) Value { return Value{K: KindString, S: v} }
+func NewString(v string) Value {
+	return Value{K: KindString, p: unsafe.StringData(v), I: int64(len(v))}
+}
 
 // NewBool returns a BOOLEAN value.
 func NewBool(v bool) Value {
@@ -96,20 +108,46 @@ func (v Value) IsNull() bool { return v.K == KindNull }
 // Bool returns the boolean payload; it is false for non-boolean values.
 func (v Value) Bool() bool { return v.K == KindBool && v.I != 0 }
 
-// Int returns the integer payload, converting FLOAT by truncation.
-func (v Value) Int() int64 {
-	if v.K == KindFloat {
-		return int64(v.F)
+// F returns a FLOAT's payload, and 0 for every other kind.
+func (v Value) F() float64 {
+	if v.K != KindFloat {
+		return 0
 	}
-	return v.I
+	return math.Float64frombits(uint64(v.I))
 }
 
-// Float returns the numeric payload as float64.
-func (v Value) Float() float64 {
-	if v.K == KindFloat {
-		return v.F
+// S returns a VARCHAR's payload, and "" for every other kind.
+func (v Value) S() string {
+	if v.K != KindString {
+		return ""
 	}
-	return float64(v.I)
+	return unsafe.String(v.p, v.I)
+}
+
+// Int returns the integer payload, converting FLOAT by truncation; it is 0
+// for NULL and VARCHAR.
+func (v Value) Int() int64 {
+	switch v.K {
+	case KindInt, KindBool:
+		return v.I
+	case KindFloat:
+		return int64(v.F())
+	default:
+		return 0
+	}
+}
+
+// Float returns the numeric payload as float64; it is 0 for NULL and
+// VARCHAR.
+func (v Value) Float() float64 {
+	switch v.K {
+	case KindInt, KindBool:
+		return float64(v.I)
+	case KindFloat:
+		return v.F()
+	default:
+		return 0
+	}
 }
 
 // String renders the value for display and plan annotations.
@@ -120,9 +158,9 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KindString:
-		return "'" + v.S + "'"
+		return "'" + v.S() + "'"
 	case KindBool:
 		if v.I != 0 {
 			return "TRUE"
@@ -137,7 +175,7 @@ func (v Value) String() string {
 // accounting (not a physical serialization size; pages store Values directly).
 func (v Value) DiskWidth() int {
 	if v.K == KindString {
-		return len(v.S) + 2
+		return int(v.I) + 2
 	}
 	return v.K.Width()
 }
@@ -186,14 +224,7 @@ func Compare(a, b Value) int {
 	}
 	switch a.K {
 	case KindString:
-		switch {
-		case a.S < b.S:
-			return -1
-		case a.S > b.S:
-			return 1
-		default:
-			return 0
-		}
+		return strings.Compare(a.S(), b.S())
 	case KindBool:
 		switch {
 		case a.I < b.I:
@@ -217,7 +248,7 @@ func Equal(a, b Value) bool {
 		case KindInt, KindBool:
 			return a.I == b.I
 		case KindString:
-			return a.S == b.S
+			return a.I == b.I && (a.p == b.p || a.S() == b.S())
 		case KindNull:
 			return true
 		}
@@ -253,9 +284,9 @@ func AppendKey(dst []byte, v Value) []byte {
 			byte(bits>>24), byte(bits>>16), byte(bits>>8), byte(bits))
 	case KindString:
 		dst = append(dst, 0x02)
-		n := len(v.S)
+		n := v.I
 		dst = append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-		return append(dst, v.S...)
+		return append(dst, v.S()...)
 	case KindBool:
 		dst = append(dst, 0x03, byte(v.I))
 		return dst

@@ -30,7 +30,7 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	if v := NewFloat(2.5); v.K != KindFloat || v.Float() != 2.5 || v.Int() != 2 {
 		t.Errorf("NewFloat(2.5) = %+v", v)
 	}
-	if v := NewString("hi"); v.K != KindString || v.S != "hi" {
+	if v := NewString("hi"); v.K != KindString || v.S() != "hi" {
 		t.Errorf("NewString = %+v", v)
 	}
 	if v := NewBool(true); !v.Bool() {

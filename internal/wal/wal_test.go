@@ -97,7 +97,7 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 		t.Fatalf("create-table did not roundtrip: %+v", ct)
 	}
 	ins := rec2.Entries[1].Rec.(Insert)
-	if len(ins.Rows) != 2 || ins.Rows[0][0].S != "alice" || ins.Rows[1][2].F != 80000 {
+	if len(ins.Rows) != 2 || ins.Rows[0][0].S() != "alice" || ins.Rows[1][2].F() != 80000 {
 		t.Fatalf("insert did not roundtrip: %+v", ins)
 	}
 	if l2.LastLSN() != last {
