@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"container/heap"
 	"slices"
 
@@ -28,6 +29,45 @@ func (k sortKeys) compare(a, b types.Row) int {
 		}
 	}
 	return 0
+}
+
+// sortStable sorts rows by the keys, equal rows staying in input order: an
+// O(n log n) unstable sort of the rows' ordinals whose key ties fall to the
+// ordinal, then the permutation applied in place. Sorting ordinals instead
+// of rows swaps words that hold no pointers, so the garbage collector never
+// sees the sort. ord is scratch space, returned grown for the next call.
+func (k sortKeys) sortStable(rows []types.Row, ord []int) []int {
+	if cap(ord) < len(rows) {
+		ord = make([]int, len(rows))
+	}
+	ord = ord[:len(rows)]
+	for i := range ord {
+		ord[i] = i
+	}
+	slices.SortFunc(ord, func(a, b int) int {
+		if c := k.compare(rows[a], rows[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	// Position i takes rows[ord[i]]: follow each cycle of the permutation
+	// once, marking visited positions with -1.
+	for i := range ord {
+		if ord[i] < 0 {
+			continue
+		}
+		first, j := rows[i], i
+		for {
+			from := ord[j]
+			ord[j] = -1
+			if from == i {
+				rows[j] = first
+				break
+			}
+			rows[j], j = rows[from], from
+		}
+	}
+	return ord
 }
 
 // sortIter sorts its input stably by its keys. NULL orders before every
@@ -77,9 +117,10 @@ func sortedInput(in *op, want []schema.ColID, keys sortKeys) func(*Executor) Bat
 
 func (it *sortIter) Open() error {
 	var buf []types.Row
+	var ord []int
 	bytes := 0
 	flushRun := func() error {
-		slices.SortStableFunc(buf, it.keys.compare)
+		ord = it.keys.sortStable(buf, ord)
 		// Register the run before writing so Close drops it even when a
 		// write below fails.
 		run := newSpill(it.exec.pg, "sort-run")
@@ -110,7 +151,7 @@ func (it *sortIter) Open() error {
 	}
 
 	if len(it.runs) == 0 {
-		slices.SortStableFunc(buf, it.keys.compare)
+		it.keys.sortStable(buf, nil)
 		it.out = newSliceIter(buf, it.exec.batchSize)
 		return it.out.Open()
 	}
