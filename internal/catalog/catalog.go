@@ -651,18 +651,6 @@ func (c *Catalog) Insert(t *Table, row types.Row) (err error) {
 	return nil
 }
 
-// FlushTable flushes the table's partial tail page (into the batch-private
-// clone; published snapshots never change).
-func (c *Catalog) FlushTable(t *Table) (err error) {
-	own := c.beginAuto()
-	defer func() { c.endAuto(own, err) }()
-	w := c.writable(t.Name)
-	if w == nil {
-		return fmt.Errorf("table %q does not exist", t.Name)
-	}
-	return c.store.Flush(w.File)
-}
-
 // Analyze scans the table and recomputes its statistics.
 func (c *Catalog) Analyze(t *Table) (err error) {
 	own := c.beginAuto()

@@ -11,7 +11,6 @@ package qblock
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"aggview/internal/catalog"
@@ -58,16 +57,6 @@ type Block struct {
 	Aggs       []expr.Agg
 	Having     []expr.Expr
 	Outputs    []lplan.NamedExpr
-}
-
-// HasOuter reports whether the block's FROM chain contains an outer join.
-func (b *Block) HasOuter() bool {
-	for _, s := range b.OuterSteps {
-		if s.Type != lplan.JoinInner {
-			return true
-		}
-	}
-	return false
 }
 
 // PaddedAliases returns the set of relation aliases whose columns may be
@@ -162,15 +151,6 @@ func (b *Block) OutputSchema() schema.Schema {
 		out[i] = schema.Column{ID: ne.As, Type: ne.E.Type(inner)}
 	}
 	return out
-}
-
-// ConjRels returns the distinct block-relation aliases a conjunct touches.
-// Aliases not belonging to the block (e.g. view outputs in a top block) are
-// included too; callers filter as needed.
-func ConjRels(e expr.Expr) []string {
-	rels := expr.Rels(e)
-	sort.Strings(rels)
-	return rels
 }
 
 // LocalConjs partitions the block's conjuncts into per-relation local
