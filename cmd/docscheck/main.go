@@ -10,7 +10,11 @@
 //     package layout it describes;
 //   - every `Type.Name` in inline code (Type a root-package type, as in
 //     `Config.Mode`) names a field or method, and every `aggview.Name` an
-//     exported name, so prose cannot keep an API name a change deleted.
+//     exported name, so prose cannot keep an API name a change deleted;
+//   - every row of a fenced table in an EXPERIMENTS.md section such as
+//     "## E3 — …" appears, trailing space ignored, in the section
+//     "== E3: …" of aggbench_output.txt, so a quoted table cannot drift
+//     from the run it quotes.
 //
 // It exits non-zero listing every broken reference.
 package main
@@ -126,11 +130,60 @@ func main() {
 			}
 		}
 	}
+	broken += checkTables(root)
 	if broken > 0 {
 		fmt.Fprintf(os.Stderr, "docscheck: %d broken reference(s) across %d Markdown file(s)\n", broken, len(mds))
 		os.Exit(1)
 	}
 	fmt.Printf("docscheck: %d Markdown file(s) ok\n", len(mds))
+}
+
+// checkTables reports, and returns the number of, the rows of fenced
+// blocks in EXPERIMENTS.md that are missing from the aggbench_output.txt
+// section of the same experiment ID. A Markdown section "## ID — title"
+// quotes the output section "== ID: title ==", which runs to the next
+// "== " line; sections of other IDs, and a root without both files, are
+// not checked.
+func checkTables(root string) int {
+	docPath := filepath.Join(root, "EXPERIMENTS.md")
+	doc, err1 := os.ReadFile(docPath)
+	out, err2 := os.ReadFile(filepath.Join(root, "aggbench_output.txt"))
+	if err1 != nil || err2 != nil {
+		return 0
+	}
+	rows := map[string]map[string]bool{} // experiment ID -> its output lines
+	var cur map[string]bool
+	for _, line := range strings.Split(string(out), "\n") {
+		line = strings.TrimRight(line, " \t\r")
+		if rest, ok := strings.CutPrefix(line, "== "); ok {
+			id, _, _ := strings.Cut(rest, ":")
+			cur = map[string]bool{}
+			rows[id] = cur
+			continue
+		}
+		if cur != nil {
+			cur[line] = true
+		}
+	}
+	missing := 0
+	var want map[string]bool // the output section of the current heading
+	fenced := false
+	for lineno, line := range strings.Split(string(doc), "\n") {
+		line = strings.TrimRight(line, " \t\r")
+		switch {
+		case strings.HasPrefix(line, "```"):
+			fenced = !fenced
+		case fenced:
+			if want != nil && line != "" && !want[line] {
+				fmt.Fprintf(os.Stderr, "%s:%d: row not in aggbench_output.txt: %q\n", docPath, lineno+1, line)
+				missing++
+			}
+		case strings.HasPrefix(line, "## "):
+			id, _, _ := strings.Cut(strings.TrimPrefix(line, "## "), " ")
+			want = rows[id]
+		}
+	}
+	return missing
 }
 
 // checkTarget reports whether one markdown link target resolves. External

@@ -50,3 +50,32 @@ func TestAPINames(t *testing.T) {
 		}
 	}
 }
+
+// TestExperimentTables: a row of an E-section table in EXPERIMENTS.md
+// passes when the output section of the same ID holds it, trailing space
+// aside, and fails when a cell differs; a section with no output section of
+// its ID is not checked.
+func TestExperimentTables(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"aggbench_output.txt": "== E1: crossover ==\nmode  io   \n----  ---\ntrad  120  \nfull  90   \n\n" +
+			"== E2: placement ==\nmode  io\npush  40\n",
+		"EXPERIMENTS.md": "# Experiments\n\n## E1 — crossover\n\n```\nmode  io\ntrad  120\nfull  95\n```\n\n" +
+			"## P1 — timing\n\n```\nqps  999\n```\n",
+	} {
+		if err := os.WriteFile(filepath.Join(root, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cmd := exec.Command(os.Args[0], root)
+	cmd.Env = append(os.Environ(), "DOCSCHECK_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("a mismatched row passed:\n%s", out)
+	}
+	for _, want := range []string{`EXPERIMENTS.md:8: row not in aggbench_output.txt: "full  95"`, "1 broken reference(s)"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
