@@ -227,9 +227,10 @@ func (nullAcc) Result() types.Value { return types.Null() }
 // AggState is the running state of one COUNT, SUM, AVG, MIN or MAX over one
 // group: the k.StateSlots() values starting at the slice's first element,
 // so that an executor keeps the states of all its groups in rows of values
-// instead of one heap object per group per aggregate. Zeroed slots, NULL,
-// are the state of an empty group. MEDIAN and user-defined aggregates carry
-// unbounded or opaque state and go through Accumulator.
+// instead of one heap object per group per aggregate (a types.Row converts
+// to an AggState). Zeroed slots, NULL, are the state of an empty group.
+// MEDIAN and user-defined aggregates carry unbounded or opaque state and go
+// through Accumulator.
 //
 // COUNT keeps the count as an INT. AVG takes two slots: the sum as a FLOAT,
 // then the count as an INT. SUM is the running sum as a value, INT until a
