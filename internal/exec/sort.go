@@ -33,9 +33,9 @@ func (k sortKeys) compare(a, b types.Row) int {
 
 // sortStable sorts rows by the keys, equal rows staying in input order: an
 // O(n log n) unstable sort of the rows' ordinals whose key ties fall to the
-// ordinal, then the permutation applied in place. Sorting ordinals instead
-// of rows swaps words that hold no pointers, so the garbage collector never
-// sees the sort. ord is scratch space, returned grown for the next call.
+// ordinal, then the permutation applied in place. Ordinals hold no
+// pointers, so their swaps pass no write barrier. ord is scratch space,
+// returned grown for the next call.
 func (k sortKeys) sortStable(rows []types.Row, ord []int) []int {
 	if cap(ord) < len(rows) {
 		ord = make([]int, len(rows))

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 	"unsafe"
 )
 
@@ -224,7 +223,14 @@ func Compare(a, b Value) int {
 	}
 	switch a.K {
 	case KindString:
-		return strings.Compare(a.S(), b.S())
+		switch as, bs := a.S(), b.S(); {
+		case as < bs:
+			return -1
+		case as > bs:
+			return 1
+		default:
+			return 0
+		}
 	case KindBool:
 		switch {
 		case a.I < b.I:
@@ -248,7 +254,7 @@ func Equal(a, b Value) bool {
 		case KindInt, KindBool:
 			return a.I == b.I
 		case KindString:
-			return a.I == b.I && (a.p == b.p || a.S() == b.S())
+			return a.S() == b.S()
 		case KindNull:
 			return true
 		}
