@@ -76,6 +76,35 @@ var empDeptGoldenCases = []goldenCase{
 		from dept d left join emp e on e.dno = d.dno and e.age < 30
 		     left join emp e2 on e2.dno = d.dno
 		where d.budget < 600000 group by d.dno`},
+	{"outer-inner-padded", `select d.dno, count(*) as n, max(e2.sal) as m
+		from dept d left join emp e on e.dno = d.dno and e.age < 25
+		     join emp e2 on e2.eno = e.eno
+		where d.budget < 300000 group by d.dno`},
+	{"outer-inner-unpadded", `select d.dno, count(e.eno) as n, max(e2.sal) as m
+		from dept d left join emp e on e.dno = d.dno and e.age < 25
+		     join emp e2 on e2.dno = d.dno
+		where e2.age > 60 group by d.dno`},
+	{"outer-right-mid-chain", `select d2.dno, count(*) as n, count(e.eno) as ne
+		from dept d join emp e on e.dno = d.dno and d.budget < 200000
+		     right join dept d2 on d2.dno = e.dno
+		     join emp e3 on e3.dno = d2.dno
+		where d2.budget < 300000 and e3.age < 20 group by d2.dno`},
+	{"outer-full", `select d.dno, count(*) as n, count(e.eno) as ne
+		from emp e full join dept d on e.dno = d.dno and e.age < 20
+		where e.sal > 1000 or d.budget < 150000 group by d.dno`},
+}
+
+// warehouseOuterGoldenCases are one outer-join query over the warehouse in
+// two texts: the inner join written after the LEFT step, and before it.
+var warehouseOuterGoldenCases = []goldenCase{
+	{"outer-left-first", `select o.odate, sum(l.qty) as q, count(p.partkey) as n
+		from lineitem l left join part p on p.partkey = l.partkey and p.brand < 5
+		     join orders o on o.orderkey = l.orderkey
+		where o.custkey < 20 group by o.odate`},
+	{"outer-inner-first", `select o.odate, sum(l.qty) as q, count(p.partkey) as n
+		from lineitem l join orders o on o.orderkey = l.orderkey
+		     left join part p on p.partkey = l.partkey and p.brand < 5
+		where o.custkey < 20 group by o.odate`},
 }
 
 // goldenCatalog loads a catalog on a store of poolPages and runs the set-up
@@ -135,7 +164,7 @@ func goldenGroupsOn(t testing.TB, poolPages int) []goldenGroup {
 		spec.Employees, spec.Departments = 6000, 2000
 		return datagen.LoadEmpDept(c, spec)
 	}, nil)
-	return []goldenGroup{{warehouse, adhocGoldenCases}, {empDept, empDeptGoldenCases}}
+	return []goldenGroup{{warehouse, adhocGoldenCases}, {empDept, empDeptGoldenCases}, {warehouse, warehouseOuterGoldenCases}}
 }
 
 // TestSearchGolden is the search differential: for every query × mode ×
