@@ -113,9 +113,10 @@ type SelectItem struct {
 type JoinType int
 
 // Join types. JoinNone covers the first FROM item, comma-separated items,
-// and INNER JOIN (whose ON predicate the parser folds into WHERE — inner
-// join is plain conjunctive semantics). The outer types keep their ON
-// predicate attached: it is a match condition, not a filter.
+// and INNER JOIN, whose ON predicate the parser folds into WHERE when the
+// FROM holds no outer join (inner join is then plain conjunctive
+// semantics). The outer types keep their ON predicate attached: it is a
+// match condition, not a filter.
 const (
 	JoinNone JoinType = iota
 	JoinLeft
@@ -143,7 +144,7 @@ type FromItem struct {
 	Subquery *Select  // derived table
 	Alias    string   // always set after parsing (defaults to the table name)
 	Join     JoinType // how this item joins the previous ones (JoinNone for inner/comma)
-	On       Expr     // outer-join match predicate (nil unless Join is outer)
+	On       Expr     // ON predicate: of an outer join, or of an INNER JOIN in a FROM holding an outer join; else nil
 }
 
 // OrderItem is one ORDER BY key.

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -449,10 +450,12 @@ func (p *parser) selectStmt() (*Select, error) {
 			return nil, err
 		}
 		sel.From = append(sel.From, fi)
-		// INNER JOIN ... ON pred desugars to another from-item plus a
-		// WHERE conjunct; LEFT/RIGHT/FULL [OUTER] JOIN keeps the ON
-		// predicate attached to the item — it is a match condition for
-		// null-padding, not a filter, so it must not reach WHERE.
+		// LEFT/RIGHT/FULL [OUTER] JOIN keeps the ON predicate attached to
+		// the item — it is a match condition for null-padding, not a
+		// filter, so it must not reach WHERE. INNER JOIN ... ON pred
+		// desugars to another from-item plus a WHERE conjunct, unless the
+		// FROM holds an outer join: then its ON stays on the item too, since
+		// a later RIGHT or FULL join pads what that inner join produced.
 	joinLoop:
 		for {
 			jt := JoinNone
@@ -491,22 +494,25 @@ func (p *parser) selectStmt() (*Select, error) {
 			if err != nil {
 				return nil, err
 			}
-			if jt == JoinNone {
-				sel.From = append(sel.From, rhs)
-				if sel.Where == nil {
-					sel.Where = on
-				} else {
-					sel.Where = Bin{Op: "AND", L: sel.Where, R: on}
-				}
-			} else {
-				rhs.Join, rhs.On = jt, on
-				sel.From = append(sel.From, rhs)
-			}
+			rhs.Join, rhs.On = jt, on
+			sel.From = append(sel.From, rhs)
 		}
 		if p.accept(tokSymbol, ",") {
 			continue
 		}
 		break
+	}
+	if !slices.ContainsFunc(sel.From, func(fi FromItem) bool { return fi.Join != JoinNone }) {
+		for i := range sel.From {
+			if on := sel.From[i].On; on != nil {
+				sel.From[i].On = nil
+				if sel.Where == nil {
+					sel.Where = on
+				} else {
+					sel.Where = Bin{Op: "AND", L: sel.Where, R: on}
+				}
+			}
+		}
 	}
 	if p.accept(tokKeyword, "WHERE") {
 		w, err := p.expr()

@@ -76,6 +76,13 @@ func TestOuterJoinGolden(t *testing.T) {
 			[]string{"10|2|2|600", "20|1|1|200", "30|1|0|<nil>"},
 		},
 		{
+			// An inner join before a RIGHT join runs before the padding:
+			// dept 30 matches no (emp, dept) pair and comes out padded.
+			`select d2.dno as dno, e.eno as eno from emp e join dept d on e.dno = d.dno
+			 right join dept d2 on d2.dno = e.dno`,
+			[]string{"10|1", "10|5", "20|2", "30|<nil>"},
+		},
+		{
 			// FULL with grouping: the NULL group key collects emp rows that
 			// matched no dept (NULL and dangling dnos).
 			`select d.dno as dno, count(*) as star, count(e.eno) as ce
