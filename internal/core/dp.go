@@ -42,18 +42,25 @@ func (m aggMode) String() string {
 }
 
 // dpRel is one relation of a block DP: a base scan or a prebuilt subplan
-// (an optimized aggregate view or a pulled-up Φ(V′, W)).
+// (an optimized aggregate view, a pulled-up Φ(V′, W), or the plan of an
+// outer-join block up to a RIGHT or FULL step). In an outer-join block a
+// relation joins only a plan holding every relation in req; one an outer
+// step joins (typ LEFT or FULL) is always the right input, padded, under
+// exactly its ON conjuncts.
 type dpRel struct {
 	alias string
 	node  lplan.Node
 	mask  uint64
+	typ   lplan.JoinType
+	req   uint64
+	on    []*dpConj
 }
 
 // dpConj is a conjunct annotated with the relations it touches. derived
 // marks equalities synthesized from equivalence classes (see equiv.go). For
 // a bare column equality, eq is set, a, b are its columns' ordinals in the
-// cost model's column index and am, bm the relations providing them (set by
-// solve), which orient it at every join step.
+// cost model's column index and am, bm the relations providing them, which
+// orient it at every join step.
 type dpConj struct {
 	e       expr.Expr
 	mask    uint64
@@ -63,11 +70,12 @@ type dpConj struct {
 	am, bm  uint64
 }
 
-// newConj annotates a conjunct, resolving a bare equality's columns.
-func newConj(e expr.Expr, mask uint64, cols *stats.ColIndex) dpConj {
+// newConj annotates a conjunct over the relations aliases maps (see
+// aliasMasks), resolving a bare equality's columns.
+func newConj(e expr.Expr, mask uint64, cols *stats.ColIndex, aliases map[string]uint64) dpConj {
 	c := dpConj{e: e, mask: mask}
 	if a, b, ok := bareEquality(e); ok {
-		c.eq, c.a, c.b = true, cols.Ord(a), cols.Ord(b)
+		c.eq, c.a, c.b, c.am, c.bm = true, cols.Ord(a), cols.Ord(b), aliases[a.Rel], aliases[b.Rel]
 	}
 	return c
 }
@@ -214,6 +222,10 @@ type blockDP struct {
 	opts    Options
 	stats   *SearchStats
 
+	// trailing holds the relations an outer step joins or that wait for
+	// another (req): none starts a plan. It is 0 without outer joins.
+	trailing uint64
+
 	best map[uint64][]entry // the state table: retained plans per relation set
 
 	orders  [][]schema.ColID        // interned output orders; index 0 is "unordered"
@@ -241,7 +253,7 @@ type blockDP struct {
 	partials map[uint64]*partialSpec // per relation set, on first need
 
 	dsu     colDSU // prunedNewPreds' scratch
-	conjBuf []int
+	conjBuf []*dpConj
 }
 
 // greedyEnabled reports whether early group-by placement is allowed.
@@ -325,12 +337,6 @@ func (dp *blockDP) solve() error {
 			dp.colMask[c.ID] |= r.mask
 		}
 		dp.schema = append(dp.schema, r.node.Schema()...)
-	}
-	for i := range dp.conjs {
-		if c := &dp.conjs[i]; c.eq {
-			a, b, _ := bareEquality(c.e)
-			c.am, c.bm = dp.colMask[a], dp.colMask[b]
-		}
 	}
 	if dp.group != nil {
 		dp.describeGroup()
@@ -477,6 +483,11 @@ func (dp *blockDP) buildState(s uint64) error {
 			continue
 		}
 		prev := s &^ r.mask
+		// Outer-join precedence: r waits for the relations it requires, and
+		// a trailing relation's leaf is never the left input.
+		if prev&r.req != r.req || prev&^dp.trailing == 0 {
+			continue
+		}
 		prevCands := dp.best[prev]
 		if len(prevCands) == 0 {
 			continue
@@ -501,26 +512,29 @@ func (dp *blockDP) buildState(s uint64) error {
 }
 
 // newStep describes the join of plan(prev) with r: the conjuncts it applies
-// and the physical methods open to it. Everything is carved from the memo;
-// each equality is oriented by the relations providing its columns.
+// (an outer step's ON, or the pool's new ones) and the physical methods
+// open to it. Everything is carved from the memo; an equality is a key when
+// its columns come one from each input.
 func (dp *blockDP) newStep(prev uint64, r *dpRel) *joinStep {
 	st := dp.mem.steps.New()
-	applied := dp.prunedNewPreds(prev, r.mask)
+	applied := r.on
+	if r.typ == lplan.JoinInner {
+		applied = dp.prunedNewPreds(prev, r.mask)
+	}
 	st.preds = dp.mem.preds.Alloc(len(applied))
 	preds := dp.mem.jpreds.Alloc(len(applied))
-	for i, k := range applied {
-		c := &dp.conjs[k]
+	for i, c := range applied {
 		st.preds[i] = c.e
 		preds[i] = cost.JoinPred{E: c.e, Equi: c.eq, L: c.a, R: c.b}
 		switch {
 		case !c.eq:
-		case c.am&prev != 0:
+		case c.am&prev != 0 && c.bm&r.mask != 0:
 			preds[i].Key = cost.KeyL
-		case c.bm&prev != 0:
+		case c.bm&prev != 0 && c.am&r.mask != 0:
 			preds[i].Key = cost.KeyR
 		}
 	}
-	st.spec = cost.NewJoinSpec(lplan.JoinInner, preds, r.node, dp.mem.keys.Alloc(2*len(applied)))
+	st.spec = cost.NewJoinSpec(r.typ, preds, r.node, dp.mem.keys.Alloc(2*len(applied)))
 	add := func(m lplan.JoinMethod) {
 		st.methods[st.nMethods] = m
 		st.nMethods++
@@ -530,7 +544,9 @@ func (dp *blockDP) newStep(prev uint64, r *dpRel) *joinStep {
 		if !dp.opts.NoHashJoin {
 			add(lplan.JoinHash)
 		}
-		add(lplan.JoinMerge)
+		if r.typ == lplan.JoinInner { // a merge join cannot pad
+			add(lplan.JoinMerge)
+		}
 	}
 	st.gspec = st.spec
 	st.gspec.Inner = nil
@@ -873,7 +889,7 @@ func (dp *blockDP) node(e *entry) lplan.Node {
 	case placeRightPartial:
 		r = withInput(dp.partialSpecOf(dp.rels[e.rel].mask).tmpl, r)
 	}
-	return &lplan.Join{L: l, R: r, Preds: slices.Clone(e.step.preds), Method: e.method}
+	return &lplan.Join{L: l, R: r, Type: e.step.spec.Type, Preds: slices.Clone(e.step.preds), Method: e.method}
 }
 
 // withInput attaches an input to a group-by described without one.

@@ -120,6 +120,8 @@ func addDerivedEqualities(conjs []dpConj, aliases map[string]uint64, cols *stats
 					eq:      true,
 					a:       a.ord,
 					b:       b.ord,
+					am:      ma,
+					bm:      mb,
 				})
 			}
 		}
@@ -127,13 +129,13 @@ func addDerivedEqualities(conjs []dpConj, aliases map[string]uint64, cols *stats
 	return out
 }
 
-// prunedNewPreds returns, for a join of prev with r, the positions in
-// dp.conjs of the applicable new conjuncts with redundant equalities
+// prunedNewPreds returns, for a join of prev with r, the applicable new
+// conjuncts of dp.conjs with redundant equalities
 // removed: equalities whose endpoints are already connected by equalities
 // applied inside either input (or by earlier-kept equalities of this step)
 // are implied and skipped. The result is a scratch slice, valid until the
 // next call.
-func (dp *blockDP) prunedNewPreds(prev, rmask uint64) []int {
+func (dp *blockDP) prunedNewPreds(prev, rmask uint64) []*dpConj {
 	joined := prev | rmask
 	dsu := &dp.dsu
 	dsu.reset(dp.model.Cols().Len())
@@ -158,7 +160,7 @@ func (dp *blockDP) prunedNewPreds(prev, rmask uint64) []int {
 			}
 			dsu.union(c.a, c.b)
 		}
-		out = append(out, i)
+		out = append(out, c)
 	}
 	dp.conjBuf = out
 	return out

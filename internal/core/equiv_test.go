@@ -36,8 +36,8 @@ func TestAddDerivedEqualities(t *testing.T) {
 	aliases := map[string]uint64{"r1": 1, "r2": 2, "r3": 4}
 	cols := cost.NewModel(0, 0).Cols()
 	conjs := []dpConj{
-		newConj(expr.NewCmp(expr.EQ, expr.ColOf(a), expr.ColOf(b)), 3, cols),
-		newConj(expr.NewCmp(expr.EQ, expr.ColOf(b), expr.ColOf(c)), 6, cols),
+		newConj(expr.NewCmp(expr.EQ, expr.ColOf(a), expr.ColOf(b)), 3, cols, nil),
+		newConj(expr.NewCmp(expr.EQ, expr.ColOf(b), expr.ColOf(c)), 6, cols, nil),
 	}
 	out := addDerivedEqualities(conjs, aliases, cols)
 	if len(out) != 3 {
@@ -56,11 +56,11 @@ func TestPrunedNewPredsSpanningForest(t *testing.T) {
 	b := schema.ColID{Rel: "r2", Name: "k"}
 	c := schema.ColID{Rel: "r3", Name: "k"}
 	model := cost.NewModel(0, 0)
-	derived := newConj(expr.NewCmp(expr.EQ, expr.ColOf(a), expr.ColOf(c)), 5, model.Cols())
+	derived := newConj(expr.NewCmp(expr.EQ, expr.ColOf(a), expr.ColOf(c)), 5, model.Cols(), nil)
 	derived.derived = true
 	dp := &blockDP{model: model, conjs: []dpConj{
-		newConj(expr.NewCmp(expr.EQ, expr.ColOf(a), expr.ColOf(b)), 3, model.Cols()),
-		newConj(expr.NewCmp(expr.EQ, expr.ColOf(b), expr.ColOf(c)), 6, model.Cols()),
+		newConj(expr.NewCmp(expr.EQ, expr.ColOf(a), expr.ColOf(b)), 3, model.Cols(), nil),
+		newConj(expr.NewCmp(expr.EQ, expr.ColOf(b), expr.ColOf(c)), 6, model.Cols(), nil),
 		derived,
 	}}
 	// prev = {r1, r2} (equality a=b applied inside), r = r3.

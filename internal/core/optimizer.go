@@ -38,7 +38,8 @@ type Alternative struct {
 	// block, where its group-by sits — "group-by last", "coalescing" (a
 	// partial pre-aggregate below a join, Section 4.2) or "eager" (the
 	// group-by itself below a join, Section 4.1). Plans differing only in
-	// join order or method share a label; an outer-join chain has one shape.
+	// join order or method share a label; in an outer-join block the
+	// group-by is always last.
 	Label string
 	Root  lplan.Node
 	Cost  float64
@@ -182,13 +183,14 @@ type optimizer struct {
 	mem   *memo
 	stats *SearchStats
 
-	views  []*viewCtx
-	pool   []*poolConj                // multi-relation conjuncts of the top pool
-	local  map[string][]expr.Expr     // single-relation filters by alias
-	bRels  []*qblock.Rel              // B′: top base relations plus views' removed relations
-	needed map[string]map[string]bool // per-alias columns any plan may reference
-	scans  map[string]*lplan.Scan     // per alias, the pruned scan under o.local's filters alone
-	above  []schema.ColID             // every column phase 2 may reference, once (colsNeededAbove)
+	views    []*viewCtx
+	pool     []*poolConj                // multi-relation conjuncts of the top pool
+	local    map[string][]expr.Expr     // single-relation filters by alias
+	residual []expr.Expr                // WHERE conjuncts over aliases an outer join pads
+	bRels    []*qblock.Rel              // B′: top base relations plus views' removed relations
+	needed   map[string]map[string]bool // per-alias columns any plan may reference
+	scans    map[string]*lplan.Scan     // per alias, the pruned scan under o.local's filters alone
+	above    []schema.ColID             // every column phase 2 may reference, once (colsNeededAbove)
 
 	// each, set by Alternatives only, is shown every complete plan the
 	// search finalizes; Optimize keeps just the cheapest.
@@ -196,13 +198,6 @@ type optimizer struct {
 }
 
 func (o *optimizer) run() (lplan.Node, *cost.Info, error) {
-	if hasOuterChain(o.q) {
-		root, info, err := o.optimizeOuterChain()
-		if err == nil && o.each != nil {
-			o.each(Alternative{Label: "outer-join chain", Root: root, Cost: info.Cost, Info: detach(info)})
-		}
-		return root, info, err
-	}
 	if err := o.decompose(); err != nil {
 		return nil, nil, err
 	}
@@ -252,6 +247,14 @@ func (o *optimizer) computeNeeded() {
 	}
 	for _, ne := range o.q.Top.Outputs {
 		addExpr(ne.E)
+	}
+	for _, c := range o.residual {
+		addExpr(c)
+	}
+	for _, st := range o.q.Top.OuterSteps {
+		for _, c := range st.On {
+			addExpr(c)
+		}
 	}
 	for _, vc := range o.views {
 		for _, c := range vc.innerConjs {
@@ -315,13 +318,35 @@ func (o *optimizer) prunedScan(r *qblock.Rel, filters []expr.Expr) *lplan.Scan {
 }
 
 // decompose computes V′ per view, hoists movable relations and their
-// conjuncts into the top pool, and classifies every pool conjunct.
+// conjuncts into the top pool, and classifies every pool conjunct. In an
+// outer-join block a WHERE conjunct over an alias some step pads is
+// residual: it filters above every join, so that it sees the padded rows.
 func (o *optimizer) decompose() error {
+	top := o.q.Top
 	o.local = map[string][]expr.Expr{}
-	o.bRels = append([]*qblock.Rel{}, o.q.Top.Rels...)
+	o.bRels = append([]*qblock.Rel{}, top.Rels...)
 
+	var padded map[string]bool
+	if len(top.OuterSteps) > 0 {
+		if len(o.q.Views) > 0 {
+			return fmt.Errorf("optimize: outer-join blocks cannot join aggregate views")
+		}
+		padded = top.PaddedAliases()
+		// An inner step's ON conjuncts over its relation alone filter its scan.
+		for _, st := range top.OuterSteps {
+			for _, c := range st.On {
+				if st.Type == lplan.JoinInner && !slices.ContainsFunc(expr.Rels(c), func(a string) bool { return a != st.Alias }) {
+					o.local[st.Alias] = append(o.local[st.Alias], c)
+				}
+			}
+		}
+	}
 	var poolExprs []expr.Expr
-	for _, c := range o.q.Top.Conjs {
+	for _, c := range top.Conjs {
+		if padded != nil && slices.ContainsFunc(expr.Rels(c), func(a string) bool { return padded[a] }) {
+			o.residual = append(o.residual, c)
+			continue
+		}
 		poolExprs = append(poolExprs, c)
 	}
 
@@ -515,7 +540,9 @@ type rawGroup struct {
 // subplans. Each scan carries its relation's local filters, o.local's and
 // the caller's (filters, nil for none); conjs must be multi-relation. g is
 // nil for a block without a (pending) group-by, such as phase one's V′ ∪ B′.
-func (o *optimizer) newBlockDP(rels []*qblock.Rel, prebuilt []prebuiltRel, filters map[string][]expr.Expr, conjs []expr.Expr, g *rawGroup, outputs []lplan.NamedExpr) (*blockDP, error) {
+// In an outer-join block steps[i] says how the i-th relation joins (base
+// relations first, then prebuilt ones); it is nil elsewhere.
+func (o *optimizer) newBlockDP(rels []*qblock.Rel, prebuilt []prebuiltRel, filters map[string][]expr.Expr, conjs []expr.Expr, g *rawGroup, outputs []lplan.NamedExpr, steps []qblock.OuterStep) (*blockDP, error) {
 	dp := &blockDP{model: o.model, mem: o.mem, opts: o.opts, stats: o.stats, outputs: outputs}
 	bit := 0
 	for _, r := range rels {
@@ -532,9 +559,13 @@ func (o *optimizer) newBlockDP(rels []*qblock.Rel, prebuilt []prebuiltRel, filte
 		if err != nil {
 			return nil, err
 		}
-		dp.conjs = append(dp.conjs, newConj(c, m, o.model.Cols()))
+		dp.conjs = append(dp.conjs, newConj(c, m, o.model.Cols(), aliases))
 	}
-	dp.conjs = addDerivedEqualities(dp.conjs, aliases, o.model.Cols())
+	late, err := dp.addSteps(steps, aliases)
+	if err != nil {
+		return nil, err
+	}
+	dp.conjs = append(addDerivedEqualities(dp.conjs, aliases, o.model.Cols()), late...)
 	if g != nil {
 		spec := &groupSpec{cols: g.cols, aggs: g.aggs, having: g.having, decomposable: true}
 		for _, a := range g.aggs {
@@ -553,6 +584,49 @@ func (o *optimizer) newBlockDP(rels []*qblock.Rel, prebuilt []prebuiltRel, filte
 		dp.group = spec
 	}
 	return dp, nil
+}
+
+// addSteps applies an outer-join block's steps to the DP's relations. A
+// relation an outer step joins gets that step's ON and waits for the
+// relations the ON references; it joins only as the padded right input.
+// An inner step's ON conjuncts are pool conjuncts that apply no earlier
+// than the step's relation joins. One that references a padded relation
+// also makes the step's relation wait for it, so that it applies at an
+// inner join, never at the outer one; such conjuncts are returned apart,
+// as they take no part in equality inference (equiv.go): padding breaks
+// the equalities an ON states.
+func (dp *blockDP) addSteps(steps []qblock.OuterStep, aliases map[string]uint64) ([]dpConj, error) {
+	var padded uint64
+	var late []dpConj
+	for i := range steps {
+		r, st := &dp.rels[i], &steps[i]
+		for _, c := range st.On {
+			m, err := maskOfExpr(c, aliases)
+			if err != nil {
+				return nil, err
+			}
+			dc := newConj(c, m|r.mask, dp.model.Cols(), aliases)
+			switch {
+			case st.Type != lplan.JoinInner:
+				r.on = append(r.on, &dc)
+				r.req |= m &^ r.mask
+			case m&^r.mask == 0: // in o.local
+			case m&padded != 0:
+				r.req |= m & padded
+				late = append(late, dc)
+			default:
+				dp.conjs = append(dp.conjs, dc)
+			}
+		}
+		if st.Type != lplan.JoinInner {
+			r.typ = st.Type
+			padded |= r.mask
+		}
+		if r.typ != lplan.JoinInner || r.req != 0 {
+			dp.trailing |= r.mask
+		}
+	}
+	return late, nil
 }
 
 // scanOf returns the pruned scan of a relation under its local filters plus
@@ -714,7 +788,7 @@ func (o *optimizer) phaseOne(vc *viewCtx) ([]wCandidate, error) {
 	}
 
 	// The shared phase-1 DP over V′ ∪ B′: no group-by, no outputs.
-	dp, err := o.newBlockDP(slices.Concat(vc.vPrime, o.bRels), nil, filters, dpConjs, nil, nil)
+	dp, err := o.newBlockDP(slices.Concat(vc.vPrime, o.bRels), nil, filters, dpConjs, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1136,7 +1210,7 @@ func (o *optimizer) phaseTwo(chosen []wCandidate) (lplan.Node, *cost.Info, error
 			conjs = append(conjs, pc.outer)
 		}
 	}
-	dp, err := o.newBlockDP(rels, prebuilt, nil, conjs, o.topGroupSpec(), o.q.Top.Outputs)
+	dp, err := o.topDP(rels, prebuilt, conjs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1154,6 +1228,83 @@ func (o *optimizer) phaseTwo(chosen []wCandidate) (lplan.Node, *cost.Info, error
 		}
 	}
 	return dp.bestFinal(visit)
+}
+
+// topDP assembles the DP that completes the top block. An outer-join
+// block's join is planned first (outerPlan); it enters that DP as its one
+// relation, under a Filter of the residual WHERE conjuncts, so the
+// group-by stays last: no placement moves it across padding.
+func (o *optimizer) topDP(rels []*qblock.Rel, prebuilt []prebuiltRel, conjs []expr.Expr) (*blockDP, error) {
+	top := o.q.Top
+	if len(top.OuterSteps) > 0 {
+		joined, err := o.outerPlan(len(top.Rels), conjs)
+		if err != nil {
+			return nil, err
+		}
+		if len(o.residual) > 0 {
+			joined = &lplan.Filter{In: joined, Preds: o.residual}
+		}
+		rels, prebuilt, conjs = nil, []prebuiltRel{{node: joined}}, nil
+	}
+	return o.newBlockDP(rels, prebuilt, nil, conjs, o.topGroupSpec(), top.Outputs, nil)
+}
+
+// outerPlan plans the join of Rels[:n] of an outer-join block by one DP.
+// RIGHT and FULL steps are fixed points: the relations before the last such
+// step are planned first, and joined to the step's relation, a RIGHT join
+// as a LEFT one with the inputs swapped. That join enters the DP as one
+// prebuilt relation.
+func (o *optimizer) outerPlan(n int, conjs []expr.Expr) (lplan.Node, error) {
+	top := o.q.Top
+	start := 0
+	var prebuilt []prebuiltRel
+	for i := n - 2; i >= 0; i-- {
+		st := top.OuterSteps[i] // joins Rels[i+1]
+		if st.Type != lplan.JoinRight && st.Type != lplan.JoinFull {
+			continue
+		}
+		before, err := o.outerPlan(i+1, nil)
+		if err != nil {
+			return nil, err
+		}
+		// The step's relation, then the plan before it.
+		fixed := []qblock.OuterStep{{}, {Type: lplan.JoinLeft, On: st.On}}
+		if st.Type == lplan.JoinFull {
+			fixed = []qblock.OuterStep{{Type: lplan.JoinFull, On: st.On}, {}}
+		}
+		joined, err := o.bestPlan(top.Rels[i+1:i+2], []prebuiltRel{{node: before}}, nil, fixed)
+		if err != nil {
+			return nil, err
+		}
+		prebuilt, start = []prebuiltRel{{alias: st.Alias, node: joined}}, i+2
+		break
+	}
+	rels := top.Rels[start:n]
+	steps := make([]qblock.OuterStep, len(rels)+len(prebuilt))
+	for k := range rels {
+		if start+k > 0 {
+			steps[k] = top.OuterSteps[start+k-1]
+		}
+	}
+	return o.bestPlan(rels, prebuilt, conjs, steps)
+}
+
+// bestPlan plans a join without group-by or outputs and returns the
+// cheapest plan, its properties known to the cost model.
+func (o *optimizer) bestPlan(rels []*qblock.Rel, prebuilt []prebuiltRel, conjs []expr.Expr, steps []qblock.OuterStep) (lplan.Node, error) {
+	dp, err := o.newBlockDP(rels, prebuilt, nil, conjs, nil, nil, steps)
+	if err != nil {
+		return nil, err
+	}
+	if err := dp.solve(); err != nil {
+		return nil, err
+	}
+	node, info, err := dp.bestFinal(nil)
+	if err != nil {
+		return nil, err
+	}
+	o.model.Seed(node, info)
+	return node, nil
 }
 
 // wLabel renders a W combination as the search trace and Alternative.Label

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aggview/internal/catalog"
+	"aggview/internal/cost"
 	"aggview/internal/exec"
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
@@ -14,11 +17,12 @@ import (
 	"aggview/internal/types"
 )
 
-// Outer-chain planner tests. The optimizer's fixed-chain path classifies
-// WHERE conjuncts (scan filter / inner-step predicate / residual above the
-// chain) and picks physical methods; the correctness oracle is a canonical
-// plan that takes no such liberties — full scans, ON conditions only on the
-// joins, every WHERE conjunct in one Filter above the whole chain — run
+// Outer-join planning tests. The DP reorders an outer-join block's joins
+// under the precedence rule, places WHERE conjuncts (scan filter, join
+// predicate, or residual above every join) and picks physical methods by
+// cost; the correctness oracle is a canonical plan that takes no such
+// liberties — full scans in FROM order, each ON condition only on its own
+// join, every WHERE conjunct in one Filter above the whole chain — run
 // through the naive executor.
 
 // outerEnv is emp/dept plus proj(pno, dno, cost), with NULL and dangling
@@ -101,13 +105,13 @@ func newOuterEnv(t *testing.T, nEmp, nDept, nProj int) *outerEnv {
 	return &outerEnv{store: st, cat: c, emp: emp, dept: dept, proj: proj}
 }
 
-// outerChainQuery builds: emp e INNER JOIN dept d (pred in WHERE, the
+// outerJoinQuery builds: emp e INNER JOIN dept d (pred in WHERE, the
 // binder's desugaring) LEFT JOIN proj p ON d.dno = p.dno, WHERE e.age < 40
 // (never-padded single alias → scan filter) AND e.dno = d.dno (inner-step
 // predicate) AND p.cost > 100 when withPaddedFilter (references the padded
 // alias → must stay residual above the chain). Optionally grouped by d.dno
 // with the COUNT-bug pair.
-func outerChainQuery(e *outerEnv, withPaddedFilter, grouped bool) *qblock.Query {
+func outerJoinQuery(e *outerEnv, withPaddedFilter, grouped bool) *qblock.Query {
 	top := &qblock.Block{
 		Rels: []*qblock.Rel{
 			{Alias: "e", Table: e.emp},
@@ -205,40 +209,105 @@ func usesHashJoin(n lplan.Node) bool {
 	return false
 }
 
-// TestOuterChainVsCanonical runs the optimizer's chosen plan against the
-// canonical plan's naive-oracle result, across filter/grouping shapes and
-// both join-method regimes.
-func TestOuterChainVsCanonical(t *testing.T) {
+// outerJoinShapes are outer-join blocks over newOuterEnv's tables, each
+// bound from SQL: inner joins after a LEFT step, with and without a
+// reference to the padded relation (in an equality between two earlier
+// relations, too), a LEFT step whose ON references two earlier relations,
+// and RIGHT and FULL steps in mid-chain.
+var outerJoinShapes = []struct{ name, sql string }{
+	{"inner-after-left-padded", `select d.dno, e.eno, p.pno
+		from dept d left join proj p on p.dno = d.dno and p.cost > 200
+		     join emp e on e.dno = p.dno
+		where e.age < 40`},
+	{"inner-after-left-unpadded", `select d.dno, count(*) as n, count(p.pno) as np, sum(e.sal) as s
+		from dept d left join proj p on p.dno = d.dno and p.cost > 200
+		     join emp e on e.dno = d.dno
+		group by d.dno`},
+	{"inner-on-padded-only", `select d.dno, p.pno, d2.dno as d2no
+		from dept d left join proj p on p.dno = d.dno
+		     join dept d2 on p.cost > 300 and d2.budget < 300000`},
+	{"inner-on-earlier-equality", `select d.dno, e.eno, p.pno
+		from dept d left join proj p on p.dno = d.dno
+		     join emp e on e.dno = d.dno and p.dno = d.dno
+		where e.age > 60`},
+	{"left-on-two-relations", `select e.eno, d.dno, p.pno
+		from emp e join dept d on d.dno = e.dno
+		     left join proj p on p.dno = d.dno and p.cost * 10 < e.sal
+		where e.age < 30`},
+	{"right-mid-chain", `select d2.dno, count(*) as n, count(e.eno) as ne, max(p2.cost) as m
+		from emp e join proj p on p.dno = e.dno and p.cost < 250
+		     right join dept d2 on d2.dno = e.dno
+		     join proj p2 on p2.dno = d2.dno
+		where p2.cost > 300 group by d2.dno`},
+	{"full-mid-chain", `select d.dno, e.eno, p2.pno
+		from emp e join proj p on p.dno = e.dno and p.cost < 100
+		     full join dept d on d.dno = e.dno
+		     left join proj p2 on p2.dno = d.dno and p2.cost > 400
+		where e.age < 25 or d.budget < 300000`},
+}
+
+// TestOuterJoinVsCanonical is the soundness oracle: every plan the search
+// finalizes for an outer-join block — not only the winner — returns the
+// canonical plan's rows, in every mode, with and without hash joins, at
+// batch size 1 and the default; a tree walk costs it as the search did and
+// claims for each subtree the order lplan.Order gives.
+func TestOuterJoinVsCanonical(t *testing.T) {
 	e := newOuterEnv(t, 600, 15, 120)
+	type shape struct {
+		name string
+		q    *qblock.Query
+	}
+	var shapes []shape
 	for _, withPaddedFilter := range []bool{false, true} {
 		for _, grouped := range []bool{false, true} {
-			q := outerChainQuery(e, withPaddedFilter, grouped)
-			if err := q.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			want, err := exec.Naive(e.store, canonicalOuterPlan(e, q), nil)
-			if err != nil {
-				t.Fatalf("naive canonical: %v", err)
-			}
+			name := fmt.Sprintf("inner-then-left paddedFilter=%v grouped=%v", withPaddedFilter, grouped)
+			shapes = append(shapes, shape{name, outerJoinQuery(e, withPaddedFilter, grouped)})
+		}
+	}
+	for _, s := range outerJoinShapes {
+		shapes = append(shapes, shape{s.name, bindGolden(t, e.cat, s.sql)})
+	}
+	for _, s := range shapes {
+		if err := s.q.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := exec.Naive(e.store, canonicalOuterPlan(e, s.q), nil)
+		if err != nil {
+			t.Fatalf("%s: naive canonical: %v", s.name, err)
+		}
+		for _, mode := range []Mode{ModeTraditional, ModePushDown, ModeFull} {
 			for _, noHash := range []bool{false, true} {
 				opts := DefaultOptions()
-				opts.NoHashJoin = noHash
-				plan, err := Optimize(q, opts)
-				if err != nil {
-					t.Fatalf("paddedFilter=%v grouped=%v noHash=%v: Optimize: %v",
-						withPaddedFilter, grouped, noHash, err)
+				opts.Mode, opts.NoHashJoin = mode, noHash
+				alts, err := Alternatives(s.q, opts)
+				if err != nil || len(alts) == 0 {
+					t.Fatalf("%s %v noHash=%v: %d alternatives, err %v", s.name, mode, noHash, len(alts), err)
 				}
-				got, err := exec.New(e.store).Run(plan.Root)
-				if err != nil {
-					t.Fatalf("paddedFilter=%v grouped=%v noHash=%v: Run: %v\n%s",
-						withPaddedFilter, grouped, noHash, err, plan.Explain())
-				}
-				if !exec.BagEqual(got, want) {
-					t.Fatalf("paddedFilter=%v grouped=%v noHash=%v: optimized plan diverges from canonical (%d vs %d rows)\n%s",
-						withPaddedFilter, grouped, noHash, len(got.Rows), len(want.Rows), plan.Explain())
-				}
-				if noHash && usesHashJoin(plan.Root) {
-					t.Fatalf("NoHashJoin plan still uses a hash join:\n%s", lplan.Format(plan.Root))
+				for _, a := range alts {
+					where := fmt.Sprintf("%s %v noHash=%v %q", s.name, mode, noHash, a.Label)
+					if err := lplan.Validate(a.Root); err != nil {
+						t.Fatalf("%s: illegal plan: %v\n%s", where, err, lplan.Format(a.Root))
+					}
+					if noHash && usesHashJoin(a.Root) {
+						t.Fatalf("%s: NoHashJoin plan uses a hash join:\n%s", where, lplan.Format(a.Root))
+					}
+					checkTreeWalk(t, where, a.Root, a.Info, opts)
+					model := cost.NewModel(opts.PoolPages, opts.CPUWeight)
+					walkPlan(a.Root, func(n lplan.Node) {
+						if info, err := model.Info(n); err != nil || !slices.Equal(info.Order, lplan.Order(n)) {
+							t.Fatalf("%s: the model claims order %v (err %v), the rule %v:\n%s", where, info.Order, err, lplan.Order(n), lplan.Format(n))
+						}
+					})
+					for _, bs := range []int{1, exec.DefaultBatchSize} {
+						got, err := exec.New(e.store).WithBatchSize(bs).Run(a.Root)
+						if err != nil {
+							t.Fatalf("%s batch=%d: run: %v\n%s", where, bs, err, lplan.Format(a.Root))
+						}
+						if !exec.BagEqual(got, want) {
+							t.Fatalf("%s batch=%d: %d rows, the canonical plan %d, or different ones\n%s",
+								where, bs, len(got.Rows), len(want.Rows), lplan.Format(a.Root))
+						}
+					}
 				}
 			}
 		}
@@ -306,7 +375,7 @@ func TestOuterChainRightAndFullNormalization(t *testing.T) {
 // machinery refuses outright.
 func TestOuterChainRejectsViews(t *testing.T) {
 	e := newOuterEnv(t, 50, 5, 0)
-	q := outerChainQuery(e, false, false)
+	q := outerJoinQuery(e, false, false)
 	q.Views = []*qblock.AggView{{
 		Alias: "b",
 		Block: &qblock.Block{

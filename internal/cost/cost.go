@@ -242,7 +242,7 @@ func (m *Model) joinInfo(j *lplan.Join) (*Info, error) {
 		return nil, err
 	}
 	preds := make([]JoinPred, len(j.Preds))
-	left := j.L.Schema()
+	left, right := j.L.Schema(), j.R.Schema()
 	for i, p := range j.Preds {
 		preds[i].E = p
 		lc, rc, ok := expr.EquiJoin(p)
@@ -250,9 +250,9 @@ func (m *Model) joinInfo(j *lplan.Join) (*Info, error) {
 			continue
 		}
 		preds[i].Equi, preds[i].L, preds[i].R = true, m.stats.Cols.Ord(lc), m.stats.Cols.Ord(rc)
-		if left.Contains(lc) {
+		if left.Contains(lc) && right.Contains(rc) {
 			preds[i].Key = KeyL
-		} else if left.Contains(rc) {
+		} else if left.Contains(rc) && right.Contains(lc) {
 			preds[i].Key = KeyR
 		}
 	}

@@ -188,6 +188,55 @@ func TestOuterJoinCountBug(t *testing.T) {
 	}
 }
 
+// TestOuterJoinTextOrder: an inner join commutes past a LEFT join whose ON
+// does not reference it, so where the text writes it must not change the
+// plan's cost. The two texts of one TPC-D query, inner join after and
+// before the LEFT step, return the same rows at the same estimated cost in
+// every mode, and read as many pages from a cold pool at every pool size.
+func TestOuterJoinTextOrder(t *testing.T) {
+	texts := []string{
+		`select o.odate, sum(l.qty) as q, count(p.partkey) as n
+		 from lineitem l left join part p on p.partkey = l.partkey and p.brand < 5
+		      join orders o on o.orderkey = l.orderkey
+		 where o.custkey < 20 group by o.odate`,
+		`select o.odate, sum(l.qty) as q, count(p.partkey) as n
+		 from lineitem l join orders o on o.orderkey = l.orderkey
+		      left join part p on p.partkey = l.partkey and p.brand < 5
+		 where o.custkey < 20 group by o.odate`,
+	}
+	spec := aggview.DefaultTPCD()
+	spec.Lineitems = 60000
+	for _, pool := range []int{16, 64, 256} {
+		e := aggview.Open(aggview.Config{PoolPages: pool})
+		if err := e.LoadTPCD(spec); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []aggview.OptimizerMode{aggview.Traditional, aggview.PushDown, aggview.Full} {
+			var rows [2][]string
+			var est [2]float64
+			var io [2]aggview.IOStats
+			for i, q := range texts {
+				e.DropCaches()
+				before := e.IOStats()
+				res, err := e.Query(ctx(), q, aggview.WithMode(mode))
+				if err != nil {
+					t.Fatalf("pool=%d %v text %d: %v", pool, mode, i, err)
+				}
+				rows[i], est[i], io[i] = sortedRows(res), res.Plan.EstimatedCost, e.IOStats().Sub(before)
+			}
+			if !equalRows(rows[0], rows[1]) || len(rows[0]) == 0 {
+				t.Fatalf("pool=%d %v: the texts return %d and %d rows, or different ones", pool, mode, len(rows[0]), len(rows[1]))
+			}
+			if est[0] != est[1] {
+				t.Errorf("pool=%d %v: estimated %v for the LEFT step first, %v for the inner join first", pool, mode, est[0], est[1])
+			}
+			if io[0].Reads+io[0].Writes != io[1].Reads+io[1].Writes {
+				t.Errorf("pool=%d %v: cold pages %+v for the LEFT step first, %+v for the inner join first", pool, mode, io[0], io[1])
+			}
+		}
+	}
+}
+
 // TestOuterJoinOrderByNulls pins NULL placement in ORDER BY over padded
 // outputs: NULL sorts before every value ascending, after every value
 // descending, identically across batch sizes and the spill path.
