@@ -18,8 +18,8 @@
 // read of the run's parameter vector (WithParams), which every compiled
 // expression takes when it evaluates, so a Program holds nothing a run
 // writes and any number of runs may open one at once. Open builds and opens
-// the iterators, which are all a run allocates for its plan; OpenCursor is
-// Compile then Open, for a tree that was not compiled ahead. The engine
+// the iterators, which are all a run allocates for its plan; Run compiles a
+// tree that was not compiled ahead, then opens and drains it. The engine
 // compiles each plan once, before it caches it.
 //
 // A plan's leaves are scans, or an Input, whose rows the run supplies

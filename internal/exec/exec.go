@@ -200,7 +200,7 @@ type op struct {
 // Compile validates the plan and compiles every operator. It is the one
 // place the executor resolves columns and compiles expressions, for frozen
 // and unfrozen trees alike: the engine compiles a plan once, before it
-// publishes it; OpenCursor compiles the tree it is handed.
+// publishes it; Run compiles the tree it is handed.
 func Compile(n lplan.Node) (*Program, error) {
 	if err := lplan.Validate(n); err != nil {
 		return nil, fmt.Errorf("exec: invalid plan: %w", err)
@@ -240,15 +240,6 @@ func compileOp(n lplan.Node) (*op, error) {
 	}
 	o.node, o.label, o.order = n, n.Describe(), lplan.Order(n)
 	return o, nil
-}
-
-// OpenCursor compiles the plan and opens it: Compile, then Open.
-func (e *Executor) OpenCursor(n lplan.Node) (*Cursor, error) {
-	p, err := Compile(n)
-	if err != nil {
-		return nil, err
-	}
-	return e.Open(p)
 }
 
 // Open builds the program's iterator tree for this run, opens it, and

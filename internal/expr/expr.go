@@ -360,19 +360,6 @@ func Conjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// AndAll conjoins a list of predicates; it returns nil for an empty list and
-// the single element for a singleton.
-func AndAll(preds []Expr) Expr {
-	switch len(preds) {
-	case 0:
-		return nil
-	case 1:
-		return preds[0]
-	default:
-		return And(preds...)
-	}
-}
-
 // EquiJoin decomposes a conjunct of the form left.col = right.col where the
 // two sides are single column references of different relations. It reports
 // ok=false otherwise.
@@ -399,9 +386,6 @@ type Fn struct {
 
 // NewFn builds a scalar function call.
 func NewFn(name string, arg Expr) *Fn { return &Fn{Name: name, Arg: arg} }
-
-// ScalarFns lists the supported scalar function names.
-func ScalarFns() []string { return []string{"SQRT", "ABS"} }
 
 // IsScalarFn reports whether name (upper-case) is a supported scalar
 // function.

@@ -225,7 +225,4 @@ func TestFnExpr(t *testing.T) {
 	if !IsScalarFn("SQRT") || IsScalarFn("FOO") {
 		t.Errorf("IsScalarFn wrong")
 	}
-	if len(ScalarFns()) != 2 {
-		t.Errorf("ScalarFns = %v", ScalarFns())
-	}
 }

@@ -191,9 +191,6 @@ func (c *Collector) Time(name string) func() {
 	}
 }
 
-// Spans returns the completed spans in completion order.
-func (c *Collector) Spans() []Span { return c.spans }
-
 // SpanDur returns the duration of the first completed span with the given
 // name (zero when absent).
 func (c *Collector) SpanDur(name string) time.Duration {

@@ -153,21 +153,6 @@ func (b *Block) OutputSchema() schema.Schema {
 	return out
 }
 
-// LocalConjs partitions the block's conjuncts into per-relation local
-// filters and the rest (join predicates or multi-relation filters).
-func (b *Block) LocalConjs() (local map[string][]expr.Expr, rest []expr.Expr) {
-	local = map[string][]expr.Expr{}
-	for _, c := range b.Conjs {
-		rels := expr.Rels(c)
-		if len(rels) == 1 {
-			local[rels[0]] = append(local[rels[0]], c)
-			continue
-		}
-		rest = append(rest, c)
-	}
-	return local, rest
-}
-
 // Validate checks internal consistency: relation aliases unique, conjunct
 // and grouping columns resolvable, aggregate args resolvable, having over
 // the inner schema, outputs over the inner schema.

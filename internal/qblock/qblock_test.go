@@ -132,23 +132,6 @@ func TestBlockValidate(t *testing.T) {
 	}
 }
 
-func TestLocalConjsSplit(t *testing.T) {
-	c := testCatalog(t)
-	b := &Block{
-		Rels: []*Rel{rel(t, c, "emp", "e"), rel(t, c, "dept", "d")},
-		Conjs: []expr.Expr{
-			expr.NewCmp(expr.EQ, expr.Col("e", "dno"), expr.Col("d", "dno")),
-			expr.NewCmp(expr.LT, expr.Col("d", "budget"), expr.FloatLit(1e6)),
-			expr.NewCmp(expr.GT, expr.Col("e", "sal"), expr.IntLit(100)),
-		},
-		Outputs: []lplan.NamedExpr{{E: expr.Col("e", "sal"), As: schema.ColID{Name: "s"}}},
-	}
-	local, rest := b.LocalConjs()
-	if len(local["d"]) != 1 || len(local["e"]) != 1 || len(rest) != 1 {
-		t.Fatalf("LocalConjs = %v / %v", local, rest)
-	}
-}
-
 func TestQueryValidate(t *testing.T) {
 	c := testCatalog(t)
 	q := &Query{

@@ -66,19 +66,6 @@ func (s Schema) IndexOf(id ColID) (int, error) {
 	return found, nil
 }
 
-// MustIndexOf is IndexOf for callers that have already validated the schema;
-// it panics on ambiguity or absence.
-func (s Schema) MustIndexOf(id ColID) int {
-	i, err := s.IndexOf(id)
-	if err != nil {
-		panic(err)
-	}
-	if i < 0 {
-		panic(fmt.Sprintf("column %q not found in schema %s", id, s))
-	}
-	return i
-}
-
 // Contains reports whether the schema resolves the reference unambiguously.
 func (s Schema) Contains(id ColID) bool {
 	i, err := s.IndexOf(id)

@@ -46,15 +46,6 @@ func TestIndexOfMissing(t *testing.T) {
 	}
 }
 
-func TestMustIndexOfPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("MustIndexOf on missing column should panic")
-		}
-	}()
-	sampleSchema().MustIndexOf(ColID{Rel: "zz", Name: "q"})
-}
-
 func TestContains(t *testing.T) {
 	s := sampleSchema()
 	if !s.Contains(ColID{Rel: "e", Name: "eno"}) {

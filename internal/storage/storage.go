@@ -348,14 +348,6 @@ func (s *Store) create(name string, temp bool) *File {
 	return f
 }
 
-// LiveFiles returns the number of files (tables and temporaries) currently
-// registered with the store.
-func (s *Store) LiveFiles() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.files)
-}
-
 // LiveTempFiles returns the names of query-temporary files still live, in
 // sorted order. A non-empty census after a query — even a failed one — is a
 // spill-file leak.

@@ -526,12 +526,6 @@ func (l *Log) InjectCrash(p *CrashPlan) {
 // (or since Open), for sizing deterministic crash sweeps.
 func (l *Log) Writes() int64 { return l.writes }
 
-// Crashed reports whether an injected crash point has fired.
-func (l *Log) Crashed() bool { return l.crashed }
-
-// LastLSN returns the highest assigned LSN.
-func (l *Log) LastLSN() uint64 { return l.lsn }
-
 // CheckpointLSN returns the LSN covered by the latest checkpoint.
 func (l *Log) CheckpointLSN() uint64 { return l.ckptLSN }
 
