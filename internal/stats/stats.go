@@ -159,12 +159,6 @@ func (r *Relation) find(id schema.ColID) (colStat, bool) {
 	return colStat{}, false
 }
 
-// Has reports whether the summary carries statistics for the column.
-func (r *Relation) Has(id schema.ColID) bool {
-	_, ok := r.find(id)
-	return ok
-}
-
 // HasAt is Has by column ordinal; a negative ordinal is an unknown column.
 func (r *Relation) HasAt(ord int) bool { return uint(ord) < uint(len(r.cols)) && r.cols[ord].known }
 
