@@ -54,8 +54,10 @@ var warehouseGoldenViews = []string{
 }
 
 // empDeptGoldenCases are the paper's Example 1 and Figure 5 queries as
-// internal/experiments states them (E1, E6), a three-view join, and an
-// outer-join chain (which bypasses the DP).
+// internal/experiments states them (E1, E6), a three-view join, and
+// outer-join chains: two LEFT steps, an inner join after a LEFT step with
+// and without a reference to the padded alias, a RIGHT step in mid-chain
+// and a FULL step.
 var empDeptGoldenCases = []goldenCase{
 	{"paper-example1", `select e1.sal from emp e1
 		where e1.age < 20

@@ -37,18 +37,18 @@ func (r *Rel) Key() (schema.Key, bool) { return r.Table.Key(r.Alias) }
 type OuterStep struct {
 	Alias string         // alias of the FROM item joined at this step (== Rels[i+1].Alias)
 	Type  lplan.JoinType // JoinInner for comma/INNER JOIN steps, else the outer type
-	On    []expr.Expr    // outer-join match-condition conjuncts (nil for inner steps)
+	On    []expr.Expr    // the step's ON conjuncts (nil for a comma step)
 }
 
 // Block is a single-block query: an SPJ core over Rels and Conjs, an
 // optional group-by (GroupCols/Aggs/Having), and a select list (Outputs).
 //
-// When OuterSteps is non-empty the block's FROM is a left-deep join chain
-// in syntax order (len(OuterSteps) == len(Rels)-1) and at least one step is
-// an outer join. Outer-join ON predicates live on the step, never in Conjs:
-// they decide null-padding, they do not filter. Such blocks keep their
-// syntactic join order — reordering across a null-padding join is illegal
-// in general — and are planned by the optimizer's fixed-chain path.
+// When OuterSteps is non-empty the block's FROM is a join chain in syntax
+// order (len(OuterSteps) == len(Rels)-1) and at least one step is an outer
+// join. Every ON predicate lives on its step, never in Conjs: an outer
+// join's decides null-padding, it does not filter, and an inner join's
+// must apply before a later RIGHT or FULL step pads. The optimizer reorders
+// such a block only where padding allows.
 type Block struct {
 	Rels       []*Rel
 	Conjs      []expr.Expr // WHERE conjuncts: local filters and join predicates
