@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"aggview/internal/catalog"
@@ -212,8 +213,9 @@ func usesHashJoin(n lplan.Node) bool {
 // outerJoinShapes are outer-join blocks over newOuterEnv's tables, each
 // bound from SQL: inner joins after a LEFT step, with and without a
 // reference to the padded relation (in an equality between two earlier
-// relations, too), a LEFT step whose ON references two earlier relations,
-// and RIGHT and FULL steps in mid-chain.
+// relations, too, and in one whose columns other inner joins equate), a
+// LEFT step whose ON references two earlier relations, and RIGHT and FULL
+// steps in mid-chain.
 var outerJoinShapes = []struct{ name, sql string }{
 	{"inner-after-left-padded", `select d.dno, e.eno, p.pno
 		from dept d left join proj p on p.dno = d.dno and p.cost > 200
@@ -230,6 +232,10 @@ var outerJoinShapes = []struct{ name, sql string }{
 		from dept d left join proj p on p.dno = d.dno
 		     join emp e on e.dno = d.dno and p.dno = d.dno
 		where e.age > 60`},
+	{"inner-on-padded-equality-class", `select d.dno, d1.dno as d1no, p.pno, e.eno
+		from dept d join dept d1 on d1.dno = d.dno
+		     left join proj p on p.dno = d1.dno and d.dno < 4
+		     join emp e on e.dno = d1.dno and d1.dno = p.dno`},
 	{"left-on-two-relations", `select e.eno, d.dno, p.pno
 		from emp e join dept d on d.dno = e.dno
 		     left join proj p on p.dno = d.dno and p.cost * 10 < e.sal
@@ -250,68 +256,113 @@ var outerJoinShapes = []struct{ name, sql string }{
 // finalizes for an outer-join block — not only the winner — returns the
 // canonical plan's rows, in every mode, with and without hash joins, at
 // batch size 1 and the default; a tree walk costs it as the search did and
-// claims for each subtree the order lplan.Order gives.
+// claims for each subtree the order lplan.Order gives. The blocks are
+// outerJoinQuery's, outerJoinShapes and random chains (randomOuterChain)
+// over smaller tables.
 func TestOuterJoinVsCanonical(t *testing.T) {
 	e := newOuterEnv(t, 600, 15, 120)
-	type shape struct {
-		name string
-		q    *qblock.Query
-	}
-	var shapes []shape
 	for _, withPaddedFilter := range []bool{false, true} {
 		for _, grouped := range []bool{false, true} {
 			name := fmt.Sprintf("inner-then-left paddedFilter=%v grouped=%v", withPaddedFilter, grouped)
-			shapes = append(shapes, shape{name, outerJoinQuery(e, withPaddedFilter, grouped)})
+			checkAgainstCanonical(t, e, name, outerJoinQuery(e, withPaddedFilter, grouped))
 		}
 	}
 	for _, s := range outerJoinShapes {
-		shapes = append(shapes, shape{s.name, bindGolden(t, e.cat, s.sql)})
+		checkAgainstCanonical(t, e, s.name, bindGolden(t, e.cat, s.sql))
 	}
-	for _, s := range shapes {
-		if err := s.q.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		want, err := exec.Naive(e.store, canonicalOuterPlan(e, s.q), nil)
-		if err != nil {
-			t.Fatalf("%s: naive canonical: %v", s.name, err)
-		}
-		for _, mode := range []Mode{ModeTraditional, ModePushDown, ModeFull} {
-			for _, noHash := range []bool{false, true} {
-				opts := DefaultOptions()
-				opts.Mode, opts.NoHashJoin = mode, noHash
-				alts, err := Alternatives(s.q, opts)
-				if err != nil || len(alts) == 0 {
-					t.Fatalf("%s %v noHash=%v: %d alternatives, err %v", s.name, mode, noHash, len(alts), err)
+	small := newOuterEnv(t, 60, 8, 30)
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 40; i++ {
+		src := randomOuterChain(r)
+		checkAgainstCanonical(t, small, src, bindGolden(t, small.cat, src))
+	}
+}
+
+// checkAgainstCanonical runs TestOuterJoinVsCanonical's checks on one block.
+func checkAgainstCanonical(t *testing.T, e *outerEnv, name string, q *qblock.Query) {
+	t.Helper()
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := exec.Naive(e.store, canonicalOuterPlan(e, q), nil)
+	if err != nil {
+		t.Fatalf("%s: naive canonical: %v", name, err)
+	}
+	for _, mode := range []Mode{ModeTraditional, ModePushDown, ModeFull} {
+		for _, noHash := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.Mode, opts.NoHashJoin = mode, noHash
+			alts, err := Alternatives(q, opts)
+			if err != nil || len(alts) == 0 {
+				t.Fatalf("%s %v noHash=%v: %d alternatives, err %v", name, mode, noHash, len(alts), err)
+			}
+			for _, a := range alts {
+				where := fmt.Sprintf("%s %v noHash=%v %q", name, mode, noHash, a.Label)
+				if err := lplan.Validate(a.Root); err != nil {
+					t.Fatalf("%s: illegal plan: %v\n%s", where, err, lplan.Format(a.Root))
 				}
-				for _, a := range alts {
-					where := fmt.Sprintf("%s %v noHash=%v %q", s.name, mode, noHash, a.Label)
-					if err := lplan.Validate(a.Root); err != nil {
-						t.Fatalf("%s: illegal plan: %v\n%s", where, err, lplan.Format(a.Root))
+				if noHash && usesHashJoin(a.Root) {
+					t.Fatalf("%s: NoHashJoin plan uses a hash join:\n%s", where, lplan.Format(a.Root))
+				}
+				checkTreeWalk(t, where, a.Root, a.Info, opts)
+				model := cost.NewModel(opts.PoolPages, opts.CPUWeight)
+				walkPlan(a.Root, func(n lplan.Node) {
+					if info, err := model.Info(n); err != nil || !slices.Equal(info.Order, lplan.Order(n)) {
+						t.Fatalf("%s: the model claims order %v (err %v), the rule %v:\n%s", where, info.Order, err, lplan.Order(n), lplan.Format(n))
 					}
-					if noHash && usesHashJoin(a.Root) {
-						t.Fatalf("%s: NoHashJoin plan uses a hash join:\n%s", where, lplan.Format(a.Root))
+				})
+				for _, bs := range []int{1, exec.DefaultBatchSize} {
+					got, err := exec.New(e.store).WithBatchSize(bs).Run(a.Root)
+					if err != nil {
+						t.Fatalf("%s batch=%d: run: %v\n%s", where, bs, err, lplan.Format(a.Root))
 					}
-					checkTreeWalk(t, where, a.Root, a.Info, opts)
-					model := cost.NewModel(opts.PoolPages, opts.CPUWeight)
-					walkPlan(a.Root, func(n lplan.Node) {
-						if info, err := model.Info(n); err != nil || !slices.Equal(info.Order, lplan.Order(n)) {
-							t.Fatalf("%s: the model claims order %v (err %v), the rule %v:\n%s", where, info.Order, err, lplan.Order(n), lplan.Format(n))
-						}
-					})
-					for _, bs := range []int{1, exec.DefaultBatchSize} {
-						got, err := exec.New(e.store).WithBatchSize(bs).Run(a.Root)
-						if err != nil {
-							t.Fatalf("%s batch=%d: run: %v\n%s", where, bs, err, lplan.Format(a.Root))
-						}
-						if !exec.BagEqual(got, want) {
-							t.Fatalf("%s batch=%d: %d rows, the canonical plan %d, or different ones\n%s",
-								where, bs, len(got.Rows), len(want.Rows), lplan.Format(a.Root))
-						}
+					if !exec.BagEqual(got, want) {
+						t.Fatalf("%s batch=%d: %d rows, the canonical plan %d, or different ones\n%s",
+							where, bs, len(got.Rows), len(want.Rows), lplan.Format(a.Root))
 					}
 				}
 			}
 		}
 	}
+}
+
+// randomOuterChain writes a FROM chain of three or four of newOuterEnv's
+// tables, each step inner, LEFT, RIGHT or FULL, its ON an equality on dno
+// with an earlier relation, sometimes with a filter or an equality between
+// two earlier relations; a WHERE filter, sometimes; and either every
+// relation's dno or a grouped count over them.
+func randomOuterChain(r *rand.Rand) string {
+	tables := []string{"emp", "dept", "proj"}
+	types := []string{"join", "join", "left outer join", "left outer join", "right outer join", "full outer join"}
+	n := 3 + r.Intn(2)
+	var from, outs strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&outs, ", r%d.dno as d%d", i, i)
+		if i == 0 {
+			fmt.Fprintf(&from, "%s r0", tables[r.Intn(3)])
+			continue
+		}
+		typ := types[r.Intn(len(types))]
+		if i == n-1 && !strings.Contains(from.String(), "outer") {
+			typ = "left outer join" // at least one outer step
+		}
+		fmt.Fprintf(&from, " %s %s r%d on r%d.dno = r%d.dno", typ, tables[r.Intn(3)], i, i, r.Intn(i))
+		if r.Intn(3) == 0 {
+			fmt.Fprintf(&from, " and r%d.dno < %d", r.Intn(i+1), 2+r.Intn(6))
+		}
+		if i >= 2 && r.Intn(4) == 0 {
+			fmt.Fprintf(&from, " and r%d.dno = r%d.dno", r.Intn(i), r.Intn(i))
+		}
+	}
+	where := ""
+	if r.Intn(2) == 0 {
+		where = fmt.Sprintf(" where r%d.dno > %d", r.Intn(n), r.Intn(4))
+	}
+	if r.Intn(2) == 0 {
+		g := r.Intn(n)
+		return fmt.Sprintf("select r%d.dno as g, count(*) as n, count(r%d.dno) as c from %s%s group by r%d.dno", g, r.Intn(n), &from, where, g)
+	}
+	return fmt.Sprintf("select %s from %s%s", outs.String()[2:], &from, where)
 }
 
 // TestOuterChainRightAndFullNormalization: RIGHT steps are normalized to
