@@ -106,12 +106,12 @@ func newOuterEnv(t *testing.T, nEmp, nDept, nProj int) *outerEnv {
 	return &outerEnv{store: st, cat: c, emp: emp, dept: dept, proj: proj}
 }
 
-// outerJoinQuery builds: emp e INNER JOIN dept d (pred in WHERE, the
-// binder's desugaring) LEFT JOIN proj p ON d.dno = p.dno, WHERE e.age < 40
-// (never-padded single alias → scan filter) AND e.dno = d.dno (inner-step
-// predicate) AND p.cost > 100 when withPaddedFilter (references the padded
-// alias → must stay residual above the chain). Optionally grouped by d.dno
-// with the COUNT-bug pair.
+// outerJoinQuery builds: emp e, dept d (a comma step, its join predicate in
+// WHERE) LEFT JOIN proj p ON d.dno = p.dno, WHERE e.age < 40 (never-padded
+// single alias → scan filter) AND e.dno = d.dno (join predicate) AND
+// p.cost > 100 when withPaddedFilter (references the padded alias → must
+// stay residual above the chain). Optionally grouped by d.dno with the
+// COUNT-bug pair.
 func outerJoinQuery(e *outerEnv, withPaddedFilter, grouped bool) *qblock.Query {
 	top := &qblock.Block{
 		Rels: []*qblock.Rel{
