@@ -61,8 +61,11 @@ func TestEveryInternalNameHasACaller(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rel, _ := filepath.Rel(root, filepath.Dir(path))
-		files, dirOf[f] = append(files, f), "aggview/"+filepath.ToSlash(rel)
+		pkg := "aggview"
+		if rel, _ := filepath.Rel(root, filepath.Dir(path)); rel != "." {
+			pkg += "/" + filepath.ToSlash(rel)
+		}
+		files, dirOf[f] = append(files, f), pkg
 		return nil
 	})
 	if err != nil {
