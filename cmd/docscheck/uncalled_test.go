@@ -37,13 +37,121 @@ var uncalledAllowed = map[string]string{
 // interface cannot be told from a direct one: it is called when any
 // selector of its name is.
 func TestEveryInternalNameHasACaller(t *testing.T) {
+	m := loadModule(t)
+	var uncalled []string
+	for _, f := range m.files {
+		pkg := m.pkgOf[f]
+		if !strings.HasPrefix(pkg, "aggview/internal/") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			called := elsewhere(m.bare[use{pkg, fn.Name.Name}], fn) || elsewhere(m.qualified[use{pkg, fn.Name.Name}], fn)
+			if fn.Recv != nil {
+				called = elsewhere(m.selected[fn.Name.Name], fn)
+			}
+			if name := declName(f, fn); !called {
+				if _, ok := uncalledAllowed[name]; !ok {
+					uncalled = append(uncalled, name)
+				}
+			}
+		}
+	}
+	sort.Strings(uncalled)
+	for _, name := range uncalled {
+		t.Errorf("%s: no non-test caller (move it into export_test.go, delete it, or allow it with a reason)", name)
+	}
+}
+
+// rootAllowed lists the exported functions and methods of the root package
+// that no non-test Go outside the root directory calls, each with the
+// passage of doc.go or README.md that presents it to users.
+var rootAllowed = map[string]string{
+	"aggview.BoolValue":             "README's §2 row for user-defined aggregates: an Accumulator returns Values",
+	"aggview.Engine.QueryRows":      "doc.go's Observability section and README's streaming-rows example",
+	"aggview.Engine.SetMetricsSink": "doc.go's Observability section and README's metrics passage",
+	"aggview.FloatValue":            "README's §2 row for user-defined aggregates: an Accumulator returns Values",
+	"aggview.IntValue":              "README's §2 row for user-defined aggregates: an Accumulator returns Values",
+	"aggview.NullValue":             "README's §2 row for user-defined aggregates: an Accumulator returns Values",
+	"aggview.RegisterAggregate":     "README's §2 row for user-defined aggregates",
+	"aggview.Stmt.QueryRows":        "the prepared statement's streaming door beside Engine.QueryRows, in DESIGN.md's table of doors",
+	"aggview.StringValue":           "README's §2 row for user-defined aggregates: an Accumulator returns Values",
+	"aggview.WithLimits":            "doc.go's quickstart and Governance section and README's limits example",
+}
+
+// TestEveryRootNameHasACaller fails when an exported function or method
+// declared in the root package has no caller in the module's non-test Go
+// outside the root directory: examples/, cmd/, internal/ and bench/. The
+// root package's own code does not count, so a name only its tests need
+// belongs in export_test.go, or in rootAllowed with the documentation that
+// presents it. Functions and methods are matched as in
+// TestEveryInternalNameHasACaller.
+func TestEveryRootNameHasACaller(t *testing.T) {
+	m := loadModule(t)
+	var uncalled []string
+	for _, f := range m.files {
+		if m.pkgOf[f] != "aggview" {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			called := len(m.qualified[use{"aggview", fn.Name.Name}]) > 0
+			if fn.Recv != nil {
+				called = false
+				for in := range m.selected[fn.Name.Name] {
+					called = called || m.declPkg[in] != "aggview"
+				}
+			}
+			if name := declName(f, fn); !called {
+				if _, ok := rootAllowed[name]; !ok {
+					uncalled = append(uncalled, name)
+				}
+			}
+		}
+	}
+	sort.Strings(uncalled)
+	for _, name := range uncalled {
+		t.Errorf("%s: no caller outside the root package (move it into export_test.go, delete it, or allow it with the passage that documents it)", name)
+	}
+}
+
+// A use is a name as some package's code refers to it.
+type use struct{ pkg, name string }
+
+// module is the module's non-test Go, bench/ included, with every use of a
+// name recorded against the top-level declaration it appears in: bare
+// identifiers per package, package selectors per imported package, and
+// selectors of any other value by name alone.
+type module struct {
+	files           []*ast.File
+	pkgOf           map[*ast.File]string // the file's package, as an import path below the module
+	declPkg         map[ast.Decl]string  // the package of a top-level declaration
+	bare, qualified map[use]map[ast.Decl]bool
+	selected        map[string]map[ast.Decl]bool
+}
+
+// loadModule parses the module's non-test Go outside testdata/ and dot
+// directories and indexes its uses.
+func loadModule(t *testing.T) *module {
+	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := &module{
+		pkgOf:     map[*ast.File]string{},
+		declPkg:   map[ast.Decl]string{},
+		bare:      map[use]map[ast.Decl]bool{},
+		qualified: map[use]map[ast.Decl]bool{},
+		selected:  map[string]map[ast.Decl]bool{},
+	}
 	fset := token.NewFileSet()
-	var files []*ast.File
-	dirOf := map[*ast.File]string{} // the file's package, as an import path below the module
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -65,26 +173,20 @@ func TestEveryInternalNameHasACaller(t *testing.T) {
 		if rel, _ := filepath.Rel(root, filepath.Dir(path)); rel != "." {
 			pkg += "/" + filepath.ToSlash(rel)
 		}
-		files, dirOf[f] = append(files, f), pkg
+		m.files, m.pkgOf[f] = append(m.files, f), pkg
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Every use of a name, with the top-level declaration it appears in:
-	// bare identifiers per package, package selectors per imported package,
-	// and selectors of any other value by name alone.
-	type use struct{ pkg, name string }
-	bare, qualified := map[use]map[ast.Decl]bool{}, map[use]map[ast.Decl]bool{}
-	selected := map[string]map[ast.Decl]bool{}
-	note := func(m map[use]map[ast.Decl]bool, u use, in ast.Decl) {
-		if m[u] == nil {
-			m[u] = map[ast.Decl]bool{}
+	note := func(in map[use]map[ast.Decl]bool, u use, decl ast.Decl) {
+		if in[u] == nil {
+			in[u] = map[ast.Decl]bool{}
 		}
-		m[u][in] = true
+		in[u][decl] = true
 	}
-	for _, f := range files {
+	for _, f := range m.files {
 		imports := map[string]string{}
 		for _, imp := range f.Imports {
 			path, _ := strconv.Unquote(imp.Path.Value)
@@ -95,64 +197,48 @@ func TestEveryInternalNameHasACaller(t *testing.T) {
 			imports[name] = path
 		}
 		for _, decl := range f.Decls {
+			m.declPkg[decl] = m.pkgOf[f]
 			var visit func(ast.Node) bool
 			visit = func(n ast.Node) bool {
 				switch x := n.(type) {
 				case *ast.SelectorExpr:
 					if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
-						note(qualified, use{imports[id.Name], x.Sel.Name}, decl)
+						note(m.qualified, use{imports[id.Name], x.Sel.Name}, decl)
 						return false
 					}
-					if selected[x.Sel.Name] == nil {
-						selected[x.Sel.Name] = map[ast.Decl]bool{}
+					if m.selected[x.Sel.Name] == nil {
+						m.selected[x.Sel.Name] = map[ast.Decl]bool{}
 					}
-					selected[x.Sel.Name][decl] = true
+					m.selected[x.Sel.Name][decl] = true
 					ast.Inspect(x.X, visit)
 					return false
 				case *ast.Ident:
-					note(bare, use{dirOf[f], x.Name}, decl)
+					note(m.bare, use{m.pkgOf[f], x.Name}, decl)
 				}
 				return true
 			}
 			ast.Inspect(decl, visit)
 		}
 	}
-	// elsewhere reports whether a use lies outside the declaration decl.
-	elsewhere := func(in map[ast.Decl]bool, decl ast.Decl) bool {
-		return len(in) > 1 || len(in) == 1 && !in[decl]
-	}
+	return m
+}
 
-	var uncalled []string
-	for _, f := range files {
-		pkg := dirOf[f]
-		if !strings.HasPrefix(pkg, "aggview/internal/") {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
-				continue
-			}
-			name := f.Name.Name + "." + fn.Name.Name
-			called := elsewhere(bare[use{pkg, fn.Name.Name}], fn) || elsewhere(qualified[use{pkg, fn.Name.Name}], fn)
-			if fn.Recv != nil {
-				recv := fn.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if ix, ok := recv.(*ast.IndexExpr); ok {
-					recv = ix.X
-				}
-				name = f.Name.Name + "." + recv.(*ast.Ident).Name + "." + fn.Name.Name
-				called = elsewhere(selected[fn.Name.Name], fn)
-			}
-			if _, ok := uncalledAllowed[name]; !ok && !called {
-				uncalled = append(uncalled, name)
-			}
-		}
+// elsewhere reports whether a use lies outside the declaration decl.
+func elsewhere(in map[ast.Decl]bool, decl ast.Decl) bool {
+	return len(in) > 1 || len(in) == 1 && !in[decl]
+}
+
+// declName names a function as pkg.Func and a method as pkg.Type.Method.
+func declName(f *ast.File, fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return f.Name.Name + "." + fn.Name.Name
 	}
-	sort.Strings(uncalled)
-	for _, name := range uncalled {
-		t.Errorf("%s: no non-test caller (move it into export_test.go, delete it, or allow it with a reason)", name)
+	recv := fn.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
 	}
+	if ix, ok := recv.(*ast.IndexExpr); ok {
+		recv = ix.X
+	}
+	return f.Name.Name + "." + recv.(*ast.Ident).Name + "." + fn.Name.Name
 }
