@@ -15,16 +15,21 @@ import (
 // uncalledAllowed lists the exported functions and methods of internal/
 // that no non-test code calls, each with the reason it stays.
 var uncalledAllowed = map[string]string{
-	"exec.Naive":             "the row-at-a-time oracle the differential tests compare the executor with",
-	"exec.mergeHeap.Less":    "container/heap calls it through heap.Interface",
-	"exec.mergeHeap.Pop":     "container/heap calls it through heap.Interface",
-	"exec.mergeHeap.Push":    "container/heap calls it through heap.Interface",
-	"exec.mergeHeap.Swap":    "container/heap calls it through heap.Interface",
-	"expr.BoolLit":           "a literal constructor other packages' tests build expressions with",
-	"expr.Col":               "the column constructor other packages' tests build expressions with",
-	"expr.FloatLit":          "a literal constructor other packages' tests build expressions with",
-	"expr.StrLit":            "a literal constructor other packages' tests build expressions with",
-	"obs.OpStats.PagesTotal": "public: aggview.OpMetrics is this type",
+	"exec.Naive":                  "the row-at-a-time oracle the differential tests compare the executor with",
+	"exec.mergeHeap.Less":         "container/heap calls it through heap.Interface",
+	"exec.mergeHeap.Pop":          "container/heap calls it through heap.Interface",
+	"exec.mergeHeap.Push":         "container/heap calls it through heap.Interface",
+	"exec.mergeHeap.Swap":         "container/heap calls it through heap.Interface",
+	"expr.BoolLit":                "a literal constructor other packages' tests build expressions with",
+	"expr.Col":                    "the column constructor other packages' tests build expressions with",
+	"expr.FloatLit":               "a literal constructor other packages' tests build expressions with",
+	"expr.StrLit":                 "a literal constructor other packages' tests build expressions with",
+	"obs.OpStats.PagesTotal":      "public: aggview.OpMetrics is this type",
+	"storage.Store.ClearFault":    "the root package's fault hooks (export_test.go) call it",
+	"storage.Store.FaultIOCount":  "the root package's fault hooks (export_test.go) call it",
+	"storage.Store.InjectFault":   "the root package's fault hooks (export_test.go) call it",
+	"storage.Store.LiveTempFiles": "the root package's fault hooks (export_test.go) call it",
+	"wal.Log.InjectCrash":         "the root package's crash hook (export_test.go) calls it",
 }
 
 // TestEveryInternalNameHasACaller fails when an exported function or method

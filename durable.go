@@ -2,8 +2,6 @@ package aggview
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -34,8 +32,6 @@ import (
 // with ErrEngineDead until the process reopens the directory and recovers.
 
 var (
-	// ErrCrashed is the injected crash-point error; see Engine.InjectWALCrash.
-	ErrCrashed = wal.ErrCrashed
 	// ErrCorrupt is wrapped by OpenDurable when recovery finds unrecoverable
 	// log or checkpoint damage: a checksum failure or short frame in any
 	// segment but the last (in the last segment it is a torn tail — end of
@@ -47,10 +43,6 @@ var (
 	// data directory to recover to the last acknowledged state.
 	ErrEngineDead = errors.New("aggview: engine failed a durability write; reopen the data directory to recover")
 )
-
-// CrashPlan configures deterministic crash injection on the write-ahead
-// log; see Engine.InjectWALCrash.
-type CrashPlan = wal.CrashPlan
 
 // DefaultCheckpointBytes is the default auto-checkpoint threshold: a
 // checkpoint is taken when this many log bytes accumulate since the last.
@@ -295,21 +287,6 @@ func (e *Engine) walAlive() error {
 	return e.wal.alive()
 }
 
-// Durable reports whether the engine persists its state (opened with
-// Config.DataDir).
-func (e *Engine) Durable() bool { return e.wal != nil }
-
-// StateFingerprint returns a stable hash of the engine's published logical
-// state: schemas, views, matviews, table contents (page layout included),
-// statistics, and the catalog version. Two engines with equal fingerprints
-// are indistinguishable to every query. Lock-free: it
-// encodes the immutable published snapshot, so it never blocks — and is
-// never blocked by — writers.
-func (e *Engine) StateFingerprint() string {
-	sum := sha256.Sum256(e.cat.Snapshot().Encode())
-	return hex.EncodeToString(sum[:])
-}
-
 // Checkpoint forces a checkpoint snapshot now, regardless of the size
 // threshold. It acquires the writer gate: a checkpoint of a half-applied
 // write batch would persist unacknowledged state.
@@ -347,20 +324,6 @@ func (e *Engine) Close() error {
 	// A dead engine still closes its file handles; the log contents are
 	// whatever the failure left behind.
 	return e.wal.log.Close()
-}
-
-// InjectWALCrash arms deterministic crash injection on the log: the Nth
-// physical write (and everything after it) fails, optionally leaving a
-// torn prefix. The crash-sweep harness uses this to prove recovery at
-// every write boundary. Takes only the log mutex — not the writer gate —
-// so a sweep can arm the crash while a transaction is open.
-func (e *Engine) InjectWALCrash(p *CrashPlan) {
-	if e.wal == nil {
-		return
-	}
-	e.wal.mu.Lock()
-	defer e.wal.mu.Unlock()
-	e.wal.log.InjectCrash(p)
 }
 
 // WALWrites reports the number of physical log writes performed, for

@@ -88,12 +88,6 @@ type Config struct {
 	// resolves to Full; any explicit mode — including Traditional — is
 	// honored as given.
 	Mode OptimizerMode
-	// KLevelPullUp caps relations pulled through one view. 0 means the
-	// paper's 2; a negative value means unlimited. Ignored outside Full mode.
-	KLevelPullUp int
-	// DisableSharedPredicateRestriction lifts the paper's "share a
-	// predicate" pull-up restriction.
-	DisableSharedPredicateRestriction bool
 	// SystemRJoins restricts the plan space to block nested-loops and
 	// sort-merge joins — the repertoire of the paper's era.
 	SystemRJoins bool
@@ -280,12 +274,6 @@ func (r *Result) String() string {
 // Per-query IO rides on Result.IO and Rows.IO.
 func (e *Engine) IOStats() IOStats { return e.store.Stats() }
 
-// DropCaches empties the buffer pool, so the next query runs cold. It does
-// not wait for in-flight queries: the pool tracks page identity only, so a
-// running query's results stay correct and only its hit/miss accounting
-// shifts.
-func (e *Engine) DropCaches() { e.store.ForceDropCaches() }
-
 // Tables lists the base tables in the current published snapshot.
 func (e *Engine) Tables() []string {
 	return e.cat.Snapshot().TableNames()
@@ -309,14 +297,7 @@ func (e *Engine) LoadTPCD(spec TPCDSpec) error {
 // Exec parses and executes one statement. DDL and INSERT return an empty
 // result; SELECT returns rows; EXPLAIN returns the plan text as rows.
 func (e *Engine) Exec(src string) (*Result, error) {
-	return e.ExecContext(context.Background(), src)
-}
-
-// ExecContext is Exec under a context: cancellation and deadlines abort a
-// running SELECT at page-IO granularity with ErrCanceled, and bound a write
-// statement's wait for the writer gate.
-func (e *Engine) ExecContext(ctx context.Context, src string) (*Result, error) {
-	return e.exec(ctx, nil, src, nil)
+	return e.exec(context.Background(), nil, src, nil)
 }
 
 // MustExec is Exec for setup code; it panics on error.
@@ -363,7 +344,7 @@ func (e *Engine) Query(ctx context.Context, src string, opts ...QueryOption) (re
 	return materialize(e.query(ctx, src, rowsOptions{}, opts))
 }
 
-// exec is the one statement path behind Exec, ExecContext, ExecScript and
+// exec is the one statement path behind Exec, ExecScript and
 // Txn.Exec: parse src (unless the caller holds the parsed stmt) and
 // dispatch. t is the enclosing transaction, nil for auto-commit. SELECT and
 // EXPLAIN enter the query pipeline, reading t's working state if there is

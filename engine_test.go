@@ -2,7 +2,6 @@ package aggview
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -256,59 +255,13 @@ func TestEngineSystemRJoins(t *testing.T) {
 
 func TestEngineWithConfigSharesData(t *testing.T) {
 	e := setupEmpDept(t)
-	e2 := e.WithConfig(Config{Mode: PushDown, KLevelPullUp: 1})
+	e2 := e.WithConfig(Config{Mode: PushDown})
 	res, err := e2.Query(context.Background(), `select count(*) from emp`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rows[0][0].(int64) != 200 {
 		t.Fatalf("shared data lost: %v", res.Rows[0][0])
-	}
-}
-
-// TestKLevelPullUpZeroAndNegative pins Config.KLevelPullUp's two special
-// values on E9's query, with and without the shared-predicate restriction:
-// 0 searches exactly as the paper's cap of 2, and a negative value exactly as
-// a cap larger than the query's relation count, which is no cap at all. The
-// two searches must differ, or the query could not tell them apart.
-func TestKLevelPullUpZeroAndNegative(t *testing.T) {
-	e := Open(Config{PoolPages: 12})
-	spec := DefaultEmpDept()
-	spec.Employees, spec.Departments = 4000, 150
-	if err := e.LoadEmpDept(spec); err != nil {
-		t.Fatal(err)
-	}
-	e.MustExec(`create table region (dno int primary key, rcode int)`)
-	for v := 0; v < spec.Departments; v++ {
-		e.MustExec(fmt.Sprintf(`insert into region values (%d, %d)`, v, v%11))
-	}
-	e.MustExec(`create table quota (qid int primary key, cap int)`)
-	e.MustExec(`insert into quota values (0, 0), (1, 100), (2, 200)`)
-	e.MustExec(`analyze`)
-	q := `select e1.sal from emp e1, dept d, region r, quota qq,
-		  (select dno, avg(sal) as asal from emp group by dno) b
-		where e1.dno = b.dno and e1.dno = d.dno and d.dno = r.dno
-		  and e1.age < 21 and e1.sal > b.asal and r.rcode < 6 and qq.cap > 0`
-	search := func(k int, shared bool) string {
-		info, err := e.WithConfig(Config{KLevelPullUp: k, DisableSharedPredicateRestriction: !shared}).
-			Explain(context.Background(), q, WithMode(Full))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("cands=%d phase2=%d plans=%d cost=%v\n%s", info.Search.PullUpCandidates,
-			info.Search.Phase2Runs, info.Search.PlansConsidered, info.EstimatedCost, info.PlanText)
-	}
-	for _, shared := range []bool{true, false} {
-		two, unlimited := search(2, shared), search(100, shared)
-		if got := search(0, shared); got != two {
-			t.Errorf("shared=%v: KLevelPullUp 0 searched\n%s\nthe cap of 2 searched\n%s", shared, got, two)
-		}
-		if got := search(-1, shared); got != unlimited {
-			t.Errorf("shared=%v: KLevelPullUp -1 searched\n%s\nno cap searched\n%s", shared, got, unlimited)
-		}
-		if two == unlimited {
-			t.Errorf("shared=%v: a cap of 2 and no cap search alike; the query cannot tell them apart", shared)
-		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"aggview/internal/core"
 	"aggview/internal/datagen"
 	"aggview/internal/exec"
+	"aggview/internal/qblock"
 	"aggview/internal/sql"
 	"aggview/internal/storage"
 )
@@ -43,12 +44,8 @@ func newFixture(pool int, seed int64, nEmp, nDept int) (*fixture, error) {
 	return &fixture{store: st, cat: c}, nil
 }
 
-// shapeRows binds the statement, takes the cheapest alternative of each
-// label (shape) the search finalizes under opts (with the fixture's pool),
-// and returns one row per shape: the cells in lead, the label, the estimated
-// cost, the page IO of a cold run, the row count, whether the result bag
-// equals the first shape's, and a mark on the shape Optimize hands out.
-func (f *fixture) shapeRows(src string, opts core.Options, lead ...string) ([][]string, error) {
+// bind parses and binds a SELECT against the fixture's current snapshot.
+func (f *fixture) bind(src string) (*qblock.Query, error) {
 	stmt, err := sql.Parse(src)
 	if err != nil {
 		return nil, err
@@ -57,8 +54,21 @@ func (f *fixture) shapeRows(src string, opts core.Options, lead ...string) ([][]
 	if err != nil {
 		return nil, err
 	}
+	return bound.Query, nil
+}
+
+// shapeRows binds the statement, takes the cheapest alternative of each
+// label (shape) the search finalizes under opts (with the fixture's pool),
+// and returns one row per shape: the cells in lead, the label, the estimated
+// cost, the page IO of a cold run, the row count, whether the result bag
+// equals the first shape's, and a mark on the shape Optimize hands out.
+func (f *fixture) shapeRows(src string, opts core.Options, lead ...string) ([][]string, error) {
+	q, err := f.bind(src)
+	if err != nil {
+		return nil, err
+	}
 	opts.PoolPages = f.store.PoolPages()
-	alts, err := core.Alternatives(bound.Query, opts)
+	alts, err := core.Alternatives(q, opts)
 	if err != nil {
 		return nil, err
 	}

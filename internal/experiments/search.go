@@ -6,6 +6,10 @@ import (
 	"math/rand"
 
 	"aggview"
+	"aggview/internal/core"
+	"aggview/internal/datagen"
+	"aggview/internal/schema"
+	"aggview/internal/types"
 )
 
 func init() {
@@ -147,23 +151,41 @@ func runE9(quick bool) (*Table, error) {
 	}
 	// One view plus three base relations connected by predicates: a rich
 	// pull-up space.
-	e := aggview.Open(aggview.Config{PoolPages: pool})
-	spec := aggview.DefaultEmpDept()
-	spec.Employees, spec.Departments = nEmp, nDept
-	if err := e.LoadEmpDept(spec); err != nil {
+	f, err := newFixture(pool, datagen.DefaultEmpDept().Seed, nEmp, nDept)
+	if err != nil {
 		return nil, err
 	}
-	e.MustExec(`create table region (dno int primary key, rcode int)`)
-	for v := 0; v < nDept; v++ {
-		e.MustExec(fmt.Sprintf(`insert into region values (%d, %d)`, v, v%11))
+	extra := []struct {
+		name, key, col string
+		rows           int
+		val            func(v int) int
+	}{
+		{"region", "dno", "rcode", nDept, func(v int) int { return v % 11 }},
+		// A relation with no predicate linking it to anything (a genuine
+		// cross join): only the shared-predicate restriction keeps it out
+		// of W.
+		{"quota", "qid", "cap", 3, func(v int) int { return 100 * v }},
 	}
-	// A relation with no predicate linking it to anything (a genuine cross
-	// join): only the shared-predicate restriction keeps it out of W.
-	e.MustExec(`create table quota (qid int primary key, cap int)`)
-	for v := 0; v < 3; v++ {
-		e.MustExec(fmt.Sprintf(`insert into quota values (%d, %d)`, v, 100*v))
+	for _, x := range extra {
+		tbl, err := f.cat.CreateTable(x.name, []schema.Column{
+			{ID: schema.ColID{Name: x.key}, Type: types.KindInt},
+			{ID: schema.ColID{Name: x.col}, Type: types.KindInt},
+		}, []string{x.key}, nil)
+		if err != nil {
+			return nil, err
+		}
+		for v := 0; v < x.rows; v++ {
+			if err := f.cat.Insert(tbl, types.Row{types.NewInt(int64(v)), types.NewInt(int64(x.val(v)))}); err != nil {
+				return nil, err
+			}
+		}
 	}
-	e.MustExec(`analyze`)
+	for _, name := range f.cat.TableNames() { // what `analyze` does
+		tbl, _ := f.cat.Table(name)
+		if err := f.cat.Analyze(tbl); err != nil {
+			return nil, err
+		}
+	}
 
 	q := `
 		select e1.sal from emp e1, dept d, region r, quota qq,
@@ -180,13 +202,14 @@ func runE9(quick bool) (*Table, error) {
 	}
 	for _, k := range ks {
 		for _, shared := range []bool{true, false} {
-			cfg := aggview.Config{PoolPages: pool, KLevelPullUp: k,
-				DisableSharedPredicateRestriction: !shared}
-			if k == 0 {
-				cfg.KLevelPullUp = -1 // the ∞ row: a negative cap is unlimited, 0 would be the paper's 2
+			bound, err := f.bind(q)
+			if err != nil {
+				return nil, err
 			}
-			eng := cloneEngineConfig(e, cfg)
-			info, err := eng.Explain(context.Background(), q, aggview.WithMode(aggview.Full))
+			opts := core.DefaultOptions() // Full mode
+			opts.PoolPages = pool
+			opts.KLevelPullUp, opts.RequireSharedPredicate = k, shared // k = 0 is the ∞ row
+			plan, err := core.Optimize(bound, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -200,16 +223,10 @@ func runE9(quick bool) (*Table, error) {
 			}
 			t.Rows = append(t.Rows, []string{
 				kStr, sharedStr,
-				itoa(info.Search.PullUpCandidates), itoa(info.Search.Phase2Runs),
-				itoa(info.Search.PlansConsidered), f1(info.EstimatedCost),
+				itoa(plan.Stats.PullUpCandidates), itoa(plan.Stats.Phase2Runs),
+				itoa(plan.Stats.PlansConsidered), f1(plan.Cost),
 			})
 		}
 	}
 	return t, nil
-}
-
-// cloneEngineConfig re-points an engine's optimizer settings without
-// reloading data (the engine shares storage/catalog).
-func cloneEngineConfig(e *aggview.Engine, cfg aggview.Config) *aggview.Engine {
-	return e.WithConfig(cfg)
 }

@@ -193,14 +193,6 @@ type scalarReplacement struct {
 	joinPred sql.Expr // correlation equalities to AND in (nil if none)
 }
 
-// andWith conjoins a predicate with an optional second one.
-func andWith(e sql.Expr, extra sql.Expr) sql.Expr {
-	if extra == nil {
-		return e
-	}
-	return sql.Bin{Op: "AND", L: e, R: extra}
-}
-
 // countScalarSubqueries counts sql.Subquery nodes in a scalar expression.
 func countScalarSubqueries(e sql.Expr) int {
 	switch t := e.(type) {
@@ -245,14 +237,7 @@ func (f *flattener) replaceScalarSubqueries(e sql.Expr, out *sql.Select, outer m
 		if err != nil {
 			return nil, nil, err
 		}
-		var pred sql.Expr
-		if lp != nil {
-			pred = lp
-		}
-		if rp != nil {
-			pred = andWith0(pred, rp)
-		}
-		return sql.Bin{Op: t.Op, L: l, R: r}, pred, nil
+		return sql.Bin{Op: t.Op, L: l, R: r}, andWith(lp, rp), nil
 	case sql.Neg:
 		inner, p, err := f.replaceScalarSubqueries(t.E, out, outer)
 		if err != nil {
@@ -272,8 +257,8 @@ func (f *flattener) replaceScalarSubqueries(e sql.Expr, out *sql.Select, outer m
 	}
 }
 
-// andWith0 conjoins two optional predicates.
-func andWith0(a, b sql.Expr) sql.Expr {
+// andWith conjoins two optional predicates.
+func andWith(a, b sql.Expr) sql.Expr {
 	if a == nil {
 		return b
 	}

@@ -28,7 +28,7 @@ func TestDeadlineEveryDoor(t *testing.T) {
 	eng := newWarehouse(t, aggview.Config{PoolPages: 8})
 	bg := context.Background()
 	q := obsSuite[0]
-	// Cache the ad-hoc plan, so Query, QueryRows and ExecContext hit it.
+	// Cache the ad-hoc plan, so Query, QueryRows and ExecScript hit it.
 	if _, err := eng.Query(bg, q); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestDeadlineEveryDoor(t *testing.T) {
 			_, err = tx.Query(dead, q)
 			return err
 		}},
-		{"ExecContext(select)", func() error { _, err := eng.ExecContext(dead, q); return err }},
+		{"ExecScript(select)", func() error { _, err := eng.ExecScript(dead, q); return err }},
 	}
 	for _, d := range doors {
 		eng.DropCaches()

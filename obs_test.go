@@ -586,7 +586,7 @@ func TestQueryTotalCoversWholeCall(t *testing.T) {
 	}{
 		{"Query miss", "miss", func() error { _, err := eng.Query(ctx, long); return err }},
 		{"Query hit", "hit", func() error { _, err := eng.Query(ctx, long); return err }},
-		{"Exec select", "hit", func() error { _, err := eng.ExecContext(ctx, long); return err }},
+		{"ExecScript select", "hit", func() error { _, err := eng.ExecScript(ctx, long); return err }},
 		{"Stmt", "hit", func() error { _, err := stmt.QueryContext(ctx, 3); return err }},
 		{"QueryRows", "miss", func() error {
 			rows, err := eng.QueryRows(ctx, `select a from t`)

@@ -4,9 +4,9 @@ import "aggview/internal/govern"
 
 // Limits are one run's resource limits, set per call with WithLimits; a
 // zero field means no limit. Query, QueryRows, Explain, ExplainAnalyze and
-// Txn.Query take them. Exec's SQL text and prepared-statement runs are
-// bounded by their context only, and so is every run's wall time: a
-// deadline belongs to the caller's ctx.
+// Txn.Query take them. ExecScript's statements and prepared-statement runs
+// are bounded by their context only (Exec takes none), and so is every
+// run's wall time: a deadline belongs to the caller's ctx.
 //
 // MaxRowsOut and MaxIOPages bound execution, so Explain, which executes
 // nothing, never trips them. OptimizerBudget bounds a search, so it cannot

@@ -28,36 +28,11 @@ var (
 	// Limits.OptimizerBudget. Callers never see it: the engine degrades to a
 	// cheaper mode instead of failing.
 	ErrOptimizerBudget = govern.ErrOptimizerBudget
-	// ErrInjected is the base error of storage faults armed via InjectFault.
-	ErrInjected = storage.ErrInjected
 	// ErrInternal wraps a recovered internal panic; the error text carries
 	// the statement being executed. A query returning ErrInternal leaves
 	// the engine usable.
 	ErrInternal = errors.New("internal error")
 )
-
-// FaultPlan configures deterministic or probabilistic storage fault
-// injection; see InjectFault.
-type FaultPlan = storage.FaultPlan
-
-// InjectFault arms storage-level fault injection for subsequent queries:
-// the chosen accounted page IO (FailAt, 0-based) or a seeded random subset
-// (Prob/Seed) fails with an error wrapping ErrInjected. The chaos-test
-// harness sweeps FailAt across every IO of a query to prove that a disk
-// error at any moment yields a clean error and no leaked spill files.
-func (e *Engine) InjectFault(p FaultPlan) { e.store.InjectFault(p) }
-
-// ClearFault disarms fault injection.
-func (e *Engine) ClearFault() { e.store.ClearFault() }
-
-// FaultIOCount reports the accounted page IOs observed since InjectFault,
-// for sizing deterministic fault sweeps.
-func (e *Engine) FaultIOCount() int64 { return e.store.FaultIOCount() }
-
-// LiveTempFiles returns the names of live operator spill files. It must be
-// empty between queries — anything else is a resource leak (asserted by the
-// chaos tests after every injected failure).
-func (e *Engine) LiveTempFiles() []string { return e.store.LiveTempFiles() }
 
 // recoverToError converts a panic into an error wrapping ErrInternal and
 // the statement text. It is installed at every public query entry point,
@@ -128,10 +103,6 @@ func (e *Engine) optimizeLadder(cat catalog.Reader, q *qblock.Query, mode Optimi
 	modes := ladderModes(mode)
 	opts := core.DefaultOptions()
 	opts.PoolPages = e.cfg.PoolPages
-	if e.cfg.KLevelPullUp != 0 {
-		opts.KLevelPullUp = e.cfg.KLevelPullUp
-	}
-	opts.RequireSharedPredicate = !e.cfg.DisableSharedPredicateRestriction
 	opts.NoHashJoin = e.cfg.SystemRJoins
 	opts.Trace = trace
 	// Materialized-view candidates are mode-independent (they bypass the

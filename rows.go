@@ -156,7 +156,7 @@ func errClass(err error) string {
 		return "row-limit"
 	case errors.Is(err, ErrIOBudget):
 		return "io-budget"
-	case errors.Is(err, ErrInjected):
+	case errors.Is(err, storage.ErrInjected):
 		return "injected-fault"
 	case errors.Is(err, ErrOptimizerBudget):
 		return "optimizer-budget"
