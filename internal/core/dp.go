@@ -109,7 +109,8 @@ const (
 // extending the plan needs (its output properties), and the back-pointers a
 // tree is built from if the plan is ever handed on. A leaf stands for one
 // DP relation; any other entry is join(left, rels[rel]) under step.preds by
-// method, with an early group-by on one input as place says. Candidates
+// method, with an early group-by on one input as place says; an inner hash
+// join builds on rels[rel] unless flip says it builds on left. Candidates
 // live by value in a scratch buffer; only the ones a state retains are
 // copied into the per-query arena.
 type entry struct {
@@ -118,7 +119,8 @@ type entry struct {
 	mode   aggMode
 	method lplan.JoinMethod
 	place  placement
-	rel    int32     // the (right) relation
+	flip   bool      // the hash join builds on left: node emits Join{L: r, R: l}
+	rel    int32     // the incoming relation
 	left   *entry    // nil for a leaf
 	step   *joinStep // nil for a leaf
 	mask   uint64    // relations joined
@@ -665,6 +667,11 @@ func cheapest(cs []entry) *entry {
 // plan. base carries the fields the alternatives share. The join's logical
 // properties are derived into *props unless a sibling call with logically
 // identical inputs already left them there.
+//
+// An inner hash join may build on either input: both are costed and the
+// cheaper kept, a tie going to the build on fewer pages, then to r. That is
+// a choice within the one candidate (flip), not a second one. An outer hash
+// join builds on r, the padded input.
 func (dp *blockDP) joinPlans(base entry, l, r *cost.Info, spec *cost.JoinSpec, methods []lplan.JoinMethod, props *cost.Props) error {
 	if props.Rel == nil {
 		// A join without projection outputs both inputs' columns under one
@@ -680,7 +687,16 @@ func (dp *blockDP) joinPlans(base entry, l, r *cost.Info, spec *cost.JoinSpec, m
 		if err := tickPlan(dp.stats, dp.opts); err != nil {
 			return err
 		}
-		base.method = m
+		base.method, base.flip = m, false
+		if m == lplan.JoinHash && spec.Type == lplan.JoinInner {
+			flipped, _, err := dp.model.JoinMethodCost(m, spec, r, l)
+			if err != nil {
+				return err
+			}
+			if flipped < extra || flipped == extra && l.Pages < r.Pages {
+				extra, base.flip = flipped, true
+			}
+		}
 		base.info.Cost, base.info.Order = dp.model.JoinCost(l, r, props.Rows, extra), order
 		base.order = dp.internOrder(order)
 		dp.mem.cands = append(dp.mem.cands, base)
@@ -888,6 +904,9 @@ func (dp *blockDP) node(e *entry) lplan.Node {
 		r = withInput(dp.fullTmpl[e.place-placeRightHash], r)
 	case placeRightPartial:
 		r = withInput(dp.partialSpecOf(dp.rels[e.rel].mask).tmpl, r)
+	}
+	if e.flip {
+		l, r = r, l
 	}
 	return &lplan.Join{L: l, R: r, Type: e.step.spec.Type, Preds: slices.Clone(e.step.preds), Method: e.method}
 }

@@ -309,12 +309,16 @@ func (m *Model) JoinCost(l, r *Info, rows, extra float64) float64 {
 }
 
 // JoinMethodCost returns the method-specific IO beyond producing the inputs
-// and the output's sort order (lplan.JoinOrder).
+// and the output's sort order (lplan.JoinOrder). A hash join builds on r and
+// its charge reads nothing of spec, so a caller weighing the other build
+// side of an inner join passes the inputs swapped; the search does, and
+// emits the plan with the cheaper build input as R.
 func (m *Model) JoinMethodCost(method lplan.JoinMethod, spec *JoinSpec, l, r *Info) (float64, []schema.ColID, error) {
 	mPages := float64(m.PoolPages)
 	switch method {
 	case lplan.JoinHash, lplan.JoinUnset:
-		// Build on the right input. Pipelined while the build fits.
+		// Build on r. Pipelined while the build fits; otherwise one Grace
+		// round trip over both inputs.
 		if r.Pages <= mPages-2 {
 			return 0, nil, nil
 		}

@@ -210,6 +210,10 @@ func (t JoinType) Outer() bool { return t != JoinInner }
 // Join combines two inputs under a conjunction of predicates and projects
 // the listed columns (nil keeps everything).
 //
+// A hash join builds its table on R and probes it with L. For an inner join
+// the optimizer picks which input is R by cost; an outer hash join builds
+// on R, the padded input.
+//
 // For an outer join (Type != JoinInner) Preds is the ON match condition:
 // rows whose match predicate is not TRUE still appear, padded with NULLs on
 // the unmatched side. Padded rows bypass Preds entirely, so Preds must not
