@@ -31,9 +31,13 @@ var warmExecStatements = []struct {
 
 // warmExecEngine is that workload's set-up: 24 000 lineitems, everything in
 // the pool, the two views.
-func warmExecEngine(tb testing.TB) *aggview.Engine {
+func warmExecEngine(tb testing.TB) *aggview.Engine { return warmExecEngineAt(tb, 4096) }
+
+// warmExecEngineAt is warmExecEngine's warehouse and views on a pool of the
+// given size.
+func warmExecEngineAt(tb testing.TB, poolPages int) *aggview.Engine {
 	tb.Helper()
-	eng := aggview.Open(aggview.Config{PoolPages: 4096})
+	eng := aggview.Open(aggview.Config{PoolPages: poolPages})
 	if err := eng.LoadTPCD(aggview.TPCDSpec{Seed: 1, Lineitems: 24000}); err != nil {
 		tb.Fatal(err)
 	}
@@ -146,5 +150,45 @@ func TestCacheHitAllocationCeiling(t *testing.T) {
 	t.Logf("%.1f objects per cache hit", objects)
 	if !raceEnabled && objects > ceiling {
 		t.Errorf("%.1f objects per cache hit, ceiling %d", objects, ceiling)
+	}
+}
+
+// TestStarAggregateBuildsWithoutSpilling runs warm-exec's star-3-aggregate
+// at the cold-io workload's 88-page pool. The model estimates 8 000 of the
+// 19 210 lineitems that pass the filter, so both build sides of the top
+// hash join fit by its numbers and the tie goes to the input with fewer
+// pages, orders ⋈ customer. Built on the lineitems instead, the join
+// overflows the budget and Grace-spills: 617 reads + 205 writes against an
+// estimate of 412. Built on orders ⋈ customer, the run reads exactly the
+// pages the model charges and spills none.
+func TestStarAggregateBuildsWithoutSpilling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads a 24 000-lineitem warehouse")
+	}
+	eng := warmExecEngineAt(t, 88)
+	st := warmExecStatements[len(warmExecStatements)-1]
+	if st.name != "star-3-aggregate" {
+		t.Fatalf("last warm-exec statement is %s", st.name)
+	}
+	a, err := eng.ExplainAnalyze(context.Background(), st.sql, aggview.WithParams(st.arg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spillReads, spillWrites int64
+	var walk func(n *aggview.OpNode)
+	walk = func(n *aggview.OpNode) {
+		if n.Actual != nil {
+			spillReads += n.Actual.SpillReads
+			spillWrites += n.Actual.SpillWrites
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(a.Root)
+	io := a.IO.Reads + a.IO.Writes
+	if spillReads != 0 || spillWrites != 0 || float64(io) != a.Plan.EstimatedCost || io != 412 {
+		t.Errorf("spill %d reads + %d writes; IO %d reads + %d writes, estimated %.0f, want no spill and 412 both\n%s",
+			spillReads, spillWrites, a.IO.Reads, a.IO.Writes, a.Plan.EstimatedCost, a)
 	}
 }
