@@ -75,7 +75,7 @@ func BenchmarkWarmExec(b *testing.B) {
 // model finds cheaper, or on fewer pages at equal cost, star-3-aggregate
 // measures 0.29 MB / 164 objects (1.08 MB built on the lineitems) and
 // view-join-filter 0.75 MB / 4.1 k (1.58 MB). two-views-join measures
-// 1.90 MB / 11.6 k (1.80 MB): it now builds on order_value's ~5 800 groups,
+// 1.90 MB / 11.6 k (1.80 MB): it now builds on order_value's 5 889 groups,
 // not on the l.qty > ? scan, because the model expects 8 000 rows from the
 // scan where 2 857 arrive. The ceilings are 10 % above the measurements;
 // two-views-join's bytes keep their earlier ceiling, 9 % above.
