@@ -671,7 +671,7 @@ func cheapest(cs []entry) *entry {
 // An inner hash join may build on either input: both are costed and the
 // cheaper kept, a tie going to the build on fewer pages, then to r. That is
 // a choice within the one candidate (flip), not a second one. An outer hash
-// join builds on r, the padded input.
+// join builds on r as the step is written.
 func (dp *blockDP) joinPlans(base entry, l, r *cost.Info, spec *cost.JoinSpec, methods []lplan.JoinMethod, props *cost.Props) error {
 	if props.Rel == nil {
 		// A join without projection outputs both inputs' columns under one

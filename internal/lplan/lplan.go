@@ -212,7 +212,7 @@ func (t JoinType) Outer() bool { return t != JoinInner }
 //
 // A hash join builds its table on R and probes it with L. For an inner join
 // the optimizer picks which input is R by cost; an outer hash join builds
-// on R, the padded input.
+// on R as written (a LEFT join's padded input).
 //
 // For an outer join (Type != JoinInner) Preds is the ON match condition:
 // rows whose match predicate is not TRUE still appear, padded with NULLs on
