@@ -11,7 +11,8 @@ import (
 )
 
 // The minimal invariant set V′ of a view block (Section 4.1): the smallest
-// set of relations the group-by must wait for.
+// set of relations the group-by must wait for, one bit per block relation:
+// e is bit 0, d bit 1 and d2 bit 2.
 
 func example2Block(e *env) *qblock.Block {
 	return &qblock.Block{
@@ -39,9 +40,8 @@ func TestMinimalInvariantSetExample2(t *testing.T) {
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s := minimalInvariantAliases(b)
-	if len(s) != 1 || !s["e"] {
-		t.Fatalf("minimal invariant set = %v, want {e}", s)
+	if s := minimalInvariantSet(b); s != 0b1 {
+		t.Fatalf("minimal invariant set = %b, want {e}", s)
 	}
 }
 
@@ -51,9 +51,8 @@ func TestMinimalInvariantSetNonKeyJoinKeepsRel(t *testing.T) {
 	// Replace dept with the keyless table: not removable.
 	b.Rels[1] = &qblock.Rel{Alias: "d", Table: addNoKey(t, e, 14, 6, 3)}
 	b.Conjs = []expr.Expr{expr.NewCmp(expr.EQ, expr.Col("e", "dno"), expr.Col("d", "dno"))}
-	s := minimalInvariantAliases(b)
-	if len(s) != 2 {
-		t.Fatalf("minimal invariant set = %v, want both relations", s)
+	if s := minimalInvariantSet(b); s != 0b11 {
+		t.Fatalf("minimal invariant set = %b, want both relations", s)
 	}
 }
 
@@ -62,9 +61,8 @@ func TestMinimalInvariantSetNonGroupingJoinColumn(t *testing.T) {
 	b := example2Block(e)
 	// Join on e.eno (not a grouping column): d must stay.
 	b.Conjs[0] = expr.NewCmp(expr.EQ, expr.Col("e", "eno"), expr.Col("d", "dno"))
-	s := minimalInvariantAliases(b)
-	if len(s) != 2 {
-		t.Fatalf("minimal invariant set = %v, want both relations", s)
+	if s := minimalInvariantSet(b); s != 0b11 {
+		t.Fatalf("minimal invariant set = %b, want both relations", s)
 	}
 }
 
@@ -81,9 +79,8 @@ func TestMinimalInvariantSetChain(t *testing.T) {
 	b := example2Block(e)
 	b.Rels = append(b.Rels, &qblock.Rel{Alias: "d2", Table: d2})
 	b.Conjs = append(b.Conjs, expr.NewCmp(expr.EQ, expr.Col("e", "dno"), expr.Col("d2", "dno")))
-	s := minimalInvariantAliases(b)
-	if len(s) != 1 || !s["e"] {
-		t.Fatalf("minimal invariant set = %v, want {e}", s)
+	if s := minimalInvariantSet(b); s != 0b1 {
+		t.Fatalf("minimal invariant set = %b, want {e}", s)
 	}
 }
 
@@ -93,9 +90,8 @@ func TestMinimalInvariantSetAggArgsPin(t *testing.T) {
 	// Aggregate over d.budget: d is pinned.
 	b.Aggs = []expr.Agg{{Kind: expr.AggSum, Arg: expr.Col("d", "budget"),
 		Out: schema.ColID{Rel: "v", Name: "asal"}}}
-	s := minimalInvariantAliases(b)
-	if !s["d"] {
-		t.Fatalf("minimal invariant set = %v, want d pinned", s)
+	if s := minimalInvariantSet(b); s&0b10 == 0 {
+		t.Fatalf("minimal invariant set = %b, want d pinned", s)
 	}
 }
 
@@ -104,7 +100,7 @@ func TestMinimalInvariantSetNoGroupBy(t *testing.T) {
 	b := example2Block(e)
 	b.GroupCols, b.Aggs = nil, nil
 	b.Outputs = []lplan.NamedExpr{{E: expr.Col("e", "sal"), As: schema.ColID{Rel: "v", Name: "sal"}}}
-	if s := minimalInvariantAliases(b); len(s) != 0 {
-		t.Fatalf("SPJ block should have an empty minimal invariant set, got %v", s)
+	if s := minimalInvariantSet(b); s != 0 {
+		t.Fatalf("SPJ block should have an empty minimal invariant set, got %b", s)
 	}
 }

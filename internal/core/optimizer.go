@@ -2,9 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"aggview/internal/cost"
@@ -166,14 +167,13 @@ type poolConj struct {
 	// by their definitions (phase-1 form); nil when the conjunct touches
 	// more than one view's aggregates and can never sink into a Φ.
 	inner expr.Expr
-	// aggViews lists the views whose aggregate outputs the conjunct
-	// references (deferred predicates, Definition 1 item 4).
-	aggViews map[string]bool
-	// aliases are the base-relation aliases the outer form touches
-	// (view aliases excluded).
-	baseAliases map[string]bool
-	// views are all view aliases the outer form touches.
-	views map[string]bool
+	// rels is the B′ relations the outer form touches, one bit per o.bRels
+	// entry.
+	rels uint64
+	// views is the views the outer form touches and aggViews those whose
+	// aggregate outputs it references (deferred predicates, Definition 1
+	// item 4), one bit per o.views entry.
+	views, aggViews uint64
 }
 
 type optimizer struct {
@@ -187,7 +187,7 @@ type optimizer struct {
 	pool     []*poolConj                // multi-relation conjuncts of the top pool
 	local    map[string][]expr.Expr     // single-relation filters by alias
 	residual []expr.Expr                // WHERE conjuncts over aliases an outer join pads
-	bRels    []*qblock.Rel              // B′: top base relations plus views' removed relations
+	bRels    []*qblock.Rel              // B′: top base relations, then each view's removed relations as one run
 	needed   map[string]map[string]bool // per-alias columns any plan may reference
 	scans    map[string]*lplan.Scan     // per alias, the pruned scan under o.local's filters alone
 	above    []schema.ColID             // every column phase 2 may reference, once (colsNeededAbove)
@@ -350,95 +350,77 @@ func (o *optimizer) decompose() error {
 		poolExprs = append(poolExprs, c)
 	}
 
-	for _, v := range o.q.Views {
-		vc, err := o.decomposeView(v)
-		if err != nil {
-			return err
-		}
+	// Hoisted conjuncts (touching removed relations) enter the pool in
+	// outer form: V′-side inner grouping columns renamed to outputs.
+	viewAt := map[string]int{}
+	for i, v := range o.q.Views {
+		vc, hoisted := o.decomposeView(v)
 		o.views = append(o.views, vc)
 		o.bRels = append(o.bRels, vc.removed...)
-		// Hoisted conjuncts (touching removed relations) enter the pool in
-		// outer form: V′-side inner grouping columns renamed to outputs.
-		removedSet := map[string]bool{}
-		for _, r := range vc.removed {
-			removedSet[r.Alias] = true
-		}
-		for _, c := range v.Block.Conjs {
-			if isInnerConj(c, vc, removedSet) {
-				continue // stays in the view core
-			}
-			outer, err := hoistConj(c, vc, removedSet)
-			if err != nil {
-				return err
-			}
-			poolExprs = append(poolExprs, outer)
-		}
+		poolExprs = append(poolExprs, hoisted...)
+		viewAt[v.Alias] = i
 	}
 
 	// Split local filters from multi-relation conjuncts and build both
 	// forms of each pool conjunct.
-	viewByAlias := map[string]*viewCtx{}
-	for _, vc := range o.views {
-		viewByAlias[vc.view.Alias] = vc
-	}
 	for _, c := range poolExprs {
 		rels := expr.Rels(c)
 		if len(rels) == 1 {
-			if _, isView := viewByAlias[rels[0]]; !isView {
+			if _, isView := viewAt[rels[0]]; !isView {
 				o.local[rels[0]] = append(o.local[rels[0]], c)
 				continue
 			}
 		}
-		pc := &poolConj{
-			outer:       c,
-			aggViews:    map[string]bool{},
-			baseAliases: map[string]bool{},
-			views:       map[string]bool{},
-		}
-		inner := c
+		pc := &poolConj{outer: c}
 		for _, col := range expr.Columns(c) {
-			if vc, ok := viewByAlias[col.Rel]; ok {
-				pc.views[col.Rel] = true
-				if vc.viewOutAggs[col] {
-					pc.aggViews[col.Rel] = true
-				}
-			} else {
-				pc.baseAliases[col.Rel] = true
+			i, isView := viewAt[col.Rel]
+			if !isView {
+				pc.rels |= o.bBit(col.Rel)
+				continue
+			}
+			pc.views |= 1 << i
+			if o.views[i].viewOutAggs[col] {
+				pc.aggViews |= 1 << i
 			}
 		}
-		if len(pc.aggViews) <= 1 {
+		if bits.OnesCount64(pc.aggViews) <= 1 {
 			sub := map[schema.ColID]expr.Expr{}
-			for alias := range pc.views {
-				for out, def := range viewByAlias[alias].outToInner {
-					sub[out] = def
+			for i, vc := range o.views {
+				if pc.views&(1<<i) != 0 {
+					maps.Copy(sub, vc.outToInner)
 				}
 			}
-			inner = expr.Substitute(c, sub)
-			pc.inner = inner
+			pc.inner = expr.Substitute(c, sub)
 		}
 		o.pool = append(o.pool, pc)
 	}
 	return nil
 }
 
-// isInnerConj reports whether a view conjunct stays inside V′.
-func isInnerConj(c expr.Expr, vc *viewCtx, removed map[string]bool) bool {
-	for _, rel := range expr.Rels(c) {
-		if removed[rel] {
-			return false
+// bBit returns alias's bit in a B′ mask: bit i stands for o.bRels[i]. It is
+// 0 for an alias outside B′.
+func (o *optimizer) bBit(alias string) uint64 {
+	for i, r := range o.bRels {
+		if r.Alias == alias {
+			return 1 << i
 		}
 	}
-	return true
+	return 0
+}
+
+// moved reports whether alias names one of the view's relations in V − V′.
+func (vc *viewCtx) moved(alias string) bool {
+	return slices.ContainsFunc(vc.removed, func(r *qblock.Rel) bool { return r.Alias == alias })
 }
 
 // hoistConj renames a view conjunct's V′-side columns to view outputs so it
 // can live in the top pool. The minimal-invariant-set computation
 // guarantees those columns are grouping columns; decomposeView guarantees
 // they have bare output names.
-func hoistConj(c expr.Expr, vc *viewCtx, removed map[string]bool) (expr.Expr, error) {
+func hoistConj(c expr.Expr, vc *viewCtx) (expr.Expr, error) {
 	sub := map[schema.ColID]expr.Expr{}
 	for _, col := range expr.Columns(c) {
-		if removed[col.Rel] {
+		if vc.moved(col.Rel) {
 			continue
 		}
 		out, ok := vc.innerToOut[col]
@@ -450,11 +432,12 @@ func hoistConj(c expr.Expr, vc *viewCtx, removed map[string]bool) (expr.Expr, er
 	return expr.Substitute(c, sub), nil
 }
 
-// decomposeView computes V′ and the naming maps for one view. When a
-// movable relation's hoisted conjuncts cannot be expressed over the view's
-// outputs, the whole view stays intact (V′ = all relations) — a sound,
-// conservative fallback.
-func (o *optimizer) decomposeView(v *qblock.AggView) (*viewCtx, error) {
+// decomposeView computes V′ and the naming maps for one view, and returns
+// the view's conjuncts over V − V′ hoisted to the top pool's outer form.
+// When a movable relation's hoisted conjuncts cannot be expressed over the
+// view's outputs, the whole view stays intact (V′ = all relations) — a
+// sound, conservative fallback.
+func (o *optimizer) decomposeView(v *qblock.AggView) (*viewCtx, []expr.Expr) {
 	vc := &viewCtx{
 		view:        v,
 		outToInner:  map[schema.ColID]expr.Expr{},
@@ -480,40 +463,40 @@ func (o *optimizer) decomposeView(v *qblock.AggView) (*viewCtx, error) {
 		}
 	}
 
-	keep := func(all bool) {
+	keep := func() {
 		vc.vPrime = v.Block.Rels
 		vc.removed = nil
 		vc.innerConjs = v.Block.Conjs
 	}
 
 	if o.opts.Mode == ModeTraditional {
-		keep(true)
+		keep()
 		return vc, nil
 	}
 
-	inSet := minimalInvariantAliases(v.Block)
-	var removedSet = map[string]bool{}
-	for _, r := range v.Block.Rels {
-		if inSet[r.Alias] {
+	in := minimalInvariantSet(v.Block)
+	for i, r := range v.Block.Rels {
+		if in&(1<<i) != 0 {
 			vc.vPrime = append(vc.vPrime, r)
 		} else {
 			vc.removed = append(vc.removed, r)
-			removedSet[r.Alias] = true
 		}
 	}
-	// Verify hoistability of every crossing conjunct.
+	var hoisted []expr.Expr
 	for _, c := range v.Block.Conjs {
-		if isInnerConj(c, vc, removedSet) {
+		if !slices.ContainsFunc(expr.Rels(c), vc.moved) {
 			vc.innerConjs = append(vc.innerConjs, c)
 			continue
 		}
-		if _, err := hoistConj(c, vc, removedSet); err != nil {
+		outer, err := hoistConj(c, vc)
+		if err != nil {
 			// Fall back: keep the view whole.
-			keep(true)
+			keep()
 			return vc, nil
 		}
+		hoisted = append(hoisted, outer)
 	}
-	return vc, nil
+	return vc, hoisted
 }
 
 // topGroupSpec converts the top block's group-by into a DP group spec
@@ -660,20 +643,16 @@ type prebuiltRel struct {
 func (o *optimizer) optimizeWithViews() (lplan.Node, *cost.Info, error) {
 	// Phase 1: one shared DP per view over V′ ∪ B′, then Φ(V′, W) per
 	// candidate W.
-	type viewPlans struct {
-		vc         *viewCtx
-		candidates []wCandidate
-	}
-	var all []*viewPlans
-	for _, vc := range o.views {
-		cands, err := o.phaseOne(vc)
+	var all [][]wCandidate
+	for i, vc := range o.views {
+		cands, err := o.phaseOne(vc, 1<<i)
 		if err != nil {
 			return nil, nil, err
 		}
 		if len(cands) == 0 {
 			return nil, nil, fmt.Errorf("optimize: no pull-up candidates for view %q", vc.view.Alias)
 		}
-		all = append(all, &viewPlans{vc: vc, candidates: cands})
+		all = append(all, cands)
 	}
 
 	// Phase 2: enumerate consistent (pairwise disjoint) combinations.
@@ -681,8 +660,8 @@ func (o *optimizer) optimizeWithViews() (lplan.Node, *cost.Info, error) {
 	var bestInfo *cost.Info
 	bestCost := math.Inf(1)
 
-	var rec func(i int, used map[string]bool, chosen []wCandidate) error
-	rec = func(i int, used map[string]bool, chosen []wCandidate) error {
+	var rec func(i int, used uint64, chosen []wCandidate) error
+	rec = func(i int, used uint64, chosen []wCandidate) error {
 		if i == len(all) {
 			node, info, err := o.phaseTwo(chosen)
 			if err != nil {
@@ -695,37 +674,24 @@ func (o *optimizer) optimizeWithViews() (lplan.Node, *cost.Info, error) {
 					verdict = fmt.Sprintf("rejected (%.1f >= best %.1f)", info.Cost, bestCost)
 				}
 				o.opts.Trace.Event("phase2", 0, "combination [%s]: cost %.1f, %s",
-					wLabel(chosen), info.Cost, verdict)
+					o.wLabel(chosen), info.Cost, verdict)
 			}
 			if info.Cost < bestCost {
 				bestNode, bestInfo, bestCost = node, info, info.Cost
 			}
 			return nil
 		}
-		for _, c := range all[i].candidates {
-			conflict := false
-			for a := range c.wAliases {
-				if used[a] {
-					conflict = true
-					break
-				}
-			}
-			if conflict {
+		for _, c := range all[i] {
+			if c.w&used != 0 {
 				continue
 			}
-			for a := range c.wAliases {
-				used[a] = true
-			}
-			if err := rec(i+1, used, append(chosen, c)); err != nil {
+			if err := rec(i+1, used|c.w, append(chosen, c)); err != nil {
 				return err
-			}
-			for a := range c.wAliases {
-				delete(used, a)
 			}
 		}
 		return nil
 	}
-	if err := rec(0, map[string]bool{}, nil); err != nil {
+	if err := rec(0, 0, nil); err != nil {
 		return nil, nil, err
 	}
 	if bestNode == nil {
@@ -737,16 +703,17 @@ func (o *optimizer) optimizeWithViews() (lplan.Node, *cost.Info, error) {
 // wCandidate is one Φ(V′, W): the pulled-up view plan plus bookkeeping for
 // phase 2.
 type wCandidate struct {
-	vc       *viewCtx
-	wAliases map[string]bool // B′ relations consumed by this Φ
-	phi      lplan.Node
+	vc  *viewCtx
+	w   uint64 // B′ relations consumed by this Φ, a B′ mask
+	phi lplan.Node
 	// consumed marks pool conjuncts applied inside the Φ.
 	consumed map[*poolConj]bool
 }
 
 // phaseOne optimizes the extended view: one DP over V′ ∪ B′ without the
-// group-by, then a pulled-up group-by per candidate W (Section 5.3).
-func (o *optimizer) phaseOne(vc *viewCtx) ([]wCandidate, error) {
+// group-by, then a pulled-up group-by per candidate W (Section 5.3). vbit
+// is the view's bit in a pool conjunct's view masks.
+func (o *optimizer) phaseOne(vc *viewCtx, vbit uint64) ([]wCandidate, error) {
 	// Conjuncts usable inside Φ: the view's inner conjuncts plus pool
 	// conjuncts in inner form that touch at most this view's aggregates
 	// and no other view. One over a single relation (a view-local filter, or
@@ -764,30 +731,23 @@ func (o *optimizer) phaseOne(vc *viewCtx) ([]wCandidate, error) {
 	for _, c := range vc.innerConjs {
 		place(c)
 	}
-	usable := map[*poolConj]bool{}
+	var usable []*poolConj
 	var deferred []*poolConj // conjuncts over this view's aggregate outputs
 	for _, pc := range o.pool {
-		if pc.inner == nil {
+		if pc.inner == nil || pc.views&^vbit != 0 {
 			continue
 		}
-		touchesOther := false
-		for vAlias := range pc.views {
-			if vAlias != vc.view.Alias {
-				touchesOther = true
-			}
-		}
-		if touchesOther {
-			continue
-		}
-		if pc.aggViews[vc.view.Alias] {
+		if pc.aggViews&vbit != 0 {
 			deferred = append(deferred, pc)
 			continue
 		}
-		usable[pc] = true
+		usable = append(usable, pc)
 		place(pc.inner)
 	}
 
-	// The shared phase-1 DP over V′ ∪ B′: no group-by, no outputs.
+	// The shared phase-1 DP over V′ ∪ B′: no group-by, no outputs. Its
+	// relation bits are V′'s, low, then B′'s, so a W is a DP mask shifted
+	// left by len(V′).
 	dp, err := o.newBlockDP(slices.Concat(vc.vPrime, o.bRels), nil, filters, dpConjs, nil, nil, nil)
 	if err != nil {
 		return nil, err
@@ -796,10 +756,8 @@ func (o *optimizer) phaseOne(vc *viewCtx) ([]wCandidate, error) {
 		return nil, err
 	}
 
-	// Candidate W sets.
-	wSets := o.candidateWs(vc, dp)
 	var out []wCandidate
-	for _, w := range wSets {
+	for _, w := range o.candidateWs(vc, dp) {
 		o.stats.PullUpCandidates++
 		cand, err := o.buildPhi(vc, dp, w, deferred, usable)
 		if err != nil {
@@ -807,14 +765,14 @@ func (o *optimizer) phaseOne(vc *viewCtx) ([]wCandidate, error) {
 		}
 		if cand == nil {
 			o.opts.Trace.Event("pull-up", 0, "view %s, W={%s}: rejected (no connected plan for V' ∪ W)",
-				vc.view.Alias, strings.TrimSuffix(setKey(w), ","))
+				vc.view.Alias, strings.TrimSuffix(o.aliasList(w), ","))
 			continue
 		}
 		if o.opts.Trace != nil {
 			info, err := o.model.Info(cand.phi)
 			if err == nil {
 				o.opts.Trace.Event("pull-up", 0, "view %s, W={%s}: Φ cost %.1f",
-					vc.view.Alias, strings.TrimSuffix(setKey(w), ","), info.Cost)
+					vc.view.Alias, strings.TrimSuffix(o.aliasList(w), ","), info.Cost)
 			}
 		}
 		out = append(out, *cand)
@@ -823,190 +781,129 @@ func (o *optimizer) phaseOne(vc *viewCtx) ([]wCandidate, error) {
 }
 
 // candidateWs enumerates the pull sets W ⊆ B′ for a view under the
-// configured restrictions. The set V − V′ (traditional reconstitution) and
-// the empty set (maximal push-down) are always included.
-func (o *optimizer) candidateWs(vc *viewCtx, dp *blockDP) []map[string]bool {
-	removed := map[string]bool{}
-	for _, r := range vc.removed {
-		removed[r.Alias] = true
+// configured restrictions, as B′ masks. The set V − V′ (traditional
+// reconstitution) and the empty set (maximal push-down) are always
+// included. Full mode's W's come ordered by aliasList.
+func (o *optimizer) candidateWs(vc *viewCtx, dp *blockDP) []uint64 {
+	// decompose appended V − V′ to B′ as one run.
+	var removed uint64
+	off := 0
+	if len(vc.removed) > 0 {
+		off = slices.Index(o.bRels, vc.removed[0])
+		removed = fullMask(len(vc.removed)) << off
 	}
-	seen := map[string]bool{}
-	var out []map[string]bool
-	emit := func(w map[string]bool) {
-		key := setKey(w)
-		if !seen[key] {
-			seen[key] = true
-			cp := map[string]bool{}
-			for a := range w {
-				cp[a] = true
-			}
-			out = append(out, cp)
-		}
-	}
-
-	emit(map[string]bool{})
-	emit(removed)
-
 	if o.opts.Mode == ModeTraditional {
 		// Traditional: exactly the original view.
-		return []map[string]bool{removed}
+		return []uint64{removed}
 	}
+	seen := map[uint64]bool{}
+	var out []uint64
+	emit := func(w uint64) {
+		if !seen[w] {
+			seen[w] = true
+			out = append(out, w)
+		}
+	}
+	emit(0)
+	emit(removed)
 
-	// Push-down spectrum: subsets of the removed relations.
-	subsetsOf(vc.removed, func(w map[string]bool) { emit(w) })
+	// Push-down spectrum: subsets of the removed relations (∅ and the full
+	// set are emitted above when there are too many).
+	if n := len(vc.removed); n <= 10 {
+		for m := range uint64(1) << n {
+			emit(m << off)
+		}
+	}
 
 	if o.opts.Mode != ModeFull {
 		return out
 	}
 
 	// Pull-up: grow W with connected B′ relations, counting only
-	// relations foreign to the view against the k budget.
-	vAliases := map[string]bool{}
-	for _, r := range vc.vPrime {
-		vAliases[r.Alias] = true
-	}
-	var grow func(w map[string]bool, pulled int)
-	grow = func(w map[string]bool, pulled int) {
-		emit(w)
-		if o.opts.KLevelPullUp > 0 && pulled >= o.opts.KLevelPullUp {
+	// relations foreign to the view against the k budget. What grows from
+	// a W depends on W alone, so each W is grown once.
+	vPrime := fullMask(len(vc.vPrime))
+	grown := map[uint64]bool{}
+	var grow func(w uint64)
+	grow = func(w uint64) {
+		if grown[w] {
 			return
 		}
-		for _, r := range o.bRels {
-			if w[r.Alias] {
+		grown[w] = true
+		emit(w)
+		if o.opts.KLevelPullUp > 0 && bits.OnesCount64(w&^removed) >= o.opts.KLevelPullUp {
+			return
+		}
+		for i := range o.bRels {
+			r := uint64(1) << i
+			if w&r != 0 {
 				continue
 			}
-			if o.opts.RequireSharedPredicate && !connected(r.Alias, vAliases, w, dp) {
+			if o.opts.RequireSharedPredicate && !dp.joins(r<<len(vc.vPrime), vPrime|w<<len(vc.vPrime)) {
 				continue
 			}
-			w[r.Alias] = true
-			inc := 1
-			if removed[r.Alias] {
-				inc = 0
-			}
-			grow(w, pulled+inc)
-			delete(w, r.Alias)
+			grow(w | r)
 		}
 	}
-	grow(map[string]bool{}, 0)
+	grow(0)
 	// Also grow starting from the reconstituted view.
-	start := map[string]bool{}
-	for a := range removed {
-		start[a] = true
-	}
-	grow(start, 0)
+	grow(removed)
 
-	sort.Slice(out, func(i, j int) bool { return setKey(out[i]) < setKey(out[j]) })
+	keys := make(map[uint64]string, len(out))
+	for _, w := range out {
+		keys[w] = o.aliasList(w)
+	}
+	slices.SortFunc(out, func(a, b uint64) int { return strings.Compare(keys[a], keys[b]) })
 	return out
 }
 
-func setKey(m map[string]bool) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s := ""
-	for _, k := range keys {
-		s += k + ","
-	}
-	return s
+// joins reports whether a conjunct of the DP touches both relation sets.
+func (dp *blockDP) joins(a, b uint64) bool {
+	return slices.ContainsFunc(dp.conjs, func(c dpConj) bool { return c.mask&a != 0 && c.mask&b != 0 })
 }
 
-func subsetsOf(rels []*qblock.Rel, emit func(map[string]bool)) {
-	n := len(rels)
-	if n > 10 {
-		return // guard against explosion; ∅ and the full set are emitted elsewhere
-	}
-	for m := 0; m < 1<<n; m++ {
-		w := map[string]bool{}
-		for i := 0; i < n; i++ {
-			if m&(1<<i) != 0 {
-				w[rels[i].Alias] = true
-			}
-		}
-		emit(w)
-	}
-}
-
-// connected reports whether relation alias shares a DP conjunct with the
-// view's V′ relations or the current W.
-func connected(alias string, vAliases, w map[string]bool, dp *blockDP) bool {
-	var aliasMask, groupMask uint64
-	for _, r := range dp.rels {
-		if r.alias == alias {
-			aliasMask = r.mask
-		}
-		if vAliases[r.alias] || w[r.alias] {
-			groupMask |= r.mask
+// aliasList renders a B′ mask as its sorted aliases, each followed by a
+// comma ("d,e1,"): the text Full mode orders candidate W's by. Labels drop
+// the last comma.
+func (o *optimizer) aliasList(w uint64) string {
+	var as []string
+	for i, r := range o.bRels {
+		if w&(1<<i) != 0 {
+			as = append(as, r.Alias)
 		}
 	}
-	for _, c := range dp.conjs {
-		if c.mask&aliasMask != 0 && c.mask&groupMask != 0 {
-			return true
-		}
+	slices.Sort(as)
+	var b strings.Builder
+	for _, a := range as {
+		b.WriteString(a)
+		b.WriteByte(',')
 	}
-	return false
+	return b.String()
 }
 
 // buildPhi wraps the phase-1 plan for V′ ∪ W in the pulled-up group-by
 // (Definition 1 generalized to a set W).
-func (o *optimizer) buildPhi(vc *viewCtx, dp *blockDP, w map[string]bool, deferred []*poolConj, usable map[*poolConj]bool) (*wCandidate, error) {
-	// Mask of V′ ∪ W.
-	var mask uint64
-	inPhi := map[string]bool{}
-	for _, r := range vc.vPrime {
-		inPhi[r.Alias] = true
-	}
-	for a := range w {
-		inPhi[a] = true
-	}
-	for _, r := range dp.rels {
-		if inPhi[r.alias] {
-			mask |= r.mask
-		}
-	}
+func (o *optimizer) buildPhi(vc *viewCtx, dp *blockDP, w uint64, deferred, usable []*poolConj) (*wCandidate, error) {
+	mask := fullMask(len(vc.vPrime)) | w<<len(vc.vPrime)
 	cands := dp.best[mask]
 	if len(cands) == 0 {
 		return nil, nil // disconnected subset never materialized (cross joins pruned)
 	}
 
-	// Deferred conjuncts absorbable into this Φ's Having.
-	var absorbed []*poolConj
-	for _, pc := range deferred {
-		okAbsorb := true
-		for a := range pc.baseAliases {
-			if !inPhi[a] {
-				okAbsorb = false
-				break
-			}
-		}
-		if okAbsorb {
-			absorbed = append(absorbed, pc)
-		}
-	}
-
 	// Consumed pool conjuncts: usable ones whose relations all sit inside
-	// V′ ∪ W, plus the absorbed deferred ones.
+	// V′ ∪ W, plus the deferred ones absorbable into this Φ's Having.
 	consumed := map[*poolConj]bool{}
-	for pc := range usable {
-		all := true
-		for a := range pc.baseAliases {
-			if !inPhi[a] {
-				all = false
-				break
-			}
-		}
-		for vAlias := range pc.views {
-			if vAlias != vc.view.Alias {
-				all = false
-			}
-		}
-		if all {
+	for _, pc := range usable {
+		if pc.rels&^w == 0 {
 			consumed[pc] = true
 		}
 	}
-	for _, pc := range absorbed {
-		consumed[pc] = true
+	var absorbed []*poolConj
+	for _, pc := range deferred {
+		if pc.rels&^w == 0 {
+			absorbed = append(absorbed, pc)
+			consumed[pc] = true
+		}
 	}
 
 	// Grouping columns: the view's grouping columns, W relations' keys
@@ -1056,7 +953,7 @@ func (o *optimizer) buildPhi(vc *viewCtx, dp *blockDP, w map[string]bool, deferr
 	}
 	phi := withInput(bestTmpl, dp.plan(bestIn))
 	o.model.Seed(phi, &bestInfo)
-	return &wCandidate{vc: vc, wAliases: w, phi: phi, consumed: consumed}, nil
+	return &wCandidate{vc: vc, w: w, phi: phi, consumed: consumed}, nil
 }
 
 // phiSpec is the synthesized pulled-up group-by.
@@ -1067,7 +964,7 @@ type phiSpec struct {
 	outputs   []lplan.NamedExpr
 }
 
-func (o *optimizer) phiGroupBy(vc *viewCtx, dp *blockDP, mask uint64, w map[string]bool, absorbed []*poolConj) (*phiSpec, error) {
+func (o *optimizer) phiGroupBy(vc *viewCtx, dp *blockDP, mask, w uint64, absorbed []*poolConj) (*phiSpec, error) {
 	spec := &phiSpec{}
 	seen := map[schema.ColID]bool{}
 	add := func(c schema.ColID) {
@@ -1081,15 +978,14 @@ func (o *optimizer) phiGroupBy(vc *viewCtx, dp *blockDP, mask uint64, w map[stri
 	}
 
 	// Columns of W relations needed above this Φ.
-	needed := o.colsNeededAbove(vc, w)
-	for _, c := range needed {
+	for _, c := range o.colsNeededAbove(w) {
 		add(c)
 	}
 
-	// Keys of W relations (the FK rule: skip when the equi-joins applied
-	// inside Φ bind the key).
-	for _, r := range dp.rels {
-		if !w[r.alias] {
+	// Keys of W relations, skipped when the equi-joins applied inside Φ
+	// bind the key (keyBound).
+	for i, r := range dp.rels[len(vc.vPrime):] {
+		if w&(1<<i) == 0 {
 			continue
 		}
 		key, ok := lplan.Key(r.node)
@@ -1142,10 +1038,12 @@ func (o *optimizer) phiGroupBy(vc *viewCtx, dp *blockDP, mask uint64, w map[stri
 	return spec, nil
 }
 
-// colsNeededAbove returns the W-relation columns that phase 2 still needs:
-// referenced by unconsumed pool conjuncts, the top group-by, or the query
-// outputs.
-func (o *optimizer) colsNeededAbove(vc *viewCtx, w map[string]bool) []schema.ColID {
+// colsNeededAbove returns the W-relation columns that phase 2 may need:
+// referenced by a pool conjunct, the top group-by, or the query outputs.
+// The conjuncts a Φ consumes count too: their columns are what keeps Φ's
+// groups apart when keyBound accepts keys bound only to each other
+// (TestPhiKeysBoundOnlyToEachOther).
+func (o *optimizer) colsNeededAbove(w uint64) []schema.ColID {
 	if o.above == nil {
 		seen := map[schema.ColID]bool{}
 		add := func(c schema.ColID) {
@@ -1176,7 +1074,7 @@ func (o *optimizer) colsNeededAbove(vc *viewCtx, w map[string]bool) []schema.Col
 	}
 	var out []schema.ColID
 	for _, c := range o.above {
-		if w[c.Rel] {
+		if o.bBit(c.Rel)&w != 0 {
 			out = append(out, c)
 		}
 	}
@@ -1186,21 +1084,19 @@ func (o *optimizer) colsNeededAbove(vc *viewCtx, w map[string]bool) []schema.Col
 // phaseTwo optimizes the top block for one combination of pulled views.
 func (o *optimizer) phaseTwo(chosen []wCandidate) (lplan.Node, *cost.Info, error) {
 	o.stats.Phase2Runs++
-	consumedAlias := map[string]bool{}
+	var consumedRels uint64
 	consumedConj := map[*poolConj]bool{}
 	var prebuilt []prebuiltRel
 	for _, c := range chosen {
-		for a := range c.wAliases {
-			consumedAlias[a] = true
-		}
+		consumedRels |= c.w
 		for pc := range c.consumed {
 			consumedConj[pc] = true
 		}
 		prebuilt = append(prebuilt, prebuiltRel{alias: c.vc.view.Alias, node: c.phi})
 	}
 	var rels []*qblock.Rel
-	for _, r := range o.bRels {
-		if !consumedAlias[r.Alias] {
+	for i, r := range o.bRels {
+		if consumedRels&(1<<i) == 0 {
 			rels = append(rels, r)
 		}
 	}
@@ -1220,7 +1116,7 @@ func (o *optimizer) phaseTwo(chosen []wCandidate) (lplan.Node, *cost.Info, error
 	var visit func(aggMode, lplan.Node, cost.Info)
 	if o.each != nil {
 		visit = func(m aggMode, root lplan.Node, info cost.Info) {
-			label := wLabel(chosen)
+			label := o.wLabel(chosen)
 			if dp.group != nil {
 				label = strings.TrimSpace(label + " " + m.String())
 			}
@@ -1309,31 +1205,29 @@ func (o *optimizer) bestPlan(rels []*qblock.Rel, prebuilt []prebuiltRel, conjs [
 
 // wLabel renders a W combination as the search trace and Alternative.Label
 // print it: "b:{d,e1}" per view, space-separated.
-func wLabel(chosen []wCandidate) string {
+func (o *optimizer) wLabel(chosen []wCandidate) string {
 	ws := make([]string, len(chosen))
 	for i, c := range chosen {
-		ws[i] = fmt.Sprintf("%s:{%s}", c.vc.view.Alias, strings.TrimSuffix(setKey(c.wAliases), ","))
+		ws[i] = fmt.Sprintf("%s:{%s}", c.vc.view.Alias, strings.TrimSuffix(o.aliasList(c.w), ","))
 	}
 	return strings.Join(ws, " ")
 }
 
-// minimalInvariantAliases computes V′ for a view block (Section 4.1): the
-// smallest set of relations the group-by must wait for. Relations outside
-// V′ can be joined after the group-by (they are "invariant"), and the
-// optimizer treats them like top-block relations (Section 5.3's B′). It
-// runs the DP-level computation (minInvariantMask, which states the removal
-// rule) over the block's base relations. A block without a group-by has no
-// V′: nothing constrains its join order.
-func minimalInvariantAliases(b *qblock.Block) map[string]bool {
+// minimalInvariantSet computes V′ for a view block (Section 4.1), one bit
+// per b.Rels entry: the smallest set of relations the group-by must wait
+// for. Relations outside V′ can be joined after the group-by (they are
+// "invariant"), and the optimizer treats them like top-block relations
+// (Section 5.3's B′). It runs the DP-level computation (minInvariantMask,
+// which states the removal rule) over the block's base relations. A block
+// without a group-by has no V′: nothing constrains its join order.
+func minimalInvariantSet(b *qblock.Block) uint64 {
 	if !b.HasGroupBy() {
-		return map[string]bool{}
+		return 0
 	}
 	var rels []dpRel
-	bit := 0
-	for _, r := range b.Rels {
+	for i, r := range b.Rels {
 		scan := &lplan.Scan{Alias: r.Alias, Table: r.Table}
-		rels = append(rels, dpRel{alias: r.Alias, node: scan, mask: 1 << bit})
-		bit++
+		rels = append(rels, dpRel{alias: r.Alias, node: scan, mask: 1 << i})
 	}
 	aliases := aliasMasks(rels)
 	var conjs []dpConj
@@ -1355,12 +1249,5 @@ func minimalInvariantAliases(b *qblock.Block) map[string]bool {
 			}
 		}
 	}
-	in := minInvariantMask(rels, conjs, spec)
-	out := map[string]bool{}
-	for i, r := range rels {
-		if in&(1<<i) != 0 {
-			out[r.alias] = true
-		}
-	}
-	return out
+	return minInvariantMask(rels, conjs, spec)
 }
