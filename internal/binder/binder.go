@@ -289,60 +289,21 @@ func (b *binder) bindBlock(sel *sql.Select, outAlias string, depth int) (*qblock
 				}
 				continue
 			}
+			var vsel *sql.Select
+			var err error
 			if vw, ok := b.cat.View(fi.Table); ok {
-				stmt, err := sql.Parse(vw.SQL)
-				if err != nil {
-					return nil, nil, fmt.Errorf("bind: view %q definition: %w", vw.Name, err)
-				}
-				vsel, ok := stmt.(*sql.Select)
-				if !ok {
-					return nil, nil, fmt.Errorf("bind: view %q is not a SELECT", vw.Name)
-				}
-				if sql.CountParams(vsel) > 0 {
-					return nil, nil, fmt.Errorf("bind: view %q contains parameter placeholders; views must be parameter-free", vw.Name)
-				}
-				vsel, err = flatten.Rewrite(vsel)
-				if err != nil {
-					return nil, nil, err
-				}
-				// Apply the view's explicit column list by overriding item
-				// aliases.
-				if len(vw.Cols) > 0 {
-					if len(vw.Cols) != len(vsel.Items) {
-						return nil, nil, fmt.Errorf("bind: view %q declares %d columns but selects %d",
-							vw.Name, len(vw.Cols), len(vsel.Items))
-					}
-					vsel = cloneSelectWithAliases(vsel, vw.Cols)
-				}
-				if err := b.addDerived(blk, &views, sc, &conjs, vsel, fi.Alias, depth+1); err != nil {
-					return nil, nil, err
-				}
-				continue
+				vsel, err = viewDef("view", vw.Name, vw.SQL, vw.Cols)
+			} else if mv, ok := b.cat.MatView(fi.Table); ok {
+				vsel, err = viewDef("materialized view", mv.Name, mv.SQL, nil)
+			} else {
+				return nil, nil, fmt.Errorf("bind: relation %q not found", fi.Table)
 			}
-			if mv, ok := b.cat.MatView(fi.Table); ok {
-				// A materialized view referenced by name binds through its
-				// definition, exactly like an ordinary view — the semantics
-				// are always the recomputed result. Whether the plan actually
-				// reads the materialization is the optimizer's cost-based
-				// decision, made later against the backing table.
-				stmt, err := sql.Parse(mv.SQL)
-				if err != nil {
-					return nil, nil, fmt.Errorf("bind: materialized view %q definition: %w", mv.Name, err)
-				}
-				vsel, ok := stmt.(*sql.Select)
-				if !ok {
-					return nil, nil, fmt.Errorf("bind: materialized view %q is not a SELECT", mv.Name)
-				}
-				vsel, err = flatten.Rewrite(vsel)
-				if err != nil {
-					return nil, nil, err
-				}
-				if err := b.addDerived(blk, &views, sc, &conjs, vsel, fi.Alias, depth+1); err != nil {
-					return nil, nil, err
-				}
-				continue
+			if err != nil {
+				return nil, nil, err
 			}
-			return nil, nil, fmt.Errorf("bind: relation %q not found", fi.Table)
+			if err := b.addDerived(blk, &views, sc, &conjs, vsel, fi.Alias, depth+1); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 
@@ -602,6 +563,37 @@ func scopeHas(sc *scope, alias string) bool {
 		}
 	}
 	return false
+}
+
+// viewDef parses the definition of a view named in FROM, kind "view" or
+// "materialized view", and returns it flattened, its items renamed by the
+// view's column list when it declares one. A materialized view binds
+// through its definition exactly like an ordinary view: the semantics are
+// always the recomputed result, and whether the plan reads the
+// materialization is the optimizer's cost-based decision, made later
+// against the backing table.
+func viewDef(kind, name, def string, cols []string) (*sql.Select, error) {
+	stmt, err := sql.Parse(def)
+	if err != nil {
+		return nil, fmt.Errorf("bind: %s %q definition: %w", kind, name, err)
+	}
+	vsel, ok := stmt.(*sql.Select)
+	if !ok {
+		return nil, fmt.Errorf("bind: %s %q is not a SELECT", kind, name)
+	}
+	if sql.CountParams(vsel) > 0 {
+		return nil, fmt.Errorf("bind: %s %q contains parameter placeholders; views must be parameter-free", kind, name)
+	}
+	if vsel, err = flatten.Rewrite(vsel); err != nil {
+		return nil, err
+	}
+	if len(cols) == 0 {
+		return vsel, nil
+	}
+	if len(cols) != len(vsel.Items) {
+		return nil, fmt.Errorf("bind: %s %q declares %d columns but selects %d", kind, name, len(cols), len(vsel.Items))
+	}
+	return cloneSelectWithAliases(vsel, cols), nil
 }
 
 func cloneSelectWithAliases(sel *sql.Select, cols []string) *sql.Select {
