@@ -363,6 +363,94 @@ func TestPhiKeylessRelationUsesTID(t *testing.T) {
 	}
 }
 
+// TestPhiKeysBoundOnlyToEachOther pulls r and s through a per-department
+// view where r.k = s.fk and s.k = r.fk bind each relation's key to the
+// other's, never to a column the view groups by. keyBound accepts both
+// keys, so Φ adds neither; it stays right only because colsNeededAbove
+// also groups by the columns of the conjuncts Φ consumes. Grouped by
+// emp.dno alone, v:{r,s} would fold the two r rows into one (10, 300).
+func TestPhiKeysBoundOnlyToEachOther(t *testing.T) {
+	cat := goldenCatalog(t, 64, func(c *catalog.Catalog) error {
+		col := func(name string, k types.Kind) schema.Column {
+			return schema.Column{ID: schema.ColID{Name: name}, Type: k}
+		}
+		i, f := types.NewInt, types.NewFloat
+		for _, tb := range []struct {
+			name string
+			cols []schema.Column
+			rows []types.Row
+		}{
+			{"emp", []schema.Column{col("eno", types.KindInt), col("dno", types.KindInt), col("sal", types.KindFloat)},
+				[]types.Row{{i(1), i(10), f(100)}, {i(2), i(10), f(50)}}},
+			{"r", []schema.Column{col("k", types.KindInt), col("a", types.KindInt), col("fk", types.KindInt)},
+				[]types.Row{{i(1), i(10), i(1)}, {i(2), i(10), i(2)}}},
+			{"s", []schema.Column{col("k", types.KindInt), col("fk", types.KindInt)},
+				[]types.Row{{i(1), i(1)}, {i(2), i(2)}}},
+		} {
+			created, err := c.CreateTable(tb.name, tb.cols, []string{tb.cols[0].ID.Name}, nil)
+			if err != nil {
+				return err
+			}
+			for _, row := range tb.rows {
+				if err := c.Insert(created, row); err != nil {
+					return err
+				}
+			}
+			if err := c.Analyze(created); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, []string{`create view v(dno, total) as select dno, sum(sal) from emp group by dno`})
+	q := bindGolden(t, cat, `select v.dno, v.total from v, r, s where v.dno = r.a and r.k = s.fk and s.k = r.fk`)
+	store := cat.Store()
+	want := asWritten(t, store, q)
+	row := types.Row{types.NewInt(10), types.NewFloat(150)}
+	if !exec.BagEqual(want, &exec.Result{Rows: []types.Row{row, row}}) {
+		t.Fatalf("the query as written returns %v, want two rows (10, 150)", want.Rows)
+	}
+	for _, mode := range []Mode{ModeTraditional, ModePushDown, ModeFull} {
+		checkAlternatives(t, store, q, smallPool(mode), want)
+		opts := DefaultOptions()
+		opts.Mode = mode
+		alts := checkAlternatives(t, store, q, opts, want)
+		if mode == ModeFull && !slices.Contains(labelsOf(alts), "v:{r,s}") {
+			t.Fatalf("no v:{r,s} alternative among %v", labelsOf(alts))
+		}
+	}
+}
+
+// TestCandidateWOrder pins the order W's are tried in. Full mode sorts them
+// by their aliases, each followed by a comma, so the view's own dept$2
+// sorts before the query's dept ('$' < ','); push-down mode keeps its
+// emission order.
+func TestCandidateWOrder(t *testing.T) {
+	e := newEnv(t, 5, 200, 8)
+	if _, err := e.cat.CreateView("v", []string{"dno", "total"},
+		"select emp.dno, sum(emp.sal) from emp, dept where emp.dno = dept.dno and dept.budget > 0 group by emp.dno"); err != nil {
+		t.Fatal(err)
+	}
+	q := bindGolden(t, e.cat, "select v.dno, v.total, emp.eno from v, emp, dept where v.dno = dept.dno and emp.dno = dept.dno")
+	for _, tc := range []struct {
+		mode Mode
+		want []string
+	}{
+		{ModePushDown, []string{"v:{}", "v:{dept$2}"}},
+		{ModeFull, []string{"v:{}", "v:{dept$2}", "v:{dept$2,emp}", "v:{dept}", "v:{dept,dept$2}",
+			"v:{dept,dept$2,emp}", "v:{dept,emp}", "v:{emp}"}},
+	} {
+		opts := DefaultOptions()
+		opts.Mode = tc.mode
+		alts, err := Alternatives(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := labelsOf(alts); !slices.Equal(got, tc.want) {
+			t.Errorf("[%v] W order %v, want %v", tc.mode, got, tc.want)
+		}
+	}
+}
+
 // TestAlternativesUserDefinedStdDev: a user-defined aggregate registered with
 // a decomposition is deferred by pull-up and split by coalescing exactly like
 // a built-in one.
