@@ -12,8 +12,8 @@ import (
 	"testing"
 )
 
-// uncalledAllowed lists the exported functions and methods of internal/
-// that no non-test code calls, each with the reason it stays.
+// uncalledAllowed lists the exported names of internal/ that no non-test
+// code uses, each with the reason it stays.
 var uncalledAllowed = map[string]string{
 	"exec.Naive":                  "the row-at-a-time oracle the differential tests compare the executor with",
 	"exec.mergeHeap.Less":         "container/heap calls it through heap.Interface",
@@ -68,6 +68,66 @@ func TestEveryInternalNameHasACaller(t *testing.T) {
 	sort.Strings(uncalled)
 	for _, name := range uncalled {
 		t.Errorf("%s: no non-test caller (move it into export_test.go, delete it, or allow it with a reason)", name)
+	}
+}
+
+// TestEveryInternalNameIsUsed fails when an exported type, constant or
+// variable declared in internal/, or an exported field of a struct type
+// declared there, has no use in the module's non-test Go outside its own
+// declaration; bench/ counts as a user. Types, constants and variables are
+// matched as TestEveryInternalNameHasACaller matches functions: by a bare
+// use in their package or a qualified one elsewhere. A field is matched by
+// name alone, as a method is: it is used when any selector or
+// composite-literal key of its name is. The names uncalledAllowed lists
+// are exempt.
+func TestEveryInternalNameIsUsed(t *testing.T) {
+	m := loadModule(t)
+	var unused []string
+	for _, f := range m.files {
+		pkg := m.pkgOf[f]
+		if !strings.HasPrefix(pkg, "aggview/internal/") {
+			continue
+		}
+		report := func(used bool, name string) {
+			if _, ok := uncalledAllowed[name]; !used && !ok {
+				unused = append(unused, name)
+			}
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				var names []*ast.Ident
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					names = append(names, s.Name)
+					if st, ok := s.Type.(*ast.StructType); ok {
+						for _, field := range st.Fields.List {
+							for _, id := range field.Names {
+								if id.IsExported() {
+									report(elsewhere(m.selected[id.Name], spec) || elsewhere(m.keyed[id.Name], spec),
+										f.Name.Name+"."+s.Name.Name+"."+id.Name)
+								}
+							}
+						}
+					}
+				case *ast.ValueSpec:
+					names = s.Names
+				}
+				for _, id := range names {
+					if id.IsExported() {
+						report(elsewhere(m.bare[use{pkg, id.Name}], spec) || elsewhere(m.qualified[use{pkg, id.Name}], spec),
+							f.Name.Name+"."+id.Name)
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(unused)
+	for _, name := range unused {
+		t.Errorf("%s: no non-test use (delete it, or allow it with a reason)", name)
 	}
 }
 
@@ -130,15 +190,16 @@ func TestEveryRootNameHasACaller(t *testing.T) {
 type use struct{ pkg, name string }
 
 // module is the module's non-test Go, bench/ included, with every use of a
-// name recorded against the top-level declaration it appears in: bare
-// identifiers per package, package selectors per imported package, and
-// selectors of any other value by name alone.
+// name recorded against the declaration it appears in, a function or one
+// spec of a type, const or var declaration: bare identifiers per package,
+// package selectors per imported package, and selectors of any other value
+// and composite-literal keys by name alone.
 type module struct {
 	files           []*ast.File
 	pkgOf           map[*ast.File]string // the file's package, as an import path below the module
-	declPkg         map[ast.Decl]string  // the package of a top-level declaration
-	bare, qualified map[use]map[ast.Decl]bool
-	selected        map[string]map[ast.Decl]bool
+	declPkg         map[ast.Node]string  // the package of a declaration
+	bare, qualified map[use]map[ast.Node]bool
+	selected, keyed map[string]map[ast.Node]bool
 }
 
 // loadModule parses the module's non-test Go outside testdata/ and dot
@@ -151,10 +212,11 @@ func loadModule(t *testing.T) *module {
 	}
 	m := &module{
 		pkgOf:     map[*ast.File]string{},
-		declPkg:   map[ast.Decl]string{},
-		bare:      map[use]map[ast.Decl]bool{},
-		qualified: map[use]map[ast.Decl]bool{},
-		selected:  map[string]map[ast.Decl]bool{},
+		declPkg:   map[ast.Node]string{},
+		bare:      map[use]map[ast.Node]bool{},
+		qualified: map[use]map[ast.Node]bool{},
+		selected:  map[string]map[ast.Node]bool{},
+		keyed:     map[string]map[ast.Node]bool{},
 	}
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -185,12 +247,6 @@ func loadModule(t *testing.T) *module {
 		t.Fatal(err)
 	}
 
-	note := func(in map[use]map[ast.Decl]bool, u use, decl ast.Decl) {
-		if in[u] == nil {
-			in[u] = map[ast.Decl]bool{}
-		}
-		in[u][decl] = true
-	}
 	for _, f := range m.files {
 		imports := map[string]string{}
 		for _, imp := range f.Imports {
@@ -201,7 +257,17 @@ func loadModule(t *testing.T) *module {
 			}
 			imports[name] = path
 		}
+		var decls []ast.Node
 		for _, decl := range f.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok {
+				for _, spec := range gd.Specs {
+					decls = append(decls, spec)
+				}
+			} else {
+				decls = append(decls, decl)
+			}
+		}
+		for _, decl := range decls {
 			m.declPkg[decl] = m.pkgOf[f]
 			var visit func(ast.Node) bool
 			visit = func(n ast.Node) bool {
@@ -211,12 +277,17 @@ func loadModule(t *testing.T) *module {
 						note(m.qualified, use{imports[id.Name], x.Sel.Name}, decl)
 						return false
 					}
-					if m.selected[x.Sel.Name] == nil {
-						m.selected[x.Sel.Name] = map[ast.Decl]bool{}
-					}
-					m.selected[x.Sel.Name][decl] = true
+					note(m.selected, x.Sel.Name, decl)
 					ast.Inspect(x.X, visit)
 					return false
+				case *ast.CompositeLit:
+					for _, elt := range x.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								note(m.keyed, id.Name, decl)
+							}
+						}
+					}
 				case *ast.Ident:
 					note(m.bare, use{m.pkgOf[f], x.Name}, decl)
 				}
@@ -228,8 +299,16 @@ func loadModule(t *testing.T) *module {
 	return m
 }
 
+// note records a use of k in the declaration decl.
+func note[K comparable](in map[K]map[ast.Node]bool, k K, decl ast.Node) {
+	if in[k] == nil {
+		in[k] = map[ast.Node]bool{}
+	}
+	in[k][decl] = true
+}
+
 // elsewhere reports whether a use lies outside the declaration decl.
-func elsewhere(in map[ast.Decl]bool, decl ast.Decl) bool {
+func elsewhere(in map[ast.Node]bool, decl ast.Node) bool {
 	return len(in) > 1 || len(in) == 1 && !in[decl]
 }
 
