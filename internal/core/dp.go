@@ -1106,12 +1106,13 @@ func dpRemovable(r *dpRel, in uint64, conjs []dpConj, grouping map[schema.ColID]
 	return keyBound(key, conjs, in)
 }
 
-// keyBound is the key-coverage (foreign-key) rule, stated once for pull-up
-// (Definition 1, item 2: a pulled relation's key need not join the grouping
-// columns) and for invariant grouping (Section 4.1: a relation may wait until
-// after the group-by): the equi-join conjuncts applied within the relation
-// set bind every column of key, so each row of the rest of the set meets at
-// most one row of the keyed relation.
+// keyBound is the key-coverage rule (the paper's foreign-key join, read off
+// the equi-joins: no declared foreign key is consulted), stated once for
+// pull-up (Definition 1, item 2: a pulled relation's key need not join the
+// grouping columns) and for invariant grouping (Section 4.1: a relation may
+// wait until after the group-by): the equi-join conjuncts applied within the
+// relation set bind every column of key, so each row of the rest of the set
+// meets at most one row of the keyed relation.
 func keyBound(key schema.Key, conjs []dpConj, within uint64) bool {
 	for _, kc := range key {
 		bound := false

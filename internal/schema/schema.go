@@ -164,9 +164,11 @@ func (k Key) Rename(rel string) Key {
 }
 
 // ForeignKey records that Cols of the owning table reference RefCols of
-// table RefTable (which must form a key there). Foreign keys let the
-// pull-up transformation skip adding the referenced table's key to the
-// grouping columns (paper, Section 3).
+// table RefTable. A declared foreign key is parsed, logged and checkpointed
+// with its table, and the catalog checks that Cols are columns of it; no
+// planning code reads it, and no write is checked against it. Pull-up skips
+// a pulled relation's key when the equi-joins applied with it bind every
+// key column (core's keyBound), declared foreign key or not.
 type ForeignKey struct {
 	Cols     []string // column names in the owning table
 	RefTable string   // referenced table name
