@@ -11,7 +11,7 @@ import (
 // warehouse and pool the workload uses) in each optimizer mode. With
 // -benchmem it shows ns, bytes and objects per call next to plans/op — the
 // candidates costed — so the per-candidate price of the search is one
-// division away.
+// division away, and pruned/op, the extensions the bound skipped.
 func BenchmarkOptimizeAdhoc(b *testing.B) {
 	g := goldenGroups(b)[0]
 	for _, c := range g.cases {
@@ -21,15 +21,16 @@ func BenchmarkOptimizeAdhoc(b *testing.B) {
 			opts.Mode, opts.PoolPages = mode, 256
 			b.Run(c.name+"/"+mode.String(), func(b *testing.B) {
 				b.ReportAllocs()
-				plans := 0
+				var stats SearchStats
 				for i := 0; i < b.N; i++ {
 					plan, err := Optimize(q, opts)
 					if err != nil {
 						b.Fatal(err)
 					}
-					plans = plan.Stats.PlansConsidered
+					stats = plan.Stats
 				}
-				b.ReportMetric(float64(plans), "plans/op")
+				b.ReportMetric(float64(stats.PlansConsidered), "plans/op")
+				b.ReportMetric(float64(stats.Pruned), "pruned/op")
 			})
 		}
 	}
@@ -51,13 +52,14 @@ func BenchmarkOptimizeAdhocMix(b *testing.B) {
 	opts.Mode, opts.PoolPages = ModeFull, 256
 	b.ReportAllocs()
 	b.ResetTimer()
-	plans := 0
+	var stats SearchStats
 	for i := 0; i < b.N; i++ {
 		plan, err := Optimize(qs[i%len(qs)], opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		plans += plan.Stats.PlansConsidered
+		stats.Add(plan.Stats)
 	}
-	b.ReportMetric(float64(plans)/float64(b.N), "plans/op")
+	b.ReportMetric(float64(stats.PlansConsidered)/float64(b.N), "plans/op")
+	b.ReportMetric(float64(stats.Pruned)/float64(b.N), "pruned/op")
 }

@@ -25,7 +25,7 @@ func TestHashJoinsBuildOnTheCheaperSide(t *testing.T) {
 			t.Fatalf("%s: %v", where, err)
 		}
 		checked += checkBuildSides(t, where+" winner", plan.Root, opts)
-		alts, err := Alternatives(q, opts)
+		alts, _, err := Alternatives(q, opts)
 		if err != nil {
 			t.Fatalf("%s: Alternatives: %v", where, err)
 		}

@@ -172,10 +172,12 @@ func goldenGroupsOn(t testing.TB, poolPages int) []goldenGroup {
 // TestSearchGolden is the search differential: for every query × mode ×
 // join repertoire × pool size it pins the chosen plan's EXPLAIN text, the
 // bit patterns of its estimated cost and cardinality, the search counters
-// and the search trace. testdata/search.golden was generated by the commit
-// before the search memo existed; any change to which plans the enumerator
-// considers, in which order, or to the float arithmetic of the cost model
-// shows up as a diff. Regenerate only deliberately, with -update.
+// and the search trace. Any change to which plans the enumerator considers,
+// in which order, or to the float arithmetic of the cost model shows up as
+// a diff. Regenerate only deliberately, with -update, in a commit of its
+// own, after checking that every cost=, rows= and plan line the change
+// did not mean to move is unchanged (the search memo and branch and bound
+// moved only the stats: and trace lines).
 func TestSearchGolden(t *testing.T) {
 	var b strings.Builder
 	for _, g := range goldenGroups(t) {

@@ -48,7 +48,7 @@ func TestMemoAndTreeWalkAgree(t *testing.T) {
 		}
 		where := fmt.Sprintf("%s mode=%v nohash=%v pool=%d", name, opts.Mode, opts.NoHashJoin, opts.PoolPages)
 		checkTreeWalk(t, where+" winner", plan.Root, plan.Info, opts)
-		alts, err := Alternatives(q, opts)
+		alts, _, err := Alternatives(q, opts)
 		if err != nil {
 			t.Fatalf("%s: Alternatives: %v", where, err)
 		}
@@ -137,6 +137,15 @@ func TestNextOfSizeEnumeratesLevelsInOrder(t *testing.T) {
 //	star-4                   57.4 KB    499 objects
 //	grouped-having-over-view 60.0 KB    543 objects
 //
+// With branch and bound (the ceilings are these figures + 10 %,
+// grouped-having-over-view's bytes excepted: its search did not change, and
+// it keeps the earlier, tighter 66 KB):
+//
+//	star-6-over-view          246 KB  2 136 objects  (3 588 plans considered)
+//	star-5                   71.4 KB    595 objects    (690 plans considered)
+//	star-4                   56.4 KB    487 objects
+//	grouped-having-over-view 60.1 KB    543 objects
+//
 // Each figure is the least of five batches of calls: a batch in which the
 // collector emptied the memo pool pays for a fresh memo's chunks, which is
 // not what a call costs. Under the race detector allocation counts differ,
@@ -147,10 +156,10 @@ func TestOptimizeAllocationCeilings(t *testing.T) {
 		name                string
 		maxBytes, maxObject float64
 	}{
-		{"star-6-over-view", 294_100, 2_584},
-		{"star-5", 87_700, 743},
-		{"star-4", 63_200, 549},
-		{"grouped-having-over-view", 66_000, 598},
+		{"star-6-over-view", 270_900, 2_350},
+		{"star-5", 78_600, 655},
+		{"star-4", 62_100, 536},
+		{"grouped-having-over-view", 66_000, 597},
 	} {
 		i := slices.IndexFunc(g.cases, func(c goldenCase) bool { return c.name == tc.name })
 		q := bindGolden(t, g.cat, g.cases[i].sql)

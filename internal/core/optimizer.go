@@ -50,28 +50,35 @@ type Alternative struct {
 }
 
 // Alternatives returns every complete plan Optimize's search finalizes for
-// the query, in search order. Optimize's choice is the cheapest of them, the
-// first found winning ties (before materialized-view candidates compete);
-// opts.ViewPlans is not consulted.
-func Alternatives(q *qblock.Query, opts Options) ([]Alternative, error) {
+// the query, in search order, and the search's counters. Optimize's choice
+// is the cheapest of them, the first found winning ties (before
+// materialized-view candidates compete); opts.ViewPlans is not consulted.
+// Unlike Optimize, the search runs without a bound: it finalizes every plan
+// of the paper's search space, the ones no bound would let win included.
+func Alternatives(q *qblock.Query, opts Options) ([]Alternative, SearchStats, error) {
 	o, err := newOptimizer(q, opts)
 	if err != nil {
-		return nil, err
+		return nil, SearchStats{}, err
 	}
 	defer o.mem.release()
 	var alts []Alternative
 	o.each = func(a Alternative) { alts = append(alts, a) }
 	if _, _, err := o.run(); err != nil {
-		return nil, err
+		return nil, SearchStats{}, err
 	}
-	return alts, nil
+	return alts, *o.stats, nil
 }
 
-// newOptimizer validates the query and sets up one search. The caller
-// releases o.mem when done with everything the search returned.
+// newOptimizer validates the query and options and sets up one search. The
+// caller releases o.mem when done with everything the search returned.
 func newOptimizer(q *qblock.Query, opts Options) (*optimizer, error) {
 	if opts.Mode == ModeDefault {
 		opts.Mode = ModeFull
+	}
+	// The bound needs every cost the model charges to be non-negative and
+	// finite.
+	if w := opts.CPUWeight; w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		return nil, fmt.Errorf("optimize: CPUWeight %v is not a finite non-negative weight", w)
 	}
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("optimize: %w", err)
@@ -663,9 +670,14 @@ func (o *optimizer) optimizeWithViews() (lplan.Node, *cost.Info, error) {
 	var rec func(i int, used uint64, chosen []wCandidate) error
 	rec = func(i int, used uint64, chosen []wCandidate) error {
 		if i == len(all) {
-			node, info, err := o.phaseTwo(chosen)
+			node, info, err := o.phaseTwo(chosen, bestCost)
 			if err != nil {
 				return err
+			}
+			if node == nil {
+				o.opts.Trace.Event("phase2", 0, "combination [%s]: skipped, no plan can beat best %.1f",
+					o.wLabel(chosen), bestCost)
+				return nil
 			}
 			// Without views there is one, empty combination: nothing to report.
 			if o.opts.Trace != nil && len(chosen) > 0 {
@@ -1082,7 +1094,10 @@ func (o *optimizer) colsNeededAbove(w uint64) []schema.ColID {
 }
 
 // phaseTwo optimizes the top block for one combination of pulled views.
-func (o *optimizer) phaseTwo(chosen []wCandidate) (lplan.Node, *cost.Info, error) {
+// Optimize's search runs it under the bound of the best plan of the
+// combinations before (bestBelow), and gets nil when no plan beats that;
+// Alternatives' runs unbounded.
+func (o *optimizer) phaseTwo(chosen []wCandidate, bestCost float64) (lplan.Node, *cost.Info, error) {
 	o.stats.Phase2Runs++
 	var consumedRels uint64
 	consumedConj := map[*poolConj]bool{}
@@ -1110,20 +1125,19 @@ func (o *optimizer) phaseTwo(chosen []wCandidate) (lplan.Node, *cost.Info, error
 	if err != nil {
 		return nil, nil, err
 	}
+	if o.each == nil {
+		return dp.bestBelow(bestCost)
+	}
 	if err := dp.solve(); err != nil {
 		return nil, nil, err
 	}
-	var visit func(aggMode, lplan.Node, cost.Info)
-	if o.each != nil {
-		visit = func(m aggMode, root lplan.Node, info cost.Info) {
-			label := o.wLabel(chosen)
-			if dp.group != nil {
-				label = strings.TrimSpace(label + " " + m.String())
-			}
-			o.each(Alternative{Label: label, Root: root, Cost: info.Cost, Info: detach(&info)})
+	return dp.bestFinal(func(m aggMode, root lplan.Node, info cost.Info) {
+		label := o.wLabel(chosen)
+		if dp.group != nil {
+			label = strings.TrimSpace(label + " " + m.String())
 		}
-	}
-	return dp.bestFinal(visit)
+		o.each(Alternative{Label: label, Root: root, Cost: info.Cost, Info: detach(&info)})
+	})
 }
 
 // topDP assembles the DP that completes the top block. An outer-join

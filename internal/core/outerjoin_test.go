@@ -292,7 +292,7 @@ func checkAgainstCanonical(t *testing.T, e *outerEnv, name string, q *qblock.Que
 		for _, noHash := range []bool{false, true} {
 			opts := DefaultOptions()
 			opts.Mode, opts.NoHashJoin = mode, noHash
-			alts, err := Alternatives(q, opts)
+			alts, _, err := Alternatives(q, opts)
 			if err != nil || len(alts) == 0 {
 				t.Fatalf("%s %v noHash=%v: %d alternatives, err %v", name, mode, noHash, len(alts), err)
 			}

@@ -42,7 +42,7 @@ func TestPlansSortedAsClaimed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", where, err)
 		}
-		alts, err := Alternatives(q, opts)
+		alts, _, err := Alternatives(q, opts)
 		if err != nil {
 			t.Fatalf("%s: Alternatives: %v", where, err)
 		}

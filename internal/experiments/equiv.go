@@ -9,9 +9,12 @@ import (
 	"aggview/internal/core"
 	"aggview/internal/datagen"
 	"aggview/internal/exec"
+	"aggview/internal/lplan"
 	"aggview/internal/qblock"
+	"aggview/internal/schema"
 	"aggview/internal/sql"
 	"aggview/internal/storage"
+	"aggview/internal/types"
 )
 
 func init() {
@@ -57,6 +60,48 @@ func (f *fixture) bind(src string) (*qblock.Query, error) {
 	return bound.Query, nil
 }
 
+// coldRun executes a plan on an emptied buffer pool and returns its rows
+// and page IO.
+func (f *fixture) coldRun(root lplan.Node) (*exec.Result, int64, error) {
+	f.store.ForceDropCaches()
+	before := f.store.Stats()
+	res, err := exec.New(f.store).Run(root)
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, f.store.Stats().Sub(before).Total(), nil
+}
+
+// addTable creates a two-INT-column table keyed by key, holding (v,
+// val(v)) for v below rows.
+func (f *fixture) addTable(name, key, col string, rows int, val func(v int) int) error {
+	tbl, err := f.cat.CreateTable(name, []schema.Column{
+		{ID: schema.ColID{Name: key}, Type: types.KindInt},
+		{ID: schema.ColID{Name: col}, Type: types.KindInt},
+	}, []string{key}, nil)
+	if err != nil {
+		return err
+	}
+	for v := 0; v < rows; v++ {
+		if err := f.cat.Insert(tbl, types.Row{types.NewInt(int64(v)), types.NewInt(int64(val(v)))}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// analyze refreshes every table's statistics, as the `analyze` statement
+// does.
+func (f *fixture) analyze() error {
+	for _, name := range f.cat.TableNames() {
+		tbl, _ := f.cat.Table(name)
+		if err := f.cat.Analyze(tbl); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // shapeRows binds the statement, takes the cheapest alternative of each
 // label (shape) the search finalizes under opts (with the fixture's pool),
 // and returns one row per shape: the cells in lead, the label, the estimated
@@ -68,7 +113,7 @@ func (f *fixture) shapeRows(src string, opts core.Options, lead ...string) ([][]
 		return nil, err
 	}
 	opts.PoolPages = f.store.PoolPages()
-	alts, err := core.Alternatives(q, opts)
+	alts, _, err := core.Alternatives(q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -92,13 +137,10 @@ func (f *fixture) shapeRows(src string, opts core.Options, lead ...string) ([][]
 	var rows [][]string
 	var first *exec.Result
 	for _, a := range shapes {
-		f.store.ForceDropCaches()
-		before := f.store.Stats()
-		res, err := exec.New(f.store).Run(a.Root)
+		res, io, err := f.coldRun(a.Root)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Label, err)
 		}
-		io := f.store.Stats().Sub(before).Total()
 		if first == nil {
 			first = res
 		}

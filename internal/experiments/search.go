@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
 	"aggview"
 	"aggview/internal/core"
 	"aggview/internal/datagen"
-	"aggview/internal/schema"
-	"aggview/internal/types"
 )
 
 func init() {
@@ -95,24 +92,24 @@ func runE8(quick bool) (*Table, error) {
 		ID:    "E8",
 		Title: "DP effort: states and plans considered, traditional vs greedy conservative",
 		Header: []string{"relations", "states trad", "states greedy", "plans trad", "plans greedy",
-			"placements", "est trad", "est greedy"},
-		Notes: []string{"[CS94]: 'very moderate increase in search space while often producing significantly better plans'"},
+			"plans bounded", "placements", "est trad", "est greedy"},
+		Notes: []string{"[CS94]: 'very moderate increase in search space while often producing significantly better plans'",
+			"plans bounded: what Optimize costs of the greedy search space under branch and bound, same plan chosen"},
 	}
 	for dims := 1; dims <= maxDims; dims++ {
-		e := aggview.Open(aggview.Config{PoolPages: pool})
-		spec := aggview.DefaultEmpDept()
-		spec.Employees, spec.Departments = nEmp, 200
-		if err := e.LoadEmpDept(spec); err != nil {
+		f, err := newFixture(pool, datagen.DefaultEmpDept().Seed, nEmp, 200)
+		if err != nil {
 			return nil, err
 		}
 		// Extra dimension tables dim1..dimk keyed on dno.
 		for d := 1; d <= dims-1; d++ {
-			e.MustExec(fmt.Sprintf(`create table dim%d (dno int primary key, attr%d int)`, d, d))
-			for v := 0; v < 200; v++ {
-				e.MustExec(fmt.Sprintf(`insert into dim%d values (%d, %d)`, d, v, v%7))
+			if err := f.addTable(fmt.Sprintf("dim%d", d), "dno", fmt.Sprintf("attr%d", d), 200, func(x int) int { return x % 7 }); err != nil {
+				return nil, err
 			}
 		}
-		e.MustExec(`analyze`)
+		if err := f.analyze(); err != nil {
+			return nil, err
+		}
 
 		q := `select e.dno, sum(e.sal) from emp e, dept d`
 		where := ` where e.dno = d.dno`
@@ -120,22 +117,28 @@ func runE8(quick bool) (*Table, error) {
 			q += fmt.Sprintf(`, dim%d x%d`, d, d)
 			where += fmt.Sprintf(` and e.dno = x%d.dno`, d)
 		}
-		q += where + ` group by e.dno`
-
-		tradInfo, err := e.Explain(context.Background(), q, aggview.WithMode(aggview.Traditional))
+		bound, err := f.bind(q + where + ` group by e.dno`)
 		if err != nil {
 			return nil, err
 		}
-		pushInfo, err := e.Explain(context.Background(), q, aggview.WithMode(aggview.PushDown))
-		if err != nil {
-			return nil, err
+		var search [2]core.SearchStats
+		var plans [2]*core.Plan
+		for i, mode := range []core.Mode{core.ModeTraditional, core.ModePushDown} {
+			opts := core.DefaultOptions()
+			opts.Mode, opts.PoolPages = mode, pool
+			if _, search[i], err = core.Alternatives(bound, opts); err != nil {
+				return nil, err
+			}
+			if plans[i], err = core.Optimize(bound, opts); err != nil {
+				return nil, err
+			}
 		}
 		t.Rows = append(t.Rows, []string{
 			itoa(dims + 1),
-			itoa(tradInfo.Search.States), itoa(pushInfo.Search.States),
-			itoa(tradInfo.Search.PlansConsidered), itoa(pushInfo.Search.PlansConsidered),
-			itoa(pushInfo.Search.GroupPlacements),
-			f1(tradInfo.EstimatedCost), f1(pushInfo.EstimatedCost),
+			itoa(search[0].States), itoa(search[1].States),
+			itoa(search[0].PlansConsidered), itoa(search[1].PlansConsidered),
+			itoa(plans[1].Stats.PlansConsidered), itoa(search[1].GroupPlacements),
+			f1(plans[0].Cost), f1(plans[1].Cost),
 		})
 	}
 	return t, nil
@@ -155,36 +158,16 @@ func runE9(quick bool) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	extra := []struct {
-		name, key, col string
-		rows           int
-		val            func(v int) int
-	}{
-		{"region", "dno", "rcode", nDept, func(v int) int { return v % 11 }},
-		// A relation with no predicate linking it to anything (a genuine
-		// cross join): only the shared-predicate restriction keeps it out
-		// of W.
-		{"quota", "qid", "cap", 3, func(v int) int { return 100 * v }},
+	if err := f.addTable("region", "dno", "rcode", nDept, func(v int) int { return v % 11 }); err != nil {
+		return nil, err
 	}
-	for _, x := range extra {
-		tbl, err := f.cat.CreateTable(x.name, []schema.Column{
-			{ID: schema.ColID{Name: x.key}, Type: types.KindInt},
-			{ID: schema.ColID{Name: x.col}, Type: types.KindInt},
-		}, []string{x.key}, nil)
-		if err != nil {
-			return nil, err
-		}
-		for v := 0; v < x.rows; v++ {
-			if err := f.cat.Insert(tbl, types.Row{types.NewInt(int64(v)), types.NewInt(int64(x.val(v)))}); err != nil {
-				return nil, err
-			}
-		}
+	// A relation with no predicate linking it to anything (a genuine cross
+	// join): only the shared-predicate restriction keeps it out of W.
+	if err := f.addTable("quota", "qid", "cap", 3, func(v int) int { return 100 * v }); err != nil {
+		return nil, err
 	}
-	for _, name := range f.cat.TableNames() { // what `analyze` does
-		tbl, _ := f.cat.Table(name)
-		if err := f.cat.Analyze(tbl); err != nil {
-			return nil, err
-		}
+	if err := f.analyze(); err != nil {
+		return nil, err
 	}
 
 	q := `
@@ -196,9 +179,10 @@ func runE9(quick bool) (*Table, error) {
 	t := &Table{
 		ID:     "E9",
 		Title:  "k-level pull-up and predicate sharing: candidates enumerated vs plan quality",
-		Header: []string{"k", "shared-pred", "pull-up cands", "phase-2 runs", "plans", "est cost"},
+		Header: []string{"k", "shared-pred", "pull-up cands", "phase-2 runs", "plans", "plans bounded", "est cost"},
 		Notes: []string{"with equality-class inference, transitively joined relations always share a (derived) predicate;",
-			"the restriction's remaining bite is the cross-joined quota relation, which only unrestricted mode pulls"},
+			"the restriction's remaining bite is the cross-joined quota relation, which only unrestricted mode pulls;",
+			"plans bounded: what Optimize costs of the same space under branch and bound, same plan chosen"},
 	}
 	for _, k := range ks {
 		for _, shared := range []bool{true, false} {
@@ -209,6 +193,10 @@ func runE9(quick bool) (*Table, error) {
 			opts := core.DefaultOptions() // Full mode
 			opts.PoolPages = pool
 			opts.KLevelPullUp, opts.RequireSharedPredicate = k, shared // k = 0 is the ∞ row
+			_, search, err := core.Alternatives(bound, opts)
+			if err != nil {
+				return nil, err
+			}
 			plan, err := core.Optimize(bound, opts)
 			if err != nil {
 				return nil, err
@@ -223,8 +211,8 @@ func runE9(quick bool) (*Table, error) {
 			}
 			t.Rows = append(t.Rows, []string{
 				kStr, sharedStr,
-				itoa(plan.Stats.PullUpCandidates), itoa(plan.Stats.Phase2Runs),
-				itoa(plan.Stats.PlansConsidered), f1(plan.Cost),
+				itoa(search.PullUpCandidates), itoa(search.Phase2Runs),
+				itoa(search.PlansConsidered), itoa(plan.Stats.PlansConsidered), f1(plan.Cost),
 			})
 		}
 	}
