@@ -261,10 +261,12 @@ type blockDP struct {
 	// Branch and bound (bestBelow). When bounded, bound is the cost of a
 	// complete plan the search already holds, and buildState skips every
 	// extension whose lower bound reaches it (seeded: exceeds it, the bound
-	// being greedySeed's). leaves are the size-1 entries' costs.
+	// being greedySeed's). leaves are the size-1 entries' costs, and
+	// wholeLeaves says each is a whole number (see boundSlack).
 	bounded, seeded bool
 	bound           float64
 	leaves          []float64
+	wholeLeaves     bool
 }
 
 // greedyEnabled reports whether early group-by placement is allowed.
@@ -370,7 +372,7 @@ func (dp *blockDP) prepare() error {
 
 // addLeaves fills the size-1 states.
 func (dp *blockDP) addLeaves() error {
-	dp.leaves = dp.mem.leaves[:0]
+	dp.leaves, dp.wholeLeaves = dp.mem.leaves[:0], true
 	for i := range dp.rels {
 		r := &dp.rels[i]
 		info, err := dp.model.Info(r.node)
@@ -383,6 +385,7 @@ func (dp *blockDP) addLeaves() error {
 		leaf := entry{info: *info, order: dp.internOrder(info.Order), rel: int32(i), mask: r.mask}
 		dp.setBest(r.mask, []entry{leaf})
 		dp.leaves = append(dp.leaves, info.Cost)
+		dp.wholeLeaves = dp.wholeLeaves && whole(info.Cost)
 		dp.stats.States++
 	}
 	dp.mem.leaves = dp.leaves
@@ -403,17 +406,28 @@ func (dp *blockDP) join() error {
 	return nil
 }
 
-// boundSlack shrinks a lower bound before it is compared with the bound:
-// the bound adds the same non-negative costs as the plans it stands for,
-// in another order, so it may round above them by a few ulps.
+// boundSlack shrinks a lower bound that may be inexact before it is
+// compared with the bound. The bound adds the same non-negative costs as
+// the plans it stands for, in another order; float addition is monotone,
+// so a plan costs at least the sum of its parts taken in its own order,
+// but sums in two orders may differ by a few ulps. Sums of whole numbers
+// below 2⁵³ are exact in any order, so a bound over whole costs — page
+// counts, as the model charges without a per-tuple weight — is compared
+// as it is, ties included.
 const boundSlack = 1e-12
+
+// whole reports whether x is a whole number that float64 adds exactly.
+func whole(x float64) bool { return x == math.Trunc(x) && x < 1<<53 }
 
 // loses reports whether a plan that costs at least lb, or extends one that
 // does, cannot be the search's choice: the bound's plan wins a tie (the
 // search keeps the first of equal costs), a seeded bound only when
-// strictly cheaper (its plan is not one the DP keeps).
-func (dp *blockDP) loses(lb float64) bool {
-	lb *= 1 - boundSlack
+// strictly cheaper (its plan is not one the DP keeps). exact says lb is a
+// sum of whole costs.
+func (dp *blockDP) loses(lb float64, exact bool) bool {
+	if !exact || !whole(lb) {
+		lb *= 1 - boundSlack
+	}
 	if dp.seeded {
 		return lb > dp.bound
 	}
@@ -448,7 +462,7 @@ func (dp *blockDP) bestBelow(bound float64) (lplan.Node, *cost.Info, error) {
 		switch {
 		case !math.IsInf(bound, 1):
 			dp.bounded, dp.bound = true, bound
-			if dp.loses(dp.floor(0)) {
+			if dp.loses(dp.floor(0), dp.wholeLeaves) {
 				return nil, nil, nil
 			}
 		case len(dp.rels) >= minSeededRels:
@@ -680,7 +694,8 @@ func (dp *blockDP) buildState(s uint64) error {
 		prevCands := dp.best[prev]
 		var step *joinStep
 		for j := range prevCands {
-			if dp.bounded && dp.loses(prevCands[j].info.Cost+dp.leaves[i]+rest) {
+			c := prevCands[j].info.Cost
+			if dp.bounded && dp.loses(c+dp.leaves[i]+rest, dp.wholeLeaves && whole(c)) {
 				dp.stats.Pruned++
 				continue
 			}

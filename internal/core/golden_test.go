@@ -241,7 +241,7 @@ func TestSearchGolden(t *testing.T) {
 // considered. The plan count is pinned so a change to the number of polls
 // cannot hide behind a matching change to the sweep's length.
 func TestTickBudgetSurfacesAtPlanK(t *testing.T) {
-	const wantPlans = 133 // view-join-filter, Full, pool 256 in testdata/search.golden
+	const wantPlans = 121 // view-join-filter, Full, pool 256 in testdata/search.golden
 	g := goldenGroups(t)[0]
 	q := bindGolden(t, g.cat, g.cases[0].sql)
 	errBudget := fmt.Errorf("budget")
