@@ -75,8 +75,9 @@ func checkAlternatives(t *testing.T, store *storage.Store, q *qblock.Query, opts
 }
 
 // checkChosen asserts that Optimize hands out the cheapest of alts (the
-// first found winning ties): same tree, same cost bits.
-func checkChosen(t *testing.T, q *qblock.Query, opts Options, alts []Alternative) {
+// first found winning ties): same tree, same cost bits. It returns
+// Optimize's plan.
+func checkChosen(t *testing.T, q *qblock.Query, opts Options, alts []Alternative) *Plan {
 	t.Helper()
 	cheapest := 0
 	for i, a := range alts {
@@ -93,6 +94,7 @@ func checkChosen(t *testing.T, q *qblock.Query, opts Options, alts []Alternative
 		t.Fatalf("[%v] Optimize chose cost %v, the cheapest alternative %q costs %v\nchosen:\n%scheapest:\n%s",
 			opts.Mode, plan.Cost, best.Label, best.Cost, plan.Explain(), lplan.Format(best.Root))
 	}
+	return plan
 }
 
 // labelsOf returns the distinct labels in search order.

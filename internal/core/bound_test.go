@@ -35,12 +35,7 @@ func TestBoundKeepsTheChoice(t *testing.T) {
 								if stats.Pruned != 0 {
 									t.Fatalf("Alternatives pruned %d extensions: it must search unbounded", stats.Pruned)
 								}
-								checkChosen(t, q, opts, alts)
-								plan, err := Optimize(q, opts)
-								if err != nil {
-									t.Fatal(err)
-								}
-								pruned += plan.Stats.Pruned
+								pruned += checkChosen(t, q, opts, alts).Stats.Pruned
 							})
 						}
 					}
