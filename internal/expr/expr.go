@@ -10,6 +10,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"aggview/internal/schema"
@@ -23,8 +24,6 @@ type Expr interface {
 	// Type infers the result kind given an input schema. It returns
 	// KindNull when the type cannot be determined (e.g. unresolved column).
 	Type(s schema.Schema) types.Kind
-	// walkCols invokes fn on every column reference in the tree.
-	walkCols(fn func(schema.ColID))
 	// substitute returns the expression with column references replaced
 	// per the map; unmapped references are kept.
 	substitute(m map[schema.ColID]Expr) Expr
@@ -148,8 +147,6 @@ func (c *ColRef) Type(s schema.Schema) types.Kind {
 	return types.KindNull
 }
 
-func (c *ColRef) walkCols(fn func(schema.ColID)) { fn(c.ID) }
-
 func (c *ColRef) substitute(m map[schema.ColID]Expr) Expr {
 	if r, ok := m[c.ID]; ok {
 		return r
@@ -171,7 +168,6 @@ func Lit(v types.Value) *Const  { return &Const{Val: v} }
 
 func (c *Const) String() string                        { return c.Val.String() }
 func (c *Const) Type(schema.Schema) types.Kind         { return c.Val.K }
-func (c *Const) walkCols(func(schema.ColID))           {}
 func (c *Const) substitute(map[schema.ColID]Expr) Expr { return c }
 
 // Cmp is a binary comparison.
@@ -187,10 +183,6 @@ func (c *Cmp) String() string {
 	return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R)
 }
 func (c *Cmp) Type(schema.Schema) types.Kind { return types.KindBool }
-func (c *Cmp) walkCols(fn func(schema.ColID)) {
-	c.L.walkCols(fn)
-	c.R.walkCols(fn)
-}
 func (c *Cmp) substitute(m map[schema.ColID]Expr) Expr {
 	return &Cmp{Op: c.Op, L: c.L.substitute(m), R: c.R.substitute(m)}
 }
@@ -215,10 +207,6 @@ func (a *Arith) Type(s schema.Schema) types.Kind {
 		return types.KindInt
 	}
 	return types.KindFloat
-}
-func (a *Arith) walkCols(fn func(schema.ColID)) {
-	a.L.walkCols(fn)
-	a.R.walkCols(fn)
 }
 func (a *Arith) substitute(m map[schema.ColID]Expr) Expr {
 	return &Arith{Op: a.Op, L: a.L.substitute(m), R: a.R.substitute(m)}
@@ -246,11 +234,6 @@ func (l *Logic) String() string {
 	return "(" + strings.Join(parts, sep) + ")"
 }
 func (l *Logic) Type(schema.Schema) types.Kind { return types.KindBool }
-func (l *Logic) walkCols(fn func(schema.ColID)) {
-	for _, t := range l.Terms {
-		t.walkCols(fn)
-	}
-}
 func (l *Logic) substitute(m map[schema.ColID]Expr) Expr {
 	terms := make([]Expr, len(l.Terms))
 	for i, t := range l.Terms {
@@ -267,9 +250,8 @@ type Not struct {
 // NewNot builds a negation.
 func NewNot(e Expr) *Not { return &Not{E: e} }
 
-func (n *Not) String() string                 { return "NOT (" + n.E.String() + ")" }
-func (n *Not) Type(schema.Schema) types.Kind  { return types.KindBool }
-func (n *Not) walkCols(fn func(schema.ColID)) { n.E.walkCols(fn) }
+func (n *Not) String() string                { return "NOT (" + n.E.String() + ")" }
+func (n *Not) Type(schema.Schema) types.Kind { return types.KindBool }
 func (n *Not) substitute(m map[schema.ColID]Expr) Expr {
 	return &Not{E: n.E.substitute(m)}
 }
@@ -290,36 +272,80 @@ func (n *IsNull) String() string {
 	}
 	return "(" + n.E.String() + " IS NULL)"
 }
-func (n *IsNull) Type(schema.Schema) types.Kind  { return types.KindBool }
-func (n *IsNull) walkCols(fn func(schema.ColID)) { n.E.walkCols(fn) }
+func (n *IsNull) Type(schema.Schema) types.Kind { return types.KindBool }
 func (n *IsNull) substitute(m map[schema.ColID]Expr) Expr {
 	return &IsNull{E: n.E.substitute(m), Negate: n.Negate}
 }
 
-// Columns returns the distinct column identities referenced by e,
-// in first-occurrence order.
-func Columns(e Expr) []schema.ColID {
-	var out []schema.ColID
-	seen := map[schema.ColID]bool{}
-	e.walkCols(func(id schema.ColID) {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+// appendRefs appends every column reference in e to dst, repeats
+// included, in tree order. It is a function, not a method, so that a
+// caller's stack buffer passed as dst stays on the stack.
+func appendRefs(dst []schema.ColID, e Expr) []schema.ColID {
+	switch n := e.(type) {
+	case *ColRef:
+		return append(dst, n.ID)
+	case *Cmp:
+		return appendRefs(appendRefs(dst, n.L), n.R)
+	case *Arith:
+		return appendRefs(appendRefs(dst, n.L), n.R)
+	case *Logic:
+		for _, t := range n.Terms {
+			dst = appendRefs(dst, t)
 		}
-	})
+	case *Not:
+		return appendRefs(dst, n.E)
+	case *IsNull:
+		return appendRefs(dst, n.E)
+	case *Fn:
+		return appendRefs(dst, n.Arg)
+	}
+	return dst // *Const, *Param
+}
+
+// refBuf is the stack buffer Columns and Rels collect references in; an
+// expression with more spills it to the heap.
+type refBuf [16]schema.ColID
+
+// AppendColumns appends to dst the column identities e references that dst
+// does not hold yet, in first-occurrence order. With a dst reused across
+// calls it allocates nothing.
+func AppendColumns(dst []schema.ColID, e Expr) []schema.ColID {
+	n := len(dst)
+	dst = appendRefs(dst, e)
+	out := dst[:n]
+	for _, c := range dst[n:] {
+		if !slices.Contains(out, c) {
+			out = append(out, c)
+		}
+	}
 	return out
 }
 
-// Rels returns the distinct relation aliases referenced by e.
+// Columns returns the distinct column identities referenced by e,
+// in first-occurrence order, in one allocation (none when there are none).
+func Columns(e Expr) []schema.ColID {
+	var buf refBuf
+	cols := AppendColumns(buf[:0], e)
+	if len(cols) == 0 {
+		return nil
+	}
+	return slices.Clone(cols)
+}
+
+// Rels returns the distinct relation aliases referenced by e, in
+// first-occurrence order.
 func Rels(e Expr) []string {
-	var out []string
-	seen := map[string]bool{}
-	e.walkCols(func(id schema.ColID) {
-		if !seen[id.Rel] {
-			seen[id.Rel] = true
-			out = append(out, id.Rel)
+	var buf refBuf
+	refs := appendRefs(buf[:0], e)
+	if len(refs) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(refs))
+	for _, c := range refs {
+		if !slices.Contains(out, c.Rel) {
+			out = append(out, c.Rel)
 		}
-	})
+	}
 	return out
 }
 
@@ -336,12 +362,13 @@ func RenameRels(e Expr, m map[string]string) Expr {
 	if len(m) == 0 {
 		return e
 	}
+	var buf refBuf
 	sub := map[schema.ColID]Expr{}
-	e.walkCols(func(id schema.ColID) {
+	for _, id := range appendRefs(buf[:0], e) {
 		if to, ok := m[id.Rel]; ok {
 			sub[id] = ColOf(schema.ColID{Rel: to, Name: id.Name})
 		}
-	})
+	}
 	return Substitute(e, sub)
 }
 
@@ -400,7 +427,6 @@ func (f *Fn) Type(s schema.Schema) types.Kind {
 	}
 	return types.KindFloat
 }
-func (f *Fn) walkCols(fn func(schema.ColID)) { f.Arg.walkCols(fn) }
 func (f *Fn) substitute(m map[schema.ColID]Expr) Expr {
 	return &Fn{Name: f.Name, Arg: f.Arg.substitute(m)}
 }

@@ -29,8 +29,6 @@ func (p *Param) String() string { return fmt.Sprintf("?%d", p.Idx+1) }
 // Type is unknown until a value arrives.
 func (p *Param) Type(schema.Schema) types.Kind { return types.KindNull }
 
-func (p *Param) walkCols(func(schema.ColID)) {}
-
 func (p *Param) substitute(map[schema.ColID]Expr) Expr { return p }
 
 // compileParam compiles the slot read. An ordinal past the run's vector is
