@@ -229,6 +229,11 @@ type blockDP struct {
 	// another (req): none starts a plan. It is 0 without outer joins.
 	trailing uint64
 
+	// reads lists the relation sets whose plans are read once the DP is
+	// solved (phase one's V′ ∪ W); nil stands for the full set alone. The
+	// search builds no state outside them and keeps a plan for each (linked).
+	reads []uint64
+
 	best map[uint64][]entry // the state table: retained plans per relation set
 
 	orders  [][]schema.ColID        // interned output orders; index 0 is "unordered"
@@ -670,10 +675,14 @@ func colWidth(in schema.Schema, c schema.ColID) int {
 	return types.KindNull.Width()
 }
 
-// buildState enumerates all ways to form subset s by extending a size-1-
-// smaller state with one relation, applying the greedy conservative
-// heuristic at each extension.
+// buildState enumerates the ways to form subset s by extending a size-1-
+// smaller state with one relation linked to it, applying the greedy
+// conservative heuristic at each extension. A state no read state holds is
+// not built.
 func (dp *blockDP) buildState(s uint64) error {
+	if !dp.feeds(s) {
+		return nil
+	}
 	retained := dp.mem.retained[:0]
 	generated := 0
 	var rest float64
@@ -688,7 +697,7 @@ func (dp *blockDP) buildState(s uint64) error {
 		prev := s &^ r.mask
 		// Outer-join precedence: r waits for the relations it requires, and
 		// a trailing relation's leaf is never the left input.
-		if prev&r.req != r.req || prev&^dp.trailing == 0 {
+		if prev&r.req != r.req || prev&^dp.trailing == 0 || !dp.linked(prev, r.mask, s) {
 			continue
 		}
 		prevCands := dp.best[prev]
@@ -717,6 +726,42 @@ func (dp *blockDP) buildState(s uint64) error {
 		dp.opts.Trace.State(bits.OnesCount64(s), generated, len(retained))
 	}
 	return nil
+}
+
+// feeds reports whether a state the DP's plans are read from holds s.
+func (dp *blockDP) feeds(s uint64) bool {
+	if dp.reads == nil {
+		return true
+	}
+	return slices.ContainsFunc(dp.reads, func(t uint64) bool { return s&^t == 0 })
+}
+
+// joins reports whether a conjunct of the DP touches both relation sets.
+func (dp *blockDP) joins(a, b uint64) bool {
+	for i := range dp.conjs {
+		if m := dp.conjs[i].mask; m&a != 0 && m&b != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// linked reports whether the DP extends prev by the relations r into s: a
+// conjunct touches both, or the conjunct graph leaves no other way, as a
+// state read holds s and no conjunct links prev with the rest of it. Then
+// prev is whole components of that state, and a cross product is the only
+// way on; so every state read keeps a plan (in a left-deep order that
+// completes each component before starting the next), and no other state
+// pays for a cross product. An outer-join block's DP extends by every
+// relation its steps allow.
+func (dp *blockDP) linked(prev, r, s uint64) bool {
+	if dp.trailing != 0 || dp.joins(prev, r) {
+		return true
+	}
+	if dp.reads == nil {
+		return !dp.joins(prev, fullMask(len(dp.rels))&^prev)
+	}
+	return slices.ContainsFunc(dp.reads, func(t uint64) bool { return s&^t == 0 && !dp.joins(prev, t&^prev) })
 }
 
 // newStep describes the join of plan(prev) with r: the conjuncts it applies

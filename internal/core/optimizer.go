@@ -760,25 +760,27 @@ func (o *optimizer) phaseOne(vc *viewCtx, vbit uint64) ([]wCandidate, error) {
 	// The shared phase-1 DP over V′ ∪ B′: no group-by, no outputs. Its
 	// relation bits are V′'s, low, then B′'s, so a W is a DP mask shifted
 	// left by len(V′).
+	// The DP builds only the states some V′ ∪ W holds, and keeps a plan for
+	// each V′ ∪ W, by cross products where its relations do not connect.
 	dp, err := o.newBlockDP(slices.Concat(vc.vPrime, o.bRels), nil, filters, dpConjs, nil, nil, nil)
 	if err != nil {
 		return nil, err
+	}
+	ws := o.candidateWs(vc, dp)
+	dp.reads = make([]uint64, len(ws))
+	for i, w := range ws {
+		dp.reads[i] = fullMask(len(vc.vPrime)) | w<<len(vc.vPrime)
 	}
 	if err := dp.solve(); err != nil {
 		return nil, err
 	}
 
-	var out []wCandidate
-	for _, w := range o.candidateWs(vc, dp) {
+	out := make([]wCandidate, 0, len(ws))
+	for _, w := range ws {
 		o.stats.PullUpCandidates++
 		cand, err := o.buildPhi(vc, dp, w, deferred, usable)
 		if err != nil {
 			return nil, err
-		}
-		if cand == nil {
-			o.opts.Trace.Event("pull-up", 0, "view %s, W={%s}: rejected (no connected plan for V' ∪ W)",
-				vc.view.Alias, strings.TrimSuffix(o.aliasList(w), ","))
-			continue
 		}
 		if o.opts.Trace != nil {
 			info, err := o.model.Info(cand.phi)
@@ -869,11 +871,6 @@ func (o *optimizer) candidateWs(vc *viewCtx, dp *blockDP) []uint64 {
 	return out
 }
 
-// joins reports whether a conjunct of the DP touches both relation sets.
-func (dp *blockDP) joins(a, b uint64) bool {
-	return slices.ContainsFunc(dp.conjs, func(c dpConj) bool { return c.mask&a != 0 && c.mask&b != 0 })
-}
-
 // aliasList renders a B′ mask as its sorted aliases, each followed by a
 // comma ("d,e1,"): the text Full mode orders candidate W's by. Labels drop
 // the last comma.
@@ -898,9 +895,6 @@ func (o *optimizer) aliasList(w uint64) string {
 func (o *optimizer) buildPhi(vc *viewCtx, dp *blockDP, w uint64, deferred, usable []*poolConj) (*wCandidate, error) {
 	mask := fullMask(len(vc.vPrime)) | w<<len(vc.vPrime)
 	cands := dp.best[mask]
-	if len(cands) == 0 {
-		return nil, nil // disconnected subset never materialized (cross joins pruned)
-	}
 
 	// Consumed pool conjuncts: usable ones whose relations all sit inside
 	// V′ ∪ W, plus the deferred ones absorbable into this Φ's Having.
@@ -961,7 +955,8 @@ func (o *optimizer) buildPhi(vc *viewCtx, dp *blockDP, w uint64, deferred, usabl
 		}
 	}
 	if bestIn == nil {
-		return nil, nil
+		return nil, fmt.Errorf("optimize: no plan for V' ∪ W, view %s, W={%s}",
+			vc.view.Alias, strings.TrimSuffix(o.aliasList(w), ","))
 	}
 	phi := withInput(bestTmpl, dp.plan(bestIn))
 	o.model.Seed(phi, &bestInfo)
