@@ -2,6 +2,7 @@ package lplan
 
 import (
 	"fmt"
+	"slices"
 
 	"aggview/internal/expr"
 	"aggview/internal/schema"
@@ -15,6 +16,9 @@ import (
 func Validate(n Node) error {
 	switch t := n.(type) {
 	case *Scan:
+		if scanResolves(t) {
+			return nil
+		}
 		base := t.Table.Schema.Rename(t.Alias)
 		if t.WithTID {
 			base = append(base, schema.Column{ID: schema.ColID{Rel: t.Alias, Name: TIDColumn}})
@@ -41,10 +45,17 @@ func Validate(n Node) error {
 		if err := Validate(t.R); err != nil {
 			return err
 		}
-		in := t.L.Schema().Concat(t.R.Schema())
-		for _, p := range t.Preds {
-			if err := colsResolve(p, in); err != nil {
-				return fmt.Errorf("join: predicate: %w", err)
+		if !joinResolves(t) {
+			in := t.L.Schema().Concat(t.R.Schema())
+			for _, p := range t.Preds {
+				if err := colsResolve(p, in); err != nil {
+					return fmt.Errorf("join: predicate: %w", err)
+				}
+			}
+			if t.Proj != nil {
+				if _, err := in.Project(t.Proj); err != nil {
+					return fmt.Errorf("join: %w", err)
+				}
 			}
 		}
 		if t.Type == JoinRight {
@@ -57,11 +68,6 @@ func Validate(n Node) error {
 			case JoinHash, JoinBlockNL, JoinUnset:
 			default:
 				return fmt.Errorf("join: %s outer join cannot use method %s (hash or block-nl only)", t.Type, t.Method)
-			}
-		}
-		if t.Proj != nil {
-			if _, err := in.Project(t.Proj); err != nil {
-				return fmt.Errorf("join: %w", err)
 			}
 		}
 		return nil
@@ -80,8 +86,7 @@ func Validate(n Node) error {
 				return fmt.Errorf("group-by: grouping column %s not in input %s", gc, in)
 			}
 		}
-		seenOut := map[schema.ColID]bool{}
-		for _, a := range t.Aggs {
+		for i, a := range t.Aggs {
 			if err := a.Check(); err != nil {
 				return fmt.Errorf("group-by: aggregate %s: %w", a, err)
 			}
@@ -93,10 +98,9 @@ func Validate(n Node) error {
 					return fmt.Errorf("group-by: aggregate %s: %w", a, err)
 				}
 			}
-			if seenOut[a.Out] {
+			if slices.ContainsFunc(t.Aggs[:i], func(b expr.Agg) bool { return b.Out == a.Out }) {
 				return fmt.Errorf("group-by: duplicate aggregate output %s", a.Out)
 			}
-			seenOut[a.Out] = true
 		}
 		inner := t.InnerSchema()
 		for _, h := range t.Having {
@@ -159,8 +163,67 @@ func Validate(n Node) error {
 	}
 }
 
+// scanResolves reports whether every column the scan's filters and
+// projection name is one of its table's columns under its alias, or its
+// tuple id: the check Validate makes, without building the scan's schema.
+func scanResolves(t *Scan) bool {
+	resolves := func(id schema.ColID) bool {
+		if id.Rel != "" && id.Rel != t.Alias {
+			return false
+		}
+		if t.WithTID && id.Name == TIDColumn {
+			return !t.Table.Schema.Contains(schema.ColID{Name: TIDColumn})
+		}
+		return t.Table.Schema.Contains(schema.ColID{Name: id.Name})
+	}
+	var buf colBuf
+	for _, p := range t.Filter {
+		for _, c := range expr.AppendColumns(buf[:0], p) {
+			if !resolves(c) {
+				return false
+			}
+		}
+	}
+	for _, c := range t.Proj {
+		if !resolves(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// joinResolves reports whether every column the join's predicates and
+// projection name resolves in exactly one of its inputs' schemas, and there
+// uniquely: the check Validate makes, without concatenating them.
+func joinResolves(t *Join) bool {
+	l, r := t.L.Schema(), t.R.Schema()
+	resolves := func(id schema.ColID) bool {
+		i, err := l.IndexOf(id)
+		j, rerr := r.IndexOf(id)
+		return err == nil && rerr == nil && (i >= 0) != (j >= 0)
+	}
+	var buf colBuf
+	for _, p := range t.Preds {
+		for _, c := range expr.AppendColumns(buf[:0], p) {
+			if !resolves(c) {
+				return false
+			}
+		}
+	}
+	for _, c := range t.Proj {
+		if !resolves(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// colBuf holds the columns of one expression while Validate resolves them.
+type colBuf [16]schema.ColID
+
 func colsResolve(e expr.Expr, s schema.Schema) error {
-	for _, c := range expr.Columns(e) {
+	var buf colBuf
+	for _, c := range expr.AppendColumns(buf[:0], e) {
 		i, err := s.IndexOf(c)
 		if err != nil {
 			return err

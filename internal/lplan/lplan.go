@@ -303,7 +303,7 @@ type GroupBy struct {
 // innerSchema is the schema Having and Outputs are resolved against over the
 // given input schema: grouping columns followed by aggregate output columns.
 func (g *GroupBy) innerSchema(in schema.Schema) schema.Schema {
-	var s schema.Schema
+	s := make(schema.Schema, 0, len(g.GroupCols)+len(g.Aggs))
 	for _, c := range g.GroupCols {
 		i, err := in.IndexOf(c)
 		if err != nil || i < 0 {

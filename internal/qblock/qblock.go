@@ -11,6 +11,7 @@ package qblock
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"aggview/internal/catalog"
@@ -112,23 +113,33 @@ func (b *Block) Aliases() []string {
 }
 
 // JoinSchema returns the concatenated schema of all relations.
-func (b *Block) JoinSchema() schema.Schema {
-	var s schema.Schema
+func (b *Block) JoinSchema() schema.Schema { return b.appendJoinSchema(nil, 0) }
+
+// appendJoinSchema appends the join schema to dst, growing it once with
+// room for extra more columns.
+func (b *Block) appendJoinSchema(dst schema.Schema, extra int) schema.Schema {
+	n := extra
 	for _, r := range b.Rels {
-		s = s.Concat(r.Schema())
+		n += len(r.Table.Schema)
 	}
-	return s
+	dst = slices.Grow(dst, n)
+	for _, r := range b.Rels {
+		dst = r.Table.Schema.AppendRenamed(dst, r.Alias)
+	}
+	return dst
 }
 
 // InnerSchema returns the schema Having and Outputs resolve against:
 // the join schema for SPJ blocks, or grouping columns plus aggregate
 // outputs for aggregating blocks.
-func (b *Block) InnerSchema() schema.Schema {
-	js := b.JoinSchema()
+func (b *Block) InnerSchema() schema.Schema { return b.innerSchemaOver(b.JoinSchema()) }
+
+// innerSchemaOver is InnerSchema given the block's join schema, js.
+func (b *Block) innerSchemaOver(js schema.Schema) schema.Schema {
 	if !b.HasGroupBy() {
 		return js
 	}
-	var s schema.Schema
+	s := make(schema.Schema, 0, len(b.GroupCols)+len(b.Aggs))
 	for _, gc := range b.GroupCols {
 		i, err := js.IndexOf(gc)
 		if err != nil || i < 0 {
@@ -145,55 +156,67 @@ func (b *Block) InnerSchema() schema.Schema {
 
 // OutputSchema returns the block's result schema.
 func (b *Block) OutputSchema() schema.Schema {
-	inner := b.InnerSchema()
-	out := make(schema.Schema, len(b.Outputs))
-	for i, ne := range b.Outputs {
-		out[i] = schema.Column{ID: ne.As, Type: ne.E.Type(inner)}
-	}
-	return out
+	return b.appendOutputSchema(make(schema.Schema, 0, len(b.Outputs)), b.InnerSchema())
 }
+
+// appendOutputSchema appends the block's result columns, typed over its
+// inner schema, to dst.
+func (b *Block) appendOutputSchema(dst, inner schema.Schema) schema.Schema {
+	for _, ne := range b.Outputs {
+		dst = append(dst, schema.Column{ID: ne.As, Type: ne.E.Type(inner)})
+	}
+	return dst
+}
+
+// refBuf holds the columns of one expression while Validate resolves them.
+type refBuf [16]schema.ColID
 
 // Validate checks internal consistency: relation aliases unique, conjunct
 // and grouping columns resolvable, aggregate args resolvable, having over
 // the inner schema, outputs over the inner schema.
 func (b *Block) Validate() error {
-	seen := map[string]bool{}
-	for _, r := range b.Rels {
-		if seen[r.Alias] {
-			return fmt.Errorf("block: duplicate relation alias %q", r.Alias)
+	_, err := b.validate()
+	return err
+}
+
+// validate is Validate, returning the block's inner schema when it holds.
+func (b *Block) validate() (schema.Schema, error) {
+	for i, r := range b.Rels {
+		if slices.ContainsFunc(b.Rels[:i], func(o *Rel) bool { return o.Alias == r.Alias }) {
+			return nil, fmt.Errorf("block: duplicate relation alias %q", r.Alias)
 		}
-		seen[r.Alias] = true
 	}
+	var buf refBuf
 	js := b.JoinSchema()
 	for _, c := range b.Conjs {
-		for _, col := range expr.Columns(c) {
+		for _, col := range expr.AppendColumns(buf[:0], c) {
 			i, err := js.IndexOf(col)
 			if err != nil {
-				return fmt.Errorf("block conjunct %s: %w", c, err)
+				return nil, fmt.Errorf("block conjunct %s: %w", c, err)
 			}
 			if i < 0 {
-				return fmt.Errorf("block conjunct %s: column %s unknown", c, col)
+				return nil, fmt.Errorf("block conjunct %s: column %s unknown", c, col)
 			}
 		}
 	}
 	if len(b.OuterSteps) > 0 {
 		if len(b.OuterSteps) != len(b.Rels)-1 {
-			return fmt.Errorf("block: %d outer-join steps for %d relations (want one per relation after the first)",
+			return nil, fmt.Errorf("block: %d outer-join steps for %d relations (want one per relation after the first)",
 				len(b.OuterSteps), len(b.Rels))
 		}
-		avail := map[string]bool{b.Rels[0].Alias: true}
 		for i, s := range b.OuterSteps {
 			if s.Alias != b.Rels[i+1].Alias {
-				return fmt.Errorf("block: outer step %d joins %q, expected %q (FROM order)", i, s.Alias, b.Rels[i+1].Alias)
+				return nil, fmt.Errorf("block: outer step %d joins %q, expected %q (FROM order)", i, s.Alias, b.Rels[i+1].Alias)
 			}
-			avail[s.Alias] = true
+			// In scope: the relations up to and including the step's.
+			avail := b.Rels[:i+2]
 			for _, c := range s.On {
-				for _, col := range expr.Columns(c) {
-					if !avail[col.Rel] {
-						return fmt.Errorf("block: outer-join ON %s references %s, not yet in scope at step %d", c, col, i)
+				for _, col := range expr.AppendColumns(buf[:0], c) {
+					if !slices.ContainsFunc(avail, func(r *Rel) bool { return r.Alias == col.Rel }) {
+						return nil, fmt.Errorf("block: outer-join ON %s references %s, not yet in scope at step %d", c, col, i)
 					}
 					if j, err := js.IndexOf(col); err != nil || j < 0 {
-						return fmt.Errorf("block: outer-join ON %s: column %s unknown", c, col)
+						return nil, fmt.Errorf("block: outer-join ON %s: column %s unknown", c, col)
 					}
 				}
 			}
@@ -202,47 +225,47 @@ func (b *Block) Validate() error {
 	for _, gc := range b.GroupCols {
 		i, err := js.IndexOf(gc)
 		if err != nil || i < 0 {
-			return fmt.Errorf("block: grouping column %s unknown", gc)
+			return nil, fmt.Errorf("block: grouping column %s unknown", gc)
 		}
 	}
 	for _, a := range b.Aggs {
 		if a.Arg == nil {
 			if a.Kind != expr.AggCountStar {
-				return fmt.Errorf("block: aggregate %s lacks argument", a.Kind)
+				return nil, fmt.Errorf("block: aggregate %s lacks argument", a.Kind)
 			}
 			continue
 		}
-		for _, col := range expr.Columns(a.Arg) {
+		for _, col := range expr.AppendColumns(buf[:0], a.Arg) {
 			i, err := js.IndexOf(col)
 			if err != nil || i < 0 {
-				return fmt.Errorf("block aggregate %s: column %s unknown", a, col)
+				return nil, fmt.Errorf("block aggregate %s: column %s unknown", a, col)
 			}
 		}
 	}
-	inner := b.InnerSchema()
+	inner := b.innerSchemaOver(js)
 	for _, h := range b.Having {
-		for _, col := range expr.Columns(h) {
+		for _, col := range expr.AppendColumns(buf[:0], h) {
 			i, err := inner.IndexOf(col)
 			if err != nil || i < 0 {
-				return fmt.Errorf("block having %s: column %s not among grouping columns/aggregates", h, col)
+				return nil, fmt.Errorf("block having %s: column %s not among grouping columns/aggregates", h, col)
 			}
 		}
 	}
 	if len(b.Outputs) == 0 {
-		return fmt.Errorf("block: no output columns")
+		return nil, fmt.Errorf("block: no output columns")
 	}
 	for _, ne := range b.Outputs {
-		for _, col := range expr.Columns(ne.E) {
+		for _, col := range expr.AppendColumns(buf[:0], ne.E) {
 			i, err := inner.IndexOf(col)
 			if err != nil || i < 0 {
-				return fmt.Errorf("block output %s: column %s unknown", ne, col)
+				return nil, fmt.Errorf("block output %s: column %s unknown", ne, col)
 			}
 		}
 	}
 	if !b.HasGroupBy() && len(b.Having) > 0 {
-		return fmt.Errorf("block: HAVING without GROUP BY")
+		return nil, fmt.Errorf("block: HAVING without GROUP BY")
 	}
-	return nil
+	return inner, nil
 }
 
 // String renders a compact description for debugging.
@@ -298,32 +321,36 @@ func (q *Query) View(alias string) (*AggView, bool) {
 
 // Validate checks the query's canonical-form invariants.
 func (q *Query) Validate() error {
-	seen := map[string]bool{}
-	for _, v := range q.Views {
-		if seen[v.Alias] {
+	inners := make([]schema.Schema, len(q.Views))
+	outCols := 0
+	for i, v := range q.Views {
+		if slices.ContainsFunc(q.Views[:i], func(o *AggView) bool { return o.Alias == v.Alias }) {
 			return fmt.Errorf("query: duplicate view alias %q", v.Alias)
 		}
-		seen[v.Alias] = true
 		if !v.Block.HasGroupBy() {
 			return fmt.Errorf("query: view %q is not an aggregate view (SPJ views must be flattened into the parent)", v.Alias)
 		}
-		if err := v.Block.Validate(); err != nil {
+		inner, err := v.Block.validate()
+		if err != nil {
 			return fmt.Errorf("view %q: %w", v.Alias, err)
 		}
+		inners[i] = inner
+		outCols += len(v.Block.Outputs)
 	}
 	// The top block's conjuncts/outputs may also reference view columns:
 	// validate against the join schema extended with view output schemas.
-	js := q.Top.JoinSchema()
-	for _, v := range q.Views {
-		js = js.Concat(v.OutputSchema())
+	js := q.Top.appendJoinSchema(nil, outCols)
+	for i, v := range q.Views {
+		js = v.Block.appendOutputSchema(js, inners[i])
 	}
 	for _, r := range q.Top.Rels {
-		if seen[r.Alias] {
+		if _, ok := q.View(r.Alias); ok {
 			return fmt.Errorf("query: alias %q used for both a view and a base relation", r.Alias)
 		}
 	}
+	var buf refBuf
 	check := func(e expr.Expr, what string) error {
-		for _, col := range expr.Columns(e) {
+		for _, col := range expr.AppendColumns(buf[:0], e) {
 			i, err := js.IndexOf(col)
 			if err != nil {
 				return fmt.Errorf("query %s %s: %w", what, e, err)
@@ -355,22 +382,9 @@ func (q *Query) Validate() error {
 	// Having/Outputs resolve against the top block's inner schema, which
 	// for a grouped top block is grouping+aggs; for an SPJ top block it is
 	// the extended join schema.
-	inner := js
-	if q.Top.HasGroupBy() {
-		inner = nil
-		for _, gc := range q.Top.GroupCols {
-			i, err := js.IndexOf(gc)
-			if err != nil || i < 0 {
-				return fmt.Errorf("query: grouping column %s unknown", gc)
-			}
-			inner = append(inner, js[i])
-		}
-		for _, a := range q.Top.Aggs {
-			inner = append(inner, schema.Column{ID: a.Out, Type: a.ResultType(js)})
-		}
-	}
+	inner := q.Top.innerSchemaOver(js)
 	for _, h := range q.Top.Having {
-		for _, col := range expr.Columns(h) {
+		for _, col := range expr.AppendColumns(buf[:0], h) {
 			i, err := inner.IndexOf(col)
 			if err != nil || i < 0 {
 				return fmt.Errorf("query having %s: column %s unknown", h, col)
@@ -381,7 +395,7 @@ func (q *Query) Validate() error {
 		return fmt.Errorf("query: no output columns")
 	}
 	for _, ne := range q.Top.Outputs {
-		for _, col := range expr.Columns(ne.E) {
+		for _, col := range expr.AppendColumns(buf[:0], ne.E) {
 			i, err := inner.IndexOf(col)
 			if err != nil || i < 0 {
 				return fmt.Errorf("query output %s: column %s unknown", ne, col)
@@ -397,21 +411,5 @@ func (q *Query) OutputSchema() schema.Schema {
 	for _, v := range q.Views {
 		js = js.Concat(v.OutputSchema())
 	}
-	inner := js
-	if q.Top.HasGroupBy() {
-		inner = nil
-		for _, gc := range q.Top.GroupCols {
-			if i, err := js.IndexOf(gc); err == nil && i >= 0 {
-				inner = append(inner, js[i])
-			}
-		}
-		for _, a := range q.Top.Aggs {
-			inner = append(inner, schema.Column{ID: a.Out, Type: a.ResultType(js)})
-		}
-	}
-	out := make(schema.Schema, len(q.Top.Outputs))
-	for i, ne := range q.Top.Outputs {
-		out[i] = schema.Column{ID: ne.As, Type: ne.E.Type(inner)}
-	}
-	return out
+	return q.Top.appendOutputSchema(nil, q.Top.innerSchemaOver(js))
 }

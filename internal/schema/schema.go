@@ -117,11 +117,16 @@ func (s Schema) AvgWidth() int {
 
 // Rename returns a copy of the schema with every column's Rel replaced.
 func (s Schema) Rename(rel string) Schema {
-	out := make(Schema, len(s))
-	for i, c := range s {
-		out[i] = Column{ID: ColID{Rel: rel, Name: c.ID.Name}, Type: c.Type}
+	return s.AppendRenamed(make(Schema, 0, len(s)), rel)
+}
+
+// AppendRenamed appends the schema's columns to dst with every column's Rel
+// replaced: Rename without a schema of its own.
+func (s Schema) AppendRenamed(dst Schema, rel string) Schema {
+	for _, c := range s {
+		dst = append(dst, Column{ID: ColID{Rel: rel, Name: c.ID.Name}, Type: c.Type})
 	}
-	return out
+	return dst
 }
 
 // Key is an ordered set of columns that functionally determines a relation's
