@@ -199,8 +199,15 @@ func (s *scanner) scanSymbol() bool {
 
 // lex tokenizes the whole input.
 func lex(src string) ([]token, error) {
+	// A first pass counts the tokens, so the slice is allocated once.
+	n := 1
+	for s := (scanner{src: src}); ; n++ {
+		if kind, _, _, err := s.next(); err != nil || kind == tokEOF {
+			break
+		}
+	}
 	s := scanner{src: src}
-	var toks []token
+	toks := make([]token, 0, n)
 	for {
 		kind, start, end, err := s.next()
 		if err != nil {
