@@ -72,10 +72,12 @@ type dpConj struct {
 
 // newConj annotates a conjunct over the relations aliases maps (see
 // aliasMasks), resolving a bare equality's columns.
-func newConj(e expr.Expr, mask uint64, cols *stats.ColIndex, aliases map[string]uint64) dpConj {
+func newConj(e expr.Expr, mask uint64, cols *stats.ColIndex, aliases aliasMasks) dpConj {
 	c := dpConj{e: e, mask: mask}
 	if a, b, ok := bareEquality(e); ok {
-		c.eq, c.a, c.b, c.am, c.bm = true, cols.Ord(a), cols.Ord(b), aliases[a.Rel], aliases[b.Rel]
+		c.eq, c.a, c.b = true, cols.Ord(a), cols.Ord(b)
+		c.am, _ = aliases.of(a.Rel)
+		c.bm, _ = aliases.of(b.Rel)
 	}
 	return c
 }
@@ -154,6 +156,8 @@ type joinStep struct {
 type earlyAgg struct {
 	full         [2]cost.Info // hash, sort
 	partial      [1]cost.Info
+	fullGroups   float64 // the groups each forms, by the model
+	partGroups   float64
 	hasFull      bool
 	triedPartial bool
 	hasPartial   bool // false after trying: no pre-aggregate applies
@@ -183,6 +187,8 @@ type memo struct {
 	cands    []entry            // candidates of the extension being costed
 	retained []entry            // retained set of the state being built
 	leaves   []float64          // the leaf costs of the DP being solved
+	schema   schema.Schema      // the columns of the DP being solved
+	orders   [][]schema.ColID   // the interned orders of the DP being solved
 }
 
 // maxPooledMemoBytes keeps a memo grown by one huge search from being
@@ -211,6 +217,8 @@ func (m *memo) release() {
 	clear(m.best)
 	clear(m.cands[:cap(m.cands)])
 	clear(m.retained[:cap(m.retained)])
+	clear(m.schema[:cap(m.schema)])
+	clear(m.orders[:cap(m.orders)])
 	memoPool.Put(m)
 }
 
@@ -236,9 +244,12 @@ type blockDP struct {
 
 	best map[uint64][]entry // the state table: retained plans per relation set
 
-	orders  [][]schema.ColID        // interned output orders; index 0 is "unordered"
-	schema  schema.Schema           // every column of every relation
-	colMask map[schema.ColID]uint64 // the relation providing each column
+	// orders are the interned output orders, index 0 "unordered"; schema
+	// is every column of every relation. Both live in the memo until the
+	// next DP's prepare.
+	orders  [][]schema.ColID
+	schema  schema.Schema
+	aliases aliasMasks // the relations providing each alias
 
 	// The block's group-by and outputs, described once (describeGroup): the
 	// group-by without input, by hash and by sort, placed early (fullTmpl,
@@ -257,7 +268,7 @@ type blockDP struct {
 	// the group-by last merged with it (mergeGroupBys), by hash and by sort.
 	merged [2]*lplan.GroupBy
 
-	conjCols [][]schema.ColID        // the columns of each conjunct, for partialSpecOf
+	conjCols [][]schema.ColID        // the columns of each conjunct, on partialSpecOf's first need
 	partials map[uint64]*partialSpec // per relation set, on first need
 
 	dsu     colDSU // prunedNewPreds' scratch
@@ -281,26 +292,58 @@ func (dp *blockDP) greedyEnabled() bool {
 
 func fullMask(n int) uint64 { return (uint64(1) << n) - 1 }
 
-// aliasMasks maps every alias appearing in a DP relation's output schema
-// to that relation's bit. A prebuilt subplan (e.g. a pulled-up Φ) may
-// provide several aliases.
-func aliasMasks(rels []dpRel) map[string]uint64 {
-	out := map[string]uint64{}
+// aliasMask is one alias appearing in the DP relations' output schemas
+// and the relations providing it. A prebuilt subplan (e.g. a pulled-up Φ)
+// may provide several aliases.
+type aliasMask struct {
+	alias string
+	mask  uint64
+}
+
+// aliasMasks lists every alias appearing in a DP relation's output schema,
+// each once: a block has a few, so a list beats a map.
+type aliasMasks []aliasMask
+
+// newAliasMasks lists the aliases of rels' output schemas.
+func newAliasMasks(rels []dpRel) aliasMasks {
+	var out aliasMasks
 	for _, r := range rels {
 		for _, c := range r.node.Schema() {
-			out[c.ID.Rel] |= r.mask
+			if i := out.index(c.ID.Rel); i >= 0 {
+				out[i].mask |= r.mask
+			} else {
+				out = append(out, aliasMask{c.ID.Rel, r.mask})
+			}
 		}
 	}
 	return out
 }
 
+func (a aliasMasks) index(alias string) int {
+	for i := len(a) - 1; i >= 0; i-- { // a schema's columns come alias by alias
+		if a[i].alias == alias {
+			return i
+		}
+	}
+	return -1
+}
+
+// of returns the relations providing alias; ok is false when none does.
+func (a aliasMasks) of(alias string) (mask uint64, ok bool) {
+	if i := a.index(alias); i >= 0 {
+		return a[i].mask, true
+	}
+	return 0, false
+}
+
 // maskOfExpr returns the mask of DP relations an expression touches.
-func maskOfExpr(e expr.Expr, aliases map[string]uint64) (uint64, error) {
+func maskOfExpr(e expr.Expr, aliases aliasMasks) (uint64, error) {
+	var buf [16]schema.ColID
 	var m uint64
-	for _, rel := range expr.Rels(e) {
-		bit, ok := aliases[rel]
+	for _, c := range expr.AppendColumns(buf[:0], e) {
+		bit, ok := aliases.of(c.Rel)
 		if !ok {
-			return 0, fmt.Errorf("dp: expression %s references unknown relation %q", e, rel)
+			return 0, fmt.Errorf("dp: expression %s references unknown relation %q", e, c.Rel)
 		}
 		m |= bit
 	}
@@ -325,6 +368,7 @@ func (dp *blockDP) internOrder(o []schema.ColID) int32 {
 		}
 	}
 	dp.orders = append(dp.orders, o)
+	dp.mem.orders = dp.orders
 	return int32(len(dp.orders) - 1)
 }
 
@@ -359,14 +403,12 @@ func (dp *blockDP) prepare() error {
 	// before the next starts, so they share the memo's.
 	dp.best = dp.mem.best
 	clear(dp.best)
-	dp.orders = [][]schema.ColID{nil}
-	dp.colMask = map[schema.ColID]uint64{}
+	dp.orders = append(dp.mem.orders[:0], nil)
+	dp.schema = dp.mem.schema[:0]
 	for _, r := range dp.rels {
-		for _, c := range r.node.Schema() {
-			dp.colMask[c.ID] |= r.mask
-		}
 		dp.schema = append(dp.schema, r.node.Schema()...)
 	}
+	dp.mem.schema = dp.schema
 	if dp.group != nil {
 		dp.describeGroup()
 	} else {
@@ -590,18 +632,13 @@ func (dp *blockDP) describeGroup() {
 	// An eager plan carries the aggregates' outputs beside the relations'
 	// columns (the grouping columns among them).
 	dp.outWidth = itemsWidth(dp.outputs, slices.Concat(dp.schema, grouped[len(g.cols):]))
-	dp.conjCols = make([][]schema.ColID, len(dp.conjs))
-	for i, c := range dp.conjs {
-		dp.conjCols[i] = expr.Columns(c.e)
-	}
-	dp.partials = map[uint64]*partialSpec{}
 	if len(dp.rels) == 1 {
 		if _, ok := dp.rels[0].node.(*lplan.GroupBy); ok {
 			// Successive group-bys (e.g. a top group-by directly over a
 			// pulled-up view) can often be combined into one (paper §3);
 			// the merged form competes as a finalist when it applies.
 			for i, tmpl := range dp.lastTmpl {
-				if m, err := mergeGroupBys(withInput(tmpl, dp.rels[0].node)); err == nil {
+				if m, err := mergeGroupBys(withInput(tmpl, dp.rels[0].node, 0)); err == nil {
 					dp.merged[i] = m
 				}
 			}
@@ -1036,7 +1073,7 @@ func (dp *blockDP) fullOver(e *entry) (*earlyAgg, error) {
 		}
 		ea.full[i] = info
 	}
-	ea.hasFull = true
+	ea.fullGroups, ea.hasFull = groups, true
 	return ea, nil
 }
 
@@ -1057,7 +1094,7 @@ func (dp *blockDP) partialOver(e *entry) (*earlyAgg, error) {
 	if err != nil {
 		return nil, err
 	}
-	ea.partial[0], ea.hasPartial = info, true
+	ea.partial[0], ea.partGroups, ea.hasPartial = info, groups, true
 	return ea, nil
 }
 
@@ -1070,11 +1107,21 @@ func (dp *blockDP) partialSpecOf(mask uint64) *partialSpec {
 	if ps := dp.partials[mask]; ps != nil {
 		return ps
 	}
+	if dp.partials == nil {
+		dp.partials = map[uint64]*partialSpec{}
+		dp.conjCols = make([][]schema.ColID, len(dp.conjs))
+		var cols []schema.ColID
+		for i, c := range dp.conjs {
+			n := len(cols)
+			cols = expr.AppendColumns(cols, c.e)
+			dp.conjCols[i] = cols[n:len(cols):len(cols)]
+		}
+	}
 	ps := &partialSpec{}
 	dp.partials[mask] = ps
 	var groupCols []schema.ColID
 	add := func(c schema.ColID) {
-		if dp.colMask[c]&mask != 0 && !slices.Contains(groupCols, c) {
+		if m, _ := dp.aliases.of(c.Rel); m&mask != 0 && !slices.Contains(groupCols, c) {
 			groupCols = append(groupCols, c)
 		}
 	}
@@ -1146,15 +1193,16 @@ func (dp *blockDP) node(e *entry) lplan.Node {
 		return dp.rels[e.rel].node
 	}
 	l, r := dp.node(e.left), dp.rels[e.rel].node
+	rearly := func() *earlyAgg { return dp.best[dp.rels[e.rel].mask][0].early }
 	switch e.place {
 	case placeLeftHash, placeLeftSort:
-		l = withInput(dp.fullTmpl[e.place-placeLeftHash], l)
+		l = withInput(dp.fullTmpl[e.place-placeLeftHash], l, e.left.early.fullGroups)
 	case placeLeftPartial:
-		l = withInput(dp.partialSpecOf(e.left.mask).tmpl, l)
+		l = withInput(dp.partialSpecOf(e.left.mask).tmpl, l, e.left.early.partGroups)
 	case placeRightHash, placeRightSort:
-		r = withInput(dp.fullTmpl[e.place-placeRightHash], r)
+		r = withInput(dp.fullTmpl[e.place-placeRightHash], r, rearly().fullGroups)
 	case placeRightPartial:
-		r = withInput(dp.partialSpecOf(dp.rels[e.rel].mask).tmpl, r)
+		r = withInput(dp.partialSpecOf(dp.rels[e.rel].mask).tmpl, r, rearly().partGroups)
 	}
 	if e.flip {
 		l, r = r, l
@@ -1162,8 +1210,9 @@ func (dp *blockDP) node(e *entry) lplan.Node {
 	return &lplan.Join{L: l, R: r, Type: e.step.spec.Type, Preds: slices.Clone(e.step.preds), Method: e.method}
 }
 
-// withInput attaches an input to a group-by described without one.
-func withInput(tmpl *lplan.GroupBy, in lplan.Node) *lplan.GroupBy {
+// withInput attaches an input to a group-by described without one, with
+// the model's estimate of the groups it forms.
+func withInput(tmpl *lplan.GroupBy, in lplan.Node, groups float64) *lplan.GroupBy {
 	return &lplan.GroupBy{
 		In:        in,
 		GroupCols: tmpl.GroupCols,
@@ -1171,6 +1220,7 @@ func withInput(tmpl *lplan.GroupBy, in lplan.Node) *lplan.GroupBy {
 		Having:    tmpl.Having,
 		Outputs:   tmpl.Outputs,
 		Method:    tmpl.Method,
+		Groups:    groups,
 	}
 }
 
@@ -1183,6 +1233,7 @@ func withInput(tmpl *lplan.GroupBy, in lplan.Node) *lplan.GroupBy {
 type final struct {
 	e       *entry
 	tmpl    *lplan.GroupBy
+	groups  float64 // the groups tmpl forms, by the model
 	project bool
 	merged  *lplan.GroupBy
 	info    cost.Info
@@ -1210,7 +1261,7 @@ func (dp *blockDP) finalOf(c *entry) (final, error) {
 			if err != nil {
 				return final{}, err
 			}
-			if err := consider(final{e: c, tmpl: tmpl, info: info}); err != nil {
+			if err := consider(final{e: c, tmpl: tmpl, groups: groups, info: info}); err != nil {
 				return final{}, err
 			}
 			if dp.merged[i] == nil {
@@ -1235,7 +1286,7 @@ func (dp *blockDP) finalOf(c *entry) (final, error) {
 		if err := tickPlan(dp.stats, dp.opts); err != nil {
 			return final{}, err
 		}
-		return final{e: c, tmpl: dp.coalTmpl, info: info}, nil
+		return final{e: c, tmpl: dp.coalTmpl, groups: groups, info: info}, nil
 
 	case len(dp.outputs) > 0: // no group-by, or it was applied eagerly
 		return final{e: c, project: true, info: dp.model.ProjectInfo(&c.info, dp.outputs, dp.outWidth)}, nil
@@ -1249,7 +1300,7 @@ func (dp *blockDP) finalTree(f *final) lplan.Node {
 	case f.merged != nil:
 		return f.merged
 	case f.tmpl != nil:
-		return withInput(f.tmpl, dp.node(f.e))
+		return withInput(f.tmpl, dp.node(f.e), f.groups)
 	case f.project:
 		return &lplan.Project{In: dp.node(f.e), Items: dp.outputs}
 	}

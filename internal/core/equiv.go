@@ -61,7 +61,7 @@ func bareEquality(e expr.Expr) (a, b schema.ColID, ok bool) {
 // and appends synthesized equalities for in-class pairs that have no
 // direct conjunct and whose columns live on different DP relations. The
 // spanning-forest rule in prunedNewPreds keeps the redundancy harmless.
-func addDerivedEqualities(conjs []dpConj, aliases map[string]uint64, cols *stats.ColIndex) []dpConj {
+func addDerivedEqualities(conjs []dpConj, aliases aliasMasks, cols *stats.ColIndex) []dpConj {
 	var dsu colDSU
 	dsu.reset(cols.Len())
 	have := map[[2]int]bool{}
@@ -108,8 +108,8 @@ func addDerivedEqualities(conjs []dpConj, aliases map[string]uint64, cols *stats
 				if have[[2]int{a.ord, b.ord}] {
 					continue
 				}
-				ma, okA := aliases[a.id.Rel]
-				mb, okB := aliases[b.id.Rel]
+				ma, okA := aliases.of(a.id.Rel)
+				mb, okB := aliases.of(b.id.Rel)
 				if !okA || !okB || ma == mb {
 					continue // same relation or unknown alias: nothing to derive
 				}

@@ -33,7 +33,7 @@ func TestAddDerivedEqualities(t *testing.T) {
 	a := schema.ColID{Rel: "r1", Name: "k"}
 	b := schema.ColID{Rel: "r2", Name: "k"}
 	c := schema.ColID{Rel: "r3", Name: "k"}
-	aliases := map[string]uint64{"r1": 1, "r2": 2, "r3": 4}
+	aliases := aliasMasks{{"r1", 1}, {"r2", 2}, {"r3", 4}}
 	cols := cost.NewModel(0, 0).Cols()
 	conjs := []dpConj{
 		newConj(expr.NewCmp(expr.EQ, expr.ColOf(a), expr.ColOf(b)), 3, cols, nil),

@@ -533,7 +533,8 @@ type rawGroup struct {
 // In an outer-join block steps[i] says how the i-th relation joins (base
 // relations first, then prebuilt ones); it is nil elsewhere.
 func (o *optimizer) newBlockDP(rels []*qblock.Rel, prebuilt []prebuiltRel, filters map[string][]expr.Expr, conjs []expr.Expr, g *rawGroup, outputs []lplan.NamedExpr, steps []qblock.OuterStep) (*blockDP, error) {
-	dp := &blockDP{model: o.model, mem: o.mem, opts: o.opts, stats: o.stats, outputs: outputs}
+	dp := &blockDP{model: o.model, mem: o.mem, opts: o.opts, stats: o.stats, outputs: outputs,
+		rels: make([]dpRel, 0, len(rels)+len(prebuilt)), conjs: make([]dpConj, 0, len(conjs))}
 	bit := 0
 	for _, r := range rels {
 		dp.rels = append(dp.rels, dpRel{alias: r.Alias, node: o.scanOf(r, filters[r.Alias]), mask: 1 << bit})
@@ -543,7 +544,8 @@ func (o *optimizer) newBlockDP(rels []*qblock.Rel, prebuilt []prebuiltRel, filte
 		dp.rels = append(dp.rels, dpRel{alias: p.alias, node: p.node, mask: 1 << bit})
 		bit++
 	}
-	aliases := aliasMasks(dp.rels)
+	dp.aliases = newAliasMasks(dp.rels)
+	aliases := dp.aliases
 	for _, c := range conjs {
 		m, err := maskOfExpr(c, aliases)
 		if err != nil {
@@ -585,7 +587,7 @@ func (o *optimizer) newBlockDP(rels []*qblock.Rel, prebuilt []prebuiltRel, filte
 // inner join, never at the outer one; such conjuncts are returned apart,
 // as they take no part in equality inference (equiv.go): padding breaks
 // the equalities an ON states.
-func (dp *blockDP) addSteps(steps []qblock.OuterStep, aliases map[string]uint64) ([]dpConj, error) {
+func (dp *blockDP) addSteps(steps []qblock.OuterStep, aliases aliasMasks) ([]dpConj, error) {
 	var padded uint64
 	var late []dpConj
 	for i := range steps {
@@ -926,6 +928,7 @@ func (o *optimizer) buildPhi(vc *viewCtx, dp *blockDP, w uint64, deferred, usabl
 	var bestIn *entry
 	var bestTmpl *lplan.GroupBy
 	var bestInfo cost.Info
+	var bestGroups float64
 	bestInfo.Cost = math.Inf(1)
 	var tmpls [2]*lplan.GroupBy
 	for i, m := range []lplan.AggMethod{lplan.AggHash, lplan.AggSort} {
@@ -950,7 +953,7 @@ func (o *optimizer) buildPhi(vc *viewCtx, dp *blockDP, w uint64, deferred, usabl
 				return nil, err
 			}
 			if info.Cost < bestInfo.Cost {
-				bestIn, bestTmpl, bestInfo = c, tmpl, info
+				bestIn, bestTmpl, bestInfo, bestGroups = c, tmpl, info, groups
 			}
 		}
 	}
@@ -958,7 +961,7 @@ func (o *optimizer) buildPhi(vc *viewCtx, dp *blockDP, w uint64, deferred, usabl
 		return nil, fmt.Errorf("optimize: no plan for V' ∪ W, view %s, W={%s}",
 			vc.view.Alias, strings.TrimSuffix(o.aliasList(w), ","))
 	}
-	phi := withInput(bestTmpl, dp.plan(bestIn))
+	phi := withInput(bestTmpl, dp.plan(bestIn), bestGroups)
 	o.model.Seed(phi, &bestInfo)
 	return &wCandidate{vc: vc, w: w, phi: phi, consumed: consumed}, nil
 }
@@ -1238,7 +1241,7 @@ func minimalInvariantSet(b *qblock.Block) uint64 {
 		scan := &lplan.Scan{Alias: r.Alias, Table: r.Table}
 		rels = append(rels, dpRel{alias: r.Alias, node: scan, mask: 1 << i})
 	}
-	aliases := aliasMasks(rels)
+	aliases := newAliasMasks(rels)
 	var conjs []dpConj
 	for _, c := range b.Conjs {
 		m, err := maskOfExpr(c, aliases)

@@ -199,7 +199,7 @@ func compileGroupBy(g *lplan.GroupBy) (*op, error) {
 		}}, nil
 	case lplan.AggHash, lplan.AggUnset:
 		return &op{newIter: func(e *Executor) BatchIterator {
-			return &hashAggIter{exec: e, ctx: newCtx(e), in: e.build(in)}
+			return &hashAggIter{exec: e, ctx: newCtx(e), in: e.build(in), groups: g.Groups}
 		}}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown aggregation method %v", g.Method)
@@ -217,8 +217,8 @@ type hashAggIter struct {
 	in   BatchIterator
 
 	tab    keyTable       // group key -> group number
+	groups float64        // the plan's group estimate, which presizes tab
 	key    [1]types.Value // room for the table to spell out a bare INT key
-	hashes []uint64       // key hashes of the batch being consumed
 	keyBuf []byte         // key encoding of a row being partitioned
 	bytes  int            // accounted size of the group table
 	// parts holds the overflow partitions as a field (not an Open local) so
@@ -229,7 +229,8 @@ type hashAggIter struct {
 }
 
 func (it *hashAggIter) Open() error {
-	it.tab.init(len(it.ctx.groupPos), 0)
+	width := len(it.ctx.groupPos)
+	it.tab.init(width, presized(it.groups, width, it.exec.budgetBytes))
 	if err := it.consume(it.in, true); err != nil {
 		return err
 	}
@@ -278,9 +279,9 @@ func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 		if b.Len() == 0 {
 			return nil
 		}
-		it.hashes = hashKeys(b.Rows, ctx.groupPos, it.hashes)
+		b.hashes = hashKeys(b.Rows, ctx.groupPos, b.hashes)
 		for i, row := range b.Rows {
-			g := it.tab.lookup(it.hashes[i], row, ctx.groupPos)
+			g := it.tab.lookup(b.hashes[i], row, ctx.groupPos)
 			if g < 0 {
 				if partition && it.parts != nil {
 					// The partition comes from the key's byte encoding, not
@@ -293,7 +294,7 @@ func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 					continue
 				}
 				ctx.newGroup()
-				g = it.tab.insert(it.hashes[i], row, ctx.groupPos)
+				g = it.tab.insert(b.hashes[i], row, ctx.groupPos)
 				// Accounted bytes mirror the cost model's group-table
 				// estimate (the output row width), so the executor spills
 				// exactly where the model predicts a spill.

@@ -19,6 +19,9 @@ const DefaultBatchSize = 1024
 // operator, but the types.Row values it held remain valid indefinitely.
 type Batch struct {
 	Rows []types.Row
+	// hashes is scratch for the key hashes of Rows (hashKeys), pooled with
+	// the batch so that hashing operators allocate none per run.
+	hashes []uint64
 }
 
 // Len returns the number of rows in the batch.

@@ -209,8 +209,7 @@ type hashJoinIter struct {
 	next         []int32  // per build row: the next with the same key, -1 = last
 
 	probe      BatchIterator // probeSrc, or the current partition's probe rows
-	pb         *Batch        // probe batch being joined
-	hashes     []uint64      // key hashes of pb's rows (of build rows while loading)
+	pb         *Batch        // probe batch being joined; its hashes are its rows' (build rows' while loading)
 	pos        int           // pb row in flight, or the next one to start
 	chain      int32         // in flight: next build row to try, -1 = chain used up
 	curActive  bool          // pb.Rows[pos] is in flight (padding not yet decided)
@@ -242,14 +241,15 @@ func (it *hashJoinIter) loadBuild() {
 	// which leaves every chain ascending without tracking chain tails.
 	for c := len(it.build.chunks) - 1; c >= 0; c-- {
 		rows := it.build.chunks[c].Rows
-		it.hashes = hashKeys(rows, keys, it.hashes)
+		hashes := hashKeys(rows, keys, it.pb.hashes)
+		it.pb.hashes = hashes
 		for i := len(rows) - 1; i >= 0; i-- {
 			if rowHasNullKey(rows[i], keys) {
 				continue
 			}
-			e := it.tab.lookup(it.hashes[i], rows[i], keys)
+			e := it.tab.lookup(hashes[i], rows[i], keys)
 			if e < 0 {
-				e = it.tab.insert(it.hashes[i], rows[i], keys)
+				e = it.tab.insert(hashes[i], rows[i], keys)
 				it.head = append(it.head, -1)
 			}
 			r := c*DefaultBatchSize + i
@@ -382,7 +382,7 @@ func (it *hashJoinIter) NextBatch(dst *Batch) error {
 			l := it.pb.Rows[it.pos]
 			it.curActive, it.curMatched, it.chain = true, false, -1
 			if !rowHasNullKey(l, it.jc.lKeys) {
-				if e := it.tab.lookup(it.hashes[it.pos], l, it.jc.lKeys); e >= 0 {
+				if e := it.tab.lookup(it.pb.hashes[it.pos], l, it.jc.lKeys); e >= 0 {
 					it.chain = it.head[e]
 				}
 			}
@@ -391,7 +391,7 @@ func (it *hashJoinIter) NextBatch(dst *Batch) error {
 				return err
 			}
 			it.pos = 0
-			it.hashes = hashKeys(it.pb.Rows, it.jc.lKeys, it.hashes)
+			it.pb.hashes = hashKeys(it.pb.Rows, it.jc.lKeys, it.pb.hashes)
 			it.probeDone = it.pb.Len() == 0
 		case it.drainPos < len(it.buildMatched):
 			// FULL outer: emit the build rows no probe row matched.

@@ -3,6 +3,7 @@ package exec
 import (
 	"hash/fnv"
 	"math"
+	"unsafe"
 
 	"aggview/internal/types"
 )
@@ -58,6 +59,18 @@ func (t *keyTable) init(width, n int) {
 	}
 	clear(t.slots)
 	t.hashes, t.ints, t.keys = t.hashes[:0], t.ints[:0], t.keys[:0]
+}
+
+// entryBytes is what a table entry holds in memory beyond its key values:
+// its share of the slots (at most 3/4 full), and its hash.
+const entryBytes = 8*4/3 + 8
+
+// presized returns how many entries to reserve for an estimate of n:
+// n, but no more than budget bytes hold at entryBytes plus width values
+// an entry.
+func presized(n float64, width, budget int) int {
+	perEntry := entryBytes + width*int(unsafe.Sizeof(types.Value{}))
+	return int(min(max(n, 0), float64(budget/perEntry)))
 }
 
 // len returns the number of entries.
@@ -176,7 +189,7 @@ func (t *keyTable) key(e int, dst types.Row) types.Row {
 // returns out resized to len(rows).
 func hashKeys(rows []types.Row, cols []int, out []uint64) []uint64 {
 	if cap(out) < len(rows) {
-		out = make([]uint64, len(rows))
+		out = make([]uint64, len(rows), max(len(rows), DefaultBatchSize))
 	}
 	out = out[:len(rows)]
 	if len(cols) == 0 {

@@ -306,15 +306,15 @@ func appendRefs(dst []schema.ColID, e Expr) []schema.ColID {
 // expression with more spills it to the heap.
 type refBuf [16]schema.ColID
 
-// AppendColumns appends to dst the column identities e references that dst
-// does not hold yet, in first-occurrence order. With a dst reused across
-// calls it allocates nothing.
+// AppendColumns appends to dst the distinct column identities e
+// references, in first-occurrence order. With a dst reused across calls it
+// allocates nothing.
 func AppendColumns(dst []schema.ColID, e Expr) []schema.ColID {
 	n := len(dst)
 	dst = appendRefs(dst, e)
 	out := dst[:n]
 	for _, c := range dst[n:] {
-		if !slices.Contains(out, c) {
+		if !slices.Contains(out[n:], c) {
 			out = append(out, c)
 		}
 	}

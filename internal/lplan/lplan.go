@@ -295,6 +295,9 @@ type GroupBy struct {
 	// aggregate outputs. Empty means: grouping columns then agg outputs.
 	Outputs []NamedExpr
 	Method  AggMethod
+	// Groups is the cost model's estimate of the groups, which presizes a
+	// hash aggregation's table; 0 when the plan carries none.
+	Groups float64
 
 	schemaOnce schema.Schema
 	innerOnce  schema.Schema // InnerSchema(), set by Freeze
