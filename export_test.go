@@ -143,3 +143,12 @@ func StmtOracle(s *Stmt, args ...any) ([][]any, error) {
 	}
 	return out, nil
 }
+
+// rowToGo converts an executor row to native Go values.
+func rowToGo(row types.Row) []any {
+	out := make([]any, len(row))
+	for i, v := range row {
+		out[i] = valueToGo(v)
+	}
+	return out
+}

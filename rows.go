@@ -34,6 +34,7 @@ type Rows struct {
 
 	cur     *exec.Cursor
 	current []any
+	vals    []any // where the next rows' values go (see Value)
 	err     error
 	done    bool
 
@@ -352,7 +353,10 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	r.query.rowsOut++
-	r.current = rowToGo(row)
+	r.current = r.carve(len(row))
+	for i, v := range row {
+		r.current[i] = valueToGo(v)
+	}
 	return true
 }
 
@@ -405,8 +409,9 @@ func (r *Rows) Scan(dest ...any) error {
 }
 
 // Value returns the current row as converted Go values. Every row is a
-// freshly allocated slice the Rows never writes again, so the caller may
-// retain it.
+// slice the Rows never writes again, so the caller may retain it. Rows may
+// share a backing array: a retained row keeps up to a thousand rows'
+// values alive beside its own.
 func (r *Rows) Value() []any { return r.current }
 
 // Err returns the error that terminated iteration, if any.
@@ -423,7 +428,7 @@ func (r *Rows) Close() error {
 	if !r.done {
 		r.closeLocked(nil)
 	}
-	r.current = nil
+	r.current, r.vals = nil, nil
 	return r.err
 }
 
@@ -451,13 +456,16 @@ func (r *Rows) IO() IOStats {
 	return IOStats{}
 }
 
-// rowToGo converts an executor row to native Go values.
-func rowToGo(row types.Row) []any {
-	out := make([]any, len(row))
-	for i, v := range row {
-		out[i] = valueToGo(v)
+// carve returns the slice the next row's n values go in: rows are carved
+// from chunks as large as the rows delivered so far, from 4 to 1 024
+// rows, so a result allocates a few chunks instead of a slice a row.
+func (r *Rows) carve(n int) []any {
+	if len(r.vals) < n {
+		r.vals = make([]any, n*min(max(int(r.query.rowsOut), 4), 1024))
 	}
-	return out
+	row := r.vals[:n:n]
+	r.vals = r.vals[n:]
+	return row
 }
 
 // QueryRows executes a SELECT and returns a streaming iterator over its
