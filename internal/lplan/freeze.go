@@ -1,8 +1,10 @@
 package lplan
 
 // Freeze computes, once, the lazily cached parts of the tree that its
-// executions share: every node's schema and each group-by's inner schema —
-// after Freeze, Schema and InnerSchema are field reads.
+// executions share: every node's schema, each group-by's inner schema, and
+// the Describe line of every scan, join, group-by and projection — after
+// Freeze, Schema, InnerSchema and those Describe calls are field reads, so
+// EXPLAIN's text and the executor's operator labels format each node once.
 //
 // Freezing is what makes a plan tree shareable. The cached fields are
 // written without synchronization, which is fine while a plan belongs to a
@@ -22,7 +24,24 @@ func Freeze(n Node) {
 		Freeze(c)
 	}
 	n.Schema()
-	if g, ok := n.(*GroupBy); ok && g.innerOnce == nil {
-		g.innerOnce = g.innerSchema(g.In.Schema())
+	switch t := n.(type) {
+	case *Scan:
+		freezeLabel(&t.labelOnce, t)
+	case *Join:
+		freezeLabel(&t.labelOnce, t)
+	case *GroupBy:
+		if t.innerOnce == nil {
+			t.innerOnce = t.innerSchema(t.In.Schema())
+		}
+		freezeLabel(&t.labelOnce, t)
+	case *Project:
+		freezeLabel(&t.labelOnce, t)
+	}
+}
+
+// freezeLabel caches n's Describe line in label, unless it is set.
+func freezeLabel(label *string, n Node) {
+	if *label == "" {
+		*label = n.Describe()
 	}
 }

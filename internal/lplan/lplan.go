@@ -111,6 +111,7 @@ type Scan struct {
 	WithTID bool
 
 	schemaOnce schema.Schema
+	labelOnce  string // Describe(), set by Freeze
 }
 
 // Schema implements Node.
@@ -141,6 +142,9 @@ func (s *Scan) Children() []Node { return nil }
 
 // Describe implements Node.
 func (s *Scan) Describe() string {
+	if s.labelOnce != "" {
+		return s.labelOnce
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scan %s", s.Table.Name)
 	if s.Alias != s.Table.Name {
@@ -226,6 +230,7 @@ type Join struct {
 	Method JoinMethod
 
 	schemaOnce schema.Schema
+	labelOnce  string // Describe(), set by Freeze
 }
 
 // Schema implements Node.
@@ -269,6 +274,9 @@ func (j *Join) EquiKeys() (l, r []schema.ColID, residual []expr.Expr) {
 
 // Describe implements Node.
 func (j *Join) Describe() string {
+	if j.labelOnce != "" {
+		return j.labelOnce
+	}
 	var b strings.Builder
 	if j.Type.Outer() {
 		fmt.Fprintf(&b, "Join[%s %s]", j.Type, j.Method)
@@ -300,6 +308,7 @@ type GroupBy struct {
 	Groups float64
 
 	schemaOnce schema.Schema
+	labelOnce  string        // Describe(), set by Freeze
 	innerOnce  schema.Schema // InnerSchema(), set by Freeze
 }
 
@@ -360,6 +369,9 @@ func (g *GroupBy) Children() []Node { return []Node{g.In} }
 
 // Describe implements Node.
 func (g *GroupBy) Describe() string {
+	if g.labelOnce != "" {
+		return g.labelOnce
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "GroupBy[%s]", g.Method)
 	if len(g.GroupCols) > 0 {
@@ -389,6 +401,7 @@ type Project struct {
 	Items []NamedExpr
 
 	schemaOnce schema.Schema
+	labelOnce  string // Describe(), set by Freeze
 }
 
 // Schema implements Node.
@@ -410,6 +423,9 @@ func (p *Project) Children() []Node { return []Node{p.In} }
 
 // Describe implements Node.
 func (p *Project) Describe() string {
+	if p.labelOnce != "" {
+		return p.labelOnce
+	}
 	parts := make([]string, len(p.Items))
 	for i, ne := range p.Items {
 		parts[i] = ne.String()
