@@ -88,16 +88,20 @@ bench-diff:
 # BenchmarkSort (the operator ORDER BY runs in; in memory and spilling,
 # ascending and DESC); and
 # BenchmarkOpenCursor, which times opening a plan apart from running it —
-# BenchmarkQueryCacheHit and BenchmarkWarmExec in the root; view maintenance
+# BenchmarkQueryCacheHit, BenchmarkWarmExec and BenchmarkQueryAdhocMix (the
+# adhoc-plan rotation through Engine.Query, every statement a plan-cache
+# miss) in the root; view maintenance
 # per commit in BenchmarkMatViewMaintain (root) and per step — bind and
 # compile, a delta, a merge — in internal/matview's BenchmarkMaintainSteps).
 gobench:
 	$(GO) test -bench=. -benchmem ./...
 
-# corebench runs every internal/core benchmark once (one iteration each), so
-# the optimizer's benchmarks keep running, not only compiling (~1 s).
+# corebench runs every internal/core benchmark once (one iteration each),
+# and BenchmarkQueryAdhocMix, a plan-cache miss end to end, so the
+# optimizer's benchmarks keep running, not only compiling (~2 s).
 corebench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkQueryAdhocMix$$' -benchtime 1x .
 
 # paper regenerates aggbench_output.txt, the full-size paper tables
 # EXPERIMENTS.md cites (~1 min), and fails when a line other than the
