@@ -70,8 +70,8 @@ type dpConj struct {
 	am, bm  uint64
 }
 
-// newConj annotates a conjunct over the relations aliases maps (see
-// aliasMasks), resolving a bare equality's columns.
+// newConj annotates a conjunct over the relations aliases lists,
+// resolving a bare equality's columns.
 func newConj(e expr.Expr, mask uint64, cols *stats.ColIndex, aliases aliasMasks) dpConj {
 	c := dpConj{e: e, mask: mask}
 	if a, b, ok := bareEquality(e); ok {
@@ -338,7 +338,7 @@ func (a aliasMasks) of(alias string) (mask uint64, ok bool) {
 
 // maskOfExpr returns the mask of DP relations an expression touches.
 func maskOfExpr(e expr.Expr, aliases aliasMasks) (uint64, error) {
-	var buf [16]schema.ColID
+	var buf expr.ColumnBuf
 	var m uint64
 	for _, c := range expr.AppendColumns(buf[:0], e) {
 		bit, ok := aliases.of(c.Rel)
@@ -1396,7 +1396,8 @@ func dpRemovable(r *dpRel, in uint64, conjs []dpConj, grouping map[schema.ColID]
 		if c.mask&^in != 0 {
 			return false // three-way with an already-removed relation
 		}
-		for _, col := range expr.Columns(c.e) {
+		var buf expr.ColumnBuf
+		for _, col := range expr.AppendColumns(buf[:0], c.e) {
 			if rSchema.Contains(col) {
 				continue
 			}

@@ -226,7 +226,8 @@ func (o *optimizer) computeNeeded() {
 		need[c.Rel][c.Name] = true
 	}
 	addExpr := func(e expr.Expr) {
-		for _, c := range expr.Columns(e) {
+		var buf expr.ColumnBuf
+		for _, c := range expr.AppendColumns(buf[:0], e) {
 			addCol(c)
 		}
 	}
@@ -379,7 +380,8 @@ func (o *optimizer) decompose() error {
 			}
 		}
 		pc := &poolConj{outer: c}
-		for _, col := range expr.Columns(c) {
+		var buf expr.ColumnBuf
+		for _, col := range expr.AppendColumns(buf[:0], c) {
 			i, isView := viewAt[col.Rel]
 			if !isView {
 				pc.rels |= o.bBit(col.Rel)
@@ -458,7 +460,8 @@ func (o *optimizer) decomposeView(v *qblock.AggView) (*viewCtx, []expr.Expr) {
 	for _, ne := range v.Block.Outputs {
 		vc.outToInner[ne.As] = ne.E
 		refsAgg := false
-		for _, col := range expr.Columns(ne.E) {
+		var buf expr.ColumnBuf
+		for _, col := range expr.AppendColumns(buf[:0], ne.E) {
 			if vc.aggOuts[col] {
 				refsAgg = true
 			}
@@ -1063,7 +1066,8 @@ func (o *optimizer) colsNeededAbove(w uint64) []schema.ColID {
 			}
 		}
 		addFrom := func(e expr.Expr) {
-			for _, c := range expr.Columns(e) {
+			var buf expr.ColumnBuf
+			for _, c := range expr.AppendColumns(buf[:0], e) {
 				add(c)
 			}
 		}

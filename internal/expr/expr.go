@@ -302,9 +302,10 @@ func appendRefs(dst []schema.ColID, e Expr) []schema.ColID {
 	return dst // *Const, *Param
 }
 
-// refBuf is the stack buffer Columns and Rels collect references in; an
-// expression with more spills it to the heap.
-type refBuf [16]schema.ColID
+// ColumnBuf is a buffer for AppendColumns to collect one expression's
+// columns in: declared as a local, it lives on the stack, and only an
+// expression with more references spills to the heap.
+type ColumnBuf [16]schema.ColID
 
 // AppendColumns appends to dst the distinct column identities e
 // references, in first-occurrence order. With a dst reused across calls it
@@ -324,7 +325,7 @@ func AppendColumns(dst []schema.ColID, e Expr) []schema.ColID {
 // Columns returns the distinct column identities referenced by e,
 // in first-occurrence order, in one allocation (none when there are none).
 func Columns(e Expr) []schema.ColID {
-	var buf refBuf
+	var buf ColumnBuf
 	cols := AppendColumns(buf[:0], e)
 	if len(cols) == 0 {
 		return nil
@@ -335,7 +336,7 @@ func Columns(e Expr) []schema.ColID {
 // Rels returns the distinct relation aliases referenced by e, in
 // first-occurrence order.
 func Rels(e Expr) []string {
-	var buf refBuf
+	var buf ColumnBuf
 	refs := appendRefs(buf[:0], e)
 	if len(refs) == 0 {
 		return nil
@@ -362,7 +363,7 @@ func RenameRels(e Expr, m map[string]string) Expr {
 	if len(m) == 0 {
 		return e
 	}
-	var buf refBuf
+	var buf ColumnBuf
 	sub := map[schema.ColID]Expr{}
 	for _, id := range appendRefs(buf[:0], e) {
 		if to, ok := m[id.Rel]; ok {

@@ -176,7 +176,7 @@ func scanResolves(t *Scan) bool {
 		}
 		return t.Table.Schema.Contains(schema.ColID{Name: id.Name})
 	}
-	var buf colBuf
+	var buf expr.ColumnBuf
 	for _, p := range t.Filter {
 		for _, c := range expr.AppendColumns(buf[:0], p) {
 			if !resolves(c) {
@@ -202,7 +202,7 @@ func joinResolves(t *Join) bool {
 		j, rerr := r.IndexOf(id)
 		return err == nil && rerr == nil && (i >= 0) != (j >= 0)
 	}
-	var buf colBuf
+	var buf expr.ColumnBuf
 	for _, p := range t.Preds {
 		for _, c := range expr.AppendColumns(buf[:0], p) {
 			if !resolves(c) {
@@ -218,11 +218,8 @@ func joinResolves(t *Join) bool {
 	return true
 }
 
-// colBuf holds the columns of one expression while Validate resolves them.
-type colBuf [16]schema.ColID
-
 func colsResolve(e expr.Expr, s schema.Schema) error {
-	var buf colBuf
+	var buf expr.ColumnBuf
 	for _, c := range expr.AppendColumns(buf[:0], e) {
 		i, err := s.IndexOf(c)
 		if err != nil {

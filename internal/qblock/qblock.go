@@ -168,9 +168,6 @@ func (b *Block) appendOutputSchema(dst, inner schema.Schema) schema.Schema {
 	return dst
 }
 
-// refBuf holds the columns of one expression while Validate resolves them.
-type refBuf [16]schema.ColID
-
 // Validate checks internal consistency: relation aliases unique, conjunct
 // and grouping columns resolvable, aggregate args resolvable, having over
 // the inner schema, outputs over the inner schema.
@@ -186,7 +183,7 @@ func (b *Block) validate() (schema.Schema, error) {
 			return nil, fmt.Errorf("block: duplicate relation alias %q", r.Alias)
 		}
 	}
-	var buf refBuf
+	var buf expr.ColumnBuf
 	js := b.JoinSchema()
 	for _, c := range b.Conjs {
 		for _, col := range expr.AppendColumns(buf[:0], c) {
@@ -348,7 +345,7 @@ func (q *Query) Validate() error {
 			return fmt.Errorf("query: alias %q used for both a view and a base relation", r.Alias)
 		}
 	}
-	var buf refBuf
+	var buf expr.ColumnBuf
 	check := func(e expr.Expr, what string) error {
 		for _, col := range expr.AppendColumns(buf[:0], e) {
 			i, err := js.IndexOf(col)
