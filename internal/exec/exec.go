@@ -293,6 +293,10 @@ func (c *Cursor) Next() (types.Row, bool, error) {
 	}
 }
 
+// Buffered returns how many rows Next returns before it pulls another
+// batch.
+func (c *Cursor) Buffered() int { return len(c.b.Rows) - c.pos }
+
 // Close releases the operator tree's resources. Safe to call repeatedly.
 func (c *Cursor) Close() error {
 	if c.closed {

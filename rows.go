@@ -410,8 +410,8 @@ func (r *Rows) Scan(dest ...any) error {
 
 // Value returns the current row as converted Go values. Every row is a
 // slice the Rows never writes again, so the caller may retain it. Rows may
-// share a backing array: a retained row keeps up to a thousand rows'
-// values alive beside its own.
+// share a backing array: a retained row keeps the values of the rows
+// delivered with it in one executor batch alive.
 func (r *Rows) Value() []any { return r.current }
 
 // Err returns the error that terminated iteration, if any.
@@ -456,12 +456,17 @@ func (r *Rows) IO() IOStats {
 	return IOStats{}
 }
 
-// carve returns the slice the next row's n values go in: rows are carved
-// from chunks as large as the rows delivered so far, from 4 to 1 024
-// rows, so a result allocates a few chunks instead of a slice a row.
+// carve returns the slice the current row's n values go in: rows are
+// carved from one chunk per executor batch, sized for the rows the cursor
+// holds (no more than LIMIT still allows), so a result allocates a chunk a
+// batch instead of a slice a row.
 func (r *Rows) carve(n int) []any {
 	if len(r.vals) < n {
-		r.vals = make([]any, n*min(max(int(r.query.rowsOut), 4), 1024))
+		rows := 1 + r.cur.Buffered()
+		if limit := int64(r.query.cp.Limit); limit >= 0 {
+			rows = int(min(int64(rows), 1+limit-r.query.rowsOut))
+		}
+		r.vals = make([]any, n*rows)
 	}
 	row := r.vals[:n:n]
 	r.vals = r.vals[n:]
