@@ -151,10 +151,10 @@ func TestNextOfSizeEnumeratesLevelsInOrder(t *testing.T) {
 // map, and the DP's per-search maps replaced by lists and memo scratch (the
 // ceilings are these figures + 10 %):
 //
-//	star-6-over-view          122 KB    945 objects  (1 068 plans considered)
-//	star-5                   37.4 KB    282 objects    (609 plans considered)
-//	star-4                   27.5 KB    209 objects
-//	grouped-having-over-view 34.0 KB    282 objects
+//	star-6-over-view          120 KB    896 objects  (1 068 plans considered)
+//	star-5                   36.3 KB    262 objects    (609 plans considered)
+//	star-4                   26.6 KB    192 objects
+//	grouped-having-over-view 33.3 KB    265 objects
 //
 // Each figure is the least of five batches of calls: a batch in which the
 // collector emptied the memo pool pays for a fresh memo's chunks, which is
@@ -166,10 +166,10 @@ func TestOptimizeAllocationCeilings(t *testing.T) {
 		name                string
 		maxBytes, maxObject float64
 	}{
-		{"star-6-over-view", 134_600, 1_040},
-		{"star-5", 41_100, 310},
-		{"star-4", 30_200, 230},
-		{"grouped-having-over-view", 37_400, 310},
+		{"star-6-over-view", 131_600, 986},
+		{"star-5", 39_900, 288},
+		{"star-4", 29_200, 211},
+		{"grouped-having-over-view", 36_600, 292},
 	} {
 		i := slices.IndexFunc(g.cases, func(c goldenCase) bool { return c.name == tc.name })
 		q := bindGolden(t, g.cat, g.cases[i].sql)
