@@ -764,9 +764,9 @@ func (o *optimizer) phaseOne(vc *viewCtx, vbit uint64) ([]wCandidate, error) {
 
 	// The shared phase-1 DP over V′ ∪ B′: no group-by, no outputs. Its
 	// relation bits are V′'s, low, then B′'s, so a W is a DP mask shifted
-	// left by len(V′).
-	// The DP builds only the states some V′ ∪ W holds, and keeps a plan for
-	// each V′ ∪ W, by cross products where its relations do not connect.
+	// left by len(V′). It builds only the states some V′ ∪ W holds, and
+	// keeps a plan for each V′ ∪ W, by cross products where its relations
+	// do not connect (linked).
 	dp, err := o.newBlockDP(slices.Concat(vc.vPrime, o.bRels), nil, filters, dpConjs, nil, nil, nil)
 	if err != nil {
 		return nil, err

@@ -45,16 +45,13 @@ func Validate(n Node) error {
 		if err := Validate(t.R); err != nil {
 			return err
 		}
+		// The concatenated input schema is built only to word an error.
+		var in schema.Schema
 		if !joinResolves(t) {
-			in := t.L.Schema().Concat(t.R.Schema())
+			in = t.L.Schema().Concat(t.R.Schema())
 			for _, p := range t.Preds {
 				if err := colsResolve(p, in); err != nil {
 					return fmt.Errorf("join: predicate: %w", err)
-				}
-			}
-			if t.Proj != nil {
-				if _, err := in.Project(t.Proj); err != nil {
-					return fmt.Errorf("join: %w", err)
 				}
 			}
 		}
@@ -68,6 +65,11 @@ func Validate(n Node) error {
 			case JoinHash, JoinBlockNL, JoinUnset:
 			default:
 				return fmt.Errorf("join: %s outer join cannot use method %s (hash or block-nl only)", t.Type, t.Method)
+			}
+		}
+		if in != nil && t.Proj != nil {
+			if _, err := in.Project(t.Proj); err != nil {
+				return fmt.Errorf("join: %w", err)
 			}
 		}
 		return nil
