@@ -189,7 +189,7 @@ func (t *keyTable) key(e int, dst types.Row) types.Row {
 // returns out resized to len(rows).
 func hashKeys(rows []types.Row, cols []int, out []uint64) []uint64 {
 	if cap(out) < len(rows) {
-		out = make([]uint64, len(rows), max(len(rows), DefaultBatchSize))
+		out = make([]uint64, len(rows))
 	}
 	out = out[:len(rows)]
 	if len(cols) == 0 {
