@@ -17,7 +17,7 @@ import (
 	"aggview/internal/storage"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/search.golden from the current code")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/search.golden and search-effort.golden from the current code")
 
 // goldenCase is one query of the search differential.
 type goldenCase struct {
@@ -174,12 +174,15 @@ func goldenGroupsOn(t testing.TB, poolPages int) []goldenGroup {
 // bit patterns of its estimated cost and cardinality, the search counters
 // and the search trace. Any change to which plans the enumerator considers,
 // in which order, or to the float arithmetic of the cost model shows up as
-// a diff. Regenerate only deliberately, with -update, in a commit of its
-// own, after checking that every cost=, rows= and plan line the change
-// did not mean to move is unchanged (the search memo and branch and bound
-// moved only the stats: and trace lines).
+// a diff. What the search chooses — cost=, rows=, the plan and the pull-up
+// and phase2 trace lines — is pinned in testdata/search.golden; what it
+// spends — the stats: line and the level and greedy trace lines — in
+// testdata/search-effort.golden, each section under the same header. A
+// change to the search's effort alone regenerates only the effort file, and
+// an unchanged search.golden shows that no choice moved. Regenerate only
+// deliberately, with -update, in a commit of its own.
 func TestSearchGolden(t *testing.T) {
-	var b strings.Builder
+	var choice, effort strings.Builder
 	for _, g := range goldenGroups(t) {
 		for _, c := range g.cases {
 			q := bindGolden(t, g.cat, c.sql)
@@ -193,18 +196,46 @@ func TestSearchGolden(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s mode=%v nohash=%v pool=%d: %v", c.name, mode, noHash, pool, err)
 						}
-						fmt.Fprintf(&b, "=== %s mode=%v nohash=%v pool=%d\n", c.name, mode, noHash, pool)
-						fmt.Fprintf(&b, "cost=%#016x rows=%#016x (%.3f, %.3f)\n",
+						header := fmt.Sprintf("=== %s mode=%v nohash=%v pool=%d\n", c.name, mode, noHash, pool)
+						choice.WriteString(header)
+						fmt.Fprintf(&choice, "cost=%#016x rows=%#016x (%.3f, %.3f)\n",
 							math.Float64bits(plan.Cost), math.Float64bits(plan.Info.Rows), plan.Cost, plan.Info.Rows)
-						fmt.Fprintf(&b, "stats: %s\n", plan.Stats)
-						fmt.Fprintf(&b, "plan:\n%strace:\n%s", plan.Explain(), opts.Trace)
+						fmt.Fprintf(&choice, "plan:\n%strace:\n", plan.Explain())
+						effort.WriteString(header)
+						fmt.Fprintf(&effort, "stats: %s\n", plan.Stats)
+						for _, line := range strings.SplitAfter(opts.Trace.String(), "\n") {
+							if effortLine(line) {
+								effort.WriteString(line)
+							} else {
+								choice.WriteString(line)
+							}
+						}
 					}
 				}
 			}
 		}
 	}
-	got := b.String()
-	path := filepath.Join("testdata", "search.golden")
+	checkGolden(t, "search.golden", choice.String())
+	checkGolden(t, "search-effort.golden", effort.String())
+}
+
+// effortLine reports whether a search trace line tells what the search
+// spent rather than what it chose: a DP level's counts, a greedy decision,
+// or the count of events past the trace's cap.
+func effortLine(line string) bool {
+	for _, p := range []string{"level ", "greedy-", "("} {
+		if strings.HasPrefix(line, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkGolden compares got with testdata/name, or writes it there under
+// -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -228,10 +259,10 @@ func TestSearchGolden(t *testing.T) {
 			section = wl[i]
 		}
 		if gl[i] != wl[i] {
-			t.Fatalf("search differs from testdata/search.golden at line %d, in %s\n got: %s\nwant: %s", i+1, section, gl[i], wl[i])
+			t.Fatalf("search differs from %s at line %d, in %s\n got: %s\nwant: %s", path, i+1, section, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("search output length differs from testdata/search.golden: %d lines, want %d", len(gl), len(wl))
+	t.Fatalf("search output length differs from %s: %d lines, want %d", path, len(gl), len(wl))
 }
 
 // TestTickBudgetSurfacesAtPlanK sweeps the plan at which Options.Tick fails
@@ -241,7 +272,7 @@ func TestSearchGolden(t *testing.T) {
 // considered. The plan count is pinned so a change to the number of polls
 // cannot hide behind a matching change to the sweep's length.
 func TestTickBudgetSurfacesAtPlanK(t *testing.T) {
-	const wantPlans = 121 // view-join-filter, Full, pool 256 in testdata/search.golden
+	const wantPlans = 121 // view-join-filter, Full, pool 256 in testdata/search-effort.golden
 	g := goldenGroups(t)[0]
 	q := bindGolden(t, g.cat, g.cases[0].sql)
 	errBudget := fmt.Errorf("budget")
