@@ -11,7 +11,7 @@ import (
 // warehouse and pool the workload uses) in each optimizer mode. With
 // -benchmem it shows ns, bytes and objects per call next to plans/op — the
 // candidates costed — so the per-candidate price of the search is one
-// division away, and pruned/op, the extensions the bound skipped.
+// division away.
 func BenchmarkOptimizeAdhoc(b *testing.B) {
 	g := goldenGroups(b)[0]
 	for _, c := range g.cases {
@@ -30,7 +30,6 @@ func BenchmarkOptimizeAdhoc(b *testing.B) {
 					stats = plan.Stats
 				}
 				b.ReportMetric(float64(stats.PlansConsidered), "plans/op")
-				b.ReportMetric(float64(stats.Pruned), "pruned/op")
 			})
 		}
 	}
@@ -61,5 +60,4 @@ func BenchmarkOptimizeAdhocMix(b *testing.B) {
 		stats.Add(plan.Stats)
 	}
 	b.ReportMetric(float64(stats.PlansConsidered)/float64(b.N), "plans/op")
-	b.ReportMetric(float64(stats.Pruned)/float64(b.N), "pruned/op")
 }

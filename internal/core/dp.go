@@ -186,7 +186,6 @@ type memo struct {
 	best     map[uint64][]entry // the state table of the DP being solved
 	cands    []entry            // candidates of the extension being costed
 	retained []entry            // retained set of the state being built
-	leaves   []float64          // the leaf costs of the DP being solved
 	schema   schema.Schema      // the columns of the DP being solved
 	orders   [][]schema.ColID   // the interned orders of the DP being solved
 }
@@ -273,16 +272,6 @@ type blockDP struct {
 
 	dsu     colDSU // prunedNewPreds' scratch
 	conjBuf []*dpConj
-
-	// Branch and bound (bestBelow). When bounded, bound is the cost of a
-	// complete plan the search already holds, and buildState skips every
-	// extension whose lower bound reaches it (seeded: exceeds it, the bound
-	// being greedySeed's). leaves are the size-1 entries' costs, and
-	// wholeLeaves says each is a whole number (see boundSlack).
-	bounded, seeded bool
-	bound           float64
-	leaves          []float64
-	wholeLeaves     bool
 }
 
 // greedyEnabled reports whether early group-by placement is allowed.
@@ -419,7 +408,6 @@ func (dp *blockDP) prepare() error {
 
 // addLeaves fills the size-1 states.
 func (dp *blockDP) addLeaves() error {
-	dp.leaves, dp.wholeLeaves = dp.mem.leaves[:0], true
 	for i := range dp.rels {
 		r := &dp.rels[i]
 		info, err := dp.model.Info(r.node)
@@ -431,11 +419,8 @@ func (dp *blockDP) addLeaves() error {
 		}
 		leaf := entry{info: *info, order: dp.internOrder(info.Order), rel: int32(i), mask: r.mask}
 		dp.setBest(r.mask, []entry{leaf})
-		dp.leaves = append(dp.leaves, info.Cost)
-		dp.wholeLeaves = dp.wholeLeaves && whole(info.Cost)
 		dp.stats.States++
 	}
-	dp.mem.leaves = dp.leaves
 	return nil
 }
 
@@ -466,156 +451,29 @@ const boundSlack = 1e-12
 // whole reports whether x is a whole number that float64 adds exactly.
 func whole(x float64) bool { return x == math.Trunc(x) && x < 1<<53 }
 
-// loses reports whether a plan that costs at least lb, or extends one that
-// does, cannot be the search's choice: the bound's plan wins a tie (the
-// search keeps the first of equal costs), a seeded bound only when
-// strictly cheaper (its plan is not one the DP keeps). exact says lb is a
-// sum of whole costs.
-func (dp *blockDP) loses(lb float64, exact bool) bool {
+// leavesLose reports whether no complete plan of the DP, its leaves
+// costed, can beat bound, the cost of a complete plan the search already
+// holds (+Inf: none yet). Every cost the model charges is non-negative and
+// every plan's cost contains its inputs', so a complete plan costs at least
+// the sum of its leaves; the bound's plan wins a tie, as the search keeps
+// the first of equal costs. A one-relation DP, whose final may merge two
+// group-bys into one cheaper than its leaf (mergeGroupBys), and an
+// outer-join DP never lose.
+func (dp *blockDP) leavesLose(bound float64) bool {
+	if len(dp.rels) == 1 || dp.trailing != 0 || math.IsInf(bound, 1) {
+		return false
+	}
+	var lb float64
+	exact := true
+	for i := range dp.rels {
+		c := dp.best[dp.rels[i].mask][0].info.Cost
+		lb += c
+		exact = exact && whole(c)
+	}
 	if !exact || !whole(lb) {
 		lb *= 1 - boundSlack
 	}
-	if dp.seeded {
-		return lb > dp.bound
-	}
-	return lb >= dp.bound
-}
-
-// bestBelow is bestFinal under branch and bound: it returns the DP's best
-// complete plan if that plan costs less than bound (+Inf: no bound yet),
-// and otherwise a plan costing bound or more, or none. Every cost the model
-// charges is non-negative and every plan's cost contains its inputs', so
-// a complete plan built from entry c joining r costs at least c's cost
-// plus the leaf costs of r and of every relation still to join; buildState
-// skips an extension whose sum loses to bound. A DP whose leaves alone
-// lose is not searched.
-//
-// Without a bound, a DP of minSeededRels relations or more takes
-// greedySeed's plan as one. If the best plan the seeded search finds costs
-// more than the seed, the seed may have hidden a cheaper one, and the DP
-// runs again unbounded. A smaller DP costs about what a seed would save. A
-// one-relation DP has nothing to prune, and its final may merge two
-// group-bys into one cheaper than its leaf (mergeGroupBys); it runs
-// unbounded, as an outer-join block's DP does.
-func (dp *blockDP) bestBelow(bound float64) (lplan.Node, *cost.Info, error) {
-	if err := dp.prepare(); err != nil {
-		return nil, nil, err
-	}
-	if err := dp.addLeaves(); err != nil {
-		return nil, nil, err
-	}
-	full := fullMask(len(dp.rels))
-	if len(dp.rels) > 1 && dp.trailing == 0 {
-		switch {
-		case !math.IsInf(bound, 1):
-			dp.bounded, dp.bound = true, bound
-			if dp.loses(dp.floor(0), dp.wholeLeaves) {
-				return nil, nil, nil
-			}
-		case len(dp.rels) >= minSeededRels:
-			seed, err := dp.greedySeed()
-			if err != nil {
-				return nil, nil, err
-			}
-			return dp.bestSeeded(seed)
-		}
-	}
-	if err := dp.join(); err != nil {
-		return nil, nil, err
-	}
-	if dp.bounded && len(dp.best[full]) == 0 {
-		return nil, nil, nil
-	}
-	return dp.bestFinal(nil)
-}
-
-// bestSeeded searches the DP, its leaves in place, under a bound that may
-// not be the cost of a plan the DP keeps (greedySeed's): it prunes only
-// above seed and keeps the result only if it costs seed or less. Otherwise
-// it searches again unbounded.
-func (dp *blockDP) bestSeeded(seed float64) (lplan.Node, *cost.Info, error) {
-	dp.bounded, dp.seeded, dp.bound = true, true, seed
-	if err := dp.join(); err != nil {
-		return nil, nil, err
-	}
-	if len(dp.best[fullMask(len(dp.rels))]) > 0 {
-		node, info, err := dp.bestFinal(nil)
-		if err != nil || info.Cost <= seed {
-			return node, info, err
-		}
-	}
-	for s := range dp.best {
-		if s&(s-1) != 0 {
-			delete(dp.best, s)
-		}
-	}
-	dp.bounded, dp.seeded = false, false
-	if err := dp.join(); err != nil {
-		return nil, nil, err
-	}
-	return dp.bestFinal(nil)
-}
-
-// minSeededRels is the least relation count at which a DP without a bound
-// seeds one.
-const minSeededRels = 4
-
-// floor is what every complete plan built from a plan of relation set s
-// still pays at least: the costs of the leaves s lacks.
-func (dp *blockDP) floor(s uint64) float64 {
-	var sum float64
-	for i, c := range dp.leaves {
-		if s&dp.rels[i].mask == 0 {
-			sum += c
-		}
-	}
-	return sum
-}
-
-// greedySeed costs one left-deep plan through the search's own kernels and
-// returns its complete cost. The plan starts at the costliest leaf and at
-// each step makes the cheapest join with one more relation, one sharing a
-// conjunct with the plan when there is one; no group-by is placed early.
-// Every candidate it costs counts as a plan considered.
-func (dp *blockDP) greedySeed() (float64, error) {
-	start := 0
-	for i, c := range dp.leaves {
-		if c > dp.leaves[start] {
-			start = i
-		}
-	}
-	plan := dp.best[dp.rels[start].mask][0]
-	for size := 1; size < len(dp.rels); size++ {
-		var best entry
-		found, linked := false, false
-		for i := range dp.rels {
-			r := &dp.rels[i]
-			if plan.mask&r.mask != 0 {
-				continue
-			}
-			st := dp.newStep(plan.mask, r)
-			shares := len(st.preds) > 0
-			if linked && !shares {
-				continue
-			}
-			dp.mem.cands = dp.mem.cands[:0]
-			spec, methods := st.side(false)
-			base := entry{rel: int32(i), step: st, mask: plan.mask | r.mask}
-			if err := dp.joinPlans(base, &plan.info, &dp.best[r.mask][0].info, spec, methods, new(cost.Props)); err != nil {
-				return 0, err
-			}
-			c := cheapest(dp.mem.cands)
-			if !found || shares && !linked || c.info.Cost < best.info.Cost {
-				best, found, linked = *c, true, shares
-			}
-		}
-		plan = best
-	}
-	f, err := dp.finalOf(&plan)
-	if err != nil {
-		return 0, err
-	}
-	return f.info.Cost, nil
+	return lb >= bound
 }
 
 // describeGroup describes the block's pending group-by and outputs once per
@@ -722,10 +580,6 @@ func (dp *blockDP) buildState(s uint64) error {
 	}
 	retained := dp.mem.retained[:0]
 	generated := 0
-	var rest float64
-	if dp.bounded {
-		rest = dp.floor(s)
-	}
 	for i := range dp.rels {
 		r := &dp.rels[i]
 		if s&r.mask == 0 {
@@ -738,16 +592,11 @@ func (dp *blockDP) buildState(s uint64) error {
 			continue
 		}
 		prevCands := dp.best[prev]
-		var step *joinStep
+		if len(prevCands) == 0 {
+			continue
+		}
+		step := dp.newStep(prev, r)
 		for j := range prevCands {
-			c := prevCands[j].info.Cost
-			if dp.bounded && dp.loses(c+dp.leaves[i]+rest, dp.wholeLeaves && whole(c)) {
-				dp.stats.Pruned++
-				continue
-			}
-			if step == nil {
-				step = dp.newStep(prev, r)
-			}
 			ext, err := dp.extend(&prevCands[j], int32(i), step, s)
 			if err != nil {
 				return err

@@ -53,8 +53,9 @@ type Alternative struct {
 // the query, in search order, and the search's counters. Optimize's choice
 // is the cheapest of them, the first found winning ties (before
 // materialized-view candidates compete); opts.ViewPlans is not consulted.
-// Unlike Optimize, the search runs without a bound: it finalizes every plan
-// of the paper's search space, the ones no bound would let win included.
+// Unlike Optimize, the search skips no W combination: it finalizes every
+// plan of the paper's search space, those of combinations whose leaves
+// alone cost more than a plan already found included.
 func Alternatives(q *qblock.Query, opts Options) ([]Alternative, SearchStats, error) {
 	o, err := newOptimizer(q, opts)
 	if err != nil {
@@ -75,8 +76,8 @@ func newOptimizer(q *qblock.Query, opts Options) (*optimizer, error) {
 	if opts.Mode == ModeDefault {
 		opts.Mode = ModeFull
 	}
-	// The bound needs every cost the model charges to be non-negative and
-	// finite.
+	// The combination skip (leavesLose) needs every cost the model charges
+	// to be non-negative and finite.
 	if w := opts.CPUWeight; w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 		return nil, fmt.Errorf("optimize: CPUWeight %v is not a finite non-negative weight", w)
 	}
@@ -1096,9 +1097,10 @@ func (o *optimizer) colsNeededAbove(w uint64) []schema.ColID {
 }
 
 // phaseTwo optimizes the top block for one combination of pulled views.
-// Optimize's search runs it under the bound of the best plan of the
-// combinations before (bestBelow), and gets nil when no plan beats that;
-// Alternatives' runs unbounded.
+// Optimize's search skips the combination, returning nil, when the costs of
+// its leaves alone lose to bestCost, the best plan of the combinations
+// before (leavesLose); Alternatives' searches every combination and shows
+// o.each every complete plan.
 func (o *optimizer) phaseTwo(chosen []wCandidate, bestCost float64) (lplan.Node, *cost.Info, error) {
 	o.stats.Phase2Runs++
 	var consumedRels uint64
@@ -1127,19 +1129,29 @@ func (o *optimizer) phaseTwo(chosen []wCandidate, bestCost float64) (lplan.Node,
 	if err != nil {
 		return nil, nil, err
 	}
-	if o.each == nil {
-		return dp.bestBelow(bestCost)
-	}
-	if err := dp.solve(); err != nil {
+	if err := dp.prepare(); err != nil {
 		return nil, nil, err
 	}
-	return dp.bestFinal(func(m aggMode, root lplan.Node, info cost.Info) {
-		label := o.wLabel(chosen)
-		if dp.group != nil {
-			label = strings.TrimSpace(label + " " + m.String())
+	if err := dp.addLeaves(); err != nil {
+		return nil, nil, err
+	}
+	if o.each == nil && dp.leavesLose(bestCost) {
+		return nil, nil, nil
+	}
+	if err := dp.join(); err != nil {
+		return nil, nil, err
+	}
+	var visit func(aggMode, lplan.Node, cost.Info)
+	if o.each != nil {
+		visit = func(m aggMode, root lplan.Node, info cost.Info) {
+			label := o.wLabel(chosen)
+			if dp.group != nil {
+				label = strings.TrimSpace(label + " " + m.String())
+			}
+			o.each(Alternative{Label: label, Root: root, Cost: info.Cost, Info: detach(&info)})
 		}
-		o.each(Alternative{Label: label, Root: root, Cost: info.Cost, Info: detach(&info)})
-	})
+	}
+	return dp.bestFinal(visit)
 }
 
 // topDP assembles the DP that completes the top block. An outer-join

@@ -148,10 +148,6 @@ type SearchStats struct {
 	PullUpCandidates int
 	// Phase2Runs counts top-block optimizations (one per W combination).
 	Phase2Runs int
-	// Pruned counts the extensions of a partial plan by one relation that
-	// the branch-and-bound search skipped: every plan they lead to costs at
-	// least a complete plan already found. Alternatives prunes none.
-	Pruned int
 	// Degradations counts how many times the engine's ladder fell back to
 	// a cheaper mode after the search budget tripped (0 = the requested
 	// mode succeeded).
@@ -165,7 +161,6 @@ func (s *SearchStats) Add(o SearchStats) {
 	s.GroupPlacements += o.GroupPlacements
 	s.PullUpCandidates += o.PullUpCandidates
 	s.Phase2Runs += o.Phase2Runs
-	s.Pruned += o.Pruned
 	s.Degradations += o.Degradations
 }
 
@@ -173,9 +168,6 @@ func (s *SearchStats) Add(o SearchStats) {
 func (s SearchStats) String() string {
 	out := fmt.Sprintf("states=%d plans=%d placements=%d pullups=%d phase2=%d",
 		s.States, s.PlansConsidered, s.GroupPlacements, s.PullUpCandidates, s.Phase2Runs)
-	if s.Pruned > 0 {
-		out += fmt.Sprintf(" pruned=%d", s.Pruned)
-	}
 	if s.Degradations > 0 {
 		out += fmt.Sprintf(" degradations=%d", s.Degradations)
 	}
