@@ -74,9 +74,9 @@ func checkAlternatives(t *testing.T, store *storage.Store, q *qblock.Query, opts
 	return alts
 }
 
-// checkChosen asserts that Optimize hands out the cheapest of alts (the
-// first found winning ties): same tree, same cost bits. It returns
-// Optimize's plan.
+// checkChosen asserts that Optimize hands out a legal plan, the cheapest of
+// alts (the first found winning ties): same tree, same cost bits. It
+// returns Optimize's plan.
 func checkChosen(t *testing.T, q *qblock.Query, opts Options, alts []Alternative) *Plan {
 	t.Helper()
 	cheapest := 0
@@ -88,6 +88,9 @@ func checkChosen(t *testing.T, q *qblock.Query, opts Options, alts []Alternative
 	plan, err := Optimize(q, opts)
 	if err != nil {
 		t.Fatalf("[%v] Optimize: %v", opts.Mode, err)
+	}
+	if err := lplan.Validate(plan.Root); err != nil {
+		t.Fatalf("[%v] Optimize chose an illegal plan: %v\n%s", opts.Mode, err, plan.Explain())
 	}
 	best := alts[cheapest]
 	if plan.Explain() != lplan.Format(best.Root) || math.Float64bits(plan.Cost) != math.Float64bits(best.Cost) {

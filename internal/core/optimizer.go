@@ -135,9 +135,6 @@ func Optimize(q *qblock.Query, opts Options) (*Plan, error) {
 			root, info, rewrite = vp.Root, vinfo, vp.Name
 		}
 	}
-	if err := lplan.Validate(root); err != nil {
-		return nil, fmt.Errorf("optimize: produced an illegal plan: %w\n%s", err, lplan.Format(root))
-	}
 	return &Plan{Root: root, Cost: info.Cost, Info: detach(info), Stats: *o.stats, ViewRewrite: rewrite}, nil
 }
 
