@@ -220,15 +220,10 @@ func TestSearchGolden(t *testing.T) {
 }
 
 // effortLine reports whether a search trace line tells what the search
-// spent rather than what it chose: a DP level's counts, a greedy decision,
-// or the count of events past the trace's cap.
+// spent rather than what it chose: a DP level's counts or a greedy
+// decision.
 func effortLine(line string) bool {
-	for _, p := range []string{"level ", "greedy-", "("} {
-		if strings.HasPrefix(line, p) {
-			return true
-		}
-	}
-	return false
+	return strings.HasPrefix(line, "level ") || strings.HasPrefix(line, "greedy-")
 }
 
 // checkGolden compares got with testdata/name, or writes it there under
