@@ -456,11 +456,11 @@ func whole(x float64) bool { return x == math.Trunc(x) && x < 1<<53 }
 // holds (+Inf: none yet). Every cost the model charges is non-negative and
 // every plan's cost contains its inputs', so a complete plan costs at least
 // the sum of its leaves; the bound's plan wins a tie, as the search keeps
-// the first of equal costs. A one-relation DP, whose final may merge two
-// group-bys into one cheaper than its leaf (mergeGroupBys), and an
-// outer-join DP never lose.
+// the first of equal costs. A one-relation DP never loses: its final may
+// merge two group-bys into one cheaper than its leaf (mergeGroupBys). An
+// outer-join block's top DP is one relation (topDP).
 func (dp *blockDP) leavesLose(bound float64) bool {
-	if len(dp.rels) == 1 || dp.trailing != 0 || math.IsInf(bound, 1) {
+	if len(dp.rels) == 1 || math.IsInf(bound, 1) {
 		return false
 	}
 	var lb float64
