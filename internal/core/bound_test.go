@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"aggview/internal/cost"
 )
 
 // TestBoundKeepsTheChoice is the combination skip's contract: it changes
@@ -66,5 +68,38 @@ func TestCPUWeightMustBeFiniteNonNegative(t *testing.T) {
 	opts.CPUWeight = 0.01
 	if _, err := Optimize(q, opts); err != nil {
 		t.Errorf("CPUWeight 0.01: %v", err)
+	}
+}
+
+// TestLeavesLoseTieRule pins the combination skip's comparison: a sum of
+// whole leaf costs is compared as it is, so an exact tie is skipped (the
+// earlier plan wins it); any other sum is shrunk by boundSlack first, so a
+// near tie is searched; a one-relation DP and a search without a plan yet
+// are never skipped.
+func TestLeavesLoseTieRule(t *testing.T) {
+	for _, c := range []struct {
+		leaves []float64
+		bound  float64
+		lose   bool
+	}{
+		{[]float64{3, 4}, 7, true},                       // whole sum, exact tie
+		{[]float64{3, 4}, 8, false},                      // whole sum below the bound
+		{[]float64{3, 4}, 6, true},                       // whole sum above the bound
+		{[]float64{3, 4}, math.Inf(1), false},            // no complete plan yet
+		{[]float64{50}, 10, false},                       // one relation: mergeGroupBys may undercut it
+		{[]float64{0.1, 0.2}, 0.3, false},                // 0.30000000000000004, shrunk below 0.3
+		{[]float64{0.1, 0.2}, 0.2999, true},              // clearly above, shrunk or not
+		{[]float64{1 << 52, 1 << 52}, 1 << 53, false},    // whole leaves, sum not below 2⁵³: shrunk
+		{[]float64{1 << 52, 1<<52 - 1}, 1<<53 - 1, true}, // whole sum just below 2⁵³: exact tie
+	} {
+		dp := &blockDP{best: map[uint64][]entry{}}
+		for i, leaf := range c.leaves {
+			mask := uint64(1) << i
+			dp.rels = append(dp.rels, dpRel{mask: mask})
+			dp.best[mask] = []entry{{info: cost.Info{Cost: leaf}}}
+		}
+		if got := dp.leavesLose(c.bound); got != c.lose {
+			t.Errorf("leaves %v, bound %v: leavesLose %v, want %v", c.leaves, c.bound, got, c.lose)
+		}
 	}
 }
