@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet staticcheck test race stress crash fuzz bench bench-smoke bench-diff gobench corebench paper docs-check check
+.PHONY: build vet staticcheck test race stress crash fuzz bench bench-smoke bench-diff gobench corebench execbench paper docs-check check
 
 build:
 	$(GO) build ./...
@@ -86,7 +86,9 @@ bench-diff:
 # internal/exec — one per operator: BenchmarkHashJoin, BenchmarkHashAgg,
 # BenchmarkMergeJoin, BenchmarkSortAggregate, BenchmarkBlockNL, and
 # BenchmarkSort (the operator ORDER BY runs in; in memory and spilling,
-# ascending and DESC); and
+# ascending and DESC); BenchmarkScanFilter, a scan's filter kernels per
+# stored row (an INT and a FLOAT column against a `?`, a column against a
+# column); and
 # BenchmarkOpenCursor, which times opening a plan apart from running it —
 # BenchmarkQueryCacheHit, BenchmarkWarmExec and BenchmarkQueryAdhocMix (the
 # adhoc-plan rotation through Engine.Query, every statement a plan-cache
@@ -102,6 +104,13 @@ gobench:
 corebench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkQueryAdhocMix$$' -benchtime 1x .
+
+# execbench runs every internal/exec benchmark once (one iteration each),
+# and BenchmarkWarmExec, the warm-exec statements through their cached
+# plans, so the executor's benchmarks keep running, not only compiling.
+execbench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exec
+	$(GO) test -run '^$$' -bench '^BenchmarkWarmExec$$' -benchtime 1x .
 
 # paper regenerates aggbench_output.txt, the full-size paper tables
 # EXPERIMENTS.md cites (~1 min), and fails when a line other than the
@@ -127,6 +136,6 @@ docs-check:
 # check is the tier-1 gate: static analysis plus the full test suite
 # (including the chaos fault sweeps) under the race detector, then the
 # doubled concurrency stress pass, the full-resolution crash sweep, one pass
-# of the optimizer's benchmarks, the benchmark module's smoke test, and the
-# documentation link/reference check.
-check: vet staticcheck race stress crash corebench bench-smoke docs-check
+# of the optimizer's and the executor's benchmarks, the benchmark module's
+# smoke test, and the documentation link/reference check.
+check: vet staticcheck race stress crash corebench execbench bench-smoke docs-check

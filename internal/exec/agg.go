@@ -12,12 +12,15 @@ import (
 // groupBySpec holds the compiled pieces of a GroupBy shared by both
 // aggregation methods: everything about it that depends only on the plan.
 type groupBySpec struct {
-	groupPos []int           // grouping column positions in the input
-	argFns   []expr.Compiled // aggregate argument evaluators (nil for COUNT(*))
+	groupPos []int // grouping column positions in the input
 	aggs     []expr.Agg
-	having   expr.Predicate  // over the inner schema
-	outputs  []expr.Compiled // over the inner schema; nil = identity
-	scalar   bool            // no grouping columns: always emit one row
+	// Aggregate i's argument is the input column argCol[i], or, when that
+	// is -1, the value argFns[i] computes (nil for COUNT(*)).
+	argCol  []int
+	argFns  []expr.Compiled
+	having  *expr.Filter    // over the inner schema
+	outputs []expr.Compiled // over the inner schema; nil = identity
+	scalar  bool            // no grouping columns: always emit one row
 	// Aggregate i's state is the expr.AggState at stateAt[i] among a
 	// group's nSlots state values. A MEDIAN or user-defined aggregate,
 	// whose state is its own object, folds into a boxed accumulator
@@ -45,6 +48,7 @@ type groupByCtx struct {
 	groups int
 	states []types.Row
 	boxed  []expr.Accumulator
+	zeros  []int32 // sort aggregation: the group ids of a run's rows, all 0
 }
 
 // stateChunkGroups is how many groups' states one arena carve holds: with
@@ -58,8 +62,9 @@ func groupBySpecOf(g *lplan.GroupBy) (*groupBySpec, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := len(g.Aggs)
 	spec := &groupBySpec{groupPos: groupPos, aggs: g.Aggs, scalar: len(g.GroupCols) == 0,
-		argFns: make([]expr.Compiled, len(g.Aggs)), stateAt: make([]int, len(g.Aggs)), boxedAt: make([]int, len(g.Aggs))}
+		argCol: make([]int, n), argFns: make([]expr.Compiled, n), stateAt: make([]int, n), boxedAt: make([]int, n)}
 	for i, a := range g.Aggs {
 		spec.stateAt[i], spec.boxedAt[i] = spec.nSlots, -1
 		if n := a.Kind.StateSlots(); n > 0 {
@@ -68,14 +73,18 @@ func groupBySpecOf(g *lplan.GroupBy) (*groupBySpec, error) {
 			spec.boxedAt[i] = spec.nBoxed
 			spec.nBoxed++
 		}
+		spec.argCol[i] = -1
 		if a.Arg != nil {
 			if spec.argFns[i], err = expr.Compile(a.Arg, in); err != nil {
 				return nil, err
 			}
+			if c, ok := a.Arg.(*expr.ColRef); ok {
+				spec.argCol[i], _ = in.IndexOf(c.ID) // resolved: it compiled
+			}
 		}
 	}
 	inner := g.InnerSchema()
-	if spec.having, err = compilePreds(g.Having, inner); err != nil {
+	if spec.having, err = expr.CompileFilter(g.Having, inner); err != nil {
 		return nil, err
 	}
 	for _, ne := range g.Outputs {
@@ -108,28 +117,131 @@ func (c *groupByCtx) stateOf(g int) types.Row {
 	return c.states[g/stateChunkGroups][g%stateChunkGroups*n:][:n]
 }
 
+// slot returns the first state value of group g's aggregate whose state
+// sits at offset at.
+func (c *groupByCtx) slot(g int32, at int) *types.Value {
+	return &c.states[uint32(g)/stateChunkGroups][int(uint32(g)%stateChunkGroups)*c.nSlots+at]
+}
+
 // dropGroups forgets every group, keeping the storage for the next ones.
 func (c *groupByCtx) dropGroups() {
 	c.groups, c.boxed = 0, c.boxed[:0]
 }
 
+// group0 returns n group ids of 0, for the rows of a sort aggregation's
+// run, which are all one group.
+func (c *groupByCtx) group0(n int) []int32 {
+	if len(c.zeros) < n {
+		c.zeros = make([]int32, max(n, DefaultBatchSize))
+	}
+	return c.zeros[:n]
+}
+
 var countStarArg = types.NewInt(1)
 
-// add folds one input row into group g.
-func (c *groupByCtx) add(g int, row types.Row) error {
-	states := c.stateOf(g)
-	for i, fn := range c.argFns {
+// fold folds each row into its group, rows[k] into group gids[k]. Each
+// aggregate takes one pass over the rows: COUNT(*) counts, and COUNT, SUM,
+// AVG, MIN and MAX of a column read it from the row in a loop of their
+// own. A computed argument is evaluated, and a MEDIAN or user-defined
+// aggregate folded, row by row within the pass. Either way a group's rows
+// fold in input order, so a FLOAT sum adds in the order a row-at-a-time
+// fold would.
+func (c *groupByCtx) fold(rows []types.Row, gids []int32) error {
+	for i, a := range c.aggs {
+		at, col := c.stateAt[i], c.argCol[i]
+		switch {
+		case c.boxedAt[i] >= 0 || col < 0 && c.argFns[i] != nil:
+			if err := c.foldRows(i, rows, gids); err != nil {
+				return err
+			}
+		case a.Kind == expr.AggCountStar:
+			for _, g := range gids {
+				s := c.slot(g, at)
+				*s = types.NewInt(s.I + 1) // a NULL state's I is 0
+			}
+		default:
+			c.foldColumn(a.Kind, at, rows, col, gids)
+		}
+	}
+	return nil
+}
+
+// foldColumn folds column col of rows into aggregate state at of their
+// groups. The cases each loop decides inline are those of
+// expr.AggState.Add, which it calls for the rest.
+func (c *groupByCtx) foldColumn(k expr.AggKind, at int, rows []types.Row, col int, gids []int32) {
+	switch k {
+	case expr.AggCount:
+		for i, row := range rows {
+			if row[col].K != types.KindNull {
+				s := c.slot(gids[i], at)
+				*s = types.NewInt(s.I + 1)
+			}
+		}
+	case expr.AggSum:
+		for i, row := range rows {
+			v, s := &row[col], c.slot(gids[i], at)
+			switch {
+			case v.K == types.KindInt && s.K != types.KindFloat:
+				*s = types.NewInt(s.I + v.I)
+			case v.K == types.KindFloat && s.K == types.KindFloat:
+				*s = types.NewFloat(s.F() + v.F())
+			case v.K != types.KindNull:
+				expr.AggState(c.stateOf(int(gids[i]))[at:]).Add(k, *v)
+			}
+		}
+	case expr.AggAvg:
+		for i, row := range rows {
+			if v := &row[col]; v.K != types.KindNull {
+				sum, n := c.slot(gids[i], at), c.slot(gids[i], at+1)
+				*sum = types.NewFloat(sum.F() + v.Float())
+				*n = types.NewInt(n.I + 1)
+			}
+		}
+	case expr.AggMin, expr.AggMax:
+		want := -1 // MIN replaces the state with a smaller value
+		if k == expr.AggMax {
+			want = 1
+		}
+		for i, row := range rows {
+			v := &row[col]
+			if v.K == types.KindNull {
+				continue
+			}
+			s := c.slot(gids[i], at)
+			switch {
+			case s.K == types.KindNull:
+				*s = *v
+			case v.K == types.KindInt && s.K == types.KindInt:
+				if v.I < s.I && want < 0 || v.I > s.I && want > 0 {
+					*s = *v
+				}
+			case types.Compare(*v, *s) == want:
+				*s = *v
+			}
+		}
+	}
+}
+
+// foldRows folds aggregate i row by row: its argument computed, or its
+// state boxed.
+func (c *groupByCtx) foldRows(i int, rows []types.Row, gids []int32) error {
+	fn, col, box, kind := c.argFns[i], c.argCol[i], c.boxedAt[i], c.aggs[i].Kind
+	for k, row := range rows {
 		v := countStarArg
-		if fn != nil {
+		switch {
+		case col >= 0:
+			v = row[col]
+		case fn != nil:
 			var err error
 			if v, err = fn(row, c.params); err != nil {
 				return err
 			}
 		}
-		if b := c.boxedAt[i]; b >= 0 {
-			c.boxed[g*c.nBoxed+b].Add(v)
+		if g := int(gids[k]); box >= 0 {
+			c.boxed[g*c.nBoxed+box].Add(v)
 		} else {
-			expr.AggState(states[c.stateAt[i]:]).Add(c.aggs[i].Kind, v)
+			expr.AggState(c.stateOf(g)[c.stateAt[i]:]).Add(kind, v)
 		}
 	}
 	return nil
@@ -159,7 +271,7 @@ func (c *groupByCtx) finish(g int, key types.Row) (types.Row, bool, error) {
 			inner[len(key)+i] = expr.AggState(states[c.stateAt[i]:]).Result(c.aggs[i].Kind)
 		}
 	}
-	keep, err := c.having(inner, c.params)
+	keep, err := c.having.Holds(inner, c.params)
 	if err != nil || !keep {
 		return nil, false, err
 	}
@@ -195,7 +307,7 @@ func compileGroupBy(g *lplan.GroupBy) (*op, error) {
 		return &op{newIter: func(e *Executor) BatchIterator {
 			ctx := newCtx(e)
 			return &sortAggIter{ctx: ctx, target: e.batchSize, in: runReader{in: sorted(e), cols: spec.groupPos,
-				fold: func(row types.Row) error { return ctx.add(0, row) }}}
+				fold: func(rows []types.Row) error { return ctx.fold(rows, ctx.group0(len(rows))) }}}
 		}}, nil
 	case lplan.AggHash, lplan.AggUnset:
 		return &op{newIter: func(e *Executor) BatchIterator {
@@ -208,9 +320,11 @@ func compileGroupBy(g *lplan.GroupBy) (*op, error) {
 
 // hashAggIter aggregates through an in-memory group table, partitioning the
 // input to spill files when the table exceeds the budget. It consumes its
-// input a batch at a time — hash the batch's key columns, then look each row
-// up, start its group if new, and fold it in; the finished groups stream
-// out in batches, in the order their first rows arrived.
+// input a batch at a time: it hashes the batch's key columns, resolves every
+// row's group id in one loop, starting groups as keys first arrive, then
+// folds the batch into the groups' states aggregate by aggregate
+// (groupByCtx.fold). The finished groups stream out in batches, in the
+// order their first rows arrived.
 type hashAggIter struct {
 	exec *Executor
 	ctx  *groupByCtx
@@ -280,6 +394,10 @@ func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 			return nil
 		}
 		b.hashes = hashKeys(b.Rows, ctx.groupPos, b.hashes)
+		gids := b.groupIDs()
+		// The rows that stay, with their group ids, are packed to the
+		// front of the batch: a row written to a partition is not folded.
+		n := 0
 		for i, row := range b.Rows {
 			g := it.tab.lookup(b.hashes[i], row, ctx.groupPos)
 			if g < 0 {
@@ -306,9 +424,14 @@ func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 					}
 				}
 			}
-			if err := ctx.add(g, row); err != nil {
-				return err
+			if n != i {
+				b.Rows[n] = row
 			}
+			gids[n] = int32(g)
+			n++
+		}
+		if err := ctx.fold(b.Rows[:n], gids[:n]); err != nil {
+			return err
 		}
 	}
 }
@@ -343,8 +466,9 @@ func (it *hashAggIter) Close() error {
 
 // sortAggIter aggregates an input sorted on the grouping columns. Each run
 // of equal grouping values is one group: the run reader folds its rows into
-// the context's group 0 as it reads them, and the group is finished before
-// the next run starts. Without grouping columns the whole input is one run.
+// the context's group 0 as it reads them, a batch's stretch of the run at a
+// time, and the group is finished before the next run starts. Without
+// grouping columns the whole input is one run.
 type sortAggIter struct {
 	ctx    *groupByCtx
 	target int

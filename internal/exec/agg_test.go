@@ -16,25 +16,26 @@ import (
 // group k = -1 holds only NULL inputs.
 const aggGroups = 700
 
-// aggTestEnv loads t(k INT, vi INT, vf FLOAT) into a pool of poolPages:
+// aggTestEnv stores t(k INT, vi INT, vf FLOAT, vm) in a pool of poolPages:
 // 3 000 rows in aggGroups groups, vi NULL on every 7th row and vf on every
-// 5th, plus three rows of group -1 whose vi and vf are both NULL. Every vf
-// is a multiple of 0.5 and every sum small, so float sums are exact in any
-// order.
+// 5th, plus three rows of group -1 whose vi, vf and vm are all NULL. Every
+// vf is a multiple of 0.5 and every sum small, so float sums are exact in
+// any order. vm mixes kinds, which the catalog would refuse, so the rows go
+// to the file directly: it is an INT on rows 0–699, 1 400–2 099 and from
+// 2 800, a FLOAT of no exact binary form on the others, and NULL on every
+// 11th. A group's rows are 700 apart, so the groups of rows 0–323 switch
+// from INT to FLOAT inside the first batch of 1 024.
 func aggTestEnv(t *testing.T, poolPages int) (*storage.Store, *catalog.Table) {
 	t.Helper()
 	st := storage.NewStore(poolPages)
-	c := catalog.New(st)
-	tbl, err := c.CreateTable("t", []schema.Column{
-		{ID: schema.ColID{Name: "k"}, Type: types.KindInt},
-		{ID: schema.ColID{Name: "vi"}, Type: types.KindInt},
-		{ID: schema.ColID{Name: "vf"}, Type: types.KindFloat},
-	}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := &catalog.Table{Name: "t", File: st.CreateFile("t"), Schema: schema.Schema{
+		{ID: schema.ColID{Rel: "t", Name: "k"}, Type: types.KindInt},
+		{ID: schema.ColID{Rel: "t", Name: "vi"}, Type: types.KindInt},
+		{ID: schema.ColID{Rel: "t", Name: "vf"}, Type: types.KindFloat},
+		{ID: schema.ColID{Rel: "t", Name: "vm"}, Type: types.KindFloat},
+	}}
 	insert := func(row types.Row) {
-		if err := c.Insert(tbl, row); err != nil {
+		if err := st.Append(tbl.File, row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,12 +47,21 @@ func aggTestEnv(t *testing.T, poolPages int) (*storage.Store, *catalog.Table) {
 		if i%5 == 0 {
 			vf = types.Null()
 		}
-		insert(types.Row{types.NewInt(int64(i * 37 % aggGroups)), vi, vf})
+		vm := types.NewInt(int64(i%17 - 8))
+		switch {
+		case i%11 == 0:
+			vm = types.Null()
+		case i/700%2 == 1:
+			vm = types.NewFloat(float64(i%23)*0.1 - 1.05)
+		}
+		insert(types.Row{types.NewInt(int64(i * 37 % aggGroups)), vi, vf, vm})
 	}
 	for i := 0; i < 3; i++ {
-		insert(types.Row{types.NewInt(-1), types.Null(), types.Null()})
+		insert(types.Row{types.NewInt(-1), types.Null(), types.Null(), types.Null()})
 	}
-	tbl, _ = c.Table("t")
+	if err := st.Flush(tbl.File); err != nil {
+		t.Fatal(err)
+	}
 	return st, tbl
 }
 
@@ -80,9 +90,13 @@ func (s *aggState) add(v types.Value) {
 // TestAggregatesAgainstReference runs AVG beside SUM, COUNT, MIN, MAX and
 // a boxed MEDIAN — so AVG's two state slots sit between one-slot states
 // and boxed ones — through hash and sort aggregation, in memory and with a
-// spilling hash table, at batch sizes 1 and the default. Every run must
+// spilling hash table, at batch sizes 1, 7 and the default. Every run must
 // equal the reference executor's bag and the values a plain Go fold gives,
-// NULL inputs skipped and the all-NULL group yielding NULL (COUNT 0).
+// NULL inputs skipped and the all-NULL group yielding NULL (COUNT 0). SUM,
+// AVG, MIN and MAX also run over vm, whose kind switches from INT to FLOAT
+// within a group, and SUM and MAX over computed arguments; those, and every
+// other column, must be bit-identical to batch size 1's. In the spill
+// regime the group table overflows inside the first batch.
 func TestAggregatesAgainstReference(t *testing.T) {
 	agg := func(k expr.AggKind, col, out string) expr.Agg {
 		a := expr.Agg{Kind: k, Out: schema.ColID{Rel: "g", Name: out}}
@@ -90,6 +104,9 @@ func TestAggregatesAgainstReference(t *testing.T) {
 			a.Arg = expr.Col("t", col)
 		}
 		return a
+	}
+	computed := func(k expr.AggKind, arg expr.Expr, out string) expr.Agg {
+		return expr.Agg{Kind: k, Arg: arg, Out: schema.ColID{Rel: "g", Name: out}}
 	}
 	aggs := []expr.Agg{
 		agg(expr.AggSum, "vi", "si"),
@@ -101,6 +118,13 @@ func TestAggregatesAgainstReference(t *testing.T) {
 		agg(expr.AggMax, "vi", "hi"),
 		agg(expr.AggSum, "vf", "sf"),
 		agg(expr.AggCountStar, "", "n"),
+		// Checked against batch size 1 and the reference executor only.
+		agg(expr.AggSum, "vm", "sm"),
+		agg(expr.AggAvg, "vm", "am"),
+		agg(expr.AggMin, "vm", "lm"),
+		agg(expr.AggMax, "vm", "hm"),
+		computed(expr.AggSum, expr.NewArith(expr.Mul, expr.Col("t", "vf"), expr.FloatLit(0.1)), "sc"),
+		computed(expr.AggMax, expr.NewArith(expr.Sub, expr.Col("t", "vi"), expr.Col("t", "vm")), "hc"),
 	}
 	for _, regime := range []struct {
 		name  string
@@ -123,6 +147,21 @@ func TestAggregatesAgainstReference(t *testing.T) {
 			vf[k].add(r[2])
 			rows[k]++
 		}
+		if regime.spill {
+			// The table overflows at the group whose accounted bytes pass
+			// the budget: its first row must fall inside a batch.
+			perGroup := types.NewInt(0).DiskWidth() + 8*len(aggs)
+			fit := regime.pool * storage.PageSize / perGroup
+			seen := map[int64]bool{}
+			for i, r := range all.Rows {
+				if seen[r[0].Int()] = true; len(seen) == fit+1 {
+					if i%DefaultBatchSize == 0 {
+						t.Fatalf("the group table overflows at row %d, a batch boundary", i)
+					}
+					break
+				}
+			}
+		}
 		for _, m := range []lplan.AggMethod{lplan.AggHash, lplan.AggSort} {
 			plan := &lplan.GroupBy{In: &lplan.Scan{Alias: "t", Table: tbl},
 				GroupCols: []schema.ColID{{Rel: "t", Name: "k"}}, Aggs: aggs, Method: m}
@@ -130,7 +169,8 @@ func TestAggregatesAgainstReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, bs := range []int{1, DefaultBatchSize} {
+			var first *Result
+			for _, bs := range []int{1, 7, DefaultBatchSize} {
 				name := fmt.Sprintf("%s/%v/batch=%d", regime.name, m, bs)
 				before := st.Stats()
 				got, err := New(st).WithBatchSize(bs).Run(plan)
@@ -146,7 +186,10 @@ func TestAggregatesAgainstReference(t *testing.T) {
 				if len(got.Rows) != aggGroups+1 {
 					t.Fatalf("%s: %d groups, want %d", name, len(got.Rows), aggGroups+1)
 				}
-				for _, r := range got.Rows {
+				if first == nil {
+					first = got
+				}
+				for j, r := range got.Rows {
 					k := r[0].Int()
 					i, f := vi[k], vf[k]
 					want := types.Row{r[0],
@@ -159,10 +202,25 @@ func TestAggregatesAgainstReference(t *testing.T) {
 								name, k, c, r[c], r[c].K, w, w.K)
 						}
 					}
+					for c, v := range first.Rows[j] {
+						if !sameBits(r[c], v) {
+							t.Fatalf("%s: group %d column %d is %v (%s), at batch size 1 %v (%s)",
+								name, k, c, r[c], r[c].K, v, v.K)
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// sameBits reports whether a and b are the same value to the bit: one kind
+// and one payload.
+func sameBits(a, b types.Value) bool {
+	if a.K == types.KindString {
+		return b.K == types.KindString && a.S() == b.S()
+	}
+	return a.K == b.K && a.I == b.I
 }
 
 // sumOf is SUM over a fold of a column of kind k: NULL over no input.

@@ -22,6 +22,11 @@ type Batch struct {
 	// hashes is scratch for the key hashes of Rows (hashKeys), pooled with
 	// the batch so that hashing operators allocate none per run.
 	hashes []uint64
+	// sel is scratch for a selection vector, positions in Rows (or in a
+	// page the batch's user is filtering), and gids for the group ids of
+	// Rows (hash aggregation), pooled alike. Like hashes, they are valid
+	// only while their user holds the batch.
+	sel, gids []int32
 }
 
 // Len returns the number of rows in the batch.
@@ -32,6 +37,26 @@ func (b *Batch) Reset() { b.Rows = b.Rows[:0] }
 
 // Append adds a row to the batch.
 func (b *Batch) Append(r types.Row) { b.Rows = append(b.Rows, r) }
+
+// selectAll returns the batch's selection vector holding 0, 1, ..., n-1.
+func (b *Batch) selectAll(n int) []int32 {
+	if cap(b.sel) < n {
+		b.sel = make([]int32, n, max(n, DefaultBatchSize))
+	}
+	b.sel = b.sel[:n]
+	for i := range b.sel {
+		b.sel[i] = int32(i)
+	}
+	return b.sel
+}
+
+// groupIDs returns the batch's group-id vector, one slot per row.
+func (b *Batch) groupIDs() []int32 {
+	if cap(b.gids) < len(b.Rows) {
+		b.gids = make([]int32, len(b.Rows), max(len(b.Rows), DefaultBatchSize))
+	}
+	return b.gids[:len(b.Rows)]
+}
 
 // batchPool recycles Batch vectors across operators and queries, so steady
 // query traffic allocates no per-batch memory.

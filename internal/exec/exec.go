@@ -339,36 +339,27 @@ func colIndexes(s schema.Schema, cols []schema.ColID) ([]int, error) {
 	return out, nil
 }
 
-// compilePreds compiles a conjunct list into a single row filter over s.
-func compilePreds(preds []expr.Expr, s schema.Schema) (expr.Predicate, error) {
-	fs := make([]expr.Predicate, len(preds))
-	for i, p := range preds {
-		var err error
-		if fs[i], err = expr.CompilePredicate(p, s); err != nil {
-			return nil, err
-		}
-	}
-	return func(row types.Row, params []types.Value) (bool, error) {
-		for _, f := range fs {
-			ok, err := f(row, params)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		return true, nil
-	}, nil
-}
-
-// scanIter reads a base table, filters, optionally appends $tid, projects.
-// It is fully vectorized: one NextBatch call consumes as many storage rows
-// as it takes to fill the batch (or hit end of file).
+// scanIter reads a base table a page at a time: it filters the page's rows
+// through a selection vector, then carves output rows, TID-extended and
+// projected, for the rows that passed alone. A page is read when the batch
+// being filled needs rows beyond the previous one, as a row-at-a-time scan
+// would read it, so the batch size never moves a page access.
 type scanIter struct {
 	exec   *Executor
 	node   *lplan.Scan
-	filter expr.Predicate
-	proj   []int // indexes into the (possibly tid-extended) base row; nil = all
-	sc     *storage.Scanner
-	arena  rowArena // backs tid-extended and projected output rows
+	filter *expr.Filter
+	// tidFilter: the filter reads $tid, so every row of a page is
+	// TID-extended (into buf.Rows) before it is filtered.
+	tidFilter bool
+	proj      []int // indexes into the (possibly tid-extended) base row; nil = all
+	sc        *storage.Scanner
+	arena     rowArena // backs tid-extended and projected output rows
+
+	buf  *Batch      // pooled: buf.sel backs sel
+	page []types.Row // the page's rows being emitted
+	rid  int64       // the rowid of page[0]
+	sel  []int32     // the positions in page of the rows that passed
+	pos  int         // the next of sel to emit
 }
 
 func compileScan(s *lplan.Scan) (*op, error) {
@@ -377,9 +368,17 @@ func compileScan(s *lplan.Scan) (*op, error) {
 		base = append(base, schema.Column{
 			ID: schema.ColID{Rel: s.Alias, Name: lplan.TIDColumn}, Type: types.KindInt})
 	}
-	filter, err := compilePreds(s.Filter, base)
+	filter, err := expr.CompileFilter(s.Filter, base)
 	if err != nil {
 		return nil, err
+	}
+	tidFilter := false
+	for _, p := range s.Filter {
+		for _, c := range expr.Columns(p) {
+			if i, _ := base.IndexOf(c); s.WithTID && i == len(base)-1 {
+				tidFilter = true
+			}
+		}
 	}
 	var proj []int
 	if s.Proj != nil {
@@ -389,60 +388,95 @@ func compileScan(s *lplan.Scan) (*op, error) {
 		}
 	}
 	return &op{newIter: func(e *Executor) BatchIterator {
-		return &scanIter{exec: e, node: s, filter: filter, proj: proj, arena: rowArena{rec: &e.arenas}}
+		return &scanIter{exec: e, node: s, filter: filter, tidFilter: tidFilter, proj: proj, arena: rowArena{rec: &e.arenas}}
 	}}, nil
 }
 
 func (it *scanIter) Open() error {
 	it.sc = it.exec.pg.NewScanner(it.node.Table.File)
+	it.buf, it.sel, it.pos = getBatch(), nil, 0
 	return nil
 }
 
 func (it *scanIter) NextBatch(dst *Batch) error {
 	dst.Reset()
-	target := it.exec.batchSize
-	for dst.Len() < target {
-		row, rid, ok, err := it.sc.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if it.node.WithTID {
-			ext := it.arena.carve(len(row) + 1)
-			copy(ext, row)
-			ext[len(row)] = types.NewInt(rid)
-			row = ext
-		}
-		keep, err := it.filter(row, it.exec.params)
-		if err != nil {
-			return err
-		}
-		if !keep {
+	for target := it.exec.batchSize; dst.Len() < target; {
+		if it.pos == len(it.sel) {
+			rows, rid, ok, err := it.sc.NextPage()
+			if err != nil || !ok {
+				return err
+			}
+			if it.tidFilter {
+				rows = it.extend(rows, rid)
+			}
+			it.page, it.rid, it.pos = rows, rid, 0
+			if it.sel, err = it.filter.Select(rows, it.buf.selectAll(len(rows)), it.exec.params); err != nil {
+				return err
+			}
 			continue
 		}
-		if it.proj != nil {
-			out := it.arena.carve(len(it.proj))
-			for i, j := range it.proj {
-				out[i] = row[j]
-			}
-			row = out
+		n := min(len(it.sel)-it.pos, target-dst.Len())
+		for _, k := range it.sel[it.pos : it.pos+n] {
+			dst.Append(it.emit(k))
 		}
-		dst.Append(row)
+		it.pos += n
 	}
 	return nil
 }
 
-func (it *scanIter) Close() error { return nil }
+// extend carves the TID-extended copies of a page's rows into buf.Rows.
+func (it *scanIter) extend(rows []types.Row, rid int64) []types.Row {
+	it.buf.Reset()
+	for k, row := range rows {
+		ext := it.arena.carve(len(row) + 1)
+		copy(ext, row)
+		ext[len(row)] = types.NewInt(rid + int64(k))
+		it.buf.Append(ext)
+	}
+	return it.buf.Rows
+}
+
+// emit returns the output row of page[k]: the row itself, or one carved
+// with its $tid appended, its projection taken, or both.
+func (it *scanIter) emit(k int32) types.Row {
+	row := it.page[k]
+	if !it.node.WithTID || it.tidFilter {
+		if it.proj == nil {
+			return row
+		}
+		return it.arena.project(row, it.proj)
+	}
+	tid := types.NewInt(it.rid + int64(k))
+	if it.proj == nil {
+		ext := it.arena.carve(len(row) + 1)
+		copy(ext, row)
+		ext[len(row)] = tid
+		return ext
+	}
+	out := it.arena.carve(len(it.proj))
+	for i, j := range it.proj {
+		if j == len(row) {
+			out[i] = tid
+		} else {
+			out[i] = row[j]
+		}
+	}
+	return out
+}
+
+func (it *scanIter) Close() error {
+	putBatch(it.buf)
+	it.buf, it.page, it.sel = nil, nil, nil
+	return nil
+}
 
 // filterIter applies residual predicates batch-at-a-time: it keeps pulling
 // input batches until the output batch is full or the input is exhausted,
-// so a selective filter still hands full batches downstream. It keeps its
-// input's order.
+// so a selective filter still hands full batches downstream. It narrows a
+// selection vector over each input batch and keeps its input's order.
 type filterIter struct {
 	in      BatchIterator
-	pred    expr.Predicate
+	filter  *expr.Filter
 	params  []types.Value
 	target  int
 	scratch *Batch
@@ -454,12 +488,12 @@ func compileFilter(f *lplan.Filter) (*op, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred, err := compilePreds(f.Preds, f.In.Schema())
+	filter, err := expr.CompileFilter(f.Preds, f.In.Schema())
 	if err != nil {
 		return nil, err
 	}
 	return &op{newIter: func(e *Executor) BatchIterator {
-		return &filterIter{in: e.build(in), pred: pred, params: e.params, target: e.batchSize}
+		return &filterIter{in: e.build(in), filter: filter, params: e.params, target: e.batchSize}
 	}}, nil
 }
 
@@ -472,21 +506,20 @@ func (it *filterIter) Open() error {
 func (it *filterIter) NextBatch(dst *Batch) error {
 	dst.Reset()
 	for !it.done && dst.Len() < it.target {
-		if err := it.in.NextBatch(it.scratch); err != nil {
+		b := it.scratch
+		if err := it.in.NextBatch(b); err != nil {
 			return err
 		}
-		if it.scratch.Len() == 0 {
+		if b.Len() == 0 {
 			it.done = true
 			return nil
 		}
-		for _, row := range it.scratch.Rows {
-			keep, err := it.pred(row, it.params)
-			if err != nil {
-				return err
-			}
-			if keep {
-				dst.Append(row)
-			}
+		sel, err := it.filter.Select(b.Rows, b.selectAll(b.Len()), it.params)
+		if err != nil {
+			return err
+		}
+		for _, k := range sel {
+			dst.Append(b.Rows[k])
 		}
 	}
 	return nil
@@ -498,14 +531,17 @@ func (it *filterIter) Close() error {
 	return it.in.Close()
 }
 
-// projectIter computes output expressions over each input batch. Output
-// cardinality equals input cardinality, so one input batch fills one
-// output batch.
+// projectIter computes output expressions over each input batch, carving
+// the output rows from its arena. An output that is a bare column is copied
+// by position; any other is evaluated. Output cardinality equals input
+// cardinality, so one input batch fills one output batch.
 type projectIter struct {
 	in      BatchIterator
-	exprs   []expr.Compiled
+	cols    []int           // per output: the input column it copies, or -1
+	exprs   []expr.Compiled // per output with cols -1: its evaluator
 	params  []types.Value
 	scratch *Batch
+	arena   rowArena
 }
 
 func compileProject(p *lplan.Project) (*op, error) {
@@ -513,14 +549,20 @@ func compileProject(p *lplan.Project) (*op, error) {
 	if err != nil {
 		return nil, err
 	}
+	cols := make([]int, len(p.Items))
 	exprs := make([]expr.Compiled, len(p.Items))
 	for i, ne := range p.Items {
 		if exprs[i], err = expr.Compile(ne.E, p.In.Schema()); err != nil {
 			return nil, err
 		}
+		cols[i] = -1
+		if c, ok := ne.E.(*expr.ColRef); ok {
+			cols[i], _ = p.In.Schema().IndexOf(c.ID) // resolved: it compiled
+			exprs[i] = nil
+		}
 	}
 	return &op{newIter: func(e *Executor) BatchIterator {
-		return &projectIter{in: e.build(in), exprs: exprs, params: e.params}
+		return &projectIter{in: e.build(in), cols: cols, exprs: exprs, params: e.params, arena: rowArena{rec: &e.arenas}}
 	}}, nil
 }
 
@@ -535,9 +577,13 @@ func (it *projectIter) NextBatch(dst *Batch) error {
 		return err
 	}
 	for _, row := range it.scratch.Rows {
-		out := make(types.Row, len(it.exprs))
-		for i, c := range it.exprs {
-			v, err := c(row, it.params)
+		out := it.arena.carve(len(it.cols))
+		for i, j := range it.cols {
+			if j >= 0 {
+				out[i] = row[j]
+				continue
+			}
+			v, err := it.exprs[i](row, it.params)
 			if err != nil {
 				return err
 			}

@@ -11,15 +11,44 @@ import (
 
 // joinSpec holds the compiled pieces shared by the join algorithms: the key
 // column positions of the equi-join conjuncts on each side, the residual
-// predicate compiled against the concatenated schema, and the output
-// projection.
+// predicate, and the output projection. A residual whose every conjunct
+// compares a left column with a right one is a list of pairs, tested on
+// the pair of rows as they are; any other is compiled against the
+// concatenated schema and tested on the concatenated row.
 type joinSpec struct {
 	lKeys, rKeys []int          // equi-join column positions (parallel slices)
 	lCols, rCols []schema.ColID // the same keys by column (lplan.Join.EquiKeys)
-	residual     expr.Predicate // nil = none
+	pairs        []pairCmp      // the residual, when it is all pairs
+	residual     *expr.Filter   // otherwise the residual over the concat schema; nil = none
 	proj         []int          // output projection over concat schema; nil = all
 	lWidth       int            // arity of the left input
 	rWidth       int            // arity of the right input (for outer-join padding)
+}
+
+// pairCmp is a residual conjunct l[lCol] op r[rCol] over a left row l and a
+// right row r.
+type pairCmp struct {
+	op         expr.CmpOp
+	lCol, rCol int
+}
+
+// residualPairs returns preds as pairs over a left input of lWidth columns
+// (none for no preds), or nil when some conjunct is not a comparison of a
+// left and a right column of concat. A comparison written right column
+// first is flipped.
+func residualPairs(preds []expr.Expr, concat schema.Schema, lWidth int) []pairCmp {
+	pairs := make([]pairCmp, len(preds))
+	for i, p := range preds {
+		op, l, r, ok := expr.ColumnCompare(p, concat)
+		if ok && l >= lWidth && r < lWidth {
+			op, l, r = op.Flip(), r, l
+		}
+		if !ok || l >= lWidth || r < lWidth {
+			return nil
+		}
+		pairs[i] = pairCmp{op: op, lCol: l, rCol: r - lWidth}
+	}
+	return pairs
 }
 
 // joinCommon is one run's view of a joinSpec: the run's parameters and the
@@ -44,9 +73,10 @@ func joinSpecOf(j *lplan.Join) (*joinSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	var residual expr.Predicate
-	if len(residualPreds) > 0 {
-		if residual, err = compilePreds(residualPreds, concat); err != nil {
+	pairs := residualPairs(residualPreds, concat, len(ls))
+	var residual *expr.Filter
+	if pairs == nil {
+		if residual, err = expr.CompileFilter(residualPreds, concat); err != nil {
 			return nil, err
 		}
 	}
@@ -57,7 +87,7 @@ func joinSpecOf(j *lplan.Join) (*joinSpec, error) {
 			return nil, err
 		}
 	}
-	return &joinSpec{lKeys: lKeys, rKeys: rKeys, lCols: lCols, rCols: rCols, residual: residual, proj: proj,
+	return &joinSpec{lKeys: lKeys, rKeys: rKeys, lCols: lCols, rCols: rCols, pairs: pairs, residual: residual, proj: proj,
 		lWidth: len(ls), rWidth: len(rs)}, nil
 }
 
@@ -115,11 +145,17 @@ func compileJoin(j *lplan.Join) (*op, error) {
 
 // emit applies residual predicates and projection to a joined row pair.
 func (jc *joinCommon) emit(l, r types.Row) (types.Row, bool, error) {
+	for _, p := range jc.pairs {
+		if !p.op.Holds(&l[p.lCol], &r[p.rCol]) {
+			return nil, false, nil
+		}
+	}
 	if jc.residual != nil {
-		// Only the residual predicate needs the pair as one row; it reads
-		// it from a reusable scratch buffer the emitted row never aliases.
+		// Only a residual of another shape needs the pair as one row; it
+		// reads it from a reusable scratch buffer the emitted row never
+		// aliases.
 		jc.scratch = append(append(jc.scratch[:0], l...), r...)
-		ok, err := jc.residual(jc.scratch, jc.params)
+		ok, err := jc.residual.Holds(jc.scratch, jc.params)
 		if err != nil || !ok {
 			return nil, false, err
 		}

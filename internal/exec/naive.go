@@ -5,6 +5,7 @@ import (
 
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
+	"aggview/internal/schema"
 	"aggview/internal/storage"
 	"aggview/internal/types"
 )
@@ -36,7 +37,7 @@ func naiveRows(store *storage.Store, n lplan.Node, params []types.Value) ([]type
 		if err != nil {
 			return nil, err
 		}
-		pred, err := compilePreds(t.Preds, t.In.Schema())
+		pred, err := naivePreds(t.Preds, t.In.Schema())
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +109,7 @@ func naiveRows(store *storage.Store, n lplan.Node, params []types.Value) ([]type
 			return nil, err
 		}
 		concat := t.L.Schema().Concat(t.R.Schema())
-		pred, err := compilePreds(t.Preds, concat)
+		pred, err := naivePreds(t.Preds, concat)
 		if err != nil {
 			return nil, err
 		}
@@ -181,12 +182,35 @@ func naiveRows(store *storage.Store, n lplan.Node, params []types.Value) ([]type
 	}
 }
 
+// naivePreds compiles a conjunct list into one row filter over s, evaluated
+// a row and a conjunct at a time: the reference executor's own, kept apart
+// from the selection kernels (expr.Filter) it checks.
+func naivePreds(preds []expr.Expr, s schema.Schema) (expr.Predicate, error) {
+	fs := make([]expr.Predicate, len(preds))
+	for i, p := range preds {
+		var err error
+		if fs[i], err = expr.CompilePredicate(p, s); err != nil {
+			return nil, err
+		}
+	}
+	return func(row types.Row, params []types.Value) (bool, error) {
+		for _, f := range fs {
+			ok, err := f(row, params)
+			if err != nil || !ok {
+				return false, err
+			}
+		}
+		return true, nil
+	}, nil
+}
+
 func naiveScan(store *storage.Store, s *lplan.Scan, params []types.Value) ([]types.Row, error) {
 	base := s.Table.Schema.Rename(s.Alias)
 	if s.WithTID {
-		base = append(base, s.Schema()[len(s.Schema())-1])
+		base = append(base, schema.Column{
+			ID: schema.ColID{Rel: s.Alias, Name: lplan.TIDColumn}, Type: types.KindInt})
 	}
-	filter, err := compilePreds(s.Filter, base)
+	filter, err := naivePreds(s.Filter, base)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +307,7 @@ func naiveGroupBy(store *storage.Store, g *lplan.GroupBy, params []types.Value) 
 	}
 
 	inner := g.InnerSchema()
-	having, err := compilePreds(g.Having, inner)
+	having, err := naivePreds(g.Having, inner)
 	if err != nil {
 		return nil, err
 	}

@@ -270,14 +270,14 @@ func (m *mergeRuns) Close() error { return nil }
 
 // runReader reads an input sorted on cols as runs: maximal stretches of rows
 // whose cols compare equal under types.CompareRows, the sort's own
-// comparison. A run may span input batches. With fold set, each row of a run
-// is handed to it as the run is read; otherwise the run's rows are collected
-// in run. Either way rows pass by reference, which the row-immutability
-// contract (doc.go) makes safe.
+// comparison. A run may span input batches. With fold set, each stretch of
+// a run within one input batch is handed to it as the run is read;
+// otherwise the run's rows are collected in run. Either way rows pass by
+// reference, which the row-immutability contract (doc.go) makes safe.
 type runReader struct {
 	in   BatchIterator
 	cols []int
-	fold func(types.Row) error
+	fold func([]types.Row) error
 	run  []types.Row
 
 	b   *Batch // the input batch being read
@@ -306,18 +306,26 @@ func (rr *runReader) next() (types.Row, error) {
 			rr.pos, rr.eof = 0, rr.b.Len() == 0
 			continue
 		}
-		row := rr.b.Rows[rr.pos]
+		start, ended := rr.pos, false
 		if first == nil {
-			first = row
-		} else if types.CompareRows(first, row, rr.cols) != 0 {
-			return first, nil
+			first = rr.b.Rows[rr.pos]
+			rr.pos++
 		}
+		for ; rr.pos < rr.b.Len(); rr.pos++ {
+			if types.CompareRows(first, rr.b.Rows[rr.pos], rr.cols) != 0 {
+				ended = true
+				break
+			}
+		}
+		stretch := rr.b.Rows[start:rr.pos]
 		if rr.fold == nil {
-			rr.run = append(rr.run, row)
-		} else if err := rr.fold(row); err != nil {
+			rr.run = append(rr.run, stretch...)
+		} else if err := rr.fold(stretch); err != nil {
 			return nil, err
 		}
-		rr.pos++
+		if ended {
+			return first, nil
+		}
 	}
 }
 

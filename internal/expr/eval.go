@@ -22,12 +22,9 @@ type Predicate func(row types.Row, params []types.Value) (bool, error)
 func Compile(e Expr, s schema.Schema) (Compiled, error) {
 	switch n := e.(type) {
 	case *ColRef:
-		i, err := s.IndexOf(n.ID)
+		i, err := n.position(s)
 		if err != nil {
 			return nil, err
-		}
-		if i < 0 {
-			return nil, fmt.Errorf("column %q not found in schema %s", n.ID, s)
 		}
 		return func(row types.Row, _ []types.Value) (types.Value, error) { return row[i], nil }, nil
 
@@ -189,6 +186,19 @@ func Compile(e Expr, s schema.Schema) (Compiled, error) {
 	default:
 		return nil, fmt.Errorf("cannot compile expression of type %T", e)
 	}
+}
+
+// position resolves the column against s. It fails if the column is
+// missing or ambiguous.
+func (c *ColRef) position(s schema.Schema) (int, error) {
+	i, err := s.IndexOf(c.ID)
+	if err != nil {
+		return -1, err
+	}
+	if i < 0 {
+		return -1, fmt.Errorf("column %q not found in schema %s", c.ID, s)
+	}
+	return i, nil
 }
 
 // CompilePredicate compiles a boolean expression into a row filter.

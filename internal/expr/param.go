@@ -37,7 +37,7 @@ func compileParam(p *Param) Compiled {
 	i := p.Idx
 	return func(_ types.Row, params []types.Value) (types.Value, error) {
 		if i >= len(params) {
-			return types.Null(), fmt.Errorf("parameter %s is not bound (%d value(s) supplied)", p, len(params))
+			return types.Null(), unbound(p, params)
 		}
 		return params[i], nil
 	}

@@ -520,15 +520,17 @@ func (s *Store) readPageAs(se *Session, f *File, n int) ([]types.Row, error) {
 
 // Scanner iterates a file's rows page by page through the buffer pool. A
 // scanner opened through a Session attributes its page reads to that
-// session.
+// session. NextPage hands out a page's rows at once; Next hands them out
+// one at a time, reading the next page when the current one is used up.
+// Either way a page is read, and its IO charged, once per scan.
 type Scanner struct {
 	store *Store
 	sess  *Session
 	file  *File
-	page  int
-	slot  int
-	rows  []types.Row
-	rid   int64
+	page  int         // the page last read; -1 before the first
+	rows  []types.Row // its rows
+	rid   int64       // the rowid of its first row
+	slot  int         // Next: its next row
 }
 
 // NewScanner starts a scan of f with unattributed (store-global) IO.
@@ -536,26 +538,32 @@ func (s *Store) NewScanner(f *File) *Scanner {
 	return &Scanner{store: s, file: f, page: -1}
 }
 
+// NextPage returns the rows of the next page and the rowid of the first of
+// them, or ok=false at end of file. The rows alias the page and must not be
+// mutated; a page may hold no rows.
+func (sc *Scanner) NextPage() (rows []types.Row, rid int64, ok bool, err error) {
+	if sc.page+1 >= sc.file.Pages() {
+		return nil, 0, false, nil
+	}
+	rows, err = sc.store.readPageAs(sc.sess, sc.file, sc.page+1)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	sc.page++
+	sc.rid += int64(len(sc.rows))
+	sc.rows, sc.slot = rows, 0
+	return rows, sc.rid, true, nil
+}
+
 // Next returns the next row and its rowid, or ok=false at end of file.
 func (sc *Scanner) Next() (row types.Row, rid int64, ok bool, err error) {
-	for {
-		if sc.page >= 0 && sc.slot < len(sc.rows) {
-			row = sc.rows[sc.slot]
-			rid = sc.rid
-			sc.slot++
-			sc.rid++
-			return row, rid, true, nil
-		}
-		sc.page++
-		if sc.page >= sc.file.Pages() {
-			return nil, 0, false, nil
-		}
-		sc.rows, err = sc.store.readPageAs(sc.sess, sc.file, sc.page)
-		if err != nil {
+	for sc.slot == len(sc.rows) {
+		if _, _, ok, err = sc.NextPage(); !ok || err != nil {
 			return nil, 0, false, err
 		}
-		sc.slot = 0
 	}
+	sc.slot++
+	return sc.rows[sc.slot-1], sc.rid + int64(sc.slot-1), true, nil
 }
 
 // shardedPool hash-partitions buffer-pool residency into independently
