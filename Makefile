@@ -83,7 +83,9 @@ bench-diff:
 # internal/sql, the optimizer's in internal/core — BenchmarkOptimizeAdhoc per
 # template and mode, BenchmarkOptimizeAdhocMix over adhoc-plan's rotation,
 # per statement — the executor's in
-# internal/exec — one per operator: BenchmarkHashJoin, BenchmarkHashAgg,
+# internal/exec — one per operator: BenchmarkHashJoin, BenchmarkHashAgg
+# (each on `int` keys, which a key table indexes directly, `string` keys, and
+# `int-sparse` keys spread over 2^40, which keep the table hashed),
 # BenchmarkMergeJoin, BenchmarkSortAggregate, BenchmarkBlockNL, and
 # BenchmarkSort (the operator ORDER BY runs in; in memory and spilling,
 # ascending and DESC); BenchmarkScanFilter, a scan's filter kernels per

@@ -6,6 +6,7 @@ import (
 
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
+	"aggview/internal/schema"
 	"aggview/internal/types"
 )
 
@@ -56,8 +57,8 @@ type groupByCtx struct {
 // groups takes a corner of the slab its output rows come from anyway.
 const stateChunkGroups = 256
 
-func groupBySpecOf(g *lplan.GroupBy) (*groupBySpec, error) {
-	in := g.In.Schema()
+// groupBySpecOf compiles g over input rows of schema in.
+func groupBySpecOf(g *lplan.GroupBy, in schema.Schema) (*groupBySpec, error) {
 	groupPos, err := colIndexes(in, g.GroupCols)
 	if err != nil {
 		return nil, err
@@ -290,14 +291,19 @@ func (c *groupByCtx) finish(g int, key types.Row) (types.Row, bool, error) {
 }
 
 func compileGroupBy(g *lplan.GroupBy) (*op, error) {
-	spec, err := groupBySpecOf(g)
+	compile := compileInput
+	if g.Method == lplan.AggHash || g.Method == lplan.AggUnset {
+		compile = hashInput
+	}
+	input, err := compile(g.In)
 	if err != nil {
 		return nil, err
 	}
-	in, err := compileOp(g.In)
+	spec, err := groupBySpecOf(g, input.sch)
 	if err != nil {
 		return nil, err
 	}
+	in := input.op
 	newCtx := func(e *Executor) *groupByCtx {
 		return &groupByCtx{groupBySpec: spec, params: e.params, arena: rowArena{rec: &e.arenas}}
 	}
@@ -311,7 +317,7 @@ func compileGroupBy(g *lplan.GroupBy) (*op, error) {
 		}}, nil
 	case lplan.AggHash, lplan.AggUnset:
 		return &op{newIter: func(e *Executor) BatchIterator {
-			return &hashAggIter{exec: e, ctx: newCtx(e), in: e.build(in), groups: g.Groups}
+			return &hashAggIter{exec: e, ctx: newCtx(e), in: e.build(in), shape: input.shape, groups: g.Groups}
 		}}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown aggregation method %v", g.Method)
@@ -326,9 +332,10 @@ func compileGroupBy(g *lplan.GroupBy) (*op, error) {
 // (groupByCtx.fold). The finished groups stream out in batches, in the
 // order their first rows arrived.
 type hashAggIter struct {
-	exec *Executor
-	ctx  *groupByCtx
-	in   BatchIterator
+	exec  *Executor
+	ctx   *groupByCtx
+	in    BatchIterator
+	shape rowShape // of in's rows
 
 	tab    keyTable       // group key -> group number
 	groups float64        // the plan's group estimate, which presizes tab
@@ -349,9 +356,8 @@ func (it *hashAggIter) Open() error {
 		return err
 	}
 	// SQL semantics: a scalar aggregate over an empty input yields one row.
-	if it.ctx.scalar && it.tab.len() == 0 {
+	if it.ctx.scalar && it.ctx.groups == 0 {
 		it.ctx.newGroup()
-		it.tab.insert(0, nil, nil)
 	}
 	if err := it.finishGroups(); err != nil {
 		return err
@@ -362,7 +368,7 @@ func (it *hashAggIter) Open() error {
 		if err := p.finish(); err != nil {
 			return err
 		}
-		if err := it.consume(&spillIter{sp: p, target: it.exec.batchSize}, false); err != nil {
+		if err := it.consume(&spillIter{sp: p, target: it.exec.batchSize, shape: it.shape, arena: &it.ctx.arena}, false); err != nil {
 			return err
 		}
 		if err := it.finishGroups(); err != nil {
@@ -393,7 +399,7 @@ func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 		if b.Len() == 0 {
 			return nil
 		}
-		b.hashes = hashKeys(b.Rows, ctx.groupPos, b.hashes)
+		it.tab.hash(b, ctx.groupPos)
 		gids := b.groupIDs()
 		// The rows that stay, with their group ids, are packed to the
 		// front of the batch: a row written to a partition is not folded.
@@ -406,13 +412,13 @@ func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 					// from the table's hash: which rows share a spill file,
 					// and so every page count, stays as it always was.
 					it.keyBuf = row.AppendKey(it.keyBuf[:0], ctx.groupPos)
-					if err := it.parts[partitionOf(it.keyBuf)].add(row); err != nil {
+					if err := it.parts[partitionOf(it.keyBuf)].add(it.shape.cut(row, &ctx.arena)); err != nil {
 						return err
 					}
 					continue
 				}
 				ctx.newGroup()
-				g = it.tab.insert(b.hashes[i], row, ctx.groupPos)
+				g = it.tab.insert(b, i, ctx.groupPos)
 				// Accounted bytes mirror the cost model's group-table
 				// estimate (the output row width), so the executor spills
 				// exactly where the model predicts a spill.
@@ -438,8 +444,8 @@ func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 
 // finishGroups appends the table's groups to the output and empties it.
 func (it *hashAggIter) finishGroups() error {
-	it.rows = slices.Grow(it.rows, it.tab.len())
-	for g := 0; g < it.tab.len(); g++ {
+	it.rows = slices.Grow(it.rows, it.ctx.groups)
+	for g := 0; g < it.ctx.groups; g++ {
 		row, ok, err := it.ctx.finish(g, it.tab.key(g, it.key[:]))
 		if err != nil {
 			return err

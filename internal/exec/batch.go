@@ -272,10 +272,13 @@ func (it *sliceIter) NextBatch(dst *Batch) error {
 
 func (it *sliceIter) Close() error { return nil }
 
-// spillIter scans a spill file in batches.
+// spillIter scans a spill file in batches, widening each row by shape
+// into arena (rowShape.widen).
 type spillIter struct {
 	sp     *spill
 	target int
+	shape  rowShape
+	arena  *rowArena
 	sc     *storage.Scanner
 }
 
@@ -291,7 +294,7 @@ func (it *spillIter) NextBatch(dst *Batch) error {
 		if !ok {
 			return nil
 		}
-		dst.Append(r)
+		dst.Append(it.shape.widen(r, it.arena))
 	}
 	return nil
 }

@@ -219,7 +219,7 @@ func compileOp(n lplan.Node) (*op, error) {
 	var err error
 	switch t := n.(type) {
 	case *lplan.Scan:
-		o, err = compileScan(t)
+		o, err = compileScan(t, false)
 	case *lplan.Input:
 		o = &op{newIter: func(e *Executor) BatchIterator { return newSliceIter(e.input, e.batchSize) }}
 	case *lplan.Filter:
@@ -238,8 +238,121 @@ func compileOp(n lplan.Node) (*op, error) {
 	if err != nil {
 		return nil, err
 	}
+	return labelled(o, n), nil
+}
+
+// labelled sets what a compiled operator takes from its plan node: the
+// node itself, its label and its order.
+func labelled(o *op, n lplan.Node) *op {
 	o.node, o.label, o.order = n, n.Describe(), lplan.Order(n)
-	return o, nil
+	return o
+}
+
+// input is a compiled operator as its parent reads it: the operator, the
+// schema of the rows it emits, and their shape (hashInput).
+type input struct {
+	op    *op
+	sch   schema.Schema
+	shape rowShape
+}
+
+// compileInput compiles n as an input that emits rows of n's own schema.
+func compileInput(n lplan.Node) (input, error) {
+	o, err := compileOp(n)
+	return input{op: o, sch: n.Schema()}, err
+}
+
+// hashInput compiles n as an input of a hash join or a hash aggregation,
+// which reads a few columns of each row and keeps no row as it is. A scan
+// that projects, and appends no $tid, then emits its stored rows as they
+// are, filtered but not carved: the input's schema is the stored one with
+// the columns the scan does not project left nameless, so that nothing
+// resolves to them, and its shape says where the projected ones sit. Any
+// other n compiles as compileInput does.
+func hashInput(n lplan.Node) (input, error) {
+	s, ok := n.(*lplan.Scan)
+	if !ok || s.Proj == nil || s.WithTID {
+		return compileInput(n)
+	}
+	base := s.Table.Schema.Rename(s.Alias)
+	narrow, err := colIndexes(base, s.Proj)
+	if err != nil {
+		return input{}, err
+	}
+	sch := make(schema.Schema, len(base))
+	for i, c := range base {
+		sch[i].Type = c.Type
+	}
+	for _, j := range narrow {
+		sch[j] = base[j]
+	}
+	o, err := compileScan(s, true)
+	if err != nil {
+		return input{}, err
+	}
+	return input{op: labelled(o, s), sch: sch, shape: rowShape{narrow: narrow, width: len(base)}}, nil
+}
+
+// rowShape relates the rows a scan under a hash operator emits, its stored
+// rows, to the rows it would emit on its own: narrow[i] is the stored
+// position of the scan's column i, in rows of width values. The operator's
+// budget counts the narrowed row, and a spill file holds it, as the scan
+// would have carved it, so every spill decision and every spill page stays
+// the same; a row read back from a spill file is widened to the stored
+// positions again, so one set of compiled positions serves both paths. The
+// zero shape is an input that emits its own rows.
+type rowShape struct {
+	narrow []int
+	width  int
+}
+
+// positions appends to dst where the columns of an input whose rows are
+// width wide sit in them, offset by off.
+func (s rowShape) positions(width, off int, dst []int) []int {
+	if s.narrow == nil {
+		for j := range width {
+			dst = append(dst, off+j)
+		}
+		return dst
+	}
+	for _, j := range s.narrow {
+		dst = append(dst, off+j)
+	}
+	return dst
+}
+
+// diskWidth returns the accounted width of r narrowed.
+func (s rowShape) diskWidth(r types.Row) int {
+	if s.narrow == nil {
+		return r.DiskWidth()
+	}
+	w := types.Row(nil).DiskWidth() // the tuple header
+	for _, j := range s.narrow {
+		w += r[j].DiskWidth()
+	}
+	return w
+}
+
+// cut returns r narrowed, carved from a.
+func (s rowShape) cut(r types.Row, a *rowArena) types.Row {
+	if s.narrow == nil {
+		return r
+	}
+	return a.project(r, s.narrow)
+}
+
+// widen returns a narrowed row put back at its stored positions, carved
+// from a; the positions the scan does not project hold NULL.
+func (s rowShape) widen(r types.Row, a *rowArena) types.Row {
+	if s.narrow == nil {
+		return r
+	}
+	out := a.carve(s.width)
+	clear(out)
+	for i, j := range s.narrow {
+		out[j] = r[i]
+	}
+	return out
 }
 
 // Open builds the program's iterator tree for this run, opens it, and
@@ -341,9 +454,11 @@ func colIndexes(s schema.Schema, cols []schema.ColID) ([]int, error) {
 
 // scanIter reads a base table a page at a time: it filters the page's rows
 // through a selection vector, then carves output rows, TID-extended and
-// projected, for the rows that passed alone. A page is read when the batch
-// being filled needs rows beyond the previous one, as a row-at-a-time scan
-// would read it, so the batch size never moves a page access.
+// projected, for the rows that passed alone; a scan without either, or one
+// under a hash operator (hashInput), emits the stored rows that passed. A
+// page is read when the batch being filled needs rows beyond the previous
+// one, as a row-at-a-time scan would read it, so the batch size never
+// moves a page access.
 type scanIter struct {
 	exec   *Executor
 	node   *lplan.Scan
@@ -362,7 +477,9 @@ type scanIter struct {
 	pos  int         // the next of sel to emit
 }
 
-func compileScan(s *lplan.Scan) (*op, error) {
+// compileScan compiles a scan; stored: it emits its stored rows, not its
+// projection.
+func compileScan(s *lplan.Scan, stored bool) (*op, error) {
 	base := s.Table.Schema.Rename(s.Alias)
 	if s.WithTID {
 		base = append(base, schema.Column{
@@ -381,7 +498,7 @@ func compileScan(s *lplan.Scan) (*op, error) {
 		}
 	}
 	var proj []int
-	if s.Proj != nil {
+	if s.Proj != nil && !stored {
 		proj, err = colIndexes(base, s.Proj)
 		if err != nil {
 			return nil, err

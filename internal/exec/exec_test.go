@@ -327,27 +327,55 @@ func TestSortAggregate(t *testing.T) {
 	}
 }
 
+// TestHashAggregateSpill groups emp by eno, 20 000 singleton groups, on a
+// 2-page budget, so the table partitions to disk: over a scan of the table,
+// and over one that projects two of its four columns, whose stored rows the
+// aggregation reads. At every batch size both must give the same rows in
+// the same order, and each the page IO, and every operator's share of it,
+// that the scans carving their projected rows gave.
 func TestHashAggregateSpill(t *testing.T) {
-	// Group by eno → 20000 singleton groups with a 2-page budget.
 	e := newEnv(t, 2, 20000, 25)
-	g := &lplan.GroupBy{
-		In:        e.scanEmp("e"),
-		GroupCols: []schema.ColID{{Rel: "e", Name: "eno"}},
-		Aggs: []expr.Agg{
-			{Kind: expr.AggSum, Arg: expr.Col("e", "sal"), Out: schema.ColID{Rel: "v", Name: "s"}},
-		},
-		Method: lplan.AggHash,
-	}
-	before := e.store.Stats()
-	got, err := New(e.store).Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != 20000 {
-		t.Fatalf("groups = %d", len(got.Rows))
-	}
-	if e.store.Stats().Sub(before).Writes == 0 {
-		t.Fatalf("hash aggregate should have partitioned to disk")
+	var first *Result
+	for _, c := range []struct {
+		proj []schema.ColID
+		io   storage.IOStats
+		ops  string // the aggregation's and the scan's reads/writes/hits (opIO)
+	}{
+		{nil, storage.IOStats{Reads: 353, Writes: 176}, "176/176/0 177/0/0"},
+		{[]schema.ColID{{Rel: "e", Name: "eno"}, {Rel: "e", Name: "sal"}}, storage.IOStats{Reads: 280, Writes: 103}, "103/103/0 177/0/0"},
+	} {
+		scan := e.scanEmp("e")
+		scan.Proj = c.proj
+		g := &lplan.GroupBy{
+			In:        scan,
+			GroupCols: []schema.ColID{{Rel: "e", Name: "eno"}},
+			Aggs: []expr.Agg{
+				{Kind: expr.AggSum, Arg: expr.Col("e", "sal"), Out: schema.ColID{Rel: "v", Name: "s"}},
+			},
+			Method: lplan.AggHash,
+		}
+		for _, bs := range []int{1, 7, DefaultBatchSize} {
+			e.store.ForceDropCaches()
+			before := e.store.Stats()
+			got, col, err := runAttributed(e.store, g, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Rows) != 20000 {
+				t.Fatalf("groups = %d", len(got.Rows))
+			}
+			if io, ops := e.store.Stats().Sub(before), opIO(col, g); io != c.io || ops != c.ops {
+				t.Errorf("proj %v, batch %d: page IO %+v (per operator %s), want %+v (%s)", c.proj, bs, io, ops, c.io, c.ops)
+			}
+			if first == nil {
+				first = got
+			}
+			for i, r := range got.Rows {
+				if types.CompareRows(r, first.Rows[i], []int{0, 1}) != 0 {
+					t.Fatalf("proj %v, batch %d: row %d is %v, over the plain scan %v", c.proj, bs, i, r, first.Rows[i])
+				}
+			}
+		}
 	}
 }
 
@@ -496,5 +524,61 @@ func TestBagEqualToleratesFloatNoise(t *testing.T) {
 	d := &Result{}
 	if BagEqual(a, d) {
 		t.Fatalf("different cardinalities compared equal")
+	}
+}
+
+// TestHashInputScanCarvesNothing: a scan that projects emits its stored
+// rows, as they are, to a hash aggregation and to either input of a hash
+// join, so a run carves exactly the arena slabs that the same plan over
+// scans that do not project carves.
+func TestHashInputScanCarvesNothing(t *testing.T) {
+	e := newEnv(t, 4096, 20000, 25)
+	scan := func(s *lplan.Scan, project bool, cols ...string) *lplan.Scan {
+		for _, c := range cols {
+			if project {
+				s.Proj = append(s.Proj, schema.ColID{Rel: s.Alias, Name: c})
+			}
+		}
+		return s
+	}
+	slabs := func(n lplan.Node) int {
+		p, err := Compile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := New(e.store).Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Close()
+		for {
+			_, ok, err := cur.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return len(cur.ex.arenas.slabs)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		plan func(project bool) lplan.Node
+	}{
+		{"hash-agg", func(project bool) lplan.Node {
+			return &lplan.GroupBy{In: scan(e.scanEmp("e"), project, "sal", "dno"),
+				GroupCols: []schema.ColID{{Rel: "e", Name: "dno"}}, Method: lplan.AggHash,
+				Aggs: []expr.Agg{{Kind: expr.AggSum, Arg: expr.Col("e", "sal"), Out: schema.ColID{Rel: "g", Name: "s"}}}}
+		}},
+		{"hash-join", func(project bool) lplan.Node {
+			return &lplan.Join{L: scan(e.scanEmp("e"), project, "dno", "eno"), R: scan(e.scanDept("d"), project, "budget", "dno"),
+				Preds:  []expr.Expr{expr.NewCmp(expr.EQ, expr.Col("e", "dno"), expr.Col("d", "dno"))},
+				Proj:   []schema.ColID{{Rel: "e", Name: "eno"}, {Rel: "d", Name: "budget"}},
+				Method: lplan.JoinHash}
+		}},
+	} {
+		if plain, projected := slabs(c.plan(false)), slabs(c.plan(true)); projected != plain {
+			t.Errorf("%s: %d arena slabs over projecting scans, %d over plain ones", c.name, projected, plain)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
@@ -11,18 +12,22 @@ import (
 
 // joinSpec holds the compiled pieces shared by the join algorithms: the key
 // column positions of the equi-join conjuncts on each side, the residual
-// predicate, and the output projection. A residual whose every conjunct
-// compares a left column with a right one is a list of pairs, tested on
-// the pair of rows as they are; any other is compiled against the
-// concatenated schema and tested on the concatenated row.
+// predicate, and the output projection, all over the rows the inputs emit.
+// A hash join tests the residual's conjuncts that read the build (right)
+// input alone once per build row, as build. Of the rest, a residual whose
+// every conjunct compares a left column with a right one is a list of
+// pairs, tested on the pair of rows as they are; any other is compiled
+// against the concatenated schema and tested on the concatenated row.
 type joinSpec struct {
-	lKeys, rKeys []int          // equi-join column positions (parallel slices)
-	lCols, rCols []schema.ColID // the same keys by column (lplan.Join.EquiKeys)
-	pairs        []pairCmp      // the residual, when it is all pairs
-	residual     *expr.Filter   // otherwise the residual over the concat schema; nil = none
-	proj         []int          // output projection over concat schema; nil = all
-	lWidth       int            // arity of the left input
-	rWidth       int            // arity of the right input (for outer-join padding)
+	lKeys, rKeys   []int          // equi-join column positions (parallel slices)
+	lCols, rCols   []schema.ColID // the same keys by column (lplan.Join.EquiKeys)
+	build          *expr.Filter   // hash join: the build-only conjuncts; nil = none
+	pairs          []pairCmp      // the residual, when it is all pairs
+	residual       *expr.Filter   // otherwise the residual over the concat schema; nil = none
+	proj           []int          // output projection over concat schema; nil = all
+	lWidth         int            // arity of the left input's rows
+	rWidth         int            // arity of the right input's rows (for outer-join padding)
+	lShape, rShape rowShape       // of the inputs' rows
 }
 
 // pairCmp is a residual conjunct l[lCol] op r[rCol] over a left row l and a
@@ -61,10 +66,11 @@ type joinCommon struct {
 	arena   rowArena  // backs emitted output rows
 }
 
-func joinSpecOf(j *lplan.Join) (*joinSpec, error) {
-	ls, rs := j.L.Schema(), j.R.Schema()
+// joinSpecOf compiles j over inputs l and r, whose conjuncts EquiKeys has
+// split into keys and residual; hash: j runs as a hash join.
+func joinSpecOf(j *lplan.Join, l, r input, lCols, rCols []schema.ColID, residualPreds []expr.Expr, hash bool) (*joinSpec, error) {
+	ls, rs := l.sch, r.sch
 	concat := ls.Concat(rs)
-	lCols, rCols, residualPreds := j.EquiKeys()
 	lKeys, err := colIndexes(ls, lCols)
 	if err != nil {
 		return nil, err
@@ -73,58 +79,95 @@ func joinSpecOf(j *lplan.Join) (*joinSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	pairs := residualPairs(residualPreds, concat, len(ls))
-	var residual *expr.Filter
-	if pairs == nil {
-		if residual, err = expr.CompileFilter(residualPreds, concat); err != nil {
+	spec := &joinSpec{lKeys: lKeys, rKeys: rKeys, lCols: lCols, rCols: rCols,
+		lWidth: len(ls), rWidth: len(rs), lShape: l.shape, rShape: r.shape}
+	if hash {
+		var build []expr.Expr
+		build, residualPreds = buildOnly(residualPreds, ls, rs)
+		if build != nil {
+			if spec.build, err = expr.CompileFilter(build, rs); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if spec.pairs = residualPairs(residualPreds, concat, len(ls)); spec.pairs == nil {
+		if spec.residual, err = expr.CompileFilter(residualPreds, concat); err != nil {
 			return nil, err
 		}
 	}
-	var proj []int
-	if j.Proj != nil {
-		proj, err = colIndexes(concat, j.Proj)
-		if err != nil {
-			return nil, err
+	switch {
+	case j.Proj != nil:
+		spec.proj, err = colIndexes(concat, j.Proj)
+	case l.shape.narrow != nil || r.shape.narrow != nil:
+		// The output is every column of both inputs, from where the
+		// inputs' rows hold them.
+		spec.proj = append(l.shape.positions(len(ls), 0, nil), r.shape.positions(len(rs), len(ls), nil)...)
+	}
+	return spec, err
+}
+
+// buildOnly splits preds into the conjuncts that read no column of the
+// left input's schema ls, and only columns of the right's rs, and the rest.
+func buildOnly(preds []expr.Expr, ls, rs schema.Schema) (build, rest []expr.Expr) {
+	for _, p := range preds {
+		only := true
+		for _, c := range expr.Columns(p) {
+			if ls.Contains(c) || !rs.Contains(c) {
+				only = false
+				break
+			}
+		}
+		if only {
+			build = append(build, p)
+		} else {
+			rest = append(rest, p)
 		}
 	}
-	return &joinSpec{lKeys: lKeys, rKeys: rKeys, lCols: lCols, rCols: rCols, pairs: pairs, residual: residual, proj: proj,
-		lWidth: len(ls), rWidth: len(rs)}, nil
+	return build, rest
 }
 
 func compileJoin(j *lplan.Join) (*op, error) {
-	spec, err := joinSpecOf(j)
+	lCols, rCols, residualPreds := j.EquiKeys()
+	method := j.Method
+	switch {
+	case (method == lplan.JoinHash || method == lplan.JoinUnset) && len(lCols) == 0:
+		method = lplan.JoinBlockNL // no equi-join conjunct: degrade to block nested loops
+	case method == lplan.JoinUnset:
+		method = lplan.JoinHash
+	}
+	compile := compileInput
+	if method == lplan.JoinHash {
+		compile = hashInput
+	}
+	l, err := compile(j.L)
 	if err != nil {
 		return nil, err
 	}
-	l, err := compileOp(j.L)
+	r, err := compile(j.R)
 	if err != nil {
 		return nil, err
 	}
-	r, err := compileOp(j.R)
+	spec, err := joinSpecOf(j, l, r, lCols, rCols, residualPreds, method == lplan.JoinHash)
 	if err != nil {
 		return nil, err
 	}
 	newJC := func(e *Executor) *joinCommon {
 		return &joinCommon{joinSpec: spec, params: e.params, arena: rowArena{rec: &e.arenas}}
 	}
-	method := j.Method
-	if (method == lplan.JoinHash || method == lplan.JoinUnset) && len(spec.lKeys) == 0 {
-		method = lplan.JoinBlockNL // no equi-join conjunct: degrade to block nested loops
-	}
 	switch method {
-	case lplan.JoinHash, lplan.JoinUnset:
+	case lplan.JoinHash:
 		return &op{newIter: func(e *Executor) BatchIterator {
 			return &hashJoinIter{exec: e, jc: newJC(e), target: e.batchSize, joinType: j.Type,
-				probeSrc: e.build(l), buildOp: r}
+				probeSrc: e.build(l.op), buildOp: r.op}
 		}}, nil
 	case lplan.JoinBlockNL:
 		_, innerIsScan := j.R.(*lplan.Scan)
 		return &op{newIter: func(e *Executor) BatchIterator {
-			it := &blockNLIter{exec: e, jc: newJC(e), target: e.batchSize, joinType: j.Type, outer: e.build(l)}
+			it := &blockNLIter{exec: e, jc: newJC(e), target: e.batchSize, joinType: j.Type, outer: e.build(l.op)}
 			if innerIsScan {
-				it.inner = func() BatchIterator { return e.build(r) }
+				it.inner = func() BatchIterator { return e.build(r.op) }
 			} else {
-				it.matSrc = e.build(r)
+				it.matSrc = e.build(r.op)
 			}
 			return it
 		}}, nil
@@ -133,7 +176,7 @@ func compileJoin(j *lplan.Join) (*op, error) {
 		if len(spec.lKeys) == 0 {
 			return nil, fmt.Errorf("exec: merge join requires an equi-join predicate")
 		}
-		lIn, rIn := sortedInput(l, spec.lCols, sortKeys{cols: spec.lKeys}), sortedInput(r, spec.rCols, sortKeys{cols: spec.rKeys})
+		lIn, rIn := sortedInput(l.op, spec.lCols, sortKeys{cols: spec.lKeys}), sortedInput(r.op, spec.rCols, sortKeys{cols: spec.rKeys})
 		return &op{newIter: func(e *Executor) BatchIterator {
 			return &mergeJoinIter{jc: newJC(e), target: e.batchSize,
 				l: runReader{in: lIn(e), cols: spec.lKeys}, r: runReader{in: rIn(e), cols: spec.rKeys}}
@@ -173,10 +216,10 @@ func (jc *joinCommon) project(l, r types.Row) types.Row {
 	}
 	out := jc.arena.carve(len(jc.proj))
 	for i, j := range jc.proj {
-		if j < len(l) {
+		if j < jc.lWidth {
 			out[i] = l[j]
 		} else {
-			out[i] = r[j-len(l)]
+			out[i] = r[j-jc.lWidth]
 		}
 	}
 	return out
@@ -225,8 +268,9 @@ func rowHasNullKey(r types.Row, keys []int) bool {
 // row and emit the unmatched remainder left-padded after the probe side
 // drains (per partition on the grace path, which is sound because Grace
 // partitions by key, so a build row can only match probe rows of its own
-// partition). Build rows with NULL keys never match (NULL = x is UNKNOWN)
-// and surface only through the FULL-outer drain.
+// partition). Build rows with NULL keys never match (NULL = x is UNKNOWN),
+// nor do build rows that fail the residual's build-only conjuncts; both
+// surface only through the FULL-outer drain.
 type hashJoinIter struct {
 	exec     *Executor
 	jc       *joinCommon
@@ -243,6 +287,11 @@ type hashJoinIter struct {
 	tab          keyTable // build key -> entry
 	head         []int32  // per entry: first build row with the key
 	next         []int32  // per build row: the next with the same key, -1 = last
+	// keyLo and keyHi are the least and the greatest build key while the
+	// join has one key column and every build key is an INT or NULL
+	// (keysInt): loadBuild sizes the key table's dense index from them.
+	keyLo, keyHi int64
+	keysInt      bool
 
 	probe      BatchIterator // probeSrc, or the current partition's probe rows
 	pb         *Batch        // probe batch being joined; its hashes are its rows' (build rows' while loading)
@@ -259,9 +308,10 @@ type hashJoinIter struct {
 	probeRows      []types.Row // current partition's probe rows
 }
 
-// loadBuild indexes the build rows. NULL-keyed rows stay in the store (the
-// FULL-outer drain must see them) but get no entry.
-func (it *hashJoinIter) loadBuild() {
+// loadBuild indexes the build rows. NULL-keyed rows, and rows on which
+// the build-only conjuncts are not TRUE, stay in the store (the FULL-outer
+// drain must see them) but get no entry.
+func (it *hashJoinIter) loadBuild() error {
 	n := it.build.n
 	it.buildMatched, it.drainPos = nil, 0
 	if it.joinType == lplan.JoinFull {
@@ -269,27 +319,68 @@ func (it *hashJoinIter) loadBuild() {
 	}
 	keys := it.jc.rKeys
 	it.tab.init(len(keys), n)
+	if it.keysInt && it.keyLo <= it.keyHi {
+		it.tab.reserve(it.keyLo, it.keyHi)
+	}
 	if cap(it.next) < 2*n {
 		it.next = make([]int32, 2*n)
 	}
 	it.next, it.head = it.next[:n], it.next[n:n]
 	// Rows go in last first, each pushed onto the front of its key's chain,
-	// which leaves every chain ascending without tracking chain tails.
+	// which leaves every chain ascending without tracking chain tails. Each
+	// chunk is filtered and hashed in the probe batch's scratch vectors.
+	b, filtered := Batch{sel: it.pb.sel, hashes: it.pb.hashes}, it.jc.build != nil
 	for c := len(it.build.chunks) - 1; c >= 0; c-- {
-		rows := it.build.chunks[c].Rows
-		hashes := hashKeys(rows, keys, it.pb.hashes)
-		it.pb.hashes = hashes
-		for i := len(rows) - 1; i >= 0; i-- {
+		b.Rows = it.build.chunks[c].Rows
+		// Without build-only conjuncts every row of the chunk is indexed,
+		// read in place rather than through a selection vector.
+		n, sel := b.Len(), []int32(nil)
+		if filtered {
+			var err error
+			if sel, err = it.jc.build.Select(b.Rows, b.selectAll(n), it.jc.params); err != nil {
+				return err
+			}
+			n = len(sel)
+		}
+		it.tab.hash(&b, keys)
+		rows, hashes := b.Rows, b.hashes // a conversion rewrites hashes in place
+		for k := n - 1; k >= 0; k-- {
+			i := k
+			if filtered {
+				i = int(sel[k])
+			}
 			if rowHasNullKey(rows[i], keys) {
 				continue
 			}
 			e := it.tab.lookup(hashes[i], rows[i], keys)
 			if e < 0 {
-				e = it.tab.insert(hashes[i], rows[i], keys)
+				e = it.tab.insert(&b, i, keys)
 				it.head = append(it.head, -1)
 			}
 			r := c*DefaultBatchSize + i
 			it.next[r], it.head[e] = it.head[e], int32(r)
+		}
+	}
+	it.pb.sel, it.pb.hashes = b.sel, b.hashes // keep what the vectors grew to
+	return nil
+}
+
+// startBuild empties the build store for the next build input.
+func (it *hashJoinIter) startBuild() {
+	it.build.release()
+	it.keyLo, it.keyHi, it.keysInt = math.MaxInt64, math.MinInt64, len(it.jc.rKeys) == 1
+}
+
+// addBuild stores a build row and widens the build keys' range by its key.
+func (it *hashJoinIter) addBuild(r types.Row) {
+	it.build.add(r)
+	if it.keysInt {
+		switch v := &r[it.jc.rKeys[0]]; v.K {
+		case types.KindInt:
+			it.keyLo, it.keyHi = min(it.keyLo, v.I), max(it.keyHi, v.I)
+		case types.KindNull:
+		default:
+			it.keysInt = false
 		}
 	}
 }
@@ -299,16 +390,19 @@ func (it *hashJoinIter) Open() error {
 	it.pb = getBatch()
 	// Materialize the build side, counting bytes.
 	bytes := 0
+	it.startBuild()
 	if err := drainBatches(build, func(r types.Row) error {
-		it.build.add(r)
-		bytes += r.DiskWidth()
+		it.addBuild(r)
+		bytes += it.jc.rShape.diskWidth(r)
 		return nil
 	}); err != nil {
 		return err
 	}
 
 	if bytes <= it.exec.budgetBytes {
-		it.loadBuild()
+		if err := it.loadBuild(); err != nil {
+			return err
+		}
 		it.probe = it.probeSrc
 		return it.probe.Open()
 	}
@@ -323,19 +417,19 @@ func (it *hashJoinIter) Open() error {
 		it.lParts[i] = newSpill(it.exec.pg, "hj-probe")
 	}
 	var buf []byte
-	partition := func(parts []*spill, keys []int) func(types.Row) error {
+	partition := func(parts []*spill, keys []int, shape rowShape) func(types.Row) error {
 		return func(r types.Row) error {
 			buf = r.AppendKey(buf[:0], keys)
-			return parts[partitionOf(buf)].add(r)
+			return parts[partitionOf(buf)].add(shape.cut(r, &it.jc.arena))
 		}
 	}
-	for i, add := 0, partition(it.rParts, it.jc.rKeys); i < it.build.n; i++ {
+	for i, add := 0, partition(it.rParts, it.jc.rKeys, it.jc.rShape); i < it.build.n; i++ {
 		if err := add(it.build.at(i)); err != nil {
 			return err
 		}
 	}
 	it.build.release()
-	if err := drainBatches(it.probeSrc, partition(it.lParts, it.jc.lKeys)); err != nil {
+	if err := drainBatches(it.probeSrc, partition(it.lParts, it.jc.lKeys, it.jc.lShape)); err != nil {
 		return err
 	}
 	for i := range it.rParts {
@@ -356,16 +450,18 @@ func (it *hashJoinIter) nextPartition() (ok bool, err error) {
 		return false, nil
 	}
 	it.part++
-	it.build.release()
-	if err := drainBatches(&spillIter{sp: it.rParts[it.part], target: it.target}, func(r types.Row) error {
-		it.build.add(r)
+	it.startBuild()
+	if err := drainBatches(it.partition(it.rParts, it.jc.rShape), func(r types.Row) error {
+		it.addBuild(r)
 		return nil
 	}); err != nil {
 		return false, err
 	}
-	it.loadBuild()
+	if err := it.loadBuild(); err != nil {
+		return false, err
+	}
 	it.probeRows = it.probeRows[:0]
-	if err := drainBatches(&spillIter{sp: it.lParts[it.part], target: it.target}, func(l types.Row) error {
+	if err := drainBatches(it.partition(it.lParts, it.jc.lShape), func(l types.Row) error {
 		it.probeRows = append(it.probeRows, l)
 		return nil
 	}); err != nil {
@@ -374,6 +470,12 @@ func (it *hashJoinIter) nextPartition() (ok bool, err error) {
 	it.probe = newSliceIter(it.probeRows, it.target)
 	it.probeDone = false
 	return true, nil
+}
+
+// partition reads the current partition of parts back, its rows widened
+// to the input's stored positions.
+func (it *hashJoinIter) partition(parts []*spill, shape rowShape) *spillIter {
+	return &spillIter{sp: parts[it.part], target: it.target, shape: shape, arena: &it.jc.arena}
 }
 
 func (it *hashJoinIter) NextBatch(dst *Batch) error {
@@ -427,7 +529,7 @@ func (it *hashJoinIter) NextBatch(dst *Batch) error {
 				return err
 			}
 			it.pos = 0
-			it.pb.hashes = hashKeys(it.pb.Rows, it.jc.lKeys, it.pb.hashes)
+			it.tab.hash(it.pb, it.jc.lKeys)
 			it.probeDone = it.pb.Len() == 0
 		case it.drainPos < len(it.buildMatched):
 			// FULL outer: emit the build rows no probe row matched.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -15,12 +16,14 @@ import (
 )
 
 // Grouping and joining must call the same keys equal that a WHERE
-// comparison does. Two cases used to differ, through a key encoding that
-// ran every number through float64: distinct INTs above 2^53 merged into
+// comparison does. Three cases used to differ. Through a key encoding that
+// ran every number through float64, distinct INTs above 2^53 merged into
 // one group and joined each other, and FLOAT 0.0 and -0.0, which compare
-// equal, landed in two groups.
+// equal, landed in two groups. And NaN, which the comparison called equal
+// to every number, hashed by its bits: NaN now orders above every number
+// and equal to itself, and every NaN hashes and encodes as one.
 
-func keyEqualEnv(t *testing.T) (st *storage.Store, big, one, zeros *catalog.Table) {
+func keyEqualEnv(t *testing.T) (st *storage.Store, big, one, zeros, nans *catalog.Table) {
 	t.Helper()
 	st = storage.NewStore(16)
 	c := catalog.New(st)
@@ -50,7 +53,12 @@ func keyEqualEnv(t *testing.T) (st *storage.Store, big, one, zeros *catalog.Tabl
 		types.Row{types.NewFloat(0), types.NewInt(1)},
 		types.Row{types.NewFloat(negZero()), types.NewInt(2)},
 		types.Row{types.NewFloat(1.5), types.NewInt(3)})
-	return st, big, one, zeros
+	nans = load("nans", types.KindFloat,
+		types.Row{types.NewFloat(math.NaN()), types.NewInt(1)},
+		types.Row{types.NewFloat(1.5), types.NewInt(2)},
+		types.Row{types.NewFloat(otherNaN()), types.NewInt(3)},
+		types.Row{types.NewFloat(math.Inf(1)), types.NewInt(4)})
+	return st, big, one, zeros, nans
 }
 
 // rowsText renders a result order-insensitively, one "a b c" line per row.
@@ -71,7 +79,7 @@ func rowsText(res *Result) string {
 }
 
 func TestGroupingAndJoiningAgreeWithCompare(t *testing.T) {
-	st, big, one, zeros := keyEqualEnv(t)
+	st, big, one, zeros, nans := keyEqualEnv(t)
 	countBy := func(tbl *catalog.Table, m lplan.AggMethod) lplan.Node {
 		return &lplan.GroupBy{
 			In:        &lplan.Scan{Alias: "t", Table: tbl},
@@ -90,6 +98,8 @@ func TestGroupingAndJoiningAgreeWithCompare(t *testing.T) {
 	}
 	const bigGroups = "9007199254740992 1\n9007199254740993 2"
 	const zeroGroups = "0 2\n1.5 1"
+	const nanGroups = "+Inf 1\n1.5 1\nNaN 2"
+	const nanPairs = "1 1\n1 3\n2 2\n3 1\n3 3\n4 4"
 	for _, tc := range []struct {
 		name string
 		plan lplan.Node
@@ -104,6 +114,14 @@ func TestGroupingAndJoiningAgreeWithCompare(t *testing.T) {
 		{"merge-join/int", join(big, one, lplan.JoinMerge), "1 10"},
 		{"hash-join/zeros", join(zeros, zeros, lplan.JoinHash), "1 1\n1 2\n2 1\n2 2\n3 3"},
 		{"merge-join/zeros", join(zeros, zeros, lplan.JoinMerge), "1 1\n1 2\n2 1\n2 2\n3 3"},
+		{"hash-agg/nans", countBy(nans, lplan.AggHash), nanGroups},
+		{"sort-agg/nans", countBy(nans, lplan.AggSort), nanGroups},
+		{"hash-join/nans", join(nans, nans, lplan.JoinHash), nanPairs},
+		{"merge-join/nans", join(nans, nans, lplan.JoinMerge), nanPairs},
+		{"block-nl/nans", join(nans, nans, lplan.JoinBlockNL), nanPairs},
+		{"hash-join/nans-zeros", join(nans, zeros, lplan.JoinHash), "2 3"},
+		{"merge-join/nans-zeros", join(nans, zeros, lplan.JoinMerge), "2 3"},
+		{"block-nl/nans-zeros", join(nans, zeros, lplan.JoinBlockNL), "2 3"},
 	} {
 		for _, bs := range []int{1, DefaultBatchSize} {
 			got, err := New(st).WithBatchSize(bs).Run(tc.plan)

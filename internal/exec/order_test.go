@@ -41,6 +41,19 @@ func opIO(col *obs.Collector, n lplan.Node) string {
 	return strings.Join(parts, " ")
 }
 
+// runAttributed runs the plan at batch size bs with every page access
+// attributed to the operator that made it, as the engine attributes them:
+// opIO renders the collector it returns.
+func runAttributed(st *storage.Store, plan lplan.Node, bs int) (*Result, *obs.Collector, error) {
+	col := obs.NewCollector()
+	se := st.NewSession(func(op storage.IOOp, temp bool) error {
+		col.RecordIO(ioKinds[op], temp)
+		return nil
+	})
+	res, err := New(st).WithSession(se).WithCollector(col).WithBatchSize(bs).Run(plan)
+	return res, col, err
+}
+
 // byKey is a stable sort of rows on column 0, the order a sort on the key
 // leaves equal keys in.
 func byKey(rows []types.Row) []types.Row {
@@ -202,7 +215,7 @@ func TestSortedAndBlockOperatorsOrderAndIO(t *testing.T) {
 			"bnl/full/materialized/residual=true":   "20/5/0 2/0/1 0/0/0 4/0/1",
 		}},
 	} {
-		e := newJoinEnv(t, regime.pool, regime.nL, regime.nR, regime.keys, false, true)
+		e := newJoinEnv(t, regime.pool, regime.nL, regime.nR, regime.keys, keyInt, true, false)
 		scanL := func() *lplan.Scan { return &lplan.Scan{Alias: "l", Table: e.l} }
 		scanR := func() *lplan.Scan { return &lplan.Scan{Alias: "r", Table: e.r} }
 		l, err := Naive(e.store, scanL(), nil)
@@ -298,12 +311,7 @@ func TestSortedAndBlockOperatorsOrderAndIO(t *testing.T) {
 			for _, bs := range []int{1, 3, 1024} {
 				name := fmt.Sprintf("%s/%s/batch=%d", regime.name, c.name, bs)
 				e.store.ForceDropCaches()
-				col := obs.NewCollector()
-				se := e.store.NewSession(func(op storage.IOOp, temp bool) error {
-					col.RecordIO(ioKinds[op], temp)
-					return nil
-				})
-				got, err := New(e.store).WithSession(se).WithCollector(col).WithBatchSize(bs).Run(c.plan)
+				got, col, err := runAttributed(e.store, c.plan, bs)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -335,7 +343,7 @@ func TestSortedAndBlockOperatorsOrderAndIO(t *testing.T) {
 // the rows come out sorted, at batch size 1 and the default, on a pool the
 // sorts spill from.
 func TestSortSkippedExactlyWhenOrderCovers(t *testing.T) {
-	e := newJoinEnv(t, 2, 1200, 1400, 400, false, true)
+	e := newJoinEnv(t, 2, 1200, 1400, 400, keyInt, true, false)
 	col := func(rel, name string) schema.ColID { return schema.ColID{Rel: rel, Name: name} }
 	scanL := func() *lplan.Scan { return &lplan.Scan{Alias: "l", Table: e.l} }
 	scanR := func() *lplan.Scan { return &lplan.Scan{Alias: "r", Table: e.r} }
@@ -405,8 +413,8 @@ func allCols(n int) []int {
 func BenchmarkMergeJoin(b *testing.B) {
 	for _, keys := range []int{4775, 24000} {
 		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
-			e := newJoinEnv(b, 4096, 24000, 24000, keys, false, false)
-			plan := e.plan(lplan.JoinInner, false)
+			e := newJoinEnv(b, 4096, 24000, 24000, keys, keyInt, false, false)
+			plan := e.plan(lplan.JoinInner, noResidual)
 			plan.Method = lplan.JoinMerge
 			benchDrain(b, e.store, plan)
 		})
@@ -424,7 +432,7 @@ func BenchmarkSort(b *testing.B) {
 	}{{"memory", 4096}, {"spill", 16}} {
 		for _, desc := range []bool{false, true} {
 			b.Run(fmt.Sprintf("%s/desc=%v", regime.name, desc), func(b *testing.B) {
-				e := newJoinEnv(b, regime.pool, 24000, 0, 4775, false, false)
+				e := newJoinEnv(b, regime.pool, 24000, 0, 4775, keyInt, false, false)
 				benchDrain(b, e.store, &lplan.Sort{In: &lplan.Scan{Alias: "l", Table: e.l},
 					By: []schema.ColID{{Rel: "l", Name: "k"}}, Desc: []bool{desc}})
 			})
@@ -439,14 +447,14 @@ func BenchmarkSort(b *testing.B) {
 func BenchmarkSortAggregate(b *testing.B) {
 	for _, groups := range []int{25, 4775, 24000} {
 		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
-			st, plan := newGroupEnv(b, 24000, groups, false)
+			st, plan := newGroupEnv(b, 24000, groups, keyInt)
 			plan.Method = lplan.AggSort
 			benchDrain(b, st, plan)
 		})
 	}
 	b.Run("over-merge", func(b *testing.B) {
-		e := newJoinEnv(b, 4096, 24000, 24000, 4775, false, false)
-		join := e.plan(lplan.JoinInner, false)
+		e := newJoinEnv(b, 4096, 24000, 24000, 4775, keyInt, false, false)
+		join := e.plan(lplan.JoinInner, noResidual)
 		join.Method = lplan.JoinMerge
 		benchDrain(b, e.store, &lplan.GroupBy{In: join, GroupCols: []schema.ColID{{Rel: "l", Name: "k"}},
 			Aggs: []expr.Agg{
@@ -463,8 +471,8 @@ func BenchmarkSortAggregate(b *testing.B) {
 func BenchmarkBlockNL(b *testing.B) {
 	for _, inner := range []string{"scan", "materialized"} {
 		b.Run(inner, func(b *testing.B) {
-			e := newJoinEnv(b, 8, 2000, 6000, 2000, false, false)
-			plan := e.plan(lplan.JoinInner, false)
+			e := newJoinEnv(b, 8, 2000, 6000, 2000, keyInt, false, false)
+			plan := e.plan(lplan.JoinInner, noResidual)
 			plan.Method = lplan.JoinBlockNL
 			if inner == "materialized" {
 				plan.R = &lplan.Filter{In: plan.R, Preds: []expr.Expr{expr.NewCmp(expr.GE, expr.Col("r", "w"), expr.IntLit(0))}}

@@ -263,15 +263,17 @@ func compare3(a, b *types.Value) (c int, ok bool) {
 }
 
 // cmpOrdered is -1, 0 or +1 as a is below, equal to or above b; a NaN
-// compares equal to everything, as in types.Compare.
+// sits above every other number and equals NaN, as in types.Compare.
 func cmpOrdered[T int64 | float64](a, b T) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
+	case a == b:
+		return 0
 	}
-	return 0
+	return types.CompareNaN(float64(a), float64(b))
 }
 
 // unbound is the error a `?` past the run's parameter vector reads as.

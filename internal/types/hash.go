@@ -11,7 +11,8 @@ var hashSeed = maphash.MakeSeed()
 
 // HashValue hashes one value such that Equal values hash alike: an INT
 // hashes as the float64 it converts to (so INTs that float64 cannot tell
-// apart collide, and Equal separates them), -0 as +0. NULL hashes to a
+// apart collide, and Equal separates them), -0 as +0, every NaN as one
+// NaN. NULL hashes to a
 // constant, which suits grouping (NULL keys form one group). It is the
 // hash behind the executor's key table.
 func HashValue(v *Value) uint64 {
@@ -19,7 +20,10 @@ func HashValue(v *Value) uint64 {
 	case KindInt:
 		return mix64(math.Float64bits(float64(v.I)))
 	case KindFloat:
-		return mix64(math.Float64bits(v.F() + 0))
+		if f := v.F(); f == f {
+			return mix64(math.Float64bits(f + 0))
+		}
+		return mix64(nanBits)
 	case KindString:
 		return maphash.String(hashSeed, v.S())
 	case KindBool:
@@ -28,6 +32,9 @@ func HashValue(v *Value) uint64 {
 		return 0x2545f4914f6cdd1d
 	}
 }
+
+// nanBits are the bits every NaN hashes and encodes as (math.NaN's).
+const nanBits = 0x7ff8000000000001
 
 // HashCombine folds the hash of a key's next value into h, the hash of the
 // values before it.

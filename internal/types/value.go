@@ -180,7 +180,8 @@ func (v Value) DiskWidth() int {
 }
 
 // Compare orders two values. NULL sorts before everything; INT and FLOAT
-// compare numerically across kinds; otherwise values of different kinds
+// compare numerically across kinds, with NaN above every other number and
+// equal to itself, as in PostgreSQL; otherwise values of different kinds
 // compare by kind tag (a total order, so sorting mixed columns is stable).
 // The result is -1, 0 or +1.
 func Compare(a, b Value) int {
@@ -211,9 +212,10 @@ func Compare(a, b Value) int {
 			return -1
 		case af > bf:
 			return 1
-		default:
+		case af == bf:
 			return 0
 		}
+		return CompareNaN(af, bf)
 	}
 	if a.K != b.K {
 		if a.K < b.K {
@@ -245,6 +247,19 @@ func Compare(a, b Value) int {
 	}
 }
 
+// CompareNaN orders a and b, at least one of them NaN, as Compare does:
+// NaN above every other number and equal to NaN.
+func CompareNaN(a, b float64) int {
+	switch aNaN, bNaN := a != a, b != b; {
+	case aNaN && bNaN:
+		return 0
+	case aNaN:
+		return 1
+	default:
+		return -1
+	}
+}
+
 // Equal reports whether two values compare equal under Compare semantics.
 // Same-kind INT, BOOLEAN, VARCHAR and NULL pairs are decided without the
 // three-way comparison.
@@ -267,7 +282,8 @@ func Equal(a, b Value) bool {
 // the maps of the reference executor and ANALYZE's distinct counts, and
 // assigns spill partitions. Numeric values encode through float64 so
 // that INT 2 and FLOAT 2.0 land in the same group, mirroring Compare; -0
-// encodes as +0. An INT that float64 cannot represent keeps its own exact
+// encodes as +0 and every NaN as one NaN. An INT that float64 cannot
+// represent keeps its own exact
 // encoding, so distinct INTs above 2^53 stay distinct. Such an INT is the
 // one case where the encoding is stricter than Equal: Compare rounds it to
 // the nearest float64 when the other side is a FLOAT, the encoding does not.
@@ -282,6 +298,8 @@ func AppendKey(dst []byte, v Value) []byte {
 		switch {
 		case f == 0:
 			bits = 0
+		case f != f:
+			bits = nanBits
 		case v.K == KindInt && !intIsFloat(v.I, f):
 			tag, bits = 0x04, uint64(v.I)
 		}
