@@ -134,9 +134,6 @@ func presized(n float64, width, budget int) int {
 	return int(min(max(n, 0), float64(budget/perEntry)))
 }
 
-// len returns the number of entries.
-func (t *keyTable) len() int { return t.n }
-
 // hash readies the keys of b's rows at cols for lookup and insert: their
 // hashes go to b.hashes, one per row. A dense table computes none and
 // leaves what b.hashes held; a conversion rewrites them in place.

@@ -173,8 +173,8 @@ func keyTableAgainstMap(t *testing.T, width int, intsFirst, hashed bool) {
 			keys = append(keys, row)
 		}
 	}
-	if tab.len() != len(ref) || len(tab.slots) < 1024 {
-		t.Fatalf("%d entries in %d slots, reference holds %d", tab.len(), len(tab.slots), len(ref))
+	if tab.n != len(ref) || len(tab.slots) < 1024 {
+		t.Fatalf("%d entries in %d slots, reference holds %d", tab.n, len(tab.slots), len(ref))
 	}
 	if tab.intKeys || tab.dense {
 		t.Fatalf("still on bare INT keys (dense=%v) after keys of every kind", tab.dense)
@@ -190,7 +190,7 @@ func keyTableAgainstMap(t *testing.T, width int, intsFirst, hashed bool) {
 	}
 	// Reuse: an emptied table answers like a new one.
 	tab.init(width, 0)
-	if e := lookupRow(tab, keys[0], cols); e >= 0 || tab.len() != 0 {
+	if e := lookupRow(tab, keys[0], cols); e >= 0 || tab.n != 0 {
 		t.Fatalf("emptied table still finds entry %d", e)
 	}
 }
@@ -311,7 +311,7 @@ func TestKeyTableDenseAgainstHashed(t *testing.T) {
 				}
 				if e < 0 {
 					e, want = dense.insert(bd, i, cols), hashed.insert(bh, i, cols)
-					if e != want || e != hashed.len()-1 {
+					if e != want || e != hashed.n-1 {
 						t.Fatalf("%s: key %d (%v): inserted as entry %d in the dense table, %d in the hashed", st.name, at, row[1], e, want)
 					}
 				}
@@ -320,11 +320,11 @@ func TestKeyTableDenseAgainstHashed(t *testing.T) {
 				}
 			}
 		}
-		if dense.len() != hashed.len() {
-			t.Fatalf("%s: %d entries dense, %d hashed", st.name, dense.len(), hashed.len())
+		if dense.n != hashed.n {
+			t.Fatalf("%s: %d entries dense, %d hashed", st.name, dense.n, hashed.n)
 		}
 		var one, two [1]types.Value
-		for e := 0; e < dense.len(); e++ {
+		for e := 0; e < dense.n; e++ {
 			if a, b := dense.key(e, one[:]), hashed.key(e, two[:]); !sameBits(a[0], b[0]) {
 				t.Fatalf("%s: entry %d holds %v dense, %v hashed", st.name, e, a, b)
 			}
