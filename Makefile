@@ -43,20 +43,25 @@ stress:
 crash:
 	$(GO) test -run 'TestCrash|TestTorn|TestRecovery|TestBulkLoadCrashPrefix|TestPlanCacheInvalidationAcrossRecovery|TestDurable|TestMatView.*Durab' ./internal/wal .
 
-# fuzz runs three time-boxed searches. FuzzCacheKey looks for inputs on
+# fuzz runs four time-boxed searches. FuzzCacheKey looks for inputs on
 # which the plan-cache key and the lexer disagree (the key fails exactly when
 # lexing fails, and otherwise lexes to the statement's own tokens).
 # FuzzDecodeRecord feeds arbitrary payloads to the WAL record decoder and
 # FuzzDecodeSnapshot arbitrary bytes to the catalog checkpoint decoder; each
 # must fail or return what re-encodes to the same bytes, and never panic.
+# FuzzColumnPage appends the rows it decodes from arbitrary bytes to a file
+# and gathers them back from its column pages: they must re-encode to the
+# bytes they came from, and nothing may panic.
 # Not part of `check`: the committed corpora under internal/sql/testdata/fuzz/,
-# internal/wal/testdata/fuzz/ and internal/catalog/testdata/fuzz/ already
-# replay in every `go test ./...`, and the fuzzer writes any new failing input
-# there to be committed with its fix.
+# internal/wal/testdata/fuzz/, internal/catalog/testdata/fuzz/ and
+# internal/storage/testdata/fuzz/ already replay in every `go test ./...`,
+# and the fuzzer writes any new failing input there to be committed with its
+# fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCacheKey -fuzztime 30s ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 30s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 30s ./internal/catalog
+	$(GO) test -run '^$$' -fuzz FuzzColumnPage -fuzztime 30s ./internal/storage
 
 # bench runs the repo benchmark (BENCHMARK.json, bench/): five workloads,
 # end-to-end qps/p50/p95/pages_per_op/setup_s plus per-layer metrics, into

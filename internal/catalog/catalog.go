@@ -663,47 +663,24 @@ func (c *Catalog) Analyze(t *Table) (err error) {
 		return err
 	}
 	stats := TableStats{Cols: map[string]ColStats{}}
-	distinct := make([]map[string]struct{}, len(w.Schema))
-	mins := make([]types.Value, len(w.Schema))
-	maxs := make([]types.Value, len(w.Schema))
-	for i := range distinct {
-		distinct[i] = map[string]struct{}{}
-	}
-
-	sc := c.store.NewScanner(w.File)
-	var buf []byte
-	for {
-		row, _, ok, err := sc.Next()
+	cols := make([]colSummary, len(w.Schema))
+	for sc := c.store.NewScanner(w.File); ; {
+		page, _, ok, err := sc.NextPage()
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		stats.Rows++
-		for i, v := range row {
-			// NDV and min/max describe the non-NULL values only: NULLs
-			// would otherwise pin Min to NULL (types.Compare orders NULL
-			// first) and skew 1/NDV equality selectivities.
-			if v.IsNull() {
-				continue
-			}
-			buf = types.AppendKey(buf[:0], v)
-			distinct[i][string(buf)] = struct{}{}
-			if mins[i].IsNull() || types.Compare(v, mins[i]) < 0 {
-				mins[i] = v
-			}
-			if maxs[i].IsNull() || types.Compare(v, maxs[i]) > 0 {
-				maxs[i] = v
+		stats.Rows += int64(page.N)
+		for i := range page.Cols {
+			if i < len(cols) {
+				cols[i].add(&page.Cols[i], page.N)
 			}
 		}
 	}
 	for i, col := range w.Schema {
-		stats.Cols[col.ID.Name] = ColStats{
-			NDV: int64(len(distinct[i])),
-			Min: mins[i],
-			Max: maxs[i],
-		}
+		stats.Cols[col.ID.Name] = cols[i].stats()
 	}
 	stats.Pages = w.File.Pages()
 	w.Stats = stats
@@ -714,6 +691,101 @@ func (c *Catalog) Analyze(t *Table) (err error) {
 		}
 	}
 	return nil
+}
+
+// colSummary gathers one column's statistics over its pages' vectors.
+// NDV and min/max describe the non-NULL values only: NULLs would otherwise
+// pin Min to NULL (types.Compare orders NULL first) and skew 1/NDV equality
+// selectivities. Values are distinct as their types.AppendKey encodings
+// are: INTs are counted as int64s, BOOLEANs by their key byte, and every
+// other value by its encoding; stats reconciles the INTs with the FLOATs
+// of equal encoding.
+type colSummary struct {
+	ints     map[int64]struct{}
+	bools    [256]bool
+	keys     map[string]struct{}
+	buf      []byte
+	min, max types.Value
+}
+
+// add folds the first n values of v.
+func (s *colSummary) add(v *types.Vector, n int) {
+	if v.K == types.KindInt {
+		if s.ints == nil {
+			s.ints = map[int64]struct{}{}
+		}
+		lo, hi, seen := int64(0), int64(0), false
+		for i := 0; i < n; i++ {
+			if v.IsNull(i) {
+				continue
+			}
+			k := v.Ints[i]
+			s.ints[k] = struct{}{}
+			if !seen || k < lo {
+				lo = k
+			}
+			if !seen || k > hi {
+				hi = k
+			}
+			seen = true
+		}
+		if seen {
+			// Folding a page's least and greatest INT leaves what folding
+			// its INTs one by one would: among INTs Compare is exact.
+			s.fold(types.NewInt(lo))
+			s.fold(types.NewInt(hi))
+		}
+		return
+	}
+	for i := 0; i < n; i++ {
+		x := v.Value(i)
+		switch x.K {
+		case types.KindNull:
+			continue
+		case types.KindInt:
+			if s.ints == nil {
+				s.ints = map[int64]struct{}{}
+			}
+			s.ints[x.I] = struct{}{}
+		case types.KindBool:
+			s.bools[byte(x.I)] = true
+		default:
+			if s.keys == nil {
+				s.keys = map[string]struct{}{}
+			}
+			s.buf = types.AppendKey(s.buf[:0], x)
+			s.keys[string(s.buf)] = struct{}{}
+		}
+		s.fold(x)
+	}
+}
+
+// fold takes x into the running min and max.
+func (s *colSummary) fold(x types.Value) {
+	if s.min.IsNull() || types.Compare(x, s.min) < 0 {
+		s.min = x
+	}
+	if s.max.IsNull() || types.Compare(x, s.max) > 0 {
+		s.max = x
+	}
+}
+
+// stats returns the column's statistics.
+func (s *colSummary) stats() ColStats {
+	ndv := int64(len(s.keys))
+	for k := range s.ints {
+		// An INT that float64 holds exactly shares its key with that FLOAT.
+		s.buf = types.AppendKey(s.buf[:0], types.NewInt(k))
+		if _, ok := s.keys[string(s.buf)]; !ok {
+			ndv++
+		}
+	}
+	for _, b := range s.bools {
+		if b {
+			ndv++
+		}
+	}
+	return ColStats{NDV: ndv, Min: s.min, Max: s.max}
 }
 
 // Key returns the table's primary key as a schema.Key qualified with the

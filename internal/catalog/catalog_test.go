@@ -228,7 +228,7 @@ func TestDiscardEvictsDroppedTable(t *testing.T) {
 	grow(1000)
 	cur, _ := c.Table("emp")
 	for sc := c.Store().NewScanner(cur.File); ; {
-		if _, _, ok, err := sc.Next(); err != nil {
+		if _, _, ok, err := sc.NextPage(); err != nil {
 			t.Fatal(err)
 		} else if !ok {
 			break

@@ -74,17 +74,19 @@ func (s *Snapshot) Encode() []byte {
 
 		// Exact physical layout: flushed pages, then the unflushed tail.
 		pages, tail := s.store.SnapshotFile(t.File)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pages)))
-		for _, page := range pages {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(page)))
-			for _, row := range page {
+		var row types.Row
+		putBlock := func(b *types.Block) {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(b.N))
+			for i := 0; i < b.N; i++ {
+				row = b.Row(i, row)
 				dst = types.EncodeRow(dst, row)
 			}
 		}
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tail)))
-		for _, row := range tail {
-			dst = types.EncodeRow(dst, row)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pages)))
+		for i := range pages {
+			putBlock(&pages[i])
 		}
+		putBlock(&tail)
 
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(t.Stats.Rows))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(t.Stats.Pages))
@@ -171,20 +173,11 @@ func DecodeSnapshot(store *storage.Store, data []byte) (*Catalog, error) {
 		}
 
 		np := r.count()
-		pages := make([][]types.Row, 0, np)
+		pages := make([]types.Block, 0, np)
 		for j := 0; j < np && r.err == nil; j++ {
-			nr := r.count()
-			page := make([]types.Row, 0, nr)
-			for k := 0; k < nr && r.err == nil; k++ {
-				page = append(page, r.row())
-			}
-			pages = append(pages, page)
+			pages = append(pages, r.block())
 		}
-		ntail := r.count()
-		var tail []types.Row
-		for j := 0; j < ntail && r.err == nil; j++ {
-			tail = append(tail, r.row())
-		}
+		tail := r.block()
 
 		t.Stats.Rows = int64(r.u64())
 		t.Stats.Pages = int(r.u32())
@@ -352,6 +345,18 @@ func (r *snapReader) value() types.Value {
 	}
 	r.b = rest
 	return v
+}
+
+// block reads a page: its row count, then its rows. Rows of another arity
+// than the page's first are damage.
+func (r *snapReader) block() types.Block {
+	var b types.Block
+	for k, n := 0, r.count(); k < n && r.err == nil; k++ {
+		if row := r.row(); r.err == nil {
+			r.err = b.AppendRow(row)
+		}
+	}
+	return b
 }
 
 func (r *snapReader) row() types.Row {

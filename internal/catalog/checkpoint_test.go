@@ -104,23 +104,26 @@ func TestSnapshotRoundtrip(t *testing.T) {
 		t.Fatalf("view: %+v %v", v, ok)
 	}
 
-	// Scanning the restored file returns the original's rows, rid for rid.
+	// Scanning the restored file returns the original's pages, rid for rid.
 	sc1, sc2 := c.Store().NewScanner(orig.File), c2.Store().NewScanner(emp.File)
 	for {
-		r1, rid1, ok1, err1 := sc1.Next()
-		r2, rid2, ok2, err2 := sc2.Next()
+		p1, rid1, ok1, err1 := sc1.NextPage()
+		p2, rid2, ok2, err2 := sc2.NextPage()
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		if ok1 != ok2 || rid1 != rid2 {
+		if ok1 != ok2 || rid1 != rid2 || p1.N != p2.N {
 			t.Fatalf("scan diverged: (%d, %v) vs (%d, %v)", rid1, ok1, rid2, ok2)
 		}
 		if !ok1 {
 			break
 		}
-		for i := range r1 {
-			if !types.Equal(r1[i], r2[i]) || r1[i].K != r2[i].K {
-				t.Fatalf("rid %d col %d: %s != %s", rid1, i, r1[i], r2[i])
+		for k := 0; k < p1.N; k++ {
+			r1, r2 := p1.Row(k, nil), p2.Row(k, nil)
+			for i := range r1 {
+				if !types.Equal(r1[i], r2[i]) || r1[i].K != r2[i].K {
+					t.Fatalf("rid %d col %d: %s != %s", rid1+int64(k), i, r1[i], r2[i])
+				}
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"aggview/internal/arena"
 	"aggview/internal/cost"
@@ -198,6 +199,19 @@ var memoPool = sync.Pool{New: func() any {
 	return &memo{stats: stats.NewArena(), best: map[uint64][]entry{}}
 }}
 
+// spareMemo holds one released memo outside memoPool, which every other
+// collection empties: a search that follows a collection then reuses its
+// slabs instead of growing them anew.
+var spareMemo atomic.Pointer[memo]
+
+// getMemo returns a memo to search in: the spare, or one from the pool.
+func getMemo() *memo {
+	if m := spareMemo.Swap(nil); m != nil {
+		return m
+	}
+	return memoPool.Get().(*memo)
+}
+
 // release zeroes the memo's slabs and recycles it. Nothing carved from it
 // may be used afterwards: plans leave the search as lplan trees and
 // detached numbers.
@@ -218,7 +232,9 @@ func (m *memo) release() {
 	clear(m.retained[:cap(m.retained)])
 	clear(m.schema[:cap(m.schema)])
 	clear(m.orders[:cap(m.orders)])
-	memoPool.Put(m)
+	if !spareMemo.CompareAndSwap(nil, m) {
+		memoPool.Put(m)
+	}
 }
 
 // blockDP enumerates linear (aggregate) join trees for one block.

@@ -84,7 +84,7 @@ func newOptimizer(q *qblock.Query, opts Options) (*optimizer, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("optimize: %w", err)
 	}
-	mem := memoPool.Get().(*memo)
+	mem := getMemo()
 	return &optimizer{
 		q:     q,
 		opts:  opts,

@@ -29,27 +29,34 @@ func WriteCSV(cat catalog.Reader, tableName string, w io.Writer) error {
 	sc := cat.Store().NewScanner(t.File)
 	rec := make([]string, len(t.Schema))
 	for {
-		row, _, ok, err := sc.Next()
+		page, _, ok, err := sc.NextPage()
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		for i, v := range row {
-			switch v.K {
-			case types.KindString:
-				rec[i] = v.S()
-			case types.KindFloat:
-				rec[i] = strconv.FormatFloat(v.F(), 'g', -1, 64)
-			default:
-				rec[i] = v.String()
+		for _, row := range page.AppendRows(nil) {
+			if err := writeRecord(cw, row, rec); err != nil {
+				return err
 			}
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
 		}
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// writeRecord writes row as a CSV record, through rec.
+func writeRecord(cw *csv.Writer, row types.Row, rec []string) error {
+	for i, v := range row {
+		switch v.K {
+		case types.KindString:
+			rec[i] = v.S()
+		case types.KindFloat:
+			rec[i] = strconv.FormatFloat(v.F(), 'g', -1, 64)
+		default:
+			rec[i] = v.String()
+		}
+	}
+	return cw.Write(rec)
 }

@@ -22,40 +22,127 @@ type groupBySpec struct {
 	having  *expr.Filter    // over the inner schema
 	outputs []expr.Compiled // over the inner schema; nil = identity
 	scalar  bool            // no grouping columns: always emit one row
-	// Aggregate i's state is the expr.AggState at stateAt[i] among a
-	// group's nSlots state values. A MEDIAN or user-defined aggregate,
-	// whose state is its own object, folds into a boxed accumulator
-	// instead: boxedAt[i] is its slot among a group's nBoxed boxes, or -1
-	// for the others.
-	stateAt []int
-	nSlots  int
-	boxedAt []int
-	nBoxed  int
 }
 
 // groupByCtx is one run's aggregation over a groupBySpec: the run's
-// parameters and the accumulator state of the groups in flight.
+// parameters and the state of the groups in flight, numbered from 0 in
+// creation order.
 type groupByCtx struct {
 	*groupBySpec
 	params []types.Value
 
-	arena rowArena  // backs group states and finished output rows
-	inner types.Row // the inner row being finished; reused when outputs re-project it
-
-	// Groups are numbered from 0 in creation order. A group's state is its
-	// nSlots values in a row carved from the arena, stateChunkGroups groups
-	// to a carve; a boxed aggregate folds in boxed[g*nBoxed+boxedAt[i]]
-	// instead.
+	inner  types.Row // the inner row of the group being finished
+	out    types.Row // its output row, when outputs re-project it
+	row    types.Row // an input row gathered for a computed argument
 	groups int
-	states []types.Row
-	boxed  []expr.Accumulator
-	zeros  []int32 // sort aggregation: the group ids of a run's rows, all 0
+	states []aggState  // per aggregate
+	pooled *[]aggState // where states came from (statePool)
+	zeros  []int32     // sort aggregation: the group ids of a run's rows, all 0
 }
 
-// stateChunkGroups is how many groups' states one arena carve holds: with
-// up to 32 state values a chunk still fits a slab, and a query of a few dozen
-// groups takes a corner of the slab its output rows come from anyway.
-const stateChunkGroups = 256
+// aggState is one aggregate's state for every group, in typed arrays
+// indexed by group id. It folds as expr.AggState does: COUNT keeps its
+// count in n; AVG its sum in f and its count in n; SUM its INT sum in n or,
+// once a FLOAT arrives, its FLOAT sum in f, with sk saying which (NULL
+// before any input); MIN and MAX the best input so far in v; MEDIAN and a
+// user-defined aggregate an accumulator of their own in boxed.
+type aggState struct {
+	kind  expr.AggKind
+	n     []int64
+	f     []float64
+	sk    []types.Kind
+	v     []types.Value
+	boxed []expr.Accumulator
+}
+
+// grow adds an empty group's state.
+func (s *aggState) grow(a *expr.Agg) {
+	switch s.kind {
+	case expr.AggCountStar, expr.AggCount:
+		s.n = append(s.n, 0)
+	case expr.AggAvg:
+		s.n, s.f = append(s.n, 0), append(s.f, 0)
+	case expr.AggSum:
+		s.n, s.f, s.sk = append(s.n, 0), append(s.f, 0), append(s.sk, types.KindNull)
+	case expr.AggMin, expr.AggMax:
+		s.v = append(s.v, types.Value{})
+	default:
+		s.boxed = append(s.boxed, a.NewAccumulator())
+	}
+}
+
+// drop forgets every group's state, keeping the arrays.
+func (s *aggState) drop() {
+	clear(s.v)
+	clear(s.boxed)
+	s.n, s.f, s.sk, s.v, s.boxed = s.n[:0], s.f[:0], s.sk[:0], s.v[:0], s.boxed[:0]
+}
+
+// add folds x into group g, as expr.AggState.Add does.
+func (s *aggState) add(g int32, x types.Value) {
+	if s.kind.StateSlots() == 0 {
+		s.boxed[g].Add(x)
+		return
+	}
+	if x.K == types.KindNull {
+		return
+	}
+	switch s.kind {
+	case expr.AggCountStar, expr.AggCount:
+		s.n[g]++
+	case expr.AggSum:
+		s.sum(g, x)
+	case expr.AggAvg:
+		s.f[g] += x.Float()
+		s.n[g]++
+	case expr.AggMin:
+		if s.v[g].K == types.KindNull || types.Compare(x, s.v[g]) < 0 {
+			s.v[g] = x
+		}
+	case expr.AggMax:
+		if s.v[g].K == types.KindNull || types.Compare(x, s.v[g]) > 0 {
+			s.v[g] = x
+		}
+	}
+}
+
+// sum folds the non-NULL x into SUM's group g.
+func (s *aggState) sum(g int32, x types.Value) {
+	switch {
+	case s.sk[g] == types.KindFloat:
+		s.f[g] += x.Float()
+	case x.K == types.KindFloat:
+		s.f[g], s.sk[g] = float64(s.n[g])+x.F(), types.KindFloat
+	default:
+		s.n[g] += x.Int()
+		s.sk[g] = types.KindInt
+	}
+}
+
+// result returns group g's value, as expr.AggState.Result does.
+func (s *aggState) result(g int) types.Value {
+	switch s.kind {
+	case expr.AggCountStar, expr.AggCount:
+		return types.NewInt(s.n[g])
+	case expr.AggAvg:
+		if s.n[g] == 0 {
+			return types.Null()
+		}
+		return types.NewFloat(s.f[g] / float64(s.n[g]))
+	case expr.AggSum:
+		switch s.sk[g] {
+		case types.KindInt:
+			return types.NewInt(s.n[g])
+		case types.KindFloat:
+			return types.NewFloat(s.f[g])
+		}
+		return types.Null()
+	case expr.AggMin, expr.AggMax:
+		return s.v[g]
+	default:
+		return s.boxed[g].Result()
+	}
+}
 
 // groupBySpecOf compiles g over input rows of schema in.
 func groupBySpecOf(g *lplan.GroupBy, in schema.Schema) (*groupBySpec, error) {
@@ -65,15 +152,8 @@ func groupBySpecOf(g *lplan.GroupBy, in schema.Schema) (*groupBySpec, error) {
 	}
 	n := len(g.Aggs)
 	spec := &groupBySpec{groupPos: groupPos, aggs: g.Aggs, scalar: len(g.GroupCols) == 0,
-		argCol: make([]int, n), argFns: make([]expr.Compiled, n), stateAt: make([]int, n), boxedAt: make([]int, n)}
+		argCol: make([]int, n), argFns: make([]expr.Compiled, n)}
 	for i, a := range g.Aggs {
-		spec.stateAt[i], spec.boxedAt[i] = spec.nSlots, -1
-		if n := a.Kind.StateSlots(); n > 0 {
-			spec.nSlots += n
-		} else {
-			spec.boxedAt[i] = spec.nBoxed
-			spec.nBoxed++
-		}
 		spec.argCol[i] = -1
 		if a.Arg != nil {
 			if spec.argFns[i], err = expr.Compile(a.Arg, in); err != nil {
@@ -98,35 +178,45 @@ func groupBySpecOf(g *lplan.GroupBy, in schema.Schema) (*groupBySpec, error) {
 	return spec, nil
 }
 
+// statePool recycles aggregation states, their arrays grown, across runs.
+var statePool recycler[[]aggState]
+
 // newGroup starts the next group, with every aggregate empty.
 func (c *groupByCtx) newGroup() {
-	if c.groups/stateChunkGroups == len(c.states) { // else a chunk kept by dropGroups
-		c.states = append(c.states, c.arena.carve(stateChunkGroups*c.nSlots))
-	}
-	clear(c.stateOf(c.groups)) // arena space and reused chunks hold stale values
-	for i, b := range c.boxedAt {
-		if b >= 0 {
-			c.boxed = append(c.boxed, c.aggs[i].NewAccumulator())
+	if c.states == nil {
+		c.pooled = statePool.get()
+		c.states = slices.Grow((*c.pooled)[:0], len(c.aggs))[:len(c.aggs)]
+		for i := range c.states {
+			c.states[i].drop()
+			c.states[i].kind = c.aggs[i].Kind
 		}
+	}
+	for i := range c.states {
+		c.states[i].grow(&c.aggs[i])
 	}
 	c.groups++
 }
 
-// stateOf returns group g's state values.
-func (c *groupByCtx) stateOf(g int) types.Row {
-	n := c.nSlots
-	return c.states[g/stateChunkGroups][g%stateChunkGroups*n:][:n]
-}
-
-// slot returns the first state value of group g's aggregate whose state
-// sits at offset at.
-func (c *groupByCtx) slot(g int32, at int) *types.Value {
-	return &c.states[uint32(g)/stateChunkGroups][int(uint32(g)%stateChunkGroups)*c.nSlots+at]
-}
-
 // dropGroups forgets every group, keeping the storage for the next ones.
 func (c *groupByCtx) dropGroups() {
-	c.groups, c.boxed = 0, c.boxed[:0]
+	c.groups = 0
+	for i := range c.states {
+		c.states[i].drop()
+	}
+}
+
+// release returns the states to the pool; the context holds no group
+// after it.
+func (c *groupByCtx) release() {
+	if c.states == nil {
+		return
+	}
+	for i := range c.states {
+		c.states[i].drop()
+	}
+	*c.pooled = c.states
+	statePool.put(c.pooled)
+	c.states, c.pooled, c.groups = nil, nil, 0
 }
 
 // group0 returns n group ids of 0, for the rows of a sort aggregation's
@@ -138,139 +228,119 @@ func (c *groupByCtx) group0(n int) []int32 {
 	return c.zeros[:n]
 }
 
-var countStarArg = types.NewInt(1)
-
-// fold folds each row into its group, rows[k] into group gids[k]. Each
-// aggregate takes one pass over the rows: COUNT(*) counts, and COUNT, SUM,
-// AVG, MIN and MAX of a column read it from the row in a loop of their
-// own. A computed argument is evaluated, and a MEDIAN or user-defined
-// aggregate folded, row by row within the pass. Either way a group's rows
-// fold in input order, so a FLOAT sum adds in the order a row-at-a-time
-// fold would.
-func (c *groupByCtx) fold(rows []types.Row, gids []int32) error {
+// fold folds the rows of b at positions sel into their groups, the row at
+// sel[i] into group gids[i]. Each aggregate takes one pass over the rows:
+// COUNT(*) counts, and COUNT, SUM, AVG, MIN and MAX of a column read its
+// vector, straight from its typed slice when it holds one kind and no
+// NULL. A computed argument is evaluated over the gathered row, and a
+// MEDIAN or user-defined aggregate folded, row by row within the pass.
+// Either way a group's rows fold in input order, so a FLOAT sum adds in the
+// order a row-at-a-time fold would.
+func (c *groupByCtx) fold(b *Batch, sel, gids []int32) error {
 	for i, a := range c.aggs {
-		at, col := c.stateAt[i], c.argCol[i]
+		s, col := &c.states[i], c.argCol[i]
 		switch {
-		case c.boxedAt[i] >= 0 || col < 0 && c.argFns[i] != nil:
-			if err := c.foldRows(i, rows, gids); err != nil {
-				return err
-			}
 		case a.Kind == expr.AggCountStar:
 			for _, g := range gids {
-				s := c.slot(g, at)
-				*s = types.NewInt(s.I + 1) // a NULL state's I is 0
+				s.n[g]++
 			}
+		case col >= 0 && a.Kind.StateSlots() > 0:
+			foldColumn(s, &b.Cols[col], sel, gids)
 		default:
-			c.foldColumn(a.Kind, at, rows, col, gids)
+			if err := c.foldRows(i, b, sel, gids); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// foldColumn folds column col of rows into aggregate state at of their
-// groups. The cases each loop decides inline are those of
-// expr.AggState.Add, which it calls for the rest.
-func (c *groupByCtx) foldColumn(k expr.AggKind, at int, rows []types.Row, col int, gids []int32) {
-	switch k {
-	case expr.AggCount:
-		for i, row := range rows {
-			if row[col].K != types.KindNull {
-				s := c.slot(gids[i], at)
-				*s = types.NewInt(s.I + 1)
+// foldColumn folds the values of v at sel into s's groups gids. The loops
+// over a typed slice decide inline what aggState.add decides for the rest.
+func foldColumn(s *aggState, v *types.Vector, sel, gids []int32) {
+	typed := v.Nulls == nil && (v.K == types.KindInt || v.K == types.KindFloat)
+	switch {
+	case !typed:
+		for i, k := range sel {
+			s.add(gids[i], v.Value(int(k)))
+		}
+	case s.kind == expr.AggCount:
+		for _, g := range gids {
+			s.n[g]++
+		}
+	case s.kind == expr.AggAvg && v.K == types.KindInt:
+		for i, k := range sel {
+			g := gids[i]
+			s.f[g] += float64(v.Ints[k])
+			s.n[g]++
+		}
+	case s.kind == expr.AggAvg:
+		for i, k := range sel {
+			g := gids[i]
+			s.f[g] += v.Floats[k]
+			s.n[g]++
+		}
+	case s.kind == expr.AggSum && v.K == types.KindInt:
+		for i, k := range sel {
+			if g := gids[i]; s.sk[g] == types.KindFloat {
+				s.f[g] += float64(v.Ints[k])
+			} else {
+				s.n[g] += v.Ints[k]
+				s.sk[g] = types.KindInt
 			}
 		}
-	case expr.AggSum:
-		for i, row := range rows {
-			v, s := &row[col], c.slot(gids[i], at)
-			switch {
-			case v.K == types.KindInt && s.K != types.KindFloat:
-				*s = types.NewInt(s.I + v.I)
-			case v.K == types.KindFloat && s.K == types.KindFloat:
-				*s = types.NewFloat(s.F() + v.F())
-			case v.K != types.KindNull:
-				expr.AggState(c.stateOf(int(gids[i]))[at:]).Add(k, *v)
+	case (s.kind == expr.AggMin || s.kind == expr.AggMax) && v.K == types.KindInt:
+		isMax := s.kind == expr.AggMax
+		for i, k := range sel {
+			g, x := gids[i], v.Ints[k]
+			if best := &s.v[g]; best.K != types.KindInt {
+				s.add(g, types.NewInt(x))
+			} else if x < best.I && !isMax || x > best.I && isMax {
+				best.I = x
 			}
 		}
-	case expr.AggAvg:
-		for i, row := range rows {
-			if v := &row[col]; v.K != types.KindNull {
-				sum, n := c.slot(gids[i], at), c.slot(gids[i], at+1)
-				*sum = types.NewFloat(sum.F() + v.Float())
-				*n = types.NewInt(n.I + 1)
-			}
-		}
-	case expr.AggMin, expr.AggMax:
-		want := -1 // MIN replaces the state with a smaller value
-		if k == expr.AggMax {
-			want = 1
-		}
-		for i, row := range rows {
-			v := &row[col]
-			if v.K == types.KindNull {
-				continue
-			}
-			s := c.slot(gids[i], at)
-			switch {
-			case s.K == types.KindNull:
-				*s = *v
-			case v.K == types.KindInt && s.K == types.KindInt:
-				if v.I < s.I && want < 0 || v.I > s.I && want > 0 {
-					*s = *v
-				}
-			case types.Compare(*v, *s) == want:
-				*s = *v
-			}
+	default:
+		for i, k := range sel {
+			s.add(gids[i], v.Value(int(k)))
 		}
 	}
 }
 
-// foldRows folds aggregate i row by row: its argument computed, or its
-// state boxed.
-func (c *groupByCtx) foldRows(i int, rows []types.Row, gids []int32) error {
-	fn, col, box, kind := c.argFns[i], c.argCol[i], c.boxedAt[i], c.aggs[i].Kind
-	for k, row := range rows {
+// foldRows folds aggregate i row by row: its argument computed over the
+// gathered row, or its state boxed.
+func (c *groupByCtx) foldRows(i int, b *Batch, sel, gids []int32) error {
+	s, fn, col := &c.states[i], c.argFns[i], c.argCol[i]
+	for j, k := range sel {
 		v := countStarArg
 		switch {
 		case col >= 0:
-			v = row[col]
+			v = b.Cols[col].Value(int(k))
 		case fn != nil:
+			c.row = b.Row(int(k), c.row)
 			var err error
-			if v, err = fn(row, c.params); err != nil {
+			if v, err = fn(c.row, c.params); err != nil {
 				return err
 			}
 		}
-		if g := int(gids[k]); box >= 0 {
-			c.boxed[g*c.nBoxed+box].Add(v)
-		} else {
-			expr.AggState(c.stateOf(g)[c.stateAt[i]:]).Add(kind, v)
-		}
+		s.add(gids[j], v)
 	}
 	return nil
 }
 
+var countStarArg = types.NewInt(1)
+
 // finish converts group g, whose grouping values are key, into the output
 // row, applying Having and Outputs. ok=false means the group was filtered
-// out.
+// out. The row is scratch, valid until the next call.
 func (c *groupByCtx) finish(g int, key types.Row) (types.Row, bool, error) {
-	// Without an output projection the inner row is the emitted row, so it
-	// is carved from the arena (a Having rejection wastes the carve, which
-	// is slab space, not an allocation). With outputs, the inner row only
-	// feeds the evaluators and lives in a reusable scratch buffer.
 	n := len(key) + len(c.aggs)
-	if c.outputs == nil {
-		c.inner = c.arena.carve(n)
-	} else if cap(c.inner) < n {
+	if cap(c.inner) < n {
 		c.inner = make(types.Row, n)
 	}
 	inner := c.inner[:n]
 	copy(inner, key)
-	states := c.stateOf(g)
-	for i, b := range c.boxedAt {
-		if b >= 0 {
-			inner[len(key)+i] = c.boxed[g*c.nBoxed+b].Result()
-		} else {
-			inner[len(key)+i] = expr.AggState(states[c.stateAt[i]:]).Result(c.aggs[i].Kind)
-		}
+	for i := range c.aggs {
+		inner[len(key)+i] = c.states[i].result(g)
 	}
 	keep, err := c.having.Holds(inner, c.params)
 	if err != nil || !keep {
@@ -279,23 +349,27 @@ func (c *groupByCtx) finish(g int, key types.Row) (types.Row, bool, error) {
 	if c.outputs == nil {
 		return inner, true, nil
 	}
-	out := c.arena.carve(len(c.outputs))
+	c.out = slices.Grow(c.out[:0], len(c.outputs))[:len(c.outputs)]
 	for i, fn := range c.outputs {
 		v, err := fn(inner, c.params)
 		if err != nil {
 			return nil, false, err
 		}
-		out[i] = v
+		c.out[i] = v
 	}
-	return out, true, nil
+	return c.out, true, nil
+}
+
+// width returns the number of columns of the output rows.
+func (s *groupBySpec) width() int {
+	if s.outputs != nil {
+		return len(s.outputs)
+	}
+	return len(s.groupPos) + len(s.aggs)
 }
 
 func compileGroupBy(g *lplan.GroupBy) (*op, error) {
-	compile := compileInput
-	if g.Method == lplan.AggHash || g.Method == lplan.AggUnset {
-		compile = hashInput
-	}
-	input, err := compile(g.In)
+	input, err := compileInput(g.In)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +379,7 @@ func compileGroupBy(g *lplan.GroupBy) (*op, error) {
 	}
 	in := input.op
 	newCtx := func(e *Executor) *groupByCtx {
-		return &groupByCtx{groupBySpec: spec, params: e.params, arena: rowArena{rec: &e.arenas}}
+		return &groupByCtx{groupBySpec: spec, params: e.params}
 	}
 	switch g.Method {
 	case lplan.AggSort:
@@ -313,14 +387,35 @@ func compileGroupBy(g *lplan.GroupBy) (*op, error) {
 		return &op{newIter: func(e *Executor) BatchIterator {
 			ctx := newCtx(e)
 			return &sortAggIter{ctx: ctx, target: e.batchSize, in: runReader{in: sorted(e), cols: spec.groupPos,
-				fold: func(rows []types.Row) error { return ctx.fold(rows, ctx.group0(len(rows))) }}}
+				fold: func(b *Batch, sel []int32) error { return ctx.fold(b, sel, ctx.group0(len(sel))) }}}
 		}}, nil
 	case lplan.AggHash, lplan.AggUnset:
+		// Without an estimate, a group-by straight over an Input expects as
+		// many groups as the run supplies rows.
+		fromInput := g.Groups == 0 && readsInput(g.In)
 		return &op{newIter: func(e *Executor) BatchIterator {
-			return &hashAggIter{exec: e, ctx: newCtx(e), in: e.build(in), shape: input.shape, groups: g.Groups}
+			groups := g.Groups
+			if fromInput {
+				groups = float64(len(e.input))
+			}
+			return &hashAggIter{exec: e, ctx: newCtx(e), in: e.build(in), groups: groups}
 		}}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown aggregation method %v", g.Method)
+	}
+}
+
+// readsInput reports whether n is an Input leaf, or filters of one.
+func readsInput(n lplan.Node) bool {
+	for {
+		switch t := n.(type) {
+		case *lplan.Input:
+			return true
+		case *lplan.Filter:
+			n = t.In
+		default:
+			return false
+		}
 	}
 }
 
@@ -332,26 +427,31 @@ func compileGroupBy(g *lplan.GroupBy) (*op, error) {
 // (groupByCtx.fold). The finished groups stream out in batches, in the
 // order their first rows arrived.
 type hashAggIter struct {
-	exec  *Executor
-	ctx   *groupByCtx
-	in    BatchIterator
-	shape rowShape // of in's rows
+	exec *Executor
+	ctx  *groupByCtx
+	in   BatchIterator
 
-	tab    keyTable       // group key -> group number
-	groups float64        // the plan's group estimate, which presizes tab
+	tab    *keyTable      // pooled: group key -> group number
+	groups float64        // the group estimate, which presizes tab
+	kr     keyRows        // the batch's keys
+	keep   []int32        // the positions of the rows that fold, once one does not
 	key    [1]types.Value // room for the table to spell out a bare INT key
 	keyBuf []byte         // key encoding of a row being partitioned
+	row    types.Row      // a row being partitioned
 	bytes  int            // accounted size of the group table
 	// parts holds the overflow partitions as a field (not an Open local) so
 	// Close drops them when Open fails after partitioning started.
 	parts []*spill
-	rows  []types.Row // finished groups
-	out   *sliceIter
+	done  *Batch // pooled: the finished groups, in vectors of its own
+	out   *blockIter
 }
 
 func (it *hashAggIter) Open() error {
 	width := len(it.ctx.groupPos)
+	it.tab = getKeyTable()
 	it.tab.init(width, presized(it.groups, width, it.exec.budgetBytes))
+	it.done = getStore()
+	it.done.startOwn(it.ctx.width())
 	if err := it.consume(it.in, true); err != nil {
 		return err
 	}
@@ -368,7 +468,8 @@ func (it *hashAggIter) Open() error {
 		if err := p.finish(); err != nil {
 			return err
 		}
-		if err := it.consume(&spillIter{sp: p, target: it.exec.batchSize, shape: it.shape, arena: &it.ctx.arena}, false); err != nil {
+		it.tab.init(width, 0)
+		if err := it.consume(spillScan(p, it.exec.batchSize), false); err != nil {
 			return err
 		}
 		if err := it.finishGroups(); err != nil {
@@ -376,7 +477,7 @@ func (it *hashAggIter) Open() error {
 		}
 		p.drop()
 	}
-	it.out = newSliceIter(it.rows, it.exec.batchSize)
+	it.out = &blockIter{blk: it.done.Block, target: it.exec.batchSize}
 	return it.out.Open()
 }
 
@@ -385,40 +486,39 @@ func (it *hashAggIter) Open() error {
 // spill partitions instead; rows of resident groups keep accumulating in
 // memory, so a group never splits between the table and the partitions.
 func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
-	defer in.Close()
-	if err := in.Open(); err != nil {
-		return err
-	}
 	ctx := it.ctx
-	b := getBatch()
-	defer putBatch(b)
-	for {
-		if err := in.NextBatch(b); err != nil {
-			return err
-		}
-		if b.Len() == 0 {
-			return nil
-		}
-		it.tab.hash(b, ctx.groupPos)
+	return drainBatches(in, func(b *Batch) error {
+		kr := it.kr.of(b, ctx.groupPos)
+		it.tab.hash(kr)
 		gids := b.groupIDs()
 		// The rows that stay, with their group ids, are packed to the
-		// front of the batch: a row written to a partition is not folded.
-		n := 0
-		for i, row := range b.Rows {
-			g := it.tab.lookup(b.hashes[i], row, ctx.groupPos)
+		// front: a row written to a partition is not folded.
+		keep, n, copied := kr.sel, 0, false
+		ints, dense := it.tab.denseInts(kr)
+		for i, k := range kr.sel {
+			var g int
+			if dense && it.tab.dense { // an insert may leave the layout
+				g = it.tab.denseAt(ints[k])
+			} else {
+				g = it.tab.lookup(kr, i)
+			}
 			if g < 0 {
 				if partition && it.parts != nil {
 					// The partition comes from the key's byte encoding, not
 					// from the table's hash: which rows share a spill file,
 					// and so every page count, stays as it always was.
-					it.keyBuf = row.AppendKey(it.keyBuf[:0], ctx.groupPos)
-					if err := it.parts[partitionOf(it.keyBuf)].add(it.shape.cut(row, &ctx.arena)); err != nil {
+					it.row = b.Row(int(k), it.row)
+					it.keyBuf = it.row.AppendKey(it.keyBuf[:0], ctx.groupPos)
+					if err := it.parts[partitionOf(it.keyBuf)].add(it.row); err != nil {
 						return err
+					}
+					if !copied { // the first row not kept
+						keep, copied = append(it.keep[:0], kr.sel[:n]...), true
 					}
 					continue
 				}
 				ctx.newGroup()
-				g = it.tab.insert(b, i, ctx.groupPos)
+				g = it.tab.insert(kr, i)
 				// Accounted bytes mirror the cost model's group-table
 				// estimate (the output row width), so the executor spills
 				// exactly where the model predicts a spill.
@@ -430,32 +530,31 @@ func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 					}
 				}
 			}
-			if n != i {
-				b.Rows[n] = row
+			if copied {
+				keep = append(keep, k)
 			}
 			gids[n] = int32(g)
 			n++
 		}
-		if err := ctx.fold(b.Rows[:n], gids[:n]); err != nil {
-			return err
+		if copied {
+			it.keep = keep[:0]
 		}
-	}
+		return ctx.fold(b, keep[:n], gids[:n])
+	})
 }
 
-// finishGroups appends the table's groups to the output and empties it.
+// finishGroups appends the table's groups to the output and forgets them.
 func (it *hashAggIter) finishGroups() error {
-	it.rows = slices.Grow(it.rows, it.ctx.groups)
 	for g := 0; g < it.ctx.groups; g++ {
 		row, ok, err := it.ctx.finish(g, it.tab.key(g, it.key[:]))
 		if err != nil {
 			return err
 		}
 		if ok {
-			it.rows = append(it.rows, row)
+			it.done.appendRow(row)
 		}
 	}
 	it.ctx.dropGroups()
-	it.tab.init(len(it.ctx.groupPos), 0)
 	return nil
 }
 
@@ -463,6 +562,10 @@ func (it *hashAggIter) NextBatch(dst *Batch) error { return it.out.NextBatch(dst
 
 func (it *hashAggIter) Close() error {
 	it.in.Close() // consume already closed it on the Open path; idempotent
+	it.ctx.release()
+	putStore(it.done)
+	putKeyTable(it.tab)
+	it.done, it.out, it.tab = nil, nil, nil
 	for _, p := range it.parts {
 		p.drop()
 	}
@@ -492,7 +595,8 @@ func (it *sortAggIter) Open() error {
 
 func (it *sortAggIter) NextBatch(dst *Batch) error {
 	dst.Reset()
-	for !it.done && dst.Len() < it.target {
+	dst.startOwn(it.ctx.width())
+	for !it.done && dst.N < it.target {
 		it.ctx.newGroup()
 		first, err := it.in.next()
 		if err != nil {
@@ -502,7 +606,7 @@ func (it *sortAggIter) NextBatch(dst *Batch) error {
 		// it one row even over an empty input, of empty aggregates.
 		it.done = first == nil || it.ctx.scalar
 		if first == nil && !it.ctx.scalar {
-			return nil
+			break
 		}
 		it.key = it.key[:0]
 		for _, p := range it.ctx.groupPos {
@@ -514,10 +618,13 @@ func (it *sortAggIter) NextBatch(dst *Batch) error {
 			return err
 		}
 		if ok {
-			dst.Append(row)
+			dst.appendRow(row)
 		}
 	}
 	return nil
 }
 
-func (it *sortAggIter) Close() error { return it.in.Close() }
+func (it *sortAggIter) Close() error {
+	it.ctx.release()
+	return it.in.Close()
+}

@@ -65,14 +65,14 @@ func aggTestEnv(t *testing.T, poolPages int) (*storage.Store, *catalog.Table) {
 	return st, tbl
 }
 
-// aggState is a plain Go fold of one column of one group.
-type aggState struct {
+// goFold is a plain Go fold of one column of one group.
+type goFold struct {
 	n        int64
 	sum      float64
 	min, max float64
 }
 
-func (s *aggState) add(v types.Value) {
+func (s *goFold) add(v types.Value) {
 	if v.IsNull() {
 		return
 	}
@@ -136,12 +136,12 @@ func TestAggregatesAgainstReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vi, vf := map[int64]*aggState{}, map[int64]*aggState{}
+		vi, vf := map[int64]*goFold{}, map[int64]*goFold{}
 		rows := map[int64]int64{}
 		for _, r := range all.Rows {
 			k := r[0].Int()
 			if vi[k] == nil {
-				vi[k], vf[k] = &aggState{}, &aggState{}
+				vi[k], vf[k] = &goFold{}, &goFold{}
 			}
 			vi[k].add(r[1])
 			vf[k].add(r[2])
@@ -224,7 +224,7 @@ func sameBits(a, b types.Value) bool {
 }
 
 // sumOf is SUM over a fold of a column of kind k: NULL over no input.
-func sumOf(s *aggState, k types.Kind) types.Value {
+func sumOf(s *goFold, k types.Kind) types.Value {
 	if s.n == 0 {
 		return types.Null()
 	}
@@ -235,7 +235,7 @@ func sumOf(s *aggState, k types.Kind) types.Value {
 }
 
 // avgOf is AVG over a fold: NULL over no input.
-func avgOf(s *aggState) types.Value {
+func avgOf(s *goFold) types.Value {
 	if s.n == 0 {
 		return types.Null()
 	}

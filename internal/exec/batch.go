@@ -3,7 +3,6 @@ package exec
 import (
 	"sync"
 
-	"aggview/internal/storage"
 	"aggview/internal/types"
 )
 
@@ -13,32 +12,49 @@ import (
 // that a batch of typical rows stays well inside cache-friendly territory.
 const DefaultBatchSize = 1024
 
-// Batch is a reusable vector of rows — the unit of data flow between
-// operators. See doc.go for the ownership and reuse contract: the Rows
-// slice is overwritten by the next NextBatch call on the producing
-// operator, but the types.Row values it held remain valid indefinitely.
+// Batch is the unit of data flow between operators: column vectors and a
+// selection vector over them. A scan hands out a page's own vectors with
+// the positions of the rows that passed its filter; an operator that
+// builds its output fills vectors of the batch's own (startOwn,
+// appendRow). See doc.go for the ownership contract: the vectors and Sel
+// are the producer's, read-only to the consumer, and valid only until the
+// consumer's next NextBatch call on the producer. A row outlives its
+// batch only as a copy: gathered (gather), or appended to vectors the
+// consumer owns.
 type Batch struct {
-	Rows []types.Row
-	// hashes is scratch for the key hashes of Rows (hashKeys), pooled with
-	// the batch so that hashing operators allocate none per run.
-	hashes []uint64
-	// sel is scratch for a selection vector, positions in Rows (or in a
-	// page the batch's user is filtering), and gids for the group ids of
-	// Rows (hash aggregation), pooled alike. Like hashes, they are valid
-	// only while their user holds the batch.
+	types.Block
+	// Sel holds the batch's rows, positions in the vectors, in order; nil
+	// means all N of them.
+	Sel []int32
+	// own holds the vectors startOwn fills, pooled with the batch.
+	own []types.Vector
+	// sel is scratch for a selection vector (selectAll), and gids for the
+	// group ids of the batch's rows (hash aggregation), indexed by row, the
+	// i-th of the selection; pooled with the batch, and valid only while
+	// their user holds it.
 	sel, gids []int32
 }
 
 // Len returns the number of rows in the batch.
-func (b *Batch) Len() int { return len(b.Rows) }
+func (b *Batch) Len() int {
+	if b.Sel == nil {
+		return b.N
+	}
+	return len(b.Sel)
+}
 
-// Reset empties the batch, keeping its capacity.
-func (b *Batch) Reset() { b.Rows = b.Rows[:0] }
+// Reset empties the batch, keeping its own vectors' storage.
+func (b *Batch) Reset() { b.Block, b.Sel = types.Block{}, nil }
 
-// Append adds a row to the batch.
-func (b *Batch) Append(r types.Row) { b.Rows = append(b.Rows, r) }
+// selection returns the batch's rows as positions in its vectors.
+func (b *Batch) selection() []int32 {
+	if b.Sel != nil {
+		return b.Sel
+	}
+	return b.selectAll(b.N)
+}
 
-// selectAll returns the batch's selection vector holding 0, 1, ..., n-1.
+// selectAll returns the batch's selection scratch holding 0, 1, ..., n-1.
 func (b *Batch) selectAll(n int) []int32 {
 	if cap(b.sel) < n {
 		b.sel = make([]int32, n, max(n, DefaultBatchSize))
@@ -52,36 +68,93 @@ func (b *Batch) selectAll(n int) []int32 {
 
 // groupIDs returns the batch's group-id vector, one slot per row.
 func (b *Batch) groupIDs() []int32 {
-	if cap(b.gids) < len(b.Rows) {
-		b.gids = make([]int32, len(b.Rows), max(len(b.Rows), DefaultBatchSize))
+	if n := b.Len(); cap(b.gids) < n {
+		b.gids = make([]int32, n, max(n, DefaultBatchSize))
 	}
-	return b.gids[:len(b.Rows)]
+	return b.gids[:b.Len()]
 }
 
-// batchPool recycles Batch vectors across operators and queries, so steady
-// query traffic allocates no per-batch memory.
-var batchPool = sync.Pool{
-	New: func() any { return &Batch{Rows: make([]types.Row, 0, DefaultBatchSize)} },
+// startOwn empties the batch into width vectors of its own, for
+// appendRow or a columnar gather to fill.
+func (b *Batch) startOwn(width int) {
+	if cap(b.own) < width {
+		b.own = make([]types.Vector, width)
+	}
+	b.own = b.own[:width]
+	for j := range b.own {
+		b.own[j].Reset()
+	}
+	b.Block, b.Sel = types.Block{Cols: b.own}, nil
 }
 
-// getBatch takes an empty batch from the pool.
-func getBatch() *Batch {
-	b := batchPool.Get().(*Batch)
-	b.Reset()
-	return b
+// appendRow appends r's values to the batch's own vectors (startOwn),
+// its VARCHARs by reference (Vector.AppendRef).
+func (b *Batch) appendRow(r types.Row) {
+	for j := range r {
+		b.Cols[j].AppendRef(r[j])
+	}
+	b.N++
 }
 
-// putBatch returns a batch to the pool, dropping its row references so the
-// pool does not pin freed query memory.
-func putBatch(b *Batch) {
+// gather returns the i-th row of the batch, its values copied into dst
+// (resized as needed). It and types.Block.Row, which it wraps, are the one
+// adapter from vectors to rows: every operator or expression that reads
+// rows — sort, merge join, block nested loops, spill writers, computed
+// expressions, the cursor — reads them through it.
+func (b *Batch) gather(i int, dst types.Row) types.Row {
+	return b.Row(b.at(i), dst)
+}
+
+// at returns the position in the vectors of the batch's i-th row.
+func (b *Batch) at(i int) int {
+	if b.Sel == nil {
+		return i
+	}
+	return int(b.Sel[i])
+}
+
+// recycler keeps objects of one kind for reuse across operators and
+// queries, so that steady query traffic allocates no per-run scratch.
+type recycler[T any] struct{ pool sync.Pool }
+
+// get returns a recycled object, or a new zero one.
+func (r *recycler[T]) get() *T {
+	if x, ok := r.pool.Get().(*T); ok {
+		return x
+	}
+	return new(T)
+}
+
+// put recycles x, which its user must no longer touch.
+func (r *recycler[T]) put(x *T) { r.pool.Put(x) }
+
+// batches recycles the batches operators pass and fill, stores those that
+// hold a whole input (a hash join's build rows, an aggregation's groups):
+// kept apart, a batch grown to one use is handed to the next of its kind.
+var batches, stores recycler[Batch]
+
+// getBatch takes an empty batch from the recycler.
+func getBatch() *Batch { return batches.get() }
+
+// getStore takes an empty batch for a whole input from the recycler.
+func getStore() *Batch { return stores.get() }
+
+// putBatch recycles a batch taken with getBatch, dropping its references
+// so that it does not pin freed query memory.
+func putBatch(b *Batch) { recycle(&batches, b) }
+
+// putStore recycles a batch taken with getStore.
+func putStore(b *Batch) { recycle(&stores, b) }
+
+func recycle(r *recycler[Batch], b *Batch) {
 	if b == nil {
 		return
 	}
-	for i := range b.Rows {
-		b.Rows[i] = nil
+	for j := range b.own {
+		b.own[j].Reset()
 	}
 	b.Reset()
-	batchPool.Put(b)
+	r.put(b)
 }
 
 // arenaSlabValues is the number of types.Value slots a rowArena allocates
@@ -94,7 +167,7 @@ const arenaSlabValues = 8192
 // pool between a cursor's Close and the next query's first carve, so
 // steady query traffic reuses a small working set of slabs instead of
 // churning the garbage collector with one short-lived slab per few
-// thousand emitted values.
+// thousand gathered values.
 var slabPool = sync.Pool{
 	New: func() any { s := make([]types.Value, arenaSlabValues); return &s },
 }
@@ -116,11 +189,7 @@ type arenaRecycler struct {
 // directly constructed operators (tests) correct without wiring.
 func (ar *arenaRecycler) newSlab(n int) []types.Value {
 	if ar == nil || n > arenaSlabValues {
-		size := arenaSlabValues
-		if n > size {
-			size = n
-		}
-		return make([]types.Value, size)
+		return make([]types.Value, max(n, arenaSlabValues))
 	}
 	p := slabPool.Get().(*[]types.Value)
 	ar.slabs = append(ar.slabs, p)
@@ -136,16 +205,15 @@ func (ar *arenaRecycler) release() {
 	ar.slabs = nil
 }
 
-// rowArena carves output rows from slab allocations, turning one heap
-// allocation per emitted row into one slab fetch per few thousand values.
-// Carved rows are sliced at full capacity so an append can never bleed
-// into a neighbor, and the arena only ever advances through a slab — it
-// never reuses carved space — so within a query the executor's
-// row-immutability contract holds.
+// rowArena carves rows from slab allocations, turning one heap allocation
+// per gathered or finished row into one slab fetch per few thousand
+// values. Carved rows are sliced at full capacity so an append can never
+// bleed into a neighbor, and the arena only ever advances through a slab
+// — it never reuses carved space — so a carved row stays as written until
+// the cursor closes.
 //
 // Recycled slabs are NOT zeroed: a carved row holds stale values until
-// written, so every carve site must assign all n slots before the row is
-// emitted.
+// written, so every carve site must assign all n slots.
 //
 // Arenas are per-operator and therefore single-goroutine, like the
 // operators that own them.
@@ -168,15 +236,6 @@ func (a *rowArena) carve(n int) types.Row {
 	return r
 }
 
-// project carves the row holding row's values at positions proj.
-func (a *rowArena) project(row types.Row, proj []int) types.Row {
-	out := a.carve(len(proj))
-	for i, j := range proj {
-		out[i] = row[j]
-	}
-	return out
-}
-
 // BatchIterator is the executor's operator interface: a Volcano lifecycle
 // with a vectorized data path. NextBatch resets dst and fills it with up to
 // the executor's batch-size rows; an empty dst after a nil-error return
@@ -188,11 +247,11 @@ type BatchIterator interface {
 	Close() error
 }
 
-// drainBatches reads an operator to completion, invoking fn per row. Close
-// runs even when Open fails, so a partially opened subtree releases its
-// spills. Pipeline breakers (sorts, hash builds, aggregations) use it to
-// consume their inputs batch-at-a-time.
-func drainBatches(it BatchIterator, fn func(types.Row) error) error {
+// drainBatches reads an operator to completion, invoking fn per batch.
+// Close runs even when Open fails, so a partially opened subtree releases
+// its spills. Pipeline breakers (sorts, hash builds, aggregations) use it
+// to consume their inputs.
+func drainBatches(it BatchIterator, fn func(*Batch) error) error {
 	defer it.Close()
 	if err := it.Open(); err != nil {
 		return err
@@ -206,44 +265,27 @@ func drainBatches(it BatchIterator, fn func(types.Row) error) error {
 		if b.Len() == 0 {
 			return nil
 		}
-		for _, row := range b.Rows {
-			if err := fn(row); err != nil {
-				return err
-			}
+		if err := fn(b); err != nil {
+			return err
 		}
 	}
 }
 
-// rowStore materializes rows for a pipeline breaker that must hold its
-// whole input and address it by position (a hash join's build side). The
-// rows sit in pooled batches of DefaultBatchSize, so the vector grows
-// without copying and, query after query, without allocating.
-type rowStore struct {
-	chunks []*Batch // every chunk before the last in use is full
-	n      int
+// drainRows reads an operator to completion, invoking fn per row, each
+// gathered into a row carved from a, so fn may keep it.
+func drainRows(it BatchIterator, a *rowArena, fn func(types.Row) error) error {
+	return drainBatches(it, func(b *Batch) error {
+		for i := range b.Len() {
+			if err := fn(b.gather(i, a.carve(len(b.Cols)))); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
-func (s *rowStore) add(r types.Row) {
-	if s.n/DefaultBatchSize == len(s.chunks) {
-		s.chunks = append(s.chunks, getBatch())
-	}
-	s.chunks[s.n/DefaultBatchSize].Append(r)
-	s.n++
-}
-
-func (s *rowStore) at(i int) types.Row {
-	return s.chunks[i/DefaultBatchSize].Rows[i%DefaultBatchSize]
-}
-
-// release empties the store, returning the chunks to the pool.
-func (s *rowStore) release() {
-	for _, c := range s.chunks {
-		putBatch(c)
-	}
-	s.chunks, s.n = nil, 0
-}
-
-// sliceIter yields an in-memory row slice in batches.
+// sliceIter yields an in-memory row slice in batches of vectors it
+// fills.
 type sliceIter struct {
 	rows   []types.Row
 	pos    int
@@ -261,42 +303,16 @@ func (it *sliceIter) Open() error { it.pos = 0; return nil }
 
 func (it *sliceIter) NextBatch(dst *Batch) error {
 	dst.Reset()
-	n := len(it.rows) - it.pos
-	if n > it.target {
-		n = it.target
+	n := min(len(it.rows)-it.pos, it.target)
+	if n == 0 {
+		return nil
 	}
-	dst.Rows = append(dst.Rows, it.rows[it.pos:it.pos+n]...)
+	dst.startOwn(len(it.rows[it.pos]))
+	for _, r := range it.rows[it.pos : it.pos+n] {
+		dst.appendRow(r)
+	}
 	it.pos += n
 	return nil
 }
 
 func (it *sliceIter) Close() error { return nil }
-
-// spillIter scans a spill file in batches, widening each row by shape
-// into arena (rowShape.widen).
-type spillIter struct {
-	sp     *spill
-	target int
-	shape  rowShape
-	arena  *rowArena
-	sc     *storage.Scanner
-}
-
-func (it *spillIter) Open() error { it.sc = it.sp.scan(); return nil }
-
-func (it *spillIter) NextBatch(dst *Batch) error {
-	dst.Reset()
-	for dst.Len() < it.target {
-		r, _, ok, err := it.sc.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		dst.Append(it.shape.widen(r, it.arena))
-	}
-	return nil
-}
-
-func (it *spillIter) Close() error { return nil }

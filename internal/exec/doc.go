@@ -1,14 +1,20 @@
 // Package exec is a vectorized Volcano-style executor for lplan trees.
 //
-// Operators exchange reusable row vectors (Batch) instead of single rows.
-// Every operator that exceeds the memory budget spills through the storage
-// layer — external sort runs, Grace hash-join partitions, hash-aggregate
-// partitions, block-nested-loops inner materialization — so the IO counters
-// of the backing store reflect the same trade-offs the cost model
-// estimates. The executor exists for two reasons: to machine-check that
-// transformed plans are equivalent (the paper's Definition 1 and the
-// push-down transformations), and to validate the cost model's shape
-// against measured page IO in the experiment harness.
+// Operators exchange batches of typed column vectors (Batch: a
+// types.Block and a selection vector over it) instead of single rows. A
+// scan hands out its pages' own vectors; filters narrow selections over
+// them; the key tables, the aggregate folds and the join's gather read the
+// vectors' typed slices. Operators that work on rows (sort, merge join,
+// block nested loops, spill writers, computed expressions, the cursor) get
+// them from one adapter, Batch.gather. Every operator that exceeds the
+// memory budget spills through the storage layer — external sort runs,
+// Grace hash-join partitions, hash-aggregate partitions,
+// block-nested-loops inner materialization — so the IO counters of the
+// backing store reflect the same trade-offs the cost model estimates. The
+// executor exists for two reasons: to machine-check that transformed plans
+// are equivalent (the paper's Definition 1 and the push-down
+// transformations), and to validate the cost model's shape against
+// measured page IO in the experiment harness.
 //
 // # A plan is compiled once and opened per run
 //
@@ -46,24 +52,28 @@
 // end of stream keeps returning an empty batch. A returned batch is never
 // empty in mid-stream — operators keep pulling their inputs until they
 // have at least one row or the stream ends — so consumers need no
-// "try again" path. A refilling operator (a selective filter) may overrun
-// the target by less than one input batch; consumers must size nothing to
-// the target.
+// "try again" path. A batch may hold fewer rows than the target: a scan
+// hands its pages out one at a time, and a hash join's batch ends with its
+// probe batch. Consumers must size nothing to the target.
 //
 // # Batch ownership and reuse
 //
 // The *Batch passed to NextBatch is owned by the caller; the callee resets
-// and fills it. The Rows slice is valid only until the caller's next
-// NextBatch call on the same operator — operators and cursors reuse the
-// vector to keep steady-state allocation at zero (batches come from an
-// internal sync.Pool via getBatch/putBatch; Close returns them).
+// it and points it at vectors: a storage page's own, which never change,
+// or ones the callee fills, its own or dst's (startOwn). Either way the
+// vectors and the selection belong to the producer, are read-only to the
+// consumer, and are valid only until the consumer's next NextBatch call on
+// the same operator: producers reuse them to keep steady-state allocation
+// at zero (batches, key tables, aggregation states and scan queues are
+// recycled across runs; Close returns them).
 //
-// The types.Row values inside a batch are NOT recycled: once emitted, a
-// row is immutable and remains valid indefinitely. Downstream operators
-// may retain rows (hash tables, sort buffers, group states) without
-// copying; nobody may mutate a row after emitting or receiving it. Rows
-// read from storage alias buffer-pool page memory, which the storage layer
-// likewise never mutates in place.
+// A row outlives its batch only as a copy: gathered into a row (gather,
+// drainRows), or appended to vectors the consumer owns (a hash join's
+// build store, an aggregation's finished groups). A gathered VARCHAR
+// aliases the bytes of the vector it came from, which are never
+// overwritten (Vector.Reset lets them go rather than reuse them), so a
+// gathered row stays valid as long as it is held. Rows the adapter carves
+// from a rowArena are recycled when the cursor closes.
 //
 // # One operator shape
 //

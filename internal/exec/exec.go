@@ -169,10 +169,12 @@ type Cursor struct {
 	ex      *Executor
 	sch     schema.Schema
 	b       *Batch
-	pos     int
+	pos     int // the batch's next row
+	n       int // the batch's rows Next hands out
 	eos     bool
 	pending error // governance error to surface after the allowed prefix
 	closed  bool
+	row     types.Row // the row Next gathers
 }
 
 // Program is a plan compiled once for execution: its legality checked,
@@ -219,7 +221,7 @@ func compileOp(n lplan.Node) (*op, error) {
 	var err error
 	switch t := n.(type) {
 	case *lplan.Scan:
-		o, err = compileScan(t, false)
+		o, err = compileScan(t)
 	case *lplan.Input:
 		o = &op{newIter: func(e *Executor) BatchIterator { return newSliceIter(e.input, e.batchSize) }}
 	case *lplan.Filter:
@@ -248,111 +250,17 @@ func labelled(o *op, n lplan.Node) *op {
 	return o
 }
 
-// input is a compiled operator as its parent reads it: the operator, the
-// schema of the rows it emits, and their shape (hashInput).
+// input is a compiled operator as its parent reads it: the operator and
+// the schema of the rows it emits.
 type input struct {
-	op    *op
-	sch   schema.Schema
-	shape rowShape
+	op  *op
+	sch schema.Schema
 }
 
 // compileInput compiles n as an input that emits rows of n's own schema.
 func compileInput(n lplan.Node) (input, error) {
 	o, err := compileOp(n)
 	return input{op: o, sch: n.Schema()}, err
-}
-
-// hashInput compiles n as an input of a hash join or a hash aggregation,
-// which reads a few columns of each row and keeps no row as it is. A scan
-// that projects, and appends no $tid, then emits its stored rows as they
-// are, filtered but not carved: the input's schema is the stored one with
-// the columns the scan does not project left nameless, so that nothing
-// resolves to them, and its shape says where the projected ones sit. Any
-// other n compiles as compileInput does.
-func hashInput(n lplan.Node) (input, error) {
-	s, ok := n.(*lplan.Scan)
-	if !ok || s.Proj == nil || s.WithTID {
-		return compileInput(n)
-	}
-	base := s.Table.Schema.Rename(s.Alias)
-	narrow, err := colIndexes(base, s.Proj)
-	if err != nil {
-		return input{}, err
-	}
-	sch := make(schema.Schema, len(base))
-	for i, c := range base {
-		sch[i].Type = c.Type
-	}
-	for _, j := range narrow {
-		sch[j] = base[j]
-	}
-	o, err := compileScan(s, true)
-	if err != nil {
-		return input{}, err
-	}
-	return input{op: labelled(o, s), sch: sch, shape: rowShape{narrow: narrow, width: len(base)}}, nil
-}
-
-// rowShape relates the rows a scan under a hash operator emits, its stored
-// rows, to the rows it would emit on its own: narrow[i] is the stored
-// position of the scan's column i, in rows of width values. The operator's
-// budget counts the narrowed row, and a spill file holds it, as the scan
-// would have carved it, so every spill decision and every spill page stays
-// the same; a row read back from a spill file is widened to the stored
-// positions again, so one set of compiled positions serves both paths. The
-// zero shape is an input that emits its own rows.
-type rowShape struct {
-	narrow []int
-	width  int
-}
-
-// positions appends to dst where the columns of an input whose rows are
-// width wide sit in them, offset by off.
-func (s rowShape) positions(width, off int, dst []int) []int {
-	if s.narrow == nil {
-		for j := range width {
-			dst = append(dst, off+j)
-		}
-		return dst
-	}
-	for _, j := range s.narrow {
-		dst = append(dst, off+j)
-	}
-	return dst
-}
-
-// diskWidth returns the accounted width of r narrowed.
-func (s rowShape) diskWidth(r types.Row) int {
-	if s.narrow == nil {
-		return r.DiskWidth()
-	}
-	w := types.Row(nil).DiskWidth() // the tuple header
-	for _, j := range s.narrow {
-		w += r[j].DiskWidth()
-	}
-	return w
-}
-
-// cut returns r narrowed, carved from a.
-func (s rowShape) cut(r types.Row, a *rowArena) types.Row {
-	if s.narrow == nil {
-		return r
-	}
-	return a.project(r, s.narrow)
-}
-
-// widen returns a narrowed row put back at its stored positions, carved
-// from a; the positions the scan does not project hold NULL.
-func (s rowShape) widen(r types.Row, a *rowArena) types.Row {
-	if s.narrow == nil {
-		return r
-	}
-	out := a.carve(s.width)
-	clear(out)
-	for i, j := range s.narrow {
-		out[j] = r[i]
-	}
-	return out
 }
 
 // Open builds the program's iterator tree for this run, opens it, and
@@ -375,13 +283,15 @@ func (e *Executor) Open(p *Program) (*Cursor, error) {
 // Schema returns the output schema of the plan.
 func (c *Cursor) Schema() schema.Schema { return c.sch }
 
-// Next returns the next row. ok is false at end of stream.
+// Next returns the next row, gathered from the batch's vectors into a row
+// that stays valid until the next call: a caller that keeps it clones it.
+// ok is false at end of stream.
 func (c *Cursor) Next() (types.Row, bool, error) {
 	for {
-		if c.pos < len(c.b.Rows) {
-			row := c.b.Rows[c.pos]
+		if c.pos < c.n {
+			c.row = c.b.gather(c.pos, c.row)
 			c.pos++
-			return row, true, nil
+			return c.row, true, nil
 		}
 		if c.pending != nil {
 			return nil, false, c.pending
@@ -392,15 +302,15 @@ func (c *Cursor) Next() (types.Row, bool, error) {
 		if err := c.it.NextBatch(c.b); err != nil {
 			return nil, false, err
 		}
-		c.pos = 0
-		if c.b.Len() == 0 {
+		c.pos, c.n = 0, c.b.Len()
+		if c.n == 0 {
 			c.eos = true
 			continue
 		}
-		allowed, err := c.ex.gov.TickRows(int64(c.b.Len()))
+		allowed, err := c.ex.gov.TickRows(int64(c.n))
 		if err != nil {
 			// Deliver the in-budget prefix, then surface the error.
-			c.b.Rows = c.b.Rows[:allowed]
+			c.n = int(allowed)
 			c.pending = err
 		}
 	}
@@ -408,7 +318,7 @@ func (c *Cursor) Next() (types.Row, bool, error) {
 
 // Buffered returns how many rows Next returns before it pulls another
 // batch.
-func (c *Cursor) Buffered() int { return len(c.b.Rows) - c.pos }
+func (c *Cursor) Buffered() int { return c.n - c.pos }
 
 // Close releases the operator tree's resources. Safe to call repeatedly.
 func (c *Cursor) Close() error {
@@ -452,34 +362,62 @@ func colIndexes(s schema.Schema, cols []schema.ColID) ([]int, error) {
 	return out, nil
 }
 
-// scanIter reads a base table a page at a time: it filters the page's rows
-// through a selection vector, then carves output rows, TID-extended and
-// projected, for the rows that passed alone; a scan without either, or one
-// under a hash operator (hashInput), emits the stored rows that passed. A
-// page is read when the batch being filled needs rows beyond the previous
-// one, as a row-at-a-time scan would read it, so the batch size never
-// moves a page access.
+// scanIter reads a file a page at a time and hands each page's own
+// vectors out: it filters the page through a selection vector, then emits
+// the rows that passed as the projected columns' vectors with a selection
+// of them. A $tid is a vector the scan generates per page, the rowids of
+// the page's rows. Pages are read as a scan of batches of the executor's
+// batch size would read them: when a batch's worth of rows is due, the
+// scan reads pages until it holds that many rows that passed, and hands
+// them out a page at a time before it reads again. So the batch size, and
+// the pages being handed out one by one, never move a page access.
 type scanIter struct {
-	exec   *Executor
-	node   *lplan.Scan
-	filter *expr.Filter
-	// tidFilter: the filter reads $tid, so every row of a page is
-	// TID-extended (into buf.Rows) before it is filtered.
-	tidFilter bool
-	proj      []int // indexes into the (possibly tid-extended) base row; nil = all
-	sc        *storage.Scanner
-	arena     rowArena // backs tid-extended and projected output rows
+	pg     storage.Pager
+	file   *storage.File
+	target int
+	params []types.Value
+	filter *expr.Filter // nil: none
+	// proj holds the output columns' positions among the page's columns,
+	// the generated $tid last; nil = all.
+	proj []int
+	tid  bool // generate the $tid vector
 
-	buf  *Batch      // pooled: buf.sel backs sel
-	page []types.Row // the page's rows being emitted
-	rid  int64       // the rowid of page[0]
-	sel  []int32     // the positions in page of the rows that passed
-	pos  int         // the next of sel to emit
+	sc       *storage.Scanner
+	eof      bool
+	q        *pageQueue // pooled
+	buffered int        // the rows the queue holds
+	left     int        // the rows due before the scan reads again
 }
 
-// compileScan compiles a scan; stored: it emits its stored rows, not its
-// projection.
-func compileScan(s *lplan.Scan, stored bool) (*op, error) {
+// pageQueue holds the pages a scan has read and not yet handed out,
+// pages[head:], in order. Their selections and $tid values, and the vector
+// headers of a projection or a $tid, sit in three arenas. A batch's worth is read only once the
+// queue holds at most what is left of one page, which moves to the
+// arenas' front, so the arenas stay a batch's worth of pages long.
+type pageQueue struct {
+	pages []readPage
+	head  int
+	vecs  []types.Vector
+	sels  []int32
+	tids  []int64
+	// hwm is the most vector headers and pages the arenas have held since
+	// the queue was taken from the pool: what release clears.
+	hwmVecs, hwmPages int
+}
+
+// readPage is a page a scan has read: its vectors, the output's, and the
+// positions of the rows not yet handed out.
+type readPage struct {
+	cols []types.Vector // the page's vectors, then the $tid vector
+	out  []types.Vector // the output's vectors
+	n    int
+	sel  []int32
+}
+
+// pageQueues recycles the scans' queues, their arenas grown.
+var pageQueues recycler[pageQueue]
+
+func compileScan(s *lplan.Scan) (*op, error) {
 	base := s.Table.Schema.Rename(s.Alias)
 	if s.WithTID {
 		base = append(base, schema.Column{
@@ -489,114 +427,166 @@ func compileScan(s *lplan.Scan, stored bool) (*op, error) {
 	if err != nil {
 		return nil, err
 	}
-	tidFilter := false
-	for _, p := range s.Filter {
-		for _, c := range expr.Columns(p) {
-			if i, _ := base.IndexOf(c); s.WithTID && i == len(base)-1 {
-				tidFilter = true
-			}
-		}
-	}
 	var proj []int
-	if s.Proj != nil && !stored {
-		proj, err = colIndexes(base, s.Proj)
-		if err != nil {
+	if s.Proj != nil {
+		if proj, err = colIndexes(base, s.Proj); err != nil {
 			return nil, err
 		}
 	}
 	return &op{newIter: func(e *Executor) BatchIterator {
-		return &scanIter{exec: e, node: s, filter: filter, tidFilter: tidFilter, proj: proj, arena: rowArena{rec: &e.arenas}}
+		return &scanIter{pg: e.pg, file: s.Table.File,
+			target: e.batchSize, params: e.params, filter: filter, proj: proj, tid: s.WithTID}
 	}}, nil
 }
 
 func (it *scanIter) Open() error {
-	it.sc = it.exec.pg.NewScanner(it.node.Table.File)
-	it.buf, it.sel, it.pos = getBatch(), nil, 0
+	it.release()
+	it.sc, it.eof = it.pg.NewScanner(it.file), false
+	it.q, it.buffered, it.left = pageQueues.get(), 0, 0
 	return nil
 }
 
 func (it *scanIter) NextBatch(dst *Batch) error {
 	dst.Reset()
-	for target := it.exec.batchSize; dst.Len() < target; {
-		if it.pos == len(it.sel) {
-			rows, rid, ok, err := it.sc.NextPage()
-			if err != nil || !ok {
+	q := it.q
+	if it.left == 0 {
+		it.left = it.target
+		it.compact()
+		for it.buffered < it.left && !it.eof {
+			if err := it.read(); err != nil {
 				return err
 			}
-			if it.tidFilter {
-				rows = it.extend(rows, rid)
-			}
-			it.page, it.rid, it.pos = rows, rid, 0
-			if it.sel, err = it.filter.Select(rows, it.buf.selectAll(len(rows)), it.exec.params); err != nil {
-				return err
-			}
-			continue
 		}
-		n := min(len(it.sel)-it.pos, target-dst.Len())
-		for _, k := range it.sel[it.pos : it.pos+n] {
-			dst.Append(it.emit(k))
-		}
-		it.pos += n
+	}
+	if q.head == len(q.pages) {
+		return nil
+	}
+	p := &q.pages[q.head]
+	n := min(len(p.sel), it.left)
+	dst.Block, dst.Sel = types.Block{N: p.n, Cols: p.out}, p.sel[:n]
+	p.sel = p.sel[n:]
+	it.buffered, it.left = it.buffered-n, it.left-n
+	if len(p.sel) == 0 {
+		q.head++
 	}
 	return nil
 }
 
-// extend carves the TID-extended copies of a page's rows into buf.Rows.
-func (it *scanIter) extend(rows []types.Row, rid int64) []types.Row {
-	it.buf.Reset()
-	for k, row := range rows {
-		ext := it.arena.carve(len(row) + 1)
-		copy(ext, row)
-		ext[len(row)] = types.NewInt(rid + int64(k))
-		it.buf.Append(ext)
+// compact empties the queue's arenas but for the page still being handed
+// out, whose vector headers, selection and $tid values move to their
+// front (each copy is a memmove, so overlap is safe). A page's own vectors
+// stay where they are.
+func (it *scanIter) compact() {
+	q := it.q
+	if q.head == 0 {
+		return // every page queued is live, and already in front
 	}
-	return it.buf.Rows
+	live := q.pages[q.head:]
+	q.pages, q.head = append(q.pages[:0], live...), 0
+	q.vecs, q.sels, q.tids = q.vecs[:0], q.sels[:0], q.tids[:0]
+	for i := range q.pages {
+		p := &q.pages[i]
+		cols := p.cols // the page's own, unless a $tid is generated
+		if it.tid {
+			q.vecs = append(q.vecs, p.cols...)
+			cols = q.vecs[len(q.vecs)-len(p.cols):]
+			tid := &cols[len(cols)-1]
+			q.tids = append(q.tids, tid.Ints...)
+			tid.Ints = q.tids[len(q.tids)-len(tid.Ints):]
+		}
+		out := cols
+		if it.proj != nil {
+			for _, j := range it.proj {
+				q.vecs = append(q.vecs, cols[j])
+			}
+			out = q.vecs[len(q.vecs)-len(it.proj):]
+		}
+		q.sels = append(q.sels, p.sel...)
+		p.cols, p.out, p.sel = cols, out, q.sels[len(q.sels)-len(p.sel):]
+	}
 }
 
-// emit returns the output row of page[k]: the row itself, or one carved
-// with its $tid appended, its projection taken, or both.
-func (it *scanIter) emit(k int32) types.Row {
-	row := it.page[k]
-	if !it.node.WithTID || it.tidFilter {
-		if it.proj == nil {
-			return row
+// read reads the next page into the queue, or sets eof.
+func (it *scanIter) read() error {
+	page, rid, ok, err := it.sc.NextPage()
+	if err != nil || !ok {
+		it.eof = true
+		return err
+	}
+	q := it.q
+	nv, cols := len(q.vecs), page.Cols // a page's vectors never change
+	if it.tid {
+		q.vecs = append(q.vecs, page.Cols...)
+		nt := len(q.tids)
+		for k := range page.N {
+			q.tids = append(q.tids, rid+int64(k))
 		}
-		return it.arena.project(row, it.proj)
+		q.vecs = append(q.vecs, types.Vector{K: types.KindInt, N: page.N, Ints: q.tids[nt:len(q.tids):len(q.tids)]})
+		cols = q.vecs[nv:len(q.vecs):len(q.vecs)]
 	}
-	tid := types.NewInt(it.rid + int64(k))
-	if it.proj == nil {
-		ext := it.arena.carve(len(row) + 1)
-		copy(ext, row)
-		ext[len(row)] = tid
-		return ext
+	ns := len(q.sels)
+	for k := range page.N {
+		q.sels = append(q.sels, int32(k))
 	}
-	out := it.arena.carve(len(it.proj))
-	for i, j := range it.proj {
-		if j == len(row) {
-			out[i] = tid
-		} else {
-			out[i] = row[j]
+	sel := q.sels[ns:len(q.sels):len(q.sels)]
+	if it.filter != nil {
+		if sel, err = it.filter.Select(cols, sel, it.params); err != nil {
+			return err
 		}
 	}
-	return out
+	if len(sel) == 0 {
+		q.vecs, q.sels = q.vecs[:nv], q.sels[:ns]
+		return nil
+	}
+	out := cols
+	if it.proj != nil {
+		no := len(q.vecs)
+		for _, j := range it.proj {
+			q.vecs = append(q.vecs, cols[j])
+		}
+		out = q.vecs[no:len(q.vecs):len(q.vecs)]
+	}
+	q.pages = append(q.pages, readPage{cols: cols, out: out, n: page.N, sel: sel})
+	q.hwmVecs, q.hwmPages = max(q.hwmVecs, len(q.vecs)), max(q.hwmPages, len(q.pages))
+	it.buffered += len(sel)
+	return nil
 }
 
 func (it *scanIter) Close() error {
-	putBatch(it.buf)
-	it.buf, it.page, it.sel = nil, nil, nil
+	it.release()
 	return nil
+}
+
+// release returns the scan's queue to its pool, holding no page's
+// vectors.
+func (it *scanIter) release() {
+	if q := it.q; q != nil {
+		clear(q.vecs[:q.hwmVecs])
+		clear(q.pages[:q.hwmPages])
+		q.pages, q.head, q.vecs, q.sels, q.tids = q.pages[:0], 0, q.vecs[:0], q.sels[:0], q.tids[:0]
+		q.hwmVecs, q.hwmPages = 0, 0
+		pageQueues.put(q)
+	}
+	it.q = nil
+}
+
+// spillScan returns a scan of the spill file's rows.
+func spillScan(sp *spill, target int) *scanIter {
+	return &scanIter{pg: sp.store, file: sp.file, target: target}
 }
 
 // filterIter applies residual predicates batch-at-a-time: it keeps pulling
 // input batches until the output batch is full or the input is exhausted,
 // so a selective filter still hands full batches downstream. It narrows a
-// selection vector over each input batch and keeps its input's order.
+// copy of each input batch's selection and copies the rows that passed
+// into the output's own vectors, keeping its input's order.
 type filterIter struct {
 	in      BatchIterator
 	filter  *expr.Filter
 	params  []types.Value
 	target  int
 	scratch *Batch
+	sel     []int32
 	done    bool
 }
 
@@ -622,7 +612,7 @@ func (it *filterIter) Open() error {
 
 func (it *filterIter) NextBatch(dst *Batch) error {
 	dst.Reset()
-	for !it.done && dst.Len() < it.target {
+	for started := false; !it.done && dst.N < it.target; {
 		b := it.scratch
 		if err := it.in.NextBatch(b); err != nil {
 			return err
@@ -631,13 +621,19 @@ func (it *filterIter) NextBatch(dst *Batch) error {
 			it.done = true
 			return nil
 		}
-		sel, err := it.filter.Select(b.Rows, b.selectAll(b.Len()), it.params)
+		sel, err := it.filter.Select(b.Cols, append(it.sel[:0], b.selection()...), it.params)
+		it.sel = sel
 		if err != nil {
 			return err
 		}
-		for _, k := range sel {
-			dst.Append(b.Rows[k])
+		if !started {
+			dst.startOwn(len(b.Cols))
+			started = true
 		}
+		for j := range b.Cols {
+			dst.Cols[j].AppendSel(&b.Cols[j], sel)
+		}
+		dst.N += len(sel)
 	}
 	return nil
 }
@@ -648,17 +644,20 @@ func (it *filterIter) Close() error {
 	return it.in.Close()
 }
 
-// projectIter computes output expressions over each input batch, carving
-// the output rows from its arena. An output that is a bare column is copied
-// by position; any other is evaluated. Output cardinality equals input
-// cardinality, so one input batch fills one output batch.
+// projectIter computes output expressions over each input batch. When
+// every output is a bare column it hands the input's vectors on,
+// rearranged; otherwise it fills vectors of its own, a bare column's by a
+// typed copy and a computed one's from its evaluator over the gathered
+// row. Output cardinality equals input cardinality, so one input batch
+// fills one output batch.
 type projectIter struct {
 	in      BatchIterator
 	cols    []int           // per output: the input column it copies, or -1
 	exprs   []expr.Compiled // per output with cols -1: its evaluator
 	params  []types.Value
 	scratch *Batch
-	arena   rowArena
+	out     []types.Vector // the rearranged vectors when every output is bare
+	row     types.Row      // the gathered input row
 }
 
 func compileProject(p *lplan.Project) (*op, error) {
@@ -668,6 +667,7 @@ func compileProject(p *lplan.Project) (*op, error) {
 	}
 	cols := make([]int, len(p.Items))
 	exprs := make([]expr.Compiled, len(p.Items))
+	computed := false
 	for i, ne := range p.Items {
 		if exprs[i], err = expr.Compile(ne.E, p.In.Schema()); err != nil {
 			return nil, err
@@ -676,10 +676,15 @@ func compileProject(p *lplan.Project) (*op, error) {
 		if c, ok := ne.E.(*expr.ColRef); ok {
 			cols[i], _ = p.In.Schema().IndexOf(c.ID) // resolved: it compiled
 			exprs[i] = nil
+		} else {
+			computed = true
 		}
 	}
+	if !computed {
+		exprs = nil
+	}
 	return &op{newIter: func(e *Executor) BatchIterator {
-		return &projectIter{in: e.build(in), cols: cols, exprs: exprs, params: e.params, arena: rowArena{rec: &e.arenas}}
+		return &projectIter{in: e.build(in), cols: cols, exprs: exprs, params: e.params}
 	}}, nil
 }
 
@@ -690,24 +695,39 @@ func (it *projectIter) Open() error {
 
 func (it *projectIter) NextBatch(dst *Batch) error {
 	dst.Reset()
-	if err := it.in.NextBatch(it.scratch); err != nil {
+	b := it.scratch
+	if err := it.in.NextBatch(b); err != nil || b.Len() == 0 {
 		return err
 	}
-	for _, row := range it.scratch.Rows {
-		out := it.arena.carve(len(it.cols))
-		for i, j := range it.cols {
-			if j >= 0 {
-				out[i] = row[j]
+	if it.exprs == nil {
+		it.out = it.out[:0]
+		for _, j := range it.cols {
+			it.out = append(it.out, b.Cols[j])
+		}
+		dst.Block, dst.Sel = types.Block{N: b.N, Cols: it.out}, b.Sel
+		return nil
+	}
+	dst.startOwn(len(it.cols))
+	sel := b.selection()
+	for i, j := range it.cols {
+		if j >= 0 {
+			dst.Cols[i].AppendSel(&b.Cols[j], sel)
+		}
+	}
+	for k := range sel {
+		it.row = b.gather(k, it.row)
+		for i, fn := range it.exprs {
+			if fn == nil {
 				continue
 			}
-			v, err := it.exprs[i](row, it.params)
+			v, err := fn(it.row, it.params)
 			if err != nil {
 				return err
 			}
-			out[i] = v
+			dst.Cols[i].Append(v)
 		}
-		dst.Append(out)
 	}
+	dst.N = len(sel)
 	return nil
 }
 
@@ -731,6 +751,8 @@ func newSpill(store storage.Pager, name string) *spill {
 	return &spill{store: store, file: store.CreateTemp(name)}
 }
 
+// add appends a row; the store copies its values, so the caller may reuse
+// it.
 func (s *spill) add(row types.Row) error {
 	s.bytes += row.DiskWidth()
 	return s.store.Append(s.file, row)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/rand"
 	"testing"
 
 	"aggview/internal/expr"
@@ -59,6 +60,53 @@ func TestInputLeaf(t *testing.T) {
 					t.Fatalf("%d rows, batch %d: group %d = %v, want %v", n, bs, i, got.Rows[i], want.Rows[i])
 				}
 			}
+		}
+	}
+}
+
+// TestInputGroupByStaysDense: view maintenance's merge is a hash GroupBy
+// over an Input leaf with no group estimate. It presizes its key table
+// from the run's row count, so 5 000 distinct INT keys, shuffled, stay in
+// the dense layout; sized for none, the table left it once the keys seen
+// spanned more than denseSpan allows for the entries so far. The groups
+// come out complete, each in first-seen order.
+func TestInputGroupByStaysDense(t *testing.T) {
+	const groups = 5000
+	col := schema.ColID{Rel: "m", Name: "k"}
+	p, err := Compile(&lplan.GroupBy{
+		In:        &lplan.Input{Cols: schema.Schema{{ID: col, Type: types.KindInt}}},
+		GroupCols: []schema.ColID{col},
+		Aggs:      []expr.Agg{{Kind: expr.AggCountStar, Out: schema.ColID{Rel: "g", Name: "n"}}},
+		Method:    lplan.AggHash,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]types.Row, groups)
+	for i, k := range rand.New(rand.NewSource(5)).Perm(groups) {
+		rows[i] = types.Row{types.NewInt(int64(k))}
+	}
+	cur, err := NewInMemory().WithInput(rows).Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if tab := cur.it.(*hashAggIter).tab; !tab.dense || tab.n != groups {
+		t.Fatalf("key table dense=%v with %d entries, want the dense layout with %d", tab.dense, tab.n, groups)
+	}
+	for i := 0; ; i++ {
+		row, ok, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if i != groups {
+				t.Fatalf("%d groups, want %d", i, groups)
+			}
+			break
+		}
+		if !types.Equal(row[0], rows[i][0]) || row[1].I != 1 {
+			t.Fatalf("group %d = %v, want %v with count 1", i, row, rows[i][0])
 		}
 	}
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
@@ -19,15 +18,14 @@ import (
 // pairs, tested on the pair of rows as they are; any other is compiled
 // against the concatenated schema and tested on the concatenated row.
 type joinSpec struct {
-	lKeys, rKeys   []int          // equi-join column positions (parallel slices)
-	lCols, rCols   []schema.ColID // the same keys by column (lplan.Join.EquiKeys)
-	build          *expr.Filter   // hash join: the build-only conjuncts; nil = none
-	pairs          []pairCmp      // the residual, when it is all pairs
-	residual       *expr.Filter   // otherwise the residual over the concat schema; nil = none
-	proj           []int          // output projection over concat schema; nil = all
-	lWidth         int            // arity of the left input's rows
-	rWidth         int            // arity of the right input's rows (for outer-join padding)
-	lShape, rShape rowShape       // of the inputs' rows
+	lKeys, rKeys []int          // equi-join column positions (parallel slices)
+	lCols, rCols []schema.ColID // the same keys by column (lplan.Join.EquiKeys)
+	build        *expr.Filter   // hash join: the build-only conjuncts; nil = none
+	pairs        []pairCmp      // the residual, when it is all pairs
+	residual     *expr.Filter   // otherwise the residual over the concat schema; nil = none
+	proj         []int          // output projection over concat schema; nil = all
+	lWidth       int            // arity of the left input's rows
+	rWidth       int            // arity of the right input's rows (for outer-join padding)
 }
 
 // pairCmp is a residual conjunct l[lCol] op r[rCol] over a left row l and a
@@ -56,14 +54,14 @@ func residualPairs(preds []expr.Expr, concat schema.Schema, lWidth int) []pairCm
 	return pairs
 }
 
-// joinCommon is one run's view of a joinSpec: the run's parameters and the
-// buffers the join's output rows are built in.
+// joinCommon is one run's view of a joinSpec: the run's parameters and its
+// scratch rows.
 type joinCommon struct {
 	*joinSpec
 	params  []types.Value
 	scratch types.Row // reusable concat buffer for residual evaluation
 	nulls   types.Row // all-NULL row standing in for the missing side of a padded row
-	arena   rowArena  // backs emitted output rows
+	arena   rowArena  // backs the rows the row-reading joins gather
 }
 
 // joinSpecOf compiles j over inputs l and r, whose conjuncts EquiKeys has
@@ -80,7 +78,7 @@ func joinSpecOf(j *lplan.Join, l, r input, lCols, rCols []schema.ColID, residual
 		return nil, err
 	}
 	spec := &joinSpec{lKeys: lKeys, rKeys: rKeys, lCols: lCols, rCols: rCols,
-		lWidth: len(ls), rWidth: len(rs), lShape: l.shape, rShape: r.shape}
+		lWidth: len(ls), rWidth: len(rs)}
 	if hash {
 		var build []expr.Expr
 		build, residualPreds = buildOnly(residualPreds, ls, rs)
@@ -95,13 +93,8 @@ func joinSpecOf(j *lplan.Join, l, r input, lCols, rCols []schema.ColID, residual
 			return nil, err
 		}
 	}
-	switch {
-	case j.Proj != nil:
+	if j.Proj != nil {
 		spec.proj, err = colIndexes(concat, j.Proj)
-	case l.shape.narrow != nil || r.shape.narrow != nil:
-		// The output is every column of both inputs, from where the
-		// inputs' rows hold them.
-		spec.proj = append(l.shape.positions(len(ls), 0, nil), r.shape.positions(len(rs), len(ls), nil)...)
 	}
 	return spec, err
 }
@@ -135,15 +128,11 @@ func compileJoin(j *lplan.Join) (*op, error) {
 	case method == lplan.JoinUnset:
 		method = lplan.JoinHash
 	}
-	compile := compileInput
-	if method == lplan.JoinHash {
-		compile = hashInput
-	}
-	l, err := compile(j.L)
+	l, err := compileInput(j.L)
 	if err != nil {
 		return nil, err
 	}
-	r, err := compile(j.R)
+	r, err := compileInput(j.R)
 	if err != nil {
 		return nil, err
 	}
@@ -178,58 +167,41 @@ func compileJoin(j *lplan.Join) (*op, error) {
 		}
 		lIn, rIn := sortedInput(l.op, spec.lCols, sortKeys{cols: spec.lKeys}), sortedInput(r.op, spec.rCols, sortKeys{cols: spec.rKeys})
 		return &op{newIter: func(e *Executor) BatchIterator {
-			return &mergeJoinIter{jc: newJC(e), target: e.batchSize,
-				l: runReader{in: lIn(e), cols: spec.lKeys}, r: runReader{in: rIn(e), cols: spec.rKeys}}
+			jc := newJC(e)
+			return &mergeJoinIter{jc: jc, target: e.batchSize,
+				l: runReader{in: lIn(e), cols: spec.lKeys, arena: &jc.arena}, r: runReader{in: rIn(e), cols: spec.rKeys, arena: &jc.arena}}
 		}}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown join method %v", j.Method)
 	}
 }
 
-// emit applies residual predicates and projection to a joined row pair.
-func (jc *joinCommon) emit(l, r types.Row) (types.Row, bool, error) {
+// holds reports whether the residual predicates hold on the row pair
+// (l, r).
+func (jc *joinCommon) holds(l, r types.Row) (bool, error) {
 	for _, p := range jc.pairs {
 		if !p.op.Holds(&l[p.lCol], &r[p.rCol]) {
-			return nil, false, nil
+			return false, nil
 		}
 	}
-	if jc.residual != nil {
-		// Only a residual of another shape needs the pair as one row; it
-		// reads it from a reusable scratch buffer the emitted row never
-		// aliases.
-		jc.scratch = append(append(jc.scratch[:0], l...), r...)
-		ok, err := jc.residual.Holds(jc.scratch, jc.params)
-		if err != nil || !ok {
-			return nil, false, err
-		}
+	if jc.residual == nil {
+		return true, nil
 	}
-	return jc.project(l, r), true, nil
+	// Only a residual of another shape needs the pair as one row; it reads
+	// it from a reusable scratch buffer.
+	jc.scratch = append(append(jc.scratch[:0], l...), r...)
+	return jc.residual.Holds(jc.scratch, jc.params)
 }
 
-// project carves the output row of the pair (l, r): the projection's
-// columns of their concatenation, taken from whichever side holds each.
-func (jc *joinCommon) project(l, r types.Row) types.Row {
-	if jc.proj == nil {
-		out := jc.arena.carve(len(l) + len(r))
-		copy(out[copy(out, l):], r)
-		return out
+// appendPair appends the output row of the pair (l, r) to dst's own
+// vectors: the projection's columns of their concatenation, taken from
+// whichever side holds each. A nil side is NULL-padded: an outer join's
+// padded rows bypass the residual — the ON condition already failed, that
+// is why the row is padded — but the projection still applies.
+func (jc *joinCommon) appendPair(dst *Batch, l, r types.Row) {
+	if dst.N == 0 {
+		dst.startOwn(jc.width())
 	}
-	out := jc.arena.carve(len(jc.proj))
-	for i, j := range jc.proj {
-		if j < jc.lWidth {
-			out[i] = l[j]
-		} else {
-			out[i] = r[j-jc.lWidth]
-		}
-	}
-	return out
-}
-
-// emitPadded emits an outer-join row with the missing side NULL-padded
-// (l nil pads the left columns, r nil the right). Padded rows bypass the
-// residual predicate — the ON condition already failed, that is why the row
-// is padded — but the output projection still applies.
-func (jc *joinCommon) emitPadded(l, r types.Row) types.Row {
 	if jc.nulls == nil {
 		jc.nulls = make(types.Row, max(jc.lWidth, jc.rWidth)) // the zero Value is NULL
 	}
@@ -239,28 +211,41 @@ func (jc *joinCommon) emitPadded(l, r types.Row) types.Row {
 	if r == nil {
 		r = jc.nulls[:jc.rWidth]
 	}
-	return jc.project(l, r)
-}
-
-// rowHasNullKey reports whether any of the row's key positions is NULL.
-// A NULL join key never matches anything (NULL = x is UNKNOWN), even
-// though types.Compare orders NULLs equal.
-func rowHasNullKey(r types.Row, keys []int) bool {
-	for _, k := range keys {
-		if r[k].IsNull() {
-			return true
+	for i := range dst.Cols {
+		if j := jc.column(i); j < jc.lWidth {
+			dst.Cols[i].AppendRef(l[j])
+		} else {
+			dst.Cols[i].AppendRef(r[j-jc.lWidth])
 		}
 	}
-	return false
+	dst.N++
+}
+
+// width returns the number of output columns.
+func (s *joinSpec) width() int {
+	if s.proj == nil {
+		return s.lWidth + s.rWidth
+	}
+	return len(s.proj)
+}
+
+// column returns output column i's position in the concatenated inputs.
+func (s *joinSpec) column(i int) int {
+	if s.proj == nil {
+		return i
+	}
+	return s.proj[i]
 }
 
 // hashJoinIter builds a key table on the right input and probes it with the
 // left a batch at a time: pull a probe batch, hash its key columns, and for
-// each probe row walk the chain of build rows under its key, writing joined
-// rows straight into the output batch; a call that fills the batch resumes
-// mid-chain on the next. If the build side exceeds the budget it falls back
-// to Grace partitioning, writing both inputs to spill partitions and
-// joining them pairwise with the same code.
+// each probe row walk the chain of build rows under its key, noting each
+// pair that passes the residual as a (probe, build) index pair; the
+// output batch is then gathered from both sides' vectors, only the
+// projected columns, by those index pairs. A call that fills the batch
+// resumes mid-chain on the next. If the build side exceeds the budget it
+// falls back to Grace partitioning, writing both inputs to spill
+// partitions and joining them pairwise with the same code.
 //
 // Outer joins: the probe (left) side is the preserved side of a LEFT join —
 // a probe row whose ON condition matches no build row is emitted once,
@@ -282,118 +267,128 @@ type hashJoinIter struct {
 	// Current build table (whole input in memory, or one grace partition).
 	// Build rows with one key are chained through next in ascending order
 	// from the key's head, so matches come out in build order.
-	build        rowStore
-	buildMatched []bool   // FULL outer only: build rows already matched
-	tab          keyTable // build key -> entry
-	head         []int32  // per entry: first build row with the key
-	next         []int32  // per build row: the next with the same key, -1 = last
-	// keyLo and keyHi are the least and the greatest build key while the
-	// join has one key column and every build key is an INT or NULL
-	// (keysInt): loadBuild sizes the key table's dense index from them.
-	keyLo, keyHi int64
-	keysInt      bool
+	build        *Batch    // pooled: the build rows, in vectors of its own
+	buildMatched []bool    // FULL outer only: build rows already matched
+	tab          *keyTable // pooled: build key -> entry
+	head         []int32   // per entry: first build row with the key
+	next         []int32   // per build row: the next with the same key, -1 = last
+	kr           keyRows   // the keys of the probe batch (or of the build rows, while loading)
 
 	probe      BatchIterator // probeSrc, or the current partition's probe rows
-	pb         *Batch        // probe batch being joined; its hashes are its rows' (build rows' while loading)
+	pb         *Batch        // probe batch being joined
+	mayNull    bool          // pb's key columns may hold a NULL
+	dense      []int64       // pb's key INTs, when the table is dense and they hold no NULL
 	pos        int           // pb row in flight, or the next one to start
 	chain      int32         // in flight: next build row to try, -1 = chain used up
-	curActive  bool          // pb.Rows[pos] is in flight (padding not yet decided)
+	curActive  bool          // pb's row pos is in flight (padding not yet decided)
 	curMatched bool          // the in-flight probe row matched at least once
 	probeDone  bool          // probe is exhausted for the current build table
 	drainPos   int           // FULL outer, after the probe: next build row to pad if unmatched
+	pairs      *Batch        // pooled: its sel and gids hold li and ri
+	li, ri     []int32       // the output's (probe position, build row) pairs; -1 pads
+	lRow, rRow types.Row     // a pair gathered for a residual of another shape
 
 	// grace path (rParts != nil)
 	lParts, rParts []*spill
 	part           int
-	probeRows      []types.Row // current partition's probe rows
+	probeRows      *Batch // pooled: the current partition's probe rows, in vectors of its own
 }
 
 // loadBuild indexes the build rows. NULL-keyed rows, and rows on which
 // the build-only conjuncts are not TRUE, stay in the store (the FULL-outer
 // drain must see them) but get no entry.
 func (it *hashJoinIter) loadBuild() error {
-	n := it.build.n
+	n := it.build.N
 	it.buildMatched, it.drainPos = nil, 0
 	if it.joinType == lplan.JoinFull {
 		it.buildMatched = make([]bool, n)
 	}
 	keys := it.jc.rKeys
 	it.tab.init(len(keys), n)
-	if it.keysInt && it.keyLo <= it.keyHi {
-		it.tab.reserve(it.keyLo, it.keyHi)
+	if len(keys) == 1 {
+		if lo, hi, ok := intRange(&it.build.Cols[keys[0]]); ok {
+			it.tab.reserve(lo, hi)
+		}
 	}
-	if cap(it.next) < 2*n {
-		it.next = make([]int32, 2*n)
+	// The chains live in the build batch's group-id scratch, which is
+	// recycled with it.
+	if cap(it.build.gids) < 2*n {
+		it.build.gids = make([]int32, 2*n)
 	}
-	it.next, it.head = it.next[:n], it.next[n:n]
+	it.next, it.head = it.build.gids[:n], it.build.gids[n:n:2*n]
 	// Rows go in last first, each pushed onto the front of its key's chain,
-	// which leaves every chain ascending without tracking chain tails. Each
-	// chunk is filtered and hashed in the probe batch's scratch vectors.
-	b, filtered := Batch{sel: it.pb.sel, hashes: it.pb.hashes}, it.jc.build != nil
-	for c := len(it.build.chunks) - 1; c >= 0; c-- {
-		b.Rows = it.build.chunks[c].Rows
-		// Without build-only conjuncts every row of the chunk is indexed,
-		// read in place rather than through a selection vector.
-		n, sel := b.Len(), []int32(nil)
-		if filtered {
-			var err error
-			if sel, err = it.jc.build.Select(b.Rows, b.selectAll(n), it.jc.params); err != nil {
-				return err
-			}
-			n = len(sel)
+	// which leaves every chain ascending without tracking chain tails.
+	// Without build-only conjuncts every row is indexed.
+	b := it.build
+	kr := it.kr.of(b, keys)
+	if it.jc.build != nil {
+		sel, err := it.jc.build.Select(b.Cols, kr.sel, it.jc.params)
+		if err != nil {
+			return err
 		}
-		it.tab.hash(&b, keys)
-		rows, hashes := b.Rows, b.hashes // a conversion rewrites hashes in place
-		for k := n - 1; k >= 0; k-- {
-			i := k
-			if filtered {
-				i = int(sel[k])
-			}
-			if rowHasNullKey(rows[i], keys) {
-				continue
-			}
-			e := it.tab.lookup(hashes[i], rows[i], keys)
-			if e < 0 {
-				e = it.tab.insert(&b, i, keys)
-				it.head = append(it.head, -1)
-			}
-			r := c*DefaultBatchSize + i
-			it.next[r], it.head[e] = it.head[e], int32(r)
-		}
+		kr.sel = sel
 	}
-	it.pb.sel, it.pb.hashes = b.sel, b.hashes // keep what the vectors grew to
+	it.tab.hash(kr)
+	mayNull := kr.mayHoldNull()
+	for i := len(kr.sel) - 1; i >= 0; i-- {
+		if mayNull && kr.nullKey(i) {
+			continue
+		}
+		e := it.tab.lookup(kr, i)
+		if e < 0 {
+			e = it.tab.insert(kr, i)
+			it.head = append(it.head, -1)
+		}
+		r := kr.sel[i]
+		it.next[r], it.head[e] = it.head[e], r
+	}
 	return nil
 }
 
-// startBuild empties the build store for the next build input.
-func (it *hashJoinIter) startBuild() {
-	it.build.release()
-	it.keyLo, it.keyHi, it.keysInt = math.MaxInt64, math.MinInt64, len(it.jc.rKeys) == 1
+// intRange returns the least and the greatest INT of v, which holds INTs
+// and NULLs only, or ok=false.
+func intRange(v *types.Vector) (lo, hi int64, ok bool) {
+	if v.K != types.KindInt {
+		return 0, 0, false
+	}
+	for k, x := range v.Ints {
+		if v.Nulls != nil && v.IsNull(k) {
+			continue
+		}
+		if !ok || x < lo {
+			lo = x
+		}
+		if !ok || x > hi {
+			hi = x
+		}
+		ok = true
+	}
+	return lo, hi, ok
 }
 
-// addBuild stores a build row and widens the build keys' range by its key.
-func (it *hashJoinIter) addBuild(r types.Row) {
-	it.build.add(r)
-	if it.keysInt {
-		switch v := &r[it.jc.rKeys[0]]; v.K {
-		case types.KindInt:
-			it.keyLo, it.keyHi = min(it.keyLo, v.I), max(it.keyHi, v.I)
-		case types.KindNull:
-		default:
-			it.keysInt = false
-		}
+// startBuild empties the build store for the next build input.
+func (it *hashJoinIter) startBuild() { it.build.startOwn(it.jc.rWidth) }
+
+// addBuild copies b's rows into the build store and returns their
+// accounted width.
+func (it *hashJoinIter) addBuild(b *Batch) int {
+	sel := b.selection()
+	for j := range it.build.Cols {
+		it.build.Cols[j].AppendSel(&b.Cols[j], sel)
 	}
+	it.build.N += len(sel)
+	return b.DiskWidth(sel)
 }
 
 func (it *hashJoinIter) Open() error {
 	build := it.exec.build(it.buildOp)
-	it.pb = getBatch()
+	it.pb, it.build, it.pairs, it.tab = getBatch(), getStore(), getBatch(), getKeyTable()
+	it.li, it.ri = it.pairs.sel[:0], it.pairs.gids[:0]
 	// Materialize the build side, counting bytes.
 	bytes := 0
 	it.startBuild()
-	if err := drainBatches(build, func(r types.Row) error {
-		it.addBuild(r)
-		bytes += it.jc.rShape.diskWidth(r)
+	if err := drainBatches(build, func(b *Batch) error {
+		bytes += it.addBuild(b)
 		return nil
 	}); err != nil {
 		return err
@@ -417,19 +412,24 @@ func (it *hashJoinIter) Open() error {
 		it.lParts[i] = newSpill(it.exec.pg, "hj-probe")
 	}
 	var buf []byte
-	partition := func(parts []*spill, keys []int, shape rowShape) func(types.Row) error {
-		return func(r types.Row) error {
-			buf = r.AppendKey(buf[:0], keys)
-			return parts[partitionOf(buf)].add(shape.cut(r, &it.jc.arena))
+	var row types.Row
+	partition := func(parts []*spill, keys []int) func(*Batch) error {
+		return func(b *Batch) error {
+			for i := range b.Len() {
+				row = b.gather(i, row)
+				buf = row.AppendKey(buf[:0], keys)
+				if err := parts[partitionOf(buf)].add(row); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
 	}
-	for i, add := 0, partition(it.rParts, it.jc.rKeys, it.jc.rShape); i < it.build.n; i++ {
-		if err := add(it.build.at(i)); err != nil {
-			return err
-		}
+	if err := partition(it.rParts, it.jc.rKeys)(it.build); err != nil {
+		return err
 	}
-	it.build.release()
-	if err := drainBatches(it.probeSrc, partition(it.lParts, it.jc.lKeys, it.jc.lShape)); err != nil {
+	it.startBuild()
+	if err := drainBatches(it.probeSrc, partition(it.lParts, it.jc.lKeys)); err != nil {
 		return err
 	}
 	for i := range it.rParts {
@@ -451,8 +451,8 @@ func (it *hashJoinIter) nextPartition() (ok bool, err error) {
 	}
 	it.part++
 	it.startBuild()
-	if err := drainBatches(it.partition(it.rParts, it.jc.rShape), func(r types.Row) error {
-		it.addBuild(r)
+	if err := drainBatches(it.partition(it.rParts), func(b *Batch) error {
+		it.addBuild(b)
 		return nil
 	}); err != nil {
 		return false, err
@@ -460,37 +460,91 @@ func (it *hashJoinIter) nextPartition() (ok bool, err error) {
 	if err := it.loadBuild(); err != nil {
 		return false, err
 	}
-	it.probeRows = it.probeRows[:0]
-	if err := drainBatches(it.partition(it.lParts, it.jc.lShape), func(l types.Row) error {
-		it.probeRows = append(it.probeRows, l)
+	// The partition's probe rows are read whole before the join starts, so
+	// its page reads do not interleave with the operators above.
+	if it.probeRows == nil {
+		it.probeRows = getStore()
+	}
+	it.probeRows.startOwn(it.jc.lWidth)
+	if err := drainBatches(it.partition(it.lParts), func(b *Batch) error {
+		sel := b.selection()
+		for j := range it.probeRows.Cols {
+			it.probeRows.Cols[j].AppendSel(&b.Cols[j], sel)
+		}
+		it.probeRows.N += len(sel)
 		return nil
 	}); err != nil {
 		return false, err
 	}
-	it.probe = newSliceIter(it.probeRows, it.target)
+	it.probe = &blockIter{blk: it.probeRows.Block, target: it.target}
 	it.probeDone = false
 	return true, nil
 }
 
-// partition reads the current partition of parts back, its rows widened
-// to the input's stored positions.
-func (it *hashJoinIter) partition(parts []*spill, shape rowShape) *spillIter {
-	return &spillIter{sp: parts[it.part], target: it.target, shape: shape, arena: &it.jc.arena}
+// partition reads the current partition of parts back.
+func (it *hashJoinIter) partition(parts []*spill) *scanIter {
+	return spillScan(parts[it.part], it.target)
+}
+
+// matches reports whether the residual holds on the pair of probe position
+// k and build row r.
+func (it *hashJoinIter) matches(k, r int) (bool, error) {
+	jc := it.jc
+	for _, p := range jc.pairs {
+		lv, rv := it.pb.Cols[p.lCol].Value(k), it.build.Cols[p.rCol].Value(r)
+		if !p.op.Holds(&lv, &rv) {
+			return false, nil
+		}
+	}
+	if jc.residual == nil {
+		return true, nil
+	}
+	it.lRow, it.rRow = it.pb.Row(k, it.lRow), it.build.Row(r, it.rRow)
+	return jc.holds(it.lRow, it.rRow)
+}
+
+// flush appends the output rows of the pairs noted so far to dst, gathered
+// from the probe batch's and the build rows' vectors, and forgets the
+// pairs. started says whether this call has started dst's own vectors.
+func (it *hashJoinIter) flush(dst *Batch, started *bool) {
+	jc := it.jc
+	if len(it.li) == 0 {
+		return
+	}
+	if !*started {
+		dst.startOwn(jc.width())
+		*started = true
+	}
+	for i := range dst.Cols {
+		switch j := jc.column(i); {
+		case j >= jc.lWidth:
+			dst.Cols[i].AppendSel(&it.build.Cols[j-jc.lWidth], it.ri)
+		case j < len(it.pb.Cols):
+			dst.Cols[i].AppendSel(&it.pb.Cols[j], it.li)
+		default: // the FULL-outer drain, after the probe: every pair pads
+			dst.Cols[i].AppendSel(&types.Vector{}, it.li)
+		}
+	}
+	dst.N += len(it.li)
+	it.li, it.ri = it.li[:0], it.ri[:0]
 }
 
 func (it *hashJoinIter) NextBatch(dst *Batch) error {
 	dst.Reset()
+	started := false
+	full := func() bool { return dst.N+len(it.li) >= it.target }
 	for {
 		if it.curActive {
 			// Walk what is left of the in-flight probe row's chain.
-			l := it.pb.Rows[it.pos]
+			k := it.pb.at(it.pos)
 			for it.chain >= 0 {
-				if dst.Len() >= it.target {
+				if full() {
+					it.flush(dst, &started)
 					return nil
 				}
 				idx := it.chain
 				it.chain = it.next[idx]
-				out, ok, err := it.jc.emit(l, it.build.at(int(idx)))
+				ok, err := it.matches(k, int(idx))
 				if err != nil {
 					return err
 				}
@@ -499,52 +553,65 @@ func (it *hashJoinIter) NextBatch(dst *Batch) error {
 					if it.buildMatched != nil {
 						it.buildMatched[idx] = true
 					}
-					dst.Append(out)
+					it.li, it.ri = append(it.li, int32(k)), append(it.ri, idx)
 				}
 			}
 			// The chain is used up: LEFT/FULL pad the row if nothing matched.
 			if !it.curMatched && it.joinType.Outer() {
-				if dst.Len() >= it.target {
+				if full() {
+					it.flush(dst, &started)
 					return nil
 				}
-				dst.Append(it.jc.emitPadded(l, nil))
+				it.li, it.ri = append(it.li, int32(k)), append(it.ri, -1)
 			}
 			it.curActive = false
 			it.pos++
 		}
 		switch {
-		case dst.Len() >= it.target:
+		case full():
+			it.flush(dst, &started)
 			return nil
 		case it.pos < it.pb.Len():
 			// Start the next probe row of the batch.
-			l := it.pb.Rows[it.pos]
 			it.curActive, it.curMatched, it.chain = true, false, -1
-			if !rowHasNullKey(l, it.jc.lKeys) {
-				if e := it.tab.lookup(it.pb.hashes[it.pos], l, it.jc.lKeys); e >= 0 {
-					it.chain = it.head[e]
-				}
+			e := -1
+			switch {
+			case it.dense != nil:
+				e = it.tab.denseAt(it.dense[it.kr.sel[it.pos]])
+			case !it.mayNull || !it.kr.nullKey(it.pos):
+				e = it.tab.lookup(&it.kr, it.pos)
+			}
+			if e >= 0 {
+				it.chain = it.head[e]
 			}
 		case !it.probeDone:
+			// The pairs go out before the next probe batch replaces the
+			// vectors they index.
+			it.flush(dst, &started)
 			if err := it.probe.NextBatch(it.pb); err != nil {
 				return err
 			}
 			it.pos = 0
-			it.tab.hash(it.pb, it.jc.lKeys)
-			it.probeDone = it.pb.Len() == 0
+			if it.probeDone = it.pb.Len() == 0; !it.probeDone {
+				kr := it.kr.of(it.pb, it.jc.lKeys)
+				it.tab.hash(kr)
+				it.mayNull = kr.mayHoldNull()
+				it.dense = nil
+				if ints, ok := it.tab.denseInts(kr); ok {
+					it.dense = ints
+				}
+			}
 		case it.drainPos < len(it.buildMatched):
 			// FULL outer: emit the build rows no probe row matched.
-			for ; it.drainPos < len(it.buildMatched); it.drainPos++ {
-				if it.buildMatched[it.drainPos] {
-					continue
+			for ; it.drainPos < len(it.buildMatched) && !full(); it.drainPos++ {
+				if !it.buildMatched[it.drainPos] {
+					it.li, it.ri = append(it.li, -1), append(it.ri, int32(it.drainPos))
 				}
-				if dst.Len() >= it.target {
-					return nil
-				}
-				dst.Append(it.jc.emitPadded(nil, it.build.at(it.drainPos)))
 			}
 		default:
 			// This build table is finished: the in-memory join ends here,
 			// the grace join moves to its next partition pair.
+			it.flush(dst, &started)
 			if it.rParts == nil {
 				return nil
 			}
@@ -561,9 +628,15 @@ func (it *hashJoinIter) Close() error {
 	// probe source was already closed by drainBatches; closing again is
 	// harmless.
 	it.probeSrc.Close()
+	if it.pairs != nil {
+		it.pairs.sel, it.pairs.gids = it.li[:0], it.ri[:0] // keep what they grew to
+	}
 	putBatch(it.pb)
-	it.pb = nil
-	it.build.release()
+	putBatch(it.pairs)
+	putStore(it.build)
+	putStore(it.probeRows)
+	putKeyTable(it.tab)
+	it.pb, it.build, it.probeRows, it.pairs, it.tab = nil, nil, nil, nil, nil
 	for _, p := range it.lParts {
 		p.drop()
 	}
@@ -573,6 +646,37 @@ func (it *hashJoinIter) Close() error {
 	it.lParts, it.rParts = nil, nil
 	return nil
 }
+
+// blockIter hands out an in-memory block's rows as batches of its vectors,
+// up to target rows selected at a time.
+type blockIter struct {
+	blk    types.Block
+	target int
+	all    Batch // all.sel: 0, 1, ..., blk.N-1, once the block takes two batches
+	pos    int
+}
+
+func (it *blockIter) Open() error { it.pos = 0; return nil }
+
+func (it *blockIter) NextBatch(dst *Batch) error {
+	dst.Reset()
+	n := min(it.blk.N-it.pos, it.target)
+	switch {
+	case n == 0:
+		return nil
+	case n == it.blk.N:
+		dst.Block = it.blk
+	default:
+		if len(it.all.sel) != it.blk.N {
+			it.all.selectAll(it.blk.N)
+		}
+		dst.Block, dst.Sel = it.blk, it.all.sel[it.pos:it.pos+n]
+	}
+	it.pos += n
+	return nil
+}
+
+func (it *blockIter) Close() error { return nil }
 
 // blockNLIter reads the outer in memory-budget blocks and rescans the inner
 // once per block. A base-table inner is rescanned directly (the buffer pool
@@ -604,13 +708,14 @@ type blockNLIter struct {
 	ob           *Batch // the outer batch blocks are cut from
 	opos         int    // its next row
 	oEOF         bool
-	block        []types.Row
-	blockMatched []bool // LEFT/FULL: per-block-row match flags
-	padPos       int    // LEFT/FULL, after a pass: next block row to pad if unmatched
+	block        []types.Row // gathered from ob, carved from jc.arena
+	blockMatched []bool      // LEFT/FULL: per-block-row match flags
+	padPos       int         // LEFT/FULL, after a pass: next block row to pad if unmatched
 
 	in           BatchIterator // the inner pass in progress; nil between passes
 	ib           *Batch        // the inner batch being joined
 	ipos         int           // its row in flight
+	irow         types.Row     // that row, gathered
 	bpos         int           // the next block row to try against it
 	ord          int           // the in-flight row's ordinal within the pass
 	innerMatched []bool        // FULL: per-inner-ordinal match flags, OR'd across blocks
@@ -624,13 +729,22 @@ func (it *blockNLIter) Open() error {
 		// spill is assigned before writing so Close drops it on any error.
 		sp := newSpill(it.exec.pg, "bnl-inner")
 		it.spilled = sp
-		if err := drainBatches(it.matSrc, func(r types.Row) error { return sp.add(r) }); err != nil {
+		var row types.Row
+		if err := drainBatches(it.matSrc, func(b *Batch) error {
+			for i := range b.Len() {
+				row = b.gather(i, row)
+				if err := sp.add(row); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
 			return err
 		}
 		if err := sp.finish(); err != nil {
 			return err
 		}
-		it.inner = func() BatchIterator { return &spillIter{sp: sp, target: it.exec.batchSize} }
+		it.inner = func() BatchIterator { return spillScan(sp, it.exec.batchSize) }
 	}
 	it.ob, it.ib = getBatch(), getBatch()
 	if err := it.outer.Open(); err != nil {
@@ -658,7 +772,7 @@ func (it *blockNLIter) nextBlock() error {
 			it.opos, it.oEOF = 0, it.ob.Len() == 0
 			continue
 		}
-		row := it.ob.Rows[it.opos]
+		row := it.ob.gather(it.opos, it.jc.arena.carve(len(it.ob.Cols)))
 		it.opos++
 		it.block = append(it.block, row)
 		bytes += row.DiskWidth()
@@ -683,12 +797,13 @@ func (it *blockNLIter) NextBatch(dst *Batch) error {
 	for !it.done && dst.Len() < it.target {
 		switch {
 		case it.ipos < it.ib.Len() && it.final:
-			if r := it.ib.Rows[it.ipos]; it.ord >= len(it.innerMatched) || !it.innerMatched[it.ord] {
-				dst.Append(it.jc.emitPadded(nil, r))
+			if it.ord >= len(it.innerMatched) || !it.innerMatched[it.ord] {
+				it.jc.appendPair(dst, nil, it.ib.gather(it.ipos, it.irow))
 			}
 			it.ipos, it.ord = it.ipos+1, it.ord+1
 		case it.ipos < it.ib.Len():
-			r := it.ib.Rows[it.ipos]
+			it.irow = it.ib.gather(it.ipos, it.irow)
+			r := it.irow
 			if it.joinType == lplan.JoinFull && it.ord == len(it.innerMatched) {
 				it.innerMatched = append(it.innerMatched, false)
 			}
@@ -701,7 +816,7 @@ func (it *blockNLIter) NextBatch(dst *Batch) error {
 				if !keysEqual(l, r, it.jc.lKeys, it.jc.rKeys) {
 					continue
 				}
-				out, ok, err := it.jc.emit(l, r)
+				ok, err := it.jc.holds(l, r)
 				if err != nil {
 					return err
 				}
@@ -712,7 +827,7 @@ func (it *blockNLIter) NextBatch(dst *Batch) error {
 					if it.joinType == lplan.JoinFull {
 						it.innerMatched[it.ord] = true
 					}
-					dst.Append(out)
+					it.jc.appendPair(dst, l, r)
 				}
 			}
 			it.ipos, it.bpos, it.ord = it.ipos+1, 0, it.ord+1
@@ -728,7 +843,7 @@ func (it *blockNLIter) NextBatch(dst *Batch) error {
 			}
 		case it.joinType.Outer() && it.padPos < len(it.block):
 			if !it.blockMatched[it.padPos] {
-				dst.Append(it.jc.emitPadded(it.block[it.padPos], nil))
+				it.jc.appendPair(dst, it.block[it.padPos], nil)
 			}
 			it.padPos++
 		default:
@@ -738,6 +853,18 @@ func (it *blockNLIter) NextBatch(dst *Batch) error {
 		}
 	}
 	return nil
+}
+
+// hasNullKey reports whether any of the row's key positions is NULL. A
+// NULL join key never matches anything (NULL = x is UNKNOWN), even though
+// types.Compare orders NULLs equal.
+func hasNullKey(r types.Row, keys []int) bool {
+	for _, k := range keys {
+		if r[k].IsNull() {
+			return true
+		}
+	}
+	return false
 }
 
 func keysEqual(l, r types.Row, lKeys, rKeys []int) bool {
@@ -812,12 +939,12 @@ func (it *mergeJoinIter) NextBatch(dst *Batch) error {
 				if dst.Len() >= it.target {
 					return nil
 				}
-				out, ok, err := it.jc.emit(lRun[it.li], rRun[it.ri])
+				ok, err := it.jc.holds(lRun[it.li], rRun[it.ri])
 				if err != nil {
 					return err
 				}
 				if ok {
-					dst.Append(out)
+					it.jc.appendPair(dst, lRun[it.li], rRun[it.ri])
 				}
 			}
 		}
@@ -830,7 +957,7 @@ func (it *mergeJoinIter) NextBatch(dst *Batch) error {
 			return err
 		}
 		it.li = 0
-		if rowHasNullKey(l, it.jc.lKeys) {
+		if hasNullKey(l, it.jc.lKeys) {
 			it.li = len(it.l.run)
 			continue
 		}

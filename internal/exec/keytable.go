@@ -3,7 +3,6 @@ package exec
 import (
 	"hash/fnv"
 	"math"
-	"slices"
 	"unsafe"
 
 	"aggview/internal/types"
@@ -35,9 +34,10 @@ import (
 // to NULL here, which is what GROUP BY wants; the join never offers a NULL
 // key.
 //
-// Rows are looked up and inserted a batch at a time: hash readies a
-// batch's keys (it hashes them unless the table is dense), lookup takes a
-// row and its hash, and insert a row of the batch by position.
+// Rows are looked up and inserted a batch at a time, as keyRows: the key
+// columns' vectors and the rows' positions in them. hash readies the keys
+// (it hashes them unless the table is dense), and lookup and insert take
+// the i-th row. A dense table reads an INT key column's []int64 directly.
 type keyTable struct {
 	width  int // values per key
 	n      int // entries
@@ -51,10 +51,32 @@ type keyTable struct {
 	slots  []uint64 // hashed: hash>>32 <<32 | entry id + 1; 0 = empty
 	hashes []uint64 // hashed: per entry
 
+	scratch []uint64 // the key hashes of the batch being looked up (hash)
+
 	ints []int64       // per entry while intKeys: the key
 	keys []types.Value // otherwise: width values per entry
 	// intKeys: width is 1 and every key inserted so far is an INT.
 	intKeys bool
+}
+
+// keyTables recycles key tables, their storage grown, across runs; a
+// table whose index or slots outgrew maxKeptKeys is let go instead, so
+// that the clear a reused table's init does stays small.
+var keyTables recycler[keyTable]
+
+const maxKeptKeys = 1 << 16
+
+// getKeyTable returns an empty table from the pool; init readies it.
+func getKeyTable() *keyTable { return keyTables.get() }
+
+// putKeyTable returns t to the pool, holding no key.
+func putKeyTable(t *keyTable) {
+	if t == nil || len(t.index) > maxKeptKeys || len(t.slots) > maxKeptKeys {
+		return
+	}
+	clear(t.keys) // drop the VARCHARs they point into
+	t.keys = t.keys[:0]
+	keyTables.put(t)
 }
 
 // keyTableMinSlots is the slot count of the first allocation: a table of a
@@ -110,7 +132,7 @@ func (t *keyTable) reserve(lo, hi int64) {
 		return
 	}
 	if lo < -maxDenseKey || hi > maxDenseKey || hi-lo >= denseSpan(t.expect) {
-		t.leaveDense(nil, nil)
+		t.leaveDense(nil)
 		return
 	}
 	t.lo = lo
@@ -134,33 +156,92 @@ func presized(n float64, width, budget int) int {
 	return int(min(max(n, 0), float64(budget/perEntry)))
 }
 
-// hash readies the keys of b's rows at cols for lookup and insert: their
-// hashes go to b.hashes, one per row. A dense table computes none and
-// leaves what b.hashes held; a conversion rewrites them in place.
-func (t *keyTable) hash(b *Batch, cols []int) {
-	if t.dense {
-		b.hashes = slices.Grow(b.hashes[:0], len(b.Rows))[:len(b.Rows)]
-		return
-	}
-	b.hashes = hashKeys(b.Rows, cols, b.hashes)
+// keyRows are the rows of a batch as a key table reads them: vecs[j] is
+// the vector of key column j, and row i sits at position sel[i] in each;
+// hashes[i] is its key's hash (keyTable.hash).
+type keyRows struct {
+	buf    [2]*types.Vector // backs vecs for keys of up to two columns
+	vecs   []*types.Vector
+	sel    []int32
+	hashes []uint64
 }
 
-// lookup returns the entry whose key equals the values of row at cols, or
-// -1; h is the key's hash (hash), which a dense table does not read.
-func (t *keyTable) lookup(h uint64, row types.Row, cols []int) int {
-	if t.dense {
-		v := &row[cols[0]]
-		if v.K == types.KindInt {
-			return t.denseAt(v.I)
+// of points kr at b's rows, keyed by the columns at cols.
+func (kr *keyRows) of(b *Batch, cols []int) *keyRows {
+	if kr.vecs == nil {
+		kr.vecs = kr.buf[:0]
+	}
+	kr.vecs = kr.vecs[:0]
+	for _, c := range cols {
+		kr.vecs = append(kr.vecs, &b.Cols[c])
+	}
+	kr.sel = b.selection()
+	return kr
+}
+
+// mayHoldNull reports whether some key column may hold a NULL: whether
+// nullKey needs asking at all.
+func (kr *keyRows) mayHoldNull() bool {
+	for _, v := range kr.vecs {
+		if v.Nulls != nil || v.K != types.KindInt && v.K != types.KindFloat && v.K != types.KindString && v.K != types.KindBool {
+			return true
 		}
-		return t.denseOther(v)
+	}
+	return false
+}
+
+// nullKey reports whether row i's key holds a NULL.
+func (kr *keyRows) nullKey(i int) bool {
+	for _, v := range kr.vecs {
+		if v.IsNull(int(kr.sel[i])) {
+			return true
+		}
+	}
+	return false
+}
+
+// hash readies kr's keys for lookup and insert: their hashes go to
+// kr.hashes, one per row. A dense table computes none; a conversion
+// computes them.
+func (t *keyTable) hash(kr *keyRows) {
+	if !t.dense {
+		kr.hashes = hashKeys(kr, t.scratch)
+		t.scratch = kr.hashes // recycled with the table
+	}
+}
+
+// denseInts returns the INTs of kr's one key column when the table is
+// dense and the column holds INTs and no NULL: row i's entry is then
+// denseAt(ints[kr.sel[i]]).
+func (t *keyTable) denseInts(kr *keyRows) (ints []int64, ok bool) {
+	if !t.dense {
+		return nil, false
+	}
+	v := kr.vecs[0]
+	return v.Ints, v.K == types.KindInt && v.Nulls == nil
+}
+
+// lookup returns the entry whose key equals row i's of kr, or -1.
+func (t *keyTable) lookup(kr *keyRows, i int) int {
+	k := int(kr.sel[i])
+	if t.dense {
+		v := kr.vecs[0]
+		if v.K == types.KindInt && (v.Nulls == nil || !v.IsNull(k)) {
+			return t.denseAt(v.Ints[k])
+		}
+		x := v.Value(k)
+		if x.K == types.KindInt {
+			return t.denseAt(x.I)
+		}
+		return t.denseOther(&x)
 	}
 	if len(t.slots) == 0 {
 		return -1
 	}
+	h := kr.hashes[i]
 	mask := uint64(len(t.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		s := t.slots[i]
+	for j := h & mask; ; j = (j + 1) & mask {
+		s := t.slots[j]
 		if s == 0 {
 			return -1
 		}
@@ -169,11 +250,14 @@ func (t *keyTable) lookup(h uint64, row types.Row, cols []int) int {
 		}
 		e := int(uint32(s)) - 1
 		if t.intKeys {
-			if v := &row[cols[0]]; v.K == types.KindInt && v.I == t.ints[e] ||
-				v.K != types.KindInt && types.Equal(types.NewInt(t.ints[e]), *v) {
+			if v := kr.vecs[0]; v.K == types.KindInt && (v.Nulls == nil || !v.IsNull(k)) {
+				if v.Ints[k] == t.ints[e] {
+					return e
+				}
+			} else if types.Equal(types.NewInt(t.ints[e]), v.Value(k)) {
 				return e
 			}
-		} else if sameKey(t.keys[e*t.width:], row, cols) {
+		} else if sameKey(t.keys[e*t.width:], kr, k) {
 			return e
 		}
 	}
@@ -200,50 +284,52 @@ func (t *keyTable) denseOther(v *types.Value) int {
 	return t.denseAt(int64(f))
 }
 
-// sameKey reports whether key and the values of row at cols are Equal
-// position by position (NULL Equal to NULL: grouping, not join, semantics).
-func sameKey(key types.Row, row types.Row, cols []int) bool {
-	for i, c := range cols {
-		if !types.Equal(key[i], row[c]) {
+// sameKey reports whether key and the key at position k of kr's vectors
+// are Equal position by position (NULL Equal to NULL: grouping, not join,
+// semantics).
+func sameKey(key types.Row, kr *keyRows, k int) bool {
+	for i, v := range kr.vecs {
+		if !types.Equal(key[i], v.Value(k)) {
 			return false
 		}
 	}
 	return true
 }
 
-// insert adds an entry for the key that b.Rows[i] holds at cols and
-// returns its id. The caller has looked the key up and not found it.
-func (t *keyTable) insert(b *Batch, i int, cols []int) int {
-	row := b.Rows[i]
+// insert adds an entry for row i's key of kr and returns its id. The
+// caller has looked the key up and not found it.
+func (t *keyTable) insert(kr *keyRows, i int) int {
+	k := int(kr.sel[i])
 	if t.dense {
-		if t.denseInsert(&row[cols[0]]) {
+		x := kr.vecs[0].Value(k)
+		if t.denseInsert(&x) {
 			t.n++
 			return t.n - 1
 		}
-		t.leaveDense(b, cols)
+		t.leaveDense(kr)
 	}
 	if t.n == cap(t.hashes) {
 		t.resize(max(2*len(t.slots), keyTableMinSlots))
 	}
-	e, h := t.n, b.hashes[i]
+	e, h := t.n, kr.hashes[i]
 	t.n++
 	t.hashes = append(t.hashes, h)
 	if t.intKeys {
-		if v := &row[cols[0]]; v.K == types.KindInt {
-			t.ints = append(t.ints, v.I)
+		if x := kr.vecs[0].Value(k); x.K == types.KindInt {
+			t.ints = append(t.ints, x.I)
 			t.place(h, e)
 			return e
 		}
 		// The first key of another kind: spell the INT keys out as values.
 		t.intKeys = false
-		t.keys = make([]types.Value, 0, cap(t.hashes))
+		t.keys = roomFor(t.keys[:0], cap(t.hashes))
 		for _, k := range t.ints {
 			t.keys = append(t.keys, types.NewInt(k))
 		}
 		t.ints = nil
 	}
-	for _, c := range cols {
-		t.keys = append(t.keys, row[c])
+	for _, v := range kr.vecs {
+		t.keys = append(t.keys, v.Value(k))
 	}
 	t.place(h, e)
 	return e
@@ -310,9 +396,9 @@ func (t *keyTable) growIndex(k, kmin, kmax, limit int64) {
 }
 
 // leaveDense converts a dense table to the hashed layout: it hashes its
-// entries once and places them, then readies b's keys at cols (b nil: no
-// batch in flight).
-func (t *keyTable) leaveDense(b *Batch, cols []int) {
+// entries once and places them, then readies kr's keys (kr nil: no batch
+// in flight).
+func (t *keyTable) leaveDense(kr *keyRows) {
 	t.dense = false
 	t.hashes = t.hashes[:0]
 	for _, k := range t.ints {
@@ -320,8 +406,8 @@ func (t *keyTable) leaveDense(b *Batch, cols []int) {
 		t.hashes = append(t.hashes, types.HashValue(&v))
 	}
 	t.resize(max(slotsFor(max(t.n+1, t.expect)), len(t.slots)))
-	if b != nil {
-		t.hash(b, cols)
+	if kr != nil {
+		t.hash(kr)
 	}
 }
 
@@ -330,17 +416,31 @@ func (t *keyTable) leaveDense(b *Batch, cols []int) {
 // Entry storage grows here and nowhere else, so it doubles with the slots
 // instead of following append's finer-grained schedule.
 func (t *keyTable) resize(n int) {
-	t.slots = make([]uint64, n)
-	entries := n / 4 * 3
-	t.hashes = append(make([]uint64, 0, entries), t.hashes...)
-	if t.intKeys {
-		t.ints, t.keys = append(make([]int64, 0, entries), t.ints[:t.n]...), nil
+	if cap(t.slots) >= n {
+		t.slots = t.slots[:n]
+		clear(t.slots)
 	} else {
-		t.ints, t.keys = nil, append(make([]types.Value, 0, entries*t.width), t.keys[:t.n*t.width]...)
+		t.slots = make([]uint64, n)
+	}
+	entries := n / 4 * 3
+	t.hashes = roomFor(t.hashes, entries)
+	if t.intKeys {
+		t.ints = roomFor(t.ints[:t.n], entries)
+	} else {
+		t.keys = roomFor(t.keys[:t.n*t.width], entries*t.width)
 	}
 	for e, h := range t.hashes {
 		t.place(h, e)
 	}
+}
+
+// roomFor returns s with a capacity of exactly n, n >= len(s): in its own
+// storage when that has room (an earlier use's), or in new storage.
+func roomFor[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:len(s):n]
+	}
+	return append(make([]T, 0, n), s...)
 }
 
 // place writes entry e into the first free slot of h's probe sequence.
@@ -365,26 +465,22 @@ func (t *keyTable) key(e int, dst types.Row) types.Row {
 	return t.keys[e*t.width : (e+1)*t.width : (e+1)*t.width]
 }
 
-// hashKeys writes into out the hash of each row's key at cols (the
+// hashKeys writes into out the hash of each row's key of kr (the
 // types.HashValue of each column, folded by types.HashCombine in key order;
 // 0 for an empty key), one key column at a time over the whole batch, and
-// returns out resized to len(rows).
-func hashKeys(rows []types.Row, cols []int, out []uint64) []uint64 {
-	if cap(out) < len(rows) {
-		out = make([]uint64, len(rows))
+// returns out resized to the rows.
+func hashKeys(kr *keyRows, out []uint64) []uint64 {
+	n := len(kr.sel)
+	if cap(out) < n {
+		out = make([]uint64, n)
 	}
-	out = out[:len(rows)]
-	if len(cols) == 0 {
+	out = out[:n]
+	if len(kr.vecs) == 0 {
 		clear(out)
 		return out
 	}
-	for i, r := range rows {
-		out[i] = types.HashValue(&r[cols[0]])
-	}
-	for _, c := range cols[1:] {
-		for i, r := range rows {
-			out[i] = types.HashCombine(out[i], types.HashValue(&r[c]))
-		}
+	for j, v := range kr.vecs {
+		types.HashVector(v, kr.sel, out, j > 0)
 	}
 	return out
 }

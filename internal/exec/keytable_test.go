@@ -44,18 +44,31 @@ func negZero() float64 { z := 0.0; return -z }
 // otherNaN is a NaN whose bits are not math.NaN's.
 func otherNaN() float64 { return math.Float64frombits(0xfff8000000000000) }
 
+// batchOf returns a batch holding rows in vectors of its own.
+func batchOf(rows []types.Row) *Batch {
+	b := &Batch{}
+	b.startOwn(len(rows[0]))
+	for _, r := range rows {
+		b.appendRow(r)
+	}
+	return b
+}
+
+// keysOf returns the keys at cols of rows, hashed for tab.
+func keysOf(tab *keyTable, rows []types.Row, cols []int) *keyRows {
+	kr := new(keyRows).of(batchOf(rows), cols)
+	tab.hash(kr)
+	return kr
+}
+
 // lookupRow looks the key of row at cols up in tab, through a batch of one.
 func lookupRow(tab *keyTable, row types.Row, cols []int) int {
-	b := &Batch{Rows: []types.Row{row}}
-	tab.hash(b, cols)
-	return tab.lookup(b.hashes[0], row, cols)
+	return tab.lookup(keysOf(tab, []types.Row{row}, cols), 0)
 }
 
 // insertRow inserts the key of row at cols into tab, through a batch of one.
 func insertRow(tab *keyTable, row types.Row, cols []int) int {
-	b := &Batch{Rows: []types.Row{row}}
-	tab.hash(b, cols)
-	return tab.insert(b, 0, cols)
+	return tab.insert(keysOf(tab, []types.Row{row}, cols), 0)
 }
 
 // hashedTable returns an empty table for keys of width values that has
@@ -63,7 +76,7 @@ func insertRow(tab *keyTable, row types.Row, cols []int) int {
 func hashedTable(width int) *keyTable {
 	var tab keyTable
 	tab.init(width, 0)
-	tab.leaveDense(nil, nil)
+	tab.leaveDense(nil)
 	return &tab
 }
 
@@ -81,7 +94,7 @@ func TestHashAgreesWithEqual(t *testing.T) {
 		for _, b := range keyValuePool {
 			row, cols := types.Row{a, b}, []int{1, 0}
 			want := types.HashCombine(types.HashValue(&b), types.HashValue(&a))
-			if got := hashKeys([]types.Row{row}, cols, nil)[0]; got != want {
+			if got := hashKeys(new(keyRows).of(batchOf([]types.Row{row}), cols), nil)[0]; got != want {
 				t.Fatalf("hashKeys(%v) = %x, want %x", row, got, want)
 			}
 		}
@@ -299,18 +312,16 @@ func TestKeyTableDenseAgainstHashed(t *testing.T) {
 			rows[i] = types.Row{types.NewInt(int64(i)), k}
 		}
 		for start := 0; start < len(rows); start += 7 {
-			bd, bh := &Batch{Rows: rows[start:min(start+7, len(rows))]}, &Batch{}
-			bh.Rows = bd.Rows
-			dense.hash(bd, cols)
-			hashed.hash(bh, cols)
-			for i, row := range bd.Rows {
+			chunk := rows[start:min(start+7, len(rows))]
+			bd, bh := keysOf(&dense, chunk, cols), keysOf(hashed, chunk, cols)
+			for i, row := range chunk {
 				at := start + i
-				e, want := dense.lookup(bd.hashes[i], row, cols), hashed.lookup(bh.hashes[i], row, cols)
+				e, want := dense.lookup(bd, i), hashed.lookup(bh, i)
 				if e != want {
 					t.Fatalf("%s: key %d (%v): dense table finds entry %d, hashed %d", st.name, at, row[1], e, want)
 				}
 				if e < 0 {
-					e, want = dense.insert(bd, i, cols), hashed.insert(bh, i, cols)
+					e, want = dense.insert(bd, i), hashed.insert(bh, i)
 					if e != want || e != hashed.n-1 {
 						t.Fatalf("%s: key %d (%v): inserted as entry %d in the dense table, %d in the hashed", st.name, at, row[1], e, want)
 					}

@@ -224,22 +224,24 @@ func naiveScan(store *storage.Store, s *lplan.Scan, params []types.Value) ([]typ
 	var out []types.Row
 	sc := store.NewScanner(s.Table.File)
 	for {
-		row, rid, ok, err := sc.Next()
+		page, rid, ok, err := sc.NextPage()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return out, nil
 		}
-		if s.WithTID {
-			row = append(row.Clone(), types.NewInt(rid))
-		}
-		keep, err := filter(row, params)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			out = append(out, projRow(row, proj))
+		for k, row := range page.AppendRows(nil) {
+			if s.WithTID {
+				row = append(row, types.NewInt(rid+int64(k)))
+			}
+			keep, err := filter(row, params)
+			if err != nil {
+				return nil, err
+			}
+			if keep {
+				out = append(out, projRow(row, proj))
+			}
 		}
 	}
 }

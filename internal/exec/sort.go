@@ -20,9 +20,12 @@ type sortKeys struct {
 }
 
 func (k sortKeys) compare(a, b types.Row) int {
+	if k.desc == nil {
+		return types.CompareRows(a, b, k.cols)
+	}
 	for i, c := range k.cols {
 		if d := types.Compare(a[c], b[c]); d != 0 {
-			if k.desc != nil && k.desc[i] {
+			if k.desc[i] {
 				return -d
 			}
 			return d
@@ -79,9 +82,10 @@ func (k sortKeys) sortStable(rows []types.Row, ord []int) []int {
 // inputs write sorted runs to spill files and k-way merge them. The output
 // streams out in batches from an in-memory slice or the run merger.
 type sortIter struct {
-	exec *Executor
-	in   BatchIterator
-	keys sortKeys
+	exec  *Executor
+	in    BatchIterator
+	keys  sortKeys
+	arena rowArena // backs the gathered input rows
 
 	out  BatchIterator
 	runs []*spill
@@ -112,7 +116,9 @@ func sortedInput(in *op, want []schema.ColID, keys sortKeys) func(*Executor) Bat
 	if keys.desc == nil && lplan.Covers(in.order, want) {
 		return func(e *Executor) BatchIterator { return e.build(in) }
 	}
-	return func(e *Executor) BatchIterator { return &sortIter{exec: e, in: e.build(in), keys: keys} }
+	return func(e *Executor) BatchIterator {
+		return &sortIter{exec: e, in: e.build(in), keys: keys, arena: rowArena{rec: &e.arenas}}
+	}
 }
 
 func (it *sortIter) Open() error {
@@ -138,7 +144,7 @@ func (it *sortIter) Open() error {
 		return nil
 	}
 
-	err := drainBatches(it.in, func(row types.Row) error {
+	err := drainRows(it.in, &it.arena, func(row types.Row) error {
 		buf = append(buf, row)
 		bytes += row.DiskWidth()
 		if bytes > it.exec.budgetBytes {
@@ -190,10 +196,27 @@ type mergeRuns struct {
 	items  mergeHeap
 }
 
+// mergeItem is a run's next row, gathered from the page being read.
 type mergeItem struct {
-	row types.Row
-	sc  *storage.Scanner
-	run int // the run's ordinal: runs hold consecutive stretches of the input
+	row  types.Row
+	sc   *storage.Scanner
+	page types.Block
+	pos  int // the next row of page
+	run  int // the run's ordinal: runs hold consecutive stretches of the input
+}
+
+// advance gathers the run's next row into row; ok is false when the run
+// is used up.
+func (m *mergeItem) advance() (ok bool, err error) {
+	for m.pos == m.page.N {
+		if m.page, _, ok, err = m.sc.NextPage(); !ok || err != nil {
+			return false, err
+		}
+		m.pos = 0
+	}
+	m.row = m.page.Row(m.pos, m.row)
+	m.pos++
+	return true, nil
 }
 
 type mergeHeap struct {
@@ -228,13 +251,13 @@ func newMergeRuns(runs []*spill, keys sortKeys, target int) (*mergeRuns, error) 
 	}
 	m := &mergeRuns{target: target, items: mergeHeap{keys: keys}}
 	for i, r := range runs {
-		sc := r.scan()
-		row, _, ok, err := sc.Next()
+		item := &mergeItem{sc: r.scan(), run: i}
+		ok, err := item.advance()
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			m.items.items = append(m.items.items, &mergeItem{row: row, sc: sc, run: i})
+			m.items.items = append(m.items.items, item)
 		}
 	}
 	heap.Init(&m.items)
@@ -245,23 +268,21 @@ func (m *mergeRuns) Open() error { return nil }
 
 func (m *mergeRuns) NextBatch(dst *Batch) error {
 	dst.Reset()
-	for dst.Len() < m.target {
-		if m.items.Len() == 0 {
-			return nil
-		}
+	for dst.N < m.target && m.items.Len() > 0 {
 		top := m.items.items[0]
-		out := top.row
-		row, _, ok, err := top.sc.Next()
+		if dst.N == 0 {
+			dst.startOwn(len(top.row))
+		}
+		dst.appendRow(top.row)
+		ok, err := top.advance()
 		if err != nil {
 			return err
 		}
 		if ok {
-			top.row = row
 			heap.Fix(&m.items, 0)
 		} else {
 			heap.Pop(&m.items)
 		}
-		dst.Append(out)
 	}
 	return nil
 }
@@ -269,24 +290,26 @@ func (m *mergeRuns) NextBatch(dst *Batch) error {
 func (m *mergeRuns) Close() error { return nil }
 
 // runReader reads an input sorted on cols as runs: maximal stretches of rows
-// whose cols compare equal under types.CompareRows, the sort's own
-// comparison. A run may span input batches. With fold set, each stretch of
-// a run within one input batch is handed to it as the run is read;
-// otherwise the run's rows are collected in run. Either way rows pass by
-// reference, which the row-immutability contract (doc.go) makes safe.
+// whose cols compare equal under types.Compare, the sort's own comparison.
+// A run may span input batches. With fold set, each stretch of a run within
+// one input batch is handed to it, as positions in the batch's vectors, as
+// the run is read; otherwise the run's rows are gathered into run.
 type runReader struct {
-	in   BatchIterator
-	cols []int
-	fold func([]types.Row) error
-	run  []types.Row
+	in    BatchIterator
+	cols  []int
+	fold  func(*Batch, []int32) error
+	run   []types.Row
+	arena *rowArena // backs the rows of run; nil with fold set
+	first types.Row // with fold set: the run's first row
 
-	b   *Batch // the input batch being read
-	pos int    // its next unread row
+	b   *Batch  // the input batch being read
+	sel []int32 // its selection
+	pos int     // its next unread row
 	eof bool
 }
 
 func (rr *runReader) Open() error {
-	rr.b, rr.pos, rr.eof = getBatch(), 0, false
+	rr.b, rr.sel, rr.pos, rr.eof = getBatch(), nil, 0, false
 	return rr.in.Open()
 }
 
@@ -296,32 +319,42 @@ func (rr *runReader) next() (types.Row, error) {
 	rr.run = rr.run[:0]
 	var first types.Row
 	for {
-		if rr.pos == rr.b.Len() {
+		if rr.pos == len(rr.sel) {
 			if rr.eof {
 				return first, nil
 			}
 			if err := rr.in.NextBatch(rr.b); err != nil {
 				return nil, err
 			}
-			rr.pos, rr.eof = 0, rr.b.Len() == 0
+			rr.sel, rr.pos, rr.eof = rr.b.selection(), 0, rr.b.Len() == 0
 			continue
 		}
 		start, ended := rr.pos, false
 		if first == nil {
-			first = rr.b.Rows[rr.pos]
+			if rr.fold != nil {
+				rr.first = rr.b.Row(int(rr.sel[rr.pos]), rr.first)
+				first = rr.first
+			} else {
+				first = rr.b.Row(int(rr.sel[rr.pos]), rr.arena.carve(len(rr.b.Cols)))
+				rr.run = append(rr.run, first)
+				start++
+			}
 			rr.pos++
 		}
-		for ; rr.pos < rr.b.Len(); rr.pos++ {
-			if types.CompareRows(first, rr.b.Rows[rr.pos], rr.cols) != 0 {
+		for ; rr.pos < len(rr.sel); rr.pos++ {
+			if rr.compare(first, int(rr.sel[rr.pos])) != 0 {
 				ended = true
 				break
 			}
 		}
-		stretch := rr.b.Rows[start:rr.pos]
-		if rr.fold == nil {
-			rr.run = append(rr.run, stretch...)
-		} else if err := rr.fold(stretch); err != nil {
-			return nil, err
+		if rr.fold != nil {
+			if err := rr.fold(rr.b, rr.sel[start:rr.pos]); err != nil {
+				return nil, err
+			}
+		} else {
+			for _, k := range rr.sel[start:rr.pos] {
+				rr.run = append(rr.run, rr.b.Row(int(k), rr.arena.carve(len(rr.b.Cols))))
+			}
 		}
 		if ended {
 			return first, nil
@@ -329,8 +362,18 @@ func (rr *runReader) next() (types.Row, error) {
 	}
 }
 
+// compare orders row against the batch's row at position k by cols.
+func (rr *runReader) compare(row types.Row, k int) int {
+	for _, c := range rr.cols {
+		if d := types.Compare(row[c], rr.b.Cols[c].Value(k)); d != 0 {
+			return d
+		}
+	}
+	return 0
+}
+
 func (rr *runReader) Close() error {
 	putBatch(rr.b)
-	rr.b = nil
+	rr.b, rr.sel = nil, nil
 	return rr.in.Close()
 }

@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"math"
 
 	"aggview/internal/schema"
 	"aggview/internal/types"
@@ -92,11 +91,15 @@ func kernelOf(p Expr, s schema.Schema) (k conjunct, ok bool, err error) {
 	return k, true, err
 }
 
-// Select narrows sel, positions in rows, to the rows on which every
-// conjunct is TRUE, and returns it; it overwrites sel's elements in place.
-// A conjunct never runs once no row is left, so, as with row-at-a-time
-// evaluation, an unbound `?` fails only when some row reaches it.
-func (f *Filter) Select(rows []types.Row, sel []int32, params []types.Value) ([]int32, error) {
+// Select narrows sel, positions in the column vectors cols, to the rows on
+// which every conjunct is TRUE, and returns it; it overwrites sel's
+// elements in place. A conjunct never runs once no row is left, so, as
+// with row-at-a-time evaluation, an unbound `?` fails only when some row
+// reaches it. A conjunct of another shape runs its Predicate on each
+// selected row, gathered from the vectors.
+func (f *Filter) Select(cols []types.Vector, sel []int32, params []types.Value) ([]int32, error) {
+	var row types.Row
+	blk := types.Block{Cols: cols}
 	for i := range f.conj {
 		if len(sel) == 0 {
 			break
@@ -104,21 +107,22 @@ func (f *Filter) Select(rows []types.Row, sel []int32, params []types.Value) ([]
 		c := &f.conj[i]
 		switch c.shape {
 		case colConst:
-			sel = selectValue(rows, sel, c.l, &c.val, c.mask)
+			sel = selectValue(&cols[c.l], sel, &c.val, c.mask)
 		case colParam:
 			if c.r >= len(params) {
 				return sel[:0], unbound(c.param, params)
 			}
-			sel = selectValue(rows, sel, c.l, &params[c.r], c.mask)
+			sel = selectValue(&cols[c.l], sel, &params[c.r], c.mask)
 		case colCol:
+			a, b := &cols[c.l], &cols[c.r]
 			n := 0
 			for _, k := range sel {
-				a, b := &rows[k][c.l], &rows[k][c.r]
 				d, ok := 0, true
-				if a.K == types.KindInt && b.K == types.KindInt {
-					d = cmpOrdered(a.I, b.I)
+				if a.K == types.KindInt && b.K == types.KindInt && !a.IsNull(int(k)) && !b.IsNull(int(k)) {
+					d = cmpOrdered(a.Ints[k], b.Ints[k])
 				} else {
-					d, ok = compare3(a, b)
+					x, y := a.Value(int(k)), b.Value(int(k))
+					d, ok = compare3(&x, &y)
 				}
 				if ok && c.mask>>uint(d+1)&1 != 0 {
 					sel[n] = k
@@ -129,7 +133,8 @@ func (f *Filter) Select(rows []types.Row, sel []int32, params []types.Value) ([]
 		default:
 			n := 0
 			for _, k := range sel {
-				ok, err := c.pred(rows[k], params)
+				row = blk.Row(int(k), row)
+				ok, err := c.pred(row, params)
 				if err != nil {
 					return sel[:0], err
 				}
@@ -144,46 +149,34 @@ func (f *Filter) Select(rows []types.Row, sel []int32, params []types.Value) ([]
 	return sel, nil
 }
 
-// selectValue keeps the rows of sel whose column col compares with v as
-// mask accepts. A NULL on either side is UNKNOWN and never selected. The
-// column's values of v's own kind, INT or FLOAT, compare inline.
-func selectValue(rows []types.Row, sel []int32, col int, v *types.Value, mask uint8) []int32 {
+// selectValue keeps the rows of sel whose value in col compares with v as
+// mask accepts. A NULL on either side is UNKNOWN and never selected. An
+// INT or FLOAT column without NULLs compares with a v of its own kind
+// straight from its typed slice.
+func selectValue(col *types.Vector, sel []int32, v *types.Value, mask uint8) []int32 {
 	n := 0
-	switch v.K {
-	case types.KindNull:
+	switch {
+	case v.K == types.KindNull:
 		return sel[:0]
-	case types.KindInt:
+	case v.K == types.KindInt && col.K == types.KindInt && col.Nulls == nil:
 		for _, k := range sel {
-			a := &rows[k][col]
-			d, ok := 0, true
-			if a.K == types.KindInt {
-				d = cmpOrdered(a.I, v.I)
-			} else {
-				d, ok = compare3(a, v)
-			}
-			if ok && mask>>uint(d+1)&1 != 0 {
+			if mask>>uint(cmpOrdered(col.Ints[k], v.I)+1)&1 != 0 {
 				sel[n] = k
 				n++
 			}
 		}
-	case types.KindFloat:
+	case v.K == types.KindFloat && col.K == types.KindFloat && col.Nulls == nil:
 		f := v.F()
 		for _, k := range sel {
-			a := &rows[k][col]
-			d, ok := 0, true
-			if a.K == types.KindFloat {
-				d = cmpOrdered(math.Float64frombits(uint64(a.I)), f)
-			} else {
-				d, ok = compare3(a, v)
-			}
-			if ok && mask>>uint(d+1)&1 != 0 {
+			if mask>>uint(cmpOrdered(col.Floats[k], f)+1)&1 != 0 {
 				sel[n] = k
 				n++
 			}
 		}
 	default:
 		for _, k := range sel {
-			if d, ok := compare3(&rows[k][col], v); ok && mask>>uint(d+1)&1 != 0 {
+			a := col.Value(int(k))
+			if d, ok := compare3(&a, v); ok && mask>>uint(d+1)&1 != 0 {
 				sel[n] = k
 				n++
 			}
@@ -192,12 +185,35 @@ func selectValue(rows []types.Row, sel []int32, col int, v *types.Value, mask ui
 	return sel[:n]
 }
 
-// Holds reports whether row passes every conjunct: Select over a batch of
-// one row.
+// Holds reports whether row passes every conjunct, evaluated in order as
+// Select evaluates them.
 func (f *Filter) Holds(row types.Row, params []types.Value) (bool, error) {
-	rows, sel := [1]types.Row{row}, [1]int32{0}
-	kept, err := f.Select(rows[:], sel[:], params)
-	return len(kept) == 1, err
+	for i := range f.conj {
+		c := &f.conj[i]
+		var d int
+		var ok bool
+		switch c.shape {
+		case colConst:
+			d, ok = compare3(&row[c.l], &c.val)
+		case colParam:
+			if c.r >= len(params) {
+				return false, unbound(c.param, params)
+			}
+			d, ok = compare3(&row[c.l], &params[c.r])
+		case colCol:
+			d, ok = compare3(&row[c.l], &row[c.r])
+		default:
+			held, err := c.pred(row, params)
+			if err != nil || !held {
+				return false, err
+			}
+			continue
+		}
+		if !ok || c.mask>>uint(d+1)&1 == 0 {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // ColumnCompare reports whether e compares two columns of s, and returns

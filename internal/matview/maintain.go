@@ -202,14 +202,14 @@ func (d *Def) Maintain(cat *catalog.Catalog, rows []types.Row) (in, out int64, e
 	}
 	stored := make([]types.Row, 0, backing.File.Rows())
 	for sc := cat.Store().NewScanner(backing.File); ; {
-		row, _, ok, err := sc.Next()
+		page, _, ok, err := sc.NextPage()
 		if err != nil {
 			return 0, 0, err
 		}
 		if !ok {
 			break
 		}
-		stored = append(stored, row)
+		stored = page.AppendRows(stored)
 	}
 	compact, err := d.Merge(stored)
 	if err == nil {

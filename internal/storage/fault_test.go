@@ -15,7 +15,7 @@ func TestScannerNextPropagatesReadFault(t *testing.T) {
 
 	// Fail the very first accounted IO: the scanner's first page read.
 	s.InjectFault(FaultPlan{FailAt: 0})
-	sc := s.NewScanner(f)
+	sc := rowsOf(s.NewScanner(f))
 	_, _, ok, err := sc.Next()
 	if ok || err == nil {
 		t.Fatalf("Next = ok=%v err=%v, want failing read", ok, err)
@@ -33,7 +33,7 @@ func TestScannerNextPropagatesReadFault(t *testing.T) {
 
 	// A disarmed store recovers: the same scan succeeds end to end.
 	s.ClearFault()
-	sc = s.NewScanner(f)
+	sc = rowsOf(s.NewScanner(f))
 	var n int
 	for {
 		_, _, ok, err := sc.Next()
@@ -61,7 +61,7 @@ func TestScannerNextMidScanFault(t *testing.T) {
 
 	// Fail the third page read: two pages of rows come back fine first.
 	s.InjectFault(FaultPlan{FailAt: 2})
-	sc := s.NewScanner(f)
+	sc := rowsOf(s.NewScanner(f))
 	var got int
 	for {
 		_, _, ok, err := sc.Next()
@@ -115,7 +115,7 @@ func TestFaultPlanDeterministicSweep(t *testing.T) {
 
 	// Count the charged IOs of one cold scan.
 	scan := func() error {
-		sc := s.NewScanner(f)
+		sc := rowsOf(s.NewScanner(f))
 		for {
 			_, _, ok, err := sc.Next()
 			if err != nil {
@@ -165,7 +165,7 @@ func TestFaultPlanProbabilisticSeedDeterminism(t *testing.T) {
 		var idx []int64
 		for {
 			s.ForceDropCaches()
-			sc := s.NewScanner(f)
+			sc := rowsOf(s.NewScanner(f))
 			var err error
 			for {
 				var ok bool

@@ -46,7 +46,7 @@ func TestStoreModelBased(t *testing.T) {
 				s.Append(mf.file, row)
 				mf.rows = append(mf.rows, row)
 			case 7: // full scan
-				sc := s.NewScanner(mf.file)
+				sc := rowsOf(s.NewScanner(mf.file))
 				i := 0
 				for {
 					row, rid, ok, err := sc.Next()
@@ -72,7 +72,7 @@ func TestStoreModelBased(t *testing.T) {
 					continue
 				}
 				want := int64(r.Intn(len(mf.rows)))
-				sc := s.NewScanner(mf.file)
+				sc := rowsOf(s.NewScanner(mf.file))
 				for {
 					row, rid, ok, err := sc.Next()
 					if err != nil || !ok {

@@ -128,7 +128,7 @@ func TestConcurrentReadersSharedStore(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			se := s.NewSession(nil)
-			sc := se.NewScanner(f)
+			sc := rowsOf(se.NewScanner(f))
 			n := 0
 			for {
 				_, _, ok, err := sc.Next()
@@ -145,7 +145,7 @@ func TestConcurrentReadersSharedStore(t *testing.T) {
 				t.Errorf("worker %d: scanned %d rows, want %d", w, n, rows)
 			}
 			// A second, partial scan that stops after 50 rows.
-			sc = se.NewScanner(f)
+			sc = rowsOf(se.NewScanner(f))
 			for i := 0; i < 50; i++ {
 				r, _, ok, err := sc.Next()
 				if err != nil || !ok {

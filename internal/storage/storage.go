@@ -39,9 +39,9 @@ const pagesPerShard = 16
 // flattens while per-shard capacity (and LRU quality) keeps shrinking.
 const maxPoolShards = 16
 
-// page holds the rows of one on-disk page.
+// page holds the rows of one on-disk page, one column vector each.
 type page struct {
-	rows []types.Row
+	types.Block
 }
 
 // File is a sequence of pages. Heap tables and spill runs are files.
@@ -65,6 +65,16 @@ type File struct {
 	// write buffer: rows accumulate here until the page fills.
 	cur      *page
 	curBytes int
+	// tail is the write buffer as last handed to a reader: its vectors'
+	// headers, copied, since appends grow them in place. Readers share it
+	// while cur is that page and holds that many rows.
+	tail atomic.Pointer[tailView]
+}
+
+// tailView is a write buffer's vectors as of some number of rows.
+type tailView struct {
+	page *page
+	types.Block
 }
 
 // ID returns the file's store-unique identifier.
@@ -82,7 +92,7 @@ func (f *File) Pages() int {
 
 func (f *File) pagesLocked() int {
 	n := len(f.pages)
-	if f.cur != nil && len(f.cur.rows) > 0 {
+	if f.cur != nil && f.cur.N > 0 {
 		n++
 	}
 	return n
@@ -257,7 +267,7 @@ func (se *Session) Append(f *File, row types.Row) error { return se.store.append
 func (se *Session) Flush(f *File) error { return se.store.flushAs(se, f) }
 
 // ReadPage is Store.ReadPage attributed to this session.
-func (se *Session) ReadPage(f *File, n int) ([]types.Row, error) {
+func (se *Session) ReadPage(f *File, n int) (types.Block, error) {
 	return se.store.readPageAs(se, f, n)
 }
 
@@ -279,7 +289,7 @@ func (se *Session) DropFile(f *File) { se.store.DropFile(f) }
 type Pager interface {
 	Append(f *File, row types.Row) error
 	Flush(f *File) error
-	ReadPage(f *File, n int) ([]types.Row, error)
+	ReadPage(f *File, n int) (types.Block, error)
 	NewScanner(f *File) *Scanner
 	CreateTemp(name string) *File
 	DropFile(f *File)
@@ -395,7 +405,7 @@ func (s *Store) CloneFile(f *File) *File {
 		curBytes: f.curBytes,
 	}
 	if f.cur != nil {
-		nf.cur = &page{rows: append([]types.Row(nil), f.cur.rows...)}
+		nf.cur = &page{Block: f.cur.Clone()}
 	}
 	return nf
 }
@@ -421,9 +431,11 @@ func (s *Store) AdoptFile(f *File) {
 func (s *Store) EvictFilePages(id int) { s.pool.evictFile(id) }
 
 // Append adds a row to the file's write buffer, flushing full pages to
-// "disk" (charging one write per flushed page). The row is not copied;
-// callers must not mutate it afterwards. A non-nil error (injected fault,
-// tripped budget, cancellation) means the row was not appended.
+// "disk" (charging one write per flushed page). The row's values are
+// copied into the page's column vectors, so the caller may reuse the row.
+// Every row of a page has the arity of its first; a row of another arity is
+// refused. A non-nil error (injected fault, tripped budget, cancellation)
+// means the row was not appended.
 func (s *Store) Append(f *File, row types.Row) error { return s.appendAs(nil, f, row) }
 
 func (s *Store) appendAs(se *Session, f *File, row types.Row) error {
@@ -438,11 +450,26 @@ func (s *Store) appendAs(se *Session, f *File, row types.Row) error {
 			return err
 		}
 	}
-	f.cur.rows = append(f.cur.rows, row)
+	if err := f.cur.AppendRow(row); err != nil {
+		return fmt.Errorf("file %q: %w", f.name, err)
+	}
 	f.curBytes += w
 	f.rows++
 	f.bytes += int64(w)
 	return nil
+}
+
+// tailBlock returns the write buffer's vectors as they are now; the caller
+// holds f.mu for reading. The buffer's vectors grow in place, so a reader
+// gets copies of their headers: the last copy made, while no row has been
+// appended since, or a new one.
+func (f *File) tailBlock() types.Block {
+	if tv := f.tail.Load(); tv != nil && tv.page == f.cur && tv.N == f.cur.N {
+		return tv.Block
+	}
+	tv := &tailView{page: f.cur, Block: types.Block{N: f.cur.N, Cols: append([]types.Vector(nil), f.cur.Cols...)}}
+	f.tail.Store(tv)
+	return tv.Block
 }
 
 // Flush forces the partial tail page, if any, to disk.
@@ -451,7 +478,7 @@ func (s *Store) Flush(f *File) error { return s.flushAs(nil, f) }
 func (s *Store) flushAs(se *Session, f *File) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.cur != nil && len(f.cur.rows) > 0 {
+	if f.cur != nil && f.cur.N > 0 {
 		return s.flushLocked(f, se)
 	}
 	return nil
@@ -469,31 +496,32 @@ func (s *Store) flushLocked(f *File, se *Session) error {
 }
 
 // ReadPage fetches page n of the file through the buffer pool, charging a
-// read on a miss. The returned rows must not be mutated.
-func (s *Store) ReadPage(f *File, n int) ([]types.Row, error) { return s.readPageAs(nil, f, n) }
+// read on a miss. The returned vectors alias the page and must not be
+// modified; a flushed page never changes.
+func (s *Store) ReadPage(f *File, n int) (types.Block, error) { return s.readPageAs(nil, f, n) }
 
-func (s *Store) readPageAs(se *Session, f *File, n int) ([]types.Row, error) {
+func (s *Store) readPageAs(se *Session, f *File, n int) (types.Block, error) {
 	f.mu.RLock()
 	flushed := len(f.pages)
 	if n >= flushed {
-		if n == flushed && f.cur != nil && len(f.cur.rows) > 0 {
-			rows := f.cur.rows
+		if n == flushed && f.cur != nil && f.cur.N > 0 {
+			rows := f.tailBlock()
 			f.mu.RUnlock()
 			// The unflushed tail page lives in the writer's memory: no IO is
 			// charged, but the hook still observes the access so cancellation
 			// reaches queries running out of the write buffer.
 			if se != nil && se.hook != nil {
 				if err := se.hook(OpHit, f.temp); err != nil {
-					return nil, fmt.Errorf("file %q: read page %d: %w", f.name, n, err)
+					return types.Block{}, fmt.Errorf("file %q: read page %d: %w", f.name, n, err)
 				}
 			}
 			return rows, nil
 		}
 		pages := f.pagesLocked()
 		f.mu.RUnlock()
-		return nil, fmt.Errorf("file %q: page %d out of range (%d pages)", f.name, n, pages)
+		return types.Block{}, fmt.Errorf("file %q: page %d out of range (%d pages)", f.name, n, pages)
 	}
-	rows := f.pages[n].rows
+	rows := f.pages[n].Block
 	f.mu.RUnlock()
 
 	sh := s.pool.shardFor(f.id, n)
@@ -501,7 +529,7 @@ func (s *Store) readPageAs(se *Session, f *File, n int) ([]types.Row, error) {
 	if sh.lru.touch(f.id, n) {
 		sh.mu.Unlock()
 		if err := s.charge(OpHit, f, se); err != nil {
-			return nil, fmt.Errorf("file %q: read page %d: %w", f.name, n, err)
+			return types.Block{}, fmt.Errorf("file %q: read page %d: %w", f.name, n, err)
 		}
 		return rows, nil
 	}
@@ -511,26 +539,23 @@ func (s *Store) readPageAs(se *Session, f *File, n int) ([]types.Row, error) {
 	// than two reads.
 	if err := s.charge(OpRead, f, se); err != nil {
 		sh.mu.Unlock()
-		return nil, fmt.Errorf("file %q: read page %d: %w", f.name, n, err)
+		return types.Block{}, fmt.Errorf("file %q: read page %d: %w", f.name, n, err)
 	}
 	sh.lru.insert(f.id, n)
 	sh.mu.Unlock()
 	return rows, nil
 }
 
-// Scanner iterates a file's rows page by page through the buffer pool. A
-// scanner opened through a Session attributes its page reads to that
-// session. NextPage hands out a page's rows at once; Next hands them out
-// one at a time, reading the next page when the current one is used up.
-// Either way a page is read, and its IO charged, once per scan.
+// Scanner reads a file page by page through the buffer pool, each page
+// read, and its IO charged, once per scan. A scanner opened through a
+// Session attributes its page reads to that session.
 type Scanner struct {
 	store *Store
 	sess  *Session
 	file  *File
-	page  int         // the page last read; -1 before the first
-	rows  []types.Row // its rows
-	rid   int64       // the rowid of its first row
-	slot  int         // Next: its next row
+	page  int   // the page last read; -1 before the first
+	rows  int   // its rows
+	rid   int64 // the rowid of its first row
 }
 
 // NewScanner starts a scan of f with unattributed (store-global) IO.
@@ -538,32 +563,21 @@ func (s *Store) NewScanner(f *File) *Scanner {
 	return &Scanner{store: s, file: f, page: -1}
 }
 
-// NextPage returns the rows of the next page and the rowid of the first of
-// them, or ok=false at end of file. The rows alias the page and must not be
-// mutated; a page may hold no rows.
-func (sc *Scanner) NextPage() (rows []types.Row, rid int64, ok bool, err error) {
+// NextPage returns the next page's column vectors and the rowid of its
+// first row, or ok=false at end of file. The vectors alias the page and
+// must not be modified.
+func (sc *Scanner) NextPage() (page types.Block, rid int64, ok bool, err error) {
 	if sc.page+1 >= sc.file.Pages() {
-		return nil, 0, false, nil
+		return types.Block{}, 0, false, nil
 	}
-	rows, err = sc.store.readPageAs(sc.sess, sc.file, sc.page+1)
+	page, err = sc.store.readPageAs(sc.sess, sc.file, sc.page+1)
 	if err != nil {
-		return nil, 0, false, err
+		return types.Block{}, 0, false, err
 	}
 	sc.page++
-	sc.rid += int64(len(sc.rows))
-	sc.rows, sc.slot = rows, 0
-	return rows, sc.rid, true, nil
-}
-
-// Next returns the next row and its rowid, or ok=false at end of file.
-func (sc *Scanner) Next() (row types.Row, rid int64, ok bool, err error) {
-	for sc.slot == len(sc.rows) {
-		if _, _, ok, err = sc.NextPage(); !ok || err != nil {
-			return nil, 0, false, err
-		}
-	}
-	sc.slot++
-	return sc.rows[sc.slot-1], sc.rid + int64(sc.slot-1), true, nil
+	sc.rid += int64(sc.rows)
+	sc.rows = page.N
+	return page, sc.rid, true, nil
 }
 
 // shardedPool hash-partitions buffer-pool residency into independently
@@ -727,53 +741,48 @@ func (p *bufferPool) unlink(n *lruNode) {
 	n.prev, n.next = nil, nil
 }
 
-// SnapshotFile returns the file's exact physical layout: the rows of every
-// flushed page, in page order, plus the rows still sitting in the unflushed
-// write buffer. The checkpoint writer persists this layout so that a
-// recovered engine reproduces the original file page for page — identical
-// Pages() counts, identical scan IO, identical cost estimates. The access
-// is raw: it bypasses the buffer pool and charges no IO (a checkpoint must
-// not perturb in-flight measurements or evict a query's working set). The
-// returned slices alias the file's pages and must not be mutated.
-func (s *Store) SnapshotFile(f *File) (pages [][]types.Row, tail []types.Row) {
+// SnapshotFile returns the file's exact physical layout: the vectors of
+// every flushed page, in page order, and of the unflushed write buffer.
+// The checkpoint writer persists this layout so that a recovered engine
+// reproduces the original file page for page — identical Pages() counts,
+// identical scan IO, identical cost estimates. The access is raw: it
+// bypasses the buffer pool and charges no IO (a checkpoint must not perturb
+// in-flight measurements or evict a query's working set). The vectors
+// alias the file's pages and must not be modified.
+func (s *Store) SnapshotFile(f *File) (pages []types.Block, tail types.Block) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	pages = make([][]types.Row, len(f.pages))
+	pages = make([]types.Block, len(f.pages))
 	for i, p := range f.pages {
-		pages[i] = p.rows
+		pages[i] = p.Block
 	}
-	if f.cur != nil && len(f.cur.rows) > 0 {
-		tail = f.cur.rows
+	if f.cur != nil && f.cur.N > 0 {
+		tail = f.tailBlock()
 	}
 	return pages, tail
 }
 
 // RestoreFile replaces the file's contents with a previously snapshotted
-// layout: pages become the flushed pages (in order), tail becomes the
+// layout: pages become the flushed pages (in order), tail, copied, the
 // unflushed write buffer. Row counts and byte totals are recomputed; the
-// pool is purged of any stale pages of this file; no IO is charged. Recovery uses this to rebuild heap files with the exact page
-// boundaries the crashed engine had — Append would repack rows and merge
-// explicitly flushed partial pages.
-func (s *Store) RestoreFile(f *File, pages [][]types.Row, tail []types.Row) {
+// pool is purged of any stale pages of this file; no IO is charged.
+// Recovery uses this to rebuild heap files with the exact page boundaries
+// the crashed engine had — Append would repack rows and merge explicitly
+// flushed partial pages.
+func (s *Store) RestoreFile(f *File, pages []types.Block, tail types.Block) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s.pool.evictFile(f.id)
-	f.pages = make([]*page, len(pages))
-	f.rows, f.bytes = 0, 0
-	for i, rows := range pages {
-		f.pages[i] = &page{rows: rows}
-		for _, r := range rows {
-			f.rows++
-			f.bytes += int64(r.DiskWidth())
-		}
+	f.pages, f.rows, f.bytes = make([]*page, len(pages)), 0, 0
+	for i := range pages {
+		f.pages[i] = &page{Block: pages[i]}
+		f.rows += int64(pages[i].N)
+		f.bytes += int64(pages[i].DiskWidth(nil))
 	}
 	f.cur, f.curBytes = nil, 0
-	if len(tail) > 0 {
-		f.cur = &page{rows: tail}
-		for _, r := range tail {
-			f.curBytes += r.DiskWidth()
-			f.rows++
-			f.bytes += int64(r.DiskWidth())
-		}
+	if tail.N > 0 {
+		f.cur, f.curBytes = &page{Block: tail.Clone()}, tail.DiskWidth(nil)
+		f.rows += int64(tail.N)
+		f.bytes += int64(f.curBytes)
 	}
 }

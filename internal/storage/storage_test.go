@@ -26,7 +26,7 @@ func TestAppendScanRoundTrip(t *testing.T) {
 	if f.Rows() != 1000 {
 		t.Fatalf("Rows = %d", f.Rows())
 	}
-	sc := s.NewScanner(f)
+	sc := rowsOf(s.NewScanner(f))
 	var i int64
 	for {
 		r, rid, ok, err := sc.Next()
@@ -82,7 +82,7 @@ func TestIOAccountingColdAndWarm(t *testing.T) {
 	}
 
 	before := s.Stats()
-	sc := s.NewScanner(f)
+	sc := rowsOf(s.NewScanner(f))
 	for {
 		_, _, ok, err := sc.Next()
 		if err != nil {
@@ -99,7 +99,7 @@ func TestIOAccountingColdAndWarm(t *testing.T) {
 
 	// Second scan with a big pool: all hits.
 	before = s.Stats()
-	sc = s.NewScanner(f)
+	sc = rowsOf(s.NewScanner(f))
 	for {
 		_, _, ok, _ := sc.Next()
 		if !ok {
@@ -121,7 +121,7 @@ func TestPoolEvictionForcesRereads(t *testing.T) {
 	}
 	before := s.Stats()
 	for pass := 0; pass < 2; pass++ {
-		sc := s.NewScanner(f)
+		sc := rowsOf(s.NewScanner(f))
 		for {
 			_, _, ok, err := sc.Next()
 			if err != nil {
@@ -178,7 +178,7 @@ func TestUnflushedTailReadable(t *testing.T) {
 	f := s.CreateFile("t")
 	s.Append(f, row(1))
 	rows, err := s.ReadPage(f, 0)
-	if err != nil || len(rows) != 1 {
+	if err != nil || rows.N != 1 {
 		t.Fatalf("tail page read: %v %v", rows, err)
 	}
 }
@@ -250,7 +250,7 @@ func TestRandomAccessPattern(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows) == 0 {
+		if rows.N == 0 {
 			t.Fatalf("page %d empty", p)
 		}
 	}
@@ -305,11 +305,11 @@ func TestSnapshotRestoreFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("page %d: %d rows vs %d", n, len(a), len(b))
+		if a.N != b.N {
+			t.Fatalf("page %d: %d rows vs %d", n, a.N, b.N)
 		}
-		for i := range a {
-			if types.CompareRows(a[i], b[i], []int{0, 1}) != 0 {
+		for i := 0; i < a.N; i++ {
+			if types.CompareRows(a.Row(i, nil), b.Row(i, nil), []int{0, 1}) != 0 {
 				t.Fatalf("page %d row %d differs", n, i)
 			}
 		}

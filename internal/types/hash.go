@@ -54,3 +54,33 @@ func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	return x
 }
+
+// HashVector writes into out[i] the HashValue of v's value at sel[i], or,
+// with combine set, folds it into out[i] by HashCombine. The typed slices
+// are read directly.
+func HashVector(v *Vector, sel []int32, out []uint64, combine bool) {
+	put := func(i int, h uint64) {
+		if combine {
+			h = HashCombine(out[i], h)
+		}
+		out[i] = h
+	}
+	if v.Nulls == nil && (v.K == KindInt || v.K == KindFloat) {
+		for i, k := range sel {
+			var h uint64
+			if v.K == KindInt {
+				h = mix64(math.Float64bits(float64(v.Ints[k])))
+			} else if f := v.Floats[k]; f == f {
+				h = mix64(math.Float64bits(f + 0))
+			} else {
+				h = mix64(nanBits)
+			}
+			put(i, h)
+		}
+		return
+	}
+	for i, k := range sel {
+		x := v.Value(int(k))
+		put(i, HashValue(&x))
+	}
+}

@@ -411,7 +411,9 @@ func (r *Rows) Scan(dest ...any) error {
 // Value returns the current row as converted Go values. Every row is a
 // slice the Rows never writes again, so the caller may retain it. Rows may
 // share a backing array: a retained row keeps the values of the rows
-// delivered with it in one executor batch alive.
+// delivered with it in one executor batch alive. A string shares its bytes
+// with the column vector the executor read it from, whose bytes are never
+// overwritten: retaining it keeps that vector's bytes alive.
 func (r *Rows) Value() []any { return r.current }
 
 // Err returns the error that terminated iteration, if any.
