@@ -89,8 +89,10 @@ bench-diff:
 # template and mode, BenchmarkOptimizeAdhocMix over adhoc-plan's rotation,
 # per statement — the executor's in
 # internal/exec — one per operator: BenchmarkHashJoin, BenchmarkHashAgg
-# (each on `int` keys, which a key table indexes directly, `string` keys, and
-# `int-sparse` keys spread over 2^40, which keep the table hashed),
+# (each on `int` keys, which a key table indexes directly, `string` keys,
+# `int-sparse` keys spread over 2^40, which keep the table hashed, and
+# `int-spread` keys six apart, which the table indexes directly up to its
+# dense floor of 2^15 and hashes beyond),
 # BenchmarkMergeJoin, BenchmarkSortAggregate, BenchmarkBlockNL, and
 # BenchmarkSort (the operator ORDER BY runs in; in memory and spilling,
 # ascending and DESC); BenchmarkScanFilter, a scan's filter kernels per

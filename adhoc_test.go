@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"testing"
 
 	"aggview"
@@ -116,13 +115,14 @@ func BenchmarkQueryAdhocMix(b *testing.B) {
 // TestAdhocAllocationCeilings bounds what one plan-cache miss allocates
 // through Engine.Query, as the mean over a rotation of adhoc-plan's seven
 // templates: lexing, parsing, binding, the search, compiling the plan for
-// the executor, running it and converting its rows. Bytes are the median
-// over single rotations, as a collection may empty a pool mid-rotation and
-// the rotation after it refills the pool. The rotation measures 91 kB and
-// 880 objects a statement; the ceilings are 10 % above. Before the search
-// extended plans only by linked relations, and before its column walks,
-// schemas and validation stopped allocating per check, a statement took
-// 173 kB and 1 602 objects.
+// the executor, running it and converting its rows. Bytes and objects are
+// the medians over single rotations, each measured from the same pool
+// state (allocsPerRun): read as they were before, one collection inside a
+// rotation emptied the pools and the rotation read up to 99 kB refilling
+// them; now it reads 83–84 kB and 835–840 objects. The rotation measured
+// 91 kB and 880 objects a statement when the ceilings were set 10 % above. Before the search extended plans only by linked
+// relations, and before its column walks, schemas and validation stopped
+// allocating per check, a statement took 173 kB and 1 602 objects.
 func TestAdhocAllocationCeilings(t *testing.T) {
 	eng := adhocEngine(t)
 	k := 0
@@ -133,19 +133,9 @@ func TestAdhocAllocationCeilings(t *testing.T) {
 		}
 	}
 	rotation() // fill the pool
-	const runs = 11
+	bytes, objects := allocsPerRun(11, rotation)
 	per := float64(len(adhocTemplates))
-	objects := testing.AllocsPerRun(runs, rotation) / per
-	perRun := make([]float64, runs)
-	for i := range perRun {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		rotation()
-		runtime.ReadMemStats(&after)
-		perRun[i] = float64(after.TotalAlloc-before.TotalAlloc) / per
-	}
-	slices.Sort(perRun)
-	bytes := perRun[runs/2]
+	bytes, objects = bytes/per, objects/per
 	t.Logf("%.0f bytes, %.0f objects per statement", bytes, objects)
 	const maxBytes, maxObjects = 100.6e3, 968
 	if !raceEnabled && (bytes > maxBytes || objects > maxObjects) {

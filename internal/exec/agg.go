@@ -17,11 +17,18 @@ type groupBySpec struct {
 	aggs     []expr.Agg
 	// Aggregate i's argument is the input column argCol[i], or, when that
 	// is -1, the value argFns[i] computes (nil for COUNT(*)).
-	argCol  []int
-	argFns  []expr.Compiled
-	having  *expr.Filter    // over the inner schema
-	outputs []expr.Compiled // over the inner schema; nil = identity
-	scalar  bool            // no grouping columns: always emit one row
+	argCol []int
+	argFns []expr.Compiled
+	having *expr.Filter // over the inner schema; nil = none
+	// Output i is the inner column outCol[i], or, when that is -1, the
+	// value outputs[i] computes. outputs is nil for the identity. An
+	// output naming the inner column of an earlier one is a copy of the
+	// earliest, outCopy[i]; -1 for every other.
+	outputs  []expr.Compiled
+	outCol   []int
+	outCopy  []int
+	computed bool // some output is computed
+	scalar   bool // no grouping columns: always emit one row
 }
 
 // groupByCtx is one run's aggregation over a groupBySpec: the run's
@@ -31,21 +38,23 @@ type groupByCtx struct {
 	*groupBySpec
 	params []types.Value
 
-	inner  types.Row // the inner row of the group being finished
-	out    types.Row // its output row, when outputs re-project it
-	row    types.Row // an input row gathered for a computed argument
-	groups int
+	row    types.Row   // an input row gathered for a computed argument, or an inner row for a computed output
+	groups int         // the groups in flight; the states may hold one more, to come (reserve)
 	states []aggState  // per aggregate
 	pooled *[]aggState // where states came from (statePool)
-	zeros  []int32     // sort aggregation: the group ids of a run's rows, all 0
+	inner  *Batch      // pooled: the finished groups' keys and aggregates, in vectors of its own
+	gids   []int32     // sort aggregation: the group ids of a run's rows, all one
 }
 
 // aggState is one aggregate's state for every group, in typed arrays
 // indexed by group id. It folds as expr.AggState does: COUNT keeps its
 // count in n; AVG its sum in f and its count in n; SUM its INT sum in n or,
 // once a FLOAT arrives, its FLOAT sum in f, with sk saying which (NULL
-// before any input); MIN and MAX the best input so far in v; MEDIAN and a
-// user-defined aggregate an accumulator of their own in boxed.
+// before any input); MIN and MAX the best input so far, an INT in n, a
+// FLOAT in f and a value of another kind in v, with sk its kind (NULL
+// before any input); MEDIAN and a user-defined aggregate an accumulator of
+// their own in boxed. v is empty until some group's best is of another
+// kind, and then as long as sk.
 type aggState struct {
 	kind  expr.AggKind
 	n     []int64
@@ -55,20 +64,34 @@ type aggState struct {
 	boxed []expr.Accumulator
 }
 
-// grow adds an empty group's state.
-func (s *aggState) grow(a *expr.Agg) {
+// reserve gives the state room for n groups, every one added empty.
+func (s *aggState) reserve(a *expr.Agg, n int) {
 	switch s.kind {
 	case expr.AggCountStar, expr.AggCount:
-		s.n = append(s.n, 0)
+		s.n = extend(s.n, n)
 	case expr.AggAvg:
-		s.n, s.f = append(s.n, 0), append(s.f, 0)
-	case expr.AggSum:
-		s.n, s.f, s.sk = append(s.n, 0), append(s.f, 0), append(s.sk, types.KindNull)
-	case expr.AggMin, expr.AggMax:
-		s.v = append(s.v, types.Value{})
+		s.n, s.f = extend(s.n, n), extend(s.f, n)
+	case expr.AggSum, expr.AggMin, expr.AggMax:
+		s.n, s.f, s.sk = extend(s.n, n), extend(s.f, n), extend(s.sk, n) // the zero Kind is NULL
+		if len(s.v) > 0 {
+			s.v = extend(s.v, n)
+		}
 	default:
-		s.boxed = append(s.boxed, a.NewAccumulator())
+		for len(s.boxed) < n {
+			s.boxed = append(s.boxed, a.NewAccumulator())
+		}
 	}
+}
+
+// extend returns s holding n elements, those past its length zero.
+func extend[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	old := len(s)
+	s = slices.Grow(s, n-old)[:n]
+	clear(s[old:])
+	return s
 }
 
 // drop forgets every group's state, keeping the arrays.
@@ -96,13 +119,28 @@ func (s *aggState) add(g int32, x types.Value) {
 		s.f[g] += x.Float()
 		s.n[g]++
 	case expr.AggMin:
-		if s.v[g].K == types.KindNull || types.Compare(x, s.v[g]) < 0 {
-			s.v[g] = x
+		if s.sk[g] == types.KindNull || types.Compare(x, s.result(int(g))) < 0 {
+			s.setBest(g, x)
 		}
 	case expr.AggMax:
-		if s.v[g].K == types.KindNull || types.Compare(x, s.v[g]) > 0 {
-			s.v[g] = x
+		if s.sk[g] == types.KindNull || types.Compare(x, s.result(int(g))) > 0 {
+			s.setBest(g, x)
 		}
+	}
+}
+
+// setBest makes x, not NULL, MIN or MAX's best for group g.
+func (s *aggState) setBest(g int32, x types.Value) {
+	switch s.sk[g] = x.K; x.K {
+	case types.KindInt:
+		s.n[g] = x.I
+	case types.KindFloat:
+		s.f[g] = x.F()
+	default:
+		if len(s.v) == 0 {
+			s.v = extend(s.v, len(s.sk))
+		}
+		s.v[g] = x
 	}
 }
 
@@ -129,19 +167,52 @@ func (s *aggState) result(g int) types.Value {
 			return types.Null()
 		}
 		return types.NewFloat(s.f[g] / float64(s.n[g]))
-	case expr.AggSum:
+	case expr.AggSum, expr.AggMin, expr.AggMax:
 		switch s.sk[g] {
+		case types.KindNull:
+			return types.Null()
 		case types.KindInt:
 			return types.NewInt(s.n[g])
 		case types.KindFloat:
 			return types.NewFloat(s.f[g])
 		}
-		return types.Null()
-	case expr.AggMin, expr.AggMax:
 		return s.v[g]
 	default:
 		return s.boxed[g].Result()
 	}
+}
+
+// appendResults appends the values of groups 0 to n-1 to v: straight from
+// a typed array when every group's value is of its kind, value by value
+// otherwise.
+func (s *aggState) appendResults(v *types.Vector, n int) {
+	switch s.kind {
+	case expr.AggCountStar, expr.AggCount:
+		v.AppendInts(s.n[:n])
+		return
+	case expr.AggSum, expr.AggMin, expr.AggMax:
+		switch {
+		case allOf(s.sk[:n], types.KindInt):
+			v.AppendInts(s.n[:n])
+			return
+		case allOf(s.sk[:n], types.KindFloat):
+			v.AppendFloats(s.f[:n])
+			return
+		}
+	}
+	for g := range n {
+		v.AppendRef(s.result(g))
+	}
+}
+
+// allOf reports whether every kind of ks is k.
+func allOf(ks []types.Kind, k types.Kind) bool {
+	for _, x := range ks {
+		if x != k {
+			return false
+		}
+	}
+	return true
 }
 
 // groupBySpecOf compiles g over input rows of schema in.
@@ -165,15 +236,26 @@ func groupBySpecOf(g *lplan.GroupBy, in schema.Schema) (*groupBySpec, error) {
 		}
 	}
 	inner := g.InnerSchema()
-	if spec.having, err = expr.CompileFilter(g.Having, inner); err != nil {
-		return nil, err
+	if len(g.Having) > 0 {
+		if spec.having, err = expr.CompileFilter(g.Having, inner); err != nil {
+			return nil, err
+		}
 	}
 	for _, ne := range g.Outputs {
 		fn, err := expr.Compile(ne.E, inner)
 		if err != nil {
 			return nil, err
 		}
-		spec.outputs = append(spec.outputs, fn)
+		col := -1
+		if c, ok := ne.E.(*expr.ColRef); ok {
+			col, _ = inner.IndexOf(c.ID) // resolved: it compiled
+		}
+		spec.computed = spec.computed || col < 0
+		spec.outputs, spec.outCol = append(spec.outputs, fn), append(spec.outCol, col)
+		spec.outCopy = append(spec.outCopy, -1)
+		if first := slices.Index(spec.outCol, col); col >= 0 && first < len(spec.outCol)-1 {
+			spec.outCopy[len(spec.outCopy)-1] = first
+		}
 	}
 	return spec, nil
 }
@@ -181,8 +263,8 @@ func groupBySpecOf(g *lplan.GroupBy, in schema.Schema) (*groupBySpec, error) {
 // statePool recycles aggregation states, their arrays grown, across runs.
 var statePool recycler[[]aggState]
 
-// newGroup starts the next group, with every aggregate empty.
-func (c *groupByCtx) newGroup() {
+// reserve readies the states of n groups, those not yet in flight empty.
+func (c *groupByCtx) reserve(n int) {
 	if c.states == nil {
 		c.pooled = statePool.get()
 		c.states = slices.Grow((*c.pooled)[:0], len(c.aggs))[:len(c.aggs)]
@@ -192,9 +274,8 @@ func (c *groupByCtx) newGroup() {
 		}
 	}
 	for i := range c.states {
-		c.states[i].grow(&c.aggs[i])
+		c.states[i].reserve(&c.aggs[i], n)
 	}
-	c.groups++
 }
 
 // dropGroups forgets every group, keeping the storage for the next ones.
@@ -205,9 +286,11 @@ func (c *groupByCtx) dropGroups() {
 	}
 }
 
-// release returns the states to the pool; the context holds no group
-// after it.
+// release returns the states and the finishing vectors to their pools;
+// the context holds no group after it.
 func (c *groupByCtx) release() {
+	putStore(c.inner)
+	c.inner = nil
 	if c.states == nil {
 		return
 	}
@@ -219,13 +302,17 @@ func (c *groupByCtx) release() {
 	c.states, c.pooled, c.groups = nil, nil, 0
 }
 
-// group0 returns n group ids of 0, for the rows of a sort aggregation's
+// groupIDs returns n group ids of g, for the rows of a sort aggregation's
 // run, which are all one group.
-func (c *groupByCtx) group0(n int) []int32 {
-	if len(c.zeros) < n {
-		c.zeros = make([]int32, max(n, DefaultBatchSize))
+func (c *groupByCtx) groupIDs(g, n int) []int32 {
+	if len(c.gids) < n {
+		c.gids = make([]int32, max(n, DefaultBatchSize))
 	}
-	return c.zeros[:n]
+	ids := c.gids[:n]
+	for i := range ids {
+		ids[i] = int32(g)
+	}
+	return ids
 }
 
 // fold folds the rows of b at positions sel into their groups, the row at
@@ -289,14 +376,43 @@ func foldColumn(s *aggState, v *types.Vector, sel, gids []int32) {
 				s.sk[g] = types.KindInt
 			}
 		}
+	case s.kind == expr.AggSum: // FLOATs
+		for i, k := range sel {
+			if g := gids[i]; s.sk[g] == types.KindFloat {
+				s.f[g] += v.Floats[k]
+			} else {
+				s.f[g], s.sk[g] = float64(s.n[g])+v.Floats[k], types.KindFloat
+			}
+		}
 	case (s.kind == expr.AggMin || s.kind == expr.AggMax) && v.K == types.KindInt:
 		isMax := s.kind == expr.AggMax
 		for i, k := range sel {
 			g, x := gids[i], v.Ints[k]
-			if best := &s.v[g]; best.K != types.KindInt {
+			switch s.sk[g] {
+			case types.KindInt:
+				if x < s.n[g] && !isMax || x > s.n[g] && isMax {
+					s.n[g] = x
+				}
+			case types.KindNull:
+				s.n[g], s.sk[g] = x, types.KindInt
+			default:
 				s.add(g, types.NewInt(x))
-			} else if x < best.I && !isMax || x > best.I && isMax {
-				best.I = x
+			}
+		}
+	case s.kind == expr.AggMin || s.kind == expr.AggMax: // FLOATs
+		isMax := s.kind == expr.AggMax
+		for i, k := range sel {
+			g, x := gids[i], v.Floats[k]
+			switch s.sk[g] {
+			case types.KindFloat:
+				// types.Compare's order: NaN above every number.
+				if best := s.f[g]; isMax && (x > best || x != x && best == best) || !isMax && (x < best || best != best && x == x) {
+					s.f[g] = x
+				}
+			case types.KindNull:
+				s.f[g], s.sk[g] = x, types.KindFloat
+			default:
+				s.add(g, types.NewFloat(x))
 			}
 		}
 	default:
@@ -329,35 +445,69 @@ func (c *groupByCtx) foldRows(i int, b *Batch, sel, gids []int32) error {
 
 var countStarArg = types.NewInt(1)
 
-// finish converts group g, whose grouping values are key, into the output
-// row, applying Having and Outputs. ok=false means the group was filtered
-// out. The row is scratch, valid until the next call.
-func (c *groupByCtx) finish(g int, key types.Row) (types.Row, bool, error) {
-	n := len(key) + len(c.aggs)
-	if cap(c.inner) < n {
-		c.inner = make(types.Row, n)
+// keys returns the vectors the groups' keys go to, emptied, for the caller
+// to fill before finish.
+func (c *groupByCtx) keys() []types.Vector {
+	if c.inner == nil {
+		c.inner = getStore()
 	}
-	inner := c.inner[:n]
-	copy(inner, key)
-	for i := range c.aggs {
-		inner[len(key)+i] = c.states[i].result(g)
+	c.inner.startOwn(len(c.groupPos) + len(c.aggs))
+	return c.inner.Cols[:len(c.groupPos)]
+}
+
+// finish appends the groups in flight to dst's own vectors, started with
+// startOwn, and forgets them; keys has filled their key vectors. It works
+// column by column over the inner rows, the groups' keys and aggregates:
+// the aggregates' vectors are written from the states' typed arrays,
+// Having narrows a selection over the inner vectors, computed outputs read
+// the inner rows, gathered one by one, and a bare-column output takes its
+// inner vector: moved when it is dst's first and every group is kept, and
+// gathered by the selection otherwise.
+func (c *groupByCtx) finish(dst *Batch) error {
+	n, nk, inner := c.groups, len(c.groupPos), c.inner
+	inner.N = n
+	for i := range c.states {
+		c.states[i].appendResults(&inner.Cols[nk+i], n)
 	}
-	keep, err := c.having.Holds(inner, c.params)
-	if err != nil || !keep {
-		return nil, false, err
-	}
-	if c.outputs == nil {
-		return inner, true, nil
-	}
-	c.out = slices.Grow(c.out[:0], len(c.outputs))[:len(c.outputs)]
-	for i, fn := range c.outputs {
-		v, err := fn(inner, c.params)
-		if err != nil {
-			return nil, false, err
+	c.dropGroups()
+	rows := inner.selectAll(n) // the groups Having keeps
+	if c.having != nil {
+		var err error
+		if rows, err = c.having.Select(inner.Cols, rows, c.params); err != nil {
+			return err
 		}
-		c.out[i] = v
 	}
-	return c.out, true, nil
+	for k := 0; k < len(rows) && c.computed; k++ {
+		c.row = inner.Row(int(rows[k]), c.row)
+		for i, fn := range c.outputs {
+			if c.outCol[i] < 0 {
+				v, err := fn(c.row, c.params)
+				if err != nil {
+					return err
+				}
+				dst.Cols[i].AppendRef(v)
+			}
+		}
+	}
+	whole := len(rows) == n && dst.N == 0
+	for i := range dst.Cols {
+		j := i
+		if c.outputs != nil {
+			if j = c.outCol[i]; j < 0 {
+				continue
+			}
+		}
+		switch {
+		case !whole:
+			dst.Cols[i].AppendSel(&inner.Cols[j], rows)
+		case c.outputs != nil && c.outCopy[i] >= 0: // the column moved to an earlier output
+			dst.Cols[i].AppendSel(&dst.Cols[c.outCopy[i]], rows)
+		default:
+			dst.Cols[i], inner.Cols[j] = inner.Cols[j], dst.Cols[i]
+		}
+	}
+	dst.N += len(rows)
+	return nil
 }
 
 // width returns the number of columns of the output rows.
@@ -387,7 +537,7 @@ func compileGroupBy(g *lplan.GroupBy) (*op, error) {
 		return &op{newIter: func(e *Executor) BatchIterator {
 			ctx := newCtx(e)
 			return &sortAggIter{ctx: ctx, target: e.batchSize, in: runReader{in: sorted(e), cols: spec.groupPos,
-				fold: func(b *Batch, sel []int32) error { return ctx.fold(b, sel, ctx.group0(len(sel))) }}}
+				fold: func(b *Batch, sel []int32) error { return ctx.fold(b, sel, ctx.groupIDs(ctx.groups, len(sel))) }}}
 		}}, nil
 	case lplan.AggHash, lplan.AggUnset:
 		// Without an estimate, a group-by straight over an Input expects as
@@ -422,23 +572,24 @@ func readsInput(n lplan.Node) bool {
 // hashAggIter aggregates through an in-memory group table, partitioning the
 // input to spill files when the table exceeds the budget. It consumes its
 // input a batch at a time: it hashes the batch's key columns, resolves every
-// row's group id in one loop, starting groups as keys first arrive, then
-// folds the batch into the groups' states aggregate by aggregate
-// (groupByCtx.fold). The finished groups stream out in batches, in the
-// order their first rows arrived.
+// row's group id in one loop — a lookup, and on a miss an insert and the
+// group's accounted width — then readies the new groups' states at once and
+// folds the batch into them aggregate by aggregate (groupByCtx.fold). The
+// groups are finished column by column (groupByCtx.finish), their keys
+// read from the table, and stream out in batches, in the order their first
+// rows arrived.
 type hashAggIter struct {
 	exec *Executor
 	ctx  *groupByCtx
 	in   BatchIterator
 
-	tab    *keyTable      // pooled: group key -> group number
-	groups float64        // the group estimate, which presizes tab
-	kr     keyRows        // the batch's keys
-	keep   []int32        // the positions of the rows that fold, once one does not
-	key    [1]types.Value // room for the table to spell out a bare INT key
-	keyBuf []byte         // key encoding of a row being partitioned
-	row    types.Row      // a row being partitioned
-	bytes  int            // accounted size of the group table
+	tab    *keyTable // pooled: group key -> group number
+	groups float64   // the group estimate, which presizes tab
+	kr     keyRows   // the batch's keys
+	keep   []int32   // the positions of the rows that fold, once one does not
+	keyBuf []byte    // key encoding of a row being partitioned
+	row    types.Row // a row being partitioned
+	bytes  int       // accounted size of the group table
 	// parts holds the overflow partitions as a field (not an Open local) so
 	// Close drops them when Open fails after partitioning started.
 	parts []*spill
@@ -457,7 +608,8 @@ func (it *hashAggIter) Open() error {
 	}
 	// SQL semantics: a scalar aggregate over an empty input yields one row.
 	if it.ctx.scalar && it.ctx.groups == 0 {
-		it.ctx.newGroup()
+		it.ctx.reserve(1)
+		it.ctx.groups = 1
 	}
 	if err := it.finishGroups(); err != nil {
 		return err
@@ -487,6 +639,11 @@ func (it *hashAggIter) Open() error {
 // memory, so a group never splits between the table and the partitions.
 func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 	ctx := it.ctx
+	// Accounted bytes mirror the cost model's group-table estimate (the
+	// output row width), so the executor spills exactly where the model
+	// predicts a spill: a group's key, as Row.DiskWidth counts it, and a
+	// word per aggregate.
+	perGroup := types.Row(nil).DiskWidth() + 8*len(ctx.aggs)
 	return drainBatches(in, func(b *Batch) error {
 		kr := it.kr.of(b, ctx.groupPos)
 		it.tab.hash(kr)
@@ -517,12 +674,11 @@ func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 					}
 					continue
 				}
-				ctx.newGroup()
 				g = it.tab.insert(kr, i)
-				// Accounted bytes mirror the cost model's group-table
-				// estimate (the output row width), so the executor spills
-				// exactly where the model predicts a spill.
-				it.bytes += it.tab.key(g, it.key[:]).DiskWidth() + 8*len(ctx.aggs)
+				it.bytes += perGroup
+				for _, v := range kr.vecs {
+					it.bytes += v.DiskWidth(int(k))
+				}
 				if partition && it.bytes > it.exec.budgetBytes {
 					it.parts = make([]*spill, spillPartitions)
 					for p := range it.parts {
@@ -539,23 +695,18 @@ func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 		if copied {
 			it.keep = keep[:0]
 		}
+		if it.tab.n > ctx.groups { // the batch started groups
+			ctx.reserve(it.tab.n)
+			ctx.groups = it.tab.n
+		}
 		return ctx.fold(b, keep[:n], gids[:n])
 	})
 }
 
 // finishGroups appends the table's groups to the output and forgets them.
 func (it *hashAggIter) finishGroups() error {
-	for g := 0; g < it.ctx.groups; g++ {
-		row, ok, err := it.ctx.finish(g, it.tab.key(g, it.key[:]))
-		if err != nil {
-			return err
-		}
-		if ok {
-			it.done.appendRow(row)
-		}
-	}
-	it.ctx.dropGroups()
-	return nil
+	it.tab.appendKeys(it.ctx.keys())
+	return it.ctx.finish(it.done)
 }
 
 func (it *hashAggIter) NextBatch(dst *Batch) error { return it.out.NextBatch(dst) }
@@ -575,16 +726,15 @@ func (it *hashAggIter) Close() error {
 
 // sortAggIter aggregates an input sorted on the grouping columns. Each run
 // of equal grouping values is one group: the run reader folds its rows into
-// the context's group 0 as it reads them, a batch's stretch of the run at a
-// time, and the group is finished before the next run starts. Without
-// grouping columns the whole input is one run.
+// the group's state as it reads them, a batch's stretch of the run at a
+// time. The groups of as many runs as the output batch has room for are
+// finished together, as a hash aggregation's are. Without grouping columns
+// the whole input is one run.
 type sortAggIter struct {
 	ctx    *groupByCtx
 	target int
 	in     runReader
-
-	key  types.Row // the grouping values of the group being finished
-	done bool
+	done   bool
 }
 
 func (it *sortAggIter) Open() error {
@@ -596,29 +746,29 @@ func (it *sortAggIter) Open() error {
 func (it *sortAggIter) NextBatch(dst *Batch) error {
 	dst.Reset()
 	dst.startOwn(it.ctx.width())
+	ctx := it.ctx
 	for !it.done && dst.N < it.target {
-		it.ctx.newGroup()
-		first, err := it.in.next()
-		if err != nil {
+		keys := ctx.keys()
+		for room := it.target - dst.N; ctx.groups < room && !it.done; {
+			// The run about to be read folds into group ctx.groups.
+			ctx.reserve(ctx.groups + 1)
+			first, err := it.in.next()
+			if err != nil {
+				return err
+			}
+			// A scalar aggregate's one run is its last, and SQL semantics give
+			// it one row even over an empty input, of empty aggregates.
+			it.done = first == nil || ctx.scalar
+			if first == nil && !ctx.scalar {
+				break
+			}
+			for j, p := range ctx.groupPos {
+				keys[j].AppendRef(first[p])
+			}
+			ctx.groups++
+		}
+		if err := ctx.finish(dst); err != nil {
 			return err
-		}
-		// A scalar aggregate's one run is its last, and SQL semantics give
-		// it one row even over an empty input, of empty aggregates.
-		it.done = first == nil || it.ctx.scalar
-		if first == nil && !it.ctx.scalar {
-			break
-		}
-		it.key = it.key[:0]
-		for _, p := range it.ctx.groupPos {
-			it.key = append(it.key, first[p])
-		}
-		row, ok, err := it.ctx.finish(0, it.key)
-		it.ctx.dropGroups()
-		if err != nil {
-			return err
-		}
-		if ok {
-			dst.appendRow(row)
 		}
 	}
 	return nil

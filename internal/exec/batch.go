@@ -28,10 +28,10 @@ type Batch struct {
 	Sel []int32
 	// own holds the vectors startOwn fills, pooled with the batch.
 	own []types.Vector
-	// sel is scratch for a selection vector (selectAll), and gids for the
-	// group ids of the batch's rows (hash aggregation), indexed by row, the
-	// i-th of the selection; pooled with the batch, and valid only while
-	// their user holds it.
+	// sel is scratch for a selection vector (selectAll), and gids for a
+	// number per row of the batch — a hash aggregation's group ids, a hash
+	// join's chains — indexed by row, the i-th of the selection; pooled
+	// with the batch, and valid only while their user holds it.
 	sel, gids []int32
 }
 

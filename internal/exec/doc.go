@@ -53,8 +53,8 @@
 // empty in mid-stream — operators keep pulling their inputs until they
 // have at least one row or the stream ends — so consumers need no
 // "try again" path. A batch may hold fewer rows than the target: a scan
-// hands its pages out one at a time, and a hash join's batch ends with its
-// probe batch. Consumers must size nothing to the target.
+// hands its pages out one at a time. Consumers must size nothing to the
+// target.
 //
 // # Batch ownership and reuse
 //
@@ -81,11 +81,17 @@
 // and one that stops because dst is full resumes where it stopped on the
 // next call. The two hash operators share one key table (keytable.go): they
 // hash a batch's key columns in one pass, then probe by hash and typed
-// equality — no key is ever serialized on that path. Merge join and sort
-// aggregation share a run reader (sort.go), which reads a sorted input as
-// runs of equal keys across batch boundaries: sort aggregation folds each
-// run into one group, merge join crosses a left run with the right run of
-// equal keys. Block nested loops cut their outer blocks row-exact from the
+// equality — no key is ever serialized on that path. The hash join probes
+// a batch at a time: it resolves every probe row's chain in one pass,
+// walks the chains into candidate pairs until they could fill the output
+// batch, and tests its residual once over the candidates (expr.Filter.Select
+// over vectors of the columns it reads). Both aggregations finish their
+// groups column by column (groupByCtx.finish): keys and aggregate results
+// into vectors, Having as a selection over them, bare-column outputs moved.
+// Merge join and sort aggregation share a run reader (sort.go), which reads
+// a sorted input as runs of equal keys across batch boundaries: sort
+// aggregation folds each run into one group, merge join crosses a left run
+// with the right run of equal keys. Block nested loops cut their outer blocks row-exact from the
 // outer's batches, so the batch size never moves a block boundary.
 //
 // Each compiled operator records the order its output is in, lplan.Order,

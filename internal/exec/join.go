@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
@@ -13,45 +14,19 @@ import (
 // column positions of the equi-join conjuncts on each side, the residual
 // predicate, and the output projection, all over the rows the inputs emit.
 // A hash join tests the residual's conjuncts that read the build (right)
-// input alone once per build row, as build. Of the rest, a residual whose
-// every conjunct compares a left column with a right one is a list of
-// pairs, tested on the pair of rows as they are; any other is compiled
-// against the concatenated schema and tested on the concatenated row.
+// input alone once per build row, as build; the rest, the residual, is
+// compiled against the concatenated schema. The hash join tests it on
+// vectors of the columns it reads (resCols), the other joins on the
+// concatenated row.
 type joinSpec struct {
 	lKeys, rKeys []int          // equi-join column positions (parallel slices)
 	lCols, rCols []schema.ColID // the same keys by column (lplan.Join.EquiKeys)
 	build        *expr.Filter   // hash join: the build-only conjuncts; nil = none
-	pairs        []pairCmp      // the residual, when it is all pairs
-	residual     *expr.Filter   // otherwise the residual over the concat schema; nil = none
+	residual     *expr.Filter   // the residual over the concat schema; nil = none
+	resCols      []int          // the concat columns the residual reads
 	proj         []int          // output projection over concat schema; nil = all
 	lWidth       int            // arity of the left input's rows
 	rWidth       int            // arity of the right input's rows (for outer-join padding)
-}
-
-// pairCmp is a residual conjunct l[lCol] op r[rCol] over a left row l and a
-// right row r.
-type pairCmp struct {
-	op         expr.CmpOp
-	lCol, rCol int
-}
-
-// residualPairs returns preds as pairs over a left input of lWidth columns
-// (none for no preds), or nil when some conjunct is not a comparison of a
-// left and a right column of concat. A comparison written right column
-// first is flipped.
-func residualPairs(preds []expr.Expr, concat schema.Schema, lWidth int) []pairCmp {
-	pairs := make([]pairCmp, len(preds))
-	for i, p := range preds {
-		op, l, r, ok := expr.ColumnCompare(p, concat)
-		if ok && l >= lWidth && r < lWidth {
-			op, l, r = op.Flip(), r, l
-		}
-		if !ok || l >= lWidth || r < lWidth {
-			return nil
-		}
-		pairs[i] = pairCmp{op: op, lCol: l, rCol: r - lWidth}
-	}
-	return pairs
 }
 
 // joinCommon is one run's view of a joinSpec: the run's parameters and its
@@ -88,9 +63,16 @@ func joinSpecOf(j *lplan.Join, l, r input, lCols, rCols []schema.ColID, residual
 			}
 		}
 	}
-	if spec.pairs = residualPairs(residualPreds, concat, len(ls)); spec.pairs == nil {
+	if len(residualPreds) > 0 {
 		if spec.residual, err = expr.CompileFilter(residualPreds, concat); err != nil {
 			return nil, err
+		}
+		for _, p := range residualPreds {
+			for _, c := range expr.Columns(p) {
+				if i, _ := concat.IndexOf(c); !slices.Contains(spec.resCols, i) { // resolved: it compiled
+					spec.resCols = append(spec.resCols, i)
+				}
+			}
 		}
 	}
 	if j.Proj != nil {
@@ -177,18 +159,11 @@ func compileJoin(j *lplan.Join) (*op, error) {
 }
 
 // holds reports whether the residual predicates hold on the row pair
-// (l, r).
+// (l, r), read as one row from a reusable scratch buffer.
 func (jc *joinCommon) holds(l, r types.Row) (bool, error) {
-	for _, p := range jc.pairs {
-		if !p.op.Holds(&l[p.lCol], &r[p.rCol]) {
-			return false, nil
-		}
-	}
 	if jc.residual == nil {
 		return true, nil
 	}
-	// Only a residual of another shape needs the pair as one row; it reads
-	// it from a reusable scratch buffer.
 	jc.scratch = append(append(jc.scratch[:0], l...), r...)
 	return jc.residual.Holds(jc.scratch, jc.params)
 }
@@ -238,24 +213,30 @@ func (s *joinSpec) column(i int) int {
 }
 
 // hashJoinIter builds a key table on the right input and probes it with the
-// left a batch at a time: pull a probe batch, hash its key columns, and for
-// each probe row walk the chain of build rows under its key, noting each
-// pair that passes the residual as a (probe, build) index pair; the
-// output batch is then gathered from both sides' vectors, only the
-// projected columns, by those index pairs. A call that fills the batch
-// resumes mid-chain on the next. If the build side exceeds the budget it
-// falls back to Grace partitioning, writing both inputs to spill
-// partitions and joining them pairwise with the same code.
+// left a batch at a time. A probe batch is joined in three loops, none of
+// them per-row state: resolve finds every probe row's chain of build rows
+// in one pass over the batch's keys; pair walks the chains into candidate
+// (probe position, build row) pairs, and for an outer join a pad after
+// each probe row's candidates, until they could fill the output batch;
+// keep tests the residual once over all the candidates, on vectors
+// gathered from only the columns it reads, and drops the candidates it
+// rejects and the pads of probe rows that matched. The output rows are
+// then gathered from both sides' vectors, only the projected columns, by
+// the pairs that remain. A call that fills the batch resumes mid-chain on
+// the next. If the build side exceeds the budget it falls back to Grace
+// partitioning, writing both inputs to spill partitions and joining them
+// pairwise with the same code.
 //
 // Outer joins: the probe (left) side is the preserved side of a LEFT join —
 // a probe row whose ON condition matches no build row is emitted once,
-// right-padded with NULLs. FULL joins additionally flag every matched build
-// row and emit the unmatched remainder left-padded after the probe side
-// drains (per partition on the grace path, which is sound because Grace
-// partitions by key, so a build row can only match probe rows of its own
-// partition). Build rows with NULL keys never match (NULL = x is UNKNOWN),
-// nor do build rows that fail the residual's build-only conjuncts; both
-// surface only through the FULL-outer drain.
+// right-padded with NULLs, where its matches would have been. FULL joins
+// additionally flag every matched build row and emit the unmatched
+// remainder left-padded after the probe side drains (per partition on the
+// grace path, which is sound because Grace partitions by key, so a build
+// row can only match probe rows of its own partition). Build rows with NULL
+// keys never match (NULL = x is UNKNOWN), nor do build rows that fail the
+// residual's build-only conjuncts; both surface only through the FULL-outer
+// drain.
 type hashJoinIter struct {
 	exec     *Executor
 	jc       *joinCommon
@@ -274,19 +255,17 @@ type hashJoinIter struct {
 	next         []int32   // per build row: the next with the same key, -1 = last
 	kr           keyRows   // the keys of the probe batch (or of the build rows, while loading)
 
-	probe      BatchIterator // probeSrc, or the current partition's probe rows
-	pb         *Batch        // probe batch being joined
-	mayNull    bool          // pb's key columns may hold a NULL
-	dense      []int64       // pb's key INTs, when the table is dense and they hold no NULL
-	pos        int           // pb row in flight, or the next one to start
-	chain      int32         // in flight: next build row to try, -1 = chain used up
-	curActive  bool          // pb's row pos is in flight (padding not yet decided)
-	curMatched bool          // the in-flight probe row matched at least once
-	probeDone  bool          // probe is exhausted for the current build table
-	drainPos   int           // FULL outer, after the probe: next build row to pad if unmatched
-	pairs      *Batch        // pooled: its sel and gids hold li and ri
-	li, ri     []int32       // the output's (probe position, build row) pairs; -1 pads
-	lRow, rRow types.Row     // a pair gathered for a residual of another shape
+	probe     BatchIterator // probeSrc, or the current partition's probe rows
+	pb        *Batch        // probe batch being joined
+	psel      []int32       // its rows' positions
+	chains    []int32       // per row of pb: the next build row to pair it with, -1 = none left
+	pos       int           // the first row of pb not yet paired to the end of its chain
+	matched   bool          // outer: the row of the pad to come has matched
+	probeDone bool          // probe is exhausted for the current build table
+	drainPos  int           // FULL outer, after the probe: next build row to pad if unmatched
+	pairs     *Batch        // pooled: its sel and gids hold li and ri
+	li, ri    []int32       // the output's (probe position, build row) pairs; -1 pads
+	res       *Batch        // pooled: the residual's columns at the pairs, and its selection
 
 	// grace path (rParts != nil)
 	lParts, rParts []*spill
@@ -382,8 +361,9 @@ func (it *hashJoinIter) addBuild(b *Batch) int {
 
 func (it *hashJoinIter) Open() error {
 	build := it.exec.build(it.buildOp)
-	it.pb, it.build, it.pairs, it.tab = getBatch(), getStore(), getBatch(), getKeyTable()
+	it.pb, it.build, it.pairs, it.res, it.tab = getBatch(), getStore(), getBatch(), getBatch(), getKeyTable()
 	it.li, it.ri = it.pairs.sel[:0], it.pairs.gids[:0]
+	it.res.startOwn(it.jc.lWidth + it.jc.rWidth)
 	// Materialize the build side, counting bytes.
 	bytes := 0
 	it.startBuild()
@@ -486,34 +466,136 @@ func (it *hashJoinIter) partition(parts []*spill) *scanIter {
 	return spillScan(parts[it.part], it.target)
 }
 
-// matches reports whether the residual holds on the pair of probe position
-// k and build row r.
-func (it *hashJoinIter) matches(k, r int) (bool, error) {
-	jc := it.jc
-	for _, p := range jc.pairs {
-		lv, rv := it.pb.Cols[p.lCol].Value(k), it.build.Cols[p.rCol].Value(r)
-		if !p.op.Holds(&lv, &rv) {
-			return false, nil
+// resolve reads the next probe batch and finds each of its rows' chain:
+// one lookup per row, dense tables straight from the key column's INTs.
+func (it *hashJoinIter) resolve() error {
+	if err := it.probe.NextBatch(it.pb); err != nil {
+		return err
+	}
+	it.pos, it.chains = 0, it.chains[:0]
+	if it.probeDone = it.pb.Len() == 0; it.probeDone {
+		return nil
+	}
+	kr := it.kr.of(it.pb, it.jc.lKeys)
+	it.psel, it.chains = kr.sel, it.pb.groupIDs()
+	it.tab.hash(kr)
+	if ints, ok := it.tab.denseInts(kr); ok {
+		for i, k := range kr.sel {
+			it.chains[i] = -1
+			if e := it.tab.denseAt(ints[k]); e >= 0 {
+				it.chains[i] = it.head[e]
+			}
+		}
+		return nil
+	}
+	mayNull := kr.mayHoldNull()
+	for i := range kr.sel {
+		it.chains[i] = -1
+		if mayNull && kr.nullKey(i) {
+			continue
+		}
+		if e := it.tab.lookup(kr, i); e >= 0 {
+			it.chains[i] = it.head[e]
 		}
 	}
-	if jc.residual == nil {
-		return true, nil
-	}
-	it.lRow, it.rRow = it.pb.Row(k, it.lRow), it.build.Row(r, it.rRow)
-	return jc.holds(it.lRow, it.rRow)
+	return nil
 }
 
-// flush appends the output rows of the pairs noted so far to dst, gathered
-// from the probe batch's and the build rows' vectors, and forgets the
-// pairs. started says whether this call has started dst's own vectors.
-func (it *hashJoinIter) flush(dst *Batch, started *bool) {
+// pair walks the chains of the probe rows from pos on into candidate
+// pairs, each probe row's in build order and, for an outer join, followed
+// by a pad, until the pairs could make room output rows: a candidate may
+// make one, and a pad one only for a row without candidates (a row's pad
+// replaces its candidates when none holds). A chain cut off there resumes
+// on the next call.
+func (it *hashJoinIter) pair(room int) {
+	outer := it.joinType.Outer()
+	for n := 0; it.pos < len(it.chains) && n < room; it.pos++ {
+		k, r := it.psel[it.pos], it.chains[it.pos]
+		if r < 0 && outer {
+			n++
+		}
+		for ; r >= 0 && n < room; r = it.next[r] {
+			it.li, it.ri = append(it.li, k), append(it.ri, r)
+			n++
+		}
+		if r >= 0 {
+			it.chains[it.pos] = r
+			return
+		}
+		if outer {
+			it.li, it.ri = append(it.li, k), append(it.ri, -1)
+		}
+	}
+}
+
+// keep narrows the pairs to the output rows: the candidates the residual
+// holds on, and the pads of probe rows none of whose candidates held. The
+// residual runs once over every candidate, on vectors of the columns it
+// reads gathered at the pairs.
+func (it *hashJoinIter) keep() error {
+	jc, outer := it.jc, it.joinType.Outer()
+	if len(it.li) == 0 || jc.residual == nil && !outer {
+		return nil
+	}
+	var held []int32 // the candidates the residual holds on, by pair index
+	if jc.residual != nil {
+		for _, c := range jc.resCols {
+			v := &it.res.Cols[c]
+			v.Reset()
+			if c < jc.lWidth {
+				v.AppendSel(&it.pb.Cols[c], it.li)
+			} else {
+				v.AppendSel(&it.build.Cols[c-jc.lWidth], it.ri)
+			}
+		}
+		sel := it.res.sel[:0]
+		for i, r := range it.ri {
+			if r >= 0 {
+				sel = append(sel, int32(i))
+			}
+		}
+		it.res.sel = sel
+		var err error
+		if held, err = jc.residual.Select(it.res.Cols, sel, jc.params); err != nil {
+			return err
+		}
+	}
+	n := 0
+	for i, r := range it.ri {
+		switch {
+		case r < 0: // a pad: the row's candidates, if any, have all been tested
+			pad := !it.matched
+			it.matched = false
+			if !pad {
+				continue
+			}
+		case jc.residual != nil && (len(held) == 0 || held[0] != int32(i)):
+			continue
+		default:
+			if jc.residual != nil {
+				held = held[1:]
+			}
+			it.matched = true
+			if it.buildMatched != nil {
+				it.buildMatched[r] = true
+			}
+		}
+		it.li[n], it.ri[n] = it.li[i], r
+		n++
+	}
+	it.li, it.ri = it.li[:n], it.ri[:n]
+	return nil
+}
+
+// flush appends the output rows of the pairs to dst, gathered from the
+// probe batch's and the build rows' vectors, and forgets the pairs.
+func (it *hashJoinIter) flush(dst *Batch) {
 	jc := it.jc
 	if len(it.li) == 0 {
 		return
 	}
-	if !*started {
+	if dst.N == 0 {
 		dst.startOwn(jc.width())
-		*started = true
 	}
 	for i := range dst.Cols {
 		switch j := jc.column(i); {
@@ -531,95 +613,38 @@ func (it *hashJoinIter) flush(dst *Batch, started *bool) {
 
 func (it *hashJoinIter) NextBatch(dst *Batch) error {
 	dst.Reset()
-	started := false
-	full := func() bool { return dst.N+len(it.li) >= it.target }
-	for {
-		if it.curActive {
-			// Walk what is left of the in-flight probe row's chain.
-			k := it.pb.at(it.pos)
-			for it.chain >= 0 {
-				if full() {
-					it.flush(dst, &started)
-					return nil
-				}
-				idx := it.chain
-				it.chain = it.next[idx]
-				ok, err := it.matches(k, int(idx))
-				if err != nil {
-					return err
-				}
-				if ok {
-					it.curMatched = true
-					if it.buildMatched != nil {
-						it.buildMatched[idx] = true
-					}
-					it.li, it.ri = append(it.li, int32(k)), append(it.ri, idx)
-				}
-			}
-			// The chain is used up: LEFT/FULL pad the row if nothing matched.
-			if !it.curMatched && it.joinType.Outer() {
-				if full() {
-					it.flush(dst, &started)
-					return nil
-				}
-				it.li, it.ri = append(it.li, int32(k)), append(it.ri, -1)
-			}
-			it.curActive = false
-			it.pos++
-		}
+	for room := it.target; room > 0; room = it.target - dst.N {
 		switch {
-		case full():
-			it.flush(dst, &started)
-			return nil
-		case it.pos < it.pb.Len():
-			// Start the next probe row of the batch.
-			it.curActive, it.curMatched, it.chain = true, false, -1
-			e := -1
-			switch {
-			case it.dense != nil:
-				e = it.tab.denseAt(it.dense[it.kr.sel[it.pos]])
-			case !it.mayNull || !it.kr.nullKey(it.pos):
-				e = it.tab.lookup(&it.kr, it.pos)
-			}
-			if e >= 0 {
-				it.chain = it.head[e]
-			}
-		case !it.probeDone:
-			// The pairs go out before the next probe batch replaces the
-			// vectors they index.
-			it.flush(dst, &started)
-			if err := it.probe.NextBatch(it.pb); err != nil {
+		case it.pos < len(it.chains):
+			it.pair(room)
+			if err := it.keep(); err != nil {
 				return err
 			}
-			it.pos = 0
-			if it.probeDone = it.pb.Len() == 0; !it.probeDone {
-				kr := it.kr.of(it.pb, it.jc.lKeys)
-				it.tab.hash(kr)
-				it.mayNull = kr.mayHoldNull()
-				it.dense = nil
-				if ints, ok := it.tab.denseInts(kr); ok {
-					it.dense = ints
-				}
+		case !it.probeDone:
+			// The pairs went out before the next probe batch replaces the
+			// vectors they index.
+			if err := it.resolve(); err != nil {
+				return err
 			}
 		case it.drainPos < len(it.buildMatched):
 			// FULL outer: emit the build rows no probe row matched.
-			for ; it.drainPos < len(it.buildMatched) && !full(); it.drainPos++ {
+			for ; it.drainPos < len(it.buildMatched) && len(it.li) < room; it.drainPos++ {
 				if !it.buildMatched[it.drainPos] {
 					it.li, it.ri = append(it.li, -1), append(it.ri, int32(it.drainPos))
 				}
 			}
+		case it.rParts == nil:
+			return nil
 		default:
-			// This build table is finished: the in-memory join ends here,
-			// the grace join moves to its next partition pair.
-			it.flush(dst, &started)
-			if it.rParts == nil {
-				return nil
-			}
+			// This build table is finished: the grace join moves to its next
+			// partition pair.
 			if ok, err := it.nextPartition(); err != nil || !ok {
 				return err
 			}
 		}
+		it.flush(dst)
 	}
+	return nil
 }
 
 func (it *hashJoinIter) Close() error {
@@ -633,10 +658,12 @@ func (it *hashJoinIter) Close() error {
 	}
 	putBatch(it.pb)
 	putBatch(it.pairs)
+	putBatch(it.res)
 	putStore(it.build)
 	putStore(it.probeRows)
 	putKeyTable(it.tab)
-	it.pb, it.build, it.probeRows, it.pairs, it.tab = nil, nil, nil, nil, nil
+	it.pb, it.build, it.probeRows, it.pairs, it.res, it.tab = nil, nil, nil, nil, nil, nil
+	it.psel, it.chains = nil, nil
 	for _, p := range it.lParts {
 		p.drop()
 	}

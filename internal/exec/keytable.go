@@ -71,7 +71,7 @@ func getKeyTable() *keyTable { return keyTables.get() }
 
 // putKeyTable returns t to the pool, holding no key.
 func putKeyTable(t *keyTable) {
-	if t == nil || len(t.index) > maxKeptKeys || len(t.slots) > maxKeptKeys {
+	if t == nil || cap(t.index) > maxKeptKeys || len(t.slots) > maxKeptKeys {
 		return
 	}
 	clear(t.keys) // drop the VARCHARs they point into
@@ -88,8 +88,15 @@ const keyTableMinSlots = 16
 // whole value.
 const maxDenseKey = 1 << 53
 
-// denseSpan is how many keys a dense index may span for n entries.
-func denseSpan(n int) int64 { return 4*int64(n) + 1024 }
+// denseSpan is how many keys a dense index may span for n entries: four
+// per entry with some slack, and never fewer than denseFloor, so that a
+// few hundred keys spread over a few thousand values still index directly.
+func denseSpan(n int) int64 { return max(4*int64(n)+1024, denseFloor) }
+
+// denseFloor is the least span a dense index may reach whatever its entry
+// count: an index of 2^15 int32s, 128 KiB. It is no larger than
+// maxKeptKeys, so a table the pool keeps never outgrows what it keeps.
+const denseFloor = 1 << 15
 
 // init empties the table for keys of width values, expecting n entries
 // (0: unknown): a hashed table has room for them before its first resize,
@@ -100,7 +107,7 @@ func (t *keyTable) init(width, n int) {
 	t.intKeys, t.dense = width == 1, width == 1
 	t.hashes, t.ints, t.keys = t.hashes[:0], t.ints[:0], t.keys[:0]
 	if t.dense {
-		clear(t.index)
+		t.index = t.index[:0] // reserve or the first insert sizes and clears it
 		return
 	}
 	slots := slotsFor(n)
@@ -135,13 +142,7 @@ func (t *keyTable) reserve(lo, hi int64) {
 		t.leaveDense(nil)
 		return
 	}
-	t.lo = lo
-	if n := int(hi - lo + 1); cap(t.index) < n {
-		t.index = make([]int32, n)
-	} else {
-		t.index = t.index[:n]
-		clear(t.index)
-	}
+	t.lo, t.index = lo, zeroed(t.index, int(hi-lo+1))
 }
 
 // entryBytes is what a table entry holds in memory beyond its key values:
@@ -348,9 +349,7 @@ func (t *keyTable) denseInsert(v *types.Value) bool {
 		if uint64(k-t.lo) >= uint64(len(t.index)) {
 			// The index is centred on the first key and sized for the
 			// entries expected (reserve may have placed it already).
-			if len(t.index) == 0 {
-				t.index = make([]int32, max(t.expect, keyTableMinSlots))
-			}
+			t.index = zeroed(t.index, max(t.expect, keyTableMinSlots))
 			t.lo = k - int64(len(t.index)/2)
 		}
 		if cap(t.ints) < t.expect {
@@ -390,9 +389,30 @@ func (t *keyTable) growIndex(k, kmin, kmax, limit int64) {
 		n = limit
 		lo = kmin - (n-(kmax-kmin+1))/2
 	}
-	idx := make([]int32, n)
-	copy(idx[t.kmin-lo:], t.index[t.kmin-t.lo:t.kmax-t.lo+1])
+	// The keys held move to their new places, within the index's storage
+	// when it has room, and every other place is emptied.
+	from, to := t.kmin-t.lo, t.kmin-lo
+	held := t.index[from : t.kmax-t.lo+1]
+	idx := t.index
+	if int64(cap(idx)) < n {
+		idx = make([]int32, n)
+	}
+	idx = idx[:n]
+	copy(idx[to:], held)
+	clear(idx[:to])
+	clear(idx[to+int64(len(held)):])
 	t.index, t.lo = idx, lo
+}
+
+// zeroed returns s resized to n zeros, in its own storage when that has
+// room.
+func zeroed(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // leaveDense converts a dense table to the hashed layout: it hashes its
@@ -453,16 +473,19 @@ func (t *keyTable) place(h uint64, e int) {
 	t.slots[i] = h&^math.MaxUint32 | uint64(e+1)
 }
 
-// key returns the values of entry e's key. The row is dst when the table
-// holds bare INTs (dst must have room for one value) and the table's own
-// storage otherwise; the caller must not modify it.
-func (t *keyTable) key(e int, dst types.Row) types.Row {
+// appendKeys appends the keys of entries 0, 1, ..., n-1 to cols, key
+// column j to cols[j]: bare INTs in one copy, other keys value by value,
+// their VARCHARs by reference (Vector.AppendRef).
+func (t *keyTable) appendKeys(cols []types.Vector) {
 	if t.intKeys {
-		dst = dst[:1]
-		dst[0] = types.NewInt(t.ints[e])
-		return dst
+		cols[0].AppendInts(t.ints[:t.n])
+		return
 	}
-	return t.keys[e*t.width : (e+1)*t.width : (e+1)*t.width]
+	for e := 0; e < t.n; e++ {
+		for j := range cols {
+			cols[j].AppendRef(t.keys[e*t.width+j])
+		}
+	}
 }
 
 // hashKeys writes into out the hash of each row's key of kr (the

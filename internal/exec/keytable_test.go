@@ -71,6 +71,14 @@ func insertRow(tab *keyTable, row types.Row, cols []int) int {
 	return tab.insert(keysOf(tab, []types.Row{row}, cols), 0)
 }
 
+// tableKeys returns the keys of tab's entries, entry e's as row e, as
+// appendKeys hands them out.
+func tableKeys(tab *keyTable) *types.Block {
+	blk := &types.Block{N: tab.n, Cols: make([]types.Vector, tab.width)}
+	tab.appendKeys(blk.Cols)
+	return blk
+}
+
 // hashedTable returns an empty table for keys of width values that has
 // left the dense layout, or has none, for width != 1.
 func hashedTable(width int) *keyTable {
@@ -192,9 +200,9 @@ func keyTableAgainstMap(t *testing.T, width int, intsFirst, hashed bool) {
 	if tab.intKeys || tab.dense {
 		t.Fatalf("still on bare INT keys (dense=%v) after keys of every kind", tab.dense)
 	}
-	var one [1]types.Value
+	held := tableKeys(tab)
 	for e, row := range keys {
-		key := tab.key(e, one[:])
+		key := held.Row(e, nil)
 		for i, c := range cols {
 			if !types.Equal(key[i], row[c]) {
 				t.Fatalf("entry %d holds %v, inserted %v at %v", e, key, row, cols)
@@ -227,8 +235,7 @@ func TestKeyTableBareInts(t *testing.T) {
 		if e := lookupRow(tab, types.Row{types.NewFloat(42)}, cols); e != 14 {
 			t.Fatalf("hashed=%v: FLOAT 42 found entry %d, want 14", hashed, e)
 		}
-		var one [1]types.Value
-		if k := tab.key(14, one[:]); len(k) != 1 || !types.Equal(k[0], types.NewInt(42)) || k[0].K != types.KindInt {
+		if k := tableKeys(tab).Row(14, nil); len(k) != 1 || !types.Equal(k[0], types.NewInt(42)) || k[0].K != types.KindInt {
 			t.Fatalf("hashed=%v: entry 14 holds %v", hashed, k)
 		}
 	}
@@ -251,9 +258,13 @@ func denseStreams() []struct {
 		}
 		return out
 	}
-	var dense, down, sparse, stretch, mixed []types.Value
+	var dense, down, sparse, stretch, mixed, spread []types.Value
 	for i := 0; i < 2000; i++ {
 		dense = append(dense, types.NewInt(r.Int63n(500)))
+	}
+	// 600 keys over 30 000 values: beyond four a key, within the floor.
+	for i := 0; i < 600; i++ {
+		spread = append(spread, types.NewInt(r.Int63n(30_000)-15_000))
 	}
 	for k := int64(3000); k >= -3000; k -= 1 + r.Int63n(3) {
 		down = append(down, types.NewInt(k))
@@ -282,6 +293,7 @@ func denseStreams() []struct {
 		convertAt int
 	}{
 		{"dense", dense, len(dense)},
+		{"spread", spread, len(spread)},
 		{"growing-down", down, len(down)},
 		{"sparse", sparse, 1},
 		{"stretch", stretch, 302},
@@ -294,7 +306,8 @@ func denseStreams() []struct {
 
 // TestKeyTableDenseAgainstHashed drives a table that starts dense and one
 // forced into the hashed layout with the same key streams — dense and
-// sparse INTs, a key that stretches the span mid-batch, ±2^53±1, FLOAT
+// sparse INTs, INTs spread wider than four a key but within the dense
+// floor, a key that stretches the span mid-batch, ±2^53±1, FLOAT
 // whole and fractional values, -0.0 and NaN, NULL and a string arriving
 // mid-stream — in batches of 7, so that a table converts mid-batch. Every
 // lookup and every insert must give both tables the same entry, the dense
@@ -334,9 +347,9 @@ func TestKeyTableDenseAgainstHashed(t *testing.T) {
 		if dense.n != hashed.n {
 			t.Fatalf("%s: %d entries dense, %d hashed", st.name, dense.n, hashed.n)
 		}
-		var one, two [1]types.Value
+		dk, hk := tableKeys(&dense), tableKeys(hashed)
 		for e := 0; e < dense.n; e++ {
-			if a, b := dense.key(e, one[:]), hashed.key(e, two[:]); !sameBits(a[0], b[0]) {
+			if a, b := dk.Row(e, nil), hk.Row(e, nil); !sameBits(a[0], b[0]) {
 				t.Fatalf("%s: entry %d holds %v dense, %v hashed", st.name, e, a, b)
 			}
 		}
@@ -379,14 +392,16 @@ type joinEnv struct {
 	pad   bool
 }
 
-// keyKind is what a joinEnv's keys are: INTs, VARCHARs, or INTs spread over
-// 2^40, which no dense key table spans.
+// keyKind is what a joinEnv's keys are: INTs, VARCHARs, INTs spread over
+// 2^40, which no dense key table spans, or INTs six apart, more than four
+// a key, which a dense table spans up to its floor of 2^15 (5 461 keys).
 type keyKind int
 
 const (
 	keyInt keyKind = iota
 	keyString
 	keySparse
+	keySpread
 )
 
 func newJoinEnv(t testing.TB, poolPages, nL, nR, keys int, kind keyKind, nulls, pad bool) *joinEnv {
@@ -417,6 +432,8 @@ func newJoinEnv(t testing.TB, poolPages, nL, nR, keys int, kind keyKind, nulls, 
 				k = types.NewString(fmt.Sprintf("key-%06d", k.I))
 			case keySparse:
 				k.I *= (1 << 40) / int64(keys)
+			case keySpread:
+				k.I *= 6
 			}
 			if nulls && rnd.Intn(10) == 0 {
 				k = types.Null()
@@ -645,12 +662,13 @@ func drain(b *testing.B, st *storage.Store, n lplan.Node) (rows int) {
 }
 
 // benchKeyKinds are the keys the hash operators are timed on: INTs dense
-// enough for a direct index, VARCHARs, and INTs spread over 2^40, which
-// keep the key table hashed.
+// enough for a direct index, VARCHARs, INTs spread over 2^40, which keep
+// the key table hashed, and INTs six apart, which a direct index holds by
+// its floor up to 5 461 keys and not beyond.
 var benchKeyKinds = []struct {
 	name string
 	kind keyKind
-}{{"int", keyInt}, {"string", keyString}, {"int-sparse", keySparse}}
+}{{"int", keyInt}, {"string", keyString}, {"int-sparse", keySparse}, {"int-spread", keySpread}}
 
 // BenchmarkHashAgg aggregates 24 000 rows, all in the pool, into 25, 4 775
 // and 24 000 groups (the repo benchmark's nation, partkey and one-per-row

@@ -216,30 +216,6 @@ func (f *Filter) Holds(row types.Row, params []types.Value) (bool, error) {
 	return true, nil
 }
 
-// ColumnCompare reports whether e compares two columns of s, and returns
-// the comparison and their positions.
-func ColumnCompare(e Expr, s schema.Schema) (op CmpOp, l, r int, ok bool) {
-	c, ok := e.(*Cmp)
-	if !ok {
-		return 0, 0, 0, false
-	}
-	lc, lok := c.L.(*ColRef)
-	rc, rok := c.R.(*ColRef)
-	if !lok || !rok {
-		return 0, 0, 0, false
-	}
-	l, lerr := lc.position(s)
-	r, rerr := rc.position(s)
-	return c.Op, l, r, lerr == nil && rerr == nil
-}
-
-// Holds reports whether a ⊙ b is TRUE: what a compiled comparison yields,
-// with NULL on either side UNKNOWN and so never TRUE.
-func (o CmpOp) Holds(a, b *types.Value) bool {
-	c, ok := compare3(a, b)
-	return ok && o.outcomes()>>uint(c+1)&1 != 0
-}
-
 // outcomes is the set of types.Compare results o accepts, bit c+1 for
 // result c: the table eval applies.
 func (o CmpOp) outcomes() uint8 {

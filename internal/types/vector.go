@@ -86,12 +86,30 @@ func (v *Vector) DiskWidth(i int) int {
 
 // Reset empties the vector, keeping its typed storage. The VARCHAR bytes
 // are let go rather than overwritten: a value read from the vector before
-// the reset still reads them.
+// the reset still reads them. Only the slices in use are written: a batch
+// of one row resets its vectors once a row, and each slice written is a
+// pointer store the garbage collector's write barrier sees.
 func (v *Vector) Reset() {
-	clear(v.Vals) // drop the references a pooled vector would pin
 	v.K, v.N = KindNull, 0
-	v.Ints, v.Floats, v.Offs, v.Vals = v.Ints[:0], v.Floats[:0], v.Offs[:0], v.Vals[:0]
-	v.Bytes, v.Nulls = nil, nil
+	if len(v.Ints) > 0 {
+		v.Ints = v.Ints[:0]
+	}
+	if len(v.Floats) > 0 {
+		v.Floats = v.Floats[:0]
+	}
+	if len(v.Offs) > 0 {
+		v.Offs = v.Offs[:0]
+	}
+	if len(v.Vals) > 0 {
+		clear(v.Vals) // drop the references a pooled vector would pin
+		v.Vals = v.Vals[:0]
+	}
+	if v.Bytes != nil {
+		v.Bytes = nil
+	}
+	if v.Nulls != nil {
+		v.Nulls = nil
+	}
 }
 
 // Append adds x as value N.
@@ -129,9 +147,10 @@ func (v *Vector) AppendRef(x Value) {
 }
 
 // AppendSel appends src's values at sel, in order; -1 in sel appends a
-// NULL. An INT, BOOLEAN or FLOAT vector without NULLs copies into one of
-// its own kind slice to slice. VARCHARs are not copied: v keeps them as
-// values (Vals), pointing at src's bytes, which are never overwritten.
+// NULL. An INT, BOOLEAN or FLOAT vector copies into one of its own kind
+// slice to slice, its NULL bits after. VARCHARs are not copied: v keeps
+// them as values (Vals), pointing at src's bytes, which are never
+// overwritten.
 func (v *Vector) AppendSel(src *Vector, sel []int32) {
 	if src.K == KindString || src.K == kindMixed {
 		if v.K != kindMixed {
@@ -147,10 +166,10 @@ func (v *Vector) AppendSel(src *Vector, sel []int32) {
 		v.N += len(sel)
 		return
 	}
-	if v.N == 0 && v.K == KindNull && src.K != KindNull && src.K != kindMixed {
+	if v.N == 0 && v.K == KindNull {
 		v.become(src.K)
 	}
-	if src.K != v.K || src.Nulls != nil || v.K == KindString || v.K == kindMixed || v.K == KindNull {
+	if src.K != v.K || v.K == KindString || v.K == kindMixed || v.K == KindNull {
 		for _, k := range sel {
 			if k < 0 {
 				v.Append(Value{})
@@ -160,34 +179,63 @@ func (v *Vector) AppendSel(src *Vector, sel []int32) {
 		}
 		return
 	}
-	base := v.N
+	base, pads := v.N, false
 	if v.K == KindFloat {
-		v.Floats = gatherInto(v.Floats, src.Floats, sel)
+		v.Floats, pads = gatherInto(v.Floats, src.Floats, sel)
 	} else {
-		v.Ints = gatherInto(v.Ints, src.Ints, sel)
+		v.Ints, pads = gatherInto(v.Ints, src.Ints, sel)
 	}
 	v.N += len(sel)
-	for i, k := range sel {
-		if k < 0 {
-			v.setNull(base + i)
+	if pads || src.Nulls != nil {
+		for i, k := range sel {
+			if k < 0 || src.nullAt(int(k)) {
+				v.setNull(base + i)
+			}
 		}
 	}
 }
 
 // gatherInto appends src[k] for each k of sel to dst, the zero for a
-// negative k.
-func gatherInto[T int64 | float64](dst, src []T, sel []int32) []T {
+// negative k, and reports whether sel holds one.
+func gatherInto[T int64 | float64](dst, src []T, sel []int32) (out []T, pads bool) {
+	if len(sel) == 1 && sel[0] >= 0 {
+		return append(dst, src[sel[0]]), false
+	}
 	n := len(dst)
 	dst = slices.Grow(dst, len(sel))[:n+len(sel)]
-	out := dst[n:]
 	for i, k := range sel {
 		if k >= 0 {
-			out[i] = src[k]
+			dst[n+i] = src[k]
 		} else {
-			out[i] = 0
+			dst[n+i], pads = 0, true
 		}
 	}
-	return dst
+	return dst, pads
+}
+
+// AppendInts appends the INTs xs.
+func (v *Vector) AppendInts(xs []int64) { v.appendAll(KindInt, xs, nil) }
+
+// AppendFloats appends the FLOATs xs.
+func (v *Vector) AppendFloats(xs []float64) { v.appendAll(KindFloat, nil, xs) }
+
+// appendAll appends ints (INTs) or floats (FLOATs) of kind k: to the typed
+// slice when v holds k or nothing yet, as values otherwise.
+func (v *Vector) appendAll(k Kind, ints []int64, floats []float64) {
+	if v.N == 0 && v.K == KindNull {
+		v.become(k)
+	}
+	if v.K != k {
+		for _, x := range ints {
+			v.Append(NewInt(x))
+		}
+		for _, x := range floats {
+			v.Append(NewFloat(x))
+		}
+		return
+	}
+	v.Ints, v.Floats = append(v.Ints, ints...), append(v.Floats, floats...)
+	v.N += len(ints) + len(floats)
 }
 
 func (v *Vector) appendNull() {

@@ -68,6 +68,32 @@ func BenchmarkWarmExec(b *testing.B) {
 	}
 }
 
+// allocsPerRun returns the median bytes and objects one call of fn
+// allocates over runs calls, each measured from the same pool state. A
+// collection empties the executor's pools (a sync.Pool keeps a victim
+// generation; the unmeasured call after it drains that), and the call
+// refills them for the measured one. A collection inside a measured call
+// would empty the pools mid-call, and the call would read what refilling
+// them allocates; after a forced collection the heap grows far less than
+// the collector's trigger before the measured call ends, so none falls
+// there. GOMAXPROCS is 1 while the calls run, as in testing.AllocsPerRun.
+func allocsPerRun(runs int, fn func()) (bytes, objects float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b, o := make([]float64, runs), make([]float64, runs)
+	for i := range runs {
+		runtime.GC()
+		fn()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		b[i], o[i] = float64(after.TotalAlloc-before.TotalAlloc), float64(after.Mallocs-before.Mallocs)
+	}
+	slices.Sort(b)
+	slices.Sort(o)
+	return b[runs/2], o[runs/2]
+}
+
 // TestExecAllocationCeilings bounds what one cached-plan execution of three
 // warm-exec statements allocates. The bytes and objects are the executor's
 // key tables, build-row chains and output rows, so they follow the hash
@@ -82,18 +108,20 @@ func BenchmarkWarmExec(b *testing.B) {
 // carved from shared chunks, view-join-filter measured 0.59 MB / 2.8 k,
 // two-views-join 1.55 MB / 8.7 k and star-3-aggregate 0.25 MB / 132. With
 // a projection's rows carved from its arena, not allocated one by one,
-// view-join-filter measures 0.49 MB / 1.42 k, two-views-join 1.40 MB /
+// view-join-filter measures 0.49 MB / 1.42 k, two-views-join 1.22 MB /
 // 5.83 k and star-3-aggregate 0.25 MB / 129. With single-column INT key
 // tables indexing their keys directly, view-join-filter measures 0.48 MB /
 // 1.42 k, two-views-join 1.22 MB / 5.83 k and star-3-aggregate 0.15 MB /
 // 128. With column pages, and the join's build store, chains and key
 // tables, the aggregation states and the scans' page queues recycled
-// across runs, view-join-filter measures 0.27–0.32 MB / 1.44 k,
+// across runs, view-join-filter measured 0.27–0.32 MB / 1.44 k,
 // two-views-join 0.43–0.49 MB / 5.80 k and star-3-aggregate 9.1–9.6 kB /
-// 112–127 (the higher readings when collections fall inside the run, as
-// under the whole suite; BenchmarkWarmExec's mean reads star-3-aggregate
-// at 18.4 kB). The ceilings are 10 % above the highest, the objects of
-// view-join-filter excepted: ceilings only move down.
+// 112–127, the higher readings when a collection fell inside the run.
+// Measured from the same pool state every run (allocsPerRun), with the
+// joins probing and the aggregations finishing a batch at a time,
+// view-join-filter measures 180 kB / 1 395, two-views-join 430 kB /
+// 5 792 and star-3-aggregate 8.9 kB / 105. The ceilings are 10 % above
+// those readings: ceilings only move down.
 func TestExecAllocationCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a 24 000-lineitem warehouse")
@@ -101,9 +129,9 @@ func TestExecAllocationCeilings(t *testing.T) {
 	eng := warmExecEngine(t)
 	ctx := context.Background()
 	ceilings := map[string]struct{ bytes, objects float64 }{
-		"star-3-aggregate": {2.02e4, 140},
-		"two-views-join":   {5.42e5, 6390},
-		"view-join-filter": {3.47e5, 1560},
+		"star-3-aggregate": {9.75e3, 116},
+		"two-views-join":   {4.73e5, 6372},
+		"view-join-filter": {1.98e5, 1535},
 	}
 	for _, st := range warmExecStatements {
 		max, ok := ceilings[st.name]
@@ -114,27 +142,11 @@ func TestExecAllocationCeilings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
-		run := func() {
+		bytes, objects := allocsPerRun(11, func() {
 			if _, err := stmt.QueryContext(ctx, st.arg); err != nil {
 				t.Fatalf("%s: %v", st.name, err)
 			}
-		}
-		const runs = 11
-		objects := testing.AllocsPerRun(runs, run)
-		// Bytes are the median of single executions: a garbage collection
-		// can empty the executor's slab pool mid-run (and AllocsPerRun, by
-		// changing GOMAXPROCS, just did), and the run that refills it reads
-		// megabytes high.
-		perRun := make([]float64, runs)
-		for i := range perRun {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			run()
-			runtime.ReadMemStats(&after)
-			perRun[i] = float64(after.TotalAlloc - before.TotalAlloc)
-		}
-		slices.Sort(perRun)
-		bytes := perRun[runs/2]
+		})
 		t.Logf("%s: %.0f bytes, %.0f objects per execution", st.name, bytes, objects)
 		if raceEnabled {
 			continue
