@@ -93,7 +93,10 @@ bench-diff:
 # `int-sparse` keys spread over 2^40, which keep the table hashed, and
 # `int-spread` keys six apart, which the table indexes directly up to its
 # dense floor of 2^15 and hashes beyond),
-# BenchmarkMergeJoin, BenchmarkSortAggregate, BenchmarkBlockNL, and
+# BenchmarkMergeJoin, BenchmarkSortAggregate, BenchmarkBlockNL (the
+# merge join's and block nested loops' cases named `residual` also test
+# l.v < r.w on every key-matching pair: `keys=4775/residual`,
+# `keys=24000/residual`, `scan/residual`, `materialized/residual`), and
 # BenchmarkSort (the operator ORDER BY runs in; in memory and spilling,
 # ascending and DESC); BenchmarkScanFilter, a scan's filter kernels per
 # stored row (an INT and a FLOAT column against a `?`, a column against a

@@ -105,9 +105,8 @@ func (e *Engine) PlanCacheLen() int {
 // plan-cache entry, whose root Sort carries any ORDER BY — with exec.Naive
 // under args, checked and coerced as a run checks them, and presents the
 // rows as a run does: LIMIT, Go values. It stable-sorts Naive's already
-// ordered rows again by the bound ORDER BY keys: Naive's Sort shares
-// sortKeys.compare with the executor, so this re-sort is the independent
-// check of each key's direction.
+// ordered rows again by the bound ORDER BY keys, an independent check of
+// each key's direction beside Naive's own row comparison.
 func StmtOracle(s *Stmt, args ...any) ([][]any, error) {
 	vals, err := paramValues(args)
 	if err != nil {

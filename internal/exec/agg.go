@@ -727,15 +727,19 @@ func (it *hashAggIter) Close() error {
 // sortAggIter aggregates an input sorted on the grouping columns. Each run
 // of equal grouping values is one group: the run reader folds its rows into
 // the group's state as it reads them, a batch's stretch of the run at a
-// time. The groups of as many runs as the output batch has room for are
-// finished together, as a hash aggregation's are. Without grouping columns
-// the whole input is one run.
+// time, and keeps the run's first row, whose keys are the group's. The
+// groups of as many runs as the output batch has room for are finished
+// together, as a hash aggregation's are. Without grouping columns the whole
+// input is one run.
 type sortAggIter struct {
 	ctx    *groupByCtx
 	target int
 	in     runReader
 	done   bool
 }
+
+// firstRow selects a block's first row.
+var firstRow = []int32{0}
 
 func (it *sortAggIter) Open() error {
 	it.done = false
@@ -752,18 +756,18 @@ func (it *sortAggIter) NextBatch(dst *Batch) error {
 		for room := it.target - dst.N; ctx.groups < room && !it.done; {
 			// The run about to be read folds into group ctx.groups.
 			ctx.reserve(ctx.groups + 1)
-			first, err := it.in.next()
+			ok, err := it.in.next()
 			if err != nil {
 				return err
 			}
 			// A scalar aggregate's one run is its last, and SQL semantics give
 			// it one row even over an empty input, of empty aggregates.
-			it.done = first == nil || ctx.scalar
-			if first == nil && !ctx.scalar {
+			it.done = !ok || ctx.scalar
+			if !ok && !ctx.scalar {
 				break
 			}
 			for j, p := range ctx.groupPos {
-				keys[j].AppendRef(first[p])
+				keys[j].AppendSel(&it.in.run.Cols[p], firstRow)
 			}
 			ctx.groups++
 		}

@@ -15,9 +15,9 @@ const DefaultBatchSize = 1024
 // Batch is the unit of data flow between operators: column vectors and a
 // selection vector over them. A scan hands out a page's own vectors with
 // the positions of the rows that passed its filter; an operator that
-// builds its output fills vectors of the batch's own (startOwn,
-// appendRow). See doc.go for the ownership contract: the vectors and Sel
-// are the producer's, read-only to the consumer, and valid only until the
+// builds its output fills vectors of the batch's own (startOwn). See
+// doc.go for the ownership contract: the vectors and Sel are the
+// producer's, read-only to the consumer, and valid only until the
 // consumer's next NextBatch call on the producer. A row outlives its
 // batch only as a copy: gathered (gather), or appended to vectors the
 // consumer owns.
@@ -74,8 +74,8 @@ func (b *Batch) groupIDs() []int32 {
 	return b.gids[:b.Len()]
 }
 
-// startOwn empties the batch into width vectors of its own, for
-// appendRow or a columnar gather to fill.
+// startOwn empties the batch into width vectors of its own, for a
+// columnar gather (appendSel) to fill.
 func (b *Batch) startOwn(width int) {
 	if cap(b.own) < width {
 		b.own = make([]types.Vector, width)
@@ -87,20 +87,20 @@ func (b *Batch) startOwn(width int) {
 	b.Block, b.Sel = types.Block{Cols: b.own}, nil
 }
 
-// appendRow appends r's values to the batch's own vectors (startOwn),
-// its VARCHARs by reference (Vector.AppendRef).
-func (b *Batch) appendRow(r types.Row) {
-	for j := range r {
-		b.Cols[j].AppendRef(r[j])
+// appendSel appends the rows of src at sel, positions in its vectors, to
+// the batch's own vectors (startOwn).
+func (b *Batch) appendSel(src *types.Block, sel []int32) {
+	for j := range b.Cols {
+		b.Cols[j].AppendSel(&src.Cols[j], sel)
 	}
-	b.N++
+	b.N += len(sel)
 }
 
 // gather returns the i-th row of the batch, its values copied into dst
 // (resized as needed). It and types.Block.Row, which it wraps, are the one
-// adapter from vectors to rows: every operator or expression that reads
-// rows — sort, merge join, block nested loops, spill writers, computed
-// expressions, the cursor — reads them through it.
+// adapter from vectors to rows, for the readers whose interface is a row:
+// the spill writers (a store append takes a row), computed expressions and
+// the cursor.
 func (b *Batch) gather(i int, dst types.Row) types.Row {
 	return b.Row(b.at(i), dst)
 }
@@ -157,85 +157,6 @@ func recycle(r *recycler[Batch], b *Batch) {
 	r.put(b)
 }
 
-// arenaSlabValues is the number of types.Value slots a rowArena allocates
-// per slab — large enough that per-row carving amortizes to noise, small
-// enough that an operator that emits a handful of rows doesn't pin much
-// memory (TestArenaSlabBytes states the size in bytes).
-const arenaSlabValues = 8192
-
-// slabPool recycles row-arena slabs across queries. A slab sits in the
-// pool between a cursor's Close and the next query's first carve, so
-// steady query traffic reuses a small working set of slabs instead of
-// churning the garbage collector with one short-lived slab per few
-// thousand gathered values.
-var slabPool = sync.Pool{
-	New: func() any { s := make([]types.Value, arenaSlabValues); return &s },
-}
-
-// arenaRecycler tracks every pooled slab the arenas of one executor carve
-// from, so the cursor can return them all when it closes. Recycling is
-// safe because no executor row outlives its cursor: the public API copies
-// rows into native Go values before the cursor closes, spills and group
-// tables die with the operator tree, and tables only ever store rows built
-// from literals.
-type arenaRecycler struct {
-	slabs []*[]types.Value
-}
-
-// newSlab returns a slab of at least n values. Pooled slabs are recorded
-// for release; oversize requests (wider than a slab) fall back to a plain
-// allocation that is never pooled. A nil recycler always allocates fresh
-// slabs — the arena then degrades to allocate-and-forget, which keeps
-// directly constructed operators (tests) correct without wiring.
-func (ar *arenaRecycler) newSlab(n int) []types.Value {
-	if ar == nil || n > arenaSlabValues {
-		return make([]types.Value, max(n, arenaSlabValues))
-	}
-	p := slabPool.Get().(*[]types.Value)
-	ar.slabs = append(ar.slabs, p)
-	return *p
-}
-
-// release returns every tracked slab to the pool. The caller must
-// guarantee that no row carved from them is still reachable.
-func (ar *arenaRecycler) release() {
-	for _, p := range ar.slabs {
-		slabPool.Put(p)
-	}
-	ar.slabs = nil
-}
-
-// rowArena carves rows from slab allocations, turning one heap allocation
-// per gathered or finished row into one slab fetch per few thousand
-// values. Carved rows are sliced at full capacity so an append can never
-// bleed into a neighbor, and the arena only ever advances through a slab
-// — it never reuses carved space — so a carved row stays as written until
-// the cursor closes.
-//
-// Recycled slabs are NOT zeroed: a carved row holds stale values until
-// written, so every carve site must assign all n slots.
-//
-// Arenas are per-operator and therefore single-goroutine, like the
-// operators that own them.
-type rowArena struct {
-	rec *arenaRecycler
-	buf []types.Value
-}
-
-// carve returns a row of n values backed by the current slab. The caller
-// must overwrite every slot.
-func (a *rowArena) carve(n int) types.Row {
-	if n == 0 {
-		return types.Row{}
-	}
-	if len(a.buf) < n {
-		a.buf = a.rec.newSlab(n)
-	}
-	r := types.Row(a.buf[:n:n])
-	a.buf = a.buf[n:]
-	return r
-}
-
 // BatchIterator is the executor's operator interface: a Volcano lifecycle
 // with a vectorized data path. NextBatch resets dst and fills it with up to
 // the executor's batch-size rows; an empty dst after a nil-error return
@@ -271,48 +192,41 @@ func drainBatches(it BatchIterator, fn func(*Batch) error) error {
 	}
 }
 
-// drainRows reads an operator to completion, invoking fn per row, each
-// gathered into a row carved from a, so fn may keep it.
-func drainRows(it BatchIterator, a *rowArena, fn func(types.Row) error) error {
-	return drainBatches(it, func(b *Batch) error {
-		for i := range b.Len() {
-			if err := fn(b.gather(i, a.carve(len(b.Cols)))); err != nil {
-				return err
+// blockIter hands out an in-memory block's rows as batches of its
+// vectors, up to target rows selected at a time: the rows at sel, in
+// order, or every row when sel is nil.
+type blockIter struct {
+	blk    types.Block
+	sel    []int32 // nil: every row; a block that takes two batches gets 0, 1, ..., blk.N-1
+	target int
+	pos    int
+}
+
+func (it *blockIter) Open() error { it.pos = 0; return nil }
+
+func (it *blockIter) NextBatch(dst *Batch) error {
+	dst.Reset()
+	n := it.blk.N
+	if it.sel != nil {
+		n = len(it.sel)
+	}
+	k := min(n-it.pos, it.target)
+	switch {
+	case k == 0:
+		return nil
+	case it.sel == nil && k == n:
+		dst.Block = it.blk
+	default:
+		if it.sel == nil {
+			it.sel = make([]int32, n)
+			for i := range it.sel {
+				it.sel[i] = int32(i)
 			}
 		}
-		return nil
-	})
-}
-
-// sliceIter yields an in-memory row slice in batches of vectors it
-// fills.
-type sliceIter struct {
-	rows   []types.Row
-	pos    int
-	target int
-}
-
-func newSliceIter(rows []types.Row, target int) *sliceIter {
-	if target <= 0 {
-		target = DefaultBatchSize
+		dst.Block, dst.Sel = it.blk, it.sel[it.pos:it.pos+k]
 	}
-	return &sliceIter{rows: rows, target: target}
-}
-
-func (it *sliceIter) Open() error { it.pos = 0; return nil }
-
-func (it *sliceIter) NextBatch(dst *Batch) error {
-	dst.Reset()
-	n := min(len(it.rows)-it.pos, it.target)
-	if n == 0 {
-		return nil
-	}
-	dst.startOwn(len(it.rows[it.pos]))
-	for _, r := range it.rows[it.pos : it.pos+n] {
-		dst.appendRow(r)
-	}
-	it.pos += n
+	it.pos += k
 	return nil
 }
 
-func (it *sliceIter) Close() error { return nil }
+func (it *blockIter) Close() error { return nil }

@@ -3,10 +3,10 @@
 // Operators exchange batches of typed column vectors (Batch: a
 // types.Block and a selection vector over it) instead of single rows. A
 // scan hands out its pages' own vectors; filters narrow selections over
-// them; the key tables, the aggregate folds and the join's gather read the
-// vectors' typed slices. Operators that work on rows (sort, merge join,
-// block nested loops, spill writers, computed expressions, the cursor) get
-// them from one adapter, Batch.gather. Every operator that exceeds the
+// them; the key tables, the aggregate folds, the sort's comparator and the
+// joins' gather read the vectors' typed slices. What reads rows — the
+// spill writers, computed expressions and the cursor, whose interfaces are
+// rows — gets them from one adapter, Batch.gather. Every operator that exceeds the
 // memory budget spills through the storage layer — external sort runs,
 // Grace hash-join partitions, hash-aggregate partitions,
 // block-nested-loops inner materialization — so the IO counters of the
@@ -64,16 +64,16 @@
 // vectors and the selection belong to the producer, are read-only to the
 // consumer, and are valid only until the consumer's next NextBatch call on
 // the same operator: producers reuse them to keep steady-state allocation
-// at zero (batches, key tables, aggregation states and scan queues are
-// recycled across runs; Close returns them).
+// at zero (batches, stores, key tables, aggregation states and scan queues
+// are recycled across runs; Close returns them).
 //
-// A row outlives its batch only as a copy: gathered into a row (gather,
-// drainRows), or appended to vectors the consumer owns (a hash join's
-// build store, an aggregation's finished groups). A gathered VARCHAR
+// A row outlives its batch only as a copy: appended to vectors the
+// consumer owns (a store batch: a hash join's build rows, a sort's input,
+// a block nested-loops block, a merge join's run, an aggregation's
+// finished groups), or gathered into a row (gather). A copied VARCHAR
 // aliases the bytes of the vector it came from, which are never
-// overwritten (Vector.Reset lets them go rather than reuse them), so a
-// gathered row stays valid as long as it is held. Rows the adapter carves
-// from a rowArena are recycled when the cursor closes.
+// overwritten (Vector.Reset lets them go rather than reuse them), so the
+// copy stays valid as long as it is held.
 //
 // # One operator shape
 //
@@ -81,18 +81,24 @@
 // and one that stops because dst is full resumes where it stopped on the
 // next call. The two hash operators share one key table (keytable.go): they
 // hash a batch's key columns in one pass, then probe by hash and typed
-// equality — no key is ever serialized on that path. The hash join probes
-// a batch at a time: it resolves every probe row's chain in one pass,
-// walks the chains into candidate pairs until they could fill the output
-// batch, and tests its residual once over the candidates (expr.Filter.Select
-// over vectors of the columns it reads). Both aggregations finish their
+// equality — no key is ever serialized on that path. The three joins share
+// one back end (joinPairs): a front end puts candidate (left, right)
+// position pairs and pads in it until they could fill the output batch,
+// keep tests the residual once over the candidates (expr.Filter.Select
+// over vectors of the columns it reads), and flush gathers the output
+// columns by the pairs left. The hash join's front end resolves a probe
+// batch's chains in one pass and walks them; block nested loops pair each
+// inner row with the block rows its keys match; merge join crosses a left
+// run with the right run of equal keys. Both aggregations finish their
 // groups column by column (groupByCtx.finish): keys and aggregate results
 // into vectors, Having as a selection over them, bare-column outputs moved.
-// Merge join and sort aggregation share a run reader (sort.go), which reads
-// a sorted input as runs of equal keys across batch boundaries: sort
-// aggregation folds each run into one group, merge join crosses a left run
-// with the right run of equal keys. Block nested loops cut their outer blocks row-exact from the
-// outer's batches, so the batch size never moves a block boundary.
+// The sort-based operators compare keys on vectors with one comparator
+// (types.CompareAt): the sort orders the ordinals of a store batch and
+// merges spilled runs by page position, and merge join and sort
+// aggregation share a run reader (sort.go), which reads a sorted input as
+// runs of equal keys across batch boundaries. Blocks and sort runs are cut
+// row-exact, so the batch size never moves a block, a run or a page
+// access.
 //
 // Each compiled operator records the order its output is in, lplan.Order,
 // the rule the cost model charges by. Sort, merge join and sort aggregation

@@ -43,9 +43,6 @@ type Executor struct {
 	params []types.Value
 	// input holds the rows an Input leaf reads in this run (WithInput).
 	input []types.Row
-	// arenas tracks the pooled row-arena slabs carved by this executor's
-	// operators; the cursor returns them on Close. See arenaRecycler.
-	arenas arenaRecycler
 }
 
 // New creates an executor whose operators spill once they exceed the
@@ -100,7 +97,7 @@ func (e *Executor) WithParams(vals []types.Value) *Executor {
 }
 
 // WithInput supplies the rows the plan's Input leaf reads and returns the
-// executor. The rows are read, never modified.
+// executor. The rows, all of one arity, are read, never modified.
 func (e *Executor) WithInput(rows []types.Row) *Executor {
 	e.input = rows
 	return e
@@ -134,8 +131,7 @@ func (e *Executor) Run(n lplan.Node) (*Result, error) {
 }
 
 // RunProgram executes a compiled plan and materializes its output. Rows are
-// cloned out of the cursor: cursor rows live in arena slabs that are
-// recycled on Close, and the result must outlive the cursor.
+// cloned out of the cursor, which gathers every row into one scratch row.
 func (e *Executor) RunProgram(p *Program) (*Result, error) {
 	cur, err := e.Open(p)
 	if err != nil {
@@ -223,7 +219,9 @@ func compileOp(n lplan.Node) (*op, error) {
 	case *lplan.Scan:
 		o, err = compileScan(t)
 	case *lplan.Input:
-		o = &op{newIter: func(e *Executor) BatchIterator { return newSliceIter(e.input, e.batchSize) }}
+		o = &op{newIter: func(e *Executor) BatchIterator {
+			return &inputIter{blockIter: blockIter{target: e.batchSize}, rows: e.input}
+		}}
 	case *lplan.Filter:
 		o, err = compileFilter(t)
 	case *lplan.Project:
@@ -270,11 +268,8 @@ func (e *Executor) Open(p *Program) (*Cursor, error) {
 	it := e.build(p.root)
 	if err := it.Open(); err != nil {
 		// A partially opened operator tree (e.g. a grace join that spilled
-		// its build side before its probe failed) must still drop its spills
-		// — and any arena slabs carved while materializing (hash builds run
-		// inside Open).
+		// its build side before its probe failed) must still drop its spills.
 		it.Close()
-		e.arenas.release()
 		return nil, err
 	}
 	return &Cursor{it: it, ex: e, sch: p.sch, b: getBatch()}, nil
@@ -328,12 +323,7 @@ func (c *Cursor) Close() error {
 	c.closed = true
 	putBatch(c.b)
 	c.b = nil
-	err := c.it.Close()
-	// Safe only now: the operator tree is gone, the engine has copied every
-	// row it hands out before closing, and nothing else can reference rows
-	// carved from this executor's slabs.
-	c.ex.arenas.release()
-	return err
+	return c.it.Close()
 }
 
 // build makes a compiled operator's iterator for this run, wrapped in a
@@ -575,6 +565,37 @@ func spillScan(sp *spill, target int) *scanIter {
 	return &scanIter{pg: sp.store, file: sp.file, target: target}
 }
 
+// inputIter reads an Input leaf's rows (WithInput): Open copies them,
+// their VARCHARs by reference, into one block of a pooled store, which
+// blockIter hands out; the store is recycled at Close, so a run over a
+// few rows, as view maintenance makes per commit, allocates no block.
+type inputIter struct {
+	blockIter
+	rows  []types.Row
+	store *Batch
+}
+
+func (it *inputIter) Open() error {
+	it.store = getStore()
+	if len(it.rows) > 0 {
+		it.store.startOwn(len(it.rows[0]))
+	}
+	for _, r := range it.rows {
+		for j := range it.store.Cols {
+			it.store.Cols[j].AppendRef(r[j])
+		}
+	}
+	it.store.N = len(it.rows)
+	it.blk = it.store.Block
+	return it.blockIter.Open()
+}
+
+func (it *inputIter) Close() error {
+	putStore(it.store)
+	it.store = nil
+	return nil
+}
+
 // filterIter applies residual predicates batch-at-a-time: it keeps pulling
 // input batches until the output batch is full or the input is exhausted,
 // so a selective filter still hands full batches downstream. It narrows a
@@ -630,10 +651,7 @@ func (it *filterIter) NextBatch(dst *Batch) error {
 			dst.startOwn(len(b.Cols))
 			started = true
 		}
-		for j := range b.Cols {
-			dst.Cols[j].AppendSel(&b.Cols[j], sel)
-		}
-		dst.N += len(sel)
+		dst.appendSel(&b.Block, sel)
 	}
 	return nil
 }
@@ -745,6 +763,7 @@ type spill struct {
 	store storage.Pager
 	file  *storage.File
 	bytes int
+	row   types.Row // the row addRows gathers
 }
 
 func newSpill(store storage.Pager, name string) *spill {
@@ -756,6 +775,18 @@ func newSpill(store storage.Pager, name string) *spill {
 func (s *spill) add(row types.Row) error {
 	s.bytes += row.DiskWidth()
 	return s.store.Append(s.file, row)
+}
+
+// addRows appends the rows of blk at sel, in order, each gathered into
+// the spill's scratch row.
+func (s *spill) addRows(blk *types.Block, sel []int32) error {
+	for _, k := range sel {
+		s.row = blk.Row(int(k), s.row)
+		if err := s.add(s.row); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *spill) finish() error { return s.store.Flush(s.file) }
@@ -786,20 +817,25 @@ type meteredIter struct {
 	col *obs.Collector
 }
 
+// epoch is the instant the metering clock counts from: time.Since of it
+// reads the monotonic clock alone, where time.Now also reads the wall
+// clock.
+var epoch = time.Now()
+
 func (m *meteredIter) Open() error {
 	m.col.Enter(m.st)
-	start := time.Now()
+	start := time.Since(epoch)
 	err := m.in.Open()
-	m.st.OpenNS += time.Since(start).Nanoseconds()
+	m.st.OpenNS += int64(time.Since(epoch) - start)
 	m.col.Leave()
 	return err
 }
 
 func (m *meteredIter) NextBatch(dst *Batch) error {
 	m.col.Enter(m.st)
-	start := time.Now()
+	start := time.Since(epoch)
 	err := m.in.NextBatch(dst)
-	m.st.NextNS += time.Since(start).Nanoseconds()
+	m.st.NextNS += int64(time.Since(epoch) - start)
 	m.col.Leave()
 	m.st.NextCalls++
 	if err == nil {
@@ -810,9 +846,9 @@ func (m *meteredIter) NextBatch(dst *Batch) error {
 
 func (m *meteredIter) Close() error {
 	m.col.Enter(m.st)
-	start := time.Now()
+	start := time.Since(epoch)
 	err := m.in.Close()
-	m.st.CloseNS += time.Since(start).Nanoseconds()
+	m.st.CloseNS += int64(time.Since(epoch) - start)
 	m.col.Leave()
 	return err
 }

@@ -526,59 +526,3 @@ func TestBagEqualToleratesFloatNoise(t *testing.T) {
 		t.Fatalf("different cardinalities compared equal")
 	}
 }
-
-// TestHashInputScanCarvesNothing: a scan that projects emits its stored
-// rows, as they are, to a hash aggregation and to either input of a hash
-// join, so a run carves exactly the arena slabs that the same plan over
-// scans that do not project carves.
-func TestHashInputScanCarvesNothing(t *testing.T) {
-	e := newEnv(t, 4096, 20000, 25)
-	scan := func(s *lplan.Scan, project bool, cols ...string) *lplan.Scan {
-		for _, c := range cols {
-			if project {
-				s.Proj = append(s.Proj, schema.ColID{Rel: s.Alias, Name: c})
-			}
-		}
-		return s
-	}
-	slabs := func(n lplan.Node) int {
-		p, err := Compile(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur, err := New(e.store).Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cur.Close()
-		for {
-			_, ok, err := cur.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				return len(cur.ex.arenas.slabs)
-			}
-		}
-	}
-	for _, c := range []struct {
-		name string
-		plan func(project bool) lplan.Node
-	}{
-		{"hash-agg", func(project bool) lplan.Node {
-			return &lplan.GroupBy{In: scan(e.scanEmp("e"), project, "sal", "dno"),
-				GroupCols: []schema.ColID{{Rel: "e", Name: "dno"}}, Method: lplan.AggHash,
-				Aggs: []expr.Agg{{Kind: expr.AggSum, Arg: expr.Col("e", "sal"), Out: schema.ColID{Rel: "g", Name: "s"}}}}
-		}},
-		{"hash-join", func(project bool) lplan.Node {
-			return &lplan.Join{L: scan(e.scanEmp("e"), project, "dno", "eno"), R: scan(e.scanDept("d"), project, "budget", "dno"),
-				Preds:  []expr.Expr{expr.NewCmp(expr.EQ, expr.Col("e", "dno"), expr.Col("d", "dno"))},
-				Proj:   []schema.ColID{{Rel: "e", Name: "eno"}, {Rel: "d", Name: "budget"}},
-				Method: lplan.JoinHash}
-		}},
-	} {
-		if plain, projected := slabs(c.plan(false)), slabs(c.plan(true)); projected != plain {
-			t.Errorf("%s: %d arena slabs over projecting scans, %d over plain ones", c.name, projected, plain)
-		}
-	}
-}

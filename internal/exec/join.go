@@ -15,9 +15,9 @@ import (
 // predicate, and the output projection, all over the rows the inputs emit.
 // A hash join tests the residual's conjuncts that read the build (right)
 // input alone once per build row, as build; the rest, the residual, is
-// compiled against the concatenated schema. The hash join tests it on
-// vectors of the columns it reads (resCols), the other joins on the
-// concatenated row.
+// compiled against the concatenated schema, and every join tests it on
+// vectors of the columns it reads (resCols), gathered at its candidate
+// pairs (joinPairs.keep).
 type joinSpec struct {
 	lKeys, rKeys []int          // equi-join column positions (parallel slices)
 	lCols, rCols []schema.ColID // the same keys by column (lplan.Join.EquiKeys)
@@ -27,16 +27,9 @@ type joinSpec struct {
 	proj         []int          // output projection over concat schema; nil = all
 	lWidth       int            // arity of the left input's rows
 	rWidth       int            // arity of the right input's rows (for outer-join padding)
-}
-
-// joinCommon is one run's view of a joinSpec: the run's parameters and its
-// scratch rows.
-type joinCommon struct {
-	*joinSpec
-	params  []types.Value
-	scratch types.Row // reusable concat buffer for residual evaluation
-	nulls   types.Row // all-NULL row standing in for the missing side of a padded row
-	arena   rowArena  // backs the rows the row-reading joins gather
+	// none is a block of no rows, as wide as either input, for an outer
+	// join: the side a pad lacks is read from it.
+	none types.Block
 }
 
 // joinSpecOf compiles j over inputs l and r, whose conjuncts EquiKeys has
@@ -54,6 +47,9 @@ func joinSpecOf(j *lplan.Join, l, r input, lCols, rCols []schema.ColID, residual
 	}
 	spec := &joinSpec{lKeys: lKeys, rKeys: rKeys, lCols: lCols, rCols: rCols,
 		lWidth: len(ls), rWidth: len(rs)}
+	if j.Type.Outer() {
+		spec.none.Cols = make([]types.Vector, max(len(ls), len(rs)))
+	}
 	if hash {
 		var build []expr.Expr
 		build, residualPreds = buildOnly(residualPreds, ls, rs)
@@ -122,19 +118,17 @@ func compileJoin(j *lplan.Join) (*op, error) {
 	if err != nil {
 		return nil, err
 	}
-	newJC := func(e *Executor) *joinCommon {
-		return &joinCommon{joinSpec: spec, params: e.params, arena: rowArena{rec: &e.arenas}}
-	}
 	switch method {
 	case lplan.JoinHash:
 		return &op{newIter: func(e *Executor) BatchIterator {
-			return &hashJoinIter{exec: e, jc: newJC(e), target: e.batchSize, joinType: j.Type,
-				probeSrc: e.build(l.op), buildOp: r.op}
+			return &hashJoinIter{joinPairs: joinPairs{joinSpec: spec, params: e.params}, exec: e,
+				target: e.batchSize, joinType: j.Type, probeSrc: e.build(l.op), buildOp: r.op}
 		}}, nil
 	case lplan.JoinBlockNL:
 		_, innerIsScan := j.R.(*lplan.Scan)
 		return &op{newIter: func(e *Executor) BatchIterator {
-			it := &blockNLIter{exec: e, jc: newJC(e), target: e.batchSize, joinType: j.Type, outer: e.build(l.op)}
+			it := &blockNLIter{joinPairs: joinPairs{joinSpec: spec, params: e.params}, exec: e,
+				target: e.batchSize, joinType: j.Type, outer: e.build(l.op)}
 			if innerIsScan {
 				it.inner = func() BatchIterator { return e.build(r.op) }
 			} else {
@@ -149,51 +143,12 @@ func compileJoin(j *lplan.Join) (*op, error) {
 		}
 		lIn, rIn := sortedInput(l.op, spec.lCols, sortKeys{cols: spec.lKeys}), sortedInput(r.op, spec.rCols, sortKeys{cols: spec.rKeys})
 		return &op{newIter: func(e *Executor) BatchIterator {
-			jc := newJC(e)
-			return &mergeJoinIter{jc: jc, target: e.batchSize,
-				l: runReader{in: lIn(e), cols: spec.lKeys, arena: &jc.arena}, r: runReader{in: rIn(e), cols: spec.rKeys, arena: &jc.arena}}
+			return &mergeJoinIter{joinPairs: joinPairs{joinSpec: spec, params: e.params}, target: e.batchSize,
+				l: runReader{in: lIn(e), cols: spec.lKeys}, r: runReader{in: rIn(e), cols: spec.rKeys}}
 		}}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown join method %v", j.Method)
 	}
-}
-
-// holds reports whether the residual predicates hold on the row pair
-// (l, r), read as one row from a reusable scratch buffer.
-func (jc *joinCommon) holds(l, r types.Row) (bool, error) {
-	if jc.residual == nil {
-		return true, nil
-	}
-	jc.scratch = append(append(jc.scratch[:0], l...), r...)
-	return jc.residual.Holds(jc.scratch, jc.params)
-}
-
-// appendPair appends the output row of the pair (l, r) to dst's own
-// vectors: the projection's columns of their concatenation, taken from
-// whichever side holds each. A nil side is NULL-padded: an outer join's
-// padded rows bypass the residual — the ON condition already failed, that
-// is why the row is padded — but the projection still applies.
-func (jc *joinCommon) appendPair(dst *Batch, l, r types.Row) {
-	if dst.N == 0 {
-		dst.startOwn(jc.width())
-	}
-	if jc.nulls == nil {
-		jc.nulls = make(types.Row, max(jc.lWidth, jc.rWidth)) // the zero Value is NULL
-	}
-	if l == nil {
-		l = jc.nulls[:jc.lWidth]
-	}
-	if r == nil {
-		r = jc.nulls[:jc.rWidth]
-	}
-	for i := range dst.Cols {
-		if j := jc.column(i); j < jc.lWidth {
-			dst.Cols[i].AppendRef(l[j])
-		} else {
-			dst.Cols[i].AppendRef(r[j-jc.lWidth])
-		}
-	}
-	dst.N++
 }
 
 // width returns the number of output columns.
@@ -212,20 +167,144 @@ func (s *joinSpec) column(i int) int {
 	return s.proj[i]
 }
 
+// joinPairs is the back end the three joins share, one run's: a join's
+// front end puts candidate pairs — a left and a right row whose keys
+// match, as positions in the two sides' blocks — and pads in li and ri,
+// -1 standing for the side a pad lacks; keep tests the residual once over
+// all the candidates, on vectors of the columns it reads gathered at the
+// pairs, and drops the candidates it rejects and the pads of left rows that
+// matched; flush gathers the output rows of the pairs left, column by
+// column, only the projected columns, from the two blocks.
+//
+// A left pad follows every candidate of its row, and keep reads and
+// clears the row's flag there, so lMatched is clear again once every row
+// of a block or a probe batch has had its pad.
+type joinPairs struct {
+	*joinSpec
+	params   []types.Value
+	li, ri   []int32 // the pairs: positions in the left and the right block
+	lMatched []bool  // outer: per left position, whether a candidate held since its pad
+	rMatched []bool  // FULL: per right position, whether a candidate held
+	res      *Batch  // pooled: the residual's columns at the pairs, and its selection
+	buf      *Batch  // pooled: its sel and gids keep li and ri between runs
+}
+
+func (p *joinPairs) open() {
+	p.buf = getBatch()
+	p.li, p.ri = p.buf.sel[:0], p.buf.gids[:0]
+	if p.residual != nil {
+		p.res = getBatch()
+		p.res.startOwn(p.lWidth + p.rWidth)
+	}
+}
+
+func (p *joinPairs) close() {
+	if p.buf != nil {
+		p.buf.sel, p.buf.gids = p.li[:0], p.ri[:0] // keep what they grew to
+	}
+	putBatch(p.buf)
+	putBatch(p.res)
+	p.buf, p.res, p.li, p.ri = nil, nil, nil, nil
+}
+
+// keep narrows the pairs to the output rows: the candidates the residual
+// holds on, and the pads of left rows none of whose candidates held. A
+// candidate that holds flags its rows in lMatched and rMatched. The pairs
+// hold no right pad: those go out as they are.
+func (p *joinPairs) keep(l, r *types.Block) error {
+	if len(p.li) == 0 || p.residual == nil && p.lMatched == nil && p.rMatched == nil {
+		return nil
+	}
+	var held []int32 // the candidates the residual holds on, by pair index
+	if p.residual != nil {
+		for _, c := range p.resCols {
+			v := &p.res.Cols[c]
+			v.Reset()
+			if c < p.lWidth {
+				v.AppendSel(&l.Cols[c], p.li)
+			} else {
+				v.AppendSel(&r.Cols[c-p.lWidth], p.ri)
+			}
+		}
+		sel := p.res.sel[:0]
+		for i, k := range p.ri {
+			if k >= 0 {
+				sel = append(sel, int32(i))
+			}
+		}
+		p.res.sel = sel
+		var err error
+		if held, err = p.residual.Select(p.res.Cols, sel, p.params); err != nil {
+			return err
+		}
+	}
+	n := 0
+	for i, k := range p.li {
+		r := p.ri[i]
+		switch {
+		case r < 0: // a pad: the row's candidates, if any, have all been tested
+			if p.lMatched[k] {
+				p.lMatched[k] = false
+				continue
+			}
+		case p.residual != nil && (len(held) == 0 || held[0] != int32(i)):
+			continue
+		default:
+			if p.residual != nil {
+				held = held[1:]
+			}
+			if p.lMatched != nil {
+				p.lMatched[k] = true
+			}
+			if p.rMatched != nil {
+				p.rMatched[r] = true
+			}
+		}
+		p.li[n], p.ri[n] = k, r
+		n++
+	}
+	p.li, p.ri = p.li[:n], p.ri[:n]
+	return nil
+}
+
+// flush appends the output rows of the pairs to dst, gathered from the
+// left block l and the right block r, and forgets the pairs.
+func (p *joinPairs) flush(dst *Batch, l, r *types.Block) {
+	if len(p.li) == 0 {
+		return
+	}
+	if dst.N == 0 {
+		dst.startOwn(p.width())
+	}
+	for i := range dst.Cols {
+		if j := p.column(i); j < p.lWidth {
+			dst.Cols[i].AppendSel(&l.Cols[j], p.li)
+		} else {
+			dst.Cols[i].AppendSel(&r.Cols[j-p.lWidth], p.ri)
+		}
+	}
+	dst.N += len(p.li)
+	p.li, p.ri = p.li[:0], p.ri[:0]
+}
+
+// falses returns s with at least n flags, those it gains false.
+func falses(s []bool, n int) []bool {
+	if len(s) < n {
+		s = append(s, make([]bool, n-len(s))...)
+	}
+	return s
+}
+
 // hashJoinIter builds a key table on the right input and probes it with the
-// left a batch at a time. A probe batch is joined in three loops, none of
-// them per-row state: resolve finds every probe row's chain of build rows
-// in one pass over the batch's keys; pair walks the chains into candidate
-// (probe position, build row) pairs, and for an outer join a pad after
-// each probe row's candidates, until they could fill the output batch;
-// keep tests the residual once over all the candidates, on vectors
-// gathered from only the columns it reads, and drops the candidates it
-// rejects and the pads of probe rows that matched. The output rows are
-// then gathered from both sides' vectors, only the projected columns, by
-// the pairs that remain. A call that fills the batch resumes mid-chain on
-// the next. If the build side exceeds the budget it falls back to Grace
-// partitioning, writing both inputs to spill partitions and joining them
-// pairwise with the same code.
+// left a batch at a time, the front end of joinPairs. A probe batch is
+// joined in loops, none of them per-row state: resolve finds every probe
+// row's chain of build rows in one pass over the batch's keys; pair walks
+// the chains into candidate (probe position, build row) pairs, and for an
+// outer join a pad after each probe row's candidates, until they could
+// fill the output batch; keep and flush make them output rows. A call that
+// fills the batch resumes mid-chain on the next. If the build side exceeds
+// the budget it falls back to Grace partitioning, writing both inputs to
+// spill partitions and joining them pairwise with the same code.
 //
 // Outer joins: the probe (left) side is the preserved side of a LEFT join —
 // a probe row whose ON condition matches no build row is emitted once,
@@ -238,8 +317,8 @@ func (s *joinSpec) column(i int) int {
 // residual's build-only conjuncts; both surface only through the FULL-outer
 // drain.
 type hashJoinIter struct {
+	joinPairs
 	exec     *Executor
-	jc       *joinCommon
 	target   int
 	joinType lplan.JoinType
 	probeSrc BatchIterator // the built left child
@@ -247,25 +326,21 @@ type hashJoinIter struct {
 
 	// Current build table (whole input in memory, or one grace partition).
 	// Build rows with one key are chained through next in ascending order
-	// from the key's head, so matches come out in build order.
-	build        *Batch    // pooled: the build rows, in vectors of its own
-	buildMatched []bool    // FULL outer only: build rows already matched
-	tab          *keyTable // pooled: build key -> entry
-	head         []int32   // per entry: first build row with the key
-	next         []int32   // per build row: the next with the same key, -1 = last
-	kr           keyRows   // the keys of the probe batch (or of the build rows, while loading)
+	// from the key's head, so matches come out in build order. A FULL
+	// join's build rows already matched are flagged in rMatched.
+	build *Batch    // pooled: the build rows, in vectors of its own
+	tab   *keyTable // pooled: build key -> entry
+	head  []int32   // per entry: first build row with the key
+	next  []int32   // per build row: the next with the same key, -1 = last
+	kr    keyRows   // the keys of the probe batch (or of the build rows, while loading)
 
 	probe     BatchIterator // probeSrc, or the current partition's probe rows
 	pb        *Batch        // probe batch being joined
 	psel      []int32       // its rows' positions
 	chains    []int32       // per row of pb: the next build row to pair it with, -1 = none left
 	pos       int           // the first row of pb not yet paired to the end of its chain
-	matched   bool          // outer: the row of the pad to come has matched
 	probeDone bool          // probe is exhausted for the current build table
 	drainPos  int           // FULL outer, after the probe: next build row to pad if unmatched
-	pairs     *Batch        // pooled: its sel and gids hold li and ri
-	li, ri    []int32       // the output's (probe position, build row) pairs; -1 pads
-	res       *Batch        // pooled: the residual's columns at the pairs, and its selection
 
 	// grace path (rParts != nil)
 	lParts, rParts []*spill
@@ -278,11 +353,11 @@ type hashJoinIter struct {
 // drain must see them) but get no entry.
 func (it *hashJoinIter) loadBuild() error {
 	n := it.build.N
-	it.buildMatched, it.drainPos = nil, 0
+	it.rMatched, it.drainPos = nil, 0
 	if it.joinType == lplan.JoinFull {
-		it.buildMatched = make([]bool, n)
+		it.rMatched = make([]bool, n)
 	}
-	keys := it.jc.rKeys
+	keys := it.rKeys
 	it.tab.init(len(keys), n)
 	if len(keys) == 1 {
 		if lo, hi, ok := intRange(&it.build.Cols[keys[0]]); ok {
@@ -300,8 +375,8 @@ func (it *hashJoinIter) loadBuild() error {
 	// Without build-only conjuncts every row is indexed.
 	b := it.build
 	kr := it.kr.of(b, keys)
-	if it.jc.build != nil {
-		sel, err := it.jc.build.Select(b.Cols, kr.sel, it.jc.params)
+	if it.joinSpec.build != nil {
+		sel, err := it.joinSpec.build.Select(b.Cols, kr.sel, it.params)
 		if err != nil {
 			return err
 		}
@@ -346,24 +421,20 @@ func intRange(v *types.Vector) (lo, hi int64, ok bool) {
 }
 
 // startBuild empties the build store for the next build input.
-func (it *hashJoinIter) startBuild() { it.build.startOwn(it.jc.rWidth) }
+func (it *hashJoinIter) startBuild() { it.build.startOwn(it.rWidth) }
 
 // addBuild copies b's rows into the build store and returns their
 // accounted width.
 func (it *hashJoinIter) addBuild(b *Batch) int {
 	sel := b.selection()
-	for j := range it.build.Cols {
-		it.build.Cols[j].AppendSel(&b.Cols[j], sel)
-	}
-	it.build.N += len(sel)
+	it.build.appendSel(&b.Block, sel)
 	return b.DiskWidth(sel)
 }
 
 func (it *hashJoinIter) Open() error {
 	build := it.exec.build(it.buildOp)
-	it.pb, it.build, it.pairs, it.res, it.tab = getBatch(), getStore(), getBatch(), getBatch(), getKeyTable()
-	it.li, it.ri = it.pairs.sel[:0], it.pairs.gids[:0]
-	it.res.startOwn(it.jc.lWidth + it.jc.rWidth)
+	it.pb, it.build, it.tab = getBatch(), getStore(), getKeyTable()
+	it.open()
 	// Materialize the build side, counting bytes.
 	bytes := 0
 	it.startBuild()
@@ -405,11 +476,11 @@ func (it *hashJoinIter) Open() error {
 			return nil
 		}
 	}
-	if err := partition(it.rParts, it.jc.rKeys)(it.build); err != nil {
+	if err := partition(it.rParts, it.rKeys)(it.build); err != nil {
 		return err
 	}
 	it.startBuild()
-	if err := drainBatches(it.probeSrc, partition(it.lParts, it.jc.lKeys)); err != nil {
+	if err := drainBatches(it.probeSrc, partition(it.lParts, it.lKeys)); err != nil {
 		return err
 	}
 	for i := range it.rParts {
@@ -445,13 +516,9 @@ func (it *hashJoinIter) nextPartition() (ok bool, err error) {
 	if it.probeRows == nil {
 		it.probeRows = getStore()
 	}
-	it.probeRows.startOwn(it.jc.lWidth)
+	it.probeRows.startOwn(it.lWidth)
 	if err := drainBatches(it.partition(it.lParts), func(b *Batch) error {
-		sel := b.selection()
-		for j := range it.probeRows.Cols {
-			it.probeRows.Cols[j].AppendSel(&b.Cols[j], sel)
-		}
-		it.probeRows.N += len(sel)
+		it.probeRows.appendSel(&b.Block, b.selection())
 		return nil
 	}); err != nil {
 		return false, err
@@ -476,8 +543,11 @@ func (it *hashJoinIter) resolve() error {
 	if it.probeDone = it.pb.Len() == 0; it.probeDone {
 		return nil
 	}
-	kr := it.kr.of(it.pb, it.jc.lKeys)
+	kr := it.kr.of(it.pb, it.lKeys)
 	it.psel, it.chains = kr.sel, it.pb.groupIDs()
+	if it.joinType.Outer() {
+		it.lMatched = falses(it.lMatched, it.pb.N)
+	}
 	it.tab.hash(kr)
 	if ints, ok := it.tab.denseInts(kr); ok {
 		for i, k := range kr.sel {
@@ -528,96 +598,14 @@ func (it *hashJoinIter) pair(room int) {
 	}
 }
 
-// keep narrows the pairs to the output rows: the candidates the residual
-// holds on, and the pads of probe rows none of whose candidates held. The
-// residual runs once over every candidate, on vectors of the columns it
-// reads gathered at the pairs.
-func (it *hashJoinIter) keep() error {
-	jc, outer := it.jc, it.joinType.Outer()
-	if len(it.li) == 0 || jc.residual == nil && !outer {
-		return nil
-	}
-	var held []int32 // the candidates the residual holds on, by pair index
-	if jc.residual != nil {
-		for _, c := range jc.resCols {
-			v := &it.res.Cols[c]
-			v.Reset()
-			if c < jc.lWidth {
-				v.AppendSel(&it.pb.Cols[c], it.li)
-			} else {
-				v.AppendSel(&it.build.Cols[c-jc.lWidth], it.ri)
-			}
-		}
-		sel := it.res.sel[:0]
-		for i, r := range it.ri {
-			if r >= 0 {
-				sel = append(sel, int32(i))
-			}
-		}
-		it.res.sel = sel
-		var err error
-		if held, err = jc.residual.Select(it.res.Cols, sel, jc.params); err != nil {
-			return err
-		}
-	}
-	n := 0
-	for i, r := range it.ri {
-		switch {
-		case r < 0: // a pad: the row's candidates, if any, have all been tested
-			pad := !it.matched
-			it.matched = false
-			if !pad {
-				continue
-			}
-		case jc.residual != nil && (len(held) == 0 || held[0] != int32(i)):
-			continue
-		default:
-			if jc.residual != nil {
-				held = held[1:]
-			}
-			it.matched = true
-			if it.buildMatched != nil {
-				it.buildMatched[r] = true
-			}
-		}
-		it.li[n], it.ri[n] = it.li[i], r
-		n++
-	}
-	it.li, it.ri = it.li[:n], it.ri[:n]
-	return nil
-}
-
-// flush appends the output rows of the pairs to dst, gathered from the
-// probe batch's and the build rows' vectors, and forgets the pairs.
-func (it *hashJoinIter) flush(dst *Batch) {
-	jc := it.jc
-	if len(it.li) == 0 {
-		return
-	}
-	if dst.N == 0 {
-		dst.startOwn(jc.width())
-	}
-	for i := range dst.Cols {
-		switch j := jc.column(i); {
-		case j >= jc.lWidth:
-			dst.Cols[i].AppendSel(&it.build.Cols[j-jc.lWidth], it.ri)
-		case j < len(it.pb.Cols):
-			dst.Cols[i].AppendSel(&it.pb.Cols[j], it.li)
-		default: // the FULL-outer drain, after the probe: every pair pads
-			dst.Cols[i].AppendSel(&types.Vector{}, it.li)
-		}
-	}
-	dst.N += len(it.li)
-	it.li, it.ri = it.li[:0], it.ri[:0]
-}
-
 func (it *hashJoinIter) NextBatch(dst *Batch) error {
 	dst.Reset()
 	for room := it.target; room > 0; room = it.target - dst.N {
+		l := &it.pb.Block
 		switch {
 		case it.pos < len(it.chains):
 			it.pair(room)
-			if err := it.keep(); err != nil {
+			if err := it.keep(l, &it.build.Block); err != nil {
 				return err
 			}
 		case !it.probeDone:
@@ -626,10 +614,11 @@ func (it *hashJoinIter) NextBatch(dst *Batch) error {
 			if err := it.resolve(); err != nil {
 				return err
 			}
-		case it.drainPos < len(it.buildMatched):
+		case it.drainPos < len(it.rMatched):
 			// FULL outer: emit the build rows no probe row matched.
-			for ; it.drainPos < len(it.buildMatched) && len(it.li) < room; it.drainPos++ {
-				if !it.buildMatched[it.drainPos] {
+			l = &it.none
+			for ; it.drainPos < len(it.rMatched) && len(it.li) < room; it.drainPos++ {
+				if !it.rMatched[it.drainPos] {
 					it.li, it.ri = append(it.li, -1), append(it.ri, int32(it.drainPos))
 				}
 			}
@@ -642,7 +631,7 @@ func (it *hashJoinIter) NextBatch(dst *Batch) error {
 				return err
 			}
 		}
-		it.flush(dst)
+		it.flush(dst, l, &it.build.Block)
 	}
 	return nil
 }
@@ -653,16 +642,12 @@ func (it *hashJoinIter) Close() error {
 	// probe source was already closed by drainBatches; closing again is
 	// harmless.
 	it.probeSrc.Close()
-	if it.pairs != nil {
-		it.pairs.sel, it.pairs.gids = it.li[:0], it.ri[:0] // keep what they grew to
-	}
+	it.close()
 	putBatch(it.pb)
-	putBatch(it.pairs)
-	putBatch(it.res)
 	putStore(it.build)
 	putStore(it.probeRows)
 	putKeyTable(it.tab)
-	it.pb, it.build, it.probeRows, it.pairs, it.res, it.tab = nil, nil, nil, nil, nil, nil
+	it.pb, it.build, it.probeRows, it.tab = nil, nil, nil, nil
 	it.psel, it.chains = nil, nil
 	for _, p := range it.lParts {
 		p.drop()
@@ -674,54 +659,26 @@ func (it *hashJoinIter) Close() error {
 	return nil
 }
 
-// blockIter hands out an in-memory block's rows as batches of its vectors,
-// up to target rows selected at a time.
-type blockIter struct {
-	blk    types.Block
-	target int
-	all    Batch // all.sel: 0, 1, ..., blk.N-1, once the block takes two batches
-	pos    int
-}
-
-func (it *blockIter) Open() error { it.pos = 0; return nil }
-
-func (it *blockIter) NextBatch(dst *Batch) error {
-	dst.Reset()
-	n := min(it.blk.N-it.pos, it.target)
-	switch {
-	case n == 0:
-		return nil
-	case n == it.blk.N:
-		dst.Block = it.blk
-	default:
-		if len(it.all.sel) != it.blk.N {
-			it.all.selectAll(it.blk.N)
-		}
-		dst.Block, dst.Sel = it.blk, it.all.sel[it.pos:it.pos+n]
-	}
-	it.pos += n
-	return nil
-}
-
-func (it *blockIter) Close() error { return nil }
-
 // blockNLIter reads the outer in memory-budget blocks and rescans the inner
-// once per block. A base-table inner is rescanned directly (the buffer pool
-// charges the repeated reads); any other inner is materialized to a spill
-// file first. Each inner row of a pass meets the block's rows in order, so
-// output is inner-major within a block; a call that fills the batch resumes
-// mid-row on the next.
+// once per block, the front end of joinPairs. A base-table inner is
+// rescanned directly (the buffer pool charges the repeated reads); any
+// other inner is materialized to a spill file first. A block is a store
+// batch cut row-exact from the outer's batches, so the batch size never
+// moves a block boundary. Each inner row of a pass is paired with the
+// block's rows its keys match, in block order, so output is inner-major
+// within a block; a call that fills the batch resumes mid-row on the next.
 //
 // Outer joins: the block (left) side is the preserved side of a LEFT join —
-// after each block's inner pass completes, unmatched block rows are
-// emitted right-padded. FULL joins additionally track per-inner-row match
-// flags by scan ordinal (inner rescans are deterministic, heap order for a
-// base table and spill order otherwise, so ordinal i is the same row in every
-// pass) and, after the last block, make one more pass that emits the
+// after each block's inner pass completes, every block row gets its pad,
+// which goes out only when no candidate of the row held (lMatched). FULL
+// joins additionally flag the inner rows a candidate held on, by their
+// ordinal in the pass (inner rescans are deterministic, heap order for a
+// base table and spill order otherwise, so ordinal i is the same row in
+// every pass) and, after the last block, make one more pass that emits the
 // never-matched inner rows left-padded.
 type blockNLIter struct {
+	joinPairs
 	exec     *Executor
-	jc       *joinCommon
 	target   int
 	joinType lplan.JoinType
 	outer    BatchIterator
@@ -732,20 +689,20 @@ type blockNLIter struct {
 	matSrc  BatchIterator
 	spilled *spill
 
-	ob           *Batch // the outer batch blocks are cut from
-	opos         int    // its next row
-	oEOF         bool
-	block        []types.Row // gathered from ob, carved from jc.arena
-	blockMatched []bool      // LEFT/FULL: per-block-row match flags
-	padPos       int         // LEFT/FULL, after a pass: next block row to pad if unmatched
+	ob     *Batch  // the outer batch blocks are cut from
+	osel   []int32 // its selection
+	opos   int     // its next row, by selection index
+	oEOF   bool
+	block  *Batch // pooled: the block's rows, in vectors of its own
+	padPos int    // LEFT/FULL, after a pass: the next block row to pad
 
 	in           BatchIterator // the inner pass in progress; nil between passes
 	ib           *Batch        // the inner batch being joined
-	ipos         int           // its row in flight
-	irow         types.Row     // that row, gathered
-	bpos         int           // the next block row to try against it
-	ord          int           // the in-flight row's ordinal within the pass
-	innerMatched []bool        // FULL: per-inner-ordinal match flags, OR'd across blocks
+	isel         []int32       // its selection
+	ipos         int           // its row in flight, by selection index
+	bpos         int           // the next block row to pair with it
+	ord          int           // the ordinal of ib's first row within the pass
+	innerMatched []bool        // FULL: per inner ordinal, whether a candidate held, OR'd across blocks
 	final        bool          // FULL: the pass after the last block
 	done         bool
 }
@@ -756,15 +713,8 @@ func (it *blockNLIter) Open() error {
 		// spill is assigned before writing so Close drops it on any error.
 		sp := newSpill(it.exec.pg, "bnl-inner")
 		it.spilled = sp
-		var row types.Row
 		if err := drainBatches(it.matSrc, func(b *Batch) error {
-			for i := range b.Len() {
-				row = b.gather(i, row)
-				if err := sp.add(row); err != nil {
-					return err
-				}
-			}
-			return nil
+			return sp.addRows(&b.Block, b.selection())
 		}); err != nil {
 			return err
 		}
@@ -773,7 +723,8 @@ func (it *blockNLIter) Open() error {
 		}
 		it.inner = func() BatchIterator { return spillScan(sp, it.exec.batchSize) }
 	}
-	it.ob, it.ib = getBatch(), getBatch()
+	it.ob, it.ib, it.block = getBatch(), getBatch(), getStore()
+	it.open()
 	if err := it.outer.Open(); err != nil {
 		return err
 	}
@@ -781,30 +732,28 @@ func (it *blockNLIter) Open() error {
 }
 
 // nextBlock cuts the next block from the outer and starts an inner pass over
-// it. The block ends at the row whose width reaches the budget, read
-// row-exact from the outer batch, so blocks, passes and page IO do not
-// depend on the batch size. Once the outer is exhausted, a FULL join starts
-// its final pass and any other join is done.
+// it. The block ends at the row whose width reaches the budget. Once the
+// outer is exhausted, a FULL join starts its final pass and any other join
+// is done.
 func (it *blockNLIter) nextBlock() error {
-	it.block = it.block[:0]
+	it.block.startOwn(it.lWidth)
 	budget := max(it.exec.budgetBytes-2*4096, 4096) // leave pages for the inner stream
 	for bytes := 0; bytes < budget; {
-		if it.opos == it.ob.Len() {
+		if it.opos == len(it.osel) {
 			if it.oEOF {
 				break
 			}
 			if err := it.outer.NextBatch(it.ob); err != nil {
 				return err
 			}
-			it.opos, it.oEOF = 0, it.ob.Len() == 0
+			it.osel, it.opos, it.oEOF = it.ob.selection(), 0, it.ob.Len() == 0
 			continue
 		}
-		row := it.ob.gather(it.opos, it.jc.arena.carve(len(it.ob.Cols)))
-		it.opos++
-		it.block = append(it.block, row)
-		bytes += row.DiskWidth()
+		n, w := cut(&it.ob.Block, it.osel[it.opos:], budget-1-bytes)
+		it.block.appendSel(&it.ob.Block, it.osel[it.opos:it.opos+n])
+		it.opos, bytes = it.opos+n, bytes+w
 	}
-	if len(it.block) == 0 {
+	if it.block.N == 0 {
 		if it.final || it.joinType != lplan.JoinFull {
 			it.done = true
 			return nil
@@ -812,100 +761,108 @@ func (it *blockNLIter) nextBlock() error {
 		it.final = true
 	}
 	if it.joinType.Outer() {
-		it.blockMatched = make([]bool, len(it.block))
+		it.lMatched = falses(it.lMatched, it.block.N)
 	}
-	it.padPos, it.ord = 0, 0
+	it.padPos, it.ord, it.isel, it.ipos = 0, 0, nil, 0
 	it.in = it.inner()
 	return it.in.Open()
 }
 
+// pair pairs the inner rows from ipos on, each with the block rows whose
+// keys match its own, in block order, until there are room candidates. A
+// row cut off there resumes at bpos on the next call.
+func (it *blockNLIter) pair(room int) {
+	blk, ib := &it.block.Block, &it.ib.Block
+	// One INT key on both sides: compare the INTs themselves.
+	var key *types.Vector
+	if len(it.lKeys) == 1 && blk.Cols[it.lKeys[0]].K == types.KindInt && ib.Cols[it.rKeys[0]].K == types.KindInt {
+		key = &blk.Cols[it.lKeys[0]]
+	}
+	for ; it.ipos < len(it.isel); it.ipos, it.bpos = it.ipos+1, 0 {
+		r := int(it.isel[it.ipos])
+		if nullKey(ib, it.rKeys, r) {
+			continue // a NULL key matches no row
+		}
+		var x int64
+		if key != nil {
+			x = ib.Cols[it.rKeys[0]].Ints[r]
+		}
+		for ; it.bpos < blk.N; it.bpos++ {
+			if key != nil && (key.Ints[it.bpos] != x || key.Nulls != nil && key.IsNull(it.bpos)) ||
+				key == nil && !keysMatch(blk, it.lKeys, it.bpos, ib, it.rKeys, r) {
+				continue
+			}
+			if len(it.li) == room {
+				return
+			}
+			it.li, it.ri = append(it.li, int32(it.bpos)), append(it.ri, int32(r))
+		}
+	}
+}
+
+// nextInner moves the pass to its next inner batch; an empty one ends the
+// pass. A FULL join first folds the flags of the batch it leaves into
+// innerMatched.
+func (it *blockNLIter) nextInner() error {
+	if it.rMatched != nil {
+		for i, k := range it.isel {
+			if it.rMatched[k] {
+				it.innerMatched[it.ord+i], it.rMatched[k] = true, false
+			}
+		}
+	}
+	it.ord += len(it.isel)
+	if err := it.in.NextBatch(it.ib); err != nil {
+		return err
+	}
+	it.isel, it.ipos = it.ib.selection(), 0
+	if len(it.isel) == 0 {
+		it.in.Close()
+		it.in = nil
+	} else if it.joinType == lplan.JoinFull {
+		it.innerMatched = falses(it.innerMatched, it.ord+len(it.isel))
+		it.rMatched = falses(it.rMatched, it.ib.N)
+	}
+	return nil
+}
+
 func (it *blockNLIter) NextBatch(dst *Batch) error {
 	dst.Reset()
-	for !it.done && dst.Len() < it.target {
+	for room := it.target; room > 0 && !it.done; room = it.target - dst.N {
+		l, r := &it.block.Block, &it.ib.Block
 		switch {
-		case it.ipos < it.ib.Len() && it.final:
-			if it.ord >= len(it.innerMatched) || !it.innerMatched[it.ord] {
-				it.jc.appendPair(dst, nil, it.ib.gather(it.ipos, it.irow))
-			}
-			it.ipos, it.ord = it.ipos+1, it.ord+1
-		case it.ipos < it.ib.Len():
-			it.irow = it.ib.gather(it.ipos, it.irow)
-			r := it.irow
-			if it.joinType == lplan.JoinFull && it.ord == len(it.innerMatched) {
-				it.innerMatched = append(it.innerMatched, false)
-			}
-			for ; it.bpos < len(it.block); it.bpos++ {
-				if dst.Len() >= it.target {
-					return nil
-				}
-				// Equi keys (if any) must match; residual must pass.
-				l := it.block[it.bpos]
-				if !keysEqual(l, r, it.jc.lKeys, it.jc.rKeys) {
-					continue
-				}
-				ok, err := it.jc.holds(l, r)
-				if err != nil {
-					return err
-				}
-				if ok {
-					if it.blockMatched != nil {
-						it.blockMatched[it.bpos] = true
-					}
-					if it.joinType == lplan.JoinFull {
-						it.innerMatched[it.ord] = true
-					}
-					it.jc.appendPair(dst, l, r)
+		case it.ipos < len(it.isel) && it.final:
+			l = &it.none
+			for ; it.ipos < len(it.isel) && len(it.li) < room; it.ipos++ {
+				if !it.innerMatched[it.ord+it.ipos] {
+					it.li, it.ri = append(it.li, -1), append(it.ri, it.isel[it.ipos])
 				}
 			}
-			it.ipos, it.bpos, it.ord = it.ipos+1, 0, it.ord+1
-		case it.in != nil:
-			// Pull the pass's next inner batch; an empty one ends the pass.
-			if err := it.in.NextBatch(it.ib); err != nil {
+		case it.ipos < len(it.isel):
+			it.pair(room)
+			if err := it.keep(l, r); err != nil {
 				return err
 			}
-			it.ipos = 0
-			if it.ib.Len() == 0 {
-				it.in.Close()
-				it.in = nil
+		case it.in != nil:
+			if err := it.nextInner(); err != nil {
+				return err
 			}
-		case it.joinType.Outer() && it.padPos < len(it.block):
-			if !it.blockMatched[it.padPos] {
-				it.jc.appendPair(dst, it.block[it.padPos], nil)
+		case it.lMatched != nil && it.padPos < it.block.N:
+			r = &it.none
+			for ; it.padPos < it.block.N && len(it.li) < room; it.padPos++ {
+				it.li, it.ri = append(it.li, int32(it.padPos)), append(it.ri, -1)
 			}
-			it.padPos++
+			if err := it.keep(l, r); err != nil {
+				return err
+			}
 		default:
 			if err := it.nextBlock(); err != nil {
 				return err
 			}
 		}
+		it.flush(dst, l, r)
 	}
 	return nil
-}
-
-// hasNullKey reports whether any of the row's key positions is NULL. A
-// NULL join key never matches anything (NULL = x is UNKNOWN), even though
-// types.Compare orders NULLs equal.
-func hasNullKey(r types.Row, keys []int) bool {
-	for _, k := range keys {
-		if r[k].IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-func keysEqual(l, r types.Row, lKeys, rKeys []int) bool {
-	for i := range lKeys {
-		// NULL keys never join: NULL = x (and NULL = NULL) is UNKNOWN,
-		// even though types.Compare orders NULLs equal.
-		if l[lKeys[i]].IsNull() || r[rKeys[i]].IsNull() {
-			return false
-		}
-		if types.Compare(l[lKeys[i]], r[rKeys[i]]) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func (it *blockNLIter) Close() error {
@@ -917,28 +874,73 @@ func (it *blockNLIter) Close() error {
 		it.in.Close()
 		it.in = nil
 	}
+	it.close()
 	putBatch(it.ob)
 	putBatch(it.ib)
-	it.ob, it.ib = nil, nil
+	putStore(it.block)
+	it.ob, it.ib, it.block, it.osel, it.isel = nil, nil, nil, nil, nil
 	it.spilled.drop()
 	it.spilled = nil
 	return nil
 }
 
-// mergeJoinIter joins two inputs sorted on their equi-join keys run by run:
-// a left run and the right run with equal keys join as their cross product,
+// cut returns how many leading rows of sel, positions in blk, fit in room
+// bytes of accounted width with the row that overflows it, and their
+// width: all of sel, and theirs, when they fit.
+func cut(blk *types.Block, sel []int32, room int) (n, w int) {
+	if w = blk.DiskWidth(sel); w <= room {
+		return len(sel), w
+	}
+	for w = 0; w <= room; n++ {
+		w += blk.DiskWidth(sel[n : n+1])
+	}
+	return n, w
+}
+
+// compareKeys orders row i of a against row j of b, key by key: the
+// columns at aKeys of a against those at bKeys of b, by types.CompareAt.
+func compareKeys(a *types.Block, aKeys []int, i int, b *types.Block, bKeys []int, j int) int {
+	for x, c := range aKeys {
+		if d := types.CompareAt(&a.Cols[c], i, &b.Cols[bKeys[x]], j); d != 0 {
+			return d
+		}
+	}
+	return 0
+}
+
+// nullKey reports whether row i of b holds a NULL at one of the keys.
+func nullKey(b *types.Block, keys []int, i int) bool {
+	for _, c := range keys {
+		if b.Cols[c].IsNull(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// keysMatch reports whether row i of l and row j of r join on their keys:
+// no key NULL — NULL = x is UNKNOWN, though CompareAt orders NULLs equal —
+// and every key equal.
+func keysMatch(l *types.Block, lKeys []int, i int, r *types.Block, rKeys []int, j int) bool {
+	return !nullKey(l, lKeys, i) && !nullKey(r, rKeys, j) && compareKeys(l, lKeys, i, r, rKeys, j) == 0
+}
+
+// mergeJoinIter joins two inputs sorted on their equi-join keys run by run,
+// the front end of joinPairs: a left run and the right run with equal keys,
+// each held in a store batch (runReader), pair as their cross product,
 // left-major, and a call that fills the batch resumes mid-product on the
 // next. A NULL key never matches (NULL = x is UNKNOWN): a left run with one
 // is skipped without consuming the right side, and right runs with smaller
 // keys, NULL keys included (NULLs sort first), are passed over.
 type mergeJoinIter struct {
-	jc     *joinCommon
-	target int
-	l, r   runReader // l.run × r.run is the product in flight
-	li, ri int       // its next pair
+	joinPairs
+	target     int
+	l, r       runReader // l.run × r.run is the product in flight
+	lpos, rpos int       // its next pair
 }
 
 func (it *mergeJoinIter) Open() error {
+	it.open()
 	if err := it.l.Open(); err != nil {
 		return err
 	}
@@ -949,54 +951,51 @@ func (it *mergeJoinIter) Open() error {
 	return err
 }
 
-func compareKeys(l types.Row, lKeys []int, r types.Row, rKeys []int) int {
-	for i := range lKeys {
-		if c := types.Compare(l[lKeys[i]], r[rKeys[i]]); c != 0 {
-			return c
+// pair crosses the left run with the right run from (lpos, rpos) on,
+// left-major, until there are room pairs.
+func (it *mergeJoinIter) pair(room int) {
+	for n := 0; it.lpos < it.l.run.N; it.lpos, it.rpos = it.lpos+1, 0 {
+		for ; it.rpos < it.r.run.N; it.rpos++ {
+			if n == room {
+				return
+			}
+			it.li, it.ri = append(it.li, int32(it.lpos)), append(it.ri, int32(it.rpos))
+			n++
 		}
 	}
-	return 0
 }
 
 func (it *mergeJoinIter) NextBatch(dst *Batch) error {
 	dst.Reset()
-	for {
-		for lRun, rRun := it.l.run, it.r.run; it.li < len(lRun); it.li, it.ri = it.li+1, 0 {
-			for ; it.ri < len(rRun); it.ri++ {
-				if dst.Len() >= it.target {
-					return nil
-				}
-				ok, err := it.jc.holds(lRun[it.li], rRun[it.ri])
-				if err != nil {
-					return err
-				}
-				if ok {
-					it.jc.appendPair(dst, lRun[it.li], rRun[it.ri])
-				}
+	l, r := &it.l.run.Block, &it.r.run.Block
+	for room := it.target; room > 0; room = it.target - dst.N {
+		if it.lpos < l.N {
+			it.pair(room)
+			if err := it.keep(l, r); err != nil {
+				return err
 			}
-		}
-		if dst.Len() >= it.target {
-			return nil
-		}
-		// The product is done: read the next left run and find its match.
-		l, err := it.l.next()
-		if err != nil || l == nil {
-			return err
-		}
-		it.li = 0
-		if hasNullKey(l, it.jc.lKeys) {
-			it.li = len(it.l.run)
+			it.flush(dst, l, r)
 			continue
 		}
-		for len(it.r.run) > 0 && compareKeys(l, it.jc.lKeys, it.r.run[0], it.jc.rKeys) > 0 {
+		// The product is done: read the next left run and find its match.
+		if ok, err := it.l.next(); err != nil || !ok {
+			return err
+		}
+		it.lpos, it.rpos = 0, 0
+		if nullKey(l, it.lKeys, 0) {
+			it.lpos = l.N
+			continue
+		}
+		for r.N > 0 && compareKeys(l, it.lKeys, 0, r, it.rKeys, 0) > 0 {
 			if _, err := it.r.next(); err != nil {
 				return err
 			}
 		}
-		if len(it.r.run) == 0 || compareKeys(l, it.jc.lKeys, it.r.run[0], it.jc.rKeys) != 0 {
-			it.li = len(it.l.run) // no right run matches: the product is empty
+		if r.N == 0 || compareKeys(l, it.lKeys, 0, r, it.rKeys, 0) != 0 {
+			it.lpos = l.N // no right run matches: the product is empty
 		}
 	}
+	return nil
 }
 
 func (it *mergeJoinIter) Close() error {
@@ -1004,5 +1003,6 @@ func (it *mergeJoinIter) Close() error {
 	// sort's Open failed, the left's runs must still be dropped.
 	it.l.Close()
 	it.r.Close()
+	it.close()
 	return nil
 }

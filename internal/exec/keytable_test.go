@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"aggview/internal/catalog"
 	"aggview/internal/expr"
@@ -47,9 +46,10 @@ func otherNaN() float64 { return math.Float64frombits(0xfff8000000000000) }
 // batchOf returns a batch holding rows in vectors of its own.
 func batchOf(rows []types.Row) *Batch {
 	b := &Batch{}
-	b.startOwn(len(rows[0]))
 	for _, r := range rows {
-		b.appendRow(r)
+		if err := b.AppendRow(r); err != nil {
+			panic(err)
+		}
 	}
 	return b
 }
@@ -368,17 +368,6 @@ func TestKeyTableDenseAgainstHashed(t *testing.T) {
 	}
 }
 
-// TestArenaSlabBytes states the size of an arena slab where a comment would
-// go stale: a types.Value is 24 bytes, a slab 8192 of them.
-func TestArenaSlabBytes(t *testing.T) {
-	if got := unsafe.Sizeof(types.Value{}); got != 24 {
-		t.Errorf("types.Value is %d bytes, 24 expected", got)
-	}
-	if got := arenaSlabValues * unsafe.Sizeof(types.Value{}); got != 192<<10 {
-		t.Errorf("an arena slab is %d bytes, 192 KiB expected", got)
-	}
-}
-
 // joinEnv is two tables l(k, v) and r(k, w) of nL and nR rows. Each draws
 // its keys from `keys` values (every row its own when the table has no more
 // rows than that); the two ranges overlap in two thirds, so keys repeat and
@@ -393,8 +382,9 @@ type joinEnv struct {
 }
 
 // keyKind is what a joinEnv's keys are: INTs, VARCHARs, INTs spread over
-// 2^40, which no dense key table spans, or INTs six apart, more than four
-// a key, which a dense table spans up to its floor of 2^15 (5 461 keys).
+// 2^40, which no dense key table spans, INTs six apart, more than four a
+// key, which a dense table spans up to its floor of 2^15 (5 461 keys), or
+// FLOATs (floatKey).
 type keyKind int
 
 const (
@@ -402,15 +392,30 @@ const (
 	keyString
 	keySparse
 	keySpread
+	keyFloat
 )
+
+// floatKey is the FLOAT key of key number i: i as a float, but at every
+// 50th number one of the values an order most easily gets wrong, in turn:
+// two NaN payloads, 0.0, -0.0, +Inf and -Inf. Both tables of a joinEnv
+// draw some of each, so NaN meets the other NaN and 0.0 meets -0.0.
+func floatKey(i int64) float64 {
+	if i%50 != 0 {
+		return float64(i)
+	}
+	return [...]float64{math.NaN(), otherNaN(), 0, negZero(), math.Inf(1), math.Inf(-1)}[i/50%6]
+}
 
 func newJoinEnv(t testing.TB, poolPages, nL, nR, keys int, kind keyKind, nulls, pad bool) *joinEnv {
 	t.Helper()
 	st := storage.NewStore(poolPages)
 	c := catalog.New(st)
 	colKind := types.KindInt
-	if kind == keyString {
+	switch kind {
+	case keyString:
 		colKind = types.KindString
+	case keyFloat:
+		colKind = types.KindFloat
 	}
 	rnd := rand.New(rand.NewSource(5))
 	load := func(name, payload string, n, shift int) *catalog.Table {
@@ -434,6 +439,8 @@ func newJoinEnv(t testing.TB, poolPages, nL, nR, keys int, kind keyKind, nulls, 
 				k.I *= (1 << 40) / int64(keys)
 			case keySpread:
 				k.I *= 6
+			case keyFloat:
+				k = types.NewFloat(floatKey(k.I))
 			}
 			if nulls && rnd.Intn(10) == 0 {
 				k = types.Null()

@@ -182,6 +182,24 @@ func naiveRows(store *storage.Store, n lplan.Node, params []types.Value) ([]type
 	}
 }
 
+// compare orders two rows by the keys: types.Compare per key, negated
+// for DESC. It is the oracle's own comparison, apart from the vector one
+// (sortKeys.compareAt) the sort it checks runs on.
+func (k sortKeys) compare(a, b types.Row) int {
+	if k.desc == nil {
+		return types.CompareRows(a, b, k.cols)
+	}
+	for i, c := range k.cols {
+		if d := types.Compare(a[c], b[c]); d != 0 {
+			if k.desc[i] {
+				return -d
+			}
+			return d
+		}
+	}
+	return 0
+}
+
 // naivePreds compiles a conjunct list into one row filter over s, evaluated
 // a row and a conjunct at a time: the reference executor's own, kept apart
 // from the selection kernels (expr.Filter) it checks.

@@ -147,11 +147,14 @@ func checkedOrder(t *testing.T, st *storage.Store, n lplan.Node, want []types.Ro
 }
 
 // TestSortedAndBlockOperatorsOrderAndIO runs sort (ascending and DESC),
-// merge join, sort aggregation and block nested loops at batch sizes 1, 3 and 1024 over keys that repeat
-// on both sides (so runs and groups cross batch boundaries) and include
-// NULLs. Rows must come out in exactly the order spelled out for the
+// merge join, sort aggregation and block nested loops at batch sizes 1, 3
+// and 1024 over keys that repeat on both sides (so runs and groups cross
+// batch boundaries) and include NULLs: INT keys, VARCHAR keys, and FLOAT
+// keys with two NaN payloads, 0.0 and -0.0, and both infinities
+// (floatKey). Rows must come out in exactly the order spelled out for the
 // operator (a bag the oracle agrees with), every operator's page IO must be
 // the pinned one at every batch size, and no spill file may be left behind.
+// The pinned IO of a case is per key kind: INT, VARCHAR, FLOAT.
 func TestSortedAndBlockOperatorsOrderAndIO(t *testing.T) {
 	eq := []expr.Expr{expr.NewCmp(expr.EQ, expr.Col("l", "k"), expr.Col("r", "k"))}
 	preds := func(residual bool) []expr.Expr {
@@ -172,161 +175,163 @@ func TestSortedAndBlockOperatorsOrderAndIO(t *testing.T) {
 		name         string
 		pool         int
 		nL, nR, keys int
-		io           map[string]string
+		io           map[string][3]string // by key kind: INT, VARCHAR, FLOAT
 	}{
 		// Sorts fit the pool: every page read is a base-table scan's.
-		{"memory", 64, 1200, 1400, 400, map[string]string{
-			"sort/desc=false":       "0/0/0 5/0/1",
-			"sort/desc=true":        "0/0/0 5/0/1",
-			"merge/residual=false":  "0/0/0 5/0/1 6/0/1",
-			"merge/residual=true":   "0/0/0 5/0/1 6/0/1",
-			"sortagg/having+median": "0/0/0 5/0/1",
-			"sortagg/scalar-empty":  "0/0/0 5/0/1",
-			"sortagg/over-merge":    "0/0/0 0/0/0 5/0/1 6/0/1",
-			"sortagg/over-desc":     "0/0/0 0/0/0 5/0/1",
+		{"memory", 64, 1200, 1400, 400, map[string][3]string{
+			"sort/desc=false":       {"0/0/0 5/0/1", "0/0/0 6/0/1", "0/0/0 5/0/1"},
+			"sort/desc=true":        {"0/0/0 5/0/1", "0/0/0 6/0/1", "0/0/0 5/0/1"},
+			"merge/residual=false":  {"0/0/0 5/0/1 6/0/1", "0/0/0 6/0/1 7/0/1", "0/0/0 5/0/1 6/0/1"},
+			"merge/residual=true":   {"0/0/0 5/0/1 6/0/1", "0/0/0 6/0/1 7/0/1", "0/0/0 5/0/1 6/0/1"},
+			"sortagg/having+median": {"0/0/0 5/0/1", "0/0/0 6/0/1", "0/0/0 5/0/1"},
+			"sortagg/scalar-empty":  {"0/0/0 5/0/1", "0/0/0 6/0/1", "0/0/0 5/0/1"},
+			"sortagg/over-merge":    {"0/0/0 0/0/0 5/0/1 6/0/1", "0/0/0 0/0/0 6/0/1 7/0/1", "0/0/0 0/0/0 5/0/1 6/0/1"},
+			"sortagg/over-desc":     {"0/0/0 0/0/0 5/0/1", "0/0/0 0/0/0 6/0/1", "0/0/0 0/0/0 5/0/1"},
 		}},
 		// Sorts spill runs. A merge join's order within a key is then the
 		// run merge's, so the merge join is checked here under a sort
 		// aggregation, whose order and sums do not depend on it. The merge
 		// join's output is already in key order, so the sort aggregation
 		// over it sorts nothing and reads and writes no page.
-		{"spill", 2, 1200, 1400, 400, map[string]string{
-			"sort/desc=false":       "8/8/0 5/0/1",
-			"sort/desc=true":        "8/8/0 5/0/1",
-			"sortagg/having+median": "8/8/0 5/0/1",
-			"sortagg/scalar-empty":  "0/0/0 5/0/1",
-			"sortagg/over-merge":    "0/0/0 15/18/0 5/0/1 6/0/1",
+		{"spill", 2, 1200, 1400, 400, map[string][3]string{
+			"sort/desc=false":       {"8/8/0 5/0/1", "10/10/0 6/0/1", "8/8/0 5/0/1"},
+			"sort/desc=true":        {"8/8/0 5/0/1", "10/10/0 6/0/1", "8/8/0 5/0/1"},
+			"sortagg/having+median": {"8/8/0 5/0/1", "10/10/0 6/0/1", "8/8/0 5/0/1"},
+			"sortagg/scalar-empty":  {"0/0/0 5/0/1", "0/0/0 6/0/1", "0/0/0 5/0/1"},
+			"sortagg/over-merge":    {"0/0/0 15/18/0 5/0/1 6/0/1", "0/0/0 18/21/0 6/0/1 7/0/1", "0/0/0 18/18/0 5/0/1 6/0/1"},
 		}},
 		// The outer is cut into three blocks: a scanned inner is read three
 		// times, a materialized one written once and read three times (FULL:
 		// once more for the unmatched inner rows).
-		{"blocks", 3, 600, 1000, 200, map[string]string{
-			"bnl/inner/scan/residual=false":         "0/0/0 2/0/1 12/0/3",
-			"bnl/inner/scan/residual=true":          "0/0/0 2/0/1 12/0/3",
-			"bnl/inner/materialized/residual=false": "15/5/0 2/0/1 0/0/0 4/0/1",
-			"bnl/inner/materialized/residual=true":  "15/5/0 2/0/1 0/0/0 4/0/1",
-			"bnl/left/scan/residual=false":          "0/0/0 2/0/1 12/0/3",
-			"bnl/left/scan/residual=true":           "0/0/0 2/0/1 12/0/3",
-			"bnl/left/materialized/residual=false":  "15/5/0 2/0/1 0/0/0 4/0/1",
-			"bnl/left/materialized/residual=true":   "15/5/0 2/0/1 0/0/0 4/0/1",
-			"bnl/full/scan/residual=false":          "0/0/0 2/0/1 16/0/4",
-			"bnl/full/scan/residual=true":           "0/0/0 2/0/1 16/0/4",
-			"bnl/full/materialized/residual=false":  "20/5/0 2/0/1 0/0/0 4/0/1",
-			"bnl/full/materialized/residual=true":   "20/5/0 2/0/1 0/0/0 4/0/1",
+		{"blocks", 3, 600, 1000, 200, map[string][3]string{
+			"bnl/inner/scan/residual=false":         {"0/0/0 2/0/1 12/0/3", "0/0/0 3/0/1 20/0/4", "0/0/0 2/0/1 12/0/3"},
+			"bnl/inner/scan/residual=true":          {"0/0/0 2/0/1 12/0/3", "0/0/0 3/0/1 20/0/4", "0/0/0 2/0/1 12/0/3"},
+			"bnl/inner/materialized/residual=false": {"15/5/0 2/0/1 0/0/0 4/0/1", "24/6/0 3/0/1 0/0/0 5/0/1", "15/5/0 2/0/1 0/0/0 4/0/1"},
+			"bnl/inner/materialized/residual=true":  {"15/5/0 2/0/1 0/0/0 4/0/1", "24/6/0 3/0/1 0/0/0 5/0/1", "15/5/0 2/0/1 0/0/0 4/0/1"},
+			"bnl/left/scan/residual=false":          {"0/0/0 2/0/1 12/0/3", "0/0/0 3/0/1 20/0/4", "0/0/0 2/0/1 12/0/3"},
+			"bnl/left/scan/residual=true":           {"0/0/0 2/0/1 12/0/3", "0/0/0 3/0/1 20/0/4", "0/0/0 2/0/1 12/0/3"},
+			"bnl/left/materialized/residual=false":  {"15/5/0 2/0/1 0/0/0 4/0/1", "24/6/0 3/0/1 0/0/0 5/0/1", "15/5/0 2/0/1 0/0/0 4/0/1"},
+			"bnl/left/materialized/residual=true":   {"15/5/0 2/0/1 0/0/0 4/0/1", "24/6/0 3/0/1 0/0/0 5/0/1", "15/5/0 2/0/1 0/0/0 4/0/1"},
+			"bnl/full/scan/residual=false":          {"0/0/0 2/0/1 16/0/4", "0/0/0 3/0/1 25/0/5", "0/0/0 2/0/1 16/0/4"},
+			"bnl/full/scan/residual=true":           {"0/0/0 2/0/1 16/0/4", "0/0/0 3/0/1 25/0/5", "0/0/0 2/0/1 16/0/4"},
+			"bnl/full/materialized/residual=false":  {"20/5/0 2/0/1 0/0/0 4/0/1", "30/6/0 3/0/1 0/0/0 5/0/1", "20/5/0 2/0/1 0/0/0 4/0/1"},
+			"bnl/full/materialized/residual=true":   {"20/5/0 2/0/1 0/0/0 4/0/1", "30/6/0 3/0/1 0/0/0 5/0/1", "20/5/0 2/0/1 0/0/0 4/0/1"},
 		}},
 	} {
-		e := newJoinEnv(t, regime.pool, regime.nL, regime.nR, regime.keys, keyInt, true, false)
-		scanL := func() *lplan.Scan { return &lplan.Scan{Alias: "l", Table: e.l} }
-		scanR := func() *lplan.Scan { return &lplan.Scan{Alias: "r", Table: e.r} }
-		l, err := Naive(e.store, scanL(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := Naive(e.store, scanR(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cases []orderCase
-		add := func(name string, plan lplan.Node, want func() []types.Row) {
-			io, ok := regime.io[name]
-			if !ok {
-				return
+		for ki, kind := range []keyKind{keyInt, keyString, keyFloat} {
+			e := newJoinEnv(t, regime.pool, regime.nL, regime.nR, regime.keys, kind, true, false)
+			scanL := func() *lplan.Scan { return &lplan.Scan{Alias: "l", Table: e.l} }
+			scanR := func() *lplan.Scan { return &lplan.Scan{Alias: "r", Table: e.r} }
+			l, err := Naive(e.store, scanL(), nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			cases = append(cases, orderCase{name: name, plan: plan, want: want, io: io})
-		}
-		for _, residual := range []bool{false, true} {
-			plan := &lplan.Join{L: scanL(), R: scanR(), Preds: preds(residual), Method: lplan.JoinMerge}
-			add(fmt.Sprintf("merge/residual=%v", residual), plan, func() []types.Row {
-				return checkedOrder(t, e.store, plan, wantMergeJoin(l.Rows, r.Rows, residual))
-			})
-		}
-		// A Sort is stable in memory and spilled alike: equal keys keep
-		// their scan order, and NULLs come first ascending, last DESC.
-		for _, desc := range []bool{false, true} {
-			plan := &lplan.Sort{In: scanL(), By: lk, Desc: []bool{desc}}
-			add(fmt.Sprintf("sort/desc=%v", desc), plan, func() []types.Row {
-				want := slices.Clone(l.Rows)
-				slices.SortStableFunc(want, func(a, b types.Row) int {
-					if desc {
-						return types.Compare(b[0], a[0])
-					}
-					return types.Compare(a[0], b[0])
+			r, err := Naive(e.store, scanR(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cases []orderCase
+			add := func(name string, plan lplan.Node, want func() []types.Row) {
+				io, ok := regime.io[name]
+				if !ok {
+					return
+				}
+				cases = append(cases, orderCase{name: name, plan: plan, want: want, io: io[ki]})
+			}
+			for _, residual := range []bool{false, true} {
+				plan := &lplan.Join{L: scanL(), R: scanR(), Preds: preds(residual), Method: lplan.JoinMerge}
+				add(fmt.Sprintf("merge/residual=%v", residual), plan, func() []types.Row {
+					return checkedOrder(t, e.store, plan, wantMergeJoin(l.Rows, r.Rows, residual))
 				})
-				return checkedOrder(t, e.store, plan, want)
-			})
-		}
-		// A sort aggregation's groups have distinct keys, so the oracle's
-		// rows in key order are its exact order.
-		groupsInKeyOrder := func(n lplan.Node) func() []types.Row {
-			return func() []types.Row { return byKey(oracleRows(t, e.store, n)) }
-		}
-		grouped := &lplan.GroupBy{In: scanL(), GroupCols: lk, Method: lplan.AggSort,
-			Aggs: []expr.Agg{agg(expr.AggSum, "l", "v", "s"), agg(expr.AggCountStar, "", "", "n"),
-				agg(expr.AggMedian, "l", "v", "m")},
-			Having: []expr.Expr{expr.NewCmp(expr.GT, expr.Col("g", "n"), expr.IntLit(2))}}
-		add("sortagg/having+median", grouped, groupsInKeyOrder(grouped))
-		empty := scanL()
-		empty.Filter = []expr.Expr{expr.NewCmp(expr.LT, expr.Col("l", "v"), expr.IntLit(0))}
-		scalar := &lplan.GroupBy{In: empty, Method: lplan.AggSort,
-			Aggs: []expr.Agg{agg(expr.AggSum, "l", "v", "s"), agg(expr.AggCountStar, "", "", "n"),
-				agg(expr.AggMedian, "l", "v", "m")}}
-		add("sortagg/scalar-empty", scalar, groupsInKeyOrder(scalar))
-		overMerge := &lplan.GroupBy{GroupCols: lk, Method: lplan.AggSort,
-			In:   &lplan.Join{L: scanL(), R: scanR(), Preds: eq, Method: lplan.JoinMerge},
-			Aggs: []expr.Agg{agg(expr.AggCountStar, "", "", "n"), agg(expr.AggSum, "r", "w", "s")}}
-		add("sortagg/over-merge", overMerge, groupsInKeyOrder(overMerge))
-		// A DESC Sort's output is in no order a sort aggregation can use: it
-		// sorts again, and its groups still come out in ascending key order.
-		overDesc := &lplan.GroupBy{GroupCols: lk, Method: lplan.AggSort,
-			In:   &lplan.Sort{In: scanL(), By: lk, Desc: []bool{true}},
-			Aggs: []expr.Agg{agg(expr.AggCountStar, "", "", "n")}}
-		add("sortagg/over-desc", overDesc, groupsInKeyOrder(overDesc))
-		budget := max(regime.pool*storage.PageSize-2*storage.PageSize, storage.PageSize)
-		bnlWant := map[string][]types.Row{} // the scanned and the materialized inner share an order
-		for jt, jn := range map[lplan.JoinType]string{lplan.JoinInner: "inner", lplan.JoinLeft: "left", lplan.JoinFull: "full"} {
-			for _, inner := range []string{"scan", "materialized"} {
-				for _, residual := range []bool{false, true} {
-					var rn lplan.Node = scanR()
-					if inner == "materialized" {
-						rn = &lplan.Filter{In: scanR(), Preds: []expr.Expr{
-							expr.NewCmp(expr.GE, expr.Col("r", "w"), expr.IntLit(0))}}
-					}
-					plan := &lplan.Join{L: scanL(), R: rn, Type: jt, Preds: preds(residual), Method: lplan.JoinBlockNL}
-					add(fmt.Sprintf("bnl/%s/%s/residual=%v", jn, inner, residual), plan, func() []types.Row {
-						key := fmt.Sprintf("%s/%v", jn, residual)
-						if bnlWant[key] == nil {
-							bnlWant[key] = checkedOrder(t, e.store, plan, wantBlockNL(l.Rows, r.Rows, jt, residual, budget))
+			}
+			// A Sort is stable in memory and spilled alike: equal keys keep
+			// their scan order, and NULLs come first ascending, last DESC.
+			for _, desc := range []bool{false, true} {
+				plan := &lplan.Sort{In: scanL(), By: lk, Desc: []bool{desc}}
+				add(fmt.Sprintf("sort/desc=%v", desc), plan, func() []types.Row {
+					want := slices.Clone(l.Rows)
+					slices.SortStableFunc(want, func(a, b types.Row) int {
+						if desc {
+							return types.Compare(b[0], a[0])
 						}
-						return bnlWant[key]
+						return types.Compare(a[0], b[0])
 					})
+					return checkedOrder(t, e.store, plan, want)
+				})
+			}
+			// A sort aggregation's groups have distinct keys, so the oracle's
+			// rows in key order are its exact order.
+			groupsInKeyOrder := func(n lplan.Node) func() []types.Row {
+				return func() []types.Row { return byKey(oracleRows(t, e.store, n)) }
+			}
+			grouped := &lplan.GroupBy{In: scanL(), GroupCols: lk, Method: lplan.AggSort,
+				Aggs: []expr.Agg{agg(expr.AggSum, "l", "v", "s"), agg(expr.AggCountStar, "", "", "n"),
+					agg(expr.AggMedian, "l", "v", "m")},
+				Having: []expr.Expr{expr.NewCmp(expr.GT, expr.Col("g", "n"), expr.IntLit(2))}}
+			add("sortagg/having+median", grouped, groupsInKeyOrder(grouped))
+			empty := scanL()
+			empty.Filter = []expr.Expr{expr.NewCmp(expr.LT, expr.Col("l", "v"), expr.IntLit(0))}
+			scalar := &lplan.GroupBy{In: empty, Method: lplan.AggSort,
+				Aggs: []expr.Agg{agg(expr.AggSum, "l", "v", "s"), agg(expr.AggCountStar, "", "", "n"),
+					agg(expr.AggMedian, "l", "v", "m")}}
+			add("sortagg/scalar-empty", scalar, groupsInKeyOrder(scalar))
+			overMerge := &lplan.GroupBy{GroupCols: lk, Method: lplan.AggSort,
+				In:   &lplan.Join{L: scanL(), R: scanR(), Preds: eq, Method: lplan.JoinMerge},
+				Aggs: []expr.Agg{agg(expr.AggCountStar, "", "", "n"), agg(expr.AggSum, "r", "w", "s")}}
+			add("sortagg/over-merge", overMerge, groupsInKeyOrder(overMerge))
+			// A DESC Sort's output is in no order a sort aggregation can use: it
+			// sorts again, and its groups still come out in ascending key order.
+			overDesc := &lplan.GroupBy{GroupCols: lk, Method: lplan.AggSort,
+				In:   &lplan.Sort{In: scanL(), By: lk, Desc: []bool{true}},
+				Aggs: []expr.Agg{agg(expr.AggCountStar, "", "", "n")}}
+			add("sortagg/over-desc", overDesc, groupsInKeyOrder(overDesc))
+			budget := max(regime.pool*storage.PageSize-2*storage.PageSize, storage.PageSize)
+			bnlWant := map[string][]types.Row{} // the scanned and the materialized inner share an order
+			for jt, jn := range map[lplan.JoinType]string{lplan.JoinInner: "inner", lplan.JoinLeft: "left", lplan.JoinFull: "full"} {
+				for _, inner := range []string{"scan", "materialized"} {
+					for _, residual := range []bool{false, true} {
+						var rn lplan.Node = scanR()
+						if inner == "materialized" {
+							rn = &lplan.Filter{In: scanR(), Preds: []expr.Expr{
+								expr.NewCmp(expr.GE, expr.Col("r", "w"), expr.IntLit(0))}}
+						}
+						plan := &lplan.Join{L: scanL(), R: rn, Type: jt, Preds: preds(residual), Method: lplan.JoinBlockNL}
+						add(fmt.Sprintf("bnl/%s/%s/residual=%v", jn, inner, residual), plan, func() []types.Row {
+							key := fmt.Sprintf("%s/%v", jn, residual)
+							if bnlWant[key] == nil {
+								bnlWant[key] = checkedOrder(t, e.store, plan, wantBlockNL(l.Rows, r.Rows, jt, residual, budget))
+							}
+							return bnlWant[key]
+						})
+					}
 				}
 			}
-		}
-		if len(cases) != len(regime.io) {
-			t.Fatalf("%s: %d cases pinned, %d built", regime.name, len(regime.io), len(cases))
-		}
+			if len(cases) != len(regime.io) {
+				t.Fatalf("%s: %d cases pinned, %d built", regime.name, len(regime.io), len(cases))
+			}
 
-		for _, c := range cases {
-			want := c.want()
-			for _, bs := range []int{1, 3, 1024} {
-				name := fmt.Sprintf("%s/%s/batch=%d", regime.name, c.name, bs)
-				e.store.ForceDropCaches()
-				got, col, err := runAttributed(e.store, c.plan, bs)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if io := opIO(col, c.plan); io != c.io {
-					t.Errorf("%s: page IO %s, want %s", name, io, c.io)
-				}
-				if live := e.store.LiveTempFiles(); len(live) != 0 {
-					t.Errorf("%s: spill files left behind: %v", name, live)
-				}
-				if len(got.Rows) != len(want) {
-					t.Fatalf("%s: %d rows, want %d", name, len(got.Rows), len(want))
-				}
-				for i, w := range want {
-					if len(got.Rows[i]) != len(w) || types.CompareRows(got.Rows[i], w, allCols(len(w))) != 0 {
-						t.Fatalf("%s: row %d is %v, want %v", name, i, got.Rows[i], w)
+			for _, c := range cases {
+				want := c.want()
+				for _, bs := range []int{1, 3, 1024} {
+					name := fmt.Sprintf("%s/%s/%s/batch=%d", regime.name, [...]string{"int", "string", "float"}[ki], c.name, bs)
+					e.store.ForceDropCaches()
+					got, col, err := runAttributed(e.store, c.plan, bs)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if io := opIO(col, c.plan); io != c.io {
+						t.Errorf("%s: page IO %s, want %s", name, io, c.io)
+					}
+					if live := e.store.LiveTempFiles(); len(live) != 0 {
+						t.Errorf("%s: spill files left behind: %v", name, live)
+					}
+					if len(got.Rows) != len(want) {
+						t.Fatalf("%s: %d rows, want %d", name, len(got.Rows), len(want))
+					}
+					for i, w := range want {
+						if len(got.Rows[i]) != len(w) || types.CompareRows(got.Rows[i], w, allCols(len(w))) != 0 {
+							t.Fatalf("%s: row %d is %v, want %v", name, i, got.Rows[i], w)
+						}
 					}
 				}
 			}
@@ -409,16 +414,28 @@ func allCols(n int) []int {
 }
 
 // BenchmarkMergeJoin joins 24 000 rows with 24 000, all in the pool, on 4 775
-// and 24 000 distinct keys per side; both inputs are sorted first.
+// and 24 000 distinct keys per side; both inputs are sorted first. The
+// cases named residual also test l.v < r.w on every key-matching pair.
 func BenchmarkMergeJoin(b *testing.B) {
 	for _, keys := range []int{4775, 24000} {
-		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
-			e := newJoinEnv(b, 4096, 24000, 24000, keys, keyInt, false, false)
-			plan := e.plan(lplan.JoinInner, noResidual)
-			plan.Method = lplan.JoinMerge
-			benchDrain(b, e.store, plan)
-		})
+		for _, res := range []joinResidual{noResidual, pairResidual} {
+			b.Run(benchName(fmt.Sprintf("keys=%d", keys), res), func(b *testing.B) {
+				e := newJoinEnv(b, 4096, 24000, 24000, keys, keyInt, false, false)
+				plan := e.plan(lplan.JoinInner, res)
+				plan.Method = lplan.JoinMerge
+				benchDrain(b, e.store, plan)
+			})
+		}
 	}
+}
+
+// benchName is a join benchmark's case name: name, and /residual when the
+// join tests a pair residual.
+func benchName(name string, res joinResidual) string {
+	if res == pairResidual {
+		return name + "/residual"
+	}
+	return name
 }
 
 // BenchmarkSort sorts 24 000 rows on a key with 4 775 distinct values,
@@ -467,18 +484,21 @@ func BenchmarkSortAggregate(b *testing.B) {
 
 // BenchmarkBlockNL joins 2 000 outer rows with 6 000 inner rows in a pool of
 // 8 pages, which cuts the outer into two blocks: over a scanned inner, and
-// over one materialized to a spill file first.
+// over one materialized to a spill file first. The cases named residual
+// also test l.v < r.w on every key-matching pair.
 func BenchmarkBlockNL(b *testing.B) {
 	for _, inner := range []string{"scan", "materialized"} {
-		b.Run(inner, func(b *testing.B) {
-			e := newJoinEnv(b, 8, 2000, 6000, 2000, keyInt, false, false)
-			plan := e.plan(lplan.JoinInner, noResidual)
-			plan.Method = lplan.JoinBlockNL
-			if inner == "materialized" {
-				plan.R = &lplan.Filter{In: plan.R, Preds: []expr.Expr{expr.NewCmp(expr.GE, expr.Col("r", "w"), expr.IntLit(0))}}
-			}
-			benchDrain(b, e.store, plan)
-		})
+		for _, res := range []joinResidual{noResidual, pairResidual} {
+			b.Run(benchName(inner, res), func(b *testing.B) {
+				e := newJoinEnv(b, 8, 2000, 6000, 2000, keyInt, false, false)
+				plan := e.plan(lplan.JoinInner, res)
+				plan.Method = lplan.JoinBlockNL
+				if inner == "materialized" {
+					plan.R = &lplan.Filter{In: plan.R, Preds: []expr.Expr{expr.NewCmp(expr.GE, expr.Col("r", "w"), expr.IntLit(0))}}
+				}
+				benchDrain(b, e.store, plan)
+			})
+		}
 	}
 }
 

@@ -12,20 +12,19 @@ import (
 )
 
 // sortKeys are a sort's column positions, each ascending unless its desc
-// entry is set (desc nil when lplan.Sort.Ascending). compare is the one row
-// order every sort path uses: types.Compare per key, negated for DESC.
+// entry is set (desc nil when lplan.Sort.Ascending).
 type sortKeys struct {
 	cols []int
 	desc []bool
 }
 
-func (k sortKeys) compare(a, b types.Row) int {
-	if k.desc == nil {
-		return types.CompareRows(a, b, k.cols)
-	}
-	for i, c := range k.cols {
-		if d := types.Compare(a[c], b[c]); d != 0 {
-			if k.desc[i] {
+// compareAt orders row i of a against row j of b by the keys:
+// types.CompareAt per key, negated for DESC. It is the one order the
+// sort's paths use, in memory and over spilled runs alike.
+func (k sortKeys) compareAt(a *types.Block, i int, b *types.Block, j int) int {
+	for x, c := range k.cols {
+		if d := types.CompareAt(&a.Cols[c], i, &b.Cols[c], j); d != 0 {
+			if k.desc != nil && k.desc[x] {
 				return -d
 			}
 			return d
@@ -34,59 +33,35 @@ func (k sortKeys) compare(a, b types.Row) int {
 	return 0
 }
 
-// sortStable sorts rows by the keys, equal rows staying in input order: an
-// O(n log n) unstable sort of the rows' ordinals whose key ties fall to the
-// ordinal, then the permutation applied in place. Ordinals hold no
-// pointers, so their swaps pass no write barrier. ord is scratch space,
-// returned grown for the next call.
-func (k sortKeys) sortStable(rows []types.Row, ord []int) []int {
-	if cap(ord) < len(rows) {
-		ord = make([]int, len(rows))
-	}
-	ord = ord[:len(rows)]
-	for i := range ord {
-		ord[i] = i
-	}
-	slices.SortFunc(ord, func(a, b int) int {
-		if c := k.compare(rows[a], rows[b]); c != 0 {
+// sorted returns the positions of blk's rows in key order, equal keys in
+// position order: an O(n log n) sort of ordinals whose key ties fall to
+// the ordinal. ord is scratch space for them.
+func (k sortKeys) sorted(blk *types.Block, ord *Batch) []int32 {
+	sel := ord.selectAll(blk.N)
+	slices.SortFunc(sel, func(a, b int32) int {
+		if c := k.compareAt(blk, int(a), blk, int(b)); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	// Position i takes rows[ord[i]]: follow each cycle of the permutation
-	// once, marking visited positions with -1.
-	for i := range ord {
-		if ord[i] < 0 {
-			continue
-		}
-		first, j := rows[i], i
-		for {
-			from := ord[j]
-			ord[j] = -1
-			if from == i {
-				rows[j] = first
-				break
-			}
-			rows[j], j = rows[from], from
-		}
-	}
-	return ord
+	return sel
 }
 
 // sortIter sorts its input stably by its keys. NULL orders before every
-// non-NULL value (types.Compare), so an ascending key puts NULLs first and a
-// DESC key last. The in-memory path, the spilled run/merge path below and
-// the Naive oracle all compare through sortKeys.compare, and the merge
-// breaks ties by run ordinal, so neither batch size nor spilling moves a
-// NULL or a tie. Inputs within the memory budget sort in place; larger
-// inputs write sorted runs to spill files and k-way merge them. The output
-// streams out in batches from an in-memory slice or the run merger.
+// non-NULL value (types.CompareAt), so an ascending key puts NULLs first
+// and a DESC key last. The input is held in a store batch; within the
+// memory budget its ordinals are sorted and the rows handed out in that
+// order (blockIter). A larger input is cut, row-exact where its width
+// passes the budget, into runs, each sorted and written to a spill file
+// and then k-way merged; the merge compares the runs' page positions
+// under the same order and breaks ties by run ordinal, so neither batch
+// size nor spilling moves a NULL or a tie.
 type sortIter struct {
-	exec  *Executor
-	in    BatchIterator
-	keys  sortKeys
-	arena rowArena // backs the gathered input rows
+	exec *Executor
+	in   BatchIterator
+	keys sortKeys
 
+	rows *Batch // pooled: the input rows, or a run's, in vectors of its own
 	out  BatchIterator
 	runs []*spill
 }
@@ -117,52 +92,39 @@ func sortedInput(in *op, want []schema.ColID, keys sortKeys) func(*Executor) Bat
 		return func(e *Executor) BatchIterator { return e.build(in) }
 	}
 	return func(e *Executor) BatchIterator {
-		return &sortIter{exec: e, in: e.build(in), keys: keys, arena: rowArena{rec: &e.arenas}}
+		return &sortIter{exec: e, in: e.build(in), keys: keys}
 	}
 }
 
 func (it *sortIter) Open() error {
-	var buf []types.Row
-	var ord []int
+	it.rows = getStore()
 	bytes := 0
-	flushRun := func() error {
-		ord = it.keys.sortStable(buf, ord)
-		// Register the run before writing so Close drops it even when a
-		// write below fails.
-		run := newSpill(it.exec.pg, "sort-run")
-		it.runs = append(it.runs, run)
-		for _, r := range buf {
-			if err := run.add(r); err != nil {
-				return err
+	err := drainBatches(it.in, func(b *Batch) error {
+		for sel := b.selection(); len(sel) > 0; {
+			if it.rows.N == 0 {
+				it.rows.startOwn(len(b.Cols))
 			}
-		}
-		if err := run.finish(); err != nil {
-			return err
-		}
-		buf = buf[:0]
-		bytes = 0
-		return nil
-	}
-
-	err := drainRows(it.in, &it.arena, func(row types.Row) error {
-		buf = append(buf, row)
-		bytes += row.DiskWidth()
-		if bytes > it.exec.budgetBytes {
-			return flushRun()
+			n, w := cut(&b.Block, sel, it.exec.budgetBytes-bytes)
+			it.rows.appendSel(&b.Block, sel[:n])
+			sel, bytes = sel[n:], bytes+w
+			if bytes > it.exec.budgetBytes {
+				if err := it.writeRun(); err != nil {
+					return err
+				}
+				bytes = 0
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-
 	if len(it.runs) == 0 {
-		it.keys.sortStable(buf, nil)
-		it.out = newSliceIter(buf, it.exec.batchSize)
+		it.out = &blockIter{blk: it.rows.Block, sel: it.keys.sorted(&it.rows.Block, it.rows), target: it.exec.batchSize}
 		return it.out.Open()
 	}
-	if len(buf) > 0 {
-		if err := flushRun(); err != nil {
+	if it.rows.N > 0 {
+		if err := it.writeRun(); err != nil {
 			return err
 		}
 	}
@@ -174,6 +136,20 @@ func (it *sortIter) Open() error {
 	return it.out.Open()
 }
 
+// writeRun sorts the rows held and writes them to a new run, and empties
+// the store.
+func (it *sortIter) writeRun() error {
+	// Register the run before writing so Close drops it even when a write
+	// below fails.
+	run := newSpill(it.exec.pg, "sort-run")
+	it.runs = append(it.runs, run)
+	if err := run.addRows(&it.rows.Block, it.keys.sorted(&it.rows.Block, it.rows)); err != nil {
+		return err
+	}
+	it.rows.Reset()
+	return run.finish()
+}
+
 func (it *sortIter) NextBatch(dst *Batch) error { return it.out.NextBatch(dst) }
 
 func (it *sortIter) Close() error {
@@ -181,6 +157,8 @@ func (it *sortIter) Close() error {
 	if it.out != nil {
 		it.out.Close()
 	}
+	putStore(it.rows)
+	it.rows, it.out = nil, nil
 	for _, r := range it.runs {
 		r.drop()
 	}
@@ -188,34 +166,29 @@ func (it *sortIter) Close() error {
 	return nil
 }
 
-// mergeRuns k-way merges sorted spill runs with a heap, emitting batches.
-// Run scanners come from the spills themselves, so their reads carry the
-// owning query's session attribution.
+// mergeRuns k-way merges sorted spill runs with a heap of their next rows,
+// emitting batches. Run scanners come from the spills themselves, so their
+// reads carry the owning query's session attribution.
 type mergeRuns struct {
 	target int
 	items  mergeHeap
 }
 
-// mergeItem is a run's next row, gathered from the page being read.
+// mergeItem is a run's next row: row pos of the page being read.
 type mergeItem struct {
-	row  types.Row
 	sc   *storage.Scanner
 	page types.Block
-	pos  int // the next row of page
+	pos  int
 	run  int // the run's ordinal: runs hold consecutive stretches of the input
 }
 
-// advance gathers the run's next row into row; ok is false when the run
-// is used up.
-func (m *mergeItem) advance() (ok bool, err error) {
-	for m.pos == m.page.N {
+// next moves to the run's next row; ok is false when the run is used up.
+func (m *mergeItem) next() (ok bool, err error) {
+	for m.pos++; m.pos >= m.page.N; m.pos = 0 {
 		if m.page, _, ok, err = m.sc.NextPage(); !ok || err != nil {
 			return false, err
 		}
-		m.pos = 0
 	}
-	m.row = m.page.Row(m.pos, m.row)
-	m.pos++
 	return true, nil
 }
 
@@ -230,7 +203,7 @@ func (h mergeHeap) Len() int { return len(h.items) }
 // rows come out in input order, as the in-memory sort leaves them.
 func (h mergeHeap) Less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
-	if c := h.keys.compare(a.row, b.row); c != 0 {
+	if c := h.keys.compareAt(&a.page, a.pos, &b.page, b.pos); c != 0 {
 		return c < 0
 	}
 	return a.run < b.run
@@ -251,8 +224,8 @@ func newMergeRuns(runs []*spill, keys sortKeys, target int) (*mergeRuns, error) 
 	}
 	m := &mergeRuns{target: target, items: mergeHeap{keys: keys}}
 	for i, r := range runs {
-		item := &mergeItem{sc: r.scan(), run: i}
-		ok, err := item.advance()
+		item := &mergeItem{sc: r.scan(), pos: -1, run: i}
+		ok, err := item.next()
 		if err != nil {
 			return nil, err
 		}
@@ -271,10 +244,10 @@ func (m *mergeRuns) NextBatch(dst *Batch) error {
 	for dst.N < m.target && m.items.Len() > 0 {
 		top := m.items.items[0]
 		if dst.N == 0 {
-			dst.startOwn(len(top.row))
+			dst.startOwn(len(top.page.Cols))
 		}
-		dst.appendRow(top.row)
-		ok, err := top.advance()
+		dst.appendSel(&top.page, []int32{int32(top.pos)})
+		ok, err := top.next()
 		if err != nil {
 			return err
 		}
@@ -290,17 +263,16 @@ func (m *mergeRuns) NextBatch(dst *Batch) error {
 func (m *mergeRuns) Close() error { return nil }
 
 // runReader reads an input sorted on cols as runs: maximal stretches of rows
-// whose cols compare equal under types.Compare, the sort's own comparison.
-// A run may span input batches. With fold set, each stretch of a run within
-// one input batch is handed to it, as positions in the batch's vectors, as
-// the run is read; otherwise the run's rows are gathered into run.
+// whose cols compare equal under types.CompareAt, the sort's own order. A
+// run may span input batches. The run is kept in a store batch, run: all
+// its rows, or, with fold set, only its first, and each stretch of the run
+// within one input batch is handed to fold, as positions in the batch's
+// vectors, as the run is read.
 type runReader struct {
-	in    BatchIterator
-	cols  []int
-	fold  func(*Batch, []int32) error
-	run   []types.Row
-	arena *rowArena // backs the rows of run; nil with fold set
-	first types.Row // with fold set: the run's first row
+	in   BatchIterator
+	cols []int
+	fold func(*Batch, []int32) error
+	run  *Batch // pooled: the run's rows, in vectors of its own
 
 	b   *Batch  // the input batch being read
 	sel []int32 // its selection
@@ -309,71 +281,54 @@ type runReader struct {
 }
 
 func (rr *runReader) Open() error {
-	rr.b, rr.sel, rr.pos, rr.eof = getBatch(), nil, 0, false
+	rr.b, rr.run, rr.sel, rr.pos, rr.eof = getBatch(), getStore(), nil, 0, false
 	return rr.in.Open()
 }
 
-// next reads the next run and returns its first row, or nil when the input
-// is exhausted.
-func (rr *runReader) next() (types.Row, error) {
-	rr.run = rr.run[:0]
-	var first types.Row
+// next reads the next run into run; ok is false when the input is
+// exhausted.
+func (rr *runReader) next() (ok bool, err error) {
+	rr.run.Reset()
 	for {
 		if rr.pos == len(rr.sel) {
 			if rr.eof {
-				return first, nil
+				return rr.run.N > 0, nil
 			}
 			if err := rr.in.NextBatch(rr.b); err != nil {
-				return nil, err
+				return false, err
 			}
 			rr.sel, rr.pos, rr.eof = rr.b.selection(), 0, rr.b.Len() == 0
 			continue
 		}
-		start, ended := rr.pos, false
-		if first == nil {
-			if rr.fold != nil {
-				rr.first = rr.b.Row(int(rr.sel[rr.pos]), rr.first)
-				first = rr.first
-			} else {
-				first = rr.b.Row(int(rr.sel[rr.pos]), rr.arena.carve(len(rr.b.Cols)))
-				rr.run = append(rr.run, first)
-				start++
-			}
+		start, from, ended := rr.pos, rr.pos, false
+		if rr.run.N == 0 { // the run's first row
+			rr.run.startOwn(len(rr.b.Cols))
 			rr.pos++
+			rr.run.appendSel(&rr.b.Block, rr.sel[start:rr.pos])
+			from = rr.pos
 		}
 		for ; rr.pos < len(rr.sel); rr.pos++ {
-			if rr.compare(first, int(rr.sel[rr.pos])) != 0 {
+			if compareKeys(&rr.run.Block, rr.cols, 0, &rr.b.Block, rr.cols, int(rr.sel[rr.pos])) != 0 {
 				ended = true
 				break
 			}
 		}
 		if rr.fold != nil {
 			if err := rr.fold(rr.b, rr.sel[start:rr.pos]); err != nil {
-				return nil, err
+				return false, err
 			}
 		} else {
-			for _, k := range rr.sel[start:rr.pos] {
-				rr.run = append(rr.run, rr.b.Row(int(k), rr.arena.carve(len(rr.b.Cols))))
-			}
+			rr.run.appendSel(&rr.b.Block, rr.sel[from:rr.pos])
 		}
 		if ended {
-			return first, nil
+			return true, nil
 		}
 	}
-}
-
-// compare orders row against the batch's row at position k by cols.
-func (rr *runReader) compare(row types.Row, k int) int {
-	for _, c := range rr.cols {
-		if d := types.Compare(row[c], rr.b.Cols[c].Value(k)); d != 0 {
-			return d
-		}
-	}
-	return 0
 }
 
 func (rr *runReader) Close() error {
 	putBatch(rr.b)
-	rr.b, rr.sel = nil, nil
+	putStore(rr.run)
+	rr.b, rr.run, rr.sel = nil, nil, nil
 	return rr.in.Close()
 }

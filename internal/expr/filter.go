@@ -185,37 +185,6 @@ func selectValue(col *types.Vector, sel []int32, v *types.Value, mask uint8) []i
 	return sel[:n]
 }
 
-// Holds reports whether row passes every conjunct, evaluated in order as
-// Select evaluates them.
-func (f *Filter) Holds(row types.Row, params []types.Value) (bool, error) {
-	for i := range f.conj {
-		c := &f.conj[i]
-		var d int
-		var ok bool
-		switch c.shape {
-		case colConst:
-			d, ok = compare3(&row[c.l], &c.val)
-		case colParam:
-			if c.r >= len(params) {
-				return false, unbound(c.param, params)
-			}
-			d, ok = compare3(&row[c.l], &params[c.r])
-		case colCol:
-			d, ok = compare3(&row[c.l], &row[c.r])
-		default:
-			held, err := c.pred(row, params)
-			if err != nil || !held {
-				return false, err
-			}
-			continue
-		}
-		if !ok || c.mask>>uint(d+1)&1 == 0 {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
 // outcomes is the set of types.Compare results o accepts, bit c+1 for
 // result c: the table eval applies.
 func (o CmpOp) outcomes() uint8 {

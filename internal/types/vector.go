@@ -1,6 +1,8 @@
 package types
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -63,6 +65,44 @@ func (v *Vector) Value(i int) Value {
 	default: // INT, BOOLEAN
 		return Value{K: v.K, I: v.Ints[i]}
 	}
+}
+
+// CompareAt orders value i of a against value j of b as Compare orders
+// them, without building either: NULL first, INT, BOOLEAN, FLOAT and
+// VARCHAR pairs of one kind straight from their typed slices (a NaN above
+// every other number and equal to NaN, -0 equal to +0), and every other
+// pair, INT against FLOAT among them, through Compare.
+func CompareAt(a *Vector, i int, b *Vector, j int) int {
+	switch an, bn := a.IsNull(i), b.IsNull(j); {
+	case an || bn:
+		switch {
+		case an == bn:
+			return 0
+		case an:
+			return -1
+		}
+		return 1
+	case a.K != b.K:
+		return Compare(a.Value(i), b.Value(j))
+	}
+	switch a.K {
+	case KindInt, KindBool:
+		return cmp.Compare(a.Ints[i], b.Ints[j])
+	case KindFloat:
+		switch x, y := a.Floats[i], b.Floats[j]; {
+		case x < y:
+			return -1
+		case x > y:
+			return 1
+		case x == y:
+			return 0
+		default:
+			return CompareNaN(x, y)
+		}
+	case KindString:
+		return bytes.Compare(a.Bytes[a.Offs[i]:a.Offs[i+1]], b.Bytes[b.Offs[j]:b.Offs[j+1]])
+	}
+	return Compare(a.Value(i), b.Value(j))
 }
 
 // nullAt reports whether value i's NULL bit is set.

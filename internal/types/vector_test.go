@@ -94,3 +94,45 @@ func TestVectorAppendsAgainstValues(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareAtAgainstCompare holds CompareAt to Compare over every pair of
+// a pool's values, each held in vectors of every layout — its own kind
+// with and without NULLs, all NULL, and mixed — so both the typed paths
+// and the fallback answer: NaN payloads, -0 and +0, infinities, INT
+// against FLOAT, VARCHARs that prefix each other, NULLs and BOOLEANs.
+func TestCompareAtAgainstCompare(t *testing.T) {
+	pool := []Value{Null(), NewInt(-3), NewInt(0), NewInt(2), NewInt(math.MaxInt64),
+		NewFloat(2), NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(2.5),
+		NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(math.NaN()),
+		NewFloat(math.Float64frombits(0xfff8000000000001)),
+		NewString(""), NewString("a"), NewString("ab"), NewString("b"),
+		NewBool(false), NewBool(true)}
+	// holding returns x at position 1 of a vector laid out as layout says.
+	holding := func(x Value, layout int) *Vector {
+		first := x // layout 0: x's own kind, no NULL before it
+		switch {
+		case layout == 1: // a NULL first, so a typed vector carries a bitmap
+			first = Null()
+		case layout == 2 && x.K == KindString: // another kind first: mixed
+			first = NewInt(1)
+		case layout == 2:
+			first = NewString("m")
+		}
+		var v Vector
+		v.Append(first)
+		v.Append(x)
+		return &v
+	}
+	for _, x := range pool {
+		for _, y := range pool {
+			want := Compare(x, y)
+			for la := range 3 {
+				for lb := range 3 {
+					if got := CompareAt(holding(x, la), 1, holding(y, lb), 1); got != want {
+						t.Errorf("CompareAt(%v in layout %d, %v in layout %d) = %d, Compare = %d", x, la, y, lb, got, want)
+					}
+				}
+			}
+		}
+	}
+}
