@@ -2,7 +2,9 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"aggview/internal/catalog"
 	"aggview/internal/expr"
@@ -524,5 +526,103 @@ func TestBagEqualToleratesFloatNoise(t *testing.T) {
 	d := &Result{}
 	if BagEqual(a, d) {
 		t.Fatalf("different cardinalities compared equal")
+	}
+}
+
+// TestHashInputScanCarvesNothing: a scan that projects emits its stored
+// vectors, as they are, to a hash aggregation and to either input of a
+// hash join. Batch for batch, each of its columns holds the same storage
+// the same column holds out of a scan that does not project, and the
+// plans over projecting scans agree with the oracle.
+func TestHashInputScanCarvesNothing(t *testing.T) {
+	e := newEnv(t, 4096, 20000, 25)
+	scan := func(s *lplan.Scan, project bool, cols ...string) *lplan.Scan {
+		for _, c := range cols {
+			if project {
+				s.Proj = append(s.Proj, schema.ColID{Rel: s.Alias, Name: c})
+			}
+		}
+		return s
+	}
+	open := func(s *lplan.Scan) *Cursor {
+		cur, err := New(e.store).OpenCursor(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cur
+	}
+	// same reports whether two vectors are one vector's storage.
+	same := func(a, b *types.Vector) bool {
+		return a.K == b.K && a.N == b.N &&
+			unsafe.SliceData(a.Ints) == unsafe.SliceData(b.Ints) &&
+			unsafe.SliceData(a.Floats) == unsafe.SliceData(b.Floats) &&
+			unsafe.SliceData(a.Offs) == unsafe.SliceData(b.Offs) &&
+			unsafe.SliceData(a.Bytes) == unsafe.SliceData(b.Bytes) &&
+			unsafe.SliceData(a.Nulls) == unsafe.SliceData(b.Nulls) &&
+			unsafe.SliceData(a.Vals) == unsafe.SliceData(b.Vals)
+	}
+	// check walks the projecting scan and its plain twin in step.
+	check := func(name string, s *lplan.Scan) {
+		plain := &lplan.Scan{Alias: s.Alias, Table: s.Table}
+		pos, err := colIndexes(plain.Schema(), s.Proj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc, qc := open(s), open(plain)
+		defer pc.Close()
+		defer qc.Close()
+		pb, qb := getBatch(), getBatch()
+		defer putBatch(pb)
+		defer putBatch(qb)
+		for batches := 0; ; batches++ {
+			if err := pc.it.NextBatch(pb); err != nil {
+				t.Fatal(err)
+			}
+			if err := qc.it.NextBatch(qb); err != nil {
+				t.Fatal(err)
+			}
+			if pb.Len() == 0 || qb.Len() == 0 {
+				if pb.Len() != qb.Len() || batches == 0 {
+					t.Fatalf("%s/%s: batch %d holds %d rows projected, %d plain", name, s.Alias, batches, pb.Len(), qb.Len())
+				}
+				return
+			}
+			if !slices.Equal(pb.selection(), qb.selection()) {
+				t.Fatalf("%s/%s: batch %d selects other rows projected than plain", name, s.Alias, batches)
+			}
+			for i, j := range pos {
+				if !same(&pb.Cols[i], &qb.Cols[j]) {
+					t.Fatalf("%s/%s: batch %d column %s is not the stored vector", name, s.Alias, batches, s.Proj[i].Name)
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		plan func(project bool) lplan.Node
+	}{
+		{"hash-agg", func(project bool) lplan.Node {
+			return &lplan.GroupBy{In: scan(e.scanEmp("e"), project, "sal", "dno"),
+				GroupCols: []schema.ColID{{Rel: "e", Name: "dno"}}, Method: lplan.AggHash,
+				Aggs: []expr.Agg{{Kind: expr.AggSum, Arg: expr.Col("e", "sal"), Out: schema.ColID{Rel: "g", Name: "s"}}}}
+		}},
+		{"hash-join", func(project bool) lplan.Node {
+			return &lplan.Join{L: scan(e.scanEmp("e"), project, "dno", "eno"), R: scan(e.scanDept("d"), project, "budget", "dno"),
+				Preds:  []expr.Expr{expr.NewCmp(expr.EQ, expr.Col("e", "dno"), expr.Col("d", "dno"))},
+				Proj:   []schema.ColID{{Rel: "e", Name: "eno"}, {Rel: "d", Name: "budget"}},
+				Method: lplan.JoinHash}
+		}},
+	} {
+		n := c.plan(true)
+		switch n := n.(type) {
+		case *lplan.GroupBy:
+			check(c.name, n.In.(*lplan.Scan))
+		case *lplan.Join:
+			check(c.name, n.L.(*lplan.Scan))
+			check(c.name, n.R.(*lplan.Scan))
+		}
+		if got, plain := runBoth(t, e, n), runBoth(t, e, c.plan(false)); !BagEqual(got, plain) {
+			t.Errorf("%s: projecting scans and plain ones give different answers", c.name)
+		}
 	}
 }
