@@ -96,7 +96,10 @@ bench-diff:
 # BenchmarkMergeJoin, BenchmarkSortAggregate, BenchmarkBlockNL (the
 # merge join's and block nested loops' cases named `residual` also test
 # l.v < r.w on every key-matching pair: `keys=4775/residual`,
-# `keys=24000/residual`, `scan/residual`, `materialized/residual`), and
+# `keys=24000/residual`, `scan/residual`, `materialized/residual`; the
+# block join's `scan/left` and `scan/left/residual` are LEFT joins, which
+# pad the block rows whose pairs all failed, and `scan/string` and
+# `scan/string/residual` join on VARCHAR keys), and
 # BenchmarkSort (the operator ORDER BY runs in; in memory and spilling,
 # ascending and DESC); BenchmarkScanFilter, a scan's filter kernels per
 # stored row (an INT and a FLOAT column against a `?`, a column against a

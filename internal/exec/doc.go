@@ -88,8 +88,9 @@
 // over vectors of the columns it reads), and flush gathers the output
 // columns by the pairs left. The hash join's front end resolves a probe
 // batch's chains in one pass and walks them; block nested loops pair each
-// inner row with the block rows its keys match; merge join crosses a left
-// run with the right run of equal keys. Both aggregations finish their
+// inner row with the block rows its keys match, found by a kernel over the
+// block's key vectors (types.EqualAt); merge join crosses a left run with
+// the right run of equal keys. Both aggregations finish their
 // groups column by column (groupByCtx.finish): keys and aggregate results
 // into vectors, Having as a selection over them, bare-column outputs moved.
 // The sort-based operators compare keys on vectors with one comparator

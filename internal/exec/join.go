@@ -217,15 +217,6 @@ func (p *joinPairs) keep(l, r *types.Block) error {
 	}
 	var held []int32 // the candidates the residual holds on, by pair index
 	if p.residual != nil {
-		for _, c := range p.resCols {
-			v := &p.res.Cols[c]
-			v.Reset()
-			if c < p.lWidth {
-				v.AppendSel(&l.Cols[c], p.li)
-			} else {
-				v.AppendSel(&r.Cols[c-p.lWidth], p.ri)
-			}
-		}
 		sel := p.res.sel[:0]
 		for i, k := range p.ri {
 			if k >= 0 {
@@ -233,9 +224,20 @@ func (p *joinPairs) keep(l, r *types.Block) error {
 			}
 		}
 		p.res.sel = sel
-		var err error
-		if held, err = p.residual.Select(p.res.Cols, sel, p.params); err != nil {
-			return err
+		if len(sel) > 0 { // a run of pads only reads the match flags
+			for _, c := range p.resCols {
+				v := &p.res.Cols[c]
+				v.Reset()
+				if c < p.lWidth {
+					v.AppendSel(&l.Cols[c], p.li)
+				} else {
+					v.AppendSel(&r.Cols[c-p.lWidth], p.ri)
+				}
+			}
+			var err error
+			if held, err = p.residual.Select(p.res.Cols, sel, p.params); err != nil {
+				return err
+			}
 		}
 	}
 	n := 0
@@ -667,6 +669,8 @@ func (it *hashJoinIter) Close() error {
 // moves a block boundary. Each inner row of a pass is paired with the
 // block's rows its keys match, in block order, so output is inner-major
 // within a block; a call that fills the batch resumes mid-row on the next.
+// The key test is a kernel over the block's key vectors (types.EqualAt): a
+// row's matches cost one loop of one kind's compares per key.
 //
 // Outer joins: the block (left) side is the preserved side of a LEFT join —
 // after each block's inner pass completes, every block row gets its pad,
@@ -700,7 +704,11 @@ type blockNLIter struct {
 	ib           *Batch        // the inner batch being joined
 	isel         []int32       // its selection
 	ipos         int           // its row in flight, by selection index
-	bpos         int           // the next block row to pair with it
+	found        bool          // whether match holds that row's matches
+	match        []int32       // the block rows whose keys match it: all, or matchBuf
+	matchBuf     []int32       // the storage keys narrow all into
+	mpos         int           // the next of them to pair with it
+	all          []int32       // every block row: 0, 1, ..., block.N-1
 	ord          int           // the ordinal of ib's first row within the pass
 	innerMatched []bool        // FULL: per inner ordinal, whether a candidate held, OR'd across blocks
 	final        bool          // FULL: the pass after the last block
@@ -763,6 +771,7 @@ func (it *blockNLIter) nextBlock() error {
 	if it.joinType.Outer() {
 		it.lMatched = falses(it.lMatched, it.block.N)
 	}
+	it.all = it.block.selectAll(it.block.N)
 	it.padPos, it.ord, it.isel, it.ipos = 0, 0, nil, 0
 	it.in = it.inner()
 	return it.in.Open()
@@ -770,32 +779,25 @@ func (it *blockNLIter) nextBlock() error {
 
 // pair pairs the inner rows from ipos on, each with the block rows whose
 // keys match its own, in block order, until there are room candidates. A
-// row cut off there resumes at bpos on the next call.
+// row's matches are found once, narrowing the block's rows key by key
+// (types.EqualAt: a NULL key matches no row); a row cut off resumes at
+// mpos of them on the next call.
 func (it *blockNLIter) pair(room int) {
 	blk, ib := &it.block.Block, &it.ib.Block
-	// One INT key on both sides: compare the INTs themselves.
-	var key *types.Vector
-	if len(it.lKeys) == 1 && blk.Cols[it.lKeys[0]].K == types.KindInt && ib.Cols[it.rKeys[0]].K == types.KindInt {
-		key = &blk.Cols[it.lKeys[0]]
-	}
-	for ; it.ipos < len(it.isel); it.ipos, it.bpos = it.ipos+1, 0 {
+	for ; it.ipos < len(it.isel); it.ipos, it.found = it.ipos+1, false {
 		r := int(it.isel[it.ipos])
-		if nullKey(ib, it.rKeys, r) {
-			continue // a NULL key matches no row
-		}
-		var x int64
-		if key != nil {
-			x = ib.Cols[it.rKeys[0]].Ints[r]
-		}
-		for ; it.bpos < blk.N; it.bpos++ {
-			if key != nil && (key.Ints[it.bpos] != x || key.Nulls != nil && key.IsNull(it.bpos)) ||
-				key == nil && !keysMatch(blk, it.lKeys, it.bpos, ib, it.rKeys, r) {
-				continue
+		if !it.found {
+			it.match, it.mpos, it.found = it.all, 0, true
+			for x, c := range it.lKeys {
+				it.matchBuf = types.EqualAt(&blk.Cols[c], it.match, &ib.Cols[it.rKeys[x]], r, it.matchBuf[:0])
+				it.match = it.matchBuf
 			}
+		}
+		for ; it.mpos < len(it.match); it.mpos++ {
 			if len(it.li) == room {
 				return
 			}
-			it.li, it.ri = append(it.li, int32(it.bpos)), append(it.ri, int32(r))
+			it.li, it.ri = append(it.li, it.match[it.mpos]), append(it.ri, int32(r))
 		}
 	}
 }
@@ -878,7 +880,7 @@ func (it *blockNLIter) Close() error {
 	putBatch(it.ob)
 	putBatch(it.ib)
 	putStore(it.block)
-	it.ob, it.ib, it.block, it.osel, it.isel = nil, nil, nil, nil, nil
+	it.ob, it.ib, it.block, it.osel, it.isel, it.all, it.match = nil, nil, nil, nil, nil, nil, nil
 	it.spilled.drop()
 	it.spilled = nil
 	return nil
@@ -916,13 +918,6 @@ func nullKey(b *types.Block, keys []int, i int) bool {
 		}
 	}
 	return false
-}
-
-// keysMatch reports whether row i of l and row j of r join on their keys:
-// no key NULL — NULL = x is UNKNOWN, though CompareAt orders NULLs equal —
-// and every key equal.
-func keysMatch(l *types.Block, lKeys []int, i int, r *types.Block, rKeys []int, j int) bool {
-	return !nullKey(l, lKeys, i) && !nullKey(r, rKeys, j) && compareKeys(l, lKeys, i, r, rKeys, j) == 0
 }
 
 // mergeJoinIter joins two inputs sorted on their equi-join keys run by run,

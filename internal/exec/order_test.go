@@ -485,15 +485,26 @@ func BenchmarkSortAggregate(b *testing.B) {
 // BenchmarkBlockNL joins 2 000 outer rows with 6 000 inner rows in a pool of
 // 8 pages, which cuts the outer into two blocks: over a scanned inner, and
 // over one materialized to a spill file first. The cases named residual
-// also test l.v < r.w on every key-matching pair.
+// also test l.v < r.w on every key-matching pair; scan/left is a LEFT join,
+// which pads every block row none of whose pairs held after each pass, and
+// scan/string joins on VARCHAR keys, whose wider rows cut more blocks.
 func BenchmarkBlockNL(b *testing.B) {
-	for _, inner := range []string{"scan", "materialized"} {
+	for _, c := range []struct {
+		inner    string
+		joinType lplan.JoinType
+		kind     keyKind
+	}{
+		{"scan", lplan.JoinInner, keyInt},
+		{"materialized", lplan.JoinInner, keyInt},
+		{"scan/left", lplan.JoinLeft, keyInt},
+		{"scan/string", lplan.JoinInner, keyString},
+	} {
 		for _, res := range []joinResidual{noResidual, pairResidual} {
-			b.Run(benchName(inner, res), func(b *testing.B) {
-				e := newJoinEnv(b, 8, 2000, 6000, 2000, keyInt, false, false)
-				plan := e.plan(lplan.JoinInner, res)
+			b.Run(benchName(c.inner, res), func(b *testing.B) {
+				e := newJoinEnv(b, 8, 2000, 6000, 2000, c.kind, false, false)
+				plan := e.plan(c.joinType, res)
 				plan.Method = lplan.JoinBlockNL
-				if inner == "materialized" {
+				if c.inner == "materialized" {
 					plan.R = &lplan.Filter{In: plan.R, Preds: []expr.Expr{expr.NewCmp(expr.GE, expr.Col("r", "w"), expr.IntLit(0))}}
 				}
 				benchDrain(b, e.store, plan)

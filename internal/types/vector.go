@@ -105,6 +105,47 @@ func CompareAt(a *Vector, i int, b *Vector, j int) int {
 	return Compare(a.Value(i), b.Value(j))
 }
 
+// EqualAt appends to dst the positions p of sel, in order, at which a's
+// value is not NULL and CompareAt(a, p, b, j) is 0: none when b's value j
+// is NULL. Vectors of one value kind compare straight from their typed
+// slices, each kind in a loop of its own; every other pair, a mixed vector
+// (a gathered VARCHAR column among them) or INT against FLOAT, compares
+// as values with Equal. dst may be sel[:0], narrowing sel in place.
+func EqualAt(a *Vector, sel []int32, b *Vector, j int, dst []int32) []int32 {
+	switch same := a.K == b.K; {
+	case b.IsNull(j):
+	case same && (a.K == KindInt || a.K == KindBool):
+		x := b.Ints[j]
+		for _, p := range sel {
+			if a.Ints[p] == x && !a.nullAt(int(p)) {
+				dst = append(dst, p)
+			}
+		}
+	case same && a.K == KindFloat:
+		x := b.Floats[j]
+		for _, p := range sel {
+			if y := a.Floats[p]; (y == x || x != x && y != y) && !a.nullAt(int(p)) {
+				dst = append(dst, p)
+			}
+		}
+	case same && a.K == KindString:
+		x := b.Bytes[b.Offs[j]:b.Offs[j+1]]
+		for _, p := range sel {
+			if bytes.Equal(a.Bytes[a.Offs[p]:a.Offs[p+1]], x) && !a.nullAt(int(p)) {
+				dst = append(dst, p)
+			}
+		}
+	default:
+		x := b.Value(j) // not NULL, so no NULL of a equals it
+		for _, p := range sel {
+			if Equal(a.Value(int(p)), x) {
+				dst = append(dst, p)
+			}
+		}
+	}
+	return dst
+}
+
 // nullAt reports whether value i's NULL bit is set.
 func (v *Vector) nullAt(i int) bool {
 	return i>>6 < len(v.Nulls) && v.Nulls[i>>6]>>(uint(i)&63)&1 != 0

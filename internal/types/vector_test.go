@@ -100,6 +100,8 @@ func TestVectorAppendsAgainstValues(t *testing.T) {
 // with and without NULLs, all NULL, and mixed — so both the typed paths
 // and the fallback answer: NaN payloads, -0 and +0, infinities, INT
 // against FLOAT, VARCHARs that prefix each other, NULLs and BOOLEANs.
+// EqualAt must select a position exactly where neither value is NULL and
+// Compare finds them equal.
 func TestCompareAtAgainstCompare(t *testing.T) {
 	pool := []Value{Null(), NewInt(-3), NewInt(0), NewInt(2), NewInt(math.MaxInt64),
 		NewFloat(2), NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(2.5),
@@ -130,6 +132,10 @@ func TestCompareAtAgainstCompare(t *testing.T) {
 				for lb := range 3 {
 					if got := CompareAt(holding(x, la), 1, holding(y, lb), 1); got != want {
 						t.Errorf("CompareAt(%v in layout %d, %v in layout %d) = %d, Compare = %d", x, la, y, lb, got, want)
+					}
+					equal := want == 0 && x.K != KindNull && y.K != KindNull
+					if got := EqualAt(holding(x, la), []int32{1}, holding(y, lb), 1, nil); (len(got) == 1) != equal {
+						t.Errorf("EqualAt(%v in layout %d, %v in layout %d) = %v, want equal %v", x, la, y, lb, got, equal)
 					}
 				}
 			}
