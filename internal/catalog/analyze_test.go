@@ -156,3 +156,28 @@ func TestAnalyzeAgainstRowLoop(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAnalyze runs Analyze over every table of a TPC-D load of 24 000
+// lineitems, the warm-exec workload's size, held entirely by the pool: one
+// op is one ANALYZE of the whole warehouse.
+func BenchmarkAnalyze(b *testing.B) {
+	store := storage.NewStore(4096)
+	cat := catalog.New(store)
+	if err := datagen.LoadTPCD(cat, datagen.TPCDSpec{Seed: 7, Lineitems: 24000}); err != nil {
+		b.Fatal(err)
+	}
+	var tables []*catalog.Table
+	for _, name := range cat.TableNames() {
+		tbl, _ := cat.Table(name)
+		tables = append(tables, tbl)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tbl := range tables {
+			if err := cat.Analyze(tbl); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
