@@ -664,6 +664,13 @@ func (c *Catalog) Analyze(t *Table) (err error) {
 	}
 	stats := TableStats{Cols: map[string]ColStats{}}
 	cols := make([]colSummary, len(w.Schema))
+	for i := range cols {
+		cols[i].distinct = types.GetKeyTable()
+		cols[i].distinct.Init(1, 0)
+		defer types.PutKeyTable(cols[i].distinct)
+	}
+	var kr types.KeyRows
+	var sel []int32
 	for sc := c.store.NewScanner(w.File); ; {
 		page, _, ok, err := sc.NextPage()
 		if err != nil {
@@ -673,14 +680,13 @@ func (c *Catalog) Analyze(t *Table) (err error) {
 			break
 		}
 		stats.Rows += int64(page.N)
-		for i := range page.Cols {
-			if i < len(cols) {
-				cols[i].add(&page.Cols[i], page.N)
-			}
+		for i := range min(len(page.Cols), len(cols)) {
+			sel = cols[i].add(&kr, &page, i, sel)
 		}
 	}
 	for i, col := range w.Schema {
-		stats.Cols[col.ID.Name] = cols[i].stats()
+		s := &cols[i]
+		stats.Cols[col.ID.Name] = ColStats{NDV: int64(s.distinct.Len()), Min: s.min, Max: s.max}
 	}
 	stats.Pages = w.File.Pages()
 	w.Stats = stats
@@ -696,68 +702,43 @@ func (c *Catalog) Analyze(t *Table) (err error) {
 // colSummary gathers one column's statistics over its pages' vectors.
 // NDV and min/max describe the non-NULL values only: NULLs would otherwise
 // pin Min to NULL (types.Compare orders NULL first) and skew 1/NDV equality
-// selectivities. Values are distinct as their types.AppendKey encodings
-// are: INTs are counted as int64s, BOOLEANs by their key byte, and every
-// other value by its encoding; stats reconciles the INTs with the FLOATs
-// of equal encoding.
+// selectivities. The distinct values are the entries of a one-column key
+// table, the executor's: NDV is the number of groups GROUP BY on the
+// column forms over its non-NULL values.
 type colSummary struct {
-	ints     map[int64]struct{}
-	bools    [256]bool
-	keys     map[string]struct{}
-	buf      []byte
+	distinct *types.KeyTable
 	min, max types.Value
 }
 
-// add folds the first n values of v.
-func (s *colSummary) add(v *types.Vector, n int) {
-	if v.K == types.KindInt {
-		if s.ints == nil {
-			s.ints = map[int64]struct{}{}
+// add folds the non-NULL values of column i of page, through kr and sel,
+// scratch it returns for the next column.
+func (s *colSummary) add(kr *types.KeyRows, page *types.Block, i int, sel []int32) []int32 {
+	v := &page.Cols[i]
+	sel = sel[:0]
+	for k := range page.N {
+		if !v.IsNull(k) {
+			sel = append(sel, int32(k))
 		}
-		lo, hi, seen := int64(0), int64(0), false
-		for i := 0; i < n; i++ {
-			if v.IsNull(i) {
-				continue
-			}
-			k := v.Ints[i]
-			s.ints[k] = struct{}{}
-			if !seen || k < lo {
-				lo = k
-			}
-			if !seen || k > hi {
-				hi = k
-			}
-			seen = true
-		}
-		if seen {
-			// Folding a page's least and greatest INT leaves what folding
-			// its INTs one by one would: among INTs Compare is exact.
-			s.fold(types.NewInt(lo))
-			s.fold(types.NewInt(hi))
-		}
-		return
 	}
-	for i := 0; i < n; i++ {
-		x := v.Value(i)
-		switch x.K {
-		case types.KindNull:
-			continue
-		case types.KindInt:
-			if s.ints == nil {
-				s.ints = map[int64]struct{}{}
-			}
-			s.ints[x.I] = struct{}{}
-		case types.KindBool:
-			s.bools[byte(x.I)] = true
-		default:
-			if s.keys == nil {
-				s.keys = map[string]struct{}{}
-			}
-			s.buf = types.AppendKey(s.buf[:0], x)
-			s.keys[string(s.buf)] = struct{}{}
-		}
-		s.fold(x)
+	if len(sel) == 0 {
+		return sel
 	}
+	kr.Of(page.Cols, []int{i}, sel)
+	s.distinct.Hash(kr)
+	for j := range sel {
+		s.distinct.Add(kr, j)
+	}
+	if lo, hi, ok := v.IntRange(); ok {
+		// Folding a page's least and greatest INT leaves what folding its
+		// INTs one by one would: among INTs Compare is exact.
+		s.fold(types.NewInt(lo))
+		s.fold(types.NewInt(hi))
+		return sel
+	}
+	for _, k := range sel {
+		s.fold(v.Value(int(k)))
+	}
+	return sel
 }
 
 // fold takes x into the running min and max.
@@ -768,24 +749,6 @@ func (s *colSummary) fold(x types.Value) {
 	if s.max.IsNull() || types.Compare(x, s.max) > 0 {
 		s.max = x
 	}
-}
-
-// stats returns the column's statistics.
-func (s *colSummary) stats() ColStats {
-	ndv := int64(len(s.keys))
-	for k := range s.ints {
-		// An INT that float64 holds exactly shares its key with that FLOAT.
-		s.buf = types.AppendKey(s.buf[:0], types.NewInt(k))
-		if _, ok := s.keys[string(s.buf)]; !ok {
-			ndv++
-		}
-	}
-	for _, b := range s.bools {
-		if b {
-			ndv++
-		}
-	}
-	return ColStats{NDV: ndv, Min: s.min, Max: s.max}
 }
 
 // Key returns the table's primary key as a schema.Key qualified with the

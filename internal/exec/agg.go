@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
@@ -569,38 +570,47 @@ func readsInput(n lplan.Node) bool {
 	}
 }
 
+// presized returns how many entries to reserve in a key table for an
+// estimate of n: n, but no more than budget bytes hold at an entry's own
+// bytes plus width values an entry.
+func presized(n float64, width, budget int) int {
+	perEntry := types.KeyEntryBytes + width*int(unsafe.Sizeof(types.Value{}))
+	return int(min(max(n, 0), float64(budget/perEntry)))
+}
+
 // hashAggIter aggregates through an in-memory group table, partitioning the
 // input to spill files when the table exceeds the budget. It consumes its
-// input a batch at a time: it hashes the batch's key columns, resolves every
-// row's group id in one loop — a lookup, and on a miss an insert and the
-// group's accounted width — then readies the new groups' states at once and
-// folds the batch into them aggregate by aggregate (groupByCtx.fold). The
-// groups are finished column by column (groupByCtx.finish), their keys
-// read from the table, and stream out in batches, in the order their first
-// rows arrived.
+// input a batch at a time: the key table (types.KeyTable) looks the whole
+// batch's keys up at once, then one loop adds each missing key as a group
+// and counts its accounted width, or, over budget, sets the row aside for
+// its partition (partitioner); the new groups' states are readied at once
+// and the batch folds into them aggregate by aggregate (groupByCtx.fold).
+// The groups are finished column by column (groupByCtx.finish), their keys
+// copied from the table's key vectors, and stream out in batches, in the
+// order their first rows arrived.
 type hashAggIter struct {
 	exec *Executor
 	ctx  *groupByCtx
 	in   BatchIterator
 
-	tab    *keyTable // pooled: group key -> group number
-	groups float64   // the group estimate, which presizes tab
-	kr     keyRows   // the batch's keys
-	keep   []int32   // the positions of the rows that fold, once one does not
-	keyBuf []byte    // key encoding of a row being partitioned
-	row    types.Row // a row being partitioned
-	bytes  int       // accounted size of the group table
+	tab     *types.KeyTable // pooled: group key -> group number
+	groups  float64         // the group estimate, which presizes tab
+	kr      types.KeyRows   // the batch's keys
+	keep    []int32         // the positions of the rows that fold, once one does not
+	spilled []int32         // the positions of the batch's rows written to parts
+	bytes   int             // accounted size of the group table
 	// parts holds the overflow partitions as a field (not an Open local) so
 	// Close drops them when Open fails after partitioning started.
 	parts []*spill
+	part  partitioner
 	done  *Batch // pooled: the finished groups, in vectors of its own
 	out   *blockIter
 }
 
 func (it *hashAggIter) Open() error {
 	width := len(it.ctx.groupPos)
-	it.tab = getKeyTable()
-	it.tab.init(width, presized(it.groups, width, it.exec.budgetBytes))
+	it.tab = types.GetKeyTable()
+	it.tab.Init(width, presized(it.groups, width, it.exec.budgetBytes))
 	it.done = getStore()
 	it.done.startOwn(it.ctx.width())
 	if err := it.consume(it.in, true); err != nil {
@@ -620,7 +630,7 @@ func (it *hashAggIter) Open() error {
 		if err := p.finish(); err != nil {
 			return err
 		}
-		it.tab.init(width, 0)
+		it.tab.Init(width, 0)
 		if err := it.consume(spillScan(p, it.exec.batchSize), false); err != nil {
 			return err
 		}
@@ -645,38 +655,34 @@ func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 	// word per aggregate.
 	perGroup := types.Row(nil).DiskWidth() + 8*len(ctx.aggs)
 	return drainBatches(in, func(b *Batch) error {
-		kr := it.kr.of(b, ctx.groupPos)
-		it.tab.hash(kr)
+		kr := it.kr.Of(b.Cols, ctx.groupPos, b.selection())
+		it.tab.Hash(kr)
 		gids := b.groupIDs()
+		it.tab.Lookup(kr, gids)
+		started := it.tab.Len()
 		// The rows that stay, with their group ids, are packed to the
 		// front: a row written to a partition is not folded.
-		keep, n, copied := kr.sel, 0, false
-		ints, dense := it.tab.denseInts(kr)
-		for i, k := range kr.sel {
-			var g int
-			if dense && it.tab.dense { // an insert may leave the layout
-				g = it.tab.denseAt(ints[k])
-			} else {
-				g = it.tab.lookup(kr, i)
+		keep, n, spilled := kr.Sel, 0, it.spilled[:0]
+		for i, k := range kr.Sel {
+			g, over := int(gids[i]), partition && it.parts != nil
+			if g < 0 && over && it.tab.Len() > started {
+				g = it.tab.Find(kr, i) // a group an earlier row of the batch started
 			}
-			if g < 0 {
-				if partition && it.parts != nil {
-					// The partition comes from the key's byte encoding, not
-					// from the table's hash: which rows share a spill file,
-					// and so every page count, stays as it always was.
-					it.row = b.Row(int(k), it.row)
-					it.keyBuf = it.row.AppendKey(it.keyBuf[:0], ctx.groupPos)
-					if err := it.parts[partitionOf(it.keyBuf)].add(it.row); err != nil {
-						return err
-					}
-					if !copied { // the first row not kept
-						keep, copied = append(it.keep[:0], kr.sel[:n]...), true
-					}
-					continue
+			switch {
+			case g >= 0:
+			case over: // the row goes to the partition of its group
+				if len(spilled) == 0 { // the first row not kept
+					keep = append(it.keep[:0], kr.Sel[:n]...)
 				}
-				g = it.tab.insert(kr, i)
+				spilled = append(spilled, k)
+				continue
+			default:
+				var added bool
+				if g, added = it.tab.Add(kr, i); !added {
+					break
+				}
 				it.bytes += perGroup
-				for _, v := range kr.vecs {
+				for _, v := range kr.Vecs {
 					it.bytes += v.DiskWidth(int(k))
 				}
 				if partition && it.bytes > it.exec.budgetBytes {
@@ -686,18 +692,21 @@ func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 					}
 				}
 			}
-			if copied {
+			if len(spilled) > 0 {
 				keep = append(keep, k)
 			}
 			gids[n] = int32(g)
 			n++
 		}
-		if copied {
-			it.keep = keep[:0]
+		if len(spilled) > 0 {
+			it.keep, it.spilled = keep[:0], spilled[:0]
+			if err := it.part.add(it.parts, &b.Block, ctx.groupPos, spilled); err != nil {
+				return err
+			}
 		}
-		if it.tab.n > ctx.groups { // the batch started groups
-			ctx.reserve(it.tab.n)
-			ctx.groups = it.tab.n
+		if it.tab.Len() > ctx.groups { // the batch started groups
+			ctx.reserve(it.tab.Len())
+			ctx.groups = it.tab.Len()
 		}
 		return ctx.fold(b, keep[:n], gids[:n])
 	})
@@ -705,7 +714,7 @@ func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 
 // finishGroups appends the table's groups to the output and forgets them.
 func (it *hashAggIter) finishGroups() error {
-	it.tab.appendKeys(it.ctx.keys())
+	it.tab.AppendKeys(it.ctx.keys())
 	return it.ctx.finish(it.done)
 }
 
@@ -715,7 +724,7 @@ func (it *hashAggIter) Close() error {
 	it.in.Close() // consume already closed it on the Open path; idempotent
 	it.ctx.release()
 	putStore(it.done)
-	putKeyTable(it.tab)
+	types.PutKeyTable(it.tab)
 	it.done, it.out, it.tab = nil, nil, nil
 	for _, p := range it.parts {
 		p.drop()

@@ -79,9 +79,10 @@
 //
 // Every operator's NextBatch reads its inputs' batches and fills dst itself,
 // and one that stops because dst is full resumes where it stopped on the
-// next call. The two hash operators share one key table (keytable.go): they
-// hash a batch's key columns in one pass, then probe by hash and typed
-// equality — no key is ever serialized on that path. The three joins share
+// next call. The two hash operators share one key table (types.KeyTable, the
+// one ANALYZE counts with): it looks a batch's key vectors up at once, by
+// hash and typed equality, and no key is serialized on that path; both
+// operators spill by key through one partitioner. The three joins share
 // one back end (joinPairs): a front end puts candidate (left, right)
 // position pairs and pads in it until they could fill the output batch,
 // keep tests the residual once over the candidates (expr.Filter.Select

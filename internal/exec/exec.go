@@ -762,7 +762,6 @@ func (it *projectIter) Close() error {
 type spill struct {
 	store storage.Pager
 	file  *storage.File
-	bytes int
 	row   types.Row // the row addRows gathers
 }
 
@@ -770,23 +769,61 @@ func newSpill(store storage.Pager, name string) *spill {
 	return &spill{store: store, file: store.CreateTemp(name)}
 }
 
-// add appends a row; the store copies its values, so the caller may reuse
-// it.
-func (s *spill) add(row types.Row) error {
-	s.bytes += row.DiskWidth()
-	return s.store.Append(s.file, row)
-}
-
 // addRows appends the rows of blk at sel, in order, each gathered into
-// the spill's scratch row.
+// the spill's scratch row, whose values the store copies.
 func (s *spill) addRows(blk *types.Block, sel []int32) error {
 	for _, k := range sel {
 		s.row = blk.Row(int(k), s.row)
-		if err := s.add(s.row); err != nil {
+		if err := s.store.Append(s.file, s.row); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// spillPartitions is the fan-out of a Grace join and of an overflowing hash
+// aggregation.
+const spillPartitions = 16
+
+// partitioner writes rows to spill partitions by key: a row goes to the
+// partition of its key's types.AppendKey bytes (partitionOf).
+type partitioner struct {
+	key  []byte
+	sels [spillPartitions][]int32
+}
+
+// add appends the rows of blk at sel, keyed by the columns at cols, to
+// parts: each partition's in the order sel holds them.
+func (p *partitioner) add(parts []*spill, blk *types.Block, cols []int, sel []int32) error {
+	for q := range p.sels {
+		p.sels[q] = p.sels[q][:0]
+	}
+	for _, k := range sel {
+		p.key = p.key[:0]
+		for _, c := range cols {
+			p.key = types.AppendKey(p.key, blk.Cols[c].Value(int(k)))
+		}
+		q := partitionOf(p.key)
+		p.sels[q] = append(p.sels[q], k)
+	}
+	for q, s := range p.sels {
+		if err := parts[q].addRows(blk, s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// partitionOf assigns a key, by its byte encoding, to a spill partition:
+// its fnv-32a hash modulo the fan-out. The key table's own hash is seeded
+// per process; this one is fixed, so which rows share a spill file — and
+// with it every spill page count — is the same in every run.
+func partitionOf(key []byte) int {
+	h := uint32(2166136261)
+	for _, c := range key {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return int(h % spillPartitions)
 }
 
 func (s *spill) finish() error { return s.store.Flush(s.file) }

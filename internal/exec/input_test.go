@@ -91,8 +91,8 @@ func TestInputGroupByStaysDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cur.Close()
-	if tab := cur.it.(*hashAggIter).tab; !tab.dense || tab.n != groups {
-		t.Fatalf("key table dense=%v with %d entries, want the dense layout with %d", tab.dense, tab.n, groups)
+	if tab := cur.it.(*hashAggIter).tab; !tab.Dense() || tab.Len() != groups {
+		t.Fatalf("key table dense=%v with %d entries, want the dense layout with %d", tab.Dense(), tab.Len(), groups)
 	}
 	for i := 0; ; i++ {
 		row, ok, err := cur.Next()

@@ -300,13 +300,15 @@ func falses(s []bool, n int) []bool {
 // hashJoinIter builds a key table on the right input and probes it with the
 // left a batch at a time, the front end of joinPairs. A probe batch is
 // joined in loops, none of them per-row state: resolve finds every probe
-// row's chain of build rows in one pass over the batch's keys; pair walks
+// row's chain of build rows with one batch lookup (types.KeyTable.Lookup)
+// and one pass from entries to chain heads; pair walks
 // the chains into candidate (probe position, build row) pairs, and for an
 // outer join a pad after each probe row's candidates, until they could
 // fill the output batch; keep and flush make them output rows. A call that
 // fills the batch resumes mid-chain on the next. If the build side exceeds
 // the budget it falls back to Grace partitioning, writing both inputs to
-// spill partitions and joining them pairwise with the same code.
+// spill partitions (partitioner) and joining them pairwise with the same
+// code.
 //
 // Outer joins: the probe (left) side is the preserved side of a LEFT join —
 // a probe row whose ON condition matches no build row is emitted once,
@@ -330,11 +332,11 @@ type hashJoinIter struct {
 	// Build rows with one key are chained through next in ascending order
 	// from the key's head, so matches come out in build order. A FULL
 	// join's build rows already matched are flagged in rMatched.
-	build *Batch    // pooled: the build rows, in vectors of its own
-	tab   *keyTable // pooled: build key -> entry
-	head  []int32   // per entry: first build row with the key
-	next  []int32   // per build row: the next with the same key, -1 = last
-	kr    keyRows   // the keys of the probe batch (or of the build rows, while loading)
+	build *Batch          // pooled: the build rows, in vectors of its own
+	tab   *types.KeyTable // pooled: build key -> entry
+	head  []int32         // per entry: first build row with the key
+	next  []int32         // per build row: the next with the same key, -1 = last
+	kr    types.KeyRows   // the keys of the probe batch (or of the build rows, while loading)
 
 	probe     BatchIterator // probeSrc, or the current partition's probe rows
 	pb        *Batch        // probe batch being joined
@@ -360,11 +362,9 @@ func (it *hashJoinIter) loadBuild() error {
 		it.rMatched = make([]bool, n)
 	}
 	keys := it.rKeys
-	it.tab.init(len(keys), n)
+	it.tab.Init(len(keys), n)
 	if len(keys) == 1 {
-		if lo, hi, ok := intRange(&it.build.Cols[keys[0]]); ok {
-			it.tab.reserve(lo, hi)
-		}
+		it.tab.Reserve(&it.build.Cols[keys[0]])
 	}
 	// The chains live in the build batch's group-id scratch, which is
 	// recycled with it.
@@ -376,50 +376,28 @@ func (it *hashJoinIter) loadBuild() error {
 	// which leaves every chain ascending without tracking chain tails.
 	// Without build-only conjuncts every row is indexed.
 	b := it.build
-	kr := it.kr.of(b, keys)
+	kr := it.kr.Of(b.Cols, keys, b.selection())
 	if it.joinSpec.build != nil {
-		sel, err := it.joinSpec.build.Select(b.Cols, kr.sel, it.params)
+		sel, err := it.joinSpec.build.Select(b.Cols, kr.Sel, it.params)
 		if err != nil {
 			return err
 		}
-		kr.sel = sel
+		kr.Sel = sel
 	}
-	it.tab.hash(kr)
-	mayNull := kr.mayHoldNull()
-	for i := len(kr.sel) - 1; i >= 0; i-- {
-		if mayNull && kr.nullKey(i) {
+	it.tab.Hash(kr)
+	mayNull := kr.MayHoldNull()
+	for i := len(kr.Sel) - 1; i >= 0; i-- {
+		if mayNull && kr.NullKey(i) {
 			continue
 		}
-		e := it.tab.lookup(kr, i)
-		if e < 0 {
-			e = it.tab.insert(kr, i)
+		e, added := it.tab.Add(kr, i)
+		if added {
 			it.head = append(it.head, -1)
 		}
-		r := kr.sel[i]
+		r := kr.Sel[i]
 		it.next[r], it.head[e] = it.head[e], r
 	}
 	return nil
-}
-
-// intRange returns the least and the greatest INT of v, which holds INTs
-// and NULLs only, or ok=false.
-func intRange(v *types.Vector) (lo, hi int64, ok bool) {
-	if v.K != types.KindInt {
-		return 0, 0, false
-	}
-	for k, x := range v.Ints {
-		if v.Nulls != nil && v.IsNull(k) {
-			continue
-		}
-		if !ok || x < lo {
-			lo = x
-		}
-		if !ok || x > hi {
-			hi = x
-		}
-		ok = true
-	}
-	return lo, hi, ok
 }
 
 // startBuild empties the build store for the next build input.
@@ -435,7 +413,7 @@ func (it *hashJoinIter) addBuild(b *Batch) int {
 
 func (it *hashJoinIter) Open() error {
 	build := it.exec.build(it.buildOp)
-	it.pb, it.build, it.tab = getBatch(), getStore(), getKeyTable()
+	it.pb, it.build, it.tab = getBatch(), getStore(), types.GetKeyTable()
 	it.open()
 	// Materialize the build side, counting bytes.
 	bytes := 0
@@ -464,25 +442,14 @@ func (it *hashJoinIter) Open() error {
 		it.rParts[i] = newSpill(it.exec.pg, "hj-build")
 		it.lParts[i] = newSpill(it.exec.pg, "hj-probe")
 	}
-	var buf []byte
-	var row types.Row
-	partition := func(parts []*spill, keys []int) func(*Batch) error {
-		return func(b *Batch) error {
-			for i := range b.Len() {
-				row = b.gather(i, row)
-				buf = row.AppendKey(buf[:0], keys)
-				if err := parts[partitionOf(buf)].add(row); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	if err := partition(it.rParts, it.rKeys)(it.build); err != nil {
+	var part partitioner
+	if err := part.add(it.rParts, &it.build.Block, it.rKeys, it.build.selection()); err != nil {
 		return err
 	}
 	it.startBuild()
-	if err := drainBatches(it.probeSrc, partition(it.lParts, it.lKeys)); err != nil {
+	if err := drainBatches(it.probeSrc, func(b *Batch) error {
+		return part.add(it.lParts, &b.Block, it.lKeys, b.selection())
+	}); err != nil {
 		return err
 	}
 	for i := range it.rParts {
@@ -536,7 +503,8 @@ func (it *hashJoinIter) partition(parts []*spill) *scanIter {
 }
 
 // resolve reads the next probe batch and finds each of its rows' chain:
-// one lookup per row, dense tables straight from the key column's INTs.
+// the key table looks the whole batch up, and each entry found gives its
+// chain's head.
 func (it *hashJoinIter) resolve() error {
 	if err := it.probe.NextBatch(it.pb); err != nil {
 		return err
@@ -545,28 +513,16 @@ func (it *hashJoinIter) resolve() error {
 	if it.probeDone = it.pb.Len() == 0; it.probeDone {
 		return nil
 	}
-	kr := it.kr.of(it.pb, it.lKeys)
-	it.psel, it.chains = kr.sel, it.pb.groupIDs()
+	kr := it.kr.Of(it.pb.Cols, it.lKeys, it.pb.selection())
+	it.psel, it.chains = kr.Sel, it.pb.groupIDs()
 	if it.joinType.Outer() {
 		it.lMatched = falses(it.lMatched, it.pb.N)
 	}
-	it.tab.hash(kr)
-	if ints, ok := it.tab.denseInts(kr); ok {
-		for i, k := range kr.sel {
-			it.chains[i] = -1
-			if e := it.tab.denseAt(ints[k]); e >= 0 {
-				it.chains[i] = it.head[e]
-			}
-		}
-		return nil
-	}
-	mayNull := kr.mayHoldNull()
-	for i := range kr.sel {
-		it.chains[i] = -1
-		if mayNull && kr.nullKey(i) {
-			continue
-		}
-		if e := it.tab.lookup(kr, i); e >= 0 {
+	// A NULL key finds no entry: the build rows with one have none.
+	it.tab.Hash(kr)
+	it.tab.Lookup(kr, it.chains)
+	for i, e := range it.chains {
+		if e >= 0 {
 			it.chains[i] = it.head[e]
 		}
 	}
@@ -648,7 +604,7 @@ func (it *hashJoinIter) Close() error {
 	putBatch(it.pb)
 	putStore(it.build)
 	putStore(it.probeRows)
-	putKeyTable(it.tab)
+	types.PutKeyTable(it.tab)
 	it.pb, it.build, it.probeRows, it.tab = nil, nil, nil, nil
 	it.psel, it.chains = nil, nil
 	for _, p := range it.lParts {

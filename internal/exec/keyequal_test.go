@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -138,20 +137,6 @@ func TestGroupingAndJoiningAgreeWithCompare(t *testing.T) {
 		}
 		if text := rowsText(oracle); text != tc.want {
 			t.Errorf("%s, the reference executor:\n%s\nwant:\n%s", tc.name, text, tc.want)
-		}
-	}
-}
-
-// TestAppendKeyAgreesWithEqual: the byte encoding that keys the reference
-// executor's maps and view maintenance calls the same values
-// equal as types.Equal, over the pool the key table is tested with.
-func TestAppendKeyAgreesWithEqual(t *testing.T) {
-	for _, a := range keyValuePool {
-		for _, b := range keyValuePool {
-			ka, kb := types.AppendKey(nil, a), types.AppendKey(nil, b)
-			if types.Equal(a, b) != (string(ka) == string(kb)) {
-				t.Errorf("%v / %v: Equal=%v, encodings %s", a, b, types.Equal(a, b), fmt.Sprintf("%x %x", ka, kb))
-			}
 		}
 	}
 }

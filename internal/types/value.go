@@ -279,8 +279,8 @@ func Equal(a, b Value) bool {
 
 // AppendKey appends a self-delimiting encoding of v to dst such that two
 // values of one kind are Equal iff their encodings are byte-equal. It keys
-// the maps of the reference executor and ANALYZE's distinct counts, and
-// assigns spill partitions. Numeric values encode through float64 so
+// the maps of the reference executor (exec.Naive) and assigns the
+// executor's spill partitions. Numeric values encode through float64 so
 // that INT 2 and FLOAT 2.0 land in the same group, mirroring Compare; -0
 // encodes as +0 and every NaN as one NaN. An INT that float64 cannot
 // represent keeps its own exact

@@ -139,7 +139,19 @@ func TestComparePropertyTransitive(t *testing.T) {
 	}
 }
 
+// TestAppendKeyAgreesWithEqual: the byte encoding that keys the reference
+// executor's maps and picks spill partitions calls the same values equal
+// as Equal, over random values and over the pool the key table is tested
+// with.
 func TestAppendKeyAgreesWithEqual(t *testing.T) {
+	for _, a := range keyValuePool {
+		for _, b := range keyValuePool {
+			ka, kb := AppendKey(nil, a), AppendKey(nil, b)
+			if Equal(a, b) != bytes.Equal(ka, kb) {
+				t.Errorf("%v / %v: Equal=%v, encodings %x %x", a, b, Equal(a, b), ka, kb)
+			}
+		}
+	}
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 4000; i++ {
 		a, b := randValue(r), randValue(r)

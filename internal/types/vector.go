@@ -146,6 +146,24 @@ func EqualAt(a *Vector, sel []int32, b *Vector, j int, dst []int32) []int32 {
 	return dst
 }
 
+// IntRange returns the least and the greatest INT of v, a vector of INTs
+// and NULLs, or ok=false for any other vector and for one of NULLs only.
+func (v *Vector) IntRange() (lo, hi int64, ok bool) {
+	if v.K != KindInt {
+		return 0, 0, false
+	}
+	for k, x := range v.Ints {
+		if v.Nulls != nil && v.nullAt(k) {
+			continue
+		}
+		if !ok {
+			lo, hi, ok = x, x, true
+		}
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	return lo, hi, ok
+}
+
 // nullAt reports whether value i's NULL bit is set.
 func (v *Vector) nullAt(i int) bool {
 	return i>>6 < len(v.Nulls) && v.Nulls[i>>6]>>(uint(i)&63)&1 != 0
