@@ -154,16 +154,6 @@ type SearchStats struct {
 	Degradations int
 }
 
-// Add accumulates another run's counters.
-func (s *SearchStats) Add(o SearchStats) {
-	s.States += o.States
-	s.PlansConsidered += o.PlansConsidered
-	s.GroupPlacements += o.GroupPlacements
-	s.PullUpCandidates += o.PullUpCandidates
-	s.Phase2Runs += o.Phase2Runs
-	s.Degradations += o.Degradations
-}
-
 // String renders the counters.
 func (s SearchStats) String() string {
 	out := fmt.Sprintf("states=%d plans=%d placements=%d pullups=%d phase2=%d",

@@ -29,9 +29,6 @@ type Rel struct {
 // Schema returns the relation's schema under its alias.
 func (r *Rel) Schema() schema.Schema { return r.Table.Schema.Rename(r.Alias) }
 
-// Key returns the relation's primary key under its alias.
-func (r *Rel) Key() (schema.Key, bool) { return r.Table.Key(r.Alias) }
-
 // OuterStep records how one FROM item joins the accumulated result of the
 // items before it when the block contains outer joins. Steps are in FROM
 // order: step i joins Rels[i+1] to the join of Rels[0..i].

@@ -53,15 +53,11 @@ func viewBlock(t *testing.T, c *catalog.Catalog) *Block {
 	}
 }
 
-func TestRelSchemaAndKey(t *testing.T) {
+func TestRelSchema(t *testing.T) {
 	c := testCatalog(t)
 	r := rel(t, c, "emp", "e1")
 	if r.Schema()[0].ID.Rel != "e1" {
 		t.Fatalf("schema not aliased: %s", r.Schema())
-	}
-	k, ok := r.Key()
-	if !ok || k[0] != (schema.ColID{Rel: "e1", Name: "eno"}) {
-		t.Fatalf("key = %v %v", k, ok)
 	}
 }
 

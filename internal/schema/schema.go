@@ -159,15 +159,6 @@ func (k Key) CoveredBy(cols []ColID) bool {
 	return true
 }
 
-// Rename returns a copy of the key with every column's Rel replaced.
-func (k Key) Rename(rel string) Key {
-	out := make(Key, len(k))
-	for i, c := range k {
-		out[i] = ColID{Rel: rel, Name: c.Name}
-	}
-	return out
-}
-
 // ForeignKey records that Cols of the owning table reference RefCols of
 // table RefTable. A declared foreign key is parsed, logged and checkpointed
 // with its table, and the catalog checks that Cols are columns of it; no

@@ -98,11 +98,8 @@ func TestKeyCoveredBy(t *testing.T) {
 	}
 }
 
-func TestKeyRenameAndString(t *testing.T) {
-	k := Key{{Rel: "e", Name: "eno"}, {Rel: "e", Name: "dno"}}.Rename("x")
-	if k[0].Rel != "x" || k[1].Rel != "x" {
-		t.Fatalf("Rename failed: %v", k)
-	}
+func TestKeyString(t *testing.T) {
+	k := Key{{Rel: "x", Name: "eno"}, {Rel: "x", Name: "dno"}}
 	if got := k.String(); got != "KEY(x.eno, x.dno)" {
 		t.Fatalf("String = %q", got)
 	}

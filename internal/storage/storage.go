@@ -254,9 +254,6 @@ func (se *Session) Stats() IOStats {
 	return IOStats{Reads: se.reads.Load(), Writes: se.writes.Load(), Hits: se.hits.Load()}
 }
 
-// Store returns the backing store.
-func (se *Session) Store() *Store { return se.store }
-
 // Session page-access surface: same semantics as the Store methods, plus
 // per-session hook and counters.
 

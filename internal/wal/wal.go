@@ -104,7 +104,6 @@ type Log struct {
 	segSize int64    // bytes written to the current segment
 
 	lsn       uint64 // last assigned LSN
-	ckptLSN   uint64 // LSN covered by the latest checkpoint
 	sinceCkpt int64  // record bytes appended since the latest checkpoint
 
 	writes  int64 // physical writes performed (crash-sweep sizing)
@@ -135,7 +134,7 @@ func Open(dir string, opt Options) (*Log, *Recovery, error) {
 		return nil, nil, err
 	}
 	rec.Snapshot, rec.CheckpointLSN = snap, ckptLSN
-	l.ckptLSN, l.lsn = ckptLSN, ckptLSN
+	l.lsn = ckptLSN
 
 	names, err := listSegments(dir)
 	if err != nil {
@@ -435,8 +434,6 @@ func (l *Log) WriteCheckpoint(snapshot []byte) error {
 	if err := syncDir(l.dir); err != nil {
 		return err
 	}
-	ckptLSN := l.lsn
-
 	// The rename is the commit point; everything after is garbage
 	// collection that recovery tolerates losing.
 	oldSeq := l.segSeq
@@ -458,7 +455,6 @@ func (l *Log) WriteCheckpoint(snapshot []byte) error {
 			}
 		}
 	}
-	l.ckptLSN = ckptLSN
 	l.sinceCkpt = 0
 	return nil
 }
@@ -525,9 +521,6 @@ func (l *Log) InjectCrash(p *CrashPlan) {
 // Writes reports the physical writes performed since the last InjectCrash
 // (or since Open), for sizing deterministic crash sweeps.
 func (l *Log) Writes() int64 { return l.writes }
-
-// CheckpointLSN returns the LSN covered by the latest checkpoint.
-func (l *Log) CheckpointLSN() uint64 { return l.ckptLSN }
 
 // SizeSinceCheckpoint returns the record bytes appended since the latest
 // checkpoint — the engine's auto-checkpoint trigger.
