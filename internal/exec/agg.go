@@ -602,8 +602,8 @@ type hashAggIter struct {
 	// parts holds the overflow partitions as a field (not an Open local) so
 	// Close drops them when Open fails after partitioning started.
 	parts []*spill
-	part  partitioner
-	done  *Batch // pooled: the finished groups, in vectors of its own
+	part  *partitioner // made with parts
+	done  *Batch       // pooled: the finished groups, in vectors of its own
 	out   *blockIter
 }
 
@@ -686,7 +686,7 @@ func (it *hashAggIter) consume(in BatchIterator, partition bool) error {
 					it.bytes += v.DiskWidth(int(k))
 				}
 				if partition && it.bytes > it.exec.budgetBytes {
-					it.parts = make([]*spill, spillPartitions)
+					it.parts, it.part = make([]*spill, spillPartitions), new(partitioner)
 					for p := range it.parts {
 						it.parts[p] = newSpill(it.exec.pg, "agg-part")
 					}

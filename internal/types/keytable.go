@@ -54,8 +54,14 @@ type KeyTable struct {
 	hashes []uint64 // hashed: per entry
 
 	scratch []uint64 // the key hashes of the batch being looked up (Hash)
-	all     []int32  // 0, 1, 2, ...: the entries, as positions in keys
-	keys    []Vector // per key column: entry e's value at position e
+	// ends[i] is the slot at which row i's probe sequence ended in the
+	// Lookup of the batch last hashed; resume is set while no slot array
+	// has been installed since, and every slot before ends[i] then holds
+	// another key than row i's, as it did.
+	ends   []uint64
+	resume bool
+	all    []int32  // 0, 1, 2, ...: the entries, as positions in keys
+	keys   []Vector // per key column: entry e's value at position e
 }
 
 // keyTables recycles key tables, their storage grown, across uses; a
@@ -108,7 +114,7 @@ const KeyEntryBytes = 8*4/3 + 8
 // insert. Storage from an earlier use is kept when large enough.
 func (t *KeyTable) Init(width, n int) {
 	t.width, t.n, t.expect = width, 0, n
-	t.dense = width == 1
+	t.dense, t.resume = width == 1, false
 	t.hashes = t.hashes[:0]
 	t.keys = slices.Grow(t.keys[:0], width)[:width]
 	for j := range t.keys {
@@ -204,10 +210,11 @@ func (kr *KeyRows) NullKey(i int) bool {
 	return false
 }
 
-// Hash readies kr's keys for Lookup, Find and Add: their hashes go to
-// kr.hashes, one per row. A dense table computes none; a conversion
-// computes them.
+// Hash readies kr's keys for Lookup, Find and Add, which take the batch
+// last hashed: their hashes go to kr.hashes, one per row. A dense table
+// computes none; a conversion computes them.
 func (t *KeyTable) Hash(kr *KeyRows) {
+	t.resume = false
 	if !t.dense {
 		kr.hashes = hashKeys(kr, t.scratch)
 		t.scratch = kr.hashes // recycled with the table
@@ -216,16 +223,25 @@ func (t *KeyTable) Hash(kr *KeyRows) {
 
 // Lookup writes into out[i] the entry whose key equals row i's of kr, or
 // -1, for every row. A dense table reads an INT key column's Ints
-// directly.
+// directly; a hashed one notes where each row's probe ended, so that a
+// Find or Add of the row resumes there.
 func (t *KeyTable) Lookup(kr *KeyRows, out []int32) {
-	if v := kr.Vecs; t.dense && v[0].K == KindInt && v[0].Nulls == nil {
+	switch v := kr.Vecs; {
+	case t.dense && v[0].K == KindInt && v[0].Nulls == nil:
 		for i, k := range kr.Sel {
 			out[i] = int32(t.denseAt(v[0].Ints[k]))
 		}
-		return
-	}
-	for i := range kr.Sel {
-		out[i] = int32(t.Find(kr, i))
+	case t.dense || len(t.slots) == 0:
+		for i := range kr.Sel {
+			out[i] = int32(t.Find(kr, i))
+		}
+	default:
+		t.resume, t.ends = false, slices.Grow(t.ends[:0], len(kr.Sel))[:len(kr.Sel)]
+		for i := range kr.Sel {
+			e, end := t.probe(kr, i)
+			out[i], t.ends[i] = int32(e), end
+		}
+		t.resume = true
 	}
 }
 
@@ -278,13 +294,22 @@ func (t *KeyTable) Add(kr *KeyRows, i int) (e int, added bool) {
 	return e, true
 }
 
-// probe walks row i's probe sequence in the hashed layout: it returns the
-// entry whose key equals the row's, or -1 and the empty slot the sequence
-// ended at.
+// probe walks row i's probe sequence in the hashed layout, from where a
+// Lookup left it when it did: it returns the entry whose key equals the
+// row's and its slot, or -1 and the empty slot the sequence ended at. A
+// key of one INT column without NULLs, on both sides, compares inline.
 func (t *KeyTable) probe(kr *KeyRows, i int) (int, uint64) {
 	h, k := kr.hashes[i], int(kr.Sel[i])
 	mask := uint64(len(t.slots) - 1)
-	for j := h & mask; ; j = (j + 1) & mask {
+	j := h & mask
+	if t.resume {
+		j = t.ends[i]
+	}
+	var held []int64
+	if v := kr.Vecs; len(v) == 1 && v[0].K == KindInt && t.keys[0].K == KindInt && v[0].Nulls == nil && t.keys[0].Nulls == nil {
+		held = t.keys[0].Ints
+	}
+	for ; ; j = (j + 1) & mask {
 		s := t.slots[j]
 		if s == 0 {
 			return -1, j
@@ -292,7 +317,8 @@ func (t *KeyTable) probe(kr *KeyRows, i int) (int, uint64) {
 		if s>>32 != h>>32 {
 			continue
 		}
-		if e := int(uint32(s)) - 1; t.sameKey(e, kr, k) {
+		e := int(uint32(s)) - 1
+		if held != nil && held[e] == kr.Vecs[0].Ints[k] || held == nil && t.sameKey(e, kr, k) {
 			return e, j
 		}
 	}
@@ -300,15 +326,10 @@ func (t *KeyTable) probe(kr *KeyRows, i int) (int, uint64) {
 
 // sameKey reports whether entry e's key and the key at position k of kr's
 // vectors are Equal position by position (NULL Equal to NULL: grouping,
-// not join, semantics). INT columns without NULLs compare their Ints.
+// not join, semantics).
 func (t *KeyTable) sameKey(e int, kr *KeyRows, k int) bool {
 	for j, v := range kr.Vecs {
-		held := &t.keys[j]
-		if held.K == KindInt && v.K == KindInt && held.Nulls == nil && v.Nulls == nil {
-			if held.Ints[e] != v.Ints[k] {
-				return false
-			}
-		} else if !Equal(held.Value(e), v.Value(k)) {
+		if !Equal(t.keys[j].Value(e), v.Value(k)) {
 			return false
 		}
 	}
@@ -462,6 +483,7 @@ func (t *KeyTable) resize(n int) {
 	} else {
 		t.slots = make([]uint64, n)
 	}
+	t.resume = false
 	entries := n / 4 * 3
 	t.hashes = roomFor(t.hashes, entries)
 	for j := range t.keys {

@@ -224,6 +224,73 @@ func keyTableAgainstMap(t *testing.T, width int, intsFirst, hashed bool) {
 	}
 }
 
+// TestKeyTableLookupThenAdd drives the table as hash aggregation does: a
+// batch is hashed and looked up at once, then each row the lookup missed
+// is added, or, for a row marked to spill, only found again — so Add and
+// Find resume the probes Lookup ended, across keys repeated within a
+// batch, resizes, a dense table's conversion mid-batch and keys of every
+// kind. Every entry must be the one a map keyed by AppendKey gives.
+func TestKeyTableLookupThenAdd(t *testing.T) {
+	for width := 1; width <= 2; width++ {
+		r := rand.New(rand.NewSource(int64(11 + width)))
+		var tab KeyTable
+		tab.Init(width, 0)
+		ref, keys := map[string]int{}, []Row(nil)
+		cols := []int{0, 1}[:width]
+		var buf []byte
+		for batch := 0; batch < 60; batch++ {
+			rows := make([]Row, 1+r.Intn(300))
+			for i := range rows {
+				rows[i] = make(Row, width)
+				for j := range rows[i] {
+					switch {
+					case batch < 20: // INTs first, so a one-column table starts dense
+						rows[i][j] = NewInt(r.Int63n(int64(50 + 40*batch)))
+					case r.Intn(2) == 0:
+						rows[i][j] = NewInt(r.Int63n(5000))
+					default:
+						rows[i][j] = keyValuePool[r.Intn(len(keyValuePool))]
+					}
+				}
+			}
+			kr := keysOf(&tab, rows, cols)
+			out := make([]int32, len(rows))
+			tab.Lookup(kr, out)
+			for i, row := range rows {
+				buf = row.AppendKey(buf[:0], cols)
+				want, known := ref[string(buf)]
+				e := int(out[i])
+				if e < 0 && i%5 == 0 {
+					e = tab.Find(kr, i) // a key an earlier row of the batch added, or none
+				} else if e < 0 {
+					var added bool
+					if e, added = tab.Add(kr, i); added != !known {
+						t.Fatalf("width %d batch %d row %d (%v): added=%v, reference knows it: %v", width, batch, i, row, added, known)
+					}
+				}
+				if !known && e >= 0 {
+					want, known = len(ref), true
+					ref[string(buf)] = want
+					keys = append(keys, row)
+				}
+				if known != (e >= 0) || known && e != want {
+					t.Fatalf("width %d batch %d row %d (%v): entry %d, reference %d (known=%v)", width, batch, i, row, e, want, known)
+				}
+			}
+		}
+		if tab.n != len(ref) || tab.dense {
+			t.Fatalf("width %d: %d entries (dense=%v), reference holds %d", width, tab.n, tab.dense, len(ref))
+		}
+		// Probes from the start of each sequence find every entry where
+		// the resumed ones placed it.
+		for e, row := range keys {
+			if got := lookupRow(&tab, row, cols); got != e {
+				t.Fatalf("width %d: key %v found as entry %d, want %d", width, row, got, e)
+			}
+		}
+	}
+}
+
 // intKeys reports whether tab keeps its keys in one typed INT vector: a
 // single column, every key an INT.
 func intKeys(tab *KeyTable) bool {
