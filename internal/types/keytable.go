@@ -237,8 +237,9 @@ func (t *KeyTable) Lookup(kr *KeyRows, out []int32) {
 		}
 	default:
 		t.resume, t.ends = false, slices.Grow(t.ends[:0], len(kr.Sel))[:len(kr.Sel)]
+		held := t.heldInts(kr)
 		for i := range kr.Sel {
-			e, end := t.probe(kr, i)
+			e, end := t.probe(kr, i, held)
 			out[i], t.ends[i] = int32(e), end
 		}
 		t.resume = true
@@ -257,7 +258,7 @@ func (t *KeyTable) Find(kr *KeyRows, i int) int {
 	if len(t.slots) == 0 {
 		return -1
 	}
-	e, _ := t.probe(kr, i)
+	e, _ := t.probe(kr, i, t.heldInts(kr))
 	return e
 }
 
@@ -275,8 +276,9 @@ func (t *KeyTable) Add(kr *KeyRows, i int) (e int, added bool) {
 		t.leaveDense(kr)
 	}
 	var slot uint64
+	held := t.heldInts(kr)
 	if len(t.slots) > 0 {
-		if e, slot = t.probe(kr, i); e >= 0 {
+		if e, slot = t.probe(kr, i, held); e >= 0 {
 			return e, false
 		}
 	}
@@ -288,26 +290,36 @@ func (t *KeyTable) Add(kr *KeyRows, i int) (e int, added bool) {
 	t.slots[slot] = h&^math.MaxUint32 | uint64(e+1)
 	t.n++
 	t.hashes = append(t.hashes, h)
+	if held != nil {
+		t.keys[0].Ints = append(t.keys[0].Ints, kr.Vecs[0].Ints[kr.Sel[i]])
+		t.keys[0].N++
+		return e, true
+	}
 	for j, v := range kr.Vecs {
 		t.keys[j].AppendSel(v, kr.Sel[i:i+1])
 	}
 	return e, true
 }
 
+// heldInts returns the table's keys when they and kr's are one INT column
+// without NULLs, for probe to compare inline, or nil.
+func (t *KeyTable) heldInts(kr *KeyRows) []int64 {
+	if v := kr.Vecs; len(v) == 1 && v[0].K == KindInt && t.keys[0].K == KindInt && v[0].Nulls == nil && t.keys[0].Nulls == nil {
+		return t.keys[0].Ints
+	}
+	return nil
+}
+
 // probe walks row i's probe sequence in the hashed layout, from where a
 // Lookup left it when it did: it returns the entry whose key equals the
-// row's and its slot, or -1 and the empty slot the sequence ended at. A
-// key of one INT column without NULLs, on both sides, compares inline.
-func (t *KeyTable) probe(kr *KeyRows, i int) (int, uint64) {
+// row's and its slot, or -1 and the empty slot the sequence ended at. With
+// held (heldInts) the keys compare as INTs inline.
+func (t *KeyTable) probe(kr *KeyRows, i int, held []int64) (int, uint64) {
 	h, k := kr.hashes[i], int(kr.Sel[i])
 	mask := uint64(len(t.slots) - 1)
 	j := h & mask
 	if t.resume {
 		j = t.ends[i]
-	}
-	var held []int64
-	if v := kr.Vecs; len(v) == 1 && v[0].K == KindInt && t.keys[0].K == KindInt && v[0].Nulls == nil && t.keys[0].Nulls == nil {
-		held = t.keys[0].Ints
 	}
 	for ; ; j = (j + 1) & mask {
 		s := t.slots[j]
