@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet staticcheck test race stress crash fuzz bench bench-smoke bench-diff gobench corebench execbench paper docs-check check
+.PHONY: build vet staticcheck test race stress crash fuzz bench bench-smoke bench-diff gobench corebench execbench paper reach docs-check check
 
 build:
 	$(GO) build ./...
@@ -87,7 +87,8 @@ bench-diff:
 # per stage a query crosses (BenchmarkCacheKey / BenchmarkParse in
 # internal/sql, the optimizer's in internal/core — BenchmarkOptimizeAdhoc per
 # template and mode, BenchmarkOptimizeAdhocMix over adhoc-plan's rotation,
-# per statement — the executor's in
+# per statement — ANALYZE's in internal/catalog — BenchmarkAnalyze, every
+# table of a 24 000-lineitem TPC-D load, warm-exec's size — the executor's in
 # internal/exec — one per operator: BenchmarkHashJoin, BenchmarkHashAgg
 # (each on `int` keys, which a key table indexes directly, `string` keys,
 # `int-sparse` keys spread over 2^40, which keep the table hashed, and
@@ -139,6 +140,41 @@ paper:
 	grep -v ' completed in ' .bench_build/aggbench_output.txt > .bench_build/paper.new; \
 	cp .bench_build/aggbench_output.txt aggbench_output.txt; \
 	diff -u .bench_build/paper.old .bench_build/paper.new
+
+# reach is the census of what the drivers run (ROADMAP item 20). It builds
+# cmd/aggbench, cmd/aggopt, the six examples and the benchmark binary with
+# coverage of every aggview package, then runs, into one GOCOVERDIR:
+# `aggbench -quick`; each example; aggopt over cmd/aggopt/testdata/reach.sql
+# once per -mode and once with -systemr; each of the five workloads for 2 s;
+# and one traced durable-rw (--trace 1). The traced run is kept although it
+# drives the internal packages through bench/trace.go's twin of the engine,
+# not through the engine: the census counts what the drivers run. It prints
+# reach per package and writes the functions outside cmd/, bench/ and
+# examples/ that never ran to .bench_build/reach/unreached.txt. Not part of
+# `check`, and it gates nothing yet (~2 min).
+REACH := .bench_build/reach
+reach:
+	rm -rf $(REACH) && mkdir -p $(REACH)/bin $(REACH)/cov $(REACH)/data
+	$(GO) build -cover -coverpkg=aggview/... -o $(REACH)/bin/ ./cmd/aggbench ./cmd/aggopt
+	for e in examples/*/; do \
+		$(GO) build -cover -coverpkg=aggview/... -o $(REACH)/bin/example-$$(basename $$e) ./$$e || exit 1; \
+	done
+	cd bench && $(GO) build -cover -coverpkg=aggview/... -o ../$(REACH)/bin/bench .
+	export GOCOVERDIR=$(CURDIR)/$(REACH)/cov; set -e; \
+	$(REACH)/bin/aggbench -quick > /dev/null; \
+	for e in $(REACH)/bin/example-*; do $$e > /dev/null; done; \
+	for m in traditional push-down full; do \
+		$(REACH)/bin/aggopt -demo -batch -mode $$m -f cmd/aggopt/testdata/reach.sql > /dev/null; \
+	done; \
+	$(REACH)/bin/aggopt -demo -batch -systemr -f cmd/aggopt/testdata/reach.sql > /dev/null; \
+	for w in adhoc-plan warm-exec cold-io rollup-hot durable-rw; do \
+		$(REACH)/bin/bench --workload $$w --seconds 2 --data-dir $(REACH)/data > /dev/null; \
+	done; \
+	$(REACH)/bin/bench --workload durable-rw --trace 1 --seconds 2 --data-dir $(REACH)/data > /dev/null
+	$(GO) tool covdata percent -i $(REACH)/cov
+	$(GO) tool covdata func -i $(REACH)/cov | grep -v -e '^aggview/cmd/' -e '^aggview/bench/' -e '^aggview/examples/' \
+		| awk '$$NF == "0.0%"' > $(REACH)/unreached.txt
+	@echo "$$(wc -l < $(REACH)/unreached.txt) functions outside cmd/, bench/ and examples/ never ran: $(REACH)/unreached.txt"
 
 # docs-check keeps the documentation honest without adding dependencies:
 # every relative Markdown link and every backticked internal/cmd/examples
