@@ -781,6 +781,20 @@ func (s *spill) addRows(blk *types.Block, sel []int32) error {
 	return nil
 }
 
+func (s *spill) finish() error { return s.store.Flush(s.file) }
+
+func (s *spill) scan() *storage.Scanner { return s.store.NewScanner(s.file) }
+
+// drop releases the file. It is idempotent and nil-safe so operator Close
+// methods can run unconditionally at any point of the iterator lifecycle.
+func (s *spill) drop() {
+	if s == nil || s.file == nil {
+		return
+	}
+	s.store.DropFile(s.file)
+	s.file = nil
+}
+
 // spillPartitions is the fan-out of a Grace join and of an overflowing hash
 // aggregation.
 const spillPartitions = 16
@@ -824,20 +838,6 @@ func partitionOf(key []byte) int {
 		h = (h ^ uint32(c)) * 16777619
 	}
 	return int(h % spillPartitions)
-}
-
-func (s *spill) finish() error { return s.store.Flush(s.file) }
-
-func (s *spill) scan() *storage.Scanner { return s.store.NewScanner(s.file) }
-
-// drop releases the file. It is idempotent and nil-safe so operator Close
-// methods can run unconditionally at any point of the iterator lifecycle.
-func (s *spill) drop() {
-	if s == nil || s.file == nil {
-		return
-	}
-	s.store.DropFile(s.file)
-	s.file = nil
 }
 
 // meteredIter wraps one operator with runtime accounting. It pushes the
