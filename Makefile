@@ -106,9 +106,11 @@ bench-diff:
 # stored row (an INT and a FLOAT column against a `?`, a column against a
 # column); and
 # BenchmarkOpenCursor, which times opening a plan apart from running it —
-# BenchmarkQueryCacheHit, BenchmarkWarmExec and BenchmarkQueryAdhocMix (the
-# adhoc-plan rotation through Engine.Query, every statement a plan-cache
-# miss) in the root; view maintenance
+# BenchmarkQueryCacheHit (rollup-hot's texts through Engine.Query, every
+# call a plan-cache hit, which takes a built operator tree from its
+# program), BenchmarkWarmExec and BenchmarkQueryAdhocMix (the adhoc-plan
+# rotation through Engine.Query, every statement a plan-cache miss) in the
+# root; view maintenance
 # per commit in BenchmarkMatViewMaintain (root) and per step — bind and
 # compile, a delta, a merge — in internal/matview's BenchmarkMaintainSteps).
 gobench:
@@ -122,11 +124,12 @@ corebench:
 	$(GO) test -run '^$$' -bench '^BenchmarkQueryAdhocMix$$' -benchtime 1x .
 
 # execbench runs every internal/exec benchmark once (one iteration each),
-# and BenchmarkWarmExec, the warm-exec statements through their cached
-# plans, so the executor's benchmarks keep running, not only compiling.
+# BenchmarkWarmExec, the warm-exec statements through their cached plans,
+# and BenchmarkQueryCacheHit, rollup-hot's plan-cache hits, so the
+# executor's benchmarks and the hit path keep running, not only compiling.
 execbench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exec
-	$(GO) test -run '^$$' -bench '^BenchmarkWarmExec$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^(BenchmarkWarmExec|BenchmarkQueryCacheHit)$$' -benchtime 1x .
 
 # paper regenerates aggbench_output.txt, the full-size paper tables
 # EXPERIMENTS.md cites (~1 min), and fails when a line other than the

@@ -150,7 +150,7 @@ func analyzeRows(rows *Rows, err error) (*AnalyzeInfo, error) {
 	model := cost.NewModel(e.cfg.PoolPages, 0)
 	return &AnalyzeInfo{
 		Plan:         qr.planInfo,
-		Root:         e.buildOpTree(qr.planInfo.root, model, qr.col),
+		Root:         e.buildOpTree(qr.planInfo.root, model, &qr.col),
 		Rows:         qr.rowsOut,
 		IO:           qr.io,
 		Unattributed: qr.col.Unattributed,

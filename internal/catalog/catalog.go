@@ -666,7 +666,7 @@ func (c *Catalog) Analyze(t *Table) (err error) {
 	cols := make([]colSummary, len(w.Schema))
 	for i := range cols {
 		cols[i].distinct = types.GetKeyTable()
-		cols[i].distinct.Init(1, 0)
+		cols[i].distinct.Init(1, 0, w.Schema[i].Type)
 		defer types.PutKeyTable(cols[i].distinct)
 	}
 	var kr types.KeyRows

@@ -71,7 +71,7 @@ func TestPlansSortedAsClaimed(t *testing.T) {
 				}
 				ordered++
 				for _, bs := range []int{1, exec.DefaultBatchSize} {
-					col := obs.NewCollector()
+					col := new(obs.Collector)
 					sess := store.NewSession(func(op storage.IOOp, temp bool) error {
 						if op == storage.OpWrite {
 							col.RecordIO(obs.IOWrite, temp)

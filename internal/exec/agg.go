@@ -32,12 +32,12 @@ type groupBySpec struct {
 	scalar   bool // no grouping columns: always emit one row
 }
 
-// groupByCtx is one run's aggregation over a groupBySpec: the run's
-// parameters and the state of the groups in flight, numbered from 0 in
+// groupByCtx is an aggregation over a groupBySpec, as a tree runs it: the
+// run's executor and the state of the groups in flight, numbered from 0 in
 // creation order.
 type groupByCtx struct {
 	*groupBySpec
-	params []types.Value
+	ex *Executor
 
 	row    types.Row   // an input row gathered for a computed argument, or an inner row for a computed output
 	groups int         // the groups in flight; the states may hold one more, to come (reserve)
@@ -292,6 +292,7 @@ func (c *groupByCtx) dropGroups() {
 func (c *groupByCtx) release() {
 	putStore(c.inner)
 	c.inner = nil
+	clear(c.row)
 	if c.states == nil {
 		return
 	}
@@ -435,7 +436,7 @@ func (c *groupByCtx) foldRows(i int, b *Batch, sel, gids []int32) error {
 		case fn != nil:
 			c.row = b.Row(int(k), c.row)
 			var err error
-			if v, err = fn(c.row, c.params); err != nil {
+			if v, err = fn(c.row, c.ex.params); err != nil {
 				return err
 			}
 		}
@@ -474,7 +475,7 @@ func (c *groupByCtx) finish(dst *Batch) error {
 	rows := inner.selectAll(n) // the groups Having keeps
 	if c.having != nil {
 		var err error
-		if rows, err = c.having.Select(inner.Cols, rows, c.params); err != nil {
+		if rows, err = c.having.Select(inner.Cols, rows, c.ex.params); err != nil {
 			return err
 		}
 	}
@@ -482,7 +483,7 @@ func (c *groupByCtx) finish(dst *Batch) error {
 		c.row = inner.Row(int(rows[k]), c.row)
 		for i, fn := range c.outputs {
 			if c.outCol[i] < 0 {
-				v, err := fn(c.row, c.params)
+				v, err := fn(c.row, c.ex.params)
 				if err != nil {
 					return err
 				}
@@ -519,8 +520,8 @@ func (s *groupBySpec) width() int {
 	return len(s.groupPos) + len(s.aggs)
 }
 
-func compileGroupBy(g *lplan.GroupBy) (*op, error) {
-	input, err := compileInput(g.In)
+func (c *compiler) groupBy(g *lplan.GroupBy) (*op, error) {
+	input, err := c.input(g.In)
 	if err != nil {
 		return nil, err
 	}
@@ -529,27 +530,22 @@ func compileGroupBy(g *lplan.GroupBy) (*op, error) {
 		return nil, err
 	}
 	in := input.op
-	newCtx := func(e *Executor) *groupByCtx {
-		return &groupByCtx{groupBySpec: spec, params: e.params}
-	}
 	switch g.Method {
 	case lplan.AggSort:
 		sorted := sortedInput(in, g.GroupCols, sortKeys{cols: spec.groupPos})
 		return &op{newIter: func(e *Executor) BatchIterator {
-			ctx := newCtx(e)
-			return &sortAggIter{ctx: ctx, target: e.batchSize, in: runReader{in: sorted(e), cols: spec.groupPos,
+			ctx := &groupByCtx{groupBySpec: spec, ex: e}
+			return &sortAggIter{ctx: ctx, in: runReader{in: sorted(e), cols: spec.groupPos,
 				fold: func(b *Batch, sel []int32) error { return ctx.fold(b, sel, ctx.groupIDs(ctx.groups, len(sel))) }}}
 		}}, nil
 	case lplan.AggHash, lplan.AggUnset:
 		// Without an estimate, a group-by straight over an Input expects as
 		// many groups as the run supplies rows.
 		fromInput := g.Groups == 0 && readsInput(g.In)
+		kind := tableKind(input.sch, spec.groupPos)
 		return &op{newIter: func(e *Executor) BatchIterator {
-			groups := g.Groups
-			if fromInput {
-				groups = float64(len(e.input))
-			}
-			return &hashAggIter{exec: e, ctx: newCtx(e), in: e.build(in), groups: groups}
+			return &hashAggIter{exec: e, ctx: &groupByCtx{groupBySpec: spec, ex: e}, in: e.build(in),
+				estimate: g.Groups, fromInput: fromInput, kind: kind}
 		}}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown aggregation method %v", g.Method)
@@ -578,6 +574,16 @@ func presized(n float64, width, budget int) int {
 	return int(min(max(n, 0), float64(budget/perEntry)))
 }
 
+// tableKind returns the kind of a one-column key, the column at keys of
+// schema s, for a key table to start in the layout that suits it
+// (types.KeyTable.Init); KindNull for a key of several columns.
+func tableKind(s schema.Schema, keys []int) types.Kind {
+	if len(keys) != 1 {
+		return types.KindNull
+	}
+	return s[keys[0]].Type
+}
+
 // hashAggIter aggregates through an in-memory group table, partitioning the
 // input to spill files when the table exceeds the budget. It consumes its
 // input a batch at a time: the key table (types.KeyTable) looks the whole
@@ -589,12 +595,14 @@ func presized(n float64, width, budget int) int {
 // copied from the table's key vectors, and stream out in batches, in the
 // order their first rows arrived.
 type hashAggIter struct {
-	exec *Executor
-	ctx  *groupByCtx
-	in   BatchIterator
+	exec      *Executor
+	ctx       *groupByCtx
+	in        BatchIterator
+	estimate  float64    // the plan's group estimate, which presizes tab
+	fromInput bool       // no estimate, over an Input: expect a group per input row
+	kind      types.Kind // a one-column key's kind, which picks tab's layout (tableKind)
 
 	tab     *types.KeyTable // pooled: group key -> group number
-	groups  float64         // the group estimate, which presizes tab
 	kr      types.KeyRows   // the batch's keys
 	keep    []int32         // the positions of the rows that fold, once one does not
 	spilled []int32         // the positions of the batch's rows written to parts
@@ -604,13 +612,17 @@ type hashAggIter struct {
 	parts []*spill
 	part  *partitioner // made with parts
 	done  *Batch       // pooled: the finished groups, in vectors of its own
-	out   *blockIter
+	out   blockIter
 }
 
 func (it *hashAggIter) Open() error {
-	width := len(it.ctx.groupPos)
+	width, groups := len(it.ctx.groupPos), it.estimate
+	if it.fromInput {
+		groups = float64(len(it.exec.input))
+	}
+	it.bytes = 0
 	it.tab = types.GetKeyTable()
-	it.tab.Init(width, presized(it.groups, width, it.exec.budgetBytes))
+	it.tab.Init(width, presized(groups, width, it.exec.budgetBytes), it.kind)
 	it.done = getStore()
 	it.done.startOwn(it.ctx.width())
 	if err := it.consume(it.in, true); err != nil {
@@ -630,8 +642,8 @@ func (it *hashAggIter) Open() error {
 		if err := p.finish(); err != nil {
 			return err
 		}
-		it.tab.Init(width, 0)
-		if err := it.consume(spillScan(p, it.exec.batchSize), false); err != nil {
+		it.tab.Init(width, 0, it.kind)
+		if err := it.consume(spillScan(p, it.exec), false); err != nil {
 			return err
 		}
 		if err := it.finishGroups(); err != nil {
@@ -639,7 +651,7 @@ func (it *hashAggIter) Open() error {
 		}
 		p.drop()
 	}
-	it.out = &blockIter{blk: it.done.Block, target: it.exec.batchSize}
+	it.out = blockIter{blk: it.done.Block, target: it.exec.batchSize}
 	return it.out.Open()
 }
 
@@ -725,7 +737,7 @@ func (it *hashAggIter) Close() error {
 	it.ctx.release()
 	putStore(it.done)
 	types.PutKeyTable(it.tab)
-	it.done, it.out, it.tab = nil, nil, nil
+	it.done, it.out, it.tab, it.kr = nil, blockIter{}, nil, types.KeyRows{}
 	for _, p := range it.parts {
 		p.drop()
 	}
@@ -741,10 +753,9 @@ func (it *hashAggIter) Close() error {
 // together, as a hash aggregation's are. Without grouping columns the whole
 // input is one run.
 type sortAggIter struct {
-	ctx    *groupByCtx
-	target int
-	in     runReader
-	done   bool
+	ctx  *groupByCtx
+	in   runReader
+	done bool
 }
 
 // firstRow selects a block's first row.
@@ -760,9 +771,10 @@ func (it *sortAggIter) NextBatch(dst *Batch) error {
 	dst.Reset()
 	dst.startOwn(it.ctx.width())
 	ctx := it.ctx
-	for !it.done && dst.N < it.target {
+	target := ctx.ex.batchSize
+	for !it.done && dst.N < target {
 		keys := ctx.keys()
-		for room := it.target - dst.N; ctx.groups < room && !it.done; {
+		for room := target - dst.N; ctx.groups < room && !it.done; {
 			// The run about to be read folds into group ctx.groups.
 			ctx.reserve(ctx.groups + 1)
 			ok, err := it.in.next()

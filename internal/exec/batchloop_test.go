@@ -59,7 +59,7 @@ func batchesOf(t *testing.T, st *storage.Store, p *Program, bs int, params []typ
 	b := getBatch()
 	defer putBatch(b)
 	for {
-		if err := cur.it.NextBatch(b); err != nil {
+		if err := cur.t.root.NextBatch(b); err != nil {
 			return nil, nil, err
 		}
 		if b.Len() == 0 {

@@ -18,14 +18,17 @@
 //
 // # A plan is compiled once and opened per run
 //
-// Compile turns an lplan tree into a Program: it validates the tree, renders
-// each operator's label, resolves column positions and join keys, and
-// compiles every expression against its input schema. A `?` compiles to a
-// read of the run's parameter vector (WithParams), which every compiled
-// expression takes when it evaluates, so a Program holds nothing a run
-// writes and any number of runs may open one at once. Open builds and opens
-// the iterators, which are all a run allocates for its plan; Run compiles a
-// tree that was not compiled ahead, then opens and drains it. The engine
+// Compile turns an lplan tree into a Program: it validates the tree,
+// numbers the operators in preorder and renders each one's label, resolves
+// column positions and join keys, and compiles every expression against
+// its input schema. A `?` compiles to a read of the run's parameter vector
+// (WithParams), which every compiled expression takes when it evaluates,
+// so any number of runs may open one Program at once. Open takes an
+// operator tree a closed run left on the Program's free list — building
+// one only on the Program's first open, or while every tree it has is in a
+// run — copies the run's Executor settings into it and opens it; Close
+// hands it back. So a run of a compiled plan builds nothing. Run compiles
+// a tree that was not compiled ahead, then opens and drains it. The engine
 // compiles each plan once, before it caches it.
 //
 // A plan's leaves are scans, or an Input, whose rows the run supplies
@@ -66,6 +69,23 @@
 // the same operator: producers reuse them to keep steady-state allocation
 // at zero (batches, stores, key tables, aggregation states and scan queues
 // are recycled across runs; Close returns them).
+//
+// # Trees kept between runs
+//
+// An iterator lives as long as its Program: each tree is re-opened by run
+// after run, one at a time. What it keeps between runs is its compiled
+// state (its spec, its children, the tree's Executor, whose fields each
+// Open finds set to the new run's) and scratch that holds no value of a
+// run: selection and group-id slices, match flags cleared at Close. What
+// it must not keep is anything a later run, or the shared pools, could be
+// hurt by: Close hands every pooled object back (key tables, stores,
+// batches, aggregation states, scan queues), drops its spill files, and
+// lets go of what points into a run's data — vectors, rows, key rows — so
+// a kept tree pins no page and no large buffer. Open, in turn, starts the
+// operator from that state whatever the last run did: drained, closed
+// mid-stream, cancelled, stopped by a limit, failed in Open or spilled.
+// A run that panics inside an operator leaves its tree mid-call; the
+// cursor still closes it, but the Program does not keep it.
 //
 // A row outlives its batch only as a copy: appended to vectors the
 // consumer owns (a store batch: a hash join's build rows, a sort's input,
@@ -116,8 +136,9 @@
 // granularity inside the storage layer via the session IO hook, so even a
 // fully cached query notices cancellation mid-batch. The metering wrapper
 // (meteredIter) opens one attribution frame and one clock pair per
-// NextBatch; obs.OpStats.RowsOut stays an exact row count (the sum of
-// batch lengths) while NextCalls counts batch pulls.
+// NextBatch, recording into the collector's slot of its operator's number;
+// obs.OpStats.RowsOut stays an exact row count (the sum of batch lengths)
+// while NextCalls counts batch pulls.
 //
 // Batch size must never change results, page IO, or spill counts — only
 // call granularity. The differential harness (TestConcurrentBatchDifferential

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"aggview/internal/expr"
@@ -14,7 +15,9 @@ import (
 	"aggview/internal/types"
 )
 
-// Executor runs plans against a store.
+// Executor runs plans against a store. It carries one run's settings: Open
+// copies them into the operator tree it opens, whose iterators read them
+// there.
 type Executor struct {
 	store *storage.Store
 	// pg is the page-access surface every operator IO goes through: the raw
@@ -35,7 +38,8 @@ type Executor struct {
 	// hook. A nil governor means ungoverned.
 	gov *govern.Governor
 	// col, when set, receives per-operator runtime metrics: every operator
-	// is wrapped in a metering iterator registered against its plan node.
+	// is wrapped in a metering iterator that records into the collector's
+	// slot of its number.
 	col *obs.Collector
 	// params holds the values of the plan's `?` placeholders for this run.
 	// Compiled expressions read them as they evaluate, so one Program serves
@@ -82,8 +86,8 @@ func (e *Executor) WithSession(se *storage.Session) *Executor {
 }
 
 // WithCollector attaches a per-query metrics collector and returns the
-// executor. Every operator built afterwards is wrapped in a metering
-// iterator keyed by its plan node.
+// executor. Open gives it a slot per operator of the program (Start), and
+// each operator's metering iterator records into its own.
 func (e *Executor) WithCollector(c *obs.Collector) *Executor {
 	e.col = c
 	return e
@@ -158,41 +162,81 @@ func (e *Executor) RunProgram(p *Program) (*Result, error) {
 // allowed prefix is still delivered row by row and the limit error
 // surfaces on the pull after the last permitted row — byte-identical
 // behavior to a row-at-a-time executor. Close releases operator resources
-// (spill files) and is idempotent; it must be called even when Next
-// returns an error.
+// (spill files) and hands the tree back to its Program for the next run;
+// it is idempotent, and must be called even when Next returns an error.
 type Cursor struct {
-	it      BatchIterator
-	ex      *Executor
-	sch     schema.Schema
+	t       *tree // nil once closed
+	p       *Program
 	b       *Batch
 	pos     int // the batch's next row
 	n       int // the batch's rows Next hands out
 	eos     bool
 	pending error // governance error to surface after the allowed prefix
-	closed  bool
-	row     types.Row // the row Next gathers
+	// inCall is set while a call into the tree is in flight: a tree a
+	// panic left in the middle of one is never reused.
+	inCall bool
 }
 
 // Program is a plan compiled once for execution: its legality checked,
-// every operator labelled, column positions resolved and every expression
-// compiled against its input schema. Nothing in it is written by a run, so
-// any number of runs may open one Program at once; what a run owns — the
-// parameter vector, the session, the governor, the collector — comes with
-// its Executor, and what it allocates is the iterators.
+// every operator numbered and labelled, column positions resolved and
+// every expression compiled against its input schema. Any number of runs
+// may open one Program at once. What a run owns — the parameter vector,
+// the session, the governor, the collector — comes with its Executor; the
+// iterator tree it runs is built on a Program's first open and, once the
+// run is closed, kept on the Program's free list for the next, so that a
+// run of a cached plan builds nothing.
 type Program struct {
 	root *op
 	sch  schema.Schema
+	ops  []obs.OpInfo // per operator number: its plan node and label
+
+	mu   sync.Mutex
+	free []*tree // the trees of closed runs
 }
 
-// op is one compiled operator: its plan node (the key its metrics are
-// registered under), its Describe() label, newIter, which builds the
-// operator's iterator for one run, and order, the order its output is in
-// by lplan.Order, the rule the cost model charges by (empty = none).
+// op is one compiled operator: its number (preorder from the root: the
+// collector slot its metrics go to), newIter, which builds the operator's
+// iterator, and order, the order its output is in by lplan.Order, the rule
+// the cost model charges by (empty = none).
 type op struct {
-	node    lplan.Node
-	label   string
+	ord     int
 	newIter func(e *Executor) BatchIterator
 	order   []schema.ColID
+}
+
+// tree is one run's iterators over a Program. Its iterators read the run's
+// settings from ex, which Open overwrites with each run's, and are
+// re-opened by every run: each Open starts its operator from its compiled
+// state, and each Close hands what the operator took from the shared
+// pools (key tables, store batches, aggregation states, scan queues) back,
+// so a tree kept between runs holds no large buffer.
+type tree struct {
+	ex   Executor
+	root BatchIterator
+	row  types.Row // the row the cursor gathers
+}
+
+// take returns a tree of a closed run, or nil.
+func (p *Program) take() *tree {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	t := p.free[n-1]
+	p.free[n-1], p.free = nil, p.free[:n-1]
+	return t
+}
+
+// put keeps the closed tree t for the next run, holding nothing of the
+// last one.
+func (p *Program) put(t *tree) {
+	t.ex = Executor{}
+	clear(t.row)
+	p.mu.Lock()
+	p.free = append(p.free, t)
+	p.mu.Unlock()
 }
 
 // Compile validates the plan and compiles every operator. It is the one
@@ -203,49 +247,49 @@ func Compile(n lplan.Node) (*Program, error) {
 	if err := lplan.Validate(n); err != nil {
 		return nil, fmt.Errorf("exec: invalid plan: %w", err)
 	}
-	root, err := compileOp(n)
+	var c compiler
+	root, err := c.compile(n)
 	if err != nil {
 		return nil, err
 	}
-	return &Program{root: root, sch: n.Schema()}, nil
+	return &Program{root: root, sch: n.Schema(), ops: c.ops}, nil
 }
 
-// compileOp compiles a plan node and, through the per-type compilers, its
+// compiler compiles one plan, numbering its operators in preorder.
+type compiler struct {
+	ops []obs.OpInfo
+}
+
+// compile compiles a plan node and, through the per-type compilers, its
 // children.
-func compileOp(n lplan.Node) (*op, error) {
+func (c *compiler) compile(n lplan.Node) (*op, error) {
+	ord := len(c.ops)
+	c.ops = append(c.ops, obs.OpInfo{Node: n, Label: n.Describe()})
 	var o *op
 	var err error
 	switch t := n.(type) {
 	case *lplan.Scan:
 		o, err = compileScan(t)
 	case *lplan.Input:
-		o = &op{newIter: func(e *Executor) BatchIterator {
-			return &inputIter{blockIter: blockIter{target: e.batchSize}, rows: e.input}
-		}}
+		o = &op{newIter: func(e *Executor) BatchIterator { return &inputIter{ex: e} }}
 	case *lplan.Filter:
-		o, err = compileFilter(t)
+		o, err = c.filter(t)
 	case *lplan.Project:
-		o, err = compileProject(t)
+		o, err = c.project(t)
 	case *lplan.Sort:
-		o, err = compileSort(t)
+		o, err = c.sort(t)
 	case *lplan.Join:
-		o, err = compileJoin(t)
+		o, err = c.join(t)
 	case *lplan.GroupBy:
-		o, err = compileGroupBy(t)
+		o, err = c.groupBy(t)
 	default:
 		err = fmt.Errorf("exec: unknown node type %T", n)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return labelled(o, n), nil
-}
-
-// labelled sets what a compiled operator takes from its plan node: the
-// node itself, its label and its order.
-func labelled(o *op, n lplan.Node) *op {
-	o.node, o.label, o.order = n, n.Describe(), lplan.Order(n)
-	return o
+	o.ord, o.order = ord, lplan.Order(n)
+	return o, nil
 }
 
 // input is a compiled operator as its parent reads it: the operator and
@@ -255,38 +299,56 @@ type input struct {
 	sch schema.Schema
 }
 
-// compileInput compiles n as an input that emits rows of n's own schema.
-func compileInput(n lplan.Node) (input, error) {
-	o, err := compileOp(n)
+// input compiles n as an input that emits rows of n's own schema.
+func (c *compiler) input(n lplan.Node) (input, error) {
+	o, err := c.compile(n)
 	return input{op: o, sch: n.Schema()}, err
 }
 
-// Open builds the program's iterator tree for this run, opens it, and
-// returns a streaming cursor. On Open failure the partially opened tree is
-// closed before returning, so spill files never leak.
+// Open opens the program for this run and returns a streaming cursor: a
+// tree a closed run left, or on the program's first open (or while every
+// tree is in a run) a new one, bound to this executor's settings. On Open
+// failure the partially opened tree is closed before returning, so spill
+// files never leak.
 func (e *Executor) Open(p *Program) (*Cursor, error) {
-	it := e.build(p.root)
-	if err := it.Open(); err != nil {
+	t := p.take()
+	if t == nil {
+		t = new(tree)
+		t.root = t.ex.build(p.root)
+	}
+	t.ex = *e
+	if e.col != nil {
+		e.col.Start(p.ops)
+	}
+	c := &Cursor{t: t, p: p, inCall: true}
+	if err := t.root.Open(); err != nil {
 		// A partially opened operator tree (e.g. a grace join that spilled
 		// its build side before its probe failed) must still drop its spills.
-		it.Close()
+		c.inCall = false
+		c.Close()
 		return nil, err
 	}
-	return &Cursor{it: it, ex: e, sch: p.sch, b: getBatch()}, nil
+	c.inCall = false
+	c.b = getBatch()
+	return c, nil
 }
 
 // Schema returns the output schema of the plan.
-func (c *Cursor) Schema() schema.Schema { return c.sch }
+func (c *Cursor) Schema() schema.Schema { return c.p.sch }
 
 // Next returns the next row, gathered from the batch's vectors into a row
 // that stays valid until the next call: a caller that keeps it clones it.
 // ok is false at end of stream.
 func (c *Cursor) Next() (types.Row, bool, error) {
+	t := c.t
+	if t == nil {
+		return nil, false, nil
+	}
 	for {
 		if c.pos < c.n {
-			c.row = c.b.gather(c.pos, c.row)
+			t.row = c.b.gather(c.pos, t.row)
 			c.pos++
-			return c.row, true, nil
+			return t.row, true, nil
 		}
 		if c.pending != nil {
 			return nil, false, c.pending
@@ -294,7 +356,10 @@ func (c *Cursor) Next() (types.Row, bool, error) {
 		if c.eos {
 			return nil, false, nil
 		}
-		if err := c.it.NextBatch(c.b); err != nil {
+		c.inCall = true
+		err := t.root.NextBatch(c.b)
+		c.inCall = false
+		if err != nil {
 			return nil, false, err
 		}
 		c.pos, c.n = 0, c.b.Len()
@@ -302,7 +367,7 @@ func (c *Cursor) Next() (types.Row, bool, error) {
 			c.eos = true
 			continue
 		}
-		allowed, err := c.ex.gov.TickRows(int64(c.n))
+		allowed, err := t.ex.gov.TickRows(int64(c.n))
 		if err != nil {
 			// Deliver the in-budget prefix, then surface the error.
 			c.n = int(allowed)
@@ -315,26 +380,29 @@ func (c *Cursor) Next() (types.Row, bool, error) {
 // batch.
 func (c *Cursor) Buffered() int { return c.n - c.pos }
 
-// Close releases the operator tree's resources. Safe to call repeatedly.
+// Close releases the operator tree's resources and, unless a panic left a
+// call into it unfinished, keeps the tree for the program's next run. Safe
+// to call repeatedly.
 func (c *Cursor) Close() error {
-	if c.closed {
+	t := c.t
+	if t == nil {
 		return nil
 	}
-	c.closed = true
+	c.t = nil
 	putBatch(c.b)
 	c.b = nil
-	return c.it.Close()
+	err := t.root.Close()
+	if !c.inCall {
+		c.p.put(t)
+	}
+	return err
 }
 
-// build makes a compiled operator's iterator for this run, wrapped in a
-// metering iterator when a collector is attached (children build through
-// here too, so they pick up their own wrappers).
+// build makes a compiled operator's iterator, wrapped in a metering
+// iterator (children build through here too, so they pick up their own
+// wrappers). e is the tree's executor, which the iterators keep.
 func (e *Executor) build(o *op) BatchIterator {
-	it := o.newIter(e)
-	if e.col == nil {
-		return it
-	}
-	return &meteredIter{in: it, st: e.col.Register(o.node, o.label), col: e.col}
+	return &meteredIter{in: o.newIter(e), ex: e, ord: o.ord}
 }
 
 func colIndexes(s schema.Schema, cols []schema.ColID) ([]int, error) {
@@ -360,19 +428,18 @@ func colIndexes(s schema.Schema, cols []schema.ColID) ([]int, error) {
 // batch size would read them: when a batch's worth of rows is due, the
 // scan reads pages until it holds that many rows that passed, and hands
 // them out a page at a time before it reads again. So the batch size, and
-// the pages being handed out one by one, never move a page access.
+// the pages being handed out one by one, never move a page access. Every
+// Open starts the scan over: block nested loops rescan their inner so.
 type scanIter struct {
-	pg     storage.Pager
+	ex     *Executor // the run's: its pager, batch size and parameters
 	file   *storage.File
-	target int
-	params []types.Value
 	filter *expr.Filter // nil: none
 	// proj holds the output columns' positions among the page's columns,
 	// the generated $tid last; nil = all.
 	proj []int
 	tid  bool // generate the $tid vector
 
-	sc       *storage.Scanner
+	sc       storage.Scanner
 	eof      bool
 	q        *pageQueue // pooled
 	buffered int        // the rows the queue holds
@@ -424,14 +491,14 @@ func compileScan(s *lplan.Scan) (*op, error) {
 		}
 	}
 	return &op{newIter: func(e *Executor) BatchIterator {
-		return &scanIter{pg: e.pg, file: s.Table.File,
-			target: e.batchSize, params: e.params, filter: filter, proj: proj, tid: s.WithTID}
+		return &scanIter{ex: e, file: s.Table.File, filter: filter, proj: proj, tid: s.WithTID}
 	}}, nil
 }
 
 func (it *scanIter) Open() error {
 	it.release()
-	it.sc, it.eof = it.pg.NewScanner(it.file), false
+	it.ex.pg.StartScan(&it.sc, it.file)
+	it.eof = false
 	it.q, it.buffered, it.left = pageQueues.get(), 0, 0
 	return nil
 }
@@ -440,7 +507,7 @@ func (it *scanIter) NextBatch(dst *Batch) error {
 	dst.Reset()
 	q := it.q
 	if it.left == 0 {
-		it.left = it.target
+		it.left = it.ex.batchSize
 		it.compact()
 		for it.buffered < it.left && !it.eof {
 			if err := it.read(); err != nil {
@@ -520,7 +587,7 @@ func (it *scanIter) read() error {
 	}
 	sel := q.sels[ns:len(q.sels):len(q.sels)]
 	if it.filter != nil {
-		if sel, err = it.filter.Select(cols, sel, it.params); err != nil {
+		if sel, err = it.filter.Select(cols, sel, it.ex.params); err != nil {
 			return err
 		}
 	}
@@ -544,6 +611,7 @@ func (it *scanIter) read() error {
 
 func (it *scanIter) Close() error {
 	it.release()
+	it.sc = storage.Scanner{}
 	return nil
 }
 
@@ -560,9 +628,10 @@ func (it *scanIter) release() {
 	it.q = nil
 }
 
-// spillScan returns a scan of the spill file's rows.
-func spillScan(sp *spill, target int) *scanIter {
-	return &scanIter{pg: sp.store, file: sp.file, target: target}
+// spillScan returns a scan of the spill file's rows, which the run of e
+// wrote through its pager.
+func spillScan(sp *spill, e *Executor) *scanIter {
+	return &scanIter{ex: e, file: sp.file}
 }
 
 // inputIter reads an Input leaf's rows (WithInput): Open copies them,
@@ -571,28 +640,29 @@ func spillScan(sp *spill, target int) *scanIter {
 // few rows, as view maintenance makes per commit, allocates no block.
 type inputIter struct {
 	blockIter
-	rows  []types.Row
+	ex    *Executor
 	store *Batch
 }
 
 func (it *inputIter) Open() error {
+	rows := it.ex.input
 	it.store = getStore()
-	if len(it.rows) > 0 {
-		it.store.startOwn(len(it.rows[0]))
+	if len(rows) > 0 {
+		it.store.startOwn(len(rows[0]))
 	}
-	for _, r := range it.rows {
+	for _, r := range rows {
 		for j := range it.store.Cols {
 			it.store.Cols[j].AppendRef(r[j])
 		}
 	}
-	it.store.N = len(it.rows)
-	it.blk = it.store.Block
+	it.store.N = len(rows)
+	it.blockIter = blockIter{blk: it.store.Block, target: it.ex.batchSize}
 	return it.blockIter.Open()
 }
 
 func (it *inputIter) Close() error {
 	putStore(it.store)
-	it.store = nil
+	it.store, it.blockIter = nil, blockIter{}
 	return nil
 }
 
@@ -604,15 +674,14 @@ func (it *inputIter) Close() error {
 type filterIter struct {
 	in      BatchIterator
 	filter  *expr.Filter
-	params  []types.Value
-	target  int
+	ex      *Executor
 	scratch *Batch
 	sel     []int32
 	done    bool
 }
 
-func compileFilter(f *lplan.Filter) (*op, error) {
-	in, err := compileOp(f.In)
+func (c *compiler) filter(f *lplan.Filter) (*op, error) {
+	in, err := c.compile(f.In)
 	if err != nil {
 		return nil, err
 	}
@@ -621,7 +690,7 @@ func compileFilter(f *lplan.Filter) (*op, error) {
 		return nil, err
 	}
 	return &op{newIter: func(e *Executor) BatchIterator {
-		return &filterIter{in: e.build(in), filter: filter, params: e.params, target: e.batchSize}
+		return &filterIter{in: e.build(in), filter: filter, ex: e}
 	}}, nil
 }
 
@@ -633,7 +702,7 @@ func (it *filterIter) Open() error {
 
 func (it *filterIter) NextBatch(dst *Batch) error {
 	dst.Reset()
-	for started := false; !it.done && dst.N < it.target; {
+	for started := false; !it.done && dst.N < it.ex.batchSize; {
 		b := it.scratch
 		if err := it.in.NextBatch(b); err != nil {
 			return err
@@ -642,7 +711,7 @@ func (it *filterIter) NextBatch(dst *Batch) error {
 			it.done = true
 			return nil
 		}
-		sel, err := it.filter.Select(b.Cols, append(it.sel[:0], b.selection()...), it.params)
+		sel, err := it.filter.Select(b.Cols, append(it.sel[:0], b.selection()...), it.ex.params)
 		it.sel = sel
 		if err != nil {
 			return err
@@ -672,14 +741,14 @@ type projectIter struct {
 	in      BatchIterator
 	cols    []int           // per output: the input column it copies, or -1
 	exprs   []expr.Compiled // per output with cols -1: its evaluator
-	params  []types.Value
+	ex      *Executor
 	scratch *Batch
 	out     []types.Vector // the rearranged vectors when every output is bare
 	row     types.Row      // the gathered input row
 }
 
-func compileProject(p *lplan.Project) (*op, error) {
-	in, err := compileOp(p.In)
+func (c *compiler) project(p *lplan.Project) (*op, error) {
+	in, err := c.compile(p.In)
 	if err != nil {
 		return nil, err
 	}
@@ -702,7 +771,7 @@ func compileProject(p *lplan.Project) (*op, error) {
 		exprs = nil
 	}
 	return &op{newIter: func(e *Executor) BatchIterator {
-		return &projectIter{in: e.build(in), cols: cols, exprs: exprs, params: e.params}
+		return &projectIter{in: e.build(in), cols: cols, exprs: exprs, ex: e}
 	}}, nil
 }
 
@@ -738,7 +807,7 @@ func (it *projectIter) NextBatch(dst *Batch) error {
 			if fn == nil {
 				continue
 			}
-			v, err := fn(it.row, it.params)
+			v, err := fn(it.row, it.ex.params)
 			if err != nil {
 				return err
 			}
@@ -752,6 +821,8 @@ func (it *projectIter) NextBatch(dst *Batch) error {
 func (it *projectIter) Close() error {
 	putBatch(it.scratch)
 	it.scratch = nil
+	clear(it.out) // the input's vectors
+	clear(it.row)
 	return it.in.Close()
 }
 
@@ -840,18 +911,18 @@ func partitionOf(key []byte) int {
 	return int(h % spillPartitions)
 }
 
-// meteredIter wraps one operator with runtime accounting. It pushes the
+// meteredIter wraps one operator with runtime accounting. It opens the
 // operator's attribution frame around every lifecycle call, so page IO
 // charged by the storage hook lands on the innermost active operator:
 // children are wrapped too, making the page counters exclusive (self-only)
 // while the wall times stay inclusive of children. Metering is the textbook
 // beneficiary of batching — one Enter/Leave frame and one clock pair per
 // batch instead of per row — while RowsOut stays exact (the sum of batch
-// lengths).
+// lengths). A run without a collector passes straight through.
 type meteredIter struct {
 	in  BatchIterator
-	st  *obs.OpStats
-	col *obs.Collector
+	ex  *Executor
+	ord int // the operator's number: its collector slot
 }
 
 // epoch is the instant the metering clock counts from: time.Since of it
@@ -860,32 +931,47 @@ type meteredIter struct {
 var epoch = time.Now()
 
 func (m *meteredIter) Open() error {
-	m.col.Enter(m.st)
+	col := m.ex.col
+	if col == nil {
+		return m.in.Open()
+	}
+	st := col.Slot(m.ord)
+	prev := col.Enter(st)
 	start := time.Since(epoch)
 	err := m.in.Open()
-	m.st.OpenNS += int64(time.Since(epoch) - start)
-	m.col.Leave()
+	st.OpenNS += int64(time.Since(epoch) - start)
+	col.Leave(prev)
 	return err
 }
 
 func (m *meteredIter) NextBatch(dst *Batch) error {
-	m.col.Enter(m.st)
+	col := m.ex.col
+	if col == nil {
+		return m.in.NextBatch(dst)
+	}
+	st := col.Slot(m.ord)
+	prev := col.Enter(st)
 	start := time.Since(epoch)
 	err := m.in.NextBatch(dst)
-	m.st.NextNS += int64(time.Since(epoch) - start)
-	m.col.Leave()
-	m.st.NextCalls++
+	st.NextNS += int64(time.Since(epoch) - start)
+	col.Leave(prev)
+	st.NextCalls++
 	if err == nil {
-		m.st.RowsOut += int64(dst.Len())
+		st.RowsOut += int64(dst.Len())
 	}
 	return err
 }
 
 func (m *meteredIter) Close() error {
-	m.col.Enter(m.st)
+	col := m.ex.col
+	if col == nil {
+		return m.in.Close()
+	}
+	st := col.Slot(m.ord)
+	prev := col.Enter(st)
 	start := time.Since(epoch)
 	err := m.in.Close()
-	m.st.CloseNS += int64(time.Since(epoch) - start)
-	m.col.Leave()
+	st.CloseNS += int64(time.Since(epoch) - start)
+	col.Leave(prev)
 	return err
 }

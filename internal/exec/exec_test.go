@@ -575,10 +575,10 @@ func TestHashInputScanCarvesNothing(t *testing.T) {
 		defer putBatch(pb)
 		defer putBatch(qb)
 		for batches := 0; ; batches++ {
-			if err := pc.it.NextBatch(pb); err != nil {
+			if err := pc.t.root.NextBatch(pb); err != nil {
 				t.Fatal(err)
 			}
-			if err := qc.it.NextBatch(qb); err != nil {
+			if err := qc.t.root.NextBatch(qb); err != nil {
 				t.Fatal(err)
 			}
 			if pb.Len() == 0 || qb.Len() == 0 {

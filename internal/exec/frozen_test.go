@@ -73,7 +73,7 @@ func TestFrozenPlanOpensWithLessWork(t *testing.T) {
 	}
 	params := []types.Value{types.NewInt(60)}
 	open := func(run func(*Executor) (*Cursor, error)) *obs.Collector {
-		col := obs.NewCollector()
+		col := new(obs.Collector)
 		cur, err := run(New(e.store).WithCollector(col).WithParams(params))
 		if err != nil {
 			t.Fatal(err)

@@ -91,7 +91,7 @@ func TestInputGroupByStaysDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cur.Close()
-	if tab := cur.it.(*hashAggIter).tab; !tab.Dense() || tab.Len() != groups {
+	if tab := cur.t.root.(*meteredIter).in.(*hashAggIter).tab; !tab.Dense() || tab.Len() != groups {
 		t.Fatalf("key table dense=%v with %d entries, want the dense layout with %d", tab.Dense(), tab.Len(), groups)
 	}
 	for i := 0; ; i++ {

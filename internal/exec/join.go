@@ -21,6 +21,7 @@ import (
 type joinSpec struct {
 	lKeys, rKeys []int          // equi-join column positions (parallel slices)
 	lCols, rCols []schema.ColID // the same keys by column (lplan.Join.EquiKeys)
+	rKind        types.Kind     // a one-column key's kind on the right (tableKind)
 	build        *expr.Filter   // hash join: the build-only conjuncts; nil = none
 	residual     *expr.Filter   // the residual over the concat schema; nil = none
 	resCols      []int          // the concat columns the residual reads
@@ -46,7 +47,7 @@ func joinSpecOf(j *lplan.Join, l, r input, lCols, rCols []schema.ColID, residual
 		return nil, err
 	}
 	spec := &joinSpec{lKeys: lKeys, rKeys: rKeys, lCols: lCols, rCols: rCols,
-		lWidth: len(ls), rWidth: len(rs)}
+		rKind: tableKind(rs, rKeys), lWidth: len(ls), rWidth: len(rs)}
 	if j.Type.Outer() {
 		spec.none.Cols = make([]types.Vector, max(len(ls), len(rs)))
 	}
@@ -97,7 +98,7 @@ func buildOnly(preds []expr.Expr, ls, rs schema.Schema) (build, rest []expr.Expr
 	return build, rest
 }
 
-func compileJoin(j *lplan.Join) (*op, error) {
+func (c *compiler) join(j *lplan.Join) (*op, error) {
 	lCols, rCols, residualPreds := j.EquiKeys()
 	method := j.Method
 	switch {
@@ -106,11 +107,11 @@ func compileJoin(j *lplan.Join) (*op, error) {
 	case method == lplan.JoinUnset:
 		method = lplan.JoinHash
 	}
-	l, err := compileInput(j.L)
+	l, err := c.input(j.L)
 	if err != nil {
 		return nil, err
 	}
-	r, err := compileInput(j.R)
+	r, err := c.input(j.R)
 	if err != nil {
 		return nil, err
 	}
@@ -121,16 +122,15 @@ func compileJoin(j *lplan.Join) (*op, error) {
 	switch method {
 	case lplan.JoinHash:
 		return &op{newIter: func(e *Executor) BatchIterator {
-			return &hashJoinIter{joinPairs: joinPairs{joinSpec: spec, params: e.params}, exec: e,
-				target: e.batchSize, joinType: j.Type, probeSrc: e.build(l.op), buildOp: r.op}
+			return &hashJoinIter{joinPairs: joinPairs{joinSpec: spec, ex: e},
+				joinType: j.Type, probeSrc: e.build(l.op), buildSrc: e.build(r.op)}
 		}}, nil
 	case lplan.JoinBlockNL:
 		_, innerIsScan := j.R.(*lplan.Scan)
 		return &op{newIter: func(e *Executor) BatchIterator {
-			it := &blockNLIter{joinPairs: joinPairs{joinSpec: spec, params: e.params}, exec: e,
-				target: e.batchSize, joinType: j.Type, outer: e.build(l.op)}
+			it := &blockNLIter{joinPairs: joinPairs{joinSpec: spec, ex: e}, joinType: j.Type, outer: e.build(l.op)}
 			if innerIsScan {
-				it.inner = func() BatchIterator { return e.build(r.op) }
+				it.inner = e.build(r.op)
 			} else {
 				it.matSrc = e.build(r.op)
 			}
@@ -143,7 +143,7 @@ func compileJoin(j *lplan.Join) (*op, error) {
 		}
 		lIn, rIn := sortedInput(l.op, spec.lCols, sortKeys{cols: spec.lKeys}), sortedInput(r.op, spec.rCols, sortKeys{cols: spec.rKeys})
 		return &op{newIter: func(e *Executor) BatchIterator {
-			return &mergeJoinIter{joinPairs: joinPairs{joinSpec: spec, params: e.params}, target: e.batchSize,
+			return &mergeJoinIter{joinPairs: joinPairs{joinSpec: spec, ex: e},
 				l: runReader{in: lIn(e), cols: spec.lKeys}, r: runReader{in: rIn(e), cols: spec.rKeys}}
 		}}, nil
 	default:
@@ -178,15 +178,16 @@ func (s *joinSpec) column(i int) int {
 //
 // A left pad follows every candidate of its row, and keep reads and
 // clears the row's flag there, so lMatched is clear again once every row
-// of a block or a probe batch has had its pad.
+// of a block or a probe batch has had its pad; a run closed before that
+// clears it at close.
 type joinPairs struct {
 	*joinSpec
-	params   []types.Value
-	li, ri   []int32 // the pairs: positions in the left and the right block
-	lMatched []bool  // outer: per left position, whether a candidate held since its pad
-	rMatched []bool  // FULL: per right position, whether a candidate held
-	res      *Batch  // pooled: the residual's columns at the pairs, and its selection
-	buf      *Batch  // pooled: its sel and gids keep li and ri between runs
+	ex       *Executor // the run's
+	li, ri   []int32   // the pairs: positions in the left and the right block
+	lMatched []bool    // outer: per left position, whether a candidate held since its pad
+	rMatched []bool    // FULL: per right position, whether a candidate held
+	res      *Batch    // pooled: the residual's columns at the pairs, and its selection
+	buf      *Batch    // pooled: its sel and gids keep li and ri between runs
 }
 
 func (p *joinPairs) open() {
@@ -205,6 +206,8 @@ func (p *joinPairs) close() {
 	putBatch(p.buf)
 	putBatch(p.res)
 	p.buf, p.res, p.li, p.ri = nil, nil, nil, nil
+	clear(p.lMatched)
+	p.rMatched = nil
 }
 
 // keep narrows the pairs to the output rows: the candidates the residual
@@ -235,7 +238,7 @@ func (p *joinPairs) keep(l, r *types.Block) error {
 				}
 			}
 			var err error
-			if held, err = p.residual.Select(p.res.Cols, sel, p.params); err != nil {
+			if held, err = p.residual.Select(p.res.Cols, sel, p.ex.params); err != nil {
 				return err
 			}
 		}
@@ -322,11 +325,9 @@ func falses(s []bool, n int) []bool {
 // drain.
 type hashJoinIter struct {
 	joinPairs
-	exec     *Executor
-	target   int
 	joinType lplan.JoinType
-	probeSrc BatchIterator // the built left child
-	buildOp  *op           // the right child, built at Open
+	probeSrc BatchIterator // the left child
+	buildSrc BatchIterator // the right child
 
 	// Current build table (whole input in memory, or one grace partition).
 	// Build rows with one key are chained through next in ascending order
@@ -349,7 +350,8 @@ type hashJoinIter struct {
 	// grace path (rParts != nil)
 	lParts, rParts []*spill
 	part           int
-	probeRows      *Batch // pooled: the current partition's probe rows, in vectors of its own
+	probeRows      *Batch    // pooled: the current partition's probe rows, in vectors of its own
+	probeBlk       blockIter // probe over probeRows
 }
 
 // loadBuild indexes the build rows. NULL-keyed rows, and rows on which
@@ -362,7 +364,7 @@ func (it *hashJoinIter) loadBuild() error {
 		it.rMatched = make([]bool, n)
 	}
 	keys := it.rKeys
-	it.tab.Init(len(keys), n)
+	it.tab.Init(len(keys), n, it.rKind)
 	if len(keys) == 1 {
 		it.tab.Reserve(&it.build.Cols[keys[0]])
 	}
@@ -378,7 +380,7 @@ func (it *hashJoinIter) loadBuild() error {
 	b := it.build
 	kr := it.kr.Of(b.Cols, keys, b.selection())
 	if it.joinSpec.build != nil {
-		sel, err := it.joinSpec.build.Select(b.Cols, kr.Sel, it.params)
+		sel, err := it.joinSpec.build.Select(b.Cols, kr.Sel, it.ex.params)
 		if err != nil {
 			return err
 		}
@@ -412,20 +414,20 @@ func (it *hashJoinIter) addBuild(b *Batch) int {
 }
 
 func (it *hashJoinIter) Open() error {
-	build := it.exec.build(it.buildOp)
 	it.pb, it.build, it.tab = getBatch(), getStore(), types.GetKeyTable()
+	it.probeDone = false
 	it.open()
 	// Materialize the build side, counting bytes.
 	bytes := 0
 	it.startBuild()
-	if err := drainBatches(build, func(b *Batch) error {
+	if err := drainBatches(it.buildSrc, func(b *Batch) error {
 		bytes += it.addBuild(b)
 		return nil
 	}); err != nil {
 		return err
 	}
 
-	if bytes <= it.exec.budgetBytes {
+	if bytes <= it.ex.budgetBytes {
 		if err := it.loadBuild(); err != nil {
 			return err
 		}
@@ -439,8 +441,8 @@ func (it *hashJoinIter) Open() error {
 	it.rParts = make([]*spill, spillPartitions)
 	it.lParts = make([]*spill, spillPartitions)
 	for i := range it.rParts {
-		it.rParts[i] = newSpill(it.exec.pg, "hj-build")
-		it.lParts[i] = newSpill(it.exec.pg, "hj-probe")
+		it.rParts[i] = newSpill(it.ex.pg, "hj-build")
+		it.lParts[i] = newSpill(it.ex.pg, "hj-probe")
 	}
 	var part partitioner
 	if err := part.add(it.rParts, &it.build.Block, it.rKeys, it.build.selection()); err != nil {
@@ -492,14 +494,14 @@ func (it *hashJoinIter) nextPartition() (ok bool, err error) {
 	}); err != nil {
 		return false, err
 	}
-	it.probe = &blockIter{blk: it.probeRows.Block, target: it.target}
-	it.probeDone = false
+	it.probeBlk = blockIter{blk: it.probeRows.Block, target: it.ex.batchSize}
+	it.probe, it.probeDone = &it.probeBlk, false
 	return true, nil
 }
 
 // partition reads the current partition of parts back.
 func (it *hashJoinIter) partition(parts []*spill) *scanIter {
-	return spillScan(parts[it.part], it.target)
+	return spillScan(parts[it.part], it.ex)
 }
 
 // resolve reads the next probe batch and finds each of its rows' chain:
@@ -558,7 +560,8 @@ func (it *hashJoinIter) pair(room int) {
 
 func (it *hashJoinIter) NextBatch(dst *Batch) error {
 	dst.Reset()
-	for room := it.target; room > 0; room = it.target - dst.N {
+	target := it.ex.batchSize
+	for room := target; room > 0; room = target - dst.N {
 		l := &it.pb.Block
 		switch {
 		case it.pos < len(it.chains):
@@ -600,13 +603,14 @@ func (it *hashJoinIter) Close() error {
 	// probe source was already closed by drainBatches; closing again is
 	// harmless.
 	it.probeSrc.Close()
+	it.buildSrc.Close()
 	it.close()
 	putBatch(it.pb)
 	putStore(it.build)
 	putStore(it.probeRows)
 	types.PutKeyTable(it.tab)
-	it.pb, it.build, it.probeRows, it.tab = nil, nil, nil, nil
-	it.psel, it.chains = nil, nil
+	it.pb, it.build, it.probeRows, it.tab, it.probe = nil, nil, nil, nil, nil
+	it.psel, it.chains, it.head, it.next, it.kr, it.probeBlk = nil, nil, nil, nil, types.KeyRows{}, blockIter{}
 	for _, p := range it.lParts {
 		p.drop()
 	}
@@ -620,7 +624,8 @@ func (it *hashJoinIter) Close() error {
 // blockNLIter reads the outer in memory-budget blocks and rescans the inner
 // once per block, the front end of joinPairs. A base-table inner is
 // rescanned directly (the buffer pool charges the repeated reads); any
-// other inner is materialized to a spill file first. A block is a store
+// other inner is materialized to a spill file first. Either way one inner
+// iterator serves every pass, re-opened per block. A block is a store
 // batch cut row-exact from the outer's batches, so the batch size never
 // moves a block boundary. Each inner row of a pass is paired with the
 // block's rows its keys match, in block order, so output is inner-major
@@ -638,16 +643,16 @@ func (it *hashJoinIter) Close() error {
 // never-matched inner rows left-padded.
 type blockNLIter struct {
 	joinPairs
-	exec     *Executor
-	target   int
 	joinType lplan.JoinType
 	outer    BatchIterator
-	inner    func() BatchIterator // fresh inner scan per pass
+	inner    BatchIterator // a base-table inner, scanned per pass; nil with matSrc
 	// matSrc is a non-base-table inner, materialized to a spill at Open
 	// (not at build time: build allocates no resources, so a tree that is
-	// built but never opened leaks no files).
+	// built but never opened leaks no files) and scanned per pass by
+	// spillIn.
 	matSrc  BatchIterator
 	spilled *spill
+	spillIn scanIter
 
 	ob     *Batch  // the outer batch blocks are cut from
 	osel   []int32 // its selection
@@ -672,10 +677,12 @@ type blockNLIter struct {
 }
 
 func (it *blockNLIter) Open() error {
-	if it.matSrc != nil && it.spilled == nil {
+	it.osel, it.opos, it.oEOF, it.found, it.final, it.done = nil, 0, false, false, false, false
+	clear(it.innerMatched)
+	if it.matSrc != nil {
 		// Materialize the inner once, then scan the spill per block. The
 		// spill is assigned before writing so Close drops it on any error.
-		sp := newSpill(it.exec.pg, "bnl-inner")
+		sp := newSpill(it.ex.pg, "bnl-inner")
 		it.spilled = sp
 		if err := drainBatches(it.matSrc, func(b *Batch) error {
 			return sp.addRows(&b.Block, b.selection())
@@ -685,7 +692,7 @@ func (it *blockNLIter) Open() error {
 		if err := sp.finish(); err != nil {
 			return err
 		}
-		it.inner = func() BatchIterator { return spillScan(sp, it.exec.batchSize) }
+		it.spillIn = scanIter{ex: it.ex, file: sp.file}
 	}
 	it.ob, it.ib, it.block = getBatch(), getBatch(), getStore()
 	it.open()
@@ -701,7 +708,7 @@ func (it *blockNLIter) Open() error {
 // is done.
 func (it *blockNLIter) nextBlock() error {
 	it.block.startOwn(it.lWidth)
-	budget := max(it.exec.budgetBytes-2*4096, 4096) // leave pages for the inner stream
+	budget := max(it.ex.budgetBytes-2*4096, 4096) // leave pages for the inner stream
 	for bytes := 0; bytes < budget; {
 		if it.opos == len(it.osel) {
 			if it.oEOF {
@@ -729,7 +736,9 @@ func (it *blockNLIter) nextBlock() error {
 	}
 	it.all = it.block.selectAll(it.block.N)
 	it.padPos, it.ord, it.isel, it.ipos = 0, 0, nil, 0
-	it.in = it.inner()
+	if it.in = it.inner; it.in == nil {
+		it.in = &it.spillIn
+	}
 	return it.in.Open()
 }
 
@@ -786,7 +795,8 @@ func (it *blockNLIter) nextInner() error {
 
 func (it *blockNLIter) NextBatch(dst *Batch) error {
 	dst.Reset()
-	for room := it.target; room > 0 && !it.done; room = it.target - dst.N {
+	target := it.ex.batchSize
+	for room := target; room > 0 && !it.done; room = target - dst.N {
 		l, r := &it.block.Block, &it.ib.Block
 		switch {
 		case it.ipos < len(it.isel) && it.final:
@@ -838,7 +848,7 @@ func (it *blockNLIter) Close() error {
 	putStore(it.block)
 	it.ob, it.ib, it.block, it.osel, it.isel, it.all, it.match = nil, nil, nil, nil, nil, nil, nil
 	it.spilled.drop()
-	it.spilled = nil
+	it.spilled, it.spillIn = nil, scanIter{}
 	return nil
 }
 
@@ -885,7 +895,6 @@ func nullKey(b *types.Block, keys []int, i int) bool {
 // keys, NULL keys included (NULLs sort first), are passed over.
 type mergeJoinIter struct {
 	joinPairs
-	target     int
 	l, r       runReader // l.run × r.run is the product in flight
 	lpos, rpos int       // its next pair
 }
@@ -919,7 +928,8 @@ func (it *mergeJoinIter) pair(room int) {
 func (it *mergeJoinIter) NextBatch(dst *Batch) error {
 	dst.Reset()
 	l, r := &it.l.run.Block, &it.r.run.Block
-	for room := it.target; room > 0; room = it.target - dst.N {
+	target := it.ex.batchSize
+	for room := target; room > 0; room = target - dst.N {
 		if it.lpos < l.N {
 			it.pair(room)
 			if err := it.keep(l, r); err != nil {

@@ -45,7 +45,7 @@ func opIO(col *obs.Collector, n lplan.Node) string {
 // attributed to the operator that made it, as the engine attributes them:
 // opIO renders the collector it returns.
 func runAttributed(st *storage.Store, plan lplan.Node, bs int) (*Result, *obs.Collector, error) {
-	col := obs.NewCollector()
+	col := new(obs.Collector)
 	se := st.NewSession(func(op storage.IOOp, temp bool) error {
 		col.RecordIO(ioKinds[op], temp)
 		return nil
@@ -377,7 +377,7 @@ func TestSortSkippedExactlyWhenOrderCovers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if _, sorts := New(e.store).build(p.root).(*sortIter); sorts != c.sorts {
+		if _, sorts := New(e.store).build(p.root).(*meteredIter).in.(*sortIter); sorts != c.sorts {
 			t.Errorf("%s: the Sort sorts = %v, want %v (input order %v)", c.name, sorts, c.sorts, lplan.Order(c.sort.In))
 		}
 		keys, err := colIndexes(c.sort.Schema(), c.sort.By)

@@ -63,11 +63,12 @@ type sortIter struct {
 
 	rows *Batch // pooled: the input rows, or a run's, in vectors of its own
 	out  BatchIterator
+	blk  blockIter // out when nothing spilled
 	runs []*spill
 }
 
-func compileSort(s *lplan.Sort) (*op, error) {
-	in, err := compileOp(s.In)
+func (c *compiler) sort(s *lplan.Sort) (*op, error) {
+	in, err := c.compile(s.In)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +121,8 @@ func (it *sortIter) Open() error {
 		return err
 	}
 	if len(it.runs) == 0 {
-		it.out = &blockIter{blk: it.rows.Block, sel: it.keys.sorted(&it.rows.Block, it.rows), target: it.exec.batchSize}
+		it.blk = blockIter{blk: it.rows.Block, sel: it.keys.sorted(&it.rows.Block, it.rows), target: it.exec.batchSize}
+		it.out = &it.blk
 		return it.out.Open()
 	}
 	if it.rows.N > 0 {
@@ -158,7 +160,7 @@ func (it *sortIter) Close() error {
 		it.out.Close()
 	}
 	putStore(it.rows)
-	it.rows, it.out = nil, nil
+	it.rows, it.out, it.blk = nil, nil, blockIter{}
 	for _, r := range it.runs {
 		r.drop()
 	}

@@ -61,13 +61,14 @@ type Governor struct {
 	plans   atomic.Int64
 }
 
-// New creates a governor for one query execution. A nil context is treated
-// as context.Background().
-func New(ctx context.Context, limits Limits) *Governor {
+// Init readies g, a Governor no query has used, for one query execution;
+// the engine keeps it inside the value that owns the query. A nil context
+// is treated as context.Background().
+func (g *Governor) Init(ctx context.Context, limits Limits) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Governor{ctx: ctx, limits: limits}
+	g.ctx, g.limits = ctx, limits
 }
 
 // Err polls cancellation: it returns a wrapped ErrCanceled when the

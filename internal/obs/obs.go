@@ -96,14 +96,24 @@ type Span struct {
 	Dur  time.Duration
 }
 
+// OpInfo names one operator of a compiled plan: the plan node its metrics
+// are looked up by and its label. A compiled plan numbers its operators
+// from 0 and keeps one OpInfo per number, shared by all its runs.
+type OpInfo struct {
+	Node  any
+	Label string
+}
+
 // Collector gathers one query's runtime observations: per-operator metrics
-// keyed by plan node, the attribution stack, and phase spans. It is not
-// safe for concurrent use; a query executes on one goroutine.
+// in one slot per operator of the plan, numbered as the plan numbers them,
+// the innermost operator frame, and phase spans. It is not safe for
+// concurrent use; a query executes on one goroutine. The zero Collector is
+// ready to use.
 type Collector struct {
-	ops    []*OpStats
-	byNode map[any]*OpStats
-	stack  []*OpStats
-	spans  []Span
+	info  []OpInfo  // per operator: its node and label (Start)
+	ops   []OpStats // per operator: its metrics
+	cur   *OpStats  // the innermost operator frame; nil = none
+	spans []Span
 
 	// Unattributed accumulates page accesses observed while no operator
 	// frame was active. The executor wraps every operator, so a non-zero
@@ -111,49 +121,51 @@ type Collector struct {
 	Unattributed OpStats
 }
 
-// NewCollector creates an empty collector.
-func NewCollector() *Collector {
-	return &Collector{byNode: map[any]*OpStats{}}
-}
-
-// Register creates (or returns) the stats slot for a plan node. The node is
-// used only as a map key; the executor passes lplan.Node pointers.
-func (c *Collector) Register(node any, label string) *OpStats {
-	if st, ok := c.byNode[node]; ok {
-		return st
+// Start gives the collector one empty slot per operator of a plan about to
+// run, labelled: operator i's metrics go to Slot(i). ops is read, never
+// written, so every run of a plan may share it.
+func (c *Collector) Start(ops []OpInfo) {
+	c.info, c.ops = ops, make([]OpStats, len(ops))
+	for i := range ops {
+		c.ops[i].Label = ops[i].Label
 	}
-	st := &OpStats{Label: label}
-	c.byNode[node] = st
-	c.ops = append(c.ops, st)
-	return st
 }
 
-// Op returns the stats recorded for a plan node, or nil.
+// Slot returns operator i's metrics.
+func (c *Collector) Slot(i int) *OpStats { return &c.ops[i] }
+
+// Op returns the metrics recorded for a plan node, or nil.
 func (c *Collector) Op(node any) *OpStats {
-	return c.byNode[node]
-}
-
-// Ops returns every registered operator in registration order.
-func (c *Collector) Ops() []*OpStats { return c.ops }
-
-// Enter pushes an operator frame: subsequent IO is attributed to st until
-// the matching Leave.
-func (c *Collector) Enter(st *OpStats) { c.stack = append(c.stack, st) }
-
-// Leave pops the innermost operator frame.
-func (c *Collector) Leave() {
-	if n := len(c.stack); n > 0 {
-		c.stack = c.stack[:n-1]
+	for i := range c.info {
+		if c.info[i].Node == node {
+			return &c.ops[i]
+		}
 	}
+	return nil
 }
+
+// Ops returns every operator's metrics, in operator order.
+func (c *Collector) Ops() []OpStats { return c.ops }
+
+// Enter makes st the innermost operator frame: subsequent IO is
+// attributed to it until the matching Leave. It returns the frame it
+// replaces, which Leave restores, so frames nest on the caller's stack.
+func (c *Collector) Enter(st *OpStats) (prev *OpStats) {
+	prev, c.cur = c.cur, st
+	return prev
+}
+
+// Leave ends the innermost operator frame, restoring prev, what the
+// matching Enter returned.
+func (c *Collector) Leave(prev *OpStats) { c.cur = prev }
 
 // RecordIO charges one page access to the innermost operator frame (or the
 // Unattributed bucket). temp marks accesses to query-temporary files —
 // operator spill runs and partitions.
 func (c *Collector) RecordIO(kind IOKind, temp bool) {
-	st := &c.Unattributed
-	if n := len(c.stack); n > 0 {
-		st = c.stack[n-1]
+	st := c.cur
+	if st == nil {
+		st = &c.Unattributed
 	}
 	switch kind {
 	case IORead:
@@ -175,8 +187,8 @@ func (c *Collector) RecordIO(kind IOKind, temp bool) {
 func (c *Collector) Totals() OpStats {
 	var t OpStats
 	t.Label = "total"
-	for _, op := range c.ops {
-		t.Add(op)
+	for i := range c.ops {
+		t.Add(&c.ops[i])
 	}
 	t.Add(&c.Unattributed)
 	return t

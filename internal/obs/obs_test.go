@@ -6,11 +6,11 @@ import (
 )
 
 func TestAttributionStack(t *testing.T) {
-	c := NewCollector()
+	c := new(Collector)
 	type node struct{ name string }
 	parent, child := &node{"p"}, &node{"c"}
-	ps := c.Register(parent, "parent")
-	cs := c.Register(child, "child")
+	c.Start([]OpInfo{{Node: parent, Label: "parent"}, {Node: child, Label: "child"}})
+	ps, cs := c.Slot(0), c.Slot(1)
 
 	// IO with no frame goes to the unattributed bucket.
 	c.RecordIO(IORead, false)
@@ -18,15 +18,19 @@ func TestAttributionStack(t *testing.T) {
 		t.Fatalf("unattributed reads = %d, want 1", c.Unattributed.Reads)
 	}
 
-	c.Enter(ps)
+	outer := c.Enter(ps)
 	c.RecordIO(IOWrite, true) // parent's own spill write
-	c.Enter(cs)
+	inner := c.Enter(cs)
 	c.RecordIO(IORead, false) // child's base-table read
 	c.RecordIO(IOHit, false)
-	c.Leave()
+	c.Leave(inner)
 	c.RecordIO(IORead, true) // back in the parent frame: spill read
-	c.Leave()
+	c.Leave(outer)
+	c.RecordIO(IOHit, false) // no frame again
 
+	if c.Unattributed.Reads != 1 || c.Unattributed.Hits != 1 {
+		t.Fatalf("unattributed stats = %+v", c.Unattributed)
+	}
 	if ps.Writes != 1 || ps.SpillWrites != 1 || ps.Reads != 1 || ps.SpillReads != 1 {
 		t.Fatalf("parent stats = %+v", *ps)
 	}
@@ -35,26 +39,36 @@ func TestAttributionStack(t *testing.T) {
 	}
 
 	tot := c.Totals()
-	if tot.Reads != 3 || tot.Writes != 1 || tot.Hits != 1 {
+	if tot.Reads != 3 || tot.Writes != 1 || tot.Hits != 2 {
 		t.Fatalf("totals = %+v", tot)
 	}
 }
 
-func TestRegisterIsIdempotentPerNode(t *testing.T) {
-	c := NewCollector()
-	n := &struct{}{}
-	a := c.Register(n, "x")
-	b := c.Register(n, "x")
-	if a != b {
-		t.Fatal("Register returned two slots for one node")
+// TestStartNumbersOperators: Start gives each operator of the plan one
+// labelled slot, in the plan's numbering; Op finds a slot by its node, and
+// a second Start begins from empty slots.
+func TestStartNumbersOperators(t *testing.T) {
+	c := new(Collector)
+	a, b := &struct{ x int }{1}, &struct{ x int }{2}
+	ops := []OpInfo{{Node: a, Label: "a"}, {Node: b, Label: "b"}}
+	c.Start(ops)
+	if len(c.Ops()) != 2 || c.Ops()[0].Label != "a" || c.Ops()[1].Label != "b" {
+		t.Fatalf("ops = %+v", c.Ops())
 	}
-	if len(c.Ops()) != 1 {
-		t.Fatalf("ops = %d, want 1", len(c.Ops()))
+	if c.Op(a) != c.Slot(0) || c.Op(b) != c.Slot(1) || c.Op(&struct{ x int }{1}) != nil {
+		t.Fatal("Op does not find the slots by node")
+	}
+	prev := c.Enter(c.Slot(1))
+	c.RecordIO(IORead, false)
+	c.Leave(prev)
+	c.Start(ops)
+	if c.Slot(1).Reads != 0 || c.Slot(1).Label != "b" {
+		t.Fatalf("a second Start kept %+v", *c.Slot(1))
 	}
 }
 
 func TestSpans(t *testing.T) {
-	c := NewCollector()
+	c := new(Collector)
 	c.Time("optimize")()
 	c.Time("execute")()
 	if len(c.Spans()) != 2 {

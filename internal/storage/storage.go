@@ -270,7 +270,15 @@ func (se *Session) ReadPage(f *File, n int) (types.Block, error) {
 
 // NewScanner starts a scan whose page reads are attributed to this session.
 func (se *Session) NewScanner(f *File) *Scanner {
-	return &Scanner{store: se.store, sess: se, file: f, page: -1}
+	sc := new(Scanner)
+	se.StartScan(sc, f)
+	return sc
+}
+
+// StartScan readies sc as NewScanner readies the scanner it returns, for
+// a reader that keeps its scanner in place.
+func (se *Session) StartScan(sc *Scanner, f *File) {
+	*sc = Scanner{store: se.store, sess: se, file: f, page: -1}
 }
 
 // CreateTemp allocates a query-temporary file (no IO is charged).
@@ -288,6 +296,7 @@ type Pager interface {
 	Flush(f *File) error
 	ReadPage(f *File, n int) (types.Block, error)
 	NewScanner(f *File) *Scanner
+	StartScan(sc *Scanner, f *File)
 	CreateTemp(name string) *File
 	DropFile(f *File)
 }
@@ -557,7 +566,15 @@ type Scanner struct {
 
 // NewScanner starts a scan of f with unattributed (store-global) IO.
 func (s *Store) NewScanner(f *File) *Scanner {
-	return &Scanner{store: s, file: f, page: -1}
+	sc := new(Scanner)
+	s.StartScan(sc, f)
+	return sc
+}
+
+// StartScan readies sc as NewScanner readies the scanner it returns, for
+// a reader that keeps its scanner in place.
+func (s *Store) StartScan(sc *Scanner, f *File) {
+	*sc = Scanner{store: s, file: f, page: -1}
 }
 
 // NextPage returns the next page's column vectors and the rowid of its

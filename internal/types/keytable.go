@@ -13,11 +13,13 @@ import (
 // accumulators, and ANALYZE counts a column's distinct values as the
 // entries of a one-column table.
 //
-// A single-column table starts dense: while every key inserted is an INT
-// within ±2^53 and the keys span at most denseSpan(entries), an entry id
-// sits in index at key − lo, and a lookup or insert is one index operation
-// with no hash computed or stored. The first insert that breaks the rule
-// converts the table to the hashed layout, keeping every entry id.
+// A single-column table whose column may hold INTs starts dense: while
+// every key inserted is an INT within ±2^53 and the keys span at most
+// denseSpan(entries), an entry id sits in index at key − lo, and a lookup
+// or insert is one index operation with no hash computed or stored. The
+// first insert that breaks the rule converts the table to the hashed
+// layout, keeping every entry id. A table over a VARCHAR, FLOAT or BOOLEAN
+// column, or over several columns, starts hashed.
 //
 // Hashed layout: an open-addressing, power-of-two, linear-probing slot
 // array whose words pack the upper half of the key hash with the entry id,
@@ -111,10 +113,12 @@ const KeyEntryBytes = 8*4/3 + 8
 // Init empties the table for keys of width values, expecting n entries
 // (0: unknown): a hashed table has room for them before its first resize,
 // and a dense one sizes its index and key storage for them on the first
-// insert. Storage from an earlier use is kept when large enough.
-func (t *KeyTable) Init(width, n int) {
+// insert. kind is the declared kind of a one-column key (KindNull when
+// unknown): only a key that may be an INT starts the table dense. Storage
+// from an earlier use is kept when large enough.
+func (t *KeyTable) Init(width, n int, kind Kind) {
 	t.width, t.n, t.expect = width, 0, n
-	t.dense, t.resume = width == 1, false
+	t.dense, t.resume = width == 1 && kind != KindString && kind != KindFloat && kind != KindBool, false
 	t.hashes = t.hashes[:0]
 	t.keys = slices.Grow(t.keys[:0], width)[:width]
 	for j := range t.keys {
@@ -283,7 +287,7 @@ func (t *KeyTable) Add(kr *KeyRows, i int) (e int, added bool) {
 		}
 	}
 	e, h := t.n, kr.hashes[i]
-	if t.n == cap(t.hashes) {
+	if t.n == len(t.slots)/4*3 { // full: resize holds 3/4 of its slots
 		t.resize(max(2*len(t.slots), keyTableMinSlots))
 		slot = t.free(h)
 	}
@@ -487,7 +491,8 @@ func (t *KeyTable) entries() []int32 {
 // resize installs a slot array of n slots (a power of two, or 0) and entry
 // storage for the 3n/4 entries it may hold, carrying the entries over.
 // Entry storage grows here and nowhere else, so it doubles with the slots
-// instead of following append's finer-grained schedule.
+// instead of following append's finer-grained schedule; Add resizes when
+// the entries reach 3/4 of the slots.
 func (t *KeyTable) resize(n int) {
 	if cap(t.slots) >= n {
 		t.slots = t.slots[:n]
@@ -513,11 +518,12 @@ func (t *KeyTable) resize(n int) {
 	}
 }
 
-// roomFor returns s with a capacity of exactly n, n >= len(s): in its own
-// storage when that has room (an earlier use's), or in new storage.
+// roomFor returns s with a capacity of at least n, n >= len(s): its own
+// storage, all of it, when that has room (an earlier use's), or new
+// storage of n.
 func roomFor[T any](s []T, n int) []T {
 	if cap(s) >= n {
-		return s[:len(s):n]
+		return s
 	}
 	return append(make([]T, 0, n), s...)
 }

@@ -91,7 +91,7 @@ func tableKeys(tab *KeyTable) *Block {
 // left the dense layout, or has none, for width != 1.
 func hashedTable(width int) *KeyTable {
 	var tab KeyTable
-	tab.Init(width, 0)
+	tab.Init(width, 0, KindNull)
 	tab.leaveDense(nil)
 	return &tab
 }
@@ -166,7 +166,7 @@ func keyTableAgainstMap(t *testing.T, width int, intsFirst, hashed bool) {
 	if !hashed {
 		// Sized for a quarter of the INT prefix's 3 000 keys, the dense
 		// index spans them all, growing several times on the way.
-		tab.Init(width, 750)
+		tab.Init(width, 750, KindNull)
 	}
 	for n := 0; n < draws; n++ {
 		row := make(Row, width+2)
@@ -218,7 +218,7 @@ func keyTableAgainstMap(t *testing.T, width int, intsFirst, hashed bool) {
 		}
 	}
 	// Reuse: an emptied table answers like a new one.
-	tab.Init(width, 0)
+	tab.Init(width, 0, KindNull)
 	if e := lookupRow(tab, keys[0], cols); e >= 0 || tab.n != 0 {
 		t.Fatalf("emptied table still finds entry %d", e)
 	}
@@ -234,7 +234,7 @@ func TestKeyTableLookupThenAdd(t *testing.T) {
 	for width := 1; width <= 2; width++ {
 		r := rand.New(rand.NewSource(int64(11 + width)))
 		var tab KeyTable
-		tab.Init(width, 0)
+		tab.Init(width, 0, KindNull)
 		ref, keys := map[string]int{}, []Row(nil)
 		cols := []int{0, 1}[:width]
 		var buf []byte
@@ -304,7 +304,7 @@ func TestKeyTableBareInts(t *testing.T) {
 	for _, hashed := range []bool{false, true} {
 		tab := hashedTable(1)
 		if !hashed {
-			tab.Init(1, 100)
+			tab.Init(1, 100, KindNull)
 		}
 		cols := []int{0}
 		for i := int64(0); i < 100; i++ {
@@ -329,6 +329,7 @@ func denseStreams() []struct {
 	name      string
 	keys      []Value
 	convertAt int
+	kind      Kind // the key column's declared kind
 } {
 	const p53 = int64(1) << 53
 	r := rand.New(rand.NewSource(3))
@@ -368,38 +369,49 @@ func denseStreams() []struct {
 		NewFloat(2), NewFloat(negZero()), NewFloat(7), // Equal to keys held
 		NewFloat(2.5), // not: the table converts here, at 9
 		NewFloat(math.NaN()), NewFloat(otherNaN()), NewFloat(-3), NewInt(-3), NewFloat(0.25), NewInt(4))
+	// VARCHAR keys, repeating, with a NULL: a table declared VARCHAR
+	// starts hashed.
+	var strs []Value
+	for i := 0; i < 300; i++ {
+		strs = append(strs, NewString(fmt.Sprintf("r%d-p%d", r.Intn(3), r.Intn(24))))
+	}
+	strs[40] = Null()
 	return []struct {
 		name      string
 		keys      []Value
 		convertAt int
+		kind      Kind
 	}{
-		{"dense", dense, len(dense)},
-		{"spread", spread, len(spread)},
-		{"growing-down", down, len(down)},
-		{"sparse", sparse, 1},
-		{"stretch", stretch, 302},
-		{"p53", ints(p53-2, p53-1, p53, p53-1, p53+1, p53, -p53, p53+2, 0), 4},
-		{"-p53", ints(-p53+1, -p53, -p53+1, -p53-1, -p53, 5), 3},
-		{"floats", floats, 9},
-		{"null-string", mixed, 17},
+		{"dense", dense, len(dense), KindInt},
+		{"spread", spread, len(spread), KindInt},
+		{"growing-down", down, len(down), KindInt},
+		{"sparse", sparse, 1, KindInt},
+		{"stretch", stretch, 302, KindInt},
+		{"p53", ints(p53-2, p53-1, p53, p53-1, p53+1, p53, -p53, p53+2, 0), 4, KindInt},
+		{"-p53", ints(-p53+1, -p53, -p53+1, -p53-1, -p53, 5), 3, KindInt},
+		{"floats", floats, 9, KindInt},
+		{"null-string", mixed, 17, KindNull},
+		{"varchar", strs, 0, KindString},
 	}
 }
 
-// TestKeyTableDenseAgainstHashed drives a table that starts dense and one
-// forced into the hashed layout with the same key streams — dense and
-// sparse INTs, INTs spread wider than four a key but within the dense
-// floor, a key that stretches the span mid-batch, ±2^53±1, FLOAT
-// whole and fractional values, -0.0 and NaN, NULL and a string arriving
-// mid-stream — in batches of 7, so that a table converts mid-batch. Every
-// lookup and every insert must give both tables the same entry, the dense
-// one must leave its layout exactly at the key that breaks the rule, both
-// must hand back the same keys, and afterwards both must answer the same
-// to probes of every kind.
+// TestKeyTableDenseAgainstHashed drives a table initialized for the key
+// column's declared kind and one forced into the hashed layout with the
+// same key streams — dense and sparse INTs, INTs spread wider than four a
+// key but within the dense floor, a key that stretches the span mid-batch,
+// ±2^53±1, FLOAT whole and fractional values, -0.0 and NaN, NULL and a
+// string arriving mid-stream, all in an INT (or undeclared) column, and
+// VARCHARs in a VARCHAR column — in batches of 7, so that a table converts
+// mid-batch. Every lookup and every insert must give both tables the same
+// entry, the first one must leave the dense layout exactly at the key that
+// breaks the rule (a VARCHAR table is never dense, so never converts),
+// both must hand back the same keys in entry order, and afterwards both
+// must answer the same to probes of every kind.
 func TestKeyTableDenseAgainstHashed(t *testing.T) {
 	cols := []int{1}
 	for _, st := range denseStreams() {
 		var dense KeyTable
-		dense.Init(1, 0)
+		dense.Init(1, 0, st.kind)
 		hashed := hashedTable(1)
 		rows := make([]Row, len(st.keys))
 		for i, k := range st.keys {

@@ -381,14 +381,16 @@ func (v *Vector) become(k Kind) {
 	}
 }
 
-// mix moves the values into Vals. The typed slices are let go, not
-// reused: a copy of the struct taken earlier still reads them.
+// mix moves the values into Vals. The typed slices keep their storage,
+// emptied, for the vector's next life after a Reset, as Reset keeps it;
+// until then nothing writes it, so a copy of the struct taken earlier
+// still reads its values.
 func (v *Vector) mix() {
 	vals := v.Vals[:0]
 	for i := 0; i < v.N; i++ {
 		vals = append(vals, v.Value(i))
 	}
-	*v = Vector{K: kindMixed, N: v.N, Vals: vals}
+	*v = Vector{K: kindMixed, N: v.N, Vals: vals, Ints: v.Ints[:0], Floats: v.Floats[:0], Offs: v.Offs[:0]}
 }
 
 // clone returns a copy of v that shares no storage with it.

@@ -155,7 +155,7 @@ func (qr *queryRun) compile(key planKey, sel *sql.Select) (*compiledPlan, error)
 	if qr.opt.trace {
 		trace = core.NewSearchTrace()
 	}
-	plan, usedMode, err := qr.engine.optimizeLadder(qr.snap, bound.Query, key.mode, key.noViewRewrite, qr.gov, trace)
+	plan, usedMode, err := qr.engine.optimizeLadder(qr.snap, bound.Query, key.mode, key.noViewRewrite, &qr.gov, trace)
 	if err != nil {
 		return nil, err
 	}

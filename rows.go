@@ -69,10 +69,12 @@ type queryRun struct {
 	// snap is the catalog state the run binds, plans and executes against:
 	// the published snapshot current at open, or a writer's working state.
 	snap     *catalog.Snapshot
-	gov      *govern.Governor
+	gov      govern.Governor
 	cp       *compiledPlan
-	col      *obs.Collector
+	col      obs.Collector
 	planInfo *PlanInfo
+	// rows is the run's Rows, allocated with it.
+	rows Rows
 	// sess is the query's storage session: every page the
 	// executor touches is charged to it (and only it), so qr.io is exact
 	// even when other queries run concurrently. Nil until execution opens.
@@ -226,10 +228,14 @@ func parseSelect(src string) (*sql.Select, error) {
 // query is the door shared by the text-taking entry points: fold the
 // caller's options over the door's own base settings and enter the pipeline.
 func (e *Engine) query(ctx context.Context, src string, opt rowsOptions, opts []QueryOption) (*Rows, error) {
-	for _, fn := range opts {
-		if err := fn(&opt); err != nil {
-			return nil, err
+	if len(opts) > 0 {
+		o := opt // the options take its address: only a call with options moves it to the heap
+		for _, fn := range opts {
+			if err := fn(&o); err != nil {
+				return nil, err
+			}
 		}
+		opt = o
 	}
 	return e.run(ctx, src, nil, opt)
 }
@@ -253,8 +259,8 @@ func (e *Engine) run(ctx context.Context, src string, sel *sql.Select, opt rowsO
 	if err := e.walAlive(); err != nil {
 		return nil, err
 	}
-	qr := &queryRun{engine: e, src: src, opt: opt, snap: opt.snap, gov: govern.New(ctx, opt.limits),
-		col: obs.NewCollector(), start: start}
+	qr := &queryRun{engine: e, src: src, opt: opt, snap: opt.snap, start: start}
+	qr.gov.Init(ctx, opt.limits)
 	if qr.snap == nil {
 		qr.snap = e.cat.Snapshot()
 	}
@@ -277,7 +283,8 @@ func (e *Engine) run(ctx context.Context, src string, sel *sql.Select, opt rowsO
 	}
 	if opt.planOnly {
 		qr.finish(nil)
-		return &Rows{query: qr, done: true}, nil
+		qr.rows = Rows{query: qr, done: true}
+		return &qr.rows, nil
 	}
 	return qr.execute()
 }
@@ -298,15 +305,16 @@ func (qr *queryRun) execute() (*Rows, error) {
 		// stays exact either way.
 		e.store.ForceDropCaches()
 	}
-	qr.sess = e.store.NewSession(ioHook(qr.gov, qr.col))
+	qr.sess = e.store.NewSession(ioHook(&qr.gov, &qr.col))
 	cur, err := exec.New(e.store).WithBatchSize(e.cfg.BatchSize).
-		WithSession(qr.sess).WithGovernor(qr.gov).WithCollector(qr.col).
+		WithSession(qr.sess).WithGovernor(&qr.gov).WithCollector(&qr.col).
 		WithParams(params).Open(cp.prog)
 	if err != nil {
 		return nil, err
 	}
 
-	return &Rows{query: qr, cur: cur}, nil
+	qr.rows = Rows{query: qr, cur: cur}
+	return &qr.rows, nil
 }
 
 // closeWith closes the cursor and finishes the run with the given error.
@@ -438,11 +446,7 @@ func (r *Rows) Close() error {
 // stream is finished or closed).
 func (r *Rows) Ops() []OpMetrics {
 	ops := r.query.col.Ops()
-	out := make([]OpMetrics, len(ops))
-	for i, op := range ops {
-		out[i] = *op
-	}
-	return out
+	return append(make([]OpMetrics, 0, len(ops)), ops...)
 }
 
 // IO returns the page IO performed by this query (final once the stream is
@@ -460,19 +464,26 @@ func (r *Rows) IO() IOStats {
 
 // carve returns the slice the current row's n values go in: rows are
 // carved from one chunk per executor batch, sized for the rows the cursor
-// holds (no more than LIMIT still allows), so a result allocates a chunk a
-// batch instead of a slice a row.
+// holds (batchRows), so a result allocates a chunk a batch instead of a
+// slice a row.
 func (r *Rows) carve(n int) []any {
 	if len(r.vals) < n {
-		rows := 1 + r.cur.Buffered()
-		if limit := int64(r.query.cp.Limit); limit >= 0 {
-			rows = int(min(int64(rows), 1+limit-r.query.rowsOut))
-		}
-		r.vals = make([]any, n*rows)
+		r.vals = make([]any, n*r.batchRows())
 	}
 	row := r.vals[:n:n]
 	r.vals = r.vals[n:]
 	return row
+}
+
+// batchRows returns how many rows the stream delivers from the current
+// row to the end of the cursor's batch, the current row included: no more
+// than LIMIT still allows.
+func (r *Rows) batchRows() int {
+	rows := 1 + r.cur.Buffered()
+	if limit := int64(r.query.cp.Limit); limit >= 0 {
+		rows = int(min(int64(rows), 1+limit-r.query.rowsOut))
+	}
+	return rows
 }
 
 // QueryRows executes a SELECT and returns a streaming iterator over its
@@ -485,7 +496,9 @@ func (e *Engine) QueryRows(ctx context.Context, src string, opts ...QueryOption)
 }
 
 // materialize drains an opened run into a Result, attaching the plan, the
-// measured IO, and the per-operator metrics.
+// measured IO, and the per-operator metrics. The result's rows are sized
+// by the first batch (batchRows), which holds them all when the result is
+// one batch or fewer rows.
 func materialize(r *Rows, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
@@ -493,6 +506,9 @@ func materialize(r *Rows, err error) (*Result, error) {
 	defer r.Close()
 	out := &Result{Columns: r.Columns()}
 	for r.Next() {
+		if out.Rows == nil {
+			out.Rows = make([][]any, 0, r.batchRows())
+		}
 		out.Rows = append(out.Rows, r.current) // a fresh slice per row; see Value
 	}
 	if err := r.Err(); err != nil {
@@ -500,6 +516,6 @@ func materialize(r *Rows, err error) (*Result, error) {
 	}
 	out.Plan = r.Plan()
 	out.IO = r.IO()
-	out.Ops = r.Ops()
+	out.Ops = r.query.col.Ops() // the run is finished: its collector is written no more
 	return out, nil
 }

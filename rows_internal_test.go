@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"aggview/internal/obs"
 )
 
 // TestFinishClampsNegativeExecuteDur reproduces the phase-accounting bug
@@ -14,13 +12,13 @@ import (
 // published a negative phase time. finish must clamp it at zero.
 func TestFinishClampsNegativeExecuteDur(t *testing.T) {
 	e := Open(Config{})
-	col := obs.NewCollector()
-	end := col.Time("optimize")
+	qr := &queryRun{engine: e, src: "clamp-test"}
+	end := qr.col.Time("optimize")
 	time.Sleep(2 * time.Millisecond)
 	end()
 	// start after the optimize span ended: total ~0, optimize ~2ms, so the
 	// unclamped subtraction would go negative.
-	qr := &queryRun{engine: e, src: "clamp-test", col: col, start: time.Now()}
+	qr.start = time.Now()
 	qr.finish(nil)
 
 	if qr.executeDur != 0 {
@@ -39,7 +37,7 @@ func TestFinishClampsNegativeExecuteDur(t *testing.T) {
 // fixed durations do not move.
 func TestFinishIdempotent(t *testing.T) {
 	e := Open(Config{})
-	qr := &queryRun{engine: e, src: "idem-test", col: obs.NewCollector(), start: time.Now()}
+	qr := &queryRun{engine: e, src: "idem-test", start: time.Now()}
 	qr.finish(nil)
 	total := qr.totalDur
 	qr.finish(errors.New("late error must be ignored"))
