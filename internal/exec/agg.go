@@ -266,7 +266,7 @@ var statePool recycler[[]aggState]
 
 // reserve readies the states of n groups, those not yet in flight empty.
 func (c *groupByCtx) reserve(n int) {
-	if c.states == nil {
+	if c.pooled == nil {
 		c.pooled = statePool.get()
 		c.states = slices.Grow((*c.pooled)[:0], len(c.aggs))[:len(c.aggs)]
 		for i := range c.states {
@@ -291,9 +291,9 @@ func (c *groupByCtx) dropGroups() {
 // the context holds no group after it.
 func (c *groupByCtx) release() {
 	putStore(c.inner)
-	c.inner = nil
+	c.inner, c.groups = nil, 0
 	clear(c.row)
-	if c.states == nil {
+	if c.pooled == nil {
 		return
 	}
 	for i := range c.states {
@@ -301,7 +301,7 @@ func (c *groupByCtx) release() {
 	}
 	*c.pooled = c.states
 	statePool.put(c.pooled)
-	c.states, c.pooled, c.groups = nil, nil, 0
+	c.states, c.pooled = nil, nil
 }
 
 // groupIDs returns n group ids of g, for the rows of a sort aggregation's
@@ -621,6 +621,7 @@ func (it *hashAggIter) Open() error {
 		groups = float64(len(it.exec.input))
 	}
 	it.bytes = 0
+	it.ctx.dropGroups()
 	it.tab = types.GetKeyTable()
 	it.tab.Init(width, presized(groups, width, it.exec.budgetBytes), it.kind)
 	it.done = getStore()

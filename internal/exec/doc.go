@@ -76,12 +76,13 @@
 // after run, one at a time. What it keeps between runs is its compiled
 // state (its spec, its children, the tree's Executor, whose fields each
 // Open finds set to the new run's) and scratch that holds no value of a
-// run: selection and group-id slices, match flags cleared at Close. What
+// run and is sized by the batch: selection, group-id and pair slices. What
 // it must not keep is anything a later run, or the shared pools, could be
 // hurt by: Close hands every pooled object back (key tables, stores,
 // batches, aggregation states, scan queues), drops its spill files, and
-// lets go of what points into a run's data — vectors, rows, key rows — so
-// a kept tree pins no page and no large buffer. Open, in turn, starts the
+// lets go of what points into a run's data — vectors, rows, key rows — and
+// of scratch sized by it — a join's match flags, a block's match
+// positions — so a kept tree pins no page and no large buffer. Open, in turn, starts the
 // operator from that state whatever the last run did: drained, closed
 // mid-stream, cancelled, stopped by a limit, failed in Open or spilled.
 // A run that panics inside an operator leaves its tree mid-call; the

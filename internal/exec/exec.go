@@ -854,8 +854,6 @@ func (s *spill) addRows(blk *types.Block, sel []int32) error {
 
 func (s *spill) finish() error { return s.store.Flush(s.file) }
 
-func (s *spill) scan() *storage.Scanner { return s.store.NewScanner(s.file) }
-
 // drop releases the file. It is idempotent and nil-safe so operator Close
 // methods can run unconditionally at any point of the iterator lifecycle.
 func (s *spill) drop() {

@@ -178,8 +178,8 @@ func (s *joinSpec) column(i int) int {
 //
 // A left pad follows every candidate of its row, and keep reads and
 // clears the row's flag there, so lMatched is clear again once every row
-// of a block or a probe batch has had its pad; a run closed before that
-// clears it at close.
+// of a block or a probe batch has had its pad. The flags are sized by the
+// run's blocks, so close drops them.
 type joinPairs struct {
 	*joinSpec
 	ex       *Executor // the run's
@@ -206,8 +206,7 @@ func (p *joinPairs) close() {
 	putBatch(p.buf)
 	putBatch(p.res)
 	p.buf, p.res, p.li, p.ri = nil, nil, nil, nil
-	clear(p.lMatched)
-	p.rMatched = nil
+	p.lMatched, p.rMatched = nil, nil
 }
 
 // keep narrows the pairs to the output rows: the candidates the residual
@@ -678,7 +677,6 @@ type blockNLIter struct {
 
 func (it *blockNLIter) Open() error {
 	it.osel, it.opos, it.oEOF, it.found, it.final, it.done = nil, 0, false, false, false, false
-	clear(it.innerMatched)
 	if it.matSrc != nil {
 		// Materialize the inner once, then scan the spill per block. The
 		// spill is assigned before writing so Close drops it on any error.
@@ -847,6 +845,7 @@ func (it *blockNLIter) Close() error {
 	putBatch(it.ib)
 	putStore(it.block)
 	it.ob, it.ib, it.block, it.osel, it.isel, it.all, it.match = nil, nil, nil, nil, nil, nil, nil
+	it.matchBuf, it.innerMatched = nil, nil // sized by the block and the inner
 	it.spilled.drop()
 	it.spilled, it.spillIn = nil, scanIter{}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -66,9 +67,11 @@ func (want reuseRun) diff(got reuseRun) string {
 // reusePlans are plans with a `?` over emp (e.age < ?) that between them
 // reach every operator and every way it keeps state: filters, bare and
 // computed projections, a scan with $tid, sorts, both aggregations with a
-// HAVING, the three joins, inner and outer, and a block nested-loops join
-// over a base-table and a materialized inner. On a 4-page pool the sorts,
-// the joins and the aggregation over eno spill; on 64 pages nothing does.
+// HAVING, a hash aggregation without aggregates (the shape of SELECT
+// DISTINCT), the three joins, inner and outer, and a block nested-loops
+// join over a base-table and a materialized inner. On a 4-page pool the
+// sorts, the joins and the aggregations over eno spill; on 64 pages
+// nothing does.
 func reusePlans(e *env) map[string]lplan.Node {
 	col := func(rel, name string) schema.ColID { return schema.ColID{Rel: rel, Name: name} }
 	young := func(alias string) *lplan.Scan {
@@ -107,6 +110,7 @@ func reusePlans(e *env) map[string]lplan.Node {
 		"sort-desc":          &lplan.Sort{In: young("e"), By: []schema.ColID{col("e", "sal"), col("e", "eno")}, Desc: []bool{true, false}},
 		"hash-agg-dno":       groupBy(lplan.AggHash, "dno"),
 		"hash-agg-eno":       groupBy(lplan.AggHash, "eno"),
+		"hash-distinct":      &lplan.GroupBy{In: young("e"), GroupCols: []schema.ColID{col("e", "eno")}, Method: lplan.AggHash},
 		"sort-agg":           sortAgg,
 		"hash-join-left":     join(lplan.JoinHash, lplan.JoinLeft, young("e"), e.scanDept("d"), eqDno),
 		"hash-join-full":     join(lplan.JoinHash, lplan.JoinFull, e.scanDept("d"), young("e"), eqDno),
@@ -200,10 +204,12 @@ func disrupt(t *testing.T, st *storage.Store, p *Program, params []types.Value, 
 		}
 		return "failed at its first page read"
 	case 5:
+		// Batches smaller than a page, so that an aggregation has formed
+		// groups when the budget runs out.
 		gov.Init(ctx, govern.Limits{MaxIOPages: 3})
 		se := st.NewSession(func(op storage.IOOp, _ bool) error { return gov.TickIO(op != storage.OpHit) })
 		st.ForceDropCaches()
-		cur, err := ex.WithGovernor(&gov).WithSession(se).Open(p)
+		cur, err := ex.WithGovernor(&gov).WithSession(se).WithBatchSize(16).Open(p)
 		if err == nil {
 			err = drain(cur, -1)
 		}
@@ -225,13 +231,16 @@ func disrupt(t *testing.T, st *storage.Store, p *Program, params []types.Value, 
 
 // TestProgramReusesItsTree runs each plan's compiled program over and over,
 // each normal run after one that ended early, failed or ran with other
-// settings (disrupt), with rotating parameters and batch sizes. Every
+// settings (disrupt), with rotating parameters and batch sizes. The
+// disrupted runs take every row (age < 65), so a run that fails after
+// forming groups is followed by one that forms fewer. Every
 // normal run must equal a run of the same plan compiled afresh — rows in
 // order, every operator's metrics but time, the unattributed IO and the
 // session IO — and must have run on the one tree the program built on its
 // first open. No spill file outlives the runs.
 func TestProgramReusesItsTree(t *testing.T) {
 	ages := []int64{40, 21, 65, 25}
+	every := []types.Value{types.NewInt(65)} // the oldest employee is 64
 	for _, pool := range []int{4, 64} {
 		e := newEnv(t, pool, 3000, 60)
 		plans := reusePlans(e)
@@ -243,6 +252,10 @@ func TestProgramReusesItsTree(t *testing.T) {
 		for _, name := range names {
 			plan := plans[name]
 			t.Run(fmt.Sprintf("pool=%d/%s", pool, name), func(t *testing.T) {
+				// Two collections empty the sync.Pools, so the plan's first
+				// runs take fresh pooled objects, not what other plans left.
+				runtime.GC()
+				runtime.GC()
 				p, err := Compile(plan)
 				if err != nil {
 					t.Fatal(err)
@@ -253,7 +266,7 @@ func TestProgramReusesItsTree(t *testing.T) {
 					bs := []int{DefaultBatchSize, 3}[round%2]
 					how := "first run"
 					if round > 0 {
-						how = disrupt(t, e.store, p, params, round-1)
+						how = disrupt(t, e.store, p, every, round-1)
 					}
 					got, err := runCold(e.store, p, params, bs)
 					if err != nil {

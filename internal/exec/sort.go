@@ -178,7 +178,7 @@ type mergeRuns struct {
 
 // mergeItem is a run's next row: row pos of the page being read.
 type mergeItem struct {
-	sc   *storage.Scanner
+	sc   storage.Scanner
 	page types.Block
 	pos  int
 	run  int // the run's ordinal: runs hold consecutive stretches of the input
@@ -226,7 +226,8 @@ func newMergeRuns(runs []*spill, keys sortKeys, target int) (*mergeRuns, error) 
 	}
 	m := &mergeRuns{target: target, items: mergeHeap{keys: keys}}
 	for i, r := range runs {
-		item := &mergeItem{sc: r.scan(), pos: -1, run: i}
+		item := &mergeItem{pos: -1, run: i}
+		r.store.StartScan(&item.sc, r.file)
 		ok, err := item.next()
 		if err != nil {
 			return nil, err

@@ -295,7 +295,6 @@ type Pager interface {
 	Append(f *File, row types.Row) error
 	Flush(f *File) error
 	ReadPage(f *File, n int) (types.Block, error)
-	NewScanner(f *File) *Scanner
 	StartScan(sc *Scanner, f *File)
 	CreateTemp(name string) *File
 	DropFile(f *File)
